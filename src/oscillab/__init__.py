@@ -23,17 +23,13 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "grid": (
         "Ball",
-        "DyadicCube",
         "Grid",
         "GridFunction",
         "SummedTable",
         "ball_average",
         "ball_sample_count",
         "ball_volume",
-        "cube_average",
-        "cube_oscillation",
         "mean_oscillation",
-        "region_Rk",
     ),
     "family": (
         "BallFamily",
@@ -46,14 +42,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "CriticalRadiusField",
         "CriticalRadiusOptions",
         "Potential",
-        "almost_monotonicity_check",
         "constant_potential",
         "critical_radius",
         "normalized_mass",
         "power_potential",
-        "rh_constant",
-        "rh_ratio",
-        "slow_variation_fit",
         "solve_critical_radius",
         "tabulated_potential",
         "zero_potential",
@@ -67,10 +59,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "default_ladder",
         "discretize",
         "heat",
-        "heat_kernel_deficit",
         "poisson",
         "poisson_extension",
-        "poisson_one_deficit",
         "poisson_subordinated",
         "square_function_field",
     ),
@@ -80,7 +70,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Verdict",
         "bmo_l_norm",
         "bmo_norm",
-        "log_average_bound",
         "oscillation_curves",
         "semigroup_oscillation_curves",
         "tilde_bmo_l_norm",
@@ -91,7 +80,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "carleson_box",
         "carleson_box_strict_tent",
         "cone_square_function",
-        "dilate_mean_oscillation",
         "dilate_oscillation",
         "gradient_carleson_curves",
         "hmo_norm",
@@ -103,7 +91,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "AveragingThresholds",
         "DyadicAssignment",
         "ThresholdFractions",
-        "approx_distance",
         "assign_cubes",
         "bump",
         "choose_thresholds",

@@ -6,9 +6,9 @@ The approximation pipeline for a function f with a critical-radius field:
    that cube oscillations below scale 2^-I, above scale 2^J, and far from
    the origin all drop below eps-proportional bounds, and cube sizes on
    supercritical scales do too;
-2. assign_cubes tiles the box with half-open dyadic cubes whose sidelength
-   depends on the region of the sample (core gets 2^(-I-2), the m-th shell
-   gets 2^(m-I-J-1));
+2. assign_cubes tiles the box with half-open dyadic intervals ("cubes")
+   whose sidelength depends on the region of the sample (core gets
+   2^(-I-2), the m-th shell gets 2^(m-I-J-1));
 3. the region average replaces f by its cube means (exactly idempotent);
 4. p1_p2_check verifies the smallness of the result outside the outer
    region and across closure-adjacent cubes.
@@ -25,15 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateRegionError,
-    OutOfDomainError,
-    ThresholdExhaustedError,
-)
-from .family import BallFamily
-from .grid import DyadicCube, Grid, GridFunction
-from .oscillation import SplitNormReport, bmo_l_norm
+from .errors import ConfigError, OutOfDomainError, ThresholdExhaustedError
+from .grid import Grid, GridFunction
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +50,10 @@ def bump(grid: Grid, center: Sequence[float] | None = None, width: float = 1.0) 
         raise ConfigError(
             f"spacing {grid.spacing} too coarse for a width-{width} bump; need h < width/4"
         )
-    c = np.zeros(grid.n) if center is None else np.asarray(center, dtype=np.float64)
-    if c.shape != (grid.n,):
-        raise ConfigError("bump center dimension mismatch")
-    if grid.n == 1:
-        r2 = ((grid.axis - c[0]) / width) ** 2
-    else:
-        a = grid.axis
-        r2 = ((a[:, None] - c[0]) ** 2 + (a[None, :] - c[1]) ** 2) / width**2
+    c = np.zeros(1) if center is None else np.asarray(center, dtype=np.float64)
+    if c.shape != (1,):
+        raise ConfigError("bump center must have one coordinate")
+    r2 = ((grid.axis - c[0]) / width) ** 2
     vals = _bump_profile(r2)
     mass = float(np.sum(vals) * grid.cell_volume)
     if mass <= 0:
@@ -88,28 +77,17 @@ def mollify(f: GridFunction, t: float) -> Mollified:
         raise ConfigError(f"mollification width {t} is below 4h = {4 * h}")
     kmax = math.ceil(t / h - 1e-9) - 1
     offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
-    if g.n == 1:
-        w = _bump_profile((offs / t) ** 2)
-        w /= np.sum(w)
-        if f.values.size * w.size <= 1 << 26:
-            conv = np.convolve(f.values, w, mode="same")
-        else:
-            from scipy.signal import fftconvolve
-
-            conv = fftconvolve(f.values, w, mode="same")
-        n_ax = g.axis_count
-        i = np.arange(n_ax)
-        valid = (i - kmax >= 0) & (i + kmax <= n_ax - 1)
+    w = _bump_profile((offs / t) ** 2)
+    w /= np.sum(w)
+    if f.values.size * w.size <= 1 << 26:
+        conv = np.convolve(f.values, w, mode="same")
     else:
-        w = _bump_profile((offs[:, None] ** 2 + offs[None, :] ** 2) / t**2)
-        w /= np.sum(w)
         from scipy.signal import fftconvolve
 
         conv = fftconvolve(f.values, w, mode="same")
-        n_ax = g.axis_count
-        i = np.arange(n_ax)
-        line = (i - kmax >= 0) & (i + kmax <= n_ax - 1)
-        valid = line[:, None] & line[None, :]
+    n_ax = g.axis_count
+    i = np.arange(n_ax)
+    valid = (i - kmax >= 0) & (i + kmax <= n_ax - 1)
     return Mollified(GridFunction(g, conv), valid)
 
 
@@ -131,8 +109,8 @@ def _dyadic_exponents(grid: Grid) -> tuple[int, int]:
 
 class _LevelStats:
     """Per-cube counts/sums/sums-of-squares for one dyadic level tiling the
-    box.  The top boundary sample on each axis folds into the last cube so
-    the cubes partition all samples."""
+    box.  The top boundary sample folds into the last cube so the cubes
+    partition all samples."""
 
     def __init__(self, f: GridFunction, level: int):
         g = f.grid
@@ -141,34 +119,17 @@ class _LevelStats:
             raise ConfigError(f"level {level} outside the grid's dyadic range [{-p}, {a}]")
         self.level = level
         self.q = 2 ** (level + p)  # cells per cube edge
-        self.nc = 2 ** (a + 1 - level)  # cubes per axis
+        self.nc = 2 ** (a + 1 - level)  # cubes in the box
         self.n0 = g.half_cells
         q, nc = self.q, self.nc
         v = f.values
-        if g.n == 1:
-            body = v[:-1].reshape(nc, q)
-            sums = body.sum(axis=1)
-            sumsq = (body**2).sum(axis=1)
-            counts = np.full(nc, q, dtype=np.int64)
-            sums[-1] += v[-1]
-            sumsq[-1] += v[-1] ** 2
-            counts[-1] += 1
-        else:
-            body = v[:-1, :-1].reshape(nc, q, nc, q)
-            sums = body.sum(axis=(1, 3))
-            sumsq = (body**2).sum(axis=(1, 3))
-            counts = np.full((nc, nc), q * q, dtype=np.int64)
-            e_r = v[-1, :-1].reshape(nc, q)
-            sums[-1, :] += e_r.sum(axis=1)
-            sumsq[-1, :] += (e_r**2).sum(axis=1)
-            counts[-1, :] += q
-            e_c = v[:-1, -1].reshape(nc, q)
-            sums[:, -1] += e_c.sum(axis=1)
-            sumsq[:, -1] += (e_c**2).sum(axis=1)
-            counts[:, -1] += q
-            sums[-1, -1] += v[-1, -1]
-            sumsq[-1, -1] += v[-1, -1] ** 2
-            counts[-1, -1] += 1
+        body = v[:-1].reshape(nc, q)
+        sums = body.sum(axis=1)
+        sumsq = (body**2).sum(axis=1)
+        counts = np.full(nc, q, dtype=np.int64)
+        sums[-1] += v[-1]
+        sumsq[-1] += v[-1] ** 2
+        counts[-1] += 1
         self.counts = counts
         self.sums = sums
         self.sumsq = sumsq
@@ -189,41 +150,29 @@ class _LevelStats:
     def size(self) -> np.ndarray:
         return np.sqrt(self.mean_sq)
 
-    def corner_cells_1d(self) -> np.ndarray:
-        """Corner cell coordinate per axis index (lattice units of h)."""
+    def corner_cells(self) -> np.ndarray:
+        """Corner cell coordinate per cube (lattice units of h)."""
         return -self.n0 + np.arange(self.nc, dtype=np.int64) * self.q
 
     def outside_score(self) -> np.ndarray:
         """Per-cube integer score g with: cube disjoint from the closed
         origin cube of half-extent T cells  <=>  g >= T."""
-        c = self.corner_cells_1d()
-        g1 = np.maximum(c - 1, -c - self.q)
-        if self.counts.ndim == 1:
-            return g1
-        return np.maximum(g1[:, None], g1[None, :])
+        c = self.corner_cells()
+        return np.maximum(c - 1, -c - self.q)
 
     def sigma_range(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cube (min, max) of the radial cell score sigma(o) =
         max(o, -o-1) over the cube's samples; a cube lies in the half-open
         shell [S_lo, S_hi) cells iff min >= S_lo and max < S_hi."""
-        c = self.corner_cells_1d()
+        c = self.corner_cells()
         top = c + self.q - 1
-        mn1 = np.where(c >= 0, c, np.where(top < 0, -c - self.q, 0))
-        mx1 = np.maximum(top, -c - 1)
-        if self.counts.ndim == 1:
-            return mn1, mx1
-        return (
-            np.maximum(mn1[:, None], mn1[None, :]),
-            np.maximum(mx1[:, None], mx1[None, :]),
-        )
+        mn = np.where(c >= 0, c, np.where(top < 0, -c - self.q, 0))
+        mx = np.maximum(top, -c - 1)
+        return mn, mx
 
     def centers(self, grid: Grid) -> np.ndarray:
-        """(n_cubes, n) cube centers in coordinates."""
-        c = (self.corner_cells_1d() + self.q / 2.0) * grid.spacing
-        if self.counts.ndim == 1:
-            return c[:, None]
-        xx, yy = np.meshgrid(c, c, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=1)
+        """(n_cubes, 1) cube centers in coordinates."""
+        return ((self.corner_cells() + self.q / 2.0) * grid.spacing)[:, None]
 
 
 def _rho_fn(rho) -> Callable[[np.ndarray], np.ndarray]:
@@ -243,13 +192,14 @@ def _rho_fn(rho) -> Callable[[np.ndarray], np.ndarray]:
 @dataclass(frozen=True)
 class ThresholdFractions:
     """eps multipliers for the scanned bounds; None picks the defaults
-    1/(5*4^n) for oscillation conditions and 1/2 for size conditions."""
+    1/20 (the paper's 1/(5*4^n) at n = 1) for oscillation conditions and
+    1/2 for size conditions."""
 
     oscillation: float | None = None
     size: float = 0.5
 
-    def osc_value(self, n: int) -> float:
-        return self.oscillation if self.oscillation is not None else 1.0 / (5.0 * 4.0**n)
+    def osc_value(self) -> float:
+        return self.oscillation if self.oscillation is not None else 1.0 / 20.0
 
 
 @dataclass(frozen=True)
@@ -297,7 +247,7 @@ def choose_thresholds(
     ThresholdExhaustedError when any scan runs off the level range.
 
     slow_variation = (c, k0, rho_at_origin) adds the closed-form bound
-    (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2 sqrt(n)/rho0)^(k0/(k0+1)),
+    (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2/rho0)^(k0/(k0+1)),
     to the report for cross-checking the scanned M.
     """
     if not (eps > 0):
@@ -305,7 +255,7 @@ def choose_thresholds(
     g = f.grid
     a, p = _dyadic_exponents(g)
     fr = fractions or ThresholdFractions()
-    osc_bound = fr.osc_value(g.n) * eps
+    osc_bound = fr.osc_value() * eps
     size_bound = fr.size * eps
     l_lo = level_min if level_min is not None else -p + 1
     l_hi = level_max if level_max is not None else a
@@ -355,8 +305,8 @@ def choose_thresholds(
     far_super_sorted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for l in levels:
         st = level_stats(l)
-        score = st.outside_score().ravel()
-        osc = st.oscillation.ravel()
+        score = st.outside_score()
+        osc = st.oscillation
         order = np.argsort(score, kind="stable")
         s_sorted = score[order]
         suffix = np.maximum.accumulate(osc[order][::-1])[::-1]
@@ -365,7 +315,7 @@ def choose_thresholds(
         centers = st.centers(g)
         rho_c = rho_at(centers)
         sup_mask = (2.0**l) >= rho_c
-        size = st.size.ravel()
+        size = st.size
         super_size_max[l] = float(np.max(size[sup_mask])) if np.any(sup_mask) else -math.inf
         if np.any(sup_mask):
             sc = score[sup_mask]
@@ -444,10 +394,10 @@ def choose_thresholds(
             )
         st = level_stats(lv) if l_lo <= lv <= l_hi else _LevelStats(f, lv)
         mn, mx = st.sigma_range()
-        size = st.size.ravel()
+        size = st.size
         inner_cells = 2 ** (m + p)
         outer_cells = 2 ** (m + 1 + p)
-        in_shell = ((mn >= inner_cells) & (mx < outer_cells)).ravel()
+        in_shell = (mn >= inner_cells) & (mx < outer_cells)
         shell_size[m] = float(np.max(size[in_shell])) if np.any(in_shell) else -math.inf
     outer = None
     suffix_sup = -math.inf
@@ -468,7 +418,7 @@ def choose_thresholds(
     closed = None
     if slow_variation is not None:
         c_sv, k0, rho0 = slow_variation
-        C = c_sv * rho0 * (1.0 + 2.0 * math.sqrt(g.n) / rho0) ** (k0 / (k0 + 1.0))
+        C = c_sv * rho0 * (1.0 + 2.0 / rho0) ** (k0 / (k0 + 1.0))
         closed = (k0 + 1.0) * (math.log2(max(C, 1e-300)) + fine + core + 1.0)
 
     return AveragingThresholds(
@@ -477,8 +427,9 @@ def choose_thresholds(
 
 
 def _region_probe_points(grid: Grid, halfw: float) -> np.ndarray:
-    """Decimated grid points covering the closed origin cube of the given
-    half-extent (always includes the origin and the corners)."""
+    """Decimated grid points, shape (k, 1), covering the closed origin
+    interval of the given half-extent (always includes the origin and both
+    ends)."""
     ax = grid.axis
     sel = np.abs(ax) <= halfw + 1e-12
     pts1 = ax[sel]
@@ -488,10 +439,7 @@ def _region_probe_points(grid: Grid, halfw: float) -> np.ndarray:
         if keep[-1] != pts1[-1]:
             keep = np.append(keep, pts1[-1])
         pts1 = keep
-    if grid.n == 1:
-        return pts1[:, None]
-    xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+    return pts1[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +450,10 @@ def _region_probe_points(grid: Grid, halfw: float) -> np.ndarray:
 class DyadicAssignment:
     """Partition of the samples into half-open dyadic cubes.
 
-    sample_cube maps each (row-major) sample to a cube id; cube_levels and
-    cube_corners describe each cube.  Regions are half-open (the core is
-    [-2^J, 2^J)^n), so the tiles partition the box exactly; the +X boundary
-    samples fold into the last cube on their axis.
+    sample_cube maps each sample to a cube id; cube_levels and cube_corners
+    ((n_cubes, 1)) describe each cube.  Regions are half-open (the core is
+    [-2^J, 2^J)), so the tiles partition the box exactly; the +X boundary
+    sample folds into the last cube.
     """
 
     grid: Grid
@@ -518,9 +466,6 @@ class DyadicAssignment:
     @property
     def n_cubes(self) -> int:
         return self.cube_levels.size
-
-    def cube(self, i: int) -> DyadicCube:
-        return DyadicCube(int(self.cube_levels[i]), tuple(int(c) for c in self.cube_corners[i]))
 
 
 def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
@@ -539,16 +484,8 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
         raise ConfigError("core cubes fall below the grid scale")
     n0 = grid.half_cells
     idx = np.arange(grid.axis_count, dtype=np.int64)
-    o1 = np.minimum(idx, 2 * n0 - 1) - n0  # folded per-axis offsets
-    sigma1 = np.maximum(o1, -o1 - 1)
-    if grid.n == 1:
-        o = o1[:, None]
-        sigma = sigma1
-    else:
-        o = np.stack(
-            [np.repeat(o1, grid.axis_count), np.tile(o1, grid.axis_count)], axis=1
-        )
-        sigma = np.maximum(sigma1[:, None], sigma1[None, :]).ravel()
+    o = np.minimum(idx, 2 * n0 - 1) - n0  # folded offsets
+    sigma = np.maximum(o, -o - 1)
 
     core_cells = 2 ** (th.core_exponent + p)
     in_core = sigma < core_cells
@@ -566,9 +503,9 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
     if np.any(level < -p):
         raise ConfigError("assignment produced cubes below the grid scale")
     qbits = (level + p).astype(np.int64)
-    corners = o >> qbits[:, None]  # arithmetic shift = floor division
+    corners = o >> qbits  # arithmetic shift = floor division
 
-    key = np.concatenate([level[:, None], corners], axis=1)
+    key = np.stack([level, corners], axis=1)
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
     counts = np.bincount(inverse)
     return DyadicAssignment(
@@ -589,7 +526,7 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
     """
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")
-    flat = f.values.ravel()
+    flat = f.values
     sc = assignment.sample_cube
     n_cubes = assignment.n_cubes
     uniq_ids, first_idx = np.unique(sc, return_index=True)
@@ -599,13 +536,12 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
     diffs = flat - anchors[sc]
     sums = np.bincount(sc, weights=diffs, minlength=n_cubes)
     means = anchors + sums / assignment.cube_counts
-    return GridFunction(f.grid, means[sc].reshape(f.grid.shape))
+    return GridFunction(f.grid, means[sc])
 
 
 def cube_means(f: GridFunction, assignment: DyadicAssignment) -> np.ndarray:
-    flat = f.values.ravel()
     sc = assignment.sample_cube
-    sums = np.bincount(sc, weights=flat, minlength=assignment.n_cubes)
+    sums = np.bincount(sc, weights=f.values, minlength=assignment.n_cubes)
     return sums / assignment.cube_counts
 
 
@@ -633,13 +569,8 @@ def p1_p2_check(
     g = assignment.grid
     A = averaged if averaged is not None else dyadic_average(f, assignment)
     lim = 2.0**th.outer_exponent
-    ax = np.abs(g.axis)
-    if g.n == 1:
-        outside = ax > lim + 1e-12
-    else:
-        outside = (np.maximum(ax[:, None], ax[None, :]) > lim + 1e-12).ravel()
-    flatA = A.values.ravel()
-    p1 = float(np.max(np.abs(flatA[outside]), initial=0.0))
+    outside = np.abs(g.axis) > lim + 1e-12
+    p1 = float(np.max(np.abs(A.values[outside]), initial=0.0))
 
     means = cube_means(f, assignment)
     pairs = _adjacent_pairs(assignment)
@@ -662,75 +593,23 @@ def p1_p2_check(
 
 
 def _adjacent_pairs(assignment: DyadicAssignment) -> np.ndarray:
-    """Closure-adjacent cube id pairs, found by probing just outside each
-    cube's faces and corners and locating the probe's cube."""
+    """Closure-adjacent cube id pairs, found by probing the sample just
+    outside each end of every cube and locating the probe's cube."""
     g = assignment.grid
     n0 = g.half_cells
     lv = assignment.cube_levels
     _, p = _dyadic_exponents(g)
     q = (1 << (lv + p)).astype(np.int64)
-    corners = assignment.cube_corners * q[:, None]  # in cells
-
-    # map each folded offset cell to its cube id
-    cell_to_cube = assignment.sample_cube  # indexed by row-major sample
-    n_ax = g.axis_count
-
-    def cube_at(cells: np.ndarray) -> np.ndarray:
-        # cells: (k, n) lattice offsets in [-n0, n0-1]
-        idx = cells + n0
-        if g.n == 1:
-            flat = idx[:, 0]
-        else:
-            flat = idx[:, 0] * n_ax + idx[:, 1]
-        return cell_to_cube[flat]
+    c = assignment.cube_corners[:, 0] * q  # in cells
 
     pairs = []
-    if g.n == 1:
-        c = corners[:, 0]
-        for probe in (c - 1, c + q):
-            ok = (probe >= -n0) & (probe <= n0 - 1)
-            src = np.nonzero(ok)[0]
-            tgt = cube_at(probe[ok][:, None])
-            pairs.append(np.stack([src, tgt], axis=1))
-    else:
-        c0, c1 = corners[:, 0], corners[:, 1]
-        # probe positions along each face at offsets {0, q/2, q-1}, plus corners
-        for frac in (0, 1, 2):
-            for side in range(4):
-                off = {0: 0, 1: np.maximum(q // 2, 0), 2: q - 1}[frac]
-                if side == 0:  # left face, varying axis 1
-                    p0, p1 = c0 - 1, c1 + off
-                elif side == 1:  # right face
-                    p0, p1 = c0 + q, c1 + off
-                elif side == 2:  # bottom face, varying axis 0
-                    p0, p1 = c0 + off, c1 - 1
-                else:
-                    p0, p1 = c0 + off, c1 + q
-                ok = (p0 >= -n0) & (p0 <= n0 - 1) & (p1 >= -n0) & (p1 <= n0 - 1)
-                src = np.nonzero(ok)[0]
-                tgt = cube_at(np.stack([p0[ok], p1[ok]], axis=1))
-                pairs.append(np.stack([src, tgt], axis=1))
-        for d0 in (-1, 1):
-            for d1 in (-1, 1):
-                p0 = np.where(d0 < 0, c0 - 1, c0 + q)
-                p1 = np.where(d1 < 0, c1 - 1, c1 + q)
-                ok = (p0 >= -n0) & (p0 <= n0 - 1) & (p1 >= -n0) & (p1 <= n0 - 1)
-                src = np.nonzero(ok)[0]
-                tgt = cube_at(np.stack([p0[ok], p1[ok]], axis=1))
-                pairs.append(np.stack([src, tgt], axis=1))
+    for probe in (c - 1, c + q):
+        ok = (probe >= -n0) & (probe <= n0 - 1)
+        src = np.nonzero(ok)[0]
+        tgt = assignment.sample_cube[probe[ok] + n0]
+        pairs.append(np.stack([src, tgt], axis=1))
     allp = np.concatenate(pairs, axis=0)
     allp = allp[allp[:, 0] != allp[:, 1]]
     lo = np.minimum(allp[:, 0], allp[:, 1])
     hi = np.maximum(allp[:, 0], allp[:, 1])
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# distances
-
-
-def approx_distance(
-    f: GridFunction, g_fn: GridFunction, rho, family: BallFamily, p: float = 2.0
-) -> SplitNormReport:
-    """Critical-radius-adapted norm of f - g over the family."""
-    return bmo_l_norm(f - g_fn, rho, family, p)

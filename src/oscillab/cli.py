@@ -5,8 +5,10 @@ config; the other subcommands are shorthands that synthesize a one-scenario
 config from flags.  Exit codes: 0 all checks passed, 2 configuration
 problem, 3 a declared check failed (the report bundle is still written).
 
---threads must take effect before numpy loads its BLAS, so the heavy
-imports happen inside main() after the environment is set.
+--threads pins the BLAS pools through OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
+and MKL_NUM_THREADS, which BLAS reads only when numpy loads; so the heavy
+imports happen inside main() after the environment is set, and a call made
+after numpy is already loaded is refused (exit 2) rather than ignored.
 """
 
 from __future__ import annotations
@@ -121,17 +123,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             print("config error: --threads must be >= 1", file=sys.stderr)
             return 2
+        if "numpy" in sys.modules:
+            print(
+                "config error: --threads must be given before numpy is loaded "
+                "(numpy is already imported in this process); set "
+                "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS instead",
+                file=sys.stderr,
+            )
+            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
-        if "numpy" in sys.modules:
-            # BLAS read the env at load time; pin the live pools instead
-            try:
-                import threadpoolctl
-
-                global _POOL_LIMIT
-                _POOL_LIMIT = threadpoolctl.threadpool_limits(args.threads)
-            except ImportError:
-                pass
 
     from .errors import ConfigError, CriterionFailure, OscillabError
     from .experiments import ExperimentConfig, run
@@ -160,8 +161,6 @@ def main(argv: list[str] | None = None) -> int:
         doc["op_cap"] = args.op_cap
     if args.interior_window is not None:
         doc["interior_window"] = args.interior_window
-    if args.threads is not None:
-        doc["threads"] = args.threads
 
     try:
         cfg = ExperimentConfig.from_dict(doc)

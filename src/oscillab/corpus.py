@@ -137,9 +137,9 @@ def member_by_name(name: str) -> CorpusMember:
 
 
 def corpus_grid() -> Grid:
-    return Grid(n=1, halfwidth=16.0, spacing=2.0**-6)
+    return Grid(halfwidth=16.0, spacing=2.0**-6)
 
 
 def corpus_operator(grid: Optional[Grid] = None, cap: int = 4096) -> SpectralOperator:
     g = grid if grid is not None else corpus_grid()
-    return discretize(constant_potential(1.0, g.n), g, cap=cap)
+    return discretize(constant_potential(1.0), g, cap=cap)

@@ -31,9 +31,10 @@ from .approx import (
 )
 from .corpus import CORPUS, CorpusMember, member_by_name
 from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
-from .family import FamilyPolicy, LimitCurve, make_ball_family
+from .family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
 from .grid import Ball, Grid, GridFunction, mean_oscillation
 from .oscillation import (
+    SplitNormReport,
     Verdict,
     bmo_l_norm,
     bmo_norm,
@@ -72,7 +73,7 @@ RHO_CONSTANT_UNIT = 2.0**-0.5  # critical radius of the unit potential in 1-D
 
 
 def _operator_for(grid: Grid, cap: int) -> SpectralOperator:
-    return discretize(constant_potential(1.0, grid.n), grid, cap=cap)
+    return discretize(constant_potential(1.0), grid, cap=cap)
 
 
 def _build_member(member: CorpusMember | str, grid: Grid, op: Optional[SpectralOperator], cap: int) -> tuple[GridFunction, Optional[SpectralOperator]]:
@@ -99,15 +100,13 @@ def lacunary_function(grid: Grid, k_max: int, width: float = 1.0) -> tuple[GridF
     the origin (same sampled kernel) for reference oscillation values."""
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    if grid.n != 1:
-        raise ConfigError("the lacunary sum is a 1-D construction")
     reach = 3.0**k_max + width + 1.0
     if grid.halfwidth < reach:
         raise ConfigError(
             f"grid halfwidth {grid.halfwidth} does not cover the outermost bump (need >= {reach})"
         )
     h = grid.spacing
-    probe = Grid(n=1, halfwidth=max(4.0 * width, 32 * h), spacing=h)
+    probe = Grid(halfwidth=max(4.0 * width, 32 * h), spacing=h)
     kernel = bump(probe, width=width).values
     mask = np.abs(probe.axis) < width
     win = kernel[mask]
@@ -259,7 +258,7 @@ def exp_lacunary(
     oscillation; the report carries all three verdicts, the far floor, and
     the fitted decay exponent of the far-supercritical curve.
     """
-    grid = Grid(n=1, halfwidth=halfwidth, spacing=spacing)
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
     V = power_potential(exponent, 1, amplitude=amplitude)
     f, phi = lacunary_function(grid, k_max)
     floor_ref = mean_oscillation(phi, Ball((0.0,), 1.0), 2)
@@ -358,7 +357,7 @@ def exp_square_membership(
 ) -> MembershipReport:
     """Semigroup-metric curves of f against tent curves of the scaled square
     function field, with aggregate vanishing verdicts on both sides."""
-    grid = Grid(n=1, halfwidth=halfwidth, spacing=spacing)
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
     if op is not None and not op.grid.compatible(grid):
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
@@ -444,7 +443,7 @@ def exp_extension_agreement(
 ) -> ExtensionReport:
     """Carleson curves of the harmonic extension's scaled gradient against
     the plain oscillation curves of the boundary function."""
-    grid = Grid(n=1, halfwidth=halfwidth, spacing=spacing)
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
     if op is not None and not op.grid.compatible(grid):
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
@@ -547,7 +546,7 @@ def exp_pipeline(
     NONMEMBER report when the threshold scan is exhausted (constants are
     the canonical case: their supercritical size never drops).
     """
-    grid = Grid(n=1, halfwidth=halfwidth, spacing=spacing)
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
     f, _ = _build_member(member, grid, None, cap=DEFAULT_OP_CAP)
     h = grid.spacing
     fam = make_ball_family(
@@ -605,7 +604,7 @@ def exp_pipeline(
     F_eps = mollify(AX, t_eps).fn
     d_full = bmo_l_norm(f - F_eps, RHO_CONSTANT_UNIT, fam).value
 
-    n = grid.n
+    n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
     case_bound = (20.0 ** (n / 2.0) / 4.0**n + 2.0) * eps
     return PipelineReport(
         member=name,
@@ -631,7 +630,7 @@ def exp_pipeline(
 # config-driven runner
 
 
-_TOP_KEYS = {"scenarios", "out_dir", "seed", "op_cap", "interior_window", "threads"}
+_TOP_KEYS = {"scenarios", "out_dir", "seed", "op_cap", "interior_window"}
 
 
 @dataclass
@@ -641,7 +640,6 @@ class ExperimentConfig:
     seed: int = 0
     op_cap: int = DEFAULT_OP_CAP
     interior_window: float = 1.0 / 3.0
-    threads: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
     @staticmethod
@@ -672,16 +670,12 @@ class ExperimentConfig:
         window = d.get("interior_window", 1.0 / 3.0)
         if not (isinstance(window, (int, float)) and 0 < window <= 1):
             raise ConfigError("'interior_window' must lie in (0, 1]")
-        threads = d.get("threads")
-        if threads is not None and (not isinstance(threads, int) or threads < 1):
-            raise ConfigError("'threads' must be a positive integer")
         return ExperimentConfig(
             scenarios=scenarios,
             out_dir=str(d.get("out_dir", "oscillab-out")),
             seed=seed,
             op_cap=cap,
             interior_window=float(window),
-            threads=threads,
             raw=d,
         )
 
@@ -699,7 +693,6 @@ def _params(scenario: dict, allowed: set[str], required: set[str] = frozenset())
 
 def _parse_grid(p: dict, default_halfwidth: float = 16.0, default_spacing: float = 2.0**-6) -> Grid:
     return Grid(
-        n=int(p.get("n", 1)),
         halfwidth=float(p.get("halfwidth", default_halfwidth)),
         spacing=float(p.get("spacing", default_spacing)),
     )
@@ -903,6 +896,12 @@ def _run_pipeline(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gene
     return rep.to_dict(), failures
 
 
+def _arg_sup_ball(fam: BallFamily, split: SplitNormReport) -> Ball:
+    """The ball attaining the size part, or the oscillation part when no
+    ball is supercritical."""
+    return fam.ball(split.size_arg if split.size_present else split.oscillation_arg)
+
+
 def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     kw = _params(
         {"id": "bmo-norms", **p},
@@ -925,7 +924,7 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     decf = float(kw.get("decay_factor", 4.0))
     verdicts = _verdict_map(curves, tolf * split.value, decf)
     save_curves_csv(out / "curves.csv", [curves[m] for m in sorted(curves)])
-    fam_ball = fam.ball(split.size_arg if split.size_arg >= 0 else 0)
+    fam_ball = _arg_sup_ball(fam, split)
     summary = {
         "member": str(kw.get("member", "bump-narrow")),
         "bmo": plain.value,
@@ -987,7 +986,7 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
     return (
         {
             "left": str(kw.get("left", "gaussian")),
-            "right": str(kw.get("right", "bump-wide")),
+            "right": str(kw.get("right", "gaussian")),
             "direct": rep.direct,
             "tent": rep.tent,
             "rel_error": rep.rel_error,
@@ -1021,9 +1020,9 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 
     with (out / "assignment.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["level"] + [f"corner_{ax}" for ax in "xy"[: grid.n]])
-        for lv, corner in zip(asg.cube_levels.tolist(), asg.cube_corners.tolist()):
-            w.writerow([lv] + list(corner))
+        w.writerow(["level", "corner_x"])
+        for lv, corner in zip(asg.cube_levels.tolist(), asg.cube_corners[:, 0].tolist()):
+            w.writerow([lv, corner])
     save_grid_function(out / "averaged.json", A)
     gate_doc = {
         "eps": eps,

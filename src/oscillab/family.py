@@ -9,12 +9,12 @@ which is not the same as a zero supremum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError, GridMismatchError
+from .errors import ConfigError, DegenerateRegionError
 from .grid import Ball, Grid
 
 MODES = (
@@ -33,8 +33,8 @@ _DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
 class FamilyPolicy:
     """How to enumerate a deterministic ball family on a grid.
 
-    Centers walk the lattice c = k * center_stride (componentwise) with
-    |c| <= max_center_norm.  Radii are either given explicitly or as a
+    Centers walk the lattice c = k * center_stride with |c| <=
+    max_center_norm.  Radii are either given explicitly or as a
     geometric ladder radius_min * radius_ratio^j <= radius_max.  Every
     radius is snapped to a multiple of h; balls touching the box boundary
     are dropped.
@@ -55,7 +55,7 @@ class FamilyPolicy:
 class BallFamily:
     """Deterministically enumerated balls, tagged for bucketed scans.
 
-    centers: (k, n) coordinates; radii: (k,); inner_distance = |c| - r,
+    centers: (k, 1) coordinates; radii: (k,); inner_distance = |c| - r,
     the largest a such that the ball avoids B(0, a).  radius_ladder and
     distance_ladder are the cutoff ladders used by bucketed_sup.
     """
@@ -67,7 +67,7 @@ class BallFamily:
     distance_ladder: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=np.float64).reshape(-1, self.grid.n)
+        c = np.asarray(self.centers, dtype=np.float64).reshape(-1, 1)
         r = np.asarray(self.radii, dtype=np.float64).reshape(-1)
         if c.shape[0] != r.shape[0]:
             raise ConfigError("family centers and radii length mismatch")
@@ -83,7 +83,7 @@ class BallFamily:
 
     @property
     def center_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.centers**2, axis=1))
+        return np.abs(self.centers[:, 0])
 
     @property
     def inner_distance(self) -> np.ndarray:
@@ -146,30 +146,22 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
 
     k_max = int(math.floor(min(X, policy.max_center_norm) / stride + 1e-9))
     marks = np.arange(-k_max, k_max + 1, dtype=np.float64) * stride
-    if grid.n == 1:
-        cand = marks[:, None]
-    else:
-        xx, yy = np.meshgrid(marks, marks, indexing="ij")
-        cand = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    norms = np.sqrt(np.sum(cand**2, axis=1))
-    cand = cand[norms <= policy.max_center_norm * (1 + 1e-12)]
+    cand = marks[np.abs(marks) <= policy.max_center_norm * (1 + 1e-12)]
 
+    # marks ascend, so every radius block is sorted by position
     lim = X - h / 4.0
     centers_out = []
     radii_out = []
     for r in radii:
-        ok = np.all(np.abs(cand) + r < lim, axis=1)
-        kept = cand[ok]
+        kept = cand[np.abs(cand) + r < lim]
         if kept.shape[0] == 0:
             continue
-        order = np.lexsort(tuple(kept[:, d] for d in range(grid.n - 1, -1, -1)))
-        kept = kept[order]
         centers_out.append(kept)
         radii_out.append(np.full(kept.shape[0], r))
     if not centers_out:
         raise ConfigError("ball family is empty: no center/radius pair fits the box")
 
-    centers = np.concatenate(centers_out, axis=0)
+    centers = np.concatenate(centers_out)[:, None]
     rr = np.concatenate(radii_out)
 
     radius_ladder = np.asarray(radii, dtype=np.float64)

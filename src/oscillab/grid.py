@@ -1,25 +1,25 @@
-"""Sampled boxes, balls, dyadic cubes, and fast region averages.
+"""Sampled intervals, balls, and fast ball averages.
 
-Everything downstream works on a uniform grid over the box [-X, X]^n with
-n in {1, 2}.  Conventions that the rest of the package relies on:
+oscillab is a one-dimensional lab: everything downstream works on a
+uniform grid over the box [-X, X].  The paper states its results on R^n;
+only the analytic potentials in ``potential`` evaluate masses for n = 2
+and n = 3.  Conventions that the rest of the package relies on:
 
 * a ball B(c, r) "contains" the samples strictly inside it (|y - c| < r);
-* |B| is the number of contained samples times h^n, never the continuum
-  volume;
+* |B| is the number of contained samples times h, never the continuum
+  length;
 * balls that touch or cross the box boundary are rejected rather than
-  clipped;
-* dyadic cubes are half-open products [a, a+s)^n with s a power of two.
+  clipped.
 
-Region sums are served from prefix-sum tables so family scans stay
+Ball sums are served from prefix-sum tables so family scans stay
 vectorised; a naive path is kept alongside as an oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,19 +35,16 @@ _IDX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling of [-X, X]^n, endpoints included, spacing h.
+    """Uniform sampling of [-X, X], endpoints included, spacing h.
 
-    X/h must be an integer, so the per-axis sample count 2*X/h + 1 is odd
-    and the origin is always a sample.
+    X/h must be an integer, so the sample count 2*X/h + 1 is odd and the
+    origin is always a sample.
     """
 
-    n: int
     halfwidth: float
     spacing: float
 
     def __post_init__(self) -> None:
-        if self.n not in (1, 2):
-            raise ConfigError(f"dimension must be 1 or 2, got {self.n}")
         if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
             raise ConfigError(f"halfwidth must be positive, got {self.halfwidth}")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
@@ -60,6 +57,11 @@ class Grid:
             )
 
     @property
+    def n(self) -> int:
+        """Ambient dimension; always 1 (kept for file headers and readers)."""
+        return 1
+
+    @property
     def half_cells(self) -> int:
         """Cells from the origin to the box face (X/h)."""
         return round(self.halfwidth / self.spacing)
@@ -70,19 +72,19 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.axis_count,) * self.n
+        return (self.axis_count,)
 
     @property
     def size(self) -> int:
-        return self.axis_count**self.n
+        return self.axis_count
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing**self.n
+        return self.spacing
 
     @cached_property
     def axis(self) -> np.ndarray:
-        """Per-axis coordinates, -X..X inclusive."""
+        """Sample coordinates, -X..X inclusive."""
         m = self.half_cells
         return np.arange(-m, m + 1, dtype=np.float64) * self.spacing
 
@@ -99,25 +101,16 @@ class Grid:
         t = (coords + self.halfwidth) / self.spacing
         return np.abs(t - np.rint(t)) <= 1e-6
 
-    def points(self) -> np.ndarray:
-        """All sample coordinates, shape (size, n), row-major."""
-        if self.n == 1:
-            return self.axis[:, None]
-        a = self.axis
-        xx, yy = np.meshgrid(a, a, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=1)
-
     def compatible(self, other: "Grid") -> bool:
         return (
-            self.n == other.n
-            and self.half_cells == other.half_cells
+            self.half_cells == other.half_cells
             and abs(self.spacing - other.spacing) <= _IDX_TOL * self.spacing
         )
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples on a grid.  Values are float64, finite, row-major."""
+    """Real samples on a grid.  Values are float64 and finite."""
 
     grid: Grid
     values: np.ndarray
@@ -134,13 +127,7 @@ class GridFunction:
 
     @staticmethod
     def from_callable(grid: Grid, fn) -> "GridFunction":
-        if grid.n == 1:
-            vals = fn(grid.axis)
-        else:
-            a = grid.axis
-            xx, yy = np.meshgrid(a, a, indexing="ij")
-            vals = fn(xx, yy)
-        return GridFunction(grid, np.asarray(vals, dtype=np.float64))
+        return GridFunction(grid, np.asarray(fn(grid.axis), dtype=np.float64))
 
     @staticmethod
     def constant(grid: Grid, c: float) -> "GridFunction":
@@ -174,44 +161,32 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def l2_norm(self) -> float:
-        """Discrete L2 norm: (sum f^2 * h^n)^(1/2)."""
+        """Discrete L2 norm: (sum f^2 * h)^(1/2)."""
         return float(math.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball B(center, radius).  center has length n."""
+    """Interval B(center, radius); center is a one-coordinate tuple."""
 
     center: tuple[float, ...]
     radius: float
 
     def __post_init__(self) -> None:
-        if len(self.center) not in (1, 2):
-            raise ConfigError("ball center must have 1 or 2 coordinates")
+        if len(self.center) != 1:
+            raise ConfigError("ball center must have one coordinate")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ConfigError(f"ball radius must be positive, got {self.radius}")
 
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-    @property
-    def center_norm(self) -> float:
-        return float(math.hypot(*self.center)) if self.n == 2 else abs(self.center[0])
-
     def inside_box(self, grid: Grid) -> bool:
-        """True when the close ball stays strictly inside the box.
+        """True when the closed ball stays strictly inside the box.
 
         Balls touching the boundary are rejected; with centers and radii on
-        the h-lattice, |c_i| + r is either <= X - h (inside) or >= X, so the
+        the h-lattice, |c| + r is either <= X - h (inside) or >= X, so the
         X - h/4 cut is unambiguous even with float dust.
         """
         lim = grid.halfwidth - grid.spacing / 4.0
-        return all(abs(c) + self.radius < lim for c in self.center)
-
-
-def _ball1(c: float, r: float) -> Ball:
-    return Ball((float(c),), float(r))
+        return abs(self.center[0]) + self.radius < lim
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +194,9 @@ def _ball1(c: float, r: float) -> Ball:
 
 
 class SummedTable:
-    """Prefix sums of one value array; serves interval and ball sums.
-
-    n=1: P[i] = sum(values[:i]).  n=2: integral image
-    P[i, j] = sum(values[:i, :j]).  All region queries are inclusive index
-    ranges, clipped nowhere: callers guarantee in-box regions.
+    """Prefix sums P[i] = sum(values[:i]) of one value array; serves
+    interval and ball sums.  All region queries are inclusive index ranges,
+    clipped nowhere: callers guarantee in-box regions.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -231,16 +204,10 @@ class SummedTable:
         v = np.asarray(values, dtype=np.float64)
         if v.shape != grid.shape:
             raise ConfigError("summed table shape mismatch")
-        if grid.n == 1:
-            p = np.zeros(v.shape[0] + 1)
-            np.cumsum(v, out=p[1:])
-            self._p = p
-        else:
-            p = np.zeros((v.shape[0] + 1, v.shape[1] + 1))
-            np.cumsum(np.cumsum(v, axis=0), axis=1, out=p[1:, 1:])
-            self._p = p
+        p = np.zeros(v.shape[0] + 1)
+        np.cumsum(v, out=p[1:])
+        self._p = p
 
-    # -- n=1 ---------------------------------------------------------------
     def interval_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Sum over index range [lo, hi] inclusive, vectorised; empty when lo>hi."""
         lo = np.asarray(lo, dtype=np.int64)
@@ -248,91 +215,30 @@ class SummedTable:
         out = self._p[np.maximum(hi + 1, lo)] - self._p[lo]
         return np.where(hi >= lo, out, 0.0)
 
-    # -- n=2 ---------------------------------------------------------------
-    def rect_sum(self, lo0, hi0, lo1, hi1) -> np.ndarray:
-        lo0 = np.asarray(lo0, dtype=np.int64)
-        hi0 = np.asarray(hi0, dtype=np.int64)
-        lo1 = np.asarray(lo1, dtype=np.int64)
-        hi1 = np.asarray(hi1, dtype=np.int64)
-        p = self._p
-        good = (hi0 >= lo0) & (hi1 >= lo1)
-        h0 = np.where(good, hi0, lo0 - 1)
-        h1 = np.where(good, hi1, lo1 - 1)
-        out = (
-            p[h0 + 1, h1 + 1]
-            - p[lo0, h1 + 1]
-            - p[h0 + 1, lo1]
-            + p[lo0, lo1]
-        )
-        return np.where(good, out, 0.0)
-
     def ball_sum_real(self, centers_idx: np.ndarray, r_cells: float) -> np.ndarray:
         """Like ball_sum but for a (possibly non-integer) radius in cell units.
 
         Strict membership |k| < r_cells per offset; near-integer radii are
         routed through the exact integer path.
         """
+        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
         if r_cells <= 0:
-            k = np.asarray(centers_idx)
-            n_rows = k.shape[0] if k.ndim > 0 else 1
-            return np.zeros(n_rows if self.grid.n == 2 or k.ndim else 1)
+            return np.zeros(ci.shape[0])
         if abs(r_cells - round(r_cells)) < 1e-9:
-            return self.ball_sum(centers_idx, round(r_cells))
-        if self.grid.n == 1:
-            ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
-            kmax = math.ceil(r_cells - 1e-9) - 1
-            return self.interval_sum(ci - kmax, ci + kmax)
-        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1, 2)
+            return self.ball_sum(ci, round(r_cells))
         kmax = math.ceil(r_cells - 1e-9) - 1
-        total = np.zeros(ci.shape[0])
-        r2 = r_cells * r_cells
-        for dy in range(-kmax, kmax + 1):
-            d2 = r2 - dy * dy
-            if d2 <= 0:
-                continue
-            kx = math.ceil(math.sqrt(d2) - 1e-9) - 1
-            if kx < 0:
-                continue
-            row0 = ci[:, 0] + dy
-            total += self.rect_sum(row0, row0, ci[:, 1] - kx, ci[:, 1] + kx)
-        return total
+        return self.interval_sum(ci - kmax, ci + kmax)
 
     def ball_sum(self, centers_idx: np.ndarray, cell_radius: int) -> np.ndarray:
         """Sum over samples strictly inside B(center, cell_radius * h).
 
-        centers_idx: (k,) for n=1 or (k, n) integer sample indices.  The
-        strict-inside offsets satisfy |k|^2 < cell_radius^2 exactly in
+        centers_idx: integer sample indices, any shape with one entry per
+        center.  The strict-inside offsets are |k| <= cell_radius - 1 in
         integer arithmetic, so this path has no float membership fuzz.
         """
         m = int(cell_radius)
-        if self.grid.n == 1:
-            ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
-            return self.interval_sum(ci - (m - 1), ci + (m - 1))
-        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1, 2)
-        total = np.zeros(ci.shape[0])
-        for dy, kx in zip(*disc_rows(m)):
-            row0 = ci[:, 0] + dy
-            total += self.rect_sum(row0, row0, ci[:, 1] - kx, ci[:, 1] + kx)
-        return total
-
-
-def disc_rows(cell_radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row decomposition of the strict lattice disc k0^2 + k1^2 < m^2.
-
-    Returns (row offsets dy, per-row half-width kx) with kx = max k such
-    that k^2 + dy^2 < m^2; rows with no admissible k are dropped.
-    """
-    m = int(cell_radius)
-    if m <= 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    dy = np.arange(-(m - 1), m, dtype=np.int64)
-    rem = m * m - dy * dy - 1  # kx = isqrt(rem), strict inequality built in
-    kx = np.floor(np.sqrt(rem.astype(np.float64))).astype(np.int64)
-    # repair any float rounding at perfect squares
-    kx = np.where((kx + 1) ** 2 <= rem, kx + 1, kx)
-    kx = np.where(kx**2 > rem, kx - 1, kx)
-    keep = rem >= 0
-    return dy[keep], kx[keep]
+        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
+        return self.interval_sum(ci - (m - 1), ci + (m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +246,10 @@ def disc_rows(cell_radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_inside(grid: Grid, ball: Ball) -> None:
-    if ball.n != grid.n:
-        raise GridMismatchError("ball dimension does not match the grid")
     if not ball.inside_box(grid):
         raise OutOfDomainError(
             f"ball B({ball.center}, {ball.radius}) touches or leaves the box "
-            f"[-{grid.halfwidth}, {grid.halfwidth}]^{grid.n}"
+            f"[-{grid.halfwidth}, {grid.halfwidth}]"
         )
 
 
@@ -366,33 +270,19 @@ def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
     g = f.grid
     _require_inside(g, ball)
     h = g.spacing
-    if g.n == 1:
-        c, r = ball.center[0], ball.radius
-        i_lo = int(math.floor((c - r + g.halfwidth) / h + _IDX_TOL)) + 1
-        i_hi = int(math.ceil((c + r + g.halfwidth) / h - _IDX_TOL)) - 1
-        if i_hi < i_lo:
-            return np.empty(0)
-        return f.values[i_lo : i_hi + 1]
-    c = np.asarray(ball.center)
-    lo = g.coord_to_index(c - ball.radius) - 1
-    hi = g.coord_to_index(c + ball.radius) + 1
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, g.axis_count - 1)
-    ax0 = g.axis[lo[0] : hi[0] + 1]
-    ax1 = g.axis[lo[1] : hi[1] + 1]
-    d2 = (ax0[:, None] - c[0]) ** 2 + (ax1[None, :] - c[1]) ** 2
-    window = f.values[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1]
-    return window[d2 < ball.radius**2 * (1 - 1e-12)]
+    c, r = ball.center[0], ball.radius
+    i_lo = int(math.floor((c - r + g.halfwidth) / h + _IDX_TOL)) + 1
+    i_hi = int(math.ceil((c + r + g.halfwidth) / h - _IDX_TOL)) - 1
+    if i_hi < i_lo:
+        return np.empty(0)
+    return f.values[i_lo : i_hi + 1]
 
 
 def ball_sample_count(grid: Grid, ball: Ball) -> int:
     aligned = _aligned(grid, ball)
     if aligned is not None:
-        ci, m = aligned
-        if grid.n == 1:
-            return max(0, 2 * m - 1)
-        dy, kx = disc_rows(m)
-        return int(np.sum(2 * kx + 1))
+        _, m = aligned
+        return max(0, 2 * m - 1)
     ones = GridFunction(grid, np.ones(grid.shape))
     return ball_member_values(ones, ball).size
 
@@ -414,7 +304,7 @@ def ball_average(f: GridFunction, ball: Ball, table: SummedTable | None = None) 
                 f"ball B({ball.center}, {ball.radius}) contains no grid sample"
             )
         table = table or SummedTable(g, f.values)
-        s = table.ball_sum(ci[None, :] if g.n == 2 else np.array([ci[0] if ci.ndim else ci]), m)
+        s = table.ball_sum(ci, m)
         return float(s[0]) / cnt
     vals = ball_member_values(f, ball)
     if vals.size == 0:
@@ -425,7 +315,7 @@ def ball_average(f: GridFunction, ball: Ball, table: SummedTable | None = None) 
 
 
 def ball_volume(grid: Grid, ball: Ball) -> float:
-    """Discrete volume: contained-sample count times h^n."""
+    """Discrete volume: contained-sample count times h."""
     cnt = ball_sample_count(grid, ball)
     if cnt == 0:
         raise DegenerateRegionError(
@@ -452,95 +342,3 @@ def mean_oscillation(f: GridFunction, ball: Ball, p: float = 2.0) -> float:
         msq = float(np.mean(vals**2))
         return math.sqrt(max(0.0, msq - m * m))
     return float(np.mean(np.abs(vals - m) ** p) ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# dyadic cubes
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Half-open cube [corner*s, (corner+1)*s)^n with s = 2**level."""
-
-    level: int
-    corner: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.corner)
-
-    @property
-    def side(self) -> float:
-        return 2.0**self.level
-
-    @property
-    def lower(self) -> tuple[float, ...]:
-        return tuple(c * self.side for c in self.corner)
-
-    def index_ranges(self, grid: Grid) -> list[tuple[int, int]]:
-        """Inclusive sample-index range per axis; raises if outside the box."""
-        if self.n != grid.n:
-            raise GridMismatchError("cube dimension does not match the grid")
-        h = grid.spacing
-        out = []
-        for c in self.corner:
-            lo_x = c * self.side
-            hi_x = (c + 1) * self.side
-            if lo_x < -grid.halfwidth - h / 4 or hi_x > grid.halfwidth + h / 4:
-                raise OutOfDomainError(f"cube {self} leaves the box")
-            i_lo = int(math.ceil((lo_x + grid.halfwidth) / h - _IDX_TOL))
-            i_hi = int(math.ceil((hi_x + grid.halfwidth) / h - _IDX_TOL)) - 1
-            i_hi = min(i_hi, grid.axis_count - 1)
-            out.append((i_lo, i_hi))
-        return out
-
-
-def cube_values(f: GridFunction, cube: DyadicCube) -> np.ndarray:
-    rng = cube.index_ranges(f.grid)
-    if f.grid.n == 1:
-        (a, b), = rng
-        return f.values[a : b + 1]
-    (a0, b0), (a1, b1) = rng
-    return f.values[a0 : b0 + 1, a1 : b1 + 1].ravel()
-
-
-def cube_average(f: GridFunction, cube: DyadicCube) -> float:
-    vals = cube_values(f, cube)
-    if vals.size == 0:
-        raise DegenerateRegionError(f"cube {cube} contains no grid sample")
-    return float(np.mean(vals))
-
-
-def cube_oscillation(f: GridFunction, cube: DyadicCube, p: float = 2.0) -> float:
-    vals = cube_values(f, cube)
-    if vals.size == 0:
-        raise DegenerateRegionError(f"cube {cube} contains no grid sample")
-    m = float(np.mean(vals))
-    if p == 2.0:
-        return math.sqrt(max(0.0, float(np.mean(vals**2)) - m * m))
-    return float(np.mean(np.abs(vals - m) ** p) ** (1.0 / p))
-
-
-def region_Rk(grid: Grid, k: int) -> list[DyadicCube]:
-    """The 2^n level-k dyadic children tiling [-2^k, 2^k)^n.
-
-    The region at scale k is the origin-centred cube of sidelength 2^(k+1);
-    its dyadic children at level k have corners in {-1, 0}^n.  Precondition:
-    sidelength 2^(k+1) <= halfwidth, so the region sits well inside the box.
-    """
-    if 2.0 ** (k + 1) > grid.halfwidth * (1 + 1e-12):
-        raise OutOfDomainError(
-            f"region at scale k={k} needs halfwidth >= {2.0 ** (k + 1)}, "
-            f"box has {grid.halfwidth}"
-        )
-    corners: Iterable[tuple[int, ...]]
-    if grid.n == 1:
-        corners = [(-1,), (0,)]
-    else:
-        corners = [(-1, -1), (-1, 0), (0, -1), (0, 0)]
-    return [DyadicCube(k, c) for c in corners]
-
-
-def region_halfwidth(k: int) -> float:
-    """Halfwidth of the closed region at scale k (side 2^(k+1))."""
-    return 2.0**k

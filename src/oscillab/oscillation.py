@@ -5,7 +5,7 @@ Two families of metrics:
 * plain oscillation  (mean over B of |f - mean_B f|^p)^(1/p), and the
   supercritical companion (mean over B of |f|^2)^(1/2) (or mean |f| for
   p = 1);
-* semigroup oscillation  (r^{-n} * integral over B of
+* semigroup oscillation  (r^{-1} * integral over B of
   |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction uses the
   subordinated semigroup at time t = r exactly (one operator application
   per distinct radius in the family).
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, LadderError
 from .family import BallFamily, LimitCurve, bucketed_sup
-from .grid import GridFunction, SummedTable, disc_rows
+from .grid import GridFunction, SummedTable
 from .potential import rho_values_for
 from .semigroup import SpectralOperator, TLadder, poisson
 
@@ -46,16 +46,9 @@ def _family_geometry(family: BallFamily):
     return idx, cells
 
 
-def _counts_for_cells(n: int, cells: np.ndarray) -> np.ndarray:
-    out = np.empty(cells.shape, dtype=np.int64)
-    for m in np.unique(cells):
-        if n == 1:
-            c = max(0, 2 * int(m) - 1)
-        else:
-            dy, kx = disc_rows(int(m))
-            c = int(np.sum(2 * kx + 1))
-        out[cells == m] = c
-    return out
+def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
+    """Samples strictly inside a ball of each cell radius: 2m - 1."""
+    return np.maximum(0, 2 * cells - 1)
 
 
 def family_ball_sums(values: np.ndarray, family: BallFamily) -> np.ndarray:
@@ -66,8 +59,7 @@ def family_ball_sums(values: np.ndarray, family: BallFamily) -> np.ndarray:
     out = np.empty(len(family))
     for m in np.unique(cells):
         sel = cells == m
-        ci = idx[sel, 0] if g.n == 1 else idx[sel, :]
-        out[sel] = table.ball_sum(ci, int(m))
+        out[sel] = table.ball_sum(idx[sel, 0], int(m))
     return out
 
 
@@ -93,7 +85,7 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
     _, cells = _family_geometry(family)
-    counts = _counts_for_cells(f.grid.n, cells)
+    counts = _counts_for_cells(cells)
     if np.any(counts == 0):
         bad = int(np.nonzero(counts == 0)[0][0])
         raise DegenerateRegionError(
@@ -208,7 +200,7 @@ def semigroup_difference_values(
     family: BallFamily,
     ladder: TLadder | None = None,
 ) -> np.ndarray:
-    """Per-ball (r^{-n} * sum over B of (f - e^{-r sqrt(L)} f)^2 h^n)^(1/2).
+    """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
     One subordinated application per distinct radius.  When a ladder is
     given, radii outside its range raise LadderError (the scale is not
@@ -233,9 +225,8 @@ def semigroup_difference_values(
         diff = f.values - poisson(op, f, float(r)).values
         table = SummedTable(g, diff**2)
         m = int(round(r / g.spacing))
-        ci = idx[sel, 0] if g.n == 1 else idx[sel, :]
-        sums = table.ball_sum(ci, m)
-        out[sel] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r**g.n)
+        sums = table.ball_sum(idx[sel, 0], m)
+        out[sel] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
     return out
 
 
@@ -287,36 +278,6 @@ def oscillation_curves(
     for mode in ("large-and-supercritical", "far-and-supercritical"):
         out[mode] = bucketed_sup(size, family, mode, rho=rho_c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# subcritical size growth
-
-
-@dataclass(frozen=True)
-class LogBoundReport:
-    constant: float
-    arg_index: int
-    norm: float
-    n_subcritical: int
-
-
-def log_average_bound(f: GridFunction, rho, family: BallFamily, norm: float) -> LogBoundReport:
-    """Smallest C with mean_B |f| <= C (1 + log(rho(x_B)/r_B)) * norm over
-    subcritical balls.  norm must be positive (a zero norm is degenerate)."""
-    if not (norm > 0):
-        raise DegenerateRegionError("log bound needs a positive norm")
-    rho_c = rho_values_for(rho, family.centers)
-    sub = family.radii < rho_c
-    if not np.any(sub):
-        raise DegenerateRegionError("no subcritical ball in the family")
-    st = family_stats(f, family)
-    idx = np.nonzero(sub)[0]
-    with np.errstate(divide="ignore"):
-        denom = (1.0 + np.log(rho_c[idx] / family.radii[idx])) * norm
-    ratios = st.mean_abs[idx] / denom
-    j = int(np.argmax(ratios))
-    return LogBoundReport(float(ratios[j]), int(idx[j]), norm, idx.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Nonnegative potentials, critical radii, and reverse-Hoelder diagnostics.
+"""Nonnegative potentials and their critical radii.
 
 A potential is one of four kinds:
 
@@ -7,7 +7,7 @@ A potential is one of four kinds:
 * power           V(x) = amplitude * |x|^(eps - 2), 0 < eps < 2 (for ambient
                   dimension 1 additionally eps > 1 so V is locally
                   integrable);
-* tabulated       nonnegative samples on a grid.
+* tabulated       nonnegative samples on a (one-dimensional) grid.
 
 The central quantity is the normalized ball mass
 
@@ -15,13 +15,15 @@ The central quantity is the normalized ball mass
 
 and the critical radius rho(x) = sup { r > 0 : I(x, r) <= 1 }.  Analytic
 kinds evaluate I by exact antiderivatives (n = 1) or radial quadrature
-(n = 2, 3); tabulated kinds use discrete ball sums times h^n.
+(n = 2, 3); the n = 2 and n = 3 kinds serve the growth-exponent checks
+only, since every grid is one-dimensional.  Tabulated kinds use discrete
+ball sums times h.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,11 +31,10 @@ import numpy as np
 from .errors import (
     BracketError,
     ConfigError,
-    DegenerateRegionError,
     GridMismatchError,
     OutOfDomainError,
 )
-from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
+from .grid import GridFunction, SummedTable
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -93,15 +94,7 @@ def power_potential(eps: float, n: int = 1, amplitude: float = 1.0) -> Potential
 def tabulated_potential(samples: GridFunction) -> Potential:
     if np.any(samples.values < 0):
         raise ConfigError("tabulated potential must be nonnegative")
-    return Potential("tabulated", samples.grid.n, samples=samples)
-
-
-def reverse_hoelder_valid(V: Potential, q: float) -> bool:
-    """Whether the q-th power of a power-kind potential is locally
-    integrable, i.e. q * (2 - eps) < n."""
-    if V.kind != "power":
-        return True
-    return q * (2.0 - V.eps) < V.n
+    return Potential("tabulated", 1, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +218,13 @@ def normalized_mass(
     on = g.on_lattice(pts)
     if not np.all(on):
         raise ConfigError("tabulated potentials need lattice-aligned mass centers")
-    idx = g.coord_to_index(pts)
-    if g.n == 1:
-        idx = idx[:, 0]
+    idx = g.coord_to_index(pts[:, 0])
     tbl = table or SummedTable(g, V.samples.values)
     out = np.empty(pts.shape[0])
     r_cells = r / g.spacing
     for rc in np.unique(r_cells):
         sel = r_cells == rc
-        cidx = idx[sel] if g.n == 1 else idx[sel, :]
-        out[sel] = tbl.ball_sum_real(cidx, float(rc))
+        out[sel] = tbl.ball_sum_real(idx[sel], float(rc))
     return r ** (2 - n) * out * g.cell_volume
 
 
@@ -397,207 +387,3 @@ def rho_values_for(rho, centers: np.ndarray) -> np.ndarray:
     if arr.shape != (k,):
         raise ConfigError("critical-radius array length does not match the family")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# reverse-Hoelder diagnostics
-
-
-def rh_ratio(V: Potential, ball: Ball, q: float) -> float:
-    """(mean of V^q over B)^(1/q) / (mean of V over B).
-
-    Analytic kinds use continuum ball means; tabulated uses the discrete
-    samples.  Degenerate (zero-mean) balls raise.
-    """
-    if q <= 1:
-        raise ConfigError(f"reverse-Hoelder exponent must exceed 1, got {q}")
-    n = V.n
-    if V.kind == "zero":
-        raise DegenerateRegionError("zero potential has no reverse-Hoelder ratio")
-    if V.kind == "constant":
-        if V.constant * V.amplitude == 0:
-            raise DegenerateRegionError("zero potential has no reverse-Hoelder ratio")
-        return 1.0
-    if V.kind == "power":
-        if not reverse_hoelder_valid(V, q):
-            raise ConfigError(
-                f"power potential with eps={V.eps} in dimension {n}: the q-th power "
-                f"mean diverges for q={q}; the exponent must satisfy q*(2-eps) < n"
-            )
-        x = np.asarray(ball.center, dtype=np.float64)[None, :]
-        vol = UNIT_BALL_VOLUME[n] * ball.radius**n
-        if n == 1:
-            m1 = _power_mass_1d(x[:, 0], np.array([ball.radius]), V.eps - 2.0)[0]
-            mq = _power_mass_1d(x[:, 0], np.array([ball.radius]), q * (V.eps - 2.0))[0]
-        else:
-            d = np.array([float(np.hypot(*ball.center))]) if n == 2 else np.array(
-                [float(np.linalg.norm(ball.center))]
-            )
-            m1 = _power_mass_radial(d, np.array([ball.radius]), V.eps - 2.0, n)[0]
-            mq = _power_mass_radial(d, np.array([ball.radius]), q * (V.eps - 2.0), n)[0]
-        mean1 = V.amplitude * m1 / vol
-        meanq = V.amplitude**q * mq / vol
-        return float(meanq ** (1.0 / q) / mean1)
-    vals = ball_member_values(V.samples, ball)
-    if vals.size == 0:
-        raise DegenerateRegionError("ball contains no samples")
-    m1 = float(np.mean(vals))
-    if m1 == 0.0:
-        raise DegenerateRegionError("potential vanishes on the ball; ratio undefined")
-    mq = float(np.mean(vals**q))
-    return mq ** (1.0 / q) / m1
-
-
-@dataclass(frozen=True)
-class RHReport:
-    q: float
-    constant: float
-    arg_index: int
-    n_balls: int
-
-
-def rh_constant(V: Potential, q: float, family) -> RHReport:
-    """Supremum of rh_ratio over a ball family."""
-    best = -math.inf
-    arg = -1
-    for i, b in enumerate(family.balls()):
-        val = rh_ratio(V, b, q)
-        if val > best:
-            best, arg = val, i
-    return RHReport(q, best, arg, len(family))
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    q: float
-    max_ratio: float
-    arg_pair: tuple[float, float]
-    n_pairs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.max_ratio <= 1.0 + 1e-9
-
-
-def almost_monotonicity_check(
-    V: Potential, x: Sequence[float], pairs: Sequence[tuple[float, float]], q: float
-) -> MonotonicityReport:
-    """max over radius pairs r <= R of I(x,r) / ((R/r)^(n/q - 2) I(x,R)).
-
-    Values <= 1 certify the scale comparison at this point and exponent.
-    """
-    pts = np.asarray(x, dtype=np.float64)[None, :]
-    worst = -math.inf
-    arg = (math.nan, math.nan)
-    for r, R in pairs:
-        if not (0 < r <= R):
-            raise ConfigError(f"need 0 < r <= R, got ({r}, {R})")
-        i_r = float(normalized_mass(V, pts, r)[0])
-        i_R = float(normalized_mass(V, pts, R)[0])
-        if i_R == 0.0:
-            raise DegenerateRegionError("outer normalized mass vanishes; ratio undefined")
-        ratio = i_r / ((R / r) ** (V.n / q - 2.0) * i_R)
-        if ratio > worst:
-            worst, arg = ratio, (r, R)
-    return MonotonicityReport(q, worst, arg, len(pairs))
-
-
-# ---------------------------------------------------------------------------
-# slow variation of the critical radius
-
-
-@dataclass(frozen=True)
-class SlowVariationFit:
-    """Fitted two-sided slow-variation envelope for a critical-radius field.
-
-    For ordered pairs (x, y) with u = |x-y|/rho(x) the envelope is
-
-        c^{-1} (1+u)^{-k0} rho(x) <= rho(y) <= c (1+u)^{k0/(k0+1)} rho(x).
-
-    violation_ratio is the smallest c that makes both sides hold divided
-    by the reported c; the fit holds when it is <= 1.  comparability_bound
-    = c * 2^k0 is the implied two-sided constant for pairs with
-    |x-y| <= rho(x); comparability_ratio is the measured max of
-    max(rho(x)/rho(y), rho(y)/rho(x)) over those pairs.
-    """
-
-    c: float
-    k0: int
-    violation_ratio: float
-    n_pairs: int
-    comparability_bound: float
-    comparability_ratio: float
-
-    @property
-    def holds(self) -> bool:
-        return self.violation_ratio <= 1.0 + 1e-12
-
-
-def _pair_arrays(field: CriticalRadiusField, max_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts = field.points
-    rho = field.values
-    if np.any(~np.isfinite(rho)):
-        raise DegenerateRegionError(
-            "slow-variation fit needs finite critical radii (zero potential excluded)"
-        )
-    k = pts.shape[0]
-    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    if ii.size > max_pairs:
-        stride = int(math.ceil(ii.size / max_pairs))
-        ii, jj = ii[::stride], jj[::stride]
-    dist = np.sqrt(np.sum((pts[ii] - pts[jj]) ** 2, axis=1))
-    return rho[ii], rho[jj], dist
-
-
-def slow_variation_needed_c(rho_i, rho_j, dist, k0: int) -> float:
-    u = dist / rho_i
-    lower = (rho_i / rho_j) * (1.0 + u) ** (-float(k0))
-    upper = (rho_j / rho_i) * (1.0 + u) ** (-k0 / (k0 + 1.0))
-    return float(max(np.max(lower), np.max(upper), 1.0))
-
-
-def slow_variation_fit(
-    field: CriticalRadiusField,
-    k0_candidates: Sequence[int] = tuple(range(1, 9)),
-    c_grid: np.ndarray | None = None,
-    max_pairs: int = 200_000,
-) -> SlowVariationFit:
-    """Pick (c, k0) from candidate grids making the envelope hold with the
-    smallest c; reports the violation honestly when even the largest grid
-    c fails (the fit never clamps the data)."""
-    if c_grid is None:
-        c_grid = np.geomspace(1.0, 1e4, 1601)
-    rho_i, rho_j, dist = _pair_arrays(field, max_pairs)
-
-    best: tuple[float, int, float] | None = None  # (grid c, k0, needed)
-    for k0 in k0_candidates:
-        needed = slow_variation_needed_c(rho_i, rho_j, dist, k0)
-        at = np.searchsorted(c_grid, needed * (1 - 1e-12))
-        c_val = float(c_grid[at]) if at < c_grid.size else float(c_grid[-1])
-        if best is None or (c_val, k0) < (best[0], best[1]):
-            best = (c_val, k0, needed)
-    c, k0, needed = best
-
-    near = dist <= rho_i
-    if np.any(near):
-        ratios = np.maximum(rho_i[near] / rho_j[near], rho_j[near] / rho_i[near])
-        comp_ratio = float(np.max(ratios))
-    else:
-        comp_ratio = 1.0
-    return SlowVariationFit(
-        c=c,
-        k0=k0,
-        violation_ratio=needed / c,
-        n_pairs=rho_i.size,
-        comparability_bound=c * 2.0**k0,
-        comparability_ratio=comp_ratio,
-    )
-
-
-def slow_variation_violation(field: CriticalRadiusField, c: float, k0: int, max_pairs: int = 200_000) -> float:
-    """Smallest-needed-c / c for a prescribed envelope; <= 1 means it holds."""
-    rho_i, rho_j, dist = _pair_arrays(field, max_pairs)
-    return slow_variation_needed_c(rho_i, rho_j, dist, k0) / c

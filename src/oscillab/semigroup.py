@@ -25,7 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, GridMismatchError, LadderError
 from .grid import Grid, GridFunction
-from .potential import Potential, UNIT_SPHERE_AREA
+from .potential import Potential
 
 DEFAULT_OP_CAP = 4096
 
@@ -124,17 +124,11 @@ class SpectralOperator:
 
     def interior_values(self, f: GridFunction) -> np.ndarray:
         self._check(f)
-        if self.grid.n == 1:
-            return f.values[1:-1]
-        return f.values[1:-1, 1:-1].ravel()
+        return f.values[1:-1]
 
     def embed_interior(self, vals: np.ndarray) -> GridFunction:
         out = np.zeros(self.grid.shape)
-        if self.grid.n == 1:
-            out[1:-1] = vals
-        else:
-            m = self.grid.axis_count - 2
-            out[1:-1, 1:-1] = vals.reshape(m, m)
+        out[1:-1] = vals
         return GridFunction(self.grid, out)
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
@@ -163,61 +157,36 @@ def sample_potential(V: Potential, grid: Grid) -> np.ndarray:
     # power kind
     if V.n != grid.n:
         raise GridMismatchError(
-            f"power potential has ambient dimension {V.n}, grid has {grid.n}"
+            f"power potential has ambient dimension {V.n}; the grid is one-dimensional"
         )
     p = V.eps - 2.0
     h = grid.spacing
-    if grid.n == 1:
-        vals = np.abs(grid.axis) ** p
-        # cell [-h/2, h/2]: mean of |y|^p = (h/2)^p / (p+1)
-        vals[grid.half_cells] = (h / 2.0) ** p / (p + 1.0)
-        return V.amplitude * vals
-    a = grid.axis
-    rr = np.sqrt(a[:, None] ** 2 + a[None, :] ** 2)
-    with np.errstate(divide="ignore"):
-        vals = rr**p
-    # origin cell: exact average of |y|^p over the square of side h
-    theta = (np.arange(64) + 0.5) / 64.0 * (math.pi / 4.0)
-    cell = 8.0 * (h / 2.0) ** (p + 2) / (p + 2.0) * np.mean(np.cos(theta) ** (-(p + 2.0))) * (math.pi / 4.0)
-    vals[grid.half_cells, grid.half_cells] = cell / h**2
+    vals = np.abs(grid.axis) ** p
+    # cell [-h/2, h/2]: mean of |y|^p = (h/2)^p / (p+1)
+    vals[grid.half_cells] = (h / 2.0) ** p / (p + 1.0)
     return V.amplitude * vals
 
 
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
     """Assemble and diagonalise -Laplacian_h + V with Dirichlet walls.
 
-    cap bounds the axis sample count (n=1) or total interior count (n=2);
-    exceeding it is a config error, not an OOM.
+    cap bounds the grid's sample count (walls included); exceeding it is a
+    config error, not an OOM.
     """
-    m_axis = grid.axis_count - 2
-    if m_axis < 1:
+    m = grid.axis_count - 2
+    if m < 1:
         raise ConfigError("grid too small for an interior")
-    total = m_axis if grid.n == 1 else m_axis * m_axis
-    if (grid.n == 1 and grid.axis_count > cap) or (grid.n == 2 and total > cap):
+    if grid.axis_count > cap:
         raise ConfigError(
-            f"operator size {total} exceeds the cap {cap}; "
+            f"operator size {m} exceeds the cap {cap}; "
             "raise the cap explicitly if this is intended"
         )
     h = grid.spacing
     vals = sample_potential(V, grid)
-    if grid.n == 1:
-        diag = 2.0 / h**2 + vals[1:-1]
-        off = np.full(m_axis - 1, -1.0 / h**2)
-        w, e = eigh_tridiagonal(diag, off)
-    else:
-        inner = vals[1:-1, 1:-1].ravel()
-        lap1 = (
-            np.diag(np.full(m_axis, 2.0 / h**2))
-            + np.diag(np.full(m_axis - 1, -1.0 / h**2), 1)
-            + np.diag(np.full(m_axis - 1, -1.0 / h**2), -1)
-        )
-        eye = np.eye(m_axis)
-        mat = np.kron(lap1, eye) + np.kron(eye, lap1) + np.diag(inner)
-        from scipy.linalg import eigh
-
-        w, e = eigh(mat)
-    kind = V.kind
-    return SpectralOperator(grid, kind, np.ascontiguousarray(w), np.ascontiguousarray(e))
+    diag = 2.0 / h**2 + vals[1:-1]
+    off = np.full(m - 1, -1.0 / h**2)
+    w, e = eigh_tridiagonal(diag, off)
+    return SpectralOperator(grid, V.kind, np.ascontiguousarray(w), np.ascontiguousarray(e))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +318,6 @@ def _ddx(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> PoissonExtension:
-    if op.grid.n != 1:
-        raise ConfigError("the half-space extension is implemented for 1-D grids")
     u = _field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s), "subordinated")
     dt = _field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s), "t-dt")
     gx = np.empty_like(u.values)
@@ -360,125 +327,11 @@ def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) ->
 
 
 # ---------------------------------------------------------------------------
-# interior windows and kernel deficits
+# interior windows
 
 
 def interior_index_window(grid: Grid, window: float = 1.0 / 3.0) -> np.ndarray:
-    """Indices (per axis) of samples with |x| <= window * halfwidth."""
+    """Indices of samples with |x| <= window * halfwidth."""
     if not (0 < window <= 1):
         raise ConfigError("window fraction must lie in (0, 1]")
     return np.nonzero(np.abs(grid.axis) <= window * grid.halfwidth + 1e-12)[0]
-
-
-@dataclass(frozen=True)
-class HeatKernelDeficitReport:
-    t: float
-    q: float
-    fitted_constant: float
-    max_deficit: float
-    domination_violation: float
-    kernel_min: float
-    window: float
-
-
-def heat_kernel_deficit(
-    op: SpectralOperator,
-    free_op: SpectralOperator,
-    t: float,
-    q: float,
-    rho: np.ndarray | float,
-    window: float = 1.0 / 3.0,
-) -> HeatKernelDeficitReport:
-    """Pointwise comparison of the heat kernel with the free kernel on the
-    same grid.
-
-    deficit(x, y) = K_free(x, y) - K_V(x, y), compared against the envelope
-    (sqrt(t)/rho(x))^(2 - n/q) * phi_t(x - y) with the widened Gaussian
-    phi_t(z) = (4 pi t)^(-n/2) exp(-|z|^2 / (8t)).  The fitted constant is
-    the max ratio over the interior window; for the free potential the
-    deficit vanishes identically and the constant is 0.
-    """
-    if op.grid.n != 1:
-        raise ConfigError("kernel deficits are implemented for 1-D grids")
-    if not op.grid.compatible(free_op.grid):
-        raise GridMismatchError("the two operators live on different grids")
-    h = op.grid.spacing
-    kv = (op.eigenvectors * np.exp(-t * op.eigenvalues)) @ op.eigenvectors.T / h
-    k0 = (free_op.eigenvectors * np.exp(-t * free_op.eigenvalues)) @ free_op.eigenvectors.T / h
-    deficit = k0 - kv
-    dom = float(np.max(kv - k0))
-    kmin = float(np.min(kv))
-
-    idx = interior_index_window(op.grid, window) - 1  # interior offsets
-    idx = idx[(idx >= 0) & (idx < op.interior_count)]
-    x = op.grid.axis[1:-1][idx]
-    rho_x = np.broadcast_to(np.asarray(rho, dtype=np.float64), (op.interior_count,))[idx]
-
-    d = deficit[np.ix_(idx, idx)]
-    if float(np.max(np.abs(d))) < 1e-13:
-        return HeatKernelDeficitReport(t, q, 0.0, float(np.max(np.abs(d))), dom, kmin, window)
-    z = x[:, None] - x[None, :]
-    phi = (4 * math.pi * t) ** (-0.5) * np.exp(-(z**2) / (8 * t))
-    scale = (math.sqrt(t) / rho_x[:, None]) ** (2.0 - 1.0 / q)
-    ratio = d / (scale * phi)
-    return HeatKernelDeficitReport(
-        t, q, float(np.max(ratio)), float(np.max(np.abs(d))), dom, kmin, window
-    )
-
-
-@dataclass(frozen=True)
-class PoissonOneReport:
-    alpha: float
-    prefactor: float
-    t_values: np.ndarray
-    max_deficit_per_t: np.ndarray
-    n_samples: int
-    window: float
-
-
-def poisson_one_deficit(
-    op: SpectralOperator,
-    ladder: TLadder,
-    rho: np.ndarray | float,
-    window: float = 1.0 / 3.0,
-) -> PoissonOneReport:
-    """Fit |e^{-t sqrt(L)} 1 - 1| ~ C (t / rho(x))^alpha over the window,
-    pooled over ladder points with t <= rho(x).
-
-    Needs at least 4 ladder values below min rho on the window, else
-    LadderError.  Deficits below 1e-14 are floored before the log fit.
-    """
-    if op.grid.n != 1:
-        raise ConfigError("implemented for 1-D grids")
-    ones = GridFunction.constant(op.grid, 1.0)
-    idx = interior_index_window(op.grid, window)
-    x_all = op.grid.axis
-    rho_full = np.broadcast_to(np.asarray(rho, dtype=np.float64), x_all.shape)
-    rho_w = rho_full[idx]
-    rho_min = float(np.min(rho_w))
-
-    usable = ladder.values[ladder.values <= rho_min]
-    if usable.size < 4:
-        raise LadderError(
-            f"only {usable.size} ladder values lie below min rho = {rho_min}; "
-            "need at least 4 for the deficit fit"
-        )
-
-    logs_y = []
-    logs_z = []
-    max_per_t = np.empty(len(ladder))
-    for j, t in enumerate(ladder.values):
-        u = poisson(op, ones, t)
-        deficit = np.abs(u.values[idx] - 1.0)
-        max_per_t[j] = float(np.max(deficit)) if deficit.size else math.nan
-        mask = t <= rho_w
-        if np.any(mask):
-            d = np.maximum(deficit[mask], 1e-14)
-            logs_y.append(np.log(d))
-            logs_z.append(np.log(t / rho_w[mask]))
-    y = np.concatenate(logs_y)
-    z = np.concatenate(logs_z)
-    slope, intercept = np.polyfit(z, y, 1)
-    return PoissonOneReport(
-        float(slope), float(math.exp(intercept)), ladder.values.copy(), max_per_t, y.size, window
-    )

@@ -154,7 +154,9 @@ def save_grid_function(path: _PathLike, f: GridFunction) -> Path:
 
 def load_grid_function(path: _PathLike) -> GridFunction:
     values, header = load_samples(path)
-    grid = Grid(n=int(header["n"]), halfwidth=float(header["halfwidth"]), spacing=float(header["spacing"]))
+    if int(header["n"]) != 1:
+        raise ConfigError(f"stored grid has dimension {header['n']}; only one-dimensional grids load")
+    grid = Grid(halfwidth=float(header["halfwidth"]), spacing=float(header["spacing"]))
     if tuple(values.shape) != grid.shape:
         raise ConfigError("sample shape does not match the stored grid")
     return GridFunction(grid, values)
@@ -178,13 +180,12 @@ def save_family_csv(path: _PathLike, family: BallFamily, columns: Optional[Mappi
     for name, col in extras.items():
         if len(col) != family.centers.shape[0]:
             raise ConfigError(f"column {name!r} length does not match the family")
-    coord_names = [f"center_{ax}" for ax in "xy"[: family.centers.shape[1]]]
     with p.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(coord_names + ["radius", "inner_distance"] + sorted(extras))
+        w.writerow(["center_x", "radius", "inner_distance"] + sorted(extras))
         inner = family.inner_distance
         for i in range(family.centers.shape[0]):
-            row = [repr(float(c)) for c in family.centers[i]]
+            row = [repr(float(family.centers[i, 0]))]
             row.append(repr(float(family.radii[i])))
             row.append(repr(float(inner[i])))
             for name in sorted(extras):

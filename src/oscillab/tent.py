@@ -4,15 +4,13 @@ The primary region over a ball B(c, r) is the cylinder B x (0, r]; a
 strict-tent oracle (points with |y - c| < r - t) is kept for cross-checks.
 All dt/t integrals use trapezoid weights in log t recomputed on the
 truncated ladder prefix, and all spatial sums count samples strictly
-inside the ball times h^n.
+inside the ball times h.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
@@ -22,8 +20,8 @@ from .errors import (
     OutOfDomainError,
 )
 from .family import BallFamily, LimitCurve, bucketed_sup
-from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values, mean_oscillation
-from .oscillation import _family_geometry, _counts_for_cells
+from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
+from .oscillation import _family_geometry
 from .semigroup import (
     HalfSpaceFunction,
     PoissonExtension,
@@ -52,7 +50,7 @@ class BoxScanner:
         return int(np.searchsorted(t, r * (1 + 1e-12), side="right"))
 
     def box_values(self, centers_idx: np.ndarray, cell_radius: int, r: float) -> np.ndarray:
-        """r^{-n} * sum over the cylinder of |F|^2 h^n dt/t, vectorised over
+        """r^{-1} * sum over the cylinder of |F|^2 h dt/t, vectorised over
         centers sharing one radius."""
         k = self._slice_count(r)
         w = log_weights_for(self.F.ladder.values[:k])
@@ -61,17 +59,15 @@ class BoxScanner:
         total = np.zeros(n_c)
         for j in range(k):
             total += w[j] * self.tables[j].ball_sum(centers_idx, cell_radius)
-        return total * g.cell_volume / r**g.n
+        return total * g.cell_volume / r
 
 
 def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
-    """r^{-n} * integral over B x (0, r] of |F|^2 dx dt/t (cylinder region).
+    """r^{-1} * integral over B x (0, r] of |F|^2 dx dt/t (cylinder region).
 
     The ladder must cover the cylinder: r within [t_min, t_max].
     """
     g = F.grid
-    if ball.n != g.n:
-        raise ConfigError("ball dimension does not match the field")
     if not ball.inside_box(g):
         raise OutOfDomainError("carleson box ball touches or leaves the box")
     sc = BoxScanner(F)
@@ -83,8 +79,7 @@ def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
     )
     if on_lattice:
         ci = g.coord_to_index(np.asarray(ball.center))
-        centers = np.array([ci[0]]) if g.n == 1 else ci[None, :]
-        return float(sc.box_values(centers, m, ball.radius)[0])
+        return float(sc.box_values(ci, m, ball.radius)[0])
     # naive membership per slice
     k = sc._slice_count(ball.radius)
     w = log_weights_for(F.ladder.values[:k])
@@ -92,7 +87,7 @@ def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
     for j in range(k):
         vals = ball_member_values(GridFunction(g, F.values[j]), ball)
         total += w[j] * float(np.sum(vals**2))
-    return total * g.cell_volume / ball.radius**g.n
+    return total * g.cell_volume / ball.radius
 
 
 def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
@@ -116,7 +111,7 @@ def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
         b = Ball(ball.center, shrunk)
         vals = ball_member_values(GridFunction(g, F.values[j]), b)
         total += w[j] * float(np.sum(vals**2))
-    return total * g.cell_volume / ball.radius**g.n
+    return total * g.cell_volume / ball.radius
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
@@ -129,8 +124,7 @@ def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
     for r in np.unique(family.radii):
         sel = family.radii == r
         m = int(np.rint(r / F.grid.spacing))
-        ci = idx[sel, 0] if F.grid.n == 1 else idx[sel, :]
-        out[sel] = sc.box_values(ci, m, float(r))
+        out[sel] = sc.box_values(idx[sel, 0], m, float(r))
     return out
 
 
@@ -148,7 +142,7 @@ class ConeField:
 
 
 def cone_square_function(F: HalfSpaceFunction) -> ConeField:
-    """A(F)(x) = (sum_j |F(y, t_j)|^2 h^n w_j / t_j^n over |y - x| < t_j)^(1/2)
+    """A(F)(x) = (sum_j |F(y, t_j)|^2 h w_j / t_j over |y - x| < t_j)^(1/2)
     at every grid sample, aperture 1.
     """
     g = F.grid
@@ -158,48 +152,19 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
     n_ax = g.axis_count
     acc = np.zeros(g.shape)
     truncated = np.zeros(g.shape, dtype=bool)
-    if g.n == 1:
-        for j, tj in enumerate(t):
-            kmax = math.ceil(tj / h - 1e-9) - 1
-            sq = F.values[j] ** 2
-            p = np.zeros(n_ax + 1)
-            np.cumsum(sq, out=p[1:])
-            i = np.arange(n_ax)
-            lo = i - kmax
-            hi = i + kmax
-            clipped = (lo < 0) | (hi > n_ax - 1)
-            truncated |= clipped
-            lo = np.clip(lo, 0, n_ax - 1)
-            hi = np.clip(hi, 0, n_ax - 1)
-            acc += (p[hi + 1] - p[lo]) * (h * w[j] / tj)
-    else:
-        cols = np.arange(n_ax)
-        for j, tj in enumerate(t):
-            sq = F.values[j] ** 2
-            psum = np.zeros((n_ax, n_ax + 1))
-            np.cumsum(sq, axis=1, out=psum[:, 1:])
-            kmax = math.ceil(tj / h - 1e-9) - 1
-            r2 = (tj / h) ** 2
-            slab = np.zeros(g.shape)
-            for dy in range(-kmax, kmax + 1):
-                d2 = r2 - dy * dy
-                if d2 <= 0:
-                    continue
-                kx = math.ceil(math.sqrt(d2) - 1e-9) - 1
-                if kx < 0:
-                    continue
-                lo = np.clip(cols - kx, 0, n_ax - 1)
-                hi = np.clip(cols + kx, 0, n_ax - 1)
-                truncated[:, (cols - kx < 0) | (cols + kx > n_ax - 1)] = True
-                row_window = psum[:, hi + 1] - psum[:, lo]  # (rows, out-cols)
-                if dy >= 0:
-                    slab[: n_ax - dy, :] += row_window[dy:, :]
-                    if dy > 0:
-                        truncated[n_ax - dy :, :] = True
-                else:
-                    slab[-dy:, :] += row_window[: n_ax + dy, :]
-                    truncated[:-dy, :] = True
-            acc += slab * (g.cell_volume * w[j] / tj**g.n)
+    for j, tj in enumerate(t):
+        kmax = math.ceil(tj / h - 1e-9) - 1
+        sq = F.values[j] ** 2
+        p = np.zeros(n_ax + 1)
+        np.cumsum(sq, out=p[1:])
+        i = np.arange(n_ax)
+        lo = i - kmax
+        hi = i + kmax
+        clipped = (lo < 0) | (hi > n_ax - 1)
+        truncated |= clipped
+        lo = np.clip(lo, 0, n_ax - 1)
+        hi = np.clip(hi, 0, n_ax - 1)
+        acc += (p[hi + 1] - p[lo]) * (h * w[j] / tj)
     vals = GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
     return ConeField(vals, truncated)
 
@@ -302,8 +267,6 @@ def dilate_oscillation(
     and marks the result.
     """
     g = f.grid
-    if g.n != 1:
-        raise ConfigError("dilate oscillation is implemented for 1-D grids")
     if k < 0:
         raise ConfigError("dilate index must be >= 0")
     r = ball.radius
@@ -354,17 +317,6 @@ def dilate_oscillation(
     return DilateOscillation(best, n_used, clipped)
 
 
-def dilate_mean_oscillation(f: GridFunction, ball: Ball, k: int) -> float:
-    """sup over 0 <= j <= k of the 1-mean oscillation on the 4^(j+1) dilate."""
-    if k < 0:
-        raise ConfigError("dilate index must be >= 0")
-    best = -math.inf
-    for j in range(k + 1):
-        b = Ball(ball.center, 4.0 ** (j + 1) * ball.radius)
-        best = max(best, mean_oscillation(f, b, 1.0))
-    return best
-
-
 @dataclass(frozen=True)
 class BoxOscillationReport:
     """Comparison of the cylinder square-function average on a ball with
@@ -401,11 +353,11 @@ def box_oscillation_ratio(
     if field is None:
         field = square_function_field(op, f, ladder)
     box = carleson_box(field, ball)
-    # convert r^{-n} normalisation to |B|^{-1}
+    # convert r^{-1} normalisation to |B|^{-1}
     from .grid import ball_volume
 
     vol = ball_volume(g, ball)
-    lhs = math.sqrt(box * ball.radius**g.n / vol)
+    lhs = math.sqrt(box * ball.radius / vol)
     cache: dict = {}
     per_k = []
     clipped_any = False
@@ -458,18 +410,9 @@ def reproducing_pairing_check(
         tent += w[j] * float(np.sum(Ff.values[j] * Fg.values[j]))
     tent *= 4.0 * grid.cell_volume
     denom = max(abs(direct), 1e-300)
-    lim = window * grid.halfwidth
-    if grid.n == 1:
-        outside = np.abs(grid.axis) > lim
-        sup_out = max(
-            float(np.max(np.abs(f.values[outside]), initial=0.0)),
-            float(np.max(np.abs(g_fn.values[outside]), initial=0.0)),
-        )
-    else:
-        ax = np.abs(grid.axis)
-        mask = np.maximum(ax[:, None], ax[None, :]) > lim
-        sup_out = max(
-            float(np.max(np.abs(f.values[mask]), initial=0.0)),
-            float(np.max(np.abs(g_fn.values[mask]), initial=0.0)),
-        )
+    outside = np.abs(grid.axis) > window * grid.halfwidth
+    sup_out = max(
+        float(np.max(np.abs(f.values[outside]), initial=0.0)),
+        float(np.max(np.abs(g_fn.values[outside]), initial=0.0)),
+    )
     return PairingReport(direct, tent, abs(tent - direct) / denom, sup_out <= 1e-12)

@@ -164,7 +164,7 @@ def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
     c = criterion(8, "cylinder-vs-dilate inequality stable under refinement")
 
     def sup_ratio(spacing, balls=None):
-        grid = Grid(n=1, halfwidth=16.0, spacing=spacing)
+        grid = Grid(halfwidth=16.0, spacing=spacing)
         op = discretize(constant_potential(1.0, 1), grid, cap=8192)
         f = member_by_name("gaussian").build(grid, op)
         fam = make_ball_family(

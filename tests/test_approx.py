@@ -9,7 +9,6 @@ from oscillab.grid import Grid, GridFunction
 from oscillab.approx import (
     AveragingThresholds,
     ThresholdFractions,
-    approx_distance,
     assign_cubes,
     bump,
     choose_thresholds,
@@ -24,7 +23,7 @@ RHO0 = 2.0**-0.5
 
 @pytest.fixture(scope="module")
 def pipeline_grid():
-    return Grid(n=1, halfwidth=256.0, spacing=2.0**-6)
+    return Grid(halfwidth=256.0, spacing=2.0**-6)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def pipeline_assignment(pipeline_thresholds, pipeline_grid):
 
 
 def test_bump_unit_mass_and_height():
-    g = Grid(n=1, halfwidth=4.0, spacing=2.0**-7)
+    g = Grid(halfwidth=4.0, spacing=2.0**-7)
     b = bump(g)
     assert float(np.sum(b.values) * g.spacing) == pytest.approx(1.0, abs=1e-12)
     # peak of the mass-one profile: e^{-1} / integral of e^{-1/(1-x^2)}
@@ -58,13 +57,13 @@ def test_bump_unit_mass_and_height():
 
 
 def test_bump_needs_resolution():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.5)
+    g = Grid(halfwidth=4.0, spacing=0.5)
     with pytest.raises(ConfigError):
         bump(g, width=1.0)
 
 
 def test_mollify_constant_exact_on_valid_window():
-    g = Grid(n=1, halfwidth=4.0, spacing=2.0**-5)
+    g = Grid(halfwidth=4.0, spacing=2.0**-5)
     f = GridFunction.constant(g, 2.5)
     out = mollify(f, 0.5)
     assert np.allclose(out.fn.values[out.valid], 2.5, atol=1e-13)
@@ -72,13 +71,13 @@ def test_mollify_constant_exact_on_valid_window():
 
 
 def test_mollify_width_floor():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(ConfigError):
         mollify(GridFunction.constant(g, 1.0), 0.5)  # below 4h = 1
 
 
 def test_mollify_error_shrinks_with_t():
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-6)
+    g = Grid(halfwidth=8.0, spacing=2.0**-6)
     f = GridFunction.from_callable(g, lambda x: np.exp(-0.5 * x**2))
     errs = []
     for t in (0.5, 0.25, 0.125):
@@ -92,7 +91,7 @@ def test_choose_thresholds_validation(pipeline_f):
         choose_thresholds(pipeline_f, eps=0.0, rho=RHO0)
     with pytest.raises(ConfigError):
         choose_thresholds(pipeline_f, eps=0.5, rho=RHO0, level_min=-40)
-    g = Grid(n=1, halfwidth=6.0, spacing=0.25)  # not a power-of-two box
+    g = Grid(halfwidth=6.0, spacing=0.25)  # not a power-of-two box
     with pytest.raises(ConfigError):
         choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0)
 
@@ -178,19 +177,3 @@ def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid)
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
     assert rep.p2_ok  # all cube means equal
-
-
-def test_approx_distance_is_split_norm_of_difference(pipeline_grid):
-    from oscillab.family import FamilyPolicy, make_ball_family
-    from oscillab.oscillation import bmo_l_norm
-
-    fam = make_ball_family(
-        pipeline_grid,
-        FamilyPolicy(center_stride=8.0, radii=(1.0, 4.0), max_center_norm=64.0),
-    )
-    rng = np.random.default_rng(2)
-    f = GridFunction(pipeline_grid, rng.normal(size=pipeline_grid.shape))
-    g2 = GridFunction(pipeline_grid, rng.normal(size=pipeline_grid.shape))
-    got = approx_distance(f, g2, RHO0, fam)
-    want = bmo_l_norm(f - g2, RHO0, fam)
-    assert got == want

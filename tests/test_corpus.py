@@ -80,7 +80,7 @@ def test_eigenvector_member(grid16, op16):
 def test_eigenvector_grid_must_match(op16):
     from oscillab.grid import Grid
 
-    other = Grid(n=1, halfwidth=16.0, spacing=2.0**-5)
+    other = Grid(halfwidth=16.0, spacing=2.0**-5)
     with pytest.raises(ConfigError):
         member_by_name("eigenvector").build(other, op16)
 

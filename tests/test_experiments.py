@@ -1,16 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscillab
 from oscillab import __version__
 from oscillab.cli import main
 from oscillab.corpus import member_by_name
-from oscillab.errors import ConfigError, CriterionFailure
+from oscillab.errors import ConfigError, CriterionFailure, LadderError
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
     ExperimentConfig,
+    _arg_sup_ball,
     exp_extension_agreement,
     exp_pipeline,
     exp_rho_slope,
@@ -19,7 +25,7 @@ from oscillab.experiments import (
     run,
 )
 from oscillab.family import FamilyPolicy, make_ball_family
-from oscillab.grid import Grid
+from oscillab.grid import Grid, mean_oscillation
 from oscillab.oscillation import bmo_l_norm
 from oscillab.potential import constant_potential, zero_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
@@ -42,7 +48,7 @@ SCENARIO_IDS = (
 
 
 def test_lacunary_function_places_unit_bumps():
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-4)
+    g = Grid(halfwidth=8.0, spacing=2.0**-4)
     f, phi = lacunary_function(g, k_max=1)
     h = g.spacing
     assert f.values.sum() * h == pytest.approx(1.0, abs=1e-9)
@@ -54,13 +60,11 @@ def test_lacunary_function_places_unit_bumps():
 
 
 def test_lacunary_function_validation():
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-4)
+    g = Grid(halfwidth=8.0, spacing=2.0**-4)
     with pytest.raises(ConfigError):
         lacunary_function(g, 0)
     with pytest.raises(ConfigError):
         lacunary_function(g, 2)  # outermost bump at 9 does not fit
-    with pytest.raises(ConfigError):
-        lacunary_function(Grid(n=2, halfwidth=8.0, spacing=0.5), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,7 @@ def test_config_defaults():
     assert cfg.seed == 0
     assert cfg.op_cap == DEFAULT_OP_CAP
     assert cfg.interior_window == pytest.approx(1.0 / 3.0)
-    assert cfg.threads is None
+    assert not hasattr(cfg, "threads")
 
 
 def test_config_accepts_every_scenario_id():
@@ -124,6 +128,8 @@ def test_config_accepts_every_scenario_id():
         {"scenarios": [], "op_cap": 1},
         {"scenarios": [], "interior_window": 0},
         {"scenarios": [], "threads": 0},
+        # BLAS reads its pool size only when numpy loads, so no config sets it
+        {"scenarios": [], "threads": 2},
     ],
 )
 def test_config_validation_errors(doc):
@@ -175,6 +181,35 @@ def test_run_failure_still_writes_bundle(tmp_path):
     assert frag["rel_error"] >= 0.0
 
 
+def test_pairing_reports_default_right_member(tmp_path):
+    doc = {"scenarios": [{"id": "reproducing-pairing", "halfwidth": 8.0, "spacing": 0.0625}]}
+    frag = run(doc, out_dir=str(tmp_path))["scenarios"]["reproducing-pairing"]
+    assert frag["left"] == "gaussian"
+    assert frag["right"] == "gaussian"
+    explicit = dict(doc["scenarios"][0], right="gaussian")
+    again = run({"scenarios": [explicit]}, out_dir=str(tmp_path / "x"))
+    assert again["scenarios"]["reproducing-pairing"]["direct"] == frag["direct"]
+
+
+def test_arg_sup_ball_without_supercritical_part():
+    # every radius lies below rho = 2^-1/2, so the size part is absent and
+    # the reported ball is the one attaining the oscillation part
+    grid = Grid(halfwidth=8.0, spacing=0.0625)
+    f = member_by_name("gaussian").build(grid)
+    fam = make_ball_family(grid, FamilyPolicy(center_stride=0.5, radii=(0.125, 0.25)))
+    split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    assert not split.size_present
+    ball = _arg_sup_ball(fam, split)
+    assert ball == fam.ball(split.oscillation_arg)
+    assert mean_oscillation(f, ball) == pytest.approx(split.oscillation_part, rel=1e-9)
+    # a bmo-norms scenario on this family stops at the verdicts: the empty
+    # supercritical curves have no bucket to classify
+    doc = {"scenarios": [{"id": "bmo-norms", "member": "gaussian", "halfwidth": 8.0,
+                          "spacing": 0.0625, "family": {"center_stride": 0.5, "radii": [0.125, 0.25, 0.5]}}]}
+    with pytest.raises(LadderError):
+        run(doc)
+
+
 # ---------------------------------------------------------------------------
 # scenario smoke runs
 
@@ -188,7 +223,7 @@ def test_membership_agreement_on_zero_function():
 
 
 def test_membership_rejects_foreign_operator():
-    op = discretize(constant_potential(1.0, 1), Grid(n=1, halfwidth=4.0, spacing=0.25))
+    op = discretize(constant_potential(1.0, 1), Grid(halfwidth=4.0, spacing=0.25))
     with pytest.raises(ConfigError):
         exp_square_membership("zero", halfwidth=16.0, spacing=2.0**-4, op=op)
 
@@ -201,7 +236,7 @@ def test_extension_agreement_on_zero_function():
 
 
 def test_pipeline_reports_member_with_gate_and_distances():
-    grid = Grid(n=1, halfwidth=256.0, spacing=2.0**-6)
+    grid = Grid(halfwidth=256.0, spacing=2.0**-6)
     f = member_by_name("bump-narrow").build(grid, None)
     fam = make_ball_family(
         grid,
@@ -312,6 +347,34 @@ def test_cli_config_errors(tmp_path, capsys):
 
 def test_cli_rejects_bad_thread_count():
     assert main(["bmo", "--threads", "0"]) == 2
+
+
+def test_cli_threads_refused_once_numpy_is_loaded(capsys, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(["bmo", "--threads", "2"]) == 2
+    assert "numpy" in capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_cli_threads_pins_blas_in_a_fresh_process(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", "exponent": 1.5, "points": 6}]}))
+    probe = (
+        "import os, sys; from oscillab.cli import main; "
+        "rc = main(sys.argv[1:]); "
+        "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'], "
+        "os.environ['MKL_NUM_THREADS']); sys.exit(rc)"
+    )
+    src = str(Path(oscillab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", str(cfg), "--threads", "1",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "1 1 1"
 
 
 def test_cli_window_out_of_range(tmp_path):

@@ -9,7 +9,7 @@ from oscillab.grid import Grid
 def test_hand_counted_enumeration():
     # X=4, h=0.25, stride 1, radii {1, 2}: drop rule |c| + r < X - h/4
     # keeps centers |c| <= 2 at r=1 (5 balls) and |c| <= 1 at r=2 (3 balls)
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
     assert len(fam) == 8
     r1 = fam.centers[fam.radii == 1.0][:, 0]
@@ -19,15 +19,19 @@ def test_hand_counted_enumeration():
 
 
 def test_centers_sorted_within_radius_block():
-    g = Grid(n=2, halfwidth=4.0, spacing=0.5)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
-    block = fam.centers[fam.radii == 1.0]
-    order = np.lexsort((block[:, 1], block[:, 0]))
-    assert np.array_equal(order, np.arange(block.shape[0]))
+    g = Grid(halfwidth=8.0, spacing=0.25)
+    fam = make_ball_family(
+        g, FamilyPolicy(center_stride=0.5, radii=(0.5, 1.0, 2.0), max_center_norm=5.0)
+    )
+    assert fam.centers.shape == (len(fam), 1)
+    for r in (0.5, 1.0, 2.0):
+        block = fam.centers[fam.radii == r][:, 0]
+        assert block.size > 1
+        assert np.all(np.diff(block) > 0)
 
 
 def test_policy_validation():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(ConfigError):
         make_ball_family(g, FamilyPolicy(center_stride=0.3))  # not a multiple of h
     with pytest.raises(ConfigError):
@@ -42,20 +46,20 @@ def test_policy_validation():
 
 
 def test_geometric_ladder_default_range():
-    g = Grid(n=1, halfwidth=16.0, spacing=0.25)
+    g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=4.0))
     # 4h = 1 doubling up to X/2 = 8
     assert np.array_equal(fam.radius_ladder, [1.0, 2.0, 4.0, 8.0])
 
 
 def test_inner_distance():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     assert np.allclose(fam.inner_distance, fam.center_norms - 1.0)
 
 
 def test_bucketed_sup_small_radius_buckets():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
     metric = fam.radii.copy()  # sup of r over {r <= a} is min(a, r_max)
     curve = bucketed_sup(metric, fam, "small-radius")
@@ -66,7 +70,7 @@ def test_bucketed_sup_small_radius_buckets():
 
 
 def test_bucketed_sup_far_mode_uses_distance_ladder():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(
         g,
         FamilyPolicy(center_stride=1.0, radii=(1.0,), distance_min=1.0, distance_max=4.0),
@@ -78,7 +82,7 @@ def test_bucketed_sup_far_mode_uses_distance_ladder():
 
 
 def test_absent_bucket_is_nan_not_zero():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(
         g,
         FamilyPolicy(
@@ -96,7 +100,7 @@ def test_absent_bucket_is_nan_not_zero():
 
 
 def test_supercritical_mode_needs_rho():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError):
         bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical")
@@ -106,7 +110,7 @@ def test_supercritical_mode_needs_rho():
 
 
 def test_supercritical_mask_filters_by_rho():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
     curve = bucketed_sup(fam.radii.copy(), fam, "large-and-supercritical", rho=1.5)
     # only r=2 balls qualify
@@ -114,14 +118,14 @@ def test_supercritical_mask_filters_by_rho():
 
 
 def test_metric_length_mismatch():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError):
         bucketed_sup(np.ones(len(fam) + 1), fam, "small-radius")
 
 
 def test_unknown_mode_rejected():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError):
         bucketed_sup(np.ones(len(fam)), fam, "tiny-radius")
@@ -130,8 +134,8 @@ def test_unknown_mode_rejected():
 
 
 def test_callable_metric_matches_array():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
-    by_call = bucketed_sup(lambda b: b.radius + b.center_norm, fam, "small-radius")
+    by_call = bucketed_sup(lambda b: b.radius + abs(b.center[0]), fam, "small-radius")
     by_arr = bucketed_sup(fam.radii + fam.center_norms, fam, "small-radius")
     assert np.allclose(by_call.values, by_arr.values, equal_nan=True)

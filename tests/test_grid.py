@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oscillab.errors import ConfigError, DegenerateRegionError, GridMismatchError, OutOfDomainError
 from oscillab.grid import (
     Ball,
-    DyadicCube,
     Grid,
     GridFunction,
     SummedTable,
@@ -16,26 +15,19 @@ from oscillab.grid import (
     ball_member_values,
     ball_sample_count,
     ball_volume,
-    cube_average,
-    cube_oscillation,
-    disc_rows,
     mean_oscillation,
-    region_Rk,
-    region_halfwidth,
 )
 
 
 def test_grid_validation():
     with pytest.raises(ConfigError):
-        Grid(n=3, halfwidth=4.0, spacing=0.5)
+        Grid(halfwidth=4.0, spacing=0.3)  # 4/0.3 not integer
     with pytest.raises(ConfigError):
-        Grid(n=1, halfwidth=4.0, spacing=0.3)  # 4/0.3 not integer
-    with pytest.raises(ConfigError):
-        Grid(n=1, halfwidth=-1.0, spacing=0.5)
+        Grid(halfwidth=-1.0, spacing=0.5)
 
 
 def test_grid_axis_contains_origin_and_endpoints():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     assert g.axis_count == 33
     assert g.axis[0] == -4.0
     assert g.axis[-1] == 4.0
@@ -43,13 +35,13 @@ def test_grid_axis_contains_origin_and_endpoints():
 
 
 def test_coord_index_roundtrip():
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-4)
+    g = Grid(halfwidth=8.0, spacing=2.0**-4)
     idx = np.arange(g.axis_count)
     assert np.array_equal(g.coord_to_index(g.index_to_coord(idx)), idx)
 
 
 def test_grid_function_validation():
-    g = Grid(n=1, halfwidth=1.0, spacing=0.5)
+    g = Grid(halfwidth=1.0, spacing=0.5)
     with pytest.raises(ConfigError):
         GridFunction(g, np.zeros(7))
     bad = np.zeros(g.shape)
@@ -59,20 +51,20 @@ def test_grid_function_validation():
 
 
 def test_grid_function_arithmetic_rejects_other_grid():
-    f = GridFunction.constant(Grid(1, 4.0, 0.5), 1.0)
-    g = GridFunction.constant(Grid(1, 4.0, 0.25), 1.0)
+    f = GridFunction.constant(Grid(4.0, 0.5), 1.0)
+    g = GridFunction.constant(Grid(4.0, 0.25), 1.0)
     with pytest.raises(GridMismatchError):
         f + g
 
 
 def test_l2_norm_includes_cell_volume():
-    g = Grid(n=1, halfwidth=2.0, spacing=0.25)
+    g = Grid(halfwidth=2.0, spacing=0.25)
     f = GridFunction.constant(g, 3.0)
     assert f.l2_norm() == pytest.approx(3.0 * math.sqrt(g.size * 0.25))
 
 
 def test_ball_strict_membership_count():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     # B(0, 2h) holds the samples at -h, 0, h only
     assert ball_sample_count(g, Ball((0.0,), 0.5)) == 3
 
@@ -80,7 +72,7 @@ def test_ball_strict_membership_count():
 def test_ball_average_quadratic_closed_form():
     # samples in B(0, r=mh) are ih for |i| <= m-1, so mean of x^2 is
     # h^2 m(m-1)/3 = r(r-h)/3
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-5)
+    g = Grid(halfwidth=8.0, spacing=2.0**-5)
     f = GridFunction.from_callable(g, lambda x: x**2)
     for r in (0.25, 1.0, 4.0):
         want = r * (r - g.spacing) / 3.0
@@ -88,23 +80,26 @@ def test_ball_average_quadratic_closed_form():
 
 
 def test_ball_average_rejects_boundary_ball():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.constant(g, 1.0)
     with pytest.raises(OutOfDomainError):
         ball_average(f, Ball((3.0,), 1.0))  # touches x = 4
 
 
 def test_ball_volume_is_count_times_cell():
-    g = Grid(n=2, halfwidth=4.0, spacing=0.5)
-    b = Ball((0.0, 0.0), 1.0)  # m=2: 9 lattice points strictly inside
-    assert ball_sample_count(g, b) == 9
-    assert ball_volume(g, b) == pytest.approx(9 * 0.25)
+    g = Grid(halfwidth=4.0, spacing=0.5)
+    b = Ball((0.5,), 1.5)  # m=3: the 5 samples 0.5 + k/2, |k| <= 2
+    assert ball_sample_count(g, b) == 5
+    assert ball_volume(g, b) == pytest.approx(5 * 0.5)
+    off = Ball((0.3,), 0.6)  # off the lattice: samples 0, 0.5 only
+    assert ball_sample_count(g, off) == 2
+    assert ball_volume(g, off) == pytest.approx(2 * 0.5)
 
 
 def test_mean_oscillation_sign_step():
     # f = sign(x), f(0) = 0; over B(0, mh) the 2-oscillation is
     # sqrt(2(m-1)/(2m-1))
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     f = GridFunction.from_callable(g, np.sign)
     for m in (2, 5, 16):
         r = m * g.spacing
@@ -113,13 +108,13 @@ def test_mean_oscillation_sign_step():
 
 
 def test_mean_oscillation_constant_is_zero():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.constant(g, -2.5)
     assert mean_oscillation(f, Ball((1.0,), 1.0)) == 0.0
 
 
 def test_mean_oscillation_p1_matches_direct():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     rng = np.random.default_rng(11)
     f = GridFunction(g, rng.normal(size=g.shape))
     b = Ball((0.5,), 1.5)
@@ -128,26 +123,13 @@ def test_mean_oscillation_p1_matches_direct():
     assert mean_oscillation(f, b, p=1.0) == pytest.approx(want)
 
 
-def test_disc_rows_matches_brute_force():
-    for m in range(1, 21):
-        dy, kx = disc_rows(m)
-        got = int(np.sum(2 * kx + 1))
-        want = sum(
-            1
-            for i in range(-m, m + 1)
-            for j in range(-m, m + 1)
-            if i * i + j * j < m * m
-        )
-        assert got == want, m
-
-
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=-8, max_value=8),
     st.integers(min_value=0, max_value=997),
 )
 def test_table_ball_average_matches_naive(m, ci, seed):
-    g = Grid(n=1, halfwidth=8.0, spacing=0.5)
+    g = Grid(halfwidth=8.0, spacing=0.5)
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.normal(size=g.shape))
     c = ci * 0.5
@@ -161,7 +143,7 @@ def test_table_ball_average_matches_naive(m, ci, seed):
 
 
 def test_offgrid_ball_falls_back_to_naive():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.from_callable(g, lambda x: x)
     b = Ball((0.1,), 0.6)  # neither center nor radius on the lattice
     vals = ball_member_values(f, b)
@@ -169,53 +151,23 @@ def test_offgrid_ball_falls_back_to_naive():
 
 
 def test_ball_average_empty_ball_raises():
-    g = Grid(n=2, halfwidth=4.0, spacing=0.5)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.constant(g, 1.0)
     # center in a cell interior, radius too small to reach any sample
     with pytest.raises(DegenerateRegionError):
-        ball_average(f, Ball((0.25, 0.25), 0.2))
+        ball_average(f, Ball((0.125,), 0.1))
 
 
-def test_dyadic_cube_is_half_open():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
-    f = GridFunction.from_callable(g, lambda x: x)
-    cube = DyadicCube(0, (0,))  # [0, 1)
-    assert cube_average(f, cube) == pytest.approx(np.mean([0.0, 0.25, 0.5, 0.75]))
+def test_ball_center_must_have_one_coordinate():
+    with pytest.raises(ConfigError):
+        Ball((0.0, 0.0), 1.0)
+    with pytest.raises(ConfigError):
+        Ball((0.0,), 0.0)
 
 
-def test_cube_oscillation_linear_closed_form():
-    # q equally spaced values, step h: std = h sqrt((q^2 - 1)/12)
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-4)
-    f = GridFunction.from_callable(g, lambda x: x)
-    for level in (0, 1, 2):
-        q = 2**level * 16
-        want = g.spacing * math.sqrt((q**2 - 1) / 12.0)
-        got = cube_oscillation(f, DyadicCube(level, (-1,)))
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_cube_outside_box_raises():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
-    f = GridFunction.constant(g, 1.0)
-    with pytest.raises(OutOfDomainError):
-        cube_average(f, DyadicCube(3, (0,)))  # [0, 8) leaves [-4, 4]
-
-
-def test_region_children_tile_without_overlap():
-    g = Grid(n=2, halfwidth=8.0, spacing=0.5)
-    cubes = region_Rk(g, 1)
-    assert len(cubes) == 4
-    assert {c.corner for c in cubes} == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
-    ones = GridFunction.constant(g, 1.0)
-    from oscillab.grid import cube_values
-
-    total = sum(cube_values(ones, c).size for c in cubes)
-    # half-open tiling of [-2, 2)^2: (2 * 2/h)^2 samples, no double counting
-    assert total == (2 * 4) ** 2
-    assert region_halfwidth(1) == 2.0
-
-
-def test_region_too_large_for_box_raises():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.5)
-    with pytest.raises(OutOfDomainError):
-        region_Rk(g, 2)  # needs halfwidth >= 8
+def test_grid_dimension_is_one():
+    g = Grid(halfwidth=2.0, spacing=0.5)
+    assert g.n == 1
+    assert g.shape == (9,)
+    assert g.size == 9
+    assert g.cell_volume == 0.5

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab.errors import ConfigError, DegenerateRegionError, LadderError
+from oscillab.errors import ConfigError, LadderError
 from oscillab.family import FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import Grid, GridFunction, ball_member_values, ball_sample_count, mean_oscillation
 from oscillab.oscillation import (
@@ -12,7 +12,6 @@ from oscillab.oscillation import (
     family_ball_sums,
     family_oscillation_p,
     family_stats,
-    log_average_bound,
     oscillation_curves,
     semigroup_difference_values,
     semigroup_oscillation_curves,
@@ -24,7 +23,7 @@ from oscillab.semigroup import TLadder, poisson
 
 @pytest.fixture(scope="module")
 def small_family():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.125)
+    g = Grid(halfwidth=8.0, spacing=0.125)
     return make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(0.5, 2.0)))
 
 
@@ -48,7 +47,7 @@ def test_family_stats_match_per_ball(small_family):
 
 
 def test_family_rejects_offlattice_geometry():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.125)
+    g = Grid(halfwidth=8.0, spacing=0.125)
     from oscillab.family import BallFamily
 
     fam = BallFamily(
@@ -166,7 +165,7 @@ def test_semigroup_curves_modes(op16, family16):
 
 
 def test_oscillation_curves_constant():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.125)
+    g = Grid(halfwidth=8.0, spacing=0.125)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
     f = GridFunction.constant(g, 1.0)
     curves = oscillation_curves(f, 2.0**-0.5, fam)
@@ -182,22 +181,6 @@ def test_oscillation_curves_constant():
         assert np.allclose(vals, 0.0)
     # every ball is supercritical for a constant and its size metric is 1
     assert curves["far-and-supercritical"].terminal_value() == pytest.approx(1.0)
-
-
-def test_log_average_bound_constant_oracle():
-    g = Grid(n=1, halfwidth=8.0, spacing=0.125)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(0.5, 1.0)))
-    f = GridFunction.constant(g, 3.0)
-    rho0 = 4.0
-    rep = log_average_bound(f, rho0, fam, norm=3.0)
-    # ratio = 1/(1 + log(rho0/r)), maximised at the largest radius
-    assert rep.constant == pytest.approx(1.0 / (1.0 + math.log(4.0 / 1.0)), rel=1e-12)
-    assert fam.radii[rep.arg_index] == 1.0
-    assert rep.n_subcritical == len(fam)
-    with pytest.raises(DegenerateRegionError):
-        log_average_bound(f, rho0, fam, norm=0.0)
-    with pytest.raises(DegenerateRegionError):
-        log_average_bound(f, 0.25, fam, norm=1.0)  # nothing subcritical
 
 
 def _curve(mode, values):

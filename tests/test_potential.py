@@ -3,21 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oscillab.errors import BracketError, ConfigError, DegenerateRegionError
-from oscillab.grid import Ball, Grid, GridFunction
+from oscillab.errors import BracketError, ConfigError
+from oscillab.grid import Grid, GridFunction
 from oscillab.potential import (
     CriticalRadiusOptions,
-    almost_monotonicity_check,
     constant_potential,
     critical_radius,
     normalized_mass,
     power_potential,
-    reverse_hoelder_valid,
-    rh_constant,
-    rh_ratio,
     rho_values_for,
-    slow_variation_fit,
-    slow_variation_violation,
     solve_critical_radius,
     tabulated_potential,
     zero_potential,
@@ -35,7 +29,7 @@ def test_constructor_validation():
         power_potential(0.5, 1)  # not locally integrable in dimension 1
     # fine in dimension 2
     power_potential(0.5, 2)
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(ConfigError):
         tabulated_potential(GridFunction.constant(g, -1.0))
 
@@ -45,7 +39,7 @@ def test_is_zero():
     assert constant_potential(0.0, 2).is_zero()
     assert not constant_potential(1.0, 2).is_zero()
     assert not power_potential(1.5, 1).is_zero()
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     assert tabulated_potential(GridFunction.constant(g, 0.0)).is_zero()
 
 
@@ -107,14 +101,14 @@ def test_options_validation():
 
 
 def test_tabulated_radius_tracks_constant():
-    g = Grid(n=1, halfwidth=8.0, spacing=2.0**-6)
+    g = Grid(halfwidth=8.0, spacing=2.0**-6)
     V = tabulated_potential(GridFunction.constant(g, 1.0))
     got = critical_radius(V, [0.0])
     assert got == pytest.approx(2.0**-0.5, abs=2 * g.spacing)
 
 
 def test_tabulated_saturates_at_box_margin():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     V = tabulated_potential(GridFunction.constant(g, 1e-6))
     fld = solve_critical_radius(V, np.array([[0.0]]))
     assert fld.saturated[0]
@@ -122,7 +116,7 @@ def test_tabulated_saturates_at_box_margin():
 
 
 def test_tabulated_no_room_raises():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     V = tabulated_potential(GridFunction.constant(g, 1.0))
     with pytest.raises(BracketError):
         solve_critical_radius(V, np.array([[3.75]]))
@@ -146,80 +140,3 @@ def test_rho_values_for_accepted_forms():
     assert np.allclose(rho_values_for(fld, centers), fld.values)
     got = rho_values_for(lambda c: np.full(c.shape[0], 0.125), centers)
     assert np.allclose(got, 0.125)
-
-
-def test_reverse_hoelder_validity_window():
-    V = power_potential(1.5, 1)
-    assert reverse_hoelder_valid(V, 1.9)  # 1.9 * 0.5 < 1
-    assert not reverse_hoelder_valid(V, 2.1)
-    assert reverse_hoelder_valid(constant_potential(1.0, 1), 50.0)
-
-
-def test_rh_ratio_constant_and_zero():
-    b = Ball((0.0,), 1.0)
-    assert rh_ratio(constant_potential(3.0, 1), b, 2.0) == 1.0
-    with pytest.raises(DegenerateRegionError):
-        rh_ratio(zero_potential(1), b, 2.0)
-    with pytest.raises(ConfigError):
-        rh_ratio(constant_potential(1.0, 1), b, 1.0)
-    with pytest.raises(ConfigError):
-        rh_ratio(power_potential(1.5, 1), b, 3.0)  # q-th power not integrable
-
-
-def test_rh_ratio_power_origin_closed_form():
-    # V = |x|^(-1/2) on a ball at the origin, q = 3/2:
-    # mean V = 2 r^(-1/2), mean V^q = 4 r^(-3/4), ratio = 2^(1/3) for all r
-    V = power_potential(1.5, 1)
-    for r in (0.5, 1.0, 2.0):
-        got = rh_ratio(V, Ball((0.0,), r), 1.5)
-        assert got == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-
-
-def test_rh_constant_over_family():
-    from oscillab.family import FamilyPolicy, make_ball_family
-
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
-    rep = rh_constant(constant_potential(1.0, 1), 2.0, fam)
-    assert rep.constant == 1.0
-    assert rep.n_balls == len(fam)
-    rep2 = rh_constant(power_potential(1.5, 1), 1.5, fam)
-    # origin ball attains the 2^(1/3) ratio; off-center balls are tamer
-    assert rep2.constant == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-9)
-    assert fam.center_norms[rep2.arg_index] == 0.0
-
-
-def test_almost_monotonicity_constant_oracle():
-    # constant V: I(x,r)/((R/r)^(n/q-2) I(x,R)) = (r/R)^(n/q)
-    V = constant_potential(1.0, 1)
-    pairs = [(1.0, 4.0), (0.5, 1.0), (2.0, 2.0)]
-    rep = almost_monotonicity_check(V, [0.0], pairs, q=2.0)
-    assert rep.max_ratio == pytest.approx(1.0)  # the equal pair
-    assert rep.arg_pair == (2.0, 2.0)
-    assert rep.holds
-    with pytest.raises(ConfigError):
-        almost_monotonicity_check(V, [0.0], [(2.0, 1.0)], q=2.0)
-    with pytest.raises(DegenerateRegionError):
-        almost_monotonicity_check(zero_potential(1), [0.0], [(1.0, 2.0)], q=2.0)
-
-
-def test_slow_variation_constant_field_needs_no_slack():
-    pts = np.linspace(1.0, 50.0, 25)[:, None]
-    fld = solve_critical_radius(constant_potential(1.0, 1), pts)
-    fit = slow_variation_fit(fld)
-    assert fit.holds
-    assert fit.c == 1.0
-    assert fit.comparability_ratio == pytest.approx(1.0)
-    assert slow_variation_violation(fld, c=1.0, k0=fit.k0) <= 1.0 + 1e-12
-
-
-def test_slow_variation_power_field_holds():
-    pts = np.geomspace(10.0, 1e3, 40)[:, None]
-    fld = solve_critical_radius(power_potential(1.5, 1), pts)
-    fit = slow_variation_fit(fld)
-    assert fit.holds
-    assert fit.comparability_ratio <= fit.comparability_bound
-    with pytest.raises(DegenerateRegionError):
-        slow_variation_fit(
-            solve_critical_radius(zero_potential(1), pts)
-        )

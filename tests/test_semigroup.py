@@ -12,11 +12,9 @@ from oscillab.semigroup import (
     default_ladder,
     discretize,
     heat,
-    heat_kernel_deficit,
     interior_index_window,
     poisson,
     poisson_extension,
-    poisson_one_deficit,
     poisson_subordinated,
     square_function_field,
 )
@@ -24,7 +22,7 @@ from oscillab.semigroup import (
 
 @pytest.fixture(scope="module")
 def small_op():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.125)
+    g = Grid(halfwidth=4.0, spacing=0.125)
     return discretize(constant_potential(1.0, 1), g)
 
 
@@ -37,7 +35,7 @@ def _interior_zeroed(f: GridFunction) -> np.ndarray:
 def test_dirichlet_eigenvalues_constant_potential():
     # -Laplacian_h + c on N interior points has
     # lambda_k = (4/h^2) sin^2(k pi / (2(N+1))) + c
-    g = Grid(n=1, halfwidth=2.0, spacing=0.25)
+    g = Grid(halfwidth=2.0, spacing=0.25)
     op = discretize(constant_potential(3.0, 1), g)
     N = op.interior_count
     assert N == g.axis_count - 2
@@ -52,19 +50,9 @@ def test_eigenvectors_orthonormal(small_op):
 
 
 def test_discretize_cap():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.125)
+    g = Grid(halfwidth=4.0, spacing=0.125)
     with pytest.raises(ConfigError):
         discretize(constant_potential(1.0, 1), g, cap=16)
-
-
-def test_2d_operator_eigenvalues_are_sums():
-    # zero potential on a square grid: eigenvalues are sums of two 1-D ones
-    g2 = Grid(n=2, halfwidth=1.0, spacing=0.25)
-    op2 = discretize(zero_potential(2), g2)
-    g1 = Grid(n=1, halfwidth=1.0, spacing=0.25)
-    op1 = discretize(zero_potential(1), g1)
-    want = np.sort((op1.eigenvalues[:, None] + op1.eigenvalues[None, :]).ravel())
-    assert np.allclose(np.sort(op2.eigenvalues), want, rtol=1e-10)
 
 
 def test_heat_semigroup_law(small_op):
@@ -110,7 +98,7 @@ def test_apply_spectral_validates_psi(small_op):
 
 
 def test_apply_spectral_rejects_other_grid(small_op):
-    other = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    other = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(GridMismatchError):
         heat(small_op, GridFunction.constant(other, 1.0), 0.1)
 
@@ -135,7 +123,7 @@ def test_ladder_construction_and_truncate():
 
 
 def test_default_ladder_spans_h_to_quarter_box():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.125)
+    g = Grid(halfwidth=4.0, spacing=0.125)
     lad = default_ladder(g)
     assert lad.values[0] == pytest.approx(0.125)
     assert lad.values[-1] == pytest.approx(1.0)
@@ -170,7 +158,7 @@ def test_poisson_extension_derivative_identity(small_op):
 def test_x_gradient_against_exact_sine_derivative():
     # free-operator eigenvectors are exact sines, so t * du/dx has a closed
     # form; the interior stencil is 4th order, the walls drop to 2nd
-    g = Grid(n=1, halfwidth=4.0, spacing=0.125)
+    g = Grid(halfwidth=4.0, spacing=0.125)
     op = discretize(zero_potential(1), g)
     k = 2
     vec = op.eigenvectors[:, k - 1]
@@ -191,41 +179,10 @@ def test_x_gradient_against_exact_sine_derivative():
 
 
 def test_interior_index_window():
-    g = Grid(n=1, halfwidth=6.0, spacing=0.5)
+    g = Grid(halfwidth=6.0, spacing=0.5)
     idx = interior_index_window(g, 1.0 / 3.0)
     x = g.axis[idx]
     assert np.all(np.abs(x) <= 2.0 + 1e-12)
     assert x.size == 9
     with pytest.raises(ConfigError):
         interior_index_window(g, 0.0)
-
-
-def test_heat_kernel_deficit_free_is_zero(small_op):
-    free = discretize(zero_potential(1), small_op.grid)
-    rep = heat_kernel_deficit(free, free, t=0.25, q=2.0, rho=1.0)
-    assert rep.fitted_constant == 0.0
-    assert rep.max_deficit < 1e-13
-
-
-def test_heat_kernel_domination(small_op):
-    free = discretize(zero_potential(1), small_op.grid)
-    rep = heat_kernel_deficit(small_op, free, t=0.25, q=2.0, rho=2.0**-0.5)
-    # adding a nonnegative potential can only shrink the kernel
-    assert rep.domination_violation <= 1e-10
-    assert rep.fitted_constant > 0.0
-    assert math.isfinite(rep.fitted_constant)
-
-
-def test_poisson_one_deficit_linear_rate(op16):
-    # for constant V = 1 the deficit of e^{-t sqrt(L)} 1 is 1 - e^{-t} + walls,
-    # so the fitted exponent sits near 1
-    lad = TLadder.geometric(0.01, 0.5, per_decade=8)
-    rep = poisson_one_deficit(op16, lad, rho=2.0**-0.5)
-    assert 0.8 <= rep.alpha <= 1.2
-    assert rep.n_samples > 0
-
-
-def test_poisson_one_deficit_needs_ladder_coverage(op16):
-    lad = TLadder(np.array([1.0, 2.0, 4.0]))
-    with pytest.raises(LadderError):
-        poisson_one_deficit(op16, lad, rho=2.0**-0.5)

@@ -67,7 +67,7 @@ def test_samples_payload_size_check(tmp_path):
 
 
 def test_grid_function_roundtrip(tmp_path):
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.from_callable(g, lambda x: np.tanh(x))
     p = save_grid_function(tmp_path / "f.json", f)
     back = load_grid_function(p)
@@ -75,8 +75,19 @@ def test_grid_function_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_grid_function_header_must_be_one_dimensional(tmp_path):
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    p = save_grid_function(tmp_path / "f.json", GridFunction.constant(g, 1.0))
+    header = json.loads(p.read_text())
+    assert header["n"] == 1
+    header["n"] = 2
+    p.write_text(json.dumps(header))
+    with pytest.raises(ConfigError):
+        load_grid_function(p)
+
+
 def test_writes_are_byte_identical(tmp_path):
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.from_callable(g, lambda x: np.sin(x))
     p1 = save_grid_function(tmp_path / "one.json", f)
     p2 = save_grid_function(tmp_path / "two.json", f)
@@ -102,7 +113,7 @@ def test_curves_csv_marks_absent_buckets(tmp_path):
 
 
 def test_family_csv_shape_and_validation(tmp_path):
-    g = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     p = save_family_csv(tmp_path / "f.csv", fam, columns={"metric": np.ones(len(fam))})
     lines = p.read_text().strip().splitlines()

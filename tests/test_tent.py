@@ -21,7 +21,6 @@ from oscillab.tent import (
     carleson_box,
     carleson_box_strict_tent,
     cone_square_function,
-    dilate_mean_oscillation,
     dilate_oscillation,
     family_box_values,
     gradient_carleson_curves,
@@ -34,7 +33,7 @@ from oscillab.tent import (
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return Grid(n=1, halfwidth=8.0, spacing=0.125)
+    return Grid(halfwidth=8.0, spacing=0.125)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +98,7 @@ def test_carleson_box_offlattice_matches_manual(small_grid):
 
 @given(st.integers(min_value=0, max_value=400))
 def test_cylinder_dominates_strict_tent(seed):
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(g, lad, seed=seed)
     b = Ball((0.5,), 1.5)
@@ -116,7 +115,7 @@ def test_family_box_values_match_single_calls(small_grid):
 
 
 def test_cone_delta_slice_closed_form():
-    g = Grid(n=1, halfwidth=4.0, spacing=0.25)
+    g = Grid(halfwidth=4.0, spacing=0.25)
     lad = TLadder(np.array([1.0, 2.0]))
     vals = np.zeros((2,) + g.shape)
     io = g.half_cells
@@ -228,21 +227,6 @@ def test_dilate_oscillation_zero_function(small_grid, small_op):
     assert rep.n_subballs > 0
 
 
-def test_dilate_mean_oscillation(small_grid):
-    rng = np.random.default_rng(13)
-    f = GridFunction(small_grid, rng.normal(size=small_grid.shape))
-    from oscillab.grid import mean_oscillation
-
-    b = Ball((0.0,), 0.25)
-    want = max(
-        mean_oscillation(f, Ball((0.0,), 1.0), 1.0),
-        mean_oscillation(f, Ball((0.0,), 4.0), 1.0),
-    )
-    assert dilate_mean_oscillation(f, b, 1) == pytest.approx(want)
-    with pytest.raises(ConfigError):
-        dilate_mean_oscillation(f, b, -1)
-
-
 def test_box_oscillation_report_consistency(small_grid, small_op):
     f = GridFunction.from_callable(small_grid, lambda x: np.exp(-0.5 * x**2))
     lad = default_ladder(small_grid)
@@ -266,7 +250,7 @@ def test_box_oscillation_zero_function(small_grid, small_op):
 
 
 def test_pairing_rejects_mismatched_grids(small_grid, small_op):
-    other = Grid(n=1, halfwidth=8.0, spacing=0.25)
+    other = Grid(halfwidth=8.0, spacing=0.25)
     f = GridFunction.constant(small_grid, 1.0)
     g2 = GridFunction.constant(other, 1.0)
     with pytest.raises(ConfigError):
