@@ -79,12 +79,7 @@ def mollify(f: GridFunction, t: float) -> Mollified:
     offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
     w = _bump_profile((offs / t) ** 2)
     w /= np.sum(w)
-    if f.values.size * w.size <= 1 << 26:
-        conv = np.convolve(f.values, w, mode="same")
-    else:
-        from scipy.signal import fftconvolve
-
-        conv = fftconvolve(f.values, w, mode="same")
+    conv = np.convolve(f.values, w, mode="same")
     n_ax = g.axis_count
     i = np.arange(n_ax)
     valid = (i - kmax >= 0) & (i + kmax <= n_ax - 1)
@@ -468,11 +463,21 @@ class DyadicAssignment:
         return self.cube_levels.size
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first sample of each run of equal keys.  Every cube is
+    one contiguous run of the position-ordered samples, so the runs are
+    the cubes in position order."""
+    change = np.zeros(keys[0].size - 1, dtype=bool)
+    for k in keys:
+        change |= k[1:] != k[:-1]
+    return np.concatenate(([0], np.nonzero(change)[0] + 1))
+
+
 def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
     """Tile the box according to the thresholds.
 
-    Needs halfwidth >= 2^(M+3) so the truncation region of the pipeline
-    fits with room to spare.
+    Cube ids follow (level, corner) order.  Needs halfwidth >= 2^(M+3) so
+    the truncation region of the pipeline fits with room to spare.
     """
     a, p = _dyadic_exponents(grid)
     th = thresholds
@@ -483,56 +488,52 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
     if th.core_level < -p:
         raise ConfigError("core cubes fall below the grid scale")
     n0 = grid.half_cells
-    idx = np.arange(grid.axis_count, dtype=np.int64)
-    o = np.minimum(idx, 2 * n0 - 1) - n0  # folded offsets
+    o = np.arange(-n0, n0 + 1, dtype=np.int64)
+    o[-1] = n0 - 1  # the +X boundary sample folds into the last cell
     sigma = np.maximum(o, -o - 1)
-
-    core_cells = 2 ** (th.core_exponent + p)
-    in_core = sigma < core_cells
-    shell_m = np.zeros(sigma.shape, dtype=np.int64)
-    out = ~in_core
-    if np.any(out):
-        shell_m[out] = np.floor(np.log2(sigma[out].astype(np.float64))).astype(np.int64) - p
-        # repair float edges exactly
-        low = out & (2 ** (shell_m + p + 1) <= sigma)
-        shell_m[low] += 1
-        high = out & (2 ** (shell_m + p) > sigma)
-        shell_m[high] -= 1
-
-    level = np.where(in_core, th.core_level, shell_m - th.fine_exponent - th.core_exponent - 1)
+    # sigma in [2^(m+p), 2^(m+p+1)) cells  <=>  frexp exponent m + p + 1
+    # (exact: sigma < 2^53)
+    shell_m = np.frexp(sigma)[1].astype(np.int64) - p - 1
+    level = np.where(
+        sigma < 2 ** (th.core_exponent + p), th.core_level, th.shell_level(shell_m)
+    )
+    del sigma, shell_m  # two sample-sized arrays fewer for the corner pass
     if np.any(level < -p):
         raise ConfigError("assignment produced cubes below the grid scale")
-    qbits = (level + p).astype(np.int64)
-    corners = o >> qbits  # arithmetic shift = floor division
+    corners = o >> (level + p)  # arithmetic shift = floor division
 
-    key = np.stack([level, corners], axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    counts = np.bincount(inverse)
+    starts = _run_starts(level, corners)
+    run_levels = level[starts]
+    run_corners = corners[starts]
+    order = np.lexsort((run_corners, run_levels))
+    run_ids = np.empty(order.size, dtype=np.int64)
+    run_ids[order] = np.arange(order.size)
+    counts = np.diff(np.append(starts, grid.axis_count))
     return DyadicAssignment(
         grid,
         th,
-        inverse.astype(np.int64),
-        uniq[:, 0].copy(),
-        uniq[:, 1:].copy(),
-        counts,
+        np.repeat(run_ids, counts),
+        run_levels[order],
+        run_corners[order][:, None],
+        counts[order],
     )
 
 
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
     """Replace f by its mean on each assigned cube.
 
-    Means are computed against a per-cube anchor sample, which makes the
-    operation exactly idempotent on piecewise-constant input.
+    Means are computed against a per-cube anchor sample (the cube's first
+    sample), which makes the operation exactly idempotent on
+    piecewise-constant input.
     """
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")
     flat = f.values
     sc = assignment.sample_cube
     n_cubes = assignment.n_cubes
-    uniq_ids, first_idx = np.unique(sc, return_index=True)
-    first = np.empty(n_cubes, dtype=np.int64)
-    first[uniq_ids] = first_idx
-    anchors = flat[first]
+    starts = _run_starts(sc)
+    anchors = np.empty(n_cubes)
+    anchors[sc[starts]] = flat[starts]
     diffs = flat - anchors[sc]
     sums = np.bincount(sc, weights=diffs, minlength=n_cubes)
     means = anchors + sums / assignment.cube_counts
@@ -564,7 +565,8 @@ def p1_p2_check(
 ) -> GateReport:
     """P1: sup |averaged| outside the closed outer region <= eps/2.
     P2: |difference across closure-adjacent cubes| <= eps.  Also verifies
-    the neighbour sidelength ratio invariant (in {1/2, 1, 2})."""
+    the neighbour sidelength ratio invariant (in {1/2, 1, 2}).  In one
+    dimension the closure-adjacent cubes are the consecutive runs."""
     th = assignment.thresholds
     g = assignment.grid
     A = averaged if averaged is not None else dyadic_average(f, assignment)
@@ -572,44 +574,17 @@ def p1_p2_check(
     outside = np.abs(g.axis) > lim + 1e-12
     p1 = float(np.max(np.abs(A.values[outside]), initial=0.0))
 
-    means = cube_means(f, assignment)
-    pairs = _adjacent_pairs(assignment)
-    if pairs.size:
-        d = np.abs(means[pairs[:, 0]] - means[pairs[:, 1]])
-        p2 = float(np.max(d))
-        lv = assignment.cube_levels
-        ratio_ok = bool(np.all(np.abs(lv[pairs[:, 0]] - lv[pairs[:, 1]]) <= 1))
-    else:
-        p2 = 0.0
-        ratio_ok = True
+    sc = assignment.sample_cube
+    ids = sc[_run_starts(sc)]
+    means = cube_means(f, assignment)[ids]
+    levels = assignment.cube_levels[ids]
+    p2 = float(np.max(np.abs(np.diff(means)), initial=0.0))
+    ratio_ok = bool(np.all(np.abs(np.diff(levels)) <= 1))
     return GateReport(
         p1,
         p1 <= th.size_bound + 1e-12,
         p2,
         p2 <= th.eps + 1e-12,
-        pairs.shape[0],
+        ids.size - 1,
         ratio_ok,
     )
-
-
-def _adjacent_pairs(assignment: DyadicAssignment) -> np.ndarray:
-    """Closure-adjacent cube id pairs, found by probing the sample just
-    outside each end of every cube and locating the probe's cube."""
-    g = assignment.grid
-    n0 = g.half_cells
-    lv = assignment.cube_levels
-    _, p = _dyadic_exponents(g)
-    q = (1 << (lv + p)).astype(np.int64)
-    c = assignment.cube_corners[:, 0] * q  # in cells
-
-    pairs = []
-    for probe in (c - 1, c + q):
-        ok = (probe >= -n0) & (probe <= n0 - 1)
-        src = np.nonzero(ok)[0]
-        tgt = assignment.sample_cube[probe[ok] + n0]
-        pairs.append(np.stack([src, tgt], axis=1))
-    allp = np.concatenate(pairs, axis=0)
-    allp = allp[allp[:, 0] != allp[:, 1]]
-    lo = np.minimum(allp[:, 0], allp[:, 1])
-    hi = np.maximum(allp[:, 0], allp[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)

@@ -272,7 +272,9 @@ def exp_lacunary(
             distance_max=distance_max,
         ),
     )
-    rho = solve_critical_radius(V, fam.centers).values
+    # solve once per distinct center; the solver works point by point
+    xs, at = np.unique(fam.centers[:, 0], return_inverse=True)
+    rho = solve_critical_radius(V, xs[:, None]).values[at]
     norm = bmo_l_norm(f, rho, fam)
     tol = tol_fraction * norm.value
 
@@ -922,7 +924,10 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam)
     tolf = float(kw.get("tol_fraction", 0.05))
     decf = float(kw.get("decay_factor", 4.0))
-    verdicts = _verdict_map(curves, tolf * split.value, decf)
+    # a family with no supercritical ball leaves the two supercritical
+    # curves without buckets; classify only the curves that have some
+    present = {mode: c for mode, c in curves.items() if np.any(c.present)}
+    verdicts = _verdict_map(present, tolf * split.value, decf)
     save_curves_csv(out / "curves.csv", [curves[m] for m in sorted(curves)])
     fam_ball = _arg_sup_ball(fam, split)
     summary = {

@@ -100,7 +100,10 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
 def family_oscillation_p(f: GridFunction, family: BallFamily, p: float) -> np.ndarray:
     """Per-ball (mean |f - mean|^p)^(1/p); p = 2 is closed-form, other p
     fall back to member-value loops."""
-    st = family_stats(f, family)
+    return _oscillation_p(f, family, family_stats(f, family), p)
+
+
+def _oscillation_p(f: GridFunction, family: BallFamily, st: FamilyStats, p: float) -> np.ndarray:
     if p == 2.0:
         return st.oscillation2
     if p < 1:
@@ -162,8 +165,8 @@ def bmo_l_norm(
     rho_c = rho_values_for(rho, family.centers)
     sub = family.radii < rho_c
     sup_mask = ~sub
-    osc = family_oscillation_p(f, family, p)
     st = family_stats(f, family)
+    osc = _oscillation_p(f, family, st, p)
     size = st.size2 if p == 2.0 else st.mean_abs
 
     osc_part, osc_arg = _masked_sup(osc, sub)

@@ -8,6 +8,7 @@ from oscillab.errors import ConfigError, OutOfDomainError, ThresholdExhaustedErr
 from oscillab.grid import Grid, GridFunction
 from oscillab.approx import (
     AveragingThresholds,
+    DyadicAssignment,
     ThresholdFractions,
     assign_cubes,
     bump,
@@ -45,6 +46,50 @@ def pipeline_thresholds(pipeline_f):
 @pytest.fixture(scope="module")
 def pipeline_assignment(pipeline_thresholds, pipeline_grid):
     return assign_cubes(pipeline_thresholds, pipeline_grid)
+
+
+def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> DyadicAssignment:
+    """General partition construction: shell index from floor(log2) with
+    exact repair, cube ids from a row sort of the per-sample keys."""
+    p = round(-math.log2(grid.spacing))
+    n0 = grid.half_cells
+    o = np.minimum(np.arange(grid.axis_count), 2 * n0 - 1) - n0
+    sigma = np.maximum(o, -o - 1)
+    in_core = sigma < 2 ** (th.core_exponent + p)
+    shell_m = np.zeros(sigma.shape, dtype=np.int64)
+    out = ~in_core
+    shell_m[out] = np.floor(np.log2(sigma[out].astype(np.float64))).astype(np.int64) - p
+    shell_m[out & (2 ** (shell_m + p + 1) <= sigma)] += 1
+    shell_m[out & (2 ** (shell_m + p) > sigma)] -= 1
+    level = np.where(in_core, th.core_level, shell_m - th.fine_exponent - th.core_exponent - 1)
+    key = np.stack([level, o >> (level + p)], axis=1)
+    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
+    return DyadicAssignment(
+        grid, th, inverse.astype(np.int64), uniq[:, 0].copy(), uniq[:, 1:].copy(),
+        np.bincount(inverse),
+    )
+
+
+def _oracle_adjacent_pairs(asn: DyadicAssignment) -> set[tuple[int, int]]:
+    """Closure-adjacent cube id pairs, found by probing the sample just
+    outside each end of every cube."""
+    n0 = asn.grid.half_cells
+    p = round(-math.log2(asn.grid.spacing))
+    q = (1 << (asn.cube_levels + p)).astype(np.int64)
+    c = asn.cube_corners[:, 0] * q
+    pairs = set()
+    for probe in (c - 1, c + q):
+        ok = (probe >= -n0) & (probe <= n0 - 1)
+        src = np.nonzero(ok)[0]
+        tgt = asn.sample_cube[probe[ok] + n0]
+        pairs |= {(min(a, b), max(a, b)) for a, b in zip(src.tolist(), tgt.tolist()) if a != b}
+    return pairs
+
+
+def _consecutive_pairs(asn: DyadicAssignment) -> set[tuple[int, int]]:
+    sc = asn.sample_cube
+    ids = sc[np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))]
+    return {(min(a, b), max(a, b)) for a, b in zip(ids[:-1].tolist(), ids[1:].tolist())}
 
 
 def test_bump_unit_mass_and_height():
@@ -177,3 +222,59 @@ def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid)
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
     assert rep.p2_ok  # all cube means equal
+
+
+def _assert_matches_oracle(f: GridFunction, asn: DyadicAssignment) -> None:
+    ref = _oracle_assignment(asn.thresholds, asn.grid)
+    for name in ("sample_cube", "cube_levels", "cube_corners", "cube_counts"):
+        got, want = getattr(asn, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    pairs = _oracle_adjacent_pairs(ref)
+    assert _consecutive_pairs(asn) == pairs
+    a, b = np.array(sorted(pairs)).T
+    means = cube_means(f, ref)
+    rep = p1_p2_check(f, asn)
+    assert rep.n_adjacent_pairs == len(pairs)
+    assert rep.p2_max == float(np.max(np.abs(means[a] - means[b])))
+    assert rep.size_ratio_ok == bool(np.all(np.abs(ref.cube_levels[a] - ref.cube_levels[b]) <= 1))
+
+
+def test_assignment_matches_row_sort_oracle(pipeline_f, pipeline_assignment):
+    _assert_matches_oracle(pipeline_f, pipeline_assignment)
+
+
+def test_assignment_matches_row_sort_oracle_large():
+    grid = Grid(halfwidth=2048.0, spacing=2.0**-7)  # 524,289 samples
+    f = member_by_name("bump-narrow").build(grid)
+    th = choose_thresholds(f, eps=0.55, rho=RHO0, fractions=ThresholdFractions(oscillation=0.25))
+    asn = assign_cubes(th, grid)
+    assert asn.n_cubes > 1000
+    _assert_matches_oracle(f, asn)
+
+
+def test_assignment_runs_at_pipeline_small_geometry():
+    # halfwidth 2^13 at spacing 2^-7 (2,097,153 samples) with the
+    # thresholds the pipeline-small scan picks for bump-narrow
+    grid = Grid(halfwidth=8192.0, spacing=2.0**-7)
+    p = 7
+    th = AveragingThresholds(
+        eps=0.235, fine_exponent=5, core_exponent=10, outer_exponent=10,
+        osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235, level_min=-p + 1, level_max=13,
+    )
+    asn = assign_cubes(th, grid)
+    sc = asn.sample_cube
+    starts = np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))
+    ids = sc[starts]
+    # every cube is exactly one run: no id comes back after its run ends
+    assert ids.size == asn.n_cubes
+    assert np.array_equal(np.sort(ids), np.arange(asn.n_cubes))
+    lengths = np.diff(np.append(starts, sc.size))
+    want = 2 ** (asn.cube_levels[ids] + p)
+    want[-1] += 1  # the +X boundary sample folds into the last cube
+    assert np.array_equal(lengths, want)
+    assert np.array_equal(asn.cube_counts[ids], lengths)
+    rep = p1_p2_check(GridFunction.constant(grid, 0.0), asn)
+    assert rep.n_adjacent_pairs == asn.n_cubes - 1
+    assert rep.size_ratio_ok
+    assert np.all(np.abs(np.diff(asn.cube_levels[ids])) <= 1)

@@ -12,7 +12,7 @@ import oscillab
 from oscillab import __version__
 from oscillab.cli import main
 from oscillab.corpus import member_by_name
-from oscillab.errors import ConfigError, CriterionFailure, LadderError
+from oscillab.errors import ConfigError, CriterionFailure
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
     ExperimentConfig,
@@ -191,7 +191,7 @@ def test_pairing_reports_default_right_member(tmp_path):
     assert again["scenarios"]["reproducing-pairing"]["direct"] == frag["direct"]
 
 
-def test_arg_sup_ball_without_supercritical_part():
+def test_arg_sup_ball_without_supercritical_part(tmp_path):
     # every radius lies below rho = 2^-1/2, so the size part is absent and
     # the reported ball is the one attaining the oscillation part
     grid = Grid(halfwidth=8.0, spacing=0.0625)
@@ -202,12 +202,18 @@ def test_arg_sup_ball_without_supercritical_part():
     ball = _arg_sup_ball(fam, split)
     assert ball == fam.ball(split.oscillation_arg)
     assert mean_oscillation(f, ball) == pytest.approx(split.oscillation_part, rel=1e-9)
-    # a bmo-norms scenario on this family stops at the verdicts: the empty
-    # supercritical curves have no bucket to classify
+    # a bmo-norms scenario on this family classifies only the curves that
+    # have buckets and reports the oscillation-arg ball
     doc = {"scenarios": [{"id": "bmo-norms", "member": "gaussian", "halfwidth": 8.0,
                           "spacing": 0.0625, "family": {"center_stride": 0.5, "radii": [0.125, 0.25, 0.5]}}]}
-    with pytest.raises(LadderError):
-        run(doc)
+    res = run(doc, str(tmp_path))["scenarios"]["bmo-norms"]
+    verdicts = res["verdicts"]
+    assert "large-and-supercritical" not in verdicts
+    assert "far-and-supercritical" not in verdicts
+    fam3 = make_ball_family(grid, FamilyPolicy(center_stride=0.5, radii=(0.125, 0.25, 0.5)))
+    split3 = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam3)
+    want = fam3.ball(split3.oscillation_arg)
+    assert res["arg_sup_ball"] == {"center": list(want.center), "radius": want.radius}
 
 
 # ---------------------------------------------------------------------------
