@@ -31,7 +31,7 @@ def main():
 
     print(f"{'member':>12} {'bmo':>8} {'bmo_l':>8} {'size':>8} {'tilde':>8} {'tent':>8} {'ratio':>7}")
     for m in CORPUS:
-        f = m.build(grid, op)
+        f = m.build(grid)
         plain = bmo_norm(f, fam).value
         split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
         tilde = tilde_bmo_l_norm(f, op, fam, ladder).value

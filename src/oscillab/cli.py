@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread count")
     common.add_argument("--seed", type=int, default=None, help="seed for the run's PRNG stream")
     common.add_argument("--out", default=None, help="output directory for the report bundle")
-    common.add_argument("--op-cap", type=int, default=None, help="max grid points for the spectral operator")
+    common.add_argument("--op-cap", type=int, default=None, help="max grid samples (walls included) of an operator scenario")
     common.add_argument(
         "--interior-window",
         type=float,

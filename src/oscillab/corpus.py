@@ -1,10 +1,12 @@
 """Canonical test functions shared by experiments and the acceptance suite.
 
-Ten members, all deterministic.  Each member is a closed-form profile except
-``eigenvector``, which needs a spectral operator.  Members carry a ``smooth``
-flag marking the ones eligible for the mollifier-sweep check (flat members
-give an identically zero distance curve, so strict decrease is meaningless
-for them; the log spike has unbounded second derivative only at the window
+Ten members, all deterministic closed-form profiles.  ``eigenvector`` is
+the fourth Dirichlet sine mode of whatever box it is sampled on, which is
+the fourth eigenvector of the unit-potential operator on that box, so no
+operator is needed to build it.  Members carry a ``smooth`` flag marking
+the ones eligible for the mollifier-sweep check (flat members give an
+identically zero distance curve, so strict decrease is meaningless for
+them; the log spike has unbounded second derivative only at the window
 edges, which stays within the sweep tolerance).
 """
 
@@ -83,28 +85,23 @@ def _log_spike(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.log(x**2 + 0.0625) * _window(x)
 
 
+def _fourth_mode(x: np.ndarray) -> np.ndarray:
+    # sin(4 pi (x + X) / 2X) on [-X, X], L2-normalised; the discrete sine of
+    # frequency 4 is the fourth eigenvector of any -Laplacian_h + c
+    X = x[-1]
+    out = np.sin(2.0 * np.pi * (x + X) / X) / np.sqrt(X)
+    out[0] = out[-1] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class CorpusMember:
     name: str
     summary: str
     smooth: bool  # eligible for the mollifier-sweep acceptance check
-    needs_operator: bool = False
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def build(self, grid: Grid, op: Optional[SpectralOperator] = None) -> GridFunction:
-        if self.needs_operator:
-            if op is None:
-                raise ConfigError(f"corpus member {self.name!r} needs a spectral operator")
-            if op.grid != grid:
-                raise ConfigError("operator grid does not match the requested grid")
-            vec = op.eigenvectors[:, 3].copy()
-            # deterministic sign: largest-magnitude entry positive
-            pivot = int(np.argmax(np.abs(vec)))
-            if vec[pivot] < 0:
-                vec = -vec
-            f = op.embed_interior(vec)
-            return GridFunction(grid, f.values / np.sqrt(grid.cell_volume))
-        assert self.fn is not None
+    def build(self, grid: Grid) -> GridFunction:
         return GridFunction.from_callable(grid, self.fn)
 
 
@@ -121,7 +118,7 @@ CORPUS: tuple[CorpusMember, ...] = (
         "eigenvector",
         "fourth eigenvector of the unit-potential operator, L2-normalized",
         smooth=True,
-        needs_operator=True,
+        fn=_fourth_mode,
     ),
     CorpusMember("log-spike", "smooth log spike at scale 1/4, windowed", smooth=True, fn=_log_spike),
 )

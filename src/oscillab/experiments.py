@@ -76,13 +76,6 @@ def _operator_for(grid: Grid, cap: int) -> SpectralOperator:
     return discretize(constant_potential(1.0), grid, cap=cap)
 
 
-def _build_member(member: CorpusMember | str, grid: Grid, op: Optional[SpectralOperator], cap: int) -> tuple[GridFunction, Optional[SpectralOperator]]:
-    m = member_by_name(member) if isinstance(member, str) else member
-    if m.needs_operator and op is None:
-        op = _operator_for(grid, cap)
-    return m.build(grid, op), op
-
-
 def _verdict_map(curves: dict[str, LimitCurve], tol: float, decay_factor: float) -> dict[str, Verdict]:
     return {mode: vanishing_verdict(c, tol, decay_factor) for mode, c in curves.items()}
 
@@ -364,7 +357,8 @@ def exp_square_membership(
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
         op = _operator_for(grid, cap)
-    f, op = _build_member(member, grid, op, cap)
+    m = member_by_name(member) if isinstance(member, str) else member
+    f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
     if ladder is None:
         ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
@@ -384,9 +378,8 @@ def exp_square_membership(
 
     gv = _all_vanishing(gamma_verdicts)
     ev = _all_vanishing(eta_verdicts)
-    name = member if isinstance(member, str) else member.name
     return MembershipReport(
-        member=name,
+        member=m.name,
         bmo_l=norm.value,
         t2_inf=t2.value,
         ratio=(t2.value / norm.value) if norm.value > 0 else None,
@@ -450,7 +443,8 @@ def exp_extension_agreement(
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
         op = _operator_for(grid, cap)
-    f, op = _build_member(member, grid, op, cap)
+    m = member_by_name(member) if isinstance(member, str) else member
+    f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
     if ladder is None:
         ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
@@ -466,9 +460,8 @@ def exp_extension_agreement(
 
     bv = _all_vanishing(beta_verdicts)
     gv = _all_vanishing(gamma_verdicts)
-    name = member if isinstance(member, str) else member.name
     return ExtensionReport(
-        member=name,
+        member=m.name,
         bmo_l=norm.value,
         hmo=carleson.value,
         ratio=(carleson.value / norm.value) if norm.value > 0 else None,
@@ -549,7 +542,8 @@ def exp_pipeline(
     the canonical case: their supercritical size never drops).
     """
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    f, _ = _build_member(member, grid, None, cap=DEFAULT_OP_CAP)
+    m = member_by_name(member) if isinstance(member, str) else member
+    f = m.build(grid)
     h = grid.spacing
     fam = make_ball_family(
         grid,
@@ -560,7 +554,6 @@ def exp_pipeline(
     eps = eps_fraction * norm.value
     if eps <= 0:
         raise ConfigError("the zero function has nothing to approximate; eps would be 0")
-    name = member if isinstance(member, str) else member.name
 
     fractions = ThresholdFractions(oscillation=osc_fraction)
     try:
@@ -573,7 +566,7 @@ def exp_pipeline(
         )
     except ThresholdExhaustedError as e:
         return PipelineReport(
-            member=name,
+            member=m.name,
             eps=eps,
             norm=norm.value,
             verdict="NONMEMBER",
@@ -609,7 +602,7 @@ def exp_pipeline(
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
     case_bound = (20.0 ** (n / 2.0) / 4.0**n + 2.0) * eps
     return PipelineReport(
-        member=name,
+        member=m.name,
         eps=eps,
         norm=norm.value,
         verdict="MEMBER",
@@ -912,7 +905,7 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     grid = _parse_grid(kw)
     policy = _parse_policy(kw.get("family"), grid)
     op = _operator_for(grid, cfg.op_cap)
-    f, op = _build_member(str(kw.get("member", "bump-narrow")), grid, op, cfg.op_cap)
+    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
     fam = make_ball_family(grid, policy)
     ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
 
@@ -951,7 +944,7 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
     grid = _parse_grid(kw)
     policy = _parse_policy(kw.get("family"), grid)
     op = _operator_for(grid, cfg.op_cap)
-    f, op = _build_member(str(kw.get("member", "bump-narrow")), grid, op, cfg.op_cap)
+    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
     fam = make_ball_family(grid, policy)
     ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
     F = square_function_field(op, f, ladder)
@@ -976,8 +969,8 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
     )
     grid = _parse_grid(kw)
     op = _operator_for(grid, cfg.op_cap)
-    f, op = _build_member(str(kw.get("left", "gaussian")), grid, op, cfg.op_cap)
-    g_fn, op = _build_member(str(kw.get("right", "gaussian")), grid, op, cfg.op_cap)
+    f = member_by_name(str(kw.get("left", "gaussian"))).build(grid)
+    g_fn = member_by_name(str(kw.get("right", "gaussian"))).build(grid)
     ladder = TLadder.geometric(
         float(kw.get("t_min", grid.spacing / 4.0)),
         float(kw.get("t_max", grid.halfwidth / 4.0)),
@@ -1007,7 +1000,7 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
         {"member", "halfwidth", "spacing", "eps", "eps_fraction", "osc_fraction", "family"},
     )
     grid = _parse_grid(kw, default_halfwidth=64.0, default_spacing=2.0**-5)
-    f, _ = _build_member(str(kw.get("member", "bump-narrow")), grid, None, cap=cfg.op_cap)
+    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
     policy = _parse_policy(kw.get("family"), grid)
     fam = make_ball_family(grid, policy)
     norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)

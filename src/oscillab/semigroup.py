@@ -1,10 +1,12 @@
-"""Spectral discretization of -Laplacian + V and its functional calculus.
+"""Spectral discretization of -Laplacian + c and its functional calculus.
 
-The operator is the standard second-difference Laplacian plus a sampled
-potential, with homogeneous Dirichlet walls exactly at the box faces; the
-unknowns are the interior samples.  All semigroup actions go through the
-eigendecomposition: apply psi means  f -> E psi(sqrt(lambda)) E^T f  on the
-interior, zero at the walls.
+The operator is the standard second-difference Laplacian plus a constant
+potential c >= 0, with homogeneous Dirichlet walls exactly at the box faces;
+the unknowns are the interior samples.  Its eigenbasis is the discrete
+sines, so the orthonormal DST-I diagonalises it exactly and the eigenvalues
+have the closed form c + (4/h^2) sin^2(k pi / (2(M+1))).  Apply psi means
+f -> S psi(sqrt(lambda)) S f  on the interior, zero at the walls, where S
+is the DST-I matrix (symmetric and its own inverse).
 
 Half-space objects (functions of (x, t) with t on a geometric ladder) carry
 their ladder with them; integrals in dt/t use trapezoid weights in log t,
@@ -20,8 +22,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.fft import dst
 from scipy.integrate import quad_vec
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, GridMismatchError, LadderError
 from .grid import Grid, GridFunction
@@ -107,16 +109,14 @@ def default_ladder(grid: Grid, per_decade: int = 16) -> TLadder:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Eigendecomposition of the Dirichlet finite-difference operator.
+    """The Dirichlet finite-difference operator in its sine eigenbasis.
 
-    eigenvalues: (M,) ascending, all positive; eigenvectors: (M, M) with
-    orthonormal columns; M = number of interior samples.
+    eigenvalues: (M,) ascending, all positive; M = number of interior
+    samples.  Coefficient k belongs to the discrete sine of frequency k + 1.
     """
 
     grid: Grid
-    potential_kind: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def interior_count(self) -> int:
@@ -132,61 +132,37 @@ class SpectralOperator:
         return GridFunction(self.grid, out)
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
-        return self.eigenvectors.T @ self.interior_values(f)
+        return dst(self.interior_values(f), type=1, norm="ortho")
 
     def synthesize(self, coef: np.ndarray) -> GridFunction:
-        return self.embed_interior(self.eigenvectors @ coef)
+        return self.embed_interior(dst(coef, type=1, norm="ortho"))
 
     def _check(self, f: GridFunction) -> None:
         if not f.grid.compatible(self.grid):
             raise GridMismatchError("function grid does not match the operator grid")
 
 
-def sample_potential(V: Potential, grid: Grid) -> np.ndarray:
-    """Potential samples on the grid; the singular cell of a power kind is
-    replaced by its exact cell average so the discrete operator sees the
-    right local mass."""
-    if V.kind == "tabulated":
-        if not V.samples.grid.compatible(grid):
-            raise GridMismatchError("tabulated potential lives on a different grid")
-        return V.samples.values.copy()
-    if V.kind == "zero":
-        return np.zeros(grid.shape)
-    if V.kind == "constant":
-        return np.full(grid.shape, V.constant * V.amplitude)
-    # power kind
-    if V.n != grid.n:
-        raise GridMismatchError(
-            f"power potential has ambient dimension {V.n}; the grid is one-dimensional"
-        )
-    p = V.eps - 2.0
-    h = grid.spacing
-    vals = np.abs(grid.axis) ** p
-    # cell [-h/2, h/2]: mean of |y|^p = (h/2)^p / (p+1)
-    vals[grid.half_cells] = (h / 2.0) ** p / (p + 1.0)
-    return V.amplitude * vals
-
-
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
-    """Assemble and diagonalise -Laplacian_h + V with Dirichlet walls.
+    """-Laplacian_h + V with Dirichlet walls, for a zero or constant V.
 
-    cap bounds the grid's sample count (walls included); exceeding it is a
-    config error, not an OOM.
+    cap bounds the grid's sample count (walls included), and with it the
+    ladder x samples arrays of the half-space fields; exceeding it is a
+    config error, not an OOM.  Power and tabulated potentials have no
+    sine eigenbasis and are rejected.
     """
+    if V.kind not in ("zero", "constant"):
+        raise ConfigError(f"the spectral operator takes a zero or constant potential, not {V.kind!r}")
     m = grid.axis_count - 2
     if m < 1:
         raise ConfigError("grid too small for an interior")
     if grid.axis_count > cap:
         raise ConfigError(
-            f"operator size {m} exceeds the cap {cap}; "
+            f"operator size {grid.axis_count} exceeds the cap {cap}; "
             "raise the cap explicitly if this is intended"
         )
-    h = grid.spacing
-    vals = sample_potential(V, grid)
-    diag = 2.0 / h**2 + vals[1:-1]
-    off = np.full(m - 1, -1.0 / h**2)
-    w, e = eigh_tridiagonal(diag, off)
-    return SpectralOperator(grid, V.kind, np.ascontiguousarray(w), np.ascontiguousarray(e))
+    k = np.arange(1, m + 1)
+    lam = V.constant * V.amplitude + (4.0 / grid.spacing**2) * np.sin(k * math.pi / (2 * (m + 1))) ** 2
+    return SpectralOperator(grid, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +241,8 @@ def _field_from_psi(
 ) -> HalfSpaceFunction:
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
-    out = np.empty((len(ladder),) + op.grid.shape)
-    for j, t in enumerate(ladder.values):
-        vals = psi_ts(t, s) * coef
-        out[j] = op.embed_interior(op.eigenvectors @ vals).values
+    out = np.zeros((len(ladder),) + op.grid.shape)
+    out[:, 1:-1] = dst(psi_ts(ladder.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
     return HalfSpaceFunction(op.grid, ladder, out, channel)
 
 

@@ -133,8 +133,8 @@ def test_criterion_05_square_function_energy_bound(criterion, grid16, op16):
 def test_criterion_06_reproducing_pairing_accuracy(criterion, grid16, op16):
     c = criterion(6, "reproducing-formula pairing accuracy")
     lad = TLadder.geometric(grid16.spacing / 4.0, 4.0, per_decade=16)
-    fg = member_by_name("gaussian").build(grid16, op16)
-    fe = member_by_name("eigenvector").build(grid16, op16)
+    fg = member_by_name("gaussian").build(grid16)
+    fe = member_by_name("eigenvector").build(grid16)
     rg = reproducing_pairing_check(fg, fg, op16, lad)
     re = reproducing_pairing_check(fe, fe, op16, lad)
     c.finish(
@@ -150,7 +150,7 @@ def test_criterion_07_corpus_norm_ratios(criterion, grid16, op16, family16):
     for m in CORPUS:
         if m.name == "zero":
             continue
-        f = m.build(grid16, op16)
+        f = m.build(grid16)
         norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, family16).value
         t2 = t2p_norm(square_function_field(op16, f, lad), math.inf, family=family16).value
         ratios[m.name] = t2 / norm
@@ -169,7 +169,7 @@ def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
     def sup_ratio(spacing, balls=None):
         grid = Grid(halfwidth=16.0, spacing=spacing)
         op = discretize(constant_potential(1.0, 1), grid, cap=8192)
-        f = member_by_name("gaussian").build(grid, op)
+        f = member_by_name("gaussian").build(grid)
         fam = make_ball_family(
             grid, FamilyPolicy(center_stride=0.5, radius_min=0.125, radius_max=4.0)
         )
@@ -267,7 +267,7 @@ def test_criterion_10_averaging_pipeline_budget(criterion):
     )
 
 
-def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16, op16):
+def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16):
     c = criterion(11, "mollifier sweep converges for smooth members")
     fam = make_ball_family(
         grid16,
@@ -280,7 +280,7 @@ def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16, op16)
     for m in CORPUS:
         if not m.smooth:
             continue
-        f = m.build(grid16, op16)
+        f = m.build(grid16)
         base = bmo_norm(f, fam).value
         ds = [bmo_norm(f - mollify(f, t).fn, fam).value for t in tees]
         all_decreasing &= all(a > b for a, b in zip(ds, ds[1:]))

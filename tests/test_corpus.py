@@ -3,6 +3,7 @@ import pytest
 
 from oscillab.corpus import CORPUS, corpus_grid, corpus_operator, member_by_name
 from oscillab.errors import ConfigError
+from oscillab.grid import Grid
 
 
 def test_roster():
@@ -65,24 +66,23 @@ def test_smooth_step_is_odd_and_windowed(grid16):
     assert np.all(f.values[np.abs(grid16.axis) >= 14.0] == 0.0)
 
 
-def test_eigenvector_member(grid16, op16):
-    member = member_by_name("eigenvector")
-    with pytest.raises(ConfigError):
-        member.build(grid16)  # operator required
-    f = member.build(grid16, op16)
+def test_eigenvector_member(grid16):
+    f = member_by_name("eigenvector").build(grid16)
     assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
-    # sign pinned: the largest-magnitude sample is positive
-    assert f.values[np.argmax(np.abs(f.values))] > 0
+    # the first lobe is positive
+    assert f.values[1] > 0
     # walls stay zero
     assert f.values[0] == 0.0 and f.values[-1] == 0.0
 
 
-def test_eigenvector_grid_must_match(op16):
-    from oscillab.grid import Grid
-
+def test_eigenvector_member_on_any_grid():
+    # no operator is passed: on any box the member is the fourth sine mode
+    # of that box's operator, L2-normalised
     other = Grid(halfwidth=16.0, spacing=2.0**-5)
-    with pytest.raises(ConfigError):
-        member_by_name("eigenvector").build(other, op16)
+    op = corpus_operator(other)
+    f = member_by_name("eigenvector").build(other)
+    want = op.synthesize(np.eye(op.interior_count)[3]).values / np.sqrt(other.spacing)
+    assert np.max(np.abs(f.values - want)) <= 1e-12
 
 
 def test_corpus_operator_default(grid16, op16):

@@ -243,7 +243,7 @@ def test_extension_agreement_on_zero_function():
 
 def test_pipeline_reports_member_with_gate_and_distances():
     grid = Grid(halfwidth=256.0, spacing=2.0**-6)
-    f = member_by_name("bump-narrow").build(grid, None)
+    f = member_by_name("bump-narrow").build(grid)
     fam = make_ball_family(
         grid,
         FamilyPolicy(center_stride=2.0, radius_min=4 * grid.spacing, radius_max=128.0),
@@ -278,6 +278,16 @@ def test_pipeline_reports_constant_as_nonmember():
     assert rep.distance_full is None
     assert "core" in rep.exhausted_condition
     assert "fine_exponent" not in rep.to_dict()
+
+
+def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
+    # the member is closed-form: a grid with more samples than the default
+    # operator cap (4097 > 4096) is fine for scenarios that build no operator
+    rep = exp_pipeline("eigenvector", halfwidth=64.0, spacing=2.0**-5, stride=0.5)
+    assert rep.verdict == "NONMEMBER"
+    assert main(["uchiyama", "--member", "eigenvector", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cap" not in err and "core cutoff" in err
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,7 @@ def test_split_norm_all_supercritical(small_family):
 def test_semigroup_difference_eigenvector_closed_form(op16, family16):
     # for an eigenvector, f - e^{-r sqrt(L)} f = (1 - e^{-r s}) f ball by ball
     g = op16.grid
-    vec = op16.eigenvectors[:, 5]
-    f = op16.embed_interior(vec)
+    f = op16.synthesize(np.eye(op16.interior_count)[5])
     vals = semigroup_difference_values(f, op16, family16)
     s = math.sqrt(op16.eigenvalues[5])
     from oscillab.grid import SummedTable

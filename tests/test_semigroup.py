@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from oscillab.corpus import CORPUS, corpus_grid, member_by_name
 from oscillab.errors import ConfigError, GridMismatchError, LadderError
 from oscillab.grid import Grid, GridFunction
-from oscillab.potential import constant_potential, zero_potential
+from oscillab.potential import constant_potential, power_potential, tabulated_potential, zero_potential
 from oscillab.semigroup import (
     TLadder,
+    _ddx,
     apply_spectral,
     default_ladder,
     discretize,
@@ -24,6 +27,11 @@ from oscillab.semigroup import (
 def small_op():
     g = Grid(halfwidth=4.0, spacing=0.125)
     return discretize(constant_potential(1.0, 1), g)
+
+
+def _mode(op, k: int) -> GridFunction:
+    """The operator's k-th eigenvector (0-based), embedded with zero walls."""
+    return op.synthesize(np.eye(op.interior_count)[k])
 
 
 def _interior_zeroed(f: GridFunction) -> np.ndarray:
@@ -45,7 +53,7 @@ def test_dirichlet_eigenvalues_constant_potential():
 
 
 def test_eigenvectors_orthonormal(small_op):
-    e = small_op.eigenvectors
+    e = np.stack([_mode(small_op, k).values[1:-1] for k in range(small_op.interior_count)], axis=1)
     assert np.allclose(e.T @ e, np.eye(small_op.interior_count), atol=1e-12)
 
 
@@ -53,6 +61,62 @@ def test_discretize_cap():
     g = Grid(halfwidth=4.0, spacing=0.125)
     with pytest.raises(ConfigError):
         discretize(constant_potential(1.0, 1), g, cap=16)
+
+
+def test_discretize_cap_message_names_the_compared_count():
+    # 4097 samples against a cap of 4096: the message quotes the sample
+    # count that was compared, not the 4095 interior unknowns
+    g = Grid(halfwidth=16.0, spacing=2.0**-7)
+    with pytest.raises(ConfigError, match=r"operator size 4097 exceeds the cap 4096"):
+        discretize(constant_potential(1.0, 1), g)
+
+
+def test_discretize_rejects_potentials_without_a_sine_basis():
+    g = Grid(halfwidth=4.0, spacing=0.125)
+    with pytest.raises(ConfigError, match="power"):
+        discretize(power_potential(1.5, 1), g)
+    with pytest.raises(ConfigError, match="tabulated"):
+        discretize(tabulated_potential(GridFunction.constant(g, 1.0)), g)
+
+
+@pytest.mark.parametrize("grid", [corpus_grid(), Grid(halfwidth=4.0, spacing=0.125)], ids=["corpus", "small"])
+def test_sine_backend_matches_dense_oracle(grid):
+    # the dense eigendecomposition of the same tridiagonal matrix is the
+    # oracle for the closed-form eigenvalues and the DST-I basis
+    op = discretize(constant_potential(1.0, 1), grid)
+    m, h = op.interior_count, grid.spacing
+    lam, E = eigh_tridiagonal(np.full(m, 2.0 / h**2 + 1.0), np.full(m - 1, -1.0 / h**2))
+    assert np.max(np.abs(op.eigenvalues - lam) / lam) <= 1e-12
+
+    s = np.sqrt(lam)
+    lad = TLadder.geometric(h, grid.halfwidth / 4.0, per_decade=4)
+    t = lad.values[:, None]
+
+    def dense(weights):
+        out = np.zeros(weights.shape[:-1] + grid.shape)
+        out[..., 1:-1] = weights @ E.T
+        return out
+
+    for member in CORPUS:
+        f = member.build(grid)
+        c = E.T @ f.values[1:-1]
+        for tt in (0.1, 1.0):
+            assert np.max(np.abs(heat(op, f, tt).values - dense(np.exp(-tt * lam) * c))) <= 1e-12
+            assert np.max(np.abs(poisson(op, f, tt).values - dense(np.exp(-tt * s) * c))) <= 1e-12
+        F = square_function_field(op, f, lad)
+        assert np.max(np.abs(F.values - dense(t * s * np.exp(-t * s) * c))) <= 1e-12
+        ext = poisson_extension(op, f, lad)
+        u = dense(np.exp(-t * s) * c)
+        gx = np.stack([tj * _ddx(u[j], h) for j, tj in enumerate(lad.values)])
+        assert np.max(np.abs(ext.u.values - u)) <= 1e-12
+        assert np.max(np.abs(ext.t_derivative.values - dense(-t * s * np.exp(-t * s) * c))) <= 1e-12
+        assert np.max(np.abs(ext.x_gradient.values - gx)) <= 1e-12
+
+    # the eigenvector member is the dense fourth eigenvector, L2-normalised
+    got = member_by_name("eigenvector").build(grid).values
+    want = np.zeros(grid.shape)
+    want[1:-1] = E[:, 3] / math.sqrt(h)
+    assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
 
 
 def test_heat_semigroup_law(small_op):
@@ -130,8 +194,7 @@ def test_default_ladder_spans_h_to_quarter_box():
 
 
 def test_square_function_field_on_eigenvector(small_op):
-    vec = small_op.eigenvectors[:, 2]
-    f = small_op.embed_interior(vec)
+    f = _mode(small_op, 2)
     lad = TLadder(np.array([0.25, 0.5, 1.0]))
     field = square_function_field(small_op, f, lad)
     s = math.sqrt(small_op.eigenvalues[2])
@@ -141,8 +204,7 @@ def test_square_function_field_on_eigenvector(small_op):
 
 
 def test_poisson_extension_derivative_identity(small_op):
-    vec = small_op.eigenvectors[:, 1]
-    f = small_op.embed_interior(vec)
+    f = _mode(small_op, 1)
     lad = TLadder(np.array([0.25, 1.0]))
     ext = poisson_extension(small_op, f, lad)
     s = math.sqrt(small_op.eigenvalues[1])
@@ -161,10 +223,7 @@ def test_x_gradient_against_exact_sine_derivative():
     g = Grid(halfwidth=4.0, spacing=0.125)
     op = discretize(zero_potential(1), g)
     k = 2
-    vec = op.eigenvectors[:, k - 1]
-    if vec[0] < 0:
-        vec = -vec
-    f = op.embed_interior(vec)
+    f = _mode(op, k - 1)
     t = 0.5
     ext = poisson_extension(op, f, TLadder(np.array([t])))
     s = math.sqrt(op.eigenvalues[k - 1])
