@@ -38,6 +38,7 @@ from .oscillation import (
     Verdict,
     bmo_l_norm,
     bmo_norm,
+    family_stats,
     oscillation_curves,
     semigroup_oscillation_curves,
     vanishing_verdict,
@@ -268,10 +269,11 @@ def exp_lacunary(
     # solve once per distinct center; the solver works point by point
     xs, at = np.unique(fam.centers[:, 0], return_inverse=True)
     rho = solve_critical_radius(V, xs[:, None]).values[at]
-    norm = bmo_l_norm(f, rho, fam)
+    st = family_stats(f, fam)
+    norm = bmo_l_norm(f, rho, fam, stats=st)
     tol = tol_fraction * norm.value
 
-    curves = oscillation_curves(f, rho, fam)
+    curves = oscillation_curves(f, rho, fam, stats=st)
     keep = ("small-radius", "far-from-origin", "far-and-supercritical")
     curves = {mode: curves[mode] for mode in keep}
     verdicts = {mode: vanishing_verdict(curves[mode], tol, decay_factor) for mode in keep}
@@ -363,9 +365,10 @@ def exp_square_membership(
     if ladder is None:
         ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
 
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    st = family_stats(f, fam)
+    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
-    size_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam)
+    size_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
     for mode in ("large-and-supercritical", "far-and-supercritical"):
         gamma_curves[mode] = size_curves[mode]
     gtol = tol_fraction * norm.value
@@ -449,8 +452,9 @@ def exp_extension_agreement(
     if ladder is None:
         ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
 
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
-    gamma_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam)
+    st = family_stats(f, fam)
+    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
+    gamma_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
     gamma_verdicts = _verdict_map(gamma_curves, tol_fraction * norm.value, decay_factor)
 
     ext = poisson_extension(op, f, ladder)
@@ -911,10 +915,11 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 
     from .oscillation import tilde_bmo_l_norm
 
-    plain = bmo_norm(f, fam)
-    split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    st = family_stats(f, fam)
+    plain = bmo_norm(f, fam, stats=st)
+    split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
     tilde = tilde_bmo_l_norm(f, op, fam, ladder)
-    curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam)
+    curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
     tolf = float(kw.get("tol_fraction", 0.05))
     decf = float(kw.get("decay_factor", 4.0))
     # a family with no supercritical ball leaves the two supercritical
@@ -1000,7 +1005,8 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
         {"member", "halfwidth", "spacing", "eps", "eps_fraction", "osc_fraction", "family"},
     )
     grid = _parse_grid(kw, default_halfwidth=64.0, default_spacing=2.0**-5)
-    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
+    member = str(kw.get("member", "bump-narrow"))
+    f = member_by_name(member).build(grid)
     policy = _parse_policy(kw.get("family"), grid)
     fam = make_ball_family(grid, policy)
     norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
@@ -1011,7 +1017,12 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     if eps <= 0:
         raise ConfigError("averaging needs eps > 0")
     fractions = ThresholdFractions(oscillation=kw.get("osc_fraction", 0.125))
-    th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
+    try:
+        th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
+    except ThresholdExhaustedError as e:
+        # an exhausted scan is a verdict (as in exp_pipeline), not a config error
+        summary = {"member": member, "eps": eps, "norm": norm.value, "verdict": "NONMEMBER"}
+        return {**summary, "exhausted_condition": str(e)}, []
     asg = assign_cubes(th, grid)
     A = dyadic_average(f, asg)
     gate = p1_p2_check(f, asg, A)
@@ -1033,7 +1044,7 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     }
     save_json(out / "gate.json", gate_doc)
     summary = {
-        "member": str(kw.get("member", "bump-narrow")),
+        "member": member,
         "eps": eps,
         "norm": norm.value,
         "fine_exponent": th.fine_exponent,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,11 @@ class BallFamily:
     centers: (k, 1) coordinates; radii: (k,); inner_distance = |c| - r,
     the largest a such that the ball avoids B(0, a).  radius_ladder and
     distance_ladder are the cutoff ladders used by bucketed_sup.
+
+    Radii never decrease along the family (make_ball_family emits one
+    block of balls per radius, smallest radius first), so the balls of one
+    radius are the contiguous slice given by radius_blocks; a family
+    violating this raises ConfigError.
     """
 
     grid: Grid
@@ -73,6 +79,8 @@ class BallFamily:
             raise ConfigError("family centers and radii length mismatch")
         if c.shape[0] == 0:
             raise ConfigError("empty ball family")
+        if np.any(r[1:] < r[:-1]):
+            raise ConfigError("family radii must not decrease: balls are grouped by radius")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radius_ladder", np.asarray(self.radius_ladder, dtype=np.float64))
@@ -80,6 +88,18 @@ class BallFamily:
 
     def __len__(self) -> int:
         return self.radii.shape[0]
+
+    @cached_property
+    def radius_blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """(start, stop, cell radius) of each run of equal radii, in order;
+        the cell radius is the radius in units of the spacing, rounded."""
+        r = self.radii
+        cuts = (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
+        h = self.grid.spacing
+        return tuple(
+            (a, b, int(np.rint(r[a] / h)))
+            for a, b in zip([0, *cuts], [*cuts, r.shape[0]])
+        )
 
     @property
     def center_norms(self) -> np.ndarray:

@@ -43,7 +43,24 @@ def _family_geometry(family: BallFamily):
     cells = np.rint(family.radii / g.spacing).astype(np.int64)
     if np.any(np.abs(family.radii / g.spacing - cells) > 1e-6):
         raise ConfigError("family radii must be multiples of the spacing")
-    return idx, cells
+    return idx[:, 0], cells
+
+
+def scan_radius_blocks(family: BallFamily, idx: np.ndarray, block_values) -> np.ndarray:
+    """Per-ball values from one call per radius block.
+
+    block_values(centers_idx, cell_radius, radius) returns the values of
+    the block's balls; idx holds the center sample indices of the family.
+    """
+    out = np.empty(len(family))
+    for start, stop, m in family.radius_blocks:
+        out[start:stop] = block_values(idx[start:stop], m, float(family.radii[start]))
+    return out
+
+
+def _ball_sums(values: np.ndarray, family: BallFamily, idx: np.ndarray) -> np.ndarray:
+    table = SummedTable(family.grid, values)
+    return scan_radius_blocks(family, idx, lambda ci, m, r: table.ball_sum(ci, m))
 
 
 def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
@@ -53,20 +70,17 @@ def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
 
 def family_ball_sums(values: np.ndarray, family: BallFamily) -> np.ndarray:
     """Sum of a sample array over every family ball (prefix-table path)."""
-    g = family.grid
-    idx, cells = _family_geometry(family)
-    table = SummedTable(g, values)
-    out = np.empty(len(family))
-    for m in np.unique(cells):
-        sel = cells == m
-        out[sel] = table.ball_sum(idx[sel, 0], int(m))
-    return out
+    idx, _ = _family_geometry(family)
+    return _ball_sums(values, family, idx)
 
 
 @dataclass(frozen=True)
 class FamilyStats:
-    """Per-ball sample counts and means over one family."""
+    """Per-ball sample counts and means over one family, built once by
+    family_stats and passed to the norms and curves of the same
+    (function, family) pair."""
 
+    family: BallFamily
     counts: np.ndarray
     mean: np.ndarray
     mean_sq: np.ndarray
@@ -82,28 +96,35 @@ class FamilyStats:
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
+    """One scan of f over the family: one geometry pass, then the tables of
+    f, f^2 and |f| built one after another (one live at a time)."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
-    _, cells = _family_geometry(family)
+    idx, cells = _family_geometry(family)
     counts = _counts_for_cells(cells)
     if np.any(counts == 0):
         bad = int(np.nonzero(counts == 0)[0][0])
         raise DegenerateRegionError(
             f"family ball {bad} (radius {family.radii[bad]}) contains no sample"
         )
-    s1 = family_ball_sums(f.values, family)
-    s2 = family_ball_sums(f.values**2, family)
-    sa = family_ball_sums(np.abs(f.values), family)
-    return FamilyStats(counts, s1 / counts, s2 / counts, sa / counts)
+    s1 = _ball_sums(f.values, family, idx)
+    s2 = _ball_sums(f.values**2, family, idx)
+    sa = _ball_sums(np.abs(f.values), family, idx)
+    return FamilyStats(family, counts, s1 / counts, s2 / counts, sa / counts)
 
 
-def family_oscillation_p(f: GridFunction, family: BallFamily, p: float) -> np.ndarray:
-    """Per-ball (mean |f - mean|^p)^(1/p); p = 2 is closed-form, other p
-    fall back to member-value loops."""
-    return _oscillation_p(f, family, family_stats(f, family), p)
+def _stats_for(f: GridFunction, family: BallFamily, stats: FamilyStats | None) -> FamilyStats:
+    """stats when given (it must be the family's own), else a fresh scan."""
+    if stats is None:
+        return family_stats(f, family)
+    if stats.family is not family:
+        raise ConfigError("family stats were computed for another ball family")
+    return stats
 
 
 def _oscillation_p(f: GridFunction, family: BallFamily, st: FamilyStats, p: float) -> np.ndarray:
+    """Per-ball (mean |f - mean|^p)^(1/p); p = 2 is closed-form, other p
+    fall back to member-value loops."""
     if p == 2.0:
         return st.oscillation2
     if p < 1:
@@ -129,9 +150,16 @@ class OscillationReport:
     n_balls: int
 
 
-def bmo_norm(f: GridFunction, family: BallFamily, p: float = 2.0) -> OscillationReport:
-    """sup of p-mean oscillation over the family."""
-    vals = family_oscillation_p(f, family, p)
+def bmo_norm(
+    f: GridFunction,
+    family: BallFamily,
+    p: float = 2.0,
+    *,
+    stats: FamilyStats | None = None,
+) -> OscillationReport:
+    """sup of p-mean oscillation over the family; stats, when given, is the
+    family_stats scan of (f, family)."""
+    vals = _oscillation_p(f, family, _stats_for(f, family, stats), p)
     arg = int(np.argmax(vals))
     return OscillationReport(float(vals[arg]), arg, p, len(family))
 
@@ -158,14 +186,17 @@ def bmo_l_norm(
     rho,
     family: BallFamily,
     p: float = 2.0,
+    *,
+    stats: FamilyStats | None = None,
 ) -> SplitNormReport:
     """Critical-radius-adapted norm: sup oscillation over balls with
     r < rho(center) plus sup mean size over balls with r >= rho(center)
-    (ties count as supercritical).  rho may be +inf (no size part)."""
+    (ties count as supercritical).  rho may be +inf (no size part).
+    stats, when given, is the family_stats scan of (f, family)."""
     rho_c = rho_values_for(rho, family.centers)
     sub = family.radii < rho_c
     sup_mask = ~sub
-    st = family_stats(f, family)
+    st = _stats_for(f, family, stats)
     osc = _oscillation_p(f, family, st, p)
     size = st.size2 if p == 2.0 else st.mean_abs
 
@@ -211,7 +242,7 @@ def semigroup_difference_values(
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    _, cells = _family_geometry(family)
+    idx, _ = _family_geometry(family)
     if ladder is not None:
         r = family.radii
         if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(
@@ -221,16 +252,13 @@ def semigroup_difference_values(
                 "family radii fall outside the configured scale range "
                 f"[{ladder.values[0]}, {ladder.values[-1]}]"
             )
-    out = np.empty(len(family))
-    idx, _ = _family_geometry(family)
-    for r in np.unique(family.radii):
-        sel = family.radii == r
-        diff = f.values - poisson(op, f, float(r)).values
-        table = SummedTable(g, diff**2)
-        m = int(round(r / g.spacing))
-        sums = table.ball_sum(idx[sel, 0], m)
-        out[sel] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
-    return out
+
+    def block(ci: np.ndarray, m: int, r: float) -> np.ndarray:
+        diff = f.values - poisson(op, f, r).values
+        sums = SummedTable(g, diff**2).ball_sum(ci, m)
+        return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
+
+    return scan_radius_blocks(family, idx, block)
 
 
 def tilde_bmo_l_norm(
@@ -264,15 +292,18 @@ def oscillation_curves(
     f: GridFunction,
     rho,
     family: BallFamily,
+    *,
+    stats: FamilyStats | None = None,
 ) -> dict[str, LimitCurve]:
     """Limit curves of plain oscillation (three plain modes) and of the
     supercritical size metric (the two supercritical modes).
 
     The first three curves use the 2-mean oscillation; the supercritical
-    curves use (mean over B of |f|^2)^(1/2).
+    curves use (mean over B of |f|^2)^(1/2).  stats, when given, is the
+    family_stats scan of (f, family).
     """
     rho_c = rho_values_for(rho, family.centers)
-    st = family_stats(f, family)
+    st = _stats_for(f, family, stats)
     osc = st.oscillation2
     size = st.size2
     out: dict[str, LimitCurve] = {}

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .family import BallFamily, LimitCurve, bucketed_sup
 from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
-from .oscillation import _family_geometry
+from .oscillation import _family_geometry, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
     PoissonExtension,
@@ -118,14 +118,8 @@ def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
     """Cylinder integrals for every family ball (shared prefix tables)."""
     if not F.grid.compatible(family.grid):
         raise ConfigError("field and family grids differ")
-    sc = BoxScanner(F)
-    idx, cells = _family_geometry(family)
-    out = np.empty(len(family))
-    for r in np.unique(family.radii):
-        sel = family.radii == r
-        m = int(np.rint(r / F.grid.spacing))
-        out[sel] = sc.box_values(idx[sel, 0], m, float(r))
-    return out
+    idx, _ = _family_geometry(family)
+    return scan_radius_blocks(family, idx, BoxScanner(F).box_values)
 
 
 # ---------------------------------------------------------------------------

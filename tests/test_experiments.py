@@ -18,6 +18,7 @@ from oscillab.experiments import (
     ExperimentConfig,
     _arg_sup_ball,
     exp_extension_agreement,
+    exp_lacunary,
     exp_pipeline,
     exp_rho_slope,
     exp_square_membership,
@@ -217,6 +218,51 @@ def test_arg_sup_ball_without_supercritical_part(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one family scan per (function, family)
+
+
+@pytest.fixture
+def family_scans(monkeypatch):
+    """Families scanned by oscillation.family_stats, wherever it is called."""
+    from oscillab import experiments, oscillation
+
+    scanned = []
+    original = oscillation.family_stats
+
+    def counting(f, family):
+        scanned.append(family)
+        return original(f, family)
+
+    monkeypatch.setattr(oscillation, "family_stats", counting)
+    # callers that build the stats to share them call it from experiments
+    monkeypatch.setattr(experiments, "family_stats", counting, raising=False)
+    return scanned
+
+
+def test_lacunary_scans_its_family_once(family_scans):
+    # the cut-down geometry of scripts/lacunary_modes.py --small
+    rep = exp_lacunary(
+        k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0
+    )
+    assert len(family_scans) == 1
+    assert len(family_scans[0]) == rep.n_balls
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"id": "bmo-norms", "member": "gaussian"},
+        {"id": "square-function-agreement", "members": ["gaussian"]},
+        {"id": "extension-agreement", "members": ["gaussian"]},
+    ],
+    ids=lambda s: s["id"],
+)
+def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path):
+    run({"scenarios": [scenario]}, out_dir=str(tmp_path))
+    assert len(family_scans) == 1
+
+
+# ---------------------------------------------------------------------------
 # scenario smoke runs
 
 
@@ -285,9 +331,8 @@ def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
     # operator cap (4097 > 4096) is fine for scenarios that build no operator
     rep = exp_pipeline("eigenvector", halfwidth=64.0, spacing=2.0**-5, stride=0.5)
     assert rep.verdict == "NONMEMBER"
-    assert main(["uchiyama", "--member", "eigenvector", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "cap" not in err and "core cutoff" in err
+    assert main(["uchiyama", "--member", "eigenvector", "--out", str(tmp_path)]) == 0
+    assert "cap" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -489,3 +534,19 @@ def test_cli_averaging_subcommand(tmp_path):
     assert (out / name / "assignment.csv").exists()
     assert (out / name / "averaged.json").exists()
     assert (out / name / "gate.json").exists()
+
+
+def test_cli_averaging_exhaustion_is_a_nonmember_verdict(tmp_path, capsys):
+    # an exhausted threshold scan is reported like exp_pipeline reports it,
+    # not as a config error, and no cube assignment is written
+    out = tmp_path / "u"
+    assert main(["uchiyama", "--member", "eigenvector", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["failures"] == []
+    (name,) = doc["scenarios"]
+    frag = doc["scenarios"][name]
+    assert frag["verdict"] == "NONMEMBER"
+    assert "core cutoff" in frag["exhausted_condition"]
+    assert sorted(frag) == ["eps", "exhausted_condition", "id", "member", "norm", "verdict"]
+    assert list((out / name).iterdir()) == []

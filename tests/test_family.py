@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscillab.errors import ConfigError
-from oscillab.family import FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
 from oscillab.grid import Grid
 
 
@@ -28,6 +28,30 @@ def test_centers_sorted_within_radius_block():
         block = fam.centers[fam.radii == r][:, 0]
         assert block.size > 1
         assert np.all(np.diff(block) > 0)
+
+
+def test_radius_blocks_cover_every_ball_once():
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
+    blocks = fam.radius_blocks
+    assert [b[2] for b in blocks] == [4, 8, 16, 32]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(fam)
+    for (_, stop, _), (start, _, _) in zip(blocks, blocks[1:]):
+        assert stop == start
+    for start, stop, m in blocks:
+        assert stop > start
+        assert np.all(fam.radii[start:stop] == m * g.spacing)
+    assert sum(stop - start for start, stop, _ in blocks) == len(fam)
+
+
+def test_family_radii_must_not_decrease():
+    g = Grid(halfwidth=8.0, spacing=0.25)
+    centers = np.array([[0.0], [1.0], [0.0]])
+    ladder = np.array([1.0, 2.0])
+    with pytest.raises(ConfigError, match="must not decrease"):
+        BallFamily(g, centers, np.array([1.0, 2.0, 1.0]), ladder, ladder)
+    fam = BallFamily(g, centers, np.array([1.0, 1.0, 2.0]), ladder, ladder)
+    assert fam.radius_blocks == ((0, 2, 4), (2, 3, 8))
 
 
 def test_policy_validation():

@@ -5,12 +5,19 @@ import pytest
 
 from oscillab.errors import ConfigError, LadderError
 from oscillab.family import FamilyPolicy, LimitCurve, make_ball_family
-from oscillab.grid import Grid, GridFunction, ball_member_values, ball_sample_count, mean_oscillation
+from oscillab.grid import (
+    Grid,
+    GridFunction,
+    SummedTable,
+    ball_member_values,
+    ball_sample_count,
+    mean_oscillation,
+)
 from oscillab.oscillation import (
+    _oscillation_p,
     bmo_l_norm,
     bmo_norm,
     family_ball_sums,
-    family_oscillation_p,
     family_stats,
     oscillation_curves,
     semigroup_difference_values,
@@ -36,6 +43,32 @@ def test_family_ball_sums_match_naive(small_family):
         assert sums[i] == pytest.approx(float(np.sum(ball_member_values(f, b))), rel=1e-12)
 
 
+def _masked_ball_sums(values, family):
+    """Oracle: the per-radius mask scan over np.unique of the cell radii."""
+    g = family.grid
+    idx = g.coord_to_index(family.centers)[:, 0]
+    cells = np.rint(family.radii / g.spacing).astype(np.int64)
+    table = SummedTable(g, values)
+    out = np.empty(len(family))
+    for m in np.unique(cells):
+        sel = cells == m
+        out[sel] = table.ball_sum(idx[sel], int(m))
+    return out
+
+
+def test_block_scan_equals_mask_oracle_at_pipeline_size():
+    # the pipeline-small geometry: 2,097,153 samples, exp_pipeline's family
+    g = Grid(halfwidth=8192.0, spacing=2.0**-7)
+    assert g.size == 2_097_153
+    fam = make_ball_family(
+        g, FamilyPolicy(center_stride=2.0, radius_min=4 * g.spacing, radius_max=g.halfwidth / 2.0)
+    )
+    assert len(fam.radius_blocks) > 10
+    v = np.random.default_rng(11).normal(size=g.shape)
+    for values in (v, v**2, np.abs(v)):
+        assert np.array_equal(family_ball_sums(values, fam), _masked_ball_sums(values, fam))
+
+
 def test_family_stats_match_per_ball(small_family):
     g = small_family.grid
     rng = np.random.default_rng(4)
@@ -44,6 +77,35 @@ def test_family_stats_match_per_ball(small_family):
     for i, b in enumerate(small_family.balls()):
         assert st.counts[i] == ball_sample_count(g, b)
         assert st.oscillation2[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
+
+
+def test_shared_stats_give_identical_reports(small_family):
+    f = GridFunction(small_family.grid, np.random.default_rng(5).normal(size=small_family.grid.shape))
+    st = family_stats(f, small_family)
+    assert st.family is small_family
+    assert bmo_norm(f, small_family, stats=st) == bmo_norm(f, small_family)
+    assert bmo_norm(f, small_family, 1.0, stats=st) == bmo_norm(f, small_family, 1.0)
+    for p in (2.0, 1.0):
+        assert bmo_l_norm(f, 1.0, small_family, p, stats=st) == bmo_l_norm(f, 1.0, small_family, p)
+    shared = oscillation_curves(f, 1.0, small_family, stats=st)
+    fresh = oscillation_curves(f, 1.0, small_family)
+    assert shared.keys() == fresh.keys()
+    for mode, c in fresh.items():
+        assert np.array_equal(shared[mode].values, c.values, equal_nan=True)
+        assert np.array_equal(shared[mode].counts, c.counts)
+
+
+def test_stats_from_another_family_rejected(small_family):
+    g = small_family.grid
+    f = GridFunction.from_callable(g, lambda x: x)
+    twin = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(0.5, 2.0)))
+    st = family_stats(f, twin)
+    with pytest.raises(ConfigError, match="another ball family"):
+        bmo_norm(f, small_family, stats=st)
+    with pytest.raises(ConfigError, match="another ball family"):
+        bmo_l_norm(f, 1.0, small_family, stats=st)
+    with pytest.raises(ConfigError, match="another ball family"):
+        oscillation_curves(f, 1.0, small_family, stats=st)
 
 
 def test_family_rejects_offlattice_geometry():
@@ -83,7 +145,7 @@ def test_oscillation_p1_matches_member_loop(small_family):
     g = small_family.grid
     rng = np.random.default_rng(9)
     f = GridFunction(g, rng.normal(size=g.shape))
-    vals = family_oscillation_p(f, small_family, 1.0)
+    vals = _oscillation_p(f, small_family, family_stats(f, small_family), 1.0)
     for i, b in enumerate(small_family.balls()):
         mem = ball_member_values(f, b)
         assert vals[i] == pytest.approx(float(np.mean(np.abs(mem - mem.mean()))))

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import oscillab
@@ -9,17 +11,41 @@ from oscillab.corpus import CORPUS
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_corpus_norms_script_prints_every_member():
+def _run_script(name, *args):
     src = str(Path(oscillab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "corpus_norms.py")],
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
+
+
+def test_corpus_norms_script_prints_every_member():
+    proc = _run_script("corpus_norms.py")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.strip().splitlines()
     assert header.split() == ["member", "bmo", "bmo_l", "size", "tilde", "tent", "ratio"]
     assert [r.split()[0] for r in rows] == [m.name for m in CORPUS]
+
+
+def test_lacunary_modes_script_small_prints_every_mode():
+    proc = _run_script("lacunary_modes.py", "--small")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    heads = [ln.split(":")[0] for ln in lines if not ln.startswith(" ")]
+    assert heads[:3] == ["far-and-supercritical", "far-from-origin", "small-radius"]
+    assert lines[-1].startswith("far floor ") and lines[-1].endswith(" balls total")
+
+
+def test_lacunary_modes_script_prints_missing_trend_as_na(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("lacunary_modes", SCRIPTS / "lacunary_modes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    exp = script.exp_lacunary
+    monkeypatch.setattr(script, "exp_lacunary", lambda **kw: replace(exp(**kw), trend_exponent=None))
+    monkeypatch.setattr(sys, "argv", ["lacunary_modes.py", "--small"])
+    script.main()
+    assert "trend exponent n/a," in capsys.readouterr().out.splitlines()[-1]
