@@ -1,11 +1,14 @@
 """Piecewise-dyadic averaging and mollification.
 
-The approximation pipeline for a function f with a critical-radius field:
+The approximation pipeline for a function f under a constant critical
+radius rho (every caller passes the unit potential's):
 
 1. choose_thresholds picks three exponents (fine I, core J, outer M) so
    that cube oscillations below scale 2^-I, above scale 2^J, and far from
    the origin all drop below eps-proportional bounds, and cube sizes on
-   supercritical scales do too;
+   supercritical scales do too.  It scans every dyadic level of the box
+   in one fine-to-coarse pass over a pyramid of cube sums, reducing each
+   level to a few scalars;
 2. assign_cubes tiles the box with half-open dyadic intervals ("cubes")
    whose sidelength depends on the region of the sample (core gets
    2^(-I-2), the m-th shell gets 2^(m-I-J-1));
@@ -20,8 +23,10 @@ shells tile exactly in integer cell arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -102,82 +107,72 @@ def _dyadic_exponents(grid: Grid) -> tuple[int, int]:
     return round(a), round(p)
 
 
-class _LevelStats:
-    """Per-cube counts/sums/sums-of-squares for one dyadic level tiling the
-    box.  The top boundary sample folds into the last cube so the cubes
-    partition all samples."""
-
-    def __init__(self, f: GridFunction, level: int):
-        g = f.grid
-        a, p = _dyadic_exponents(g)
-        if level < -p or level > a:
-            raise ConfigError(f"level {level} outside the grid's dyadic range [{-p}, {a}]")
-        self.level = level
-        self.q = 2 ** (level + p)  # cells per cube edge
-        self.nc = 2 ** (a + 1 - level)  # cubes in the box
-        self.n0 = g.half_cells
-        q, nc = self.q, self.nc
-        v = f.values
-        body = v[:-1].reshape(nc, q)
-        sums = body.sum(axis=1)
-        sumsq = (body**2).sum(axis=1)
-        counts = np.full(nc, q, dtype=np.int64)
-        sums[-1] += v[-1]
-        sumsq[-1] += v[-1] ** 2
-        counts[-1] += 1
-        self.counts = counts
-        self.sums = sums
-        self.sumsq = sumsq
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.sums / self.counts
-
-    @property
-    def mean_sq(self) -> np.ndarray:
-        return self.sumsq / self.counts
-
-    @property
-    def oscillation(self) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, self.mean_sq - self.mean**2))
-
-    @property
-    def size(self) -> np.ndarray:
-        return np.sqrt(self.mean_sq)
-
-    def corner_cells(self) -> np.ndarray:
-        """Corner cell coordinate per cube (lattice units of h)."""
-        return -self.n0 + np.arange(self.nc, dtype=np.int64) * self.q
-
-    def outside_score(self) -> np.ndarray:
-        """Per-cube integer score g with: cube disjoint from the closed
-        origin cube of half-extent T cells  <=>  g >= T."""
-        c = self.corner_cells()
-        return np.maximum(c - 1, -c - self.q)
-
-    def sigma_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cube (min, max) of the radial cell score sigma(o) =
-        max(o, -o-1) over the cube's samples; a cube lies in the half-open
-        shell [S_lo, S_hi) cells iff min >= S_lo and max < S_hi."""
-        c = self.corner_cells()
-        top = c + self.q - 1
-        mn = np.where(c >= 0, c, np.where(top < 0, -c - self.q, 0))
-        mx = np.maximum(top, -c - 1)
-        return mn, mx
-
-    def centers(self, grid: Grid) -> np.ndarray:
-        """(n_cubes, 1) cube centers in coordinates."""
-        return ((self.corner_cells() + self.q / 2.0) * grid.spacing)[:, None]
+def _pyramid(values: np.ndarray, a: int, p: int):
+    """(level, cells per cube, oscillation, size) of the cubes of every
+    dyadic level from -p+1 (pairs of cells) up to a (the two half-boxes),
+    fine to coarse.  f is squared once; each coarser level's sums and sums
+    of squares are pairwise sums of the level below.  The top boundary
+    sample folds into the last cube, so each level's cubes partition the
+    samples.  A consumer that drops its references to a level's arrays
+    before asking for the next keeps at most four live arrays of half the
+    sample count."""
+    body = values[:-1]
+    sums = body[0::2] + body[1::2]
+    sumsq = np.square(body[0::2])
+    sumsq += np.square(body[1::2])
+    sums[-1] += values[-1]
+    sumsq[-1] += values[-1] ** 2
+    for level in range(-p + 1, a + 1):
+        q = 2 ** (level + p)
+        osc = sums / q
+        osc[-1] = sums[-1] / (q + 1)
+        size = sumsq / q
+        size[-1] = sumsq[-1] / (q + 1)
+        np.square(osc, out=osc)
+        np.subtract(size, osc, out=osc)
+        np.maximum(0.0, osc, out=osc)
+        np.sqrt(osc, out=osc)
+        np.sqrt(size, out=size)
+        yield level, q, osc, size
+        del osc, size
+        if level < a:
+            sums = sums[0::2] + sums[1::2]
+            sumsq = sumsq[0::2] + sumsq[1::2]
 
 
-def _rho_fn(rho) -> Callable[[np.ndarray], np.ndarray]:
-    if np.isscalar(rho) or isinstance(rho, (int, float)):
-        return lambda pts: np.full(pts.shape[0], float(rho))
-    if callable(rho):
-        return lambda pts: np.asarray(rho(pts), dtype=np.float64).reshape(pts.shape[0])
-    raise ConfigError(
-        "critical-radius data for threshold scans must be a scalar or a callable on points"
-    )
+def _prefix_sups(x: np.ndarray, ends: list[int]) -> list[float]:
+    """max(x[:e]), or -inf when empty, for each of the non-decreasing
+    ends, reading every element once."""
+    sups, acc, start = [], -math.inf, 0
+    for e in ends:
+        if e > start:
+            acc = max(acc, float(x[start:e].max()))
+            start = e
+        sups.append(acc)
+    return sups
+
+
+def _far_sups(x: np.ndarray, n0: int, q: int, cuts: list[int]) -> list[float]:
+    """sup of the per-cube x over the cubes disjoint from the closed origin
+    cube of half-extent T cells, for each T of the increasing cuts.
+
+    A cube with corner cell c is disjoint iff c <= -T - q or c >= T + 1,
+    so the far cubes are a prefix and a suffix of the level, both
+    shrinking as T grows."""
+    nc = x.size
+    left = _prefix_sups(x, [(n0 - t) // q for t in reversed(cuts)])
+    right = _prefix_sups(x[::-1], [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)])
+    return [max(lo, hi) for lo, hi in zip(reversed(left), reversed(right))]
+
+
+def _shell_sup(x: np.ndarray, n0: int, q: int, s_lo: int) -> float:
+    """sup of the per-cube x over the cubes whose samples all have radial
+    cell score sigma(o) = max(o, -o-1) in [s_lo, 2 s_lo): the corners
+    c in [s_lo, 2 s_lo - q] on the right and in [-2 s_lo, -s_lo - q] on
+    the left, each a contiguous run of the level."""
+    right = x[(n0 + s_lo + q - 1) // q : (n0 + 2 * s_lo) // q]
+    left = x[(n0 - 2 * s_lo + q - 1) // q : (n0 - s_lo) // q]
+    return float(max(right.max(initial=-math.inf), left.max(initial=-math.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +200,6 @@ class AveragingThresholds:
     outer_exponent: int  # M: outer region halfwidth 2^M
     osc_bound: float
     size_bound: float
-    level_min: int
-    level_max: int
     closed_form_bound: float | None = None
 
     @property
@@ -220,26 +213,30 @@ class AveragingThresholds:
 def choose_thresholds(
     f: GridFunction,
     eps: float,
-    rho,
+    rho: float,
     fractions: ThresholdFractions | None = None,
-    level_min: int | None = None,
-    level_max: int | None = None,
     slow_variation: tuple[float, int, float] | None = None,
 ) -> AveragingThresholds:
-    """Scan dyadic levels for the smallest admissible (I, J, M).
+    """Scan the dyadic levels [-p+1, a] of the box for the smallest
+    admissible (I, J, M); rho is the constant critical radius.
 
-    Five conditions, each required on a nonempty cube set (no vacuous
-    passes):
+    Five conditions (one on an empty cube set holds):
 
     * oscillation below the fine scale, above the core scale, and on cubes
       entirely outside the doubled core region, all < osc_bound;
     * size (root mean square) on supercritical cubes above the core scale
-      and on far supercritical cubes, both < size_bound.
+      and on far supercritical cubes, both < size_bound.  With a constant
+      rho a whole level is supercritical (2^l >= rho) or none of it is.
 
-    After J is fixed, I is enlarged until 2^(-I-1) <= inf rho over the
-    J+2 region (critical-radius compatibility).  M is the smallest shell
-    cutoff whose beyond-shell assigned cubes all have size < size_bound.
-    ThresholdExhaustedError when any scan runs off the level range.
+    One pass over the level pyramid (see _pyramid) reduces each level to
+    a few scalars: its largest oscillation and size, the far sups for
+    every core candidate J, and the sizes on every shell.
+
+    After J is fixed, I is enlarged until 2^(-I-1) <= rho (critical-radius
+    compatibility).  M is the smallest shell cutoff whose beyond-shell
+    assigned cubes all have size < size_bound.  ThresholdExhaustedError
+    when any scan runs off the level range or the core cubes 2^(-I-2)
+    would fall below the grid scale.
 
     slow_variation = (c, k0, rho_at_origin) adds the closed-form bound
     (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2/rho0)^(k0/(k0+1)),
@@ -247,114 +244,64 @@ def choose_thresholds(
     """
     if not (eps > 0):
         raise ConfigError("eps must be positive")
+    if not (isinstance(rho, numbers.Real) and math.isfinite(rho) and rho > 0):
+        raise ConfigError(f"threshold scans need a finite positive scalar rho, got {rho!r}")
+    rho = float(rho)
     g = f.grid
     a, p = _dyadic_exponents(g)
+    if a + p < 1:
+        raise ConfigError(f"the box 2^{a} at spacing 2^-{p} holds no dyadic level")
     fr = fractions or ThresholdFractions()
     osc_bound = fr.osc_value() * eps
     size_bound = fr.size * eps
-    l_lo = level_min if level_min is not None else -p + 1
-    l_hi = level_max if level_max is not None else a
-    if not (-p <= l_lo <= l_hi <= a):
-        raise ConfigError(f"level range [{l_lo}, {l_hi}] outside the grid range [{-p}, {a}]")
+    l_lo, l_hi = -p + 1, a
+    levels = range(l_lo, l_hi + 1)
+    n0 = g.half_cells
+    cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent in cells
 
-    rho_at = _rho_fn(rho)
-    stats: dict[int, _LevelStats] = {}
-
-    def level_stats(l: int) -> _LevelStats:
-        if l not in stats:
-            stats[l] = _LevelStats(f, l)
-        return stats[l]
-
-    levels = list(range(l_lo, l_hi + 1))
-    osc_max = {l: float(np.max(level_stats(l).oscillation)) for l in levels}
+    # per level, in pyramid order: largest oscillation, largest size if
+    # supercritical; per core candidate: far sups over all levels
+    osc_max, super_size_max = [], []
+    far_osc = [-math.inf] * len(levels)
+    far_size = [-math.inf] * len(levels)
+    shell_size: dict[tuple[int, int], float] = {}  # (level, shell m)
+    for l, q, osc, size in _pyramid(f.values, a, p):
+        osc_max.append(float(osc.max()))
+        far_osc = list(map(max, far_osc, _far_sups(osc, n0, q, cuts)))
+        if 2.0**l >= rho:
+            super_size_max.append(float(size.max()))
+            far_size = list(map(max, far_size, _far_sups(size, n0, q, cuts)))
+        else:
+            super_size_max.append(-math.inf)
+        for m in range(l_lo, a):
+            shell_size[l, m] = _shell_sup(size, n0, q, 2 ** (m + p))
+        del osc, size  # the pyramid frees the level before building the next
 
     # fine exponent: smallest I with sup osc over levels <= -I below bound
-    fine = None
-    running = -math.inf
-    # S_small(l) = max osc over levels <= l; walk l downward == I upward
-    small_sup: dict[int, float] = {}
-    acc = -math.inf
-    for l in levels:
-        acc = max(acc, osc_max[l])
-        small_sup[l] = acc
-    for i_cand in range(-l_hi, -l_lo + 1):
-        if small_sup[-i_cand] < osc_bound:
-            fine = i_cand
-            break
+    small_sup = list(accumulate(osc_max, max))
+    fine = next((-l for l in reversed(levels) if small_sup[l - l_lo] < osc_bound), None)
     if fine is None:
         raise ThresholdExhaustedError(
             f"no fine cutoff in levels [{l_lo}, {l_hi}] brings the small-cube "
             f"oscillation below {osc_bound:.3g}"
         )
 
-    # per-level data for the J conditions
-    large_sup: dict[int, float] = {}
-    acc = -math.inf
-    for l in reversed(levels):
-        acc = max(acc, osc_max[l])
-        large_sup[l] = acc
-
-    # far oscillation: per level, cubes sorted by outside score with suffix max
-    far_sorted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    super_size_max: dict[int, float] = {}
-    far_super_sorted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for l in levels:
-        st = level_stats(l)
-        score = st.outside_score()
-        osc = st.oscillation
-        order = np.argsort(score, kind="stable")
-        s_sorted = score[order]
-        suffix = np.maximum.accumulate(osc[order][::-1])[::-1]
-        far_sorted[l] = (s_sorted, suffix)
-
-        centers = st.centers(g)
-        rho_c = rho_at(centers)
-        sup_mask = (2.0**l) >= rho_c
-        size = st.size
-        super_size_max[l] = float(np.max(size[sup_mask])) if np.any(sup_mask) else -math.inf
-        if np.any(sup_mask):
-            sc = score[sup_mask]
-            sz = size[sup_mask]
-            order = np.argsort(sc, kind="stable")
-            far_super_sorted[l] = (
-                sc[order],
-                np.maximum.accumulate(sz[order][::-1])[::-1],
-            )
-        else:
-            far_super_sorted[l] = (np.empty(0, np.int64), np.empty(0))
-
-    def sorted_suffix_sup(pair: tuple[np.ndarray, np.ndarray], t_cells: int) -> float:
-        s_sorted, suffix = pair
-        at = int(np.searchsorted(s_sorted, t_cells, side="left"))
-        if at >= s_sorted.size:
-            return -math.inf
-        return float(suffix[at])
+    # core exponent: sups over levels >= J, and over the cubes outside the
+    # closed core region at every level
+    large_sup = list(accumulate(reversed(osc_max), max))[::-1]
+    large_super_size = list(accumulate(reversed(super_size_max), max))[::-1]
 
     def conditions_hold(j: int) -> bool:
-        # (a) oscillation on levels >= j
-        if large_sup.get(j, -math.inf) >= osc_bound:
-            return False
-        # (b) oscillation on cubes outside the closed core region
-        t_cells = 2 ** (j + p)
-        far_vals = [sorted_suffix_sup(far_sorted[l], t_cells) for l in levels]
-        if max(far_vals) >= osc_bound:
-            return False
-        # (c) size on supercritical cubes at levels >= j
-        sup_sizes = [super_size_max[l] for l in levels if l >= j]
-        if sup_sizes and max(sup_sizes) >= size_bound:
-            return False
-        # (d) size on far supercritical cubes (any level)
-        far_sup_vals = [sorted_suffix_sup(far_super_sorted[l], t_cells) for l in levels]
-        if max(far_sup_vals) >= size_bound:
-            return False
-        return True
+        k = j - l_lo
+        return (
+            large_sup[k] < osc_bound
+            and far_osc[k] < osc_bound
+            and large_super_size[k] < size_bound
+            and far_size[k] < size_bound
+        )
 
-    core = None
     j_floor = max(-fine - 1, l_lo)
-    for j_cand in range(j_floor, l_hi + 1):
-        if conditions_hold(j_cand):
-            core = j_cand
-            break
+    core = next((j for j in range(j_floor, l_hi + 1) if conditions_hold(j)), None)
     if core is None:
         raise ThresholdExhaustedError(
             f"no core cutoff in levels [{j_floor}, {l_hi}] satisfies the large-scale, "
@@ -362,48 +309,30 @@ def choose_thresholds(
         )
 
     # critical-radius compatibility: enlarge the fine exponent until the
-    # finest pre-assignment scale drops below inf rho on the J+2 region
-    probe_half = min(2.0 ** (core + 2), g.halfwidth)
-    probes = _region_probe_points(g, probe_half)
-    rho_min = float(np.min(rho_at(probes)))
-    while 2.0 ** (-fine - 1) > rho_min:
+    # finest pre-assignment scale drops below rho
+    while 2.0 ** (-fine - 1) > rho:
         fine += 1
         if -fine - 2 < -p:
             raise ThresholdExhaustedError(
                 f"critical-radius compatibility pushes the fine cutoff below the "
-                f"grid scale (inf rho = {rho_min:.3g} on the core neighbourhood)"
+                f"grid scale (inf rho = {rho:.3g} on the core neighbourhood)"
             )
+    if -fine - 2 < -p:
+        raise ThresholdExhaustedError(
+            f"the fine cutoff 2^{-fine} puts the core cubes 2^{-fine - 2} below "
+            f"the grid scale 2^{-p}"
+        )
 
-    # outer exponent: shells beyond M must have small assigned-cube size
+    # outer exponent: shells beyond M must have small assigned-cube size;
+    # shell m's cubes sit at level m - I - J - 1 >= -I - 1 > -p
     if core + 1 > a:
         raise ThresholdExhaustedError(
             f"the box (halfwidth 2^{a}) cannot hold shells beyond the core 2^{core}"
         )
-    shell_tops = list(range(core, a))  # shell m covers (2^m, 2^(m+1)]
-    shell_size = {}
-    for m in shell_tops:
-        lv = m - fine - core - 1
-        if lv < -p:
-            raise ThresholdExhaustedError(
-                f"shell {m} would need cubes below the grid scale"
-            )
-        st = level_stats(lv) if l_lo <= lv <= l_hi else _LevelStats(f, lv)
-        mn, mx = st.sigma_range()
-        size = st.size
-        inner_cells = 2 ** (m + p)
-        outer_cells = 2 ** (m + 1 + p)
-        in_shell = (mn >= inner_cells) & (mx < outer_cells)
-        shell_size[m] = float(np.max(size[in_shell])) if np.any(in_shell) else -math.inf
-    outer = None
-    suffix_sup = -math.inf
-    suffix_map = {}
-    for m in reversed(shell_tops):
-        suffix_sup = max(suffix_sup, shell_size[m])
-        suffix_map[m] = suffix_sup
-    for m in shell_tops:
-        if suffix_map[m] < size_bound:
-            outer = m
-            break
+    shell_tops = range(core, a)  # shell m covers (2^m, 2^(m+1)]
+    sizes = [shell_size[m - fine - core - 1, m] for m in shell_tops]
+    beyond = list(accumulate(reversed(sizes), max))[::-1]
+    outer = next((m for m, s in zip(shell_tops, beyond) if s < size_bound), None)
     if outer is None:
         raise ThresholdExhaustedError(
             "no outer cutoff within the box keeps the beyond-shell cube sizes "
@@ -416,25 +345,7 @@ def choose_thresholds(
         C = c_sv * rho0 * (1.0 + 2.0 / rho0) ** (k0 / (k0 + 1.0))
         closed = (k0 + 1.0) * (math.log2(max(C, 1e-300)) + fine + core + 1.0)
 
-    return AveragingThresholds(
-        eps, fine, core, outer, osc_bound, size_bound, l_lo, l_hi, closed
-    )
-
-
-def _region_probe_points(grid: Grid, halfw: float) -> np.ndarray:
-    """Decimated grid points, shape (k, 1), covering the closed origin
-    interval of the given half-extent (always includes the origin and both
-    ends)."""
-    ax = grid.axis
-    sel = np.abs(ax) <= halfw + 1e-12
-    pts1 = ax[sel]
-    if pts1.size > 129:
-        stride = pts1.size // 129 + 1
-        keep = pts1[::stride]
-        if keep[-1] != pts1[-1]:
-            keep = np.append(keep, pts1[-1])
-        pts1 = keep
-    return pts1[:, None]
+    return AveragingThresholds(eps, fine, core, outer, osc_bound, size_bound, closed)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def exp_lacunary(
         ),
     )
     # solve once per distinct center; the solver works point by point
-    xs, at = np.unique(fam.centers[:, 0], return_inverse=True)
+    xs, at = fam.distinct_centers()
     rho = solve_critical_radius(V, xs[:, None]).values[at]
     st = family_stats(f, fam)
     norm = bmo_l_norm(f, rho, fam, stats=st)

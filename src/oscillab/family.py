@@ -101,6 +101,24 @@ class BallFamily:
             for a, b in zip([0, *cuts], [*cuts, r.shape[0]])
         )
 
+    def distinct_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, at) with xs[at] equal to the center coordinates: for a
+        family from make_ball_family, the distinct centers in ascending
+        order and each ball's index into them, as np.unique(...,
+        return_inverse=True) gives them, without a sort.  make_ball_family
+        keeps, per radius, the ascending marks that fit the box, so the
+        smallest-radius block holds every center and each later block is a
+        contiguous run of it; a family where that fails raises ConfigError."""
+        a0, b0, _ = self.radius_blocks[0]
+        xs = self.centers[a0:b0, 0]
+        at = np.empty(len(self), dtype=np.intp)
+        for a, b, _ in self.radius_blocks:
+            off = int(np.searchsorted(xs, self.centers[a, 0]))
+            if not np.array_equal(xs[off : off + b - a], self.centers[a:b, 0]):
+                raise ConfigError("a radius block is not a run of the smallest-radius centers")
+            at[a:b] = np.arange(off, off + b - a)
+        return xs, at
+
     @property
     def center_norms(self) -> np.ndarray:
         return np.abs(self.centers[:, 0])

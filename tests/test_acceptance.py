@@ -235,7 +235,7 @@ print(json.dumps(out))
 
 def test_criterion_10_averaging_pipeline_budget(criterion):
     c = criterion(10, "dyadic averaging pipeline within the approximation budget")
-    # the run takes about 40 s at 2.8 GB peak RSS (2 vCPUs); a worker
+    # the run takes about 15 s at 2.76 GB peak RSS (2 vCPUs); a worker
     # process keeps an OOM from taking down the whole suite and turns it
     # into a plain FAIL line instead
     src = str(Path(oscillab.__file__).resolve().parent.parent)

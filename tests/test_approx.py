@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -17,9 +20,316 @@ from oscillab.approx import (
     dyadic_average,
     mollify,
     p1_p2_check,
+    _dyadic_exponents,
 )
 
 RHO0 = 2.0**-0.5
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-level _LevelStats-and-argsort threshold scan, kept
+# verbatim apart from its name and its return value (a dict of the
+# AveragingThresholds fields, which have since lost level_min/level_max)
+
+
+class _LevelStats:
+    """Per-cube counts/sums/sums-of-squares for one dyadic level tiling the
+    box.  The top boundary sample folds into the last cube so the cubes
+    partition all samples."""
+
+    def __init__(self, f: GridFunction, level: int):
+        g = f.grid
+        a, p = _dyadic_exponents(g)
+        if level < -p or level > a:
+            raise ConfigError(f"level {level} outside the grid's dyadic range [{-p}, {a}]")
+        self.level = level
+        self.q = 2 ** (level + p)  # cells per cube edge
+        self.nc = 2 ** (a + 1 - level)  # cubes in the box
+        self.n0 = g.half_cells
+        q, nc = self.q, self.nc
+        v = f.values
+        body = v[:-1].reshape(nc, q)
+        sums = body.sum(axis=1)
+        sumsq = (body**2).sum(axis=1)
+        counts = np.full(nc, q, dtype=np.int64)
+        sums[-1] += v[-1]
+        sumsq[-1] += v[-1] ** 2
+        counts[-1] += 1
+        self.counts = counts
+        self.sums = sums
+        self.sumsq = sumsq
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.sums / self.counts
+
+    @property
+    def mean_sq(self) -> np.ndarray:
+        return self.sumsq / self.counts
+
+    @property
+    def oscillation(self) -> np.ndarray:
+        return np.sqrt(np.maximum(0.0, self.mean_sq - self.mean**2))
+
+    @property
+    def size(self) -> np.ndarray:
+        return np.sqrt(self.mean_sq)
+
+    def corner_cells(self) -> np.ndarray:
+        """Corner cell coordinate per cube (lattice units of h)."""
+        return -self.n0 + np.arange(self.nc, dtype=np.int64) * self.q
+
+    def outside_score(self) -> np.ndarray:
+        """Per-cube integer score g with: cube disjoint from the closed
+        origin cube of half-extent T cells  <=>  g >= T."""
+        c = self.corner_cells()
+        return np.maximum(c - 1, -c - self.q)
+
+    def sigma_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cube (min, max) of the radial cell score sigma(o) =
+        max(o, -o-1) over the cube's samples; a cube lies in the half-open
+        shell [S_lo, S_hi) cells iff min >= S_lo and max < S_hi."""
+        c = self.corner_cells()
+        top = c + self.q - 1
+        mn = np.where(c >= 0, c, np.where(top < 0, -c - self.q, 0))
+        mx = np.maximum(top, -c - 1)
+        return mn, mx
+
+    def centers(self, grid: Grid) -> np.ndarray:
+        """(n_cubes, 1) cube centers in coordinates."""
+        return ((self.corner_cells() + self.q / 2.0) * grid.spacing)[:, None]
+
+
+def _rho_fn(rho) -> Callable[[np.ndarray], np.ndarray]:
+    if np.isscalar(rho) or isinstance(rho, (int, float)):
+        return lambda pts: np.full(pts.shape[0], float(rho))
+    if callable(rho):
+        return lambda pts: np.asarray(rho(pts), dtype=np.float64).reshape(pts.shape[0])
+    raise ConfigError(
+        "critical-radius data for threshold scans must be a scalar or a callable on points"
+    )
+
+
+
+def _oracle_choose_thresholds(
+    f: GridFunction,
+    eps: float,
+    rho,
+    fractions: ThresholdFractions | None = None,
+    level_min: int | None = None,
+    level_max: int | None = None,
+    slow_variation: tuple[float, int, float] | None = None,
+) -> dict:
+    """Scan dyadic levels for the smallest admissible (I, J, M).
+
+    Five conditions, each required on a nonempty cube set (no vacuous
+    passes):
+
+    * oscillation below the fine scale, above the core scale, and on cubes
+      entirely outside the doubled core region, all < osc_bound;
+    * size (root mean square) on supercritical cubes above the core scale
+      and on far supercritical cubes, both < size_bound.
+
+    After J is fixed, I is enlarged until 2^(-I-1) <= inf rho over the
+    J+2 region (critical-radius compatibility).  M is the smallest shell
+    cutoff whose beyond-shell assigned cubes all have size < size_bound.
+    ThresholdExhaustedError when any scan runs off the level range.
+
+    slow_variation = (c, k0, rho_at_origin) adds the closed-form bound
+    (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2/rho0)^(k0/(k0+1)),
+    to the report for cross-checking the scanned M.
+    """
+    if not (eps > 0):
+        raise ConfigError("eps must be positive")
+    g = f.grid
+    a, p = _dyadic_exponents(g)
+    fr = fractions or ThresholdFractions()
+    osc_bound = fr.osc_value() * eps
+    size_bound = fr.size * eps
+    l_lo = level_min if level_min is not None else -p + 1
+    l_hi = level_max if level_max is not None else a
+    if not (-p <= l_lo <= l_hi <= a):
+        raise ConfigError(f"level range [{l_lo}, {l_hi}] outside the grid range [{-p}, {a}]")
+
+    rho_at = _rho_fn(rho)
+    stats: dict[int, _LevelStats] = {}
+
+    def level_stats(l: int) -> _LevelStats:
+        if l not in stats:
+            stats[l] = _LevelStats(f, l)
+        return stats[l]
+
+    levels = list(range(l_lo, l_hi + 1))
+    osc_max = {l: float(np.max(level_stats(l).oscillation)) for l in levels}
+
+    # fine exponent: smallest I with sup osc over levels <= -I below bound
+    fine = None
+    running = -math.inf
+    # S_small(l) = max osc over levels <= l; walk l downward == I upward
+    small_sup: dict[int, float] = {}
+    acc = -math.inf
+    for l in levels:
+        acc = max(acc, osc_max[l])
+        small_sup[l] = acc
+    for i_cand in range(-l_hi, -l_lo + 1):
+        if small_sup[-i_cand] < osc_bound:
+            fine = i_cand
+            break
+    if fine is None:
+        raise ThresholdExhaustedError(
+            f"no fine cutoff in levels [{l_lo}, {l_hi}] brings the small-cube "
+            f"oscillation below {osc_bound:.3g}"
+        )
+
+    # per-level data for the J conditions
+    large_sup: dict[int, float] = {}
+    acc = -math.inf
+    for l in reversed(levels):
+        acc = max(acc, osc_max[l])
+        large_sup[l] = acc
+
+    # far oscillation: per level, cubes sorted by outside score with suffix max
+    far_sorted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    super_size_max: dict[int, float] = {}
+    far_super_sorted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for l in levels:
+        st = level_stats(l)
+        score = st.outside_score()
+        osc = st.oscillation
+        order = np.argsort(score, kind="stable")
+        s_sorted = score[order]
+        suffix = np.maximum.accumulate(osc[order][::-1])[::-1]
+        far_sorted[l] = (s_sorted, suffix)
+
+        centers = st.centers(g)
+        rho_c = rho_at(centers)
+        sup_mask = (2.0**l) >= rho_c
+        size = st.size
+        super_size_max[l] = float(np.max(size[sup_mask])) if np.any(sup_mask) else -math.inf
+        if np.any(sup_mask):
+            sc = score[sup_mask]
+            sz = size[sup_mask]
+            order = np.argsort(sc, kind="stable")
+            far_super_sorted[l] = (
+                sc[order],
+                np.maximum.accumulate(sz[order][::-1])[::-1],
+            )
+        else:
+            far_super_sorted[l] = (np.empty(0, np.int64), np.empty(0))
+
+    def sorted_suffix_sup(pair: tuple[np.ndarray, np.ndarray], t_cells: int) -> float:
+        s_sorted, suffix = pair
+        at = int(np.searchsorted(s_sorted, t_cells, side="left"))
+        if at >= s_sorted.size:
+            return -math.inf
+        return float(suffix[at])
+
+    def conditions_hold(j: int) -> bool:
+        # (a) oscillation on levels >= j
+        if large_sup.get(j, -math.inf) >= osc_bound:
+            return False
+        # (b) oscillation on cubes outside the closed core region
+        t_cells = 2 ** (j + p)
+        far_vals = [sorted_suffix_sup(far_sorted[l], t_cells) for l in levels]
+        if max(far_vals) >= osc_bound:
+            return False
+        # (c) size on supercritical cubes at levels >= j
+        sup_sizes = [super_size_max[l] for l in levels if l >= j]
+        if sup_sizes and max(sup_sizes) >= size_bound:
+            return False
+        # (d) size on far supercritical cubes (any level)
+        far_sup_vals = [sorted_suffix_sup(far_super_sorted[l], t_cells) for l in levels]
+        if max(far_sup_vals) >= size_bound:
+            return False
+        return True
+
+    core = None
+    j_floor = max(-fine - 1, l_lo)
+    for j_cand in range(j_floor, l_hi + 1):
+        if conditions_hold(j_cand):
+            core = j_cand
+            break
+    if core is None:
+        raise ThresholdExhaustedError(
+            f"no core cutoff in levels [{j_floor}, {l_hi}] satisfies the large-scale, "
+            "far, and supercritical conditions"
+        )
+
+    # critical-radius compatibility: enlarge the fine exponent until the
+    # finest pre-assignment scale drops below inf rho on the J+2 region
+    probe_half = min(2.0 ** (core + 2), g.halfwidth)
+    probes = _region_probe_points(g, probe_half)
+    rho_min = float(np.min(rho_at(probes)))
+    while 2.0 ** (-fine - 1) > rho_min:
+        fine += 1
+        if -fine - 2 < -p:
+            raise ThresholdExhaustedError(
+                f"critical-radius compatibility pushes the fine cutoff below the "
+                f"grid scale (inf rho = {rho_min:.3g} on the core neighbourhood)"
+            )
+
+    # outer exponent: shells beyond M must have small assigned-cube size
+    if core + 1 > a:
+        raise ThresholdExhaustedError(
+            f"the box (halfwidth 2^{a}) cannot hold shells beyond the core 2^{core}"
+        )
+    shell_tops = list(range(core, a))  # shell m covers (2^m, 2^(m+1)]
+    shell_size = {}
+    for m in shell_tops:
+        lv = m - fine - core - 1
+        if lv < -p:
+            raise ThresholdExhaustedError(
+                f"shell {m} would need cubes below the grid scale"
+            )
+        st = level_stats(lv) if l_lo <= lv <= l_hi else _LevelStats(f, lv)
+        mn, mx = st.sigma_range()
+        size = st.size
+        inner_cells = 2 ** (m + p)
+        outer_cells = 2 ** (m + 1 + p)
+        in_shell = (mn >= inner_cells) & (mx < outer_cells)
+        shell_size[m] = float(np.max(size[in_shell])) if np.any(in_shell) else -math.inf
+    outer = None
+    suffix_sup = -math.inf
+    suffix_map = {}
+    for m in reversed(shell_tops):
+        suffix_sup = max(suffix_sup, shell_size[m])
+        suffix_map[m] = suffix_sup
+    for m in shell_tops:
+        if suffix_map[m] < size_bound:
+            outer = m
+            break
+    if outer is None:
+        raise ThresholdExhaustedError(
+            "no outer cutoff within the box keeps the beyond-shell cube sizes "
+            f"below {size_bound:.3g}"
+        )
+
+    closed = None
+    if slow_variation is not None:
+        c_sv, k0, rho0 = slow_variation
+        C = c_sv * rho0 * (1.0 + 2.0 / rho0) ** (k0 / (k0 + 1.0))
+        closed = (k0 + 1.0) * (math.log2(max(C, 1e-300)) + fine + core + 1.0)
+
+    return dict(
+        eps=eps, fine_exponent=fine, core_exponent=core, outer_exponent=outer,
+        osc_bound=osc_bound, size_bound=size_bound, closed_form_bound=closed,
+    )
+
+
+def _region_probe_points(grid: Grid, halfw: float) -> np.ndarray:
+    """Decimated grid points, shape (k, 1), covering the closed origin
+    interval of the given half-extent (always includes the origin and both
+    ends)."""
+    ax = grid.axis
+    sel = np.abs(ax) <= halfw + 1e-12
+    pts1 = ax[sel]
+    if pts1.size > 129:
+        stride = pts1.size // 129 + 1
+        keep = pts1[::stride]
+        if keep[-1] != pts1[-1]:
+            keep = np.append(keep, pts1[-1])
+        pts1 = keep
+    return pts1[:, None]
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +444,9 @@ def test_mollify_error_shrinks_with_t():
 def test_choose_thresholds_validation(pipeline_f):
     with pytest.raises(ConfigError):
         choose_thresholds(pipeline_f, eps=0.0, rho=RHO0)
-    with pytest.raises(ConfigError):
-        choose_thresholds(pipeline_f, eps=0.5, rho=RHO0, level_min=-40)
+    for rho in (0.0, -RHO0, math.nan, math.inf, np.array([RHO0]), str(RHO0), None, lambda pts: RHO0):
+        with pytest.raises(ConfigError, match="finite positive scalar rho"):
+            choose_thresholds(pipeline_f, eps=0.5, rho=rho)
     g = Grid(halfwidth=6.0, spacing=0.25)  # not a power-of-two box
     with pytest.raises(ConfigError):
         choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0)
@@ -185,8 +496,6 @@ def test_assignment_needs_box_margin(pipeline_grid):
         outer_exponent=6,  # 2^(6+3) = 512 > 256
         osc_bound=0.1,
         size_bound=0.5,
-        level_min=-5,
-        level_max=8,
     )
     with pytest.raises(OutOfDomainError):
         assign_cubes(th, pipeline_grid)
@@ -260,7 +569,7 @@ def test_assignment_runs_at_pipeline_small_geometry():
     p = 7
     th = AveragingThresholds(
         eps=0.235, fine_exponent=5, core_exponent=10, outer_exponent=10,
-        osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235, level_min=-p + 1, level_max=13,
+        osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235,
     )
     asn = assign_cubes(th, grid)
     sc = asn.sample_cube
@@ -278,3 +587,54 @@ def test_assignment_runs_at_pipeline_small_geometry():
     assert rep.n_adjacent_pairs == asn.n_cubes - 1
     assert rep.size_ratio_ok
     assert np.all(np.abs(np.diff(asn.cube_levels[ids])) <= 1)
+
+
+# ---------------------------------------------------------------------------
+# threshold scan against the per-level oracle
+
+_SCAN_GEOMETRIES = [(256.0, 2.0**-6), (2048.0, 2.0**-7), (8192.0, 2.0**-7)]  # last: pipeline-small
+_SCAN_EPS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.55)
+
+
+def _scan_outcome(scan, f: GridFunction, eps: float) -> dict | str:
+    """The scanned thresholds as a field dict, or the exhaustion message."""
+    fractions = ThresholdFractions(oscillation=0.125)
+    try:
+        th = scan(f, eps, RHO0, fractions, slow_variation=(1.0, 1, RHO0))
+    except ThresholdExhaustedError as e:
+        return str(e)
+    return th if isinstance(th, dict) else dataclasses.asdict(th)
+
+
+@pytest.mark.parametrize("halfwidth, spacing", _SCAN_GEOMETRIES)
+@pytest.mark.parametrize("member", ["bump-narrow", "gaussian", "const-one", "log-spike"])
+def test_threshold_scan_matches_level_stats_oracle(member, halfwidth, spacing):
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    f = member_by_name(member).build(grid)
+    _, p = _dyadic_exponents(grid)
+    for eps in _SCAN_EPS:
+        want = _scan_outcome(_oracle_choose_thresholds, f, eps)
+        got = _scan_outcome(choose_thresholds, f, eps)
+        if isinstance(want, dict) and -want["fine_exponent"] - 2 < -p:
+            # the oracle hands assign_cubes core cubes below the grid scale
+            fine = want["fine_exponent"]
+            assert got == (
+                f"the fine cutoff 2^{-fine} puts the core cubes 2^{-fine - 2} below the grid scale 2^{-p}"
+            ), eps
+        else:
+            assert got == want, eps
+
+
+def test_threshold_scan_memory_at_pipeline_small_geometry():
+    grid = Grid(halfwidth=8192.0, spacing=2.0**-7)  # 2,097,153 samples
+    f = member_by_name("bump-narrow").build(grid)
+    tracemalloc.start()
+    try:
+        th = choose_thresholds(f, 0.235, RHO0, ThresholdFractions(oscillation=0.125))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (th.fine_exponent, th.core_exponent, th.outer_exponent) == (5, 10, 10)
+    # the pyramid keeps at most four arrays of half the sample count alive;
+    # the per-level oracle peaks at about eight sample-sized arrays
+    assert peak <= 2.5 * grid.size * 8, peak / (grid.size * 8)

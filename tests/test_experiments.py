@@ -25,7 +25,7 @@ from oscillab.experiments import (
     lacunary_function,
     run,
 )
-from oscillab.family import FamilyPolicy, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, mean_oscillation
 from oscillab.oscillation import bmo_l_norm
 from oscillab.potential import constant_potential, zero_potential
@@ -246,6 +246,27 @@ def test_lacunary_scans_its_family_once(family_scans):
     )
     assert len(family_scans) == 1
     assert len(family_scans[0]) == rep.n_balls
+
+
+def test_lacunary_distinct_centers_match_unique():
+    # the family of the --small geometry of scripts/lacunary_modes.py
+    grid = Grid(halfwidth=1024.0, spacing=2.0**-6)
+    fam = make_ball_family(
+        grid,
+        FamilyPolicy(center_stride=0.5, radius_min=4 * grid.spacing, radius_max=512.0, distance_max=512.0),
+    )
+    xs, at = fam.distinct_centers()
+    want_xs, want_at = np.unique(fam.centers[:, 0], return_inverse=True)
+    assert len(fam.radius_blocks) > 1
+    assert np.array_equal(xs, want_xs)
+    assert at.dtype == want_at.dtype and np.array_equal(at, want_at)
+
+
+def test_distinct_centers_need_runs_of_the_first_block():
+    grid = Grid(halfwidth=16.0, spacing=0.25)
+    fam = BallFamily(grid, np.array([[0.0], [1.0], [2.0], [0.5]]), np.array([1.0, 1.0, 1.0, 2.0]), [1.0], [1.0])
+    with pytest.raises(ConfigError, match="not a run"):
+        fam.distinct_centers()
 
 
 @pytest.mark.parametrize(
@@ -534,6 +555,23 @@ def test_cli_averaging_subcommand(tmp_path):
     assert (out / name / "assignment.csv").exists()
     assert (out / name / "averaged.json").exists()
     assert (out / name / "gate.json").exists()
+
+
+def test_cli_averaging_core_below_grid_scale_is_a_nonmember_verdict(tmp_path, capsys):
+    # the fine scan picks I = p - 1, so the core cubes 2^(-I-2) would fall
+    # below the grid scale; that exhausts the scan instead of raising a
+    # config error from the cube assignment
+    scenario = {"id": "averaging-pipeline", "member": "gaussian", "halfwidth": 4096.0,
+                "spacing": 0.125, "eps": 0.5, "osc_fraction": 0.125}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "config error" not in capsys.readouterr().err
+    frag = json.loads((tmp_path / "out" / "summary.json").read_text())["scenarios"]["averaging-pipeline"]
+    assert frag["verdict"] == "NONMEMBER"
+    assert frag["exhausted_condition"] == (
+        "the fine cutoff 2^-2 puts the core cubes 2^-4 below the grid scale 2^-3"
+    )
 
 
 def test_cli_averaging_exhaustion_is_a_nonmember_verdict(tmp_path, capsys):
