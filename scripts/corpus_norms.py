@@ -12,8 +12,8 @@ import math
 from oscillab.corpus import CORPUS, corpus_grid, corpus_operator
 from oscillab.experiments import RHO_CONSTANT_UNIT
 from oscillab.family import FamilyPolicy, make_ball_family
-from oscillab.oscillation import bmo_l_norm, bmo_norm, tilde_bmo_l_norm
-from oscillab.semigroup import TLadder, square_function_field
+from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, tilde_bmo_l_norm
+from oscillab.semigroup import default_ladder, square_function_field
 from oscillab.tent import t2p_norm
 
 
@@ -27,13 +27,14 @@ def main():
     fam = make_ball_family(
         grid, FamilyPolicy(center_stride=0.5, radius_min=0.125, radius_max=4.0)
     )
-    ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=args.per_decade)
+    ladder = default_ladder(grid, per_decade=args.per_decade)
 
     print(f"{'member':>12} {'bmo':>8} {'bmo_l':>8} {'size':>8} {'tilde':>8} {'tent':>8} {'ratio':>7}")
     for m in CORPUS:
         f = m.build(grid)
-        plain = bmo_norm(f, fam).value
-        split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+        st = family_stats(f, fam)
+        plain = bmo_norm(f, fam, stats=st).value
+        split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
         tilde = tilde_bmo_l_norm(f, op, fam, ladder).value
         tent = t2p_norm(square_function_field(op, f, ladder), math.inf, family=fam).value
         ratio = tent / split.value if split.value > 0 else float("nan")

@@ -26,7 +26,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Grid",
         "GridFunction",
         "SummedTable",
-        "ball_average",
         "ball_sample_count",
         "ball_volume",
         "mean_oscillation",
@@ -40,10 +39,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "potential": (
         "CriticalRadiusField",
-        "CriticalRadiusOptions",
         "Potential",
         "constant_potential",
-        "critical_radius",
         "normalized_mass",
         "power_potential",
         "solve_critical_radius",
@@ -111,7 +108,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "load_grid_function",
         "load_samples",
         "save_curves_csv",
-        "save_family_csv",
         "save_grid_function",
         "save_json",
         "save_samples",

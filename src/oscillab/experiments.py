@@ -54,6 +54,7 @@ from .semigroup import (
     DEFAULT_OP_CAP,
     SpectralOperator,
     TLadder,
+    default_ladder,
     discretize,
     poisson_extension,
     square_function_field,
@@ -255,7 +256,7 @@ def exp_lacunary(
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
     V = power_potential(exponent, 1, amplitude=amplitude)
     f, phi = lacunary_function(grid, k_max)
-    floor_ref = mean_oscillation(phi, Ball((0.0,), 1.0), 2)
+    floor_ref = mean_oscillation(phi, Ball((0.0,), 1.0))
 
     fam = make_ball_family(
         grid,
@@ -363,7 +364,7 @@ def exp_square_membership(
     f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
     if ladder is None:
-        ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
+        ladder = default_ladder(grid)
 
     st = family_stats(f, fam)
     norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
@@ -450,7 +451,7 @@ def exp_extension_agreement(
     f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
     if ladder is None:
-        ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
+        ladder = default_ladder(grid)
 
     st = family_stats(f, fam)
     norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
@@ -690,6 +691,23 @@ def _params(scenario: dict, allowed: set[str], required: set[str] = frozenset())
     return p
 
 
+def _typed(sid: str, key: str, value, ok: bool, what: str):
+    """value when ok, else ConfigError naming the scenario and parameter."""
+    if not ok:
+        raise ConfigError(f"scenario {sid!r}: {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _assert_members(sid: str, kw: dict) -> set[str]:
+    v = kw.pop("assert_members", [])
+    ok = isinstance(v, list) and all(isinstance(m, str) for m in v)
+    return set(_typed(sid, "assert_members", v, ok, "a list of member names"))
+
+
 def _parse_grid(p: dict, default_halfwidth: float = 16.0, default_spacing: float = 2.0**-6) -> Grid:
     return Grid(
         halfwidth=float(p.get("halfwidth", default_halfwidth)),
@@ -735,7 +753,8 @@ def _parse_potential(p: Optional[dict], n: int) -> Potential:
 
 def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     kw = _params({"id": "rho-slope", **p}, {"n", "exponent", "amplitude", "x_min", "x_max", "points", "potential", "jitter", "tolerance"})
-    n = int(kw.pop("n", 1))
+    n = kw.pop("n", 1)
+    _typed("rho-slope", "n", n, _is_int(n), "an integer")
     tol = kw.pop("tolerance", None)
     pot = kw.pop("potential", None)
     potential = _parse_potential(pot, n) if pot is not None else None
@@ -773,7 +792,8 @@ def _run_lacunary(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gene
             "assert_verdicts",
         },
     )
-    check = bool(kw.pop("assert_verdicts", True))
+    check = kw.pop("assert_verdicts", True)
+    _typed("lacunary-separation", "assert_verdicts", check, isinstance(check, bool), "true or false")
     rep = exp_lacunary(**kw)
     save_curves_csv(out / "curves.csv", [rep.curves[m] for m in sorted(rep.curves)])
     failures = []
@@ -800,7 +820,7 @@ def _run_membership(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
         {"members", "halfwidth", "spacing", "family", "tol_fraction", "decay_factor", "assert_members"},
     )
     names = kw.pop("members", None) or [m.name for m in CORPUS]
-    assert_members = set(kw.pop("assert_members", []))
+    assert_members = _assert_members("square-function-agreement", kw)
     fam_spec = kw.pop("family", None)
     grid = _parse_grid({"halfwidth": kw.get("halfwidth", 16.0), "spacing": kw.get("spacing", 2.0**-6)})
     policy = _parse_policy(fam_spec, grid)
@@ -832,7 +852,7 @@ def _run_extension(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
         {"members", "halfwidth", "spacing", "family", "tol_fraction", "decay_factor", "assert_members"},
     )
     names = kw.pop("members", None) or [m.name for m in CORPUS]
-    assert_members = set(kw.pop("assert_members", []))
+    assert_members = _assert_members("extension-agreement", kw)
     fam_spec = kw.pop("family", None)
     grid = _parse_grid({"halfwidth": kw.get("halfwidth", 16.0), "spacing": kw.get("spacing", 2.0**-6)})
     policy = _parse_policy(fam_spec, grid)
@@ -874,9 +894,9 @@ def _run_pipeline(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gene
             "expect",
         },
     )
-    expect = kw.pop("expect", "member").upper()
-    if expect not in ("MEMBER", "NONMEMBER"):
-        raise ConfigError("'expect' must be 'member' or 'nonmember'")
+    expect = kw.pop("expect", "member")
+    ok = isinstance(expect, str) and expect.upper() in ("MEMBER", "NONMEMBER")
+    expect = _typed("approximation-pipeline", "expect", expect, ok, "'member' or 'nonmember'").upper()
     rep = exp_pipeline(**kw)
     failures = []
     if rep.verdict != expect:
@@ -911,7 +931,7 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     op = _operator_for(grid, cfg.op_cap)
     f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
     fam = make_ball_family(grid, policy)
-    ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
+    ladder = default_ladder(grid)
 
     from .oscillation import tilde_bmo_l_norm
 
@@ -946,14 +966,18 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
         {"id": "tent-norms", **p},
         {"member", "halfwidth", "spacing", "family", "exponents"},
     )
+    exponents = kw.get("exponents", [2.0, "inf"])
+    ok = isinstance(exponents, list) and all(
+        e == "inf" or (isinstance(e, (int, float)) and not isinstance(e, bool)) for e in exponents
+    )
+    _typed("tent-norms", "exponents", exponents, ok, 'a list of numbers and "inf"')
     grid = _parse_grid(kw)
     policy = _parse_policy(kw.get("family"), grid)
     op = _operator_for(grid, cfg.op_cap)
     f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
     fam = make_ball_family(grid, policy)
-    ladder = TLadder.geometric(grid.spacing, grid.halfwidth / 4.0, per_decade=16)
+    ladder = default_ladder(grid)
     F = square_function_field(op, f, ladder)
-    exponents = kw.get("exponents", [2.0, "inf"])
     norms = {}
     for e in exponents:
         pe = math.inf if e in ("inf", math.inf) else float(e)
@@ -972,6 +996,8 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
         {"id": "reproducing-pairing", **p},
         {"halfwidth", "spacing", "left", "right", "t_min", "t_max", "per_decade", "tolerance"},
     )
+    per_decade = kw.get("per_decade", 16)
+    _typed("reproducing-pairing", "per_decade", per_decade, _is_int(per_decade), "an integer")
     grid = _parse_grid(kw)
     op = _operator_for(grid, cfg.op_cap)
     f = member_by_name(str(kw.get("left", "gaussian"))).build(grid)
@@ -979,7 +1005,7 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
     ladder = TLadder.geometric(
         float(kw.get("t_min", grid.spacing / 4.0)),
         float(kw.get("t_max", grid.halfwidth / 4.0)),
-        per_decade=int(kw.get("per_decade", 16)),
+        per_decade=per_decade,
     )
     rep = reproducing_pairing_check(f, g_fn, op, ladder, window=cfg.interior_window)
     failures = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -259,33 +258,26 @@ class LimitCurve:
 
 
 def bucketed_sup(
-    metric: np.ndarray | Callable[[Ball], float],
+    metric: np.ndarray,
     family: BallFamily,
     mode: str,
     rho: np.ndarray | float | None = None,
-    ladder: np.ndarray | None = None,
 ) -> LimitCurve:
-    """Supremum of a per-ball metric within each ladder bucket.
+    """Supremum of a per-ball metric within each bucket of the family's own
+    ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    metric: array aligned with the family (preferred) or a per-ball callable.
-    rho: critical-radius values at the ball centers; required by the
-    supercritical modes, where a ball qualifies only if r >= rho(center).
-    rho may contain +inf (no ball ever qualifies there).
+    metric: array aligned with the family.  rho: critical-radius values at
+    the ball centers; required by the supercritical modes, where a ball
+    qualifies only if r >= rho(center).  rho may contain +inf (no ball ever
+    qualifies there).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
-    if callable(metric):
-        vals = np.array([float(metric(b)) for b in family.balls()])
-    else:
-        vals = np.asarray(metric, dtype=np.float64).reshape(-1)
-        if vals.shape[0] != len(family):
-            raise ConfigError("metric array length does not match the family")
+    vals = np.asarray(metric, dtype=np.float64).reshape(-1)
+    if vals.shape[0] != len(family):
+        raise ConfigError("metric array length does not match the family")
 
-    if ladder is None:
-        ladder = (
-            family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
-        )
-    ladder = np.asarray(ladder, dtype=np.float64)
+    ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
     if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
         raise ConfigError("ladder must be strictly increasing and nonempty")
 

@@ -1,4 +1,4 @@
-"""Sampled intervals, balls, and fast ball averages.
+"""Sampled intervals, balls, and fast ball sums.
 
 oscillab is a one-dimensional lab: everything downstream works on a
 uniform grid over the box [-X, X].  The paper states its results on R^n;
@@ -242,7 +242,7 @@ class SummedTable:
 
 
 # ---------------------------------------------------------------------------
-# ball membership and averages
+# ball membership, counts and oscillation
 
 
 def _require_inside(grid: Grid, ball: Ball) -> None:
@@ -251,18 +251,6 @@ def _require_inside(grid: Grid, ball: Ball) -> None:
             f"ball B({ball.center}, {ball.radius}) touches or leaves the box "
             f"[-{grid.halfwidth}, {grid.halfwidth}]"
         )
-
-
-def _aligned(grid: Grid, ball: Ball) -> tuple[np.ndarray, int] | None:
-    """(center index, cell radius) when the ball sits on the lattice."""
-    h = grid.spacing
-    r_cells = ball.radius / h
-    if abs(r_cells - round(r_cells)) > 1e-6:
-        return None
-    if not np.all(grid.on_lattice(np.asarray(ball.center))):
-        return None
-    ci = grid.coord_to_index(np.asarray(ball.center))
-    return ci, round(r_cells)
 
 
 def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
@@ -279,39 +267,13 @@ def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
 
 
 def ball_sample_count(grid: Grid, ball: Ball) -> int:
-    aligned = _aligned(grid, ball)
-    if aligned is not None:
-        _, m = aligned
-        return max(0, 2 * m - 1)
+    """Samples strictly inside the ball: 2m - 1 for a ball on the lattice
+    with cell radius m, else the member values counted."""
+    r_cells = ball.radius / grid.spacing
+    if abs(r_cells - round(r_cells)) <= 1e-6 and np.all(grid.on_lattice(np.asarray(ball.center))):
+        return max(0, 2 * round(r_cells) - 1)
     ones = GridFunction(grid, np.ones(grid.shape))
     return ball_member_values(ones, ball).size
-
-
-def ball_average(f: GridFunction, ball: Ball, table: SummedTable | None = None) -> float:
-    """Mean of f over the samples strictly inside the ball.
-
-    Raises DegenerateRegionError when no sample falls inside.  A prefix
-    table for f.values may be passed to reuse across many calls.
-    """
-    g = f.grid
-    _require_inside(g, ball)
-    aligned = _aligned(g, ball)
-    if aligned is not None:
-        ci, m = aligned
-        cnt = ball_sample_count(g, ball)
-        if cnt == 0:
-            raise DegenerateRegionError(
-                f"ball B({ball.center}, {ball.radius}) contains no grid sample"
-            )
-        table = table or SummedTable(g, f.values)
-        s = table.ball_sum(ci, m)
-        return float(s[0]) / cnt
-    vals = ball_member_values(f, ball)
-    if vals.size == 0:
-        raise DegenerateRegionError(
-            f"ball B({ball.center}, {ball.radius}) contains no grid sample"
-        )
-    return float(np.mean(vals))
 
 
 def ball_volume(grid: Grid, ball: Ball) -> float:
@@ -324,21 +286,15 @@ def ball_volume(grid: Grid, ball: Ball) -> float:
     return cnt * grid.cell_volume
 
 
-def mean_oscillation(f: GridFunction, ball: Ball, p: float = 2.0) -> float:
-    """(mean over B of |f - mean_B f|^p)^(1/p).
-
-    p=2 uses the variance identity with a clamp at zero; other p go through
-    the member values directly.
-    """
-    if p < 1:
-        raise ConfigError(f"oscillation exponent must be >= 1, got {p}")
+def mean_oscillation(f: GridFunction, ball: Ball) -> float:
+    """(mean over B of |f - mean_B f|^2)^(1/2) over the member values (the
+    naive path; family scans use FamilyStats.oscillation2), by the
+    variance identity with a clamp at zero."""
     vals = ball_member_values(f, ball)
     if vals.size == 0:
         raise DegenerateRegionError(
             f"ball B({ball.center}, {ball.radius}) contains no grid sample"
         )
     m = float(np.mean(vals))
-    if p == 2.0:
-        msq = float(np.mean(vals**2))
-        return math.sqrt(max(0.0, msq - m * m))
-    return float(np.mean(np.abs(vals - m) ** p) ** (1.0 / p))
+    msq = float(np.mean(vals**2))
+    return math.sqrt(max(0.0, msq - m * m))

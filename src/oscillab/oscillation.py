@@ -1,10 +1,10 @@
 """Oscillation functionals over ball families and their limit curves.
 
-Two families of metrics:
+Two families of metrics, both quadratic as in the paper's BMO_L and CMO_L
+norms:
 
-* plain oscillation  (mean over B of |f - mean_B f|^p)^(1/p), and the
-  supercritical companion (mean over B of |f|^2)^(1/2) (or mean |f| for
-  p = 1);
+* plain oscillation  (mean over B of |f - mean_B f|^2)^(1/2), and the
+  supercritical size (mean over B of |f|^2)^(1/2);
 * semigroup oscillation  (r^{-1} * integral over B of
   |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction uses the
   subordinated semigroup at time t = r exactly (one operator application
@@ -84,7 +84,6 @@ class FamilyStats:
     counts: np.ndarray
     mean: np.ndarray
     mean_sq: np.ndarray
-    mean_abs: np.ndarray
 
     @property
     def oscillation2(self) -> np.ndarray:
@@ -97,7 +96,7 @@ class FamilyStats:
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     """One scan of f over the family: one geometry pass, then the tables of
-    f, f^2 and |f| built one after another (one live at a time)."""
+    f and f^2 built one after another (one live at a time)."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
     idx, cells = _family_geometry(family)
@@ -109,8 +108,7 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
         )
     s1 = _ball_sums(f.values, family, idx)
     s2 = _ball_sums(f.values**2, family, idx)
-    sa = _ball_sums(np.abs(f.values), family, idx)
-    return FamilyStats(family, counts, s1 / counts, s2 / counts, sa / counts)
+    return FamilyStats(family, counts, s1 / counts, s2 / counts)
 
 
 def _stats_for(f: GridFunction, family: BallFamily, stats: FamilyStats | None) -> FamilyStats:
@@ -122,22 +120,6 @@ def _stats_for(f: GridFunction, family: BallFamily, stats: FamilyStats | None) -
     return stats
 
 
-def _oscillation_p(f: GridFunction, family: BallFamily, st: FamilyStats, p: float) -> np.ndarray:
-    """Per-ball (mean |f - mean|^p)^(1/p); p = 2 is closed-form, other p
-    fall back to member-value loops."""
-    if p == 2.0:
-        return st.oscillation2
-    if p < 1:
-        raise ConfigError("oscillation exponent must be >= 1")
-    from .grid import ball_member_values
-
-    out = np.empty(len(family))
-    for i, b in enumerate(family.balls()):
-        vals = ball_member_values(f, b)
-        out[i] = float(np.mean(np.abs(vals - st.mean[i]) ** p) ** (1.0 / p))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -146,22 +128,20 @@ def _oscillation_p(f: GridFunction, family: BallFamily, st: FamilyStats, p: floa
 class OscillationReport:
     value: float
     arg_index: int
-    p: float
     n_balls: int
 
 
 def bmo_norm(
     f: GridFunction,
     family: BallFamily,
-    p: float = 2.0,
     *,
     stats: FamilyStats | None = None,
 ) -> OscillationReport:
-    """sup of p-mean oscillation over the family; stats, when given, is the
-    family_stats scan of (f, family)."""
-    vals = _oscillation_p(f, family, _stats_for(f, family, stats), p)
+    """sup of the 2-mean oscillation over the family; stats, when given, is
+    the family_stats scan of (f, family)."""
+    vals = _stats_for(f, family, stats).oscillation2
     arg = int(np.argmax(vals))
-    return OscillationReport(float(vals[arg]), arg, p, len(family))
+    return OscillationReport(float(vals[arg]), arg, len(family))
 
 
 @dataclass(frozen=True)
@@ -177,7 +157,6 @@ class SplitNormReport:
     size_present: bool
     oscillation_arg: int
     size_arg: int
-    p: float
     n_balls: int
 
 
@@ -185,23 +164,20 @@ def bmo_l_norm(
     f: GridFunction,
     rho,
     family: BallFamily,
-    p: float = 2.0,
     *,
     stats: FamilyStats | None = None,
 ) -> SplitNormReport:
     """Critical-radius-adapted norm: sup oscillation over balls with
     r < rho(center) plus sup mean size over balls with r >= rho(center)
-    (ties count as supercritical).  rho may be +inf (no size part).
-    stats, when given, is the family_stats scan of (f, family)."""
+    (ties count as supercritical).  rho is a scalar, possibly +inf (no
+    size part), or an array aligned with the family.  stats, when given,
+    is the family_stats scan of (f, family)."""
     rho_c = rho_values_for(rho, family.centers)
     sub = family.radii < rho_c
-    sup_mask = ~sub
     st = _stats_for(f, family, stats)
-    osc = _oscillation_p(f, family, st, p)
-    size = st.size2 if p == 2.0 else st.mean_abs
 
-    osc_part, osc_arg = _masked_sup(osc, sub)
-    size_part, size_arg = _masked_sup(size, sup_mask)
+    osc_part, osc_arg = _masked_sup(st.oscillation2, sub)
+    size_part, size_arg = _masked_sup(st.size2, ~sub)
     total = (osc_part if osc_arg >= 0 else 0.0) + (size_part if size_arg >= 0 else 0.0)
     return SplitNormReport(
         total,
@@ -211,7 +187,6 @@ def bmo_l_norm(
         size_arg >= 0,
         osc_arg,
         size_arg,
-        p,
         len(family),
     )
 
@@ -270,7 +245,7 @@ def tilde_bmo_l_norm(
     """sup over the family of the semigroup oscillation metric."""
     vals = semigroup_difference_values(f, op, family, ladder)
     arg = int(np.argmax(vals))
-    return OscillationReport(float(vals[arg]), arg, 2.0, len(family))
+    return OscillationReport(float(vals[arg]), arg, len(family))
 
 
 def semigroup_oscillation_curves(

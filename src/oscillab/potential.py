@@ -24,16 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConfigError,
-    GridMismatchError,
-    OutOfDomainError,
-)
+from .errors import BracketError, ConfigError, OutOfDomainError
 from .grid import GridFunction, SummedTable
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -232,18 +226,12 @@ def normalized_mass(
 # critical radius
 
 
-@dataclass(frozen=True)
-class CriticalRadiusOptions:
-    r_min: float | None = None
-    r_max: float | None = None
-    scan_ratio: float = 2.0**0.25
-    bisect_steps: int = 40
-
-    def __post_init__(self) -> None:
-        if self.scan_ratio <= 1:
-            raise ConfigError("scan_ratio must exceed 1")
-        if self.bisect_steps < 1:
-            raise ConfigError("bisect_steps must be >= 1")
+# scan floor and cap for analytic potentials, geometric scan ratio and
+# bisection steps of solve_critical_radius
+RHO_FLOOR = 1e-4
+RHO_CAP = 1e6
+RHO_SCAN_RATIO = 2.0**0.25
+RHO_BISECT_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -260,65 +248,51 @@ class CriticalRadiusField:
     values: np.ndarray
     saturated: np.ndarray
     kind: str
-    options: CriticalRadiusOptions
-
-    def value_at_index(self, i: int) -> float:
-        return float(self.values[i])
 
 
-def _default_r_bounds(V: Potential, pts: np.ndarray, opts: CriticalRadiusOptions) -> tuple[float, np.ndarray]:
+def _r_bounds(V: Potential, pts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scan floor and per-point cap: RHO_FLOOR and RHO_CAP for analytic
+    kinds; for tabulated ones the spacing and the room left in the box."""
     if V.kind == "tabulated":
         g = V.samples.grid
-        r_min = opts.r_min if opts.r_min is not None else g.spacing
-        margin = g.halfwidth - np.max(np.abs(pts), axis=1) - g.spacing
-        r_max = np.minimum(
-            np.full(pts.shape[0], opts.r_max if opts.r_max is not None else np.inf),
-            margin,
-        )
-        if np.any(r_max <= r_min):
+        r_max = g.halfwidth - np.max(np.abs(pts), axis=1) - g.spacing
+        if np.any(r_max <= g.spacing):
             raise BracketError("no room for a mass ball inside the box at some points")
-        return r_min, r_max
-    r_min = opts.r_min if opts.r_min is not None else 1e-4
-    r_max_s = opts.r_max if opts.r_max is not None else 1e6
-    return r_min, np.full(pts.shape[0], r_max_s)
+        return g.spacing, r_max
+    return RHO_FLOOR, np.full(pts.shape[0], RHO_CAP)
 
 
-def solve_critical_radius(
-    V: Potential,
-    points: np.ndarray,
-    options: CriticalRadiusOptions | None = None,
-) -> CriticalRadiusField:
-    """rho(x) = sup { r : I(x, r) <= 1 } at each point, by geometric scan
-    plus bisection.
+def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusField:
+    """rho(x) = sup { r : I(x, r) <= 1 } at each point of the (k, n) array,
+    by geometric scan plus bisection.
 
-    The scan walks r_min * ratio^k keeping the last admissible radius (sup
-    semantics), then bisection sharpens inside the final bracket.  Errors:
-    BracketError when I(r_min) > 1 somewhere (scan floor too coarse).  A
-    potential that is identically zero yields +inf everywhere.
+    The scan walks r_min * RHO_SCAN_RATIO^k up to the cap, keeping the last
+    admissible radius (sup semantics); RHO_BISECT_STEPS bisection steps
+    then sharpen inside the final bracket.  r_min is RHO_FLOOR and the cap
+    RHO_CAP, except for tabulated potentials (the spacing, and the room
+    left in the box).  Errors: BracketError when I(r_min) > 1 somewhere.
+    A potential that is identically zero yields +inf everywhere.
     """
-    opts = options or CriticalRadiusOptions()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
     k = pts.shape[0]
 
     if V.is_zero():
-        return CriticalRadiusField(
-            pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind, opts
-        )
+        return CriticalRadiusField(pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind)
 
     table = SummedTable(V.samples.grid, V.samples.values) if V.kind == "tabulated" else None
 
     def mass(r: np.ndarray) -> np.ndarray:
         return normalized_mass(V, pts, r, table=table)
 
-    r_min, r_max = _default_r_bounds(V, pts, opts)
+    r_min, r_max = _r_bounds(V, pts)
 
     if np.any(mass(np.full(k, r_min)) > 1.0):
         bad = np.nonzero(mass(np.full(k, r_min)) > 1.0)[0]
         raise BracketError(
             f"normalized mass already exceeds 1 at the scan floor r={r_min} "
-            f"for {bad.size} point(s), e.g. index {bad[0]}; lower r_min"
+            f"for {bad.size} point(s), e.g. index {bad[0]}"
         )
 
     # geometric scan, per-point r_max caps
@@ -328,7 +302,7 @@ def solve_critical_radius(
     active = np.ones(k, dtype=bool)
     r = np.full(k, r_min)
     while np.any(active):
-        r_next = np.minimum(r * opts.scan_ratio, r_max)
+        r_next = np.minimum(r * RHO_SCAN_RATIO, r_max)
         probe = active.copy()
         vals = np.full(k, np.nan)
         vals[probe] = normalized_mass(V, pts[probe], r_next[probe], table=table)
@@ -348,7 +322,7 @@ def solve_critical_radius(
         a = lo[todo].copy()
         b = hi[todo].copy()
         sub = pts[todo]
-        for _ in range(opts.bisect_steps):
+        for _ in range(RHO_BISECT_STEPS):
             mid = 0.5 * (a + b)
             vals = normalized_mass(V, sub, mid, table=table)
             inside = vals <= 1.0
@@ -356,31 +330,15 @@ def solve_critical_radius(
             b = np.where(inside, b, mid)
         lo[todo] = a
 
-    return CriticalRadiusField(pts, lo, saturated, V.kind, opts)
-
-
-def critical_radius(V: Potential, x: Sequence[float] | float, options: CriticalRadiusOptions | None = None) -> float:
-    """Convenience scalar wrapper around solve_critical_radius."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    fld = solve_critical_radius(V, arr[None, :] if arr.ndim == 1 else arr, options)
-    return float(fld.values[0])
+    return CriticalRadiusField(pts, lo, saturated, V.kind)
 
 
 def rho_values_for(rho, centers: np.ndarray) -> np.ndarray:
-    """Normalise the many accepted forms of 'critical radius data' to an
-    array aligned with centers: scalar, aligned array, CriticalRadiusField
-    (points must match), or callable on the (k, n) center array."""
+    """Critical-radius data as an array aligned with centers: rho is a
+    scalar or an array already aligned with them."""
     k = centers.shape[0]
     if rho is None:
         raise ConfigError("critical-radius data is required here")
-    if isinstance(rho, CriticalRadiusField):
-        if rho.points.shape != centers.shape or not np.allclose(
-            rho.points, centers, atol=1e-9
-        ):
-            raise GridMismatchError("critical-radius field points do not match the family centers")
-        return rho.values
-    if callable(rho):
-        return np.asarray(rho(centers), dtype=np.float64).reshape(k)
     arr = np.asarray(rho, dtype=np.float64)
     if arr.ndim == 0:
         return np.full(k, float(arr))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import dst
 from scipy.integrate import quad_vec
 
-from .errors import ConfigError, GridMismatchError, LadderError
+from .errors import ConfigError, GridMismatchError
 from .grid import Grid, GridFunction
 from .potential import Potential
 
@@ -71,21 +71,6 @@ class TLadder:
     def log_weights(self) -> np.ndarray:
         """Trapezoid weights in log t: sum F(t_j) w_j ~ integral F dt/t."""
         return log_weights_for(self.values)
-
-    def truncate(self, t_cap: float) -> "TLadder":
-        """Prefix with t <= t_cap.  Raises LadderError when the ladder does
-        not cover (its smallest value exceeds t_cap) or stops short of it."""
-        v = self.values
-        if t_cap < v[0] * (1 - 1e-12):
-            raise LadderError(
-                f"ladder starts at {v[0]}, above the requested cap {t_cap}"
-            )
-        if t_cap > v[-1] * (1 + 1e-9):
-            raise LadderError(
-                f"ladder ends at {v[-1]}, below the requested cap {t_cap}"
-            )
-        keep = v <= t_cap * (1 + 1e-12)
-        return TLadder(v[keep])
 
 
 def log_weights_for(values: np.ndarray) -> np.ndarray:
@@ -223,7 +208,6 @@ class HalfSpaceFunction:
     grid: Grid
     ladder: TLadder
     values: np.ndarray
-    channel: str = ""
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -232,23 +216,18 @@ class HalfSpaceFunction:
             raise ConfigError(f"half-space values shape {v.shape}, expected {expect}")
         object.__setattr__(self, "values", v)
 
-    def slice_at(self, j: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[j])
 
-
-def _field_from_psi(
-    op: SpectralOperator, f: GridFunction, ladder: TLadder, psi_ts, channel: str
-) -> HalfSpaceFunction:
+def _field_from_psi(op: SpectralOperator, f: GridFunction, ladder: TLadder, psi_ts) -> HalfSpaceFunction:
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
     out = np.zeros((len(ladder),) + op.grid.shape)
     out[:, 1:-1] = dst(psi_ts(ladder.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
-    return HalfSpaceFunction(op.grid, ladder, out, channel)
+    return HalfSpaceFunction(op.grid, ladder, out)
 
 
 def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
     """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f on the ladder."""
-    return _field_from_psi(op, f, ladder, lambda t, s: t * s * np.exp(-t * s), "tsqrtL-exp")
+    return _field_from_psi(op, f, ladder, lambda t, s: t * s * np.exp(-t * s))
 
 
 @dataclass(frozen=True)
@@ -275,7 +254,7 @@ class PoissonExtension:
     def gradient_magnitude(self) -> HalfSpaceFunction:
         """sqrt((t du/dt)^2 + (t du/dx)^2), the full scaled gradient size."""
         mag = np.sqrt(self.t_derivative.values**2 + self.x_gradient.values**2)
-        return HalfSpaceFunction(self.grid, self.ladder, mag, "t-grad-magnitude")
+        return HalfSpaceFunction(self.grid, self.ladder, mag)
 
 
 def _ddx(values: np.ndarray, h: float) -> np.ndarray:
@@ -292,12 +271,12 @@ def _ddx(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> PoissonExtension:
-    u = _field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s), "subordinated")
-    dt = _field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s), "t-dt")
+    u = _field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s))
+    dt = _field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s))
     gx = np.empty_like(u.values)
     for j, t in enumerate(ladder.values):
         gx[j] = t * _ddx(u.values[j], op.grid.spacing)
-    return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx, "t-dx"))
+    return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx))
 
 
 # ---------------------------------------------------------------------------

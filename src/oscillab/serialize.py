@@ -3,7 +3,7 @@
 Grid samples go to a raw little-endian float64 ``.bin`` (row-major) next to a
 JSON sidecar describing the geometry.  The binary stream is kept free of IEEE
 infinities: +inf is stored as a quiet NaN with the reserved payload below and
-restored bit-exactly on load.  Families and limit curves go to CSV.  All
+restored bit-exactly on load.  Limit curves go to CSV.  All
 writers sort keys, use repr-style shortest floats, and never emit timestamps,
 so identical inputs give byte-identical files.
 """
@@ -15,12 +15,12 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .family import BallFamily, LimitCurve
+from .family import LimitCurve
 from .grid import Grid, GridFunction
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "save_samples",
     "load_samples",
     "save_curves_csv",
-    "save_family_csv",
     "save_json",
     "canonical_json",
     "config_hash",
@@ -171,24 +170,4 @@ def save_curves_csv(path: _PathLike, curves: Iterable[LimitCurve]) -> Path:
             for a, v, c in zip(curve.ladder, curve.values, curve.counts):
                 present = int(c) > 0
                 w.writerow([curve.mode, repr(float(a)), repr(float(v)) if present else "nan", int(c), int(present)])
-    return p
-
-
-def save_family_csv(path: _PathLike, family: BallFamily, columns: Optional[Mapping[str, Sequence]] = None) -> Path:
-    p = Path(path)
-    extras = dict(columns or {})
-    for name, col in extras.items():
-        if len(col) != family.centers.shape[0]:
-            raise ConfigError(f"column {name!r} length does not match the family")
-    with p.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["center_x", "radius", "inner_distance"] + sorted(extras))
-        inner = family.inner_distance
-        for i in range(family.centers.shape[0]):
-            row = [repr(float(family.centers[i, 0]))]
-            row.append(repr(float(family.radii[i])))
-            row.append(repr(float(inner[i])))
-            for name in sorted(extras):
-                row.append(repr(float(extras[name][i])))
-            w.writerow(row)
     return p

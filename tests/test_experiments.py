@@ -427,6 +427,29 @@ def test_cli_config_errors(tmp_path, capsys):
     assert err.count("config error") == 5
 
 
+@pytest.mark.parametrize(
+    "key, scenario",
+    [
+        ("assert_members", {"id": "square-function-agreement", "members": ["zero"], "assert_members": "zero"}),
+        ("assert_members", {"id": "extension-agreement", "members": ["zero"], "assert_members": "zero"}),
+        ("assert_verdicts", {"id": "lacunary-separation", "assert_verdicts": "no"}),
+        ("n", {"id": "rho-slope", "exponent": 1.5, "n": 1.5}),
+        ("per_decade", {"id": "reproducing-pairing", "per_decade": 2.5}),
+        ("expect", {"id": "approximation-pipeline", "expect": 5}),
+        ("exponents", {"id": "tent-norms", "exponents": "inf"}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["id"],
+)
+def test_cli_rejects_wrongly_typed_scenario_parameter(key, scenario, tmp_path, capsys):
+    # each value used to be coerced (set("zero"), bool("no"), int(1.5)) or to
+    # crash with a traceback and exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+
+
 def test_cli_rejects_bad_thread_count():
     assert main(["bmo", "--threads", "0"]) == 2
 

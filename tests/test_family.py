@@ -156,10 +156,3 @@ def test_unknown_mode_rejected():
     with pytest.raises(ConfigError):
         LimitCurve("tiny-radius", np.array([1.0]), np.array([1.0]), np.array([1]))
 
-
-def test_callable_metric_matches_array():
-    g = Grid(halfwidth=8.0, spacing=0.25)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
-    by_call = bucketed_sup(lambda b: b.radius + abs(b.center[0]), fam, "small-radius")
-    by_arr = bucketed_sup(fam.radii + fam.center_norms, fam, "small-radius")
-    assert np.allclose(by_call.values, by_arr.values, equal_nan=True)

@@ -11,7 +11,6 @@ from oscillab.grid import (
     Grid,
     GridFunction,
     SummedTable,
-    ball_average,
     ball_member_values,
     ball_sample_count,
     ball_volume,
@@ -75,15 +74,17 @@ def test_ball_average_quadratic_closed_form():
     g = Grid(halfwidth=8.0, spacing=2.0**-5)
     f = GridFunction.from_callable(g, lambda x: x**2)
     for r in (0.25, 1.0, 4.0):
+        b = Ball((0.0,), r)
         want = r * (r - g.spacing) / 3.0
-        assert ball_average(f, Ball((0.0,), r)) == pytest.approx(want, rel=1e-13)
+        mean = float(np.sum(ball_member_values(f, b))) * g.cell_volume / ball_volume(g, b)
+        assert mean == pytest.approx(want, rel=1e-13)
 
 
 def test_ball_average_rejects_boundary_ball():
     g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.constant(g, 1.0)
     with pytest.raises(OutOfDomainError):
-        ball_average(f, Ball((3.0,), 1.0))  # touches x = 4
+        ball_member_values(f, Ball((3.0,), 1.0))  # touches x = 4
 
 
 def test_ball_volume_is_count_times_cell():
@@ -113,16 +114,6 @@ def test_mean_oscillation_constant_is_zero():
     assert mean_oscillation(f, Ball((1.0,), 1.0)) == 0.0
 
 
-def test_mean_oscillation_p1_matches_direct():
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    rng = np.random.default_rng(11)
-    f = GridFunction(g, rng.normal(size=g.shape))
-    b = Ball((0.5,), 1.5)
-    vals = ball_member_values(f, b)
-    want = np.mean(np.abs(vals - vals.mean()))
-    assert mean_oscillation(f, b, p=1.0) == pytest.approx(want)
-
-
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=-8, max_value=8),
@@ -139,23 +130,30 @@ def test_table_ball_average_matches_naive(m, ci, seed):
         return
     table = SummedTable(g, f.values)
     naive = float(np.mean(ball_member_values(f, b)))
-    assert ball_average(f, b, table=table) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+    ci = g.coord_to_index(np.array([c]))
+    table_mean = float(table.ball_sum(ci, m)[0]) / ball_sample_count(g, b)
+    assert table_mean == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
 
 def test_offgrid_ball_falls_back_to_naive():
     g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.from_callable(g, lambda x: x)
     b = Ball((0.1,), 0.6)  # neither center nor radius on the lattice
-    vals = ball_member_values(f, b)
-    assert ball_average(f, b) == pytest.approx(float(np.mean(vals)))
+    # strictly inside (-0.5, 0.7): the samples -0.25, 0, 0.25, 0.5
+    assert np.array_equal(ball_member_values(f, b), [-0.25, 0.0, 0.25, 0.5])
+    assert ball_sample_count(g, b) == 4
 
 
 def test_ball_average_empty_ball_raises():
     g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.constant(g, 1.0)
     # center in a cell interior, radius too small to reach any sample
+    b = Ball((0.125,), 0.1)
+    assert ball_member_values(f, b).size == 0
     with pytest.raises(DegenerateRegionError):
-        ball_average(f, Ball((0.125,), 0.1))
+        ball_volume(g, b)
+    with pytest.raises(DegenerateRegionError):
+        mean_oscillation(f, b)
 
 
 def test_ball_center_must_have_one_coordinate():

@@ -6,9 +6,7 @@ import pytest
 from oscillab.errors import BracketError, ConfigError
 from oscillab.grid import Grid, GridFunction
 from oscillab.potential import (
-    CriticalRadiusOptions,
     constant_potential,
-    critical_radius,
     normalized_mass,
     power_potential,
     rho_values_for,
@@ -43,26 +41,24 @@ def test_is_zero():
     assert tabulated_potential(GridFunction.constant(g, 0.0)).is_zero()
 
 
+def _rho_at(V, x):
+    return solve_critical_radius(V, np.array([x], dtype=np.float64)).values[0]
+
+
 def test_critical_radius_constant_closed_forms():
     # I(x, r) = c * v_n * r^2, so rho = (c * v_n)^(-1/2)
-    assert critical_radius(constant_potential(1.0, 1), [0.0]) == pytest.approx(
-        2.0**-0.5, abs=1e-9
-    )
-    assert critical_radius(constant_potential(1.0, 2), [0.0, 0.0]) == pytest.approx(
-        math.pi**-0.5, abs=1e-9
-    )
-    assert critical_radius(constant_potential(4.0, 1), [7.0]) == pytest.approx(
-        8.0**-0.5, abs=1e-9
-    )
+    assert _rho_at(constant_potential(1.0, 1), [0.0]) == pytest.approx(2.0**-0.5, abs=1e-9)
+    assert _rho_at(constant_potential(1.0, 2), [0.0, 0.0]) == pytest.approx(math.pi**-0.5, abs=1e-9)
+    assert _rho_at(constant_potential(4.0, 1), [7.0]) == pytest.approx(8.0**-0.5, abs=1e-9)
 
 
 def test_critical_radius_power_origin_closed_forms():
     # n=1, eps=3/2: I(0, r) = 4 r^(3/2), rho(0) = 2^(-4/3)
     V = power_potential(1.5, 1)
-    assert critical_radius(V, [0.0]) == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-9)
+    assert _rho_at(V, [0.0]) == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-9)
     # n=3, eps=1/2: I(0, r) = (8 pi / 3) sqrt(r), rho(0) = (3/(8 pi))^2
     V3 = power_potential(0.5, 3)
-    assert critical_radius(V3, [0.0, 0.0, 0.0]) == pytest.approx(
+    assert _rho_at(V3, [0.0, 0.0, 0.0]) == pytest.approx(
         (3.0 / (8.0 * math.pi)) ** 2, rel=1e-6
     )
 
@@ -70,8 +66,8 @@ def test_critical_radius_power_origin_closed_forms():
 def test_critical_radius_power_far_field_scaling():
     # away from the singularity rho(x) ~ (2a)^(-1/2) |x|^(1 - eps/2)
     V = power_potential(1.5, 1, amplitude=2.0)
-    r1 = critical_radius(V, [100.0])
-    r4 = critical_radius(V, [400.0])
+    r1 = _rho_at(V, [100.0])
+    r4 = _rho_at(V, [400.0])
     assert r4 / r1 == pytest.approx(4.0 ** (1.0 - 0.75), rel=5e-3)
     assert r1 == pytest.approx(0.5 * 100.0**0.25, rel=5e-3)
 
@@ -86,25 +82,12 @@ def test_bracket_error_when_floor_too_coarse():
     V = power_potential(1.05, 1, amplitude=1e12)
     with pytest.raises(BracketError):
         solve_critical_radius(V, np.array([[0.0]]))
-    # a lower floor fixes it
-    fld = solve_critical_radius(
-        V, np.array([[0.0]]), CriticalRadiusOptions(r_min=1e-14)
-    )
-    assert fld.values[0] > 0
-
-
-def test_options_validation():
-    with pytest.raises(ConfigError):
-        CriticalRadiusOptions(scan_ratio=1.0)
-    with pytest.raises(ConfigError):
-        CriticalRadiusOptions(bisect_steps=0)
 
 
 def test_tabulated_radius_tracks_constant():
     g = Grid(halfwidth=8.0, spacing=2.0**-6)
     V = tabulated_potential(GridFunction.constant(g, 1.0))
-    got = critical_radius(V, [0.0])
-    assert got == pytest.approx(2.0**-0.5, abs=2 * g.spacing)
+    assert _rho_at(V, [0.0]) == pytest.approx(2.0**-0.5, abs=2 * g.spacing)
 
 
 def test_tabulated_saturates_at_box_margin():
@@ -136,7 +119,7 @@ def test_rho_values_for_accepted_forms():
     centers = np.array([[0.0], [1.0]])
     assert np.allclose(rho_values_for(0.5, centers), [0.5, 0.5])
     assert np.allclose(rho_values_for(np.array([0.5, 0.25]), centers), [0.5, 0.25])
-    fld = solve_critical_radius(constant_potential(1.0, 1), centers)
-    assert np.allclose(rho_values_for(fld, centers), fld.values)
-    got = rho_values_for(lambda c: np.full(c.shape[0], 0.125), centers)
-    assert np.allclose(got, 0.125)
+    with pytest.raises(ConfigError):
+        rho_values_for(np.array([0.5, 0.25, 0.125]), centers)
+    with pytest.raises(ConfigError):
+        rho_values_for(None, centers)

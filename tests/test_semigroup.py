@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
-from oscillab.errors import ConfigError, GridMismatchError, LadderError
+from oscillab.errors import ConfigError, GridMismatchError
 from oscillab.grid import Grid, GridFunction
 from oscillab.potential import constant_potential, power_potential, tabulated_potential, zero_potential
 from oscillab.semigroup import (
@@ -167,19 +167,13 @@ def test_apply_spectral_rejects_other_grid(small_op):
         heat(small_op, GridFunction.constant(other, 1.0), 0.1)
 
 
-def test_ladder_construction_and_truncate():
+def test_ladder_construction():
     lad = TLadder.geometric(0.01, 1.0, per_decade=8)
     assert lad.values[0] == 0.01
     assert lad.values[-1] == 1.0
     assert np.all(np.diff(lad.values) > 0)
     # trapezoid weights in log t telescope to log(t_max / t_min)
     assert np.sum(lad.log_weights) == pytest.approx(math.log(100.0))
-    cut = lad.truncate(0.1)
-    assert cut.values[-1] <= 0.1 * (1 + 1e-12)
-    with pytest.raises(LadderError):
-        lad.truncate(0.001)
-    with pytest.raises(LadderError):
-        lad.truncate(5.0)
     with pytest.raises(ConfigError):
         TLadder(np.array([0.2, 0.1]))
     with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscillab.errors import ConfigError
-from oscillab.family import FamilyPolicy, LimitCurve, make_ball_family
+from oscillab.family import LimitCurve
 from oscillab.grid import Grid, GridFunction
 from oscillab.serialize import (
     canonical_json,
@@ -13,7 +13,6 @@ from oscillab.serialize import (
     load_grid_function,
     load_samples,
     save_curves_csv,
-    save_family_csv,
     save_grid_function,
     save_json,
     save_samples,
@@ -111,13 +110,3 @@ def test_curves_csv_marks_absent_buckets(tmp_path):
     assert lines[2] == "small-radius,2.0,nan,0,0"
     assert lines[3] == "small-radius,4.0,2.0,1,1"
 
-
-def test_family_csv_shape_and_validation(tmp_path):
-    g = Grid(halfwidth=8.0, spacing=0.25)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
-    p = save_family_csv(tmp_path / "f.csv", fam, columns={"metric": np.ones(len(fam))})
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "center_x,radius,inner_distance,metric"
-    assert len(lines) == len(fam) + 1
-    with pytest.raises(ConfigError):
-        save_family_csv(tmp_path / "g.csv", fam, columns={"metric": [1.0]})
