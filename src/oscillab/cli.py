@@ -45,75 +45,53 @@ def _build_parser() -> argparse.ArgumentParser:
     bmop = sub.add_parser(
         "bmo", parents=[common], help="oscillation norms and verdicts for one corpus member"
     )
-    bmop.add_argument("--member", default="bump-narrow")
-    bmop.add_argument("--halfwidth", type=float, default=16.0)
-    bmop.add_argument("--spacing", type=float, default=2.0**-6)
+    bmop.add_argument("--member")
+    bmop.add_argument("--halfwidth", type=float)
+    bmop.add_argument("--spacing", type=float)
 
     tentp = sub.add_parser("tent", parents=[common], help="tent norms of the square-function field")
-    tentp.add_argument("--member", default="bump-narrow")
-    tentp.add_argument("--halfwidth", type=float, default=16.0)
-    tentp.add_argument("--spacing", type=float, default=2.0**-6)
+    tentp.add_argument("--member")
+    tentp.add_argument("--halfwidth", type=float)
+    tentp.add_argument("--spacing", type=float)
 
     pairp = sub.add_parser("pairing", parents=[common], help="reproducing-formula pairing cross-check")
-    pairp.add_argument("--left", default="gaussian")
-    pairp.add_argument("--right", default="gaussian")
-    pairp.add_argument("--halfwidth", type=float, default=16.0)
-    pairp.add_argument("--spacing", type=float, default=2.0**-6)
-    pairp.add_argument("--tolerance", type=float, default=None, help="fail above this relative error")
+    pairp.add_argument("--left")
+    pairp.add_argument("--right")
+    pairp.add_argument("--halfwidth", type=float)
+    pairp.add_argument("--spacing", type=float)
+    pairp.add_argument("--tolerance", type=float, help="fail above this relative error")
 
     uchp = sub.add_parser(
         "uchiyama", parents=[common], help="region-dependent dyadic averaging with the P1/P2 gate"
     )
-    uchp.add_argument("--member", default="bump-narrow")
-    uchp.add_argument("--halfwidth", type=float, default=64.0)
-    uchp.add_argument("--spacing", type=float, default=2.0**-5)
-    uchp.add_argument("--eps", type=float, default=None, help="absolute approximation budget")
-    uchp.add_argument("--eps-fraction", type=float, default=0.1, help="eps as a fraction of the norm")
-    uchp.add_argument("--osc-fraction", type=float, default=None, help="oscillation share of eps")
+    uchp.add_argument("--member")
+    uchp.add_argument("--halfwidth", type=float)
+    uchp.add_argument("--spacing", type=float)
+    uchp.add_argument("--eps", type=float, help="absolute approximation budget")
+    uchp.add_argument("--eps-fraction", type=float, help="eps as a fraction of the norm")
+    uchp.add_argument("--osc-fraction", type=float, help="oscillation share of eps")
     return ap
 
 
+# shorthand subcommand -> the scenario it runs
+_SHORTHANDS = {
+    "bmo": "bmo-norms",
+    "tent": "tent-norms",
+    "pairing": "reproducing-pairing",
+    "uchiyama": "averaging-pipeline",
+}
+
+# flag dest -> the config key it sets; every other given flag of a
+# shorthand is a scenario parameter of the same name
+_CONFIG_FLAGS = {"seed": "seed", "out": "out_dir", "op_cap": "op_cap", "interior_window": "interior_window"}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> dict:
-    if args.command == "bmo":
-        return {
-            "id": "bmo-norms",
-            "member": args.member,
-            "halfwidth": args.halfwidth,
-            "spacing": args.spacing,
-        }
-    if args.command == "tent":
-        return {
-            "id": "tent-norms",
-            "member": args.member,
-            "halfwidth": args.halfwidth,
-            "spacing": args.spacing,
-        }
-    if args.command == "pairing":
-        s = {
-            "id": "reproducing-pairing",
-            "left": args.left,
-            "right": args.right,
-            "halfwidth": args.halfwidth,
-            "spacing": args.spacing,
-        }
-        if args.tolerance is not None:
-            s["tolerance"] = args.tolerance
-        return s
-    if args.command == "uchiyama":
-        s = {
-            "id": "averaging-pipeline",
-            "member": args.member,
-            "halfwidth": args.halfwidth,
-            "spacing": args.spacing,
-        }
-        if args.eps is not None:
-            s["eps"] = args.eps
-        else:
-            s["eps_fraction"] = args.eps_fraction
-        if args.osc_fraction is not None:
-            s["osc_fraction"] = args.osc_fraction
-        return s
-    raise AssertionError(args.command)
+    """The shorthand's scenario with the flags that were given; the
+    scenario's parameter table supplies the rest."""
+    skip = {"command", "threads", *_CONFIG_FLAGS}
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    return {"id": _SHORTHANDS[args.command], **given}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,14 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         doc = {"scenarios": [_scenario_from_args(args)]}
 
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    if args.op_cap is not None:
-        doc["op_cap"] = args.op_cap
-    if args.interior_window is not None:
-        doc["interior_window"] = args.interior_window
+    for flag, key in _CONFIG_FLAGS.items():
+        if getattr(args, flag) is not None:
+            doc[key] = getattr(args, flag)
 
     try:
         cfg = ExperimentConfig.from_dict(doc)
@@ -176,9 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    out = doc.get("out_dir", "oscillab-out")
     n = len(summary["scenarios"])
-    print(f"ok: {n} scenario{'s' if n != 1 else ''}, bundle in {out}")
+    print(f"ok: {n} scenario{'s' if n != 1 else ''}, bundle in {cfg.out_dir}")
     return 0
 
 

@@ -11,10 +11,11 @@ inspectable artifacts.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,6 +69,9 @@ from .serialize import (
 from .tent import gradient_carleson_curves, hmo_norm, reproducing_pairing_check, t2p_norm, tent_curves
 
 RHO_CONSTANT_UNIT = 2.0**-0.5  # critical radius of the unit potential in 1-D
+# the corpus grid [-16, 16] at spacing 2^-6, where the operator scenarios run by default
+CORPUS_HALFWIDTH = 16.0
+CORPUS_SPACING = 2.0**-6
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +348,8 @@ class MembershipReport:
 
 def exp_square_membership(
     member: CorpusMember | str,
-    halfwidth: float = 16.0,
-    spacing: float = 2.0**-6,
+    halfwidth: float = CORPUS_HALFWIDTH,
+    spacing: float = CORPUS_SPACING,
     policy: Optional[FamilyPolicy] = None,
     cap: int = DEFAULT_OP_CAP,
     tol_fraction: float = 0.05,
@@ -431,8 +435,8 @@ class ExtensionReport:
 
 def exp_extension_agreement(
     member: CorpusMember | str,
-    halfwidth: float = 16.0,
-    spacing: float = 2.0**-6,
+    halfwidth: float = CORPUS_HALFWIDTH,
+    spacing: float = CORPUS_SPACING,
     policy: Optional[FamilyPolicy] = None,
     cap: int = DEFAULT_OP_CAP,
     tol_fraction: float = 0.05,
@@ -627,15 +631,209 @@ def exp_pipeline(
 
 
 # ---------------------------------------------------------------------------
+# config parameters: one table of kinds per scenario
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of config value.  ``ok`` accepts the JSON value; ``typed``
+    returns it as the runners read it and checks any object nested in it,
+    ``where`` naming the key.  A default that is not None fills in an
+    absent key; ``KIND(value)`` is the kind with that default."""
+
+    what: str
+    ok: Callable[[object], bool]
+    typed: Callable[[str, object], object] = lambda where, v: v
+    default: object = None
+
+    def __call__(self, default) -> "_Kind":
+        return replace(self, default=default)
+
+    def check(self, where: str, value):
+        if not self.ok(value):
+            raise ConfigError(f"{where} must be {self.what}, got {value!r}")
+        return self.typed(where, value)
+
+
+def _checked(where: str, kinds: dict[str, _Kind], given: dict, required: tuple[str, ...] = ()) -> dict:
+    """The given keys checked against their kinds, plus the defaults of the
+    absent ones; an unknown or missing key raises ConfigError."""
+    unknown = sorted(set(given) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    out = {k: kind.default for k, kind in kinds.items() if kind.default is not None}
+    out.update((k, kinds[k].check(f"{where}: {k!r}", v)) for k, v in given.items())
+    return out
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_FLOAT = _Kind("a number", _number, lambda where, v: float(v))
+_STR = _Kind("a string", lambda v: isinstance(v, str))
+_BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
+_MEMBERS = _Kind("a list of member names", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v))
+_EXPONENTS = _Kind(
+    'a list of numbers and "inf"',
+    lambda v: isinstance(v, list) and all(e == "inf" or _number(e) for e in v),
+    lambda where, v: tuple(math.inf if e == "inf" else float(e) for e in v),
+)
+_EXPECT = _Kind(
+    "'member' or 'nonmember'",
+    lambda v: isinstance(v, str) and v.upper() in ("MEMBER", "NONMEMBER"),
+    lambda where, v: v.upper(),
+)
+_RADII = _Kind(
+    "a list of numbers",
+    lambda v: isinstance(v, list) and all(_number(r) for r in v),
+    lambda where, v: tuple(float(r) for r in v),
+)
+
+# every FamilyPolicy field is a number but the radii; the fields without a
+# default are required
+_FAMILY_KINDS = {f.name: _RADII if f.name == "radii" else _FLOAT for f in fields(FamilyPolicy)}
+_FAMILY_REQUIRED = tuple(f.name for f in fields(FamilyPolicy) if f.default is MISSING)
+_FAMILY = _Kind(
+    "an object of family policy fields",
+    lambda v: isinstance(v, dict),
+    lambda where, v: FamilyPolicy(**_checked(where, _FAMILY_KINDS, v, _FAMILY_REQUIRED)),
+)
+
+# potential kind -> (its keys, the required ones, its constructor in dimension n)
+_POTENTIALS = {
+    "zero": ({}, (), zero_potential),
+    "constant": ({"value": _FLOAT(1.0)}, (), lambda n, value: constant_potential(value, n)),
+    "power": (
+        {"exponent": _FLOAT, "amplitude": _FLOAT},
+        ("exponent",),
+        lambda n, exponent, **amplitude: power_potential(exponent, n, **amplitude),
+    ),
+}
+
+
+def _potential(where: str, spec: dict) -> Callable[[int], Potential]:
+    """A potential spec checked against its kind's keys, as the constructor
+    of that potential in the scenario's dimension."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise ConfigError(f"{where}: 'kind' must be one of {sorted(_POTENTIALS)}, got {kind!r}")
+    keys, required, build = _POTENTIALS[kind]
+    rest = {k: v for k, v in spec.items() if k != "kind"}
+    return functools.partial(build, **_checked(where, keys, rest, required))
+
+
+_POTENTIAL = _Kind("an object with a 'kind'", lambda v: isinstance(v, dict), _potential)
+
+_CORPUS_GRID = {"halfwidth": _FLOAT(CORPUS_HALFWIDTH), "spacing": _FLOAT(CORPUS_SPACING)}
+_AGREEMENT_PARAMS = {
+    **_CORPUS_GRID,
+    "members": _MEMBERS,
+    "family": _FAMILY,
+    "tol_fraction": _FLOAT,
+    "decay_factor": _FLOAT,
+    "assert_members": _MEMBERS(()),
+}
+
+# Every scenario parameter and its kind.  A default stands here only for a
+# key the runner reads itself; an absent key that the runner only forwards
+# to an exp_* function takes that function's default.  The agreement
+# runners read the grid to share one operator, and the corpus grid is the
+# exp_* default too, so both name CORPUS_HALFWIDTH and CORPUS_SPACING.
+_SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
+    "rho-slope": {
+        "n": _INT(1),
+        "points": _INT,
+        "potential": _POTENTIAL,
+        **dict.fromkeys(("exponent", "amplitude", "x_min", "x_max", "jitter", "tolerance"), _FLOAT),
+    },
+    "lacunary-separation": {
+        "k_max": _INT,
+        "assert_verdicts": _BOOL(True),
+        **dict.fromkeys(
+            ("exponent", "amplitude", "halfwidth", "spacing", "stride", "radius_max", "distance_max",
+             "tol_fraction", "decay_factor", "floor_factor"),
+            _FLOAT,
+        ),
+    },
+    "square-function-agreement": _AGREEMENT_PARAMS,
+    "extension-agreement": _AGREEMENT_PARAMS,
+    "approximation-pipeline": {
+        "member": _STR,
+        "expect": _EXPECT("MEMBER"),
+        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing", "stride", "osc_fraction", "corpus_factor"), _FLOAT),
+    },
+    "bmo-norms": {
+        **_CORPUS_GRID,
+        "member": _STR("bump-narrow"),
+        "family": _FAMILY,
+        "tol_fraction": _FLOAT(0.05),
+        "decay_factor": _FLOAT(4.0),
+    },
+    "tent-norms": {
+        **_CORPUS_GRID,
+        "member": _STR("bump-narrow"),
+        "family": _FAMILY,
+        "exponents": _EXPONENTS((2.0, math.inf)),
+    },
+    "reproducing-pairing": {
+        **_CORPUS_GRID,
+        "left": _STR("gaussian"),
+        "right": _STR("gaussian"),
+        "t_min": _FLOAT,
+        "t_max": _FLOAT,
+        "per_decade": _INT(16),
+        "tolerance": _FLOAT,
+    },
+    "averaging-pipeline": {
+        "member": _STR("bump-narrow"),
+        "halfwidth": _FLOAT(64.0),
+        "spacing": _FLOAT(2.0**-5),
+        "eps": _FLOAT,
+        "eps_fraction": _FLOAT(0.1),
+        "osc_fraction": _FLOAT(0.125),
+        "family": _FAMILY,
+    },
+}
+
+
+def _scenario(s: dict) -> tuple[str, str, dict]:
+    """(id, name, checked parameters) of one scenario object."""
+    sid = s.get("id")
+    if not isinstance(sid, str) or sid not in _SCENARIO_PARAMS:
+        raise ConfigError(f"unknown scenario id {sid!r}; known: {sorted(_SCENARIO_PARAMS)}")
+    name = s.get("name", sid)
+    # the name is the scenario's directory inside the bundle
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"scenario {sid!r}: 'name' must be a single path component, got {name!r}")
+    params = {k: v for k, v in s.items() if k not in ("id", "name")}
+    return sid, name, _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
+
+
+_TOP_PARAMS = {
+    "scenarios": _Kind(
+        "a list of objects",
+        lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+        lambda where, v: [_scenario(s) for s in v],
+    ),
+    "out_dir": _STR,
+    "seed": _INT,
+    "op_cap": _INT,
+    "interior_window": _FLOAT,
+}
+
+
+# ---------------------------------------------------------------------------
 # config-driven runner
-
-
-_TOP_KEYS = {"scenarios", "out_dir", "seed", "op_cap", "interior_window"}
 
 
 @dataclass
 class ExperimentConfig:
-    scenarios: list[dict]
+    scenarios: list[tuple[str, str, dict]] = field(default_factory=list)  # (id, name, parameters)
     out_dir: str = "oscillab-out"
     seed: int = 0
     op_cap: int = DEFAULT_OP_CAP
@@ -644,121 +842,34 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """The config checked whole, every scenario parameter included,
+        before any scenario runs."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(d) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        scenarios = d.get("scenarios", [])
-        if not isinstance(scenarios, list) or any(not isinstance(s, dict) for s in scenarios):
-            raise ConfigError("'scenarios' must be a list of objects")
-        names = set()
-        for s in scenarios:
-            sid = s.get("id")
-            if sid not in _SCENARIOS:
-                raise ConfigError(f"unknown scenario id {sid!r}; known: {sorted(_SCENARIOS)}")
-            name = s.get("name", sid)
-            if name in names:
+        cfg = ExperimentConfig(raw=d, **_checked("config", _TOP_PARAMS, d))
+        names = [name for _, name, _ in cfg.scenarios]
+        for name in names:
+            if names.count(name) > 1:
                 raise ConfigError(f"duplicate scenario name {name!r}")
-            names.add(name)
-        seed = d.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("'seed' must be an integer")
-        cap = d.get("op_cap", DEFAULT_OP_CAP)
-        if not isinstance(cap, int) or cap < 2:
+        if cfg.seed < 0:
+            raise ConfigError("'seed' must be >= 0")
+        if cfg.op_cap < 2:
             raise ConfigError("'op_cap' must be an integer >= 2")
-        window = d.get("interior_window", 1.0 / 3.0)
-        if not (isinstance(window, (int, float)) and 0 < window <= 1):
+        if not 0 < cfg.interior_window <= 1:
             raise ConfigError("'interior_window' must lie in (0, 1]")
-        return ExperimentConfig(
-            scenarios=scenarios,
-            out_dir=str(d.get("out_dir", "oscillab-out")),
-            seed=seed,
-            op_cap=cap,
-            interior_window=float(window),
-            raw=d,
-        )
+        return cfg
 
 
-def _params(scenario: dict, allowed: set[str], required: set[str] = frozenset()) -> dict:
-    p = {k: v for k, v in scenario.items() if k not in ("id", "name")}
-    unknown = set(p) - allowed
-    if unknown:
-        raise ConfigError(f"scenario {scenario.get('id')!r}: unknown parameters {sorted(unknown)}")
-    missing = required - set(p)
-    if missing:
-        raise ConfigError(f"scenario {scenario.get('id')!r}: missing parameters {sorted(missing)}")
-    return p
-
-
-def _typed(sid: str, key: str, value, ok: bool, what: str):
-    """value when ok, else ConfigError naming the scenario and parameter."""
-    if not ok:
-        raise ConfigError(f"scenario {sid!r}: {key!r} must be {what}, got {value!r}")
-    return value
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _assert_members(sid: str, kw: dict) -> set[str]:
-    v = kw.pop("assert_members", [])
-    ok = isinstance(v, list) and all(isinstance(m, str) for m in v)
-    return set(_typed(sid, "assert_members", v, ok, "a list of member names"))
-
-
-def _parse_grid(p: dict, default_halfwidth: float = 16.0, default_spacing: float = 2.0**-6) -> Grid:
-    return Grid(
-        halfwidth=float(p.get("halfwidth", default_halfwidth)),
-        spacing=float(p.get("spacing", default_spacing)),
-    )
-
-
-def _parse_policy(p: Optional[dict], grid: Grid) -> FamilyPolicy:
-    if p is None:
-        return _default_corpus_policy(grid)
-    allowed = {
-        "center_stride",
-        "radii",
-        "radius_min",
-        "radius_ratio",
-        "radius_max",
-        "max_center_norm",
-        "distance_min",
-        "distance_ratio",
-        "distance_max",
-    }
-    unknown = set(p) - allowed
-    if unknown:
-        raise ConfigError(f"unknown family keys {sorted(unknown)}")
-    kw = dict(p)
-    if "radii" in kw and kw["radii"] is not None:
-        kw["radii"] = tuple(float(r) for r in kw["radii"])
-    return FamilyPolicy(**kw)
-
-
-def _parse_potential(p: Optional[dict], n: int) -> Potential:
-    if p is None:
-        return constant_potential(1.0, n)
-    kind = p.get("kind")
-    if kind == "zero":
-        return zero_potential(n)
-    if kind == "constant":
-        return constant_potential(float(p.get("value", 1.0)), n)
-    if kind == "power":
-        return power_potential(float(p["exponent"]), n, amplitude=float(p.get("amplitude", 1.0)))
-    raise ConfigError(f"unknown potential kind {kind!r} (config supports zero/constant/power)")
+# Each runner takes its checked parameters (a fresh dict it may consume),
+# the config, its output directory and the run's PRNG stream, and returns
+# its summary fragment and the failed checks.
 
 
 def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params({"id": "rho-slope", **p}, {"n", "exponent", "amplitude", "x_min", "x_max", "points", "potential", "jitter", "tolerance"})
-    n = kw.pop("n", 1)
-    _typed("rho-slope", "n", n, _is_int(n), "an integer")
-    tol = kw.pop("tolerance", None)
-    pot = kw.pop("potential", None)
-    potential = _parse_potential(pot, n) if pot is not None else None
-    rep = exp_rho_slope(n, potential=potential, rng=rng, **kw)
+    tol = p.pop("tolerance", None)
+    if "potential" in p:
+        p["potential"] = p["potential"](p["n"])
+    rep = exp_rho_slope(rng=rng, **p)
     with (out / "rho.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "rho"])
@@ -775,26 +886,8 @@ def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 
 
 def _run_lacunary(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "lacunary-separation", **p},
-        {
-            "k_max",
-            "exponent",
-            "amplitude",
-            "halfwidth",
-            "spacing",
-            "stride",
-            "radius_max",
-            "distance_max",
-            "tol_fraction",
-            "decay_factor",
-            "floor_factor",
-            "assert_verdicts",
-        },
-    )
-    check = kw.pop("assert_verdicts", True)
-    _typed("lacunary-separation", "assert_verdicts", check, isinstance(check, bool), "true or false")
-    rep = exp_lacunary(**kw)
+    check = p.pop("assert_verdicts")
+    rep = exp_lacunary(**p)
     save_curves_csv(out / "curves.csv", [rep.curves[m] for m in sorted(rep.curves)])
     failures = []
     if check:
@@ -814,90 +907,40 @@ def _run_lacunary(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gene
     return rep.to_dict(), failures
 
 
-def _run_membership(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "square-function-agreement", **p},
-        {"members", "halfwidth", "spacing", "family", "tol_fraction", "decay_factor", "assert_members"},
-    )
-    names = kw.pop("members", None) or [m.name for m in CORPUS]
-    assert_members = _assert_members("square-function-agreement", kw)
-    fam_spec = kw.pop("family", None)
-    grid = _parse_grid({"halfwidth": kw.get("halfwidth", 16.0), "spacing": kw.get("spacing", 2.0**-6)})
-    policy = _parse_policy(fam_spec, grid)
+# agreement scenario id -> (its experiment, the curve sides it writes)
+_AGREEMENT = {
+    "square-function-agreement": (exp_square_membership, ("gamma", "eta")),
+    "extension-agreement": (exp_extension_agreement, ("beta", "gamma")),
+}
+
+
+def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    """Both agreement scenarios: one operator for all members, and per
+    member its report and the curves of both sides."""
+    experiment, sides = _AGREEMENT[sid]
+    names = p.pop("members", None) or [m.name for m in CORPUS]
+    asserted = p.pop("assert_members")
+    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
+    policy = p.pop("family", None) or _default_corpus_policy(grid)
     op = _operator_for(grid, cfg.op_cap)
     sub = {}
     failures = []
     for name in names:
-        rep = exp_square_membership(
-            name,
-            halfwidth=grid.halfwidth,
-            spacing=grid.spacing,
-            policy=policy,
-            cap=cfg.op_cap,
-            tol_fraction=float(kw.get("tol_fraction", 0.05)),
-            decay_factor=float(kw.get("decay_factor", 4.0)),
-            op=op,
-        )
+        rep = experiment(name, policy=policy, op=op, **p)
         sub[name] = rep.to_dict()
-        save_curves_csv(out / f"{name}-gamma.csv", [rep.gamma_curves[m] for m in sorted(rep.gamma_curves)])
-        save_curves_csv(out / f"{name}-eta.csv", [rep.eta_curves[m] for m in sorted(rep.eta_curves)])
-        if name in assert_members and not rep.agree:
-            failures.append(f"square-function-agreement: verdicts disagree on {name}")
-    return {"members": sub}, failures
-
-
-def _run_extension(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "extension-agreement", **p},
-        {"members", "halfwidth", "spacing", "family", "tol_fraction", "decay_factor", "assert_members"},
-    )
-    names = kw.pop("members", None) or [m.name for m in CORPUS]
-    assert_members = _assert_members("extension-agreement", kw)
-    fam_spec = kw.pop("family", None)
-    grid = _parse_grid({"halfwidth": kw.get("halfwidth", 16.0), "spacing": kw.get("spacing", 2.0**-6)})
-    policy = _parse_policy(fam_spec, grid)
-    op = _operator_for(grid, cfg.op_cap)
-    sub = {}
-    failures = []
-    for name in names:
-        rep = exp_extension_agreement(
-            name,
-            halfwidth=grid.halfwidth,
-            spacing=grid.spacing,
-            policy=policy,
-            cap=cfg.op_cap,
-            tol_fraction=float(kw.get("tol_fraction", 0.05)),
-            decay_factor=float(kw.get("decay_factor", 4.0)),
-            op=op,
-        )
-        sub[name] = rep.to_dict()
-        save_curves_csv(out / f"{name}-beta.csv", [rep.beta_curves[m] for m in sorted(rep.beta_curves)])
-        save_curves_csv(out / f"{name}-gamma.csv", [rep.gamma_curves[m] for m in sorted(rep.gamma_curves)])
-        if name in assert_members and not rep.agree:
-            failures.append(f"extension-agreement: verdicts disagree on {name}")
+        for side in sides:
+            curves = getattr(rep, f"{side}_curves")
+            save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
+        if name in asserted and not rep.agree:
+            failures.append(f"{sid}: verdicts disagree on {name}")
         if rep.ratio is not None and not math.isfinite(rep.ratio):
-            failures.append(f"extension-agreement: non-finite norm ratio on {name}")
+            failures.append(f"{sid}: non-finite norm ratio on {name}")
     return {"members": sub}, failures
 
 
 def _run_pipeline(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "approximation-pipeline", **p},
-        {
-            "member",
-            "eps_fraction",
-            "halfwidth",
-            "spacing",
-            "stride",
-            "osc_fraction",
-            "corpus_factor",
-            "expect",
-        },
-    )
-    expect = kw.pop("expect", "member")
-    ok = isinstance(expect, str) and expect.upper() in ("MEMBER", "NONMEMBER")
-    expect = _typed("approximation-pipeline", "expect", expect, ok, "'member' or 'nonmember'").upper()
-    rep = exp_pipeline(**kw)
+    expect = p.pop("expect")
+    rep = exp_pipeline(**p)
     failures = []
     if rep.verdict != expect:
         failures.append(f"approximation-pipeline: verdict {rep.verdict}, expected {expect}")
@@ -921,16 +964,15 @@ def _arg_sup_ball(fam: BallFamily, split: SplitNormReport) -> Ball:
     return fam.ball(split.size_arg if split.size_present else split.oscillation_arg)
 
 
+def _grid_and_family(p: dict) -> tuple[Grid, BallFamily]:
+    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
+    return grid, make_ball_family(grid, p.get("family") or _default_corpus_policy(grid))
+
+
 def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "bmo-norms", **p},
-        {"member", "halfwidth", "spacing", "family", "tol_fraction", "decay_factor"},
-    )
-    grid = _parse_grid(kw)
-    policy = _parse_policy(kw.get("family"), grid)
+    grid, fam = _grid_and_family(p)
     op = _operator_for(grid, cfg.op_cap)
-    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
-    fam = make_ball_family(grid, policy)
+    f = member_by_name(p["member"]).build(grid)
     ladder = default_ladder(grid)
 
     from .oscillation import tilde_bmo_l_norm
@@ -940,16 +982,14 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
     tilde = tilde_bmo_l_norm(f, op, fam, ladder)
     curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
-    tolf = float(kw.get("tol_fraction", 0.05))
-    decf = float(kw.get("decay_factor", 4.0))
     # a family with no supercritical ball leaves the two supercritical
     # curves without buckets; classify only the curves that have some
     present = {mode: c for mode, c in curves.items() if np.any(c.present)}
-    verdicts = _verdict_map(present, tolf * split.value, decf)
+    verdicts = _verdict_map(present, p["tol_fraction"] * split.value, p["decay_factor"])
     save_curves_csv(out / "curves.csv", [curves[m] for m in sorted(curves)])
     fam_ball = _arg_sup_ball(fam, split)
     summary = {
-        "member": str(kw.get("member", "bump-narrow")),
+        "member": p["member"],
         "bmo": plain.value,
         "bmo_l": split.value,
         "bmo_l_oscillation_part": split.oscillation_part,
@@ -962,25 +1002,12 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 
 
 def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "tent-norms", **p},
-        {"member", "halfwidth", "spacing", "family", "exponents"},
-    )
-    exponents = kw.get("exponents", [2.0, "inf"])
-    ok = isinstance(exponents, list) and all(
-        e == "inf" or (isinstance(e, (int, float)) and not isinstance(e, bool)) for e in exponents
-    )
-    _typed("tent-norms", "exponents", exponents, ok, 'a list of numbers and "inf"')
-    grid = _parse_grid(kw)
-    policy = _parse_policy(kw.get("family"), grid)
+    grid, fam = _grid_and_family(p)
     op = _operator_for(grid, cfg.op_cap)
-    f = member_by_name(str(kw.get("member", "bump-narrow"))).build(grid)
-    fam = make_ball_family(grid, policy)
-    ladder = default_ladder(grid)
-    F = square_function_field(op, f, ladder)
+    f = member_by_name(p["member"]).build(grid)
+    F = square_function_field(op, f, default_ladder(grid))
     norms = {}
-    for e in exponents:
-        pe = math.inf if e in ("inf", math.inf) else float(e)
+    for pe in p["exponents"]:
         rep = t2p_norm(F, pe, family=fam)
         norms["inf" if pe == math.inf else repr(pe)] = {
             "value": rep.value,
@@ -988,34 +1015,28 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
         }
     curves = tent_curves(F, fam)
     save_curves_csv(out / "tent-curves.csv", [curves[m] for m in sorted(curves)])
-    return {"member": str(kw.get("member", "bump-narrow")), "norms": norms}, []
+    return {"member": p["member"], "norms": norms}, []
 
 
 def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "reproducing-pairing", **p},
-        {"halfwidth", "spacing", "left", "right", "t_min", "t_max", "per_decade", "tolerance"},
-    )
-    per_decade = kw.get("per_decade", 16)
-    _typed("reproducing-pairing", "per_decade", per_decade, _is_int(per_decade), "an integer")
-    grid = _parse_grid(kw)
+    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
     op = _operator_for(grid, cfg.op_cap)
-    f = member_by_name(str(kw.get("left", "gaussian"))).build(grid)
-    g_fn = member_by_name(str(kw.get("right", "gaussian"))).build(grid)
+    f = member_by_name(p["left"]).build(grid)
+    g_fn = member_by_name(p["right"]).build(grid)
     ladder = TLadder.geometric(
-        float(kw.get("t_min", grid.spacing / 4.0)),
-        float(kw.get("t_max", grid.halfwidth / 4.0)),
-        per_decade=per_decade,
+        p.get("t_min", grid.spacing / 4.0),
+        p.get("t_max", grid.halfwidth / 4.0),
+        per_decade=p["per_decade"],
     )
     rep = reproducing_pairing_check(f, g_fn, op, ladder, window=cfg.interior_window)
     failures = []
-    tol = kw.get("tolerance")
-    if tol is not None and rep.rel_error > float(tol):
-        failures.append(f"reproducing-pairing: relative error {rep.rel_error:.4%} exceeds {float(tol):.4%}")
+    tol = p.get("tolerance")
+    if tol is not None and rep.rel_error > tol:
+        failures.append(f"reproducing-pairing: relative error {rep.rel_error:.4%} exceeds {tol:.4%}")
     return (
         {
-            "left": str(kw.get("left", "gaussian")),
-            "right": str(kw.get("right", "gaussian")),
+            "left": p["left"],
+            "right": p["right"],
             "direct": rep.direct,
             "tent": rep.tent,
             "rel_error": rep.rel_error,
@@ -1026,23 +1047,14 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
 
 
 def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    kw = _params(
-        {"id": "averaging-pipeline", **p},
-        {"member", "halfwidth", "spacing", "eps", "eps_fraction", "osc_fraction", "family"},
-    )
-    grid = _parse_grid(kw, default_halfwidth=64.0, default_spacing=2.0**-5)
-    member = str(kw.get("member", "bump-narrow"))
+    grid, fam = _grid_and_family(p)
+    member = p["member"]
     f = member_by_name(member).build(grid)
-    policy = _parse_policy(kw.get("family"), grid)
-    fam = make_ball_family(grid, policy)
     norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
-    if "eps" in kw and kw["eps"] is not None:
-        eps = float(kw["eps"])
-    else:
-        eps = float(kw.get("eps_fraction", 0.1)) * norm.value
+    eps = p["eps"] if "eps" in p else p["eps_fraction"] * norm.value
     if eps <= 0:
         raise ConfigError("averaging needs eps > 0")
-    fractions = ThresholdFractions(oscillation=kw.get("osc_fraction", 0.125))
+    fractions = ThresholdFractions(oscillation=p["osc_fraction"])
     try:
         th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
     except ThresholdExhaustedError as e:
@@ -1088,8 +1100,8 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 _SCENARIOS = {
     "rho-slope": _run_rho_slope,
     "lacunary-separation": _run_lacunary,
-    "square-function-agreement": _run_membership,
-    "extension-agreement": _run_extension,
+    "square-function-agreement": functools.partial(_run_agreement, "square-function-agreement"),
+    "extension-agreement": functools.partial(_run_agreement, "extension-agreement"),
     "approximation-pipeline": _run_pipeline,
     "bmo-norms": _run_bmo_norms,
     "tent-norms": _run_tent_norms,
@@ -1101,8 +1113,9 @@ _SCENARIOS = {
 def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
     """Execute every scenario in the config and write the report bundle.
 
-    The bundle is written even when assertions fail; failures are then
-    raised as one CriterionFailure listing every failed check.
+    A dict config is checked whole before any directory is written.  The
+    bundle is written even when assertions fail; failures are then raised
+    as one CriterionFailure listing every failed check.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     base = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -1121,17 +1134,11 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
         "scenarios": {},
         "failures": [],
     }
-    for scenario in cfg.scenarios:
-        sid = scenario["id"]
-        name = scenario.get("name", sid)
+    for sid, name, params in cfg.scenarios:
         sub = base / name
         sub.mkdir(parents=True, exist_ok=True)
-        frag, failures = _SCENARIOS[sid](
-            {k: v for k, v in scenario.items() if k != "name"}, cfg, sub, rng
-        )
-        frag = dict(frag)
-        frag["id"] = sid
-        summary["scenarios"][name] = frag
+        frag, failures = _SCENARIOS[sid](dict(params), cfg, sub, rng)
+        summary["scenarios"][name] = {**frag, "id": sid}
         summary["failures"].extend(failures)
 
     save_json(base / "summary.json", summary)

@@ -6,9 +6,11 @@ norms:
 * plain oscillation  (mean over B of |f - mean_B f|^2)^(1/2), and the
   supercritical size (mean over B of |f|^2)^(1/2);
 * semigroup oscillation  (r^{-1} * integral over B of
-  |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction uses the
-  subordinated semigroup at time t = r exactly (one operator application
-  per distinct radius in the family).
+  |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction applies the
+  Poisson semigroup at time t = r exactly as the direct exponential
+  e^{-r sqrt(lambda)} in the operator's sine basis (``semigroup.poisson``,
+  one operator application per distinct radius in the family);
+  ``poisson_subordinated`` is only its oracle.
 
 The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with
@@ -211,7 +213,7 @@ def semigroup_difference_values(
 ) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
-    One subordinated application per distinct radius.  When a ladder is
+    One ``poisson`` application per distinct radius.  When a ladder is
     given, radii outside its range raise LadderError (the scale is not
     covered by the configured scale range)."""
     g = f.grid

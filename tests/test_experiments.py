@@ -10,11 +10,13 @@ import pytest
 
 import oscillab
 from oscillab import __version__
-from oscillab.cli import main
+from oscillab.cli import _build_parser, _scenario_from_args, main
 from oscillab.corpus import member_by_name
 from oscillab.errors import ConfigError, CriterionFailure
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
+    _SCENARIO_PARAMS,
+    _SCENARIOS,
     ExperimentConfig,
     _arg_sup_ball,
     exp_extension_agreement,
@@ -131,11 +133,42 @@ def test_config_accepts_every_scenario_id():
         {"scenarios": [], "threads": 0},
         # BLAS reads its pool size only when numpy loads, so no config sets it
         {"scenarios": [], "threads": 2},
+        # a bool is not an integer or a number, and a number is not a path
+        {"scenarios": [], "seed": True},
+        {"scenarios": [], "seed": -1},
+        {"scenarios": [], "interior_window": True},
+        {"scenarios": [], "out_dir": 5},
+        {"scenarios": [{"id": ["rho-slope"]}]},
     ],
 )
 def test_config_validation_errors(doc):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(doc)
+
+
+def test_every_scenario_has_a_parameter_table():
+    assert set(_SCENARIOS) == set(_SCENARIO_PARAMS) == set(SCENARIO_IDS)
+
+
+def test_config_holds_checked_parameters_and_table_defaults():
+    cfg = ExperimentConfig.from_dict(
+        {"scenarios": [{"id": "tent-norms", "halfwidth": 8, "exponents": [1, "inf"]}, {"id": "lacunary-separation"}]}
+    )
+    (_, _, tent), (_, _, lac) = cfg.scenarios
+    assert tent == {"halfwidth": 8.0, "spacing": 2.0**-6, "member": "bump-narrow", "exponents": (1.0, math.inf)}
+    assert type(tent["halfwidth"]) is float
+    # forwarded keys take the exp_* defaults, so only the runner's own one is filled in
+    assert lac == {"assert_verdicts": True}
+
+
+def test_integer_values_of_number_parameters_give_the_same_bundle(tmp_path):
+    grid = {"halfwidth": 8.0, "spacing": 0.0625}
+    ints = {"halfwidth": 8, "spacing": 0.0625, "tol_fraction": 0, "decay_factor": 4}
+    for label, params in (("float", {**grid, "tol_fraction": 0.0, "decay_factor": 4.0}), ("int", ints)):
+        run({"scenarios": [{"id": "bmo-norms", "name": "b", "member": "gaussian", **params}]}, str(tmp_path / label))
+    assert (tmp_path / "float" / "b" / "curves.csv").read_bytes() == (tmp_path / "int" / "b" / "curves.csv").read_bytes()
+    a, b = (json.loads((tmp_path / d / "summary.json").read_text()) for d in ("float", "int"))
+    assert a["scenarios"] == b["scenarios"]
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +470,97 @@ def test_cli_config_errors(tmp_path, capsys):
         ("per_decade", {"id": "reproducing-pairing", "per_decade": 2.5}),
         ("expect", {"id": "approximation-pipeline", "expect": 5}),
         ("exponents", {"id": "tent-norms", "exponents": "inf"}),
+        # these crashed with a traceback (TypeError, ValueError, KeyError,
+        # AttributeError) and exit 1
+        ("k_max", {"id": "lacunary-separation", "k_max": 2.5}),
+        ("points", {"id": "rho-slope", "exponent": 1.5, "points": 6.5}),
+        ("exponent", {"id": "rho-slope", "exponent": "1.5"}),
+        ("center_stride", {"id": "bmo-norms", "family": {"center_stride": "0.5"}}),
+        ("stride", {"id": "approximation-pipeline", "stride": "2.0"}),
+        ("radii", {"id": "bmo-norms", "family": {"center_stride": 0.5, "radii": "0.5"}}),
+        ("exponent", {"id": "rho-slope", "potential": {"kind": "power"}}),
+        ("potential", {"id": "rho-slope", "potential": "constant"}),
+        ("center_stride", {"id": "tent-norms", "family": {"radii": [0.5]}}),
+        ("kind", {"id": "rho-slope", "potential": {"kind": "tabulated"}}),
+        # these ran with the key ignored (value 1.0, amplitude 1.0), iterated
+        # by character, or coerced by float()
+        ("valu", {"id": "rho-slope", "potential": {"kind": "constant", "valu": 2.0}}),
+        ("amplitud", {"id": "rho-slope", "potential": {"kind": "power", "exponent": 1.5, "amplitud": 2.0}}),
+        ("members", {"id": "square-function-agreement", "members": "zero"}),
+        ("halfwidth", {"id": "bmo-norms", "halfwidth": "8"}),
+        ("tol_fraction", {"id": "extension-agreement", "tol_fraction": "0.05"}),
+        ("eps", {"id": "averaging-pipeline", "eps": "0.5"}),
+        ("tolerance", {"id": "reproducing-pairing", "tolerance": "0.02"}),
     ],
     ids=lambda v: v if isinstance(v, str) else v["id"],
 )
 def test_cli_rejects_wrongly_typed_scenario_parameter(key, scenario, tmp_path, capsys):
-    # each value used to be coerced (set("zero"), bool("no"), int(1.5)) or to
-    # crash with a traceback and exit 1
+    # each value used to be coerced (set("zero"), bool("no"), int(1.5)),
+    # ignored, or to crash with a traceback and exit 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenarios": [scenario]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", True), ("interior_window", True), ("out_dir", 5)], ids=lambda v: str(v)
+)
+def test_cli_rejects_wrongly_typed_config_key(key, value, tmp_path, capsys, monkeypatch):
+    # a bool was taken as a seed or as the window 1.0, and 5 as the path "5"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "scenarios": [{"id": "rho-slope", "exponent": 1.5, "points": 6}]}))
+    monkeypatch.chdir(tmp_path)  # where a relative out_dir would land
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_cli_bad_last_scenario_runs_nothing(tmp_path, capsys):
+    # the whole config is checked before the first scenario runs
+    scenarios = [
+        {"id": "rho-slope", "name": "first", "exponent": 1.5, "points": 6},
+        {"id": "tent-norms", "name": "last", "halfwidth": "8"},
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": scenarios}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'halfwidth'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [5, "../escaped", "a/b", "a\\b", "a\x00b", ".", "..", ""], ids=repr)
+def test_cli_scenario_name_is_one_path_component(name, tmp_path, capsys):
+    # "../escaped" wrote the scenario beside the bundle, and 5 raised a
+    # TypeError at base / name
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", "name": name, "exponent": 1.5, "points": 6}]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out-n" / "inner")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'name'" in err
+    assert not (tmp_path / "out-n").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, scenario",
+    [
+        (["bmo"], {"id": "bmo-norms"}),
+        (["tent", "--member", "zero", "--seed", "3"], {"id": "tent-norms", "member": "zero"}),
+        (["pairing", "--spacing", "0.0625", "--out", "x"], {"id": "reproducing-pairing", "spacing": 0.0625}),
+        (["uchiyama", "--eps", "0.5"], {"id": "averaging-pipeline", "eps": 0.5}),
+        (["uchiyama", "--eps-fraction", "0.2", "--osc-fraction", "0.25"],
+         {"id": "averaging-pipeline", "eps_fraction": 0.2, "osc_fraction": 0.25}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_shorthand_forwards_only_the_given_flags(argv, scenario):
+    # the scenario's parameter table holds the defaults; the shorthand
+    # restates none of them
+    assert _scenario_from_args(_build_parser().parse_args(argv)) == scenario
 
 
 def test_cli_rejects_bad_thread_count():
