@@ -33,8 +33,8 @@ def main():
     for m in CORPUS:
         f = m.build(grid)
         st = family_stats(f, fam)
-        plain = bmo_norm(f, fam, stats=st).value
-        split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
+        plain = bmo_norm(st).value
+        split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
         tilde = tilde_bmo_l_norm(f, op, fam, ladder).value
         tent = t2p_norm(square_function_field(op, f, ladder), math.inf, family=fam).value
         ratio = tent / split.value if split.value > 0 else float("nan")

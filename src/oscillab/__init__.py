@@ -1,8 +1,8 @@
 """Oscillation, tent-space, and critical-radius experiments on sampled boxes.
 
-Exports resolve lazily (PEP 562) so that importing the package, and in
-particular the command-line module, does not pull numpy before the CLI has
-had a chance to pin the BLAS thread count.
+Exports resolve lazily (PEP 562): importing the package, or the
+command-line module to parse its flags, loads no numerical module; each
+submodule loads on first use of one of its names.
 """
 
 from importlib import import_module

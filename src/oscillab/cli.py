@@ -4,24 +4,18 @@
 config; the other subcommands are shorthands that synthesize a one-scenario
 config from flags.  Exit codes: 0 all checks passed, 2 configuration
 problem, 3 a declared check failed (the report bundle is still written).
-
---threads pins the BLAS pools through OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
-and MKL_NUM_THREADS, which BLAS reads only when numpy loads; so the heavy
-imports happen inside main() after the environment is set, and a call made
-after numpy is already loaded is refused (exit 2) rather than ignored.
+The numerical modules load inside main(), after the flags are parsed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread count")
     common.add_argument("--seed", type=int, default=None, help="seed for the run's PRNG stream")
     common.add_argument("--out", default=None, help="output directory for the report bundle")
     common.add_argument("--op-cap", type=int, default=None, help="max grid samples (walls included) of an operator scenario")
@@ -89,28 +83,13 @@ _CONFIG_FLAGS = {"seed": "seed", "out": "out_dir", "op_cap": "op_cap", "interior
 def _scenario_from_args(args: argparse.Namespace) -> dict:
     """The shorthand's scenario with the flags that were given; the
     scenario's parameter table supplies the rest."""
-    skip = {"command", "threads", *_CONFIG_FLAGS}
+    skip = {"command", *_CONFIG_FLAGS}
     given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
     return {"id": _SHORTHANDS[args.command], **given}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        if "numpy" in sys.modules:
-            print(
-                "config error: --threads must be given before numpy is loaded "
-                "(numpy is already imported in this process); set "
-                "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS instead",
-                file=sys.stderr,
-            )
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     from .errors import ConfigError, CriterionFailure, OscillabError
     from .experiments import ExperimentConfig, run

@@ -20,11 +20,13 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid, GridFunction
 from .potential import constant_potential
-from .semigroup import SpectralOperator, discretize
+from .semigroup import DEFAULT_OP_CAP, SpectralOperator, discretize
 
 __all__ = [
     "CorpusMember",
     "CORPUS",
+    "CORPUS_HALFWIDTH",
+    "CORPUS_SPACING",
     "corpus_grid",
     "corpus_operator",
     "member_by_name",
@@ -133,10 +135,16 @@ def member_by_name(name: str) -> CorpusMember:
         raise ConfigError(f"unknown corpus member {name!r}") from None
 
 
+# the corpus grid [-16, 16] at spacing 2^-6, where the operator scenarios run by default
+CORPUS_HALFWIDTH = 16.0
+CORPUS_SPACING = 2.0**-6
+
+
 def corpus_grid() -> Grid:
-    return Grid(halfwidth=16.0, spacing=2.0**-6)
+    return Grid(halfwidth=CORPUS_HALFWIDTH, spacing=CORPUS_SPACING)
 
 
-def corpus_operator(grid: Optional[Grid] = None, cap: int = 4096) -> SpectralOperator:
+def corpus_operator(grid: Optional[Grid] = None, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
+    """The unit-potential operator on grid (the corpus grid by default)."""
     g = grid if grid is not None else corpus_grid()
     return discretize(constant_potential(1.0), g, cap=cap)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,9 +31,16 @@ from .approx import (
     mollify,
     p1_p2_check,
 )
-from .corpus import CORPUS, CorpusMember, member_by_name
+from .corpus import (
+    CORPUS,
+    CORPUS_HALFWIDTH,
+    CORPUS_SPACING,
+    CorpusMember,
+    corpus_operator,
+    member_by_name,
+)
 from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
-from .family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
+from .family import SUPERCRITICAL_MODES, BallFamily, FamilyPolicy, LimitCurve, make_ball_family
 from .grid import Ball, Grid, GridFunction, mean_oscillation
 from .oscillation import (
     SplitNormReport,
@@ -42,6 +50,7 @@ from .oscillation import (
     family_stats,
     oscillation_curves,
     semigroup_oscillation_curves,
+    tilde_bmo_l_norm,
     vanishing_verdict,
 )
 from .potential import (
@@ -56,7 +65,6 @@ from .semigroup import (
     SpectralOperator,
     TLadder,
     default_ladder,
-    discretize,
     poisson_extension,
     square_function_field,
 )
@@ -69,17 +77,10 @@ from .serialize import (
 from .tent import gradient_carleson_curves, hmo_norm, reproducing_pairing_check, t2p_norm, tent_curves
 
 RHO_CONSTANT_UNIT = 2.0**-0.5  # critical radius of the unit potential in 1-D
-# the corpus grid [-16, 16] at spacing 2^-6, where the operator scenarios run by default
-CORPUS_HALFWIDTH = 16.0
-CORPUS_SPACING = 2.0**-6
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _operator_for(grid: Grid, cap: int) -> SpectralOperator:
-    return discretize(constant_potential(1.0), grid, cap=cap)
 
 
 def _verdict_map(curves: dict[str, LimitCurve], tol: float, decay_factor: float) -> dict[str, Verdict]:
@@ -275,10 +276,10 @@ def exp_lacunary(
     xs, at = fam.distinct_centers()
     rho = solve_critical_radius(V, xs[:, None]).values[at]
     st = family_stats(f, fam)
-    norm = bmo_l_norm(f, rho, fam, stats=st)
+    norm = bmo_l_norm(st, rho)
     tol = tol_fraction * norm.value
 
-    curves = oscillation_curves(f, rho, fam, stats=st)
+    curves = oscillation_curves(st, rho)
     keep = ("small-radius", "far-from-origin", "far-and-supercritical")
     curves = {mode: curves[mode] for mode in keep}
     verdicts = {mode: vanishing_verdict(curves[mode], tol, decay_factor) for mode in keep}
@@ -363,7 +364,7 @@ def exp_square_membership(
     if op is not None and not op.grid.compatible(grid):
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
-        op = _operator_for(grid, cap)
+        op = corpus_operator(grid, cap)
     m = member_by_name(member) if isinstance(member, str) else member
     f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
@@ -371,10 +372,10 @@ def exp_square_membership(
         ladder = default_ladder(grid)
 
     st = family_stats(f, fam)
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
+    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
-    size_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
-    for mode in ("large-and-supercritical", "far-and-supercritical"):
+    size_curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
+    for mode in SUPERCRITICAL_MODES:
         gamma_curves[mode] = size_curves[mode]
     gtol = tol_fraction * norm.value
     gamma_verdicts = _verdict_map(gamma_curves, gtol, decay_factor)
@@ -450,7 +451,7 @@ def exp_extension_agreement(
     if op is not None and not op.grid.compatible(grid):
         raise ConfigError("operator grid does not match the scenario grid")
     if op is None:
-        op = _operator_for(grid, cap)
+        op = corpus_operator(grid, cap)
     m = member_by_name(member) if isinstance(member, str) else member
     f = m.build(grid)
     fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
@@ -458,8 +459,8 @@ def exp_extension_agreement(
         ladder = default_ladder(grid)
 
     st = family_stats(f, fam)
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
-    gamma_curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
+    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT)
+    gamma_curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
     gamma_verdicts = _verdict_map(gamma_curves, tol_fraction * norm.value, decay_factor)
 
     ext = poisson_extension(op, f, ladder)
@@ -559,7 +560,7 @@ def exp_pipeline(
         policy
         or FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0),
     )
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
     eps = eps_fraction * norm.value
     if eps <= 0:
         raise ConfigError("the zero function has nothing to approximate; eps would be 0")
@@ -597,7 +598,7 @@ def exp_pipeline(
     A = dyadic_average(f, asg)
     gate = p1_p2_check(f, asg, A)
 
-    d_avg = bmo_norm(f - A, fam).value
+    d_avg = bmo_norm(family_stats(f - A, fam)).value
 
     # truncate to the M+2 region, then mollify at the fine-cube scale
     T = 2.0 ** (th.outer_exponent + 2)
@@ -606,7 +607,7 @@ def exp_pipeline(
     AX = GridFunction(grid, np.where(keep, A.values, 0.0))
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
     F_eps = mollify(AX, t_eps).fn
-    d_full = bmo_l_norm(f - F_eps, RHO_CONSTANT_UNIT, fam).value
+    d_full = bmo_l_norm(family_stats(f - F_eps, fam), RHO_CONSTANT_UNIT).value
 
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
     case_bound = (20.0 ** (n / 2.0) / 4.0**n + 2.0) * eps
@@ -670,16 +671,18 @@ def _checked(where: str, kinds: dict[str, _Kind], given: dict, required: tuple[s
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that is a finite float: Python's json also parses NaN,
+    Infinity and integers past the float range (NaN fails the comparison)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 _INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_FLOAT = _Kind("a number", _number, lambda where, v: float(v))
+_FLOAT = _Kind("a finite number", _number, lambda where, v: float(v))
 _STR = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
 _MEMBERS = _Kind("a list of member names", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v))
 _EXPONENTS = _Kind(
-    'a list of numbers and "inf"',
+    'a list of finite numbers and "inf"',
     lambda v: isinstance(v, list) and all(e == "inf" or _number(e) for e in v),
     lambda where, v: tuple(math.inf if e == "inf" else float(e) for e in v),
 )
@@ -689,7 +692,7 @@ _EXPECT = _Kind(
     lambda where, v: v.upper(),
 )
 _RADII = _Kind(
-    "a list of numbers",
+    "a list of finite numbers",
     lambda v: isinstance(v, list) and all(_number(r) for r in v),
     lambda where, v: tuple(float(r) for r in v),
 )
@@ -801,6 +804,14 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
 }
 
 
+# scenario id -> pairs of keys that cannot both be given, since the first
+# makes the runner ignore the second
+_EXCLUSIVE: dict[str, tuple[tuple[str, str], ...]] = {
+    "rho-slope": (("potential", "exponent"), ("potential", "amplitude")),
+    "averaging-pipeline": (("eps", "eps_fraction"),),
+}
+
+
 def _scenario(s: dict) -> tuple[str, str, dict]:
     """(id, name, checked parameters) of one scenario object."""
     sid = s.get("id")
@@ -811,6 +822,9 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"scenario {sid!r}: 'name' must be a single path component, got {name!r}")
     params = {k: v for k, v in s.items() if k not in ("id", "name")}
+    for a, b in _EXCLUSIVE.get(sid, ()):
+        if a in params and b in params:
+            raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}, not both ({b!r} would be ignored)")
     return sid, name, _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
 
 
@@ -922,7 +936,7 @@ def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.
     asserted = p.pop("assert_members")
     grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
     policy = p.pop("family", None) or _default_corpus_policy(grid)
-    op = _operator_for(grid, cfg.op_cap)
+    op = corpus_operator(grid, cfg.op_cap)
     sub = {}
     failures = []
     for name in names:
@@ -971,17 +985,15 @@ def _grid_and_family(p: dict) -> tuple[Grid, BallFamily]:
 
 def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     grid, fam = _grid_and_family(p)
-    op = _operator_for(grid, cfg.op_cap)
+    op = corpus_operator(grid, cfg.op_cap)
     f = member_by_name(p["member"]).build(grid)
     ladder = default_ladder(grid)
 
-    from .oscillation import tilde_bmo_l_norm
-
     st = family_stats(f, fam)
-    plain = bmo_norm(f, fam, stats=st)
-    split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam, stats=st)
+    plain = bmo_norm(st)
+    split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
     tilde = tilde_bmo_l_norm(f, op, fam, ladder)
-    curves = oscillation_curves(f, RHO_CONSTANT_UNIT, fam, stats=st)
+    curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
     # a family with no supercritical ball leaves the two supercritical
     # curves without buckets; classify only the curves that have some
     present = {mode: c for mode, c in curves.items() if np.any(c.present)}
@@ -1003,7 +1015,7 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
 
 def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     grid, fam = _grid_and_family(p)
-    op = _operator_for(grid, cfg.op_cap)
+    op = corpus_operator(grid, cfg.op_cap)
     f = member_by_name(p["member"]).build(grid)
     F = square_function_field(op, f, default_ladder(grid))
     norms = {}
@@ -1020,7 +1032,7 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
 
 def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
-    op = _operator_for(grid, cfg.op_cap)
+    op = corpus_operator(grid, cfg.op_cap)
     f = member_by_name(p["left"]).build(grid)
     g_fn = member_by_name(p["right"]).build(grid)
     ladder = TLadder.geometric(
@@ -1050,7 +1062,7 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     grid, fam = _grid_and_family(p)
     member = p["member"]
     f = member_by_name(member).build(grid)
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
     eps = p["eps"] if "eps" in p else p["eps_fraction"] * norm.value
     if eps <= 0:
         raise ConfigError("averaging needs eps > 0")

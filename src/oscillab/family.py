@@ -17,15 +17,11 @@ import numpy as np
 from .errors import ConfigError, DegenerateRegionError
 from .grid import Ball, Grid
 
-MODES = (
-    "small-radius",
-    "large-radius",
-    "far-from-origin",
-    "large-and-supercritical",
-    "far-and-supercritical",
-)
+# the modes of a metric over all balls, and those over supercritical balls
+PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
+SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
+MODES = PLAIN_MODES + SUPERCRITICAL_MODES
 
-_SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
 _DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
 
 
@@ -34,20 +30,17 @@ class FamilyPolicy:
     """How to enumerate a deterministic ball family on a grid.
 
     Centers walk the lattice c = k * center_stride with |c| <=
-    max_center_norm.  Radii are either given explicitly or as a
-    geometric ladder radius_min * radius_ratio^j <= radius_max.  Every
-    radius is snapped to a multiple of h; balls touching the box boundary
-    are dropped.
+    max_center_norm.  Radii are either given explicitly or as the doubling
+    ladder radius_min * 2^j <= radius_max.  Every radius is snapped to a
+    multiple of h; balls touching the box boundary are dropped.  The
+    distance ladder doubles from the smallest radius up to distance_max.
     """
 
     center_stride: float
     radii: tuple[float, ...] | None = None
     radius_min: float | None = None
-    radius_ratio: float = 2.0
     radius_max: float | None = None
     max_center_norm: float = math.inf
-    distance_min: float | None = None
-    distance_ratio: float = 2.0
     distance_max: float | None = None
 
 
@@ -157,13 +150,11 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         r_max = policy.radius_max if policy.radius_max is not None else X / 2
         if r_min < 4 * h * (1 - 1e-9):
             raise ConfigError(f"geometric radius ladder must start at >= 4h, got {r_min}")
-        if policy.radius_ratio <= 1:
-            raise ConfigError("radius_ratio must exceed 1")
         radii = []
         r = r_min
         while r <= r_max * (1 + 1e-9):
             radii.append(r)
-            r *= policy.radius_ratio
+            r *= 2.0
         if not radii:
             raise ConfigError("geometric radius ladder is empty")
     if radii[-1] > X / 2 * (1 + 1e-9):
@@ -202,15 +193,12 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     rr = np.concatenate(radii_out)
 
     radius_ladder = np.asarray(radii, dtype=np.float64)
-    d_min = policy.distance_min if policy.distance_min is not None else float(radius_ladder[0])
     d_max = policy.distance_max if policy.distance_max is not None else X / 2
-    if policy.distance_ratio <= 1:
-        raise ConfigError("distance_ratio must exceed 1")
     dl = []
-    d = d_min
+    d = float(radius_ladder[0])
     while d <= d_max * (1 + 1e-9):
         dl.append(d)
-        d *= policy.distance_ratio
+        d *= 2.0
     if not dl:
         raise ConfigError("distance ladder is empty")
     return BallFamily(grid, centers, rr, radius_ladder, np.asarray(dl))
@@ -270,6 +258,12 @@ def bucketed_sup(
     the ball centers; required by the supercritical modes, where a ball
     qualifies only if r >= rho(center).  rho may contain +inf (no ball ever
     qualifies there).
+
+    One pass: each qualifying ball goes into the bucket of the cutoff
+    nearest the limit at which its key (radius or inner distance) still
+    qualifies.  A cutoff's balls are those of its bucket and of every bucket
+    nearer the limit, so a running maximum and count from the limit end
+    fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
@@ -282,30 +276,24 @@ def bucketed_sup(
         raise ConfigError("ladder must be strictly increasing and nonempty")
 
     r = family.radii
-    if mode in _SUPERCRITICAL_MODES:
+    key = family.inner_distance if mode in _DISTANCE_MODES else r
+    if mode in SUPERCRITICAL_MODES:
         if rho is None:
             raise ConfigError(f"mode {mode} needs critical-radius values")
-        rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
-        super_mask = r >= rho_arr
-    else:
-        super_mask = None
+        keep = r >= np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
+        vals, key = vals[keep], key[keep]
 
-    inner = family.inner_distance
-    out_vals = np.full(ladder.shape, np.nan)
-    out_counts = np.zeros(ladder.shape, dtype=np.int64)
-    for j, a in enumerate(ladder):
-        if mode == "small-radius":
-            mask = r <= a * (1 + 1e-12)
-        elif mode == "large-radius":
-            mask = r >= a * (1 - 1e-12)
-        elif mode == "far-from-origin":
-            mask = inner >= a * (1 - 1e-12)
-        elif mode == "large-and-supercritical":
-            mask = (r >= a * (1 - 1e-12)) & super_mask
-        else:  # far-and-supercritical
-            mask = (inner >= a * (1 - 1e-12)) & super_mask
-        cnt = int(np.count_nonzero(mask))
-        out_counts[j] = cnt
-        if cnt:
-            out_vals[j] = float(np.max(vals[mask]))
-    return LimitCurve(mode, ladder, out_vals, out_counts)
+    n = ladder.shape[0]
+    if mode == "small-radius":
+        # the first cutoff a with r <= a (1 + 1e-12); n means never
+        at = np.searchsorted(ladder * (1 + 1e-12), key, side="left")
+        buckets, step = slice(0, n), 1
+    else:
+        # one past the last cutoff a with key >= a (1 - 1e-12); 0 means never
+        at = np.searchsorted(ladder * (1 - 1e-12), key, side="right")
+        buckets, step = slice(1, n + 1), -1
+    top = np.full(n + 1, -np.inf)
+    np.maximum.at(top, at, vals)
+    sup = np.maximum.accumulate(top[buckets][::step])[::step]
+    counts = np.cumsum(np.bincount(at, minlength=n + 1)[buckets][::step], dtype=np.int64)[::step]
+    return LimitCurve(mode, ladder, np.where(counts > 0, sup, np.nan), counts)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, LadderError
-from .family import BallFamily, LimitCurve, bucketed_sup
+from .family import PLAIN_MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import GridFunction, SummedTable
 from .potential import rho_values_for
 from .semigroup import SpectralOperator, TLadder, poisson
@@ -78,9 +78,8 @@ def family_ball_sums(values: np.ndarray, family: BallFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FamilyStats:
-    """Per-ball sample counts and means over one family, built once by
-    family_stats and passed to the norms and curves of the same
-    (function, family) pair."""
+    """Per-ball sample counts and means of one function over one family,
+    built once by family_stats; the norms and curves of the pair read it."""
 
     family: BallFamily
     counts: np.ndarray
@@ -113,15 +112,6 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     return FamilyStats(family, counts, s1 / counts, s2 / counts)
 
 
-def _stats_for(f: GridFunction, family: BallFamily, stats: FamilyStats | None) -> FamilyStats:
-    """stats when given (it must be the family's own), else a fresh scan."""
-    if stats is None:
-        return family_stats(f, family)
-    if stats.family is not family:
-        raise ConfigError("family stats were computed for another ball family")
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -133,17 +123,11 @@ class OscillationReport:
     n_balls: int
 
 
-def bmo_norm(
-    f: GridFunction,
-    family: BallFamily,
-    *,
-    stats: FamilyStats | None = None,
-) -> OscillationReport:
-    """sup of the 2-mean oscillation over the family; stats, when given, is
-    the family_stats scan of (f, family)."""
-    vals = _stats_for(f, family, stats).oscillation2
+def bmo_norm(stats: FamilyStats) -> OscillationReport:
+    """sup of the 2-mean oscillation over the scanned family."""
+    vals = stats.oscillation2
     arg = int(np.argmax(vals))
-    return OscillationReport(float(vals[arg]), arg, len(family))
+    return OscillationReport(float(vals[arg]), arg, len(stats.family))
 
 
 @dataclass(frozen=True)
@@ -162,24 +146,17 @@ class SplitNormReport:
     n_balls: int
 
 
-def bmo_l_norm(
-    f: GridFunction,
-    rho,
-    family: BallFamily,
-    *,
-    stats: FamilyStats | None = None,
-) -> SplitNormReport:
-    """Critical-radius-adapted norm: sup oscillation over balls with
-    r < rho(center) plus sup mean size over balls with r >= rho(center)
-    (ties count as supercritical).  rho is a scalar, possibly +inf (no
-    size part), or an array aligned with the family.  stats, when given,
-    is the family_stats scan of (f, family)."""
-    rho_c = rho_values_for(rho, family.centers)
-    sub = family.radii < rho_c
-    st = _stats_for(f, family, stats)
+def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
+    """Critical-radius-adapted norm over the scanned family: sup
+    oscillation over balls with r < rho(center) plus sup mean size over
+    balls with r >= rho(center) (ties count as supercritical).  rho is a
+    scalar, possibly +inf (no size part), or an array aligned with the
+    family."""
+    family = stats.family
+    sub = family.radii < rho_values_for(rho, family.centers)
 
-    osc_part, osc_arg = _masked_sup(st.oscillation2, sub)
-    size_part, size_arg = _masked_sup(st.size2, ~sub)
+    osc_part, osc_arg = _masked_sup(stats.oscillation2, sub)
+    size_part, size_arg = _masked_sup(stats.size2, ~sub)
     total = (osc_part if osc_arg >= 0 else 0.0) + (size_part if size_arg >= 0 else 0.0)
     return SplitNormReport(
         total,
@@ -259,34 +236,23 @@ def semigroup_oscillation_curves(
     """Limit curves of the semigroup oscillation metric in the three plain
     modes (small-radius, large-radius, far-from-origin)."""
     vals = semigroup_difference_values(f, op, family, ladder)
-    return {
-        mode: bucketed_sup(vals, family, mode)
-        for mode in ("small-radius", "large-radius", "far-from-origin")
-    }
+    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
 
 
-def oscillation_curves(
-    f: GridFunction,
-    rho,
-    family: BallFamily,
-    *,
-    stats: FamilyStats | None = None,
-) -> dict[str, LimitCurve]:
-    """Limit curves of plain oscillation (three plain modes) and of the
-    supercritical size metric (the two supercritical modes).
+def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
+    """Limit curves over the scanned family of plain oscillation (the three
+    plain modes) and of the supercritical size metric (the two
+    supercritical modes).
 
     The first three curves use the 2-mean oscillation; the supercritical
-    curves use (mean over B of |f|^2)^(1/2).  stats, when given, is the
-    family_stats scan of (f, family).
+    curves use (mean over B of |f|^2)^(1/2).
     """
+    family = stats.family
     rho_c = rho_values_for(rho, family.centers)
-    st = _stats_for(f, family, stats)
-    osc = st.oscillation2
-    size = st.size2
-    out: dict[str, LimitCurve] = {}
-    for mode in ("small-radius", "large-radius", "far-from-origin"):
-        out[mode] = bucketed_sup(osc, family, mode)
-    for mode in ("large-and-supercritical", "far-and-supercritical"):
+    osc = stats.oscillation2
+    size = stats.size2
+    out = {mode: bucketed_sup(osc, family, mode) for mode in PLAIN_MODES}
+    for mode in SUPERCRITICAL_MODES:
         out[mode] = bucketed_sup(size, family, mode, rho=rho_c)
     return out
 

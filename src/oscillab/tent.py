@@ -19,7 +19,7 @@ from .errors import (
     LadderError,
     OutOfDomainError,
 )
-from .family import BallFamily, LimitCurve, bucketed_sup
+from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
 from .oscillation import _family_geometry, scan_radius_blocks
 from .semigroup import (
@@ -194,10 +194,7 @@ def t2p_norm(
 def tent_curves(F: HalfSpaceFunction, family: BallFamily) -> dict[str, LimitCurve]:
     """Limit curves of sqrt(carleson box) in the three plain modes."""
     vals = np.sqrt(family_box_values(F, family))
-    return {
-        mode: bucketed_sup(vals, family, mode)
-        for mode in ("small-radius", "large-radius", "far-from-origin")
-    }
+    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +220,7 @@ def hmo_norm(ext: PoissonExtension, family: BallFamily) -> CarlesonReport:
 def gradient_carleson_curves(ext: PoissonExtension, family: BallFamily) -> dict[str, LimitCurve]:
     G = ext.gradient_magnitude()
     vals = np.sqrt(family_box_values(G, family))
-    return {
-        mode: bucketed_sup(vals, family, mode)
-        for mode in ("small-radius", "large-radius", "far-from-origin")
-    }
+    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
 
 
 # ---------------------------------------------------------------------------

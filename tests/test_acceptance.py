@@ -26,7 +26,7 @@ from oscillab.experiments import (
 )
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction
-from oscillab.oscillation import bmo_l_norm, bmo_norm
+from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats
 from oscillab.potential import constant_potential, solve_critical_radius
 from oscillab.semigroup import (
     HalfSpaceFunction,
@@ -151,7 +151,7 @@ def test_criterion_07_corpus_norm_ratios(criterion, grid16, op16, family16):
         if m.name == "zero":
             continue
         f = m.build(grid16)
-        norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, family16).value
+        norm = bmo_l_norm(family_stats(f, family16), RHO_CONSTANT_UNIT).value
         t2 = t2p_norm(square_function_field(op16, f, lad), math.inf, family=family16).value
         ratios[m.name] = t2 / norm
     vals = list(ratios.values())
@@ -176,7 +176,7 @@ def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
         if balls is None:
             picks = np.linspace(0, len(fam) - 1, 50).astype(int)
             balls = [fam.ball(int(i)) for i in picks]
-        hint = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam).value
+        hint = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
         ladder = TLadder.geometric(grid.spacing, 4.0, per_decade=16)
         F = square_function_field(op, f, ladder)
         best = max(
@@ -281,8 +281,8 @@ def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16):
         if not m.smooth:
             continue
         f = m.build(grid16)
-        base = bmo_norm(f, fam).value
-        ds = [bmo_norm(f - mollify(f, t).fn, fam).value for t in tees]
+        base = bmo_norm(family_stats(f, fam)).value
+        ds = [bmo_norm(family_stats(f - mollify(f, t).fn, fam)).value for t in tees]
         all_decreasing &= all(a > b for a, b in zip(ds, ds[1:]))
         worst_ratio = max(worst_ratio, ds[-1] / base)
         n += 1

@@ -1,14 +1,9 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import oscillab
 from oscillab import __version__
 from oscillab.cli import _build_parser, _scenario_from_args, main
 from oscillab.corpus import member_by_name
@@ -29,7 +24,7 @@ from oscillab.experiments import (
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, mean_oscillation
-from oscillab.oscillation import bmo_l_norm
+from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, zero_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 
@@ -231,7 +226,7 @@ def test_arg_sup_ball_without_supercritical_part(tmp_path):
     grid = Grid(halfwidth=8.0, spacing=0.0625)
     f = member_by_name("gaussian").build(grid)
     fam = make_ball_family(grid, FamilyPolicy(center_stride=0.5, radii=(0.125, 0.25)))
-    split = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam)
+    split = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
     assert not split.size_present
     ball = _arg_sup_ball(fam, split)
     assert ball == fam.ball(split.oscillation_arg)
@@ -245,7 +240,7 @@ def test_arg_sup_ball_without_supercritical_part(tmp_path):
     assert "large-and-supercritical" not in verdicts
     assert "far-and-supercritical" not in verdicts
     fam3 = make_ball_family(grid, FamilyPolicy(center_stride=0.5, radii=(0.125, 0.25, 0.5)))
-    split3 = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam3)
+    split3 = bmo_l_norm(family_stats(f, fam3), RHO_CONSTANT_UNIT)
     want = fam3.ball(split3.oscillation_arg)
     assert res["arg_sup_ball"] == {"center": list(want.center), "radius": want.radius}
 
@@ -267,7 +262,7 @@ def family_scans(monkeypatch):
         return original(f, family)
 
     monkeypatch.setattr(oscillation, "family_stats", counting)
-    # callers that build the stats to share them call it from experiments
+    # the scenarios call it under the name experiments imported
     monkeypatch.setattr(experiments, "family_stats", counting, raising=False)
     return scanned
 
@@ -348,7 +343,7 @@ def test_pipeline_reports_member_with_gate_and_distances():
         grid,
         FamilyPolicy(center_stride=2.0, radius_min=4 * grid.spacing, radius_max=128.0),
     )
-    norm = bmo_l_norm(f, RHO_CONSTANT_UNIT, fam).value
+    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
     rep = exp_pipeline(
         "bump-narrow",
         eps_fraction=0.55 / norm,
@@ -491,6 +486,17 @@ def test_cli_config_errors(tmp_path, capsys):
         ("tol_fraction", {"id": "extension-agreement", "tol_fraction": "0.05"}),
         ("eps", {"id": "averaging-pipeline", "eps": "0.5"}),
         ("tolerance", {"id": "reproducing-pairing", "tolerance": "0.02"}),
+        # Python's json parses NaN and +-Infinity; "tolerance": NaN switched
+        # the pairing check off
+        ("decay_factor", {"id": "bmo-norms", "decay_factor": math.nan}),
+        ("radius_max", {"id": "bmo-norms", "family": {"center_stride": 0.5, "radius_max": math.inf}}),
+        ("t_min", {"id": "reproducing-pairing", "t_min": -math.inf}),
+        # an integer past the float range raised OverflowError, exit 1
+        ("halfwidth", {"id": "tent-norms", "halfwidth": 10**400}),
+        # family knobs that no config set; the ladders always double
+        ("radius_ratio", {"id": "bmo-norms", "family": {"center_stride": 0.5, "radius_ratio": 2.0}}),
+        ("distance_ratio", {"id": "tent-norms", "family": {"center_stride": 0.5, "distance_ratio": 2.0}}),
+        ("distance_min", {"id": "averaging-pipeline", "family": {"center_stride": 0.5, "distance_min": 0.125}}),
     ],
     ids=lambda v: v if isinstance(v, str) else v["id"],
 )
@@ -563,36 +569,33 @@ def test_cli_shorthand_forwards_only_the_given_flags(argv, scenario):
     assert _scenario_from_args(_build_parser().parse_args(argv)) == scenario
 
 
-def test_cli_rejects_bad_thread_count():
-    assert main(["bmo", "--threads", "0"]) == 2
+def test_cli_has_no_threads_flag(capsys):
+    # no computation goes through BLAS; pin it through the environment
+    with pytest.raises(SystemExit) as exc:
+        main(["bmo", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
-def test_cli_threads_refused_once_numpy_is_loaded(capsys, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    assert main(["bmo", "--threads", "2"]) == 2
-    assert "numpy" in capsys.readouterr().err
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-
-def test_cli_threads_pins_blas_in_a_fresh_process(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", "exponent": 1.5, "points": 6}]}))
-    probe = (
-        "import os, sys; from oscillab.cli import main; "
-        "rc = main(sys.argv[1:]); "
-        "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'], "
-        "os.environ['MKL_NUM_THREADS']); sys.exit(rc)"
-    )
-    src = str(Path(oscillab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", probe, "run", "--config", str(cfg), "--threads", "1",
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "1 1 1"
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["rho-slope", {"n": 2, "exponent": 1.5, "potential": {"kind": "constant"}}], ("potential", "exponent")),
+        (["rho-slope", {"n": 2, "amplitude": 2.0, "potential": {"kind": "constant"}}], ("potential", "amplitude")),
+        (["uchiyama", "--eps", "0.55", "--eps-fraction", "0.9", "--halfwidth", "256"], ("eps", "eps_fraction")),
+    ],
+    ids=["rho-slope-exponent", "rho-slope-amplitude", "uchiyama"],
+)
+def test_cli_rejects_given_and_ignored_pair(argv, keys, tmp_path, capsys):
+    # the first key made the runner ignore the second, and the run exited 0
+    if argv[0] == "rho-slope":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", **argv[1]}]}))
+        argv = ["run", "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(repr(k) in err for k in keys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_window_out_of_range(tmp_path):

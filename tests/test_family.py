@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscillab.errors import ConfigError
-from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
+from oscillab.family import MODES, BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
 from oscillab.grid import Grid
 
 
@@ -63,10 +63,6 @@ def test_policy_validation():
     with pytest.raises(ConfigError):
         # geometric ladder must start at >= 4h
         make_ball_family(g, FamilyPolicy(center_stride=1.0, radius_min=0.5))
-    with pytest.raises(ConfigError):
-        make_ball_family(
-            g, FamilyPolicy(center_stride=1.0, radius_min=1.0, radius_ratio=1.0)
-        )
 
 
 def test_geometric_ladder_default_range():
@@ -97,7 +93,7 @@ def test_bucketed_sup_far_mode_uses_distance_ladder():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(
         g,
-        FamilyPolicy(center_stride=1.0, radii=(1.0,), distance_min=1.0, distance_max=4.0),
+        FamilyPolicy(center_stride=1.0, radii=(1.0,), distance_max=4.0),
     )
     curve = bucketed_sup(np.ones(len(fam)), fam, "far-from-origin")
     assert np.array_equal(curve.ladder, [1.0, 2.0, 4.0])
@@ -113,7 +109,6 @@ def test_absent_bucket_is_nan_not_zero():
             center_stride=1.0,
             radii=(1.0,),
             max_center_norm=2.0,
-            distance_min=1.0,
             distance_max=8.0,
         ),
     )
@@ -156,3 +151,143 @@ def test_unknown_mode_rejected():
     with pytest.raises(ConfigError):
         LimitCurve("tiny-radius", np.array([1.0]), np.array([1.0]), np.array([1]))
 
+
+# ---------------------------------------------------------------------------
+# oracle: the per-cutoff mask scan that the one-pass bucketed_sup replaced,
+# copied verbatim
+
+
+_SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
+_DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
+
+
+def _bucketed_sup_oracle(
+    metric: np.ndarray,
+    family: BallFamily,
+    mode: str,
+    rho: np.ndarray | float | None = None,
+) -> LimitCurve:
+    """Supremum of a per-ball metric within each bucket of the family's own
+    ladder (distance_ladder for the distance modes, else radius_ladder).
+
+    metric: array aligned with the family.  rho: critical-radius values at
+    the ball centers; required by the supercritical modes, where a ball
+    qualifies only if r >= rho(center).  rho may contain +inf (no ball ever
+    qualifies there).
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown curve mode {mode!r}")
+    vals = np.asarray(metric, dtype=np.float64).reshape(-1)
+    if vals.shape[0] != len(family):
+        raise ConfigError("metric array length does not match the family")
+
+    ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
+    if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
+        raise ConfigError("ladder must be strictly increasing and nonempty")
+
+    r = family.radii
+    if mode in _SUPERCRITICAL_MODES:
+        if rho is None:
+            raise ConfigError(f"mode {mode} needs critical-radius values")
+        rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
+        super_mask = r >= rho_arr
+    else:
+        super_mask = None
+
+    inner = family.inner_distance
+    out_vals = np.full(ladder.shape, np.nan)
+    out_counts = np.zeros(ladder.shape, dtype=np.int64)
+    for j, a in enumerate(ladder):
+        if mode == "small-radius":
+            mask = r <= a * (1 + 1e-12)
+        elif mode == "large-radius":
+            mask = r >= a * (1 - 1e-12)
+        elif mode == "far-from-origin":
+            mask = inner >= a * (1 - 1e-12)
+        elif mode == "large-and-supercritical":
+            mask = (r >= a * (1 - 1e-12)) & super_mask
+        else:  # far-and-supercritical
+            mask = (inner >= a * (1 - 1e-12)) & super_mask
+        cnt = int(np.count_nonzero(mask))
+        out_counts[j] = cnt
+        if cnt:
+            out_vals[j] = float(np.max(vals[mask]))
+    return LimitCurve(mode, ladder, out_vals, out_counts)
+
+
+def _assert_same_curves(metric, fam, rho):
+    for mode in MODES:
+        got = bucketed_sup(metric, fam, mode, rho=rho)
+        want = _bucketed_sup_oracle(metric, fam, mode, rho=rho)
+        assert np.array_equal(got.ladder, want.ladder)
+        assert np.array_equal(got.values, want.values, equal_nan=True), mode
+        assert np.array_equal(got.counts, want.counts), mode
+        assert got.values.dtype == want.values.dtype and got.counts.dtype == want.counts.dtype
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
+    # keys exactly at each cutoff's a (1 +- 1e-12) and one ulp either side;
+    # the ladder sits inside one binade per cutoff so that the distance
+    # probes c = key + r give |c| - r == key exactly
+    ladder = np.array([3.0, 6.0, 12.0, 24.0])
+    edges = np.concatenate([[a, a * (1 + 1e-12), a * (1 - 1e-12)] for a in ladder])
+    keys = np.unique(np.concatenate([edges, _up(edges), _down(edges)]))
+    r_probe = 2.0**-10
+    radii = np.concatenate([np.full(2 * keys.size, r_probe), keys])
+    centers = np.concatenate([keys + r_probe, -(keys + r_probe), np.zeros(keys.size)])
+    fam = BallFamily(Grid(halfwidth=64.0, spacing=2.0**-10), centers[:, None], radii, ladder, ladder)
+    for k in (a * (1 + 1e-12) for a in ladder):
+        assert k in fam.radii
+    for k in (a * (1 - 1e-12) for a in ladder):
+        assert k in fam.radii and k in fam.inner_distance
+    metric = np.random.default_rng(7).uniform(size=len(fam))
+    # ties r == rho count as supercritical; one ulp above is subcritical
+    rho = np.select(
+        [np.arange(len(fam)) % 4 == k for k in range(3)],
+        [fam.radii, _up(fam.radii), np.zeros(len(fam))],
+        np.inf,
+    )
+    _assert_same_curves(metric, fam, rho)
+    assert any(bucketed_sup(metric, fam, m, rho=rho).present.any() for m in MODES)
+
+
+@pytest.mark.parametrize(
+    "halfwidth, spacing, policy",
+    [
+        (4.0, 0.25, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0))),
+        (8.0, 0.25, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0))),
+        (8.0, 0.25, FamilyPolicy(center_stride=1.0, radii=(1.0,), max_center_norm=2.0, distance_max=8.0)),
+        (8.0, 0.125, FamilyPolicy(center_stride=1.0, radii=(0.5, 2.0))),
+        (16.0, 0.25, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0)),
+        (16.0, 2.0**-6, FamilyPolicy(center_stride=0.5, radius_min=0.125, radius_max=4.0)),
+    ],
+)
+def test_bucketed_sup_matches_oracle_on_unit_families(halfwidth, spacing, policy):
+    fam = make_ball_family(Grid(halfwidth=halfwidth, spacing=spacing), policy)
+    metric = np.random.default_rng(len(fam)).normal(size=len(fam))
+    _assert_same_curves(metric, fam, np.inf)
+
+
+def test_bucketed_sup_matches_oracle_at_lacunary_geometry():
+    # configs/lacunary.json's family: 2,424,815 balls, 19-cutoff ladders
+    g = Grid(halfwidth=16384.0, spacing=2.0**-8)
+    fam = make_ball_family(
+        g,
+        FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=4096.0, distance_max=4096.0),
+    )
+    assert len(fam) == 2_424_815
+    assert fam.radius_ladder.size == fam.distance_ladder.size == 19
+    metric = np.random.default_rng(9).uniform(size=len(fam))
+    # the critical radius of a power potential grows like |x|^(1 - 0.525)
+    rho = 0.5 * (1.0 + fam.center_norms) ** 0.475
+    sup = fam.radii >= rho
+    assert sup.any() and not sup.all()
+    _assert_same_curves(metric, fam, rho)

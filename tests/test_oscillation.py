@@ -82,27 +82,19 @@ def test_shared_stats_give_identical_reports(small_family):
     f = GridFunction(small_family.grid, np.random.default_rng(5).normal(size=small_family.grid.shape))
     st = family_stats(f, small_family)
     assert st.family is small_family
-    assert bmo_norm(f, small_family, stats=st) == bmo_norm(f, small_family)
-    assert bmo_l_norm(f, 1.0, small_family, stats=st) == bmo_l_norm(f, 1.0, small_family)
-    shared = oscillation_curves(f, 1.0, small_family, stats=st)
-    fresh = oscillation_curves(f, 1.0, small_family)
+    # the norms and curves are reductions of the scan they are given: two
+    # scans of one pair give equal reports, a scan of 2f doubled ones
+    again = family_stats(f, small_family)
+    assert bmo_norm(st) == bmo_norm(again)
+    assert bmo_l_norm(st, 1.0) == bmo_l_norm(again, 1.0)
+    shared = oscillation_curves(st, 1.0)
+    fresh = oscillation_curves(again, 1.0)
     assert shared.keys() == fresh.keys()
     for mode, c in fresh.items():
         assert np.array_equal(shared[mode].values, c.values, equal_nan=True)
         assert np.array_equal(shared[mode].counts, c.counts)
-
-
-def test_stats_from_another_family_rejected(small_family):
-    g = small_family.grid
-    f = GridFunction.from_callable(g, lambda x: x)
-    twin = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(0.5, 2.0)))
-    st = family_stats(f, twin)
-    with pytest.raises(ConfigError, match="another ball family"):
-        bmo_norm(f, small_family, stats=st)
-    with pytest.raises(ConfigError, match="another ball family"):
-        bmo_l_norm(f, 1.0, small_family, stats=st)
-    with pytest.raises(ConfigError, match="another ball family"):
-        oscillation_curves(f, 1.0, small_family, stats=st)
+    doubled = family_stats(2.0 * f, small_family)
+    assert bmo_norm(doubled).value == pytest.approx(2.0 * bmo_norm(st).value, rel=1e-12)
 
 
 def test_family_rejects_offlattice_geometry():
@@ -126,7 +118,7 @@ def test_bmo_norm_linear_closed_form(small_family):
     # independent of the center
     g = small_family.grid
     f = GridFunction.from_callable(g, lambda x: x)
-    rep = bmo_norm(f, small_family)
+    rep = bmo_norm(family_stats(f, small_family))
     want = math.sqrt(2.0 * (2.0 - g.spacing) / 3.0)
     assert rep.value == pytest.approx(want, rel=1e-12)
     assert small_family.radii[rep.arg_index] == 2.0
@@ -135,7 +127,7 @@ def test_bmo_norm_linear_closed_form(small_family):
 
 def test_bmo_norm_constant_is_zero(small_family):
     f = GridFunction.constant(small_family.grid, 5.0)
-    assert bmo_norm(f, small_family).value == 0.0
+    assert bmo_norm(family_stats(f, small_family)).value == 0.0
 
 
 def test_split_norm_parts(small_family):
@@ -145,7 +137,7 @@ def test_split_norm_parts(small_family):
     g = small_family.grid
     h = g.spacing
     f = GridFunction.from_callable(g, lambda x: x)
-    rep = bmo_l_norm(f, 1.0, small_family)
+    rep = bmo_l_norm(family_stats(f, small_family), 1.0)
     assert rep.oscillation_present and rep.size_present
     want_osc = math.sqrt(0.5 * (0.5 - h) / 3.0)
     big = small_family.radii == 2.0
@@ -160,7 +152,7 @@ def test_split_norm_parts(small_family):
 
 def test_split_norm_infinite_rho_drops_size(small_family):
     f = GridFunction.from_callable(small_family.grid, lambda x: x)
-    rep = bmo_l_norm(f, np.inf, small_family)
+    rep = bmo_l_norm(family_stats(f, small_family), np.inf)
     assert rep.oscillation_present and not rep.size_present
     assert rep.size_part == 0.0
     assert rep.value == rep.oscillation_part
@@ -168,7 +160,7 @@ def test_split_norm_infinite_rho_drops_size(small_family):
 
 def test_split_norm_all_supercritical(small_family):
     f = GridFunction.constant(small_family.grid, 1.0)
-    rep = bmo_l_norm(f, 0.25, small_family)
+    rep = bmo_l_norm(family_stats(f, small_family), 0.25)
     assert not rep.oscillation_present and rep.size_present
     assert rep.value == pytest.approx(1.0)
 
@@ -216,7 +208,7 @@ def test_oscillation_curves_constant():
     g = Grid(halfwidth=8.0, spacing=0.125)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
     f = GridFunction.constant(g, 1.0)
-    curves = oscillation_curves(f, 2.0**-0.5, fam)
+    curves = oscillation_curves(family_stats(f, fam), 2.0**-0.5)
     assert set(curves) == {
         "small-radius",
         "large-radius",

@@ -49,3 +49,26 @@ def test_lacunary_modes_script_prints_missing_trend_as_na(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["lacunary_modes.py", "--small"])
     script.main()
     assert "trend exponent n/a," in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_pipeline_demo_script_reports_a_member():
+    proc = _run_script("pipeline_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("bump-narrow: MEMBER")
+    assert lines[-1].lstrip().startswith("budgets:")
+
+
+def test_rho_asymptotics_script_fits_every_integrable_exponent():
+    proc = _run_script("rho_asymptotics.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["n", "exponent", "fitted", "expected", "rel", "err"]
+    assert len(rows) == 12
+    # exponents at or below 2 - n are not locally integrable in dimension n
+    skipped = [r.split()[:2] for r in rows if r.split()[-1] == "skipped"]
+    assert skipped == [["1", "0.500"], ["1", "1.000"]]
+    for r in rows:
+        _, a, fitted, *rest = r.split()
+        if rest[-1] != "skipped":
+            assert abs(float(fitted) - (1.0 - float(a) / 2.0)) < 0.01
