@@ -9,6 +9,7 @@ import argparse
 
 from oscillab.errors import ConfigError
 from oscillab.experiments import exp_rho_slope
+from oscillab.potential import power_potential
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
     for n in args.dims:
         for a in args.exponents:
             try:
-                rep = exp_rho_slope(n, exponent=a, points=args.points)
+                rep = exp_rho_slope(power_potential(a, n), points=args.points)
             except ConfigError:
                 # exponents at or below 2 - n are not locally integrable
                 print(f"{n:>3} {a:>9.3f} {'--':>9} {'--':>9} {'skipped':>9}")

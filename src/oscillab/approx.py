@@ -66,16 +66,11 @@ def bump(grid: Grid, center: Sequence[float] | None = None, width: float = 1.0) 
     return GridFunction(grid, vals / mass)
 
 
-@dataclass(frozen=True)
-class Mollified:
-    fn: GridFunction
-    valid: np.ndarray  # True where the kernel window stayed inside the box
-
-
-def mollify(f: GridFunction, t: float) -> Mollified:
+def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolution with the unit-mass bump kernel scaled to width t,
     zero-padded outside the box.  Requires t >= 4h so the kernel holds
-    enough samples.  valid marks samples whose window never left the box."""
+    enough samples.  The kernel reaches kmax = ceil(t/h) - 1 samples each
+    way, so the samples [kmax, n - kmax) never see the padding."""
     g = f.grid
     h = g.spacing
     if t < 4.0 * h * (1 - 1e-9):
@@ -84,11 +79,7 @@ def mollify(f: GridFunction, t: float) -> Mollified:
     offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
     w = _bump_profile((offs / t) ** 2)
     w /= np.sum(w)
-    conv = np.convolve(f.values, w, mode="same")
-    n_ax = g.axis_count
-    i = np.arange(n_ax)
-    valid = (i - kmax >= 0) & (i + kmax <= n_ax - 1)
-    return Mollified(GridFunction(g, conv), valid)
+    return GridFunction(g, np.convolve(f.values, w, mode="same"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +345,15 @@ def choose_thresholds(
 
 @dataclass(frozen=True)
 class DyadicAssignment:
-    """Partition of the samples into half-open dyadic cubes.
-
-    sample_cube maps each sample to a cube id; cube_levels and cube_corners
-    ((n_cubes, 1)) describe each cube.  Regions are half-open (the core is
-    [-2^J, 2^J)), so the tiles partition the box exactly; the +X boundary
-    sample folds into the last cube.
+    """Partition of the samples into half-open dyadic cubes, in position
+    order: cube k holds the next cube_counts[k] samples.  cube_levels and
+    cube_corners ((n_cubes, 1)) describe each cube.  Regions are half-open
+    (the core is [-2^J, 2^J)), so the tiles partition the box exactly; the
+    +X boundary sample folds into the last cube.
     """
 
     grid: Grid
     thresholds: AveragingThresholds
-    sample_cube: np.ndarray
     cube_levels: np.ndarray
     cube_corners: np.ndarray
     cube_counts: np.ndarray
@@ -374,21 +363,14 @@ class DyadicAssignment:
         return self.cube_levels.size
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Index of the first sample of each run of equal keys.  Every cube is
-    one contiguous run of the position-ordered samples, so the runs are
-    the cubes in position order."""
-    change = np.zeros(keys[0].size - 1, dtype=bool)
-    for k in keys:
-        change |= k[1:] != k[:-1]
-    return np.concatenate(([0], np.nonzero(change)[0] + 1))
-
-
 def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
-    """Tile the box according to the thresholds.
-
-    Cube ids follow (level, corner) order.  Needs halfwidth >= 2^(M+3) so
-    the truncation region of the pipeline fits with room to spare.
+    """Tile the box according to the thresholds, region by region in
+    position order: the left shells from the outermost in, the core
+    [-2^J, 2^J) at level -I-2, then the right shells.  Shell m is
+    [-2^(m+1), -2^m) on the left and [2^m, 2^(m+1)) on the right, at level
+    m-I-J-1.  Each region is a whole number of cubes of its level when
+    -I-1 <= J <= a.  Needs halfwidth 2^a >= 2^(M+3) so the truncation
+    region of the pipeline fits with room to spare.
     """
     a, p = _dyadic_exponents(grid)
     th = thresholds
@@ -398,36 +380,29 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
         )
     if th.core_level < -p:
         raise ConfigError("core cubes fall below the grid scale")
-    n0 = grid.half_cells
-    o = np.arange(-n0, n0 + 1, dtype=np.int64)
-    o[-1] = n0 - 1  # the +X boundary sample folds into the last cell
-    sigma = np.maximum(o, -o - 1)
-    # sigma in [2^(m+p), 2^(m+p+1)) cells  <=>  frexp exponent m + p + 1
-    # (exact: sigma < 2^53)
-    shell_m = np.frexp(sigma)[1].astype(np.int64) - p - 1
-    level = np.where(
-        sigma < 2 ** (th.core_exponent + p), th.core_level, th.shell_level(shell_m)
-    )
-    del sigma, shell_m  # two sample-sized arrays fewer for the corner pass
-    if np.any(level < -p):
-        raise ConfigError("assignment produced cubes below the grid scale")
-    corners = o >> (level + p)  # arithmetic shift = floor division
+    if not -th.fine_exponent - 1 <= th.core_exponent <= a:
+        raise ConfigError(
+            f"core exponent J = {th.core_exponent} outside [-I-1, a] = [{-th.fine_exponent - 1}, {a}]: "
+            "the core and the shells would not be whole numbers of their cubes"
+        )
+    # (first cell, end cell, level) of each region, in cells from the origin
+    shells = [(2 ** (m + p), th.shell_level(m)) for m in range(th.core_exponent, a)]
+    core = 2 ** (th.core_exponent + p)
+    regions = [
+        *((-2 * s, -s, l) for s, l in reversed(shells)),
+        (-core, core, th.core_level),
+        *((s, 2 * s, l) for s, l in shells),
+    ]
+    levels = np.concatenate([np.full((hi - lo) >> (l + p), l) for lo, hi, l in regions])
+    corners = np.concatenate([np.arange(lo >> (l + p), hi >> (l + p)) for lo, hi, l in regions])
+    counts = 2 ** (levels + p)
+    counts[-1] += 1  # the +X boundary sample
+    return DyadicAssignment(grid, th, levels, corners[:, None], counts)
 
-    starts = _run_starts(level, corners)
-    run_levels = level[starts]
-    run_corners = corners[starts]
-    order = np.lexsort((run_corners, run_levels))
-    run_ids = np.empty(order.size, dtype=np.int64)
-    run_ids[order] = np.arange(order.size)
-    counts = np.diff(np.append(starts, grid.axis_count))
-    return DyadicAssignment(
-        grid,
-        th,
-        np.repeat(run_ids, counts),
-        run_levels[order],
-        run_corners[order][:, None],
-        counts[order],
-    )
+
+def _cube_ids(assignment: DyadicAssignment) -> np.ndarray:
+    """The cube index of every sample."""
+    return np.repeat(np.arange(assignment.n_cubes), assignment.cube_counts)
 
 
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
@@ -440,20 +415,17 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")
     flat = f.values
-    sc = assignment.sample_cube
-    n_cubes = assignment.n_cubes
-    starts = _run_starts(sc)
-    anchors = np.empty(n_cubes)
-    anchors[sc[starts]] = flat[starts]
-    diffs = flat - anchors[sc]
-    sums = np.bincount(sc, weights=diffs, minlength=n_cubes)
-    means = anchors + sums / assignment.cube_counts
-    return GridFunction(f.grid, means[sc])
+    counts = assignment.cube_counts
+    anchors = flat[np.cumsum(counts) - counts]  # each cube's first sample
+    diffs = np.repeat(anchors, counts)
+    np.subtract(flat, diffs, out=diffs)
+    sums = np.bincount(_cube_ids(assignment), weights=diffs, minlength=assignment.n_cubes)
+    del diffs
+    return GridFunction(f.grid, np.repeat(anchors + sums / counts, counts))
 
 
 def cube_means(f: GridFunction, assignment: DyadicAssignment) -> np.ndarray:
-    sc = assignment.sample_cube
-    sums = np.bincount(sc, weights=f.values, minlength=assignment.n_cubes)
+    sums = np.bincount(_cube_ids(assignment), weights=f.values, minlength=assignment.n_cubes)
     return sums / assignment.cube_counts
 
 
@@ -471,31 +443,23 @@ class GateReport:
     size_ratio_ok: bool
 
 
-def p1_p2_check(
-    f: GridFunction, assignment: DyadicAssignment, averaged: GridFunction | None = None
-) -> GateReport:
+def p1_p2_check(f: GridFunction, assignment: DyadicAssignment, averaged: GridFunction) -> GateReport:
     """P1: sup |averaged| outside the closed outer region <= eps/2.
-    P2: |difference across closure-adjacent cubes| <= eps.  Also verifies
-    the neighbour sidelength ratio invariant (in {1/2, 1, 2}).  In one
-    dimension the closure-adjacent cubes are the consecutive runs."""
+    P2: |difference of f's cube means across closure-adjacent cubes| <= eps.
+    Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2}).
+    In one dimension the closure-adjacent cubes are the consecutive cubes
+    of the position-ordered list."""
     th = assignment.thresholds
-    g = assignment.grid
-    A = averaged if averaged is not None else dyadic_average(f, assignment)
     lim = 2.0**th.outer_exponent
-    outside = np.abs(g.axis) > lim + 1e-12
-    p1 = float(np.max(np.abs(A.values[outside]), initial=0.0))
-
-    sc = assignment.sample_cube
-    ids = sc[_run_starts(sc)]
-    means = cube_means(f, assignment)[ids]
-    levels = assignment.cube_levels[ids]
-    p2 = float(np.max(np.abs(np.diff(means)), initial=0.0))
-    ratio_ok = bool(np.all(np.abs(np.diff(levels)) <= 1))
+    outside = np.abs(assignment.grid.axis) > lim + 1e-12
+    p1 = float(np.max(np.abs(averaged.values[outside]), initial=0.0))
+    p2 = float(np.max(np.abs(np.diff(cube_means(f, assignment))), initial=0.0))
+    ratio_ok = bool(np.all(np.abs(np.diff(assignment.cube_levels)) <= 1))
     return GateReport(
         p1,
         p1 <= th.size_bound + 1e-12,
         p2,
         p2 <= th.eps + 1e-12,
-        ids.size - 1,
+        assignment.n_cubes - 1,
         ratio_ok,
     )

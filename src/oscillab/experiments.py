@@ -150,13 +150,10 @@ class RhoSlopeReport:
 
 
 def exp_rho_slope(
-    n: int,
-    exponent: Optional[float] = None,
-    potential: Optional[Potential] = None,
+    potential: Potential,
     x_min: float = 100.0,
     x_max: float = 1.0e4,
     points: int = 24,
-    amplitude: float = 1.0,
     jitter: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> RhoSlopeReport:
@@ -166,10 +163,6 @@ def exp_rho_slope(
     constant potential it is 0.  x values below 10 are outside the
     asymptotic regime and only flagged, not rejected.
     """
-    if potential is None:
-        if exponent is None:
-            raise ConfigError("either a potential or a power exponent is required")
-        potential = power_potential(exponent, n, amplitude=amplitude)
     if potential.is_zero():
         raise ConfigError("the zero potential has an infinite critical radius everywhere")
     if x_min <= 0 or x_max <= x_min:
@@ -600,13 +593,15 @@ def exp_pipeline(
 
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
-    # truncate to the M+2 region, then mollify at the fine-cube scale
+    # truncate to the M+2 region, then mollify at the fine-cube scale;
+    # A and AX are dropped after their last use to keep the peak down
     T = 2.0 ** (th.outer_exponent + 2)
     ax = grid.axis
-    keep = (ax >= -T) & (ax < T)
-    AX = GridFunction(grid, np.where(keep, A.values, 0.0))
+    AX = GridFunction(grid, np.where((ax >= -T) & (ax < T), A.values, 0.0))
+    del A
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
-    F_eps = mollify(AX, t_eps).fn
+    F_eps = mollify(AX, t_eps)
+    del AX
     d_full = bmo_l_norm(family_stats(f - F_eps, fam), RHO_CONSTANT_UNIT).value
 
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
@@ -811,6 +806,12 @@ _EXCLUSIVE: dict[str, tuple[tuple[str, str], ...]] = {
     "averaging-pipeline": (("eps", "eps_fraction"),),
 }
 
+# scenario id -> pairs of keys of which one must be given, since the
+# runner builds its input from either
+_EITHER: dict[str, tuple[tuple[str, str], ...]] = {
+    "rho-slope": (("potential", "exponent"),),
+}
+
 
 def _scenario(s: dict) -> tuple[str, str, dict]:
     """(id, name, checked parameters) of one scenario object."""
@@ -825,6 +826,9 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
     for a, b in _EXCLUSIVE.get(sid, ()):
         if a in params and b in params:
             raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}, not both ({b!r} would be ignored)")
+    for a, b in _EITHER.get(sid, ()):
+        if a not in params and b not in params:
+            raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}")
     return sid, name, _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
 
 
@@ -881,9 +885,12 @@ class ExperimentConfig:
 
 def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     tol = p.pop("tolerance", None)
+    n = p.pop("n")
     if "potential" in p:
-        p["potential"] = p["potential"](p["n"])
-    rep = exp_rho_slope(rng=rng, **p)
+        potential = p.pop("potential")(n)
+    else:
+        potential = power_potential(p.pop("exponent"), n, p.pop("amplitude", 1.0))
+    rep = exp_rho_slope(potential, rng=rng, **p)
     with (out / "rho.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "rho"])
@@ -1077,11 +1084,12 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     A = dyadic_average(f, asg)
     gate = p1_p2_check(f, asg, A)
 
+    corners = asg.cube_corners[:, 0]
+    order = np.lexsort((corners, asg.cube_levels))
     with (out / "assignment.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["level", "corner_x"])
-        for lv, corner in zip(asg.cube_levels.tolist(), asg.cube_corners[:, 0].tolist()):
-            w.writerow([lv, corner])
+        w.writerows(zip(asg.cube_levels[order].tolist(), corners[order].tolist()))
     save_grid_function(out / "averaged.json", A)
     gate_doc = {
         "eps": eps,
@@ -1100,7 +1108,7 @@ def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
         "fine_exponent": th.fine_exponent,
         "core_exponent": th.core_exponent,
         "outer_exponent": th.outer_exponent,
-        "n_cubes": int(asg.cube_levels.shape[0]),
+        "n_cubes": asg.n_cubes,
         "gate": gate_doc,
     }
     failures = []

@@ -27,7 +27,7 @@ from oscillab.experiments import (
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats
-from oscillab.potential import constant_potential, solve_critical_radius
+from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import (
     HalfSpaceFunction,
     TLadder,
@@ -64,8 +64,8 @@ def test_criterion_01_unit_potential_closed_forms(criterion):
 def test_criterion_02_power_potential_growth_exponents(criterion):
     c = criterion(2, "critical radius growth exponents for power potentials")
     t0 = time.perf_counter()
-    rep3 = exp_rho_slope(3, exponent=0.5)
-    rep1 = exp_rho_slope(1, exponent=1.5)
+    rep3 = exp_rho_slope(power_potential(0.5, 3))
+    rep1 = exp_rho_slope(power_potential(1.5, 1))
     dt = time.perf_counter() - t0
     d3 = abs(rep3.slope / 0.75 - 1.0)
     d1 = abs(rep1.slope / 0.25 - 1.0)
@@ -235,7 +235,7 @@ print(json.dumps(out))
 
 def test_criterion_10_averaging_pipeline_budget(criterion):
     c = criterion(10, "dyadic averaging pipeline within the approximation budget")
-    # the run takes about 15 s at 2.76 GB peak RSS (2 vCPUs); a worker
+    # the run takes about 10 s at 1.93 GB peak RSS (2 vCPUs); a worker
     # process keeps an OOM from taking down the whole suite and turns it
     # into a plain FAIL line instead
     src = str(Path(oscillab.__file__).resolve().parent.parent)
@@ -282,7 +282,7 @@ def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16):
             continue
         f = m.build(grid16)
         base = bmo_norm(family_stats(f, fam)).value
-        ds = [bmo_norm(family_stats(f - mollify(f, t).fn, fam)).value for t in tees]
+        ds = [bmo_norm(family_stats(f - mollify(f, t), fam)).value for t in tees]
         all_decreasing &= all(a > b for a, b in zip(ds, ds[1:]))
         worst_ratio = max(worst_ratio, ds[-1] / base)
         n += 1

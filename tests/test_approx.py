@@ -358,9 +358,11 @@ def pipeline_assignment(pipeline_thresholds, pipeline_grid):
     return assign_cubes(pipeline_thresholds, pipeline_grid)
 
 
-def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> DyadicAssignment:
+def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> tuple[np.ndarray, ...]:
     """General partition construction: shell index from floor(log2) with
-    exact repair, cube ids from a row sort of the per-sample keys."""
+    exact repair, cube ids from a row sort of the per-sample keys.  Returns
+    the cube levels, corners and counts in (level, corner) order and the
+    cube id of every sample."""
     p = round(-math.log2(grid.spacing))
     n0 = grid.half_cells
     o = np.minimum(np.arange(grid.axis_count), 2 * n0 - 1) - n0
@@ -374,32 +376,51 @@ def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> DyadicAssignment:
     level = np.where(in_core, th.core_level, shell_m - th.fine_exponent - th.core_exponent - 1)
     key = np.stack([level, o >> (level + p)], axis=1)
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    return DyadicAssignment(
-        grid, th, inverse.astype(np.int64), uniq[:, 0].copy(), uniq[:, 1:].copy(),
-        np.bincount(inverse),
+    return uniq[:, 0].copy(), uniq[:, 1].copy(), np.bincount(inverse), inverse.astype(np.int64)
+
+
+def _sorted_cubes(asn: DyadicAssignment) -> tuple[np.ndarray, ...]:
+    """The position-ordered cube list in the oracle's form: levels, corners
+    and counts in (level, corner) order, the cube id of every sample (cube
+    k holds the next cube_counts[k] samples), and each position's id."""
+    order = np.lexsort((asn.cube_corners[:, 0], asn.cube_levels))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return (
+        asn.cube_levels[order],
+        asn.cube_corners[order, 0],
+        asn.cube_counts[order],
+        np.repeat(rank, asn.cube_counts),
+        rank,
     )
 
 
-def _oracle_adjacent_pairs(asn: DyadicAssignment) -> set[tuple[int, int]]:
+def _oracle_adjacent_pairs(grid: Grid, levels, corners, sample_cube) -> set[tuple[int, int]]:
     """Closure-adjacent cube id pairs, found by probing the sample just
     outside each end of every cube."""
-    n0 = asn.grid.half_cells
-    p = round(-math.log2(asn.grid.spacing))
-    q = (1 << (asn.cube_levels + p)).astype(np.int64)
-    c = asn.cube_corners[:, 0] * q
+    n0 = grid.half_cells
+    p = round(-math.log2(grid.spacing))
+    q = (1 << (levels + p)).astype(np.int64)
+    c = corners * q
     pairs = set()
     for probe in (c - 1, c + q):
         ok = (probe >= -n0) & (probe <= n0 - 1)
         src = np.nonzero(ok)[0]
-        tgt = asn.sample_cube[probe[ok] + n0]
+        tgt = sample_cube[probe[ok] + n0]
         pairs |= {(min(a, b), max(a, b)) for a, b in zip(src.tolist(), tgt.tolist()) if a != b}
     return pairs
 
 
-def _consecutive_pairs(asn: DyadicAssignment) -> set[tuple[int, int]]:
-    sc = asn.sample_cube
-    ids = sc[np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))]
-    return {(min(a, b), max(a, b)) for a, b in zip(ids[:-1].tolist(), ids[1:].tolist())}
+def _assert_position_order(asn: DyadicAssignment) -> None:
+    """Cube k starts where cube k-1 ends, the first at the -X face, and
+    holds 2^(level+p) samples; the last holds the +X boundary sample too."""
+    p = round(-math.log2(asn.grid.spacing))
+    q = np.left_shift(1, asn.cube_levels + p)
+    first = asn.cube_corners[:, 0] * q
+    assert asn.cube_corners.shape == (asn.n_cubes, 1)
+    assert first[0] == -asn.grid.half_cells
+    assert np.array_equal(first[1:], first[:-1] + q[:-1])
+    assert np.array_equal(asn.cube_counts[:-1], q[:-1]) and asn.cube_counts[-1] == q[-1] + 1
 
 
 def test_bump_unit_mass_and_height():
@@ -417,12 +438,23 @@ def test_bump_needs_resolution():
         bump(g, width=1.0)
 
 
+def _valid_window(g: Grid, t: float) -> slice:
+    """The samples whose width-t kernel window stays inside the box: the
+    kernel reaches ceil(t/h) - 1 samples each way."""
+    kmax = math.ceil(t / g.spacing - 1e-9) - 1
+    return slice(kmax, g.axis_count - kmax)
+
+
 def test_mollify_constant_exact_on_valid_window():
     g = Grid(halfwidth=4.0, spacing=2.0**-5)
     f = GridFunction.constant(g, 2.5)
     out = mollify(f, 0.5)
-    assert np.allclose(out.fn.values[out.valid], 2.5, atol=1e-13)
-    assert out.valid.any() and not out.valid.all()
+    valid = _valid_window(g, 0.5)
+    assert 0 < valid.start < valid.stop < g.axis_count
+    assert np.allclose(out.values[valid], 2.5, atol=1e-13)
+    # one sample further out the window reaches the zero padding
+    assert out.values[valid.start - 1] < 2.5 - 1e-6
+    assert out.values[valid.stop] < 2.5 - 1e-6
 
 
 def test_mollify_width_floor():
@@ -436,8 +468,8 @@ def test_mollify_error_shrinks_with_t():
     f = GridFunction.from_callable(g, lambda x: np.exp(-0.5 * x**2))
     errs = []
     for t in (0.5, 0.25, 0.125):
-        out = mollify(f, t)
-        errs.append(float(np.max(np.abs(out.fn.values - f.values)[out.valid])))
+        valid = _valid_window(g, t)
+        errs.append(float(np.max(np.abs(mollify(f, t).values - f.values)[valid])))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -474,16 +506,16 @@ def test_threshold_report_shape(pipeline_thresholds):
 
 def test_assignment_partitions_box(pipeline_assignment, pipeline_grid):
     asn = pipeline_assignment
-    assert asn.sample_cube.shape == (pipeline_grid.size,)
     assert int(np.sum(asn.cube_counts)) == pipeline_grid.size
-    assert np.array_equal(
-        np.bincount(asn.sample_cube, minlength=asn.n_cubes), asn.cube_counts
-    )
-    # samples inside the core carry the core level
+    _assert_position_order(asn)
+    # samples inside the core carry the core level, and each sample the
+    # level the row-sort oracle gives it
     th = asn.thresholds
     core = np.abs(pipeline_grid.axis) < 2.0**th.core_exponent - 1e-12
-    got_levels = asn.cube_levels[asn.sample_cube]
+    got_levels = np.repeat(asn.cube_levels, asn.cube_counts)
     assert np.all(got_levels[core] == th.core_level)
+    levels, _, _, sample_cube = _oracle_assignment(th, pipeline_grid)
+    assert np.array_equal(got_levels, levels[sample_cube])
     # levels never fall below the grid scale
     assert np.all(asn.cube_levels >= -6)
 
@@ -510,13 +542,17 @@ def test_dyadic_average_idempotent(pipeline_f, pipeline_assignment):
 def test_dyadic_average_equals_cube_means(pipeline_f, pipeline_assignment):
     A = dyadic_average(pipeline_f, pipeline_assignment)
     means = cube_means(pipeline_f, pipeline_assignment)
-    assert np.allclose(
-        A.values.ravel(), means[pipeline_assignment.sample_cube], atol=1e-12
-    )
+    assert np.allclose(A.values, np.repeat(means, pipeline_assignment.cube_counts), atol=1e-12)
+    # against the oracle's cube means, cube by cube in (level, corner) order
+    _, _, counts, sample_cube = _oracle_assignment(pipeline_assignment.thresholds, pipeline_assignment.grid)
+    want = np.bincount(sample_cube, weights=pipeline_f.values) / counts
+    assert np.allclose(A.values, want[sample_cube], atol=1e-12)
+    *_, rank = _sorted_cubes(pipeline_assignment)
+    assert np.array_equal(means[np.argsort(rank)], want)
 
 
 def test_gates_pass_for_member(pipeline_f, pipeline_assignment):
-    rep = p1_p2_check(pipeline_f, pipeline_assignment)
+    rep = p1_p2_check(pipeline_f, pipeline_assignment, dyadic_average(pipeline_f, pipeline_assignment))
     assert rep.p1_ok, rep
     assert rep.p2_ok, rep
     assert rep.size_ratio_ok
@@ -527,26 +563,31 @@ def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid)
     # averaging the constant 1 with thresholds chosen for the bump leaves
     # mass 1 outside the outer region, so the first gate must fail
     f = GridFunction.constant(pipeline_grid, 1.0)
-    rep = p1_p2_check(f, pipeline_assignment)
+    rep = p1_p2_check(f, pipeline_assignment, dyadic_average(f, pipeline_assignment))
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
     assert rep.p2_ok  # all cube means equal
 
 
 def _assert_matches_oracle(f: GridFunction, asn: DyadicAssignment) -> None:
-    ref = _oracle_assignment(asn.thresholds, asn.grid)
-    for name in ("sample_cube", "cube_levels", "cube_corners", "cube_counts"):
-        got, want = getattr(asn, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
-    pairs = _oracle_adjacent_pairs(ref)
-    assert _consecutive_pairs(asn) == pairs
-    a, b = np.array(sorted(pairs)).T
-    means = cube_means(f, ref)
-    rep = p1_p2_check(f, asn)
+    """Equal levels, corners, counts and per-sample map after a (level,
+    corner) sort; the consecutive cubes are the oracle's closure-adjacent
+    pairs, and the gates read the oracle's cube means over them."""
+    want = _oracle_assignment(asn.thresholds, asn.grid)
+    *got, rank = _sorted_cubes(asn)
+    for name, g, w in zip(("levels", "corners", "counts", "sample_cube"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+    levels, corners, counts, sample_cube = want
+    pairs = _oracle_adjacent_pairs(asn.grid, levels, corners, sample_cube)
+    assert {(min(a, b), max(a, b)) for a, b in zip(rank[:-1].tolist(), rank[1:].tolist())} == pairs
+    rep = p1_p2_check(f, asn, dyadic_average(f, asn))
     assert rep.n_adjacent_pairs == len(pairs)
-    assert rep.p2_max == float(np.max(np.abs(means[a] - means[b])))
-    assert rep.size_ratio_ok == bool(np.all(np.abs(ref.cube_levels[a] - ref.cube_levels[b]) <= 1))
+    if pairs:
+        a, b = np.array(sorted(pairs)).T
+        means = np.bincount(sample_cube, weights=f.values) / counts
+        assert rep.p2_max == float(np.max(np.abs(means[a] - means[b])))
+        assert rep.size_ratio_ok == bool(np.all(np.abs(levels[a] - levels[b]) <= 1))
 
 
 def test_assignment_matches_row_sort_oracle(pipeline_f, pipeline_assignment):
@@ -572,21 +613,71 @@ def test_assignment_runs_at_pipeline_small_geometry():
         osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235,
     )
     asn = assign_cubes(th, grid)
-    sc = asn.sample_cube
-    starts = np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))
-    ids = sc[starts]
-    # every cube is exactly one run: no id comes back after its run ends
-    assert ids.size == asn.n_cubes
-    assert np.array_equal(np.sort(ids), np.arange(asn.n_cubes))
-    lengths = np.diff(np.append(starts, sc.size))
-    want = 2 ** (asn.cube_levels[ids] + p)
-    want[-1] += 1  # the +X boundary sample folds into the last cube
-    assert np.array_equal(lengths, want)
-    assert np.array_equal(asn.cube_counts[ids], lengths)
-    rep = p1_p2_check(GridFunction.constant(grid, 0.0), asn)
+    _assert_position_order(asn)
+    assert int(np.sum(asn.cube_counts)) == grid.size
+    # the core [-2^10, 2^10) in single cells (level -7), then on each side
+    # shells m = 10, 11, 12 of 2^16 cubes at level m - 16
+    assert asn.n_cubes == 2**18 + 2 * 3 * 2**16
+    assert np.array_equal(np.unique(asn.cube_levels), [-7, -6, -5, -4])
+    zero = GridFunction.constant(grid, 0.0)
+    rep = p1_p2_check(zero, asn, dyadic_average(zero, asn))
     assert rep.n_adjacent_pairs == asn.n_cubes - 1
     assert rep.size_ratio_ok
-    assert np.all(np.abs(np.diff(asn.cube_levels[ids])) <= 1)
+    assert np.all(np.abs(np.diff(asn.cube_levels)) <= 1)
+
+
+# (halfwidth, spacing, number of swept thresholds)
+_SWEEP_BOXES = [
+    (32.0, 2.0**-3, 55), (64.0, 0.5, 37), (128.0, 2.0**-4, 149), (256.0, 2.0**-3, 149), (512.0, 0.5, 110)
+]
+
+
+def _swept_thresholds(grid: Grid):
+    """Every (I, J, M) a threshold scan of the grid can return and
+    assign_cubes can tile (core cubes at or above the grid scale, J >= -I-1,
+    halfwidth >= 2^(M+3)), plus cores out to the box with M = a - 3."""
+    a, p = _dyadic_exponents(grid)
+    for fine in range(-a, p - 1):
+        for core in range(max(-fine - 1, -p + 1), a + 1):
+            for outer in range(min(core, a - 3), a - 2):
+                yield AveragingThresholds(1.0, fine, core, outer, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("halfwidth, spacing, count", _SWEEP_BOXES)
+def test_assignment_matches_oracle_for_every_threshold(halfwidth, spacing, count):
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    f = GridFunction.from_callable(grid, lambda x: np.sin(3.0 * x) + x**2 / halfwidth)
+    n = 0
+    for th in _swept_thresholds(grid):
+        asn = assign_cubes(th, grid)
+        _assert_position_order(asn)
+        _assert_matches_oracle(f, asn)
+        n += 1
+    assert n == count
+
+
+def test_assignment_rejects_core_below_minus_fine_minus_one(pipeline_grid):
+    # shell m's cubes (level m - I - J - 1) would be longer than the shell
+    for fine, core in ((2, -4), (3, -5)):
+        th = AveragingThresholds(1.0, fine, core, 4, 0.1, 0.5)
+        with pytest.raises(ConfigError, match=r"J = -\d+ outside \[-I-1, a\]"):
+            assign_cubes(th, pipeline_grid)
+    # a core beyond the box (J > a) is rejected as well
+    with pytest.raises(ConfigError, match="outside"):
+        assign_cubes(AveragingThresholds(1.0, 2, 9, 4, 0.1, 0.5), pipeline_grid)
+
+
+def test_assignment_memory_is_independent_of_sample_count():
+    grid = Grid(halfwidth=8192.0, spacing=2.0**-7)  # 2,097,153 samples
+    th = AveragingThresholds(1.0, 0, 3, 5, 0.1, 0.5)
+    tracemalloc.start()
+    try:
+        asn = assign_cubes(th, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asn.n_cubes == 64 + 2 * 10 * 16
+    assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from oscillab.experiments import (
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oscillab.potential import constant_potential, zero_potential
+from oscillab.potential import constant_potential, power_potential, zero_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 
 SCENARIO_IDS = (
@@ -70,14 +70,14 @@ def test_lacunary_function_validation():
 
 
 def test_rho_slope_constant_potential_is_flat():
-    rep = exp_rho_slope(1, potential=constant_potential(4.0, 1), points=6)
+    rep = exp_rho_slope(constant_potential(4.0, 1), points=6)
     assert rep.expected == 0.0
     assert abs(rep.slope) < 1e-6
     assert not rep.small_range_warning
 
 
 def test_rho_slope_power_potential_matches_asymptote():
-    rep = exp_rho_slope(1, exponent=1.5, points=8)
+    rep = exp_rho_slope(power_potential(1.5, 1), points=8)
     assert rep.expected == pytest.approx(0.25)
     assert abs(rep.slope - 0.25) < 0.0125
     assert rep.potential_kind == "power"
@@ -85,16 +85,15 @@ def test_rho_slope_power_potential_matches_asymptote():
 
 
 def test_rho_slope_validation():
+    V = power_potential(1.5, 1)
     with pytest.raises(ConfigError):
-        exp_rho_slope(1)
+        exp_rho_slope(zero_potential(1))
     with pytest.raises(ConfigError):
-        exp_rho_slope(1, potential=zero_potential(1))
+        exp_rho_slope(V, jitter=0.1)  # jitter needs the run's rng
     with pytest.raises(ConfigError):
-        exp_rho_slope(1, exponent=1.5, jitter=0.1)  # jitter needs the run's rng
+        exp_rho_slope(V, x_min=0.0)
     with pytest.raises(ConfigError):
-        exp_rho_slope(1, exponent=1.5, x_min=0.0)
-    with pytest.raises(ConfigError):
-        exp_rho_slope(1, exponent=1.5, points=1)
+        exp_rho_slope(V, points=1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_rho_slope_validation():
 
 
 def test_config_defaults():
-    cfg = ExperimentConfig.from_dict({"scenarios": [{"id": "rho-slope"}]})
+    cfg = ExperimentConfig.from_dict({"scenarios": [{"id": "rho-slope", "exponent": 1.5}]})
     assert cfg.seed == 0
     assert cfg.op_cap == DEFAULT_OP_CAP
     assert cfg.interior_window == pytest.approx(1.0 / 3.0)
@@ -110,7 +109,8 @@ def test_config_defaults():
 
 
 def test_config_accepts_every_scenario_id():
-    doc = {"scenarios": [{"id": s} for s in SCENARIO_IDS]}
+    # rho-slope needs its potential, here the power one through its exponent
+    doc = {"scenarios": [{"id": s, **({"exponent": 1.5} if s == "rho-slope" else {})} for s in SCENARIO_IDS]}
     cfg = ExperimentConfig.from_dict(doc)
     assert len(cfg.scenarios) == len(SCENARIO_IDS)
 
@@ -121,7 +121,7 @@ def test_config_accepts_every_scenario_id():
         {"bogus": 1},
         {"scenarios": "rho-slope"},
         {"scenarios": [{"id": "nope"}]},
-        {"scenarios": [{"id": "rho-slope"}, {"id": "rho-slope"}]},  # same default name
+        {"scenarios": [{"id": "rho-slope", "exponent": 1.5}] * 2},  # same default name
         {"scenarios": [], "seed": "x"},
         {"scenarios": [], "op_cap": 1},
         {"scenarios": [], "interior_window": 0},
@@ -527,16 +527,21 @@ def test_cli_rejects_wrongly_typed_config_key(key, value, tmp_path, capsys, monk
 
 def test_cli_bad_last_scenario_runs_nothing(tmp_path, capsys):
     # the whole config is checked before the first scenario runs
-    scenarios = [
-        {"id": "rho-slope", "name": "first", "exponent": 1.5, "points": 6},
-        {"id": "tent-norms", "name": "last", "halfwidth": "8"},
+    cases = [
+        ([{"id": "rho-slope", "name": "first", "exponent": 1.5, "points": 6},
+          {"id": "tent-norms", "name": "last", "halfwidth": "8"}], "'halfwidth'"),
+        # a rho-slope with no potential ran bmo-norms, left both directories
+        # and only then exited 2
+        ([{"id": "bmo-norms", "halfwidth": 8.0, "spacing": 0.0625}, {"id": "rho-slope", "n": 2}],
+         "give 'potential' or 'exponent'"),
     ]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenarios": scenarios}))
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "'halfwidth'" in capsys.readouterr().err
-    assert not out.exists()
+    for scenarios, err in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": scenarios}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert err in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name", [5, "../escaped", "a/b", "a\\b", "a\x00b", ".", "..", ""], ids=repr)
