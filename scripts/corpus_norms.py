@@ -7,14 +7,15 @@ with the resulting tent/oscillation ratio.
 """
 
 import argparse
-import math
+
+import numpy as np
 
 from oscillab.corpus import CORPUS, corpus_grid, corpus_operator
 from oscillab.experiments import RHO_CONSTANT_UNIT
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, tilde_bmo_l_norm
 from oscillab.semigroup import default_ladder, square_function_field
-from oscillab.tent import t2p_norm
+from oscillab.tent import family_box_values, hmo_norm
 
 
 def main():
@@ -36,7 +37,7 @@ def main():
         plain = bmo_norm(st).value
         split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
         tilde = tilde_bmo_l_norm(f, op, fam, ladder).value
-        tent = t2p_norm(square_function_field(op, f, ladder), math.inf, family=fam).value
+        tent = hmo_norm(np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))).value
         ratio = tent / split.value if split.value > 0 else float("nan")
         print(
             f"{m.name:>12} {plain:>8.4f} {split.value:>8.4f} {split.size_part:>8.4f} "

@@ -113,10 +113,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "save_samples",
     ),
     "experiments": (
+        "AgreementReport",
         "ExperimentConfig",
-        "ExtensionReport",
         "LacunaryReport",
-        "MembershipReport",
         "PipelineReport",
         "RhoSlopeReport",
         "exp_extension_agreement",

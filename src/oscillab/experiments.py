@@ -40,7 +40,7 @@ from .corpus import (
     member_by_name,
 )
 from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
-from .family import SUPERCRITICAL_MODES, BallFamily, FamilyPolicy, LimitCurve, make_ball_family
+from .family import SUPERCRITICAL_MODES, BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
 from .grid import Ball, Grid, GridFunction, mean_oscillation
 from .oscillation import (
     SplitNormReport,
@@ -74,7 +74,14 @@ from .serialize import (
     save_grid_function,
     save_json,
 )
-from .tent import gradient_carleson_curves, hmo_norm, reproducing_pairing_check, t2p_norm, tent_curves
+from .tent import (
+    family_box_values,
+    gradient_carleson_curves,
+    hmo_norm,
+    reproducing_pairing_check,
+    t2p_norm,
+    tent_curves,
+)
 
 RHO_CONSTANT_UNIT = 2.0**-0.5  # critical radius of the unit potential in 1-D
 
@@ -313,31 +320,79 @@ def _default_corpus_policy(grid: Grid) -> FamilyPolicy:
 
 
 @dataclass(frozen=True)
-class MembershipReport:
+class AgreementReport:
+    """Vanishing verdicts of two sides over one corpus member: gamma, an
+    oscillation side of the boundary function, against one half-space
+    Carleson side (eta for the square-function field, beta for the
+    extension's scaled gradient).  ``norm_key`` names the Carleson side's
+    sup norm in the summary ("t2_inf" or "hmo"); ``ratio`` is that norm
+    over bmo_l."""
+
     member: str
     bmo_l: float
-    t2_inf: float
+    norm_key: str
+    norm: float
     ratio: Optional[float]
-    gamma_verdicts: dict[str, Verdict]
-    eta_verdicts: dict[str, Verdict]
-    gamma_vanishing: bool
-    eta_vanishing: bool
-    agree: bool
-    gamma_curves: dict[str, LimitCurve]
-    eta_curves: dict[str, LimitCurve]
+    verdicts: dict[str, dict[str, Verdict]]
+    curves: dict[str, dict[str, LimitCurve]]
+
+    def vanishing(self, side: str) -> bool:
+        return _all_vanishing(self.verdicts[side])
+
+    @property
+    def agree(self) -> bool:
+        return len({self.vanishing(side) for side in self.verdicts}) == 1
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "member": self.member,
             "bmo_l": self.bmo_l,
-            "t2_inf": self.t2_inf,
+            self.norm_key: self.norm,
             "ratio": self.ratio,
-            "gamma_verdicts": _verdict_dict(self.gamma_verdicts),
-            "eta_verdicts": _verdict_dict(self.eta_verdicts),
-            "gamma_vanishing": self.gamma_vanishing,
-            "eta_vanishing": self.eta_vanishing,
             "agree": self.agree,
         }
+        for side, verdicts in self.verdicts.items():
+            out[f"{side}_verdicts"] = _verdict_dict(verdicts)
+            out[f"{side}_vanishing"] = self.vanishing(side)
+        return out
+
+
+def _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder):
+    """(member, f, family, operator, ladder) of one agreement run on the
+    grid [-halfwidth, halfwidth]; a given operator must live on it."""
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    if op is not None and not op.grid.compatible(grid):
+        raise ConfigError("operator grid does not match the scenario grid")
+    if op is None:
+        op = corpus_operator(grid, cap)
+    m = member_by_name(member) if isinstance(member, str) else member
+    fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
+    return m, m.build(grid), fam, op, ladder if ladder is not None else default_ladder(grid)
+
+
+def _agreement(
+    member: str,
+    bmo_l: float,
+    norm_key: str,
+    norm: float,
+    curves: dict[str, dict[str, LimitCurve]],
+    tol_fraction: float,
+    decay_factor: float,
+) -> AgreementReport:
+    """The report of the gamma curves and the Carleson side's curves, each
+    side classified at tol_fraction of its own norm (bmo_l for gamma)."""
+    return AgreementReport(
+        member=member,
+        bmo_l=bmo_l,
+        norm_key=norm_key,
+        norm=norm,
+        ratio=(norm / bmo_l) if bmo_l > 0 else None,
+        verdicts={
+            side: _verdict_map(c, tol_fraction * (bmo_l if side == "gamma" else norm), decay_factor)
+            for side, c in curves.items()
+        },
+        curves=curves,
+    )
 
 
 def exp_square_membership(
@@ -350,81 +405,22 @@ def exp_square_membership(
     decay_factor: float = 4.0,
     op: Optional[SpectralOperator] = None,
     ladder: Optional[TLadder] = None,
-) -> MembershipReport:
+) -> AgreementReport:
     """Semigroup-metric curves of f against tent curves of the scaled square
     function field, with aggregate vanishing verdicts on both sides."""
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    if op is not None and not op.grid.compatible(grid):
-        raise ConfigError("operator grid does not match the scenario grid")
-    if op is None:
-        op = corpus_operator(grid, cap)
-    m = member_by_name(member) if isinstance(member, str) else member
-    f = m.build(grid)
-    fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
-    if ladder is None:
-        ladder = default_ladder(grid)
-
+    m, f, fam, op, ladder = _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder)
     st = family_stats(f, fam)
-    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
-    size_curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
     for mode in SUPERCRITICAL_MODES:
-        gamma_curves[mode] = size_curves[mode]
-    gtol = tol_fraction * norm.value
-    gamma_verdicts = _verdict_map(gamma_curves, gtol, decay_factor)
-
-    F = square_function_field(op, f, ladder)
-    t2 = t2p_norm(F, math.inf, family=fam)
-    eta_curves = tent_curves(F, fam)
-    eta_verdicts = _verdict_map(eta_curves, tol_fraction * t2.value, decay_factor)
-
-    gv = _all_vanishing(gamma_verdicts)
-    ev = _all_vanishing(eta_verdicts)
-    return MembershipReport(
-        member=m.name,
-        bmo_l=norm.value,
-        t2_inf=t2.value,
-        ratio=(t2.value / norm.value) if norm.value > 0 else None,
-        gamma_verdicts=gamma_verdicts,
-        eta_verdicts=eta_verdicts,
-        gamma_vanishing=gv,
-        eta_vanishing=ev,
-        agree=bool(gv == ev),
-        gamma_curves=gamma_curves,
-        eta_curves=eta_curves,
-    )
+        gamma_curves[mode] = bucketed_sup(st.size2, fam, mode, rho=RHO_CONSTANT_UNIT)
+    eta = np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))
+    curves = {"gamma": gamma_curves, "eta": tent_curves(eta, fam)}
+    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
+    return _agreement(m.name, norm, "t2_inf", hmo_norm(eta).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
 # harmonic-extension agreement
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    member: str
-    bmo_l: float
-    hmo: float
-    ratio: Optional[float]
-    beta_verdicts: dict[str, Verdict]
-    gamma_verdicts: dict[str, Verdict]
-    beta_vanishing: bool
-    gamma_vanishing: bool
-    agree: bool
-    beta_curves: dict[str, LimitCurve]
-    gamma_curves: dict[str, LimitCurve]
-
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "bmo_l": self.bmo_l,
-            "hmo": self.hmo,
-            "ratio": self.ratio,
-            "beta_verdicts": _verdict_dict(self.beta_verdicts),
-            "gamma_verdicts": _verdict_dict(self.gamma_verdicts),
-            "beta_vanishing": self.beta_vanishing,
-            "gamma_vanishing": self.gamma_vanishing,
-            "agree": self.agree,
-        }
 
 
 def exp_extension_agreement(
@@ -437,45 +433,16 @@ def exp_extension_agreement(
     decay_factor: float = 4.0,
     op: Optional[SpectralOperator] = None,
     ladder: Optional[TLadder] = None,
-) -> ExtensionReport:
+) -> AgreementReport:
     """Carleson curves of the harmonic extension's scaled gradient against
     the plain oscillation curves of the boundary function."""
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    if op is not None and not op.grid.compatible(grid):
-        raise ConfigError("operator grid does not match the scenario grid")
-    if op is None:
-        op = corpus_operator(grid, cap)
-    m = member_by_name(member) if isinstance(member, str) else member
-    f = m.build(grid)
-    fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
-    if ladder is None:
-        ladder = default_ladder(grid)
-
+    m, f, fam, op, ladder = _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder)
     st = family_stats(f, fam)
-    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT)
-    gamma_curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
-    gamma_verdicts = _verdict_map(gamma_curves, tol_fraction * norm.value, decay_factor)
-
-    ext = poisson_extension(op, f, ladder)
-    carleson = hmo_norm(ext, fam)
-    beta_curves = gradient_carleson_curves(ext, fam)
-    beta_verdicts = _verdict_map(beta_curves, tol_fraction * carleson.value, decay_factor)
-
-    bv = _all_vanishing(beta_verdicts)
-    gv = _all_vanishing(gamma_verdicts)
-    return ExtensionReport(
-        member=m.name,
-        bmo_l=norm.value,
-        hmo=carleson.value,
-        ratio=(carleson.value / norm.value) if norm.value > 0 else None,
-        beta_verdicts=beta_verdicts,
-        gamma_verdicts=gamma_verdicts,
-        beta_vanishing=bv,
-        gamma_vanishing=gv,
-        agree=bool(bv == gv),
-        beta_curves=beta_curves,
-        gamma_curves=gamma_curves,
-    )
+    G = poisson_extension(op, f, ladder).gradient_magnitude()
+    beta = np.sqrt(family_box_values(G, fam))
+    curves = {"gamma": oscillation_curves(st, RHO_CONSTANT_UNIT), "beta": gradient_carleson_curves(beta, fam)}
+    norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
+    return _agreement(m.name, norm, "hmo", hmo_norm(beta).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +561,11 @@ def exp_pipeline(
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
     # truncate to the M+2 region, then mollify at the fine-cube scale;
-    # A and AX are dropped after their last use to keep the peak down
+    # the axis, A and AX are dropped after their last use to keep the peak down
     T = 2.0 ** (th.outer_exponent + 2)
     ax = grid.axis
     AX = GridFunction(grid, np.where((ax >= -T) & (ax < T), A.values, 0.0))
-    del A
+    del A, ax
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
     F_eps = mollify(AX, t_eps)
     del AX
@@ -677,8 +644,8 @@ _STR = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
 _MEMBERS = _Kind("a list of member names", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v))
 _EXPONENTS = _Kind(
-    'a list of finite numbers and "inf"',
-    lambda v: isinstance(v, list) and all(e == "inf" or _number(e) for e in v),
+    'a list of positive numbers and "inf"',
+    lambda v: isinstance(v, list) and all(e == "inf" or (_number(e) and e > 0) for e in v),
     lambda where, v: tuple(math.inf if e == "inf" else float(e) for e in v),
 )
 _EXPECT = _Kind(
@@ -928,17 +895,17 @@ def _run_lacunary(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gene
     return rep.to_dict(), failures
 
 
-# agreement scenario id -> (its experiment, the curve sides it writes)
+# agreement scenario id -> its experiment
 _AGREEMENT = {
-    "square-function-agreement": (exp_square_membership, ("gamma", "eta")),
-    "extension-agreement": (exp_extension_agreement, ("beta", "gamma")),
+    "square-function-agreement": exp_square_membership,
+    "extension-agreement": exp_extension_agreement,
 }
 
 
 def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     """Both agreement scenarios: one operator for all members, and per
     member its report and the curves of both sides."""
-    experiment, sides = _AGREEMENT[sid]
+    experiment = _AGREEMENT[sid]
     names = p.pop("members", None) or [m.name for m in CORPUS]
     asserted = p.pop("assert_members")
     grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
@@ -949,8 +916,7 @@ def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.
     for name in names:
         rep = experiment(name, policy=policy, op=op, **p)
         sub[name] = rep.to_dict()
-        for side in sides:
-            curves = getattr(rep, f"{side}_curves")
+        for side, curves in rep.curves.items():
             save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
         if name in asserted and not rep.agree:
             failures.append(f"{sid}: verdicts disagree on {name}")
@@ -1025,14 +991,15 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
     op = corpus_operator(grid, cfg.op_cap)
     f = member_by_name(p["member"]).build(grid)
     F = square_function_field(op, f, default_ladder(grid))
+    eta = np.sqrt(family_box_values(F, fam))
     norms = {}
     for pe in p["exponents"]:
-        rep = t2p_norm(F, pe, family=fam)
-        norms["inf" if pe == math.inf else repr(pe)] = {
-            "value": rep.value,
-            "truncated_fraction": rep.truncated_fraction,
-        }
-    curves = tent_curves(F, fam)
+        if pe == math.inf:
+            norms["inf"] = {"value": hmo_norm(eta).value, "truncated_fraction": 0.0}
+        else:
+            rep = t2p_norm(F, pe)
+            norms[repr(pe)] = {"value": rep.value, "truncated_fraction": rep.truncated_fraction}
+    curves = tent_curves(eta, fam)
     save_curves_csv(out / "tent-curves.csv", [curves[m] for m in sorted(curves)])
     return {"member": p["member"], "norms": norms}, []
 

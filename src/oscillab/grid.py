@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +81,7 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing
 
-    @cached_property
+    @property
     def axis(self) -> np.ndarray:
         """Sample coordinates, -X..X inclusive."""
         m = self.half_cells

@@ -8,8 +8,8 @@ norms:
 * semigroup oscillation  (r^{-1} * integral over B of
   |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction applies the
   Poisson semigroup at time t = r exactly as the direct exponential
-  e^{-r sqrt(lambda)} in the operator's sine basis (``semigroup.poisson``,
-  one operator application per distinct radius in the family);
+  e^{-r sqrt(lambda)} in the operator's sine basis (one sine transform of
+  f, then one synthesis per distinct radius in the family);
   ``poisson_subordinated`` is only its oracle.
 
 The norm that drives verdicts splits at the critical radius: oscillation
@@ -28,7 +28,7 @@ from .errors import ConfigError, DegenerateRegionError, LadderError
 from .family import PLAIN_MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import GridFunction, SummedTable
 from .potential import rho_values_for
-from .semigroup import SpectralOperator, TLadder, poisson
+from .semigroup import SpectralOperator, TLadder
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 
@@ -190,9 +190,10 @@ def semigroup_difference_values(
 ) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
-    One ``poisson`` application per distinct radius.  When a ladder is
-    given, radii outside its range raise LadderError (the scale is not
-    covered by the configured scale range)."""
+    One sine transform of f, then one synthesis of e^{-r sqrt(lambda)}
+    times its coefficients per distinct radius.  When a ladder is given,
+    radii outside its range raise LadderError (the scale is not covered by
+    the configured scale range)."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
@@ -207,8 +208,11 @@ def semigroup_difference_values(
                 f"[{ladder.values[0]}, {ladder.values[-1]}]"
             )
 
+    coef = op.coefficients(f)
+    s = np.sqrt(op.eigenvalues)
+
     def block(ci: np.ndarray, m: int, r: float) -> np.ndarray:
-        diff = f.values - poisson(op, f, r).values
+        diff = f.values - op.synthesize(np.exp(-r * s) * coef).values
         sums = SummedTable(g, diff**2).ball_sum(ci, m)
         return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
 

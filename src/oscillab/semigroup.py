@@ -217,8 +217,9 @@ class HalfSpaceFunction:
         object.__setattr__(self, "values", v)
 
 
-def _field_from_psi(op: SpectralOperator, f: GridFunction, ladder: TLadder, psi_ts) -> HalfSpaceFunction:
-    coef = op.coefficients(f)
+def _field_from_psi(op: SpectralOperator, coef: np.ndarray, ladder: TLadder, psi_ts) -> HalfSpaceFunction:
+    """psi_ts(t, sqrt(L)) applied on every ladder slice to the sine
+    coefficients coef of one boundary function."""
     s = np.sqrt(op.eigenvalues)
     out = np.zeros((len(ladder),) + op.grid.shape)
     out[:, 1:-1] = dst(psi_ts(ladder.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
@@ -227,7 +228,7 @@ def _field_from_psi(op: SpectralOperator, f: GridFunction, ladder: TLadder, psi_
 
 def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
     """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f on the ladder."""
-    return _field_from_psi(op, f, ladder, lambda t, s: t * s * np.exp(-t * s))
+    return _field_from_psi(op, op.coefficients(f), ladder, lambda t, s: t * s * np.exp(-t * s))
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,9 @@ def _ddx(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> PoissonExtension:
-    u = _field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s))
-    dt = _field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s))
+    coef = op.coefficients(f)
+    u = _field_from_psi(op, coef, ladder, lambda t, s: np.exp(-t * s))
+    dt = _field_from_psi(op, coef, ladder, lambda t, s: -t * s * np.exp(-t * s))
     gx = np.empty_like(u.values)
     for j, t in enumerate(ladder.values):
         gx[j] = t * _ddx(u.values[j], op.grid.spacing)

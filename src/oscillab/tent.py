@@ -24,7 +24,6 @@ from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
 from .oscillation import _family_geometry, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
-    PoissonExtension,
     SpectralOperator,
     TLadder,
     log_weights_for,
@@ -168,37 +167,22 @@ class TentNormReport:
     p: float
     value: float
     truncated_fraction: float
-    arg_index: int
 
 
-def t2p_norm(
-    F: HalfSpaceFunction, p: float, family: BallFamily | None = None
-) -> TentNormReport:
-    """Tent-space norm: for finite p the L^p norm of the cone functional;
-    for p = inf the family sup of sqrt(carleson box)."""
-    if p == math.inf:
-        if family is None:
-            raise ConfigError("the sup-norm variant needs a ball family")
-        vals = np.sqrt(family_box_values(F, family))
-        arg = int(np.argmax(vals))
-        return TentNormReport(p, float(vals[arg]), 0.0, arg)
-    if not (p > 0):
-        raise ConfigError(f"tent exponent must be positive, got {p}")
+def t2p_norm(F: HalfSpaceFunction, p: float) -> TentNormReport:
+    """Tent-space norm for finite p: the L^p norm of the cone functional.
+    For p = inf take ``hmo_norm`` of the family's per-ball Carleson values."""
+    if not (0 < p < math.inf):
+        raise ConfigError(f"tent exponent must be positive and finite, got {p}")
     cone = cone_square_function(F)
     a = cone.values.values
     val = float(np.sum(a**p) * F.grid.cell_volume) ** (1.0 / p)
     frac = float(np.mean(cone.truncated))
-    return TentNormReport(p, val, frac, -1)
-
-
-def tent_curves(F: HalfSpaceFunction, family: BallFamily) -> dict[str, LimitCurve]:
-    """Limit curves of sqrt(carleson box) in the three plain modes."""
-    vals = np.sqrt(family_box_values(F, family))
-    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+    return TentNormReport(p, val, frac)
 
 
 # ---------------------------------------------------------------------------
-# harmonic-extension Carleson norms
+# Carleson norms and curves, reduced from one scan's per-ball values
 
 
 @dataclass(frozen=True)
@@ -208,19 +192,24 @@ class CarlesonReport:
     n_balls: int
 
 
-def hmo_norm(ext: PoissonExtension, family: BallFamily) -> CarlesonReport:
-    """sup over the family of sqrt(carleson box) of the full scaled
-    gradient of the extension."""
-    G = ext.gradient_magnitude()
-    vals = np.sqrt(family_box_values(G, family))
-    arg = int(np.argmax(vals))
-    return CarlesonReport(float(vals[arg]), arg, len(family))
+def hmo_norm(carleson: np.ndarray) -> CarlesonReport:
+    """sup over the family of the per-ball Carleson values
+    sqrt(family_box_values(G, family)), with its ball.  For G the scaled
+    gradient of the Poisson extension this is the HMO norm; for the
+    square-function field it is the T^{2,inf} tent norm."""
+    arg = int(np.argmax(carleson))
+    return CarlesonReport(float(carleson[arg]), arg, carleson.size)
 
 
-def gradient_carleson_curves(ext: PoissonExtension, family: BallFamily) -> dict[str, LimitCurve]:
-    G = ext.gradient_magnitude()
-    vals = np.sqrt(family_box_values(G, family))
-    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+def tent_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:
+    """Limit curves of the per-ball Carleson values in the three plain
+    modes."""
+    return {mode: bucketed_sup(carleson, family, mode) for mode in PLAIN_MODES}
+
+
+def gradient_carleson_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:
+    """tent_curves of the extension's scaled-gradient Carleson values."""
+    return tent_curves(carleson, family)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ from oscillab.tent import (
     box_oscillation_ratio,
     carleson_box,
     carleson_box_strict_tent,
+    family_box_values,
+    hmo_norm,
     reproducing_pairing_check,
-    t2p_norm,
 )
 
 
@@ -152,7 +153,7 @@ def test_criterion_07_corpus_norm_ratios(criterion, grid16, op16, family16):
             continue
         f = m.build(grid16)
         norm = bmo_l_norm(family_stats(f, family16), RHO_CONSTANT_UNIT).value
-        t2 = t2p_norm(square_function_field(op16, f, lad), math.inf, family=family16).value
+        t2 = hmo_norm(np.sqrt(family_box_values(square_function_field(op16, f, lad), family16))).value
         ratios[m.name] = t2 / norm
     vals = list(ratios.values())
     span = max(vals) / min(vals)

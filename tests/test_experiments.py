@@ -318,9 +318,10 @@ def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path):
 def test_membership_agreement_on_zero_function():
     rep = exp_square_membership("zero", halfwidth=16.0, spacing=2.0**-4)
     assert rep.bmo_l == 0.0
-    assert rep.t2_inf == 0.0
+    assert rep.norm == 0.0
     assert rep.ratio is None
-    assert rep.gamma_vanishing and rep.eta_vanishing and rep.agree
+    assert rep.vanishing("gamma") and rep.vanishing("eta") and rep.agree
+    assert rep.to_dict()["t2_inf"] == 0.0
 
 
 def test_membership_rejects_foreign_operator():
@@ -332,8 +333,9 @@ def test_membership_rejects_foreign_operator():
 def test_extension_agreement_on_zero_function():
     rep = exp_extension_agreement("zero", halfwidth=16.0, spacing=2.0**-4)
     assert rep.bmo_l == 0.0
-    assert rep.hmo == 0.0
-    assert rep.beta_vanishing and rep.gamma_vanishing and rep.agree
+    assert rep.norm == 0.0
+    assert rep.vanishing("beta") and rep.vanishing("gamma") and rep.agree
+    assert rep.to_dict()["hmo"] == 0.0
 
 
 def test_pipeline_reports_member_with_gate_and_distances():
@@ -508,6 +510,20 @@ def test_cli_rejects_wrongly_typed_scenario_parameter(key, scenario, tmp_path, c
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exponent", [0, -1.0])
+def test_cli_rejects_a_nonpositive_tent_exponent_before_running(exponent, tmp_path, capsys):
+    # it passed the config check, so the scenarios before it ran and wrote
+    # their directories; the tent norm then stopped the run with exit 2
+    cfg = tmp_path / "cfg.json"
+    scenarios = [{"id": "rho-slope", "exponent": 1.5, "points": 6},
+                 {"id": "tent-norms", "exponents": [2.0, exponent, "inf"]}]
+    cfg.write_text(json.dumps({"scenarios": scenarios}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'exponents'" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -33,6 +33,15 @@ def test_grid_axis_contains_origin_and_endpoints():
     assert g.axis[g.half_cells] == 0.0
 
 
+def test_grid_axis_is_not_kept_by_the_grid():
+    # a Grid lives as long as any function on it; a cached axis would pin
+    # one sample-sized array per grid
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    assert g.axis is not g.axis
+    assert np.array_equal(g.axis, g.axis)
+    assert "axis" not in vars(g)
+
+
 def test_coord_index_roundtrip():
     g = Grid(halfwidth=8.0, spacing=2.0**-4)
     idx = np.arange(g.axis_count)

@@ -1,0 +1,191 @@
+"""One box scan per half-space field, reduced to its norm and its curves.
+
+The oracle below holds verbatim copies of the earlier forms, in which each
+norm and each set of curves ran its own scan (and each semigroup
+difference its own sine transform of f).  The new path must give the same
+bytes on every corpus member at the corpus grid.  A reflection test checks
+the operator side's per-ball values against the mirrored balls.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.fft import dst
+
+from oscillab.corpus import CORPUS, member_by_name
+from oscillab.errors import ConfigError, LadderError
+from oscillab.experiments import _default_corpus_policy
+from oscillab.family import PLAIN_MODES, bucketed_sup, make_ball_family
+from oscillab.grid import GridFunction, SummedTable
+from oscillab.oscillation import _family_geometry, scan_radius_blocks, semigroup_difference_values
+from oscillab.semigroup import (
+    HalfSpaceFunction,
+    PoissonExtension,
+    _ddx,
+    default_ladder,
+    poisson,
+    poisson_extension,
+    square_function_field,
+)
+from oscillab.tent import family_box_values, gradient_carleson_curves, hmo_norm, tent_curves
+
+# ---------------------------------------------------------------------------
+# oracle: the earlier forms, one scan per reduction
+
+
+def _old_field_from_psi(op, f, ladder, psi_ts):
+    coef = op.coefficients(f)
+    s = np.sqrt(op.eigenvalues)
+    out = np.zeros((len(ladder),) + op.grid.shape)
+    out[:, 1:-1] = dst(psi_ts(ladder.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
+    return HalfSpaceFunction(op.grid, ladder, out)
+
+
+def _old_square_function_field(op, f, ladder):
+    return _old_field_from_psi(op, f, ladder, lambda t, s: t * s * np.exp(-t * s))
+
+
+def _old_poisson_extension(op, f, ladder):
+    u = _old_field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s))
+    dt = _old_field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s))
+    gx = np.empty_like(u.values)
+    for j, t in enumerate(ladder.values):
+        gx[j] = t * _ddx(u.values[j], op.grid.spacing)
+    return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx))
+
+
+def _old_semigroup_difference_values(f, op, family, ladder=None):
+    g = f.grid
+    if not g.compatible(op.grid):
+        raise ConfigError("function and operator grids differ")
+    idx, _ = _family_geometry(family)
+    if ladder is not None:
+        r = family.radii
+        if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(
+            r > ladder.values[-1] * (1 + 1e-9)
+        ):
+            raise LadderError(
+                "family radii fall outside the configured scale range "
+                f"[{ladder.values[0]}, {ladder.values[-1]}]"
+            )
+
+    def block(ci, m, r):
+        diff = f.values - poisson(op, f, r).values
+        sums = SummedTable(g, diff**2).ball_sum(ci, m)
+        return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
+
+    return scan_radius_blocks(family, idx, block)
+
+
+def _old_t2p_norm_inf(F, p, family):
+    # the p = inf branch: (p, value, truncated_fraction, arg_index)
+    vals = np.sqrt(family_box_values(F, family))
+    arg = int(np.argmax(vals))
+    return p, float(vals[arg]), 0.0, arg
+
+
+def _old_tent_curves(F, family):
+    vals = np.sqrt(family_box_values(F, family))
+    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+
+
+def _old_hmo_norm(ext, family):
+    G = ext.gradient_magnitude()
+    vals = np.sqrt(family_box_values(G, family))
+    arg = int(np.argmax(vals))
+    return float(vals[arg]), arg, len(family)
+
+
+def _old_gradient_carleson_curves(ext, family):
+    G = ext.gradient_magnitude()
+    vals = np.sqrt(family_box_values(G, family))
+    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+
+
+def _same(a, b) -> bool:
+    """Equal values and equal NaN positions."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _same_curves(new, old) -> bool:
+    return new.keys() == old.keys() and all(
+        _same(new[m].ladder, old[m].ladder) and _same(new[m].values, old[m].values)
+        and _same(new[m].counts, old[m].counts)
+        for m in new
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_family(grid16):
+    return make_ball_family(grid16, _default_corpus_policy(grid16))
+
+
+@pytest.mark.parametrize("name", [m.name for m in CORPUS])
+def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corpus_family):
+    fam = corpus_family
+    ladder = default_ladder(grid16)
+    f = member_by_name(name).build(grid16)
+
+    F = square_function_field(op16, f, ladder)
+    assert _same(F.values, _old_square_function_field(op16, f, ladder).values)
+    eta = np.sqrt(family_box_values(F, fam))
+    t2 = hmo_norm(eta)
+    _, old_value, _, old_arg = _old_t2p_norm_inf(F, math.inf, fam)
+    assert (t2.value, t2.arg_index) == (old_value, old_arg)
+    assert _same_curves(tent_curves(eta, fam), _old_tent_curves(F, fam))
+
+    ext = poisson_extension(op16, f, ladder)
+    old_ext = _old_poisson_extension(op16, f, ladder)
+    for new_field, old_field in zip(
+        (ext.u, ext.t_derivative, ext.x_gradient), (old_ext.u, old_ext.t_derivative, old_ext.x_gradient)
+    ):
+        assert _same(new_field.values, old_field.values)
+    beta = np.sqrt(family_box_values(ext.gradient_magnitude(), fam))
+    hmo = hmo_norm(beta)
+    assert (hmo.value, hmo.arg_index, hmo.n_balls) == _old_hmo_norm(old_ext, fam)
+    assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_ext, fam))
+
+    assert _same(
+        semigroup_difference_values(f, op16, fam, ladder),
+        _old_semigroup_difference_values(f, op16, fam, ladder),
+    )
+
+
+# ---------------------------------------------------------------------------
+# reflection x -> -x
+
+
+def _mirror_index(fam) -> np.ndarray:
+    """j[i] is the ball (-c_i, r_i) of the family; every ball must have one."""
+    h = fam.grid.spacing
+    key = {(round(c / h), round(r / h)): i for i, (c, r) in enumerate(zip(fam.centers[:, 0], fam.radii))}
+    return np.array([key[(-round(c / h), round(r / h))] for c, r in zip(fam.centers[:, 0], fam.radii)])
+
+
+def _squared_metrics(f, op, fam, ladder) -> dict[str, np.ndarray]:
+    return {
+        "gamma2": semigroup_difference_values(f, op, fam, ladder) ** 2,
+        "eta2": family_box_values(square_function_field(op, f, ladder), fam),
+        "beta2": family_box_values(poisson_extension(op, f, ladder).gradient_magnitude(), fam),
+    }
+
+
+@pytest.mark.parametrize("name", ["smooth-step", "lacunary", "eigenvector", "log-spike"])
+def test_operator_side_values_map_onto_the_mirrored_balls(name, grid16, op16, corpus_family):
+    # the sine basis has a parity, so L commutes with x -> -x and so does
+    # every per-ball value, up to rounding; squares are compared because a
+    # square root amplifies rounding near zero
+    fam = corpus_family
+    ladder = default_ladder(grid16)
+    f = member_by_name(name).build(grid16)
+    mirrored = GridFunction(grid16, f.values[::-1].copy())
+    j = _mirror_index(fam)
+    assert not np.array_equal(j, np.arange(len(fam)))
+    got = _squared_metrics(f, op16, fam, ladder)
+    mir = _squared_metrics(mirrored, op16, fam, ladder)
+    for metric, vals in got.items():
+        scale = float(np.max(vals))
+        assert scale > 0, metric
+        err = float(np.max(np.abs(mir[metric][j] - vals)))
+        assert err <= 1e-12 * scale, (metric, err, scale)

@@ -1,6 +1,7 @@
 """Every config the repository ships passes the config check: the files in
-configs/ and the benchmark's workload configs, full and small.  No
-scenario runs."""
+configs/ and the benchmark's workload configs, full and small.  The
+benchmark's spectral workload also runs, and its summary passes the
+benchmark's output check against the reference captured for it."""
 
 import importlib.util
 import json
@@ -38,3 +39,23 @@ def test_benchmark_workload_configs_are_valid(small):
 def test_the_shipped_configs_are_found():
     # an empty glob would make test_shipped_config_is_valid pass vacuously
     assert {"full.json", "lacunary.json", "pipeline-large.json", "quick.json"} <= {p.name for p in CONFIGS}
+
+
+def _check_module():
+    spec = importlib.util.spec_from_file_location("oscbench_check", ROOT / "oscbench" / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spectral_workload_matches_the_benchmark_reference(tmp_path):
+    # the benchmark's own output check, at its captured seed and tolerances
+    from oscillab.experiments import run
+
+    reference = json.loads((ROOT / "oscbench" / "reference" / "spectral.json").read_text(encoding="utf-8"))
+    config = _workloads().workload_config("spectral", reference["captured_with_seed"])
+    run(config, out_dir=str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    attempted, bad = _check_module().compare(summary, config, reference)
+    assert attempted == len(reference["values"]) > 1000
+    assert bad == []

@@ -140,7 +140,7 @@ def test_t2p_norm_validation(small_grid):
     lad = TLadder(np.array([0.25, 0.5]))
     F = _random_field(small_grid, lad)
     with pytest.raises(ConfigError):
-        t2p_norm(F, math.inf)  # needs a family
+        t2p_norm(F, math.inf)  # the sup norm is hmo_norm of the box values
     with pytest.raises(ConfigError):
         t2p_norm(F, 0.0)
 
@@ -149,17 +149,18 @@ def test_t2p_inf_is_family_sup(small_grid):
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(small_grid, lad, seed=8)
     fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
-    rep = t2p_norm(F, math.inf, fam)
     vals = np.sqrt(family_box_values(F, fam))
+    rep = hmo_norm(vals)
     assert rep.value == pytest.approx(float(np.max(vals)))
     assert rep.arg_index == int(np.argmax(vals))
+    assert rep.n_balls == len(fam)
 
 
 def test_tent_curves_modes(small_grid):
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(small_grid, lad, seed=9)
     fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
-    curves = tent_curves(F, fam)
+    curves = tent_curves(np.sqrt(family_box_values(F, fam)), fam)
     assert set(curves) == {"small-radius", "large-radius", "far-from-origin"}
 
 
@@ -189,10 +190,11 @@ def test_hmo_constant_attains_half_sqrt_two(grid16, op16):
         grid16,
         FamilyPolicy(center_stride=1.0, radius_min=0.5, radius_max=4.0, max_center_norm=8.0),
     )
-    rep = hmo_norm(ext, fam)
+    beta = np.sqrt(family_box_values(ext.gradient_magnitude(), fam))
+    rep = hmo_norm(beta)
     assert rep.value == pytest.approx(c * math.sqrt(0.5), rel=0.02)
     assert fam.radii[rep.arg_index] == 4.0
-    curves = gradient_carleson_curves(ext, fam)
+    curves = gradient_carleson_curves(beta, fam)
     assert set(curves) == {"small-radius", "large-radius", "far-from-origin"}
     # small balls see a vanishing box for smooth data
     assert curves["small-radius"].terminal_value() < rep.value
