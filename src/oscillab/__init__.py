@@ -143,7 +143,3 @@ def __getattr__(name: str):
     if name in _SUBMODULES:
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_SUBMODULES))

@@ -13,7 +13,7 @@ edges, which stays within the sweep tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -144,7 +144,6 @@ def corpus_grid() -> Grid:
     return Grid(halfwidth=CORPUS_HALFWIDTH, spacing=CORPUS_SPACING)
 
 
-def corpus_operator(grid: Optional[Grid] = None, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
-    """The unit-potential operator on grid (the corpus grid by default)."""
-    g = grid if grid is not None else corpus_grid()
-    return discretize(constant_potential(1.0), g, cap=cap)
+def corpus_operator(grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
+    """The unit-potential operator on grid."""
+    return discretize(constant_potential(1.0), grid, cap=cap)

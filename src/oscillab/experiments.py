@@ -31,14 +31,7 @@ from .approx import (
     mollify,
     p1_p2_check,
 )
-from .corpus import (
-    CORPUS,
-    CORPUS_HALFWIDTH,
-    CORPUS_SPACING,
-    CorpusMember,
-    corpus_operator,
-    member_by_name,
-)
+from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, member_by_name
 from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
 from .family import SUPERCRITICAL_MODES, BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
 from .grid import Ball, Grid, GridFunction, mean_oscillation
@@ -357,19 +350,6 @@ class AgreementReport:
         return out
 
 
-def _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder):
-    """(member, f, family, operator, ladder) of one agreement run on the
-    grid [-halfwidth, halfwidth]; a given operator must live on it."""
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    if op is not None and not op.grid.compatible(grid):
-        raise ConfigError("operator grid does not match the scenario grid")
-    if op is None:
-        op = corpus_operator(grid, cap)
-    m = member_by_name(member) if isinstance(member, str) else member
-    fam = make_ball_family(grid, policy or _default_corpus_policy(grid))
-    return m, m.build(grid), fam, op, ladder if ladder is not None else default_ladder(grid)
-
-
 def _agreement(
     member: str,
     bmo_l: float,
@@ -396,19 +376,18 @@ def _agreement(
 
 
 def exp_square_membership(
-    member: CorpusMember | str,
-    halfwidth: float = CORPUS_HALFWIDTH,
-    spacing: float = CORPUS_SPACING,
-    policy: Optional[FamilyPolicy] = None,
-    cap: int = DEFAULT_OP_CAP,
+    member: str,
+    op: SpectralOperator,
+    fam: BallFamily,
     tol_fraction: float = 0.05,
     decay_factor: float = 4.0,
-    op: Optional[SpectralOperator] = None,
-    ladder: Optional[TLadder] = None,
 ) -> AgreementReport:
     """Semigroup-metric curves of f against tent curves of the scaled square
-    function field, with aggregate vanishing verdicts on both sides."""
-    m, f, fam, op, ladder = _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder)
+    function field, with aggregate vanishing verdicts on both sides.  f is
+    the member sampled on the operator's grid; the family must live there
+    too (family_stats rejects it otherwise)."""
+    f = member_by_name(member).build(op.grid)
+    ladder = default_ladder(op.grid)
     st = family_stats(f, fam)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
     for mode in SUPERCRITICAL_MODES:
@@ -416,7 +395,7 @@ def exp_square_membership(
     eta = np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))
     curves = {"gamma": gamma_curves, "eta": tent_curves(eta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
-    return _agreement(m.name, norm, "t2_inf", hmo_norm(eta).value, curves, tol_fraction, decay_factor)
+    return _agreement(member, norm, "t2_inf", hmo_norm(eta).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +403,22 @@ def exp_square_membership(
 
 
 def exp_extension_agreement(
-    member: CorpusMember | str,
-    halfwidth: float = CORPUS_HALFWIDTH,
-    spacing: float = CORPUS_SPACING,
-    policy: Optional[FamilyPolicy] = None,
-    cap: int = DEFAULT_OP_CAP,
+    member: str,
+    op: SpectralOperator,
+    fam: BallFamily,
     tol_fraction: float = 0.05,
     decay_factor: float = 4.0,
-    op: Optional[SpectralOperator] = None,
-    ladder: Optional[TLadder] = None,
 ) -> AgreementReport:
     """Carleson curves of the harmonic extension's scaled gradient against
-    the plain oscillation curves of the boundary function."""
-    m, f, fam, op, ladder = _agreement_inputs(member, halfwidth, spacing, policy, cap, op, ladder)
+    the plain oscillation curves of the boundary function, sampled and
+    scanned as in exp_square_membership."""
+    f = member_by_name(member).build(op.grid)
     st = family_stats(f, fam)
-    G = poisson_extension(op, f, ladder).gradient_magnitude()
+    G = poisson_extension(op, f, default_ladder(op.grid)).gradient_magnitude()
     beta = np.sqrt(family_box_values(G, fam))
     curves = {"gamma": oscillation_curves(st, RHO_CONSTANT_UNIT), "beta": gradient_carleson_curves(beta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
-    return _agreement(m.name, norm, "hmo", hmo_norm(beta).value, curves, tol_fraction, decay_factor)
+    return _agreement(member, norm, "hmo", hmo_norm(beta).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +431,19 @@ class PipelineReport:
     eps: float
     norm: float
     verdict: str  # MEMBER / NONMEMBER
-    thresholds: Optional[AveragingThresholds]
-    p1_sup: Optional[float]
-    p1_ok: Optional[bool]
-    p2_max: Optional[float]
-    p2_ok: Optional[bool]
-    size_ratio_ok: Optional[bool]
-    distance_averaged: Optional[float]
-    distance_full: Optional[float]
-    case_bound: Optional[float]
-    corpus_bound: Optional[float]
-    t_eps: Optional[float]
+    # a NONMEMBER report has only the exhausted condition; a MEMBER report
+    # has every other field
+    thresholds: Optional[AveragingThresholds] = None
+    p1_sup: Optional[float] = None
+    p1_ok: Optional[bool] = None
+    p2_max: Optional[float] = None
+    p2_ok: Optional[bool] = None
+    size_ratio_ok: Optional[bool] = None
+    distance_averaged: Optional[float] = None
+    distance_full: Optional[float] = None
+    case_bound: Optional[float] = None
+    corpus_bound: Optional[float] = None
+    t_eps: Optional[float] = None
     exhausted_condition: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -495,13 +473,12 @@ class PipelineReport:
 
 
 def exp_pipeline(
-    member: CorpusMember | str = "bump-narrow",
+    member: str = "bump-narrow",
     eps_fraction: float = 0.1,
     halfwidth: float = float(2**16),
     spacing: float = 2.0**-8,
     stride: float = 2.0,
-    osc_fraction: Optional[float] = 0.125,
-    policy: Optional[FamilyPolicy] = None,
+    osc_fraction: float = 0.125,
     corpus_factor: float = 25.0,
 ) -> PipelineReport:
     """Dyadic averaging pipeline at eps = eps_fraction * the function's
@@ -512,13 +489,10 @@ def exp_pipeline(
     the canonical case: their supercritical size never drops).
     """
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    m = member_by_name(member) if isinstance(member, str) else member
-    f = m.build(grid)
+    f = member_by_name(member).build(grid)
     h = grid.spacing
     fam = make_ball_family(
-        grid,
-        policy
-        or FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0),
+        grid, FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0)
     )
     norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
     eps = eps_fraction * norm.value
@@ -535,24 +509,7 @@ def exp_pipeline(
             slow_variation=(1.0, 1, RHO_CONSTANT_UNIT),
         )
     except ThresholdExhaustedError as e:
-        return PipelineReport(
-            member=m.name,
-            eps=eps,
-            norm=norm.value,
-            verdict="NONMEMBER",
-            thresholds=None,
-            p1_sup=None,
-            p1_ok=None,
-            p2_max=None,
-            p2_ok=None,
-            size_ratio_ok=None,
-            distance_averaged=None,
-            distance_full=None,
-            case_bound=None,
-            corpus_bound=None,
-            t_eps=None,
-            exhausted_condition=str(e),
-        )
+        return PipelineReport(member=member, eps=eps, norm=norm.value, verdict="NONMEMBER", exhausted_condition=str(e))
 
     asg = assign_cubes(th, grid)
     A = dyadic_average(f, asg)
@@ -574,7 +531,7 @@ def exp_pipeline(
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
     case_bound = (20.0 ** (n / 2.0) / 4.0**n + 2.0) * eps
     return PipelineReport(
-        member=m.name,
+        member=member,
         eps=eps,
         norm=norm.value,
         verdict="MEMBER",
@@ -589,7 +546,6 @@ def exp_pipeline(
         case_bound=case_bound,
         corpus_bound=corpus_factor * eps,
         t_eps=t_eps,
-        exhausted_condition=None,
     )
 
 
@@ -642,7 +598,12 @@ _INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bo
 _FLOAT = _Kind("a finite number", _number, lambda where, v: float(v))
 _STR = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
-_MEMBERS = _Kind("a list of member names", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v))
+_CORPUS_NAMES = [m.name for m in CORPUS]
+_MEMBER = _Kind(f"a corpus member name, one of {_CORPUS_NAMES}", lambda v: isinstance(v, str) and v in _CORPUS_NAMES)
+_MEMBERS = _Kind(
+    f"a list of corpus member names, each one of {_CORPUS_NAMES}",
+    lambda v: isinstance(v, list) and all(isinstance(m, str) and m in _CORPUS_NAMES for m in v),
+)
 _EXPONENTS = _Kind(
     'a list of positive numbers and "inf"',
     lambda v: isinstance(v, list) and all(e == "inf" or (_number(e) and e > 0) for e in v),
@@ -706,9 +667,7 @@ _AGREEMENT_PARAMS = {
 
 # Every scenario parameter and its kind.  A default stands here only for a
 # key the runner reads itself; an absent key that the runner only forwards
-# to an exp_* function takes that function's default.  The agreement
-# runners read the grid to share one operator, and the corpus grid is the
-# exp_* default too, so both name CORPUS_HALFWIDTH and CORPUS_SPACING.
+# to an exp_* function takes that function's default.
 _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "rho-slope": {
         "n": _INT(1),
@@ -728,34 +687,34 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "square-function-agreement": _AGREEMENT_PARAMS,
     "extension-agreement": _AGREEMENT_PARAMS,
     "approximation-pipeline": {
-        "member": _STR,
+        "member": _MEMBER,
         "expect": _EXPECT("MEMBER"),
         **dict.fromkeys(("eps_fraction", "halfwidth", "spacing", "stride", "osc_fraction", "corpus_factor"), _FLOAT),
     },
     "bmo-norms": {
         **_CORPUS_GRID,
-        "member": _STR("bump-narrow"),
+        "member": _MEMBER("bump-narrow"),
         "family": _FAMILY,
         "tol_fraction": _FLOAT(0.05),
         "decay_factor": _FLOAT(4.0),
     },
     "tent-norms": {
         **_CORPUS_GRID,
-        "member": _STR("bump-narrow"),
+        "member": _MEMBER("bump-narrow"),
         "family": _FAMILY,
         "exponents": _EXPONENTS((2.0, math.inf)),
     },
     "reproducing-pairing": {
         **_CORPUS_GRID,
-        "left": _STR("gaussian"),
-        "right": _STR("gaussian"),
+        "left": _MEMBER("gaussian"),
+        "right": _MEMBER("gaussian"),
         "t_min": _FLOAT,
         "t_max": _FLOAT,
         "per_decade": _INT(16),
         "tolerance": _FLOAT,
     },
     "averaging-pipeline": {
-        "member": _STR("bump-narrow"),
+        "member": _MEMBER("bump-narrow"),
         "halfwidth": _FLOAT(64.0),
         "spacing": _FLOAT(2.0**-5),
         "eps": _FLOAT,
@@ -796,7 +755,12 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
     for a, b in _EITHER.get(sid, ()):
         if a not in params and b not in params:
             raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}")
-    return sid, name, _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
+    checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
+    # an asserted member that the scenario does not run would assert nothing
+    idle = sorted(set(checked.get("assert_members", ())) - set(checked.get("members") or _CORPUS_NAMES))
+    if idle:
+        raise ConfigError(f"scenario {sid!r}: 'assert_members' {idle} are not among the scenario's members")
+    return sid, name, checked
 
 
 _TOP_PARAMS = {
@@ -903,22 +867,20 @@ _AGREEMENT = {
 
 
 def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    """Both agreement scenarios: one operator for all members, and per
-    member its report and the curves of both sides."""
+    """Both agreement scenarios: one grid, family and operator for all
+    members, and per member its report and the curves of both sides."""
     experiment = _AGREEMENT[sid]
-    names = p.pop("members", None) or [m.name for m in CORPUS]
-    asserted = p.pop("assert_members")
-    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
-    policy = p.pop("family", None) or _default_corpus_policy(grid)
+    grid, fam = _grid_and_family(p)
     op = corpus_operator(grid, cfg.op_cap)
+    verdict_params = {k: p[k] for k in ("tol_fraction", "decay_factor") if k in p}
     sub = {}
     failures = []
-    for name in names:
-        rep = experiment(name, policy=policy, op=op, **p)
+    for name in p.get("members") or _CORPUS_NAMES:
+        rep = experiment(name, op, fam, **verdict_params)
         sub[name] = rep.to_dict()
         for side, curves in rep.curves.items():
             save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
-        if name in asserted and not rep.agree:
+        if name in p["assert_members"] and not rep.agree:
             failures.append(f"{sid}: verdicts disagree on {name}")
         if rep.ratio is not None and not math.isfinite(rep.ratio):
             failures.append(f"{sid}: non-finite norm ratio on {name}")

@@ -122,10 +122,6 @@ class BallFamily:
     def ball(self, i: int) -> Ball:
         return Ball(tuple(self.centers[i]), float(self.radii[i]))
 
-    def balls(self):
-        for i in range(len(self)):
-            yield self.ball(i)
-
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid.

@@ -132,32 +132,10 @@ class GridFunction:
     def constant(grid: Grid, c: float) -> "GridFunction":
         return GridFunction(grid, np.full(grid.shape, float(c)))
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "GridFunction") -> None:
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("grid functions live on different grids")
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return GridFunction(self.grid, self.values - other.values)
 
     def l2_norm(self) -> float:
         """Discrete L2 norm: (sum f^2 * h)^(1/2)."""
@@ -266,13 +244,12 @@ def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
 
 
 def ball_sample_count(grid: Grid, ball: Ball) -> int:
-    """Samples strictly inside the ball: 2m - 1 for a ball on the lattice
-    with cell radius m, else the member values counted."""
+    """Samples strictly inside a ball on the lattice with cell radius m:
+    2m - 1.  A ball off the lattice raises ConfigError, as family scans do."""
     r_cells = ball.radius / grid.spacing
-    if abs(r_cells - round(r_cells)) <= 1e-6 and np.all(grid.on_lattice(np.asarray(ball.center))):
-        return max(0, 2 * round(r_cells) - 1)
-    ones = GridFunction(grid, np.ones(grid.shape))
-    return ball_member_values(ones, ball).size
+    if abs(r_cells - round(r_cells)) > 1e-6 or not np.all(grid.on_lattice(np.asarray(ball.center))):
+        raise ConfigError(f"ball B({ball.center}, {ball.radius}) is not on the grid lattice")
+    return max(0, 2 * round(r_cells) - 1)
 
 
 def ball_volume(grid: Grid, ball: Ball) -> float:

@@ -70,12 +70,6 @@ def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
     return np.maximum(0, 2 * cells - 1)
 
 
-def family_ball_sums(values: np.ndarray, family: BallFamily) -> np.ndarray:
-    """Sum of a sample array over every family ball (prefix-table path)."""
-    idx, _ = _family_geometry(family)
-    return _ball_sums(values, family, idx)
-
-
 @dataclass(frozen=True)
 class FamilyStats:
     """Per-ball sample counts and means of one function over one family,
@@ -186,27 +180,24 @@ def semigroup_difference_values(
     f: GridFunction,
     op: SpectralOperator,
     family: BallFamily,
-    ladder: TLadder | None = None,
+    ladder: TLadder,
 ) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
     One sine transform of f, then one synthesis of e^{-r sqrt(lambda)}
-    times its coefficients per distinct radius.  When a ladder is given,
-    radii outside its range raise LadderError (the scale is not covered by
-    the configured scale range)."""
+    times its coefficients per distinct radius.  Radii outside the
+    ladder's range raise LadderError (the scale is not covered by the
+    configured scale range)."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
     idx, _ = _family_geometry(family)
-    if ladder is not None:
-        r = family.radii
-        if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(
-            r > ladder.values[-1] * (1 + 1e-9)
-        ):
-            raise LadderError(
-                "family radii fall outside the configured scale range "
-                f"[{ladder.values[0]}, {ladder.values[-1]}]"
-            )
+    r = family.radii
+    if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(r > ladder.values[-1] * (1 + 1e-9)):
+        raise LadderError(
+            "family radii fall outside the configured scale range "
+            f"[{ladder.values[0]}, {ladder.values[-1]}]"
+        )
 
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
@@ -223,7 +214,7 @@ def tilde_bmo_l_norm(
     f: GridFunction,
     op: SpectralOperator,
     family: BallFamily,
-    ladder: TLadder | None = None,
+    ladder: TLadder,
 ) -> OscillationReport:
     """sup over the family of the semigroup oscillation metric."""
     vals = semigroup_difference_values(f, op, family, ladder)
@@ -235,7 +226,7 @@ def semigroup_oscillation_curves(
     f: GridFunction,
     op: SpectralOperator,
     family: BallFamily,
-    ladder: TLadder | None = None,
+    ladder: TLadder,
 ) -> dict[str, LimitCurve]:
     """Limit curves of the semigroup oscillation metric in the three plain
     modes (small-radius, large-radius, far-from-origin)."""

@@ -20,7 +20,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
-from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values
+from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values, ball_sample_count, ball_volume
 from .oscillation import _family_geometry, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
@@ -64,29 +64,16 @@ class BoxScanner:
 def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
     """r^{-1} * integral over B x (0, r] of |F|^2 dx dt/t (cylinder region).
 
-    The ladder must cover the cylinder: r within [t_min, t_max].
+    The ladder must cover the cylinder: r within [t_min, t_max].  The ball
+    must sit on the grid lattice, as family balls do; any other raises
+    ConfigError.
     """
     g = F.grid
     if not ball.inside_box(g):
         raise OutOfDomainError("carleson box ball touches or leaves the box")
-    sc = BoxScanner(F)
-    h = g.spacing
-    m = round(ball.radius / h)
-    on_lattice = (
-        abs(ball.radius / h - m) <= 1e-6
-        and bool(np.all(g.on_lattice(np.asarray(ball.center))))
-    )
-    if on_lattice:
-        ci = g.coord_to_index(np.asarray(ball.center))
-        return float(sc.box_values(ci, m, ball.radius)[0])
-    # naive membership per slice
-    k = sc._slice_count(ball.radius)
-    w = log_weights_for(F.ladder.values[:k])
-    total = 0.0
-    for j in range(k):
-        vals = ball_member_values(GridFunction(g, F.values[j]), ball)
-        total += w[j] * float(np.sum(vals**2))
-    return total * g.cell_volume / ball.radius
+    m = (ball_sample_count(g, ball) + 1) // 2  # 2m - 1 samples; off the lattice raises
+    ci = g.coord_to_index(np.asarray(ball.center))
+    return float(BoxScanner(F).box_values(ci, m, ball.radius)[0])
 
 
 def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
@@ -317,22 +304,18 @@ def box_oscillation_ratio(
     op: SpectralOperator,
     ball: Ball,
     k_max: int,
-    ladder: TLadder,
+    field: HalfSpaceFunction,
     norm_hint: float = 0.0,
     clip: bool = False,
-    field: HalfSpaceFunction | None = None,
 ) -> BoxOscillationReport:
     """Measure lhs / (rhs + tail) for one ball; values <= 1 up to a modest
-    constant are the expected regime."""
+    constant are the expected regime.  field is the square-function field
+    of f under op, shared by every ball of a sweep."""
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
     g = f.grid
-    if field is None:
-        field = square_function_field(op, f, ladder)
     box = carleson_box(field, ball)
     # convert r^{-1} normalisation to |B|^{-1}
-    from .grid import ball_volume
-
     vol = ball_volume(g, ball)
     lhs = math.sqrt(box * ball.radius / vol)
     cache: dict = {}

@@ -181,9 +181,7 @@ def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
         ladder = TLadder.geometric(grid.spacing, 4.0, per_decade=16)
         F = square_function_field(op, f, ladder)
         best = max(
-            box_oscillation_ratio(
-                f, op, b, k_max=8, ladder=ladder, norm_hint=hint, clip=True, field=F
-            ).ratio
+            box_oscillation_ratio(f, op, b, k_max=8, field=F, norm_hint=hint, clip=True).ratio
             for b in balls
         )
         return best, balls
@@ -294,12 +292,12 @@ def test_criterion_11_mollifier_sweep_on_smooth_members(criterion, grid16):
     )
 
 
-def test_criterion_12_extension_verdicts_agree(criterion, op16):
+def test_criterion_12_extension_verdicts_agree(criterion, op16, family16):
     c = criterion(12, "harmonic-extension and semigroup verdicts agree")
     status = {}
     ratios_finite = True
     for name in ("bump-narrow", "const-one", "zero"):
-        rep = exp_extension_agreement(name, op=op16)
+        rep = exp_extension_agreement(name, op16, family16)
         status[name] = rep.agree
         if rep.ratio is not None:
             ratios_finite &= math.isfinite(rep.ratio)

@@ -6,7 +6,7 @@ import pytest
 
 from oscillab import __version__
 from oscillab.cli import _build_parser, _scenario_from_args, main
-from oscillab.corpus import member_by_name
+from oscillab.corpus import corpus_operator, member_by_name
 from oscillab.errors import ConfigError, CriterionFailure
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
@@ -14,6 +14,7 @@ from oscillab.experiments import (
     _SCENARIOS,
     ExperimentConfig,
     _arg_sup_ball,
+    _default_corpus_policy,
     exp_extension_agreement,
     exp_lacunary,
     exp_pipeline,
@@ -134,6 +135,12 @@ def test_config_accepts_every_scenario_id():
         {"scenarios": [], "interior_window": True},
         {"scenarios": [], "out_dir": 5},
         {"scenarios": [{"id": ["rho-slope"]}]},
+        # an asserted member that the scenario does not run asserted nothing
+        {"scenarios": [{"id": "extension-agreement", "members": ["zero"], "assert_members": ["gausian", "bump-narrow"],
+                        "halfwidth": 8.0, "spacing": 0.0625}]},
+        # a member name was looked up only when its scenario ran
+        {"scenarios": [{"id": "rho-slope", "n": 1, "exponent": 1.5}, {"id": "bmo-norms", "member": "gausian"}]},
+        {"scenarios": [{"id": "square-function-agreement", "members": ["zero"], "assert_members": ["bump-narrow"]}]},
     ],
 )
 def test_config_validation_errors(doc):
@@ -303,20 +310,42 @@ def test_distinct_centers_need_runs_of_the_first_block():
         {"id": "bmo-norms", "member": "gaussian"},
         {"id": "square-function-agreement", "members": ["gaussian"]},
         {"id": "extension-agreement", "members": ["gaussian"]},
+        # the agreement runners build one family for all their members
+        {"id": "square-function-agreement", "name": "square-function-agreement-three-members",
+         "members": ["zero", "gaussian", "bump-narrow"]},
     ],
-    ids=lambda s: s["id"],
+    ids=lambda s: s.get("name", s["id"]),
 )
-def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path):
+def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path, monkeypatch):
+    from oscillab import experiments
+
+    built = []
+    original = experiments.make_ball_family
+
+    def counting(grid, policy):
+        built.append(policy)
+        return original(grid, policy)
+
+    monkeypatch.setattr(experiments, "make_ball_family", counting)
     run({"scenarios": [scenario]}, out_dir=str(tmp_path))
-    assert len(family_scans) == 1
+    assert len(built) == 1
+    # one scan per member, all of the one family
+    assert len(family_scans) == len(scenario.get("members", [scenario.get("member")]))
+    assert all(fam is family_scans[0] for fam in family_scans)
 
 
 # ---------------------------------------------------------------------------
 # scenario smoke runs
 
 
+def _agreement_setup(halfwidth=16.0, spacing=2.0**-4):
+    """The operator and default family of an agreement scenario's grid."""
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    return corpus_operator(grid), make_ball_family(grid, _default_corpus_policy(grid))
+
+
 def test_membership_agreement_on_zero_function():
-    rep = exp_square_membership("zero", halfwidth=16.0, spacing=2.0**-4)
+    rep = exp_square_membership("zero", *_agreement_setup())
     assert rep.bmo_l == 0.0
     assert rep.norm == 0.0
     assert rep.ratio is None
@@ -325,13 +354,16 @@ def test_membership_agreement_on_zero_function():
 
 
 def test_membership_rejects_foreign_operator():
+    # f is sampled on the operator's grid, so a family on another grid fails
+    # the scan before any field is built
     op = discretize(constant_potential(1.0, 1), Grid(halfwidth=4.0, spacing=0.25))
-    with pytest.raises(ConfigError):
-        exp_square_membership("zero", halfwidth=16.0, spacing=2.0**-4, op=op)
+    _, fam = _agreement_setup()
+    with pytest.raises(ConfigError, match="different grids"):
+        exp_square_membership("zero", op, fam)
 
 
 def test_extension_agreement_on_zero_function():
-    rep = exp_extension_agreement("zero", halfwidth=16.0, spacing=2.0**-4)
+    rep = exp_extension_agreement("zero", *_agreement_setup())
     assert rep.bmo_l == 0.0
     assert rep.norm == 0.0
     assert rep.vanishing("beta") and rep.vanishing("gamma") and rep.agree
@@ -455,6 +487,22 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(par)]) == 2
     err = capsys.readouterr().err
     assert err.count("config error") == 5
+    # member names outside the corpus or the scenario's members exit 2
+    # before any scenario runs: the first config exited 0 and asserted
+    # nothing, the second wrote rho-slope/ and then exited 2
+    cases = [
+        ([{"id": "extension-agreement", "members": ["zero"], "assert_members": ["gausian", "bump-narrow"],
+           "halfwidth": 8.0, "spacing": 0.0625}], "'assert_members'"),
+        ([{"id": "rho-slope", "n": 1, "exponent": 1.5}, {"id": "bmo-norms", "member": "gausian"}], "'member'"),
+    ]
+    for scenarios, key in cases:
+        cfg = tmp_path / "names.json"
+        cfg.write_text(json.dumps({"scenarios": scenarios}))
+        out = tmp_path / "names-out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "gausian" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def test_grid_function_arithmetic_rejects_other_grid():
     f = GridFunction.constant(Grid(4.0, 0.5), 1.0)
     g = GridFunction.constant(Grid(4.0, 0.25), 1.0)
     with pytest.raises(GridMismatchError):
-        f + g
+        f - g
 
 
 def test_l2_norm_includes_cell_volume():
@@ -101,9 +101,11 @@ def test_ball_volume_is_count_times_cell():
     b = Ball((0.5,), 1.5)  # m=3: the 5 samples 0.5 + k/2, |k| <= 2
     assert ball_sample_count(g, b) == 5
     assert ball_volume(g, b) == pytest.approx(5 * 0.5)
-    off = Ball((0.3,), 0.6)  # off the lattice: samples 0, 0.5 only
-    assert ball_sample_count(g, off) == 2
-    assert ball_volume(g, off) == pytest.approx(2 * 0.5)
+    off = Ball((0.3,), 0.6)  # off the lattice, as no family ball is
+    with pytest.raises(ConfigError):
+        ball_sample_count(g, off)
+    with pytest.raises(ConfigError):
+        ball_volume(g, off)
 
 
 def test_mean_oscillation_sign_step():
@@ -150,7 +152,8 @@ def test_offgrid_ball_falls_back_to_naive():
     b = Ball((0.1,), 0.6)  # neither center nor radius on the lattice
     # strictly inside (-0.5, 0.7): the samples -0.25, 0, 0.25, 0.5
     assert np.array_equal(ball_member_values(f, b), [-0.25, 0.0, 0.25, 0.5])
-    assert ball_sample_count(g, b) == 4
+    with pytest.raises(ConfigError):
+        ball_sample_count(g, b)  # counts are for lattice balls only
 
 
 def test_ball_average_empty_ball_raises():
@@ -159,8 +162,8 @@ def test_ball_average_empty_ball_raises():
     # center in a cell interior, radius too small to reach any sample
     b = Ball((0.125,), 0.1)
     assert ball_member_values(f, b).size == 0
-    with pytest.raises(DegenerateRegionError):
-        ball_volume(g, b)
+    with pytest.raises(ConfigError):
+        ball_volume(g, b)  # off the lattice
     with pytest.raises(DegenerateRegionError):
         mean_oscillation(f, b)
 

@@ -16,7 +16,6 @@ from oscillab.grid import (
 from oscillab.oscillation import (
     bmo_l_norm,
     bmo_norm,
-    family_ball_sums,
     family_stats,
     oscillation_curves,
     semigroup_difference_values,
@@ -24,7 +23,7 @@ from oscillab.oscillation import (
     tilde_bmo_l_norm,
     vanishing_verdict,
 )
-from oscillab.semigroup import TLadder, poisson
+from oscillab.semigroup import TLadder, default_ladder
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +32,16 @@ def small_family():
     return make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(0.5, 2.0)))
 
 
-def test_family_ball_sums_match_naive(small_family):
+def test_family_stats_sums_match_naive(small_family):
+    # the prefix-table ball sums behind the means, against the member values
     g = small_family.grid
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.normal(size=g.shape))
-    sums = family_ball_sums(f.values, small_family)
-    for i, b in enumerate(small_family.balls()):
-        assert sums[i] == pytest.approx(float(np.sum(ball_member_values(f, b))), rel=1e-12)
+    st = family_stats(f, small_family)
+    for i in range(len(small_family)):
+        vals = ball_member_values(f, small_family.ball(i))
+        assert st.mean[i] * st.counts[i] == pytest.approx(float(np.sum(vals)), rel=1e-12)
+        assert st.mean_sq[i] * st.counts[i] == pytest.approx(float(np.sum(vals**2)), rel=1e-12)
 
 
 def _masked_ball_sums(values, family):
@@ -56,7 +58,8 @@ def _masked_ball_sums(values, family):
 
 
 def test_block_scan_equals_mask_oracle_at_pipeline_size():
-    # the pipeline-small geometry: 2,097,153 samples, exp_pipeline's family
+    # the pipeline-small geometry: 2,097,153 samples, exp_pipeline's family;
+    # family_stats divides the block-scan sums of f and f^2 by the counts
     g = Grid(halfwidth=8192.0, spacing=2.0**-7)
     assert g.size == 2_097_153
     fam = make_ball_family(
@@ -64,8 +67,10 @@ def test_block_scan_equals_mask_oracle_at_pipeline_size():
     )
     assert len(fam.radius_blocks) > 10
     v = np.random.default_rng(11).normal(size=g.shape)
-    for values in (v, v**2, np.abs(v)):
-        assert np.array_equal(family_ball_sums(values, fam), _masked_ball_sums(values, fam))
+    for values in (v, np.abs(v)):
+        st = family_stats(GridFunction(g, values), fam)
+        assert np.array_equal(st.mean, _masked_ball_sums(values, fam) / st.counts)
+        assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
 
 
 def test_family_stats_match_per_ball(small_family):
@@ -73,7 +78,8 @@ def test_family_stats_match_per_ball(small_family):
     rng = np.random.default_rng(4)
     f = GridFunction(g, rng.normal(size=g.shape))
     st = family_stats(f, small_family)
-    for i, b in enumerate(small_family.balls()):
+    for i in range(len(small_family)):
+        b = small_family.ball(i)
         assert st.counts[i] == ball_sample_count(g, b)
         assert st.oscillation2[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
 
@@ -93,7 +99,7 @@ def test_shared_stats_give_identical_reports(small_family):
     for mode, c in fresh.items():
         assert np.array_equal(shared[mode].values, c.values, equal_nan=True)
         assert np.array_equal(shared[mode].counts, c.counts)
-    doubled = family_stats(2.0 * f, small_family)
+    doubled = family_stats(GridFunction(f.grid, 2.0 * f.values), small_family)
     assert bmo_norm(doubled).value == pytest.approx(2.0 * bmo_norm(st).value, rel=1e-12)
 
 
@@ -169,7 +175,7 @@ def test_semigroup_difference_eigenvector_closed_form(op16, family16):
     # for an eigenvector, f - e^{-r sqrt(L)} f = (1 - e^{-r s}) f ball by ball
     g = op16.grid
     f = op16.synthesize(np.eye(op16.interior_count)[5])
-    vals = semigroup_difference_values(f, op16, family16)
+    vals = semigroup_difference_values(f, op16, family16, default_ladder(g))
     s = math.sqrt(op16.eigenvalues[5])
     from oscillab.grid import SummedTable
 
@@ -192,12 +198,12 @@ def test_semigroup_difference_ladder_guard(op16, family16):
 
 def test_tilde_norm_zero_function(op16, family16):
     f = GridFunction.constant(op16.grid, 0.0)
-    assert tilde_bmo_l_norm(f, op16, family16).value == 0.0
+    assert tilde_bmo_l_norm(f, op16, family16, default_ladder(op16.grid)).value == 0.0
 
 
 def test_semigroup_curves_modes(op16, family16):
     f = GridFunction.constant(op16.grid, 1.0)
-    curves = semigroup_oscillation_curves(f, op16, family16)
+    curves = semigroup_oscillation_curves(f, op16, family16, default_ladder(op16.grid))
     assert set(curves) == {"small-radius", "large-radius", "far-from-origin"}
     # e^{-r sqrt(L)} 1 != 1 for V = 1, so the metric is bounded away from 0
     # on large balls

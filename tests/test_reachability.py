@@ -1,0 +1,160 @@
+"""Every function in src/oscillab is reached by a shipped config, or is on
+ALLOWED with the reason it stays.
+
+One subprocess installs a ``sys.setprofile`` hook before it imports
+oscillab, runs ``oscillab run`` on configs/quick.json and configs/full.json,
+and prints the package functions it entered, keyed by file, first line and
+name (the first line of a decorated function is its first decorator's, as
+in ``co_firstlineno``).  The test fails on
+
+* a def that no config reaches and ALLOWED does not name: delete it, or
+  add an entry;
+* an ALLOWED entry that names no def: delete the entry;
+* an ALLOWED def that a config reaches: delete the entry.
+
+An entry is keyed ``<file>.py:<qualified name>``, as a failure prints it
+(a name that repeats in one file gets ``#2``, ``#3``, ... in source order),
+and gives one reason of a kind in REASON_KINDS: what calls or reads it.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import oscillab
+
+PACKAGE = Path(oscillab.__file__).resolve().parent
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+REASON_KINDS = {
+    "oracle": "the fast path it is the slow oracle of",
+    "criterion": "the acceptance criterion in tests/test_acceptance.py that calls it",
+    "script": "the script in scripts/ that calls it",
+    "cli": "the CLI entry that calls it",
+    "config": "the config key, unset in quick.json and full.json, that reaches it",
+    "tracer": "the oscbench/tracing.py span or counter that wraps or reads it",
+}
+
+ALLOWED = {
+    "cli.py:_scenario_from_args": ("cli", "the bmo, tent, pairing and uchiyama shorthands"),
+    "corpus.py:_window": ("criterion", "7 scans every corpus member; smooth-step and log-spike are windowed"),
+    "corpus.py:_const_neg_half": ("criterion", "7 scans every corpus member"),
+    "corpus.py:_bump_wide": ("criterion", "7 scans every corpus member"),
+    "corpus.py:_smooth_step": ("criterion", "7 scans every corpus member"),
+    "corpus.py:_log_spike": ("criterion", "7 scans every corpus member"),
+    "corpus.py:_fourth_mode": ("criterion", "6 and 7 sample the eigenvector member"),
+    "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
+    "grid.py:Grid.size": ("tracer", "the approx.assigned_samples counter reads the grid's size"),
+    "grid.py:Grid.on_lattice": ("criterion", "8 and 13: ball_sample_count checks a ball's center with it"),
+    "grid.py:GridFunction.constant": ("criterion", "4 runs the semigroup on the constant one"),
+    "grid.py:GridFunction.l2_norm": ("criterion", "3 and 5 normalise by it"),
+    "grid.py:SummedTable.ball_sum_real": (
+        "tracer",
+        "the tabulated potential's mass; the semigroup.discretize counter reads Potential.samples, "
+        "the tabulated kind's field, and the kind goes with that counter",
+    ),
+    "grid.py:ball_sample_count": ("criterion", "8 and 13, through carleson_box and ball_volume"),
+    "grid.py:ball_volume": ("criterion", "8: box_oscillation_ratio's |B|"),
+    "potential.py:zero_potential": ("config", 'a rho-slope "potential" of kind "zero"'),
+    "potential.py:tabulated_potential": (
+        "tracer",
+        "the semigroup.discretize counter reads Potential.samples, the tabulated kind's field",
+    ),
+    "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),
+    "semigroup.py:SpectralOperator.interior_count": ("tracer", "the semigroup.operator_dim and apply counters"),
+    "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
+    "semigroup.py:heat": ("criterion", "3: the heat semigroup law"),
+    "semigroup.py:poisson": ("criterion", "3, 4 and 8 (dilate_oscillation)"),
+    "semigroup.py:poisson_subordinated": ("oracle", "poisson, through the subordination integral (criterion 3)"),
+    "semigroup.py:poisson_subordinated.integrand": ("oracle", "poisson, through the subordination integral (criterion 3)"),
+    "semigroup.py:interior_index_window": ("criterion", "4 measures the interior decay on it"),
+    "serialize.py:_decode_inf": ("oracle", "save_samples: the round-trip test reads its +inf payload back"),
+    "serialize.py:load_samples": ("oracle", "save_samples: the round-trip test reads the bytes back"),
+    "serialize.py:load_grid_function": ("oracle", "save_grid_function, which writes averaged.json"),
+    "tent.py:carleson_box": ("criterion", "8 and 13 take one ball's cylinder integral"),
+    "tent.py:carleson_box_strict_tent": ("oracle", "carleson_box, which dominates it (criterion 13)"),
+    "tent.py:_snap": ("criterion", "8, through dilate_oscillation"),
+    "tent.py:dilate_oscillation": ("criterion", "8, through box_oscillation_ratio"),
+    "tent.py:box_oscillation_ratio": ("criterion", "8: the cylinder-vs-dilate inequality"),
+}
+
+_PROBE = """
+import json, sys
+from pathlib import Path
+
+entered = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(hook)
+from oscillab import cli
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in ("quick", "full"):
+    if cli.main(["run", "--config", str(configs / f"{name}.json"), "--out", str(out / name)]) != 0:
+        sys.exit(f"{name}.json did not run cleanly")
+sys.setprofile(None)
+package = Path(sys.modules["oscillab"].__file__).resolve().parent
+print(json.dumps(sorted(
+    (Path(c.co_filename).name, c.co_firstlineno, c.co_name)
+    for c in entered
+    if Path(c.co_filename).resolve().parent == package
+)))
+"""
+
+
+def _defs() -> dict[str, tuple[str, int, str]]:
+    """Every def of the package: key -> (file, first line, name)."""
+    out, seen = {}, Counter()
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                key = f"{file}:{prefix}{child.name}"
+                seen[key] += 1
+                out[key if seen[key] == 1 else f"{key}#{seen[key]}"] = (file, first, child.name)
+                walk(child, file, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+            else:
+                walk(child, file, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return out
+
+
+def _where(key: str, defs) -> str:
+    file, line, _ = defs[key]
+    return f"src/oscillab/{file}:{line} {key.split(':', 1)[1]}"
+
+
+def test_every_function_is_reached_or_allowed_with_a_reason(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(CONFIGS), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reached = {tuple(r) for r in json.loads(proc.stdout.splitlines()[-1])}
+    defs = _defs()
+    hit = {key for key, d in defs.items() if d in reached}
+
+    kinds = ["the reason kinds of an ALLOWED entry:", *(f"  {k}: {v}" for k, v in REASON_KINDS.items())]
+    problems = [f"{key}: reason kind {kind!r} is none of REASON_KINDS"
+                for key, (kind, _) in ALLOWED.items() if kind not in REASON_KINDS]
+    problems += [f"src/oscillab/{key.replace(':', ' ', 1)}: on ALLOWED but names no function"
+                 for key in sorted(set(ALLOWED) - set(defs))]
+    problems += [f"{_where(key, defs)}: on ALLOWED but a config reaches it" for key in sorted(hit & set(ALLOWED))]
+    problems += [f"{_where(key, defs)}: no config reaches it and ALLOWED does not name it"
+                 for key in sorted(set(defs) - hit - set(ALLOWED))]
+    assert not problems, "\n".join([*problems, *kinds])

@@ -15,6 +15,7 @@ from oscillab.semigroup import (
     default_ladder,
     discretize,
     poisson_extension,
+    square_function_field,
 )
 from oscillab.tent import (
     box_oscillation_ratio,
@@ -80,10 +81,10 @@ def test_carleson_box_requires_ladder_coverage(small_grid):
         carleson_box(F, Ball((7.75,), 0.5))
 
 
-def test_carleson_box_offlattice_matches_manual(small_grid):
+def test_carleson_box_matches_manual_sum(small_grid):
     lad = TLadder(np.array([0.25, 0.5, 1.0]))
     F = _random_field(small_grid, lad, seed=2)
-    b = Ball((0.3,), 0.8)
+    b = Ball((0.375,), 0.75)
     k = 2  # cylinder covers only the slices with t <= r
     w = _prefix_weights(lad.values[:k])
     total = 0.0
@@ -92,8 +93,11 @@ def test_carleson_box_offlattice_matches_manual(small_grid):
     for j in range(k):
         vals = ball_member_values(GridFunction(small_grid, F.values[j]), b)
         total += w[j] * float(np.sum(vals**2))
-    want = total * small_grid.spacing / 0.8
+    want = total * small_grid.spacing / 0.75
     assert carleson_box(F, b) == pytest.approx(want, rel=1e-12)
+    # a ball off the lattice is no family ball
+    with pytest.raises(ConfigError):
+        carleson_box(F, Ball((0.3,), 0.8))
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -110,8 +114,8 @@ def test_family_box_values_match_single_calls(small_grid):
     F = _random_field(small_grid, lad, seed=5)
     fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
     vals = family_box_values(F, fam)
-    for i, b in enumerate(fam.balls()):
-        assert vals[i] == pytest.approx(carleson_box(F, b), rel=1e-12)
+    for i in range(len(fam)):
+        assert vals[i] == pytest.approx(carleson_box(F, fam.ball(i)), rel=1e-12)
 
 
 def test_cone_delta_slice_closed_form():
@@ -231,10 +235,8 @@ def test_dilate_oscillation_zero_function(small_grid, small_op):
 
 def test_box_oscillation_report_consistency(small_grid, small_op):
     f = GridFunction.from_callable(small_grid, lambda x: np.exp(-0.5 * x**2))
-    lad = default_ladder(small_grid)
-    rep = box_oscillation_ratio(
-        f, small_op, Ball((0.0,), 0.5), k_max=3, ladder=lad, norm_hint=0.5, clip=True
-    )
+    F = square_function_field(small_op, f, default_ladder(small_grid))
+    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=3, field=F, norm_hint=0.5, clip=True)
     assert len(rep.per_k) == 4
     assert rep.rhs == pytest.approx(sum(2.0**-k * v for k, v in enumerate(rep.per_k)))
     assert rep.tail == pytest.approx(2.0**-3 * 0.5)
@@ -244,9 +246,8 @@ def test_box_oscillation_report_consistency(small_grid, small_op):
 
 def test_box_oscillation_zero_function(small_grid, small_op):
     f = GridFunction.constant(small_grid, 0.0)
-    rep = box_oscillation_ratio(
-        f, small_op, Ball((0.0,), 0.5), k_max=2, ladder=default_ladder(small_grid), clip=True
-    )
+    F = square_function_field(small_op, f, default_ladder(small_grid))
+    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=2, field=F, clip=True)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.ratio == math.inf  # 0/0 reported as inf, not hidden
 
