@@ -45,7 +45,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "power_potential",
         "solve_critical_radius",
         "tabulated_potential",
-        "zero_potential",
     ),
     "semigroup": (
         "HalfSpaceFunction",

@@ -172,15 +172,11 @@ def _shell_sup(x: np.ndarray, n0: int, q: int, s_lo: int) -> float:
 
 @dataclass(frozen=True)
 class ThresholdFractions:
-    """eps multipliers for the scanned bounds; None picks the defaults
-    1/20 (the paper's 1/(5*4^n) at n = 1) for oscillation conditions and
-    1/2 for size conditions."""
+    """eps multipliers for the scanned bounds: oscillation conditions (the
+    paper takes 1/(5*4^n), 1/20 at n = 1) and size conditions."""
 
-    oscillation: float | None = None
+    oscillation: float
     size: float = 0.5
-
-    def osc_value(self) -> float:
-        return self.oscillation if self.oscillation is not None else 1.0 / 20.0
 
 
 @dataclass(frozen=True)
@@ -205,8 +201,7 @@ def choose_thresholds(
     f: GridFunction,
     eps: float,
     rho: float,
-    fractions: ThresholdFractions | None = None,
-    slow_variation: tuple[float, int, float] | None = None,
+    fractions: ThresholdFractions,
 ) -> AveragingThresholds:
     """Scan the dyadic levels [-p+1, a] of the box for the smallest
     admissible (I, J, M); rho is the constant critical radius.
@@ -229,9 +224,9 @@ def choose_thresholds(
     when any scan runs off the level range or the core cubes 2^(-I-2)
     would fall below the grid scale.
 
-    slow_variation = (c, k0, rho_at_origin) adds the closed-form bound
-    (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2/rho0)^(k0/(k0+1)),
-    to the report for cross-checking the scanned M.
+    The report carries the closed-form bound (k0+1) * (log2 C + I + J + 1),
+    C = c * rho * (1 + 2/rho)^(k0/(k0+1)), at the slow-variation constants
+    c = k0 = 1, for cross-checking the scanned M.
     """
     if not (eps > 0):
         raise ConfigError("eps must be positive")
@@ -242,9 +237,8 @@ def choose_thresholds(
     a, p = _dyadic_exponents(g)
     if a + p < 1:
         raise ConfigError(f"the box 2^{a} at spacing 2^-{p} holds no dyadic level")
-    fr = fractions or ThresholdFractions()
-    osc_bound = fr.osc_value() * eps
-    size_bound = fr.size * eps
+    osc_bound = fractions.oscillation * eps
+    size_bound = fractions.size * eps
     l_lo, l_hi = -p + 1, a
     levels = range(l_lo, l_hi + 1)
     n0 = g.half_cells
@@ -330,12 +324,8 @@ def choose_thresholds(
             f"below {size_bound:.3g}"
         )
 
-    closed = None
-    if slow_variation is not None:
-        c_sv, k0, rho0 = slow_variation
-        C = c_sv * rho0 * (1.0 + 2.0 / rho0) ** (k0 / (k0 + 1.0))
-        closed = (k0 + 1.0) * (math.log2(max(C, 1e-300)) + fine + core + 1.0)
-
+    C = rho * (1.0 + 2.0 / rho) ** 0.5
+    closed = 2.0 * (math.log2(max(C, 1e-300)) + fine + core + 1.0)
     return AveragingThresholds(eps, fine, core, outer, osc_bound, size_bound, closed)
 
 

@@ -51,7 +51,6 @@ from .potential import (
     constant_potential,
     power_potential,
     solve_critical_radius,
-    zero_potential,
 )
 from .semigroup import (
     DEFAULT_OP_CAP,
@@ -501,13 +500,7 @@ def exp_pipeline(
 
     fractions = ThresholdFractions(oscillation=osc_fraction)
     try:
-        th = choose_thresholds(
-            f,
-            eps,
-            RHO_CONSTANT_UNIT,
-            fractions,
-            slow_variation=(1.0, 1, RHO_CONSTANT_UNIT),
-        )
+        th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
     except ThresholdExhaustedError as e:
         return PipelineReport(member=member, eps=eps, norm=norm.value, verdict="NONMEMBER", exhausted_condition=str(e))
 
@@ -598,6 +591,12 @@ _INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bo
 _FLOAT = _Kind("a finite number", _number, lambda where, v: float(v))
 _STR = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
+
+
+def _int_at_least(low: int) -> _Kind:
+    return _Kind(f"an integer >= {low}", lambda v: _INT.ok(v) and v >= low)
+
+
 _CORPUS_NAMES = [m.name for m in CORPUS]
 _MEMBER = _Kind(f"a corpus member name, one of {_CORPUS_NAMES}", lambda v: isinstance(v, str) and v in _CORPUS_NAMES)
 _MEMBERS = _Kind(
@@ -632,7 +631,6 @@ _FAMILY = _Kind(
 
 # potential kind -> (its keys, the required ones, its constructor in dimension n)
 _POTENTIALS = {
-    "zero": ({}, (), zero_potential),
     "constant": ({"value": _FLOAT(1.0)}, (), lambda n, value: constant_potential(value, n)),
     "power": (
         {"exponent": _FLOAT, "amplitude": _FLOAT},
@@ -655,6 +653,26 @@ def _potential(where: str, spec: dict) -> Callable[[int], Potential]:
 
 _POTENTIAL = _Kind("an object with a 'kind'", lambda v: isinstance(v, dict), _potential)
 
+
+def _rho_slope_potential(where: str, p: dict) -> dict:
+    """rho-slope parameters with the potential built in dimension 'n', from
+    'potential' or from 'exponent' and 'amplitude'; a zero potential, whose
+    critical radius is infinite everywhere, is rejected."""
+    n = p.pop("n")
+    if "potential" in p:
+        keys, build = "'potential'", p.pop("potential")
+    else:
+        keys = "'exponent' and 'amplitude'"
+        build = functools.partial(power_potential, p.pop("exponent"), amplitude=p.pop("amplitude", 1.0))
+    try:
+        potential = build(n)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {keys}: {e}") from None
+    if potential.is_zero():
+        raise ConfigError(f"{where}: {keys}: the zero potential has an infinite critical radius everywhere")
+    return {**p, "potential": potential}
+
+
 _CORPUS_GRID = {"halfwidth": _FLOAT(CORPUS_HALFWIDTH), "spacing": _FLOAT(CORPUS_SPACING)}
 _AGREEMENT_PARAMS = {
     **_CORPUS_GRID,
@@ -670,13 +688,13 @@ _AGREEMENT_PARAMS = {
 # to an exp_* function takes that function's default.
 _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "rho-slope": {
-        "n": _INT(1),
-        "points": _INT,
+        "n": _Kind("1, 2 or 3", lambda v: _INT.ok(v) and v in (1, 2, 3))(1),
+        "points": _int_at_least(2),
         "potential": _POTENTIAL,
         **dict.fromkeys(("exponent", "amplitude", "x_min", "x_max", "jitter", "tolerance"), _FLOAT),
     },
     "lacunary-separation": {
-        "k_max": _INT,
+        "k_max": _int_at_least(1),
         "assert_verdicts": _BOOL(True),
         **dict.fromkeys(
             ("exponent", "amplitude", "halfwidth", "spacing", "stride", "radius_max", "distance_max",
@@ -756,6 +774,8 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
         if a not in params and b not in params:
             raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}")
     checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
+    if sid == "rho-slope":
+        checked = _rho_slope_potential(f"scenario {sid!r}", checked)
     # an asserted member that the scenario does not run would assert nothing
     idle = sorted(set(checked.get("assert_members", ())) - set(checked.get("members") or _CORPUS_NAMES))
     if idle:
@@ -816,12 +836,7 @@ class ExperimentConfig:
 
 def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     tol = p.pop("tolerance", None)
-    n = p.pop("n")
-    if "potential" in p:
-        potential = p.pop("potential")(n)
-    else:
-        potential = power_potential(p.pop("exponent"), n, p.pop("amplitude", 1.0))
-    rep = exp_rho_slope(potential, rng=rng, **p)
+    rep = exp_rho_slope(p.pop("potential"), rng=rng, **p)
     with (out / "rho.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "rho"])

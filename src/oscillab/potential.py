@@ -1,9 +1,9 @@
 """Nonnegative potentials and their critical radii.
 
-A potential is one of four kinds:
+A potential is one of three kinds:
 
-* zero            V = 0 (critical radius is +inf everywhere, tagged);
-* constant        V = c >= 0;
+* constant        V = c >= 0 (c = 0 is the zero potential, whose critical
+                  radius is +inf everywhere, tagged);
 * power           V(x) = amplitude * |x|^(eps - 2), 0 < eps < 2 (for ambient
                   dimension 1 additionally eps > 1 so V is locally
                   integrable);
@@ -18,6 +18,10 @@ kinds evaluate I by exact antiderivatives (n = 1) or radial quadrature
 (n = 2, 3); the n = 2 and n = 3 kinds serve the growth-exponent checks
 only, since every grid is one-dimensional.  Tabulated kinds use discrete
 ball sums times h.
+
+I(x, r) is nondecreasing in r, so solve_critical_radius finds rho by
+bisecting log r between a floor and a cap, every point at once; its
+docstring gives the monotonicity argument.
 """
 
 from __future__ import annotations
@@ -46,19 +50,11 @@ class Potential:
     samples: GridFunction | None = None
 
     def is_zero(self) -> bool:
-        if self.kind == "zero":
-            return True
         if self.kind == "constant":
             return self.constant * self.amplitude == 0.0
         if self.kind == "power":
             return self.amplitude == 0.0
         return bool(np.all(self.samples.values == 0.0))
-
-
-def zero_potential(n: int = 1) -> Potential:
-    if n not in (1, 2, 3):
-        raise ConfigError("potential dimension must be 1, 2, or 3")
-    return Potential("zero", n)
 
 
 def constant_potential(c: float, n: int = 1) -> Potential:
@@ -191,8 +187,6 @@ def normalized_mass(
         raise ConfigError("radii must be positive")
     n = V.n
 
-    if V.kind == "zero":
-        return np.zeros(pts.shape[0])
     if V.kind == "constant":
         c = V.constant * V.amplitude
         return c * UNIT_BALL_VOLUME[n] * r**2
@@ -226,12 +220,12 @@ def normalized_mass(
 # critical radius
 
 
-# scan floor and cap for analytic potentials, geometric scan ratio and
-# bisection steps of solve_critical_radius
+# bracket floor and cap for analytic potentials, and halvings of the
+# log-bracket in solve_critical_radius: ln(RHO_CAP / RHO_FLOOR) * 2^-48 is
+# 8e-14, the relative width the solve leaves
 RHO_FLOOR = 1e-4
 RHO_CAP = 1e6
-RHO_SCAN_RATIO = 2.0**0.25
-RHO_BISECT_STEPS = 40
+RHO_BISECT_STEPS = 48
 
 
 @dataclass(frozen=True)
@@ -240,8 +234,8 @@ class CriticalRadiusField:
 
     values may contain +inf only when the potential is identically zero
     (the infinite tag participates in comparisons, never in arithmetic).
-    saturated marks points where the scan hit r_max while still admissible
-    for a nonzero potential.
+    saturated marks points where the cap r_max is still admissible for a
+    nonzero potential; their value is the cap.
     """
 
     points: np.ndarray
@@ -251,7 +245,7 @@ class CriticalRadiusField:
 
 
 def _r_bounds(V: Potential, pts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Scan floor and per-point cap: RHO_FLOOR and RHO_CAP for analytic
+    """Bracket floor and per-point cap: RHO_FLOOR and RHO_CAP for analytic
     kinds; for tabulated ones the spacing and the room left in the box."""
     if V.kind == "tabulated":
         g = V.samples.grid
@@ -264,14 +258,24 @@ def _r_bounds(V: Potential, pts: np.ndarray) -> tuple[float, np.ndarray]:
 
 def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusField:
     """rho(x) = sup { r : I(x, r) <= 1 } at each point of the (k, n) array,
-    by geometric scan plus bisection.
+    by bisection of log r between the floor r_min and the cap r_max.
 
-    The scan walks r_min * RHO_SCAN_RATIO^k up to the cap, keeping the last
-    admissible radius (sup semantics); RHO_BISECT_STEPS bisection steps
-    then sharpen inside the final bracket.  r_min is RHO_FLOOR and the cap
-    RHO_CAP, except for tabulated potentials (the spacing, and the room
-    left in the box).  Errors: BracketError when I(r_min) > 1 somewhere.
-    A potential that is identically zero yields +inf everywhere.
+    I(x, .) is nondecreasing in r, so {r : I(x, r) <= 1} is an interval
+    from r_min and a bracket [lo, hi] with I(lo) <= 1 < I(hi) keeps its
+    sup.  For n = 2, I is the mass of a growing ball; for n = 1 (the
+    tabulated kind too) it is r times that mass.  For n = 3, I = mass / r:
+    c * (4 pi / 3) * r^2 for the constant kind, and for the power kind
+    tests/test_potential.py measures it nondecreasing on the radial
+    quadrature.  Each step halves the bracket at its geometric midpoint
+    sqrt(lo * hi), so after RHO_BISECT_STEPS steps
+    hi / lo = (r_max / r_min)^(2^-RHO_BISECT_STEPS), and the returned lo
+    is admissible and within that ratio of the sup.
+
+    r_min is RHO_FLOOR and r_max RHO_CAP, except for tabulated potentials
+    (the spacing, and the room left in the box).  A point with
+    I(r_max) <= 1 is saturated at r_max.  Errors: BracketError when
+    I(r_min) > 1 somewhere.  A potential that is identically zero yields
+    +inf everywhere.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -282,55 +286,28 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
         return CriticalRadiusField(pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind)
 
     table = SummedTable(V.samples.grid, V.samples.values) if V.kind == "tabulated" else None
-
-    def mass(r: np.ndarray) -> np.ndarray:
-        return normalized_mass(V, pts, r, table=table)
-
     r_min, r_max = _r_bounds(V, pts)
 
-    if np.any(mass(np.full(k, r_min)) > 1.0):
-        bad = np.nonzero(mass(np.full(k, r_min)) > 1.0)[0]
+    bad = np.nonzero(normalized_mass(V, pts, r_min, table=table) > 1.0)[0]
+    if bad.size:
         raise BracketError(
-            f"normalized mass already exceeds 1 at the scan floor r={r_min} "
+            f"normalized mass already exceeds 1 at the bracket floor r={r_min} "
             f"for {bad.size} point(s), e.g. index {bad[0]}"
         )
 
-    # geometric scan, per-point r_max caps
-    lo = np.full(k, r_min)
-    hi = np.full(k, np.nan)
-    saturated = np.zeros(k, dtype=bool)
-    active = np.ones(k, dtype=bool)
-    r = np.full(k, r_min)
-    while np.any(active):
-        r_next = np.minimum(r * RHO_SCAN_RATIO, r_max)
-        probe = active.copy()
-        vals = np.full(k, np.nan)
-        vals[probe] = normalized_mass(V, pts[probe], r_next[probe], table=table)
-        newly_over = probe & (vals > 1.0)
-        hi[newly_over] = r_next[newly_over]
-        active &= ~newly_over
-        ok = probe & ~newly_over
-        lo[ok] = r_next[ok]
-        at_cap = ok & (r_next >= r_max * (1 - 1e-12))
-        saturated |= at_cap
-        active &= ~at_cap
-        r = r_next
-
-    # bisection on the bracketed points
+    saturated = normalized_mass(V, pts, r_max, table=table) <= 1.0
     todo = ~saturated
-    if np.any(todo):
-        a = lo[todo].copy()
-        b = hi[todo].copy()
-        sub = pts[todo]
-        for _ in range(RHO_BISECT_STEPS):
-            mid = 0.5 * (a + b)
-            vals = normalized_mass(V, sub, mid, table=table)
-            inside = vals <= 1.0
-            a = np.where(inside, mid, a)
-            b = np.where(inside, b, mid)
-        lo[todo] = a
-
-    return CriticalRadiusField(pts, lo, saturated, V.kind)
+    sub = pts[todo]
+    lo = np.full(sub.shape[0], r_min)
+    hi = r_max[todo]
+    for _ in range(RHO_BISECT_STEPS):
+        mid = np.sqrt(lo * hi)
+        inside = normalized_mass(V, sub, mid, table=table) <= 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    values = r_max.copy()
+    values[todo] = lo
+    return CriticalRadiusField(pts, values, saturated, V.kind)
 
 
 def rho_values_for(rho, centers: np.ndarray) -> np.ndarray:

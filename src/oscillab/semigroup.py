@@ -128,15 +128,15 @@ class SpectralOperator:
 
 
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
-    """-Laplacian_h + V with Dirichlet walls, for a zero or constant V.
+    """-Laplacian_h + V with Dirichlet walls, for a constant V (zero too).
 
     cap bounds the grid's sample count (walls included), and with it the
     ladder x samples arrays of the half-space fields; exceeding it is a
     config error, not an OOM.  Power and tabulated potentials have no
     sine eigenbasis and are rejected.
     """
-    if V.kind not in ("zero", "constant"):
-        raise ConfigError(f"the spectral operator takes a zero or constant potential, not {V.kind!r}")
+    if V.kind != "constant":
+        raise ConfigError(f"the spectral operator takes a constant potential, not {V.kind!r}")
     m = grid.axis_count - 2
     if m < 1:
         raise ConfigError("grid too small for an interior")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from typing import Callable
@@ -115,7 +116,7 @@ def _oracle_choose_thresholds(
     f: GridFunction,
     eps: float,
     rho,
-    fractions: ThresholdFractions | None = None,
+    fractions: ThresholdFractions,
     level_min: int | None = None,
     level_max: int | None = None,
     slow_variation: tuple[float, int, float] | None = None,
@@ -143,9 +144,8 @@ def _oracle_choose_thresholds(
         raise ConfigError("eps must be positive")
     g = f.grid
     a, p = _dyadic_exponents(g)
-    fr = fractions or ThresholdFractions()
-    osc_bound = fr.osc_value() * eps
-    size_bound = fr.size * eps
+    osc_bound = fractions.oscillation * eps
+    size_bound = fractions.size * eps
     l_lo = level_min if level_min is not None else -p + 1
     l_hi = level_max if level_max is not None else a
     if not (-p <= l_lo <= l_hi <= a):
@@ -349,7 +349,6 @@ def pipeline_thresholds(pipeline_f):
         eps=0.55,
         rho=RHO0,
         fractions=ThresholdFractions(oscillation=0.25),
-        slow_variation=(1.0, 1, RHO0),
     )
 
 
@@ -474,20 +473,21 @@ def test_mollify_error_shrinks_with_t():
 
 
 def test_choose_thresholds_validation(pipeline_f):
+    fr = ThresholdFractions(oscillation=1.0 / 20.0)
     with pytest.raises(ConfigError):
-        choose_thresholds(pipeline_f, eps=0.0, rho=RHO0)
+        choose_thresholds(pipeline_f, eps=0.0, rho=RHO0, fractions=fr)
     for rho in (0.0, -RHO0, math.nan, math.inf, np.array([RHO0]), str(RHO0), None, lambda pts: RHO0):
         with pytest.raises(ConfigError, match="finite positive scalar rho"):
-            choose_thresholds(pipeline_f, eps=0.5, rho=rho)
+            choose_thresholds(pipeline_f, eps=0.5, rho=rho, fractions=fr)
     g = Grid(halfwidth=6.0, spacing=0.25)  # not a power-of-two box
     with pytest.raises(ConfigError):
-        choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0)
+        choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0, fractions=fr)
 
 
 def test_constant_exhausts_supercritical_condition(pipeline_grid):
     f = GridFunction.constant(pipeline_grid, 1.0)
     with pytest.raises(ThresholdExhaustedError):
-        choose_thresholds(f, eps=0.05, rho=RHO0)
+        choose_thresholds(f, eps=0.05, rho=RHO0, fractions=ThresholdFractions(oscillation=1.0 / 20.0))
 
 
 def test_threshold_report_shape(pipeline_thresholds):
@@ -691,7 +691,7 @@ def _scan_outcome(scan, f: GridFunction, eps: float) -> dict | str:
     """The scanned thresholds as a field dict, or the exhaustion message."""
     fractions = ThresholdFractions(oscillation=0.125)
     try:
-        th = scan(f, eps, RHO0, fractions, slow_variation=(1.0, 1, RHO0))
+        th = scan(f, eps, RHO0, fractions)
     except ThresholdExhaustedError as e:
         return str(e)
     return th if isinstance(th, dict) else dataclasses.asdict(th)
@@ -703,8 +703,10 @@ def test_threshold_scan_matches_level_stats_oracle(member, halfwidth, spacing):
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
     f = member_by_name(member).build(grid)
     _, p = _dyadic_exponents(grid)
+    # choose_thresholds reports the closed-form bound at c = k0 = 1
+    oracle = functools.partial(_oracle_choose_thresholds, slow_variation=(1.0, 1, RHO0))
     for eps in _SCAN_EPS:
-        want = _scan_outcome(_oracle_choose_thresholds, f, eps)
+        want = _scan_outcome(oracle, f, eps)
         got = _scan_outcome(choose_thresholds, f, eps)
         if isinstance(want, dict) and -want["fine_exponent"] - 2 < -p:
             # the oracle hands assign_cubes core cubes below the grid scale

@@ -26,7 +26,7 @@ from oscillab.experiments import (
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oscillab.potential import constant_potential, power_potential, zero_potential
+from oscillab.potential import constant_potential, power_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 
 SCENARIO_IDS = (
@@ -88,7 +88,7 @@ def test_rho_slope_power_potential_matches_asymptote():
 def test_rho_slope_validation():
     V = power_potential(1.5, 1)
     with pytest.raises(ConfigError):
-        exp_rho_slope(zero_potential(1))
+        exp_rho_slope(constant_potential(0.0, 1))
     with pytest.raises(ConfigError):
         exp_rho_slope(V, jitter=0.1)  # jitter needs the run's rng
     with pytest.raises(ConfigError):
@@ -561,17 +561,33 @@ def test_cli_rejects_wrongly_typed_scenario_parameter(key, scenario, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("exponent", [0, -1.0])
-def test_cli_rejects_a_nonpositive_tent_exponent_before_running(exponent, tmp_path, capsys):
-    # it passed the config check, so the scenarios before it ran and wrote
-    # their directories; the tent norm then stopped the run with exit 2
+_BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
+
+
+@pytest.mark.parametrize(
+    "key, scenario",
+    [
+        ("exponents", {"id": "tent-norms", "exponents": [2.0, 0, "inf"]}),
+        ("exponents", {"id": "tent-norms", "exponents": [2.0, -1.0, "inf"]}),
+        ("potential", {**_BAD_RHO_SLOPE, "potential": {"kind": "zero"}}),
+        ("potential", {**_BAD_RHO_SLOPE, "potential": {"kind": "constant", "value": 0}}),
+        ("n", {**_BAD_RHO_SLOPE, "n": 4, "exponent": 1.5}),
+        ("exponent", {**_BAD_RHO_SLOPE, "exponent": 0.5}),
+        ("points", {**_BAD_RHO_SLOPE, "exponent": 1.5, "points": 1}),
+        ("k_max", {"id": "lacunary-separation", "k_max": 0}),
+    ],
+    ids=["tent-exponent-0", "tent-exponent--1.0", "zero-kind", "constant-0", "n-4", "exponent-0.5-at-n-1",
+         "points-1", "k_max-0"],
+)
+def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, capsys):
+    # each used to pass the config check, so the valid scenario before it
+    # ran and wrote its directory; the bad one then stopped the run with exit 2
     cfg = tmp_path / "cfg.json"
-    scenarios = [{"id": "rho-slope", "exponent": 1.5, "points": 6},
-                 {"id": "tent-norms", "exponents": [2.0, exponent, "inf"]}]
+    scenarios = [{"id": "rho-slope", "exponent": 1.5, "points": 6}, scenario]
     cfg.write_text(json.dumps({"scenarios": scenarios}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'exponents'" in err
+    assert "config error" in err and repr(key) in err
     assert not (tmp_path / "o").exists()
 
 

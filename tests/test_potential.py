@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from oscillab.errors import BracketError, ConfigError
-from oscillab.grid import Grid, GridFunction
+from oscillab.family import FamilyPolicy, make_ball_family
+from oscillab.grid import Grid, GridFunction, SummedTable
 from oscillab.potential import (
+    RHO_CAP,
+    RHO_FLOOR,
+    _r_bounds,
     constant_potential,
     normalized_mass,
     power_potential,
     rho_values_for,
     solve_critical_radius,
     tabulated_potential,
-    zero_potential,
 )
 
 
@@ -33,7 +36,6 @@ def test_constructor_validation():
 
 
 def test_is_zero():
-    assert zero_potential(1).is_zero()
     assert constant_potential(0.0, 2).is_zero()
     assert not constant_potential(1.0, 2).is_zero()
     assert not power_potential(1.5, 1).is_zero()
@@ -73,7 +75,7 @@ def test_critical_radius_power_far_field_scaling():
 
 
 def test_zero_potential_gives_infinite_radius():
-    fld = solve_critical_radius(zero_potential(1), np.array([[0.0], [3.0]]))
+    fld = solve_critical_radius(constant_potential(0.0, 1), np.array([[0.0], [3.0]]))
     assert np.all(np.isinf(fld.values))
     assert not fld.saturated.any()
 
@@ -107,8 +109,8 @@ def test_tabulated_no_room_raises():
 
 def test_normalized_mass_shapes_and_zero():
     pts = np.array([[0.0], [1.0], [2.0]])
-    assert normalized_mass(zero_potential(1), pts, 1.0).shape == (3,)
-    assert np.all(normalized_mass(zero_potential(1), pts, 1.0) == 0.0)
+    assert normalized_mass(constant_potential(0.0, 1), pts, 1.0).shape == (3,)
+    assert np.all(normalized_mass(constant_potential(0.0, 1), pts, 1.0) == 0.0)
     got = normalized_mass(constant_potential(2.0, 1), pts, np.array([1.0, 1.0, 0.5]))
     assert np.allclose(got, [4.0, 4.0, 1.0])
     with pytest.raises(ConfigError):
@@ -123,3 +125,116 @@ def test_rho_values_for_accepted_forms():
         rho_values_for(np.array([0.5, 0.25, 0.125]), centers)
     with pytest.raises(ConfigError):
         rho_values_for(None, centers)
+
+
+# ---------------------------------------------------------------------------
+# the bisection solve against the geometric scan it replaced
+
+
+def _oracle_critical_radius(V, points):
+    """rho by the earlier method: a 2^(1/4) geometric scan from the floor to
+    the first radius with I > 1 (or the cap), then 40 linear bisection
+    steps inside that bracket.  Returns (values, saturated)."""
+    pts = np.asarray(points, dtype=np.float64)
+    k = pts.shape[0]
+    table = SummedTable(V.samples.grid, V.samples.values) if V.kind == "tabulated" else None
+    r_min, r_max = _r_bounds(V, pts)
+    if np.any(normalized_mass(V, pts, np.full(k, r_min), table=table) > 1.0):
+        raise BracketError("normalized mass already exceeds 1 at the scan floor")
+
+    lo = np.full(k, r_min)
+    hi = np.full(k, np.nan)
+    saturated = np.zeros(k, dtype=bool)
+    active = np.ones(k, dtype=bool)
+    r = np.full(k, r_min)
+    while np.any(active):
+        r_next = np.minimum(r * 2.0**0.25, r_max)
+        probe = active.copy()
+        vals = np.full(k, np.nan)
+        vals[probe] = normalized_mass(V, pts[probe], r_next[probe], table=table)
+        newly_over = probe & (vals > 1.0)
+        hi[newly_over] = r_next[newly_over]
+        active &= ~newly_over
+        ok = probe & ~newly_over
+        lo[ok] = r_next[ok]
+        at_cap = ok & (r_next >= r_max * (1 - 1e-12))
+        saturated |= at_cap
+        active &= ~at_cap
+        r = r_next
+
+    todo = ~saturated
+    if np.any(todo):
+        a = lo[todo].copy()
+        b = hi[todo].copy()
+        sub = pts[todo]
+        for _ in range(40):
+            mid = 0.5 * (a + b)
+            vals = normalized_mass(V, sub, mid, table=table)
+            inside = vals <= 1.0
+            a = np.where(inside, mid, a)
+            b = np.where(inside, b, mid)
+        lo[todo] = a
+    return lo, saturated
+
+
+def _assert_matches_oracle(V, pts):
+    """The solve agrees with the oracle to 2e-13 relative, and its rho is
+    admissible (I(x, rho) <= 1): it is the sup, not the bracket's top."""
+    fld = solve_critical_radius(V, pts)
+    want, saturated = _oracle_critical_radius(V, pts)
+    assert np.array_equal(fld.saturated, saturated)
+    rel = np.abs(fld.values - want) / want
+    assert rel.max() <= 2e-13, rel.max()
+    assert np.all(normalized_mass(V, pts, fld.values) <= 1.0)
+    return fld.values, want
+
+
+def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
+    # exp_lacunary's default geometry and potential: 131,071 distinct centers
+    spacing = 2.0**-8
+    grid = Grid(halfwidth=16384.0, spacing=spacing)
+    fam = make_ball_family(
+        grid, FamilyPolicy(center_stride=0.25, radius_min=4 * spacing, radius_max=4096.0, distance_max=4096.0)
+    )
+    xs, at = fam.distinct_centers()
+    assert xs.size == 131071
+    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), xs[:, None])
+    # no family ball changes side of rho
+    assert np.array_equal(fam.radii < got[at], fam.radii < want[at])
+
+
+def test_critical_radius_matches_scan_oracle_at_jittered_rho_slope_points():
+    # the shipped rho-slope kinds at the points a jittered run at seed 0 draws
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    for V in (power_potential(1.5, 1), power_potential(0.5, 3), constant_potential(1.0, 2)):
+        xs = np.geomspace(100.0, 1.0e4, 24) * np.exp(rng.uniform(-0.05, 0.05, size=24))
+        pts = np.zeros((xs.size, V.n))
+        pts[:, 0] = xs
+        _assert_matches_oracle(V, pts)
+
+
+@pytest.mark.parametrize(
+    "V",
+    [power_potential(1.5, 1), power_potential(0.5, 3), constant_potential(1.0, 2),
+     power_potential(1.05, 1, amplitude=0.002)],
+    ids=["n1-power-1.5", "n3-power-0.5", "n2-constant", "n1-power-1.05"],
+)
+def test_normalized_mass_is_nondecreasing_in_the_radius(V):
+    # the bisection keeps the sup only if I(x, .) is monotone; away from
+    # 1e-3 <= I <= 1e3 the radial quadrature is not exact enough to say
+    radii = np.geomspace(RHO_FLOOR, RHO_CAP, 2000)
+    for x in np.geomspace(1e-2, 1.05e4, 60):
+        pts = np.zeros((radii.size, V.n))
+        pts[:, 0] = x
+        mass = normalized_mass(V, pts, radii)
+        band = (mass >= 1e-3) & (mass <= 1e3)
+        both = band[:-1] & band[1:]
+        assert np.all(np.diff(mass)[both] >= 0.0), x
+
+
+def test_critical_radius_matches_scan_oracle_on_the_tabulated_kind():
+    # per-point caps from the box; the small potential saturates at them
+    g = Grid(halfwidth=16.0, spacing=2.0**-4)
+    pts = np.arange(-8.0, 8.5, 0.5)[:, None]
+    _assert_matches_oracle(tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + np.cos(x) ** 2)), pts)
+    _assert_matches_oracle(tabulated_potential(GridFunction.constant(g, 1e-6)), pts)

@@ -2,10 +2,11 @@
 ALLOWED with the reason it stays.
 
 One subprocess installs a ``sys.setprofile`` hook before it imports
-oscillab, runs ``oscillab run`` on configs/quick.json and configs/full.json,
-and prints the package functions it entered, keyed by file, first line and
-name (the first line of a decorated function is its first decorator's, as
-in ``co_firstlineno``).  The test fails on
+oscillab, runs ``oscillab run`` on configs/full.json (every scenario of
+configs/quick.json is also in it, which tests/test_shipped_configs.py
+checks), and prints the package functions it entered, keyed by file,
+first line and name (the first line of a decorated function is its first
+decorator's, as in ``co_firstlineno``).  The test fails on
 
 * a def that no config reaches and ALLOWED does not name: delete it, or
   add an entry;
@@ -35,7 +36,7 @@ REASON_KINDS = {
     "criterion": "the acceptance criterion in tests/test_acceptance.py that calls it",
     "script": "the script in scripts/ that calls it",
     "cli": "the CLI entry that calls it",
-    "config": "the config key, unset in quick.json and full.json, that reaches it",
+    "config": "the config key, unset in full.json, that reaches it",
     "tracer": "the oscbench/tracing.py span or counter that wraps or reads it",
 }
 
@@ -59,7 +60,6 @@ ALLOWED = {
     ),
     "grid.py:ball_sample_count": ("criterion", "8 and 13, through carleson_box and ball_volume"),
     "grid.py:ball_volume": ("criterion", "8: box_oscillation_ratio's |B|"),
-    "potential.py:zero_potential": ("config", 'a rho-slope "potential" of kind "zero"'),
     "potential.py:tabulated_potential": (
         "tracer",
         "the semigroup.discretize counter reads Potential.samples, the tabulated kind's field",
@@ -97,10 +97,9 @@ def hook(frame, event, arg):
 sys.setprofile(hook)
 from oscillab import cli
 
-configs, out = Path(sys.argv[1]), Path(sys.argv[2])
-for name in ("quick", "full"):
-    if cli.main(["run", "--config", str(configs / f"{name}.json"), "--out", str(out / name)]) != 0:
-        sys.exit(f"{name}.json did not run cleanly")
+config, out = sys.argv[1], sys.argv[2]
+if cli.main(["run", "--config", config, "--out", out]) != 0:
+    sys.exit("full.json did not run cleanly")
 sys.setprofile(None)
 package = Path(sys.modules["oscillab"].__file__).resolve().parent
 print(json.dumps(sorted(
@@ -141,7 +140,7 @@ def _where(key: str, defs) -> str:
 def test_every_function_is_reached_or_allowed_with_a_reason(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", _PROBE, str(CONFIGS / "full.json"), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

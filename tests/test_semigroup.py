@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
 from oscillab.errors import ConfigError, GridMismatchError
 from oscillab.grid import Grid, GridFunction
-from oscillab.potential import constant_potential, power_potential, tabulated_potential, zero_potential
+from oscillab.potential import constant_potential, power_potential, tabulated_potential
 from oscillab.semigroup import (
     TLadder,
     _ddx,
@@ -215,7 +215,7 @@ def test_x_gradient_against_exact_sine_derivative():
     # free-operator eigenvectors are exact sines, so t * du/dx has a closed
     # form; the interior stencil is 4th order, the walls drop to 2nd
     g = Grid(halfwidth=4.0, spacing=0.125)
-    op = discretize(zero_potential(1), g)
+    op = discretize(constant_potential(0.0, 1), g)
     k = 2
     f = _mode(op, k - 1)
     t = 0.5

@@ -41,6 +41,18 @@ def test_the_shipped_configs_are_found():
     assert {"full.json", "lacunary.json", "pipeline-large.json", "quick.json"} <= {p.name for p in CONFIGS}
 
 
+def test_quick_is_a_part_of_full():
+    # the reachability probe runs full.json only, so quick.json must not
+    # reach anything full.json does not
+    quick, full = (json.loads((ROOT / "configs" / name).read_text(encoding="utf-8")) for name in ("quick.json", "full.json"))
+    in_full = full.pop("scenarios")
+    assert [s for s in quick.pop("scenarios") if s not in in_full] == []
+    # the top-level keys agree, and those that quick leaves out hold their defaults in full
+    assert {k: full[k] for k in quick if k in full} == quick
+    extra = set(full) - set(quick)
+    assert {k: full[k] for k in extra} == {k: getattr(ExperimentConfig(), k) for k in extra}
+
+
 def _check_module():
     spec = importlib.util.spec_from_file_location("oscbench_check", ROOT / "oscbench" / "check.py")
     module = importlib.util.module_from_spec(spec)
