@@ -86,7 +86,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "approx": (
         "AveragingThresholds",
         "DyadicAssignment",
-        "ThresholdFractions",
         "assign_cubes",
         "bump",
         "choose_thresholds",

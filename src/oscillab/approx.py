@@ -12,9 +12,10 @@ radius rho (every caller passes the unit potential's):
 2. assign_cubes tiles the box with half-open dyadic intervals ("cubes")
    whose sidelength depends on the region of the sample (core gets
    2^(-I-2), the m-th shell gets 2^(m-I-J-1));
-3. the region average replaces f by its cube means (exactly idempotent);
-4. p1_p2_check verifies the smallness of the result outside the outer
-   region and across closure-adjacent cubes.
+3. dyadic_average replaces f by its cube means (exactly idempotent);
+4. p1_p2_check verifies the smallness of the averaged function outside
+   the outer region and across closure-adjacent cubes, reading the cube
+   means off the averaged function itself.
 
 Grids here must have power-of-two halfwidth and spacing 2^-p so the
 shells tile exactly in integer cell arithmetic.
@@ -170,13 +171,9 @@ def _shell_sup(x: np.ndarray, n0: int, q: int, s_lo: int) -> float:
 # threshold selection
 
 
-@dataclass(frozen=True)
-class ThresholdFractions:
-    """eps multipliers for the scanned bounds: oscillation conditions (the
-    paper takes 1/(5*4^n), 1/20 at n = 1) and size conditions."""
-
-    oscillation: float
-    size: float = 0.5
+# eps multiplier of the size conditions; the oscillation conditions take
+# the caller's osc_fraction (the paper's 1/(5*4^n), 1/20 at n = 1)
+SIZE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -201,10 +198,12 @@ def choose_thresholds(
     f: GridFunction,
     eps: float,
     rho: float,
-    fractions: ThresholdFractions,
+    osc_fraction: float,
 ) -> AveragingThresholds:
     """Scan the dyadic levels [-p+1, a] of the box for the smallest
-    admissible (I, J, M); rho is the constant critical radius.
+    admissible (I, J, M); rho is the constant critical radius.  The
+    oscillation bound is osc_fraction * eps, the size bound
+    SIZE_FRACTION * eps.
 
     Five conditions (one on an empty cube set holds):
 
@@ -237,8 +236,8 @@ def choose_thresholds(
     a, p = _dyadic_exponents(g)
     if a + p < 1:
         raise ConfigError(f"the box 2^{a} at spacing 2^-{p} holds no dyadic level")
-    osc_bound = fractions.oscillation * eps
-    size_bound = fractions.size * eps
+    osc_bound = osc_fraction * eps
+    size_bound = SIZE_FRACTION * eps
     l_lo, l_hi = -p + 1, a
     levels = range(l_lo, l_hi + 1)
     n0 = g.half_cells
@@ -336,10 +335,11 @@ def choose_thresholds(
 @dataclass(frozen=True)
 class DyadicAssignment:
     """Partition of the samples into half-open dyadic cubes, in position
-    order: cube k holds the next cube_counts[k] samples.  cube_levels and
-    cube_corners ((n_cubes, 1)) describe each cube.  Regions are half-open
-    (the core is [-2^J, 2^J)), so the tiles partition the box exactly; the
-    +X boundary sample folds into the last cube.
+    order: cube k holds the next cube_counts[k] samples.  Cube k at level
+    l = cube_levels[k] and corner c = cube_corners[k] is [c 2^l, (c+1) 2^l).
+    Regions are half-open (the core is [-2^J, 2^J)), so the tiles
+    partition the box exactly; the +X boundary sample folds into the last
+    cube.
     """
 
     grid: Grid
@@ -351,6 +351,11 @@ class DyadicAssignment:
     @property
     def n_cubes(self) -> int:
         return self.cube_levels.size
+
+    @property
+    def cube_starts(self) -> np.ndarray:
+        """The index of each cube's first sample."""
+        return np.cumsum(self.cube_counts) - self.cube_counts
 
 
 def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
@@ -387,12 +392,7 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
     corners = np.concatenate([np.arange(lo >> (l + p), hi >> (l + p)) for lo, hi, l in regions])
     counts = 2 ** (levels + p)
     counts[-1] += 1  # the +X boundary sample
-    return DyadicAssignment(grid, th, levels, corners[:, None], counts)
-
-
-def _cube_ids(assignment: DyadicAssignment) -> np.ndarray:
-    """The cube index of every sample."""
-    return np.repeat(np.arange(assignment.n_cubes), assignment.cube_counts)
+    return DyadicAssignment(grid, th, levels, corners, counts)
 
 
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
@@ -406,17 +406,13 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
         raise ConfigError("function and assignment grids differ")
     flat = f.values
     counts = assignment.cube_counts
-    anchors = flat[np.cumsum(counts) - counts]  # each cube's first sample
+    anchors = flat[assignment.cube_starts]
     diffs = np.repeat(anchors, counts)
     np.subtract(flat, diffs, out=diffs)
-    sums = np.bincount(_cube_ids(assignment), weights=diffs, minlength=assignment.n_cubes)
-    del diffs
+    cube_ids = np.repeat(np.arange(assignment.n_cubes), counts)
+    sums = np.bincount(cube_ids, weights=diffs, minlength=assignment.n_cubes)
+    del diffs, cube_ids
     return GridFunction(f.grid, np.repeat(anchors + sums / counts, counts))
-
-
-def cube_means(f: GridFunction, assignment: DyadicAssignment) -> np.ndarray:
-    sums = np.bincount(_cube_ids(assignment), weights=f.values, minlength=assignment.n_cubes)
-    return sums / assignment.cube_counts
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +429,27 @@ class GateReport:
     size_ratio_ok: bool
 
 
-def p1_p2_check(f: GridFunction, assignment: DyadicAssignment, averaged: GridFunction) -> GateReport:
-    """P1: sup |averaged| outside the closed outer region <= eps/2.
-    P2: |difference of f's cube means across closure-adjacent cubes| <= eps.
-    Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2}).
-    In one dimension the closure-adjacent cubes are the consecutive cubes
-    of the position-ordered list."""
+def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateReport:
+    """Gates on the averaged function A = dyadic_average(f, assignment).
+
+    P1: sup |A| outside the closed outer region [-2^M, 2^M] <= eps/2; on
+    the power-of-two box that region is the samples n0 +- 2^(M+p), so the
+    outside is two index slices.
+    P2: |difference of the cube means across closure-adjacent cubes|
+    <= eps, the means read off A at each cube's first sample.  In one
+    dimension the closure-adjacent cubes are the consecutive cubes of the
+    position-ordered list.
+    Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2})."""
     th = assignment.thresholds
-    lim = 2.0**th.outer_exponent
-    outside = np.abs(assignment.grid.axis) > lim + 1e-12
-    p1 = float(np.max(np.abs(averaged.values[outside]), initial=0.0))
-    p2 = float(np.max(np.abs(np.diff(cube_means(f, assignment))), initial=0.0))
+    _, p = _dyadic_exponents(assignment.grid)
+    n0 = assignment.grid.half_cells
+    k = 2 ** (th.outer_exponent + p)
+    vals = averaged.values
+    outside = (vals[: n0 - k], vals[n0 + k + 1 :])
+    # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
+    # the sign of a zero
+    p1 = abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
+    p2 = float(np.max(np.abs(np.diff(vals[assignment.cube_starts])), initial=0.0))
     ratio_ok = bool(np.all(np.abs(np.diff(assignment.cube_levels)) <= 1))
     return GateReport(
         p1,

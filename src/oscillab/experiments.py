@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -23,7 +24,6 @@ import numpy as np
 from . import __version__
 from .approx import (
     AveragingThresholds,
-    ThresholdFractions,
     assign_cubes,
     bump,
     choose_thresholds,
@@ -271,10 +271,10 @@ def exp_lacunary(
     norm = bmo_l_norm(st, rho)
     tol = tol_fraction * norm.value
 
-    curves = oscillation_curves(st, rho)
-    keep = ("small-radius", "far-from-origin", "far-and-supercritical")
-    curves = {mode: curves[mode] for mode in keep}
-    verdicts = {mode: vanishing_verdict(curves[mode], tol, decay_factor) for mode in keep}
+    osc = st.oscillation2
+    curves = {mode: bucketed_sup(osc, fam, mode) for mode in ("small-radius", "far-from-origin")}
+    curves["far-and-supercritical"] = bucketed_sup(st.size2, fam, "far-and-supercritical", rho=rho)
+    verdicts = _verdict_map(curves, tol, decay_factor)
 
     far = curves["far-from-origin"]
     floor = float(np.min(far.values[far.present]))
@@ -446,29 +446,43 @@ class PipelineReport:
     exhausted_condition: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "member": self.member,
-            "eps": self.eps,
-            "norm": self.norm,
-            "verdict": self.verdict,
-            "p1_sup": self.p1_sup,
-            "p1_ok": self.p1_ok,
-            "p2_max": self.p2_max,
-            "p2_ok": self.p2_ok,
-            "size_ratio_ok": self.size_ratio_ok,
-            "distance_averaged": self.distance_averaged,
-            "distance_full": self.distance_full,
-            "case_bound": self.case_bound,
-            "corpus_bound": self.corpus_bound,
-            "t_eps": self.t_eps,
-            "exhausted_condition": self.exhausted_condition,
-        }
-        if self.thresholds is not None:
-            d["fine_exponent"] = self.thresholds.fine_exponent
-            d["core_exponent"] = self.thresholds.core_exponent
-            d["outer_exponent"] = self.thresholds.outer_exponent
-            d["closed_form_bound"] = self.thresholds.closed_form_bound
+        d = {k: v for k, v in asdict(self).items() if k != "thresholds"}
+        th = self.thresholds
+        if th is not None:
+            d.update(fine_exponent=th.fine_exponent, core_exponent=th.core_exponent,
+                     outer_exponent=th.outer_exponent, closed_form_bound=th.closed_form_bound)
         return d
+
+
+def _average_member(
+    member: str,
+    grid: Grid,
+    policy: FamilyPolicy,
+    osc_fraction: float,
+    eps_fraction: float,
+    eps: Optional[float] = None,
+):
+    """The steps both pipeline scenarios share, under the unit potential:
+    sample the member, take its norm over the policy's family, take eps
+    (eps_fraction of the norm unless given), choose the thresholds, assign
+    the cubes, average and gate.  Returns (f, family, norm, eps, averaging):
+    averaging is the exhausted scan's condition, the NONMEMBER verdict
+    (constants are the canonical case: their supercritical size never
+    drops), or else (assignment, averaged f, gate report)."""
+    f = member_by_name(member).build(grid)
+    fam = make_ball_family(grid, policy)
+    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
+    if eps is None:
+        eps = eps_fraction * norm
+    if not eps > 0:
+        raise ConfigError(f"averaging needs eps > 0, got {eps} (a zero norm leaves nothing to approximate)")
+    try:
+        th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, osc_fraction)
+    except ThresholdExhaustedError as e:
+        return f, fam, norm, eps, str(e)
+    asg = assign_cubes(th, grid)
+    A = dyadic_average(f, asg)
+    return f, fam, norm, eps, (asg, A, p1_p2_check(asg, A))
 
 
 def exp_pipeline(
@@ -484,41 +498,28 @@ def exp_pipeline(
     critical-radius-adapted norm, under the unit potential.
 
     Returns a MEMBER report with both approximation distances, or a
-    NONMEMBER report when the threshold scan is exhausted (constants are
-    the canonical case: their supercritical size never drops).
+    NONMEMBER report when the threshold scan is exhausted.
     """
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    f = member_by_name(member).build(grid)
     h = grid.spacing
-    fam = make_ball_family(
-        grid, FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0)
-    )
-    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
-    eps = eps_fraction * norm.value
-    if eps <= 0:
-        raise ConfigError("the zero function has nothing to approximate; eps would be 0")
-
-    fractions = ThresholdFractions(oscillation=osc_fraction)
-    try:
-        th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
-    except ThresholdExhaustedError as e:
-        return PipelineReport(member=member, eps=eps, norm=norm.value, verdict="NONMEMBER", exhausted_condition=str(e))
-
-    asg = assign_cubes(th, grid)
-    A = dyadic_average(f, asg)
-    gate = p1_p2_check(f, asg, A)
+    policy = FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0)
+    f, fam, norm, eps, averaging = _average_member(member, grid, policy, osc_fraction, eps_fraction)
+    if isinstance(averaging, str):
+        return PipelineReport(member=member, eps=eps, norm=norm, verdict="NONMEMBER", exhausted_condition=averaging)
+    asg, A, gate = averaging
+    del averaging  # A is dropped after its last use to keep the peak down
+    th = asg.thresholds
 
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
-    # truncate to the M+2 region, then mollify at the fine-cube scale;
-    # the axis, A and AX are dropped after their last use to keep the peak down
-    T = 2.0 ** (th.outer_exponent + 2)
-    ax = grid.axis
-    AX = GridFunction(grid, np.where((ax >= -T) & (ax < T), A.values, 0.0))
-    del A, ax
+    # truncate A in place to [-T, T), T = 2^(M+2): the samples
+    # n0 - T/h .. n0 + T/h - 1, then mollify at the fine-cube scale
+    n0, k = grid.half_cells, round(2.0 ** (th.outer_exponent + 2) / h)
+    A.values[: n0 - k] = 0.0
+    A.values[n0 + k :] = 0.0
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
-    F_eps = mollify(AX, t_eps)
-    del AX
+    F_eps = mollify(A, t_eps)
+    del A
     d_full = bmo_l_norm(family_stats(f - F_eps, fam), RHO_CONSTANT_UNIT).value
 
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
@@ -526,7 +527,7 @@ def exp_pipeline(
     return PipelineReport(
         member=member,
         eps=eps,
-        norm=norm.value,
+        norm=norm,
         verdict="MEMBER",
         thresholds=th,
         p1_sup=gate.p1_sup,
@@ -591,6 +592,9 @@ _INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bo
 _FLOAT = _Kind("a finite number", _number, lambda where, v: float(v))
 _STR = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
+
+
+_POSITIVE = _Kind("a positive finite number", lambda v: _number(v) and v > 0, _FLOAT.typed)
 
 
 def _int_at_least(low: int) -> _Kind:
@@ -673,7 +677,7 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     return {**p, "potential": potential}
 
 
-_CORPUS_GRID = {"halfwidth": _FLOAT(CORPUS_HALFWIDTH), "spacing": _FLOAT(CORPUS_SPACING)}
+_CORPUS_GRID = {"halfwidth": _POSITIVE(CORPUS_HALFWIDTH), "spacing": _POSITIVE(CORPUS_SPACING)}
 _AGREEMENT_PARAMS = {
     **_CORPUS_GRID,
     "members": _MEMBERS,
@@ -696,9 +700,11 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "lacunary-separation": {
         "k_max": _int_at_least(1),
         "assert_verdicts": _BOOL(True),
+        "halfwidth": _POSITIVE,
+        "spacing": _POSITIVE,
         **dict.fromkeys(
-            ("exponent", "amplitude", "halfwidth", "spacing", "stride", "radius_max", "distance_max",
-             "tol_fraction", "decay_factor", "floor_factor"),
+            ("exponent", "amplitude", "stride", "radius_max", "distance_max", "tol_fraction", "decay_factor",
+             "floor_factor"),
             _FLOAT,
         ),
     },
@@ -707,7 +713,8 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "approximation-pipeline": {
         "member": _MEMBER,
         "expect": _EXPECT("MEMBER"),
-        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing", "stride", "osc_fraction", "corpus_factor"), _FLOAT),
+        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing"), _POSITIVE),
+        **dict.fromkeys(("stride", "osc_fraction", "corpus_factor"), _FLOAT),
     },
     "bmo-norms": {
         **_CORPUS_GRID,
@@ -728,15 +735,15 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
         "right": _MEMBER("gaussian"),
         "t_min": _FLOAT,
         "t_max": _FLOAT,
-        "per_decade": _INT(16),
+        "per_decade": _int_at_least(2)(16),
         "tolerance": _FLOAT,
     },
     "averaging-pipeline": {
         "member": _MEMBER("bump-narrow"),
-        "halfwidth": _FLOAT(64.0),
-        "spacing": _FLOAT(2.0**-5),
-        "eps": _FLOAT,
-        "eps_fraction": _FLOAT(0.1),
+        "halfwidth": _POSITIVE(64.0),
+        "spacing": _POSITIVE(2.0**-5),
+        "eps": _POSITIVE,
+        "eps_fraction": _POSITIVE(0.1),
         "osc_fraction": _FLOAT(0.125),
         "family": _FAMILY,
     },
@@ -757,6 +764,21 @@ _EITHER: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
+# scenario id -> the experiment whose defaults stand for an absent
+# halfwidth or spacing (the other scenarios' tables give both)
+_GRID_DEFAULTS = {"lacunary-separation": exp_lacunary, "approximation-pipeline": exp_pipeline}
+
+
+def _check_grid(where: str, sid: str, p: dict) -> None:
+    """The scenario's halfwidth and spacing, given or default, make a Grid."""
+    if "halfwidth" in _SCENARIO_PARAMS[sid]:
+        defaults = inspect.signature(_GRID_DEFAULTS[sid]).parameters if sid in _GRID_DEFAULTS else {}
+        try:
+            Grid(*(p[k] if k in p else defaults[k].default for k in ("halfwidth", "spacing")))
+        except ConfigError as e:
+            raise ConfigError(f"{where}: 'halfwidth' and 'spacing': {e}") from None
+
+
 def _scenario(s: dict) -> tuple[str, str, dict]:
     """(id, name, checked parameters) of one scenario object."""
     sid = s.get("id")
@@ -774,6 +796,7 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
         if a not in params and b not in params:
             raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}")
     checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
+    _check_grid(f"scenario {sid!r}", sid, checked)
     if sid == "rho-slope":
         checked = _rho_slope_potential(f"scenario {sid!r}", checked)
     # an asserted member that the scenario does not run would assert nothing
@@ -1010,51 +1033,33 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
 
 
 def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid, fam = _grid_and_family(p)
-    member = p["member"]
-    f = member_by_name(member).build(grid)
-    norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT)
-    eps = p["eps"] if "eps" in p else p["eps_fraction"] * norm.value
-    if eps <= 0:
-        raise ConfigError("averaging needs eps > 0")
-    fractions = ThresholdFractions(oscillation=p["osc_fraction"])
-    try:
-        th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, fractions)
-    except ThresholdExhaustedError as e:
-        # an exhausted scan is a verdict (as in exp_pipeline), not a config error
-        summary = {"member": member, "eps": eps, "norm": norm.value, "verdict": "NONMEMBER"}
-        return {**summary, "exhausted_condition": str(e)}, []
-    asg = assign_cubes(th, grid)
-    A = dyadic_average(f, asg)
-    gate = p1_p2_check(f, asg, A)
+    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
+    policy = p.get("family") or _default_corpus_policy(grid)
+    _, _, norm, eps, averaging = _average_member(
+        p["member"], grid, policy, p["osc_fraction"], p["eps_fraction"], p.get("eps")
+    )
+    summary = {"member": p["member"], "eps": eps, "norm": norm}
+    if isinstance(averaging, str):
+        return {**summary, "verdict": "NONMEMBER", "exhausted_condition": averaging}, []
+    asg, A, gate = averaging
+    th = asg.thresholds
 
-    corners = asg.cube_corners[:, 0]
+    corners = asg.cube_corners
     order = np.lexsort((corners, asg.cube_levels))
     with (out / "assignment.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["level", "corner_x"])
         w.writerows(zip(asg.cube_levels[order].tolist(), corners[order].tolist()))
     save_grid_function(out / "averaged.json", A)
-    gate_doc = {
-        "eps": eps,
-        "p1_sup": gate.p1_sup,
-        "p1_ok": gate.p1_ok,
-        "p2_max": gate.p2_max,
-        "p2_ok": gate.p2_ok,
-        "n_adjacent_pairs": gate.n_adjacent_pairs,
-        "size_ratio_ok": gate.size_ratio_ok,
-    }
+    gate_doc = {"eps": eps, **asdict(gate)}
     save_json(out / "gate.json", gate_doc)
-    summary = {
-        "member": member,
-        "eps": eps,
-        "norm": norm.value,
-        "fine_exponent": th.fine_exponent,
-        "core_exponent": th.core_exponent,
-        "outer_exponent": th.outer_exponent,
-        "n_cubes": asg.n_cubes,
-        "gate": gate_doc,
-    }
+    summary.update(
+        fine_exponent=th.fine_exponent,
+        core_exponent=th.core_exponent,
+        outer_exponent=th.outer_exponent,
+        n_cubes=asg.n_cubes,
+        gate=gate_doc,
+    )
     failures = []
     if not (gate.p1_ok and gate.p2_ok and gate.size_ratio_ok):
         failures.append("averaging-pipeline: P1/P2 gate failed")

@@ -192,20 +192,6 @@ class SummedTable:
         out = self._p[np.maximum(hi + 1, lo)] - self._p[lo]
         return np.where(hi >= lo, out, 0.0)
 
-    def ball_sum_real(self, centers_idx: np.ndarray, r_cells: float) -> np.ndarray:
-        """Like ball_sum but for a (possibly non-integer) radius in cell units.
-
-        Strict membership |k| < r_cells per offset; near-integer radii are
-        routed through the exact integer path.
-        """
-        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
-        if r_cells <= 0:
-            return np.zeros(ci.shape[0])
-        if abs(r_cells - round(r_cells)) < 1e-9:
-            return self.ball_sum(ci, round(r_cells))
-        kmax = math.ceil(r_cells - 1e-9) - 1
-        return self.interval_sum(ci - kmax, ci + kmax)
-
     def ball_sum(self, centers_idx: np.ndarray, cell_radius: int) -> np.ndarray:
         """Sum over samples strictly inside B(center, cell_radius * h).
 

@@ -112,16 +112,23 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
 
 @dataclass(frozen=True)
 class OscillationReport:
+    """The sup of a family's per-ball values: the value, the index of the
+    ball attaining it, and the number of balls."""
+
     value: float
     arg_index: int
     n_balls: int
 
 
+def _sup_report(per_ball: np.ndarray) -> OscillationReport:
+    """The sup of one value per family ball, at its first attaining ball."""
+    arg = int(np.argmax(per_ball))
+    return OscillationReport(float(per_ball[arg]), arg, per_ball.size)
+
+
 def bmo_norm(stats: FamilyStats) -> OscillationReport:
     """sup of the 2-mean oscillation over the scanned family."""
-    vals = stats.oscillation2
-    arg = int(np.argmax(vals))
-    return OscillationReport(float(vals[arg]), arg, len(stats.family))
+    return _sup_report(stats.oscillation2)
 
 
 @dataclass(frozen=True)
@@ -217,9 +224,7 @@ def tilde_bmo_l_norm(
     ladder: TLadder,
 ) -> OscillationReport:
     """sup over the family of the semigroup oscillation metric."""
-    vals = semigroup_difference_values(f, op, family, ladder)
-    arg = int(np.argmax(vals))
-    return OscillationReport(float(vals[arg]), arg, len(family))
+    return _sup_report(semigroup_difference_values(f, op, family, ladder))
 
 
 def semigroup_oscillation_curves(

@@ -208,11 +208,10 @@ def normalized_mass(
         raise ConfigError("tabulated potentials need lattice-aligned mass centers")
     idx = g.coord_to_index(pts[:, 0])
     tbl = table or SummedTable(g, V.samples.values)
-    out = np.empty(pts.shape[0])
-    r_cells = r / g.spacing
-    for rc in np.unique(r_cells):
-        sel = r_cells == rc
-        out[sel] = tbl.ball_sum_real(idx[sel], float(rc))
+    # strict membership |k| < r/h: offsets up to ceil(r/h) - 1, with radii
+    # within 1e-9 cells of an integer m taken as m
+    kmax = np.ceil(r / g.spacing - 1e-9).astype(np.int64) - 1
+    out = tbl.interval_sum(idx - kmax, idx + kmax)
     return r ** (2 - n) * out * g.cell_volume
 
 

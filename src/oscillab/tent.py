@@ -21,7 +21,7 @@ from .errors import (
 )
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values, ball_sample_count, ball_volume
-from .oscillation import _family_geometry, scan_radius_blocks
+from .oscillation import OscillationReport, _family_geometry, _sup_report, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
     SpectralOperator,
@@ -172,20 +172,12 @@ def t2p_norm(F: HalfSpaceFunction, p: float) -> TentNormReport:
 # Carleson norms and curves, reduced from one scan's per-ball values
 
 
-@dataclass(frozen=True)
-class CarlesonReport:
-    value: float
-    arg_index: int
-    n_balls: int
-
-
-def hmo_norm(carleson: np.ndarray) -> CarlesonReport:
+def hmo_norm(carleson: np.ndarray) -> OscillationReport:
     """sup over the family of the per-ball Carleson values
     sqrt(family_box_values(G, family)), with its ball.  For G the scaled
     gradient of the Poisson extension this is the HMO norm; for the
     square-function field it is the T^{2,inf} tent norm."""
-    arg = int(np.argmax(carleson))
-    return CarlesonReport(float(carleson[arg]), arg, carleson.size)
+    return _sup_report(carleson)
 
 
 def tent_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:

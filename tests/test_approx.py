@@ -13,11 +13,9 @@ from oscillab.grid import Grid, GridFunction
 from oscillab.approx import (
     AveragingThresholds,
     DyadicAssignment,
-    ThresholdFractions,
     assign_cubes,
     bump,
     choose_thresholds,
-    cube_means,
     dyadic_average,
     mollify,
     p1_p2_check,
@@ -116,7 +114,7 @@ def _oracle_choose_thresholds(
     f: GridFunction,
     eps: float,
     rho,
-    fractions: ThresholdFractions,
+    osc_fraction: float,
     level_min: int | None = None,
     level_max: int | None = None,
     slow_variation: tuple[float, int, float] | None = None,
@@ -144,8 +142,8 @@ def _oracle_choose_thresholds(
         raise ConfigError("eps must be positive")
     g = f.grid
     a, p = _dyadic_exponents(g)
-    osc_bound = fractions.oscillation * eps
-    size_bound = fractions.size * eps
+    osc_bound = osc_fraction * eps
+    size_bound = 0.5 * eps
     l_lo = level_min if level_min is not None else -p + 1
     l_hi = level_max if level_max is not None else a
     if not (-p <= l_lo <= l_hi <= a):
@@ -348,7 +346,7 @@ def pipeline_thresholds(pipeline_f):
         pipeline_f,
         eps=0.55,
         rho=RHO0,
-        fractions=ThresholdFractions(oscillation=0.25),
+        osc_fraction=0.25,
     )
 
 
@@ -382,12 +380,12 @@ def _sorted_cubes(asn: DyadicAssignment) -> tuple[np.ndarray, ...]:
     """The position-ordered cube list in the oracle's form: levels, corners
     and counts in (level, corner) order, the cube id of every sample (cube
     k holds the next cube_counts[k] samples), and each position's id."""
-    order = np.lexsort((asn.cube_corners[:, 0], asn.cube_levels))
+    order = np.lexsort((asn.cube_corners, asn.cube_levels))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return (
         asn.cube_levels[order],
-        asn.cube_corners[order, 0],
+        asn.cube_corners[order],
         asn.cube_counts[order],
         np.repeat(rank, asn.cube_counts),
         rank,
@@ -415,8 +413,8 @@ def _assert_position_order(asn: DyadicAssignment) -> None:
     holds 2^(level+p) samples; the last holds the +X boundary sample too."""
     p = round(-math.log2(asn.grid.spacing))
     q = np.left_shift(1, asn.cube_levels + p)
-    first = asn.cube_corners[:, 0] * q
-    assert asn.cube_corners.shape == (asn.n_cubes, 1)
+    first = asn.cube_corners * q
+    assert asn.cube_corners.shape == (asn.n_cubes,)
     assert first[0] == -asn.grid.half_cells
     assert np.array_equal(first[1:], first[:-1] + q[:-1])
     assert np.array_equal(asn.cube_counts[:-1], q[:-1]) and asn.cube_counts[-1] == q[-1] + 1
@@ -473,21 +471,21 @@ def test_mollify_error_shrinks_with_t():
 
 
 def test_choose_thresholds_validation(pipeline_f):
-    fr = ThresholdFractions(oscillation=1.0 / 20.0)
+    fr = 1.0 / 20.0
     with pytest.raises(ConfigError):
-        choose_thresholds(pipeline_f, eps=0.0, rho=RHO0, fractions=fr)
+        choose_thresholds(pipeline_f, eps=0.0, rho=RHO0, osc_fraction=fr)
     for rho in (0.0, -RHO0, math.nan, math.inf, np.array([RHO0]), str(RHO0), None, lambda pts: RHO0):
         with pytest.raises(ConfigError, match="finite positive scalar rho"):
-            choose_thresholds(pipeline_f, eps=0.5, rho=rho, fractions=fr)
+            choose_thresholds(pipeline_f, eps=0.5, rho=rho, osc_fraction=fr)
     g = Grid(halfwidth=6.0, spacing=0.25)  # not a power-of-two box
     with pytest.raises(ConfigError):
-        choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0, fractions=fr)
+        choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0, osc_fraction=fr)
 
 
 def test_constant_exhausts_supercritical_condition(pipeline_grid):
     f = GridFunction.constant(pipeline_grid, 1.0)
     with pytest.raises(ThresholdExhaustedError):
-        choose_thresholds(f, eps=0.05, rho=RHO0, fractions=ThresholdFractions(oscillation=1.0 / 20.0))
+        choose_thresholds(f, eps=0.05, rho=RHO0, osc_fraction=1.0 / 20.0)
 
 
 def test_threshold_report_shape(pipeline_thresholds):
@@ -541,7 +539,9 @@ def test_dyadic_average_idempotent(pipeline_f, pipeline_assignment):
 
 def test_dyadic_average_equals_cube_means(pipeline_f, pipeline_assignment):
     A = dyadic_average(pipeline_f, pipeline_assignment)
-    means = cube_means(pipeline_f, pipeline_assignment)
+    # plain bincount means of the position-ordered cubes
+    cube_ids = np.repeat(np.arange(pipeline_assignment.n_cubes), pipeline_assignment.cube_counts)
+    means = np.bincount(cube_ids, weights=pipeline_f.values) / pipeline_assignment.cube_counts
     assert np.allclose(A.values, np.repeat(means, pipeline_assignment.cube_counts), atol=1e-12)
     # against the oracle's cube means, cube by cube in (level, corner) order
     _, _, counts, sample_cube = _oracle_assignment(pipeline_assignment.thresholds, pipeline_assignment.grid)
@@ -552,7 +552,7 @@ def test_dyadic_average_equals_cube_means(pipeline_f, pipeline_assignment):
 
 
 def test_gates_pass_for_member(pipeline_f, pipeline_assignment):
-    rep = p1_p2_check(pipeline_f, pipeline_assignment, dyadic_average(pipeline_f, pipeline_assignment))
+    rep = p1_p2_check(pipeline_assignment, dyadic_average(pipeline_f, pipeline_assignment))
     assert rep.p1_ok, rep
     assert rep.p2_ok, rep
     assert rep.size_ratio_ok
@@ -563,16 +563,48 @@ def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid)
     # averaging the constant 1 with thresholds chosen for the bump leaves
     # mass 1 outside the outer region, so the first gate must fail
     f = GridFunction.constant(pipeline_grid, 1.0)
-    rep = p1_p2_check(f, pipeline_assignment, dyadic_average(f, pipeline_assignment))
+    rep = p1_p2_check(pipeline_assignment, dyadic_average(f, pipeline_assignment))
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
     assert rep.p2_ok  # all cube means equal
 
 
+def _axis_mask_p1(asn: DyadicAssignment, averaged: GridFunction) -> float:
+    """P1 as an axis mask: sup |A| over the samples with |x| > 2^M."""
+    outside = np.abs(asn.grid.axis) > 2.0**asn.thresholds.outer_exponent + 1e-12
+    return float(np.max(np.abs(averaged.values[outside]), initial=0.0))
+
+
+@pytest.mark.parametrize("halfwidth, spacing", [(256.0, 2.0**-6), (8192.0, 2.0**-7)])
+def test_p1_index_slices_match_axis_mask(halfwidth, spacing):
+    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    n0 = grid.half_cells
+    # asymmetric: larger and positive on the right, negative on the left
+    f = GridFunction.from_callable(grid, lambda x: np.where(x > 0, 2.0, -0.5) * np.cos(x) * np.exp(x / halfwidth))
+    a, p = _dyadic_exponents(grid)
+    for outer in range(a - 5, a - 2):
+        asn = assign_cubes(AveragingThresholds(1.0, 1, outer - 1, outer, 0.1, 0.5), grid)
+        A = dyadic_average(f, asn)
+        assert p1_p2_check(asn, A).p1_sup == _axis_mask_p1(asn, A) > 0
+        # a spike on the closed region's edge is inside; one sample further
+        # out, on either side, it sets P1
+        k = 2 ** (outer + p)
+        for i, inside in ((n0 + k, True), (n0 - k, True), (n0 + k + 1, False), (n0 - k - 1, False)):
+            spiked = A.values.copy()
+            spiked[i] = -100.0
+            got = p1_p2_check(asn, GridFunction(grid, spiked)).p1_sup
+            assert got == _axis_mask_p1(asn, GridFunction(grid, spiked)), i
+            assert (got == 100.0) is not inside, i
+    zero = GridFunction.constant(grid, 0.0)
+    p1 = p1_p2_check(asn, zero).p1_sup
+    assert p1 == 0.0 and math.copysign(1.0, p1) == 1.0
+
+
 def _assert_matches_oracle(f: GridFunction, asn: DyadicAssignment) -> None:
     """Equal levels, corners, counts and per-sample map after a (level,
     corner) sort; the consecutive cubes are the oracle's closure-adjacent
-    pairs, and the gates read the oracle's cube means over them."""
+    pairs, and the gates read the averaged cube means over them, which are
+    the oracle's plain cube means up to rounding."""
     want = _oracle_assignment(asn.thresholds, asn.grid)
     *got, rank = _sorted_cubes(asn)
     for name, g, w in zip(("levels", "corners", "counts", "sample_cube"), got, want):
@@ -581,11 +613,15 @@ def _assert_matches_oracle(f: GridFunction, asn: DyadicAssignment) -> None:
     levels, corners, counts, sample_cube = want
     pairs = _oracle_adjacent_pairs(asn.grid, levels, corners, sample_cube)
     assert {(min(a, b), max(a, b)) for a, b in zip(rank[:-1].tolist(), rank[1:].tolist())} == pairs
-    rep = p1_p2_check(f, asn, dyadic_average(f, asn))
+    A = dyadic_average(f, asn)
+    rep = p1_p2_check(asn, A)
     assert rep.n_adjacent_pairs == len(pairs)
     if pairs:
         a, b = np.array(sorted(pairs)).T
-        means = np.bincount(sample_cube, weights=f.values) / counts
+        means = np.empty(counts.size)
+        means[sample_cube] = A.values
+        assert np.array_equal(means[sample_cube], A.values)  # A is constant on each oracle cube
+        assert np.allclose(means, np.bincount(sample_cube, weights=f.values) / counts, rtol=1e-12, atol=1e-12)
         assert rep.p2_max == float(np.max(np.abs(means[a] - means[b])))
         assert rep.size_ratio_ok == bool(np.all(np.abs(levels[a] - levels[b]) <= 1))
 
@@ -597,7 +633,7 @@ def test_assignment_matches_row_sort_oracle(pipeline_f, pipeline_assignment):
 def test_assignment_matches_row_sort_oracle_large():
     grid = Grid(halfwidth=2048.0, spacing=2.0**-7)  # 524,289 samples
     f = member_by_name("bump-narrow").build(grid)
-    th = choose_thresholds(f, eps=0.55, rho=RHO0, fractions=ThresholdFractions(oscillation=0.25))
+    th = choose_thresholds(f, eps=0.55, rho=RHO0, osc_fraction=0.25)
     asn = assign_cubes(th, grid)
     assert asn.n_cubes > 1000
     _assert_matches_oracle(f, asn)
@@ -620,7 +656,7 @@ def test_assignment_runs_at_pipeline_small_geometry():
     assert asn.n_cubes == 2**18 + 2 * 3 * 2**16
     assert np.array_equal(np.unique(asn.cube_levels), [-7, -6, -5, -4])
     zero = GridFunction.constant(grid, 0.0)
-    rep = p1_p2_check(zero, asn, dyadic_average(zero, asn))
+    rep = p1_p2_check(asn, dyadic_average(zero, asn))
     assert rep.n_adjacent_pairs == asn.n_cubes - 1
     assert rep.size_ratio_ok
     assert np.all(np.abs(np.diff(asn.cube_levels)) <= 1)
@@ -689,9 +725,8 @@ _SCAN_EPS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.55)
 
 def _scan_outcome(scan, f: GridFunction, eps: float) -> dict | str:
     """The scanned thresholds as a field dict, or the exhaustion message."""
-    fractions = ThresholdFractions(oscillation=0.125)
     try:
-        th = scan(f, eps, RHO0, fractions)
+        th = scan(f, eps, RHO0, 0.125)
     except ThresholdExhaustedError as e:
         return str(e)
     return th if isinstance(th, dict) else dataclasses.asdict(th)
@@ -723,7 +758,7 @@ def test_threshold_scan_memory_at_pipeline_small_geometry():
     f = member_by_name("bump-narrow").build(grid)
     tracemalloc.start()
     try:
-        th = choose_thresholds(f, 0.235, RHO0, ThresholdFractions(oscillation=0.125))
+        th = choose_thresholds(f, 0.235, RHO0, 0.125)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

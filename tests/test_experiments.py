@@ -24,7 +24,7 @@ from oscillab.experiments import (
     run,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
-from oscillab.grid import Grid, mean_oscillation
+from oscillab.grid import Grid, GridFunction, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
@@ -283,6 +283,23 @@ def test_lacunary_scans_its_family_once(family_scans):
     assert len(family_scans[0]) == rep.n_balls
 
 
+def test_lacunary_builds_only_its_reported_curves(monkeypatch):
+    from oscillab import experiments
+
+    modes = []
+    original = experiments.bucketed_sup
+
+    def counting(metric, family, mode, rho=None):
+        modes.append(mode)
+        return original(metric, family, mode, rho)
+
+    monkeypatch.setattr(experiments, "bucketed_sup", counting)
+    rep = exp_lacunary(
+        k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0
+    )
+    assert sorted(modes) == sorted(rep.curves) == ["far-and-supercritical", "far-from-origin", "small-radius"]
+
+
 def test_lacunary_distinct_centers_match_unique():
     # the family of the --small geometry of scripts/lacunary_modes.py
     grid = Grid(halfwidth=1024.0, spacing=2.0**-6)
@@ -420,6 +437,96 @@ def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # command line
+
+
+# the pipeline-demo geometry, as an approximation-pipeline scenario and as
+# the averaging-pipeline scenario with the same grid, family and eps
+_DEMO_GRID = {"halfwidth": 256.0, "spacing": 2.0**-6, "eps_fraction": 0.7, "osc_fraction": 0.25}
+_DEMO_FAMILY = {"center_stride": 2.0, "radius_min": 4 * 2.0**-6, "radius_max": 128.0}
+
+
+@pytest.fixture
+def averaging_calls(monkeypatch):
+    """(member, result) of every call of the shared averaging steps."""
+    from oscillab import experiments
+
+    calls = []
+    original = experiments._average_member
+
+    def recording(member, *args, **kwargs):
+        calls.append((member, original(member, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "_average_member", recording)
+    return calls
+
+
+@pytest.mark.parametrize("member, expect", [("bump-narrow", "member"), ("const-one", "nonmember")])
+def test_both_pipeline_scenarios_report_the_same_averaging(member, expect, averaging_calls, tmp_path):
+    scenarios = [
+        {"id": "approximation-pipeline", "member": member, "expect": expect, "stride": 2.0, **_DEMO_GRID},
+        {"id": "averaging-pipeline", "member": member, "family": _DEMO_FAMILY, **_DEMO_GRID},
+    ]
+    doc = run({"scenarios": scenarios}, out_dir=str(tmp_path))["scenarios"]
+    # each runner goes through the shared steps exactly once
+    assert [m for m, _ in averaging_calls] == [member, member]
+    pipe, avg = doc["approximation-pipeline"], doc["averaging-pipeline"]
+    for key in ("eps", "norm"):
+        assert pipe[key] == avg[key], key
+    averaging = averaging_calls[0][1][-1]
+    if expect == "nonmember":
+        assert pipe["verdict"] == avg["verdict"] == "NONMEMBER"
+        assert pipe["exhausted_condition"] == avg["exhausted_condition"]
+        assert isinstance(averaging, str) and "core cutoff" in averaging
+        return
+    for key in ("fine_exponent", "core_exponent", "outer_exponent"):
+        assert pipe[key] == avg[key], key
+    for key in ("p1_sup", "p1_ok", "p2_max", "p2_ok", "size_ratio_ok"):
+        assert pipe[key] == avg["gate"][key], key
+    asg, _, gate = averaging
+    assert avg["n_cubes"] == asg.n_cubes and avg["gate"]["n_adjacent_pairs"] == gate.n_adjacent_pairs
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [{"id": "approximation-pipeline", "member": "bump-narrow", "stride": 2.0, **_DEMO_GRID},
+     {"id": "averaging-pipeline", "member": "bump-narrow", **_DEMO_GRID}],
+    ids=lambda s: s["id"],
+)
+def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_calls, tmp_path):
+    from oscillab import experiments
+
+    run({"scenarios": [scenario]}, out_dir=str(tmp_path))
+    assert len(averaging_calls) == 1
+    # the averaging steps are reached only through the shared function
+    steps = {"choose_thresholds", "assign_cubes", "dyadic_average", "p1_p2_check"}
+    for runner in (experiments.exp_pipeline, experiments._run_averaging):
+        assert not steps & set(runner.__code__.co_names), runner.__name__
+
+
+def test_pipeline_truncates_the_average_to_the_half_open_region(monkeypatch):
+    from oscillab import experiments
+
+    seen = {}
+    average, mollify = experiments.dyadic_average, experiments.mollify
+
+    def shifted(f, asg):
+        # nonzero and asymmetric out to the box faces, so every sample the
+        # truncation keeps or zeroes shows
+        vals = average(f, asg).values + 1.5 + f.grid.axis / f.grid.halfwidth
+        seen.update(A=vals.copy(), outer=asg.thresholds.outer_exponent)
+        return GridFunction(f.grid, vals)
+
+    def capturing(f, t):
+        seen["AX"] = f.values.copy()
+        return mollify(f, t)
+
+    monkeypatch.setattr(experiments, "dyadic_average", shifted)
+    monkeypatch.setattr(experiments, "mollify", capturing)
+    exp_pipeline("bump-narrow", stride=2.0, **_DEMO_GRID)
+    ax = Grid(halfwidth=_DEMO_GRID["halfwidth"], spacing=_DEMO_GRID["spacing"]).axis
+    T = 2.0 ** (seen["outer"] + 2)
+    assert np.array_equal(seen["AX"], np.where((ax >= -T) & (ax < T), seen["A"], 0.0))
 
 
 def test_cli_run_ok(tmp_path, capsys):
@@ -575,9 +682,17 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
         ("exponent", {**_BAD_RHO_SLOPE, "exponent": 0.5}),
         ("points", {**_BAD_RHO_SLOPE, "exponent": 1.5, "points": 1}),
         ("k_max", {"id": "lacunary-separation", "k_max": 0}),
+        # each of these wrote its own directory before it failed
+        ("per_decade", {"id": "reproducing-pairing", "per_decade": 1}),
+        ("eps", {"id": "averaging-pipeline", "eps": -1.0}),
+        ("spacing", {"id": "bmo-norms", "spacing": 0.3}),
+        ("halfwidth", {"id": "tent-norms", "halfwidth": -4.0}),
+        # against exp_lacunary's default halfwidth 16384
+        ("spacing", {"id": "lacunary-separation", "spacing": 0.3}),
     ],
     ids=["tent-exponent-0", "tent-exponent--1.0", "zero-kind", "constant-0", "n-4", "exponent-0.5-at-n-1",
-         "points-1", "k_max-0"],
+         "points-1", "k_max-0", "per_decade-1", "eps--1.0", "spacing-0.3", "halfwidth--4.0",
+         "lacunary-spacing-0.3"],
 )
 def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, capsys):
     # each used to pass the config check, so the valid scenario before it

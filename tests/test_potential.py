@@ -238,3 +238,36 @@ def test_critical_radius_matches_scan_oracle_on_the_tabulated_kind():
     pts = np.arange(-8.0, 8.5, 0.5)[:, None]
     _assert_matches_oracle(tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + np.cos(x) ** 2)), pts)
     _assert_matches_oracle(tabulated_potential(GridFunction.constant(g, 1e-6)), pts)
+
+
+def _per_radius_tabulated_mass(V, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """normalized_mass on the tabulated kind as one table query per distinct
+    radius: strict membership |k| < r/h, with radii within 1e-9 cells of an
+    integer m taken as m."""
+    g = V.samples.grid
+    tbl = SummedTable(g, V.samples.values)
+    idx = g.coord_to_index(pts[:, 0])
+    r_cells = r / g.spacing
+    out = np.empty(r.size)
+    for rc in np.unique(r_cells):
+        sel = r_cells == rc
+        rc = float(rc)
+        kmax = round(rc) - 1 if abs(rc - round(rc)) < 1e-9 else math.ceil(rc - 1e-9) - 1
+        out[sel] = tbl.interval_sum(idx[sel] - kmax, idx[sel] + kmax)
+    return r ** (2 - 1) * out * g.cell_volume
+
+
+def test_tabulated_mass_matches_per_radius_queries():
+    g = Grid(halfwidth=64.0, spacing=2.0**-6)
+    h = g.spacing
+    V = tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + np.cos(x) ** 2))
+    rng = np.random.default_rng(7)
+    m = rng.integers(1, 400, size=300).astype(np.float64)
+    # integer radii in cells, their near-integer neighbours m +- 1e-10,
+    # half-cells, sub-cell radii, and random radii
+    r_cells = np.concatenate([
+        m, m + 1e-10, m - 1e-10, m + 0.5, rng.uniform(0.01, 0.99, size=50), rng.uniform(1.0, 400.0, size=300),
+    ])
+    pts = (rng.integers(-1500, 1501, size=r_cells.size) * h)[:, None]
+    r = r_cells * h
+    assert np.array_equal(normalized_mass(V, pts, r), _per_radius_tabulated_mass(V, pts, r))

@@ -53,11 +53,6 @@ ALLOWED = {
     "grid.py:Grid.on_lattice": ("criterion", "8 and 13: ball_sample_count checks a ball's center with it"),
     "grid.py:GridFunction.constant": ("criterion", "4 runs the semigroup on the constant one"),
     "grid.py:GridFunction.l2_norm": ("criterion", "3 and 5 normalise by it"),
-    "grid.py:SummedTable.ball_sum_real": (
-        "tracer",
-        "the tabulated potential's mass; the semigroup.discretize counter reads Potential.samples, "
-        "the tabulated kind's field, and the kind goes with that counter",
-    ),
     "grid.py:ball_sample_count": ("criterion", "8 and 13, through carleson_box and ball_volume"),
     "grid.py:ball_volume": ("criterion", "8: box_oscillation_ratio's |B|"),
     "potential.py:tabulated_potential": (
