@@ -455,22 +455,19 @@ class PipelineReport:
 
 
 def _average_member(
-    member: str,
-    grid: Grid,
-    policy: FamilyPolicy,
+    f: GridFunction,
+    fam: BallFamily,
     osc_fraction: float,
     eps_fraction: float,
     eps: Optional[float] = None,
 ):
     """The steps both pipeline scenarios share, under the unit potential:
-    sample the member, take its norm over the policy's family, take eps
-    (eps_fraction of the norm unless given), choose the thresholds, assign
-    the cubes, average and gate.  Returns (f, family, norm, eps, averaging):
-    averaging is the exhausted scan's condition, the NONMEMBER verdict
-    (constants are the canonical case: their supercritical size never
-    drops), or else (assignment, averaged f, gate report)."""
-    f = member_by_name(member).build(grid)
-    fam = make_ball_family(grid, policy)
+    take the norm of f over the family, take eps (eps_fraction of the norm
+    unless given), choose the thresholds, assign the cubes, average and
+    gate.  Returns (norm, eps, outcome): outcome is the exhausted scan's
+    condition, the NONMEMBER verdict (constants are the canonical case:
+    their supercritical size never drops), or else (assignment, averaged
+    f, gate report)."""
     norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
     if eps is None:
         eps = eps_fraction * norm
@@ -479,10 +476,10 @@ def _average_member(
     try:
         th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, osc_fraction)
     except ThresholdExhaustedError as e:
-        return f, fam, norm, eps, str(e)
-    asg = assign_cubes(th, grid)
+        return norm, eps, str(e)
+    asg = assign_cubes(th, f.grid)
     A = dyadic_average(f, asg)
-    return f, fam, norm, eps, (asg, A, p1_p2_check(asg, A))
+    return norm, eps, (asg, A, p1_p2_check(asg, A))
 
 
 def exp_pipeline(
@@ -502,8 +499,10 @@ def exp_pipeline(
     """
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
     h = grid.spacing
+    f = member_by_name(member).build(grid)
     policy = FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0)
-    f, fam, norm, eps, averaging = _average_member(member, grid, policy, osc_fraction, eps_fraction)
+    fam = make_ball_family(grid, policy)
+    norm, eps, averaging = _average_member(f, fam, osc_fraction, eps_fraction)
     if isinstance(averaging, str):
         return PipelineReport(member=member, eps=eps, norm=norm, verdict="NONMEMBER", exhausted_condition=averaging)
     asg, A, gate = averaging
@@ -513,9 +512,10 @@ def exp_pipeline(
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
     # truncate A in place to [-T, T), T = 2^(M+2): the samples
-    # n0 - T/h .. n0 + T/h - 1, then mollify at the fine-cube scale
+    # n0 - T/h .. n0 + T/h - 1, clipped to the box (at M = a - 1 the left
+    # half is all kept), then mollify at the fine-cube scale
     n0, k = grid.half_cells, round(2.0 ** (th.outer_exponent + 2) / h)
-    A.values[: n0 - k] = 0.0
+    A.values[: max(n0 - k, 0)] = 0.0
     A.values[n0 + k :] = 0.0
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
     F_eps = mollify(A, t_eps)
@@ -1033,11 +1033,9 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
 
 
 def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
-    policy = p.get("family") or _default_corpus_policy(grid)
-    _, _, norm, eps, averaging = _average_member(
-        p["member"], grid, policy, p["osc_fraction"], p["eps_fraction"], p.get("eps")
-    )
+    grid, fam = _grid_and_family(p)
+    f = member_by_name(p["member"]).build(grid)
+    norm, eps, averaging = _average_member(f, fam, p["osc_fraction"], p["eps_fraction"], p.get("eps"))
     summary = {"member": p["member"], "eps": eps, "norm": norm}
     if isinstance(averaging, str):
         return {**summary, "verdict": "NONMEMBER", "exhausted_condition": averaging}, []

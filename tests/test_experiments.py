@@ -447,14 +447,14 @@ _DEMO_FAMILY = {"center_stride": 2.0, "radius_min": 4 * 2.0**-6, "radius_max": 1
 
 @pytest.fixture
 def averaging_calls(monkeypatch):
-    """(member, result) of every call of the shared averaging steps."""
+    """(member values, result) of every call of the shared averaging steps."""
     from oscillab import experiments
 
     calls = []
     original = experiments._average_member
 
-    def recording(member, *args, **kwargs):
-        calls.append((member, original(member, *args, **kwargs)))
+    def recording(f, *args, **kwargs):
+        calls.append((f.values.copy(), original(f, *args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(experiments, "_average_member", recording)
@@ -468,8 +468,9 @@ def test_both_pipeline_scenarios_report_the_same_averaging(member, expect, avera
         {"id": "averaging-pipeline", "member": member, "family": _DEMO_FAMILY, **_DEMO_GRID},
     ]
     doc = run({"scenarios": scenarios}, out_dir=str(tmp_path))["scenarios"]
-    # each runner goes through the shared steps exactly once
-    assert [m for m, _ in averaging_calls] == [member, member]
+    # each runner goes through the shared steps exactly once, on the same member
+    assert len(averaging_calls) == 2
+    assert np.array_equal(averaging_calls[0][0], averaging_calls[1][0])
     pipe, avg = doc["approximation-pipeline"], doc["averaging-pipeline"]
     for key in ("eps", "norm"):
         assert pipe[key] == avg[key], key
@@ -504,11 +505,25 @@ def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_cal
         assert not steps & set(runner.__code__.co_names), runner.__name__
 
 
-def test_pipeline_truncates_the_average_to_the_half_open_region(monkeypatch):
+# outer exponent M as an offset from the box exponent a = 8: the scan's own
+# choice, and the two largest the scan can return (shell_tops ends at a - 1)
+@pytest.mark.parametrize("outer_below_box", [None, 2, 1])
+def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box, monkeypatch):
+    from dataclasses import replace
+
     from oscillab import experiments
 
     seen = {}
-    average, mollify = experiments.dyadic_average, experiments.mollify
+    assign, average, mollify = experiments.assign_cubes, experiments.dyadic_average, experiments.mollify
+
+    def widened(th, grid):
+        # the assignment needs 2^(M+3) <= X, so tile with the scan's own M
+        # and only then move the outer exponent out to the box
+        asg = assign(th, grid)
+        if outer_below_box is None:
+            return asg
+        a = round(math.log2(grid.halfwidth))
+        return replace(asg, thresholds=replace(th, outer_exponent=a - outer_below_box))
 
     def shifted(f, asg):
         # nonzero and asymmetric out to the box faces, so every sample the
@@ -521,9 +536,13 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(monkeypatch):
         seen["AX"] = f.values.copy()
         return mollify(f, t)
 
+    monkeypatch.setattr(experiments, "assign_cubes", widened)
     monkeypatch.setattr(experiments, "dyadic_average", shifted)
     monkeypatch.setattr(experiments, "mollify", capturing)
     exp_pipeline("bump-narrow", stride=2.0, **_DEMO_GRID)
+    if outer_below_box is not None:
+        assert seen["outer"] == 8 - outer_below_box
+    # the axis-mask rule: keep the samples of the half-open [-T, T)
     ax = Grid(halfwidth=_DEMO_GRID["halfwidth"], spacing=_DEMO_GRID["spacing"]).axis
     T = 2.0 ** (seen["outer"] + 2)
     assert np.array_equal(seen["AX"], np.where((ax >= -T) & (ax < T), seen["A"], 0.0))
