@@ -2,9 +2,9 @@
 
 The default geometry is small enough for a laptop.  The headline run uses
 --halfwidth 65536 --spacing 0.00390625 --eps-fraction 0.1, which takes
-about 6 s at 1.68 GB peak memory (2 vCPUs, numpy 2.4.6); see
+about 6 s at 1.17 GB peak memory (2 vCPUs, numpy 2.4.6); see
 configs/pipeline-large.json for this geometry driven through the CLI, with
-the constant counterexample (about 10 s at 1.68 GB).
+the constant counterexample (about 7 to 8 s at 1.29 GB).
 """
 
 import argparse

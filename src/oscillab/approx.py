@@ -218,8 +218,9 @@ def choose_thresholds(
     every core candidate J, and the sizes on every shell.
 
     After J is fixed, I is enlarged until 2^(-I-1) <= rho (critical-radius
-    compatibility).  M is the smallest shell cutoff whose beyond-shell
-    assigned cubes all have size < size_bound.  ThresholdExhaustedError
+    compatibility).  M is the smallest shell cutoff M <= a - 3 (so that
+    assign_cubes fits 2^(M+3) in the box) whose beyond-shell assigned
+    cubes all have size < size_bound.  ThresholdExhaustedError
     when any scan runs off the level range or the core cubes 2^(-I-2)
     would fall below the grid scale.
 
@@ -316,10 +317,11 @@ def choose_thresholds(
     shell_tops = range(core, a)  # shell m covers (2^m, 2^(m+1)]
     sizes = [shell_size[m - fine - core - 1, m] for m in shell_tops]
     beyond = list(accumulate(reversed(sizes), max))[::-1]
-    outer = next((m for m, s in zip(shell_tops, beyond) if s < size_bound), None)
+    # every shell counts beyond a cutoff, but only M <= a - 3 is a cutoff
+    outer = next((m for m, s in zip(range(core, a - 2), beyond) if s < size_bound), None)
     if outer is None:
         raise ThresholdExhaustedError(
-            "no outer cutoff within the box keeps the beyond-shell cube sizes "
+            f"no outer cutoff M <= a - 3 = {a - 3} keeps the beyond-shell cube sizes "
             f"below {size_bound:.3g}"
         )
 

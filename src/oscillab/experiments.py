@@ -267,6 +267,7 @@ def exp_lacunary(
     # solve once per distinct center; the solver works point by point
     xs, at = fam.distinct_centers()
     rho = solve_critical_radius(V, xs[:, None]).values[at]
+    del xs, at  # out of the family scan's peak
     st = family_stats(f, fam)
     norm = bmo_l_norm(st, rho)
     tol = tol_fraction * norm.value
@@ -506,8 +507,10 @@ def exp_pipeline(
     if isinstance(averaging, str):
         return PipelineReport(member=member, eps=eps, norm=norm, verdict="NONMEMBER", exhausted_condition=averaging)
     asg, A, gate = averaging
-    del averaging  # A is dropped after its last use to keep the peak down
     th = asg.thresholds
+    # the per-cube arrays end here, once the thresholds are read, and A at
+    # the mollifier below, before the last scan
+    del averaging, asg
 
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
@@ -518,9 +521,10 @@ def exp_pipeline(
     A.values[: max(n0 - k, 0)] = 0.0
     A.values[n0 + k :] = 0.0
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
-    F_eps = mollify(A, t_eps)
+    residual = mollify(A, t_eps)
     del A
-    d_full = bmo_l_norm(family_stats(f - F_eps, fam), RHO_CONSTANT_UNIT).value
+    np.subtract(f.values, residual.values, out=residual.values)  # f - F_eps in F_eps's buffer
+    d_full = bmo_l_norm(family_stats(residual, fam), RHO_CONSTANT_UNIT).value
 
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
     case_bound = (20.0 ** (n / 2.0) / 4.0**n + 2.0) * eps
@@ -700,21 +704,16 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "lacunary-separation": {
         "k_max": _int_at_least(1),
         "assert_verdicts": _BOOL(True),
-        "halfwidth": _POSITIVE,
-        "spacing": _POSITIVE,
-        **dict.fromkeys(
-            ("exponent", "amplitude", "stride", "radius_max", "distance_max", "tol_fraction", "decay_factor",
-             "floor_factor"),
-            _FLOAT,
-        ),
+        **dict.fromkeys(("halfwidth", "spacing", "stride", "radius_max", "distance_max"), _POSITIVE),
+        **dict.fromkeys(("exponent", "amplitude", "tol_fraction", "decay_factor", "floor_factor"), _FLOAT),
     },
     "square-function-agreement": _AGREEMENT_PARAMS,
     "extension-agreement": _AGREEMENT_PARAMS,
     "approximation-pipeline": {
         "member": _MEMBER,
         "expect": _EXPECT("MEMBER"),
-        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing"), _POSITIVE),
-        **dict.fromkeys(("stride", "osc_fraction", "corpus_factor"), _FLOAT),
+        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing", "stride", "osc_fraction"), _POSITIVE),
+        "corpus_factor": _FLOAT,
     },
     "bmo-norms": {
         **_CORPUS_GRID,
@@ -744,7 +743,7 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
         "spacing": _POSITIVE(2.0**-5),
         "eps": _POSITIVE,
         "eps_fraction": _POSITIVE(0.1),
-        "osc_fraction": _FLOAT(0.125),
+        "osc_fraction": _POSITIVE(0.125),
         "family": _FAMILY,
     },
 }

@@ -185,6 +185,12 @@ class SummedTable:
         np.cumsum(v, out=p[1:])
         self._p = p
 
+    def _refill_squares(self, values: np.ndarray) -> None:
+        """Make this the table of values**2, reusing the buffer: the squares
+        are written into it and summed in place."""
+        np.square(values, out=self._p[1:])
+        np.cumsum(self._p[1:], out=self._p[1:])
+
     def interval_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Sum over index range [lo, hi] inclusive, vectorised; empty when lo>hi."""
         lo = np.asarray(lo, dtype=np.int64)

@@ -60,11 +60,6 @@ def scan_radius_blocks(family: BallFamily, idx: np.ndarray, block_values) -> np.
     return out
 
 
-def _ball_sums(values: np.ndarray, family: BallFamily, idx: np.ndarray) -> np.ndarray:
-    table = SummedTable(family.grid, values)
-    return scan_radius_blocks(family, idx, lambda ci, m, r: table.ball_sum(ci, m))
-
-
 def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
     """Samples strictly inside a ball of each cell radius: 2m - 1."""
     return np.maximum(0, 2 * cells - 1)
@@ -90,20 +85,32 @@ class FamilyStats:
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
-    """One scan of f over the family: one geometry pass, then the tables of
-    f and f^2 built one after another (one live at a time)."""
+    """One scan of f over the family: one geometry pass, then the ball sums
+    of f and of f^2 from one prefix table, whose buffer takes the squares
+    once the sums of f are read.  Each scratch array is dropped at its
+    last use, so one sample-sized buffer is live besides f."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
     idx, cells = _family_geometry(family)
     counts = _counts_for_cells(cells)
+    del cells
     if np.any(counts == 0):
         bad = int(np.nonzero(counts == 0)[0][0])
         raise DegenerateRegionError(
             f"family ball {bad} (radius {family.radii[bad]}) contains no sample"
         )
-    s1 = _ball_sums(f.values, family, idx)
-    s2 = _ball_sums(f.values**2, family, idx)
-    return FamilyStats(family, counts, s1 / counts, s2 / counts)
+    table = SummedTable(family.grid, f.values)
+
+    def ball_sums(ci: np.ndarray, m: int, r: float) -> np.ndarray:
+        return table.ball_sum(ci, m)
+
+    s1 = scan_radius_blocks(family, idx, ball_sums)
+    table._refill_squares(f.values)
+    s2 = scan_radius_blocks(family, idx, ball_sums)
+    del idx, table
+    np.divide(s1, counts, out=s1)
+    np.divide(s2, counts, out=s2)
+    return FamilyStats(family, counts, s1, s2)
 
 
 # ---------------------------------------------------------------------------

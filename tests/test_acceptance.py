@@ -234,7 +234,7 @@ print(json.dumps(out))
 
 def test_criterion_10_averaging_pipeline_budget(criterion):
     c = criterion(10, "dyadic averaging pipeline within the approximation budget")
-    # the run takes about 10 s at 1.93 GB peak RSS (2 vCPUs); a worker
+    # the run takes about 7.5 s at 1.29 GB peak RSS (2 vCPUs); a worker
     # process keeps an OOM from taking down the whole suite and turns it
     # into a plain FAIL line instead
     src = str(Path(oscillab.__file__).resolve().parent.parent)

@@ -27,8 +27,10 @@ RHO0 = 2.0**-0.5
 
 # ---------------------------------------------------------------------------
 # oracle: the per-level _LevelStats-and-argsort threshold scan, kept
-# verbatim apart from its name and its return value (a dict of the
-# AveragingThresholds fields, which have since lost level_min/level_max)
+# verbatim apart from its name, its return value (a dict of the
+# AveragingThresholds fields, which have since lost level_min/level_max),
+# and its per-level statistics: cached on each level and, through the
+# stats argument, across the scans of one f
 
 
 class _LevelStats:
@@ -58,19 +60,19 @@ class _LevelStats:
         self.sums = sums
         self.sumsq = sumsq
 
-    @property
+    @functools.cached_property
     def mean(self) -> np.ndarray:
         return self.sums / self.counts
 
-    @property
+    @functools.cached_property
     def mean_sq(self) -> np.ndarray:
         return self.sumsq / self.counts
 
-    @property
+    @functools.cached_property
     def oscillation(self) -> np.ndarray:
         return np.sqrt(np.maximum(0.0, self.mean_sq - self.mean**2))
 
-    @property
+    @functools.cached_property
     def size(self) -> np.ndarray:
         return np.sqrt(self.mean_sq)
 
@@ -118,6 +120,7 @@ def _oracle_choose_thresholds(
     level_min: int | None = None,
     level_max: int | None = None,
     slow_variation: tuple[float, int, float] | None = None,
+    stats: dict[int, _LevelStats] | None = None,
 ) -> dict:
     """Scan dyadic levels for the smallest admissible (I, J, M).
 
@@ -137,6 +140,9 @@ def _oracle_choose_thresholds(
     slow_variation = (c, k0, rho_at_origin) adds the closed-form bound
     (k0+1) * (log2 C + I + J + 1), C = c * rho0 * (1 + 2/rho0)^(k0/(k0+1)),
     to the report for cross-checking the scanned M.
+
+    stats caches the per-level statistics of f by level; a caller scanning
+    one f at several eps passes the same dict to build each level once.
     """
     if not (eps > 0):
         raise ConfigError("eps must be positive")
@@ -150,7 +156,8 @@ def _oracle_choose_thresholds(
         raise ConfigError(f"level range [{l_lo}, {l_hi}] outside the grid range [{-p}, {a}]")
 
     rho_at = _rho_fn(rho)
-    stats: dict[int, _LevelStats] = {}
+    if stats is None:
+        stats = {}
 
     def level_stats(l: int) -> _LevelStats:
         if l not in stats:
@@ -737,9 +744,10 @@ def _scan_outcome(scan, f: GridFunction, eps: float) -> dict | str:
 def test_threshold_scan_matches_level_stats_oracle(member, halfwidth, spacing):
     grid = Grid(halfwidth=halfwidth, spacing=spacing)
     f = member_by_name(member).build(grid)
-    _, p = _dyadic_exponents(grid)
-    # choose_thresholds reports the closed-form bound at c = k0 = 1
-    oracle = functools.partial(_oracle_choose_thresholds, slow_variation=(1.0, 1, RHO0))
+    a, p = _dyadic_exponents(grid)
+    # choose_thresholds reports the closed-form bound at c = k0 = 1; the
+    # per-level statistics of f are built once for every eps
+    oracle = functools.partial(_oracle_choose_thresholds, slow_variation=(1.0, 1, RHO0), stats={})
     for eps in _SCAN_EPS:
         want = _scan_outcome(oracle, f, eps)
         got = _scan_outcome(choose_thresholds, f, eps)
@@ -748,6 +756,13 @@ def test_threshold_scan_matches_level_stats_oracle(member, halfwidth, spacing):
             fine = want["fine_exponent"]
             assert got == (
                 f"the fine cutoff 2^{-fine} puts the core cubes 2^{-fine - 2} below the grid scale 2^{-p}"
+            ), eps
+        elif isinstance(want, dict) and want["outer_exponent"] > a - 3:
+            # the oracle's smallest M leaves no room for 2^(M+3) in the box,
+            # so no cutoff M <= a - 3 holds
+            assert got == (
+                f"no outer cutoff M <= a - 3 = {a - 3} keeps the beyond-shell cube sizes "
+                f"below {want['size_bound']:.3g}"
             ), eps
         else:
             assert got == want, eps

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,42 @@ def test_pipeline_reports_constant_as_nonmember():
     assert "fine_exponent" not in rep.to_dict()
 
 
+def test_pipeline_outer_cutoff_beyond_the_box_is_a_nonmember_verdict():
+    # the scan's smallest outer cutoff here is M = a - 2 = 4, which leaves
+    # no room for 2^(M+3) in the box; assign_cubes used to raise "box
+    # halfwidth 64.0 below 2^(M+3) = 256.0" as a config error
+    rep = exp_pipeline("bump-narrow", halfwidth=64.0, spacing=2**-5, stride=0.5, osc_fraction=0.25, eps_fraction=0.5)
+    assert rep.verdict == "NONMEMBER"
+    assert rep.exhausted_condition.startswith("no outer cutoff M <= a - 3 = 3 ")
+
+
+def test_pipeline_last_scan_holds_two_sample_arrays_and_one_table(monkeypatch):
+    # at the scan of f - F_eps only f and the residual are live besides the
+    # family: F_eps's buffer holds f - F_eps, and A and the cubes are gone
+    from oscillab import experiments
+
+    scans = []
+
+    def traced(f, fam):
+        tracemalloc.reset_peak()
+        st = family_stats(f, fam)
+        scans.append((tracemalloc.get_traced_memory()[1], f.grid.size, len(fam)))
+        return st
+
+    monkeypatch.setattr(experiments, "family_stats", traced)
+    tracemalloc.start()
+    try:
+        rep = exp_pipeline("bump-narrow", halfwidth=4096.0, spacing=2.0**-7, eps_fraction=0.8)
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "MEMBER"
+    peak, n, balls = scans[-1]
+    assert n == 1_048_577 and n > 16 * balls
+    # f, the residual and the table; the family's centers and radii, and
+    # the scan's per-ball arrays
+    assert peak <= 3 * (n + 1) * 8 + 8 * balls * 8, (peak - 3 * (n + 1) * 8) / (balls * 8)
+
+
 def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
     # the member is closed-form: a grid with more samples than the default
     # operator cap (4097 > 4096) is fine for scenarios that build no operator
@@ -506,7 +543,8 @@ def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_cal
 
 
 # outer exponent M as an offset from the box exponent a = 8: the scan's own
-# choice, and the two largest the scan can return (shell_tops ends at a - 1)
+# choice, and the two above the largest it returns (a - 3), out to a - 1,
+# where the truncation clips at the box
 @pytest.mark.parametrize("outer_below_box", [None, 2, 1])
 def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box, monkeypatch):
     from dataclasses import replace
@@ -708,10 +746,18 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
         ("halfwidth", {"id": "tent-norms", "halfwidth": -4.0}),
         # against exp_lacunary's default halfwidth 16384
         ("spacing", {"id": "lacunary-separation", "spacing": 0.3}),
+        ("stride", {"id": "approximation-pipeline", "stride": -1.0, "halfwidth": 256.0, "spacing": 0.015625}),
+        ("stride", {"id": "lacunary-separation", "stride": 0.0}),
+        ("radius_max", {"id": "lacunary-separation", "radius_max": -4096.0}),
+        ("distance_max", {"id": "lacunary-separation", "distance_max": 0.0}),
+        # an osc_fraction <= 0 ran and reported every member NONMEMBER
+        ("osc_fraction", {"id": "averaging-pipeline", "osc_fraction": 0}),
+        ("osc_fraction", {"id": "approximation-pipeline", "osc_fraction": -0.125}),
     ],
     ids=["tent-exponent-0", "tent-exponent--1.0", "zero-kind", "constant-0", "n-4", "exponent-0.5-at-n-1",
          "points-1", "k_max-0", "per_decade-1", "eps--1.0", "spacing-0.3", "halfwidth--4.0",
-         "lacunary-spacing-0.3"],
+         "lacunary-spacing-0.3", "pipeline-stride--1.0", "lacunary-stride-0", "radius_max--4096",
+         "distance_max-0", "averaging-osc_fraction-0", "pipeline-osc_fraction--0.125"],
 )
 def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, capsys):
     # each used to pass the config check, so the valid scenario before it

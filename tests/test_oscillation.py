@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ def test_block_scan_equals_mask_oracle_at_pipeline_size():
         st = family_stats(GridFunction(g, values), fam)
         assert np.array_equal(st.mean, _masked_ball_sums(values, fam) / st.counts)
         assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
+
+
+def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
+    # 1,048,577 samples and 65,521 balls: one prefix table is 16 per-ball
+    # arrays, so a second sample-sized buffer (f^2 or its own table) shows
+    g = Grid(halfwidth=4096.0, spacing=2.0**-7)
+    f = GridFunction.from_callable(g, lambda x: np.sin(x) + 0.01 * x)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radius_min=4 * g.spacing, radius_max=2048.0))
+    tracemalloc.start()
+    try:
+        st = family_stats(f, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, per_ball = (g.size + 1) * 8, len(fam) * 8
+    assert table > 16 * per_ball
+    # the table, then idx, counts and the two sums, and block scratch
+    assert peak <= table + 6 * per_ball, (peak - table) / per_ball
+    assert st.mean.size == len(fam)
 
 
 def test_family_stats_match_per_ball(small_family):
