@@ -57,7 +57,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "heat",
         "poisson",
         "poisson_extension",
-        "poisson_subordinated",
         "square_function_field",
     ),
     "oscillation": (

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random  # run() builds its generator; load it with the module, not inside run()
 
 from . import __version__
 from .approx import (
@@ -33,7 +34,15 @@ from .approx import (
 )
 from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, member_by_name
 from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
-from .family import SUPERCRITICAL_MODES, BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
+from .family import (
+    SUPERCRITICAL_MODES,
+    BallFamily,
+    FamilyPolicy,
+    LimitCurve,
+    bucketed_sup,
+    check_stride,
+    make_ball_family,
+)
 from .grid import Ball, Grid, GridFunction, mean_oscillation
 from .oscillation import (
     SplitNormReport,
@@ -769,13 +778,27 @@ _GRID_DEFAULTS = {"lacunary-separation": exp_lacunary, "approximation-pipeline":
 
 
 def _check_grid(where: str, sid: str, p: dict) -> None:
-    """The scenario's halfwidth and spacing, given or default, make a Grid."""
-    if "halfwidth" in _SCENARIO_PARAMS[sid]:
+    """The scenario's halfwidth and spacing, given or default, make a Grid,
+    and its center stride ('stride', or the family's, given or default)
+    lies on that grid's lattice."""
+    kinds = _SCENARIO_PARAMS[sid]
+    if "halfwidth" in kinds:
         defaults = inspect.signature(_GRID_DEFAULTS[sid]).parameters if sid in _GRID_DEFAULTS else {}
+        value = {**{k: v.default for k, v in defaults.items()}, **p}
         try:
-            Grid(*(p[k] if k in p else defaults[k].default for k in ("halfwidth", "spacing")))
+            grid = Grid(value["halfwidth"], value["spacing"])
         except ConfigError as e:
             raise ConfigError(f"{where}: 'halfwidth' and 'spacing': {e}") from None
+        strides = {}
+        if "stride" in kinds:
+            strides["stride"] = value["stride"]
+        if "family" in kinds:
+            strides["family"] = (value.get("family") or _default_corpus_policy(grid)).center_stride
+        for key, stride in strides.items():
+            try:
+                check_stride(stride, grid.spacing)
+            except ConfigError as e:
+                raise ConfigError(f"{where}: {key!r}: {e}") from None
 
 
 def _scenario(s: dict) -> tuple[str, str, dict]:

@@ -123,6 +123,13 @@ class BallFamily:
         return Ball(tuple(self.centers[i]), float(self.radii[i]))
 
 
+def check_stride(stride: float, h: float) -> None:
+    """Raise ConfigError unless stride is k * h for an integer k >= 1."""
+    k = stride / h
+    if not (k >= 1 - 1e-6) or abs(k - round(k)) > 1e-6:
+        raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
+
+
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid.
 
@@ -132,8 +139,7 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     h = grid.spacing
     X = grid.halfwidth
     stride = policy.center_stride
-    if not (stride > 0) or abs(stride / h - round(stride / h)) > 1e-6:
-        raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
+    check_stride(stride, h)
 
     if policy.radii is not None:
         radii = sorted(float(r) for r in policy.radii)

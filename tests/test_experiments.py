@@ -748,6 +748,17 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
         ("spacing", {"id": "lacunary-separation", "spacing": 0.3}),
         ("stride", {"id": "approximation-pipeline", "stride": -1.0, "halfwidth": 256.0, "spacing": 0.015625}),
         ("stride", {"id": "lacunary-separation", "stride": 0.0}),
+        # center strides off the h-lattice, given or default, wrote both
+        # directories before they failed
+        ("stride", {"id": "approximation-pipeline", "stride": 0.3, "halfwidth": 256.0, "spacing": 0.015625}),
+        ("stride", {"id": "lacunary-separation", "stride": 0.3}),
+        ("stride", {"id": "approximation-pipeline", "halfwidth": 3.0, "spacing": 1.5}),
+        ("family", {"id": "bmo-norms", "family": {"center_stride": 0.3}}),
+        # the default corpus family's stride max(0.5, 8h) at h = 0.03
+        ("family", {"id": "tent-norms", "halfwidth": 3.0, "spacing": 0.03}),
+        # a stride below h/2 rounded to 0 h, passed, and crashed allocating
+        # 238 TiB of centers
+        ("stride", {"id": "lacunary-separation", "stride": 1e-9}),
         ("radius_max", {"id": "lacunary-separation", "radius_max": -4096.0}),
         ("distance_max", {"id": "lacunary-separation", "distance_max": 0.0}),
         # an osc_fraction <= 0 ran and reported every member NONMEMBER
@@ -756,7 +767,9 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
     ],
     ids=["tent-exponent-0", "tent-exponent--1.0", "zero-kind", "constant-0", "n-4", "exponent-0.5-at-n-1",
          "points-1", "k_max-0", "per_decade-1", "eps--1.0", "spacing-0.3", "halfwidth--4.0",
-         "lacunary-spacing-0.3", "pipeline-stride--1.0", "lacunary-stride-0", "radius_max--4096",
+         "lacunary-spacing-0.3", "pipeline-stride--1.0", "lacunary-stride-0", "pipeline-stride-0.3",
+         "lacunary-stride-0.3", "pipeline-default-stride-at-spacing-1.5", "family-stride-0.3",
+         "default-family-stride-at-spacing-0.03", "lacunary-stride-below-h", "radius_max--4096",
          "distance_max-0", "averaging-osc_fraction-0", "pipeline-osc_fraction--0.125"],
 )
 def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, capsys):

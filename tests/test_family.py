@@ -59,6 +59,8 @@ def test_policy_validation():
     with pytest.raises(ConfigError):
         make_ball_family(g, FamilyPolicy(center_stride=0.3))  # not a multiple of h
     with pytest.raises(ConfigError):
+        make_ball_family(g, FamilyPolicy(center_stride=1e-9))  # 0 h, not a positive multiple
+    with pytest.raises(ConfigError):
         make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(3.0,)))  # > X/2
     with pytest.raises(ConfigError):
         # geometric ladder must start at >= 4h

@@ -64,8 +64,6 @@ ALLOWED = {
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
     "semigroup.py:heat": ("criterion", "3: the heat semigroup law"),
     "semigroup.py:poisson": ("criterion", "3, 4 and 8 (dilate_oscillation)"),
-    "semigroup.py:poisson_subordinated": ("oracle", "poisson, through the subordination integral (criterion 3)"),
-    "semigroup.py:poisson_subordinated.integrand": ("oracle", "poisson, through the subordination integral (criterion 3)"),
     "semigroup.py:interior_index_window": ("criterion", "4 measures the interior decay on it"),
     "serialize.py:_decode_inf": ("oracle", "save_samples: the round-trip test reads its +inf payload back"),
     "serialize.py:load_samples": ("oracle", "save_samples: the round-trip test reads the bytes back"),

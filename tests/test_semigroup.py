@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal
 
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
@@ -9,18 +10,21 @@ from oscillab.errors import ConfigError, GridMismatchError
 from oscillab.grid import Grid, GridFunction
 from oscillab.potential import constant_potential, power_potential, tabulated_potential
 from oscillab.semigroup import (
+    _LADDER_BLOCK_BYTES,
     TLadder,
     _ddx,
+    _field_from_psi,
     apply_spectral,
     default_ladder,
     discretize,
+    dst1,
     heat,
     interior_index_window,
     poisson,
     poisson_extension,
-    poisson_subordinated,
     square_function_field,
 )
+from oracles import poisson_subordinated
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +121,33 @@ def test_sine_backend_matches_dense_oracle(grid):
     want = np.zeros(grid.shape)
     want[1:-1] = E[:, 3] / math.sqrt(h)
     assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+
+
+def test_dst1_matches_pocketfft_dst_bit_for_bit():
+    # scipy.fft.dst is the oracle; the long-double scale is what makes the
+    # two agree to the last bit
+    rng = np.random.default_rng(12)
+    for n in (*range(1, 301), 1023, 2047, 4094):
+        x = rng.standard_normal((3, n))
+        assert np.array_equal(dst1(x[0]), dst(x[0], type=1, norm="ortho")), n
+        assert np.array_equal(dst1(x), dst(x, type=1, norm="ortho", axis=-1)), n
+
+
+def test_field_blocks_match_one_transform_of_the_whole_ladder(op16):
+    # ladder lengths around the block size, and 50 with a partial last block
+    s = np.sqrt(op16.eigenvalues)
+    step = _LADDER_BLOCK_BYTES // (16 * (s.size + 1))
+    assert step == 8
+    coef = op16.coefficients(member_by_name("bump-narrow").build(op16.grid))
+
+    def psi(t, s):
+        return t * s * np.exp(-t * s)
+
+    for count in (1, step - 1, step, step + 1, 50):
+        lad = TLadder(np.geomspace(op16.grid.spacing, 4.0, count))
+        want = np.zeros((count,) + op16.grid.shape)
+        want[:, 1:-1] = dst(psi(lad.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
+        assert np.array_equal(_field_from_psi(op16, coef, lad, psi).values, want), count
 
 
 def test_heat_semigroup_law(small_op):
