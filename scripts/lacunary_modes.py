@@ -1,9 +1,9 @@
 """Run the lacunary separation experiment and print the per-mode curves.
 
 The default geometry matches the headline run (halfwidth 2^14, spacing
-2^-8, bumps at 3^k for k <= 8) and takes about 1.7 s at 246 MB peak RSS
+2^-8, bumps at 3^k for k <= 8) and takes about 1.1 s at 224 MB peak RSS
 (2 vCPUs, numpy 2.4.6).  The separation needs that many decades: --small
-runs a cut-down box in about 0.5 s that exercises the plumbing but
+runs a cut-down box in about 0.4 s that exercises the plumbing but
 usually reports INCONCLUSIVE.
 """
 

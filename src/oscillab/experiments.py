@@ -239,6 +239,21 @@ class LacunaryReport:
         }
 
 
+def _rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
+    """rho at the ascending centers xs, solved at the non-negative ones
+    only.  The analytic kinds are even in x and I(-x, r) == I(x, r) bit
+    for bit (negation commutes with IEEE sums), so rho(-x) is rho(x);
+    centers that are not symmetric about 0, or a tabulated potential,
+    raise ConfigError rather than being mirrored wrongly."""
+    if V.kind == "tabulated":
+        raise ConfigError("only the analytic potential kinds are even")
+    if np.any(np.diff(xs) <= 0) or not np.array_equal(xs, -xs[::-1]):
+        raise ConfigError("centers are not ascending and symmetric about the origin")
+    j0 = int(np.searchsorted(xs, 0.0))
+    half = solve_critical_radius(V, xs[j0:, None]).values
+    return np.concatenate((half[::-1][:j0], half))
+
+
 def exp_lacunary(
     k_max: int = 8,
     exponent: float = 1.05,
@@ -273,9 +288,9 @@ def exp_lacunary(
             distance_max=distance_max,
         ),
     )
-    # solve once per distinct center; the solver works point by point
+    # solve once per distinct |center|; the solver works point by point
     xs, at = fam.distinct_centers()
-    rho = solve_critical_radius(V, xs[:, None]).values[at]
+    rho = _rho_at_symmetric_centers(V, xs)[at]
     del xs, at  # out of the family scan's peak
     st = family_stats(f, fam)
     norm = bmo_l_norm(st, rho)

@@ -56,6 +56,13 @@ class BallFamily:
     block of balls per radius, smallest radius first), so the balls of one
     radius are the contiguous slice given by radius_blocks; a family
     violating this raises ConfigError.
+
+    Scans need more: the centers of each block are a contiguous run of
+    the smallest-radius block's centers, those sit on the grid at one
+    constant index step, and every radius is a positive multiple of h.
+    Then the centers of a block are the sample indices of one range,
+    which center_runs gives per block; a scan of a family violating this
+    raises ConfigError before it allocates anything sample-sized.
     """
 
     grid: Grid
@@ -93,6 +100,33 @@ class BallFamily:
             for a, b in zip([0, *cuts], [*cuts, r.shape[0]])
         )
 
+    @cached_property
+    def center_runs(self) -> tuple[tuple[int, int, int, range], ...]:
+        """(start, stop, cell radius, run) per radius block, where run is
+        the range of the block's center sample indices: the plan every
+        family scan reads.  The lattice and the index step are checked on
+        the smallest-radius block's centers, the run and the radius once
+        per block; a family off the plan raises ConfigError."""
+        a0, b0, _ = self.radius_blocks[0]
+        xs = self.centers[a0:b0, 0]
+        g = self.grid
+        idx = g.coord_to_index(xs)
+        if not np.all(np.abs(xs - g.index_to_coord(idx)) <= 1e-6 * g.spacing):
+            raise ConfigError("family centers must sit on the grid lattice")
+        step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+        if step < 1 or np.any(np.diff(idx) != step):
+            raise ConfigError("family centers are not an arithmetic run of samples")
+        runs = []
+        for a, b, m in self.radius_blocks:
+            off = int(np.searchsorted(xs, self.centers[a, 0]))
+            if not np.array_equal(xs[off : off + b - a], self.centers[a:b, 0]):
+                raise ConfigError("a radius block is not a run of the smallest-radius centers")
+            if m < 1 or abs(self.radii[a] / g.spacing - m) > 1e-6:
+                raise ConfigError("family radii must be positive multiples of the spacing")
+            first = int(idx[off])
+            runs.append((a, b, m, range(first, first + (b - a) * step, step)))
+        return tuple(runs)
+
     def distinct_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, at) with xs[at] equal to the center coordinates: for a
         family from make_ball_family, the distinct centers in ascending
@@ -100,16 +134,15 @@ class BallFamily:
         return_inverse=True) gives them, without a sort.  make_ball_family
         keeps, per radius, the ascending marks that fit the box, so the
         smallest-radius block holds every center and each later block is a
-        contiguous run of it; a family where that fails raises ConfigError."""
-        a0, b0, _ = self.radius_blocks[0]
-        xs = self.centers[a0:b0, 0]
+        contiguous run of it; a family where that fails raises ConfigError,
+        as center_runs does."""
+        runs = self.center_runs
+        _, b0, _, run0 = runs[0]
         at = np.empty(len(self), dtype=np.intp)
-        for a, b, _ in self.radius_blocks:
-            off = int(np.searchsorted(xs, self.centers[a, 0]))
-            if not np.array_equal(xs[off : off + b - a], self.centers[a:b, 0]):
-                raise ConfigError("a radius block is not a run of the smallest-radius centers")
+        for a, b, _, run in runs:
+            off = (run.start - run0.start) // run0.step
             at[a:b] = np.arange(off, off + b - a)
-        return xs, at
+        return self.centers[:b0, 0], at
 
     @property
     def center_norms(self) -> np.ndarray:

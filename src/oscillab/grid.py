@@ -11,8 +11,10 @@ and n = 3.  Conventions that the rest of the package relies on:
 * balls that touch or cross the box boundary are rejected rather than
   clipped.
 
-Ball sums are served from prefix-sum tables so family scans stay
-vectorised; a naive path is kept alongside as an oracle.
+Ball sums are served from prefix-sum tables.  A family scan asks for the
+balls of one radius over a run of centers at one index step, so each
+block's sums are the difference of two strided slices of the table; the
+naive per-ball path is kept alongside as an oracle.
 """
 
 from __future__ import annotations
@@ -171,9 +173,10 @@ class Ball:
 
 
 class SummedTable:
-    """Prefix sums P[i] = sum(values[:i]) of one value array; serves
-    interval and ball sums.  All region queries are inclusive index ranges,
-    clipped nowhere: callers guarantee in-box regions.
+    """Prefix sums P[i] = sum(values[:i]) of one value array, serving the
+    sums over balls of one cell radius m centered on a run of samples:
+    samples c - m + 1 .. c + m - 1 sum to P[c + m] - P[c - m + 1], so a
+    run start:stop:step reads two slices of P with that step.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -191,23 +194,24 @@ class SummedTable:
         np.square(values, out=self._p[1:])
         np.cumsum(self._p[1:], out=self._p[1:])
 
-    def interval_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sum over index range [lo, hi] inclusive, vectorised; empty when lo>hi."""
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        out = self._p[np.maximum(hi + 1, lo)] - self._p[lo]
-        return np.where(hi >= lo, out, 0.0)
-
-    def ball_sum(self, centers_idx: np.ndarray, cell_radius: int) -> np.ndarray:
-        """Sum over samples strictly inside B(center, cell_radius * h).
-
-        centers_idx: integer sample indices, any shape with one entry per
-        center.  The strict-inside offsets are |k| <= cell_radius - 1 in
-        integer arithmetic, so this path has no float membership fuzz.
-        """
+    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum over samples strictly inside B(c, cell_radius * h) for each
+        center sample index c of run (a range with a positive step),
+        written into out when given.  The strict-inside offsets are
+        |k| <= cell_radius - 1 in integer arithmetic, so this path has no
+        float membership fuzz; a ball reaching past the samples raises
+        OutOfDomainError."""
         m = int(cell_radius)
-        ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
-        return self.interval_sum(ci - (m - 1), ci + (m - 1))
+        p = self._p
+        if m < 1 or run.step < 1:
+            raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
+        if len(run) and (run.start - m + 1 < 0 or run[-1] + m >= p.shape[0]):
+            raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
+        return np.subtract(
+            p[run.start + m : run.stop + m : run.step],
+            p[run.start - m + 1 : run.stop - m + 1 : run.step],
+            out=out,
+        )
 
 
 # ---------------------------------------------------------------------------

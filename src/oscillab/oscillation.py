@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError, LadderError
+from .errors import ConfigError, LadderError
 from .family import PLAIN_MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import GridFunction, SummedTable
 from .potential import rho_values_for
@@ -37,32 +37,16 @@ VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 # vectorised family scans
 
 
-def _family_geometry(family: BallFamily):
-    g = family.grid
-    idx = g.coord_to_index(family.centers)
-    if not np.all(np.abs(family.centers - g.index_to_coord(idx)) <= 1e-6 * g.spacing):
-        raise ConfigError("family centers must sit on the grid lattice")
-    cells = np.rint(family.radii / g.spacing).astype(np.int64)
-    if np.any(np.abs(family.radii / g.spacing - cells) > 1e-6):
-        raise ConfigError("family radii must be multiples of the spacing")
-    return idx[:, 0], cells
-
-
-def scan_radius_blocks(family: BallFamily, idx: np.ndarray, block_values) -> np.ndarray:
+def scan_radius_blocks(family: BallFamily, block_values) -> np.ndarray:
     """Per-ball values from one call per radius block.
 
-    block_values(centers_idx, cell_radius, radius) returns the values of
-    the block's balls; idx holds the center sample indices of the family.
+    block_values(run, cell_radius, radius) returns the values of the
+    block's balls, whose center sample indices are the range run.
     """
     out = np.empty(len(family))
-    for start, stop, m in family.radius_blocks:
-        out[start:stop] = block_values(idx[start:stop], m, float(family.radii[start]))
+    for start, stop, m, run in family.center_runs:
+        out[start:stop] = block_values(run, m, float(family.radii[start]))
     return out
-
-
-def _counts_for_cells(cells: np.ndarray) -> np.ndarray:
-    """Samples strictly inside a ball of each cell radius: 2m - 1."""
-    return np.maximum(0, 2 * cells - 1)
 
 
 @dataclass(frozen=True)
@@ -85,29 +69,26 @@ class FamilyStats:
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
-    """One scan of f over the family: one geometry pass, then the ball sums
-    of f and of f^2 from one prefix table, whose buffer takes the squares
-    once the sums of f are read.  Each scratch array is dropped at its
-    last use, so one sample-sized buffer is live besides f."""
+    """One scan of f over the family: the family's center runs, then the
+    ball sums of f and of f^2 from one prefix table, each block written
+    into its slice of the sums; the table's buffer takes the squares once
+    the sums of f are read.  A ball of cell radius m holds 2m - 1
+    samples.  Besides f, one sample-sized buffer is live."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
-    idx, cells = _family_geometry(family)
-    counts = _counts_for_cells(cells)
-    del cells
-    if np.any(counts == 0):
-        bad = int(np.nonzero(counts == 0)[0][0])
-        raise DegenerateRegionError(
-            f"family ball {bad} (radius {family.radii[bad]}) contains no sample"
-        )
+    runs = family.center_runs
+    counts = np.empty(len(family), dtype=np.int64)
+    for start, stop, m, _ in runs:
+        counts[start:stop] = 2 * m - 1
     table = SummedTable(family.grid, f.values)
-
-    def ball_sums(ci: np.ndarray, m: int, r: float) -> np.ndarray:
-        return table.ball_sum(ci, m)
-
-    s1 = scan_radius_blocks(family, idx, ball_sums)
+    s1 = np.empty(len(family))
+    s2 = np.empty(len(family))
+    for start, stop, m, run in runs:
+        table.ball_sum(run, m, out=s1[start:stop])
     table._refill_squares(f.values)
-    s2 = scan_radius_blocks(family, idx, ball_sums)
-    del idx, table
+    for start, stop, m, run in runs:
+        table.ball_sum(run, m, out=s2[start:stop])
+    del table
     np.divide(s1, counts, out=s1)
     np.divide(s2, counts, out=s2)
     return FamilyStats(family, counts, s1, s2)
@@ -205,7 +186,6 @@ def semigroup_difference_values(
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    idx, _ = _family_geometry(family)
     r = family.radii
     if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(r > ladder.values[-1] * (1 + 1e-9)):
         raise LadderError(
@@ -216,12 +196,12 @@ def semigroup_difference_values(
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
 
-    def block(ci: np.ndarray, m: int, r: float) -> np.ndarray:
+    def block(run: range, m: int, r: float) -> np.ndarray:
         diff = f.values - op.synthesize(np.exp(-r * s) * coef).values
-        sums = SummedTable(g, diff**2).ball_sum(ci, m)
+        sums = SummedTable(g, diff**2).ball_sum(run, m)
         return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
 
-    return scan_radius_blocks(family, idx, block)
+    return scan_radius_blocks(family, block)
 
 
 def tilde_bmo_l_norm(

@@ -211,7 +211,8 @@ def normalized_mass(
     # strict membership |k| < r/h: offsets up to ceil(r/h) - 1, with radii
     # within 1e-9 cells of an integer m taken as m
     kmax = np.ceil(r / g.spacing - 1e-9).astype(np.int64) - 1
-    out = tbl.interval_sum(idx - kmax, idx + kmax)
+    lo, hi = idx - kmax, idx + kmax
+    out = np.where(hi >= lo, tbl._p[np.maximum(hi + 1, lo)] - tbl._p[lo], 0.0)
     return r ** (2 - n) * out * g.cell_volume
 
 

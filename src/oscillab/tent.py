@@ -20,8 +20,8 @@ from .errors import (
     OutOfDomainError,
 )
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
-from .grid import Ball, Grid, GridFunction, SummedTable, ball_member_values, ball_sample_count, ball_volume
-from .oscillation import OscillationReport, _family_geometry, _sup_report, scan_radius_blocks
+from .grid import Ball, GridFunction, SummedTable, ball_member_values, ball_sample_count, ball_volume
+from .oscillation import OscillationReport, _sup_report, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
     SpectralOperator,
@@ -48,17 +48,15 @@ class BoxScanner:
             raise LadderError(f"ball radius {r} exceeds the largest scale {t[-1]}")
         return int(np.searchsorted(t, r * (1 + 1e-12), side="right"))
 
-    def box_values(self, centers_idx: np.ndarray, cell_radius: int, r: float) -> np.ndarray:
-        """r^{-1} * sum over the cylinder of |F|^2 h dt/t, vectorised over
-        centers sharing one radius."""
+    def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
+        """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
+        radius r centered on the sample indices of run."""
         k = self._slice_count(r)
         w = log_weights_for(self.F.ladder.values[:k])
-        g = self.grid
-        n_c = centers_idx.shape[0] if centers_idx.ndim else 1
-        total = np.zeros(n_c)
+        total = np.zeros(len(run))
         for j in range(k):
-            total += w[j] * self.tables[j].ball_sum(centers_idx, cell_radius)
-        return total * g.cell_volume / r
+            total += w[j] * self.tables[j].ball_sum(run, cell_radius)
+        return total * self.grid.cell_volume / r
 
 
 def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
@@ -72,8 +70,8 @@ def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
     if not ball.inside_box(g):
         raise OutOfDomainError("carleson box ball touches or leaves the box")
     m = (ball_sample_count(g, ball) + 1) // 2  # 2m - 1 samples; off the lattice raises
-    ci = g.coord_to_index(np.asarray(ball.center))
-    return float(BoxScanner(F).box_values(ci, m, ball.radius)[0])
+    ci = int(g.coord_to_index(ball.center[0]))
+    return float(BoxScanner(F).box_values(range(ci, ci + 1), m, ball.radius)[0])
 
 
 def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
@@ -104,8 +102,8 @@ def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
     """Cylinder integrals for every family ball (shared prefix tables)."""
     if not F.grid.compatible(family.grid):
         raise ConfigError("field and family grids differ")
-    idx, _ = _family_geometry(family)
-    return scan_radius_blocks(family, idx, BoxScanner(F).box_values)
+    family.center_runs  # a family off the scan plan raises before the tables are built
+    return scan_radius_blocks(family, BoxScanner(F).box_values)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +200,6 @@ class DilateOscillation:
     clipped: bool
 
 
-def _snap(grid: Grid, x: np.ndarray) -> np.ndarray:
-    return np.rint((x + grid.halfwidth) / grid.spacing) * grid.spacing - grid.halfwidth
-
-
 def dilate_oscillation(
     f: GridFunction,
     op: SpectralOperator,
@@ -247,26 +241,22 @@ def dilate_oscillation(
             table = SummedTable(g, diff**2)
             if _diff_tables is not None:
                 _diff_tables[rp] = table
-        # admissible centers: |c' - c| + r' <= reach, ball inside the box
+        # admissible centers: |c' - c| + r' <= reach, ball inside the box;
+        # they step from c's sample by the r/4 stride in samples, so the
+        # ones inside the box are one run
         span = reach - rp
         if span < 0:
             continue
-        stride = max(h, round(r / 4.0 / h) * h)
-        offs = np.arange(-math.floor(span / stride + 1e-9), math.floor(span / stride + 1e-9) + 1)
-        cand = _snap(g, c + offs * stride)
-        cand = np.unique(cand)
-        ok = np.abs(cand) + rp < lim
-        cand = cand[ok]
-        if cand.size == 0:
+        step = max(1, round(r / 4.0 / h))
+        reach_steps = math.floor(span / (step * h) + 1e-9)
+        ci = int(g.coord_to_index(c)) + step * np.arange(-reach_steps, reach_steps + 1)
+        ci = ci[np.abs(g.index_to_coord(ci)) + rp < lim]
+        if ci.size == 0:
             continue
-        ci = np.rint((cand + g.halfwidth) / h).astype(np.int64)
         m = int(round(rp / h))
-        counts = max(0, 2 * m - 1)
-        if counts == 0:
-            continue
-        sums = table.ball_sum(ci, m)
-        val = math.sqrt(max(0.0, float(np.max(sums)) / counts))
-        n_used += cand.size
+        sums = table.ball_sum(range(int(ci[0]), int(ci[-1]) + 1, step), m)
+        val = math.sqrt(max(0.0, float(np.max(sums)) / (2 * m - 1)))
+        n_used += ci.size
         best = max(best, val)
     if n_used == 0:
         raise DegenerateRegionError("no admissible sub-ball in the dilate")

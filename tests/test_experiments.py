@@ -16,6 +16,7 @@ from oscillab.experiments import (
     ExperimentConfig,
     _arg_sup_ball,
     _default_corpus_policy,
+    _rho_at_symmetric_centers,
     exp_extension_agreement,
     exp_lacunary,
     exp_pipeline,
@@ -27,7 +28,7 @@ from oscillab.experiments import (
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oscillab.potential import constant_potential, power_potential
+from oscillab.potential import constant_potential, power_potential, solve_critical_radius, tabulated_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 
 SCENARIO_IDS = (
@@ -320,6 +321,54 @@ def test_distinct_centers_need_runs_of_the_first_block():
     fam = BallFamily(grid, np.array([[0.0], [1.0], [2.0], [0.5]]), np.array([1.0, 1.0, 1.0, 2.0]), [1.0], [1.0])
     with pytest.raises(ConfigError, match="not a run"):
         fam.distinct_centers()
+
+
+def test_lacunary_rho_per_ball_is_the_solve_at_each_center(monkeypatch):
+    # the --small geometry; bmo_l_norm is handed the per-ball rho
+    from oscillab import experiments
+
+    seen = {}
+    original = experiments.bmo_l_norm
+
+    def capture(stats, rho):
+        seen["family"], seen["rho"] = stats.family, rho
+        return original(stats, rho)
+
+    monkeypatch.setattr(experiments, "bmo_l_norm", capture)
+    exp_lacunary(k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0)
+    V = power_potential(1.05, 1, amplitude=0.002)
+    assert np.array_equal(seen["rho"], solve_critical_radius(V, seen["family"].centers).values)
+
+
+@pytest.mark.parametrize("V", [power_potential(1.05, 1, amplitude=0.002), constant_potential(1.0, 1)])
+@pytest.mark.parametrize("xs", [np.arange(-65535, 65536) * 0.25, np.array([-1.5, -0.5, 0.5, 1.5]), np.array([0.0])])
+def test_rho_mirror_solves_the_nonnegative_half_only(monkeypatch, V, xs):
+    from oscillab import experiments
+
+    solved = []
+    original = experiments.solve_critical_radius
+
+    def counting(V, points):
+        solved.append(points.shape[0])
+        return original(V, points)
+
+    monkeypatch.setattr(experiments, "solve_critical_radius", counting)
+    got = _rho_at_symmetric_centers(V, xs)
+    assert solved == [int(np.count_nonzero(xs >= 0))]
+    assert np.array_equal(got, original(V, xs[:, None]).values)
+
+
+@pytest.mark.parametrize("xs", [[-1.0, 0.0, 2.0], [0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+def test_rho_mirror_refuses_centers_that_are_not_symmetric(xs):
+    with pytest.raises(ConfigError, match="symmetric"):
+        _rho_at_symmetric_centers(power_potential(1.5, 1), np.array(xs))
+
+
+def test_rho_mirror_refuses_a_tabulated_potential():
+    g = Grid(halfwidth=8.0, spacing=0.25)
+    V = tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + x**2))
+    with pytest.raises(ConfigError, match="even"):
+        _rho_at_symmetric_centers(V, np.array([-1.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from oscillab.grid import (
     ball_volume,
     mean_oscillation,
 )
+from oracles import ball_sums, prefix_table
 
 
 def test_grid_validation():
@@ -139,11 +140,44 @@ def test_table_ball_average_matches_naive(m, ci, seed):
     b = Ball((c,), r)
     if not b.inside_box(g):
         return
-    table = SummedTable(g, f.values)
     naive = float(np.mean(ball_member_values(f, b)))
     ci = g.coord_to_index(np.array([c]))
-    table_mean = float(table.ball_sum(ci, m)[0]) / ball_sample_count(g, b)
+    table_mean = float(ball_sums(prefix_table(f.values), ci, m)[0]) / ball_sample_count(g, b)
     assert table_mean == pytest.approx(naive, rel=1e-12, abs=1e-12)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=20),
+)
+def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count):
+    # the strided-slice read of a run against the prefix table read at an
+    # index array: the same two table entries per ball, so the same bytes
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    values = np.random.default_rng(start * 31 + step).normal(size=g.shape)
+    table = SummedTable(g, values)
+    run = range(start, start + count * step, step)
+    if run.start - m + 1 < 0 or run[-1] + m > g.size:
+        with pytest.raises(OutOfDomainError):
+            table.ball_sum(run, m)
+        return
+    want = ball_sums(prefix_table(values), np.asarray(run), m)
+    assert np.array_equal(table.ball_sum(run, m), want)
+    out = np.full(count + 2, np.nan)
+    table.ball_sum(run, m, out=out[1:-1])
+    assert np.array_equal(out[1:-1], want)
+    assert np.isnan(out[0]) and np.isnan(out[-1])
+
+
+def test_run_ball_sums_refuse_a_zero_radius_or_a_descending_run():
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    table = SummedTable(g, np.ones(g.shape))
+    with pytest.raises(ConfigError):
+        table.ball_sum(range(8, 12), 0)
+    with pytest.raises(ConfigError):
+        table.ball_sum(range(12, 8, -1), 2)
 
 
 def test_offgrid_ball_falls_back_to_naive():

@@ -1,8 +1,9 @@
 """One box scan per half-space field, reduced to its norm and its curves.
 
-The oracle below holds verbatim copies of the earlier forms, in which each
-norm and each set of curves ran its own scan (and each semigroup
-difference its own sine transform of f).  The new path must give the same
+The oracle below holds copies of the earlier forms, in which each norm
+and each set of curves ran its own scan (and each semigroup difference
+its own sine transform of f), with every ball sum read from the prefix
+table at an index array of centers.  The new path must give the same
 bytes on every corpus member at the corpus grid.  A reflection test checks
 the operator side's per-ball values against the mirrored balls.
 """
@@ -17,18 +18,20 @@ from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, LadderError
 from oscillab.experiments import _default_corpus_policy
 from oscillab.family import PLAIN_MODES, bucketed_sup, make_ball_family
-from oscillab.grid import GridFunction, SummedTable
-from oscillab.oscillation import _family_geometry, scan_radius_blocks, semigroup_difference_values
+from oscillab.grid import GridFunction
+from oscillab.oscillation import semigroup_difference_values
 from oscillab.semigroup import (
     HalfSpaceFunction,
     PoissonExtension,
     _ddx,
     default_ladder,
+    log_weights_for,
     poisson,
     poisson_extension,
     square_function_field,
 )
 from oscillab.tent import family_box_values, gradient_carleson_curves, hmo_norm, tent_curves
+from oracles import ball_sums, prefix_table
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier forms, one scan per reduction
@@ -55,11 +58,18 @@ def _old_poisson_extension(op, f, ladder):
     return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx))
 
 
+def _index_blocks(family):
+    """(center sample indices, cell radius, radius) per radius block, the
+    indices rounded ball by ball."""
+    g = family.grid
+    idx = g.coord_to_index(family.centers[:, 0])
+    return [(idx[a:b], m, float(family.radii[a])) for a, b, m in family.radius_blocks]
+
+
 def _old_semigroup_difference_values(f, op, family, ladder=None):
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    idx, _ = _family_geometry(family)
     if ladder is not None:
         r = family.radii
         if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(
@@ -70,12 +80,27 @@ def _old_semigroup_difference_values(f, op, family, ladder=None):
                 f"[{ladder.values[0]}, {ladder.values[-1]}]"
             )
 
-    def block(ci, m, r):
+    out = []
+    for ci, m, r in _index_blocks(family):
         diff = f.values - poisson(op, f, r).values
-        sums = SummedTable(g, diff**2).ball_sum(ci, m)
-        return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
+        sums = ball_sums(prefix_table(diff**2), ci, m)
+        out.append(np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r))
+    return np.concatenate(out)
 
-    return scan_radius_blocks(family, idx, block)
+
+def _index_box_values(F, family):
+    """family_box_values with the tables read at index arrays."""
+    t = F.ladder.values
+    tables = [prefix_table(F.values[j] ** 2) for j in range(len(t))]
+    out = []
+    for ci, m, r in _index_blocks(family):
+        k = int(np.searchsorted(t, r * (1 + 1e-12), side="right"))
+        w = log_weights_for(t[:k])
+        total = np.zeros(ci.size)
+        for j in range(k):
+            total += w[j] * ball_sums(tables[j], ci, m)
+        out.append(total * F.grid.cell_volume / r)
+    return np.concatenate(out)
 
 
 def _old_t2p_norm_inf(F, p, family):
@@ -129,7 +154,9 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
 
     F = square_function_field(op16, f, ladder)
     assert _same(F.values, _old_square_function_field(op16, f, ladder).values)
-    eta = np.sqrt(family_box_values(F, fam))
+    box = family_box_values(F, fam)
+    assert np.array_equal(box, _index_box_values(F, fam))
+    eta = np.sqrt(box)
     t2 = hmo_norm(eta)
     _, old_value, _, old_arg = _old_t2p_norm_inf(F, math.inf, fam)
     assert (t2.value, t2.arg_index) == (old_value, old_arg)
@@ -141,7 +168,10 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
         (ext.u, ext.t_derivative, ext.x_gradient), (old_ext.u, old_ext.t_derivative, old_ext.x_gradient)
     ):
         assert _same(new_field.values, old_field.values)
-    beta = np.sqrt(family_box_values(ext.gradient_magnitude(), fam))
+    G = ext.gradient_magnitude()
+    box = family_box_values(G, fam)
+    assert np.array_equal(box, _index_box_values(G, fam))
+    beta = np.sqrt(box)
     hmo = hmo_norm(beta)
     assert (hmo.value, hmo.arg_index, hmo.n_balls) == _old_hmo_norm(old_ext, fam)
     assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_ext, fam))

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oscillab import grid, oscillation, tent
 from oscillab.errors import ConfigError, LadderError
-from oscillab.family import FamilyPolicy, LimitCurve, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import (
     Grid,
     GridFunction,
-    SummedTable,
     ball_member_values,
     ball_sample_count,
     mean_oscillation,
@@ -24,7 +24,8 @@ from oscillab.oscillation import (
     tilde_bmo_l_norm,
     vanishing_verdict,
 )
-from oscillab.semigroup import TLadder, default_ladder
+from oscillab.semigroup import HalfSpaceFunction, TLadder, default_ladder
+from oracles import ball_sums, prefix_table
 
 
 @pytest.fixture(scope="module")
@@ -46,15 +47,17 @@ def test_family_stats_sums_match_naive(small_family):
 
 
 def _masked_ball_sums(values, family):
-    """Oracle: the per-radius mask scan over np.unique of the cell radii."""
+    """Oracle: the per-radius mask scan over np.unique of the cell radii,
+    with every center rounded to its sample and the table read at index
+    arrays."""
     g = family.grid
     idx = g.coord_to_index(family.centers)[:, 0]
     cells = np.rint(family.radii / g.spacing).astype(np.int64)
-    table = SummedTable(g, values)
+    p = prefix_table(values)
     out = np.empty(len(family))
     for m in np.unique(cells):
         sel = cells == m
-        out[sel] = table.ball_sum(idx[sel], int(m))
+        out[sel] = ball_sums(p, idx[sel], int(m))
     return out
 
 
@@ -74,6 +77,21 @@ def test_block_scan_equals_mask_oracle_at_pipeline_size():
         assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
 
 
+def test_block_scan_equals_mask_oracle_at_lacunary_size():
+    # configs/lacunary.json's geometry: 8,388,609 samples, 2,424,815 balls
+    # in 19 radius blocks over 131,071 centers
+    g = Grid(halfwidth=16384.0, spacing=2.0**-8)
+    fam = make_ball_family(
+        g, FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=4096.0, distance_max=4096.0)
+    )
+    assert len(fam) == 2_424_815 and len(fam.center_runs) == 19
+    values = np.random.default_rng(12).normal(size=g.shape)
+    st = family_stats(GridFunction(g, values), fam)
+    assert np.array_equal(st.counts, 2 * np.rint(fam.radii / g.spacing).astype(np.int64) - 1)
+    assert np.array_equal(st.mean, _masked_ball_sums(values, fam) / st.counts)
+    assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
+
+
 def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
     # 1,048,577 samples and 65,521 balls: one prefix table is 16 per-ball
     # arrays, so a second sample-sized buffer (f^2 or its own table) shows
@@ -88,8 +106,8 @@ def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
         tracemalloc.stop()
     table, per_ball = (g.size + 1) * 8, len(fam) * 8
     assert table > 16 * per_ball
-    # the table, then idx, counts and the two sums, and block scratch
-    assert peak <= table + 6 * per_ball, (peak - table) / per_ball
+    # the table, then counts and the two sums, each block written in place
+    assert peak <= table + 4 * per_ball, (peak - table) / per_ball
     assert st.mean.size == len(fam)
 
 
@@ -137,6 +155,60 @@ def test_family_rejects_offlattice_geometry():
     f = GridFunction.constant(g, 1.0)
     with pytest.raises(ConfigError):
         family_stats(f, fam)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Fail the test if a scan allocates a prefix table."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix table was allocated")
+
+    for mod in (grid, oscillation, tent):
+        monkeypatch.setattr(mod, "SummedTable", refuse)
+
+
+def _hand_family(g, centers, radii):
+    return BallFamily(g, np.asarray(centers, dtype=np.float64)[:, None], np.asarray(radii, dtype=np.float64), [1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "centers, radii, match",
+    [
+        # centers on the lattice but not one index step apart
+        ([0.0, 0.25, 0.75], [1.0, 1.0, 1.0], "arithmetic run"),
+        # the second block is not a run of the first block's centers
+        ([0.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], "not a run"),
+        # a center between samples
+        ([0.0, 0.0625], [1.0, 1.0], "lattice"),
+        # a radius between multiples of h, and a radius of no cell
+        ([0.0, 0.125], [1.0625, 1.0625], "multiples of the spacing"),
+        ([0.0, 0.125], [0.0, 0.0], "positive multiples"),
+    ],
+)
+def test_scans_refuse_a_family_off_the_run_plan_before_any_table(no_tables, centers, radii, match):
+    g = Grid(halfwidth=8.0, spacing=0.125)
+    fam = _hand_family(g, centers, radii)
+    f = GridFunction.constant(g, 1.0)
+    with pytest.raises(ConfigError, match=match):
+        family_stats(f, fam)
+    F = HalfSpaceFunction(g, default_ladder(g), np.ones((len(default_ladder(g)),) + g.shape))
+    with pytest.raises(ConfigError, match=match):
+        tent.family_box_values(F, fam)
+
+
+def test_a_single_center_is_a_run():
+    g = Grid(halfwidth=8.0, spacing=0.125)
+    f = GridFunction(g, np.random.default_rng(6).normal(size=g.shape))
+    for c in (-3.0, 0.0, 2.5):
+        fam = _hand_family(g, [c, c], [0.5, 1.0])
+        ci = g.half_cells + round(c / g.spacing)
+        assert [run for *_, run in fam.center_runs] == [range(ci, ci + 1)] * 2
+        st = family_stats(f, fam)
+        for j in range(len(fam)):
+            vals = ball_member_values(f, fam.ball(j))
+            assert st.counts[j] == vals.size
+            assert st.mean[j] * st.counts[j] == pytest.approx(float(np.sum(vals)), rel=1e-12, abs=1e-12)
 
 
 def test_bmo_norm_linear_closed_form(small_family):
@@ -197,14 +269,12 @@ def test_semigroup_difference_eigenvector_closed_form(op16, family16):
     f = op16.synthesize(np.eye(op16.interior_count)[5])
     vals = semigroup_difference_values(f, op16, family16, default_ladder(g))
     s = math.sqrt(op16.eigenvalues[5])
-    from oscillab.grid import SummedTable
-
-    table = SummedTable(g, f.values**2)
+    p = prefix_table(f.values**2)
     idx = g.coord_to_index(family16.centers)[:, 0]
     for i in (0, len(family16) // 2, len(family16) - 1):
         r = family16.radii[i]
         m = int(round(r / g.spacing))
-        local = float(table.ball_sum(np.array([idx[i]]), m)[0])
+        local = float(ball_sums(p, [idx[i]], m)[0])
         want = (1 - math.exp(-r * s)) * math.sqrt(local * g.spacing / r)
         assert vals[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
 

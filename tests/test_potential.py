@@ -17,6 +17,7 @@ from oscillab.potential import (
     solve_critical_radius,
     tabulated_potential,
 )
+from oracles import interval_sums, prefix_table
 
 
 def test_constructor_validation():
@@ -203,6 +204,20 @@ def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
     assert np.array_equal(fam.radii < got[at], fam.radii < want[at])
 
 
+@pytest.mark.parametrize(
+    "V",
+    [power_potential(1.05, 1, amplitude=0.002), power_potential(1.5, 1), power_potential(1.95, 1),
+     constant_potential(1.0, 1)],
+    ids=["power-1.05", "power-1.5", "power-1.95", "constant"],
+)
+def test_critical_radius_is_bit_even_at_lacunary_centers(V):
+    # the 131,071 distinct lacunary centers, mirrored: the mass at -x is the
+    # mass at x to the bit, so one solve per |x| serves both signs
+    xs = np.arange(-65535, 65536) * 0.25
+    assert np.array_equal(normalized_mass(V, -xs[:, None], 1.0), normalized_mass(V, xs[:, None], 1.0))
+    assert np.array_equal(solve_critical_radius(V, -xs[:, None]).values, solve_critical_radius(V, xs[:, None]).values)
+
+
 def test_critical_radius_matches_scan_oracle_at_jittered_rho_slope_points():
     # the shipped rho-slope kinds at the points a jittered run at seed 0 draws
     rng = np.random.default_rng(np.random.SeedSequence(0))
@@ -245,7 +260,7 @@ def _per_radius_tabulated_mass(V, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
     radius: strict membership |k| < r/h, with radii within 1e-9 cells of an
     integer m taken as m."""
     g = V.samples.grid
-    tbl = SummedTable(g, V.samples.values)
+    p = prefix_table(V.samples.values)
     idx = g.coord_to_index(pts[:, 0])
     r_cells = r / g.spacing
     out = np.empty(r.size)
@@ -253,7 +268,7 @@ def _per_radius_tabulated_mass(V, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
         sel = r_cells == rc
         rc = float(rc)
         kmax = round(rc) - 1 if abs(rc - round(rc)) < 1e-9 else math.ceil(rc - 1e-9) - 1
-        out[sel] = tbl.interval_sum(idx[sel] - kmax, idx[sel] + kmax)
+        out[sel] = interval_sums(p, idx[sel] - kmax, idx[sel] + kmax)
     return r ** (2 - 1) * out * g.cell_volume
 
 

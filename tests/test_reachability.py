@@ -70,7 +70,6 @@ ALLOWED = {
     "serialize.py:load_grid_function": ("oracle", "save_grid_function, which writes averaged.json"),
     "tent.py:carleson_box": ("criterion", "8 and 13 take one ball's cylinder integral"),
     "tent.py:carleson_box_strict_tent": ("oracle", "carleson_box, which dominates it (criterion 13)"),
-    "tent.py:_snap": ("criterion", "8, through dilate_oscillation"),
     "tent.py:dilate_oscillation": ("criterion", "8, through box_oscillation_ratio"),
     "tent.py:box_oscillation_ratio": ("criterion", "8: the cylinder-vs-dilate inequality"),
 }
