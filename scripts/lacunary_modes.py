@@ -1,7 +1,9 @@
 """Run the lacunary separation experiment and print the per-mode curves.
 
-The default geometry matches the headline run (halfwidth 2^14, spacing
-2^-8, bumps at 3^k for k <= 8) and takes about 1.1 s at 224 MB peak RSS
+The grid, the ball family and k_max come from the plan of a
+lacunary-separation scenario, built as ``oscillab run`` builds it; the
+scenario's defaults are the headline run (halfwidth 2^14, spacing 2^-8,
+bumps at 3^k for k <= 8), which takes about 1.1 s at 224 MB peak RSS
 (2 vCPUs, numpy 2.4.6).  The separation needs that many decades: --small
 runs a cut-down box in about 0.4 s that exercises the plumbing but
 usually reports INCONCLUSIVE.
@@ -9,7 +11,7 @@ usually reports INCONCLUSIVE.
 
 import argparse
 
-from oscillab.experiments import exp_lacunary
+from oscillab.experiments import exp_lacunary, plan_scenarios
 
 
 def main():
@@ -21,9 +23,9 @@ def main():
     )
     args = ap.parse_args()
 
-    kw = {}
+    scenario = {"id": "lacunary-separation"}
     if args.small:
-        kw = dict(
+        scenario.update(
             k_max=6,
             halfwidth=1024.0,
             spacing=2.0**-6,
@@ -31,7 +33,8 @@ def main():
             radius_max=512.0,
             distance_max=512.0,
         )
-    rep = exp_lacunary(**kw)
+    (plan,) = plan_scenarios({"scenarios": [scenario]})
+    rep = exp_lacunary(plan.family, plan.params["k_max"])
 
     for mode in sorted(rep.curves):
         curve = rep.curves[mode]

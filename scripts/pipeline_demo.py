@@ -1,6 +1,8 @@
 """Run the cutoff/average/compare pipeline on one corpus member and report.
 
-The default geometry is small enough for a laptop.  The headline run uses
+The ball family comes from the plan of an approximation-pipeline scenario
+on the given grid, built as ``oscillab run`` builds it.  The default
+geometry is small enough for a laptop.  The headline run uses
 --halfwidth 65536 --spacing 0.00390625 --eps-fraction 0.1, which takes
 about 6 s at 1.17 GB peak memory (2 vCPUs, numpy 2.4.6); see
 configs/pipeline-large.json for this geometry driven through the CLI, with
@@ -9,7 +11,7 @@ the constant counterexample (about 7 to 8 s at 1.29 GB).
 
 import argparse
 
-from oscillab.experiments import exp_pipeline
+from oscillab.experiments import exp_pipeline, plan_scenarios
 
 
 def main():
@@ -21,11 +23,12 @@ def main():
     ap.add_argument("--osc-fraction", type=float, default=0.25)
     args = ap.parse_args()
 
+    scenario = {"id": "approximation-pipeline", "halfwidth": args.halfwidth, "spacing": args.spacing}
+    (plan,) = plan_scenarios({"scenarios": [scenario]})
     rep = exp_pipeline(
         args.member,
+        plan.family,
         eps_fraction=args.eps_fraction,
-        halfwidth=args.halfwidth,
-        spacing=args.spacing,
         osc_fraction=args.osc_fraction,
     )
     print(f"{rep.member}: {rep.verdict} (eps {rep.eps:.5f}, norm {rep.norm:.5f})")

@@ -121,6 +121,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "exp_rho_slope",
         "exp_square_membership",
         "lacunary_function",
+        "plan_scenarios",
         "run",
     ),
 }

@@ -3,16 +3,16 @@
 Each experiment is a plain function returning a report dataclass, so tests
 can call them directly; ``run`` binds them to a JSON config and emits a
 deterministic bundle (CSV curves, JSON summary with a provenance block).
-Assertion failures inside scenarios are collected and raised as
-CriterionFailure after the bundle is written, so failed runs still leave
-inspectable artifacts.
+Before writing anything it builds every scenario's plan (grid, ball family,
+operator), which the scenarios only read.  Assertion failures inside
+scenarios are collected and raised as CriterionFailure after the bundle is
+written, so failed runs still leave inspectable artifacts.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import inspect
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -40,7 +40,6 @@ from .family import (
     FamilyPolicy,
     LimitCurve,
     bucketed_sup,
-    check_stride,
     make_ball_family,
 )
 from .grid import Ball, Grid, GridFunction, mean_oscillation
@@ -85,6 +84,8 @@ from .tent import (
 )
 
 RHO_CONSTANT_UNIT = 2.0**-0.5  # critical radius of the unit potential in 1-D
+RHO_SLOPE_X_MIN, RHO_SLOPE_X_MAX = 100.0, 1.0e4  # the default |x| range of the rho-slope fit
+_BUMP_WIDTH = 1.0  # half-width of the lacunary bumps
 
 
 # ---------------------------------------------------------------------------
@@ -95,28 +96,29 @@ def _verdict_map(curves: dict[str, LimitCurve], tol: float, decay_factor: float)
     return {mode: vanishing_verdict(c, tol, decay_factor) for mode, c in curves.items()}
 
 
-def _all_vanishing(verdicts: dict[str, Verdict]) -> bool:
-    return all(v.verdict == "VANISHING" for v in verdicts.values())
-
-
 def _verdict_dict(verdicts: dict[str, Verdict]) -> dict:
     return {mode: asdict(v) for mode, v in sorted(verdicts.items())}
 
 
-def lacunary_function(grid: Grid, k_max: int, width: float = 1.0) -> tuple[GridFunction, GridFunction]:
-    """Sum of unit-mass bumps at 3^k, k = 1..k_max, plus the single bump at
-    the origin (same sampled kernel) for reference oscillation values."""
+def _check_lacunary_reach(grid: Grid, k_max: int) -> None:
+    """Raise ConfigError unless k_max >= 1 and grid covers the bump at 3^k_max."""
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    reach = 3.0**k_max + width + 1.0
+    reach = 3.0**k_max + _BUMP_WIDTH + 1.0
     if grid.halfwidth < reach:
         raise ConfigError(
             f"grid halfwidth {grid.halfwidth} does not cover the outermost bump (need >= {reach})"
         )
+
+
+def lacunary_function(grid: Grid, k_max: int) -> tuple[GridFunction, GridFunction]:
+    """Sum of unit-mass bumps at 3^k, k = 1..k_max, plus the single bump at
+    the origin (same sampled kernel) for reference oscillation values."""
+    _check_lacunary_reach(grid, k_max)
     h = grid.spacing
-    probe = Grid(halfwidth=max(4.0 * width, 32 * h), spacing=h)
-    kernel = bump(probe, width=width).values
-    mask = np.abs(probe.axis) < width
+    probe = Grid(halfwidth=max(4.0 * _BUMP_WIDTH, 32 * h), spacing=h)
+    kernel = bump(probe, width=_BUMP_WIDTH).values
+    mask = np.abs(probe.axis) < _BUMP_WIDTH
     win = kernel[mask]
     koff = np.nonzero(mask)[0] - probe.half_cells
 
@@ -159,8 +161,8 @@ class RhoSlopeReport:
 
 def exp_rho_slope(
     potential: Potential,
-    x_min: float = 100.0,
-    x_max: float = 1.0e4,
+    x_min: float = RHO_SLOPE_X_MIN,
+    x_max: float = RHO_SLOPE_X_MAX,
     points: int = 24,
     jitter: float = 0.0,
     rng: Optional[np.random.Generator] = None,
@@ -255,39 +257,25 @@ def _rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
 
 
 def exp_lacunary(
-    k_max: int = 8,
+    fam: BallFamily,
+    k_max: int,
     exponent: float = 1.05,
     amplitude: float = 0.002,
-    halfwidth: float = 16384.0,
-    spacing: float = 2.0**-8,
-    stride: float = 0.25,
-    radius_max: float = 4096.0,
-    distance_max: float = 4096.0,
     tol_fraction: float = 0.05,
     decay_factor: float = 4.0,
     floor_factor: float = 0.3,
 ) -> LacunaryReport:
-    """Bumps at 3^k under the analytic power-potential critical radius.
+    """Bumps at 3^k on the family's grid under the analytic power-potential critical radius.
 
     The small-radius and far-supercritical oscillation curves are expected
     to vanish while the plain far curve stays pinned at the single-bump
     oscillation; the report carries all three verdicts, the far floor, and
     the fitted decay exponent of the far-supercritical curve.
     """
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
     V = power_potential(exponent, 1, amplitude=amplitude)
-    f, phi = lacunary_function(grid, k_max)
+    f, phi = lacunary_function(fam.grid, k_max)
     floor_ref = mean_oscillation(phi, Ball((0.0,), 1.0))
 
-    fam = make_ball_family(
-        grid,
-        FamilyPolicy(
-            center_stride=stride,
-            radius_min=4 * spacing,
-            radius_max=radius_max,
-            distance_max=distance_max,
-        ),
-    )
     # solve once per distinct |center|; the solver works point by point
     xs, at = fam.distinct_centers()
     rho = _rho_at_symmetric_centers(V, xs)[at]
@@ -331,11 +319,6 @@ def exp_lacunary(
 # square-function membership agreement
 
 
-def _default_corpus_policy(grid: Grid) -> FamilyPolicy:
-    h = grid.spacing
-    return FamilyPolicy(center_stride=max(0.5, 8 * h), radius_min=max(0.125, 4 * h), radius_max=grid.halfwidth / 4.0)
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     """Vanishing verdicts of two sides over one corpus member: gamma, an
@@ -354,7 +337,7 @@ class AgreementReport:
     curves: dict[str, dict[str, LimitCurve]]
 
     def vanishing(self, side: str) -> bool:
-        return _all_vanishing(self.verdicts[side])
+        return all(v.verdict == "VANISHING" for v in self.verdicts[side].values())
 
     @property
     def agree(self) -> bool:
@@ -508,25 +491,21 @@ def _average_member(
 
 
 def exp_pipeline(
-    member: str = "bump-narrow",
+    member: str,
+    fam: BallFamily,
     eps_fraction: float = 0.1,
-    halfwidth: float = float(2**16),
-    spacing: float = 2.0**-8,
-    stride: float = 2.0,
     osc_fraction: float = 0.125,
     corpus_factor: float = 25.0,
 ) -> PipelineReport:
-    """Dyadic averaging pipeline at eps = eps_fraction * the function's
-    critical-radius-adapted norm, under the unit potential.
+    """Dyadic averaging pipeline on the family's grid at eps = eps_fraction
+    * the member's critical-radius-adapted norm, under the unit potential.
 
     Returns a MEMBER report with both approximation distances, or a
     NONMEMBER report when the threshold scan is exhausted.
     """
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
+    grid = fam.grid
     h = grid.spacing
     f = member_by_name(member).build(grid)
-    policy = FamilyPolicy(center_stride=stride, radius_min=4 * h, radius_max=grid.halfwidth / 2.0)
-    fam = make_ball_family(grid, policy)
     norm, eps, averaging = _average_member(f, fam, osc_fraction, eps_fraction)
     if isinstance(averaging, str):
         return PipelineReport(member=member, eps=eps, norm=norm, verdict="NONMEMBER", exhausted_condition=averaging)
@@ -688,11 +667,13 @@ _POTENTIAL = _Kind("an object with a 'kind'", lambda v: isinstance(v, dict), _po
 
 def _rho_slope_potential(where: str, p: dict) -> dict:
     """rho-slope parameters with the potential built in dimension 'n', from
-    'potential' or from 'exponent' and 'amplitude'; a zero potential, whose
-    critical radius is infinite everywhere, is rejected."""
+    'potential' or from 'exponent' and 'amplitude'; a zero potential (its
+    critical radius is infinite everywhere) and an empty x range fail."""
     n = p.pop("n")
     if "potential" in p:
         keys, build = "'potential'", p.pop("potential")
+    elif "exponent" not in p:
+        raise ConfigError(f"{where}: give 'potential' or 'exponent'")
     else:
         keys = "'exponent' and 'amplitude'"
         build = functools.partial(power_potential, p.pop("exponent"), amplitude=p.pop("amplitude", 1.0))
@@ -702,6 +683,8 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
         raise ConfigError(f"{where}: {keys}: {e}") from None
     if potential.is_zero():
         raise ConfigError(f"{where}: {keys}: the zero potential has an infinite critical radius everywhere")
+    if not p["x_min"] < p["x_max"]:
+        raise ConfigError(f"{where}: 'x_min' and 'x_max': need x_min < x_max, got {p['x_min']} and {p['x_max']}")
     return {**p, "potential": potential}
 
 
@@ -715,28 +698,31 @@ _AGREEMENT_PARAMS = {
     "assert_members": _MEMBERS(()),
 }
 
-# Every scenario parameter and its kind.  A default stands here only for a
-# key the runner reads itself; an absent key that the runner only forwards
-# to an exp_* function takes that function's default.
+# Every scenario parameter and its kind.  A default stands here for a key the
+# runner or the plan reads itself, every geometry default among them; an absent
+# key that the runner only forwards to an exp_* function takes its default.
 _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
     "rho-slope": {
         "n": _Kind("1, 2 or 3", lambda v: _INT.ok(v) and v in (1, 2, 3))(1),
         "points": _int_at_least(2),
         "potential": _POTENTIAL,
-        **dict.fromkeys(("exponent", "amplitude", "x_min", "x_max", "jitter", "tolerance"), _FLOAT),
+        **{"x_min": _POSITIVE(RHO_SLOPE_X_MIN), "x_max": _POSITIVE(RHO_SLOPE_X_MAX)},
+        **dict.fromkeys(("exponent", "amplitude", "jitter", "tolerance"), _FLOAT),
     },
     "lacunary-separation": {
-        "k_max": _int_at_least(1),
+        "k_max": _int_at_least(1)(8),
         "assert_verdicts": _BOOL(True),
-        **dict.fromkeys(("halfwidth", "spacing", "stride", "radius_max", "distance_max"), _POSITIVE),
+        **{"halfwidth": _POSITIVE(16384.0), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(0.25)},
+        **dict.fromkeys(("radius_max", "distance_max"), _POSITIVE(4096.0)),
         **dict.fromkeys(("exponent", "amplitude", "tol_fraction", "decay_factor", "floor_factor"), _FLOAT),
     },
     "square-function-agreement": _AGREEMENT_PARAMS,
     "extension-agreement": _AGREEMENT_PARAMS,
     "approximation-pipeline": {
-        "member": _MEMBER,
+        "member": _MEMBER("bump-narrow"),
         "expect": _EXPECT("MEMBER"),
-        **dict.fromkeys(("eps_fraction", "halfwidth", "spacing", "stride", "osc_fraction"), _POSITIVE),
+        **{"halfwidth": _POSITIVE(float(2**16)), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(2.0)},
+        **dict.fromkeys(("eps_fraction", "osc_fraction"), _POSITIVE),
         "corpus_factor": _FLOAT,
     },
     "bmo-norms": {
@@ -780,41 +766,6 @@ _EXCLUSIVE: dict[str, tuple[tuple[str, str], ...]] = {
     "averaging-pipeline": (("eps", "eps_fraction"),),
 }
 
-# scenario id -> pairs of keys of which one must be given, since the
-# runner builds its input from either
-_EITHER: dict[str, tuple[tuple[str, str], ...]] = {
-    "rho-slope": (("potential", "exponent"),),
-}
-
-
-# scenario id -> the experiment whose defaults stand for an absent
-# halfwidth or spacing (the other scenarios' tables give both)
-_GRID_DEFAULTS = {"lacunary-separation": exp_lacunary, "approximation-pipeline": exp_pipeline}
-
-
-def _check_grid(where: str, sid: str, p: dict) -> None:
-    """The scenario's halfwidth and spacing, given or default, make a Grid,
-    and its center stride ('stride', or the family's, given or default)
-    lies on that grid's lattice."""
-    kinds = _SCENARIO_PARAMS[sid]
-    if "halfwidth" in kinds:
-        defaults = inspect.signature(_GRID_DEFAULTS[sid]).parameters if sid in _GRID_DEFAULTS else {}
-        value = {**{k: v.default for k, v in defaults.items()}, **p}
-        try:
-            grid = Grid(value["halfwidth"], value["spacing"])
-        except ConfigError as e:
-            raise ConfigError(f"{where}: 'halfwidth' and 'spacing': {e}") from None
-        strides = {}
-        if "stride" in kinds:
-            strides["stride"] = value["stride"]
-        if "family" in kinds:
-            strides["family"] = (value.get("family") or _default_corpus_policy(grid)).center_stride
-        for key, stride in strides.items():
-            try:
-                check_stride(stride, grid.spacing)
-            except ConfigError as e:
-                raise ConfigError(f"{where}: {key!r}: {e}") from None
-
 
 def _scenario(s: dict) -> tuple[str, str, dict]:
     """(id, name, checked parameters) of one scenario object."""
@@ -829,11 +780,7 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
     for a, b in _EXCLUSIVE.get(sid, ()):
         if a in params and b in params:
             raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}, not both ({b!r} would be ignored)")
-    for a, b in _EITHER.get(sid, ()):
-        if a not in params and b not in params:
-            raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}")
     checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
-    _check_grid(f"scenario {sid!r}", sid, checked)
     if sid == "rho-slope":
         checked = _rho_slope_potential(f"scenario {sid!r}", checked)
     # an asserted member that the scenario does not run would assert nothing
@@ -871,8 +818,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """The config checked whole, every scenario parameter included,
-        before any scenario runs."""
+        """The config checked whole, every scenario parameter included;
+        plan_scenarios then builds and checks the geometry they set."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         cfg = ExperimentConfig(raw=d, **_checked("config", _TOP_PARAMS, d))
@@ -889,12 +836,75 @@ class ExperimentConfig:
         return cfg
 
 
-# Each runner takes its checked parameters (a fresh dict it may consume),
-# the config, its output directory and the run's PRNG stream, and returns
-# its summary fragment and the failed checks.
+@dataclass(frozen=True)
+class ScenarioPlan:
+    """One scenario as it runs: the checked parameters its runner reads, less
+    the geometry keys, and what those build (None where unused).  Plans of
+    one config share one object per geometry, which is only ever read."""
+
+    sid: str
+    name: str
+    params: dict
+    grid: Optional[Grid] = None
+    family: Optional[BallFamily] = None
+    op: Optional[SpectralOperator] = None
+    ladder: Optional[TLadder] = None  # reproducing-pairing's
 
 
-def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
+    """The plan of every scenario of the config (a dict is checked whole
+    first): a family, center runs checked, once per (grid, policy) and an
+    operator once per grid.  A ConfigError names the scenario and keys."""
+    cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
+    operators: dict[Grid, SpectralOperator] = {}
+    plans = []
+    for sid, name, checked in cfg.scenarios:
+        p = dict(checked)
+        grid = policy = fam = op = ladder = None
+        try:
+            if sid != "rho-slope":
+                keys = "'halfwidth' and 'spacing'"
+                grid = Grid(p.pop("halfwidth"), p.pop("spacing"))
+            if sid == "lacunary-separation":
+                keys = "'k_max' and 'halfwidth'"
+                _check_lacunary_reach(grid, p["k_max"])
+                keys = "'stride', 'radius_max' and 'distance_max'"
+                policy = FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing, radius_max=p.pop("radius_max"),
+                                      distance_max=p.pop("distance_max"))
+            elif sid == "approximation-pipeline":
+                keys = "'stride'"
+                policy = FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing, radius_max=grid.halfwidth / 2.0)
+            elif "family" in _SCENARIO_PARAMS[sid]:
+                h = grid.spacing
+                keys, policy = "'family'", p.pop("family", None) or FamilyPolicy(
+                    max(0.5, 8 * h), radius_min=max(0.125, 4 * h), radius_max=grid.halfwidth / 4.0)
+            if policy is not None and (grid, policy) not in families:
+                families[grid, policy] = make_ball_family(grid, policy)
+                families[grid, policy].center_runs  # the lattice check every scan relies on
+            fam = families.get((grid, policy))
+            if sid in ("square-function-agreement", "extension-agreement", "bmo-norms", "tent-norms",
+                       "reproducing-pairing"):
+                keys = "'halfwidth', 'spacing' and 'op_cap'"
+                if grid not in operators:
+                    operators[grid] = corpus_operator(grid, cfg.op_cap)
+                op = operators[grid]
+            if sid == "reproducing-pairing":
+                keys = "'t_min' and 't_max'"
+                t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)
+                ladder = TLadder.geometric(t_min, t_max, per_decade=p.pop("per_decade"))
+        except ConfigError as e:
+            raise ConfigError(f"scenario {sid!r}: {keys}: {e}") from None
+        plans.append(ScenarioPlan(sid, name, p, grid, fam, op, ladder))
+    return plans
+
+
+# Each runner takes its plan, the config, its output directory and the
+# run's PRNG stream, and returns its summary fragment and failed checks.
+
+
+def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p = dict(plan.params)
     tol = p.pop("tolerance", None)
     rep = exp_rho_slope(p.pop("potential"), rng=rng, **p)
     with (out / "rho.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -912,9 +922,10 @@ def _run_rho_slope(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     return rep.to_dict(), failures
 
 
-def _run_lacunary(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+def _run_lacunary(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p = dict(plan.params)
     check = p.pop("assert_verdicts")
-    rep = exp_lacunary(**p)
+    rep = exp_lacunary(plan.family, **p)
     save_curves_csv(out / "curves.csv", [rep.curves[m] for m in sorted(rep.curves)])
     failures = []
     if check:
@@ -941,17 +952,16 @@ _AGREEMENT = {
 }
 
 
-def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    """Both agreement scenarios: one grid, family and operator for all
+def _run_agreement(sid: str, plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    """Both agreement scenarios: the plan's family and operator for all
     members, and per member its report and the curves of both sides."""
     experiment = _AGREEMENT[sid]
-    grid, fam = _grid_and_family(p)
-    op = corpus_operator(grid, cfg.op_cap)
+    p = plan.params
     verdict_params = {k: p[k] for k in ("tol_fraction", "decay_factor") if k in p}
     sub = {}
     failures = []
     for name in p.get("members") or _CORPUS_NAMES:
-        rep = experiment(name, op, fam, **verdict_params)
+        rep = experiment(name, plan.op, plan.family, **verdict_params)
         sub[name] = rep.to_dict()
         for side, curves in rep.curves.items():
             save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
@@ -962,9 +972,10 @@ def _run_agreement(sid: str, p: dict, cfg: ExperimentConfig, out: Path, rng: np.
     return {"members": sub}, failures
 
 
-def _run_pipeline(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+def _run_pipeline(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p = dict(plan.params)
     expect = p.pop("expect")
-    rep = exp_pipeline(**p)
+    rep = exp_pipeline(fam=plan.family, **p)
     failures = []
     if rep.verdict != expect:
         failures.append(f"approximation-pipeline: verdict {rep.verdict}, expected {expect}")
@@ -988,21 +999,15 @@ def _arg_sup_ball(fam: BallFamily, split: SplitNormReport) -> Ball:
     return fam.ball(split.size_arg if split.size_present else split.oscillation_arg)
 
 
-def _grid_and_family(p: dict) -> tuple[Grid, BallFamily]:
-    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
-    return grid, make_ball_family(grid, p.get("family") or _default_corpus_policy(grid))
-
-
-def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid, fam = _grid_and_family(p)
-    op = corpus_operator(grid, cfg.op_cap)
+def _run_bmo_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p, grid, fam = plan.params, plan.grid, plan.family
     f = member_by_name(p["member"]).build(grid)
     ladder = default_ladder(grid)
 
     st = family_stats(f, fam)
     plain = bmo_norm(st)
     split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
-    tilde = tilde_bmo_l_norm(f, op, fam, ladder)
+    tilde = tilde_bmo_l_norm(f, plan.op, fam, ladder)
     curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
     # a family with no supercritical ball leaves the two supercritical
     # curves without buckets; classify only the curves that have some
@@ -1023,12 +1028,11 @@ def _run_bmo_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gen
     return summary, []
 
 
-def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid, fam = _grid_and_family(p)
-    op = corpus_operator(grid, cfg.op_cap)
+def _run_tent_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p, grid = plan.params, plan.grid
     f = member_by_name(p["member"]).build(grid)
-    F = square_function_field(op, f, default_ladder(grid))
-    eta = np.sqrt(family_box_values(F, fam))
+    F = square_function_field(plan.op, f, default_ladder(grid))
+    eta = np.sqrt(family_box_values(F, plan.family))
     norms = {}
     for pe in p["exponents"]:
         if pe == math.inf:
@@ -1036,22 +1040,16 @@ def _run_tent_norms(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Ge
         else:
             rep = t2p_norm(F, pe)
             norms[repr(pe)] = {"value": rep.value, "truncated_fraction": rep.truncated_fraction}
-    curves = tent_curves(eta, fam)
+    curves = tent_curves(eta, plan.family)
     save_curves_csv(out / "tent-curves.csv", [curves[m] for m in sorted(curves)])
     return {"member": p["member"], "norms": norms}, []
 
 
-def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid = Grid(halfwidth=p["halfwidth"], spacing=p["spacing"])
-    op = corpus_operator(grid, cfg.op_cap)
+def _run_pairing(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p, grid = plan.params, plan.grid
     f = member_by_name(p["left"]).build(grid)
     g_fn = member_by_name(p["right"]).build(grid)
-    ladder = TLadder.geometric(
-        p.get("t_min", grid.spacing / 4.0),
-        p.get("t_max", grid.halfwidth / 4.0),
-        per_decade=p["per_decade"],
-    )
-    rep = reproducing_pairing_check(f, g_fn, op, ladder, window=cfg.interior_window)
+    rep = reproducing_pairing_check(f, g_fn, plan.op, plan.ladder, window=cfg.interior_window)
     failures = []
     tol = p.get("tolerance")
     if tol is not None and rep.rel_error > tol:
@@ -1069,10 +1067,10 @@ def _run_pairing(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Gener
     )
 
 
-def _run_averaging(p: dict, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
-    grid, fam = _grid_and_family(p)
-    f = member_by_name(p["member"]).build(grid)
-    norm, eps, averaging = _average_member(f, fam, p["osc_fraction"], p["eps_fraction"], p.get("eps"))
+def _run_averaging(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    p = plan.params
+    f = member_by_name(p["member"]).build(plan.grid)
+    norm, eps, averaging = _average_member(f, plan.family, p["osc_fraction"], p["eps_fraction"], p.get("eps"))
     summary = {"member": p["member"], "eps": eps, "norm": norm}
     if isinstance(averaging, str):
         return {**summary, "verdict": "NONMEMBER", "exhausted_condition": averaging}, []
@@ -1117,11 +1115,13 @@ _SCENARIOS = {
 def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
     """Execute every scenario in the config and write the report bundle.
 
-    A dict config is checked whole before any directory is written.  The
-    bundle is written even when assertions fail; failures are then raised
-    as one CriterionFailure listing every failed check.
+    A dict config is checked whole, and every plan built, before any
+    directory is written.  The bundle is written even when assertions
+    fail; failures are then raised as one CriterionFailure listing every
+    failed check.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    plans = plan_scenarios(cfg)
     base = Path(out_dir if out_dir is not None else cfg.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -1138,11 +1138,13 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
         "scenarios": {},
         "failures": [],
     }
-    for sid, name, params in cfg.scenarios:
-        sub = base / name
+    while plans:
+        # popped, so a family or operator is freed after the last plan that shares it
+        plan = plans.pop(0)
+        sub = base / plan.name
         sub.mkdir(parents=True, exist_ok=True)
-        frag, failures = _SCENARIOS[sid](dict(params), cfg, sub, rng)
-        summary["scenarios"][name] = {**frag, "id": sid}
+        frag, failures = _SCENARIOS[plan.sid](plan, cfg, sub, rng)
+        summary["scenarios"][plan.name] = {**frag, "id": plan.sid}
         summary["failures"].extend(failures)
 
     save_json(base / "summary.json", summary)

@@ -156,13 +156,6 @@ class BallFamily:
         return Ball(tuple(self.centers[i]), float(self.radii[i]))
 
 
-def check_stride(stride: float, h: float) -> None:
-    """Raise ConfigError unless stride is k * h for an integer k >= 1."""
-    k = stride / h
-    if not (k >= 1 - 1e-6) or abs(k - round(k)) > 1e-6:
-        raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
-
-
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid.
 
@@ -172,7 +165,9 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     h = grid.spacing
     X = grid.halfwidth
     stride = policy.center_stride
-    check_stride(stride, h)
+    k = stride / h
+    if not (k >= 1 - 1e-6) or abs(k - round(k)) > 1e-6:
+        raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
 
     if policy.radii is not None:
         radii = sorted(float(r) for r in policy.radii)

@@ -23,6 +23,7 @@ from oscillab.experiments import (
     exp_extension_agreement,
     exp_lacunary,
     exp_rho_slope,
+    plan_scenarios,
 )
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction
@@ -197,7 +198,8 @@ def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
 
 def test_criterion_09_lacunary_sum_separates_regimes(criterion):
     c = criterion(9, "lacunary sum separates the oscillation regimes")
-    rep = exp_lacunary()
+    (plan,) = plan_scenarios({"scenarios": [{"id": "lacunary-separation"}]})
+    rep = exp_lacunary(plan.family, plan.params["k_max"])
     got = {m: v.verdict for m, v in rep.verdicts.items()}
     want = {
         "small-radius": "VANISHING",
@@ -213,9 +215,11 @@ def test_criterion_09_lacunary_sum_separates_regimes(criterion):
 
 _PIPELINE_WORKER = """
 import json
-from oscillab.experiments import exp_pipeline
-kw = dict(eps_fraction=0.1, halfwidth=float(2**16), spacing=2.0**-8, osc_fraction=0.125)
-rep = exp_pipeline("bump-narrow", **kw)
+from oscillab.experiments import exp_pipeline, plan_scenarios
+scenario = {"id": "approximation-pipeline", "halfwidth": float(2**16), "spacing": 2.0**-8}
+(plan,) = plan_scenarios({"scenarios": [scenario]})
+kw = dict(eps_fraction=0.1, osc_fraction=0.125)
+rep = exp_pipeline("bump-narrow", plan.family, **kw)
 out = {
     "verdict": rep.verdict,
     "eps": rep.eps,
@@ -225,7 +229,7 @@ out = {
     "bound": rep.corpus_bound,
     "t_eps": rep.t_eps,
 }
-rep2 = exp_pipeline("const-one", **kw)
+rep2 = exp_pipeline("const-one", plan.family, **kw)
 out["const_verdict"] = rep2.verdict
 out["const_reason"] = rep2.exhausted_condition or ""
 print(json.dumps(out))
@@ -346,8 +350,10 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
         worst_quad = max(worst_quad, abs(got - ref) / ref)
 
     Fpos = HalfSpaceFunction(grid16, lad, np.abs(F.values))
+    # one box scan gives every ball's cylinder, bit-equal to carleson_box
+    cylinders = family_box_values(Fpos, family16)
     monotone = all(
-        carleson_box(Fpos, family16.ball(i)) >= carleson_box_strict_tent(Fpos, family16.ball(i)) - 1e-12
+        cylinders[i] >= carleson_box_strict_tent(Fpos, family16.ball(i)) - 1e-12
         for i in range(len(family16))
     )
 

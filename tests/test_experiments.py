@@ -7,7 +7,7 @@ import pytest
 
 from oscillab import __version__
 from oscillab.cli import _build_parser, _scenario_from_args, main
-from oscillab.corpus import corpus_operator, member_by_name
+from oscillab.corpus import member_by_name
 from oscillab.errors import ConfigError, CriterionFailure
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
@@ -15,7 +15,6 @@ from oscillab.experiments import (
     _SCENARIOS,
     ExperimentConfig,
     _arg_sup_ball,
-    _default_corpus_policy,
     _rho_at_symmetric_centers,
     exp_extension_agreement,
     exp_lacunary,
@@ -23,6 +22,7 @@ from oscillab.experiments import (
     exp_rho_slope,
     exp_square_membership,
     lacunary_function,
+    plan_scenarios,
     run,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
@@ -30,6 +30,28 @@ from oscillab.grid import Grid, GridFunction, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential, solve_critical_radius, tabulated_potential
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
+
+
+def _plan(**scenario):
+    """The plan run() builds for one scenario."""
+    (plan,) = plan_scenarios({"scenarios": [scenario]})
+    return plan
+
+
+# the cut-down geometry of scripts/lacunary_modes.py --small
+_SMALL_LACUNARY = {"k_max": 6, "halfwidth": 1024.0, "spacing": 2.0**-6, "stride": 0.5, "radius_max": 512.0,
+                   "distance_max": 512.0}
+
+
+def _small_lacunary():
+    plan = _plan(id="lacunary-separation", **_SMALL_LACUNARY)
+    return exp_lacunary(plan.family, plan.params["k_max"])
+
+
+def _pipeline_family(**geometry):
+    """The family of an approximation-pipeline scenario of this geometry."""
+    return _plan(id="approximation-pipeline", **geometry).family
+
 
 SCENARIO_IDS = (
     "rho-slope",
@@ -161,8 +183,10 @@ def test_config_holds_checked_parameters_and_table_defaults():
     (_, _, tent), (_, _, lac) = cfg.scenarios
     assert tent == {"halfwidth": 8.0, "spacing": 2.0**-6, "member": "bump-narrow", "exponents": (1.0, math.inf)}
     assert type(tent["halfwidth"]) is float
-    # forwarded keys take the exp_* defaults, so only the runner's own one is filled in
-    assert lac == {"assert_verdicts": True}
+    # the geometry keys and the runner's own one take the table's defaults;
+    # forwarded keys take the exp_* defaults, so they are not filled in
+    assert lac == {"k_max": 8, "assert_verdicts": True, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
+                   "radius_max": 4096.0, "distance_max": 4096.0}
 
 
 def test_integer_values_of_number_parameters_give_the_same_bundle(tmp_path):
@@ -277,10 +301,7 @@ def family_scans(monkeypatch):
 
 
 def test_lacunary_scans_its_family_once(family_scans):
-    # the cut-down geometry of scripts/lacunary_modes.py --small
-    rep = exp_lacunary(
-        k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0
-    )
+    rep = _small_lacunary()
     assert len(family_scans) == 1
     assert len(family_scans[0]) == rep.n_balls
 
@@ -296,9 +317,7 @@ def test_lacunary_builds_only_its_reported_curves(monkeypatch):
         return original(metric, family, mode, rho)
 
     monkeypatch.setattr(experiments, "bucketed_sup", counting)
-    rep = exp_lacunary(
-        k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0
-    )
+    rep = _small_lacunary()
     assert sorted(modes) == sorted(rep.curves) == ["far-and-supercritical", "far-from-origin", "small-radius"]
 
 
@@ -335,7 +354,7 @@ def test_lacunary_rho_per_ball_is_the_solve_at_each_center(monkeypatch):
         return original(stats, rho)
 
     monkeypatch.setattr(experiments, "bmo_l_norm", capture)
-    exp_lacunary(k_max=6, halfwidth=1024.0, spacing=2.0**-6, stride=0.5, radius_max=512.0, distance_max=512.0)
+    _small_lacunary()
     V = power_potential(1.05, 1, amplitude=0.002)
     assert np.array_equal(seen["rho"], solve_critical_radius(V, seen["family"].centers).values)
 
@@ -407,8 +426,8 @@ def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path, monke
 
 def _agreement_setup(halfwidth=16.0, spacing=2.0**-4):
     """The operator and default family of an agreement scenario's grid."""
-    grid = Grid(halfwidth=halfwidth, spacing=spacing)
-    return corpus_operator(grid), make_ball_family(grid, _default_corpus_policy(grid))
+    plan = _plan(id="square-function-agreement", halfwidth=halfwidth, spacing=spacing)
+    return plan.op, plan.family
 
 
 def test_membership_agreement_on_zero_function():
@@ -447,9 +466,8 @@ def test_pipeline_reports_member_with_gate_and_distances():
     norm = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
     rep = exp_pipeline(
         "bump-narrow",
+        _pipeline_family(halfwidth=256.0, spacing=2.0**-6),
         eps_fraction=0.55 / norm,
-        halfwidth=256.0,
-        spacing=2.0**-6,
         osc_fraction=0.25,
     )
     assert rep.eps == pytest.approx(0.55, rel=1e-12)
@@ -464,9 +482,8 @@ def test_pipeline_reports_member_with_gate_and_distances():
 def test_pipeline_reports_constant_as_nonmember():
     rep = exp_pipeline(
         "const-one",
+        _pipeline_family(halfwidth=256.0, spacing=2.0**-6),
         eps_fraction=0.1,
-        halfwidth=256.0,
-        spacing=2.0**-6,
         osc_fraction=0.25,
     )
     assert rep.verdict == "NONMEMBER"
@@ -480,7 +497,8 @@ def test_pipeline_outer_cutoff_beyond_the_box_is_a_nonmember_verdict():
     # the scan's smallest outer cutoff here is M = a - 2 = 4, which leaves
     # no room for 2^(M+3) in the box; assign_cubes used to raise "box
     # halfwidth 64.0 below 2^(M+3) = 256.0" as a config error
-    rep = exp_pipeline("bump-narrow", halfwidth=64.0, spacing=2**-5, stride=0.5, osc_fraction=0.25, eps_fraction=0.5)
+    fam = _pipeline_family(halfwidth=64.0, spacing=2**-5, stride=0.5)
+    rep = exp_pipeline("bump-narrow", fam, osc_fraction=0.25, eps_fraction=0.5)
     assert rep.verdict == "NONMEMBER"
     assert rep.exhausted_condition.startswith("no outer cutoff M <= a - 3 = 3 ")
 
@@ -501,7 +519,7 @@ def test_pipeline_last_scan_holds_two_sample_arrays_and_one_table(monkeypatch):
     monkeypatch.setattr(experiments, "family_stats", traced)
     tracemalloc.start()
     try:
-        rep = exp_pipeline("bump-narrow", halfwidth=4096.0, spacing=2.0**-7, eps_fraction=0.8)
+        rep = exp_pipeline("bump-narrow", _pipeline_family(halfwidth=4096.0, spacing=2.0**-7), eps_fraction=0.8)
     finally:
         tracemalloc.stop()
     assert rep.verdict == "MEMBER"
@@ -515,7 +533,7 @@ def test_pipeline_last_scan_holds_two_sample_arrays_and_one_table(monkeypatch):
 def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
     # the member is closed-form: a grid with more samples than the default
     # operator cap (4097 > 4096) is fine for scenarios that build no operator
-    rep = exp_pipeline("eigenvector", halfwidth=64.0, spacing=2.0**-5, stride=0.5)
+    rep = exp_pipeline("eigenvector", _pipeline_family(halfwidth=64.0, spacing=2.0**-5, stride=0.5))
     assert rep.verdict == "NONMEMBER"
     assert main(["uchiyama", "--member", "eigenvector", "--out", str(tmp_path)]) == 0
     assert "cap" not in capsys.readouterr().err
@@ -626,7 +644,8 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box,
     monkeypatch.setattr(experiments, "assign_cubes", widened)
     monkeypatch.setattr(experiments, "dyadic_average", shifted)
     monkeypatch.setattr(experiments, "mollify", capturing)
-    exp_pipeline("bump-narrow", stride=2.0, **_DEMO_GRID)
+    plan = _plan(id="approximation-pipeline", stride=2.0, **_DEMO_GRID)
+    exp_pipeline("bump-narrow", plan.family, eps_fraction=_DEMO_GRID["eps_fraction"], osc_fraction=_DEMO_GRID["osc_fraction"])
     if outer_below_box is not None:
         assert seen["outer"] == 8 - outer_below_box
     # the axis-mask rule: keep the samples of the half-open [-T, T)
@@ -813,13 +832,18 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
         # an osc_fraction <= 0 ran and reported every member NONMEMBER
         ("osc_fraction", {"id": "averaging-pipeline", "osc_fraction": 0}),
         ("osc_fraction", {"id": "approximation-pipeline", "osc_fraction": -0.125}),
+        # these wrote rho-slope/ and their own directory: 3^9 + 2 > 16384,
+        # and an empty x range
+        ("k_max", {"id": "lacunary-separation", "k_max": 9}),
+        ("x_max", {**_BAD_RHO_SLOPE, "exponent": 1.5, "x_min": 10, "x_max": 5}),
     ],
     ids=["tent-exponent-0", "tent-exponent--1.0", "zero-kind", "constant-0", "n-4", "exponent-0.5-at-n-1",
          "points-1", "k_max-0", "per_decade-1", "eps--1.0", "spacing-0.3", "halfwidth--4.0",
          "lacunary-spacing-0.3", "pipeline-stride--1.0", "lacunary-stride-0", "pipeline-stride-0.3",
          "lacunary-stride-0.3", "pipeline-default-stride-at-spacing-1.5", "family-stride-0.3",
          "default-family-stride-at-spacing-0.03", "lacunary-stride-below-h", "radius_max--4096",
-         "distance_max-0", "averaging-osc_fraction-0", "pipeline-osc_fraction--0.125"],
+         "distance_max-0", "averaging-osc_fraction-0", "pipeline-osc_fraction--0.125", "lacunary-k_max-9",
+         "rho-slope-x_min-above-x_max"],
 )
 def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, capsys):
     # each used to pass the config check, so the valid scenario before it
@@ -831,6 +855,63 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, scenario",
+    [
+        (("family",), {"id": "bmo-norms", "family": {"center_stride": 0.5, "radius_max": 100.0}}),
+        (("family",), {"id": "tent-norms", "family": {"center_stride": 0.5, "radius_min": 2.0, "radius_max": 1.0}}),
+        # passes make_ball_family's stride check (8 h within 1e-6), but the
+        # centers drift off the lattice: center_runs rejects the family
+        (("stride",), {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
+                       "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5 * (1 + 1e-7)}),
+        # 16,385 samples over the default op_cap
+        (("halfwidth", "spacing", "op_cap"), {"id": "tent-norms", "halfwidth": 64.0, "spacing": 2.0**-7}),
+        (("t_min", "t_max"), {"id": "reproducing-pairing", "t_min": 2.0, "t_max": 1.0}),
+        (("t_min", "t_max"), {"id": "reproducing-pairing", "t_min": -1.0}),
+        (("x_min", "x_max"), {**_BAD_RHO_SLOPE, "exponent": 1.5, "x_min": 10, "x_max": 5}),
+    ],
+    ids=["bmo-radius_max-100", "tent-empty-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
+         "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range"],
+)
+def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_path, capsys):
+    # each failed mid-run, after the valid scenario before it had written
+    # its directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", "exponent": 1.5, "points": 6}, scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: scenario {scenario['id']!r}: " in err
+    assert all(repr(k) in err for k in keys), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_rejects_centers_off_the_lattice_with_center_runs():
+    scenario = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
+                "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5 * (1 + 1e-7)}
+    with pytest.raises(ConfigError, match="family centers must sit on the grid lattice"):
+        _plan(**scenario)
+
+
+def test_plans_share_one_object_per_geometry():
+    doc = {"scenarios": [
+        {"id": "approximation-pipeline", "name": "a", "halfwidth": 512.0, "spacing": 2.0**-5},
+        {"id": "approximation-pipeline", "name": "b", "member": "const-one", "halfwidth": 512.0, "spacing": 2.0**-5},
+        {"id": "bmo-norms", "halfwidth": 8.0, "spacing": 0.0625},
+        {"id": "tent-norms", "halfwidth": 8.0, "spacing": 0.0625},
+        {"id": "reproducing-pairing", "halfwidth": 8.0, "spacing": 0.0625},
+        {"id": "bmo-norms", "name": "other", "halfwidth": 8.0, "spacing": 0.0625,
+         "family": {"center_stride": 0.5, "radii": [0.25]}},
+    ]}
+    a, b, bmo, tent, pairing, other = plan_scenarios(doc)
+    assert a.family is b.family and a.op is None
+    assert bmo.family is tent.family and bmo.family is not other.family
+    assert bmo.op is tent.op is pairing.op is other.op
+    assert pairing.family is None and len(pairing.ladder) > 1
+    # the geometry keys are taken out; what the runner reads stays
+    assert a.params == {"member": "bump-narrow", "expect": "MEMBER"}
+    assert pairing.params == {"left": "gaussian", "right": "gaussian"}
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ from scipy.fft import dst
 
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, LadderError
-from oscillab.experiments import _default_corpus_policy
-from oscillab.family import PLAIN_MODES, bucketed_sup, make_ball_family
+from oscillab.experiments import plan_scenarios
+from oscillab.family import PLAIN_MODES, bucketed_sup
 from oscillab.grid import GridFunction
 from oscillab.oscillation import semigroup_difference_values
 from oscillab.semigroup import (
@@ -143,7 +143,10 @@ def _same_curves(new, old) -> bool:
 
 @pytest.fixture(scope="module")
 def corpus_family(grid16):
-    return make_ball_family(grid16, _default_corpus_policy(grid16))
+    # the default family of a corpus-grid scenario, as run() plans it
+    (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms"}]})
+    assert plan.grid == grid16
+    return plan.family
 
 
 @pytest.mark.parametrize("name", [m.name for m in CORPUS])

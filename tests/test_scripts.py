@@ -45,7 +45,7 @@ def test_lacunary_modes_script_prints_missing_trend_as_na(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     exp = script.exp_lacunary
-    monkeypatch.setattr(script, "exp_lacunary", lambda **kw: replace(exp(**kw), trend_exponent=None))
+    monkeypatch.setattr(script, "exp_lacunary", lambda *a, **kw: replace(exp(*a, **kw), trend_exponent=None))
     monkeypatch.setattr(sys, "argv", ["lacunary_modes.py", "--small"])
     script.main()
     assert "trend exponent n/a," in capsys.readouterr().out.splitlines()[-1]

@@ -1,15 +1,19 @@
-"""Every config the repository ships passes the config check: the files in
-configs/ and the benchmark's workload configs, full and small.  The
-benchmark's spectral workload also runs, and its summary passes the
-benchmark's output check against the reference captured for it."""
+"""Every config the repository ships passes the config check and builds
+its plans: the files in configs/ and the benchmark's workload configs,
+full and small.  A run builds each grid's family and operator once and
+only reads them.  The benchmark's spectral workload also runs, and its
+summary passes the benchmark's output check against the reference
+captured for it."""
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oscillab.experiments import ExperimentConfig
+from oscillab.experiments import ExperimentConfig, plan_scenarios, run
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -22,10 +26,14 @@ def _workloads():
     return module
 
 
+# the config check and every scenario's grid, family, operator and ladder,
+# with nothing run
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_is_valid(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert len(ExperimentConfig.from_dict(doc).scenarios) == len(doc["scenarios"])
+    assert len(plan_scenarios(doc)) == len(doc["scenarios"])
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
@@ -33,7 +41,61 @@ def test_benchmark_workload_configs_are_valid(small):
     workloads = _workloads()
     for w in workloads.WORKLOADS:
         doc = workloads.workload_config(w, 1, small=small)
-        assert len(ExperimentConfig.from_dict(doc).scenarios) == len(doc["scenarios"])
+        assert len(plan_scenarios(doc)) == len(doc["scenarios"])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of make_ball_family and discretize, under the names the package
+    calls them by; each family and operator comes back read-only, so a
+    write into a shared one raises."""
+    from oscillab import corpus, experiments
+
+    counts = Counter()
+
+    def frozen(key, build):
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            out = build(*args, **kwargs)
+            for value in vars(out).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            return out
+
+        return counting
+
+    monkeypatch.setattr(experiments, "make_ball_family", frozen("families", experiments.make_ball_family))
+    monkeypatch.setattr(corpus, "discretize", frozen("operators", corpus.discretize))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "workload, small, families, operators",
+    [("spectral", False, 1, 1), ("pipeline", False, 2, 0), ("lacunary", True, 1, 0), ("spectral", True, 1, 1)],
+    ids=["spectral", "pipeline", "lacunary-small", "spectral-small"],
+)
+def test_a_run_builds_each_geometry_once_and_only_reads_it(workload, small, families, operators, builds, tmp_path):
+    # spectral's eleven scenarios all sample the corpus grid; pipeline's two
+    # approximation scenarios share one family
+    run(_workloads().workload_config(workload, 1, small=small), out_dir=str(tmp_path))
+    assert (builds["families"], builds["operators"]) == (families, operators)
+
+
+def test_full_config_plans_four_families_and_one_operator(builds):
+    # lacunary, the corpus grid's, pipeline-small's and averaging-pipeline's
+    plan_scenarios(json.loads((ROOT / "configs" / "full.json").read_text(encoding="utf-8")))
+    assert (builds["families"], builds["operators"]) == (4, 1)
+
+
+def test_only_the_plan_builds_a_scenarios_geometry():
+    # so the plan counts above are a whole run's
+    from oscillab import experiments
+
+    builders = {"Grid", "make_ball_family", "corpus_operator", "discretize"}
+    steps = [v for k, v in vars(experiments).items() if k.startswith(("exp_", "_run_")) or k == "_average_member"]
+    assert len(steps) > 10
+    for fn in steps:
+        assert not builders & set(fn.__code__.co_names), fn.__name__
 
 
 def test_the_shipped_configs_are_found():
