@@ -1,7 +1,8 @@
 """Run the cutoff/average/compare pipeline on one corpus member and report.
 
-The ball family comes from the plan of an approximation-pipeline scenario
-on the given grid, built as ``oscillab run`` builds it.  The default
+Every flag is a key of one approximation-pipeline scenario, checked and
+planned as ``oscillab run`` checks and plans it: a bad value exits 2 with
+the config error on stderr.  The default
 geometry is small enough for a laptop.  The headline run uses
 --halfwidth 65536 --spacing 0.00390625 --eps-fraction 0.1, which takes
 about 6 s at 1.17 GB peak memory (2 vCPUs, numpy 2.4.6); see
@@ -10,7 +11,9 @@ the constant counterexample (about 7 to 8 s at 1.29 GB).
 """
 
 import argparse
+import sys
 
+from oscillab.errors import ConfigError
 from oscillab.experiments import exp_pipeline, plan_scenarios
 
 
@@ -23,14 +26,15 @@ def main():
     ap.add_argument("--osc-fraction", type=float, default=0.25)
     args = ap.parse_args()
 
-    scenario = {"id": "approximation-pipeline", "halfwidth": args.halfwidth, "spacing": args.spacing}
-    (plan,) = plan_scenarios({"scenarios": [scenario]})
-    rep = exp_pipeline(
-        args.member,
-        plan.family,
-        eps_fraction=args.eps_fraction,
-        osc_fraction=args.osc_fraction,
-    )
+    scenario = {"id": "approximation-pipeline", **vars(args)}
+    try:
+        (plan,) = plan_scenarios({"scenarios": [scenario]})
+    except ConfigError as e:
+        print(f"pipeline_demo.py: {e}", file=sys.stderr)
+        sys.exit(2)
+    params = dict(plan.params)
+    del params["expect"]  # a config's verdict check; the demo prints the verdict
+    rep = exp_pipeline(fam=plan.family, **params)
     print(f"{rep.member}: {rep.verdict} (eps {rep.eps:.5f}, norm {rep.norm:.5f})")
     if rep.verdict != "MEMBER":
         print(f"  scan exhausted: {rep.exhausted_condition}")

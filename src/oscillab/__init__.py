@@ -26,8 +26,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Grid",
         "GridFunction",
         "SummedTable",
-        "ball_sample_count",
-        "ball_volume",
         "mean_oscillation",
     ),
     "family": (
@@ -44,7 +42,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "normalized_mass",
         "power_potential",
         "solve_critical_radius",
-        "tabulated_potential",
     ),
     "semigroup": (
         "HalfSpaceFunction",
@@ -72,7 +69,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "tent": (
         "box_oscillation_ratio",
-        "carleson_box",
         "carleson_box_strict_tent",
         "cone_square_function",
         "dilate_oscillation",

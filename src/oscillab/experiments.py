@@ -243,12 +243,10 @@ class LacunaryReport:
 
 def _rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
     """rho at the ascending centers xs, solved at the non-negative ones
-    only.  The analytic kinds are even in x and I(-x, r) == I(x, r) bit
+    only.  Both potential kinds are even in x and I(-x, r) == I(x, r) bit
     for bit (negation commutes with IEEE sums), so rho(-x) is rho(x);
-    centers that are not symmetric about 0, or a tabulated potential,
-    raise ConfigError rather than being mirrored wrongly."""
-    if V.kind == "tabulated":
-        raise ConfigError("only the analytic potential kinds are even")
+    centers that are not symmetric about 0 raise ConfigError rather than
+    being mirrored wrongly."""
     if np.any(np.diff(xs) <= 0) or not np.array_equal(xs, -xs[::-1]):
         raise ConfigError("centers are not ascending and symmetric about the origin")
     j0 = int(np.searchsorted(xs, 0.0))

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError
+from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
 from .grid import Ball, Grid
 
 # the modes of a metric over all balls, and those over supercritical balls
@@ -62,7 +62,8 @@ class BallFamily:
     constant index step, and every radius is a positive multiple of h.
     Then the centers of a block are the sample indices of one range,
     which center_runs gives per block; a scan of a family violating this
-    raises ConfigError before it allocates anything sample-sized.
+    raises ConfigError, and one with a ball touching the box
+    OutOfDomainError, before it allocates anything sample-sized.
     """
 
     grid: Grid
@@ -106,7 +107,9 @@ class BallFamily:
         the range of the block's center sample indices: the plan every
         family scan reads.  The lattice and the index step are checked on
         the smallest-radius block's centers, the run and the radius once
-        per block; a family off the plan raises ConfigError."""
+        per block; a family off the plan raises ConfigError.  A run's end
+        balls are checked against the box, so a block with a ball that
+        touches or leaves it raises OutOfDomainError."""
         a0, b0, _ = self.radius_blocks[0]
         xs = self.centers[a0:b0, 0]
         g = self.grid
@@ -123,8 +126,11 @@ class BallFamily:
                 raise ConfigError("a radius block is not a run of the smallest-radius centers")
             if m < 1 or abs(self.radii[a] / g.spacing - m) > 1e-6:
                 raise ConfigError("family radii must be positive multiples of the spacing")
-            first = int(idx[off])
-            runs.append((a, b, m, range(first, first + (b - a) * step, step)))
+            run = range(int(idx[off]), int(idx[off]) + (b - a) * step, step)
+            # inside the box: |c| + r <= X - h, i.e. sample indices 1 .. 2X/h - 1
+            if run.start - m < 1 or run[-1] + m > g.axis_count - 2:
+                raise OutOfDomainError(f"a ball of cell radius {m} over {run} touches or leaves the box")
+            runs.append((a, b, m, run))
         return tuple(runs)
 
     def distinct_centers(self) -> tuple[np.ndarray, np.ndarray]:

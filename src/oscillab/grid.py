@@ -2,10 +2,11 @@
 
 oscillab is a one-dimensional lab: everything downstream works on a
 uniform grid over the box [-X, X].  The paper states its results on R^n;
-only the analytic potentials in ``potential`` evaluate masses for n = 2
-and n = 3.  Conventions that the rest of the package relies on:
+only the potentials in ``potential`` evaluate masses for n = 2 and n = 3.
+Conventions that the rest of the package relies on:
 
-* a ball B(c, r) "contains" the samples strictly inside it (|y - c| < r);
+* a ball B(c, r) "contains" the samples strictly inside it (|y - c| < r),
+  so a ball of cell radius m = r/h centered on a sample holds 2m - 1;
 * |B| is the number of contained samples times h, never the continuum
   length;
 * balls that touch or cross the box boundary are rejected rather than
@@ -14,7 +15,8 @@ and n = 3.  Conventions that the rest of the package relies on:
 Ball sums are served from prefix-sum tables.  A family scan asks for the
 balls of one radius over a run of centers at one index step, so each
 block's sums are the difference of two strided slices of the table; the
-naive per-ball path is kept alongside as an oracle.
+naive per-ball member values, for any center, are kept alongside as an
+oracle.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class Grid:
 
     def index_to_coord(self, idx: np.ndarray) -> np.ndarray:
         return np.asarray(idx, dtype=np.float64) * self.spacing - self.halfwidth
-
-    def on_lattice(self, coords: np.ndarray) -> np.ndarray:
-        """True where each coordinate sits on a sample (within tolerance)."""
-        coords = np.asarray(coords, dtype=np.float64)
-        t = (coords + self.halfwidth) / self.spacing
-        return np.abs(t - np.rint(t)) <= 1e-6
 
     def compatible(self, other: "Grid") -> bool:
         return (
@@ -215,7 +211,7 @@ class SummedTable:
 
 
 # ---------------------------------------------------------------------------
-# ball membership, counts and oscillation
+# ball membership and oscillation
 
 
 def _require_inside(grid: Grid, ball: Ball) -> None:
@@ -237,25 +233,6 @@ def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
     if i_hi < i_lo:
         return np.empty(0)
     return f.values[i_lo : i_hi + 1]
-
-
-def ball_sample_count(grid: Grid, ball: Ball) -> int:
-    """Samples strictly inside a ball on the lattice with cell radius m:
-    2m - 1.  A ball off the lattice raises ConfigError, as family scans do."""
-    r_cells = ball.radius / grid.spacing
-    if abs(r_cells - round(r_cells)) > 1e-6 or not np.all(grid.on_lattice(np.asarray(ball.center))):
-        raise ConfigError(f"ball B({ball.center}, {ball.radius}) is not on the grid lattice")
-    return max(0, 2 * round(r_cells) - 1)
-
-
-def ball_volume(grid: Grid, ball: Ball) -> float:
-    """Discrete volume: contained-sample count times h."""
-    cnt = ball_sample_count(grid, ball)
-    if cnt == 0:
-        raise DegenerateRegionError(
-            f"ball B({ball.center}, {ball.radius}) contains no grid sample"
-        )
-    return cnt * grid.cell_volume
 
 
 def mean_oscillation(f: GridFunction, ball: Ball) -> float:

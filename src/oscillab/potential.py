@@ -1,23 +1,21 @@
 """Nonnegative potentials and their critical radii.
 
-A potential is one of three kinds:
+A potential is one of two kinds:
 
 * constant        V = c >= 0 (c = 0 is the zero potential, whose critical
                   radius is +inf everywhere, tagged);
 * power           V(x) = amplitude * |x|^(eps - 2), 0 < eps < 2 (for ambient
                   dimension 1 additionally eps > 1 so V is locally
-                  integrable);
-* tabulated       nonnegative samples on a (one-dimensional) grid.
+                  integrable).
 
 The central quantity is the normalized ball mass
 
     I(x, r) = r^(2 - n) * integral over B(x, r) of V,
 
-and the critical radius rho(x) = sup { r > 0 : I(x, r) <= 1 }.  Analytic
-kinds evaluate I by exact antiderivatives (n = 1) or radial quadrature
-(n = 2, 3); the n = 2 and n = 3 kinds serve the growth-exponent checks
-only, since every grid is one-dimensional.  Tabulated kinds use discrete
-ball sums times h.
+and the critical radius rho(x) = sup { r > 0 : I(x, r) <= 1 }.  I is
+evaluated by exact antiderivatives (n = 1) or radial quadrature (n = 2,
+3); the n = 2 and n = 3 kinds serve the growth-exponent checks only, since
+every grid is one-dimensional.
 
 I(x, r) is nondecreasing in r, so solve_critical_radius finds rho by
 bisecting log r between a floor and a cap, every point at once; its
@@ -31,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ConfigError, OutOfDomainError
-from .grid import GridFunction, SummedTable
+from .errors import BracketError, ConfigError
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -47,14 +44,14 @@ class Potential:
     constant: float = 0.0
     eps: float = 0.0
     amplitude: float = 1.0
-    samples: GridFunction | None = None
+    # a class attribute, not a field: no kind has samples, and the only
+    # reader is the semigroup.discretize counter of oscbench/tracing.py
+    samples = None
 
     def is_zero(self) -> bool:
         if self.kind == "constant":
             return self.constant * self.amplitude == 0.0
-        if self.kind == "power":
-            return self.amplitude == 0.0
-        return bool(np.all(self.samples.values == 0.0))
+        return self.amplitude == 0.0
 
 
 def constant_potential(c: float, n: int = 1) -> Potential:
@@ -79,12 +76,6 @@ def power_potential(eps: float, n: int = 1, amplitude: float = 1.0) -> Potential
     if not (amplitude >= 0 and math.isfinite(amplitude)):
         raise ConfigError("amplitude must be a nonnegative finite number")
     return Potential("power", n, eps=float(eps), amplitude=float(amplitude))
-
-
-def tabulated_potential(samples: GridFunction) -> Potential:
-    if np.any(samples.values < 0):
-        raise ConfigError("tabulated potential must be nonnegative")
-    return Potential("tabulated", 1, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +156,11 @@ def _power_mass_radial(d: np.ndarray, r: np.ndarray, p: float, n: int) -> np.nda
     return out
 
 
-def normalized_mass(
-    V: Potential,
-    points: np.ndarray,
-    radii: np.ndarray | float,
-    table: SummedTable | None = None,
-) -> np.ndarray:
+def normalized_mass(V: Potential, points: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
     """I(x, r) = r^(2-n) * mass of V over B(x, r), vectorised over points.
 
     points: (k, n) coordinates (or (n,) for a single point); radii: scalar
-    or (k,).  For tabulated potentials the points must be grid samples and
-    every ball must stay inside the box.
+    or (k,).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -190,39 +175,21 @@ def normalized_mass(
     if V.kind == "constant":
         c = V.constant * V.amplitude
         return c * UNIT_BALL_VOLUME[n] * r**2
-    if V.kind == "power":
-        p = V.eps - 2.0
-        if n == 1:
-            mass = _power_mass_1d(pts[:, 0], r, p)
-        else:
-            mass = _power_mass_radial(np.sqrt(np.sum(pts**2, axis=1)), r, p, n)
-        return V.amplitude * r ** (2 - n) * mass
-
-    # tabulated
-    g = V.samples.grid
-    lim = g.halfwidth - g.spacing / 4.0
-    if np.any(np.max(np.abs(pts), axis=1) + r >= lim):
-        raise OutOfDomainError("a mass ball touches or leaves the tabulated box")
-    on = g.on_lattice(pts)
-    if not np.all(on):
-        raise ConfigError("tabulated potentials need lattice-aligned mass centers")
-    idx = g.coord_to_index(pts[:, 0])
-    tbl = table or SummedTable(g, V.samples.values)
-    # strict membership |k| < r/h: offsets up to ceil(r/h) - 1, with radii
-    # within 1e-9 cells of an integer m taken as m
-    kmax = np.ceil(r / g.spacing - 1e-9).astype(np.int64) - 1
-    lo, hi = idx - kmax, idx + kmax
-    out = np.where(hi >= lo, tbl._p[np.maximum(hi + 1, lo)] - tbl._p[lo], 0.0)
-    return r ** (2 - n) * out * g.cell_volume
+    p = V.eps - 2.0
+    if n == 1:
+        mass = _power_mass_1d(pts[:, 0], r, p)
+    else:
+        mass = _power_mass_radial(np.sqrt(np.sum(pts**2, axis=1)), r, p, n)
+    return V.amplitude * r ** (2 - n) * mass
 
 
 # ---------------------------------------------------------------------------
 # critical radius
 
 
-# bracket floor and cap for analytic potentials, and halvings of the
-# log-bracket in solve_critical_radius: ln(RHO_CAP / RHO_FLOOR) * 2^-48 is
-# 8e-14, the relative width the solve leaves
+# bracket floor and cap, and halvings of the log-bracket in
+# solve_critical_radius: ln(RHO_CAP / RHO_FLOOR) * 2^-48 is 8e-14, the
+# relative width the solve leaves
 RHO_FLOOR = 1e-4
 RHO_CAP = 1e6
 RHO_BISECT_STEPS = 48
@@ -244,38 +211,24 @@ class CriticalRadiusField:
     kind: str
 
 
-def _r_bounds(V: Potential, pts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bracket floor and per-point cap: RHO_FLOOR and RHO_CAP for analytic
-    kinds; for tabulated ones the spacing and the room left in the box."""
-    if V.kind == "tabulated":
-        g = V.samples.grid
-        r_max = g.halfwidth - np.max(np.abs(pts), axis=1) - g.spacing
-        if np.any(r_max <= g.spacing):
-            raise BracketError("no room for a mass ball inside the box at some points")
-        return g.spacing, r_max
-    return RHO_FLOOR, np.full(pts.shape[0], RHO_CAP)
-
-
 def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusField:
     """rho(x) = sup { r : I(x, r) <= 1 } at each point of the (k, n) array,
     by bisection of log r between the floor r_min and the cap r_max.
 
     I(x, .) is nondecreasing in r, so {r : I(x, r) <= 1} is an interval
     from r_min and a bracket [lo, hi] with I(lo) <= 1 < I(hi) keeps its
-    sup.  For n = 2, I is the mass of a growing ball; for n = 1 (the
-    tabulated kind too) it is r times that mass.  For n = 3, I = mass / r:
-    c * (4 pi / 3) * r^2 for the constant kind, and for the power kind
-    tests/test_potential.py measures it nondecreasing on the radial
-    quadrature.  Each step halves the bracket at its geometric midpoint
-    sqrt(lo * hi), so after RHO_BISECT_STEPS steps
-    hi / lo = (r_max / r_min)^(2^-RHO_BISECT_STEPS), and the returned lo
-    is admissible and within that ratio of the sup.
+    sup.  For n = 2, I is the mass of a growing ball; for n = 1 it is r
+    times that mass.  For n = 3, I = mass / r: c * (4 pi / 3) * r^2 for
+    the constant kind, and for the power kind tests/test_potential.py
+    measures it nondecreasing on the radial quadrature.  Each step halves
+    the bracket at its geometric midpoint sqrt(lo * hi), so after
+    RHO_BISECT_STEPS steps hi / lo = (r_max / r_min)^(2^-RHO_BISECT_STEPS),
+    and the returned lo is admissible and within that ratio of the sup.
 
-    r_min is RHO_FLOOR and r_max RHO_CAP, except for tabulated potentials
-    (the spacing, and the room left in the box).  A point with
-    I(r_max) <= 1 is saturated at r_max.  Errors: BracketError when
-    I(r_min) > 1 somewhere.  A potential that is identically zero yields
-    +inf everywhere.
+    r_min is RHO_FLOOR and r_max RHO_CAP.  A point with I(r_max) <= 1 is
+    saturated at r_max.  Errors: BracketError when I(r_min) > 1
+    somewhere.  A potential that is identically zero yields +inf
+    everywhere.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -285,27 +238,24 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     if V.is_zero():
         return CriticalRadiusField(pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind)
 
-    table = SummedTable(V.samples.grid, V.samples.values) if V.kind == "tabulated" else None
-    r_min, r_max = _r_bounds(V, pts)
-
-    bad = np.nonzero(normalized_mass(V, pts, r_min, table=table) > 1.0)[0]
+    bad = np.nonzero(normalized_mass(V, pts, RHO_FLOOR) > 1.0)[0]
     if bad.size:
         raise BracketError(
-            f"normalized mass already exceeds 1 at the bracket floor r={r_min} "
+            f"normalized mass already exceeds 1 at the bracket floor r={RHO_FLOOR} "
             f"for {bad.size} point(s), e.g. index {bad[0]}"
         )
 
-    saturated = normalized_mass(V, pts, r_max, table=table) <= 1.0
+    saturated = normalized_mass(V, pts, RHO_CAP) <= 1.0
     todo = ~saturated
     sub = pts[todo]
-    lo = np.full(sub.shape[0], r_min)
-    hi = r_max[todo]
+    lo = np.full(sub.shape[0], RHO_FLOOR)
+    hi = np.full(sub.shape[0], RHO_CAP)
     for _ in range(RHO_BISECT_STEPS):
         mid = np.sqrt(lo * hi)
-        inside = normalized_mass(V, sub, mid, table=table) <= 1.0
+        inside = normalized_mass(V, sub, mid) <= 1.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    values = r_max.copy()
+    values = np.full(k, RHO_CAP)
     values[todo] = lo
     return CriticalRadiusField(pts, values, saturated, V.kind)
 

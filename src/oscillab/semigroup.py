@@ -156,8 +156,8 @@ def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralO
 
     cap bounds the grid's sample count (walls included), and with it the
     ladder x samples arrays of the half-space fields; exceeding it is a
-    config error, not an OOM.  Power and tabulated potentials have no
-    sine eigenbasis and are rejected.
+    config error, not an OOM.  A power potential has no sine eigenbasis
+    and is rejected.
     """
     if V.kind != "constant":
         raise ConfigError(f"the spectral operator takes a constant potential, not {V.kind!r}")

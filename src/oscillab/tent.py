@@ -1,10 +1,11 @@
 """Tent-space functionals on half-space samples.
 
-The primary region over a ball B(c, r) is the cylinder B x (0, r]; a
-strict-tent oracle (points with |y - c| < r - t) is kept for cross-checks.
-All dt/t integrals use trapezoid weights in log t recomputed on the
-truncated ladder prefix, and all spatial sums count samples strictly
-inside the ball times h.
+The primary region over a ball B(c, r) is the cylinder B x (0, r], whose
+integrals family_box_values gives for every ball of a family in one scan;
+a strict-tent oracle (points with |y - c| < r - t) is kept for
+cross-checks.  All dt/t integrals use trapezoid weights in log t
+recomputed on the truncated ladder prefix, and all spatial sums count
+samples strictly inside the ball times h.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from .errors import (
     OutOfDomainError,
 )
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
-from .grid import Ball, GridFunction, SummedTable, ball_member_values, ball_sample_count, ball_volume
+from .grid import Ball, GridFunction, SummedTable, ball_member_values
 from .oscillation import OscillationReport, _sup_report, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
     SpectralOperator,
     TLadder,
+    interior_index_window,
     log_weights_for,
     poisson,
     square_function_field,
@@ -59,23 +61,9 @@ class BoxScanner:
         return total * self.grid.cell_volume / r
 
 
-def carleson_box(F: HalfSpaceFunction, ball: Ball) -> float:
-    """r^{-1} * integral over B x (0, r] of |F|^2 dx dt/t (cylinder region).
-
-    The ladder must cover the cylinder: r within [t_min, t_max].  The ball
-    must sit on the grid lattice, as family balls do; any other raises
-    ConfigError.
-    """
-    g = F.grid
-    if not ball.inside_box(g):
-        raise OutOfDomainError("carleson box ball touches or leaves the box")
-    m = (ball_sample_count(g, ball) + 1) // 2  # 2m - 1 samples; off the lattice raises
-    ci = int(g.coord_to_index(ball.center[0]))
-    return float(BoxScanner(F).box_values(range(ci, ci + 1), m, ball.radius)[0])
-
-
 def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
-    """Oracle: same integral over the strict tent {(y, t): |y - c| < r - t}.
+    """Oracle of family_box_values: the same integral over the strict tent
+    {(y, t): |y - c| < r - t} of one ball, for any center.
 
     Always <= the cylinder value for the same F.  Slow path only.
     """
@@ -286,19 +274,19 @@ def box_oscillation_ratio(
     op: SpectralOperator,
     ball: Ball,
     k_max: int,
-    field: HalfSpaceFunction,
+    box: float,
     norm_hint: float = 0.0,
     clip: bool = False,
 ) -> BoxOscillationReport:
-    """Measure lhs / (rhs + tail) for one ball; values <= 1 up to a modest
-    constant are the expected regime.  field is the square-function field
-    of f under op, shared by every ball of a sweep."""
+    """Measure lhs / (rhs + tail) for one family ball; values <= 1 up to a
+    modest constant are the expected regime.  box is the ball's entry of
+    family_box_values(F, family), F the square-function field of f under
+    op: one scan serves every ball of a sweep."""
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
-    g = f.grid
-    box = carleson_box(field, ball)
-    # convert r^{-1} normalisation to |B|^{-1}
-    vol = ball_volume(g, ball)
+    h = f.grid.spacing
+    # convert r^{-1} normalisation to |B|^{-1}: 2m - 1 samples of cell radius m
+    vol = (2 * round(ball.radius / h) - 1) * h
     lhs = math.sqrt(box * ball.radius / vol)
     cache: dict = {}
     per_k = []
@@ -338,7 +326,7 @@ def reproducing_pairing_check(
 
     The identity holds for wall-vanishing data once the ladder covers the
     spectral scales; support_ok records whether both inputs live in the
-    interior window (outside it, wall effects pollute the comparison).
+    interior_index_window (outside it, wall effects pollute the comparison).
     """
     grid = f.grid
     if not grid.compatible(g_fn.grid) or not grid.compatible(op.grid):
@@ -352,9 +340,6 @@ def reproducing_pairing_check(
         tent += w[j] * float(np.sum(Ff.values[j] * Fg.values[j]))
     tent *= 4.0 * grid.cell_volume
     denom = max(abs(direct), 1e-300)
-    outside = np.abs(grid.axis) > window * grid.halfwidth
-    sup_out = max(
-        float(np.max(np.abs(f.values[outside]), initial=0.0)),
-        float(np.max(np.abs(g_fn.values[outside]), initial=0.0)),
-    )
+    outside = np.delete(np.stack((f.values, g_fn.values)), interior_index_window(grid, window), axis=1)
+    sup_out = float(np.max(np.abs(outside), initial=0.0))
     return PairingReport(direct, tent, abs(tent - direct) / denom, sup_out <= 1e-12)

@@ -40,7 +40,6 @@ from oscillab.semigroup import (
 )
 from oscillab.tent import (
     box_oscillation_ratio,
-    carleson_box,
     carleson_box_strict_tent,
     family_box_values,
     hmo_norm,
@@ -168,27 +167,28 @@ def test_criterion_07_corpus_norm_ratios(criterion, grid16, op16, family16):
 def test_criterion_08_dilate_bound_stable_under_refinement(criterion):
     c = criterion(8, "cylinder-vs-dilate inequality stable under refinement")
 
-    def sup_ratio(spacing, balls=None):
+    def sup_ratio(spacing):
         grid = Grid(halfwidth=16.0, spacing=spacing)
         op = discretize(constant_potential(1.0, 1), grid, cap=8192)
         f = member_by_name("gaussian").build(grid)
         fam = make_ball_family(
             grid, FamilyPolicy(center_stride=0.5, radius_min=0.125, radius_max=4.0)
         )
-        if balls is None:
-            picks = np.linspace(0, len(fam) - 1, 50).astype(int)
-            balls = [fam.ball(int(i)) for i in picks]
+        picks = np.linspace(0, len(fam) - 1, 50).astype(int)
         hint = bmo_l_norm(family_stats(f, fam), RHO_CONSTANT_UNIT).value
         ladder = TLadder.geometric(grid.spacing, 4.0, per_decade=16)
-        F = square_function_field(op, f, ladder)
+        # one box scan of the square-function field serves every ball
+        boxes = family_box_values(square_function_field(op, f, ladder), fam)
         best = max(
-            box_oscillation_ratio(f, op, b, k_max=8, field=F, norm_hint=hint, clip=True).ratio
-            for b in balls
+            box_oscillation_ratio(f, op, fam.ball(i), k_max=8, box=boxes[i], norm_hint=hint, clip=True).ratio
+            for i in picks
         )
-        return best, balls
+        return best, [fam.ball(i) for i in picks]
 
     coarse, balls = sup_ratio(2.0**-6)
-    fine, _ = sup_ratio(2.0**-7, balls)
+    fine, fine_balls = sup_ratio(2.0**-7)
+    # stride and radii are multiples of both spacings: the same 50 balls
+    assert fine_balls == balls
     change = abs(coarse - fine) / max(coarse, fine)
     c.finish(
         change <= 0.20 and coarse < 10.0,
@@ -342,16 +342,15 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
     rng = np.random.default_rng(13)
     F = HalfSpaceFunction(grid16, lad, rng.normal(size=(len(lad),) + grid16.shape))
 
+    Fpos = HalfSpaceFunction(grid16, lad, np.abs(F.values))
+    # one box scan gives every ball's cylinder; |Fpos|^2 is |F|^2 to the
+    # bit, so the quadrature check reads its balls off the same scan
+    cylinders = family_box_values(Fpos, family16)
     worst_quad = 0.0
     for i in np.linspace(0, len(family16) - 1, 6).astype(int):
-        b = family16.ball(int(i))
-        got = carleson_box(F, b)
-        ref = _naive_box(F, b)
-        worst_quad = max(worst_quad, abs(got - ref) / ref)
+        ref = _naive_box(F, family16.ball(i))
+        worst_quad = max(worst_quad, abs(cylinders[i] - ref) / ref)
 
-    Fpos = HalfSpaceFunction(grid16, lad, np.abs(F.values))
-    # one box scan gives every ball's cylinder, bit-equal to carleson_box
-    cylinders = family_box_values(Fpos, family16)
     monotone = all(
         cylinders[i] >= carleson_box_strict_tent(Fpos, family16.ball(i)) - 1e-12
         for i in range(len(family16))
@@ -365,7 +364,7 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
     closed = cval**2 * (2 * m - 1) * grid16.cell_volume / b.radius * float(
         np.sum(_prefix_weights(lad.values[:k]))
     )
-    triv_err = abs(carleson_box(Fc, b) - closed) / closed
+    triv_err = abs(family_box_values(Fc, family16)[0] - closed) / closed
 
     c.finish(
         worst_quad <= 1e-12 and monotone and triv_err <= 1e-12,

@@ -28,7 +28,7 @@ from oscillab.experiments import (
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction, mean_oscillation
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oscillab.potential import constant_potential, power_potential, solve_critical_radius, tabulated_potential
+from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 
 
@@ -381,13 +381,6 @@ def test_rho_mirror_solves_the_nonnegative_half_only(monkeypatch, V, xs):
 def test_rho_mirror_refuses_centers_that_are_not_symmetric(xs):
     with pytest.raises(ConfigError, match="symmetric"):
         _rho_at_symmetric_centers(power_potential(1.5, 1), np.array(xs))
-
-
-def test_rho_mirror_refuses_a_tabulated_potential():
-    g = Grid(halfwidth=8.0, spacing=0.25)
-    V = tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + x**2))
-    with pytest.raises(ConfigError, match="even"):
-        _rho_at_symmetric_centers(V, np.array([-1.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,6 @@ from oscillab.grid import (
     GridFunction,
     SummedTable,
     ball_member_values,
-    ball_sample_count,
-    ball_volume,
     mean_oscillation,
 )
 from oracles import ball_sums, prefix_table
@@ -75,7 +73,7 @@ def test_l2_norm_includes_cell_volume():
 def test_ball_strict_membership_count():
     g = Grid(halfwidth=4.0, spacing=0.25)
     # B(0, 2h) holds the samples at -h, 0, h only
-    assert ball_sample_count(g, Ball((0.0,), 0.5)) == 3
+    assert np.array_equal(ball_member_values(GridFunction.from_callable(g, lambda x: x), Ball((0.0,), 0.5)), [-0.25, 0.0, 0.25])
 
 
 def test_ball_average_quadratic_closed_form():
@@ -86,7 +84,8 @@ def test_ball_average_quadratic_closed_form():
     for r in (0.25, 1.0, 4.0):
         b = Ball((0.0,), r)
         want = r * (r - g.spacing) / 3.0
-        mean = float(np.sum(ball_member_values(f, b))) * g.cell_volume / ball_volume(g, b)
+        vol = (2 * round(r / g.spacing) - 1) * g.cell_volume  # |B| of a lattice ball
+        mean = float(np.sum(ball_member_values(f, b))) * g.cell_volume / vol
         assert mean == pytest.approx(want, rel=1e-13)
 
 
@@ -98,15 +97,13 @@ def test_ball_average_rejects_boundary_ball():
 
 
 def test_ball_volume_is_count_times_cell():
+    # a lattice ball of cell radius m holds 2m - 1 samples, so |B| = (2m - 1) h
     g = Grid(halfwidth=4.0, spacing=0.5)
-    b = Ball((0.5,), 1.5)  # m=3: the 5 samples 0.5 + k/2, |k| <= 2
-    assert ball_sample_count(g, b) == 5
-    assert ball_volume(g, b) == pytest.approx(5 * 0.5)
-    off = Ball((0.3,), 0.6)  # off the lattice, as no family ball is
-    with pytest.raises(ConfigError):
-        ball_sample_count(g, off)
-    with pytest.raises(ConfigError):
-        ball_volume(g, off)
+    f = GridFunction.constant(g, 1.0)
+    for c in (0.5, -1.0):
+        for m in (1, 3, 5):
+            b = Ball((c,), m * g.spacing)
+            assert ball_member_values(f, b).size == 2 * m - 1
 
 
 def test_mean_oscillation_sign_step():
@@ -142,7 +139,7 @@ def test_table_ball_average_matches_naive(m, ci, seed):
         return
     naive = float(np.mean(ball_member_values(f, b)))
     ci = g.coord_to_index(np.array([c]))
-    table_mean = float(ball_sums(prefix_table(f.values), ci, m)[0]) / ball_sample_count(g, b)
+    table_mean = float(ball_sums(prefix_table(f.values), ci, m)[0]) / (2 * m - 1)
     assert table_mean == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
 
@@ -186,8 +183,6 @@ def test_offgrid_ball_falls_back_to_naive():
     b = Ball((0.1,), 0.6)  # neither center nor radius on the lattice
     # strictly inside (-0.5, 0.7): the samples -0.25, 0, 0.25, 0.5
     assert np.array_equal(ball_member_values(f, b), [-0.25, 0.0, 0.25, 0.5])
-    with pytest.raises(ConfigError):
-        ball_sample_count(g, b)  # counts are for lattice balls only
 
 
 def test_ball_average_empty_ball_raises():
@@ -196,8 +191,6 @@ def test_ball_average_empty_ball_raises():
     # center in a cell interior, radius too small to reach any sample
     b = Ball((0.125,), 0.1)
     assert ball_member_values(f, b).size == 0
-    with pytest.raises(ConfigError):
-        ball_volume(g, b)  # off the lattice
     with pytest.raises(DegenerateRegionError):
         mean_oscillation(f, b)
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from oscillab import grid, oscillation, tent
-from oscillab.errors import ConfigError, LadderError
+from oscillab.errors import ConfigError, LadderError, OutOfDomainError
 from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import (
     Grid,
     GridFunction,
     ball_member_values,
-    ball_sample_count,
     mean_oscillation,
 )
 from oscillab.oscillation import (
@@ -118,7 +117,7 @@ def test_family_stats_match_per_ball(small_family):
     st = family_stats(f, small_family)
     for i in range(len(small_family)):
         b = small_family.ball(i)
-        assert st.counts[i] == ball_sample_count(g, b)
+        assert st.counts[i] == ball_member_values(f, b).size
         assert st.oscillation2[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
 
 
@@ -195,6 +194,33 @@ def test_scans_refuse_a_family_off_the_run_plan_before_any_table(no_tables, cent
     F = HalfSpaceFunction(g, default_ladder(g), np.ones((len(default_ladder(g)),) + g.shape))
     with pytest.raises(ConfigError, match=match):
         tent.family_box_values(F, fam)
+
+
+@pytest.mark.parametrize(
+    "centers, radii",
+    [
+        # the last ball touches x = 8, the first touches x = -8
+        ([6.0, 7.0], [1.0, 1.0]),
+        ([-7.0, -6.0], [1.0, 1.0]),
+        # one ball leaving the box
+        ([7.5], [1.0]),
+        # the last ball of the second block touches x = 8
+        ([-2.0, 0.0, 2.0, 0.0, 2.0], [1.0, 1.0, 1.0, 6.0, 6.0]),
+    ],
+)
+def test_scans_refuse_a_family_whose_end_ball_touches_the_box(no_tables, centers, radii):
+    # the refusal of a box-touching ball that every family scan makes,
+    # from the end balls of each block's run
+    g = Grid(halfwidth=8.0, spacing=0.125)
+    fam = _hand_family(g, centers, radii)
+    with pytest.raises(OutOfDomainError, match="touches or leaves the box"):
+        family_stats(GridFunction.constant(g, 1.0), fam)
+    F = HalfSpaceFunction(g, default_ladder(g), np.ones((len(default_ladder(g)),) + g.shape))
+    with pytest.raises(OutOfDomainError, match="touches or leaves the box"):
+        tent.family_box_values(F, fam)
+    # a ball one cell short of the faces is inside
+    inside = _hand_family(g, [-6.875, 6.875], [1.0, 1.0])
+    assert [run for *_, run in inside.center_runs] == [range(9, 120, 110)]
 
 
 def test_a_single_center_is_a_run():

@@ -5,19 +5,16 @@ import pytest
 
 from oscillab.errors import BracketError, ConfigError
 from oscillab.family import FamilyPolicy, make_ball_family
-from oscillab.grid import Grid, GridFunction, SummedTable
+from oscillab.grid import Grid
 from oscillab.potential import (
     RHO_CAP,
     RHO_FLOOR,
-    _r_bounds,
     constant_potential,
     normalized_mass,
     power_potential,
     rho_values_for,
     solve_critical_radius,
-    tabulated_potential,
 )
-from oracles import interval_sums, prefix_table
 
 
 def test_constructor_validation():
@@ -31,17 +28,13 @@ def test_constructor_validation():
         power_potential(0.5, 1)  # not locally integrable in dimension 1
     # fine in dimension 2
     power_potential(0.5, 2)
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    with pytest.raises(ConfigError):
-        tabulated_potential(GridFunction.constant(g, -1.0))
 
 
 def test_is_zero():
     assert constant_potential(0.0, 2).is_zero()
     assert not constant_potential(1.0, 2).is_zero()
     assert not power_potential(1.5, 1).is_zero()
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    assert tabulated_potential(GridFunction.constant(g, 0.0)).is_zero()
+    assert power_potential(1.5, 1, amplitude=0.0).is_zero()
 
 
 def _rho_at(V, x):
@@ -87,27 +80,6 @@ def test_bracket_error_when_floor_too_coarse():
         solve_critical_radius(V, np.array([[0.0]]))
 
 
-def test_tabulated_radius_tracks_constant():
-    g = Grid(halfwidth=8.0, spacing=2.0**-6)
-    V = tabulated_potential(GridFunction.constant(g, 1.0))
-    assert _rho_at(V, [0.0]) == pytest.approx(2.0**-0.5, abs=2 * g.spacing)
-
-
-def test_tabulated_saturates_at_box_margin():
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    V = tabulated_potential(GridFunction.constant(g, 1e-6))
-    fld = solve_critical_radius(V, np.array([[0.0]]))
-    assert fld.saturated[0]
-    assert fld.values[0] == pytest.approx(4.0 - 0.25)
-
-
-def test_tabulated_no_room_raises():
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    V = tabulated_potential(GridFunction.constant(g, 1.0))
-    with pytest.raises(BracketError):
-        solve_critical_radius(V, np.array([[3.75]]))
-
-
 def test_normalized_mass_shapes_and_zero():
     pts = np.array([[0.0], [1.0], [2.0]])
     assert normalized_mass(constant_potential(0.0, 1), pts, 1.0).shape == (3,)
@@ -138,9 +110,8 @@ def _oracle_critical_radius(V, points):
     steps inside that bracket.  Returns (values, saturated)."""
     pts = np.asarray(points, dtype=np.float64)
     k = pts.shape[0]
-    table = SummedTable(V.samples.grid, V.samples.values) if V.kind == "tabulated" else None
-    r_min, r_max = _r_bounds(V, pts)
-    if np.any(normalized_mass(V, pts, np.full(k, r_min), table=table) > 1.0):
+    r_min, r_max = RHO_FLOOR, np.full(k, RHO_CAP)
+    if np.any(normalized_mass(V, pts, np.full(k, r_min)) > 1.0):
         raise BracketError("normalized mass already exceeds 1 at the scan floor")
 
     lo = np.full(k, r_min)
@@ -152,7 +123,7 @@ def _oracle_critical_radius(V, points):
         r_next = np.minimum(r * 2.0**0.25, r_max)
         probe = active.copy()
         vals = np.full(k, np.nan)
-        vals[probe] = normalized_mass(V, pts[probe], r_next[probe], table=table)
+        vals[probe] = normalized_mass(V, pts[probe], r_next[probe])
         newly_over = probe & (vals > 1.0)
         hi[newly_over] = r_next[newly_over]
         active &= ~newly_over
@@ -170,7 +141,7 @@ def _oracle_critical_radius(V, points):
         sub = pts[todo]
         for _ in range(40):
             mid = 0.5 * (a + b)
-            vals = normalized_mass(V, sub, mid, table=table)
+            vals = normalized_mass(V, sub, mid)
             inside = vals <= 1.0
             a = np.where(inside, mid, a)
             b = np.where(inside, b, mid)
@@ -245,44 +216,3 @@ def test_normalized_mass_is_nondecreasing_in_the_radius(V):
         band = (mass >= 1e-3) & (mass <= 1e3)
         both = band[:-1] & band[1:]
         assert np.all(np.diff(mass)[both] >= 0.0), x
-
-
-def test_critical_radius_matches_scan_oracle_on_the_tabulated_kind():
-    # per-point caps from the box; the small potential saturates at them
-    g = Grid(halfwidth=16.0, spacing=2.0**-4)
-    pts = np.arange(-8.0, 8.5, 0.5)[:, None]
-    _assert_matches_oracle(tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + np.cos(x) ** 2)), pts)
-    _assert_matches_oracle(tabulated_potential(GridFunction.constant(g, 1e-6)), pts)
-
-
-def _per_radius_tabulated_mass(V, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """normalized_mass on the tabulated kind as one table query per distinct
-    radius: strict membership |k| < r/h, with radii within 1e-9 cells of an
-    integer m taken as m."""
-    g = V.samples.grid
-    p = prefix_table(V.samples.values)
-    idx = g.coord_to_index(pts[:, 0])
-    r_cells = r / g.spacing
-    out = np.empty(r.size)
-    for rc in np.unique(r_cells):
-        sel = r_cells == rc
-        rc = float(rc)
-        kmax = round(rc) - 1 if abs(rc - round(rc)) < 1e-9 else math.ceil(rc - 1e-9) - 1
-        out[sel] = interval_sums(p, idx[sel] - kmax, idx[sel] + kmax)
-    return r ** (2 - 1) * out * g.cell_volume
-
-
-def test_tabulated_mass_matches_per_radius_queries():
-    g = Grid(halfwidth=64.0, spacing=2.0**-6)
-    h = g.spacing
-    V = tabulated_potential(GridFunction.from_callable(g, lambda x: 1.0 + np.cos(x) ** 2))
-    rng = np.random.default_rng(7)
-    m = rng.integers(1, 400, size=300).astype(np.float64)
-    # integer radii in cells, their near-integer neighbours m +- 1e-10,
-    # half-cells, sub-cell radii, and random radii
-    r_cells = np.concatenate([
-        m, m + 1e-10, m - 1e-10, m + 0.5, rng.uniform(0.01, 0.99, size=50), rng.uniform(1.0, 400.0, size=300),
-    ])
-    pts = (rng.integers(-1500, 1501, size=r_cells.size) * h)[:, None]
-    r = r_cells * h
-    assert np.array_equal(normalized_mass(V, pts, r), _per_radius_tabulated_mass(V, pts, r))

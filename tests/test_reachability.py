@@ -42,34 +42,19 @@ REASON_KINDS = {
 
 ALLOWED = {
     "cli.py:_scenario_from_args": ("cli", "the bmo, tent, pairing and uchiyama shorthands"),
-    "corpus.py:_window": ("criterion", "7 scans every corpus member; smooth-step and log-spike are windowed"),
-    "corpus.py:_const_neg_half": ("criterion", "7 scans every corpus member"),
-    "corpus.py:_bump_wide": ("criterion", "7 scans every corpus member"),
-    "corpus.py:_smooth_step": ("criterion", "7 scans every corpus member"),
-    "corpus.py:_log_spike": ("criterion", "7 scans every corpus member"),
-    "corpus.py:_fourth_mode": ("criterion", "6 and 7 sample the eigenvector member"),
     "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
     "grid.py:Grid.size": ("tracer", "the approx.assigned_samples counter reads the grid's size"),
-    "grid.py:Grid.on_lattice": ("criterion", "8 and 13: ball_sample_count checks a ball's center with it"),
     "grid.py:GridFunction.constant": ("criterion", "4 runs the semigroup on the constant one"),
     "grid.py:GridFunction.l2_norm": ("criterion", "3 and 5 normalise by it"),
-    "grid.py:ball_sample_count": ("criterion", "8 and 13, through carleson_box and ball_volume"),
-    "grid.py:ball_volume": ("criterion", "8: box_oscillation_ratio's |B|"),
-    "potential.py:tabulated_potential": (
-        "tracer",
-        "the semigroup.discretize counter reads Potential.samples, the tabulated kind's field",
-    ),
     "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),
     "semigroup.py:SpectralOperator.interior_count": ("tracer", "the semigroup.operator_dim and apply counters"),
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
     "semigroup.py:heat": ("criterion", "3: the heat semigroup law"),
     "semigroup.py:poisson": ("criterion", "3, 4 and 8 (dilate_oscillation)"),
-    "semigroup.py:interior_index_window": ("criterion", "4 measures the interior decay on it"),
     "serialize.py:_decode_inf": ("oracle", "save_samples: the round-trip test reads its +inf payload back"),
     "serialize.py:load_samples": ("oracle", "save_samples: the round-trip test reads the bytes back"),
     "serialize.py:load_grid_function": ("oracle", "save_grid_function, which writes averaged.json"),
-    "tent.py:carleson_box": ("criterion", "8 and 13 take one ball's cylinder integral"),
-    "tent.py:carleson_box_strict_tent": ("oracle", "carleson_box, which dominates it (criterion 13)"),
+    "tent.py:carleson_box_strict_tent": ("oracle", "family_box_values, whose cylinder values dominate it (criterion 13)"),
     "tent.py:dilate_oscillation": ("criterion", "8, through box_oscillation_ratio"),
     "tent.py:box_oscillation_ratio": ("criterion", "8: the cylinder-vs-dilate inequality"),
 }

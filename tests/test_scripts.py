@@ -5,6 +5,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import oscillab
 from oscillab.corpus import CORPUS
 
@@ -57,6 +59,23 @@ def test_pipeline_demo_script_reports_a_member():
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("bump-narrow: MEMBER")
     assert lines[-1].lstrip().startswith("budgets:")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--osc-fraction", "0", "'osc_fraction' must be a positive finite number"),
+        ("--spacing", "0.3", "'halfwidth' and 'spacing'"),
+    ],
+    ids=["osc-fraction-0", "spacing-0.3"],
+)
+def test_pipeline_demo_script_rejects_a_bad_flag_as_the_cli_does(flag, value, message):
+    # the flags are checked as an approximation-pipeline scenario: exit 2
+    # with the config error, before anything runs
+    proc = _run_script("pipeline_demo.py", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_rho_asymptotics_script_fits_every_integrable_exponent():

@@ -8,7 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
 from oscillab.errors import ConfigError, GridMismatchError
 from oscillab.grid import Grid, GridFunction
-from oscillab.potential import constant_potential, power_potential, tabulated_potential
+from oscillab.potential import constant_potential, power_potential
 from oscillab.semigroup import (
     _LADDER_BLOCK_BYTES,
     TLadder,
@@ -79,8 +79,6 @@ def test_discretize_rejects_potentials_without_a_sine_basis():
     g = Grid(halfwidth=4.0, spacing=0.125)
     with pytest.raises(ConfigError, match="power"):
         discretize(power_potential(1.5, 1), g)
-    with pytest.raises(ConfigError, match="tabulated"):
-        discretize(tabulated_potential(GridFunction.constant(g, 1.0)), g)
 
 
 @pytest.mark.parametrize("grid", [corpus_grid(), Grid(halfwidth=4.0, spacing=0.125)], ids=["corpus", "small"])

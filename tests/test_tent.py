@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscillab.errors import ConfigError, LadderError, OutOfDomainError
-from oscillab.family import FamilyPolicy, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Ball, Grid, GridFunction
 from oscillab.potential import constant_potential
 from oscillab.semigroup import (
@@ -19,7 +19,6 @@ from oscillab.semigroup import (
 )
 from oscillab.tent import (
     box_oscillation_ratio,
-    carleson_box,
     carleson_box_strict_tent,
     cone_square_function,
     dilate_oscillation,
@@ -48,6 +47,15 @@ def _random_field(grid, ladder, seed=0):
     return HalfSpaceFunction(grid, ladder, vals)
 
 
+def _one_ball(grid, c, r):
+    """The family of the one ball B(c, r), for a scan of that ball alone."""
+    return BallFamily(grid, np.array([[c]]), np.array([r]), [r], [r])
+
+
+def _box(F, c, r):
+    return family_box_values(F, _one_ball(F.grid, c, r))[0]
+
+
 def _prefix_weights(t):
     v = np.log(np.asarray(t))
     if v.size == 1:
@@ -67,18 +75,18 @@ def test_carleson_box_constant_field_closed_form(small_grid):
     m = round(r / h)
     k = int(np.searchsorted(lad.values, r * (1 + 1e-12), side="right"))
     want = 9.0 * np.sum(_prefix_weights(lad.values[:k])) * (2 * m - 1) * h / r
-    assert carleson_box(F, Ball((0.0,), r)) == pytest.approx(want, rel=1e-12)
+    assert _box(F, 0.0, r) == pytest.approx(want, rel=1e-12)
 
 
 def test_carleson_box_requires_ladder_coverage(small_grid):
     lad = TLadder(np.array([0.5, 1.0]))
     F = _random_field(small_grid, lad)
     with pytest.raises(LadderError):
-        carleson_box(F, Ball((0.0,), 0.25))
+        _box(F, 0.0, 0.25)
     with pytest.raises(LadderError):
-        carleson_box(F, Ball((0.0,), 4.0))
+        _box(F, 0.0, 4.0)
     with pytest.raises(OutOfDomainError):
-        carleson_box(F, Ball((7.75,), 0.5))
+        _box(F, 7.75, 0.5)
 
 
 def test_carleson_box_matches_manual_sum(small_grid):
@@ -94,10 +102,10 @@ def test_carleson_box_matches_manual_sum(small_grid):
         vals = ball_member_values(GridFunction(small_grid, F.values[j]), b)
         total += w[j] * float(np.sum(vals**2))
     want = total * small_grid.spacing / 0.75
-    assert carleson_box(F, b) == pytest.approx(want, rel=1e-12)
+    assert _box(F, 0.375, 0.75) == pytest.approx(want, rel=1e-12)
     # a ball off the lattice is no family ball
     with pytest.raises(ConfigError):
-        carleson_box(F, Ball((0.3,), 0.8))
+        _box(F, 0.3, 0.8)
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -105,17 +113,17 @@ def test_cylinder_dominates_strict_tent(seed):
     g = Grid(halfwidth=4.0, spacing=0.25)
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(g, lad, seed=seed)
-    b = Ball((0.5,), 1.5)
-    assert carleson_box(F, b) >= carleson_box_strict_tent(F, b) - 1e-12
+    assert _box(F, 0.5, 1.5) >= carleson_box_strict_tent(F, Ball((0.5,), 1.5)) - 1e-12
 
 
 def test_family_box_values_match_single_calls(small_grid):
+    # a block's strided run reads each ball's value as a scan of that ball
+    # alone does, to the bit
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(small_grid, lad, seed=5)
     fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
     vals = family_box_values(F, fam)
-    for i in range(len(fam)):
-        assert vals[i] == pytest.approx(carleson_box(F, fam.ball(i)), rel=1e-12)
+    assert np.array_equal(vals, [_box(F, fam.centers[i, 0], fam.radii[i]) for i in range(len(fam))])
 
 
 def test_cone_delta_slice_closed_form():
@@ -182,7 +190,7 @@ def test_gradient_box_constant_closed_form(grid16, op16):
     t = lad.values[:k]
     w = _prefix_weights(t)
     want = c**2 * float(np.sum(w * t**2 * np.exp(-2 * t))) * (2 * round(r / h) - 1) * h / r
-    assert carleson_box(G, Ball((0.0,), r)) == pytest.approx(want, rel=1e-3)
+    assert _box(G, 0.0, r) == pytest.approx(want, rel=1e-3)
 
 
 def test_hmo_constant_attains_half_sqrt_two(grid16, op16):
@@ -236,7 +244,7 @@ def test_dilate_oscillation_zero_function(small_grid, small_op):
 def test_box_oscillation_report_consistency(small_grid, small_op):
     f = GridFunction.from_callable(small_grid, lambda x: np.exp(-0.5 * x**2))
     F = square_function_field(small_op, f, default_ladder(small_grid))
-    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=3, field=F, norm_hint=0.5, clip=True)
+    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=3, box=_box(F, 0.0, 0.5), norm_hint=0.5, clip=True)
     assert len(rep.per_k) == 4
     assert rep.rhs == pytest.approx(sum(2.0**-k * v for k, v in enumerate(rep.per_k)))
     assert rep.tail == pytest.approx(2.0**-3 * 0.5)
@@ -247,7 +255,7 @@ def test_box_oscillation_report_consistency(small_grid, small_op):
 def test_box_oscillation_zero_function(small_grid, small_op):
     f = GridFunction.constant(small_grid, 0.0)
     F = square_function_field(small_op, f, default_ladder(small_grid))
-    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=2, field=F, clip=True)
+    rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=2, box=_box(F, 0.0, 0.5), clip=True)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.ratio == math.inf  # 0/0 reported as inf, not hidden
 
@@ -270,3 +278,7 @@ def test_pairing_support_flag(small_grid, small_op):
     wide = GridFunction.constant(small_grid, 1.0)
     rep2 = reproducing_pairing_check(wide, wide, small_op, lad)
     assert not rep2.support_ok
+    # the window holds |x| <= window * X: here up to the sample at 2.0
+    for edge, ok in ((2.0, True), (2.125, False)):
+        bump = GridFunction.from_callable(small_grid, lambda x: np.where(np.abs(x) <= edge, 1.0, 0.0))
+        assert reproducing_pairing_check(bump, inside, small_op, lad, window=0.25).support_ok is ok
