@@ -384,15 +384,16 @@ def exp_square_membership(
     member: str,
     op: SpectralOperator,
     fam: BallFamily,
+    ladder: TLadder,
     tol_fraction: float = 0.05,
     decay_factor: float = 4.0,
 ) -> AgreementReport:
     """Semigroup-metric curves of f against tent curves of the scaled square
     function field, with aggregate vanishing verdicts on both sides.  f is
     the member sampled on the operator's grid; the family must live there
-    too (family_stats rejects it otherwise)."""
+    too (family_stats rejects it otherwise).  ladder: the t-ladder of the
+    semigroup metric and of the square function."""
     f = member_by_name(member).build(op.grid)
-    ladder = default_ladder(op.grid)
     st = family_stats(f, fam)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
     for mode in SUPERCRITICAL_MODES:
@@ -411,6 +412,7 @@ def exp_extension_agreement(
     member: str,
     op: SpectralOperator,
     fam: BallFamily,
+    ladder: TLadder,
     tol_fraction: float = 0.05,
     decay_factor: float = 4.0,
 ) -> AgreementReport:
@@ -419,7 +421,7 @@ def exp_extension_agreement(
     scanned as in exp_square_membership."""
     f = member_by_name(member).build(op.grid)
     st = family_stats(f, fam)
-    G = poisson_extension(op, f, default_ladder(op.grid)).gradient_magnitude()
+    G = poisson_extension(op, f, ladder).gradient_magnitude()
     beta = np.sqrt(family_box_values(G, fam))
     curves = {"gamma": oscillation_curves(st, RHO_CONSTANT_UNIT), "beta": gradient_carleson_curves(beta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
@@ -846,16 +848,17 @@ class ScenarioPlan:
     grid: Optional[Grid] = None
     family: Optional[BallFamily] = None
     op: Optional[SpectralOperator] = None
-    ladder: Optional[TLadder] = None  # reproducing-pairing's
+    ladder: Optional[TLadder] = None
 
 
 def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
-    first): a family, center runs checked, once per (grid, policy) and an
-    operator once per grid.  A ConfigError names the scenario and keys."""
+    first): a family, center runs checked, once per (grid, policy), and an
+    operator and its default t-ladder once per grid; reproducing-pairing
+    builds its own t-ladder.  A ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
-    operators: dict[Grid, SpectralOperator] = {}
+    operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}
     plans = []
     for sid, name, checked in cfg.scenarios:
         p = dict(checked)
@@ -885,8 +888,8 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                        "reproducing-pairing"):
                 keys = "'halfwidth', 'spacing' and 'op_cap'"
                 if grid not in operators:
-                    operators[grid] = corpus_operator(grid, cfg.op_cap)
-                op = operators[grid]
+                    operators[grid] = corpus_operator(grid, cfg.op_cap), default_ladder(grid)
+                op, ladder = operators[grid]
             if sid == "reproducing-pairing":
                 keys = "'t_min' and 't_max'"
                 t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)
@@ -959,7 +962,7 @@ def _run_agreement(sid: str, plan: ScenarioPlan, cfg: ExperimentConfig, out: Pat
     sub = {}
     failures = []
     for name in p.get("members") or _CORPUS_NAMES:
-        rep = experiment(name, plan.op, plan.family, **verdict_params)
+        rep = experiment(name, plan.op, plan.family, plan.ladder, **verdict_params)
         sub[name] = rep.to_dict()
         for side, curves in rep.curves.items():
             save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
@@ -1000,12 +1003,10 @@ def _arg_sup_ball(fam: BallFamily, split: SplitNormReport) -> Ball:
 def _run_bmo_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     p, grid, fam = plan.params, plan.grid, plan.family
     f = member_by_name(p["member"]).build(grid)
-    ladder = default_ladder(grid)
-
     st = family_stats(f, fam)
     plain = bmo_norm(st)
     split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
-    tilde = tilde_bmo_l_norm(f, plan.op, fam, ladder)
+    tilde = tilde_bmo_l_norm(f, plan.op, fam, plan.ladder)
     curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
     # a family with no supercritical ball leaves the two supercritical
     # curves without buckets; classify only the curves that have some
@@ -1029,7 +1030,7 @@ def _run_bmo_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
 def _run_tent_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
     p, grid = plan.params, plan.grid
     f = member_by_name(p["member"]).build(grid)
-    F = square_function_field(plan.op, f, default_ladder(grid))
+    F = square_function_field(plan.op, f, plan.ladder)
     eta = np.sqrt(family_box_values(F, plan.family))
     norms = {}
     for pe in p["exponents"]:

@@ -4,6 +4,15 @@ Asymptotic statements ("as r -> 0", "for balls far from the origin") are
 reported as curves over a finite ladder of cutoffs, never as extrapolated
 scalars.  A bucket with no qualifying ball is absent (NaN value, count 0),
 which is not the same as a zero supremum.
+
+A family is ordered: one block of balls per radius, and the centers of a
+block ascend.  So a ball's bucket is constant over a block in the radius
+modes, and in the distance modes its key |c| - r descends over a block's
+negative centers and ascends over the rest.  A curve is therefore a
+reduction over a few contiguous segments of the family, at most
+2 (n + 1) per block for an n-cutoff ladder.  The segment plan is built
+once per family and cut ladder; a family whose centers do not ascend
+within a block raises ConfigError when its plan is built.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
 from .grid import Ball, Grid
+from .potential import rho_values_for
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -23,6 +33,8 @@ SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
 MODES = PLAIN_MODES + SUPERCRITICAL_MODES
 
 _DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
+# a supercritical mode cuts as its plain mode does, so it reads that plan
+_PLAIN_OF = {"large-and-supercritical": "large-radius", "far-and-supercritical": "far-from-origin"}
 
 
 @dataclass(frozen=True)
@@ -48,14 +60,17 @@ class FamilyPolicy:
 class BallFamily:
     """Deterministically enumerated balls, tagged for bucketed scans.
 
-    centers: (k, 1) coordinates; radii: (k,); inner_distance = |c| - r,
-    the largest a such that the ball avoids B(0, a).  radius_ladder and
-    distance_ladder are the cutoff ladders used by bucketed_sup.
+    centers: (k, 1) coordinates; radii: (k,).  radius_ladder and
+    distance_ladder are the cutoff ladders used by bucketed_sup; the
+    distance modes key a ball by its inner distance |c| - r, the largest a
+    such that the ball avoids B(0, a).
 
     Radii never decrease along the family (make_ball_family emits one
     block of balls per radius, smallest radius first), so the balls of one
     radius are the contiguous slice given by radius_blocks; a family
-    violating this raises ConfigError.
+    violating this raises ConfigError.  bucketed_sup also needs the
+    centers of each block to ascend, which make_ball_family gives and
+    segment_plan checks.
 
     Scans need more: the centers of each block are a contiguous run of
     the smallest-radius block's centers, those sit on the grid at one
@@ -150,16 +165,86 @@ class BallFamily:
             at[a:b] = np.arange(off, off + b - a)
         return self.centers[:b0, 0], at
 
-    @property
-    def center_norms(self) -> np.ndarray:
-        return np.abs(self.centers[:, 0])
+    @cached_property
+    def _segment_plans(self) -> dict[str, SegmentPlan]:
+        return {}
 
-    @property
-    def inner_distance(self) -> np.ndarray:
-        return self.center_norms - self.radii
+    def segment_plan(self, mode: str) -> SegmentPlan:
+        """The segments bucketed_sup reduces in mode, built on first use
+        and cached: the radius modes cut the family into its radius
+        blocks; the distance modes cut each block at its first nonnegative
+        center and each half where its key crosses a cutoff.  A block
+        whose centers do not ascend raises ConfigError."""
+        kind = _PLAIN_OF.get(mode, mode)
+        if kind not in self._segment_plans:
+            self._segment_plans[kind] = _build_segment_plan(self, kind)
+        return self._segment_plans[kind]
 
     def ball(self, i: int) -> Ball:
         return Ball(tuple(self.centers[i]), float(self.radii[i]))
+
+
+@dataclass(frozen=True)
+class SegmentPlan:
+    """Runs of balls that fall in one bucket of a cut ladder, in family
+    order: segment i is the balls starts[i] .. starts[i] + sizes[i] - 1 of
+    one radius block, all in bucket buckets[i] (0 .. n for an n-cutoff
+    ladder).  The segments tile the family, none is empty, and each radius
+    block starts one."""
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    buckets: np.ndarray
+
+
+def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
+    # the cutoffs and side give a ball's bucket as bucketed_sup defines it
+    if kind == "small-radius":
+        cuts, side = family.radius_ladder * (1 + 1e-12), "left"
+    else:
+        ladder = family.distance_ladder if kind == "far-from-origin" else family.radius_ladder
+        cuts, side = ladder * (1 - 1e-12), "right"
+    c, r = family.centers[:, 0], family.radii
+    starts = []
+    for a, b, _ in family.radius_blocks:
+        if np.any(c[a + 1 : b] < c[a : b - 1]):
+            raise ConfigError("family centers must ascend within each radius block")
+        cut = {a}
+        if kind == "far-from-origin":
+            # |c| - r is -c - r over the negative centers, where it
+            # descends, and c - r over the rest, where it ascends
+            z = a + int(np.searchsorted(c[a:b], 0.0))
+            neg, pos = -c[a:z] - r[a], c[z:b] - r[a]
+            cut.add(z)
+            cut.update((z - np.searchsorted(neg[::-1], cuts)).tolist())
+            cut.update((z + np.searchsorted(pos, cuts)).tolist())
+        starts += sorted(i for i in cut if i < b)
+    first = np.array(starts, dtype=np.intp)
+    keys = np.abs(c[first]) - r[first] if kind == "far-from-origin" else r[first]
+    return SegmentPlan(
+        first,
+        np.diff(first, append=len(family)).astype(np.int64),
+        np.searchsorted(cuts, keys, side=side),
+    )
+
+
+def supercritical_spans(family: BallFamily, rho):
+    """(start, stop, keep) over the family in order, where keep says which
+    of the span's balls are supercritical, r >= rho(center) (ties count);
+    rho may hold +inf (never supercritical).  Radii ascend along the
+    family, so a scalar rho splits it into whole radius blocks: a
+    subcritical span and then a supercritical one, each with one bool.  An
+    array rho aligned with the family gives one span per radius block,
+    with a mask over it made only when the span is reached."""
+    if rho is None or np.ndim(rho) != 0:
+        rho = rho_values_for(rho, family.centers)
+        for a, b, _ in family.radius_blocks:
+            yield a, b, family.radii[a] >= rho[a:b]
+        return
+    k = int(np.searchsorted(family.radii, float(rho)))
+    for a, b, keep in ((0, k, np.False_), (k, len(family), np.True_)):
+        if a < b:
+            yield a, b, keep
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
@@ -291,15 +376,19 @@ def bucketed_sup(
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
     metric: array aligned with the family.  rho: critical-radius values at
-    the ball centers; required by the supercritical modes, where a ball
-    qualifies only if r >= rho(center).  rho may contain +inf (no ball ever
-    qualifies there).
+    the ball centers, a scalar or an array aligned with the family;
+    required by the supercritical modes, where a ball qualifies only if
+    r >= rho(center).  rho may contain +inf (no ball ever qualifies there).
 
-    One pass: each qualifying ball goes into the bucket of the cutoff
-    nearest the limit at which its key (radius or inner distance) still
-    qualifies.  A cutoff's balls are those of its bucket and of every bucket
-    nearer the limit, so a running maximum and count from the limit end
-    fill the curve.
+    Each qualifying ball belongs to the bucket of the cutoff nearest the
+    limit at which its key (radius or inner distance |c| - r) still
+    qualifies.  The family's segment plan for the mode groups the balls
+    into contiguous runs of one bucket, so one maximum.reduceat gives each
+    run's sup and the run lengths its count.  A scalar rho keeps or drops
+    whole radius blocks; an array rho masks one block at a time, so no
+    family-sized mask or masked copy is made.  A cutoff's balls are those
+    of its bucket and of every bucket nearer the limit, so a running
+    maximum and count from the limit end fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
@@ -310,26 +399,32 @@ def bucketed_sup(
     ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
     if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
         raise ConfigError("ladder must be strictly increasing and nonempty")
+    if mode in SUPERCRITICAL_MODES and rho is None:
+        raise ConfigError(f"mode {mode} needs critical-radius values")
 
-    r = family.radii
-    key = family.inner_distance if mode in _DISTANCE_MODES else r
-    if mode in SUPERCRITICAL_MODES:
-        if rho is None:
-            raise ConfigError(f"mode {mode} needs critical-radius values")
-        keep = r >= np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
-        vals, key = vals[keep], key[keep]
-
+    plan = family.segment_plan(mode)
     n = ladder.shape[0]
+    top = np.full(n + 1, -np.inf)
+    sizes = np.zeros(n + 1, dtype=np.int64)
+    spans = supercritical_spans(family, rho) if mode in SUPERCRITICAL_MODES else [(0, len(family), np.True_)]
+    for a, b, keep in spans:
+        # the span's segments: spans start and stop at radius blocks
+        s, t = np.searchsorted(plan.starts, (a, b))
+        at = plan.starts[s:t] - a
+        if keep.all():
+            seg_max, seg_size = np.maximum.reduceat(vals[a:b], at), plan.sizes[s:t]
+        elif keep.any():
+            seg_max = np.maximum.reduceat(np.where(keep, vals[a:b], -np.inf), at)
+            seg_size = np.add.reduceat(keep, at, dtype=np.int64)
+        else:
+            continue
+        np.maximum.at(top, plan.buckets[s:t], seg_max)
+        np.add.at(sizes, plan.buckets[s:t], seg_size)
+
     if mode == "small-radius":
-        # the first cutoff a with r <= a (1 + 1e-12); n means never
-        at = np.searchsorted(ladder * (1 + 1e-12), key, side="left")
         buckets, step = slice(0, n), 1
     else:
-        # one past the last cutoff a with key >= a (1 - 1e-12); 0 means never
-        at = np.searchsorted(ladder * (1 - 1e-12), key, side="right")
         buckets, step = slice(1, n + 1), -1
-    top = np.full(n + 1, -np.inf)
-    np.maximum.at(top, at, vals)
     sup = np.maximum.accumulate(top[buckets][::step])[::step]
-    counts = np.cumsum(np.bincount(at, minlength=n + 1)[buckets][::step], dtype=np.int64)[::step]
+    counts = np.cumsum(sizes[buckets][::step])[::step]
     return LimitCurve(mode, ladder, np.where(counts > 0, sup, np.nan), counts)

@@ -25,9 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LadderError
-from .family import PLAIN_MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve, bucketed_sup
+from .family import (
+    PLAIN_MODES,
+    SUPERCRITICAL_MODES,
+    BallFamily,
+    LimitCurve,
+    bucketed_sup,
+    supercritical_spans,
+)
 from .grid import GridFunction, SummedTable
-from .potential import rho_values_for
 from .semigroup import SpectralOperator, TLadder
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
@@ -140,31 +146,39 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     oscillation over balls with r < rho(center) plus sup mean size over
     balls with r >= rho(center) (ties count as supercritical).  rho is a
     scalar, possibly +inf (no size part), or an array aligned with the
-    family."""
-    family = stats.family
-    sub = family.radii < rho_values_for(rho, family.centers)
-
-    osc_part, osc_arg = _masked_sup(stats.oscillation2, sub)
-    size_part, size_arg = _masked_sup(stats.size2, ~sub)
-    total = (osc_part if osc_arg >= 0 else 0.0) + (size_part if size_arg >= 0 else 0.0)
+    family.  Each part is the sup of its spans' sups (supercritical_spans),
+    at the first ball attaining it."""
+    osc, size = stats.oscillation2, stats.size2
+    osc_at, size_at = [], []
+    for a, b, keep in supercritical_spans(stats.family, rho):
+        osc_at += _span_arg_sup(osc, a, b, ~keep)
+        size_at += _span_arg_sup(size, a, b, keep)
+    osc_arg = osc_at[int(np.argmax(osc[osc_at]))] if osc_at else -1
+    size_arg = size_at[int(np.argmax(size[size_at]))] if size_at else -1
+    osc_part = float(osc[osc_arg]) if osc_at else 0.0
+    size_part = float(size[size_arg]) if size_at else 0.0
     return SplitNormReport(
-        total,
-        osc_part if osc_arg >= 0 else 0.0,
-        size_part if size_arg >= 0 else 0.0,
-        osc_arg >= 0,
-        size_arg >= 0,
+        osc_part + size_part,
+        osc_part,
+        size_part,
+        bool(osc_at),
+        bool(size_at),
         osc_arg,
         size_arg,
-        len(family),
+        len(stats.family),
     )
 
 
-def _masked_sup(vals: np.ndarray, mask: np.ndarray) -> tuple[float, int]:
-    if not np.any(mask):
-        return math.nan, -1
-    idx = np.nonzero(mask)[0]
-    j = idx[int(np.argmax(vals[idx]))]
-    return float(vals[j]), int(j)
+def _span_arg_sup(vals: np.ndarray, a: int, b: int, keep) -> list[int]:
+    """[the first ball of span a:b where vals attains its sup over the
+    balls keep selects], or [] if it selects none; keep is one bool for
+    the whole span or a mask over it."""
+    if keep.all():
+        return [a + int(np.argmax(vals[a:b]))]
+    if not keep.any():
+        return []
+    idx = np.flatnonzero(keep)
+    return [a + int(idx[np.argmax(vals[a:b][idx])])]
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +249,11 @@ def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
     curves use (mean over B of |f|^2)^(1/2).
     """
     family = stats.family
-    rho_c = rho_values_for(rho, family.centers)
     osc = stats.oscillation2
     size = stats.size2
     out = {mode: bucketed_sup(osc, family, mode) for mode in PLAIN_MODES}
     for mode in SUPERCRITICAL_MODES:
-        out[mode] = bucketed_sup(size, family, mode, rho=rho_c)
+        out[mode] = bucketed_sup(size, family, mode, rho=rho)
     return out
 
 

@@ -32,6 +32,7 @@ from oscillab.potential import constant_potential, power_potential, solve_critic
 from oscillab.semigroup import (
     HalfSpaceFunction,
     TLadder,
+    default_ladder,
     discretize,
     heat,
     interior_index_window,
@@ -300,8 +301,9 @@ def test_criterion_12_extension_verdicts_agree(criterion, op16, family16):
     c = criterion(12, "harmonic-extension and semigroup verdicts agree")
     status = {}
     ratios_finite = True
+    ladder = default_ladder(op16.grid)
     for name in ("bump-narrow", "const-one", "zero"):
-        rep = exp_extension_agreement(name, op16, family16)
+        rep = exp_extension_agreement(name, op16, family16, ladder)
         status[name] = rep.agree
         if rep.ratio is not None:
             ratios_finite &= math.isfinite(rep.ratio)

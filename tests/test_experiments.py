@@ -418,9 +418,9 @@ def test_scenario_scans_each_family_once(family_scans, scenario, tmp_path, monke
 
 
 def _agreement_setup(halfwidth=16.0, spacing=2.0**-4):
-    """The operator and default family of an agreement scenario's grid."""
+    """The operator, default family and t-ladder of an agreement scenario's grid."""
     plan = _plan(id="square-function-agreement", halfwidth=halfwidth, spacing=spacing)
-    return plan.op, plan.family
+    return plan.op, plan.family, plan.ladder
 
 
 def test_membership_agreement_on_zero_function():
@@ -436,9 +436,9 @@ def test_membership_rejects_foreign_operator():
     # f is sampled on the operator's grid, so a family on another grid fails
     # the scan before any field is built
     op = discretize(constant_potential(1.0, 1), Grid(halfwidth=4.0, spacing=0.25))
-    _, fam = _agreement_setup()
+    _, fam, ladder = _agreement_setup()
     with pytest.raises(ConfigError, match="different grids"):
-        exp_square_membership("zero", op, fam)
+        exp_square_membership("zero", op, fam, ladder)
 
 
 def test_extension_agreement_on_zero_function():
@@ -905,6 +905,44 @@ def test_plans_share_one_object_per_geometry():
     # the geometry keys are taken out; what the runner reads stays
     assert a.params == {"member": "bump-narrow", "expect": "MEMBER"}
     assert pairing.params == {"left": "gaussian", "right": "gaussian"}
+
+
+def test_default_ladder_is_built_while_planning_only(monkeypatch, tmp_path):
+    # every operator scenario reads its t-ladder off its plan: one ladder
+    # per grid, built next to the operator, and none while running
+    from oscillab import experiments
+
+    original_plan, original_ladder = experiments.plan_scenarios, experiments.default_ladder
+    calls, planning = [], [False]
+
+    def counted_ladder(grid, *args, **kwargs):
+        calls.append((grid, planning[0]))
+        return original_ladder(grid, *args, **kwargs)
+
+    def flagged_plan(config):
+        planning[0] = True
+        try:
+            return original_plan(config)
+        finally:
+            planning[0] = False
+
+    monkeypatch.setattr(experiments, "default_ladder", counted_ladder)
+    monkeypatch.setattr(experiments, "plan_scenarios", flagged_plan)
+    geometry = {"halfwidth": 16.0, "spacing": 2.0**-4}
+    members = {"members": ["zero", "gaussian"], "assert_members": ["zero"]}
+    doc = {"scenarios": [
+        {"id": "bmo-norms", "member": "gaussian", **geometry},
+        {"id": "tent-norms", "member": "gaussian", **geometry},
+        {"id": "reproducing-pairing", "left": "gaussian", "right": "gaussian", "tolerance": 0.5, **geometry},
+        {"id": "square-function-agreement", **members, **geometry},
+        {"id": "extension-agreement", **members, **geometry},
+        {"id": "bmo-norms", "name": "bmo-norms-corpus-grid", "member": "eigenvector"},
+    ]}
+    summary = run(doc, str(tmp_path))
+    assert set(summary["scenarios"]) == {"bmo-norms", "tent-norms", "reproducing-pairing", "square-function-agreement",
+                                         "extension-agreement", "bmo-norms-corpus-grid"}
+    assert [planned for _, planned in calls] == [True, True]
+    assert calls[0][0] == Grid(**geometry) and calls[1][0] != calls[0][0]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,25 @@ def test_geometric_ladder_default_range():
     assert np.array_equal(fam.radius_ladder, [1.0, 2.0, 4.0, 8.0])
 
 
-def test_inner_distance():
-    g = Grid(halfwidth=8.0, spacing=0.25)
-    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
-    assert np.allclose(fam.inner_distance, fam.center_norms - 1.0)
+@pytest.mark.parametrize("mode", MODES)
+def test_segment_plan_tiles_each_block_into_runs_of_one_bucket(mode):
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0, distance_max=8.0))
+    plan = fam.segment_plan(mode)
+    assert fam.segment_plan(mode) is plan
+    assert np.all(plan.sizes > 0)
+    assert np.array_equal(plan.starts[1:], (plan.starts + plan.sizes)[:-1])
+    assert plan.starts[0] == 0 and plan.starts[-1] + plan.sizes[-1] == len(fam)
+    # every radius block starts a segment
+    assert {a for a, _, _ in fam.radius_blocks} <= set(plan.starts.tolist())
+    # each ball's bucket from its own key, as the per-ball definition gives it
+    if mode == "small-radius":
+        at = np.searchsorted(fam.radius_ladder * (1 + 1e-12), fam.radii, side="left")
+    elif mode in ("far-from-origin", "far-and-supercritical"):
+        at = np.searchsorted(fam.distance_ladder * (1 - 1e-12), np.abs(fam.centers[:, 0]) - fam.radii, side="right")
+    else:
+        at = np.searchsorted(fam.radius_ladder * (1 - 1e-12), fam.radii, side="right")
+    assert np.array_equal(np.repeat(plan.buckets, plan.sizes), at)
 
 
 def test_bucketed_sup_small_radius_buckets():
@@ -156,7 +173,7 @@ def test_unknown_mode_rejected():
 
 # ---------------------------------------------------------------------------
 # oracle: the per-cutoff mask scan that the one-pass bucketed_sup replaced,
-# copied verbatim
+# copied verbatim but for computing the inner distance |c| - r itself
 
 
 _SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
@@ -196,7 +213,7 @@ def _bucketed_sup_oracle(
     else:
         super_mask = None
 
-    inner = family.inner_distance
+    inner = np.abs(family.centers[:, 0]) - r
     out_vals = np.full(ladder.shape, np.nan)
     out_counts = np.zeros(ladder.shape, dtype=np.int64)
     for j, a in enumerate(ladder):
@@ -244,12 +261,13 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     keys = np.unique(np.concatenate([edges, _up(edges), _down(edges)]))
     r_probe = 2.0**-10
     radii = np.concatenate([np.full(2 * keys.size, r_probe), keys])
-    centers = np.concatenate([keys + r_probe, -(keys + r_probe), np.zeros(keys.size)])
+    # the probe block's centers ascend, as bucketed_sup requires
+    centers = np.concatenate([np.sort(np.concatenate([keys + r_probe, -(keys + r_probe)])), np.zeros(keys.size)])
     fam = BallFamily(Grid(halfwidth=64.0, spacing=2.0**-10), centers[:, None], radii, ladder, ladder)
     for k in (a * (1 + 1e-12) for a in ladder):
         assert k in fam.radii
     for k in (a * (1 - 1e-12) for a in ladder):
-        assert k in fam.radii and k in fam.inner_distance
+        assert k in fam.radii and k in np.abs(fam.centers[:, 0]) - fam.radii
     metric = np.random.default_rng(7).uniform(size=len(fam))
     # ties r == rho count as supercritical; one ulp above is subcritical
     rho = np.select(
@@ -259,6 +277,54 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     )
     _assert_same_curves(metric, fam, rho)
     assert any(bucketed_sup(metric, fam, m, rho=rho).present.any() for m in MODES)
+
+    # segment edge cases: a block of negative centers only, one of
+    # nonnegative centers only (0 among them) and two one-ball blocks;
+    # cutoffs among the keys, above every key and below every key (every
+    # ball then falls in bucket 0 or bucket n); rho tied with r, one ulp
+    # above and one ulp below it, and the scalars of a tie and of +inf
+    centers = np.array([-5.0, -4.5, -3.0, -2.0, 0.0, 0.5, 2.0, 3.5, 4.0, -1.0])
+    radii = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0])
+    metric = np.random.default_rng(8).uniform(size=radii.size)
+    ties = np.select([np.arange(radii.size) % 3 == k for k in range(2)], [radii, _up(radii)], _down(radii))
+    for lad in ([0.5, 1.0, 2.0, 4.0], [50.0, 100.0], [1e-3, 2e-3]):
+        fam = BallFamily(Grid(halfwidth=8.0, spacing=0.25), centers[:, None], radii, lad, lad)
+        assert [b - a for a, b, _ in fam.radius_blocks] == [4, 4, 1, 1]
+        if lad[0] > 1:
+            assert all(np.all(fam.segment_plan(m).buckets == 0) for m in MODES)
+        elif lad[-1] < 1:
+            assert all(set(fam.segment_plan(m).buckets) <= {0, 2} for m in MODES)
+        for rho in (ties, 2.0, np.inf):
+            _assert_same_curves(metric, fam, rho)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bucketed_sup_refuses_a_block_whose_centers_descend(mode):
+    g = Grid(halfwidth=8.0, spacing=0.25)
+    fam = BallFamily(g, np.array([[-1.0], [0.0], [1.0], [1.0], [0.0]]), np.array([1.0, 1.0, 1.0, 2.0, 2.0]),
+                     [1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="centers must ascend"):
+        bucketed_sup(np.ones(len(fam)), fam, mode, rho=1.0)
+
+
+def test_bucketed_sup_memory_is_per_radius_block():
+    # 1,048,561 balls in 17 radius blocks of at most 65,535: a per-ball rho
+    # masks one block at a time, so a family-sized mask or masked copy of
+    # the metric shows
+    g = Grid(halfwidth=4096.0, spacing=2.0**-7)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.125, radius_min=4 * g.spacing, radius_max=2048.0,
+                                           distance_max=2048.0))
+    assert len(fam.radius_blocks) == 17 and len(fam) == 1_048_561
+    metric = np.random.default_rng(10).uniform(size=len(fam))
+    rho = 0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475
+    tracemalloc.start()
+    try:
+        curve = bucketed_sup(metric, fam, "far-and-supercritical", rho=rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(fam) * 8, peak / (len(fam) * 8)
+    assert curve.present.any() and curve.counts[0] < np.count_nonzero(fam.radii >= rho)
 
 
 @pytest.mark.parametrize(
@@ -289,7 +355,7 @@ def test_bucketed_sup_matches_oracle_at_lacunary_geometry():
     assert fam.radius_ladder.size == fam.distance_ladder.size == 19
     metric = np.random.default_rng(9).uniform(size=len(fam))
     # the critical radius of a power potential grows like |x|^(1 - 0.525)
-    rho = 0.5 * (1.0 + fam.center_norms) ** 0.475
+    rho = 0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475
     sup = fam.radii >= rho
     assert sup.any() and not sup.all()
     _assert_same_curves(metric, fam, rho)

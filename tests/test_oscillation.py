@@ -14,6 +14,8 @@ from oscillab.grid import (
     mean_oscillation,
 )
 from oscillab.oscillation import (
+    FamilyStats,
+    SplitNormReport,
     bmo_l_norm,
     bmo_norm,
     family_stats,
@@ -287,6 +289,47 @@ def test_split_norm_all_supercritical(small_family):
     rep = bmo_l_norm(family_stats(f, small_family), 0.25)
     assert not rep.oscillation_present and rep.size_present
     assert rep.value == pytest.approx(1.0)
+
+
+def _split_norm_oracle(stats, rho):
+    """bmo_l_norm as one family-sized mask per part and an argmax over
+    each part's indices."""
+    family = stats.family
+    sub = family.radii < np.broadcast_to(np.asarray(rho, dtype=np.float64), family.radii.shape)
+
+    def masked_sup(vals, mask):
+        if not np.any(mask):
+            return 0.0, -1
+        idx = np.nonzero(mask)[0]
+        j = idx[int(np.argmax(vals[idx]))]
+        return float(vals[j]), int(j)
+
+    osc, osc_arg = masked_sup(stats.oscillation2, sub)
+    size, size_arg = masked_sup(stats.size2, ~sub)
+    return SplitNormReport(osc + size, osc, size, osc_arg >= 0, size_arg >= 0, osc_arg, size_arg, len(family))
+
+
+def test_split_norm_matches_the_masked_sup_oracle():
+    # values on four levels, so the sup of each part ties across radius
+    # blocks and the first attaining ball decides the argument; rho tied
+    # with the radii, one ulp either side, and scalars at, between and
+    # beyond them
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
+    rng = np.random.default_rng(11)
+    stats = FamilyStats(fam, np.ones(len(fam), dtype=np.int64), rng.integers(0, 2, len(fam)) * 0.5,
+                        rng.integers(1, 5, len(fam)) * 1.0)
+    r = fam.radii
+    i = np.arange(len(fam))
+    rhos = [
+        np.select([i % 4 == k for k in range(3)], [r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf)], np.inf),
+        0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475,
+        0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf,
+    ]
+    for rho in rhos:
+        got = bmo_l_norm(stats, rho)
+        assert got == _split_norm_oracle(stats, rho)
+        assert got.oscillation_present or got.size_present
 
 
 def test_semigroup_difference_eigenvector_closed_form(op16, family16):
