@@ -42,7 +42,7 @@ from .family import (
     bucketed_sup,
     make_ball_family,
 )
-from .grid import Ball, Grid, GridFunction, mean_oscillation
+from .grid import Ball, Grid, GridFunction, oscillation_of
 from .oscillation import (
     SplitNormReport,
     Verdict,
@@ -111,26 +111,26 @@ def _check_lacunary_reach(grid: Grid, k_max: int) -> None:
         )
 
 
-def lacunary_function(grid: Grid, k_max: int) -> tuple[GridFunction, GridFunction]:
-    """Sum of unit-mass bumps at 3^k, k = 1..k_max, plus the single bump at
-    the origin (same sampled kernel) for reference oscillation values."""
-    _check_lacunary_reach(grid, k_max)
-    h = grid.spacing
+def _bump_window(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-mass bump sampled at spacing h: its values at the samples
+    strictly inside B(0, _BUMP_WIDTH), and their offsets from the center
+    sample."""
     probe = Grid(halfwidth=max(4.0 * _BUMP_WIDTH, 32 * h), spacing=h)
     kernel = bump(probe, width=_BUMP_WIDTH).values
     mask = np.abs(probe.axis) < _BUMP_WIDTH
-    win = kernel[mask]
-    koff = np.nonzero(mask)[0] - probe.half_cells
+    return kernel[mask], np.nonzero(mask)[0] - probe.half_cells
 
+
+def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
+    """Sum of unit-mass bumps at 3^k, k = 1..k_max, each the same sampled
+    kernel."""
+    _check_lacunary_reach(grid, k_max)
+    win, koff = _bump_window(grid.spacing)
     vals = np.zeros(grid.axis_count)
     for k in range(1, k_max + 1):
         i = int(grid.coord_to_index(3.0**k))
         vals[i + koff] += win
-    f = GridFunction(grid, vals)
-
-    phi_vals = np.zeros(grid.axis_count)
-    phi_vals[grid.half_cells + koff] = win
-    return f, GridFunction(grid, phi_vals)
+    return GridFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +271,18 @@ def exp_lacunary(
     the fitted decay exponent of the far-supercritical curve.
     """
     V = power_potential(exponent, 1, amplitude=amplitude)
-    f, phi = lacunary_function(fam.grid, k_max)
-    floor_ref = mean_oscillation(phi, Ball((0.0,), 1.0))
+    f = lacunary_function(fam.grid, k_max)
+    # the oscillation of one bump over B(0, 1), whose samples are its window
+    floor_ref = oscillation_of(_bump_window(fam.grid.spacing)[0])
 
     # solve once per distinct |center|; the solver works point by point
-    xs, at = fam.distinct_centers()
-    rho = _rho_at_symmetric_centers(V, xs)[at]
-    del xs, at  # out of the family scan's peak
+    rho = _rho_at_symmetric_centers(V, fam.xs)
     st = family_stats(f, fam)
     norm = bmo_l_norm(st, rho)
     tol = tol_fraction * norm.value
 
-    osc = st.oscillation2
-    curves = {mode: bucketed_sup(osc, fam, mode) for mode in ("small-radius", "far-from-origin")}
-    curves["far-and-supercritical"] = bucketed_sup(st.size2, fam, "far-and-supercritical", rho=rho)
+    curves = {mode: bucketed_sup(st.oscillation, fam, mode) for mode in ("small-radius", "far-from-origin")}
+    curves["far-and-supercritical"] = bucketed_sup(st.size, fam, "far-and-supercritical", rho=rho)
     verdicts = _verdict_map(curves, tol, decay_factor)
 
     far = curves["far-from-origin"]
@@ -397,7 +395,7 @@ def exp_square_membership(
     st = family_stats(f, fam)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
     for mode in SUPERCRITICAL_MODES:
-        gamma_curves[mode] = bucketed_sup(st.size2, fam, mode, rho=RHO_CONSTANT_UNIT)
+        gamma_curves[mode] = bucketed_sup(st.size, fam, mode, rho=RHO_CONSTANT_UNIT)
     eta = np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))
     curves = {"gamma": gamma_curves, "eta": tent_curves(eta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
@@ -882,7 +880,6 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                     max(0.5, 8 * h), radius_min=max(0.125, 4 * h), radius_max=grid.halfwidth / 4.0)
             if policy is not None and (grid, policy) not in families:
                 families[grid, policy] = make_ball_family(grid, policy)
-                families[grid, policy].center_runs  # the lattice check every scan relies on
             fam = families.get((grid, policy))
             if sid in ("square-function-agreement", "extension-agreement", "bmo-norms", "tent-norms",
                        "reproducing-pairing"):

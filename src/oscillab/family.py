@@ -5,14 +5,16 @@ reported as curves over a finite ladder of cutoffs, never as extrapolated
 scalars.  A bucket with no qualifying ball is absent (NaN value, count 0),
 which is not the same as a zero supremum.
 
-A family is ordered: one block of balls per radius, and the centers of a
-block ascend.  So a ball's bucket is constant over a block in the radius
-modes, and in the distance modes its key |c| - r descends over a block's
-negative centers and ascends over the rest.  A curve is therefore a
-reduction over a few contiguous segments of the family, at most
-2 (n + 1) per block for an n-cutoff ladder.  The segment plan is built
-once per family and cut ladder; a family whose centers do not ascend
-within a block raises ConfigError when its plan is built.
+A family is its radius blocks: the ascending distinct centers xs on the
+grid lattice, and one block per radius holding the cell radius and the
+run of xs it is centered on.  Nothing is stored per ball, and
+critical-radius data is a scalar or an array aligned with xs.  A ball's
+bucket is constant over a block in the radius modes, and in the distance
+modes its key |c| - r descends over a block's negative centers and
+ascends over the rest.  A curve is therefore a reduction over a few
+contiguous segments of the family, at most 2 (n + 1) per block for an
+n-cutoff ladder.  The segment plan is built once per family and cut
+ladder.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
 from .grid import Ball, Grid
-from .potential import rho_values_for
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -56,114 +58,97 @@ class FamilyPolicy:
     distance_max: float | None = None
 
 
+class RadiusBlock(NamedTuple):
+    """The balls of one radius: cell radius m, so radius m h, about each of
+    the centers xs[offset : offset + count].  They are the family's balls
+    start .. start + count - 1, and run is the range of their center
+    sample indices."""
+
+    cell_radius: int
+    offset: int
+    count: int
+    radius: float
+    start: int
+    run: range
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.count
+
+    @property
+    def centers(self) -> slice:
+        """The block's centers as a slice of the family's xs."""
+        return slice(self.offset, self.offset + self.count)
+
+
 @dataclass(frozen=True)
 class BallFamily:
     """Deterministically enumerated balls, tagged for bucketed scans.
 
-    centers: (k, 1) coordinates; radii: (k,).  radius_ladder and
-    distance_ladder are the cutoff ladders used by bucketed_sup; the
-    distance modes key a ball by its inner distance |c| - r, the largest a
-    such that the ball avoids B(0, a).
+    xs: the distinct centers, ascending on the grid lattice at one
+    constant index step.  blocks: one per radius, given as (cell radius,
+    offset, count) and kept as RadiusBlock: the balls of radius m h about
+    the centers xs[offset : offset + count].  The family is the blocks'
+    balls in order, so the balls of one block are a contiguous slice of
+    it; critical-radius data is a scalar or an array aligned with xs.
+    radius_ladder and distance_ladder are the cutoff ladders used by
+    bucketed_sup; the distance modes key a ball by its inner distance
+    |c| - r, the largest a such that the ball avoids B(0, a).
 
-    Radii never decrease along the family (make_ball_family emits one
-    block of balls per radius, smallest radius first), so the balls of one
-    radius are the contiguous slice given by radius_blocks; a family
-    violating this raises ConfigError.  bucketed_sup also needs the
-    centers of each block to ascend, which make_ball_family gives and
-    segment_plan checks.
+    Centers off the lattice or off one index step, and a block with no
+    positive cell radius, no ball or a run past xs, raise ConfigError; a
+    block with a ball that touches or leaves the box raises
+    OutOfDomainError.  Both are checked here, once, so no scan allocates
+    anything sample-sized for a family it cannot scan.
 
-    Scans need more: the centers of each block are a contiguous run of
-    the smallest-radius block's centers, those sit on the grid at one
-    constant index step, and every radius is a positive multiple of h.
-    Then the centers of a block are the sample indices of one range,
-    which center_runs gives per block; a scan of a family violating this
-    raises ConfigError, and one with a ball touching the box
-    OutOfDomainError, before it allocates anything sample-sized.
+    centers (k, 1) and radii (k,) give the balls one by one; they are
+    built on each read, and no scan reads them.
     """
 
     grid: Grid
-    centers: np.ndarray
-    radii: np.ndarray
+    xs: np.ndarray
+    blocks: tuple[RadiusBlock, ...]
     radius_ladder: np.ndarray
     distance_ladder: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=np.float64).reshape(-1, 1)
-        r = np.asarray(self.radii, dtype=np.float64).reshape(-1)
-        if c.shape[0] != r.shape[0]:
-            raise ConfigError("family centers and radii length mismatch")
-        if c.shape[0] == 0:
-            raise ConfigError("empty ball family")
-        if np.any(r[1:] < r[:-1]):
-            raise ConfigError("family radii must not decrease: balls are grouped by radius")
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "radius_ladder", np.asarray(self.radius_ladder, dtype=np.float64))
-        object.__setattr__(self, "distance_ladder", np.asarray(self.distance_ladder, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.radii.shape[0]
-
-    @cached_property
-    def radius_blocks(self) -> tuple[tuple[int, int, int], ...]:
-        """(start, stop, cell radius) of each run of equal radii, in order;
-        the cell radius is the radius in units of the spacing, rounded."""
-        r = self.radii
-        cuts = (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
-        h = self.grid.spacing
-        return tuple(
-            (a, b, int(np.rint(r[a] / h)))
-            for a, b in zip([0, *cuts], [*cuts, r.shape[0]])
-        )
-
-    @cached_property
-    def center_runs(self) -> tuple[tuple[int, int, int, range], ...]:
-        """(start, stop, cell radius, run) per radius block, where run is
-        the range of the block's center sample indices: the plan every
-        family scan reads.  The lattice and the index step are checked on
-        the smallest-radius block's centers, the run and the radius once
-        per block; a family off the plan raises ConfigError.  A run's end
-        balls are checked against the box, so a block with a ball that
-        touches or leaves it raises OutOfDomainError."""
-        a0, b0, _ = self.radius_blocks[0]
-        xs = self.centers[a0:b0, 0]
         g = self.grid
+        xs = np.asarray(self.xs, dtype=np.float64).reshape(-1)
         idx = g.coord_to_index(xs)
         if not np.all(np.abs(xs - g.index_to_coord(idx)) <= 1e-6 * g.spacing):
             raise ConfigError("family centers must sit on the grid lattice")
         step = int(idx[1] - idx[0]) if idx.size > 1 else 1
         if step < 1 or np.any(np.diff(idx) != step):
             raise ConfigError("family centers are not an arithmetic run of samples")
-        runs = []
-        for a, b, m in self.radius_blocks:
-            off = int(np.searchsorted(xs, self.centers[a, 0]))
-            if not np.array_equal(xs[off : off + b - a], self.centers[a:b, 0]):
-                raise ConfigError("a radius block is not a run of the smallest-radius centers")
-            if m < 1 or abs(self.radii[a] / g.spacing - m) > 1e-6:
+        blocks, start = [], 0
+        for m, off, n in (map(int, b[:3]) for b in self.blocks):
+            if m < 1:
                 raise ConfigError("family radii must be positive multiples of the spacing")
-            run = range(int(idx[off]), int(idx[off]) + (b - a) * step, step)
+            if n < 1 or off < 0 or off + n > xs.size:
+                raise ConfigError("a radius block is not a nonempty run of the family's centers")
+            run = range(int(idx[off]), int(idx[off]) + n * step, step)
             # inside the box: |c| + r <= X - h, i.e. sample indices 1 .. 2X/h - 1
             if run.start - m < 1 or run[-1] + m > g.axis_count - 2:
                 raise OutOfDomainError(f"a ball of cell radius {m} over {run} touches or leaves the box")
-            runs.append((a, b, m, run))
-        return tuple(runs)
+            blocks.append(RadiusBlock(m, off, n, m * g.spacing, start, run))
+            start += n
+        if not blocks:
+            raise ConfigError("empty ball family")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "radius_ladder", np.asarray(self.radius_ladder, dtype=np.float64))
+        object.__setattr__(self, "distance_ladder", np.asarray(self.distance_ladder, dtype=np.float64))
 
-    def distinct_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, at) with xs[at] equal to the center coordinates: for a
-        family from make_ball_family, the distinct centers in ascending
-        order and each ball's index into them, as np.unique(...,
-        return_inverse=True) gives them, without a sort.  make_ball_family
-        keeps, per radius, the ascending marks that fit the box, so the
-        smallest-radius block holds every center and each later block is a
-        contiguous run of it; a family where that fails raises ConfigError,
-        as center_runs does."""
-        runs = self.center_runs
-        _, b0, _, run0 = runs[0]
-        at = np.empty(len(self), dtype=np.intp)
-        for a, b, _, run in runs:
-            off = (run.start - run0.start) // run0.step
-            at[a:b] = np.arange(off, off + b - a)
-        return self.centers[:b0, 0], at
+    def __len__(self) -> int:
+        return self.blocks[-1].stop
+
+    @property
+    def centers(self) -> np.ndarray:
+        return np.concatenate([self.xs[b.centers] for b in self.blocks])[:, None]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return np.concatenate([np.full(b.count, b.radius) for b in self.blocks])
 
     @cached_property
     def _segment_plans(self) -> dict[str, SegmentPlan]:
@@ -173,15 +158,16 @@ class BallFamily:
         """The segments bucketed_sup reduces in mode, built on first use
         and cached: the radius modes cut the family into its radius
         blocks; the distance modes cut each block at its first nonnegative
-        center and each half where its key crosses a cutoff.  A block
-        whose centers do not ascend raises ConfigError."""
+        center and each half where its key crosses a cutoff."""
         kind = _PLAIN_OF.get(mode, mode)
         if kind not in self._segment_plans:
             self._segment_plans[kind] = _build_segment_plan(self, kind)
         return self._segment_plans[kind]
 
     def ball(self, i: int) -> Ball:
-        return Ball(tuple(self.centers[i]), float(self.radii[i]))
+        i = range(len(self))[i]
+        b = next(b for b in self.blocks if i < b.stop)
+        return Ball((self.xs[b.offset + i - b.start],), b.radius)
 
 
 @dataclass(frozen=True)
@@ -204,54 +190,50 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
     else:
         ladder = family.distance_ladder if kind == "far-from-origin" else family.radius_ladder
         cuts, side = ladder * (1 - 1e-12), "right"
-    c, r = family.centers[:, 0], family.radii
-    starts = []
-    for a, b, _ in family.radius_blocks:
-        if np.any(c[a + 1 : b] < c[a : b - 1]):
-            raise ConfigError("family centers must ascend within each radius block")
-        cut = {a}
+    starts, keys = [], []
+    for b in family.blocks:
+        c, cut = family.xs[b.centers], {0}
         if kind == "far-from-origin":
             # |c| - r is -c - r over the negative centers, where it
             # descends, and c - r over the rest, where it ascends
-            z = a + int(np.searchsorted(c[a:b], 0.0))
-            neg, pos = -c[a:z] - r[a], c[z:b] - r[a]
+            z = int(np.searchsorted(c, 0.0))
+            neg, pos = -c[:z] - b.radius, c[z:] - b.radius
             cut.add(z)
             cut.update((z - np.searchsorted(neg[::-1], cuts)).tolist())
             cut.update((z + np.searchsorted(pos, cuts)).tolist())
-        starts += sorted(i for i in cut if i < b)
-    first = np.array(starts, dtype=np.intp)
-    keys = np.abs(c[first]) - r[first] if kind == "far-from-origin" else r[first]
+        segs = sorted(i for i in cut if i < b.count)
+        starts += [b.start + i for i in segs]
+        keys += (np.abs(c[segs]) - b.radius).tolist() if kind == "far-from-origin" else [b.radius] * len(segs)
+    starts = np.array(starts, dtype=np.intp)
     return SegmentPlan(
-        first,
-        np.diff(first, append=len(family)).astype(np.int64),
+        starts,
+        np.diff(starts, append=len(family)).astype(np.int64),
         np.searchsorted(cuts, keys, side=side),
     )
 
 
 def supercritical_spans(family: BallFamily, rho):
-    """(start, stop, keep) over the family in order, where keep says which
-    of the span's balls are supercritical, r >= rho(center) (ties count);
-    rho may hold +inf (never supercritical).  Radii ascend along the
-    family, so a scalar rho splits it into whole radius blocks: a
-    subcritical span and then a supercritical one, each with one bool.  An
-    array rho aligned with the family gives one span per radius block,
-    with a mask over it made only when the span is reached."""
-    if rho is None or np.ndim(rho) != 0:
-        rho = rho_values_for(rho, family.centers)
-        for a, b, _ in family.radius_blocks:
-            yield a, b, family.radii[a] >= rho[a:b]
-        return
-    k = int(np.searchsorted(family.radii, float(rho)))
-    for a, b, keep in ((0, k, np.False_), (k, len(family), np.True_)):
-        if a < b:
-            yield a, b, keep
+    """(start, stop, keep) per radius block in family order, where keep
+    says which of the block's balls are supercritical, r >= rho(center)
+    (ties count); rho may hold +inf (never supercritical).  A scalar rho
+    keeps or drops a whole block with one bool.  An array rho, aligned
+    with the family's centers xs, gives a mask over the block, made only
+    when the block is reached."""
+    if rho is None:
+        raise ConfigError("critical-radius data is required here")
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.ndim and rho.shape != family.xs.shape:
+        raise ConfigError("critical-radius array length does not match the family's centers")
+    for b in family.blocks:
+        yield b.start, b.stop, b.radius >= (rho[b.centers] if rho.ndim else rho)
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid.
 
-    Config errors: stride not a positive multiple of h, radii above X/2,
-    a geometric ladder below 4h, or an enumeration with no surviving ball.
+    Config errors: stride not a positive multiple of h, explicit radii
+    given together with a ladder bound, radii above X/2, a geometric
+    ladder below 4h, or an enumeration with no surviving ball.
     """
     h = grid.spacing
     X = grid.halfwidth
@@ -261,6 +243,8 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
 
     if policy.radii is not None:
+        if policy.radius_min is not None or policy.radius_max is not None:
+            raise ConfigError("give either explicit radii or a radius_min/radius_max ladder, not both")
         radii = sorted(float(r) for r in policy.radii)
         if not radii:
             raise ConfigError("explicit radius list is empty")
@@ -284,36 +268,30 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         )
 
     # snap radii to the h-lattice, drop duplicates after snapping
-    snapped: list[float] = []
+    cells: list[int] = []
     for r in radii:
-        rs = round(r / h) * h
-        if rs <= 0:
-            rs = h
-        if not snapped or abs(rs - snapped[-1]) > h / 2:
-            snapped.append(rs)
-    radii = snapped
+        m = max(round(r / h), 1)
+        if not cells or m != cells[-1]:
+            cells.append(m)
 
     k_max = int(math.floor(min(X, policy.max_center_norm) / stride + 1e-9))
     marks = np.arange(-k_max, k_max + 1, dtype=np.float64) * stride
     cand = marks[np.abs(marks) <= policy.max_center_norm * (1 + 1e-12)]
 
-    # marks ascend, so every radius block is sorted by position
+    # cand ascends and is symmetric about 0, so the marks with |c| + r
+    # below lim are the run of n about its middle; xs are those of the
+    # smallest radius
     lim = X - h / 4.0
-    centers_out = []
-    radii_out = []
-    for r in radii:
-        kept = cand[np.abs(cand) + r < lim]
-        if kept.shape[0] == 0:
-            continue
-        centers_out.append(kept)
-        radii_out.append(np.full(kept.shape[0], r))
-    if not centers_out:
+    xs = cand[np.abs(cand) + cells[0] * h < lim]
+    blocks = []
+    for m in cells:
+        n = int(np.count_nonzero(np.abs(xs) + m * h < lim))
+        if n:
+            blocks.append((m, (xs.size - n) // 2, n))
+    if not blocks:
         raise ConfigError("ball family is empty: no center/radius pair fits the box")
 
-    centers = np.concatenate(centers_out)[:, None]
-    rr = np.concatenate(radii_out)
-
-    radius_ladder = np.asarray(radii, dtype=np.float64)
+    radius_ladder = np.array(cells, dtype=np.float64) * h
     d_max = policy.distance_max if policy.distance_max is not None else X / 2
     dl = []
     d = float(radius_ladder[0])
@@ -322,7 +300,7 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         d *= 2.0
     if not dl:
         raise ConfigError("distance ladder is empty")
-    return BallFamily(grid, centers, rr, radius_ladder, np.asarray(dl))
+    return BallFamily(grid, xs, blocks, radius_ladder, np.asarray(dl))
 
 
 @dataclass(frozen=True)
@@ -375,18 +353,19 @@ def bucketed_sup(
     """Supremum of a per-ball metric within each bucket of the family's own
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    metric: array aligned with the family.  rho: critical-radius values at
-    the ball centers, a scalar or an array aligned with the family;
-    required by the supercritical modes, where a ball qualifies only if
+    metric: array aligned with the family.  rho: critical-radius values,
+    a scalar or an array aligned with the family's centers xs; required
+    by the supercritical modes, where a ball qualifies only if
     r >= rho(center).  rho may contain +inf (no ball ever qualifies there).
 
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still
     qualifies.  The family's segment plan for the mode groups the balls
     into contiguous runs of one bucket, so one maximum.reduceat gives each
-    run's sup and the run lengths its count.  A scalar rho keeps or drops
-    whole radius blocks; an array rho masks one block at a time, so no
-    family-sized mask or masked copy is made.  A cutoff's balls are those
+    run's sup and the run lengths its count.  The supercritical modes
+    reduce one radius block at a time: a scalar rho keeps or drops the
+    whole block, an array rho masks it through the block's slice of xs,
+    so no family-sized mask or masked copy is made.  A cutoff's balls are those
     of its bucket and of every bucket nearer the limit, so a running
     maximum and count from the limit end fill the curve.
     """

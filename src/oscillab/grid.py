@@ -237,13 +237,18 @@ def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
 
 def mean_oscillation(f: GridFunction, ball: Ball) -> float:
     """(mean over B of |f - mean_B f|^2)^(1/2) over the member values (the
-    naive path; family scans use FamilyStats.oscillation2), by the
-    variance identity with a clamp at zero."""
+    naive path; family scans use FamilyStats.oscillation)."""
     vals = ball_member_values(f, ball)
     if vals.size == 0:
         raise DegenerateRegionError(
             f"ball B({ball.center}, {ball.radius}) contains no grid sample"
         )
+    return oscillation_of(vals)
+
+
+def oscillation_of(vals: np.ndarray) -> float:
+    """(mean of |v - mean v|^2)^(1/2) over the values, by the variance
+    identity with a clamp at zero."""
     m = float(np.mean(vals))
     msq = float(np.mean(vals**2))
     return math.sqrt(max(0.0, msq - m * m))

@@ -50,54 +50,52 @@ def scan_radius_blocks(family: BallFamily, block_values) -> np.ndarray:
     block's balls, whose center sample indices are the range run.
     """
     out = np.empty(len(family))
-    for start, stop, m, run in family.center_runs:
-        out[start:stop] = block_values(run, m, float(family.radii[start]))
+    for b in family.blocks:
+        out[b.start : b.stop] = block_values(b.run, b.cell_radius, b.radius)
     return out
 
 
 @dataclass(frozen=True)
 class FamilyStats:
-    """Per-ball sample counts and means of one function over one family,
-    built once by family_stats; the norms and curves of the pair read it."""
+    """The 2-mean oscillation and the mean size (mean over B of
+    |f|^2)^(1/2) of one function on each ball of one family, built once
+    by family_stats; the norms and curves of the pair read it."""
 
     family: BallFamily
-    counts: np.ndarray
-    mean: np.ndarray
-    mean_sq: np.ndarray
-
-    @property
-    def oscillation2(self) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, self.mean_sq - self.mean**2))
-
-    @property
-    def size2(self) -> np.ndarray:
-        return np.sqrt(self.mean_sq)
+    oscillation: np.ndarray
+    size: np.ndarray
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
-    """One scan of f over the family: the family's center runs, then the
-    ball sums of f and of f^2 from one prefix table, each block written
-    into its slice of the sums; the table's buffer takes the squares once
-    the sums of f are read.  A ball of cell radius m holds 2m - 1
-    samples.  Besides f, one sample-sized buffer is live."""
+    """One scan of f over the family: the ball means of f and of f^2 from
+    one prefix table, each block's sums written into its slice and divided
+    there by the 2m - 1 samples of a ball of cell radius m; the table's
+    buffer takes the squares once the sums of f are read.  The oscillation
+    and the size are then made in place in the two buffers.  Besides f,
+    one sample-sized buffer is live."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
-    runs = family.center_runs
-    counts = np.empty(len(family), dtype=np.int64)
-    for start, stop, m, _ in runs:
-        counts[start:stop] = 2 * m - 1
     table = SummedTable(family.grid, f.values)
-    s1 = np.empty(len(family))
-    s2 = np.empty(len(family))
-    for start, stop, m, run in runs:
-        table.ball_sum(run, m, out=s1[start:stop])
+    mean, mean_sq = np.empty(len(family)), np.empty(len(family))
+    _ball_means(table, family, mean)
     table._refill_squares(f.values)
-    for start, stop, m, run in runs:
-        table.ball_sum(run, m, out=s2[start:stop])
+    _ball_means(table, family, mean_sq)
     del table
-    np.divide(s1, counts, out=s1)
-    np.divide(s2, counts, out=s2)
-    return FamilyStats(family, counts, s1, s2)
+    # oscillation sqrt(max(0, mean_sq - mean^2)) in mean's buffer, size
+    # sqrt(mean_sq) in mean_sq's
+    np.square(mean, out=mean)
+    np.subtract(mean_sq, mean, out=mean)
+    np.maximum(0.0, mean, out=mean)
+    np.sqrt(mean, out=mean)
+    np.sqrt(mean_sq, out=mean_sq)
+    return FamilyStats(family, mean, mean_sq)
+
+
+def _ball_means(table: SummedTable, family: BallFamily, out: np.ndarray) -> None:
+    """Each ball's mean of the table's values, written into out."""
+    for b in family.blocks:
+        sums = table.ball_sum(b.run, b.cell_radius, out=out[b.start : b.stop])
+        np.divide(sums, 2 * b.cell_radius - 1, out=sums)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +120,7 @@ def _sup_report(per_ball: np.ndarray) -> OscillationReport:
 
 def bmo_norm(stats: FamilyStats) -> OscillationReport:
     """sup of the 2-mean oscillation over the scanned family."""
-    return _sup_report(stats.oscillation2)
+    return _sup_report(stats.oscillation)
 
 
 @dataclass(frozen=True)
@@ -146,9 +144,9 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     oscillation over balls with r < rho(center) plus sup mean size over
     balls with r >= rho(center) (ties count as supercritical).  rho is a
     scalar, possibly +inf (no size part), or an array aligned with the
-    family.  Each part is the sup of its spans' sups (supercritical_spans),
-    at the first ball attaining it."""
-    osc, size = stats.oscillation2, stats.size2
+    family's centers xs.  Each part is the sup of its radius blocks' sups
+    (supercritical_spans), at the first ball attaining it."""
+    osc, size = stats.oscillation, stats.size
     osc_at, size_at = [], []
     for a, b, keep in supercritical_spans(stats.family, rho):
         osc_at += _span_arg_sup(osc, a, b, ~keep)
@@ -200,8 +198,8 @@ def semigroup_difference_values(
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    r = family.radii
-    if np.any(r < ladder.values[0] * (1 - 1e-9)) or np.any(r > ladder.values[-1] * (1 + 1e-9)):
+    r = [b.radius for b in family.blocks]
+    if min(r) < ladder.values[0] * (1 - 1e-9) or max(r) > ladder.values[-1] * (1 + 1e-9):
         raise LadderError(
             "family radii fall outside the configured scale range "
             f"[{ladder.values[0]}, {ladder.values[-1]}]"
@@ -249,11 +247,9 @@ def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
     curves use (mean over B of |f|^2)^(1/2).
     """
     family = stats.family
-    osc = stats.oscillation2
-    size = stats.size2
-    out = {mode: bucketed_sup(osc, family, mode) for mode in PLAIN_MODES}
+    out = {mode: bucketed_sup(stats.oscillation, family, mode) for mode in PLAIN_MODES}
     for mode in SUPERCRITICAL_MODES:
-        out[mode] = bucketed_sup(size, family, mode, rho=rho)
+        out[mode] = bucketed_sup(stats.size, family, mode, rho=rho)
     return out
 
 

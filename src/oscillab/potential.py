@@ -259,16 +259,3 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     values[todo] = lo
     return CriticalRadiusField(pts, values, saturated, V.kind)
 
-
-def rho_values_for(rho, centers: np.ndarray) -> np.ndarray:
-    """Critical-radius data as an array aligned with centers: rho is a
-    scalar or an array already aligned with them."""
-    k = centers.shape[0]
-    if rho is None:
-        raise ConfigError("critical-radius data is required here")
-    arr = np.asarray(rho, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(k, float(arr))
-    if arr.shape != (k,):
-        raise ConfigError("critical-radius array length does not match the family")
-    return arr

@@ -90,7 +90,6 @@ def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
     """Cylinder integrals for every family ball (shared prefix tables)."""
     if not F.grid.compatible(family.grid):
         raise ConfigError("field and family grids differ")
-    family.center_runs  # a family off the scan plan raises before the tables are built
     return scan_radius_blocks(family, BoxScanner(F).box_values)
 
 

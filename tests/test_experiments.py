@@ -15,6 +15,7 @@ from oscillab.experiments import (
     _SCENARIOS,
     ExperimentConfig,
     _arg_sup_ball,
+    _bump_window,
     _rho_at_symmetric_centers,
     exp_extension_agreement,
     exp_lacunary,
@@ -26,7 +27,7 @@ from oscillab.experiments import (
     run,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
-from oscillab.grid import Grid, GridFunction, mean_oscillation
+from oscillab.grid import Ball, Grid, GridFunction, mean_oscillation, oscillation_of
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
@@ -72,14 +73,20 @@ SCENARIO_IDS = (
 
 def test_lacunary_function_places_unit_bumps():
     g = Grid(halfwidth=8.0, spacing=2.0**-4)
-    f, phi = lacunary_function(g, k_max=1)
+    f = lacunary_function(g, k_max=1)
     h = g.spacing
     assert f.values.sum() * h == pytest.approx(1.0, abs=1e-9)
-    assert phi.values.sum() * h == pytest.approx(1.0, abs=1e-9)
+    win, koff = _bump_window(h)
+    assert win.sum() * h == pytest.approx(1.0, abs=1e-9)
     i3 = int(g.coord_to_index(3.0))
-    assert f.values[i3] == phi.values[g.half_cells]  # same sampled kernel
+    assert np.array_equal(f.values[i3 + koff], win)  # same sampled kernel
     assert f.values[g.half_cells] == 0.0
-    assert int(np.argmax(phi.values)) == g.half_cells
+    assert int(np.argmax(f.values)) == i3
+    # the window is the samples of B(0, 1), so the floor reference taken
+    # from it is the single bump's oscillation over that ball, bit for bit
+    phi = np.zeros(g.axis_count)
+    phi[g.half_cells + koff] = win
+    assert oscillation_of(win) == mean_oscillation(GridFunction(g, phi), Ball((0.0,), 1.0))
 
 
 def test_lacunary_function_validation():
@@ -322,28 +329,31 @@ def test_lacunary_builds_only_its_reported_curves(monkeypatch):
 
 
 def test_lacunary_distinct_centers_match_unique():
-    # the family of the --small geometry of scripts/lacunary_modes.py
+    # the family of the --small geometry of scripts/lacunary_modes.py: its
+    # xs are the distinct centers of its balls
     grid = Grid(halfwidth=1024.0, spacing=2.0**-6)
     fam = make_ball_family(
         grid,
         FamilyPolicy(center_stride=0.5, radius_min=4 * grid.spacing, radius_max=512.0, distance_max=512.0),
     )
-    xs, at = fam.distinct_centers()
-    want_xs, want_at = np.unique(fam.centers[:, 0], return_inverse=True)
-    assert len(fam.radius_blocks) > 1
-    assert np.array_equal(xs, want_xs)
-    assert at.dtype == want_at.dtype and np.array_equal(at, want_at)
+    assert len(fam.blocks) > 1
+    assert np.array_equal(fam.xs, np.unique(fam.centers[:, 0]))
 
 
-def test_distinct_centers_need_runs_of_the_first_block():
-    grid = Grid(halfwidth=16.0, spacing=0.25)
-    fam = BallFamily(grid, np.array([[0.0], [1.0], [2.0], [0.5]]), np.array([1.0, 1.0, 1.0, 2.0]), [1.0], [1.0])
-    with pytest.raises(ConfigError, match="not a run"):
-        fam.distinct_centers()
+def test_lacunary_reads_no_per_ball_center_or_radius(monkeypatch):
+    # the --small geometry with the family's per-ball views refused: every
+    # scan, norm and curve of the run reads the radius blocks
+    def refuse(self):
+        raise AssertionError("a per-ball center or radius array was built")
+
+    monkeypatch.setattr(BallFamily, "centers", property(refuse))
+    monkeypatch.setattr(BallFamily, "radii", property(refuse))
+    rep = _small_lacunary()
+    assert rep.n_balls > 0 and set(rep.curves) == {"small-radius", "far-from-origin", "far-and-supercritical"}
 
 
-def test_lacunary_rho_per_ball_is_the_solve_at_each_center(monkeypatch):
-    # the --small geometry; bmo_l_norm is handed the per-ball rho
+def test_lacunary_rho_per_center_is_the_solve_at_each_center(monkeypatch):
+    # the --small geometry; bmo_l_norm is handed rho per distinct center
     from oscillab import experiments
 
     seen = {}
@@ -356,7 +366,7 @@ def test_lacunary_rho_per_ball_is_the_solve_at_each_center(monkeypatch):
     monkeypatch.setattr(experiments, "bmo_l_norm", capture)
     _small_lacunary()
     V = power_potential(1.05, 1, amplitude=0.002)
-    assert np.array_equal(seen["rho"], solve_critical_radius(V, seen["family"].centers).values)
+    assert np.array_equal(seen["rho"], solve_critical_radius(V, seen["family"].xs[:, None]).values)
 
 
 @pytest.mark.parametrize("V", [power_potential(1.05, 1, amplitude=0.002), constant_potential(1.0, 1)])
@@ -855,8 +865,11 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
     [
         (("family",), {"id": "bmo-norms", "family": {"center_stride": 0.5, "radius_max": 100.0}}),
         (("family",), {"id": "tent-norms", "family": {"center_stride": 0.5, "radius_min": 2.0, "radius_max": 1.0}}),
+        # explicit radii with ladder bounds, which would go unread
+        (("family",), {"id": "bmo-norms", "family": {"center_stride": 0.5, "radii": [0.25], "radius_min": 0.5,
+                                                     "radius_max": 2.0}}),
         # passes make_ball_family's stride check (8 h within 1e-6), but the
-        # centers drift off the lattice: center_runs rejects the family
+        # centers drift off the lattice: the family's constructor rejects them
         (("stride",), {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
                        "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5 * (1 + 1e-7)}),
         # 16,385 samples over the default op_cap
@@ -865,7 +878,7 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
         (("t_min", "t_max"), {"id": "reproducing-pairing", "t_min": -1.0}),
         (("x_min", "x_max"), {**_BAD_RHO_SLOPE, "exponent": 1.5, "x_min": 10, "x_max": 5}),
     ],
-    ids=["bmo-radius_max-100", "tent-empty-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
+    ids=["bmo-radius_max-100", "tent-empty-ladder", "bmo-radii-and-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
          "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range"],
 )
 def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_path, capsys):

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from oscillab.errors import ConfigError
-from oscillab.family import MODES, BallFamily, FamilyPolicy, LimitCurve, bucketed_sup, make_ball_family
-from oscillab.grid import Grid
+from oscillab.family import (
+    MODES,
+    BallFamily,
+    FamilyPolicy,
+    LimitCurve,
+    bucketed_sup,
+    make_ball_family,
+    supercritical_spans,
+)
+from oscillab.grid import Ball, Grid
 
 
 def test_hand_counted_enumeration():
@@ -35,25 +43,64 @@ def test_centers_sorted_within_radius_block():
 def test_radius_blocks_cover_every_ball_once():
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
-    blocks = fam.radius_blocks
-    assert [b[2] for b in blocks] == [4, 8, 16, 32]
-    assert blocks[0][0] == 0 and blocks[-1][1] == len(fam)
-    for (_, stop, _), (start, _, _) in zip(blocks, blocks[1:]):
-        assert stop == start
-    for start, stop, m in blocks:
-        assert stop > start
-        assert np.all(fam.radii[start:stop] == m * g.spacing)
-    assert sum(stop - start for start, stop, _ in blocks) == len(fam)
+    blocks = fam.blocks
+    assert [b.cell_radius for b in blocks] == [4, 8, 16, 32]
+    assert blocks[0].start == 0 and blocks[-1].stop == len(fam)
+    for b, nxt in zip(blocks, blocks[1:]):
+        assert b.stop == nxt.start
+    for b in blocks:
+        assert b.stop > b.start and b.radius == b.cell_radius * g.spacing
+        assert np.all(fam.radii[b.start : b.stop] == b.radius)
+        assert np.array_equal(fam.centers[b.start : b.stop, 0], fam.xs[b.centers])
+        assert list(b.run) == g.coord_to_index(fam.xs[b.centers]).tolist()
+    # every center fits the smallest radius, so xs are the family's distinct centers
+    assert np.array_equal(fam.xs, np.unique(fam.centers[:, 0]))
+    assert sum(b.count for b in blocks) == len(fam)
 
 
-def test_family_radii_must_not_decrease():
+def test_xs_are_the_marks_that_fit_the_smallest_radius():
+    # X=4, h=0.25, stride 1: the marks -4 .. 4, of which |c| + 1 < X - h/4
+    # keeps -2 .. 2; the marks 3 and 4 fit no radius and are not centers
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
+    assert np.array_equal(fam.xs, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert [(b.cell_radius, b.offset, b.count) for b in fam.blocks] == [(4, 0, 5), (8, 1, 3)]
+
+
+def test_ball_reads_its_block():
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
+    c, r = fam.centers[:, 0], fam.radii
+    assert all(fam.ball(i) == Ball((c[i],), r[i]) for i in range(len(fam)))
+    with pytest.raises(IndexError):
+        fam.ball(len(fam))
+
+
+def test_supercritical_spans_are_the_radius_blocks():
+    # a scalar rho keeps or drops each block whole; an array rho, one per
+    # center, masks each block through its slice of xs
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
+    for rho in (2.0, _up(2.0), 0.5 * (1.0 + np.abs(fam.xs)) ** 0.5):
+        spans = list(supercritical_spans(fam, rho))
+        assert [(a, b) for a, b, _ in spans] == [(b.start, b.stop) for b in fam.blocks]
+        keep = np.concatenate([np.broadcast_to(k, (b - a,)) for a, b, k in spans])
+        per_ball = rho[np.searchsorted(fam.xs, fam.centers[:, 0])] if np.ndim(rho) else rho
+        assert np.array_equal(keep, fam.radii >= per_ball)
+        if np.ndim(rho) == 0:
+            assert all(np.ndim(k) == 0 for *_, k in spans)
+
+
+def test_hand_built_blocks_give_their_balls_in_order():
+    # blocks are given as (cell radius, offset, count) over xs, in any
+    # order of radii
     g = Grid(halfwidth=8.0, spacing=0.25)
-    centers = np.array([[0.0], [1.0], [0.0]])
-    ladder = np.array([1.0, 2.0])
-    with pytest.raises(ConfigError, match="must not decrease"):
-        BallFamily(g, centers, np.array([1.0, 2.0, 1.0]), ladder, ladder)
-    fam = BallFamily(g, centers, np.array([1.0, 1.0, 2.0]), ladder, ladder)
-    assert fam.radius_blocks == ((0, 2, 4), (2, 3, 8))
+    fam = BallFamily(g, [0.0, 1.0], [(8, 1, 1), (4, 0, 2)], [1.0, 2.0], [1.0, 2.0])
+    assert len(fam) == 3
+    assert [fam.ball(i) for i in range(3)] == [Ball((1.0,), 2.0), Ball((0.0,), 1.0), Ball((1.0,), 1.0)]
+    assert fam.ball(-1) == fam.ball(2)
+    assert np.array_equal(fam.centers, [[1.0], [0.0], [1.0]]) and np.array_equal(fam.radii, [2.0, 1.0, 1.0])
+    assert [(b.start, b.stop, b.run) for b in fam.blocks] == [(0, 1, range(36, 37)), (1, 3, range(32, 40, 4))]
 
 
 def test_policy_validation():
@@ -67,6 +114,10 @@ def test_policy_validation():
     with pytest.raises(ConfigError):
         # geometric ladder must start at >= 4h
         make_ball_family(g, FamilyPolicy(center_stride=1.0, radius_min=0.5))
+    # explicit radii with a ladder bound: the bound would go unread
+    for bound in ({"radius_min": 1.0}, {"radius_max": 2.0}, {"radius_min": 1.0, "radius_max": 2.0}):
+        with pytest.raises(ConfigError, match="not both"):
+            make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0,), **bound))
 
 
 def test_geometric_ladder_default_range():
@@ -86,7 +137,7 @@ def test_segment_plan_tiles_each_block_into_runs_of_one_bucket(mode):
     assert np.array_equal(plan.starts[1:], (plan.starts + plan.sizes)[:-1])
     assert plan.starts[0] == 0 and plan.starts[-1] + plan.sizes[-1] == len(fam)
     # every radius block starts a segment
-    assert {a for a, _, _ in fam.radius_blocks} <= set(plan.starts.tolist())
+    assert {b.start for b in fam.blocks} <= set(plan.starts.tolist())
     # each ball's bucket from its own key, as the per-ball definition gives it
     if mode == "small-radius":
         at = np.searchsorted(fam.radius_ladder * (1 + 1e-12), fam.radii, side="left")
@@ -145,6 +196,14 @@ def test_supercritical_mode_needs_rho():
     # rho = +inf disqualifies every ball
     curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.inf)
     assert not curve.present.any()
+    # an array rho is read per center: one per ball, or one too many, is refused
+    fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
+    assert len(fam) > fam.xs.size
+    for k in (len(fam), fam.xs.size + 1):
+        with pytest.raises(ConfigError, match="does not match the family's centers"):
+            bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.ones(k))
+    curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.full(fam.xs.size, 2.0))
+    assert curve.counts[0] == fam.blocks[1].count
 
 
 def test_supercritical_mask_filters_by_rho():
@@ -189,10 +248,10 @@ def _bucketed_sup_oracle(
     """Supremum of a per-ball metric within each bucket of the family's own
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    metric: array aligned with the family.  rho: critical-radius values at
-    the ball centers; required by the supercritical modes, where a ball
-    qualifies only if r >= rho(center).  rho may contain +inf (no ball ever
-    qualifies there).
+    metric: array aligned with the family.  rho: critical-radius values,
+    a scalar or an array aligned with the family's centers xs; required by
+    the supercritical modes, where a ball qualifies only if
+    r >= rho(center).  rho may contain +inf (no ball ever qualifies there).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
@@ -204,16 +263,18 @@ def _bucketed_sup_oracle(
     if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
         raise ConfigError("ladder must be strictly increasing and nonempty")
 
-    r = family.radii
+    r, c = family.radii, family.centers[:, 0]
     if mode in _SUPERCRITICAL_MODES:
         if rho is None:
             raise ConfigError(f"mode {mode} needs critical-radius values")
-        rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
+        rho_arr = np.asarray(rho, dtype=np.float64)
+        if rho_arr.ndim:
+            rho_arr = rho_arr[np.searchsorted(family.xs, c)]
         super_mask = r >= rho_arr
     else:
         super_mask = None
 
-    inner = np.abs(family.centers[:, 0]) - r
+    inner = np.abs(c) - r
     out_vals = np.full(ladder.shape, np.nan)
     out_counts = np.zeros(ladder.shape, dtype=np.int64)
     for j, a in enumerate(ladder):
@@ -252,30 +313,42 @@ def _down(x):
     return np.nextafter(x, -np.inf)
 
 
+def _cutoff_with_edge(edge, factor):
+    """A cutoff a whose edge a * factor, as bucketed_sup computes it, is
+    edge: one of the floats within a few ulps of edge / factor."""
+    near = edge / factor + np.arange(-4, 5) * np.spacing(edge)
+    hit = near[near * factor == edge]
+    assert hit.size, (edge, factor)
+    return hit[0]
+
+
 def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
-    # keys exactly at each cutoff's a (1 +- 1e-12) and one ulp either side;
-    # the ladder sits inside one binade per cutoff so that the distance
-    # probes c = key + r give |c| - r == key exactly
-    ladder = np.array([3.0, 6.0, 12.0, 24.0])
-    edges = np.concatenate([[a, a * (1 + 1e-12), a * (1 - 1e-12)] for a in ladder])
-    keys = np.unique(np.concatenate([edges, _up(edges), _down(edges)]))
-    r_probe = 2.0**-10
-    radii = np.concatenate([np.full(2 * keys.size, r_probe), keys])
-    # the probe block's centers ascend, as bucketed_sup requires
-    centers = np.concatenate([np.sort(np.concatenate([keys + r_probe, -(keys + r_probe)])), np.zeros(keys.size)])
-    fam = BallFamily(Grid(halfwidth=64.0, spacing=2.0**-10), centers[:, None], radii, ladder, ladder)
-    for k in (a * (1 + 1e-12) for a in ladder):
-        assert k in fam.radii
-    for k in (a * (1 - 1e-12) for a in ladder):
+    # radius and inner-distance keys k on the lattice, and cutoffs whose
+    # edges a (1 +- 1e-12) fall exactly at k and one ulp either side: the
+    # small-radius edge a (1 + 1e-12), the edge a (1 - 1e-12) of the other
+    # modes, and a itself
+    h = 0.25
+    keys = np.array([3.0, 6.0, 12.0, 24.0])
+    edges = np.concatenate([keys, _up(keys), _down(keys)])
+    ladder = np.unique(np.concatenate(
+        [edges] + [[_cutoff_with_edge(e, f) for e in edges] for f in (1 + 1e-12, 1 - 1e-12)]))
+    # a probe block of radius h over every center of xs, whose inner
+    # distances |c| - h hit each key, and one ball of radius k at 0 per key
+    xs = np.arange(-(keys[-1] + h), keys[-1] + 2 * h, h)
+    zero = int(np.searchsorted(xs, 0.0))
+    blocks = [(1, 0, xs.size)] + [(round(k / h), zero, 1) for k in keys]
+    fam = BallFamily(Grid(halfwidth=64.0, spacing=h), xs, blocks, ladder, ladder)
+    for k in keys:
         assert k in fam.radii and k in np.abs(fam.centers[:, 0]) - fam.radii
     metric = np.random.default_rng(7).uniform(size=len(fam))
-    # ties r == rho count as supercritical; one ulp above is subcritical
-    rho = np.select(
-        [np.arange(len(fam)) % 4 == k for k in range(3)],
-        [fam.radii, _up(fam.radii), np.zeros(len(fam))],
-        np.inf,
-    )
-    _assert_same_curves(metric, fam, rho)
+    # per center: ties r == rho count as supercritical, one ulp above is
+    # subcritical; at 0, where every key's ball sits, rho ties the radius
+    # 6 or sits one ulp either side of it
+    j = np.arange(xs.size)
+    for rho0 in (6.0, _up(6.0), _down(6.0)):
+        rho = np.select([j % 4 == k for k in range(3)], [np.full(xs.size, h), _up(h), _down(h)], np.inf)
+        rho[zero] = rho0
+        _assert_same_curves(metric, fam, rho)
     assert any(bucketed_sup(metric, fam, m, rho=rho).present.any() for m in MODES)
 
     # segment edge cases: a block of negative centers only, one of
@@ -283,13 +356,19 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     # cutoffs among the keys, above every key and below every key (every
     # ball then falls in bucket 0 or bucket n); rho tied with r, one ulp
     # above and one ulp below it, and the scalars of a tie and of +inf
-    centers = np.array([-5.0, -4.5, -3.0, -2.0, 0.0, 0.5, 2.0, 3.5, 4.0, -1.0])
-    radii = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0])
-    metric = np.random.default_rng(8).uniform(size=radii.size)
-    ties = np.select([np.arange(radii.size) % 3 == k for k in range(2)], [radii, _up(radii)], _down(radii))
+    xs = np.arange(-5.0, 4.5, 0.5)
+    blocks = [(4, 0, 7), (8, 10, 8), (12, 18, 1), (16, 8, 1)]
+    assert [xs[o] for _, o, _ in blocks] == [-5.0, 0.0, 4.0, -1.0] and xs[6] == -2.0 and xs[17] == 3.5
+    # each center carries the radius of its one block, or none (+inf)
+    r = np.full(xs.size, np.inf)
+    for m, o, n in blocks:
+        r[o : o + n] = m * 0.25
+    metric = np.random.default_rng(8).uniform(size=sum(n for *_, n in blocks))
+    j = np.arange(xs.size)
+    ties = np.select([j % 3 == k for k in range(2)], [r, _up(r)], _down(r))
     for lad in ([0.5, 1.0, 2.0, 4.0], [50.0, 100.0], [1e-3, 2e-3]):
-        fam = BallFamily(Grid(halfwidth=8.0, spacing=0.25), centers[:, None], radii, lad, lad)
-        assert [b - a for a, b, _ in fam.radius_blocks] == [4, 4, 1, 1]
+        fam = BallFamily(Grid(halfwidth=8.0, spacing=0.25), xs, blocks, lad, lad)
+        assert [b.count for b in fam.blocks] == [7, 8, 1, 1]
         if lad[0] > 1:
             assert all(np.all(fam.segment_plan(m).buckets == 0) for m in MODES)
         elif lad[-1] < 1:
@@ -298,25 +377,16 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
             _assert_same_curves(metric, fam, rho)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_bucketed_sup_refuses_a_block_whose_centers_descend(mode):
-    g = Grid(halfwidth=8.0, spacing=0.25)
-    fam = BallFamily(g, np.array([[-1.0], [0.0], [1.0], [1.0], [0.0]]), np.array([1.0, 1.0, 1.0, 2.0, 2.0]),
-                     [1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ConfigError, match="centers must ascend"):
-        bucketed_sup(np.ones(len(fam)), fam, mode, rho=1.0)
-
-
 def test_bucketed_sup_memory_is_per_radius_block():
-    # 1,048,561 balls in 17 radius blocks of at most 65,535: a per-ball rho
-    # masks one block at a time, so a family-sized mask or masked copy of
-    # the metric shows
+    # 1,048,561 balls in 17 radius blocks of at most 65,535: a per-center
+    # rho masks one block at a time, so a family-sized mask or masked copy
+    # of the metric shows
     g = Grid(halfwidth=4096.0, spacing=2.0**-7)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.125, radius_min=4 * g.spacing, radius_max=2048.0,
                                            distance_max=2048.0))
-    assert len(fam.radius_blocks) == 17 and len(fam) == 1_048_561
+    assert len(fam.blocks) == 17 and len(fam) == 1_048_561
     metric = np.random.default_rng(10).uniform(size=len(fam))
-    rho = 0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475
+    rho = 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475
     tracemalloc.start()
     try:
         curve = bucketed_sup(metric, fam, "far-and-supercritical", rho=rho)
@@ -324,7 +394,8 @@ def test_bucketed_sup_memory_is_per_radius_block():
     finally:
         tracemalloc.stop()
     assert peak < len(fam) * 8, peak / (len(fam) * 8)
-    assert curve.present.any() and curve.counts[0] < np.count_nonzero(fam.radii >= rho)
+    per_ball = rho[np.searchsorted(fam.xs, fam.centers[:, 0])]
+    assert curve.present.any() and curve.counts[0] < np.count_nonzero(fam.radii >= per_ball)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +426,23 @@ def test_bucketed_sup_matches_oracle_at_lacunary_geometry():
     assert fam.radius_ladder.size == fam.distance_ladder.size == 19
     metric = np.random.default_rng(9).uniform(size=len(fam))
     # the critical radius of a power potential grows like |x|^(1 - 0.525)
-    rho = 0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475
-    sup = fam.radii >= rho
+    rho = 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475
+    sup = fam.radii >= rho[np.searchsorted(fam.xs, fam.centers[:, 0])]
     assert sup.any() and not sup.all()
     _assert_same_curves(metric, fam, rho)
+
+
+def test_family_build_memory_is_below_one_per_ball_array():
+    # configs/lacunary.json's family: 2,424,815 balls over 131,071 centers
+    # in 19 blocks, built with nothing per ball, so its peak stays below
+    # one family-sized float64 array (19.4 MB)
+    g = Grid(halfwidth=16384.0, spacing=2.0**-8)
+    policy = FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=4096.0, distance_max=4096.0)
+    tracemalloc.start()
+    try:
+        fam = make_ball_family(g, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam) == 2_424_815 and fam.xs.size == 131_071 and len(fam.blocks) == 19
+    assert peak < len(fam) * 8, peak / (len(fam) * 8)

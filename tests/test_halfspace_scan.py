@@ -63,7 +63,7 @@ def _index_blocks(family):
     indices rounded ball by ball."""
     g = family.grid
     idx = g.coord_to_index(family.centers[:, 0])
-    return [(idx[a:b], m, float(family.radii[a])) for a, b, m in family.radius_blocks]
+    return [(idx[b.start : b.stop], b.cell_radius, b.radius) for b in family.blocks]
 
 
 def _old_semigroup_difference_values(f, op, family, ladder=None):

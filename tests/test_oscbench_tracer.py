@@ -51,3 +51,8 @@ def test_small_workloads_run_under_the_benchmark_tracer(tmp_path):
         assert counts["pipeline"][name] > 0, name
     for name in ("semigroup.discretize_calls", "semigroup.apply_calls", "tent.box_calls"):
         assert counts["spectral"][name] > 0, name
+    # the family counters read the per-ball views centers and radii, which
+    # the family builds from its blocks on read: a wrong view would move
+    # these counts without any error
+    families = {w: (c["family.balls"], c["family.distinct_centers"]) for w, c in counts.items()}
+    assert families == {"lacunary": (3834, 511), "pipeline": (46048, 3581), "spectral": (141, 31)}

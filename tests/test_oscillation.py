@@ -36,15 +36,14 @@ def small_family():
 
 
 def test_family_stats_sums_match_naive(small_family):
-    # the prefix-table ball sums behind the means, against the member values
+    # the prefix-table ball sums behind the sizes, against the member values
     g = small_family.grid
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.normal(size=g.shape))
     st = family_stats(f, small_family)
     for i in range(len(small_family)):
         vals = ball_member_values(f, small_family.ball(i))
-        assert st.mean[i] * st.counts[i] == pytest.approx(float(np.sum(vals)), rel=1e-12)
-        assert st.mean_sq[i] * st.counts[i] == pytest.approx(float(np.sum(vals**2)), rel=1e-12)
+        assert st.size[i] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12)
 
 
 def _masked_ball_sums(values, family):
@@ -62,20 +61,32 @@ def _masked_ball_sums(values, family):
     return out
 
 
+def _stats_oracle(values, family):
+    """The oscillation and size from the mask oracle's sums, divided by
+    per-ball sample counts 2m - 1 as one family-sized array."""
+    counts = 2 * np.rint(family.radii / family.grid.spacing).astype(np.int64) - 1
+    mean = _masked_ball_sums(values, family) / counts
+    mean_sq = _masked_ball_sums(values**2, family) / counts
+    return np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq)
+
+
 def test_block_scan_equals_mask_oracle_at_pipeline_size():
     # the pipeline-small geometry: 2,097,153 samples, exp_pipeline's family;
-    # family_stats divides the block-scan sums of f and f^2 by the counts
+    # family_stats divides the block-scan sums of f and f^2 by each block's
+    # count and makes the oscillation and size in place, bit for bit as
+    # from per-ball counts
     g = Grid(halfwidth=8192.0, spacing=2.0**-7)
     assert g.size == 2_097_153
     fam = make_ball_family(
         g, FamilyPolicy(center_stride=2.0, radius_min=4 * g.spacing, radius_max=g.halfwidth / 2.0)
     )
-    assert len(fam.radius_blocks) > 10
+    assert len(fam.blocks) > 10
     v = np.random.default_rng(11).normal(size=g.shape)
     for values in (v, np.abs(v)):
         st = family_stats(GridFunction(g, values), fam)
-        assert np.array_equal(st.mean, _masked_ball_sums(values, fam) / st.counts)
-        assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
+        osc, size = _stats_oracle(values, fam)
+        assert np.array_equal(st.oscillation, osc)
+        assert np.array_equal(st.size, size)
 
 
 def test_block_scan_equals_mask_oracle_at_lacunary_size():
@@ -85,12 +96,12 @@ def test_block_scan_equals_mask_oracle_at_lacunary_size():
     fam = make_ball_family(
         g, FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=4096.0, distance_max=4096.0)
     )
-    assert len(fam) == 2_424_815 and len(fam.center_runs) == 19
+    assert len(fam) == 2_424_815 and len(fam.blocks) == 19 and fam.xs.size == 131_071
     values = np.random.default_rng(12).normal(size=g.shape)
     st = family_stats(GridFunction(g, values), fam)
-    assert np.array_equal(st.counts, 2 * np.rint(fam.radii / g.spacing).astype(np.int64) - 1)
-    assert np.array_equal(st.mean, _masked_ball_sums(values, fam) / st.counts)
-    assert np.array_equal(st.mean_sq, _masked_ball_sums(values**2, fam) / st.counts)
+    osc, size = _stats_oracle(values, fam)
+    assert np.array_equal(st.oscillation, osc)
+    assert np.array_equal(st.size, size)
 
 
 def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
@@ -107,9 +118,11 @@ def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
         tracemalloc.stop()
     table, per_ball = (g.size + 1) * 8, len(fam) * 8
     assert table > 16 * per_ball
-    # the table, then counts and the two sums, each block written in place
-    assert peak <= table + 4 * per_ball, (peak - table) / per_ball
-    assert st.mean.size == len(fam)
+    # the table, then the two sums, each block written and divided in
+    # place, which then take the oscillation and the size: no third
+    # per-ball array
+    assert peak < table + 3 * per_ball, (peak - table) / per_ball
+    assert st.oscillation.size == st.size.size == len(fam)
 
 
 def test_family_stats_match_per_ball(small_family):
@@ -119,8 +132,8 @@ def test_family_stats_match_per_ball(small_family):
     st = family_stats(f, small_family)
     for i in range(len(small_family)):
         b = small_family.ball(i)
-        assert st.counts[i] == ball_member_values(f, b).size
-        assert st.oscillation2[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
+        assert ball_member_values(f, b).size == 2 * round(b.radius / g.spacing) - 1
+        assert st.oscillation[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
 
 
 def test_shared_stats_give_identical_reports(small_family):
@@ -144,18 +157,8 @@ def test_shared_stats_give_identical_reports(small_family):
 
 def test_family_rejects_offlattice_geometry():
     g = Grid(halfwidth=8.0, spacing=0.125)
-    from oscillab.family import BallFamily
-
-    fam = BallFamily(
-        g,
-        np.array([[0.05]]),
-        np.array([1.0]),
-        np.array([1.0]),
-        np.array([1.0]),
-    )
-    f = GridFunction.constant(g, 1.0)
-    with pytest.raises(ConfigError):
-        family_stats(f, fam)
+    with pytest.raises(ConfigError, match="lattice"):
+        BallFamily(g, [0.05], [(8, 0, 1)], [1.0], [1.0])
 
 
 @pytest.fixture
@@ -170,7 +173,17 @@ def no_tables(monkeypatch):
 
 
 def _hand_family(g, centers, radii):
-    return BallFamily(g, np.asarray(centers, dtype=np.float64)[:, None], np.asarray(radii, dtype=np.float64), [1.0], [1.0])
+    """The family of the balls B(centers[i], radii[i]) in order: each run
+    of equal radii is one block, over the distinct centers from its
+    first center on."""
+    centers, radii = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)
+    xs = np.unique(centers)
+    cuts = np.flatnonzero(np.diff(radii)) + 1
+    blocks = [(round(r[0] / g.spacing), int(np.searchsorted(xs, c[0])), c.size)
+              for c, r in zip(np.split(centers, cuts), np.split(radii, cuts))]
+    fam = BallFamily(g, xs, blocks, [1.0], [1.0])
+    assert np.array_equal(fam.centers[:, 0], centers), "the blocks' centers are not runs of the distinct centers"
+    return fam
 
 
 @pytest.mark.parametrize(
@@ -178,24 +191,36 @@ def _hand_family(g, centers, radii):
     [
         # centers on the lattice but not one index step apart
         ([0.0, 0.25, 0.75], [1.0, 1.0, 1.0], "arithmetic run"),
-        # the second block is not a run of the first block's centers
-        ([0.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], "not a run"),
+        # a second block off the first block's run: the distinct centers
+        # are then no arithmetic run
+        ([0.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], "arithmetic run"),
         # a center between samples
         ([0.0, 0.0625], [1.0, 1.0], "lattice"),
-        # a radius between multiples of h, and a radius of no cell
-        ([0.0, 0.125], [1.0625, 1.0625], "multiples of the spacing"),
+        # radii of no cell: below half the spacing, and 0
+        ([0.0, 0.125], [0.0625, 0.0625], "positive multiples"),
         ([0.0, 0.125], [0.0, 0.0], "positive multiples"),
     ],
 )
 def test_scans_refuse_a_family_off_the_run_plan_before_any_table(no_tables, centers, radii, match):
-    g = Grid(halfwidth=8.0, spacing=0.125)
-    fam = _hand_family(g, centers, radii)
-    f = GridFunction.constant(g, 1.0)
+    # a family no scan could read is refused when it is built, so no scan
+    # starts on it
     with pytest.raises(ConfigError, match=match):
-        family_stats(f, fam)
-    F = HalfSpaceFunction(g, default_ladder(g), np.ones((len(default_ladder(g)),) + g.shape))
+        _hand_family(Grid(halfwidth=8.0, spacing=0.125), centers, radii)
+
+
+@pytest.mark.parametrize(
+    "xs, blocks, match",
+    [
+        # a block that runs past the centers, and an empty one
+        ([0.0, 1.0, 2.0], [(8, 0, 3), (16, 2, 2)], "not a nonempty run"),
+        ([0.0, 1.0, 2.0], [(8, 0, 3), (16, 1, 0)], "not a nonempty run"),
+        # no block at all
+        ([0.0], [], "empty ball family"),
+    ],
+)
+def test_blocks_off_the_centers_are_refused_when_built(xs, blocks, match):
     with pytest.raises(ConfigError, match=match):
-        tent.family_box_values(F, fam)
+        BallFamily(Grid(halfwidth=8.0, spacing=0.125), xs, blocks, [1.0], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -211,18 +236,14 @@ def test_scans_refuse_a_family_off_the_run_plan_before_any_table(no_tables, cent
     ],
 )
 def test_scans_refuse_a_family_whose_end_ball_touches_the_box(no_tables, centers, radii):
-    # the refusal of a box-touching ball that every family scan makes,
-    # from the end balls of each block's run
+    # the refusal of a box-touching ball that every family scan relies on,
+    # made when the family is built, from the end balls of each block's run
     g = Grid(halfwidth=8.0, spacing=0.125)
-    fam = _hand_family(g, centers, radii)
     with pytest.raises(OutOfDomainError, match="touches or leaves the box"):
-        family_stats(GridFunction.constant(g, 1.0), fam)
-    F = HalfSpaceFunction(g, default_ladder(g), np.ones((len(default_ladder(g)),) + g.shape))
-    with pytest.raises(OutOfDomainError, match="touches or leaves the box"):
-        tent.family_box_values(F, fam)
+        _hand_family(g, centers, radii)
     # a ball one cell short of the faces is inside
     inside = _hand_family(g, [-6.875, 6.875], [1.0, 1.0])
-    assert [run for *_, run in inside.center_runs] == [range(9, 120, 110)]
+    assert [b.run for b in inside.blocks] == [range(9, 120, 110)]
 
 
 def test_a_single_center_is_a_run():
@@ -231,12 +252,12 @@ def test_a_single_center_is_a_run():
     for c in (-3.0, 0.0, 2.5):
         fam = _hand_family(g, [c, c], [0.5, 1.0])
         ci = g.half_cells + round(c / g.spacing)
-        assert [run for *_, run in fam.center_runs] == [range(ci, ci + 1)] * 2
+        assert [b.run for b in fam.blocks] == [range(ci, ci + 1)] * 2
         st = family_stats(f, fam)
         for j in range(len(fam)):
             vals = ball_member_values(f, fam.ball(j))
-            assert st.counts[j] == vals.size
-            assert st.mean[j] * st.counts[j] == pytest.approx(float(np.sum(vals)), rel=1e-12, abs=1e-12)
+            assert st.oscillation[j] == pytest.approx(mean_oscillation(f, fam.ball(j)), abs=1e-12)
+            assert st.size[j] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12, abs=1e-12)
 
 
 def test_bmo_norm_linear_closed_form(small_family):
@@ -293,8 +314,11 @@ def test_split_norm_all_supercritical(small_family):
 
 def _split_norm_oracle(stats, rho):
     """bmo_l_norm as one family-sized mask per part and an argmax over
-    each part's indices."""
+    each part's indices; an array rho, aligned with the centers xs, is
+    first read at each ball's center."""
     family = stats.family
+    if np.ndim(rho):
+        rho = rho[np.searchsorted(family.xs, family.centers[:, 0])]
     sub = family.radii < np.broadcast_to(np.asarray(rho, dtype=np.float64), family.radii.shape)
 
     def masked_sup(vals, mask):
@@ -304,26 +328,26 @@ def _split_norm_oracle(stats, rho):
         j = idx[int(np.argmax(vals[idx]))]
         return float(vals[j]), int(j)
 
-    osc, osc_arg = masked_sup(stats.oscillation2, sub)
-    size, size_arg = masked_sup(stats.size2, ~sub)
+    osc, osc_arg = masked_sup(stats.oscillation, sub)
+    size, size_arg = masked_sup(stats.size, ~sub)
     return SplitNormReport(osc + size, osc, size, osc_arg >= 0, size_arg >= 0, osc_arg, size_arg, len(family))
 
 
 def test_split_norm_matches_the_masked_sup_oracle():
-    # values on four levels, so the sup of each part ties across radius
-    # blocks and the first attaining ball decides the argument; rho tied
-    # with the radii, one ulp either side, and scalars at, between and
-    # beyond them
+    # values on a few levels, so the sup of each part ties across radius
+    # blocks and the first attaining ball decides the argument; rho per
+    # center tied with a block's radius, one ulp either side, and scalars
+    # at, between and beyond the radii
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
     rng = np.random.default_rng(11)
-    stats = FamilyStats(fam, np.ones(len(fam), dtype=np.int64), rng.integers(0, 2, len(fam)) * 0.5,
-                        rng.integers(1, 5, len(fam)) * 1.0)
-    r = fam.radii
-    i = np.arange(len(fam))
+    mean, mean_sq = rng.integers(0, 2, len(fam)) * 0.5, rng.integers(1, 5, len(fam)) * 1.0
+    stats = FamilyStats(fam, np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq))
+    j = np.arange(fam.xs.size)
+    r = fam.radius_ladder[(j // 4) % fam.radius_ladder.size]  # a block's radius at each center
     rhos = [
-        np.select([i % 4 == k for k in range(3)], [r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf)], np.inf),
-        0.5 * (1.0 + np.abs(fam.centers[:, 0])) ** 0.475,
+        np.select([j % 4 == k for k in range(3)], [r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf)], np.inf),
+        0.5 * (1.0 + np.abs(fam.xs)) ** 0.475,
         0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf,
     ]
     for rho in rhos:

@@ -12,7 +12,6 @@ from oscillab.potential import (
     constant_potential,
     normalized_mass,
     power_potential,
-    rho_values_for,
     solve_critical_radius,
 )
 
@@ -90,16 +89,6 @@ def test_normalized_mass_shapes_and_zero():
         normalized_mass(constant_potential(1.0, 1), pts, -1.0)
 
 
-def test_rho_values_for_accepted_forms():
-    centers = np.array([[0.0], [1.0]])
-    assert np.allclose(rho_values_for(0.5, centers), [0.5, 0.5])
-    assert np.allclose(rho_values_for(np.array([0.5, 0.25]), centers), [0.5, 0.25])
-    with pytest.raises(ConfigError):
-        rho_values_for(np.array([0.5, 0.25, 0.125]), centers)
-    with pytest.raises(ConfigError):
-        rho_values_for(None, centers)
-
-
 # ---------------------------------------------------------------------------
 # the bisection solve against the geometric scan it replaced
 
@@ -168,10 +157,10 @@ def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
     fam = make_ball_family(
         grid, FamilyPolicy(center_stride=0.25, radius_min=4 * spacing, radius_max=4096.0, distance_max=4096.0)
     )
-    xs, at = fam.distinct_centers()
-    assert xs.size == 131071
-    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), xs[:, None])
+    assert fam.xs.size == 131071
+    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), fam.xs[:, None])
     # no family ball changes side of rho
+    at = np.searchsorted(fam.xs, fam.centers[:, 0])
     assert np.array_equal(fam.radii < got[at], fam.radii < want[at])
 
 

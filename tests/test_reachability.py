@@ -43,7 +43,13 @@ REASON_KINDS = {
 ALLOWED = {
     "cli.py:_scenario_from_args": ("cli", "the bmo, tent, pairing and uchiyama shorthands"),
     "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
+    "family.py:BallFamily.centers": ("tracer", "the family.distinct_centers counter and the family_stats digest"),
+    "family.py:BallFamily.radii": ("tracer", "the family_stats counter digests the radii"),
+    "grid.py:Ball.inside_box": ("oracle", "carleson_box_strict_tent and ball_member_values refuse a ball with it"),
     "grid.py:Grid.size": ("tracer", "the approx.assigned_samples counter reads the grid's size"),
+    "grid.py:_require_inside": ("oracle", "ball_member_values, the member path of SummedTable.ball_sum"),
+    "grid.py:ball_member_values": ("oracle", "SummedTable.ball_sum, against the samples inside one ball"),
+    "grid.py:mean_oscillation": ("oracle", "family_stats, against one ball's member values"),
     "grid.py:GridFunction.constant": ("criterion", "4 runs the semigroup on the constant one"),
     "grid.py:GridFunction.l2_norm": ("criterion", "3 and 5 normalise by it"),
     "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),

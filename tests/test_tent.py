@@ -49,7 +49,7 @@ def _random_field(grid, ladder, seed=0):
 
 def _one_ball(grid, c, r):
     """The family of the one ball B(c, r), for a scan of that ball alone."""
-    return BallFamily(grid, np.array([[c]]), np.array([r]), [r], [r])
+    return BallFamily(grid, [c], [(round(r / grid.spacing), 0, 1)], [r], [r])
 
 
 def _box(F, c, r):
