@@ -26,7 +26,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Grid",
         "GridFunction",
         "SummedTable",
-        "mean_oscillation",
     ),
     "family": (
         "BallFamily",
@@ -51,8 +50,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "apply_spectral",
         "default_ladder",
         "discretize",
-        "heat",
-        "poisson",
         "poisson_extension",
         "square_function_field",
     ),
@@ -68,10 +65,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "vanishing_verdict",
     ),
     "tent": (
-        "box_oscillation_ratio",
-        "carleson_box_strict_tent",
         "cone_square_function",
-        "dilate_oscillation",
         "gradient_carleson_curves",
         "hmo_norm",
         "reproducing_pairing_check",
@@ -98,12 +92,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "serialize": (
         "canonical_json",
         "config_hash",
-        "load_grid_function",
-        "load_samples",
         "save_curves_csv",
         "save_grid_function",
         "save_json",
-        "save_samples",
     ),
     "experiments": (
         "AgreementReport",

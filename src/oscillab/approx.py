@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ThresholdExhaustedError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, oscillation_and_size
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +120,7 @@ def _pyramid(values: np.ndarray, a: int, p: int):
         osc[-1] = sums[-1] / (q + 1)
         size = sumsq / q
         size[-1] = sumsq[-1] / (q + 1)
-        np.square(osc, out=osc)
-        np.subtract(size, osc, out=osc)
-        np.maximum(0.0, osc, out=osc)
-        np.sqrt(osc, out=osc)
-        np.sqrt(size, out=size)
-        yield level, q, osc, size
+        yield level, q, *oscillation_and_size(osc, size)
         del osc, size
         if level < a:
             sums = sums[0::2] + sums[1::2]

@@ -91,7 +91,7 @@ def _scenario_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    from .errors import ConfigError, CriterionFailure, OscillabError
+    from .errors import CriterionFailure, OscillabError
     from .experiments import ExperimentConfig, run
 
     if args.command == "run":
@@ -120,11 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     except CriterionFailure as e:
         print(f"FAIL: {e}", file=sys.stderr)
         return 3
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except OscillabError as e:
-        # geometry/solver errors triggered by config-chosen parameters
+        # a ConfigError, or a geometry or solver error that config-chosen
+        # parameters set off
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

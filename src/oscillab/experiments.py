@@ -600,6 +600,7 @@ _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
 
 
 _POSITIVE = _Kind("a positive finite number", lambda v: _number(v) and v > 0, _FLOAT.typed)
+_NONNEGATIVE = _Kind("a finite number >= 0", lambda v: _number(v) and v >= 0, _FLOAT.typed)
 
 
 def _int_at_least(low: int) -> _Kind:
@@ -663,10 +664,23 @@ def _potential(where: str, spec: dict) -> Callable[[int], Potential]:
 _POTENTIAL = _Kind("an object with a 'kind'", lambda v: isinstance(v, dict), _potential)
 
 
+def _built_potential(where: str, keys: str, build: Callable[[int], Potential], n: int) -> Potential:
+    """The potential build(n) that the keys set.  A ConfigError from build,
+    or a zero potential (its critical radius is infinite everywhere), is
+    raised as a ConfigError naming the keys."""
+    try:
+        potential = build(n)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {keys}: {e}") from None
+    if potential.is_zero():
+        raise ConfigError(f"{where}: {keys}: the zero potential has an infinite critical radius everywhere")
+    return potential
+
+
 def _rho_slope_potential(where: str, p: dict) -> dict:
     """rho-slope parameters with the potential built in dimension 'n', from
-    'potential' or from 'exponent' and 'amplitude'; a zero potential (its
-    critical radius is infinite everywhere) and an empty x range fail."""
+    'potential' or from 'exponent' and 'amplitude'; a potential that
+    _built_potential refuses and an empty x range fail."""
     n = p.pop("n")
     if "potential" in p:
         keys, build = "'potential'", p.pop("potential")
@@ -675,12 +689,7 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     else:
         keys = "'exponent' and 'amplitude'"
         build = functools.partial(power_potential, p.pop("exponent"), amplitude=p.pop("amplitude", 1.0))
-    try:
-        potential = build(n)
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {keys}: {e}") from None
-    if potential.is_zero():
-        raise ConfigError(f"{where}: {keys}: the zero potential has an infinite critical radius everywhere")
+    potential = _built_potential(where, keys, build, n)
     if not p["x_min"] < p["x_max"]:
         raise ConfigError(f"{where}: 'x_min' and 'x_max': need x_min < x_max, got {p['x_min']} and {p['x_max']}")
     return {**p, "potential": potential}
@@ -691,8 +700,8 @@ _AGREEMENT_PARAMS = {
     **_CORPUS_GRID,
     "members": _MEMBERS,
     "family": _FAMILY,
-    "tol_fraction": _FLOAT,
-    "decay_factor": _FLOAT,
+    "tol_fraction": _NONNEGATIVE,
+    "decay_factor": _POSITIVE,
     "assert_members": _MEMBERS(()),
 }
 
@@ -705,14 +714,18 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
         "points": _int_at_least(2),
         "potential": _POTENTIAL,
         **{"x_min": _POSITIVE(RHO_SLOPE_X_MIN), "x_max": _POSITIVE(RHO_SLOPE_X_MAX)},
-        **dict.fromkeys(("exponent", "amplitude", "jitter", "tolerance"), _FLOAT),
+        **dict.fromkeys(("exponent", "amplitude", "jitter"), _FLOAT),
+        "tolerance": _NONNEGATIVE,
     },
     "lacunary-separation": {
         "k_max": _int_at_least(1)(8),
         "assert_verdicts": _BOOL(True),
         **{"halfwidth": _POSITIVE(16384.0), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(0.25)},
         **dict.fromkeys(("radius_max", "distance_max"), _POSITIVE(4096.0)),
-        **dict.fromkeys(("exponent", "amplitude", "tol_fraction", "decay_factor", "floor_factor"), _FLOAT),
+        # exp_lacunary's defaults: the check builds the potential
+        **{"exponent": _FLOAT(1.05), "amplitude": _FLOAT(0.002)},
+        **dict.fromkeys(("tol_fraction", "floor_factor"), _NONNEGATIVE),
+        "decay_factor": _POSITIVE,
     },
     "square-function-agreement": _AGREEMENT_PARAMS,
     "extension-agreement": _AGREEMENT_PARAMS,
@@ -721,14 +734,14 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
         "expect": _EXPECT("MEMBER"),
         **{"halfwidth": _POSITIVE(float(2**16)), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(2.0)},
         **dict.fromkeys(("eps_fraction", "osc_fraction"), _POSITIVE),
-        "corpus_factor": _FLOAT,
+        "corpus_factor": _POSITIVE,
     },
     "bmo-norms": {
         **_CORPUS_GRID,
         "member": _MEMBER("bump-narrow"),
         "family": _FAMILY,
-        "tol_fraction": _FLOAT(0.05),
-        "decay_factor": _FLOAT(4.0),
+        "tol_fraction": _NONNEGATIVE(0.05),
+        "decay_factor": _POSITIVE(4.0),
     },
     "tent-norms": {
         **_CORPUS_GRID,
@@ -743,7 +756,7 @@ _SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
         "t_min": _FLOAT,
         "t_max": _FLOAT,
         "per_decade": _int_at_least(2)(16),
-        "tolerance": _FLOAT,
+        "tolerance": _NONNEGATIVE,
     },
     "averaging-pipeline": {
         "member": _MEMBER("bump-narrow"),
@@ -781,6 +794,10 @@ def _scenario(s: dict) -> tuple[str, str, dict]:
     checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
     if sid == "rho-slope":
         checked = _rho_slope_potential(f"scenario {sid!r}", checked)
+    elif sid == "lacunary-separation":
+        # exp_lacunary builds the same potential when the scenario runs
+        _built_potential(f"scenario {sid!r}", "'exponent' and 'amplitude'",
+                         functools.partial(power_potential, checked["exponent"], amplitude=checked["amplitude"]), 1)
     # an asserted member that the scenario does not run would assert nothing
     idle = sorted(set(checked.get("assert_members", ())) - set(checked.get("members") or _CORPUS_NAMES))
     if idle:
@@ -851,9 +868,10 @@ class ScenarioPlan:
 
 def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
-    first): a family, center runs checked, once per (grid, policy), and an
-    operator and its default t-ladder once per grid; reproducing-pairing
-    builds its own t-ladder.  A ConfigError names the scenario and keys."""
+    first): a family, its centers checked against the lattice, once per
+    (grid, policy), and an operator and its default t-ladder once per
+    grid; reproducing-pairing builds its own t-ladder.  A ConfigError
+    names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
     operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}

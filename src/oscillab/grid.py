@@ -14,9 +14,10 @@ Conventions that the rest of the package relies on:
 
 Ball sums are served from prefix-sum tables.  A family scan asks for the
 balls of one radius over a run of centers at one index step, so each
-block's sums are the difference of two strided slices of the table; the
-naive per-ball member values, for any center, are kept alongside as an
-oracle.
+block's sums are the difference of two strided slices of the table.  The
+ball means of f and of f^2 become the oscillation and the size in one
+place, oscillation_and_size.  The naive per-ball member values, the
+oracle of the tables, live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateRegionError,
-    GridMismatchError,
-    OutOfDomainError,
-)
+from .errors import ConfigError, GridMismatchError, OutOfDomainError
 
 _IDX_TOL = 1e-9
 
@@ -126,18 +122,10 @@ class GridFunction:
     def from_callable(grid: Grid, fn) -> "GridFunction":
         return GridFunction(grid, np.asarray(fn(grid.axis), dtype=np.float64))
 
-    @staticmethod
-    def constant(grid: Grid, c: float) -> "GridFunction":
-        return GridFunction(grid, np.full(grid.shape, float(c)))
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("grid functions live on different grids")
         return GridFunction(self.grid, self.values - other.values)
-
-    def l2_norm(self) -> float:
-        """Discrete L2 norm: (sum f^2 * h)^(1/2)."""
-        return float(math.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
 
 
 @dataclass(frozen=True)
@@ -152,16 +140,6 @@ class Ball:
             raise ConfigError("ball center must have one coordinate")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ConfigError(f"ball radius must be positive, got {self.radius}")
-
-    def inside_box(self, grid: Grid) -> bool:
-        """True when the closed ball stays strictly inside the box.
-
-        Balls touching the boundary are rejected; with centers and radii on
-        the h-lattice, |c| + r is either <= X - h (inside) or >= X, so the
-        X - h/4 cut is unambiguous even with float dust.
-        """
-        lim = grid.halfwidth - grid.spacing / 4.0
-        return abs(self.center[0]) + self.radius < lim
 
 
 # ---------------------------------------------------------------------------
@@ -211,39 +189,19 @@ class SummedTable:
 
 
 # ---------------------------------------------------------------------------
-# ball membership and oscillation
+# oscillation from means
 
 
-def _require_inside(grid: Grid, ball: Ball) -> None:
-    if not ball.inside_box(grid):
-        raise OutOfDomainError(
-            f"ball B({ball.center}, {ball.radius}) touches or leaves the box "
-            f"[-{grid.halfwidth}, {grid.halfwidth}]"
-        )
-
-
-def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
-    """Values at samples strictly inside the ball (naive path, any center)."""
-    g = f.grid
-    _require_inside(g, ball)
-    h = g.spacing
-    c, r = ball.center[0], ball.radius
-    i_lo = int(math.floor((c - r + g.halfwidth) / h + _IDX_TOL)) + 1
-    i_hi = int(math.ceil((c + r + g.halfwidth) / h - _IDX_TOL)) - 1
-    if i_hi < i_lo:
-        return np.empty(0)
-    return f.values[i_lo : i_hi + 1]
-
-
-def mean_oscillation(f: GridFunction, ball: Ball) -> float:
-    """(mean over B of |f - mean_B f|^2)^(1/2) over the member values (the
-    naive path; family scans use FamilyStats.oscillation)."""
-    vals = ball_member_values(f, ball)
-    if vals.size == 0:
-        raise DegenerateRegionError(
-            f"ball B({ball.center}, {ball.radius}) contains no grid sample"
-        )
-    return oscillation_of(vals)
+def oscillation_and_size(mean: np.ndarray, mean_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The means of f and of f^2 over a set of regions turned in place into
+    the oscillation sqrt(max(0, mean_sq - mean^2)), in mean's buffer, and
+    the size sqrt(mean_sq), in mean_sq's; both buffers are returned."""
+    np.square(mean, out=mean)
+    np.subtract(mean_sq, mean, out=mean)
+    np.maximum(0.0, mean, out=mean)
+    np.sqrt(mean, out=mean)
+    np.sqrt(mean_sq, out=mean_sq)
+    return mean, mean_sq
 
 
 def oscillation_of(vals: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from .family import (
     bucketed_sup,
     supercritical_spans,
 )
-from .grid import GridFunction, SummedTable
+from .grid import GridFunction, SummedTable, oscillation_and_size
 from .semigroup import SpectralOperator, TLadder
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
@@ -81,14 +81,7 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     table._refill_squares(f.values)
     _ball_means(table, family, mean_sq)
     del table
-    # oscillation sqrt(max(0, mean_sq - mean^2)) in mean's buffer, size
-    # sqrt(mean_sq) in mean_sq's
-    np.square(mean, out=mean)
-    np.subtract(mean_sq, mean, out=mean)
-    np.maximum(0.0, mean, out=mean)
-    np.sqrt(mean, out=mean)
-    np.sqrt(mean_sq, out=mean_sq)
-    return FamilyStats(family, mean, mean_sq)
+    return FamilyStats(family, *oscillation_and_size(mean, mean_sq))
 
 
 def _ball_means(table: SummedTable, family: BallFamily, out: np.ndarray) -> None:

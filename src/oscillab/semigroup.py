@@ -16,6 +16,11 @@ it, the two transforms agree bit for bit.  The half-space fields
 transform a block of ladder slices at a time, so that each block's
 extension stays cache-sized.
 
+apply_spectral takes one psi to one function; the scenarios take whole
+t-ladders at once through the half-space fields below, so the single-time
+heat and Poisson semigroups e^{-tL} and e^{-t sqrt(L)} are apply_spectral
+calls that only tests make (tests/oracles.py).
+
 Half-space objects (functions of (x, t) with t on a geometric ladder) carry
 their ladder with them; integrals in dt/t use trapezoid weights in log t,
 which is superalgebraically accurate for the smooth integrands that appear
@@ -185,18 +190,6 @@ def apply_spectral(op: SpectralOperator, psi: Callable[[np.ndarray], np.ndarray]
     if vals.shape != s.shape or not np.all(np.isfinite(vals)):
         raise ConfigError("psi must map the spectrum to finite values of the same shape")
     return op.synthesize(vals * op.coefficients(f))
-
-
-def heat(op: SpectralOperator, f: GridFunction, t: float) -> GridFunction:
-    if t < 0:
-        raise ConfigError("heat time must be >= 0")
-    return apply_spectral(op, lambda s: np.exp(-t * s**2), f)
-
-
-def poisson(op: SpectralOperator, f: GridFunction, t: float) -> GridFunction:
-    if t < 0:
-        raise ConfigError("poisson time must be >= 0")
-    return apply_spectral(op, lambda s: np.exp(-t * s), f)
 
 
 # ---------------------------------------------------------------------------

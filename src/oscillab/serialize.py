@@ -1,11 +1,11 @@
 """Deterministic on-disk formats.
 
-Grid samples go to a raw little-endian float64 ``.bin`` (row-major) next to a
-JSON sidecar describing the geometry.  The binary stream is kept free of IEEE
-infinities: +inf is stored as a quiet NaN with the reserved payload below and
-restored bit-exactly on load.  Limit curves go to CSV.  All
-writers sort keys, use repr-style shortest floats, and never emit timestamps,
-so identical inputs give byte-identical files.
+A grid function goes to a raw little-endian float64 ``.bin`` next to a
+JSON header describing the geometry; its values are finite, so the stream
+holds no IEEE infinity.  Limit curves go to CSV.  All writers sort keys,
+use repr-style shortest floats, and never emit timestamps, so identical
+inputs give byte-identical files.  The package writes these files and
+never reads them back; the tests read them with tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,21 +15,16 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigError
 from .family import LimitCurve
-from .grid import Grid, GridFunction
+from .grid import GridFunction
 
 __all__ = [
     "GRIDFN_FORMAT",
-    "INF_PAYLOAD",
     "save_grid_function",
-    "load_grid_function",
-    "save_samples",
-    "load_samples",
     "save_curves_csv",
     "save_json",
     "canonical_json",
@@ -38,30 +33,12 @@ __all__ = [
 
 GRIDFN_FORMAT = "oscillab-gridfn-v1"
 
-# Quiet NaN with payload 'INFI'; stands in for +inf inside the .bin stream.
-INF_PAYLOAD = np.uint64(0x7FF8_0000_494E_4649)
+# The quiet NaN with payload 'INFI' that the format reserves for +inf.  A
+# GridFunction holds finite values only, so no stream written here uses
+# it; the header names it so that a reader of the format knows the code.
+INF_NAN_PAYLOAD = "0x7ff80000494e4649"
 
 _PathLike = Union[str, Path]
-
-
-def _encode_inf(values: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype="<f8").copy()
-    mask = np.isposinf(out)
-    if mask.any():
-        bits = out.view(np.uint64)
-        bits[mask] = INF_PAYLOAD
-    if np.isneginf(out).any():
-        raise ConfigError("-inf is not representable in the sample format")
-    return out
-
-
-def _decode_inf(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    bits = out.view(np.uint64)
-    mask = bits == INF_PAYLOAD
-    if mask.any():
-        out[mask] = np.inf
-    return out
 
 
 def canonical_json(obj) -> str:
@@ -100,65 +77,26 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def _bin_path(json_path: Path) -> Path:
-    return json_path.with_suffix(".bin")
-
-
-def save_samples(path: _PathLike, values: np.ndarray, meta: Optional[Mapping] = None) -> Path:
-    """Write an array (+ JSON header) in the grid-sample format."""
+def save_grid_function(path: _PathLike, f: GridFunction) -> Path:
+    """Write f's samples as raw little-endian float64 to the .bin beside
+    path, then the JSON header of its grid to path."""
     p = Path(path)
-    if p.suffix != ".json":
-        raise ConfigError("sample header path must end in .json")
-    data = _encode_inf(np.asarray(values, dtype=np.float64))
+    g = f.grid
     header = {
         "format": GRIDFN_FORMAT,
         "dtype": "<f8",
         "order": "C",
-        "shape": list(data.shape),
-        "inf_nan_payload": f"0x{int(INF_PAYLOAD):016x}",
+        "shape": list(g.shape),
+        "inf_nan_payload": INF_NAN_PAYLOAD,
+        "kind": "grid-function",
+        "n": g.n,
+        "halfwidth": g.halfwidth,
+        "spacing": g.spacing,
+        "axis_count": g.axis_count,
     }
-    if meta:
-        for k, v in meta.items():
-            if k in header:
-                raise ConfigError(f"meta key {k!r} collides with a header field")
-            header[k] = _sanitize(v)
-    _bin_path(p).write_bytes(data.tobytes(order="C"))
+    p.with_suffix(".bin").write_bytes(f.values.astype("<f8", copy=False).tobytes())
     p.write_text(canonical_json(header), encoding="utf-8")
     return p
-
-
-def load_samples(path: _PathLike) -> tuple[np.ndarray, dict]:
-    p = Path(path)
-    header = json.loads(p.read_text(encoding="utf-8"))
-    if header.get("format") != GRIDFN_FORMAT:
-        raise ConfigError(f"unsupported sample format {header.get('format')!r}")
-    raw = np.frombuffer(_bin_path(p).read_bytes(), dtype="<f8")
-    shape = tuple(int(s) for s in header["shape"])
-    if raw.size != int(np.prod(shape)):
-        raise ConfigError("sample payload size does not match the header shape")
-    values = _decode_inf(raw.reshape(shape).copy())
-    return values, header
-
-
-def save_grid_function(path: _PathLike, f: GridFunction) -> Path:
-    meta = {
-        "kind": "grid-function",
-        "n": f.grid.n,
-        "halfwidth": f.grid.halfwidth,
-        "spacing": f.grid.spacing,
-        "axis_count": f.grid.axis_count,
-    }
-    return save_samples(path, f.values, meta)
-
-
-def load_grid_function(path: _PathLike) -> GridFunction:
-    values, header = load_samples(path)
-    if int(header["n"]) != 1:
-        raise ConfigError(f"stored grid has dimension {header['n']}; only one-dimensional grids load")
-    grid = Grid(halfwidth=float(header["halfwidth"]), spacing=float(header["spacing"]))
-    if tuple(values.shape) != grid.shape:
-        raise ConfigError("sample shape does not match the stored grid")
-    return GridFunction(grid, values)
 
 
 def save_curves_csv(path: _PathLike, curves: Iterable[LimitCurve]) -> Path:

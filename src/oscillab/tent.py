@@ -1,11 +1,11 @@
 """Tent-space functionals on half-space samples.
 
-The primary region over a ball B(c, r) is the cylinder B x (0, r], whose
-integrals family_box_values gives for every ball of a family in one scan;
-a strict-tent oracle (points with |y - c| < r - t) is kept for
-cross-checks.  All dt/t integrals use trapezoid weights in log t
-recomputed on the truncated ladder prefix, and all spatial sums count
-samples strictly inside the ball times h.
+The region over a ball B(c, r) is the cylinder B x (0, r], whose
+integrals family_box_values gives for every ball of a family in one scan.
+All dt/t integrals use trapezoid weights in log t recomputed on the
+truncated ladder prefix, and all spatial sums count samples strictly
+inside the ball times h.  The strict-tent box and the dilate-oscillation
+comparison of criterion 8, which only tests run, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateRegionError,
-    LadderError,
-    OutOfDomainError,
-)
+from .errors import ConfigError, LadderError
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
-from .grid import Ball, GridFunction, SummedTable, ball_member_values
+from .grid import GridFunction, SummedTable
 from .oscillation import OscillationReport, _sup_report, scan_radius_blocks
 from .semigroup import (
     HalfSpaceFunction,
@@ -29,7 +24,6 @@ from .semigroup import (
     TLadder,
     interior_index_window,
     log_weights_for,
-    poisson,
     square_function_field,
 )
 
@@ -59,31 +53,6 @@ class BoxScanner:
         for j in range(k):
             total += w[j] * self.tables[j].ball_sum(run, cell_radius)
         return total * self.grid.cell_volume / r
-
-
-def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
-    """Oracle of family_box_values: the same integral over the strict tent
-    {(y, t): |y - c| < r - t} of one ball, for any center.
-
-    Always <= the cylinder value for the same F.  Slow path only.
-    """
-    g = F.grid
-    if not ball.inside_box(g):
-        raise OutOfDomainError("tent ball touches or leaves the box")
-    t = F.ladder.values
-    k = int(np.searchsorted(t, ball.radius * (1 + 1e-12), side="right"))
-    if k == 0:
-        raise LadderError(f"ball radius {ball.radius} lies below the smallest scale")
-    w = log_weights_for(t[:k])
-    total = 0.0
-    for j in range(k):
-        shrunk = ball.radius - t[j]
-        if shrunk <= 0:
-            continue
-        b = Ball(ball.center, shrunk)
-        vals = ball_member_values(GridFunction(g, F.values[j]), b)
-        total += w[j] * float(np.sum(vals**2))
-    return total * g.cell_volume / ball.radius
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
@@ -174,131 +143,6 @@ def tent_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurv
 def gradient_carleson_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:
     """tent_curves of the extension's scaled-gradient Carleson values."""
     return tent_curves(carleson, family)
-
-
-# ---------------------------------------------------------------------------
-# dilate oscillation and the box comparison
-
-
-@dataclass(frozen=True)
-class DilateOscillation:
-    value: float
-    n_subballs: int
-    clipped: bool
-
-
-def dilate_oscillation(
-    f: GridFunction,
-    op: SpectralOperator,
-    ball: Ball,
-    k: int,
-    clip: bool = False,
-    _diff_tables: dict | None = None,
-) -> DilateOscillation:
-    """sup over sub-balls B' of the k-th dilate of the semigroup
-    oscillation (mean over B' of (f - e^{-r' sqrt(L)} f)^2)^(1/2).
-
-    Sub-balls: centers on the r/4 lattice inside the dilate of factor
-    2^(k+2), radii r' in {r/2, r, 2r}.  With clip=False a dilate escaping
-    the box raises; clip=True intersects the search region with the box
-    and marks the result.
-    """
-    g = f.grid
-    if k < 0:
-        raise ConfigError("dilate index must be >= 0")
-    r = ball.radius
-    c = ball.center[0]
-    reach = 2.0 ** (k + 2) * r
-    lim = g.halfwidth - g.spacing / 4.0
-    clipped = abs(c) + reach >= lim
-    if clipped and not clip:
-        raise OutOfDomainError(
-            f"dilate 2^{k + 2} B of B({c}, {r}) escapes the box; "
-            "pass clip=True to intersect it with the box"
-        )
-    h = g.spacing
-    best = -math.inf
-    n_used = 0
-    for r_raw in (r / 2.0, r, 2.0 * r):
-        rp = max(h, round(r_raw / h) * h)
-        if _diff_tables is not None and rp in _diff_tables:
-            table = _diff_tables[rp]
-        else:
-            diff = f.values - poisson(op, f, rp).values
-            table = SummedTable(g, diff**2)
-            if _diff_tables is not None:
-                _diff_tables[rp] = table
-        # admissible centers: |c' - c| + r' <= reach, ball inside the box;
-        # they step from c's sample by the r/4 stride in samples, so the
-        # ones inside the box are one run
-        span = reach - rp
-        if span < 0:
-            continue
-        step = max(1, round(r / 4.0 / h))
-        reach_steps = math.floor(span / (step * h) + 1e-9)
-        ci = int(g.coord_to_index(c)) + step * np.arange(-reach_steps, reach_steps + 1)
-        ci = ci[np.abs(g.index_to_coord(ci)) + rp < lim]
-        if ci.size == 0:
-            continue
-        m = int(round(rp / h))
-        sums = table.ball_sum(range(int(ci[0]), int(ci[-1]) + 1, step), m)
-        val = math.sqrt(max(0.0, float(np.max(sums)) / (2 * m - 1)))
-        n_used += ci.size
-        best = max(best, val)
-    if n_used == 0:
-        raise DegenerateRegionError("no admissible sub-ball in the dilate")
-    return DilateOscillation(best, n_used, clipped)
-
-
-@dataclass(frozen=True)
-class BoxOscillationReport:
-    """Comparison of the cylinder square-function average on a ball with
-    the weighted sum of dilate oscillations.
-
-    lhs = ( |B|^{-1} * integral over B x (0, r] of |t sqrt(L) e^{-t sqrt(L)} f|^2 dx dt/t )^(1/2)
-    rhs = sum_{k<=k_max} 2^{-k} * dilate_oscillation_k, plus a recorded tail
-    allowance tail = 2^{-k_max} * norm_hint for the discarded scales.
-    """
-
-    lhs: float
-    rhs: float
-    tail: float
-    ratio: float
-    per_k: tuple[float, ...]
-    clipped: bool
-
-
-def box_oscillation_ratio(
-    f: GridFunction,
-    op: SpectralOperator,
-    ball: Ball,
-    k_max: int,
-    box: float,
-    norm_hint: float = 0.0,
-    clip: bool = False,
-) -> BoxOscillationReport:
-    """Measure lhs / (rhs + tail) for one family ball; values <= 1 up to a
-    modest constant are the expected regime.  box is the ball's entry of
-    family_box_values(F, family), F the square-function field of f under
-    op: one scan serves every ball of a sweep."""
-    if k_max < 0:
-        raise ConfigError("k_max must be >= 0")
-    h = f.grid.spacing
-    # convert r^{-1} normalisation to |B|^{-1}: 2m - 1 samples of cell radius m
-    vol = (2 * round(ball.radius / h) - 1) * h
-    lhs = math.sqrt(box * ball.radius / vol)
-    cache: dict = {}
-    per_k = []
-    clipped_any = False
-    for k in range(k_max + 1):
-        d = dilate_oscillation(f, op, ball, k, clip=clip, _diff_tables=cache)
-        clipped_any |= d.clipped
-        per_k.append(d.value)
-    rhs = float(sum(2.0**-k * v for k, v in enumerate(per_k)))
-    tail = 2.0**-k_max * norm_hint
-    denom = rhs + tail
-    ratio = lhs / denom if denom > 0 else math.inf
-    return BoxOscillationReport(lhs, rhs, tail, ratio, tuple(per_k), clipped_any)
 
 
 # ---------------------------------------------------------------------------

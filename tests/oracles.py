@@ -1,16 +1,21 @@
-"""Slow, independent forms of what the package computes fast.
+"""Slow, independent forms of what the package computes fast, and the
+helpers that only tests call.
 
-The tests compare the package against these; no scenario runs them.
+The tests compare the package against these; no scenario runs them, so
+none of them lives in src/oscillab.  Each oracle is defined here once.
 """
 
+import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad_vec
 
-from oscillab.errors import ConfigError
-from oscillab.grid import GridFunction
-from oscillab.semigroup import SpectralOperator
+from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
+from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_of
+from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, apply_spectral, log_weights_for
 
 
 def poisson_subordinated(op: SpectralOperator, f: GridFunction, t: float, rel_tol: float = 1e-10) -> GridFunction:
@@ -55,3 +60,271 @@ def ball_sums(p: np.ndarray, centers_idx: np.ndarray, cell_radius: int) -> np.nd
     array of center sample indices c: offsets |k| <= cell_radius - 1."""
     ci = np.asarray(centers_idx, dtype=np.int64).reshape(-1)
     return interval_sums(p, ci - (cell_radius - 1), ci + (cell_radius - 1))
+
+
+# ---------------------------------------------------------------------------
+# grid functions and balls
+
+
+def constant(grid: Grid, c: float) -> GridFunction:
+    """The constant c on the grid."""
+    return GridFunction(grid, np.full(grid.shape, float(c)))
+
+
+def l2_norm(f: GridFunction) -> float:
+    """Discrete L2 norm: (sum f^2 * h)^(1/2)."""
+    return float(math.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
+
+
+def inside_box(ball: Ball, grid: Grid) -> bool:
+    """True when the closed ball stays strictly inside the box.
+
+    Balls touching the boundary are rejected; with centers and radii on
+    the h-lattice, |c| + r is either <= X - h (inside) or >= X, so the
+    X - h/4 cut is unambiguous even with float dust.
+    """
+    lim = grid.halfwidth - grid.spacing / 4.0
+    return abs(ball.center[0]) + ball.radius < lim
+
+
+def ball_member_values(f: GridFunction, ball: Ball) -> np.ndarray:
+    """Values at samples strictly inside the ball, for any center: the
+    oracle of SummedTable.ball_sum."""
+    g = f.grid
+    if not inside_box(ball, g):
+        raise OutOfDomainError(
+            f"ball B({ball.center}, {ball.radius}) touches or leaves the box "
+            f"[-{g.halfwidth}, {g.halfwidth}]"
+        )
+    h = g.spacing
+    c, r = ball.center[0], ball.radius
+    i_lo = int(math.floor((c - r + g.halfwidth) / h + _IDX_TOL)) + 1
+    i_hi = int(math.ceil((c + r + g.halfwidth) / h - _IDX_TOL)) - 1
+    if i_hi < i_lo:
+        return np.empty(0)
+    return f.values[i_lo : i_hi + 1]
+
+
+def mean_oscillation(f: GridFunction, ball: Ball) -> float:
+    """(mean over B of |f - mean_B f|^2)^(1/2) over the member values: the
+    oracle of family_stats."""
+    vals = ball_member_values(f, ball)
+    if vals.size == 0:
+        raise DegenerateRegionError(
+            f"ball B({ball.center}, {ball.radius}) contains no grid sample"
+        )
+    return oscillation_of(vals)
+
+
+# ---------------------------------------------------------------------------
+# semigroups
+
+
+def heat(op: SpectralOperator, f: GridFunction, t: float) -> GridFunction:
+    """e^{-t L} f."""
+    if t < 0:
+        raise ConfigError("heat time must be >= 0")
+    return apply_spectral(op, lambda s: np.exp(-t * s**2), f)
+
+
+def poisson(op: SpectralOperator, f: GridFunction, t: float) -> GridFunction:
+    """e^{-t sqrt(L)} f."""
+    if t < 0:
+        raise ConfigError("poisson time must be >= 0")
+    return apply_spectral(op, lambda s: np.exp(-t * s), f)
+
+
+# ---------------------------------------------------------------------------
+# Carleson boxes
+
+
+def prefix_weights(t) -> np.ndarray:
+    """Trapezoid weights in log t over the ladder prefix t, written out
+    apart from semigroup.log_weights_for."""
+    v = np.log(np.asarray(t))
+    if v.size == 1:
+        return np.array([1.0])
+    w = np.empty_like(v)
+    w[1:-1] = (v[2:] - v[:-2]) / 2.0
+    w[0] = (v[1] - v[0]) / 2.0
+    w[-1] = (v[-1] - v[-2]) / 2.0
+    return w
+
+
+def cylinder_box(F: HalfSpaceFunction, ball: Ball) -> float:
+    """r^{-1} * sum over the cylinder B x (0, r] of |F|^2 h dt/t, from a
+    membership mask of the ball: the oracle of family_box_values."""
+    g = F.grid
+    r = ball.radius
+    k = int(np.searchsorted(F.ladder.values, r, side="right"))
+    if k == 0:
+        return 0.0
+    w = prefix_weights(F.ladder.values[:k])
+    mask = np.abs(g.axis - ball.center[0]) < r
+    tot = 0.0
+    for j in range(k):
+        tot += w[j] * float(np.sum(F.values[j][mask] ** 2)) * g.cell_volume
+    return tot / r**g.n
+
+
+def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
+    """The integral of family_box_values over the strict tent
+    {(y, t): |y - c| < r - t} of one ball, for any center.
+
+    Always <= the cylinder value for the same F.
+    """
+    g = F.grid
+    if not inside_box(ball, g):
+        raise OutOfDomainError("tent ball touches or leaves the box")
+    t = F.ladder.values
+    k = int(np.searchsorted(t, ball.radius * (1 + 1e-12), side="right"))
+    if k == 0:
+        raise LadderError(f"ball radius {ball.radius} lies below the smallest scale")
+    w = log_weights_for(t[:k])
+    total = 0.0
+    for j in range(k):
+        shrunk = ball.radius - t[j]
+        if shrunk <= 0:
+            continue
+        b = Ball(ball.center, shrunk)
+        vals = ball_member_values(GridFunction(g, F.values[j]), b)
+        total += w[j] * float(np.sum(vals**2))
+    return total * g.cell_volume / ball.radius
+
+
+# ---------------------------------------------------------------------------
+# dilate oscillation and the box comparison
+
+
+@dataclass(frozen=True)
+class DilateOscillation:
+    value: float
+    n_subballs: int
+    clipped: bool
+
+
+def dilate_oscillation(
+    f: GridFunction,
+    op: SpectralOperator,
+    ball: Ball,
+    k: int,
+    clip: bool = False,
+    _diff_tables: dict | None = None,
+) -> DilateOscillation:
+    """sup over sub-balls B' of the k-th dilate of the semigroup
+    oscillation (mean over B' of (f - e^{-r' sqrt(L)} f)^2)^(1/2).
+
+    Sub-balls: centers on the r/4 lattice inside the dilate of factor
+    2^(k+2), radii r' in {r/2, r, 2r}.  With clip=False a dilate escaping
+    the box raises; clip=True intersects the search region with the box
+    and marks the result.
+    """
+    g = f.grid
+    if k < 0:
+        raise ConfigError("dilate index must be >= 0")
+    r = ball.radius
+    c = ball.center[0]
+    reach = 2.0 ** (k + 2) * r
+    lim = g.halfwidth - g.spacing / 4.0
+    clipped = abs(c) + reach >= lim
+    if clipped and not clip:
+        raise OutOfDomainError(
+            f"dilate 2^{k + 2} B of B({c}, {r}) escapes the box; "
+            "pass clip=True to intersect it with the box"
+        )
+    h = g.spacing
+    best = -math.inf
+    n_used = 0
+    for r_raw in (r / 2.0, r, 2.0 * r):
+        rp = max(h, round(r_raw / h) * h)
+        if _diff_tables is not None and rp in _diff_tables:
+            table = _diff_tables[rp]
+        else:
+            diff = f.values - poisson(op, f, rp).values
+            table = SummedTable(g, diff**2)
+            if _diff_tables is not None:
+                _diff_tables[rp] = table
+        # admissible centers: |c' - c| + r' <= reach, ball inside the box;
+        # they step from c's sample by the r/4 stride in samples, so the
+        # ones inside the box are one run
+        span = reach - rp
+        if span < 0:
+            continue
+        step = max(1, round(r / 4.0 / h))
+        reach_steps = math.floor(span / (step * h) + 1e-9)
+        ci = int(g.coord_to_index(c)) + step * np.arange(-reach_steps, reach_steps + 1)
+        ci = ci[np.abs(g.index_to_coord(ci)) + rp < lim]
+        if ci.size == 0:
+            continue
+        m = int(round(rp / h))
+        sums = table.ball_sum(range(int(ci[0]), int(ci[-1]) + 1, step), m)
+        val = math.sqrt(max(0.0, float(np.max(sums)) / (2 * m - 1)))
+        n_used += ci.size
+        best = max(best, val)
+    if n_used == 0:
+        raise DegenerateRegionError("no admissible sub-ball in the dilate")
+    return DilateOscillation(best, n_used, clipped)
+
+
+@dataclass(frozen=True)
+class BoxOscillationReport:
+    """Comparison of the cylinder square-function average on a ball with
+    the weighted sum of dilate oscillations.
+
+    lhs = ( |B|^{-1} * integral over B x (0, r] of |t sqrt(L) e^{-t sqrt(L)} f|^2 dx dt/t )^(1/2)
+    rhs = sum_{k<=k_max} 2^{-k} * dilate_oscillation_k, plus a recorded tail
+    allowance tail = 2^{-k_max} * norm_hint for the discarded scales.
+    """
+
+    lhs: float
+    rhs: float
+    tail: float
+    ratio: float
+    per_k: tuple[float, ...]
+    clipped: bool
+
+
+def box_oscillation_ratio(
+    f: GridFunction,
+    op: SpectralOperator,
+    ball: Ball,
+    k_max: int,
+    box: float,
+    norm_hint: float = 0.0,
+    clip: bool = False,
+) -> BoxOscillationReport:
+    """Measure lhs / (rhs + tail) for one family ball; values <= 1 up to a
+    modest constant are the expected regime.  box is the ball's entry of
+    family_box_values(F, family), F the square-function field of f under
+    op: one scan serves every ball of a sweep."""
+    if k_max < 0:
+        raise ConfigError("k_max must be >= 0")
+    h = f.grid.spacing
+    # convert r^{-1} normalisation to |B|^{-1}: 2m - 1 samples of cell radius m
+    vol = (2 * round(ball.radius / h) - 1) * h
+    lhs = math.sqrt(box * ball.radius / vol)
+    cache: dict = {}
+    per_k = []
+    clipped_any = False
+    for k in range(k_max + 1):
+        d = dilate_oscillation(f, op, ball, k, clip=clip, _diff_tables=cache)
+        clipped_any |= d.clipped
+        per_k.append(d.value)
+    rhs = float(sum(2.0**-k * v for k, v in enumerate(per_k)))
+    tail = 2.0**-k_max * norm_hint
+    denom = rhs + tail
+    ratio = lhs / denom if denom > 0 else math.inf
+    return BoxOscillationReport(lhs, rhs, tail, ratio, tuple(per_k), clipped_any)
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def read_grid_function(path) -> GridFunction:
+    """The function save_grid_function wrote: the grid from the JSON
+    header, the values from the .bin beside it."""
+    p = Path(path)
+    header = json.loads(p.read_text(encoding="utf-8"))
+    grid = Grid(halfwidth=header["halfwidth"], spacing=header["spacing"])
+    return GridFunction(grid, np.frombuffer(p.with_suffix(".bin").read_bytes(), dtype="<f8"))

@@ -34,19 +34,21 @@ from oscillab.semigroup import (
     TLadder,
     default_ladder,
     discretize,
-    heat,
     interior_index_window,
-    poisson,
     square_function_field,
 )
-from oscillab.tent import (
+from oscillab.tent import family_box_values, hmo_norm, reproducing_pairing_check
+from oracles import (
     box_oscillation_ratio,
     carleson_box_strict_tent,
-    family_box_values,
-    hmo_norm,
-    reproducing_pairing_check,
+    constant,
+    cylinder_box,
+    heat,
+    l2_norm,
+    poisson,
+    poisson_subordinated,
+    prefix_weights,
 )
-from oracles import poisson_subordinated
 
 
 def test_criterion_01_unit_potential_closed_forms(criterion):
@@ -88,7 +90,7 @@ def test_criterion_03_subordination_and_semigroup_law(criterion, grid16):
         vals = rng.standard_normal(grid16.axis_count)
         vals[0] = vals[-1] = 0.0
         f = GridFunction(grid16, vals)
-        f = GridFunction(grid16, vals / f.l2_norm())
+        f = GridFunction(grid16, vals / l2_norm(f))
         for t in (0.1, 0.5, 1.0):
             a = poisson(op, f, t)
             b = poisson_subordinated(op, f, t)
@@ -105,7 +107,7 @@ def test_criterion_03_subordination_and_semigroup_law(criterion, grid16):
 
 def test_criterion_04_poisson_of_one_decays_like_exp(criterion, grid16, op16):
     c = criterion(4, "poisson semigroup of the constant under the unit potential")
-    ones = GridFunction.constant(grid16, 1.0)
+    ones = constant(grid16, 1.0)
     idx = interior_index_window(grid16, 1.0 / 3.0)
     worst = 0.0
     for t in np.geomspace(0.1, 2.0, 12):
@@ -128,7 +130,7 @@ def test_criterion_05_square_function_energy_bound(criterion, grid16, op16):
         s = float(
             sum(w[j] * np.sum(F.values[j] ** 2) * grid16.cell_volume for j in range(len(lad)))
         )
-        worst = max(worst, s / f.l2_norm() ** 2)
+        worst = max(worst, s / l2_norm(f) ** 2)
     c.finish(worst <= 0.25 * 1.02, f"worst energy ratio {worst:.6f} vs bound 0.255")
 
 
@@ -313,31 +315,6 @@ def test_criterion_12_extension_verdicts_agree(criterion, op16, family16):
     )
 
 
-def _prefix_weights(t):
-    v = np.log(np.asarray(t))
-    if v.size == 1:
-        return np.array([1.0])
-    w = np.empty_like(v)
-    w[1:-1] = (v[2:] - v[:-2]) / 2.0
-    w[0] = (v[1] - v[0]) / 2.0
-    w[-1] = (v[-1] - v[-2]) / 2.0
-    return w
-
-
-def _naive_box(F, ball):
-    g = F.grid
-    r = ball.radius
-    k = int(np.searchsorted(F.ladder.values, r, side="right"))
-    if k == 0:
-        return 0.0
-    w = _prefix_weights(F.ladder.values[:k])
-    mask = np.abs(g.axis - ball.center[0]) < r
-    tot = 0.0
-    for j in range(k):
-        tot += w[j] * float(np.sum(F.values[j][mask] ** 2)) * g.cell_volume
-    return tot / r**g.n
-
-
 def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, family16):
     c = criterion(13, "carleson box quadrature and tent monotonicity")
     lad = TLadder.geometric(grid16.spacing, 4.0, per_decade=8)
@@ -350,7 +327,7 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
     cylinders = family_box_values(Fpos, family16)
     worst_quad = 0.0
     for i in np.linspace(0, len(family16) - 1, 6).astype(int):
-        ref = _naive_box(F, family16.ball(i))
+        ref = cylinder_box(F, family16.ball(i))
         worst_quad = max(worst_quad, abs(cylinders[i] - ref) / ref)
 
     monotone = all(
@@ -364,7 +341,7 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
     m = int(round(b.radius / grid16.spacing))
     k = int(np.searchsorted(lad.values, b.radius, side="right"))
     closed = cval**2 * (2 * m - 1) * grid16.cell_volume / b.radius * float(
-        np.sum(_prefix_weights(lad.values[:k]))
+        np.sum(prefix_weights(lad.values[:k]))
     )
     triv_err = abs(family_box_values(Fc, family16)[0] - closed) / closed
 

@@ -21,6 +21,7 @@ from oscillab.approx import (
     p1_p2_check,
     _dyadic_exponents,
 )
+from oracles import constant
 
 RHO0 = 2.0**-0.5
 
@@ -451,7 +452,7 @@ def _valid_window(g: Grid, t: float) -> slice:
 
 def test_mollify_constant_exact_on_valid_window():
     g = Grid(halfwidth=4.0, spacing=2.0**-5)
-    f = GridFunction.constant(g, 2.5)
+    f = constant(g, 2.5)
     out = mollify(f, 0.5)
     valid = _valid_window(g, 0.5)
     assert 0 < valid.start < valid.stop < g.axis_count
@@ -464,7 +465,7 @@ def test_mollify_constant_exact_on_valid_window():
 def test_mollify_width_floor():
     g = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(ConfigError):
-        mollify(GridFunction.constant(g, 1.0), 0.5)  # below 4h = 1
+        mollify(constant(g, 1.0), 0.5)  # below 4h = 1
 
 
 def test_mollify_error_shrinks_with_t():
@@ -486,11 +487,11 @@ def test_choose_thresholds_validation(pipeline_f):
             choose_thresholds(pipeline_f, eps=0.5, rho=rho, osc_fraction=fr)
     g = Grid(halfwidth=6.0, spacing=0.25)  # not a power-of-two box
     with pytest.raises(ConfigError):
-        choose_thresholds(GridFunction.constant(g, 0.0), eps=0.5, rho=RHO0, osc_fraction=fr)
+        choose_thresholds(constant(g, 0.0), eps=0.5, rho=RHO0, osc_fraction=fr)
 
 
 def test_constant_exhausts_supercritical_condition(pipeline_grid):
-    f = GridFunction.constant(pipeline_grid, 1.0)
+    f = constant(pipeline_grid, 1.0)
     with pytest.raises(ThresholdExhaustedError):
         choose_thresholds(f, eps=0.05, rho=RHO0, osc_fraction=1.0 / 20.0)
 
@@ -569,7 +570,7 @@ def test_gates_pass_for_member(pipeline_f, pipeline_assignment):
 def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid):
     # averaging the constant 1 with thresholds chosen for the bump leaves
     # mass 1 outside the outer region, so the first gate must fail
-    f = GridFunction.constant(pipeline_grid, 1.0)
+    f = constant(pipeline_grid, 1.0)
     rep = p1_p2_check(pipeline_assignment, dyadic_average(f, pipeline_assignment))
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
@@ -602,7 +603,7 @@ def test_p1_index_slices_match_axis_mask(halfwidth, spacing):
             got = p1_p2_check(asn, GridFunction(grid, spiked)).p1_sup
             assert got == _axis_mask_p1(asn, GridFunction(grid, spiked)), i
             assert (got == 100.0) is not inside, i
-    zero = GridFunction.constant(grid, 0.0)
+    zero = constant(grid, 0.0)
     p1 = p1_p2_check(asn, zero).p1_sup
     assert p1 == 0.0 and math.copysign(1.0, p1) == 1.0
 
@@ -662,7 +663,7 @@ def test_assignment_runs_at_pipeline_small_geometry():
     # shells m = 10, 11, 12 of 2^16 cubes at level m - 16
     assert asn.n_cubes == 2**18 + 2 * 3 * 2**16
     assert np.array_equal(np.unique(asn.cube_levels), [-7, -6, -5, -4])
-    zero = GridFunction.constant(grid, 0.0)
+    zero = constant(grid, 0.0)
     rep = p1_p2_check(asn, dyadic_average(zero, asn))
     assert rep.n_adjacent_pairs == asn.n_cubes - 1
     assert rep.size_ratio_ok

@@ -27,10 +27,11 @@ from oscillab.experiments import (
     run,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
-from oscillab.grid import Ball, Grid, GridFunction, mean_oscillation, oscillation_of
+from oscillab.grid import Ball, Grid, GridFunction, oscillation_of
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
+from oracles import mean_oscillation
 
 
 def _plan(**scenario):
@@ -193,7 +194,7 @@ def test_config_holds_checked_parameters_and_table_defaults():
     # the geometry keys and the runner's own one take the table's defaults;
     # forwarded keys take the exp_* defaults, so they are not filled in
     assert lac == {"k_max": 8, "assert_verdicts": True, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
-                   "radius_max": 4096.0, "distance_max": 4096.0}
+                   "radius_max": 4096.0, "distance_max": 4096.0, "exponent": 1.05, "amplitude": 0.002}
 
 
 def test_integer_values_of_number_parameters_give_the_same_bundle(tmp_path):
@@ -238,7 +239,7 @@ def test_run_failure_still_writes_bundle(tmp_path):
                 "right": "bump-narrow",
                 "halfwidth": 8.0,
                 "spacing": 0.0625,
-                "tolerance": -1.0,  # unattainable, forces the failure path
+                "tolerance": 0.0,  # only an exact pairing passes: forces the failure path
             }
         ]
     }
@@ -696,7 +697,7 @@ def test_cli_criterion_failure_exit_code(tmp_path, capsys):
             "--spacing",
             "0.0625",
             "--tolerance",
-            "-1",
+            "0",
             "--out",
             str(tmp_path / "p"),
         ]
@@ -893,7 +894,47 @@ def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_p
     assert not (tmp_path / "o").exists()
 
 
-def test_plan_rejects_centers_off_the_lattice_with_center_runs():
+_SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
+                            "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5}
+
+
+@pytest.mark.parametrize(
+    "keys, scenario",
+    [
+        # the power potential that exp_lacunary builds at run time
+        (("exponent", "amplitude"), {**_SMALL_LACUNARY_SCENARIO, "exponent": 0.5}),
+        (("exponent", "amplitude"), {**_SMALL_LACUNARY_SCENARIO, "amplitude": -1.0}),
+        (("exponent", "amplitude"), {**_SMALL_LACUNARY_SCENARIO, "amplitude": 0.0}),
+        # a negative tolerance fails the run; a tolerance that can never pass
+        (("tol_fraction",), {"id": "bmo-norms", "tol_fraction": -0.05}),
+        (("tolerance",), {"id": "reproducing-pairing", "tolerance": -0.01}),
+        (("tolerance",), {"id": "rho-slope", "exponent": 1.5, "tolerance": -0.01}),
+        # a factor that passes every check it feeds
+        (("decay_factor",), {"id": "bmo-norms", "decay_factor": -4.0}),
+        (("decay_factor",), {"id": "extension-agreement", "members": ["zero"], "decay_factor": 0.0}),
+        (("floor_factor",), {**_SMALL_LACUNARY_SCENARIO, "floor_factor": -0.3}),
+        (("corpus_factor",), {"id": "approximation-pipeline", "halfwidth": 512.0, "spacing": 2.0**-5,
+                              "corpus_factor": 0.0}),
+    ],
+    ids=["lacunary-exponent-0.5", "lacunary-amplitude--1", "lacunary-amplitude-0", "bmo-tol_fraction--0.05",
+         "pairing-tolerance--0.01", "rho-slope-tolerance--0.01", "bmo-decay_factor--4", "extension-decay_factor-0",
+         "lacunary-floor_factor--0.3", "pipeline-corpus_factor-0"],
+)
+def test_cli_rejects_a_value_out_of_range_before_running(keys, scenario, tmp_path, capsys):
+    # each passed the config check: it then stopped the run after the
+    # valid scenario before it had written its directory, or ran to a
+    # verdict it had made meaningless
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "rho-slope", "name": "ok", "exponent": 1.5, "points": 6},
+                                             scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: scenario {scenario['id']!r}: " in err
+    assert all(repr(k) in err for k in keys), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_rejects_centers_off_the_lattice():
     scenario = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
                 "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5 * (1 + 1e-7)}
     with pytest.raises(ConfigError, match="family centers must sit on the grid lattice"):

@@ -26,12 +26,11 @@ from oscillab.semigroup import (
     _ddx,
     default_ladder,
     log_weights_for,
-    poisson,
     poisson_extension,
     square_function_field,
 )
 from oscillab.tent import family_box_values, gradient_carleson_curves, hmo_norm, tent_curves
-from oracles import ball_sums, prefix_table
+from oracles import ball_sums, poisson, prefix_table
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier forms, one scan per reduction

@@ -7,12 +7,7 @@ import pytest
 from oscillab import grid, oscillation, tent
 from oscillab.errors import ConfigError, LadderError, OutOfDomainError
 from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
-from oscillab.grid import (
-    Grid,
-    GridFunction,
-    ball_member_values,
-    mean_oscillation,
-)
+from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import (
     FamilyStats,
     SplitNormReport,
@@ -26,7 +21,7 @@ from oscillab.oscillation import (
     vanishing_verdict,
 )
 from oscillab.semigroup import HalfSpaceFunction, TLadder, default_ladder
-from oracles import ball_sums, prefix_table
+from oracles import ball_member_values, ball_sums, constant, mean_oscillation, prefix_table
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +268,7 @@ def test_bmo_norm_linear_closed_form(small_family):
 
 
 def test_bmo_norm_constant_is_zero(small_family):
-    f = GridFunction.constant(small_family.grid, 5.0)
+    f = constant(small_family.grid, 5.0)
     assert bmo_norm(family_stats(f, small_family)).value == 0.0
 
 
@@ -306,7 +301,7 @@ def test_split_norm_infinite_rho_drops_size(small_family):
 
 
 def test_split_norm_all_supercritical(small_family):
-    f = GridFunction.constant(small_family.grid, 1.0)
+    f = constant(small_family.grid, 1.0)
     rep = bmo_l_norm(family_stats(f, small_family), 0.25)
     assert not rep.oscillation_present and rep.size_present
     assert rep.value == pytest.approx(1.0)
@@ -373,19 +368,19 @@ def test_semigroup_difference_eigenvector_closed_form(op16, family16):
 
 
 def test_semigroup_difference_ladder_guard(op16, family16):
-    f = GridFunction.constant(op16.grid, 1.0)
+    f = constant(op16.grid, 1.0)
     lad = TLadder(np.array([1.0, 2.0]))  # family radii go below 1
     with pytest.raises(LadderError):
         semigroup_difference_values(f, op16, family16, lad)
 
 
 def test_tilde_norm_zero_function(op16, family16):
-    f = GridFunction.constant(op16.grid, 0.0)
+    f = constant(op16.grid, 0.0)
     assert tilde_bmo_l_norm(f, op16, family16, default_ladder(op16.grid)).value == 0.0
 
 
 def test_semigroup_curves_modes(op16, family16):
-    f = GridFunction.constant(op16.grid, 1.0)
+    f = constant(op16.grid, 1.0)
     curves = semigroup_oscillation_curves(f, op16, family16, default_ladder(op16.grid))
     assert set(curves) == {"small-radius", "large-radius", "far-from-origin"}
     # e^{-r sqrt(L)} 1 != 1 for V = 1, so the metric is bounded away from 0
@@ -396,7 +391,7 @@ def test_semigroup_curves_modes(op16, family16):
 def test_oscillation_curves_constant():
     g = Grid(halfwidth=8.0, spacing=0.125)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
-    f = GridFunction.constant(g, 1.0)
+    f = constant(g, 1.0)
     curves = oscillation_curves(family_stats(f, fam), 2.0**-0.5)
     assert set(curves) == {
         "small-radius",

@@ -8,8 +8,9 @@ checks), and prints the package functions it entered, keyed by file,
 first line and name (the first line of a decorated function is its first
 decorator's, as in ``co_firstlineno``).  The test fails on
 
-* a def that no config reaches and ALLOWED does not name: delete it, or
-  add an entry;
+* a def that no config reaches and ALLOWED does not name: delete it,
+  move it to tests/oracles.py when only tests call it (an oracle or a
+  test helper has no place in the package), or add an entry;
 * an ALLOWED entry that names no def: delete the entry;
 * an ALLOWED def that a config reaches: delete the entry.
 
@@ -32,8 +33,6 @@ PACKAGE = Path(oscillab.__file__).resolve().parent
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 REASON_KINDS = {
-    "oracle": "the fast path it is the slow oracle of",
-    "criterion": "the acceptance criterion in tests/test_acceptance.py that calls it",
     "script": "the script in scripts/ that calls it",
     "cli": "the CLI entry that calls it",
     "config": "the config key, unset in full.json, that reaches it",
@@ -45,24 +44,10 @@ ALLOWED = {
     "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
     "family.py:BallFamily.centers": ("tracer", "the family.distinct_centers counter and the family_stats digest"),
     "family.py:BallFamily.radii": ("tracer", "the family_stats counter digests the radii"),
-    "grid.py:Ball.inside_box": ("oracle", "carleson_box_strict_tent and ball_member_values refuse a ball with it"),
     "grid.py:Grid.size": ("tracer", "the approx.assigned_samples counter reads the grid's size"),
-    "grid.py:_require_inside": ("oracle", "ball_member_values, the member path of SummedTable.ball_sum"),
-    "grid.py:ball_member_values": ("oracle", "SummedTable.ball_sum, against the samples inside one ball"),
-    "grid.py:mean_oscillation": ("oracle", "family_stats, against one ball's member values"),
-    "grid.py:GridFunction.constant": ("criterion", "4 runs the semigroup on the constant one"),
-    "grid.py:GridFunction.l2_norm": ("criterion", "3 and 5 normalise by it"),
     "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),
     "semigroup.py:SpectralOperator.interior_count": ("tracer", "the semigroup.operator_dim and apply counters"),
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
-    "semigroup.py:heat": ("criterion", "3: the heat semigroup law"),
-    "semigroup.py:poisson": ("criterion", "3, 4 and 8 (dilate_oscillation)"),
-    "serialize.py:_decode_inf": ("oracle", "save_samples: the round-trip test reads its +inf payload back"),
-    "serialize.py:load_samples": ("oracle", "save_samples: the round-trip test reads the bytes back"),
-    "serialize.py:load_grid_function": ("oracle", "save_grid_function, which writes averaged.json"),
-    "tent.py:carleson_box_strict_tent": ("oracle", "family_box_values, whose cylinder values dominate it (criterion 13)"),
-    "tent.py:dilate_oscillation": ("criterion", "8, through box_oscillation_ratio"),
-    "tent.py:box_oscillation_ratio": ("criterion", "8: the cylinder-vs-dilate inequality"),
 }
 
 _PROBE = """
@@ -137,6 +122,7 @@ def test_every_function_is_reached_or_allowed_with_a_reason(tmp_path):
     problems += [f"src/oscillab/{key.replace(':', ' ', 1)}: on ALLOWED but names no function"
                  for key in sorted(set(ALLOWED) - set(defs))]
     problems += [f"{_where(key, defs)}: on ALLOWED but a config reaches it" for key in sorted(hit & set(ALLOWED))]
-    problems += [f"{_where(key, defs)}: no config reaches it and ALLOWED does not name it"
+    problems += [f"{_where(key, defs)}: no config reaches it and ALLOWED does not name it; "
+                 "if only tests call it, move it to tests/oracles.py"
                  for key in sorted(set(defs) - hit - set(ALLOWED))]
     assert not problems, "\n".join([*problems, *kinds])

@@ -18,13 +18,11 @@ from oscillab.semigroup import (
     default_ladder,
     discretize,
     dst1,
-    heat,
     interior_index_window,
-    poisson,
     poisson_extension,
     square_function_field,
 )
-from oracles import poisson_subordinated
+from oracles import constant, heat, poisson, poisson_subordinated
 
 
 @pytest.fixture(scope="module")
@@ -177,13 +175,13 @@ def test_subordination_matches_direct_exponential(small_op):
 
 
 def test_subordination_at_zero(small_op):
-    f = GridFunction.constant(small_op.grid, 2.0)
+    f = constant(small_op.grid, 2.0)
     got = poisson_subordinated(small_op, f, 0.0)
     assert np.allclose(got.values, _interior_zeroed(f))
 
 
 def test_apply_spectral_validates_psi(small_op):
-    f = GridFunction.constant(small_op.grid, 1.0)
+    f = constant(small_op.grid, 1.0)
     with pytest.raises(ConfigError):
         apply_spectral(small_op, lambda s: s[:-1], f)
     with pytest.raises(ConfigError):
@@ -193,7 +191,7 @@ def test_apply_spectral_validates_psi(small_op):
 def test_apply_spectral_rejects_other_grid(small_op):
     other = Grid(halfwidth=4.0, spacing=0.25)
     with pytest.raises(GridMismatchError):
-        heat(small_op, GridFunction.constant(other, 1.0), 0.1)
+        heat(small_op, constant(other, 1.0), 0.1)
 
 
 def test_ladder_construction():

@@ -7,16 +7,8 @@ import pytest
 from oscillab.errors import ConfigError
 from oscillab.family import LimitCurve
 from oscillab.grid import Grid, GridFunction
-from oscillab.serialize import (
-    canonical_json,
-    config_hash,
-    load_grid_function,
-    load_samples,
-    save_curves_csv,
-    save_grid_function,
-    save_json,
-    save_samples,
-)
+from oscillab.serialize import canonical_json, config_hash, save_curves_csv, save_grid_function, save_json
+from oracles import read_grid_function
 
 
 def test_canonical_json_is_sorted_and_sanitized():
@@ -35,54 +27,47 @@ def test_config_hash_ignores_key_order():
 
 
 def test_samples_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    vals = rng.normal(size=(33,))
-    vals[3] = np.inf  # +inf survives via the reserved payload
-    p = save_samples(tmp_path / "a.json", vals, meta={"note": "x"})
-    back, header = load_samples(p)
-    assert np.array_equal(back, vals)
-    assert header["note"] == "x"
-    assert header["shape"] == [33]
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    vals = np.random.default_rng(0).normal(size=g.shape)
+    vals[:4] = [-0.0, 5e-324, -np.finfo(float).max, np.finfo(float).tiny]
+    p = save_grid_function(tmp_path / "a.json", GridFunction(g, vals))
+    back = read_grid_function(p)
+    assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+    assert json.loads(p.read_text())["shape"] == [33]
 
 
 def test_samples_reject_negative_inf(tmp_path):
-    vals = np.array([1.0, -np.inf])
-    with pytest.raises(ConfigError):
-        save_samples(tmp_path / "a.json", vals)
-
-
-def test_samples_path_and_meta_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        save_samples(tmp_path / "a.bin", np.zeros(3))
-    with pytest.raises(ConfigError):
-        save_samples(tmp_path / "a.json", np.zeros(3), meta={"shape": [1]})
-
-
-def test_samples_payload_size_check(tmp_path):
-    p = save_samples(tmp_path / "a.json", np.zeros(8))
-    (tmp_path / "a.bin").write_bytes(b"\x00" * 16)  # truncate to 2 values
-    with pytest.raises(ConfigError):
-        load_samples(p)
+    # a GridFunction, the writer's only input, refuses infinities of both
+    # signs, so the .bin stream needs no code for them and nothing is written
+    g = Grid(halfwidth=0.5, spacing=0.5)
+    for bad in (-np.inf, np.inf):
+        with pytest.raises(ConfigError):
+            save_grid_function(tmp_path / "a.json", GridFunction(g, np.array([1.0, bad, 0.0])))
+    assert not any(tmp_path.iterdir())
 
 
 def test_grid_function_roundtrip(tmp_path):
     g = Grid(halfwidth=4.0, spacing=0.25)
     f = GridFunction.from_callable(g, lambda x: np.tanh(x))
     p = save_grid_function(tmp_path / "f.json", f)
-    back = load_grid_function(p)
+    back = read_grid_function(p)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
 
 
-def test_grid_function_header_must_be_one_dimensional(tmp_path):
-    g = Grid(halfwidth=4.0, spacing=0.25)
-    p = save_grid_function(tmp_path / "f.json", GridFunction.constant(g, 1.0))
-    header = json.loads(p.read_text())
-    assert header["n"] == 1
-    header["n"] = 2
-    p.write_text(json.dumps(header))
-    with pytest.raises(ConfigError):
-        load_grid_function(p)
+def test_grid_function_file_bytes_are_pinned(tmp_path):
+    # the header text and the .bin bytes of a five-sample function, as
+    # averaged.json and averaged.bin have always been written
+    g = Grid(halfwidth=1.0, spacing=0.5)
+    p = save_grid_function(tmp_path / "f.json", GridFunction(g, np.array([-1.5, 0.0, 0.25, 2.0, -0.0])))
+    assert p.read_text() == (
+        '{\n "axis_count": 5,\n "dtype": "<f8",\n "format": "oscillab-gridfn-v1",\n "halfwidth": 1.0,\n'
+        ' "inf_nan_payload": "0x7ff80000494e4649",\n "kind": "grid-function",\n "n": 1,\n "order": "C",\n'
+        ' "shape": [\n  5\n ],\n "spacing": 0.5\n}\n'
+    )
+    assert (tmp_path / "f.bin").read_bytes() == bytes.fromhex(
+        "000000000000f8bf" "0000000000000000" "000000000000d03f" "0000000000000040" "0000000000000080"
+    )
 
 
 def test_writes_are_byte_identical(tmp_path):

@@ -18,16 +18,21 @@ from oscillab.semigroup import (
     square_function_field,
 )
 from oscillab.tent import (
-    box_oscillation_ratio,
-    carleson_box_strict_tent,
     cone_square_function,
-    dilate_oscillation,
     family_box_values,
     gradient_carleson_curves,
     hmo_norm,
     reproducing_pairing_check,
     t2p_norm,
     tent_curves,
+)
+from oracles import (
+    box_oscillation_ratio,
+    carleson_box_strict_tent,
+    constant,
+    cylinder_box,
+    dilate_oscillation,
+    prefix_weights,
 )
 
 
@@ -56,17 +61,6 @@ def _box(F, c, r):
     return family_box_values(F, _one_ball(F.grid, c, r))[0]
 
 
-def _prefix_weights(t):
-    v = np.log(np.asarray(t))
-    if v.size == 1:
-        return np.array([1.0])
-    w = np.empty_like(v)
-    w[1:-1] = (v[2:] - v[:-2]) / 2.0
-    w[0] = (v[1] - v[0]) / 2.0
-    w[-1] = (v[-1] - v[-2]) / 2.0
-    return w
-
-
 def test_carleson_box_constant_field_closed_form(small_grid):
     lad = TLadder.geometric(0.125, 2.0, per_decade=8)
     F = HalfSpaceFunction(small_grid, lad, np.full((len(lad),) + small_grid.shape, 3.0))
@@ -74,7 +68,7 @@ def test_carleson_box_constant_field_closed_form(small_grid):
     h = small_grid.spacing
     m = round(r / h)
     k = int(np.searchsorted(lad.values, r * (1 + 1e-12), side="right"))
-    want = 9.0 * np.sum(_prefix_weights(lad.values[:k])) * (2 * m - 1) * h / r
+    want = 9.0 * np.sum(prefix_weights(lad.values[:k])) * (2 * m - 1) * h / r
     assert _box(F, 0.0, r) == pytest.approx(want, rel=1e-12)
 
 
@@ -92,17 +86,8 @@ def test_carleson_box_requires_ladder_coverage(small_grid):
 def test_carleson_box_matches_manual_sum(small_grid):
     lad = TLadder(np.array([0.25, 0.5, 1.0]))
     F = _random_field(small_grid, lad, seed=2)
-    b = Ball((0.375,), 0.75)
-    k = 2  # cylinder covers only the slices with t <= r
-    w = _prefix_weights(lad.values[:k])
-    total = 0.0
-    from oscillab.grid import ball_member_values
-
-    for j in range(k):
-        vals = ball_member_values(GridFunction(small_grid, F.values[j]), b)
-        total += w[j] * float(np.sum(vals**2))
-    want = total * small_grid.spacing / 0.75
-    assert _box(F, 0.375, 0.75) == pytest.approx(want, rel=1e-12)
+    # the cylinder covers only the slices with t <= r
+    assert _box(F, 0.375, 0.75) == pytest.approx(cylinder_box(F, Ball((0.375,), 0.75)), rel=1e-12)
     # a ball off the lattice is no family ball
     with pytest.raises(ConfigError):
         _box(F, 0.3, 0.8)
@@ -180,7 +165,7 @@ def test_gradient_box_constant_closed_form(grid16, op16):
     # u = e^{-t} c away from the walls, so the gradient field is t e^{-t} c
     # and the box over B(0, r) is (2m-1) h r^{-1} c^2 sum w_j t_j^2 e^{-2 t_j}
     c = 2.0
-    f = GridFunction.constant(grid16, c)
+    f = constant(grid16, c)
     lad = default_ladder(grid16)
     ext = poisson_extension(op16, f, lad)
     G = ext.gradient_magnitude()
@@ -188,7 +173,7 @@ def test_gradient_box_constant_closed_form(grid16, op16):
     h = grid16.spacing
     k = int(np.searchsorted(lad.values, r * (1 + 1e-12), side="right"))
     t = lad.values[:k]
-    w = _prefix_weights(t)
+    w = prefix_weights(t)
     want = c**2 * float(np.sum(w * t**2 * np.exp(-2 * t))) * (2 * round(r / h) - 1) * h / r
     assert _box(G, 0.0, r) == pytest.approx(want, rel=1e-3)
 
@@ -196,7 +181,7 @@ def test_gradient_box_constant_closed_form(grid16, op16):
 def test_hmo_constant_attains_half_sqrt_two(grid16, op16):
     # sup_B sqrt(box) for a constant c tends to c/sqrt(2) as r grows
     c = 2.0
-    f = GridFunction.constant(grid16, c)
+    f = constant(grid16, c)
     ext = poisson_extension(op16, f, default_ladder(grid16))
     fam = make_ball_family(
         grid16,
@@ -235,7 +220,7 @@ def test_dilate_oscillation_grows_with_k(small_grid, small_op):
 
 
 def test_dilate_oscillation_zero_function(small_grid, small_op):
-    f = GridFunction.constant(small_grid, 0.0)
+    f = constant(small_grid, 0.0)
     rep = dilate_oscillation(f, small_op, Ball((0.0,), 0.5), k=0)
     assert rep.value == 0.0
     assert rep.n_subballs > 0
@@ -253,7 +238,7 @@ def test_box_oscillation_report_consistency(small_grid, small_op):
 
 
 def test_box_oscillation_zero_function(small_grid, small_op):
-    f = GridFunction.constant(small_grid, 0.0)
+    f = constant(small_grid, 0.0)
     F = square_function_field(small_op, f, default_ladder(small_grid))
     rep = box_oscillation_ratio(f, small_op, Ball((0.0,), 0.5), k_max=2, box=_box(F, 0.0, 0.5), clip=True)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
@@ -262,8 +247,8 @@ def test_box_oscillation_zero_function(small_grid, small_op):
 
 def test_pairing_rejects_mismatched_grids(small_grid, small_op):
     other = Grid(halfwidth=8.0, spacing=0.25)
-    f = GridFunction.constant(small_grid, 1.0)
-    g2 = GridFunction.constant(other, 1.0)
+    f = constant(small_grid, 1.0)
+    g2 = constant(other, 1.0)
     with pytest.raises(ConfigError):
         reproducing_pairing_check(f, g2, small_op, default_ladder(small_grid))
 
@@ -275,7 +260,7 @@ def test_pairing_support_flag(small_grid, small_op):
     )
     rep = reproducing_pairing_check(inside, inside, small_op, lad)
     assert rep.support_ok
-    wide = GridFunction.constant(small_grid, 1.0)
+    wide = constant(small_grid, 1.0)
     rep2 = reproducing_pairing_check(wide, wide, small_op, lad)
     assert not rep2.support_ok
     # the window holds |x| <= window * X: here up to the sample at 2.0
