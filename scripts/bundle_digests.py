@@ -1,0 +1,70 @@
+"""Print the sha256 of every file of one report bundle, or compare two.
+
+    python scripts/bundle_digests.py BUNDLE            one line per file: digest and path
+    python scripts/bundle_digests.py CONFIG.json       run the config into a temporary bundle first
+    python scripts/bundle_digests.py A B               compare two bundles (or configs)
+
+A path that names a file is read as a run config and run with the oscillab
+on the import path; a directory is read as a finished bundle.  Paths are
+relative to the bundle root, sorted.  A comparison prints one line per file
+that differs or exists on one side only, and exits 1 if there is any; it
+exits 0 when the two bundles are byte-identical.  A config whose declared
+checks fail still leaves its bundle, so its digests are printed too.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+
+def digests(root: Path) -> dict[str, str]:
+    """sha256 of each file under root, by its path relative to root."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def bundle_digests(path: Path) -> dict[str, str]:
+    """The digests of the bundle at path, or of the bundle its config writes."""
+    if path.is_dir():
+        return digests(path)
+    from oscillab.errors import CriterionFailure
+    from oscillab.experiments import run
+
+    config = json.loads(path.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(config, out_dir=out)
+        except CriterionFailure as e:
+            print(f"bundle_digests.py: {path}: checks failed: {e}", file=sys.stderr)
+        return digests(Path(out))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("bundles", nargs="+", type=Path, metavar="BUNDLE", help="a bundle directory or a run config")
+    args = ap.parse_args()
+    if len(args.bundles) > 2:
+        ap.error("give one bundle to list or two to compare")
+    sides = [bundle_digests(p) for p in args.bundles]
+    if len(sides) == 1:
+        for name, digest in sides[0].items():
+            print(f"{digest}  {name}")
+        return 0
+    a, b = sides
+    differ = [
+        f"{'differs' if name in a and name in b else 'only in ' + ('A' if name in a else 'B')}  {name}"
+        for name in sorted(set(a) | set(b))
+        if a.get(name) != b.get(name)
+    ]
+    print("\n".join(differ) if differ else f"identical: {len(a)} files")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,7 +71,10 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolution with the unit-mass bump kernel scaled to width t,
     zero-padded outside the box.  Requires t >= 4h so the kernel holds
     enough samples.  The kernel reaches kmax = ceil(t/h) - 1 samples each
-    way, so the samples [kmax, n - kmax) never see the padding."""
+    way, so the result's window is f's widened by kmax.  The convolution
+    runs over f's window padded by 2 kmax zeros each side (clipped to the
+    box): every output it keeps is then the same dot product, over the
+    same samples, as in the convolution of all the samples."""
     g = f.grid
     h = g.spacing
     if t < 4.0 * h * (1 - 1e-9):
@@ -80,7 +83,10 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
     w = _bump_profile((offs / t) ** 2)
     w /= np.sum(w)
-    return GridFunction(g, np.convolve(f.values, w, mode="same"))
+    a, b = max(f.lo - 2 * kmax, 0), min(f.hi + 2 * kmax, g.size)
+    out = np.convolve(f.on(a, b), w, mode="same")
+    lo, hi = max(f.lo - kmax, 0), min(f.hi + kmax, g.size)
+    return GridFunction(g, out[lo - a : hi - a], lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -99,67 +105,125 @@ def _dyadic_exponents(grid: Grid) -> tuple[int, int]:
     return round(a), round(p)
 
 
-def _pyramid(values: np.ndarray, a: int, p: int):
-    """(level, cells per cube, oscillation, size) of the cubes of every
-    dyadic level from -p+1 (pairs of cells) up to a (the two half-boxes),
-    fine to coarse.  f is squared once; each coarser level's sums and sums
-    of squares are pairwise sums of the level below.  The top boundary
-    sample folds into the last cube, so each level's cubes partition the
-    samples.  A consumer that drops its references to a level's arrays
-    before asking for the next keeps at most four live arrays of half the
-    sample count."""
-    body = values[:-1]
+def _pyramid(f: GridFunction, a: int, p: int):
+    """(level, cells per cube, first cube, oscillation, size) of the cubes
+    of every dyadic level from -p+1 (pairs of cells) up to a (the two
+    half-boxes), fine to coarse.  Only the cubes that meet f's window are
+    held, from the first cube on; every other cube of the level has sums
+    of exactly 0.0, so its oscillation and size are 0.0.  f is squared
+    once; each coarser level's sums and sums of squares are pairwise sums
+    of the level below, a held cube's partner outside the held run adding
+    its exact 0.0.  The top boundary sample folds into the last cube, so
+    each level's cubes partition the samples.  A consumer that drops its
+    references to a level's arrays before asking for the next keeps at
+    most four live arrays of half the held samples."""
+    n = 2 ** (a + p)  # the first level's cubes
+    top = 2 * n  # the boundary sample
+    k0, k1 = f.lo // 2, (min(f.hi, top) + 1) // 2
+    if f.hi > top:  # the boundary sample's cube
+        k0, k1 = min(k0, n - 1), n
+    body = f.on(2 * k0, 2 * k1)
     sums = body[0::2] + body[1::2]
     sumsq = np.square(body[0::2])
     sumsq += np.square(body[1::2])
-    sums[-1] += values[-1]
-    sumsq[-1] += values[-1] ** 2
+    del body
+    if k1 == n:
+        last = f.on(top, top + 1)[0]
+        sums[-1] += last
+        sumsq[-1] += last**2
     for level in range(-p + 1, a + 1):
         q = 2 ** (level + p)
         osc = sums / q
-        osc[-1] = sums[-1] / (q + 1)
         size = sumsq / q
-        size[-1] = sumsq[-1] / (q + 1)
-        yield level, q, *oscillation_and_size(osc, size)
+        if k1 == n:
+            osc[-1] = sums[-1] / (q + 1)
+            size[-1] = sumsq[-1] / (q + 1)
+        yield level, q, k0, *oscillation_and_size(osc, size)
         del osc, size
         if level < a:
+            pad = (k0 % 2, k1 % 2)
+            if any(pad):
+                sums, sumsq = (np.pad(x, pad) for x in (sums, sumsq))
             sums = sums[0::2] + sums[1::2]
             sumsq = sumsq[0::2] + sumsq[1::2]
+            k0, k1, n = k0 // 2, (k1 + 1) // 2, n // 2
 
 
-def _prefix_sups(x: np.ndarray, ends: list[int]) -> list[float]:
-    """max(x[:e]), or -inf when empty, for each of the non-decreasing
-    ends, reading every element once."""
+def _range_max(x: np.ndarray, k0: int, c0: int, c1: int) -> float:
+    """max over the cubes [c0, c1) of a level whose cubes from k0 on hold
+    x and whose other cubes hold 0.0; -inf when the range is empty."""
+    if c0 >= c1:
+        return -math.inf
+    i, j = max(c0 - k0, 0), min(c1 - k0, x.size)
+    held = float(x[i:j].max()) if i < j else -math.inf
+    return held if k0 <= c0 and c1 <= k0 + x.size else max(held, 0.0)
+
+
+def _prefix_sups(x: np.ndarray, k0: int, ends: list[int]) -> list[float]:
+    """max over the first e cubes, or -inf when e = 0, for each of the
+    non-decreasing ends, of a level whose cubes from k0 on hold x and
+    whose other cubes hold 0.0, reading every element of x once."""
     sups, acc, start = [], -math.inf, 0
     for e in ends:
-        if e > start:
-            acc = max(acc, float(x[start:e].max()))
-            start = e
-        sups.append(acc)
+        j = min(max(e - k0, 0), x.size)
+        if j > start:
+            acc = max(acc, float(x[start:j].max()))
+            start = j
+        zeros = (e > 0 and k0 > 0) or e > k0 + x.size
+        sups.append(max(acc, 0.0) if zeros else acc)
     return sups
 
 
-def _far_sups(x: np.ndarray, n0: int, q: int, cuts: list[int]) -> list[float]:
+def _far_sups(x: np.ndarray, k0: int, nc: int, n0: int, q: int, cuts: list[int]) -> list[float]:
     """sup of the per-cube x over the cubes disjoint from the closed origin
-    cube of half-extent T cells, for each T of the increasing cuts.
+    cube of half-extent T cells, for each T of the increasing cuts; the
+    level has nc cubes, those from k0 on hold x and the others 0.0.
 
     A cube with corner cell c is disjoint iff c <= -T - q or c >= T + 1,
     so the far cubes are a prefix and a suffix of the level, both
     shrinking as T grows."""
-    nc = x.size
-    left = _prefix_sups(x, [(n0 - t) // q for t in reversed(cuts)])
-    right = _prefix_sups(x[::-1], [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)])
+    left = _prefix_sups(x, k0, [(n0 - t) // q for t in reversed(cuts)])
+    right = _prefix_sups(x[::-1], nc - k0 - x.size, [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)])
     return [max(lo, hi) for lo, hi in zip(reversed(left), reversed(right))]
 
 
-def _shell_sup(x: np.ndarray, n0: int, q: int, s_lo: int) -> float:
+def _shell_sup(x: np.ndarray, k0: int, n0: int, q: int, s_lo: int) -> float:
     """sup of the per-cube x over the cubes whose samples all have radial
     cell score sigma(o) = max(o, -o-1) in [s_lo, 2 s_lo): the corners
     c in [s_lo, 2 s_lo - q] on the right and in [-2 s_lo, -s_lo - q] on
     the left, each a contiguous run of the level."""
-    right = x[(n0 + s_lo + q - 1) // q : (n0 + 2 * s_lo) // q]
-    left = x[(n0 - 2 * s_lo + q - 1) // q : (n0 - s_lo) // q]
-    return float(max(right.max(initial=-math.inf), left.max(initial=-math.inf)))
+    right = _range_max(x, k0, (n0 + s_lo + q - 1) // q, (n0 + 2 * s_lo) // q)
+    left = _range_max(x, k0, (n0 - 2 * s_lo + q - 1) // q, (n0 - s_lo) // q)
+    return max(right, left)
+
+
+def _level_sups(f: GridFunction, a: int, p: int, rho: float):
+    """One pass over the level pyramid of f (see _pyramid), fine to
+    coarse, reduced to the scalars choose_thresholds reads: per level its
+    largest oscillation and, if supercritical, its largest size (-inf
+    otherwise); per core candidate J in [-p+1, a] the far sups of both
+    over all levels (the supercritical ones for the size); and per (level,
+    shell m) the largest size on the shell."""
+    levels = range(-p + 1, a + 1)
+    n0 = f.grid.half_cells
+    cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent in cells
+    osc_max, super_size_max = [], []
+    far_osc = [-math.inf] * len(levels)
+    far_size = [-math.inf] * len(levels)
+    shell_size: dict[tuple[int, int], float] = {}
+    for l, q, k0, osc, size in _pyramid(f, a, p):
+        nc = 2 * n0 // q
+        osc_max.append(_range_max(osc, k0, 0, nc))
+        far_osc = list(map(max, far_osc, _far_sups(osc, k0, nc, n0, q, cuts)))
+        if 2.0**l >= rho:
+            super_size_max.append(_range_max(size, k0, 0, nc))
+            far_size = list(map(max, far_size, _far_sups(size, k0, nc, n0, q, cuts)))
+        else:
+            super_size_max.append(-math.inf)
+        for m in range(-p + 1, a):
+            shell_size[l, m] = _shell_sup(size, k0, n0, q, 2 ** (m + p))
+        del osc, size  # the pyramid frees the level before building the next
+    return osc_max, super_size_max, far_osc, far_size, shell_size
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +300,7 @@ def choose_thresholds(
     size_bound = SIZE_FRACTION * eps
     l_lo, l_hi = -p + 1, a
     levels = range(l_lo, l_hi + 1)
-    n0 = g.half_cells
-    cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent in cells
-
-    # per level, in pyramid order: largest oscillation, largest size if
-    # supercritical; per core candidate: far sups over all levels
-    osc_max, super_size_max = [], []
-    far_osc = [-math.inf] * len(levels)
-    far_size = [-math.inf] * len(levels)
-    shell_size: dict[tuple[int, int], float] = {}  # (level, shell m)
-    for l, q, osc, size in _pyramid(f.values, a, p):
-        osc_max.append(float(osc.max()))
-        far_osc = list(map(max, far_osc, _far_sups(osc, n0, q, cuts)))
-        if 2.0**l >= rho:
-            super_size_max.append(float(size.max()))
-            far_size = list(map(max, far_size, _far_sups(size, n0, q, cuts)))
-        else:
-            super_size_max.append(-math.inf)
-        for m in range(l_lo, a):
-            shell_size[l, m] = _shell_sup(size, n0, q, 2 ** (m + p))
-        del osc, size  # the pyramid frees the level before building the next
+    osc_max, super_size_max, far_osc, far_size, shell_size = _level_sups(f, a, p, rho)
 
     # fine exponent: smallest I with sup osc over levels <= -I below bound
     small_sup = list(accumulate(osc_max, max))
@@ -395,21 +440,30 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
     """Replace f by its mean on each assigned cube.
 
+    Only the cubes that meet f's window are read; every other cube's mean
+    is 0.0, and the result's window is the run of cubes that meet f's.
     Means are computed against a per-cube anchor sample (the cube's first
     sample), which makes the operation exactly idempotent on
     piecewise-constant input.
     """
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")
-    flat = f.values
-    counts = assignment.cube_counts
-    anchors = flat[assignment.cube_starts]
+    if f.lo == f.hi:
+        return f
+    starts = assignment.cube_starts
+    c0 = int(np.searchsorted(starts, f.lo, side="right")) - 1
+    c1 = int(np.searchsorted(starts, f.hi, side="left"))
+    counts = assignment.cube_counts[c0:c1]
+    lo = int(starts[c0])
+    flat = f.on(lo, int(starts[c1 - 1] + counts[-1]))
+    anchors = flat[starts[c0:c1] - lo]
+    del starts
     diffs = np.repeat(anchors, counts)
     np.subtract(flat, diffs, out=diffs)
-    cube_ids = np.repeat(np.arange(assignment.n_cubes), counts)
-    sums = np.bincount(cube_ids, weights=diffs, minlength=assignment.n_cubes)
+    cube_ids = np.repeat(np.arange(c1 - c0), counts)
+    sums = np.bincount(cube_ids, weights=diffs, minlength=c1 - c0)
     del diffs, cube_ids
-    return GridFunction(f.grid, np.repeat(anchors + sums / counts, counts))
+    return GridFunction(f.grid, np.repeat(anchors + sums / counts, counts), lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +495,19 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     _, p = _dyadic_exponents(assignment.grid)
     n0 = assignment.grid.half_cells
     k = 2 ** (th.outer_exponent + p)
-    vals = averaged.values
-    outside = (vals[: n0 - k], vals[n0 + k + 1 :])
+    # A is 0.0 outside its window, so only the window's part of each
+    # outside slice counts towards the sup
+    outside = (averaged.truncated(0, n0 - k).window, averaged.truncated(n0 + k + 1, averaged.grid.size).window)
     # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
     # the sign of a zero
     p1 = abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
-    p2 = float(np.max(np.abs(np.diff(vals[assignment.cube_starts])), initial=0.0))
+    # the cube means, 0.0 but on the cubes that start in A's window, from
+    # the cube before those to the cube after them: the differences
+    # between the other cubes are 0.0
+    starts = assignment.cube_starts
+    c0 = max(int(np.searchsorted(starts, averaged.lo)) - 1, 0)
+    c1 = min(int(np.searchsorted(starts, averaged.hi)) + 1, starts.size)
+    p2 = float(np.max(np.abs(np.diff(averaged.at(starts[c0:c1]))), initial=0.0))
     ratio_ok = bool(np.all(np.abs(np.diff(assignment.cube_levels)) <= 1))
     return GateReport(
         p1,

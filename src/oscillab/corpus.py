@@ -1,9 +1,14 @@
 """Canonical test functions shared by experiments and the acceptance suite.
 
-Ten members, all deterministic closed-form profiles.  ``eigenvector`` is
-the fourth Dirichlet sine mode of whatever box it is sampled on, which is
-the fourth eigenvector of the unit-potential operator on that box, so no
-operator is needed to build it.  Members carry a ``smooth`` flag marking
+Ten members, all deterministic closed-form profiles.  The three built from
+the bump profile (the two bumps and ``lacunary``) declare their compact
+support, so a build evaluates them there only.  The windowed members
+(``smooth-step``, ``log-spike``) are -0.0 beyond their window on one side
+or both, which a GridFunction keeps, so they are evaluated everywhere like
+the rest; the constants stay dense.  ``eigenvector`` is the fourth
+Dirichlet sine mode of whatever box it is sampled on, which is the fourth
+eigenvector of the unit-potential operator on that box, so no operator is
+needed to build it.  Members carry a ``smooth`` flag marking
 the ones eligible for the mollifier-sweep check (flat members give an
 identically zero distance curve, so strict decrease is meaningless for
 them; the log spike has unbounded second derivative only at the window
@@ -13,7 +18,7 @@ edges, which stays within the sweep tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,20 +107,23 @@ class CorpusMember:
     summary: str
     smooth: bool  # eligible for the mollifier-sweep acceptance check
     fn: Callable[[np.ndarray], np.ndarray]
+    # a closed interval outside which fn is +0.0: the build evaluates fn
+    # there only, and the function's window lies inside it
+    support: Optional[tuple[float, float]] = None
 
     def build(self, grid: Grid) -> GridFunction:
-        return GridFunction.from_callable(grid, self.fn)
+        return GridFunction.from_callable(grid, self.fn, self.support)
 
 
 CORPUS: tuple[CorpusMember, ...] = (
     CorpusMember("zero", "identically zero", smooth=False, fn=_zero),
     CorpusMember("const-one", "constant 1", smooth=False, fn=_const_one),
     CorpusMember("const-neg-half", "constant -1/2", smooth=False, fn=_const_neg_half),
-    CorpusMember("bump-narrow", "peak-one smooth bump on B(0,1)", smooth=True, fn=_bump_narrow),
-    CorpusMember("bump-wide", "peak-one smooth bump on B(0,4)", smooth=True, fn=_bump_wide),
+    CorpusMember("bump-narrow", "peak-one smooth bump on B(0,1)", smooth=True, fn=_bump_narrow, support=(-1.0, 1.0)),
+    CorpusMember("bump-wide", "peak-one smooth bump on B(0,4)", smooth=True, fn=_bump_wide, support=(-4.0, 4.0)),
     CorpusMember("smooth-step", "tanh step at scale 0.3, windowed", smooth=True, fn=_smooth_step),
     CorpusMember("gaussian", "unit gaussian", smooth=True, fn=_gaussian),
-    CorpusMember("lacunary", "bumps at 3 and 9", smooth=True, fn=_lacunary),
+    CorpusMember("lacunary", "bumps at 3 and 9", smooth=True, fn=_lacunary, support=(2.0, 10.0)),
     CorpusMember(
         "eigenvector",
         "fourth eigenvector of the unit-potential operator, L2-normalized",

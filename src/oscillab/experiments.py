@@ -123,14 +123,15 @@ def _bump_window(h: float) -> tuple[np.ndarray, np.ndarray]:
 
 def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
     """Sum of unit-mass bumps at 3^k, k = 1..k_max, each the same sampled
-    kernel."""
+    kernel, held from the first bump's samples to the last's."""
     _check_lacunary_reach(grid, k_max)
     win, koff = _bump_window(grid.spacing)
-    vals = np.zeros(grid.axis_count)
-    for k in range(1, k_max + 1):
-        i = int(grid.coord_to_index(3.0**k))
-        vals[i + koff] += win
-    return GridFunction(grid, vals)
+    at = [int(grid.coord_to_index(3.0**k)) + koff for k in range(1, k_max + 1)]
+    lo = int(at[0][0])
+    vals = np.zeros(int(at[-1][-1]) + 1 - lo)
+    for i in at:
+        vals[i - lo] += win
+    return GridFunction(grid, vals, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +516,13 @@ def exp_pipeline(
 
     d_avg = bmo_norm(family_stats(f - A, fam)).value
 
-    # truncate A in place to [-T, T), T = 2^(M+2): the samples
-    # n0 - T/h .. n0 + T/h - 1, clipped to the box (at M = a - 1 the left
-    # half is all kept), then mollify at the fine-cube scale
+    # truncate A to [-T, T), T = 2^(M+2): the samples n0 - T/h .. n0 +
+    # T/h - 1, clipped to the box (at M = a - 1 the left half is all
+    # kept), then mollify at the fine-cube scale
     n0, k = grid.half_cells, round(2.0 ** (th.outer_exponent + 2) / h)
-    A.values[: max(n0 - k, 0)] = 0.0
-    A.values[n0 + k :] = 0.0
     t_eps = max(2.0**-th.fine_exponent, 4.0 * h)
-    residual = mollify(A, t_eps)
+    residual = f - mollify(A.truncated(n0 - k, n0 + k), t_eps)  # f - F_eps
     del A
-    np.subtract(f.values, residual.values, out=residual.values)  # f - F_eps in F_eps's buffer
     d_full = bmo_l_norm(family_stats(residual, fam), RHO_CONSTANT_UNIT).value
 
     n = 1  # ambient dimension in the paper's bound (20^(n/2) / 4^n + 2) eps
@@ -886,6 +884,8 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
             if sid == "lacunary-separation":
                 keys = "'k_max' and 'halfwidth'"
                 _check_lacunary_reach(grid, p["k_max"])
+                keys = "'spacing'"
+                _bump_window(grid.spacing)  # the bump's own h < width/4 check
                 keys = "'stride', 'radius_max' and 'distance_max'"
                 policy = FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing, radius_max=p.pop("radius_max"),
                                       distance_max=p.pop("distance_max"))

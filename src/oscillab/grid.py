@@ -12,12 +12,29 @@ Conventions that the rest of the package relies on:
 * balls that touch or cross the box boundary are rejected rather than
   clipped.
 
-Ball sums are served from prefix-sum tables.  A family scan asks for the
-balls of one radius over a run of centers at one index step, so each
-block's sums are the difference of two strided slices of the table.  The
-ball means of f and of f^2 become the oscillation and the size in one
-place, oscillation_and_size.  The naive per-ball member values, the
-oracle of the tables, live with the tests (tests/oracles.py).
+A GridFunction carries its window [lo, hi), the samples outside which it
+is exactly +0.0; it holds the samples of the window only.  A producer that
+knows where its output vanishes declares it: the corpus members with
+compact support (the bumps and ``lacunary``), ``lacunary_function``,
+``dyadic_average`` (the cubes that meet f's window), the pipeline's
+truncation, ``mollify`` (f's window widened by the kernel's reach) and
+f - g (the union of the two windows).  Every other function gets the span
+of its non-zero samples, so the constants and the sine mode stay dense:
+their window is the whole grid.  Scans read the window only, and what
+lies outside contributes exact zeros, so they give the bytes the dense
+scan gives.  The consumers that need every sample (the operator's sine
+transform, the half-space fields, the written file) read ``values``, the
+dense samples, once.
+
+Ball sums are served from prefix-sum tables built on a function's window.
+A family scan asks for the balls of one radius over a run of centers at
+one index step, so each block's sums are the difference of two strided
+slices of the table; a ball that misses the window sums to exactly 0.0
+and is not read.  The ball means of f and of f^2 become the oscillation
+and the size in one place, oscillation_and_size.  The naive per-ball
+member values, the oracle of the tables, live with the tests
+(tests/oracles.py), with the dense scans that the windowed ones are
+checked against.
 """
 
 from __future__ import annotations
@@ -84,8 +101,13 @@ class Grid:
     @property
     def axis(self) -> np.ndarray:
         """Sample coordinates, -X..X inclusive."""
+        return self.coords(0, self.size)
+
+    def coords(self, lo: int, hi: int) -> np.ndarray:
+        """The coordinates of the samples [lo, hi), the same bits as
+        axis[lo:hi]."""
         m = self.half_cells
-        return np.arange(-m, m + 1, dtype=np.float64) * self.spacing
+        return np.arange(lo - m, hi - m, dtype=np.float64) * self.spacing
 
     def coord_to_index(self, coords: np.ndarray) -> np.ndarray:
         """Nearest-sample index per coordinate (float array in, int array out)."""
@@ -101,31 +123,103 @@ class Grid:
         )
 
 
-@dataclass(frozen=True)
+def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
+    """[a, b): from the first to past the last sample of v whose bits are
+    not those of +0.0 (so -0.0 counts), or (0, 0) when there is none."""
+    kept = v.view(np.uint64) != 0
+    if not kept.any():
+        return 0, 0
+    return int(np.argmax(kept)), kept.size - int(np.argmax(kept[::-1]))
+
+
 class GridFunction:
-    """Real samples on a grid.  Values are float64 and finite."""
+    """Real samples on a grid, held on their window [lo, hi): every sample
+    outside it is +0.0, and the window starts and ends on a sample that is
+    not (-0.0 counts as non-zero, so the dense samples come back bit for
+    bit).  Values are float64 and finite.
 
-    grid: Grid
-    values: np.ndarray
+    GridFunction(grid, values) takes all the samples and finds the window;
+    GridFunction(grid, values, lo=lo) takes the samples of [lo, lo +
+    len(values)) and trims that to the window.  A producer that knows where
+    its output vanishes passes only that span; a dense function's window is
+    the whole grid.  ``window`` is the samples on [lo, hi), ``values`` the
+    dense samples, built on each read and read-only.
+    """
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
-            raise ConfigError(
-                f"value shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
+    __slots__ = ("grid", "lo", "hi", "window")
+
+    def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None):
+        v = np.asarray(values, dtype=np.float64)
+        if lo is None:
+            if v.shape != grid.shape:
+                raise ConfigError(f"value shape {v.shape} does not match grid shape {grid.shape}")
+            lo = 0
+        elif v.ndim != 1 or not 0 <= lo <= grid.size - v.size:
+            raise ConfigError(f"a window of {v.shape} samples at {lo} leaves the grid's {grid.size}")
         if not np.all(np.isfinite(v)):
             raise ConfigError("grid function values must be finite")
-        object.__setattr__(self, "values", v)
+        a, b = _nonzero_span(v)
+        self.grid = grid
+        self.lo, self.hi = (lo + a, lo + b) if b else (0, 0)
+        self.window = v[a:b]
+
+    @property
+    def values(self) -> np.ndarray:
+        """All the samples, read-only: a view of a window that is the whole
+        grid, else a new array."""
+        if self.hi - self.lo == self.grid.size:
+            out = self.window.view()
+        else:
+            out = np.zeros(self.grid.shape)
+            out[self.lo : self.hi] = self.window
+        out.flags.writeable = False
+        return out
+
+    def on(self, a: int, b: int) -> np.ndarray:
+        """The samples of [a, b) (0 <= a <= b <= size): a view of the window
+        when it holds them, else a new array, zero outside the window."""
+        if self.lo <= a and b <= self.hi:
+            return self.window[a - self.lo : b - self.lo]
+        out = np.zeros(b - a)
+        i, j = max(a, self.lo), min(b, self.hi)
+        if i < j:
+            out[i - a : j - a] = self.window[i - self.lo : j - self.lo]
+        return out
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """The samples at the index array idx."""
+        inside = (idx >= self.lo) & (idx < self.hi)
+        out = np.zeros(idx.shape)
+        out[inside] = self.window[idx[inside] - self.lo]
+        return out
+
+    def truncated(self, a: int, b: int) -> "GridFunction":
+        """f on the samples [a, b), zero outside."""
+        a, b = max(a, self.lo), min(b, self.hi)
+        if a >= b:
+            return GridFunction(self.grid, np.empty(0), lo=0)
+        return GridFunction(self.grid, self.window[a - self.lo : b - self.lo], lo=a)
 
     @staticmethod
-    def from_callable(grid: Grid, fn) -> "GridFunction":
-        return GridFunction(grid, np.asarray(fn(grid.axis), dtype=np.float64))
+    def from_callable(grid: Grid, fn, support: tuple[float, float] | None = None) -> "GridFunction":
+        """fn at the samples; with support (x0, x1), at the samples of the
+        closed [x0, x1] only, and +0.0 elsewhere, which fn must also give
+        there.  fn works elementwise on an array of coordinates."""
+        lo, hi = 0, grid.size
+        if support is not None:
+            x0, x1 = support
+            h, m = grid.spacing, grid.half_cells
+            lo = min(max(math.floor(x0 / h) + m, 0), grid.size)
+            hi = min(max(math.ceil(x1 / h) + m + 1, lo), grid.size)
+        return GridFunction(grid, np.asarray(fn(grid.coords(lo, hi)), dtype=np.float64), lo=lo)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        """f - g on the union of the two windows."""
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("grid functions live on different grids")
-        return GridFunction(self.grid, self.values - other.values)
+        spans = [(f.lo, f.hi) for f in (self, other) if f.lo < f.hi] or [(0, 0)]
+        a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
+        return GridFunction(self.grid, self.on(a, b) - other.on(a, b), lo=a)
 
 
 @dataclass(frozen=True)
@@ -147,17 +241,25 @@ class Ball:
 
 
 class SummedTable:
-    """Prefix sums P[i] = sum(values[:i]) of one value array, serving the
-    sums over balls of one cell radius m centered on a run of samples:
+    """Prefix sums P[i] = sum(values[:i]) of a function's samples, serving
+    the sums over balls of one cell radius m centered on a run of samples:
     samples c - m + 1 .. c + m - 1 sum to P[c + m] - P[c - m + 1], so a
     run start:stop:step reads two slices of P with that step.
+
+    The table is built on the function's window [lo, hi) only: P is
+    exactly 0 up to lo and exactly the window's total from hi on, so it
+    stores P[lo..hi] and reads the constant ends where a run leaves them.
+    A ball that misses the window sums to 0 - 0 or S - S, which is 0.0.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray):
+    def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None):
+        """values: all the samples, or with lo, those of [lo, lo + len(values))."""
         self.grid = grid
         v = np.asarray(values, dtype=np.float64)
-        if v.shape != grid.shape:
+        if v.shape != grid.shape if lo is None else (v.ndim != 1 or not 0 <= lo <= grid.size - v.size):
             raise ConfigError("summed table shape mismatch")
+        self.lo = 0 if lo is None else lo
+        self.hi = self.lo + v.shape[0]
         p = np.zeros(v.shape[0] + 1)
         np.cumsum(v, out=p[1:])
         self._p = p
@@ -168,6 +270,33 @@ class SummedTable:
         np.square(values, out=self._p[1:])
         np.cumsum(self._p[1:], out=self._p[1:])
 
+    def meeting(self, run: range, cell_radius: int) -> range:
+        """The positions in run of the centers whose balls of cell radius m
+        meet the window, c in [lo - m + 1, hi + m - 1); a slice of run."""
+        if self.lo == self.hi:
+            return range(0)
+        m, start, step = int(cell_radius), run.start, run.step
+        first = -((start - (self.lo - m + 1)) // step)  # ceil((lo - m + 1 - start) / step)
+        end = -((start - (self.hi + m - 1)) // step)
+        return range(min(max(first, 0), len(run)), min(max(end, 0), len(run)))
+
+    def _prefix(self, start: int, count: int, step: int) -> np.ndarray:
+        """P at start, start + step, ... (count of them): a strided view of
+        the stored prefix when they all fall in [lo, hi], else a new array
+        with the constant ends filled in."""
+        p, s = self._p, start - self.lo
+        last = s + (count - 1) * step
+        if s >= 0 and last < p.shape[0]:
+            return p[s : last + 1 : step]
+        out = np.empty(count)
+        j0 = min(max(-(s // step), 0), count)  # the reads left of lo
+        j1 = min(max((p.shape[0] - 1 - s) // step + 1, j0), count)  # and up to hi
+        out[:j0] = 0.0
+        if j0 < j1:
+            out[j0:j1] = p[s + j0 * step : s + (j1 - 1) * step + 1 : step]
+        out[j1:] = p[-1]
+        return out
+
     def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None) -> np.ndarray:
         """Sum over samples strictly inside B(c, cell_radius * h) for each
         center sample index c of run (a range with a positive step),
@@ -176,16 +305,12 @@ class SummedTable:
         float membership fuzz; a ball reaching past the samples raises
         OutOfDomainError."""
         m = int(cell_radius)
-        p = self._p
         if m < 1 or run.step < 1:
             raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
-        if len(run) and (run.start - m + 1 < 0 or run[-1] + m >= p.shape[0]):
+        if len(run) and (run.start - m + 1 < 0 or run[-1] + m > self.grid.size):
             raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
-        return np.subtract(
-            p[run.start + m : run.stop + m : run.step],
-            p[run.start - m + 1 : run.stop - m + 1 : run.step],
-            out=out,
-        )
+        n, step = len(run), run.step
+        return np.subtract(self._prefix(run.start + m, n, step), self._prefix(run.start - m + 1, n, step), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def reproducing_pairing_check(
     grid = f.grid
     if not grid.compatible(g_fn.grid) or not grid.compatible(op.grid):
         raise ConfigError("pairing inputs live on different grids")
-    direct = float(np.sum(f.values * g_fn.values) * grid.cell_volume)
+    fv, gv = f.values, g_fn.values
+    direct = float(np.sum(fv * gv) * grid.cell_volume)
     Ff = square_function_field(op, f, ladder)
     Fg = square_function_field(op, g_fn, ladder)
     w = ladder.log_weights
@@ -183,6 +184,6 @@ def reproducing_pairing_check(
         tent += w[j] * float(np.sum(Ff.values[j] * Fg.values[j]))
     tent *= 4.0 * grid.cell_volume
     denom = max(abs(direct), 1e-300)
-    outside = np.delete(np.stack((f.values, g_fn.values)), interior_index_window(grid, window), axis=1)
+    outside = np.delete(np.stack((fv, gv)), interior_index_window(grid, window), axis=1)
     sup_out = float(np.max(np.abs(outside), initial=0.0))
     return PairingReport(direct, tent, abs(tent - direct) / denom, sup_out <= 1e-12)

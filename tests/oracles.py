@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
-from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_of
+from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
 from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, apply_spectral, log_weights_for
 
 
@@ -328,3 +328,78 @@ def read_grid_function(path) -> GridFunction:
     header = json.loads(p.read_text(encoding="utf-8"))
     grid = Grid(halfwidth=header["halfwidth"], spacing=header["spacing"])
     return GridFunction(grid, np.frombuffer(p.with_suffix(".bin").read_bytes(), dtype="<f8"))
+
+
+# ---------------------------------------------------------------------------
+# dense scans: every sample read, as before functions carried a window
+
+
+def held_whole(f: GridFunction) -> GridFunction:
+    """f held on the whole grid, its zeros included, so that a windowed
+    scan of it reads every sample."""
+    whole = object.__new__(GridFunction)
+    whole.grid, whole.lo, whole.hi, whole.window = f.grid, 0, f.grid.size, np.array(f.values)
+    return whole
+
+
+def dense_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]:
+    """(oscillation, size) per family ball from prefix tables of all the
+    samples of f and of f^2, each ball's sum read at its center index."""
+    mean, mean_sq = np.empty(len(family)), np.empty(len(family))
+    for values, out in ((f.values, mean), (np.square(f.values), mean_sq)):
+        p = prefix_table(values)
+        for b in family.blocks:
+            out[b.start : b.stop] = ball_sums(p, np.asarray(b.run), b.cell_radius) / (2 * b.cell_radius - 1)
+    return oscillation_and_size(mean, mean_sq)
+
+
+def dense_pyramid(values: np.ndarray, a: int, p: int):
+    """(level, cells per cube, oscillation, size) of every cube of every
+    dyadic level from -p+1 up to a, from the pairwise sums of all samples;
+    the top boundary sample folds into the last cube."""
+    body = values[:-1]
+    sums = body[0::2] + body[1::2]
+    sumsq = np.square(body[0::2]) + np.square(body[1::2])
+    sums[-1] += values[-1]
+    sumsq[-1] += values[-1] ** 2
+    for level in range(-p + 1, a + 1):
+        q = 2 ** (level + p)
+        osc, size = sums / q, sumsq / q
+        osc[-1], size[-1] = sums[-1] / (q + 1), sumsq[-1] / (q + 1)
+        yield level, q, *oscillation_and_size(osc, size)
+        sums, sumsq = sums[0::2] + sums[1::2], sumsq[0::2] + sumsq[1::2]
+
+
+def dense_dyadic_average(f: GridFunction, assignment) -> np.ndarray:
+    """Every cube's mean against its first sample, over all samples."""
+    flat, counts = f.values, assignment.cube_counts
+    anchors = flat[assignment.cube_starts]
+    diffs = flat - np.repeat(anchors, counts)
+    sums = np.bincount(np.repeat(np.arange(assignment.n_cubes), counts), weights=diffs, minlength=assignment.n_cubes)
+    return np.repeat(anchors + sums / counts, counts)
+
+
+def dense_gates(assignment, averaged: GridFunction) -> tuple[float, float]:
+    """(P1 sup, P2 max) of p1_p2_check from all the samples of A and the
+    mean of every cube."""
+    p = round(-math.log2(assignment.grid.spacing))
+    n0 = assignment.grid.half_cells
+    k = 2 ** (assignment.thresholds.outer_exponent + p)
+    vals = averaged.values
+    outside = np.concatenate((vals[: n0 - k], vals[n0 + k + 1 :]))
+    p1 = abs(float(np.max(np.abs(outside), initial=0.0)))
+    p2 = float(np.max(np.abs(np.diff(vals[assignment.cube_starts])), initial=0.0))
+    return p1, p2
+
+
+def dense_mollify(f: GridFunction, t: float) -> np.ndarray:
+    """The bump-kernel convolution of all the samples, zero-padded."""
+    h = f.grid.spacing
+    kmax = math.ceil(t / h - 1e-9) - 1
+    offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
+    r2 = (offs / t) ** 2
+    w = np.zeros(r2.shape)
+    inside = r2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    w /= np.sum(w)
+    return np.convolve(f.values, w, mode="same")

@@ -507,31 +507,94 @@ def test_pipeline_outer_cutoff_beyond_the_box_is_a_nonmember_verdict():
     assert rep.exhausted_condition.startswith("no outer cutoff M <= a - 3 = 3 ")
 
 
-def test_pipeline_last_scan_holds_two_sample_arrays_and_one_table(monkeypatch):
-    # at the scan of f - F_eps only f and the residual are live besides the
-    # family: F_eps's buffer holds f - F_eps, and A and the cubes are gone
+def _stage_peaks(monkeypatch, run):
+    """(stage, traced peak over the memory live when it started) of every
+    call of a pipeline stage that run makes: the member build, the family
+    scans, the averaging steps, the window arithmetic and the mollifier."""
     from oscillab import experiments
+    from oscillab.corpus import CorpusMember
 
-    scans = []
+    peaks = []
 
-    def traced(f, fam):
-        tracemalloc.reset_peak()
-        st = family_stats(f, fam)
-        scans.append((tracemalloc.get_traced_memory()[1], f.grid.size, len(fam)))
-        return st
+    def traced(owner, name):
+        fn = getattr(owner, name)
 
-    monkeypatch.setattr(experiments, "family_stats", traced)
+        def stage(*args, **kwargs):
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - live))
+            return out
+
+        monkeypatch.setattr(owner, name, stage)
+
+    for name in ("family_stats", "choose_thresholds", "assign_cubes", "dyadic_average", "p1_p2_check", "mollify"):
+        traced(experiments, name)
+    traced(CorpusMember, "build")
+    traced(GridFunction, "__sub__")
+    traced(GridFunction, "truncated")
     tracemalloc.start()
     try:
-        rep = exp_pipeline("bump-narrow", _pipeline_family(halfwidth=4096.0, spacing=2.0**-7), eps_fraction=0.8)
+        out = run()
     finally:
         tracemalloc.stop()
-    assert rep.verdict == "MEMBER"
-    peak, n, balls = scans[-1]
-    assert n == 1_048_577 and n > 16 * balls
-    # f, the residual and the table; the family's centers and radii, and
-    # the scan's per-ball arrays
-    assert peak <= 3 * (n + 1) * 8 + 8 * balls * 8, (peak - 3 * (n + 1) * 8) / (balls * 8)
+    return out, peaks
+
+
+def test_pipeline_stages_each_stay_below_one_sample_array(monkeypatch):
+    # bump-narrow is non-zero on 255 of the 2^20 + 1 samples: every stage
+    # works on windows, and nothing sample-sized is allocated
+    fam = _pipeline_family(halfwidth=4096.0, spacing=2.0**-7)
+    n = fam.grid.size
+    rep, peaks = _stage_peaks(monkeypatch, lambda: exp_pipeline("bump-narrow", fam, eps_fraction=0.8))
+    assert rep.verdict == "MEMBER" and n == 2**20 + 1
+    stages = [name for name, _ in peaks]
+    assert stages.count("family_stats") == 3 and {"build", "choose_thresholds", "assign_cubes", "dyadic_average",
+                                                  "p1_p2_check", "mollify", "__sub__", "truncated"} <= set(stages)
+    for name, peak in peaks:
+        assert peak < 8 * n, (name, peak / (8 * n))
+
+
+def test_lacunary_family_scan_stays_below_one_sample_array():
+    # the bumps at 3, 9, ..., 2187 hold a window of a quarter of the box
+    plan = _plan(id="lacunary-separation", halfwidth=4096.0, spacing=2.0**-7, k_max=7, stride=1.0,
+                 radius_max=1024.0, distance_max=1024.0)
+    f = lacunary_function(plan.grid, 7)
+    n = plan.grid.size
+    assert n == 2**20 + 1 and f.hi - f.lo < n // 3
+    tracemalloc.start()
+    try:
+        family_stats(f, plan.family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table on the window, the two per-ball results, and a block's two
+    # reads of the table where they leave the window
+    assert peak <= 8 * (f.hi - f.lo + 1) + 16 * len(plan.family) + 16 * plan.family.xs.size, peak
+    assert peak < 8 * n
+
+
+@pytest.fixture(scope="module")
+def criterion_10_family():
+    """The family of criterion 10's geometry: bump-narrow at halfwidth
+    2^16 and spacing 2^-8, 33,554,433 samples."""
+    return _pipeline_family(halfwidth=float(2**16), spacing=2.0**-8)
+
+
+@pytest.mark.parametrize("osc_fraction, cutoffs", [(0.25, (5, 11, 11)), (0.5, (4, 9, 9))])
+def test_averaging_changes_f_at_criterion_10_geometry(osc_fraction, cutoffs, criterion_10_family):
+    # criterion 10's own osc_fraction 0.125 picks I = 6: its core cubes
+    # hold one sample each, so the average is f there and d_avg is 0.0.
+    # These looser fractions put 2 and 4 samples in a core cube, so the
+    # average moves f and both distances are measured against the paper's
+    # case bound (20^(1/2)/4 + 2) eps
+    rep = exp_pipeline("bump-narrow", criterion_10_family, eps_fraction=0.1, osc_fraction=osc_fraction)
+    th = rep.thresholds
+    assert rep.verdict == "MEMBER" and (th.fine_exponent, th.core_exponent, th.outer_exponent) == cutoffs
+    assert 2 ** (8 - th.fine_exponent - 2) >= 2  # samples per core cube, 2^(p - I - 2)
+    assert rep.case_bound == (math.sqrt(20.0) / 4.0 + 2.0) * rep.eps
+    assert 0.0 < rep.distance_averaged <= rep.case_bound
+    assert 0.0 < rep.distance_full <= rep.case_bound
 
 
 def test_pipeline_eigenvector_member_needs_no_operator(tmp_path, capsys):
@@ -913,12 +976,14 @@ _SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "sp
         (("decay_factor",), {"id": "bmo-norms", "decay_factor": -4.0}),
         (("decay_factor",), {"id": "extension-agreement", "members": ["zero"], "decay_factor": 0.0}),
         (("floor_factor",), {**_SMALL_LACUNARY_SCENARIO, "floor_factor": -0.3}),
+        # a spacing too coarse for the unit bump that exp_lacunary samples
+        (("spacing",), {**_SMALL_LACUNARY_SCENARIO, "spacing": 0.25}),
         (("corpus_factor",), {"id": "approximation-pipeline", "halfwidth": 512.0, "spacing": 2.0**-5,
                               "corpus_factor": 0.0}),
     ],
     ids=["lacunary-exponent-0.5", "lacunary-amplitude--1", "lacunary-amplitude-0", "bmo-tol_fraction--0.05",
          "pairing-tolerance--0.01", "rho-slope-tolerance--0.01", "bmo-decay_factor--4", "extension-decay_factor-0",
-         "lacunary-floor_factor--0.3", "pipeline-corpus_factor-0"],
+         "lacunary-floor_factor--0.3", "lacunary-spacing-0.25", "pipeline-corpus_factor-0"],
 )
 def test_cli_rejects_a_value_out_of_range_before_running(keys, scenario, tmp_path, capsys):
     # each passed the config check: it then stopped the run after the

@@ -169,6 +169,75 @@ def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count):
     assert np.isnan(out[0]) and np.isnan(out[-1])
 
 
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=65),
+    st.integers(min_value=0, max_value=65),
+)
+def test_windowed_ball_sums_equal_the_dense_oracle(m, start, step, count, lo, width):
+    # a table on a window reads 0 left of it and the total right of it:
+    # the same bytes as the table of all the samples, zeros included
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    lo, hi = min(lo, g.size), min(lo + width, g.size)
+    window = np.random.default_rng(lo * 67 + width).normal(size=hi - lo)
+    dense = np.zeros(g.shape)
+    dense[lo:hi] = window
+    table = SummedTable(g, window, lo)
+    run = range(start, start + count * step, step)
+    if run.start - m + 1 < 0 or run[-1] + m > g.size:
+        with pytest.raises(OutOfDomainError):
+            table.ball_sum(run, m)
+        return
+    sums = ball_sums(prefix_table(dense), np.asarray(run), m)
+    assert np.array_equal(table.ball_sum(run, m), sums)
+    # the centers whose balls meet the window are one slice of the run,
+    # and every ball outside it sums to exactly 0.0
+    meet = table.meeting(run, m)
+    inside = [lo - m + 1 <= c < hi + m - 1 and lo < hi for c in run]
+    assert inside == [k in meet for k in range(len(run))]
+    assert not np.any(sums[[not i for i in inside]])
+
+
+def test_grid_function_holds_the_span_between_its_outer_nonzero_samples():
+    g = Grid(halfwidth=2.0, spacing=0.25)
+    v = np.zeros(g.shape)
+    v[[3, 5, 9]] = [1.0, -0.0, 2.0]
+    f = GridFunction(g, v)
+    assert (f.lo, f.hi) == (3, 10) and np.array_equal(f.window, v[3:10])
+    # -0.0 counts as a sample to keep, so the dense samples come back bit for bit
+    v[12] = -0.0
+    assert GridFunction(g, v).hi == 13
+    assert np.array_equal(GridFunction(g, v).values.view(np.uint64), v.view(np.uint64))
+    # a window given by its first sample trims to the same span
+    w = GridFunction(g, v[2:14], lo=2)
+    assert (w.lo, w.hi) == (3, 13)
+    assert (GridFunction(g, np.zeros(g.shape)).lo, GridFunction(g, np.zeros(g.shape)).hi) == (0, 0)
+    with pytest.raises(ConfigError):
+        GridFunction(g, np.ones(4), lo=g.size - 3)
+    with pytest.raises(ValueError):
+        f.values[0] = 1.0  # the dense samples are read-only
+
+
+def test_grid_function_window_arithmetic_equals_the_dense_arithmetic():
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    rng = np.random.default_rng(3)
+    f = GridFunction(g, rng.normal(size=7), lo=4)
+    h = GridFunction(g, rng.normal(size=5), lo=20)
+    zero = GridFunction(g, np.zeros(g.shape))
+    for a, b in ((f, h), (h, f), (f, zero), (zero, h), (zero, zero), (f, f)):
+        d = a - b
+        assert np.array_equal((a.values - b.values).view(np.uint64), d.values.view(np.uint64))
+    assert np.array_equal(f.on(0, g.size), f.values) and np.array_equal(f.on(6, 9), f.values[6:9])
+    idx = np.array([0, 4, 10, 11, 32])
+    assert np.array_equal(f.at(idx), f.values[idx])
+    cut = f.truncated(6, 30)
+    assert (cut.lo, cut.hi) == (6, 11) and np.array_equal(cut.values[6:11], f.values[6:11])
+    assert f.truncated(11, 20).lo == f.truncated(11, 20).hi
+
+
 def test_run_ball_sums_refuse_a_zero_radius_or_a_descending_run():
     g = Grid(halfwidth=4.0, spacing=0.25)
     table = SummedTable(g, np.ones(g.shape))

@@ -91,3 +91,27 @@ def test_rho_asymptotics_script_fits_every_integrable_exponent():
         _, a, fitted, *rest = r.split()
         if rest[-1] != "skipped":
             assert abs(float(fitted) - (1.0 - float(a) / 2.0)) < 0.01
+
+
+def test_bundle_digests_script_lists_and_compares_the_quick_bundle(tmp_path):
+    import json
+
+    from oscillab.experiments import run
+
+    config = SCRIPTS.parent / "configs" / "quick.json"
+    proc = _run_script("bundle_digests.py", str(config))
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln.split("  ") for ln in proc.stdout.strip().splitlines()]
+    assert [name for _, name in lines] == sorted(name for _, name in lines)
+    assert "summary.json" in [name for _, name in lines]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in lines)
+    # the config's bundle, run here, has the same digests; one changed byte shows
+    bundle = tmp_path / "quick"
+    run(json.loads(config.read_text()), out_dir=str(bundle))
+    same = _run_script("bundle_digests.py", str(config), str(bundle))
+    assert same.returncode == 0 and same.stdout.strip() == f"identical: {len(lines)} files", same.stdout
+    (bundle / "summary.json").write_text((bundle / "summary.json").read_text() + " ")
+    (bundle / "extra.csv").write_text("x\n")
+    differ = _run_script("bundle_digests.py", str(bundle), str(config))
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == ["only in A  extra.csv", "differs  summary.json"]
