@@ -38,6 +38,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "CriticalRadiusField",
         "Potential",
         "constant_potential",
+        "critical_reach",
         "normalized_mass",
         "power_potential",
         "solve_critical_radius",

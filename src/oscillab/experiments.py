@@ -33,7 +33,7 @@ from .approx import (
     p1_p2_check,
 )
 from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, member_by_name
-from .errors import ConfigError, CriterionFailure, ThresholdExhaustedError
+from .errors import BracketError, ConfigError, CriterionFailure, ThresholdExhaustedError
 from .family import (
     SUPERCRITICAL_MODES,
     BallFamily,
@@ -56,7 +56,9 @@ from .oscillation import (
 )
 from .potential import (
     Potential,
+    check_bracket_floor,
     constant_potential,
+    critical_reach,
     power_potential,
     solve_critical_radius,
 )
@@ -242,19 +244,6 @@ class LacunaryReport:
         }
 
 
-def _rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
-    """rho at the ascending centers xs, solved at the non-negative ones
-    only.  Both potential kinds are even in x and I(-x, r) == I(x, r) bit
-    for bit (negation commutes with IEEE sums), so rho(-x) is rho(x);
-    centers that are not symmetric about 0 raise ConfigError rather than
-    being mirrored wrongly."""
-    if np.any(np.diff(xs) <= 0) or not np.array_equal(xs, -xs[::-1]):
-        raise ConfigError("centers are not ascending and symmetric about the origin")
-    j0 = int(np.searchsorted(xs, 0.0))
-    half = solve_critical_radius(V, xs[j0:, None]).values
-    return np.concatenate((half[::-1][:j0], half))
-
-
 def exp_lacunary(
     fam: BallFamily,
     k_max: int,
@@ -276,14 +265,14 @@ def exp_lacunary(
     # the oscillation of one bump over B(0, 1), whose samples are its window
     floor_ref = oscillation_of(_bump_window(fam.grid.spacing)[0])
 
-    # solve once per distinct |center|; the solver works point by point
-    rho = _rho_at_symmetric_centers(V, fam.xs)
+    # the supercritical balls of each radius block: |center| below its reach
+    reach = critical_reach(V, fam.xs, [b.radius for b in fam.blocks])
     st = family_stats(f, fam)
-    norm = bmo_l_norm(st, rho)
+    norm = bmo_l_norm(st, reach)
     tol = tol_fraction * norm.value
 
     curves = {mode: bucketed_sup(st.oscillation, fam, mode) for mode in ("small-radius", "far-from-origin")}
-    curves["far-and-supercritical"] = bucketed_sup(st.size, fam, "far-and-supercritical", rho=rho)
+    curves["far-and-supercritical"] = bucketed_sup(st.size, fam, "far-and-supercritical", rho=reach)
     verdicts = _verdict_map(curves, tol, decay_factor)
 
     far = curves["far-from-origin"]
@@ -678,7 +667,9 @@ def _built_potential(where: str, keys: str, build: Callable[[int], Potential], n
 def _rho_slope_potential(where: str, p: dict) -> dict:
     """rho-slope parameters with the potential built in dimension 'n', from
     'potential' or from 'exponent' and 'amplitude'; a potential that
-    _built_potential refuses and an empty x range fail."""
+    _built_potential refuses, an empty x range, and a potential whose
+    normalized mass exceeds 1 at the solve's bracket floor at the smallest
+    x the run can draw (x_min shrunk by the jitter) fail."""
     n = p.pop("n")
     if "potential" in p:
         keys, build = "'potential'", p.pop("potential")
@@ -690,6 +681,14 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     potential = _built_potential(where, keys, build, n)
     if not p["x_min"] < p["x_max"]:
         raise ConfigError(f"{where}: 'x_min' and 'x_max': need x_min < x_max, got {p['x_min']} and {p['x_max']}")
+    # the solve's floor at the smallest x the jitter can draw, where I(., r) is largest
+    nearest = np.zeros(n)
+    nearest[0] = p["x_min"] * math.exp(-abs(p.get("jitter", 0.0)))
+    try:
+        check_bracket_floor(potential, nearest)
+    except BracketError as e:
+        keys += ", 'x_min'" + (", 'jitter'" if p.get("jitter") else "")
+        raise ConfigError(f"{where}: {keys}: {e}") from None
     return {**p, "potential": potential}
 
 
@@ -868,8 +867,10 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
     first): a family, its centers checked against the lattice, once per
     (grid, policy), and an operator and its default t-ladder once per
-    grid; reproducing-pairing builds its own t-ladder.  A ConfigError
-    names the scenario and keys."""
+    grid; reproducing-pairing builds its own t-ladder.  lacunary-separation
+    also tests the critical-radius solve's bracket floor at its centers
+    nearest the origin, which holds at every center if it holds there.  A
+    ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
     operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}
@@ -899,6 +900,11 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
             if policy is not None and (grid, policy) not in families:
                 families[grid, policy] = make_ball_family(grid, policy)
             fam = families.get((grid, policy))
+            if sid == "lacunary-separation":
+                # the solve's floor at the centers nearest the origin, where I(., r) is largest
+                keys, z = "'exponent' and 'amplitude'", int(np.searchsorted(fam.xs, 0.0))
+                check_bracket_floor(power_potential(p["exponent"], 1, amplitude=p["amplitude"]),
+                                    fam.xs[max(z - 1, 0) : z + 1])
             if sid in ("square-function-agreement", "extension-agreement", "bmo-norms", "tent-norms",
                        "reproducing-pairing"):
                 keys = "'halfwidth', 'spacing' and 'op_cap'"
@@ -909,7 +915,7 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                 keys = "'t_min' and 't_max'"
                 t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)
                 ladder = TLadder.geometric(t_min, t_max, per_decade=p.pop("per_decade"))
-        except ConfigError as e:
+        except (ConfigError, BracketError) as e:
             raise ConfigError(f"scenario {sid!r}: {keys}: {e}") from None
         plans.append(ScenarioPlan(sid, name, p, grid, fam, op, ladder))
     return plans

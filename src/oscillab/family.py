@@ -8,10 +8,11 @@ which is not the same as a zero supremum.
 A family is its radius blocks: the ascending distinct centers xs on the
 grid lattice, and one block per radius holding the cell radius and the
 run of xs it is centered on.  Nothing is stored per ball, and
-critical-radius data is a scalar or an array aligned with xs.  A ball's
-bucket is constant over a block in the radius modes, and in the distance
-modes its key |c| - r descends over a block's negative centers and
-ascends over the rest.  A curve is therefore a reduction over a few
+critical-radius data is a scalar rho or one reach per block: the
+supercritical balls of a block are those with |c| below its reach, one
+run of the block.  A ball's bucket is constant over a block in the
+radius modes, and in the distance modes its key |c| - r descends over a
+block's negative centers and ascends over the rest.  A curve is therefore a reduction over a few
 contiguous segments of the family, at most 2 (n + 1) per block for an
 n-cutoff ladder.  The segment plan is built once per family and cut
 ladder.
@@ -90,10 +91,11 @@ class BallFamily:
     offset, count) and kept as RadiusBlock: the balls of radius m h about
     the centers xs[offset : offset + count].  The family is the blocks'
     balls in order, so the balls of one block are a contiguous slice of
-    it; critical-radius data is a scalar or an array aligned with xs.
-    radius_ladder and distance_ladder are the cutoff ladders used by
-    bucketed_sup; the distance modes key a ball by its inner distance
-    |c| - r, the largest a such that the ball avoids B(0, a).
+    it; critical-radius data is a scalar rho or one reach per block
+    (supercritical_spans).  radius_ladder and distance_ladder are the
+    cutoff ladders used by bucketed_sup; the distance modes key a ball by
+    its inner distance |c| - r, the largest a such that the ball avoids
+    B(0, a).
 
     Centers off the lattice or off one index step, and a block with no
     positive cell radius, no ball or a run past xs, raise ConfigError; a
@@ -173,13 +175,12 @@ class BallFamily:
 @dataclass(frozen=True)
 class SegmentPlan:
     """Runs of balls that fall in one bucket of a cut ladder, in family
-    order: segment i is the balls starts[i] .. starts[i] + sizes[i] - 1 of
-    one radius block, all in bucket buckets[i] (0 .. n for an n-cutoff
-    ladder).  The segments tile the family, none is empty, and each radius
-    block starts one."""
+    order: segment i is the balls from starts[i] up to the next start (or
+    the family's end) of one radius block, all in bucket buckets[i]
+    (0 .. n for an n-cutoff ladder).  The segments tile the family, none
+    is empty, and each radius block starts one."""
 
     starts: np.ndarray
-    sizes: np.ndarray
     buckets: np.ndarray
 
 
@@ -204,28 +205,30 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
         segs = sorted(i for i in cut if i < b.count)
         starts += [b.start + i for i in segs]
         keys += (np.abs(c[segs]) - b.radius).tolist() if kind == "far-from-origin" else [b.radius] * len(segs)
-    starts = np.array(starts, dtype=np.intp)
-    return SegmentPlan(
-        starts,
-        np.diff(starts, append=len(family)).astype(np.int64),
-        np.searchsorted(cuts, keys, side=side),
-    )
+    return SegmentPlan(np.array(starts, dtype=np.intp), np.searchsorted(cuts, keys, side=side))
 
 
 def supercritical_spans(family: BallFamily, rho):
-    """(start, stop, keep) per radius block in family order, where keep
-    says which of the block's balls are supercritical, r >= rho(center)
-    (ties count); rho may hold +inf (never supercritical).  A scalar rho
-    keeps or drops a whole block with one bool.  An array rho, aligned
-    with the family's centers xs, gives a mask over the block, made only
-    when the block is reached."""
+    """(block, a, b) per radius block in family order: the block's
+    supercritical balls, r >= rho(center) (ties count), are the balls
+    a .. b - 1.  rho is one reach per block, as critical_reach gives it, or
+    a scalar critical radius, possibly +inf (never supercritical), whose
+    blocks are supercritical whole (reach +inf) or not at all (reach 0).
+    A block's supercritical centers are those with |c| below its reach,
+    which the ascending centers hold as one run: -reach < c < reach."""
     if rho is None:
         raise ConfigError("critical-radius data is required here")
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.ndim and rho.shape != family.xs.shape:
-        raise ConfigError("critical-radius array length does not match the family's centers")
-    for b in family.blocks:
-        yield b.start, b.stop, b.radius >= (rho[b.centers] if rho.ndim else rho)
+    if rho.ndim == 0:
+        reach = [np.inf if b.radius >= rho else 0.0 for b in family.blocks]
+    elif rho.shape == (len(family.blocks),):
+        reach = rho
+    else:
+        raise ConfigError("critical-radius reaches do not match the family's radius blocks")
+    for b, r in zip(family.blocks, reach):
+        c = family.xs[b.centers]
+        a = int(np.searchsorted(c, -r, side="right"))
+        yield b, b.start + a, b.start + max(a, int(np.searchsorted(c, r)))
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
@@ -353,21 +356,21 @@ def bucketed_sup(
     """Supremum of a per-ball metric within each bucket of the family's own
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    metric: array aligned with the family.  rho: critical-radius values,
-    a scalar or an array aligned with the family's centers xs; required
+    metric: array aligned with the family.  rho: critical-radius data,
+    a scalar or one reach per radius block (supercritical_spans); required
     by the supercritical modes, where a ball qualifies only if
-    r >= rho(center).  rho may contain +inf (no ball ever qualifies there).
+    r >= rho(center).  A scalar rho may be +inf (no ball qualifies).
 
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still
     qualifies.  The family's segment plan for the mode groups the balls
     into contiguous runs of one bucket, so one maximum.reduceat gives each
-    run's sup and the run lengths its count.  The supercritical modes
-    reduce one radius block at a time: a scalar rho keeps or drops the
-    whole block, an array rho masks it through the block's slice of xs,
-    so no family-sized mask or masked copy is made.  A cutoff's balls are those
-    of its bucket and of every bucket nearer the limit, so a running
-    maximum and count from the limit end fill the curve.
+    run's sup and the run lengths its count.  The plain modes reduce the
+    whole family as one span; the supercritical modes reduce each radius
+    block's supercritical run, the plan's segments cut to it, so no mask
+    or masked copy is made.  A cutoff's balls are those of its bucket and
+    of every bucket nearer the limit, so a running maximum and count from
+    the limit end fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
@@ -385,20 +388,15 @@ def bucketed_sup(
     n = ladder.shape[0]
     top = np.full(n + 1, -np.inf)
     sizes = np.zeros(n + 1, dtype=np.int64)
-    spans = supercritical_spans(family, rho) if mode in SUPERCRITICAL_MODES else [(0, len(family), np.True_)]
-    for a, b, keep in spans:
-        # the span's segments: spans start and stop at radius blocks
-        s, t = np.searchsorted(plan.starts, (a, b))
-        at = plan.starts[s:t] - a
-        if keep.all():
-            seg_max, seg_size = np.maximum.reduceat(vals[a:b], at), plan.sizes[s:t]
-        elif keep.any():
-            seg_max = np.maximum.reduceat(np.where(keep, vals[a:b], -np.inf), at)
-            seg_size = np.add.reduceat(keep, at, dtype=np.int64)
-        else:
+    spans = supercritical_spans(family, rho) if mode in SUPERCRITICAL_MODES else [(None, 0, len(family))]
+    for _, a, b in spans:
+        if a == b:
             continue
-        np.maximum.at(top, plan.buckets[s:t], seg_max)
-        np.add.at(sizes, plan.buckets[s:t], seg_size)
+        # the segments that meet the span, cut to it
+        s, t = np.searchsorted(plan.starts, a, side="right") - 1, np.searchsorted(plan.starts, b)
+        at = np.maximum(plan.starts[s:t], a) - a
+        np.maximum.at(top, plan.buckets[s:t], np.maximum.reduceat(vals[a:b], at))
+        np.add.at(sizes, plan.buckets[s:t], np.diff(at, append=b - a))
 
     if mode == "small-radius":
         buckets, step = slice(0, n), 1

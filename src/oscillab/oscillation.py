@@ -142,14 +142,15 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     """Critical-radius-adapted norm over the scanned family: sup
     oscillation over balls with r < rho(center) plus sup mean size over
     balls with r >= rho(center) (ties count as supercritical).  rho is a
-    scalar, possibly +inf (no size part), or an array aligned with the
-    family's centers xs.  Each part is the sup of its radius blocks' sups
-    (supercritical_spans), at the first ball attaining it."""
+    scalar, possibly +inf (no size part), or one reach per radius block
+    (supercritical_spans).  Each block's supercritical balls are one run,
+    so each part is the sup of its runs' sups, at the first ball
+    attaining it."""
     osc, size = stats.oscillation, stats.size
     osc_at, size_at = [], []
-    for a, b, keep in supercritical_spans(stats.family, rho):
-        osc_at += _span_arg_sup(osc, a, b, ~keep)
-        size_at += _span_arg_sup(size, a, b, keep)
+    for block, a, b in supercritical_spans(stats.family, rho):
+        osc_at += _arg_sup(osc, block.start, a) + _arg_sup(osc, b, block.stop)
+        size_at += _arg_sup(size, a, b)
     osc_arg = osc_at[int(np.argmax(osc[osc_at]))] if osc_at else -1
     size_arg = size_at[int(np.argmax(size[size_at]))] if size_at else -1
     osc_part = float(osc[osc_arg]) if osc_at else 0.0
@@ -166,16 +167,10 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     )
 
 
-def _span_arg_sup(vals: np.ndarray, a: int, b: int, keep) -> list[int]:
-    """[the first ball of span a:b where vals attains its sup over the
-    balls keep selects], or [] if it selects none; keep is one bool for
-    the whole span or a mask over it."""
-    if keep.all():
-        return [a + int(np.argmax(vals[a:b]))]
-    if not keep.any():
-        return []
-    idx = np.flatnonzero(keep)
-    return [a + int(idx[np.argmax(vals[a:b][idx])])]
+def _arg_sup(vals: np.ndarray, a: int, b: int) -> list[int]:
+    """[the first ball of a .. b - 1 where vals attains its sup there], or
+    [] for an empty run."""
+    return [a + int(np.argmax(vals[a:b]))] if b > a else []
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,16 @@ every grid is one-dimensional.
 
 I(x, r) is nondecreasing in r, so solve_critical_radius finds rho by
 bisecting log r between a floor and a cap, every point at once; its
-docstring gives the monotonicity argument.
+docstring gives the monotonicity argument.  The rho-slope scenario solves
+it so at each of its points.
+
+A ball family asks only whether a ball is supercritical, R >= rho(x).
+Both kinds are even in x and, in |x|, constant or decreasing, so a ball
+of radius R about x holds less mass the farther x lies from the origin:
+I(x, R) is nonincreasing and rho nondecreasing in |x|.  The supercritical
+balls of one radius are therefore those with |x| below one threshold,
+and critical_reach finds it by a binary search over the distinct |x|,
+solving rho only either side of the threshold, not at every center.
 """
 
 from __future__ import annotations
@@ -211,6 +220,20 @@ class CriticalRadiusField:
     kind: str
 
 
+def check_bracket_floor(V: Potential, points: np.ndarray) -> None:
+    """BracketError unless I(x, r_min) <= 1 at each point of the (k, n)
+    array, so that rho(x) is at least the floor RHO_FLOOR.  I(., r) is
+    largest at the smallest |x|, so a caller that knows that point can
+    test it alone."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, V.n)
+    bad = np.nonzero(normalized_mass(V, pts, RHO_FLOOR) > 1.0)[0]
+    if bad.size:
+        raise BracketError(
+            f"normalized mass already exceeds 1 at the bracket floor r={RHO_FLOOR} "
+            f"for {bad.size} point(s), e.g. at {pts[bad[0]].tolist()}"
+        )
+
+
 def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusField:
     """rho(x) = sup { r : I(x, r) <= 1 } at each point of the (k, n) array,
     by bisection of log r between the floor r_min and the cap r_max.
@@ -238,13 +261,7 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     if V.is_zero():
         return CriticalRadiusField(pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind)
 
-    bad = np.nonzero(normalized_mass(V, pts, RHO_FLOOR) > 1.0)[0]
-    if bad.size:
-        raise BracketError(
-            f"normalized mass already exceeds 1 at the bracket floor r={RHO_FLOOR} "
-            f"for {bad.size} point(s), e.g. index {bad[0]}"
-        )
-
+    check_bracket_floor(V, pts)
     saturated = normalized_mass(V, pts, RHO_CAP) <= 1.0
     todo = ~saturated
     sub = pts[todo]
@@ -259,3 +276,80 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     values[todo] = lo
     return CriticalRadiusField(pts, values, saturated, V.kind)
 
+
+def _on_axis(V: Potential, d: np.ndarray) -> np.ndarray:
+    """The points d e_1, as a (k, n) array."""
+    pts = np.zeros((d.size, V.n))
+    pts[:, 0] = d
+    return pts
+
+
+def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per lane i, the first index j in [lo[i], hi[i]) at which pred does
+    not hold, or hi[i] where it holds throughout; pred holds on a prefix of
+    each range.  pred(j, i) evaluates index j[t] of lane i[t], every lane
+    still searched at once.  lo and hi are narrowed in place."""
+    while True:
+        i = np.flatnonzero(lo < hi)
+        if not i.size:
+            return lo
+        j = (lo[i] + hi[i]) // 2
+        ok = pred(j, i)
+        lo[i] = np.where(ok, j + 1, lo[i])
+        hi[i] = np.where(ok, hi[i], j)
+
+
+def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:
+    """The reach of each radius R over the ascending centers xs along the
+    first axis: the smallest of their distinct |x| at which R < rho(x),
+    or +inf where R >= rho at all of them.  rho is the critical radius as
+    solve_critical_radius gives it, and, rho being nondecreasing in |x|
+    (module docstring), a ball of radius R about a center x is
+    supercritical, R >= rho(x), exactly when |x| is below R's reach.
+
+    The search runs every radius at once over the ascending distinct
+    distances d:
+
+    * probe: a binary search with the probe I(d, R) > 1, which puts R
+      outside {r : I(d, r) <= 1}, so at or above rho(d); a tie I = 1
+      admits R and is left to the solve;
+    * confirm: solve_critical_radius either side of each threshold, and
+      where the solve disagrees (R within its tolerance of rho there), a
+      binary search with the solve as the probe moves the threshold to
+      where both sides agree.
+
+    A zero potential has rho = +inf, and every reach is the smallest
+    distance.  Errors: BracketError when I(d, r_min) > 1 at the smallest
+    distance, as the solve at every center would raise it, or when a
+    threshold's two sides contradict the monotonicity.
+    """
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    # centers symmetric about 0, as a family's are, hold their distances in
+    # their upper half, a view: no center-sized temporaries stay on the heap
+    d = xs[xs.size // 2 :] if np.array_equal(xs, -xs[::-1]) else np.unique(np.abs(xs))
+    r = np.asarray(radii, dtype=np.float64).reshape(-1)
+    if not d.size:
+        raise ConfigError("critical_reach needs at least one center")
+    n = d.size
+    if V.is_zero():
+        return np.full(r.size, d[0])
+    check_bracket_floor(V, _on_axis(V, d[:1]))
+
+    def supercritical(j, i):
+        # one solve per distinct distance: radii short of every center share d[0]
+        u, at = np.unique(j, return_inverse=True)
+        return r[i] >= solve_critical_radius(V, _on_axis(V, d[u])).values[at]
+
+    k = _first_false(lambda j, i: normalized_mass(V, _on_axis(V, d[j]), r[i]) > 1.0,
+                     np.zeros(r.size, dtype=np.intp), np.full(r.size, n))
+    # the boundary pair d[k - 1], d[k] of each threshold inside d, solved at once
+    below, above = np.flatnonzero(k > 0), np.flatnonzero(k < n)
+    sup = supercritical(np.concatenate((k[below] - 1, k[above])), np.concatenate((below, above)))
+    low_ok, high_ok = np.ones(r.size, dtype=bool), np.ones(r.size, dtype=bool)
+    low_ok[below], high_ok[above] = sup[: below.size], ~sup[below.size :]
+    if np.any(~low_ok & ~high_ok):
+        i = int(np.flatnonzero(~low_ok & ~high_ok)[0])
+        raise BracketError(f"solved rho falls from |x| = {d[k[i] - 1]} to {d[k[i]]} across radius {r[i]}")
+    k = _first_false(supercritical, np.where(high_ok, np.where(low_ok, k, 0), k + 1),
+                     np.where(high_ok, np.where(low_ok, k, k - 1), n))
+    return np.where(k < n, d[np.minimum(k, n - 1)], np.inf)

@@ -14,7 +14,10 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
+from oscillab.family import LimitCurve
 from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
+from oscillab.oscillation import SplitNormReport
+from oscillab.potential import Potential, solve_critical_radius
 from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, apply_spectral, log_weights_for
 
 
@@ -403,3 +406,79 @@ def dense_mollify(f: GridFunction, t: float) -> np.ndarray:
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     w /= np.sum(w)
     return np.convolve(f.values, w, mode="same")
+
+
+# ---------------------------------------------------------------------------
+# the critical radius at every center, and the supercritical scans it feeds
+
+
+def rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
+    """rho at the ascending centers xs, solved at the non-negative ones
+    only.  Both potential kinds are even in x and I(-x, r) == I(x, r) bit
+    for bit (negation commutes with IEEE sums), so rho(-x) is rho(x);
+    centers that are not symmetric about 0 raise ConfigError rather than
+    being mirrored wrongly."""
+    if np.any(np.diff(xs) <= 0) or not np.array_equal(xs, -xs[::-1]):
+        raise ConfigError("centers are not ascending and symmetric about the origin")
+    j0 = int(np.searchsorted(xs, 0.0))
+    half = solve_critical_radius(V, xs[j0:, None]).values
+    return np.concatenate((half[::-1][:j0], half))
+
+
+def supercritical_mask(family, rho) -> np.ndarray:
+    """Per family ball, r >= rho(center) (ties count): rho is a scalar or
+    an array aligned with the family's centers xs."""
+    if np.ndim(rho):
+        rho = np.asarray(rho)[np.searchsorted(family.xs, family.centers[:, 0])]
+    return family.radii >= rho
+
+
+def reach_mask(family, reach) -> np.ndarray:
+    """Per family ball, |center| below the reach of its radius block."""
+    per_ball = np.repeat(np.asarray(reach, dtype=np.float64), [b.count for b in family.blocks])
+    return np.abs(family.centers[:, 0]) < per_ball
+
+
+_DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
+
+
+def dense_bucketed_sup(metric: np.ndarray, family, mode: str, supercritical: np.ndarray | None = None) -> LimitCurve:
+    """bucketed_sup as one family-sized mask per cutoff: the per-cutoff
+    scan that the one-pass bucketed_sup replaced.  supercritical: the
+    per-ball mask the supercritical modes intersect with, else None."""
+    vals = np.asarray(metric, dtype=np.float64).reshape(-1)
+    ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
+    r = family.radii
+    inner = np.abs(family.centers[:, 0]) - r
+    out_vals = np.full(ladder.shape, np.nan)
+    out_counts = np.zeros(ladder.shape, dtype=np.int64)
+    for j, a in enumerate(ladder):
+        if mode == "small-radius":
+            mask = r <= a * (1 + 1e-12)
+        elif mode in _DISTANCE_MODES:
+            mask = inner >= a * (1 - 1e-12)
+        else:
+            mask = r >= a * (1 - 1e-12)
+        if mode.endswith("-and-supercritical"):
+            mask &= supercritical
+        cnt = int(np.count_nonzero(mask))
+        out_counts[j] = cnt
+        if cnt:
+            out_vals[j] = float(np.max(vals[mask]))
+    return LimitCurve(mode, ladder, out_vals, out_counts)
+
+
+def dense_bmo_l_norm(stats, supercritical: np.ndarray) -> SplitNormReport:
+    """bmo_l_norm as one family-sized mask per part, the supercritical
+    balls given per ball, and an argmax over each part's indices."""
+
+    def masked_sup(vals, mask):
+        if not np.any(mask):
+            return 0.0, -1
+        idx = np.nonzero(mask)[0]
+        j = idx[int(np.argmax(vals[idx]))]
+        return float(vals[j]), int(j)
+
+    osc, osc_arg = masked_sup(stats.oscillation, ~supercritical)
+    size, size_arg = masked_sup(stats.size, supercritical)
+    return SplitNormReport(osc + size, osc, size, osc_arg >= 0, size_arg >= 0, osc_arg, size_arg, len(stats.family))

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from oscillab.experiments import (
     ExperimentConfig,
     _arg_sup_ball,
     _bump_window,
-    _rho_at_symmetric_centers,
     exp_extension_agreement,
     exp_lacunary,
     exp_pipeline,
@@ -26,12 +26,16 @@ from oscillab.experiments import (
     plan_scenarios,
     run,
 )
-from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, make_ball_family, supercritical_spans
 from oscillab.grid import Ball, Grid, GridFunction, oscillation_of
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
-from oracles import mean_oscillation
+import oracles
+from oracles import dense_bmo_l_norm, dense_bucketed_sup, mean_oscillation, rho_at_symmetric_centers, supercritical_mask
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _plan(**scenario):
@@ -353,37 +357,55 @@ def test_lacunary_reads_no_per_ball_center_or_radius(monkeypatch):
     assert rep.n_balls > 0 and set(rep.curves) == {"small-radius", "far-from-origin", "far-and-supercritical"}
 
 
-def test_lacunary_rho_per_center_is_the_solve_at_each_center(monkeypatch):
-    # the --small geometry; bmo_l_norm is handed rho per distinct center
+def test_lacunary_reach_masks_are_the_solve_at_each_center(monkeypatch):
+    # configs/lacunary.json's geometry, all 19 radius blocks: the reaches
+    # handed to bmo_l_norm keep, in every block, exactly the balls with
+    # r >= rho(center) for rho solved at each center, and the norm and the
+    # far-and-supercritical curve are those of that per-center solve
     from oscillab import experiments
 
     seen = {}
     original = experiments.bmo_l_norm
 
     def capture(stats, rho):
-        seen["family"], seen["rho"] = stats.family, rho
+        seen["stats"], seen["reach"] = stats, rho
         return original(stats, rho)
 
     monkeypatch.setattr(experiments, "bmo_l_norm", capture)
-    _small_lacunary()
-    V = power_potential(1.05, 1, amplitude=0.002)
-    assert np.array_equal(seen["rho"], solve_critical_radius(V, seen["family"].xs[:, None]).values)
+    plan = _plan(**json.loads((CONFIGS / "lacunary.json").read_text())["scenarios"][0])
+    fam = plan.family
+    rep = exp_lacunary(fam, plan.params["k_max"])
+    assert len(fam.blocks) == 19 and seen["stats"].family is fam
+
+    rho = rho_at_symmetric_centers(power_potential(1.05, 1, amplitude=0.002), fam.xs)
+    partial = 0
+    for b, a, z in supercritical_spans(fam, seen["reach"]):
+        keep = np.zeros(b.count, dtype=bool)
+        keep[a - b.start : z - b.start] = True
+        assert np.array_equal(keep, b.radius >= rho[b.centers]), b
+        partial += bool(0 < z - a < b.count)
+    assert partial >= 5
+    mask = supercritical_mask(fam, rho)
+    assert original(seen["stats"], seen["reach"]) == dense_bmo_l_norm(seen["stats"], mask)
+    assert rep.norm == dense_bmo_l_norm(seen["stats"], mask).value
+    want = dense_bucketed_sup(seen["stats"].size, fam, "far-and-supercritical", mask)
+    got = rep.curves["far-and-supercritical"]
+    assert np.array_equal(got.values, want.values, equal_nan=True) and np.array_equal(got.counts, want.counts)
 
 
 @pytest.mark.parametrize("V", [power_potential(1.05, 1, amplitude=0.002), constant_potential(1.0, 1)])
 @pytest.mark.parametrize("xs", [np.arange(-65535, 65536) * 0.25, np.array([-1.5, -0.5, 0.5, 1.5]), np.array([0.0])])
 def test_rho_mirror_solves_the_nonnegative_half_only(monkeypatch, V, xs):
-    from oscillab import experiments
-
+    # the per-center oracle of the lacunary reaches
     solved = []
-    original = experiments.solve_critical_radius
+    original = oracles.solve_critical_radius
 
     def counting(V, points):
         solved.append(points.shape[0])
         return original(V, points)
 
-    monkeypatch.setattr(experiments, "solve_critical_radius", counting)
-    got = _rho_at_symmetric_centers(V, xs)
+    monkeypatch.setattr(oracles, "solve_critical_radius", counting)
+    got = rho_at_symmetric_centers(V, xs)
     assert solved == [int(np.count_nonzero(xs >= 0))]
     assert np.array_equal(got, original(V, xs[:, None]).values)
 
@@ -391,7 +413,7 @@ def test_rho_mirror_solves_the_nonnegative_half_only(monkeypatch, V, xs):
 @pytest.mark.parametrize("xs", [[-1.0, 0.0, 2.0], [0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 def test_rho_mirror_refuses_centers_that_are_not_symmetric(xs):
     with pytest.raises(ConfigError, match="symmetric"):
-        _rho_at_symmetric_centers(power_potential(1.5, 1), np.array(xs))
+        rho_at_symmetric_centers(power_potential(1.5, 1), np.array(xs))
 
 
 @pytest.mark.parametrize(
@@ -978,12 +1000,20 @@ _SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "sp
         (("floor_factor",), {**_SMALL_LACUNARY_SCENARIO, "floor_factor": -0.3}),
         # a spacing too coarse for the unit bump that exp_lacunary samples
         (("spacing",), {**_SMALL_LACUNARY_SCENARIO, "spacing": 0.25}),
+        # a potential whose critical radius falls below the solve's bracket
+        # floor at the centers nearest the origin, or at the smallest x that
+        # rho-slope's jitter can draw
+        (("exponent", "amplitude"), {**_SMALL_LACUNARY_SCENARIO, "amplitude": 1e6}),
+        (("exponent", "amplitude", "x_min"), {"id": "rho-slope", "exponent": 1.05, "amplitude": 1e12}),
+        (("exponent", "amplitude", "x_min", "jitter"), {"id": "rho-slope", "exponent": 1.5, "amplitude": 4e6,
+                                                        "x_min": 0.01, "jitter": 1.0}),
         (("corpus_factor",), {"id": "approximation-pipeline", "halfwidth": 512.0, "spacing": 2.0**-5,
                               "corpus_factor": 0.0}),
     ],
     ids=["lacunary-exponent-0.5", "lacunary-amplitude--1", "lacunary-amplitude-0", "bmo-tol_fraction--0.05",
          "pairing-tolerance--0.01", "rho-slope-tolerance--0.01", "bmo-decay_factor--4", "extension-decay_factor-0",
-         "lacunary-floor_factor--0.3", "lacunary-spacing-0.25", "pipeline-corpus_factor-0"],
+         "lacunary-floor_factor--0.3", "lacunary-spacing-0.25", "lacunary-amplitude-1e6", "rho-slope-amplitude-1e12",
+         "rho-slope-jitter-1", "pipeline-corpus_factor-0"],
 )
 def test_cli_rejects_a_value_out_of_range_before_running(keys, scenario, tmp_path, capsys):
     # each passed the config check: it then stopped the run after the

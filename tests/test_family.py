@@ -14,6 +14,7 @@ from oscillab.family import (
     supercritical_spans,
 )
 from oscillab.grid import Ball, Grid
+from oracles import dense_bucketed_sup, reach_mask, supercritical_mask
 
 
 def test_hand_counted_enumeration():
@@ -77,18 +78,22 @@ def test_ball_reads_its_block():
 
 
 def test_supercritical_spans_are_the_radius_blocks():
-    # a scalar rho keeps or drops each block whole; an array rho, one per
-    # center, masks each block through its slice of xs
+    # one span per radius block, within it: a scalar rho keeps or drops the
+    # block whole; a reach per block keeps the balls with |c| below it, one
+    # run about the origin, a reach that ties a center's |c| leaving it out
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
-    for rho in (2.0, _up(2.0), 0.5 * (1.0 + np.abs(fam.xs)) ** 0.5):
+    reaches = [np.array([np.inf, 3.0, _up(3.0), 0.0]), np.array([0.25, _down(8.0), 1.0, np.inf])]
+    for rho in (2.0, _up(2.0), 0.0, np.inf, *reaches):
         spans = list(supercritical_spans(fam, rho))
-        assert [(a, b) for a, b, _ in spans] == [(b.start, b.stop) for b in fam.blocks]
-        keep = np.concatenate([np.broadcast_to(k, (b - a,)) for a, b, k in spans])
-        per_ball = rho[np.searchsorted(fam.xs, fam.centers[:, 0])] if np.ndim(rho) else rho
-        assert np.array_equal(keep, fam.radii >= per_ball)
-        if np.ndim(rho) == 0:
-            assert all(np.ndim(k) == 0 for *_, k in spans)
+        assert [b for b, *_ in spans] == list(fam.blocks)
+        assert all(b.start <= a <= z <= b.stop for b, a, z in spans)
+        keep = np.zeros(len(fam), dtype=bool)
+        for _, a, z in spans:
+            keep[a:z] = True
+        want = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
+        assert np.array_equal(keep, want)
+    assert [z - a for _, a, z in supercritical_spans(fam, reaches[0])] == [59, 11, 13, 0]
 
 
 def test_hand_built_blocks_give_their_balls_in_order():
@@ -133,9 +138,8 @@ def test_segment_plan_tiles_each_block_into_runs_of_one_bucket(mode):
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0, distance_max=8.0))
     plan = fam.segment_plan(mode)
     assert fam.segment_plan(mode) is plan
-    assert np.all(plan.sizes > 0)
-    assert np.array_equal(plan.starts[1:], (plan.starts + plan.sizes)[:-1])
-    assert plan.starts[0] == 0 and plan.starts[-1] + plan.sizes[-1] == len(fam)
+    sizes = np.diff(plan.starts, append=len(fam))
+    assert plan.starts[0] == 0 and np.all(sizes > 0)
     # every radius block starts a segment
     assert {b.start for b in fam.blocks} <= set(plan.starts.tolist())
     # each ball's bucket from its own key, as the per-ball definition gives it
@@ -145,7 +149,7 @@ def test_segment_plan_tiles_each_block_into_runs_of_one_bucket(mode):
         at = np.searchsorted(fam.distance_ladder * (1 - 1e-12), np.abs(fam.centers[:, 0]) - fam.radii, side="right")
     else:
         at = np.searchsorted(fam.radius_ladder * (1 - 1e-12), fam.radii, side="right")
-    assert np.array_equal(np.repeat(plan.buckets, plan.sizes), at)
+    assert np.array_equal(np.repeat(plan.buckets, sizes), at)
 
 
 def test_bucketed_sup_small_radius_buckets():
@@ -196,13 +200,14 @@ def test_supercritical_mode_needs_rho():
     # rho = +inf disqualifies every ball
     curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.inf)
     assert not curve.present.any()
-    # an array rho is read per center: one per ball, or one too many, is refused
+    # an array is read as one reach per radius block: one per center, or
+    # one too many, is refused
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
-    assert len(fam) > fam.xs.size
-    for k in (len(fam), fam.xs.size + 1):
-        with pytest.raises(ConfigError, match="does not match the family's centers"):
+    assert fam.xs.size > len(fam.blocks)
+    for k in (fam.xs.size, len(fam.blocks) + 1):
+        with pytest.raises(ConfigError, match="do not match the family's radius blocks"):
             bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.ones(k))
-    curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.full(fam.xs.size, 2.0))
+    curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.array([0.0, np.inf]))
     assert curve.counts[0] == fam.blocks[1].count
 
 
@@ -230,75 +235,13 @@ def test_unknown_mode_rejected():
         LimitCurve("tiny-radius", np.array([1.0]), np.array([1.0]), np.array([1]))
 
 
-# ---------------------------------------------------------------------------
-# oracle: the per-cutoff mask scan that the one-pass bucketed_sup replaced,
-# copied verbatim but for computing the inner distance |c| - r itself
-
-
-_SUPERCRITICAL_MODES = ("large-and-supercritical", "far-and-supercritical")
-_DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
-
-
-def _bucketed_sup_oracle(
-    metric: np.ndarray,
-    family: BallFamily,
-    mode: str,
-    rho: np.ndarray | float | None = None,
-) -> LimitCurve:
-    """Supremum of a per-ball metric within each bucket of the family's own
-    ladder (distance_ladder for the distance modes, else radius_ladder).
-
-    metric: array aligned with the family.  rho: critical-radius values,
-    a scalar or an array aligned with the family's centers xs; required by
-    the supercritical modes, where a ball qualifies only if
-    r >= rho(center).  rho may contain +inf (no ball ever qualifies there).
-    """
-    if mode not in MODES:
-        raise ConfigError(f"unknown curve mode {mode!r}")
-    vals = np.asarray(metric, dtype=np.float64).reshape(-1)
-    if vals.shape[0] != len(family):
-        raise ConfigError("metric array length does not match the family")
-
-    ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
-    if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
-        raise ConfigError("ladder must be strictly increasing and nonempty")
-
-    r, c = family.radii, family.centers[:, 0]
-    if mode in _SUPERCRITICAL_MODES:
-        if rho is None:
-            raise ConfigError(f"mode {mode} needs critical-radius values")
-        rho_arr = np.asarray(rho, dtype=np.float64)
-        if rho_arr.ndim:
-            rho_arr = rho_arr[np.searchsorted(family.xs, c)]
-        super_mask = r >= rho_arr
-    else:
-        super_mask = None
-
-    inner = np.abs(c) - r
-    out_vals = np.full(ladder.shape, np.nan)
-    out_counts = np.zeros(ladder.shape, dtype=np.int64)
-    for j, a in enumerate(ladder):
-        if mode == "small-radius":
-            mask = r <= a * (1 + 1e-12)
-        elif mode == "large-radius":
-            mask = r >= a * (1 - 1e-12)
-        elif mode == "far-from-origin":
-            mask = inner >= a * (1 - 1e-12)
-        elif mode == "large-and-supercritical":
-            mask = (r >= a * (1 - 1e-12)) & super_mask
-        else:  # far-and-supercritical
-            mask = (inner >= a * (1 - 1e-12)) & super_mask
-        cnt = int(np.count_nonzero(mask))
-        out_counts[j] = cnt
-        if cnt:
-            out_vals[j] = float(np.max(vals[mask]))
-    return LimitCurve(mode, ladder, out_vals, out_counts)
-
-
 def _assert_same_curves(metric, fam, rho):
+    """bucketed_sup against the per-cutoff mask oracle in every mode; rho
+    is a scalar or one reach per radius block."""
+    mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
     for mode in MODES:
         got = bucketed_sup(metric, fam, mode, rho=rho)
-        want = _bucketed_sup_oracle(metric, fam, mode, rho=rho)
+        want = dense_bucketed_sup(metric, fam, mode, mask)
         assert np.array_equal(got.ladder, want.ladder)
         assert np.array_equal(got.values, want.values, equal_nan=True), mode
         assert np.array_equal(got.counts, want.counts), mode
@@ -311,6 +254,13 @@ def _up(x):
 
 def _down(x):
     return np.nextafter(x, -np.inf)
+
+
+def _reach_of(fam, rho):
+    """Per radius block, the smallest |x| among the centers at which the
+    block's radius is below rho, a per-center array nondecreasing in |x|."""
+    d = np.abs(fam.xs)
+    return np.array([np.min(d[b.radius < rho], initial=np.inf) for b in fam.blocks])
 
 
 def _cutoff_with_edge(edge, factor):
@@ -341,15 +291,15 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     for k in keys:
         assert k in fam.radii and k in np.abs(fam.centers[:, 0]) - fam.radii
     metric = np.random.default_rng(7).uniform(size=len(fam))
-    # per center: ties r == rho count as supercritical, one ulp above is
-    # subcritical; at 0, where every key's ball sits, rho ties the radius
-    # 6 or sits one ulp either side of it
-    j = np.arange(xs.size)
-    for rho0 in (6.0, _up(6.0), _down(6.0)):
-        rho = np.select([j % 4 == k for k in range(3)], [np.full(xs.size, h), _up(h), _down(h)], np.inf)
-        rho[zero] = rho0
-        _assert_same_curves(metric, fam, rho)
-    assert any(bucketed_sup(metric, fam, m, rho=rho).present.any() for m in MODES)
+    # the probe block's reach at a key, whose centers |c| = k + h it ties,
+    # or one ulp either side; each ball at 0 kept (a reach one ulp above
+    # 0) or dropped (a reach of 0, which ties it)
+    for k in keys:
+        for edge in (k + h, _up(k + h), _down(k + h)):
+            for at_zero in (0.0, _up(0.0)):
+                reach = np.array([edge] + [at_zero, np.inf, at_zero, np.inf])
+                _assert_same_curves(metric, fam, reach)
+    assert any(bucketed_sup(metric, fam, m, rho=reach).present.any() for m in MODES)
 
     # segment edge cases: a block of negative centers only, one of
     # nonnegative centers only (0 among them) and two one-ball blocks;
@@ -359,13 +309,11 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     xs = np.arange(-5.0, 4.5, 0.5)
     blocks = [(4, 0, 7), (8, 10, 8), (12, 18, 1), (16, 8, 1)]
     assert [xs[o] for _, o, _ in blocks] == [-5.0, 0.0, 4.0, -1.0] and xs[6] == -2.0 and xs[17] == 3.5
-    # each center carries the radius of its one block, or none (+inf)
-    r = np.full(xs.size, np.inf)
-    for m, o, n in blocks:
-        r[o : o + n] = m * 0.25
+    # reaches that tie a center of each block, sit one ulp either side of
+    # it, keep a block whole or drop it; and the scalars of a tie and of +inf
     metric = np.random.default_rng(8).uniform(size=sum(n for *_, n in blocks))
-    j = np.arange(xs.size)
-    ties = np.select([j % 3 == k for k in range(2)], [r, _up(r)], _down(r))
+    ties = np.array([3.5, 2.0, 4.0, 1.0])
+    reaches = [ties, _up(ties), _down(ties), np.array([np.inf, 0.0, np.inf, 0.0]), np.array([0.0, 0.5, 0.0, np.inf])]
     for lad in ([0.5, 1.0, 2.0, 4.0], [50.0, 100.0], [1e-3, 2e-3]):
         fam = BallFamily(Grid(halfwidth=8.0, spacing=0.25), xs, blocks, lad, lad)
         assert [b.count for b in fam.blocks] == [7, 8, 1, 1]
@@ -373,29 +321,28 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
             assert all(np.all(fam.segment_plan(m).buckets == 0) for m in MODES)
         elif lad[-1] < 1:
             assert all(set(fam.segment_plan(m).buckets) <= {0, 2} for m in MODES)
-        for rho in (ties, 2.0, np.inf):
+        for rho in (*reaches, 2.0, np.inf):
             _assert_same_curves(metric, fam, rho)
 
 
 def test_bucketed_sup_memory_is_per_radius_block():
-    # 1,048,561 balls in 17 radius blocks of at most 65,535: a per-center
-    # rho masks one block at a time, so a family-sized mask or masked copy
-    # of the metric shows
+    # 1,048,561 balls in 17 radius blocks of at most 65,535: each block's
+    # supercritical run is reduced in place, so a family-sized mask or
+    # masked copy of the metric shows
     g = Grid(halfwidth=4096.0, spacing=2.0**-7)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.125, radius_min=4 * g.spacing, radius_max=2048.0,
                                            distance_max=2048.0))
     assert len(fam.blocks) == 17 and len(fam) == 1_048_561
     metric = np.random.default_rng(10).uniform(size=len(fam))
-    rho = 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475
+    reach = _reach_of(fam, 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475)
     tracemalloc.start()
     try:
-        curve = bucketed_sup(metric, fam, "far-and-supercritical", rho=rho)
+        curve = bucketed_sup(metric, fam, "far-and-supercritical", rho=reach)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < len(fam) * 8, peak / (len(fam) * 8)
-    per_ball = rho[np.searchsorted(fam.xs, fam.centers[:, 0])]
-    assert curve.present.any() and curve.counts[0] < np.count_nonzero(fam.radii >= per_ball)
+    assert curve.present.any() and curve.counts[0] < np.count_nonzero(reach_mask(fam, reach))
 
 
 @pytest.mark.parametrize(
@@ -427,9 +374,10 @@ def test_bucketed_sup_matches_oracle_at_lacunary_geometry():
     metric = np.random.default_rng(9).uniform(size=len(fam))
     # the critical radius of a power potential grows like |x|^(1 - 0.525)
     rho = 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475
-    sup = fam.radii >= rho[np.searchsorted(fam.xs, fam.centers[:, 0])]
-    assert sup.any() and not sup.all()
-    _assert_same_curves(metric, fam, rho)
+    reach = _reach_of(fam, rho)
+    sup = supercritical_mask(fam, rho)
+    assert sup.any() and not sup.all() and np.array_equal(reach_mask(fam, reach), sup)
+    _assert_same_curves(metric, fam, reach)
 
 
 def test_family_build_memory_is_below_one_per_ball_array():

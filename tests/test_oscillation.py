@@ -10,7 +10,6 @@ from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, make_ball_fami
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import (
     FamilyStats,
-    SplitNormReport,
     bmo_l_norm,
     bmo_norm,
     family_stats,
@@ -21,7 +20,16 @@ from oscillab.oscillation import (
     vanishing_verdict,
 )
 from oscillab.semigroup import HalfSpaceFunction, TLadder, default_ladder
-from oracles import ball_member_values, ball_sums, constant, mean_oscillation, prefix_table
+from oracles import (
+    ball_member_values,
+    ball_sums,
+    constant,
+    dense_bmo_l_norm,
+    mean_oscillation,
+    prefix_table,
+    reach_mask,
+    supercritical_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -307,47 +315,22 @@ def test_split_norm_all_supercritical(small_family):
     assert rep.value == pytest.approx(1.0)
 
 
-def _split_norm_oracle(stats, rho):
-    """bmo_l_norm as one family-sized mask per part and an argmax over
-    each part's indices; an array rho, aligned with the centers xs, is
-    first read at each ball's center."""
-    family = stats.family
-    if np.ndim(rho):
-        rho = rho[np.searchsorted(family.xs, family.centers[:, 0])]
-    sub = family.radii < np.broadcast_to(np.asarray(rho, dtype=np.float64), family.radii.shape)
-
-    def masked_sup(vals, mask):
-        if not np.any(mask):
-            return 0.0, -1
-        idx = np.nonzero(mask)[0]
-        j = idx[int(np.argmax(vals[idx]))]
-        return float(vals[j]), int(j)
-
-    osc, osc_arg = masked_sup(stats.oscillation, sub)
-    size, size_arg = masked_sup(stats.size, ~sub)
-    return SplitNormReport(osc + size, osc, size, osc_arg >= 0, size_arg >= 0, osc_arg, size_arg, len(family))
-
-
 def test_split_norm_matches_the_masked_sup_oracle():
     # values on a few levels, so the sup of each part ties across radius
-    # blocks and the first attaining ball decides the argument; rho per
-    # center tied with a block's radius, one ulp either side, and scalars
-    # at, between and beyond the radii
+    # blocks and the first attaining ball decides the argument; reaches
+    # that tie a center's |c|, sit one ulp either side of it, or keep or
+    # drop a block whole, and scalar rho at, between and beyond the radii
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
     rng = np.random.default_rng(11)
     mean, mean_sq = rng.integers(0, 2, len(fam)) * 0.5, rng.integers(1, 5, len(fam)) * 1.0
     stats = FamilyStats(fam, np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq))
-    j = np.arange(fam.xs.size)
-    r = fam.radius_ladder[(j // 4) % fam.radius_ladder.size]  # a block's radius at each center
-    rhos = [
-        np.select([j % 4 == k for k in range(3)], [r, np.nextafter(r, np.inf), np.nextafter(r, -np.inf)], np.inf),
-        0.5 * (1.0 + np.abs(fam.xs)) ** 0.475,
-        0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf,
-    ]
-    for rho in rhos:
+    ties = np.array([4.0, 2.5, 1.0, 0.5])
+    reaches = [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), np.array([np.inf, 0.0, np.inf, 0.0])]
+    for rho in (*reaches, 0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf):
+        mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
         got = bmo_l_norm(stats, rho)
-        assert got == _split_norm_oracle(stats, rho)
+        assert got == dense_bmo_l_norm(stats, mask)
         assert got.oscillation_present or got.size_present
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oscillab import potential
 from oscillab.errors import BracketError, ConfigError
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid
@@ -10,6 +13,7 @@ from oscillab.potential import (
     RHO_CAP,
     RHO_FLOOR,
     constant_potential,
+    critical_reach,
     normalized_mass,
     power_potential,
     solve_critical_radius,
@@ -205,3 +209,98 @@ def test_normalized_mass_is_nondecreasing_in_the_radius(V):
         band = (mass >= 1e-3) & (mass <= 1e3)
         both = band[:-1] & band[1:]
         assert np.all(np.diff(mass)[both] >= 0.0), x
+
+
+# ---------------------------------------------------------------------------
+# the reach search against the solve at every center
+
+
+def _assert_reach_is_the_solve_at_each_center(V, xs, radii):
+    """critical_reach keeps, for each radius R, exactly the centers with
+    R >= rho(center), rho solved at every center; or both raise
+    BracketError."""
+    try:
+        rho = solve_critical_radius(V, xs[:, None]).values
+    except BracketError:
+        with pytest.raises(BracketError):
+            critical_reach(V, xs, radii)
+        return None
+    reach = critical_reach(V, xs, radii)
+    assert reach.shape == (len(radii),)
+    for R, t in zip(radii, reach):
+        assert np.array_equal(np.abs(xs) < t, R >= rho), (R, t)
+        assert t == np.inf or t in np.abs(xs)
+    return reach
+
+
+# eps stays 1e-3 clear of 1: nearer, the 1-d antiderivative
+# |y|^(eps - 1) / (eps - 1) loses its digits to cancellation, and the solved
+# rho stops being monotone in |x| (at eps = 1 + 2^-52 it already is not)
+_POTENTIALS = st.one_of(
+    st.builds(lambda eps, a: power_potential(eps, 1, amplitude=10.0**a),
+              st.floats(1.001, 1.999), st.floats(-4.0, 2.0)),
+    # a constant's rho is one value everywhere; 1e-13 saturates it at the cap
+    st.builds(lambda c: constant_potential(c, 1), st.sampled_from([0.0, 1e-13]) | st.floats(1e-3, 1e3)),
+)
+
+
+@given(
+    V=_POTENTIALS,
+    cells=st.integers(2, 8),
+    stride=st.integers(1, 64),
+    count=st.integers(1, 300),
+    first=st.none() | st.integers(-300, 300),
+    radius=st.tuples(st.integers(1, 64), st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 12)),
+)
+def test_reach_is_the_solve_at_each_center(V, cells, stride, count, first, radius):
+    # centers on a lattice of spacing 2^-cells: symmetric about 0 (first
+    # None) or a one-sided or lopsided run from first; a radius ladder of
+    # multiples of the spacing
+    h = 2.0**-cells
+    k = np.arange(-count, count + 1) if first is None else np.arange(first, first + count)
+    xs = k * stride * h
+    m, ratio, n = radius
+    radii = m * h * ratio ** np.arange(n)
+    _assert_reach_is_the_solve_at_each_center(V, xs, radii)
+
+
+def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
+    # the shipped lacunary potential over its 131,071 centers and 19 radii;
+    # radii tied with the solved rho at a center (a tie is supercritical, so
+    # the reach is the next center),
+    # one ulp either side; the zero potential (no reach beyond the nearest
+    # center) and a floor that the nearest center fails
+    V = power_potential(1.05, 1, amplitude=0.002)
+    xs = np.arange(-65535, 65536) * 0.25
+    radii = 2.0**-6 * 2.0 ** np.arange(19)
+    reach = _assert_reach_is_the_solve_at_each_center(V, xs, radii)
+    assert np.all(reach[1:] >= reach[:-1]) and 0.0 < reach[10] < reach[16] < np.inf == reach[17]
+    d = xs[65535::977]
+    rho = solve_critical_radius(V, d[:, None]).values
+    for radii in (rho, np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf)):
+        _assert_reach_is_the_solve_at_each_center(V, xs, radii)
+    assert np.array_equal(critical_reach(V, xs, rho), d + 0.25)
+    assert np.array_equal(critical_reach(constant_potential(0.0, 1), xs, radii), np.zeros(radii.size))
+    with pytest.raises(BracketError):
+        critical_reach(power_potential(1.05, 1, amplitude=1e6), xs[1:], radii)
+
+
+def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
+    # V = 1/2 puts I(x, 1) = 1 exactly at every x: radius 1 is admissible,
+    # so the probe finds no supercritical center and the solve at the first
+    # center settles the tie, where the solved rho (just below 1) makes
+    # every center supercritical
+    V = constant_potential(0.5, 1)
+    xs = np.arange(8.0)
+    assert np.all(normalized_mass(V, xs[:, None], 1.0) == 1.0)
+    solved = []
+    original = potential.solve_critical_radius
+
+    def recording(V, points):
+        solved.append(points[:, 0].tolist())
+        return original(V, points)
+
+    monkeypatch.setattr(potential, "solve_critical_radius", recording)
+    assert critical_reach(V, xs, [1.0]).tolist() == [np.inf]
+    assert solved[0] == [0.0]
+    assert original(V, xs[:1, None]).values[0] <= 1.0
