@@ -3,21 +3,28 @@
     python scripts/bundle_digests.py BUNDLE            one line per file: digest and path
     python scripts/bundle_digests.py CONFIG.json       run the config into a temporary bundle first
     python scripts/bundle_digests.py A B               compare two bundles (or configs)
+    python scripts/bundle_digests.py --workload NAME --seed N
+                                                       the bundle of a benchmark workload
 
 A path that names a file is read as a run config and run with the oscillab
-on the import path; a directory is read as a finished bundle.  Paths are
-relative to the bundle root, sorted.  A comparison prints one line per file
-that differs or exists on one side only, and exits 1 if there is any; it
-exits 0 when the two bundles are byte-identical.  A config whose declared
-checks fail still leaves its bundle, so its digests are printed too.
+on the import path; a directory is read as a finished bundle.  --workload
+runs the config that oscbench/workloads.py writes for the workload and the
+seed.  Paths are relative to the bundle root, sorted.  A comparison prints
+one line per file that differs or exists on one side only, and exits 1 if
+there is any; it exits 0 when the two bundles are byte-identical.  A
+config whose declared checks fail still leaves its bundle, so its digests
+are printed too.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "oscbench" / "workloads.py"
 
 
 def digests(root: Path) -> dict[str, str]:
@@ -29,29 +36,54 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
-def bundle_digests(path: Path) -> dict[str, str]:
-    """The digests of the bundle at path, or of the bundle its config writes."""
-    if path.is_dir():
-        return digests(path)
+def run_digests(config: dict, label: str) -> dict[str, str]:
+    """The digests of the bundle that config writes."""
     from oscillab.errors import CriterionFailure
     from oscillab.experiments import run
 
-    config = json.loads(path.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as out:
         try:
             run(config, out_dir=out)
         except CriterionFailure as e:
-            print(f"bundle_digests.py: {path}: checks failed: {e}", file=sys.stderr)
+            print(f"bundle_digests.py: {label}: checks failed: {e}", file=sys.stderr)
         return digests(Path(out))
+
+
+def bundle_digests(path: Path) -> dict[str, str]:
+    """The digests of the bundle at path, or of the bundle its config writes."""
+    if path.is_dir():
+        return digests(path)
+    return run_digests(json.loads(path.read_text(encoding="utf-8")), str(path))
+
+
+def workload_config(name: str, seed: int) -> dict:
+    """The run config of one benchmark workload, from oscbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("oscbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.workload_config(name, seed)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("bundles", nargs="+", type=Path, metavar="BUNDLE", help="a bundle directory or a run config")
+    ap.add_argument("bundles", nargs="*", type=Path, metavar="BUNDLE", help="a bundle directory or a run config")
+    ap.add_argument("--workload", metavar="NAME", help="digest the bundle of this benchmark workload")
+    ap.add_argument("--seed", type=int, help="the workload's seed")
     args = ap.parse_args()
-    if len(args.bundles) > 2:
+    if args.workload is not None:
+        if args.bundles or args.seed is None:
+            ap.error("--workload takes --seed and no bundle")
+        try:
+            config = workload_config(args.workload, args.seed)
+        except ValueError as e:
+            ap.error(str(e))
+        sides = [run_digests(config, f"workload {args.workload}")]
+    elif args.seed is not None:
+        ap.error("--seed goes with --workload")
+    elif not 1 <= len(args.bundles) <= 2:
         ap.error("give one bundle to list or two to compare")
-    sides = [bundle_digests(p) for p in args.bundles]
+    else:
+        sides = [bundle_digests(p) for p in args.bundles]
     if len(sides) == 1:
         for name, digest in sides[0].items():
             print(f"{digest}  {name}")

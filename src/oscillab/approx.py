@@ -8,10 +8,11 @@ radius rho (every caller passes the unit potential's):
    the origin all drop below eps-proportional bounds, and cube sizes on
    supercritical scales do too.  It scans every dyadic level of the box
    in one fine-to-coarse pass over a pyramid of cube sums, reducing each
-   level to a few scalars;
+   level to a few scalars (a constant costs O(levels));
 2. assign_cubes tiles the box with half-open dyadic intervals ("cubes")
    whose sidelength depends on the region of the sample (core gets
-   2^(-I-2), the m-th shell gets 2^(m-I-J-1));
+   2^(-I-2), the m-th shell gets 2^(m-I-J-1)), held as its 2(a-J)+1
+   regions with per-cube data only where f's window is;
 3. dyadic_average replaces f by its cube means (exactly idempotent);
 4. p1_p2_check verifies the smallness of the averaged function outside
    the outer region and across closure-adjacent cubes, reading the cube
@@ -71,10 +72,11 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolution with the unit-mass bump kernel scaled to width t,
     zero-padded outside the box.  Requires t >= 4h so the kernel holds
     enough samples.  The kernel reaches kmax = ceil(t/h) - 1 samples each
-    way, so the result's window is f's widened by kmax.  The convolution
-    runs over f's window padded by 2 kmax zeros each side (clipped to the
-    box): every output it keeps is then the same dot product, over the
-    same samples, as in the convolution of all the samples."""
+    way, so the result's window is f's span widened by kmax.  The
+    convolution runs over f's span padded by 2 kmax zeros each side
+    (clipped to the box): every output it keeps is then the same dot
+    product, over the same samples, as in the convolution of all the
+    samples."""
     g = f.grid
     h = g.spacing
     if t < 4.0 * h * (1 - 1e-9):
@@ -83,9 +85,10 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     offs = np.arange(-kmax, kmax + 1, dtype=np.float64) * h
     w = _bump_profile((offs / t) ** 2)
     w /= np.sum(w)
-    a, b = max(f.lo - 2 * kmax, 0), min(f.hi + 2 * kmax, g.size)
+    lo, hi = f.span
+    a, b = max(lo - 2 * kmax, 0), min(hi + 2 * kmax, g.size)
     out = np.convolve(f.on(a, b), w, mode="same")
-    lo, hi = max(f.lo - kmax, 0), min(f.hi + kmax, g.size)
+    lo, hi = max(lo - kmax, 0), min(hi + kmax, g.size)
     return GridFunction(g, out[lo - a : hi - a], lo=lo)
 
 
@@ -109,11 +112,13 @@ def _pyramid(f: GridFunction, a: int, p: int):
     """(level, cells per cube, first cube, oscillation, size) of the cubes
     of every dyadic level from -p+1 (pairs of cells) up to a (the two
     half-boxes), fine to coarse.  Only the cubes that meet f's window are
-    held, from the first cube on; every other cube of the level has sums
-    of exactly 0.0, so its oscillation and size are 0.0.  f is squared
-    once; each coarser level's sums and sums of squares are pairwise sums
-    of the level below, a held cube's partner outside the held run adding
-    its exact 0.0.  The top boundary sample folds into the last cube, so
+    held, from the first cube on; every other cube of the level lies in
+    f's background b, so its oscillation is 0.0 and its size |b| (the
+    bits of the sums q b and (q + 1) b, which are exact for the corpus
+    constants).  f is squared once; each coarser level's sums and sums of
+    squares are pairwise sums of the level below, a held cube's partner
+    outside the held run adding its exact 0.0.  The top boundary sample
+    folds into the last cube, so
     each level's cubes partition the samples.  A consumer that drops its
     references to a level's arrays before asking for the next keeps at
     most four live arrays of half the held samples."""
@@ -149,51 +154,51 @@ def _pyramid(f: GridFunction, a: int, p: int):
             k0, k1, n = k0 // 2, (k1 + 1) // 2, n // 2
 
 
-def _range_max(x: np.ndarray, k0: int, c0: int, c1: int) -> float:
+def _range_max(x: np.ndarray, k0: int, c0: int, c1: int, fill: float) -> float:
     """max over the cubes [c0, c1) of a level whose cubes from k0 on hold
-    x and whose other cubes hold 0.0; -inf when the range is empty."""
+    x and whose other cubes hold fill; -inf when the range is empty."""
     if c0 >= c1:
         return -math.inf
     i, j = max(c0 - k0, 0), min(c1 - k0, x.size)
     held = float(x[i:j].max()) if i < j else -math.inf
-    return held if k0 <= c0 and c1 <= k0 + x.size else max(held, 0.0)
+    return held if k0 <= c0 and c1 <= k0 + x.size else max(held, fill)
 
 
-def _prefix_sups(x: np.ndarray, k0: int, ends: list[int]) -> list[float]:
+def _prefix_sups(x: np.ndarray, k0: int, ends: list[int], fill: float) -> list[float]:
     """max over the first e cubes, or -inf when e = 0, for each of the
     non-decreasing ends, of a level whose cubes from k0 on hold x and
-    whose other cubes hold 0.0, reading every element of x once."""
+    whose other cubes hold fill, reading every element of x once."""
     sups, acc, start = [], -math.inf, 0
     for e in ends:
         j = min(max(e - k0, 0), x.size)
         if j > start:
             acc = max(acc, float(x[start:j].max()))
             start = j
-        zeros = (e > 0 and k0 > 0) or e > k0 + x.size
-        sups.append(max(acc, 0.0) if zeros else acc)
+        unheld = (e > 0 and k0 > 0) or e > k0 + x.size
+        sups.append(max(acc, fill) if unheld else acc)
     return sups
 
 
-def _far_sups(x: np.ndarray, k0: int, nc: int, n0: int, q: int, cuts: list[int]) -> list[float]:
+def _far_sups(x: np.ndarray, k0: int, nc: int, n0: int, q: int, cuts: list[int], fill: float) -> list[float]:
     """sup of the per-cube x over the cubes disjoint from the closed origin
     cube of half-extent T cells, for each T of the increasing cuts; the
-    level has nc cubes, those from k0 on hold x and the others 0.0.
+    level has nc cubes, those from k0 on hold x and the others fill.
 
     A cube with corner cell c is disjoint iff c <= -T - q or c >= T + 1,
     so the far cubes are a prefix and a suffix of the level, both
     shrinking as T grows."""
-    left = _prefix_sups(x, k0, [(n0 - t) // q for t in reversed(cuts)])
-    right = _prefix_sups(x[::-1], nc - k0 - x.size, [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)])
+    left = _prefix_sups(x, k0, [(n0 - t) // q for t in reversed(cuts)], fill)
+    right = _prefix_sups(x[::-1], nc - k0 - x.size, [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)], fill)
     return [max(lo, hi) for lo, hi in zip(reversed(left), reversed(right))]
 
 
-def _shell_sup(x: np.ndarray, k0: int, n0: int, q: int, s_lo: int) -> float:
+def _shell_sup(x: np.ndarray, k0: int, n0: int, q: int, s_lo: int, fill: float) -> float:
     """sup of the per-cube x over the cubes whose samples all have radial
     cell score sigma(o) = max(o, -o-1) in [s_lo, 2 s_lo): the corners
     c in [s_lo, 2 s_lo - q] on the right and in [-2 s_lo, -s_lo - q] on
-    the left, each a contiguous run of the level."""
-    right = _range_max(x, k0, (n0 + s_lo + q - 1) // q, (n0 + 2 * s_lo) // q)
-    left = _range_max(x, k0, (n0 - 2 * s_lo + q - 1) // q, (n0 - s_lo) // q)
+    the left, each a contiguous run of the level (the unheld cubes: fill)."""
+    right = _range_max(x, k0, (n0 + s_lo + q - 1) // q, (n0 + 2 * s_lo) // q, fill)
+    left = _range_max(x, k0, (n0 - 2 * s_lo + q - 1) // q, (n0 - s_lo) // q, fill)
     return max(right, left)
 
 
@@ -203,8 +208,9 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
     largest oscillation and, if supercritical, its largest size (-inf
     otherwise); per core candidate J in [-p+1, a] the far sups of both
     over all levels (the supercritical ones for the size); and per (level,
-    shell m) the largest size on the shell."""
+    shell m) the largest size on the shell.  Unheld cubes read as fills."""
     levels = range(-p + 1, a + 1)
+    size_fill = abs(f.background)
     n0 = f.grid.half_cells
     cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent in cells
     osc_max, super_size_max = [], []
@@ -213,15 +219,15 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
     shell_size: dict[tuple[int, int], float] = {}
     for l, q, k0, osc, size in _pyramid(f, a, p):
         nc = 2 * n0 // q
-        osc_max.append(_range_max(osc, k0, 0, nc))
-        far_osc = list(map(max, far_osc, _far_sups(osc, k0, nc, n0, q, cuts)))
+        osc_max.append(_range_max(osc, k0, 0, nc, 0.0))
+        far_osc = list(map(max, far_osc, _far_sups(osc, k0, nc, n0, q, cuts, 0.0)))
         if 2.0**l >= rho:
-            super_size_max.append(_range_max(size, k0, 0, nc))
-            far_size = list(map(max, far_size, _far_sups(size, k0, nc, n0, q, cuts)))
+            super_size_max.append(_range_max(size, k0, 0, nc, size_fill))
+            far_size = list(map(max, far_size, _far_sups(size, k0, nc, n0, q, cuts, size_fill)))
         else:
             super_size_max.append(-math.inf)
         for m in range(-p + 1, a):
-            shell_size[l, m] = _shell_sup(size, k0, n0, q, 2 ** (m + p))
+            shell_size[l, m] = _shell_sup(size, k0, n0, q, 2 ** (m + p), size_fill)
         del osc, size  # the pyramid frees the level before building the next
     return osc_max, super_size_max, far_osc, far_size, shell_size
 
@@ -376,31 +382,42 @@ def choose_thresholds(
 
 @dataclass(frozen=True)
 class DyadicAssignment:
-    """Partition of the samples into half-open dyadic cubes, in position
-    order: cube k holds the next cube_counts[k] samples.  Cube k at level
-    l = cube_levels[k] and corner c = cube_corners[k] is [c 2^l, (c+1) 2^l).
+    """Partition of the samples into half-open dyadic cubes, held as its
+    regions (first cell, end cell, level l) in cells from the origin, in
+    position order, each a whole number of cubes [c 2^l, (c+1) 2^l).
     Regions are half-open (the core is [-2^J, 2^J)), so the tiles
     partition the box exactly; the +X boundary sample folds into the last
-    cube.
-    """
+    cube.  ``bounds`` is the first sample of each cube that meets the
+    window it was built for, and of one more cube on each side, and the
+    end of the last."""
 
     grid: Grid
     thresholds: AveragingThresholds
-    cube_levels: np.ndarray
-    cube_corners: np.ndarray
-    cube_counts: np.ndarray
+    regions: tuple[tuple[int, int, int], ...]
+    bounds: np.ndarray
 
     @property
     def n_cubes(self) -> int:
-        return self.cube_levels.size
+        _, p = _dyadic_exponents(self.grid)
+        return sum((hi - lo) >> (l + p) for lo, hi, l in self.regions)
 
-    @property
-    def cube_starts(self) -> np.ndarray:
-        """The index of each cube's first sample."""
-        return np.cumsum(self.cube_counts) - self.cube_counts
+    def cube_list(self):
+        """(level, corner) of every cube, by level, then corner."""
+        _, p = _dyadic_exponents(self.grid)
+        for lo, hi, l in sorted(self.regions, key=lambda r: (r[2], r[0])):
+            yield from ((l, c) for c in range(lo >> (l + p), hi >> (l + p)))
+
+    def held_bounds(self, f: GridFunction) -> np.ndarray:
+        """bounds, once seen to hold f's window and the cube on each side
+        of it, where the box has one; else ConfigError."""
+        b = self.bounds
+        held = b.size and (b[0] == 0 or b[1] <= f.lo) and (b[-1] == self.grid.size or f.hi <= b[-2])
+        if f.lo < f.hi and not held:
+            raise ConfigError("the assignment holds no cubes for the function's window")
+        return b
 
 
-def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
+def assign_cubes(thresholds: AveragingThresholds, grid: Grid, window: tuple[int, int]) -> DyadicAssignment:
     """Tile the box according to the thresholds, region by region in
     position order: the left shells from the outermost in, the core
     [-2^J, 2^J) at level -I-2, then the right shells.  Shell m is
@@ -408,7 +425,10 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
     m-I-J-1.  Each region is a whole number of cubes of its level when
     -I-1 <= J <= a.  Needs halfwidth 2^a >= 2^(M+3) so the truncation
     region of the pipeline fits with room to spare.
-    """
+
+    window is the samples [lo, hi) of the function to be averaged; the
+    bounds cover the cubes that meet it and the one each side that P2
+    reads."""
     a, p = _dyadic_exponents(grid)
     th = thresholds
     if 2.0 ** (th.outer_exponent + 3) > grid.halfwidth * (1 + 1e-12):
@@ -422,42 +442,58 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignmen
             f"core exponent J = {th.core_exponent} outside [-I-1, a] = [{-th.fine_exponent - 1}, {a}]: "
             "the core and the shells would not be whole numbers of their cubes"
         )
-    # (first cell, end cell, level) of each region, in cells from the origin
     shells = [(2 ** (m + p), th.shell_level(m)) for m in range(th.core_exponent, a)]
     core = 2 ** (th.core_exponent + p)
-    regions = [
+    regions = (
         *((-2 * s, -s, l) for s, l in reversed(shells)),
         (-core, core, th.core_level),
         *((s, 2 * s, l) for s, l in shells),
-    ]
-    levels = np.concatenate([np.full((hi - lo) >> (l + p), l) for lo, hi, l in regions])
-    corners = np.concatenate([np.arange(lo >> (l + p), hi >> (l + p)) for lo, hi, l in regions])
-    counts = 2 ** (levels + p)
-    counts[-1] += 1  # the +X boundary sample
-    return DyadicAssignment(grid, th, levels, corners, counts)
+    )
+    n0, size = grid.half_cells, grid.size
+
+    def cube(i: int) -> tuple[int, int]:
+        """The first sample and the end of the cube holding sample i."""
+        c = min(i, size - 2) - n0  # the boundary sample is the last cube's
+        lo, _, l = next(r for r in regions if c < r[1])
+        start = n0 + lo + (c - lo) // 2 ** (l + p) * 2 ** (l + p)
+        end = start + 2 ** (l + p)
+        return start, size if end == size - 1 else end
+
+    lo, hi = window
+    if lo < hi:
+        first, end = cube(lo)[0], cube(hi - 1)[1]
+        if first > 0:
+            first = cube(first - 1)[0]
+        if end < size:
+            end = cube(end)[1]
+        bounds = np.concatenate(
+            [np.arange(max(n0 + r0, first), min(n0 + r1, end), 2 ** (l + p)) for r0, r1, l in regions] + [[end]]
+        )
+    else:
+        bounds = np.empty(0, dtype=np.int64)
+    return DyadicAssignment(grid, th, regions, bounds)
 
 
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
     """Replace f by its mean on each assigned cube.
 
-    Only the cubes that meet f's window are read; every other cube's mean
-    is 0.0, and the result's window is the run of cubes that meet f's.
-    Means are computed against a per-cube anchor sample (the cube's first
-    sample), which makes the operation exactly idempotent on
-    piecewise-constant input.
+    Only the cubes that meet f's window are read (the assignment must hold
+    them); every other cube's mean is f's background, so a constant is
+    its own average.  Means are computed against a per-cube anchor sample
+    (the cube's first sample), which makes the operation exactly
+    idempotent on piecewise-constant input.
     """
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")
     if f.lo == f.hi:
         return f
-    starts = assignment.cube_starts
-    c0 = int(np.searchsorted(starts, f.lo, side="right")) - 1
-    c1 = int(np.searchsorted(starts, f.hi, side="left"))
-    counts = assignment.cube_counts[c0:c1]
-    lo = int(starts[c0])
-    flat = f.on(lo, int(starts[c1 - 1] + counts[-1]))
-    anchors = flat[starts[c0:c1] - lo]
-    del starts
+    bounds = assignment.held_bounds(f)
+    c0 = int(np.searchsorted(bounds, f.lo, side="right")) - 1
+    c1 = int(np.searchsorted(bounds, f.hi, side="left"))
+    starts, counts = bounds[c0:c1], np.diff(bounds[c0 : c1 + 1])
+    lo = int(starts[0])
+    flat = f.on(lo, int(bounds[c1]))
+    anchors = flat[starts - lo]
     diffs = np.repeat(anchors, counts)
     np.subtract(flat, diffs, out=diffs)
     cube_ids = np.repeat(np.arange(c1 - c0), counts)
@@ -489,26 +525,24 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     P2: |difference of the cube means across closure-adjacent cubes|
     <= eps, the means read off A at each cube's first sample.  In one
     dimension the closure-adjacent cubes are the consecutive cubes of the
-    position-ordered list.
-    Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2})."""
+    position-ordered list: those the assignment holds, as every other
+    difference is between two cubes in A's background, 0.0.
+    Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2})
+    across the regions, each of one level."""
     th = assignment.thresholds
     _, p = _dyadic_exponents(assignment.grid)
     n0 = assignment.grid.half_cells
     k = 2 ** (th.outer_exponent + p)
-    # A is 0.0 outside its window, so only the window's part of each
-    # outside slice counts towards the sup
+    # A is 0.0 outside its span, so only the span's part of each outside
+    # slice counts towards the sup
     outside = (averaged.truncated(0, n0 - k).window, averaged.truncated(n0 + k + 1, averaged.grid.size).window)
     # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
     # the sign of a zero
     p1 = abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
-    # the cube means, 0.0 but on the cubes that start in A's window, from
-    # the cube before those to the cube after them: the differences
-    # between the other cubes are 0.0
-    starts = assignment.cube_starts
-    c0 = max(int(np.searchsorted(starts, averaged.lo)) - 1, 0)
-    c1 = min(int(np.searchsorted(starts, averaged.hi)) + 1, starts.size)
-    p2 = float(np.max(np.abs(np.diff(averaged.at(starts[c0:c1]))), initial=0.0))
-    ratio_ok = bool(np.all(np.abs(np.diff(assignment.cube_levels)) <= 1))
+    starts = assignment.held_bounds(averaged)[:-1]
+    p2 = float(np.max(np.abs(np.diff(averaged.at(starts))), initial=0.0))
+    levels = [l for *_, l in assignment.regions]
+    ratio_ok = all(abs(m - l) <= 1 for l, m in zip(levels, levels[1:]))
     return GateReport(
         p1,
         p1 <= th.size_bound + 1e-12,

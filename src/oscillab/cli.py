@@ -15,16 +15,13 @@ import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for the run's PRNG stream")
-    common.add_argument("--out", default=None, help="output directory for the report bundle")
-    common.add_argument("--op-cap", type=int, default=None, help="max grid samples (walls included) of an operator scenario")
-    common.add_argument(
-        "--interior-window",
-        type=float,
-        default=None,
-        help="interior fraction used by boundary-sensitive checks (0, 1]",
-    )
+    # before or after the subcommand: a flag that is not given sets nothing,
+    # so the subcommand's parser keeps what the top level parsed
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="seed for the run's PRNG stream")
+    common.add_argument("--out", help="output directory for the report bundle")
+    common.add_argument("--op-cap", type=int, help="max grid samples (walls included) of an operator scenario")
+    common.add_argument("--interior-window", type=float, help="interior fraction used by boundary-sensitive checks (0, 1]")
 
     ap = argparse.ArgumentParser(
         prog="oscillab",
@@ -111,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = {"scenarios": [_scenario_from_args(args)]}
 
     for flag, key in _CONFIG_FLAGS.items():
-        if getattr(args, flag) is not None:
+        if flag in args:
             doc[key] = getattr(args, flag)
 
     try:

@@ -1,18 +1,20 @@
 """Canonical test functions shared by experiments and the acceptance suite.
 
-Ten members, all deterministic closed-form profiles.  The three built from
-the bump profile (the two bumps and ``lacunary``) declare their compact
-support, so a build evaluates them there only.  The windowed members
-(``smooth-step``, ``log-spike``) are -0.0 beyond their window on one side
-or both, which a GridFunction keeps, so they are evaluated everywhere like
-the rest; the constants stay dense.  ``eigenvector`` is the fourth
-Dirichlet sine mode of whatever box it is sampled on, which is the fourth
-eigenvector of the unit-potential operator on that box, so no operator is
-needed to build it.  Members carry a ``smooth`` flag marking
-the ones eligible for the mollifier-sweep check (flat members give an
-identically zero distance curve, so strict decrease is meaningless for
-them; the log spike has unbounded second derivative only at the window
-edges, which stays within the sweep tolerance).
+Ten members, all deterministic closed-form profiles.  The three constants
+(``zero``, ``const-one``, ``const-neg-half``) are declared constants, so a
+build evaluates nothing.  The three built from the bump profile (the two
+bumps and ``lacunary``) declare their compact support, so a build
+evaluates them there only.  The windowed members (``smooth-step``,
+``log-spike``) are -0.0 beyond their window on one side or both, which a
+GridFunction keeps, so they are evaluated everywhere like the rest.
+``eigenvector`` is the fourth Dirichlet sine mode of whatever box it is
+sampled on, which is the fourth eigenvector of the unit-potential
+operator on that box, so no operator is needed to build it.  Members
+carry a ``smooth`` flag marking the ones eligible for the mollifier-sweep
+check (flat members give an identically zero distance curve, so strict
+decrease is meaningless for them; the log spike has unbounded second
+derivative only at the window edges, which stays within the sweep
+tolerance).
 """
 
 from __future__ import annotations
@@ -55,18 +57,6 @@ def _window(x: np.ndarray, inner: float = 10.0, outer: float = 14.0) -> np.ndarr
     return _profile(u)
 
 
-def _zero(x: np.ndarray) -> np.ndarray:
-    return np.zeros_like(x)
-
-
-def _const_one(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
-
-
-def _const_neg_half(x: np.ndarray) -> np.ndarray:
-    return np.full_like(x, -0.5)
-
-
 def _bump_narrow(x: np.ndarray) -> np.ndarray:
     return _profile(x)
 
@@ -106,19 +96,22 @@ class CorpusMember:
     name: str
     summary: str
     smooth: bool  # eligible for the mollifier-sweep acceptance check
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # a closed interval outside which fn is +0.0: the build evaluates fn
     # there only, and the function's window lies inside it
     support: Optional[tuple[float, float]] = None
+    constant: Optional[float] = None  # the value of a member without fn
 
     def build(self, grid: Grid) -> GridFunction:
+        if self.fn is None:
+            return GridFunction.constant(grid, self.constant)
         return GridFunction.from_callable(grid, self.fn, self.support)
 
 
 CORPUS: tuple[CorpusMember, ...] = (
-    CorpusMember("zero", "identically zero", smooth=False, fn=_zero),
-    CorpusMember("const-one", "constant 1", smooth=False, fn=_const_one),
-    CorpusMember("const-neg-half", "constant -1/2", smooth=False, fn=_const_neg_half),
+    CorpusMember("zero", "identically zero", smooth=False, constant=0.0),
+    CorpusMember("const-one", "constant 1", smooth=False, constant=1.0),
+    CorpusMember("const-neg-half", "constant -1/2", smooth=False, constant=-0.5),
     CorpusMember("bump-narrow", "peak-one smooth bump on B(0,1)", smooth=True, fn=_bump_narrow, support=(-1.0, 1.0)),
     CorpusMember("bump-wide", "peak-one smooth bump on B(0,4)", smooth=True, fn=_bump_wide, support=(-4.0, 4.0)),
     CorpusMember("smooth-step", "tanh step at scale 0.3, windowed", smooth=True, fn=_smooth_step),

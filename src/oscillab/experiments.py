@@ -473,7 +473,7 @@ def _average_member(
         th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, osc_fraction)
     except ThresholdExhaustedError as e:
         return norm, eps, str(e)
-    asg = assign_cubes(th, f.grid)
+    asg = assign_cubes(th, f.grid, (f.lo, f.hi))
     A = dyadic_average(f, asg)
     return norm, eps, (asg, A, p1_p2_check(asg, A))
 
@@ -499,8 +499,8 @@ def exp_pipeline(
         return PipelineReport(member=member, eps=eps, norm=norm, verdict="NONMEMBER", exhausted_condition=averaging)
     asg, A, gate = averaging
     th = asg.thresholds
-    # the per-cube arrays end here, once the thresholds are read, and A at
-    # the mollifier below, before the last scan
+    # the assignment ends here, once the thresholds are read, and A at the
+    # mollifier below, before the last scan
     del averaging, asg
 
     d_avg = bmo_norm(family_stats(f - A, fam)).value
@@ -1097,12 +1097,10 @@ def _run_averaging(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
     asg, A, gate = averaging
     th = asg.thresholds
 
-    corners = asg.cube_corners
-    order = np.lexsort((corners, asg.cube_levels))
     with (out / "assignment.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["level", "corner_x"])
-        w.writerows(zip(asg.cube_levels[order].tolist(), corners[order].tolist()))
+        w.writerows(asg.cube_list())
     save_grid_function(out / "averaged.json", A)
     gate_doc = {"eps": eps, **asdict(gate)}
     save_json(out / "gate.json", gate_doc)

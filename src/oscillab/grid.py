@@ -12,25 +12,25 @@ Conventions that the rest of the package relies on:
 * balls that touch or cross the box boundary are rejected rather than
   clipped.
 
-A GridFunction carries its window [lo, hi), the samples outside which it
-is exactly +0.0; it holds the samples of the window only.  A producer that
-knows where its output vanishes declares it: the corpus members with
-compact support (the bumps and ``lacunary``), ``lacunary_function``,
+A GridFunction holds the samples of its window [lo, hi); every sample
+outside is its background b.  The corpus constants declare b over an
+empty window; every other function has b = +0.0.  A producer that knows
+where its output vanishes declares it: the corpus members with compact
+support (the bumps and ``lacunary``), ``lacunary_function``,
 ``dyadic_average`` (the cubes that meet f's window), the pipeline's
 truncation, ``mollify`` (f's window widened by the kernel's reach) and
 f - g (the union of the two windows).  Every other function gets the span
-of its non-zero samples, so the constants and the sine mode stay dense:
-their window is the whole grid.  Scans read the window only, and what
-lies outside contributes exact zeros, so they give the bytes the dense
-scan gives.  The consumers that need every sample (the operator's sine
-transform, the half-space fields, the written file) read ``values``, the
-dense samples, once.
+of its non-zero samples.  Scans read the window only, and what lies
+outside enters in closed form (k samples sum to k b, exactly for the
+corpus constants), so they give the bytes the dense scan gives.  The
+consumers that need every sample (the operator's sine transform, the
+half-space fields, the written file) read ``values`` once.
 
 Ball sums are served from prefix-sum tables built on a function's window.
 A family scan asks for the balls of one radius over a run of centers at
 one index step, so each block's sums are the difference of two strided
-slices of the table; a ball that misses the window sums to exactly 0.0
-and is not read.  The ball means of f and of f^2 become the oscillation
+slices of the table; a ball that misses the window is not read, and its
+mean is b.  The ball means of f and of f^2 become the oscillation
 and the size in one place, oscillation_and_size.  The naive per-ball
 member values, the oracle of the tables, live with the tests
 (tests/oracles.py), with the dense scans that the windowed ones are
@@ -134,19 +134,20 @@ def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
 
 class GridFunction:
     """Real samples on a grid, held on their window [lo, hi): every sample
-    outside it is +0.0, and the window starts and ends on a sample that is
-    not (-0.0 counts as non-zero, so the dense samples come back bit for
-    bit).  Values are float64 and finite.
+    outside it is the background b, and the window starts and ends on a
+    sample that is not +0.0 (-0.0 counts as non-zero, so the dense samples
+    come back bit for bit).  Values are float64 and finite.
 
     GridFunction(grid, values) takes all the samples and finds the window;
     GridFunction(grid, values, lo=lo) takes the samples of [lo, lo +
-    len(values)) and trims that to the window.  A producer that knows where
-    its output vanishes passes only that span; a dense function's window is
-    the whole grid.  ``window`` is the samples on [lo, hi), ``values`` the
-    dense samples, built on each read and read-only.
+    len(values)) and trims that to the window; both have b = +0.0.
+    GridFunction.constant(grid, b) is an empty window over b, so no
+    function has both a window and a non-zero b.  ``window`` is the
+    samples on [lo, hi), ``values`` the dense samples, built on each read
+    and read-only.
     """
 
-    __slots__ = ("grid", "lo", "hi", "window")
+    __slots__ = ("grid", "lo", "hi", "window", "background")
 
     def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None):
         v = np.asarray(values, dtype=np.float64)
@@ -162,6 +163,24 @@ class GridFunction:
         self.grid = grid
         self.lo, self.hi = (lo + a, lo + b) if b else (0, 0)
         self.window = v[a:b]
+        self.background = 0.0
+
+    @staticmethod
+    def constant(grid: Grid, b: float) -> "GridFunction":
+        """The constant b, finite (a zero b is +0.0)."""
+        if not math.isfinite(b):
+            raise ConfigError(f"a constant must be finite, got {b}")
+        f = GridFunction(grid, np.empty(0), lo=0)
+        f.background = float(b) or 0.0
+        return f
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """[lo, hi) outside which f is +0.0: the whole grid for a constant."""
+        return (self.lo, self.hi) if self.background == 0.0 else (0, self.grid.size)
+
+    def _filled(self, n: int) -> np.ndarray:
+        return np.full(n, self.background) if self.background else np.zeros(n)
 
     @property
     def values(self) -> np.ndarray:
@@ -170,17 +189,17 @@ class GridFunction:
         if self.hi - self.lo == self.grid.size:
             out = self.window.view()
         else:
-            out = np.zeros(self.grid.shape)
+            out = self._filled(self.grid.size)
             out[self.lo : self.hi] = self.window
         out.flags.writeable = False
         return out
 
     def on(self, a: int, b: int) -> np.ndarray:
         """The samples of [a, b) (0 <= a <= b <= size): a view of the window
-        when it holds them, else a new array, zero outside the window."""
+        when it holds them, else a new array, b outside the window."""
         if self.lo <= a and b <= self.hi:
             return self.window[a - self.lo : b - self.lo]
-        out = np.zeros(b - a)
+        out = self._filled(b - a)
         i, j = max(a, self.lo), min(b, self.hi)
         if i < j:
             out[i - a : j - a] = self.window[i - self.lo : j - self.lo]
@@ -189,16 +208,17 @@ class GridFunction:
     def at(self, idx: np.ndarray) -> np.ndarray:
         """The samples at the index array idx."""
         inside = (idx >= self.lo) & (idx < self.hi)
-        out = np.zeros(idx.shape)
+        out = self._filled(idx.shape[0])
         out[inside] = self.window[idx[inside] - self.lo]
         return out
 
     def truncated(self, a: int, b: int) -> "GridFunction":
         """f on the samples [a, b), zero outside."""
-        a, b = max(a, self.lo), min(b, self.hi)
+        lo, hi = self.span
+        a, b = max(a, lo), min(b, hi)
         if a >= b:
             return GridFunction(self.grid, np.empty(0), lo=0)
-        return GridFunction(self.grid, self.window[a - self.lo : b - self.lo], lo=a)
+        return GridFunction(self.grid, self.on(a, b), lo=a)
 
     @staticmethod
     def from_callable(grid: Grid, fn, support: tuple[float, float] | None = None) -> "GridFunction":
@@ -214,10 +234,11 @@ class GridFunction:
         return GridFunction(grid, np.asarray(fn(grid.coords(lo, hi)), dtype=np.float64), lo=lo)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        """f - g on the union of the two windows."""
+        """f - g on the union of the two spans: dense when either is a
+        non-zero constant."""
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("grid functions live on different grids")
-        spans = [(f.lo, f.hi) for f in (self, other) if f.lo < f.hi] or [(0, 0)]
+        spans = [f.span for f in (self, other) if f.span[0] < f.span[1]] or [(0, 0)]
         a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
         return GridFunction(self.grid, self.on(a, b) - other.on(a, b), lo=a)
 

@@ -70,28 +70,29 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     """One scan of f over the family: the ball means of f and of f^2 from
     one prefix table on f's window, each block's sums written into its
     slice and divided there by the 2m - 1 samples of a ball of cell radius
-    m; the table's buffer takes the squares once the sums of f are read.
-    The oscillation and the size are then made in place in the two
-    buffers.  Besides f, one window-sized buffer is live."""
+    m; a ball that misses the window has mean b and mean square b^2, for
+    f's background b.  The table's buffer takes the squares once the sums
+    of f are read.  The oscillation and the size are then made in place in
+    the two buffers.  Besides f, one window-sized buffer is live."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
     table = SummedTable(family.grid, f.window, f.lo)
     mean, mean_sq = np.empty(len(family)), np.empty(len(family))
-    _ball_means(table, family, mean)
+    _ball_means(table, family, mean, f.background)
     table._refill_squares(f.window)
-    _ball_means(table, family, mean_sq)
+    _ball_means(table, family, mean_sq, f.background**2)
     del table
     return FamilyStats(family, *oscillation_and_size(mean, mean_sq))
 
 
-def _ball_means(table: SummedTable, family: BallFamily, out: np.ndarray) -> None:
+def _ball_means(table: SummedTable, family: BallFamily, out: np.ndarray, fill: float) -> None:
     """Each ball's mean of the table's values, written into out: the balls
-    that miss the table's window hold exactly 0.0 and are not read."""
+    that miss the table's window hold fill and are not read."""
     for b in family.blocks:
         block = out[b.start : b.stop]
         meet = table.meeting(b.run, b.cell_radius)
-        block[: meet.start] = 0.0
-        block[meet.stop :] = 0.0
+        block[: meet.start] = fill
+        block[meet.stop :] = fill
         if meet:
             sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=block[meet.start : meet.stop])
             np.divide(sums, 2 * b.cell_radius - 1, out=sums)

@@ -342,6 +342,7 @@ def held_whole(f: GridFunction) -> GridFunction:
     scan of it reads every sample."""
     whole = object.__new__(GridFunction)
     whole.grid, whole.lo, whole.hi, whole.window = f.grid, 0, f.grid.size, np.array(f.values)
+    whole.background = 0.0
     return whole
 
 
@@ -373,12 +374,31 @@ def dense_pyramid(values: np.ndarray, a: int, p: int):
         sums, sumsq = sums[0::2] + sums[1::2], sumsq[0::2] + sumsq[1::2]
 
 
+def cube_tiling(assignment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(levels, corners, counts) of every cube of the tiling, in position
+    order, expanded from the assignment's regions: cube k holds the next
+    counts[k] samples, and the last the +X boundary sample too."""
+    p = round(-math.log2(assignment.grid.spacing))
+    regions = assignment.regions
+    levels = np.concatenate([np.full((hi - lo) >> (l + p), l) for lo, hi, l in regions])
+    corners = np.concatenate([np.arange(lo >> (l + p), hi >> (l + p)) for lo, hi, l in regions])
+    counts = 2 ** (levels + p)
+    counts[-1] += 1
+    return levels, corners, counts
+
+
+def cube_starts(assignment) -> np.ndarray:
+    """The first sample of every cube of the tiling."""
+    counts = cube_tiling(assignment)[2]
+    return np.cumsum(counts) - counts
+
+
 def dense_dyadic_average(f: GridFunction, assignment) -> np.ndarray:
     """Every cube's mean against its first sample, over all samples."""
-    flat, counts = f.values, assignment.cube_counts
-    anchors = flat[assignment.cube_starts]
+    flat, counts = f.values, cube_tiling(assignment)[2]
+    anchors = flat[cube_starts(assignment)]
     diffs = flat - np.repeat(anchors, counts)
-    sums = np.bincount(np.repeat(np.arange(assignment.n_cubes), counts), weights=diffs, minlength=assignment.n_cubes)
+    sums = np.bincount(np.repeat(np.arange(counts.size), counts), weights=diffs, minlength=counts.size)
     return np.repeat(anchors + sums / counts, counts)
 
 
@@ -391,7 +411,7 @@ def dense_gates(assignment, averaged: GridFunction) -> tuple[float, float]:
     vals = averaged.values
     outside = np.concatenate((vals[: n0 - k], vals[n0 + k + 1 :]))
     p1 = abs(float(np.max(np.abs(outside), initial=0.0)))
-    p2 = float(np.max(np.abs(np.diff(vals[assignment.cube_starts])), initial=0.0))
+    p2 = float(np.max(np.abs(np.diff(vals[cube_starts(assignment)])), initial=0.0))
     return p1, p2
 
 

@@ -21,7 +21,9 @@ from oscillab.approx import (
     p1_p2_check,
     _dyadic_exponents,
 )
-from oracles import constant
+from oscillab.experiments import RHO_CONSTANT_UNIT, plan_scenarios
+from oscillab.oscillation import bmo_l_norm, family_stats
+from oracles import constant, cube_tiling
 
 RHO0 = 2.0**-0.5
 
@@ -359,8 +361,8 @@ def pipeline_thresholds(pipeline_f):
 
 
 @pytest.fixture(scope="module")
-def pipeline_assignment(pipeline_thresholds, pipeline_grid):
-    return assign_cubes(pipeline_thresholds, pipeline_grid)
+def pipeline_assignment(pipeline_thresholds, pipeline_grid, pipeline_f):
+    return assign_cubes(pipeline_thresholds, pipeline_grid, (pipeline_f.lo, pipeline_f.hi))
 
 
 def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -387,17 +389,12 @@ def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> tuple[np.ndarray,
 def _sorted_cubes(asn: DyadicAssignment) -> tuple[np.ndarray, ...]:
     """The position-ordered cube list in the oracle's form: levels, corners
     and counts in (level, corner) order, the cube id of every sample (cube
-    k holds the next cube_counts[k] samples), and each position's id."""
-    order = np.lexsort((asn.cube_corners, asn.cube_levels))
+    k holds the next counts[k] samples), and each position's id."""
+    levels, corners, counts = cube_tiling(asn)
+    order = np.lexsort((corners, levels))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return (
-        asn.cube_levels[order],
-        asn.cube_corners[order],
-        asn.cube_counts[order],
-        np.repeat(rank, asn.cube_counts),
-        rank,
-    )
+    return levels[order], corners[order], counts[order], np.repeat(rank, counts), rank
 
 
 def _oracle_adjacent_pairs(grid: Grid, levels, corners, sample_cube) -> set[tuple[int, int]]:
@@ -420,12 +417,16 @@ def _assert_position_order(asn: DyadicAssignment) -> None:
     """Cube k starts where cube k-1 ends, the first at the -X face, and
     holds 2^(level+p) samples; the last holds the +X boundary sample too."""
     p = round(-math.log2(asn.grid.spacing))
-    q = np.left_shift(1, asn.cube_levels + p)
-    first = asn.cube_corners * q
-    assert asn.cube_corners.shape == (asn.n_cubes,)
+    levels, corners, counts = cube_tiling(asn)
+    q = np.left_shift(1, levels + p)
+    first = corners * q
+    assert corners.shape == (asn.n_cubes,)
     assert first[0] == -asn.grid.half_cells
     assert np.array_equal(first[1:], first[:-1] + q[:-1])
-    assert np.array_equal(asn.cube_counts[:-1], q[:-1]) and asn.cube_counts[-1] == q[-1] + 1
+    assert np.array_equal(counts[:-1], q[:-1]) and counts[-1] == q[-1] + 1
+    # the rows of assignment.csv are the same cubes in (level, corner) order
+    order = np.lexsort((corners, levels))
+    assert list(asn.cube_list()) == list(zip(levels[order].tolist(), corners[order].tolist()))
 
 
 def test_bump_unit_mass_and_height():
@@ -512,18 +513,19 @@ def test_threshold_report_shape(pipeline_thresholds):
 
 def test_assignment_partitions_box(pipeline_assignment, pipeline_grid):
     asn = pipeline_assignment
-    assert int(np.sum(asn.cube_counts)) == pipeline_grid.size
+    cube_levels, _, cube_counts = cube_tiling(asn)
+    assert int(np.sum(cube_counts)) == pipeline_grid.size
     _assert_position_order(asn)
     # samples inside the core carry the core level, and each sample the
     # level the row-sort oracle gives it
     th = asn.thresholds
     core = np.abs(pipeline_grid.axis) < 2.0**th.core_exponent - 1e-12
-    got_levels = np.repeat(asn.cube_levels, asn.cube_counts)
+    got_levels = np.repeat(cube_levels, cube_counts)
     assert np.all(got_levels[core] == th.core_level)
     levels, _, _, sample_cube = _oracle_assignment(th, pipeline_grid)
     assert np.array_equal(got_levels, levels[sample_cube])
     # levels never fall below the grid scale
-    assert np.all(asn.cube_levels >= -6)
+    assert np.all(cube_levels >= -6)
 
 
 def test_assignment_needs_box_margin(pipeline_grid):
@@ -536,7 +538,7 @@ def test_assignment_needs_box_margin(pipeline_grid):
         size_bound=0.5,
     )
     with pytest.raises(OutOfDomainError):
-        assign_cubes(th, pipeline_grid)
+        assign_cubes(th, pipeline_grid, (0, 0))
 
 
 def test_dyadic_average_idempotent(pipeline_f, pipeline_assignment):
@@ -548,9 +550,10 @@ def test_dyadic_average_idempotent(pipeline_f, pipeline_assignment):
 def test_dyadic_average_equals_cube_means(pipeline_f, pipeline_assignment):
     A = dyadic_average(pipeline_f, pipeline_assignment)
     # plain bincount means of the position-ordered cubes
-    cube_ids = np.repeat(np.arange(pipeline_assignment.n_cubes), pipeline_assignment.cube_counts)
-    means = np.bincount(cube_ids, weights=pipeline_f.values) / pipeline_assignment.cube_counts
-    assert np.allclose(A.values, np.repeat(means, pipeline_assignment.cube_counts), atol=1e-12)
+    cube_counts = cube_tiling(pipeline_assignment)[2]
+    cube_ids = np.repeat(np.arange(pipeline_assignment.n_cubes), cube_counts)
+    means = np.bincount(cube_ids, weights=pipeline_f.values) / cube_counts
+    assert np.allclose(A.values, np.repeat(means, cube_counts), atol=1e-12)
     # against the oracle's cube means, cube by cube in (level, corner) order
     _, _, counts, sample_cube = _oracle_assignment(pipeline_assignment.thresholds, pipeline_assignment.grid)
     want = np.bincount(sample_cube, weights=pipeline_f.values) / counts
@@ -567,11 +570,12 @@ def test_gates_pass_for_member(pipeline_f, pipeline_assignment):
     assert rep.n_adjacent_pairs > 0
 
 
-def test_gate_p1_fails_for_borrowed_constant(pipeline_assignment, pipeline_grid):
+def test_gate_p1_fails_for_borrowed_constant(pipeline_thresholds, pipeline_grid):
     # averaging the constant 1 with thresholds chosen for the bump leaves
     # mass 1 outside the outer region, so the first gate must fail
     f = constant(pipeline_grid, 1.0)
-    rep = p1_p2_check(pipeline_assignment, dyadic_average(f, pipeline_assignment))
+    asn = assign_cubes(pipeline_thresholds, pipeline_grid, (f.lo, f.hi))
+    rep = p1_p2_check(asn, dyadic_average(f, asn))
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
     assert rep.p2_ok  # all cube means equal
@@ -591,7 +595,7 @@ def test_p1_index_slices_match_axis_mask(halfwidth, spacing):
     f = GridFunction.from_callable(grid, lambda x: np.where(x > 0, 2.0, -0.5) * np.cos(x) * np.exp(x / halfwidth))
     a, p = _dyadic_exponents(grid)
     for outer in range(a - 5, a - 2):
-        asn = assign_cubes(AveragingThresholds(1.0, 1, outer - 1, outer, 0.1, 0.5), grid)
+        asn = assign_cubes(AveragingThresholds(1.0, 1, outer - 1, outer, 0.1, 0.5), grid, (f.lo, f.hi))
         A = dyadic_average(f, asn)
         assert p1_p2_check(asn, A).p1_sup == _axis_mask_p1(asn, A) > 0
         # a spike on the closed region's edge is inside; one sample further
@@ -642,7 +646,7 @@ def test_assignment_matches_row_sort_oracle_large():
     grid = Grid(halfwidth=2048.0, spacing=2.0**-7)  # 524,289 samples
     f = member_by_name("bump-narrow").build(grid)
     th = choose_thresholds(f, eps=0.55, rho=RHO0, osc_fraction=0.25)
-    asn = assign_cubes(th, grid)
+    asn = assign_cubes(th, grid, (f.lo, f.hi))
     assert asn.n_cubes > 1000
     _assert_matches_oracle(f, asn)
 
@@ -656,18 +660,19 @@ def test_assignment_runs_at_pipeline_small_geometry():
         eps=0.235, fine_exponent=5, core_exponent=10, outer_exponent=10,
         osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235,
     )
-    asn = assign_cubes(th, grid)
+    asn = assign_cubes(th, grid, (0, 0))
     _assert_position_order(asn)
-    assert int(np.sum(asn.cube_counts)) == grid.size
+    levels, _, counts = cube_tiling(asn)
+    assert int(np.sum(counts)) == grid.size
     # the core [-2^10, 2^10) in single cells (level -7), then on each side
     # shells m = 10, 11, 12 of 2^16 cubes at level m - 16
     assert asn.n_cubes == 2**18 + 2 * 3 * 2**16
-    assert np.array_equal(np.unique(asn.cube_levels), [-7, -6, -5, -4])
+    assert np.array_equal(np.unique(levels), [-7, -6, -5, -4])
     zero = constant(grid, 0.0)
     rep = p1_p2_check(asn, dyadic_average(zero, asn))
     assert rep.n_adjacent_pairs == asn.n_cubes - 1
     assert rep.size_ratio_ok
-    assert np.all(np.abs(np.diff(asn.cube_levels)) <= 1)
+    assert np.all(np.abs(np.diff(levels)) <= 1)
 
 
 # (halfwidth, spacing, number of swept thresholds)
@@ -693,7 +698,7 @@ def test_assignment_matches_oracle_for_every_threshold(halfwidth, spacing, count
     f = GridFunction.from_callable(grid, lambda x: np.sin(3.0 * x) + x**2 / halfwidth)
     n = 0
     for th in _swept_thresholds(grid):
-        asn = assign_cubes(th, grid)
+        asn = assign_cubes(th, grid, (f.lo, f.hi))
         _assert_position_order(asn)
         _assert_matches_oracle(f, asn)
         n += 1
@@ -705,10 +710,10 @@ def test_assignment_rejects_core_below_minus_fine_minus_one(pipeline_grid):
     for fine, core in ((2, -4), (3, -5)):
         th = AveragingThresholds(1.0, fine, core, 4, 0.1, 0.5)
         with pytest.raises(ConfigError, match=r"J = -\d+ outside \[-I-1, a\]"):
-            assign_cubes(th, pipeline_grid)
+            assign_cubes(th, pipeline_grid, (0, 0))
     # a core beyond the box (J > a) is rejected as well
     with pytest.raises(ConfigError, match="outside"):
-        assign_cubes(AveragingThresholds(1.0, 2, 9, 4, 0.1, 0.5), pipeline_grid)
+        assign_cubes(AveragingThresholds(1.0, 2, 9, 4, 0.1, 0.5), pipeline_grid, (0, 0))
 
 
 def test_assignment_memory_is_independent_of_sample_count():
@@ -716,7 +721,7 @@ def test_assignment_memory_is_independent_of_sample_count():
     th = AveragingThresholds(1.0, 0, 3, 5, 0.1, 0.5)
     tracemalloc.start()
     try:
-        asn = assign_cubes(th, grid)
+        asn = assign_cubes(th, grid, (0, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -782,3 +787,56 @@ def test_threshold_scan_memory_at_pipeline_small_geometry():
     # the pyramid keeps at most four arrays of half the sample count alive;
     # the per-level oracle peaks at about eight sample-sized arrays
     assert peak <= 2.5 * grid.size * 8, peak / (grid.size * 8)
+
+
+def _stage_peak(stage: Callable[[], object]) -> tuple[object, int]:
+    """stage()'s result and the traced bytes it allocated at its peak, above
+    what was held when it started; tracemalloc must be tracing."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = stage()
+    return out, tracemalloc.get_traced_memory()[1] - base
+
+
+def _exhausted(f: GridFunction, eps: float) -> str:
+    try:
+        choose_thresholds(f, eps, RHO_CONSTANT_UNIT, 0.125)
+    except ThresholdExhaustedError as e:
+        return str(e)
+    raise AssertionError("the threshold scan of a constant must run out")
+
+
+def test_pipeline_stages_allocate_no_sample_sized_array():
+    # the pipeline-small geometry of the benchmark's pipeline workload:
+    # 2,097,153 samples, 139,248 balls.  The cube stages of bump-narrow
+    # (a window of 255 samples) and every stage of the constant 1 must each
+    # stay below one eighth of a float64 sample array
+    (plan,) = plan_scenarios({"scenarios": [{
+        "id": "approximation-pipeline", "member": "bump-narrow", "halfwidth": 8192.0, "spacing": 2.0**-7,
+        "eps_fraction": 0.3, "osc_fraction": 0.125,
+    }]})
+    grid, fam = plan.grid, plan.family
+    bound = grid.size * 8 // 8
+    f = member_by_name("bump-narrow").build(grid)
+    th = choose_thresholds(f, 0.235, RHO_CONSTANT_UNIT, 0.125)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        asg, peaks["assign_cubes"] = _stage_peak(lambda: assign_cubes(th, grid, (f.lo, f.hi)))
+        A, peaks["dyadic_average"] = _stage_peak(lambda: dyadic_average(f, asg))
+        gate, peaks["p1_p2_check"] = _stage_peak(lambda: p1_p2_check(asg, A))
+        one, peaks["const-one build"] = _stage_peak(lambda: member_by_name("const-one").build(grid))
+        stats, peak = _stage_peak(lambda: family_stats(one, fam))
+        # its result is two per-ball arrays (2.2 MB here), not sample-sized;
+        # what it allocates besides them is bounded
+        peaks["const-one family_stats scratch"] = peak - stats.oscillation.nbytes - stats.size.nbytes
+        norm, peaks["const-one norm"] = _stage_peak(lambda: bmo_l_norm(stats, RHO_CONSTANT_UNIT).value)
+        del stats
+        message, peaks["const-one choose_thresholds"] = _stage_peak(lambda: _exhausted(one, 0.3 * norm))
+    finally:
+        tracemalloc.stop()
+    assert (grid.size, len(fam)) == (2_097_153, 139_248)
+    assert (th.fine_exponent, th.core_exponent, th.outer_exponent) == (5, 10, 10)
+    assert asg.n_cubes == 2**18 + 2 * 3 * 2**16 and gate.p1_ok and gate.p2_ok and gate.size_ratio_ok
+    assert norm == 1.0 and message.startswith("no core cutoff")
+    assert {name: peak for name, peak in peaks.items() if peak >= bound} == {}, (bound, peaks)

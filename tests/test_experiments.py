@@ -710,10 +710,11 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box,
     seen = {}
     assign, average, mollify = experiments.assign_cubes, experiments.dyadic_average, experiments.mollify
 
-    def widened(th, grid):
+    def widened(th, grid, window):
         # the assignment needs 2^(M+3) <= X, so tile with the scan's own M
-        # and only then move the outer exponent out to the box
-        asg = assign(th, grid)
+        # and only then move the outer exponent out to the box; it holds
+        # every cube, as the gates read the dense A made below
+        asg = assign(th, grid, (0, grid.size))
         if outer_below_box is None:
             return asg
         a = round(math.log2(grid.halfwidth))
@@ -1155,6 +1156,20 @@ def test_cli_shorthand_forwards_only_the_given_flags(argv, scenario):
     # the scenario's parameter table holds the defaults; the shorthand
     # restates none of them
     assert _scenario_from_args(_build_parser().parse_args(argv)) == scenario
+
+
+def test_cli_honours_the_run_flags_before_the_subcommand(tmp_path, capsys, monkeypatch):
+    # --help lists the run flags at the top level; given there, each is
+    # honoured as it is after the subcommand, and the subcommand's wins
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "quick.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "D", "--seed", "5", "run", "--config", config]) == 0
+    assert json.loads((tmp_path / "D" / "summary.json").read_text())["provenance"]["seed"] == 5
+    assert not (tmp_path / "oscillab-out").exists()
+    assert main(["--op-cap", "1", "run", "--config", config]) == 2
+    assert "'op_cap' must be an integer >= 2" in capsys.readouterr().err
+    args = _build_parser().parse_args(["--seed", "3", "--interior-window", "0.5", "bmo", "--seed", "4"])
+    assert (args.seed, args.interior_window) == (4, 0.5) and "out" not in args and "op_cap" not in args
 
 
 def test_cli_has_no_threads_flag(capsys):

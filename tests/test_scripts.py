@@ -115,3 +115,34 @@ def test_bundle_digests_script_lists_and_compares_the_quick_bundle(tmp_path):
     differ = _run_script("bundle_digests.py", str(bundle), str(config))
     assert differ.returncode == 1
     assert differ.stdout.splitlines() == ["only in A  extra.csv", "differs  summary.json"]
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS.parent / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundle_digests_script_digests_a_benchmark_workload(tmp_path):
+    # --workload runs the config oscbench/workloads.py writes: the digests
+    # of the shrunken pipeline workload's config equal those of its bundle
+    # run here, and the full pipeline workload runs from the command line
+    script = _load_script("scripts/bundle_digests.py")
+    workloads = _load_script("oscbench/workloads.py")
+    from oscillab.experiments import run
+
+    assert script.workload_config("pipeline", 7) == workloads.workload_config("pipeline", 7)
+    config = workloads.workload_config("pipeline", 7, small=True)
+    assert {s["id"] for s in config["scenarios"]} == {"approximation-pipeline", "averaging-pipeline"}
+    bundle = tmp_path / "pipeline"
+    run(config, out_dir=str(bundle))
+    got = script.run_digests(config, "pipeline")
+    assert got == script.digests(bundle) and "averaging-pipeline/assignment.csv" in got
+    proc = _run_script("bundle_digests.py", "--workload", "pipeline", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split("  ")[1] for line in proc.stdout.strip().splitlines()]
+    assert names == sorted(got)  # the same scenarios at the full geometry
+    for argv in (["--workload", "pipeline"], ["--workload", "pipeline", "--seed", "7", str(bundle)],
+                 ["--seed", "7", str(bundle)], ["--workload", "nope", "--seed", "7"]):
+        assert _run_script("bundle_digests.py", *argv).returncode == 2, argv
