@@ -28,7 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -49,18 +48,15 @@ def _bump_profile(r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump(grid: Grid, center: Sequence[float] | None = None, width: float = 1.0) -> GridFunction:
-    """The standard smooth bump supported on B(center, width), sampled and
+def bump(grid: Grid, width: float = 1.0) -> GridFunction:
+    """The standard smooth bump supported on B(0, width), sampled and
     scaled to unit discrete mass.  Needs h < 1/4 (in units of the width) so
     the support holds enough samples for the mass to be meaningful."""
     if grid.spacing >= width / 4.0:
         raise ConfigError(
             f"spacing {grid.spacing} too coarse for a width-{width} bump; need h < width/4"
         )
-    c = np.zeros(1) if center is None else np.asarray(center, dtype=np.float64)
-    if c.shape != (1,):
-        raise ConfigError("bump center must have one coordinate")
-    r2 = ((grid.axis - c[0]) / width) ** 2
+    r2 = (grid.axis / width) ** 2
     vals = _bump_profile(r2)
     mass = float(np.sum(vals) * grid.cell_volume)
     if mass <= 0:
@@ -97,7 +93,8 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
 
 
 def _dyadic_exponents(grid: Grid) -> tuple[int, int]:
-    """(a, p) with halfwidth = 2^a and spacing = 2^-p, else ConfigError."""
+    """(a, p) with halfwidth = 2^a and spacing = 2^-p and a + p >= 1 (the
+    box holds a dyadic level), else ConfigError."""
     a = math.log2(grid.halfwidth)
     p = -math.log2(grid.spacing)
     if abs(a - round(a)) > 1e-9 or abs(p - round(p)) > 1e-9:
@@ -105,7 +102,10 @@ def _dyadic_exponents(grid: Grid) -> tuple[int, int]:
             "dyadic averaging needs a power-of-two box (halfwidth 2^a, spacing 2^-p); "
             f"got halfwidth {grid.halfwidth}, spacing {grid.spacing}"
         )
-    return round(a), round(p)
+    a, p = round(a), round(p)
+    if a + p < 1:
+        raise ConfigError(f"the box 2^{a} at spacing 2^-{p} holds no dyadic level")
+    return a, p
 
 
 def _pyramid(f: GridFunction, a: int, p: int):
@@ -300,8 +300,6 @@ def choose_thresholds(
     rho = float(rho)
     g = f.grid
     a, p = _dyadic_exponents(g)
-    if a + p < 1:
-        raise ConfigError(f"the box 2^{a} at spacing 2^-{p} holds no dyadic level")
     osc_bound = osc_fraction * eps
     size_bound = SIZE_FRACTION * eps
     l_lo, l_hi = -p + 1, a

@@ -29,17 +29,6 @@ from .grid import Grid, GridFunction
 from .potential import constant_potential
 from .semigroup import DEFAULT_OP_CAP, SpectralOperator, discretize
 
-__all__ = [
-    "CorpusMember",
-    "CORPUS",
-    "CORPUS_HALFWIDTH",
-    "CORPUS_SPACING",
-    "corpus_grid",
-    "corpus_operator",
-    "member_by_name",
-]
-
-
 def _profile(u: np.ndarray) -> np.ndarray:
     """Peak-one smooth bump profile on |u| < 1, zero outside."""
     u = np.asarray(u, dtype=np.float64)

@@ -25,6 +25,7 @@ import numpy.random  # run() builds its generator; load it with the module, not 
 from . import __version__
 from .approx import (
     AveragingThresholds,
+    _dyadic_exponents,
     assign_cubes,
     bump,
     choose_thresholds,
@@ -33,7 +34,7 @@ from .approx import (
     p1_p2_check,
 )
 from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, member_by_name
-from .errors import BracketError, ConfigError, CriterionFailure, ThresholdExhaustedError
+from .errors import BracketError, ConfigError, CriterionFailure, LadderError, ThresholdExhaustedError
 from .family import (
     SUPERCRITICAL_MODES,
     BallFamily,
@@ -152,14 +153,8 @@ class RhoSlopeReport:
     small_range_warning: bool
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "expected": self.expected,
-            "n": self.n,
-            "potential_kind": self.potential_kind,
-            "exponent": self.exponent,
-            "small_range_warning": self.small_range_warning,
-        }
+        # the samples go to rho.csv
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("x", "rho")}
 
 
 def exp_rho_slope(
@@ -229,19 +224,10 @@ class LacunaryReport:
     n_balls: int
 
     def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "norm": self.norm,
-            "tol": self.tol,
-            "verdicts": _verdict_dict(self.verdicts),
-            "floor": self.floor,
-            "floor_required": self.floor_required,
-            "floor_ok": self.floor_ok,
-            "trend_exponent": self.trend_exponent,
-            "n_balls": self.n_balls,
-        }
+        # the curves go to curves.csv
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curves"}
+        d["verdicts"] = _verdict_dict(self.verdicts)
+        return d
 
 
 def exp_lacunary(
@@ -409,7 +395,7 @@ def exp_extension_agreement(
     scanned as in exp_square_membership."""
     f = member_by_name(member).build(op.grid)
     st = family_stats(f, fam)
-    G = poisson_extension(op, f, ladder).gradient_magnitude()
+    G = poisson_extension(op, f, ladder)
     beta = np.sqrt(family_box_values(G, fam))
     curves = {"gamma": oscillation_curves(st, RHO_CONSTANT_UNIT), "beta": gradient_carleson_curves(beta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
@@ -867,10 +853,11 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
     first): a family, its centers checked against the lattice, once per
     (grid, policy), and an operator and its default t-ladder once per
-    grid; reproducing-pairing builds its own t-ladder.  lacunary-separation
-    also tests the critical-radius solve's bracket floor at its centers
-    nearest the origin, which holds at every center if it holds there.  A
-    ConfigError names the scenario and keys."""
+    grid, which must cover the family's radii; reproducing-pairing builds
+    its own t-ladder.  The pipeline scenarios check that the box is
+    dyadic.  lacunary-separation also tests the critical-radius solve's
+    bracket floor at its centers nearest the origin, which holds at every
+    center if it holds there.  A ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
     operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}
@@ -900,6 +887,9 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
             if policy is not None and (grid, policy) not in families:
                 families[grid, policy] = make_ball_family(grid, policy)
             fam = families.get((grid, policy))
+            if sid in ("approximation-pipeline", "averaging-pipeline"):
+                keys = "'halfwidth' and 'spacing'"
+                _dyadic_exponents(grid)
             if sid == "lacunary-separation":
                 # the solve's floor at the centers nearest the origin, where I(., r) is largest
                 keys, z = "'exponent' and 'amplitude'", int(np.searchsorted(fam.xs, 0.0))
@@ -911,11 +901,14 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                 if grid not in operators:
                     operators[grid] = corpus_operator(grid, cfg.op_cap), default_ladder(grid)
                 op, ladder = operators[grid]
+                if fam is not None:
+                    keys = "'family'"
+                    ladder.check_covers([b.radius for b in fam.blocks])
             if sid == "reproducing-pairing":
                 keys = "'t_min' and 't_max'"
                 t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)
                 ladder = TLadder.geometric(t_min, t_max, per_decade=p.pop("per_decade"))
-        except (ConfigError, BracketError) as e:
+        except (ConfigError, BracketError, LadderError) as e:
             raise ConfigError(f"scenario {sid!r}: {keys}: {e}") from None
         plans.append(ScenarioPlan(sid, name, p, grid, fam, op, ladder))
     return plans

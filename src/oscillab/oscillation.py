@@ -193,12 +193,7 @@ def semigroup_difference_values(
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    r = [b.radius for b in family.blocks]
-    if min(r) < ladder.values[0] * (1 - 1e-9) or max(r) > ladder.values[-1] * (1 + 1e-9):
-        raise LadderError(
-            "family radii fall outside the configured scale range "
-            f"[{ladder.values[0]}, {ladder.values[-1]}]"
-        )
+    ladder.check_covers([b.radius for b in family.blocks])
 
     fv = f.values
     coef = op.coefficients(f)

@@ -17,9 +17,12 @@ transform a block of ladder slices at a time, so that each block's
 extension stays cache-sized.
 
 apply_spectral takes one psi to one function; the scenarios take whole
-t-ladders at once through the half-space fields below, so the single-time
-heat and Poisson semigroups e^{-tL} and e^{-t sqrt(L)} are apply_spectral
-calls that only tests make (tests/oracles.py).
+t-ladders at once through the half-space fields below, so no scenario
+calls it.  The single-time heat and Poisson semigroups e^{-tL} and
+e^{-t sqrt(L)} of the tests (tests/oracles.py) are apply_spectral calls,
+and the benchmark tracer's semigroup.apply span wraps it.  The Poisson
+extension is read only through |t grad u|, the scalar whose Carleson
+boxes characterize CMO, so poisson_extension returns that field alone.
 
 Half-space objects (functions of (x, t) with t on a geometric ladder) carry
 their ladder with them; integrals in dt/t use trapezoid weights in log t,
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 from numpy.fft import rfft
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, LadderError
 from .grid import Grid, GridFunction
 from .potential import Potential
 
@@ -81,6 +84,14 @@ class TLadder:
 
     def __len__(self) -> int:
         return self.values.size
+
+    def check_covers(self, radii) -> None:
+        """LadderError unless every radius lies in [t_1, t_m], to the
+        relative 1e-9 that every scan reading the ladder allows."""
+        lo, hi = min(radii), max(radii)
+        t = self.values
+        if lo < t[0] * (1 - 1e-9) or hi > t[-1] * (1 + 1e-9):
+            raise LadderError(f"ball radii [{lo}, {hi}] fall outside the ladder's scales [{t[0]}, {t[-1]}]")
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -136,24 +147,18 @@ class SpectralOperator:
     def interior_count(self) -> int:
         return self.eigenvalues.size
 
-    def interior_values(self, f: GridFunction) -> np.ndarray:
-        self._check(f)
-        return f.values[1:-1]
-
-    def embed_interior(self, vals: np.ndarray) -> GridFunction:
-        out = np.zeros(self.grid.shape)
-        out[1:-1] = vals
-        return GridFunction(self.grid, out)
-
     def coefficients(self, f: GridFunction) -> np.ndarray:
-        return dst1(self.interior_values(f))
-
-    def synthesize(self, coef: np.ndarray) -> GridFunction:
-        return self.embed_interior(dst1(coef))
-
-    def _check(self, f: GridFunction) -> None:
+        """The sine coefficients of f's interior samples."""
         if not f.grid.compatible(self.grid):
             raise GridMismatchError("function grid does not match the operator grid")
+        return dst1(f.values[1:-1])
+
+    def synthesize(self, coef: np.ndarray) -> GridFunction:
+        """The function whose interior has sine coefficients coef, zero at
+        the walls."""
+        out = np.zeros(self.grid.shape)
+        dst1(coef, out=out[1:-1])
+        return GridFunction(self.grid, out)
 
 
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
@@ -230,33 +235,6 @@ def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder
     return _field_from_psi(op, op.coefficients(f), ladder, lambda t, s: t * s * np.exp(-t * s))
 
 
-@dataclass(frozen=True)
-class PoissonExtension:
-    """u(x, t) = e^{-t sqrt(L)} f with its scaled derivatives.
-
-    t_derivative holds t * du/dt (spectrally exact, = -t sqrt(L) u);
-    x_gradient holds t * du/dx (fourth-order central stencil inside,
-    second-order one-sided at the walls).
-    """
-
-    u: HalfSpaceFunction
-    t_derivative: HalfSpaceFunction
-    x_gradient: HalfSpaceFunction
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-    @property
-    def ladder(self) -> TLadder:
-        return self.u.ladder
-
-    def gradient_magnitude(self) -> HalfSpaceFunction:
-        """sqrt((t du/dt)^2 + (t du/dx)^2), the full scaled gradient size."""
-        mag = np.sqrt(self.t_derivative.values**2 + self.x_gradient.values**2)
-        return HalfSpaceFunction(self.grid, self.ladder, mag)
-
-
 def _ddx(values: np.ndarray, h: float) -> np.ndarray:
     """d/dx along the last axis: 4th-order central inside, 2nd-order at the
     edges (one-sided at the walls, central just inside them)."""
@@ -270,14 +248,18 @@ def _ddx(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> PoissonExtension:
+def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
+    """|t grad u| = sqrt((t du/dt)^2 + (t du/dx)^2) for u(x, t) = e^{-t sqrt(L)} f.
+
+    t du/dt = -t sqrt(L) u is spectrally exact; t du/dx is t times _ddx of
+    u.  The magnitude is written slice by slice over t du/dt."""
     coef = op.coefficients(f)
-    u = _field_from_psi(op, coef, ladder, lambda t, s: np.exp(-t * s))
-    dt = _field_from_psi(op, coef, ladder, lambda t, s: -t * s * np.exp(-t * s))
-    gx = np.empty_like(u.values)
+    u = _field_from_psi(op, coef, ladder, lambda t, s: np.exp(-t * s)).values
+    G = _field_from_psi(op, coef, ladder, lambda t, s: -t * s * np.exp(-t * s))
     for j, t in enumerate(ladder.values):
-        gx[j] = t * _ddx(u.values[j], op.grid.spacing)
-    return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx))
+        gx = t * _ddx(u[j], op.grid.spacing)
+        G.values[j] = np.sqrt(G.values[j] ** 2 + gx**2)
+    return G
 
 
 # ---------------------------------------------------------------------------

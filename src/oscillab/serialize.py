@@ -22,15 +22,6 @@ import numpy as np
 from .family import LimitCurve
 from .grid import GridFunction
 
-__all__ = [
-    "GRIDFN_FORMAT",
-    "save_grid_function",
-    "save_curves_csv",
-    "save_json",
-    "canonical_json",
-    "config_hash",
-]
-
 GRIDFN_FORMAT = "oscillab-gridfn-v1"
 
 # The quiet NaN with payload 'INFI' that the format reserves for +inf.  A

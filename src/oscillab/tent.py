@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, LadderError
+from .errors import ConfigError
 from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import GridFunction, SummedTable
 from .oscillation import OscillationReport, _sup_report, scan_radius_blocks
@@ -37,12 +37,8 @@ class BoxScanner:
         self.tables = [SummedTable(self.grid, F.values[j] ** 2) for j in range(len(F.ladder))]
 
     def _slice_count(self, r: float) -> int:
-        t = self.F.ladder.values
-        if r < t[0] * (1 - 1e-9):
-            raise LadderError(f"ball radius {r} lies below the smallest scale {t[0]}")
-        if r > t[-1] * (1 + 1e-9):
-            raise LadderError(f"ball radius {r} exceeds the largest scale {t[-1]}")
-        return int(np.searchsorted(t, r * (1 + 1e-12), side="right"))
+        self.F.ladder.check_covers((r,))
+        return int(np.searchsorted(self.F.ladder.values, r * (1 + 1e-12), side="right"))
 
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
@@ -71,7 +67,7 @@ class ConeField:
     """A(F) on the grid plus a per-sample truncation mark (cone clipped by
     the box before reaching the top scale)."""
 
-    values: GridFunction
+    values: np.ndarray
     truncated: np.ndarray
 
 
@@ -99,8 +95,7 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
         lo = np.clip(lo, 0, n_ax - 1)
         hi = np.clip(hi, 0, n_ax - 1)
         acc += (p[hi + 1] - p[lo]) * (h * w[j] / tj)
-    vals = GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
-    return ConeField(vals, truncated)
+    return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,7 @@ def t2p_norm(F: HalfSpaceFunction, p: float) -> TentNormReport:
     if not (0 < p < math.inf):
         raise ConfigError(f"tent exponent must be positive and finite, got {p}")
     cone = cone_square_function(F)
-    a = cone.values.values
-    val = float(np.sum(a**p) * F.grid.cell_volume) ** (1.0 / p)
+    val = float(np.sum(cone.values**p) * F.grid.cell_volume) ** (1.0 / p)
     frac = float(np.mean(cone.truncated))
     return TentNormReport(p, val, frac)
 

@@ -964,9 +964,18 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
         (("t_min", "t_max"), {"id": "reproducing-pairing", "t_min": 2.0, "t_max": 1.0}),
         (("t_min", "t_max"), {"id": "reproducing-pairing", "t_min": -1.0}),
         (("x_min", "x_max"), {**_BAD_RHO_SLOPE, "exponent": 1.5, "x_min": 10, "x_max": 5}),
+        # boxes that are not 2^a at spacing 2^-p
+        (("halfwidth", "spacing"), {"id": "approximation-pipeline", "halfwidth": 100.0, "spacing": 0.00390625}),
+        (("halfwidth", "spacing"), {"id": "averaging-pipeline", "halfwidth": 96.0}),
+        # family radii past the default t-ladder's top X/4 = 4
+        *[(("family",), {"id": sid, "family": {"center_stride": 0.5, "radius_min": 0.125, "radius_max": 8.0}})
+          for sid in ("bmo-norms", "tent-norms", "square-function-agreement", "extension-agreement")],
     ],
     ids=["bmo-radius_max-100", "tent-empty-ladder", "bmo-radii-and-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
-         "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range"],
+         "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range", "pipeline-box-not-dyadic",
+         "averaging-box-not-dyadic",
+         "bmo-radius-past-ladder", "tent-radius-past-ladder", "square-radius-past-ladder",
+         "extension-radius-past-ladder"],
 )
 def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_path, capsys):
     # each failed mid-run, after the valid scenario before it had written

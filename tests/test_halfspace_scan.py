@@ -22,7 +22,6 @@ from oscillab.grid import GridFunction
 from oscillab.oscillation import semigroup_difference_values
 from oscillab.semigroup import (
     HalfSpaceFunction,
-    PoissonExtension,
     _ddx,
     default_ladder,
     log_weights_for,
@@ -48,13 +47,14 @@ def _old_square_function_field(op, f, ladder):
     return _old_field_from_psi(op, f, ladder, lambda t, s: t * s * np.exp(-t * s))
 
 
-def _old_poisson_extension(op, f, ladder):
+def _old_gradient_magnitude(op, f, ladder):
+    # u, t du/dt and t du/dx as three whole fields, then their magnitude
     u = _old_field_from_psi(op, f, ladder, lambda t, s: np.exp(-t * s))
     dt = _old_field_from_psi(op, f, ladder, lambda t, s: -t * s * np.exp(-t * s))
     gx = np.empty_like(u.values)
     for j, t in enumerate(ladder.values):
         gx[j] = t * _ddx(u.values[j], op.grid.spacing)
-    return PoissonExtension(u, dt, HalfSpaceFunction(op.grid, ladder, gx))
+    return HalfSpaceFunction(op.grid, ladder, np.sqrt(dt.values**2 + gx**2))
 
 
 def _index_blocks(family):
@@ -114,15 +114,13 @@ def _old_tent_curves(F, family):
     return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
 
 
-def _old_hmo_norm(ext, family):
-    G = ext.gradient_magnitude()
+def _old_hmo_norm(G, family):
     vals = np.sqrt(family_box_values(G, family))
     arg = int(np.argmax(vals))
     return float(vals[arg]), arg, len(family)
 
 
-def _old_gradient_carleson_curves(ext, family):
-    G = ext.gradient_magnitude()
+def _old_gradient_carleson_curves(G, family):
     vals = np.sqrt(family_box_values(G, family))
     return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
 
@@ -164,19 +162,15 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
     assert (t2.value, t2.arg_index) == (old_value, old_arg)
     assert _same_curves(tent_curves(eta, fam), _old_tent_curves(F, fam))
 
-    ext = poisson_extension(op16, f, ladder)
-    old_ext = _old_poisson_extension(op16, f, ladder)
-    for new_field, old_field in zip(
-        (ext.u, ext.t_derivative, ext.x_gradient), (old_ext.u, old_ext.t_derivative, old_ext.x_gradient)
-    ):
-        assert _same(new_field.values, old_field.values)
-    G = ext.gradient_magnitude()
+    G = poisson_extension(op16, f, ladder)
+    old_G = _old_gradient_magnitude(op16, f, ladder)
+    assert _same(G.values, old_G.values)
     box = family_box_values(G, fam)
     assert np.array_equal(box, _index_box_values(G, fam))
     beta = np.sqrt(box)
     hmo = hmo_norm(beta)
-    assert (hmo.value, hmo.arg_index, hmo.n_balls) == _old_hmo_norm(old_ext, fam)
-    assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_ext, fam))
+    assert (hmo.value, hmo.arg_index, hmo.n_balls) == _old_hmo_norm(old_G, fam)
+    assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_G, fam))
 
     assert _same(
         semigroup_difference_values(f, op16, fam, ladder),
@@ -199,7 +193,7 @@ def _squared_metrics(f, op, fam, ladder) -> dict[str, np.ndarray]:
     return {
         "gamma2": semigroup_difference_values(f, op, fam, ladder) ** 2,
         "eta2": family_box_values(square_function_field(op, f, ladder), fam),
-        "beta2": family_box_values(poisson_extension(op, f, ladder).gradient_magnitude(), fam),
+        "beta2": family_box_values(poisson_extension(op, f, ladder), fam),
     }
 
 

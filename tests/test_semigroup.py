@@ -105,12 +105,11 @@ def test_sine_backend_matches_dense_oracle(grid):
             assert np.max(np.abs(poisson(op, f, tt).values - dense(np.exp(-tt * s) * c))) <= 1e-12
         F = square_function_field(op, f, lad)
         assert np.max(np.abs(F.values - dense(t * s * np.exp(-t * s) * c))) <= 1e-12
-        ext = poisson_extension(op, f, lad)
+        G = poisson_extension(op, f, lad)
         u = dense(np.exp(-t * s) * c)
         gx = np.stack([tj * _ddx(u[j], h) for j, tj in enumerate(lad.values)])
-        assert np.max(np.abs(ext.u.values - u)) <= 1e-12
-        assert np.max(np.abs(ext.t_derivative.values - dense(-t * s * np.exp(-t * s) * c))) <= 1e-12
-        assert np.max(np.abs(ext.x_gradient.values - gx)) <= 1e-12
+        want = np.sqrt(dense(-t * s * np.exp(-t * s) * c) ** 2 + gx**2)
+        assert np.max(np.abs(G.values - want)) <= 1e-12
 
     # the eigenvector member is the dense fourth eigenvector, L2-normalised
     got = member_by_name("eigenvector").build(grid).values
@@ -225,17 +224,18 @@ def test_square_function_field_on_eigenvector(small_op):
 
 
 def test_poisson_extension_derivative_identity(small_op):
+    # on a mode, u = e^{-t s} f, so t du/dt = -t s u; with t du/dx = t _ddx(u)
+    # the field is the magnitude of the two
     f = _mode(small_op, 1)
     lad = TLadder(np.array([0.25, 1.0]))
-    ext = poisson_extension(small_op, f, lad)
+    G = poisson_extension(small_op, f, lad)
     s = math.sqrt(small_op.eigenvalues[1])
+    h = small_op.grid.spacing
     for j, t in enumerate(lad.values):
-        assert np.allclose(
-            ext.t_derivative.values[j], -t * s * ext.u.values[j] / 1.0, atol=1e-12
-        )
-    mag = ext.gradient_magnitude()
-    want = np.sqrt(ext.t_derivative.values**2 + ext.x_gradient.values**2)
-    assert np.array_equal(mag.values, want)
+        u = poisson(small_op, f, t).values
+        assert np.allclose(u, math.exp(-t * s) * f.values, atol=1e-12)
+        want = np.sqrt((-t * s * u) ** 2 + (t * _ddx(u, h)) ** 2)
+        assert np.allclose(G.values[j], want, atol=1e-12)
 
 
 def test_x_gradient_against_exact_sine_derivative():
@@ -246,13 +246,14 @@ def test_x_gradient_against_exact_sine_derivative():
     k = 2
     f = _mode(op, k - 1)
     t = 0.5
-    ext = poisson_extension(op, f, TLadder(np.array([t])))
     s = math.sqrt(op.eigenvalues[k - 1])
     N = op.interior_count
     amp = math.sqrt(2.0 / (N + 1))
     omega = k * math.pi / (2 * g.halfwidth)
+    u = math.exp(-t * s) * amp * np.sin(omega * (g.axis + g.halfwidth))
+    assert np.allclose(poisson(op, f, t).values, u, atol=1e-12)
     want = t * math.exp(-t * s) * amp * omega * np.cos(omega * (g.axis + g.halfwidth))
-    got = ext.x_gradient.values[0]
+    got = t * _ddx(u, g.spacing)
     err = np.abs(got - want)
     assert np.max(err[3:-3]) <= 1e-5
     assert np.max(err) <= 1e-3

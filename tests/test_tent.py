@@ -123,8 +123,8 @@ def test_cone_delta_slice_closed_form():
     peak = w0 * 9.0 * 0.25 / 1.0
     x = g.axis
     inside = np.abs(x) <= 0.75 + 1e-12
-    assert np.allclose(cone.values.values[inside] ** 2, peak, rtol=1e-12)
-    assert np.all(cone.values.values[~inside] == 0.0)
+    assert np.allclose(cone.values[inside] ** 2, peak, rtol=1e-12)
+    assert np.all(cone.values[~inside] == 0.0)
     # truncation is geometric: the t=2 window leaves the box for |x| > 2.25
     want_trunc = (np.abs(x) > 2.25 + 1e-12)
     assert np.array_equal(cone.truncated, want_trunc)
@@ -167,8 +167,7 @@ def test_gradient_box_constant_closed_form(grid16, op16):
     c = 2.0
     f = constant(grid16, c)
     lad = default_ladder(grid16)
-    ext = poisson_extension(op16, f, lad)
-    G = ext.gradient_magnitude()
+    G = poisson_extension(op16, f, lad)
     r = 4.0
     h = grid16.spacing
     k = int(np.searchsorted(lad.values, r * (1 + 1e-12), side="right"))
@@ -182,12 +181,12 @@ def test_hmo_constant_attains_half_sqrt_two(grid16, op16):
     # sup_B sqrt(box) for a constant c tends to c/sqrt(2) as r grows
     c = 2.0
     f = constant(grid16, c)
-    ext = poisson_extension(op16, f, default_ladder(grid16))
+    G = poisson_extension(op16, f, default_ladder(grid16))
     fam = make_ball_family(
         grid16,
         FamilyPolicy(center_stride=1.0, radius_min=0.5, radius_max=4.0, max_center_norm=8.0),
     )
-    beta = np.sqrt(family_box_values(ext.gradient_magnitude(), fam))
+    beta = np.sqrt(family_box_values(G, fam))
     rep = hmo_norm(beta)
     assert rep.value == pytest.approx(c * math.sqrt(0.5), rel=0.02)
     assert fam.radii[rep.arg_index] == 4.0
