@@ -37,7 +37,7 @@ def main():
         plain = bmo_norm(st).value
         split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
         tilde = tilde_bmo_l_norm(f, op, fam, ladder).value
-        tent = hmo_norm(np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))).value
+        tent = hmo_norm(np.sqrt(family_box_values(square_function_field(op, f, ladder), fam)), fam).value
         ratio = tent / split.value if split.value > 0 else float("nan")
         print(
             f"{m.name:>12} {plain:>8.4f} {split.value:>8.4f} {split.size_part:>8.4f} "

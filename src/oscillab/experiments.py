@@ -257,8 +257,8 @@ def exp_lacunary(
     norm = bmo_l_norm(st, reach)
     tol = tol_fraction * norm.value
 
-    curves = {mode: bucketed_sup(st.oscillation, fam, mode) for mode in ("small-radius", "far-from-origin")}
-    curves["far-and-supercritical"] = bucketed_sup(st.size, fam, "far-and-supercritical", rho=reach)
+    curves = {mode: bucketed_sup(st.oscillation, mode) for mode in ("small-radius", "far-from-origin")}
+    curves["far-and-supercritical"] = bucketed_sup(st.size, "far-and-supercritical", rho=reach)
     verdicts = _verdict_map(curves, tol, decay_factor)
 
     far = curves["far-from-origin"]
@@ -371,11 +371,11 @@ def exp_square_membership(
     st = family_stats(f, fam)
     gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
     for mode in SUPERCRITICAL_MODES:
-        gamma_curves[mode] = bucketed_sup(st.size, fam, mode, rho=RHO_CONSTANT_UNIT)
+        gamma_curves[mode] = bucketed_sup(st.size, mode, rho=RHO_CONSTANT_UNIT)
     eta = np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))
     curves = {"gamma": gamma_curves, "eta": tent_curves(eta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
-    return _agreement(member, norm, "t2_inf", hmo_norm(eta).value, curves, tol_fraction, decay_factor)
+    return _agreement(member, norm, "t2_inf", hmo_norm(eta, fam).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def exp_extension_agreement(
     beta = np.sqrt(family_box_values(G, fam))
     curves = {"gamma": oscillation_curves(st, RHO_CONSTANT_UNIT), "beta": gradient_carleson_curves(beta, fam)}
     norm = bmo_l_norm(st, RHO_CONSTANT_UNIT).value
-    return _agreement(member, norm, "hmo", hmo_norm(beta).value, curves, tol_fraction, decay_factor)
+    return _agreement(member, norm, "hmo", hmo_norm(beta, fam).value, curves, tol_fraction, decay_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1049,7 @@ def _run_tent_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: n
     norms = {}
     for pe in p["exponents"]:
         if pe == math.inf:
-            norms["inf"] = {"value": hmo_norm(eta).value, "truncated_fraction": 0.0}
+            norms["inf"] = {"value": hmo_norm(eta, plan.family).value, "truncated_fraction": 0.0}
         else:
             rep = t2p_norm(F, pe)
             norms[repr(pe)] = {"value": rep.value, "truncated_fraction": rep.truncated_fraction}

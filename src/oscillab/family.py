@@ -15,7 +15,9 @@ radius modes, and in the distance modes its key |c| - r descends over a
 block's negative centers and ascends over the rest.  A curve is therefore a reduction over a few
 contiguous segments of the family, at most 2 (n + 1) per block for an
 n-cutoff ladder.  The segment plan is built once per family and cut
-ladder.
+ladder.  A metric is BallValues: one stored run of each block and a fill
+for its other balls, so each segment's sup reads at most the run's part
+of it and the fill.
 """
 
 from __future__ import annotations
@@ -231,6 +233,86 @@ def supercritical_spans(family: BallFamily, rho):
         yield b, b.start + a, b.start + max(a, int(np.searchsorted(c, r)))
 
 
+@dataclass(frozen=True)
+class BallValues:
+    """One value per ball of a family, held on one stored run per radius
+    block: run k, a range of ball indices inside block k, holds the next
+    len(run) entries of values in order, and every other ball of the block
+    holds fill.  A scan of a function with a window stores the balls that
+    meet it, and the rest take the background's closed form; whole()
+    stores every ball, so a family-sized array is the same object with no
+    fill.  The stored balls of any run of balls are a run of values, so a
+    reduction reads them with one reduceat and takes the fill where a
+    segment has a ball outside the runs."""
+
+    family: BallFamily
+    runs: tuple[range, ...]
+    values: np.ndarray
+    fill: float
+
+    def __post_init__(self) -> None:
+        inside = (b.start <= r.start <= r.stop <= b.stop and r.step == 1 for b, r in zip(self.family.blocks, self.runs))
+        if len(self.runs) != len(self.family.blocks) or not all(inside):
+            raise ConfigError("stored runs do not match the family's radius blocks")
+        if self.values.shape != (sum(len(r) for r in self.runs),):
+            raise ConfigError("stored values do not match their runs")
+
+    @staticmethod
+    def whole(family: BallFamily, values: np.ndarray) -> "BallValues":
+        """values, one per ball of family, as a run over each whole block."""
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.shape != (len(family),):
+            raise ConfigError("metric array length does not match the family")
+        return BallValues(family, tuple(range(b.start, b.stop) for b in family.blocks), vals, math.nan)
+
+    @cached_property
+    def _held_at(self) -> tuple[np.ndarray, np.ndarray]:
+        """The number of stored balls before ball x, as the breakpoints of
+        a piecewise-linear function of x: slope 1 over the runs, 0 over
+        the fill."""
+        x, c, n = [0], [0], 0
+        for r in self.runs:
+            if r:
+                x, c, n = x + [r.start, r.stop], c + [n, n + len(r)], n + len(r)
+        x, c = np.array(x, dtype=np.float64), np.array(c, dtype=np.float64)
+        keep = np.append(np.diff(x) > 0, True)  # a run that ends where the next starts is one run
+        return x[keep], c[keep]
+
+    def _held_before(self, x: np.ndarray) -> np.ndarray:
+        """The number of stored balls before each ball index of x."""
+        return np.interp(x, *self._held_at).astype(np.intp)
+
+    def arg_sup(self, k: int, a: int, b: int) -> list[tuple[float, int]]:
+        """[(the sup over the balls a .. b - 1 of block k, the first ball
+        attaining it)], or [] when a == b."""
+        if a >= b:
+            return []
+        s, e = self.runs[k].start, self.runs[k].stop
+        p, q = min(max(a, s), e), min(max(b, s), e)
+        pieces = [(self.fill, a)] if a < s else []
+        if p < q:
+            c = int(self._held_before(np.array([p]))[0])
+            i = int(np.argmax(self.values[c : c + q - p]))
+            pieces.append((float(self.values[c + i]), p + i))
+        if b > e:
+            pieces.append((self.fill, max(a, e)))
+        return [max(pieces, key=lambda piece: piece[0])]
+
+    def segment_sups(self, cuts: np.ndarray) -> np.ndarray:
+        """The sup over each segment of balls cuts[i] .. cuts[i + 1] - 1.
+        The segments' stored parts tile a run of values, so one reduceat
+        reads them all; a segment with fewer stored balls than balls holds
+        the fill too."""
+        c = self._held_before(cuts)
+        held = np.diff(c)
+        out = np.where(np.diff(cuts) > held, self.fill, -np.inf)
+        if c[-1] > c[0]:
+            got = held > 0
+            sups = np.maximum.reduceat(self.values[c[0] : c[-1]], c[:-1][got] - c[0])
+            out[got] = np.maximum(out[got], sups)
+        return out
+
+
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid.
 
@@ -347,56 +429,53 @@ class LimitCurve:
         return float(vals[-1] if self.mode == "small-radius" else vals[0])
 
 
-def bucketed_sup(
-    metric: np.ndarray,
-    family: BallFamily,
-    mode: str,
-    rho: np.ndarray | float | None = None,
-) -> LimitCurve:
-    """Supremum of a per-ball metric within each bucket of the family's own
+def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None = None) -> LimitCurve:
+    """Supremum of a per-ball metric within each bucket of its family's own
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    metric: array aligned with the family.  rho: critical-radius data,
-    a scalar or one reach per radius block (supercritical_spans); required
-    by the supercritical modes, where a ball qualifies only if
-    r >= rho(center).  A scalar rho may be +inf (no ball qualifies).
+    rho: critical-radius data, a scalar or one reach per radius block
+    (supercritical_spans); required by the supercritical modes, where a
+    ball qualifies only if r >= rho(center).  A scalar rho may be +inf (no
+    ball qualifies).
 
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still
     qualifies.  The family's segment plan for the mode groups the balls
-    into contiguous runs of one bucket, so one maximum.reduceat gives each
+    into contiguous runs of one bucket, so one segment_sups gives each
     run's sup and the run lengths its count.  The plain modes reduce the
     whole family as one span; the supercritical modes reduce each radius
-    block's supercritical run, the plan's segments cut to it, so no mask
-    or masked copy is made.  A cutoff's balls are those of its bucket and
-    of every bucket nearer the limit, so a running maximum and count from
-    the limit end fill the curve.
+    block's supercritical run, the plan's segments cut at the runs' ends,
+    so no mask or masked copy is made.  A cutoff's balls are those of its bucket and of every
+    bucket nearer the limit, so a running maximum and count from the limit
+    end fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
-    vals = np.asarray(metric, dtype=np.float64).reshape(-1)
-    if vals.shape[0] != len(family):
-        raise ConfigError("metric array length does not match the family")
-
+    family = metric.family
     ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
     if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
         raise ConfigError("ladder must be strictly increasing and nonempty")
     if mode in SUPERCRITICAL_MODES and rho is None:
         raise ConfigError(f"mode {mode} needs critical-radius values")
 
-    plan = family.segment_plan(mode)
+    plan, total = family.segment_plan(mode), len(family)
+    at, buckets, kept = plan.starts, plan.buckets, slice(None)
+    if mode in SUPERCRITICAL_MODES:
+        # the plan's segments cut at the ends of the supercritical runs:
+        # the segments that start in a run are its balls, the others lie
+        # between runs
+        spans = np.array([(a, b) for _, a, b in supercritical_spans(family, rho)], dtype=np.intp)
+        at = np.sort(np.concatenate((at, spans[spans < total])))
+        at = at[np.append(True, np.diff(at) > 0)]
+        span = spans[np.searchsorted(spans[:, 0], at, side="right") - 1]
+        kept = (span[:, 0] <= at) & (at < span[:, 1])
+        buckets = buckets[np.searchsorted(plan.starts, at, side="right") - 1][kept]
+    cuts = np.append(at, total)
     n = ladder.shape[0]
     top = np.full(n + 1, -np.inf)
     sizes = np.zeros(n + 1, dtype=np.int64)
-    spans = supercritical_spans(family, rho) if mode in SUPERCRITICAL_MODES else [(None, 0, len(family))]
-    for _, a, b in spans:
-        if a == b:
-            continue
-        # the segments that meet the span, cut to it
-        s, t = np.searchsorted(plan.starts, a, side="right") - 1, np.searchsorted(plan.starts, b)
-        at = np.maximum(plan.starts[s:t], a) - a
-        np.maximum.at(top, plan.buckets[s:t], np.maximum.reduceat(vals[a:b], at))
-        np.add.at(sizes, plan.buckets[s:t], np.diff(at, append=b - a))
+    np.maximum.at(top, buckets, metric.segment_sups(cuts)[kept])
+    np.add.at(sizes, buckets, np.diff(cuts)[kept])
 
     if mode == "small-radius":
         buckets, step = slice(0, n), 1

@@ -334,6 +334,23 @@ class SummedTable:
         return np.subtract(self._prefix(run.start + m, n, step), self._prefix(run.start - m + 1, n, step), out=out)
 
 
+def square_prefix(rows: np.ndarray) -> np.ndarray:
+    """The prefix-sum table of the squares of each row of a (k, samples)
+    array of whole rows, P[j, i] = sum(rows[j, :i]**2): the squares are
+    written into the table and summed there by one cumsum."""
+    p = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.square(rows, out=p[:, 1:])
+    np.cumsum(p[:, 1:], axis=1, out=p[:, 1:])
+    return p
+
+
+def prefix_ball_sums(p: np.ndarray, run: range, cell_radius: int) -> np.ndarray:
+    """SummedTable.ball_sum read from a prefix table of whole rows (the
+    last axis), for every row at once: two strided slices of each."""
+    m, n = int(cell_radius), len(run)
+    return p[..., run.start + m :: run.step][..., :n] - p[..., run.start - m + 1 :: run.step][..., :n]
+
+
 # ---------------------------------------------------------------------------
 # oscillation from means
 

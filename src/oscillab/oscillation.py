@@ -9,12 +9,14 @@ norms:
   |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction applies the
   Poisson semigroup at time t = r exactly as the direct exponential
   e^{-r sqrt(lambda)} in the operator's sine basis (one sine transform of
-  f, then one synthesis per distinct radius in the family);
+  f, then a synthesized row per distinct radius in the family);
   the subordination integral in the tests is only its oracle.
 
 The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with
-r >= rho(center); the two suprema are summed.
+r >= rho(center); the two suprema are summed.  Every norm and curve
+reduces BallValues: the plain metrics held on the balls that meet f's
+window with a fill for the rest, the semigroup metric stored whole.
 """
 
 from __future__ import annotations
@@ -29,73 +31,72 @@ from .family import (
     PLAIN_MODES,
     SUPERCRITICAL_MODES,
     BallFamily,
+    BallValues,
     LimitCurve,
     bucketed_sup,
     supercritical_spans,
 )
-from .grid import GridFunction, SummedTable, oscillation_and_size
-from .semigroup import SpectralOperator, TLadder
+from .grid import GridFunction, SummedTable, oscillation_and_size, prefix_ball_sums, square_prefix
+from .semigroup import SpectralOperator, TLadder, scale_blocks
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 
 
 # ---------------------------------------------------------------------------
-# vectorised family scans
-
-
-def scan_radius_blocks(family: BallFamily, block_values) -> np.ndarray:
-    """Per-ball values from one call per radius block.
-
-    block_values(run, cell_radius, radius) returns the values of the
-    block's balls, whose center sample indices are the range run.
-    """
-    out = np.empty(len(family))
-    for b in family.blocks:
-        out[b.start : b.stop] = block_values(b.run, b.cell_radius, b.radius)
-    return out
+# the family scan
 
 
 @dataclass(frozen=True)
 class FamilyStats:
     """The 2-mean oscillation and the mean size (mean over B of
     |f|^2)^(1/2) of one function on each ball of one family, built once
-    by family_stats; the norms and curves of the pair read it."""
+    by family_stats and held on the balls that meet f's window; the norms
+    and curves of the pair read it."""
 
-    family: BallFamily
-    oscillation: np.ndarray
-    size: np.ndarray
+    oscillation: BallValues
+    size: BallValues
+
+    @property
+    def family(self) -> BallFamily:
+        return self.oscillation.family
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
-    """One scan of f over the family: the ball means of f and of f^2 from
-    one prefix table on f's window, each block's sums written into its
-    slice and divided there by the 2m - 1 samples of a ball of cell radius
-    m; a ball that misses the window has mean b and mean square b^2, for
-    f's background b.  The table's buffer takes the squares once the sums
-    of f are read.  The oscillation and the size are then made in place in
-    the two buffers.  Besides f, one window-sized buffer is live."""
+    """One scan of f over the family, stored on the balls that meet f's
+    window: the run of each block that SummedTable.meeting gives.  Their
+    means of f and of f^2 come from one prefix table on the window, each
+    block's sums written into its place in two compact buffers and divided
+    there by the 2m - 1 samples of a ball of cell radius m; the table's
+    buffer takes the squares once the sums of f are read.  The oscillation
+    and the size are then made in place in the two buffers.  A ball that
+    misses the window has mean b and mean square b^2, for f's background
+    b, so its oscillation is 0.0 and its size |b|, made the same way.
+    Besides f, one window-sized buffer and the compact buffers are live."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
     table = SummedTable(family.grid, f.window, f.lo)
-    mean, mean_sq = np.empty(len(family)), np.empty(len(family))
-    _ball_means(table, family, mean, f.background)
+    meets = [table.meeting(b.run, b.cell_radius) for b in family.blocks]
+    n = sum(len(m) for m in meets)
+    mean, mean_sq = np.empty(n), np.empty(n)
+    _ball_means(table, family, meets, mean)
     table._refill_squares(f.window)
-    _ball_means(table, family, mean_sq, f.background**2)
+    _ball_means(table, family, meets, mean_sq)
     del table
-    return FamilyStats(family, *oscillation_and_size(mean, mean_sq))
+    runs = tuple(range(b.start + m.start, b.start + m.stop) for b, m in zip(family.blocks, meets))
+    fills = oscillation_and_size(np.array([f.background]), np.array([f.background**2]))
+    held = oscillation_and_size(mean, mean_sq)
+    return FamilyStats(*(BallValues(family, runs, v, float(fill[0])) for v, fill in zip(held, fills)))
 
 
-def _ball_means(table: SummedTable, family: BallFamily, out: np.ndarray, fill: float) -> None:
-    """Each ball's mean of the table's values, written into out: the balls
-    that miss the table's window hold fill and are not read."""
-    for b in family.blocks:
-        block = out[b.start : b.stop]
-        meet = table.meeting(b.run, b.cell_radius)
-        block[: meet.start] = fill
-        block[meet.stop :] = fill
+def _ball_means(table: SummedTable, family: BallFamily, meets: list[range], out: np.ndarray) -> None:
+    """The mean of the table's values over each ball of the meeting runs,
+    written into out one run after another."""
+    o = 0
+    for b, meet in zip(family.blocks, meets):
         if meet:
-            sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=block[meet.start : meet.stop])
+            sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=out[o : o + len(meet)])
             np.divide(sums, 2 * b.cell_radius - 1, out=sums)
+        o += len(meet)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +113,19 @@ class OscillationReport:
     n_balls: int
 
 
-def _sup_report(per_ball: np.ndarray) -> OscillationReport:
-    """The sup of one value per family ball, at its first attaining ball."""
-    arg = int(np.argmax(per_ball))
-    return OscillationReport(float(per_ball[arg]), arg, per_ball.size)
+def _sup_report(per_ball: BallValues) -> OscillationReport:
+    """The sup of one value per family ball, at its first attaining ball:
+    that of the first block attaining the sup of the blocks' sups."""
+    blocks = per_ball.family.blocks
+    k = int(np.argmax(per_ball.segment_sups(np.array([b.start for b in blocks] + [len(per_ball.family)]))))
+    ((value, arg),) = per_ball.arg_sup(k, blocks[k].start, blocks[k].stop)
+    return OscillationReport(value, arg, len(per_ball.family))
+
+
+def _first_sup(sups: list[tuple[float, int]]) -> tuple[float, int]:
+    """The largest of the (value, ball) pairs, the first one on a tie, or
+    (0.0, -1) for no pair."""
+    return max(sups, key=lambda s: s[0]) if sups else (0.0, -1)
 
 
 def bmo_norm(stats: FamilyStats) -> OscillationReport:
@@ -149,13 +159,10 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     attaining it."""
     osc, size = stats.oscillation, stats.size
     osc_at, size_at = [], []
-    for block, a, b in supercritical_spans(stats.family, rho):
-        osc_at += _arg_sup(osc, block.start, a) + _arg_sup(osc, b, block.stop)
-        size_at += _arg_sup(size, a, b)
-    osc_arg = osc_at[int(np.argmax(osc[osc_at]))] if osc_at else -1
-    size_arg = size_at[int(np.argmax(size[size_at]))] if size_at else -1
-    osc_part = float(osc[osc_arg]) if osc_at else 0.0
-    size_part = float(size[size_arg]) if size_at else 0.0
+    for k, (block, a, b) in enumerate(supercritical_spans(stats.family, rho)):
+        osc_at += osc.arg_sup(k, block.start, a) + osc.arg_sup(k, b, block.stop)
+        size_at += size.arg_sup(k, a, b)
+    (osc_part, osc_arg), (size_part, size_arg) = _first_sup(osc_at), _first_sup(size_at)
     return SplitNormReport(
         osc_part + size_part,
         osc_part,
@@ -166,12 +173,6 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
         size_arg,
         len(stats.family),
     )
-
-
-def _arg_sup(vals: np.ndarray, a: int, b: int) -> list[int]:
-    """[the first ball of a .. b - 1 where vals attains its sup there], or
-    [] for an empty run."""
-    return [a + int(np.argmax(vals[a:b]))] if b > a else []
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +187,28 @@ def semigroup_difference_values(
 ) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
-    One sine transform of f, then one synthesis of e^{-r sqrt(lambda)}
-    times its coefficients per distinct radius.  Radii outside the
-    ladder's range raise LadderError (the scale is not covered by the
-    configured scale range)."""
+    One sine transform of f, then, per cache-sized block of distinct
+    radii, one synthesis of e^{-r sqrt(lambda)} times its coefficients, a
+    row per radius, and one prefix table of the rows' squared
+    differences.  Radii outside the ladder's
+    range raise LadderError (the scale is not covered by the configured
+    scale range)."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
     ladder.check_covers([b.radius for b in family.blocks])
 
-    fv = f.values
-    coef = op.coefficients(f)
+    blocks = family.blocks
     s = np.sqrt(op.eigenvalues)
-
-    def block(run: range, m: int, r: float) -> np.ndarray:
-        diff = fv - op.synthesize(np.exp(-r * s) * coef).values
-        sums = SummedTable(g, diff**2).ball_sum(run, m)
-        return np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r)
-
-    return scan_radius_blocks(family, block)
+    coef, fv = op.coefficients(f), f.values
+    out = np.empty(len(family))
+    for rows, r in scale_blocks(op, [b.radius for b in blocks]):
+        diff = op.synthesize(np.exp(-r * s) * coef)
+        np.subtract(fv, diff, out=diff)
+        for b, p in zip(blocks[rows], square_prefix(diff)):
+            sums = prefix_ball_sums(p, b.run, b.cell_radius)
+            out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / b.radius)
+    return out
 
 
 def tilde_bmo_l_norm(
@@ -214,7 +218,7 @@ def tilde_bmo_l_norm(
     ladder: TLadder,
 ) -> OscillationReport:
     """sup over the family of the semigroup oscillation metric."""
-    return _sup_report(semigroup_difference_values(f, op, family, ladder))
+    return _sup_report(BallValues.whole(family, semigroup_difference_values(f, op, family, ladder)))
 
 
 def semigroup_oscillation_curves(
@@ -225,8 +229,8 @@ def semigroup_oscillation_curves(
 ) -> dict[str, LimitCurve]:
     """Limit curves of the semigroup oscillation metric in the three plain
     modes (small-radius, large-radius, far-from-origin)."""
-    vals = semigroup_difference_values(f, op, family, ladder)
-    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+    vals = BallValues.whole(family, semigroup_difference_values(f, op, family, ladder))
+    return {mode: bucketed_sup(vals, mode) for mode in PLAIN_MODES}
 
 
 def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
@@ -237,10 +241,9 @@ def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
     The first three curves use the 2-mean oscillation; the supercritical
     curves use (mean over B of |f|^2)^(1/2).
     """
-    family = stats.family
-    out = {mode: bucketed_sup(stats.oscillation, family, mode) for mode in PLAIN_MODES}
+    out = {mode: bucketed_sup(stats.oscillation, mode) for mode in PLAIN_MODES}
     for mode in SUPERCRITICAL_MODES:
-        out[mode] = bucketed_sup(stats.size, family, mode, rho=rho)
+        out[mode] = bucketed_sup(stats.size, mode, rho=rho)
     return out
 
 

@@ -46,7 +46,7 @@ from .potential import Potential
 
 DEFAULT_OP_CAP = 4096
 
-# bytes of odd extension that one block of ladder slices transforms at once
+# bytes of odd extension that one block of scale rows transforms at once
 _LADDER_BLOCK_BYTES = 1 << 18
 
 
@@ -153,12 +153,12 @@ class SpectralOperator:
             raise GridMismatchError("function grid does not match the operator grid")
         return dst1(f.values[1:-1])
 
-    def synthesize(self, coef: np.ndarray) -> GridFunction:
-        """The function whose interior has sine coefficients coef, zero at
-        the walls."""
-        out = np.zeros(self.grid.shape)
-        dst1(coef, out=out[1:-1])
-        return GridFunction(self.grid, out)
+    def synthesize(self, coef: np.ndarray) -> np.ndarray:
+        """The samples of the function whose interior has sine coefficients
+        coef, zero at the walls; each row of a 2-D coef is one function."""
+        out = np.zeros(coef.shape[:-1] + self.grid.shape)
+        dst1(coef, out=out[..., 1:-1])
+        return out
 
 
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
@@ -194,7 +194,7 @@ def apply_spectral(op: SpectralOperator, psi: Callable[[np.ndarray], np.ndarray]
     vals = np.asarray(psi(s), dtype=np.float64)
     if vals.shape != s.shape or not np.all(np.isfinite(vals)):
         raise ConfigError("psi must map the spectrum to finite values of the same shape")
-    return op.synthesize(vals * op.coefficients(f))
+    return GridFunction(op.grid, op.synthesize(vals * op.coefficients(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +217,32 @@ class HalfSpaceFunction:
         object.__setattr__(self, "values", v)
 
 
-def _field_from_psi(op: SpectralOperator, coef: np.ndarray, ladder: TLadder, psi_ts) -> HalfSpaceFunction:
-    """psi_ts(t, sqrt(L)) applied on every ladder slice to the sine
-    coefficients coef of one boundary function, one cache-sized block of
-    slices at a time."""
+def scale_blocks(op: SpectralOperator, scales: np.ndarray):
+    """Ascending scales (a ladder's, or a family's radii) in cache-sized
+    blocks of rows: (slice, t) with t the block's scales as a column."""
+    step = max(1, _LADDER_BLOCK_BYTES // (16 * (op.interior_count + 1)))
+    t = np.asarray(scales, dtype=np.float64)[:, None]
+    for i in range(0, t.shape[0], step):
+        yield slice(i, i + step), t[i : i + step]
+
+
+def square_function_blocks(op: SpectralOperator, f: GridFunction, ladder: TLadder):
+    """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f one block of ladder slices at
+    a time: (rows, the block's slices of F), in ladder order."""
+    coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
-    t = ladder.values[:, None]
-    out = np.zeros((len(ladder),) + op.grid.shape)
-    step = max(1, _LADDER_BLOCK_BYTES // (16 * (s.size + 1)))
-    for i in range(0, len(ladder), step):
-        dst1(psi_ts(t[i : i + step], s) * coef, out=out[i : i + step, 1:-1])
-    return HalfSpaceFunction(op.grid, ladder, out)
+    for rows, t in scale_blocks(op, ladder.values):
+        block = np.zeros((t.shape[0],) + op.grid.shape)
+        dst1(t * s * np.exp(-t * s) * coef, out=block[:, 1:-1])
+        yield rows, block
 
 
 def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
-    """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f on the ladder."""
-    return _field_from_psi(op, op.coefficients(f), ladder, lambda t, s: t * s * np.exp(-t * s))
+    """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f on the whole ladder."""
+    out = np.empty((len(ladder),) + op.grid.shape)
+    for rows, block in square_function_blocks(op, f, ladder):
+        out[rows] = block
+    return HalfSpaceFunction(op.grid, ladder, out)
 
 
 def _ddx(values: np.ndarray, h: float) -> np.ndarray:
@@ -252,14 +262,21 @@ def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) ->
     """|t grad u| = sqrt((t du/dt)^2 + (t du/dx)^2) for u(x, t) = e^{-t sqrt(L)} f.
 
     t du/dt = -t sqrt(L) u is spectrally exact; t du/dx is t times _ddx of
-    u.  The magnitude is written slice by slice over t du/dt."""
+    u.  Both are made one block of slices at a time, from one e^{-t s} per
+    block, and the magnitude is written over the block's t du/dt; u is
+    held for one block only."""
     coef = op.coefficients(f)
-    u = _field_from_psi(op, coef, ladder, lambda t, s: np.exp(-t * s)).values
-    G = _field_from_psi(op, coef, ladder, lambda t, s: -t * s * np.exp(-t * s))
-    for j, t in enumerate(ladder.values):
-        gx = t * _ddx(u[j], op.grid.spacing)
-        G.values[j] = np.sqrt(G.values[j] ** 2 + gx**2)
-    return G
+    s = np.sqrt(op.eigenvalues)
+    out = np.zeros((len(ladder),) + op.grid.shape)
+    for rows, t in scale_blocks(op, ladder.values):
+        e = np.exp(-t * s)
+        u = np.zeros((t.shape[0],) + op.grid.shape)
+        dst1(e * coef, out=u[:, 1:-1])
+        G = out[rows]
+        dst1(-t * s * e * coef, out=G[:, 1:-1])
+        gx = t * _ddx(u, op.grid.spacing)
+        np.sqrt(G**2 + gx**2, out=G)
+    return HalfSpaceFunction(op.grid, ladder, out)
 
 
 # ---------------------------------------------------------------------------

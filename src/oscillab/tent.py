@@ -15,26 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .family import PLAIN_MODES, BallFamily, LimitCurve, bucketed_sup
-from .grid import GridFunction, SummedTable
-from .oscillation import OscillationReport, _sup_report, scan_radius_blocks
+from .family import PLAIN_MODES, BallFamily, BallValues, LimitCurve, bucketed_sup
+from .grid import GridFunction, prefix_ball_sums, square_prefix
+from .oscillation import OscillationReport, _sup_report
 from .semigroup import (
     HalfSpaceFunction,
     SpectralOperator,
     TLadder,
     interior_index_window,
     log_weights_for,
-    square_function_field,
+    square_function_blocks,
 )
 
 
 class BoxScanner:
-    """Prefix tables of |F|^2 per ladder slice, serving cylinder sums."""
+    """One prefix table of |F|^2 over all the ladder slices, serving
+    cylinder sums."""
 
     def __init__(self, F: HalfSpaceFunction):
         self.F = F
         self.grid = F.grid
-        self.tables = [SummedTable(self.grid, F.values[j] ** 2) for j in range(len(F.ladder))]
+        self._p = square_prefix(F.values)
 
     def _slice_count(self, r: float) -> int:
         self.F.ladder.check_covers((r,))
@@ -42,20 +43,24 @@ class BoxScanner:
 
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
-        radius r centered on the sample indices of run."""
+        radius r centered on the sample indices of run: the ball sums of
+        the first k slices, summed in ladder order."""
         k = self._slice_count(r)
         w = log_weights_for(self.F.ladder.values[:k])
-        total = np.zeros(len(run))
-        for j in range(k):
-            total += w[j] * self.tables[j].ball_sum(run, cell_radius)
-        return total * self.grid.cell_volume / r
+        sums = prefix_ball_sums(self._p[:k], run, cell_radius)
+        return np.add.reduce(w[:, None] * sums, axis=0) * self.grid.cell_volume / r
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
-    """Cylinder integrals for every family ball (shared prefix tables)."""
+    """Cylinder integrals for every family ball (one prefix table), one
+    box_values call per radius block."""
     if not F.grid.compatible(family.grid):
         raise ConfigError("field and family grids differ")
-    return scan_radius_blocks(family, BoxScanner(F).box_values)
+    scanner = BoxScanner(F)
+    out = np.empty(len(family))
+    for b in family.blocks:
+        out[b.start : b.stop] = scanner.box_values(b.run, b.cell_radius, b.radius)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +125,19 @@ def t2p_norm(F: HalfSpaceFunction, p: float) -> TentNormReport:
 # Carleson norms and curves, reduced from one scan's per-ball values
 
 
-def hmo_norm(carleson: np.ndarray) -> OscillationReport:
+def hmo_norm(carleson: np.ndarray, family: BallFamily) -> OscillationReport:
     """sup over the family of the per-ball Carleson values
     sqrt(family_box_values(G, family)), with its ball.  For G the scaled
     gradient of the Poisson extension this is the HMO norm; for the
     square-function field it is the T^{2,inf} tent norm."""
-    return _sup_report(carleson)
+    return _sup_report(BallValues.whole(family, carleson))
 
 
 def tent_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:
     """Limit curves of the per-ball Carleson values in the three plain
     modes."""
-    return {mode: bucketed_sup(carleson, family, mode) for mode in PLAIN_MODES}
+    vals = BallValues.whole(family, carleson)
+    return {mode: bucketed_sup(vals, mode) for mode in PLAIN_MODES}
 
 
 def gradient_carleson_curves(carleson: np.ndarray, family: BallFamily) -> dict[str, LimitCurve]:
@@ -170,12 +176,17 @@ def reproducing_pairing_check(
         raise ConfigError("pairing inputs live on different grids")
     fv, gv = f.values, g_fn.values
     direct = float(np.sum(fv * gv) * grid.cell_volume)
-    Ff = square_function_field(op, f, ladder)
-    Fg = square_function_field(op, g_fn, ladder)
+    # the two fields a block of slices at a time; the same samples (bit
+    # for bit) give the same field, built once
+    if np.array_equal(fv.view(np.uint64), gv.view(np.uint64)):
+        blocks = ((b, b) for b in square_function_blocks(op, f, ladder))
+    else:
+        blocks = zip(square_function_blocks(op, f, ladder), square_function_blocks(op, g_fn, ladder))
     w = ladder.log_weights
     tent = 0.0
-    for j in range(len(ladder)):
-        tent += w[j] * float(np.sum(Ff.values[j] * Fg.values[j]))
+    for (rows, Ff), (_, Fg) in blocks:
+        for j, a, b in zip(range(len(ladder))[rows], Ff, Fg):
+            tent += w[j] * float(np.sum(a * b))
     tent *= 4.0 * grid.cell_volume
     denom = max(abs(direct), 1e-300)
     outside = np.delete(np.stack((fv, gv)), interior_index_window(grid, window), axis=1)

@@ -14,9 +14,9 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
-from oscillab.family import LimitCurve
+from oscillab.family import MODES, SUPERCRITICAL_MODES, LimitCurve
 from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
-from oscillab.oscillation import SplitNormReport
+from oscillab.oscillation import OscillationReport, SplitNormReport
 from oscillab.potential import Potential, solve_critical_radius
 from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, apply_spectral, log_weights_for
 
@@ -40,7 +40,7 @@ def poisson_subordinated(op: SpectralOperator, f: GridFunction, t: float, rel_to
 
         val, _err = quad_vec(integrand, 0.0, np.inf, epsrel=rel_tol, epsabs=1e-300)
         g = val / math.sqrt(math.pi)
-    return op.synthesize(g * op.coefficients(f))
+    return GridFunction(op.grid, op.synthesize(g * op.coefficients(f)))
 
 
 def prefix_table(values: np.ndarray) -> np.ndarray:
@@ -357,6 +357,17 @@ def dense_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]
     return oscillation_and_size(mean, mean_sq)
 
 
+def dense_values(per_ball) -> np.ndarray:
+    """A BallValues as one value per family ball: its fill, with each
+    block's stored run written over it."""
+    out = np.full(len(per_ball.family), per_ball.fill)
+    o = 0
+    for run in per_ball.runs:
+        out[run.start : run.stop] = per_ball.values[o : o + len(run)]
+        o += len(run)
+    return out
+
+
 def dense_pyramid(values: np.ndarray, a: int, p: int):
     """(level, cells per cube, oscillation, size) of every cube of every
     dyadic level from -p+1 up to a, from the pairwise sums of all samples;
@@ -489,8 +500,9 @@ def dense_bucketed_sup(metric: np.ndarray, family, mode: str, supercritical: np.
 
 
 def dense_bmo_l_norm(stats, supercritical: np.ndarray) -> SplitNormReport:
-    """bmo_l_norm as one family-sized mask per part, the supercritical
-    balls given per ball, and an argmax over each part's indices."""
+    """bmo_l_norm as one family-sized mask per part of the expanded stats,
+    the supercritical balls given per ball, and an argmax over each part's
+    indices."""
 
     def masked_sup(vals, mask):
         if not np.any(mask):
@@ -499,6 +511,57 @@ def dense_bmo_l_norm(stats, supercritical: np.ndarray) -> SplitNormReport:
         j = idx[int(np.argmax(vals[idx]))]
         return float(vals[j]), int(j)
 
-    osc, osc_arg = masked_sup(stats.oscillation, ~supercritical)
-    size, size_arg = masked_sup(stats.size, supercritical)
+    osc, osc_arg = masked_sup(dense_values(stats.oscillation), ~supercritical)
+    size, size_arg = masked_sup(dense_values(stats.size), supercritical)
     return SplitNormReport(osc + size, osc, size, osc_arg >= 0, size_arg >= 0, osc_arg, size_arg, len(stats.family))
+
+
+def naive_sup_reductions(osc: np.ndarray, size: np.ndarray, family, rho):
+    """bmo_norm, bmo_l_norm and the five curves of oscillation_curves from
+    one value per ball, ball by ball: a ball is supercritical when its
+    radius reaches rho at its center (rho a scalar) or its |center| lies
+    below its block's reach (rho one reach per block); a norm is the
+    first-index argmax over its balls; a curve puts each ball in the
+    bucket of the cutoff nearest the limit at which its key (radius, or
+    inner distance |c| - r) still qualifies, and a cutoff takes the balls
+    of its bucket and of every bucket nearer the limit."""
+    radii, centers = family.radii, family.centers[:, 0]
+    sup = reach_mask(family, rho) if np.ndim(rho) else supercritical_mask(family, rho)
+
+    def first_sup(vals, mask):
+        idx = [i for i in range(len(family)) if mask[i]]
+        if not idx:
+            return 0.0, -1
+        best = idx[0]
+        for i in idx[1:]:
+            if vals[i] > vals[best]:
+                best = i
+        return float(vals[best]), best
+
+    plain = OscillationReport(*first_sup(osc, np.ones(len(family), dtype=bool)), len(family))
+    (o, oa), (z, za) = first_sup(osc, ~sup), first_sup(size, sup)
+    split = SplitNormReport(o + z, o, z, oa >= 0, za >= 0, oa, za, len(family))
+
+    curves = {}
+    for mode in MODES:
+        vals = size if mode in SUPERCRITICAL_MODES else osc
+        ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
+        n = len(ladder)
+        top, counts = [-math.inf] * n, [0] * n
+        for i in range(len(family)):
+            if mode in SUPERCRITICAL_MODES and not sup[i]:
+                continue
+            if mode == "small-radius":
+                # the smallest cutoff a with r <= a; every larger one takes it
+                hits = [j for j in range(n) if radii[i] <= ladder[j] * (1 + 1e-12)]
+                covered = range(hits[0], n) if hits else range(0)
+            else:
+                key = abs(centers[i]) - radii[i] if mode in _DISTANCE_MODES else radii[i]
+                # the largest cutoff a with key >= a; every smaller one takes it
+                hits = [j for j in range(n) if key >= ladder[j] * (1 - 1e-12)]
+                covered = range(0, hits[-1] + 1) if hits else range(0)
+            for j in covered:
+                top[j], counts[j] = max(top[j], float(vals[i])), counts[j] + 1
+        values = np.array([t if c else math.nan for t, c in zip(top, counts)])
+        curves[mode] = LimitCurve(mode, ladder, values, np.array(counts, dtype=np.int64))
+    return plain, split, curves

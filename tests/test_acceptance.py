@@ -156,7 +156,7 @@ def test_criterion_07_corpus_norm_ratios(criterion, grid16, op16, family16):
             continue
         f = m.build(grid16)
         norm = bmo_l_norm(family_stats(f, family16), RHO_CONSTANT_UNIT).value
-        t2 = hmo_norm(np.sqrt(family_box_values(square_function_field(op16, f, lad), family16))).value
+        t2 = hmo_norm(np.sqrt(family_box_values(square_function_field(op16, f, lad), family16)), family16).value
         ratios[m.name] = t2 / norm
     vals = list(ratios.values())
     span = max(vals) / min(vals)

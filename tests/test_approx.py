@@ -829,7 +829,7 @@ def test_pipeline_stages_allocate_no_sample_sized_array():
         stats, peak = _stage_peak(lambda: family_stats(one, fam))
         # its result is two per-ball arrays (2.2 MB here), not sample-sized;
         # what it allocates besides them is bounded
-        peaks["const-one family_stats scratch"] = peak - stats.oscillation.nbytes - stats.size.nbytes
+        peaks["const-one family_stats scratch"] = peak - stats.oscillation.values.nbytes - stats.size.values.nbytes
         norm, peaks["const-one norm"] = _stage_peak(lambda: bmo_l_norm(stats, RHO_CONSTANT_UNIT).value)
         del stats
         message, peaks["const-one choose_thresholds"] = _stage_peak(lambda: _exhausted(one, 0.3 * norm))

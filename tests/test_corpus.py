@@ -82,7 +82,7 @@ def test_eigenvector_member_on_any_grid():
     other = Grid(halfwidth=16.0, spacing=2.0**-5)
     op = corpus_operator(other)
     f = member_by_name("eigenvector").build(other)
-    want = op.synthesize(np.eye(op.interior_count)[3]).values / np.sqrt(other.spacing)
+    want = op.synthesize(np.eye(op.interior_count)[3]) / np.sqrt(other.spacing)
     assert np.max(np.abs(f.values - want)) <= 1e-12
 
 

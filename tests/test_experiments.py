@@ -32,7 +32,7 @@ from oscillab.oscillation import bmo_l_norm, family_stats
 from oscillab.potential import constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 import oracles
-from oracles import dense_bmo_l_norm, dense_bucketed_sup, mean_oscillation, rho_at_symmetric_centers, supercritical_mask
+from oracles import dense_bmo_l_norm, dense_bucketed_sup, dense_values, mean_oscillation, rho_at_symmetric_centers, supercritical_mask
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -324,9 +324,9 @@ def test_lacunary_builds_only_its_reported_curves(monkeypatch):
     modes = []
     original = experiments.bucketed_sup
 
-    def counting(metric, family, mode, rho=None):
+    def counting(metric, mode, rho=None):
         modes.append(mode)
-        return original(metric, family, mode, rho)
+        return original(metric, mode, rho)
 
     monkeypatch.setattr(experiments, "bucketed_sup", counting)
     rep = _small_lacunary()
@@ -388,7 +388,7 @@ def test_lacunary_reach_masks_are_the_solve_at_each_center(monkeypatch):
     mask = supercritical_mask(fam, rho)
     assert original(seen["stats"], seen["reach"]) == dense_bmo_l_norm(seen["stats"], mask)
     assert rep.norm == dense_bmo_l_norm(seen["stats"], mask).value
-    want = dense_bucketed_sup(seen["stats"].size, fam, "far-and-supercritical", mask)
+    want = dense_bucketed_sup(dense_values(seen["stats"].size), fam, "far-and-supercritical", mask)
     got = rep.curves["far-and-supercritical"]
     assert np.array_equal(got.values, want.values, equal_nan=True) and np.array_equal(got.counts, want.counts)
 

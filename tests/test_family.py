@@ -7,6 +7,7 @@ from oscillab.errors import ConfigError
 from oscillab.family import (
     MODES,
     BallFamily,
+    BallValues,
     FamilyPolicy,
     LimitCurve,
     bucketed_sup,
@@ -14,7 +15,7 @@ from oscillab.family import (
     supercritical_spans,
 )
 from oscillab.grid import Ball, Grid
-from oracles import dense_bucketed_sup, reach_mask, supercritical_mask
+from oracles import dense_bucketed_sup, dense_values, reach_mask, supercritical_mask
 
 
 def test_hand_counted_enumeration():
@@ -156,7 +157,7 @@ def test_bucketed_sup_small_radius_buckets():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
     metric = fam.radii.copy()  # sup of r over {r <= a} is min(a, r_max)
-    curve = bucketed_sup(metric, fam, "small-radius")
+    curve = bucketed_sup(BallValues.whole(fam, metric), "small-radius")
     assert curve.values[0] == 1.0
     assert curve.values[-1] == 2.0
     assert curve.terminal_value() == 1.0
@@ -169,7 +170,7 @@ def test_bucketed_sup_far_mode_uses_distance_ladder():
         g,
         FamilyPolicy(center_stride=1.0, radii=(1.0,), distance_max=4.0),
     )
-    curve = bucketed_sup(np.ones(len(fam)), fam, "far-from-origin")
+    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "far-from-origin")
     assert np.array_equal(curve.ladder, [1.0, 2.0, 4.0])
     # balls with |c| - 1 >= 4 need |c| >= 5, still inside the drop rule at X=8
     assert curve.counts[-1] > 0
@@ -186,7 +187,7 @@ def test_absent_bucket_is_nan_not_zero():
             distance_max=8.0,
         ),
     )
-    curve = bucketed_sup(np.ones(len(fam)), fam, "far-from-origin")
+    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "far-from-origin")
     assert curve.counts[-1] == 0
     assert np.isnan(curve.values[-1])
     assert not curve.present[-1]
@@ -196,9 +197,9 @@ def test_supercritical_mode_needs_rho():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError):
-        bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical")
+        bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical")
     # rho = +inf disqualifies every ball
-    curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.inf)
+    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.inf)
     assert not curve.present.any()
     # an array is read as one reach per radius block: one per center, or
     # one too many, is refused
@@ -206,15 +207,15 @@ def test_supercritical_mode_needs_rho():
     assert fam.xs.size > len(fam.blocks)
     for k in (fam.xs.size, len(fam.blocks) + 1):
         with pytest.raises(ConfigError, match="do not match the family's radius blocks"):
-            bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.ones(k))
-    curve = bucketed_sup(np.ones(len(fam)), fam, "large-and-supercritical", rho=np.array([0.0, np.inf]))
+            bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.ones(k))
+    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.array([0.0, np.inf]))
     assert curve.counts[0] == fam.blocks[1].count
 
 
 def test_supercritical_mask_filters_by_rho():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
-    curve = bucketed_sup(fam.radii.copy(), fam, "large-and-supercritical", rho=1.5)
+    curve = bucketed_sup(BallValues.whole(fam, fam.radii.copy()), "large-and-supercritical", rho=1.5)
     # only r=2 balls qualify
     assert curve.values[curve.present][0] == 2.0
 
@@ -222,30 +223,47 @@ def test_supercritical_mask_filters_by_rho():
 def test_metric_length_mismatch():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
-    with pytest.raises(ConfigError):
-        bucketed_sup(np.ones(len(fam) + 1), fam, "small-radius")
+    with pytest.raises(ConfigError, match="does not match the family"):
+        BallValues.whole(fam, np.ones(len(fam) + 1))
+    # a stored run outside its block, or values that are not its length
+    (b,) = fam.blocks
+    for runs, n in (((range(b.start, b.stop + 1),), b.count + 1), ((range(b.start, b.start + 2),), 3),
+                    ((range(b.start, b.stop, 2),), len(range(b.start, b.stop, 2))), ((), 0)):
+        with pytest.raises(ConfigError):
+            BallValues(fam, runs, np.ones(n), 0.0)
 
 
 def test_unknown_mode_rejected():
     g = Grid(halfwidth=8.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError):
-        bucketed_sup(np.ones(len(fam)), fam, "tiny-radius")
+        bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "tiny-radius")
     with pytest.raises(ConfigError):
         LimitCurve("tiny-radius", np.array([1.0]), np.array([1.0]), np.array([1]))
 
 
+def _held_on_runs(metric, fam):
+    """metric held on one random run of each block (empty, partial or
+    whole), every other ball taking a fill that ties one of the values."""
+    rng = np.random.default_rng(len(fam))
+    runs = tuple(range(*sorted(map(int, rng.integers(b.start, b.stop + 1, size=2)))) for b in fam.blocks)
+    fill = float(metric[rng.integers(len(fam))])
+    return BallValues(fam, runs, np.concatenate([metric[r.start : r.stop] for r in runs]), fill)
+
+
 def _assert_same_curves(metric, fam, rho):
-    """bucketed_sup against the per-cutoff mask oracle in every mode; rho
-    is a scalar or one reach per radius block."""
+    """bucketed_sup against the per-cutoff mask oracle in every mode, for
+    the metric stored whole and held on runs with a fill; rho is a scalar
+    or one reach per radius block."""
     mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
-    for mode in MODES:
-        got = bucketed_sup(metric, fam, mode, rho=rho)
-        want = dense_bucketed_sup(metric, fam, mode, mask)
-        assert np.array_equal(got.ladder, want.ladder)
-        assert np.array_equal(got.values, want.values, equal_nan=True), mode
-        assert np.array_equal(got.counts, want.counts), mode
-        assert got.values.dtype == want.values.dtype and got.counts.dtype == want.counts.dtype
+    for values in (BallValues.whole(fam, metric), _held_on_runs(metric, fam)):
+        for mode in MODES:
+            got = bucketed_sup(values, mode, rho=rho)
+            want = dense_bucketed_sup(dense_values(values), fam, mode, mask)
+            assert np.array_equal(got.ladder, want.ladder)
+            assert np.array_equal(got.values, want.values, equal_nan=True), mode
+            assert np.array_equal(got.counts, want.counts), mode
+            assert got.values.dtype == want.values.dtype and got.counts.dtype == want.counts.dtype
 
 
 def _up(x):
@@ -299,7 +317,7 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
             for at_zero in (0.0, _up(0.0)):
                 reach = np.array([edge] + [at_zero, np.inf, at_zero, np.inf])
                 _assert_same_curves(metric, fam, reach)
-    assert any(bucketed_sup(metric, fam, m, rho=reach).present.any() for m in MODES)
+    assert any(bucketed_sup(BallValues.whole(fam, metric), m, rho=reach).present.any() for m in MODES)
 
     # segment edge cases: a block of negative centers only, one of
     # nonnegative centers only (0 among them) and two one-ball blocks;
@@ -337,7 +355,7 @@ def test_bucketed_sup_memory_is_per_radius_block():
     reach = _reach_of(fam, 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475)
     tracemalloc.start()
     try:
-        curve = bucketed_sup(metric, fam, "far-and-supercritical", rho=reach)
+        curve = bucketed_sup(BallValues.whole(fam, metric), "far-and-supercritical", rho=reach)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,8 +17,9 @@ from scipy.fft import dst
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, LadderError
 from oscillab.experiments import plan_scenarios
-from oscillab.family import PLAIN_MODES, bucketed_sup
+from oscillab.family import PLAIN_MODES, BallValues, bucketed_sup
 from oscillab.grid import GridFunction
+from oscillab import semigroup
 from oscillab.oscillation import semigroup_difference_values
 from oscillab.semigroup import (
     HalfSpaceFunction,
@@ -111,7 +112,7 @@ def _old_t2p_norm_inf(F, p, family):
 
 def _old_tent_curves(F, family):
     vals = np.sqrt(family_box_values(F, family))
-    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+    return {mode: bucketed_sup(BallValues.whole(family, vals), mode) for mode in PLAIN_MODES}
 
 
 def _old_hmo_norm(G, family):
@@ -122,7 +123,7 @@ def _old_hmo_norm(G, family):
 
 def _old_gradient_carleson_curves(G, family):
     vals = np.sqrt(family_box_values(G, family))
-    return {mode: bucketed_sup(vals, family, mode) for mode in PLAIN_MODES}
+    return {mode: bucketed_sup(BallValues.whole(family, vals), mode) for mode in PLAIN_MODES}
 
 
 def _same(a, b) -> bool:
@@ -157,7 +158,7 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
     box = family_box_values(F, fam)
     assert np.array_equal(box, _index_box_values(F, fam))
     eta = np.sqrt(box)
-    t2 = hmo_norm(eta)
+    t2 = hmo_norm(eta, fam)
     _, old_value, _, old_arg = _old_t2p_norm_inf(F, math.inf, fam)
     assert (t2.value, t2.arg_index) == (old_value, old_arg)
     assert _same_curves(tent_curves(eta, fam), _old_tent_curves(F, fam))
@@ -168,13 +169,27 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
     box = family_box_values(G, fam)
     assert np.array_equal(box, _index_box_values(G, fam))
     beta = np.sqrt(box)
-    hmo = hmo_norm(beta)
+    hmo = hmo_norm(beta, fam)
     assert (hmo.value, hmo.arg_index, hmo.n_balls) == _old_hmo_norm(old_G, fam)
     assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_G, fam))
 
     assert _same(
         semigroup_difference_values(f, op16, fam, ladder),
         _old_semigroup_difference_values(f, op16, fam, ladder),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", ["gaussian", "eigenvector"])
+def test_difference_values_do_not_depend_on_the_radius_grouping(rows, name, grid16, op16, corpus_family, monkeypatch):
+    # the corpus family's 6 radii are one group by default; rows radius
+    # rows per group splits them into 6, or 4 + 2
+    monkeypatch.setattr(semigroup, "_LADDER_BLOCK_BYTES", rows * 16 * (op16.interior_count + 1))
+    ladder = default_ladder(grid16)
+    f = member_by_name(name).build(grid16)
+    assert _same(
+        semigroup_difference_values(f, op16, corpus_family, ladder),
+        _old_semigroup_difference_values(f, op16, corpus_family, ladder),
     )
 
 

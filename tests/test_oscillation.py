@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from oscillab import grid, oscillation, tent
+from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, LadderError, OutOfDomainError
-from oscillab.family import BallFamily, FamilyPolicy, LimitCurve, make_ball_family
+from oscillab.experiments import RHO_CONSTANT_UNIT, lacunary_function, plan_scenarios
+from oscillab.family import BallFamily, BallValues, FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import (
     FamilyStats,
@@ -19,13 +21,16 @@ from oscillab.oscillation import (
     tilde_bmo_l_norm,
     vanishing_verdict,
 )
+from oscillab.potential import critical_reach, power_potential
 from oscillab.semigroup import HalfSpaceFunction, TLadder, default_ladder
 from oracles import (
     ball_member_values,
     ball_sums,
     constant,
     dense_bmo_l_norm,
+    dense_values,
     mean_oscillation,
+    naive_sup_reductions,
     prefix_table,
     reach_mask,
     supercritical_mask,
@@ -46,7 +51,7 @@ def test_family_stats_sums_match_naive(small_family):
     st = family_stats(f, small_family)
     for i in range(len(small_family)):
         vals = ball_member_values(f, small_family.ball(i))
-        assert st.size[i] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12)
+        assert dense_values(st.size)[i] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12)
 
 
 def _masked_ball_sums(values, family):
@@ -88,8 +93,8 @@ def test_block_scan_equals_mask_oracle_at_pipeline_size():
     for values in (v, np.abs(v)):
         st = family_stats(GridFunction(g, values), fam)
         osc, size = _stats_oracle(values, fam)
-        assert np.array_equal(st.oscillation, osc)
-        assert np.array_equal(st.size, size)
+        assert np.array_equal(dense_values(st.oscillation), osc)
+        assert np.array_equal(dense_values(st.size), size)
 
 
 def test_block_scan_equals_mask_oracle_at_lacunary_size():
@@ -103,8 +108,8 @@ def test_block_scan_equals_mask_oracle_at_lacunary_size():
     values = np.random.default_rng(12).normal(size=g.shape)
     st = family_stats(GridFunction(g, values), fam)
     osc, size = _stats_oracle(values, fam)
-    assert np.array_equal(st.oscillation, osc)
-    assert np.array_equal(st.size, size)
+    assert np.array_equal(dense_values(st.oscillation), osc)
+    assert np.array_equal(dense_values(st.size), size)
 
 
 def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
@@ -125,7 +130,8 @@ def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
     # place, which then take the oscillation and the size: no third
     # per-ball array
     assert peak < table + 3 * per_ball, (peak - table) / per_ball
-    assert st.oscillation.size == st.size.size == len(fam)
+    # every ball meets the window of this f, so the runs hold the family
+    assert st.oscillation.values.size == st.size.values.size == len(fam)
 
 
 def test_family_stats_match_per_ball(small_family):
@@ -136,7 +142,7 @@ def test_family_stats_match_per_ball(small_family):
     for i in range(len(small_family)):
         b = small_family.ball(i)
         assert ball_member_values(f, b).size == 2 * round(b.radius / g.spacing) - 1
-        assert st.oscillation[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
+        assert dense_values(st.oscillation)[i] == pytest.approx(mean_oscillation(f, b), abs=1e-12)
 
 
 def test_shared_stats_give_identical_reports(small_family):
@@ -171,8 +177,10 @@ def no_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a prefix table was allocated")
 
-    for mod in (grid, oscillation, tent):
+    for mod in (grid, oscillation):
         monkeypatch.setattr(mod, "SummedTable", refuse)
+    for mod in (oscillation, tent):
+        monkeypatch.setattr(mod, "square_prefix", refuse)
 
 
 def _hand_family(g, centers, radii):
@@ -257,10 +265,11 @@ def test_a_single_center_is_a_run():
         ci = g.half_cells + round(c / g.spacing)
         assert [b.run for b in fam.blocks] == [range(ci, ci + 1)] * 2
         st = family_stats(f, fam)
+        osc, size = dense_values(st.oscillation), dense_values(st.size)
         for j in range(len(fam)):
             vals = ball_member_values(f, fam.ball(j))
-            assert st.oscillation[j] == pytest.approx(mean_oscillation(f, fam.ball(j)), abs=1e-12)
-            assert st.size[j] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12, abs=1e-12)
+            assert osc[j] == pytest.approx(mean_oscillation(f, fam.ball(j)), abs=1e-12)
+            assert size[j] ** 2 * vals.size == pytest.approx(float(np.sum(vals**2)), rel=1e-12, abs=1e-12)
 
 
 def test_bmo_norm_linear_closed_form(small_family):
@@ -324,20 +333,31 @@ def test_split_norm_matches_the_masked_sup_oracle():
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
     rng = np.random.default_rng(11)
     mean, mean_sq = rng.integers(0, 2, len(fam)) * 0.5, rng.integers(1, 5, len(fam)) * 1.0
-    stats = FamilyStats(fam, np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq))
+    osc, size = np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq)
+    # the same values held on a run of each block, the rest of the block
+    # filled with the largest value, so fill balls before, in and after a
+    # part's run tie with its held sup
+    runs = tuple(range(*sorted(map(int, rng.integers(b.start, b.stop + 1, size=2)))) for b in fam.blocks)
+    held = [np.concatenate([v[r.start : r.stop] for r in runs]) for v in (osc, size)]
+    stats_of = {
+        "whole": FamilyStats(BallValues.whole(fam, osc), BallValues.whole(fam, size)),
+        "held": FamilyStats(*(BallValues(fam, runs, h, float(v.max())) for h, v in zip(held, (osc, size)))),
+    }
+    assert any(0 < len(r) < b.count for r, b in zip(runs, fam.blocks))
     ties = np.array([4.0, 2.5, 1.0, 0.5])
     reaches = [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), np.array([np.inf, 0.0, np.inf, 0.0])]
-    for rho in (*reaches, 0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf):
-        mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
-        got = bmo_l_norm(stats, rho)
-        assert got == dense_bmo_l_norm(stats, mask)
-        assert got.oscillation_present or got.size_present
+    for stats in stats_of.values():
+        for rho in (*reaches, 0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf):
+            mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
+            got = bmo_l_norm(stats, rho)
+            assert got == dense_bmo_l_norm(stats, mask)
+            assert got.oscillation_present or got.size_present
 
 
 def test_semigroup_difference_eigenvector_closed_form(op16, family16):
     # for an eigenvector, f - e^{-r sqrt(L)} f = (1 - e^{-r s}) f ball by ball
     g = op16.grid
-    f = op16.synthesize(np.eye(op16.interior_count)[5])
+    f = GridFunction(op16.grid, op16.synthesize(np.eye(op16.interior_count)[5]))
     vals = semigroup_difference_values(f, op16, family16, default_ladder(g))
     s = math.sqrt(op16.eigenvalues[5])
     p = prefix_table(f.values**2)
@@ -435,3 +455,99 @@ def test_verdict_requirements():
         vanishing_verdict(_curve("small-radius", [0.1, np.nan, np.nan]), tol=0.1)
     with pytest.raises(ConfigError):
         vanishing_verdict(_curve("small-radius", [0.1, 0.1, 0.1]), tol=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the reductions of stats held on the balls that meet f's window
+
+
+def _corpus_case(name):
+    (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms"}]})
+    return member_by_name(name).build(plan.grid), plan.family
+
+
+def _constant_case(b):
+    (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms"}]})
+    return GridFunction.constant(plan.grid, b), plan.family
+
+
+def _small_lacunary_case():
+    # the lacunary workload's small config, as the benchmark's self-test runs it
+    (plan,) = plan_scenarios({"scenarios": [{
+        "id": "lacunary-separation", "k_max": 3, "exponent": 1.05, "amplitude": 0.5, "halfwidth": 128.0,
+        "spacing": 0.0625, "stride": 0.5, "radius_max": 32.0, "distance_max": 32.0,
+    }]})
+    return lacunary_function(plan.grid, 3), plan.family
+
+
+_REDUCTION_CASES = {
+    **{f"corpus-{m.name}": (lambda m=m: _corpus_case(m.name)) for m in CORPUS},
+    "small-lacunary": _small_lacunary_case,
+    "const-one": lambda: _constant_case(1.0),
+    "const-neg-half": lambda: _constant_case(-0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
+def test_sup_reductions_match_the_naive_oracle(case):
+    # bmo_norm, bmo_l_norm (values and args) and the five curves of the
+    # stored runs and their fill, bit for bit against the ball-by-ball
+    # oracle on the dense expansion, for scalar rho and per-block reaches
+    f, fam = _REDUCTION_CASES[case]()
+    st = family_stats(f, fam)
+    osc, size = dense_values(st.oscillation), dense_values(st.size)
+    if f.hi > f.lo:
+        assert len(fam) > 0 and st.oscillation.values.size > 0
+    else:
+        assert st.oscillation.values.size == 0 and osc[0] == 0.0 and size[0] == abs(f.background)
+    radii = [b.radius for b in fam.blocks]
+    reaches = [critical_reach(power_potential(eps, 1, amplitude=a), fam.xs, radii)
+               for eps, a in ((1.05, 0.5), (1.5, 1.0))]
+    assert any(0 < np.count_nonzero(reach_mask(fam, r)) < len(fam) for r in reaches)
+    for rho in (RHO_CONSTANT_UNIT, 0.0, 2.0, np.inf, *reaches):
+        plain, split, curves = naive_sup_reductions(osc, size, fam, rho)
+        assert bmo_norm(st) == plain
+        assert bmo_l_norm(st, rho) == split
+        got = oscillation_curves(st, rho)
+        assert got.keys() == curves.keys()
+        for mode, want in curves.items():
+            assert got[mode].values.tobytes() == want.values.tobytes(), (mode, rho)
+            assert np.array_equal(got[mode].counts, want.counts), (mode, rho)
+
+
+def test_constant_reductions_attain_at_the_first_ball():
+    # a declared constant stores no ball: every oscillation is the fill
+    # 0.0, so the sup is attained first at ball 0, and the size part at
+    # the first supercritical ball
+    for b in (1.0, -0.5, 0.0):
+        f, fam = _constant_case(b)
+        st = family_stats(f, fam)
+        assert st.oscillation.values.size == st.size.values.size == 0
+        assert bmo_norm(st) == oscillation.OscillationReport(0.0, 0, len(fam))
+        split = bmo_l_norm(st, 2.0)
+        first_super = next(blk.start for blk in fam.blocks if blk.radius >= 2.0)
+        assert (split.oscillation_arg, split.size_arg, split.size_part) == (0, first_super, abs(b))
+
+
+def test_family_stats_at_lacunary_size_allocates_no_family_sized_array():
+    # configs/lacunary.json: 2,424,815 balls, of which 564,083 meet the
+    # window of 1,679,359 samples; besides the window's prefix table, the
+    # scan holds two buffers of the meeting balls, together less than one
+    # family-sized float64 array
+    (plan,) = plan_scenarios({"scenarios": [{
+        "id": "lacunary-separation", "k_max": 8, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
+        "radius_max": 4096.0, "distance_max": 4096.0,
+    }]})
+    fam = plan.family
+    f = lacunary_function(plan.grid, 8)
+    tracemalloc.start()
+    try:
+        st = family_stats(f, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    meeting = st.oscillation.values.size
+    assert (len(fam), f.hi - f.lo, meeting) == (2_424_815, 1_679_359, 564_083)
+    table, held, slack = (f.hi - f.lo + 1) * 8, 2 * meeting * 8, 1 << 20
+    assert held + slack < len(fam) * 8
+    assert peak < table + held + slack, (peak - table - held) / (len(fam) * 8)

@@ -45,7 +45,6 @@ ALLOWED = {
     "family.py:BallFamily.centers": ("tracer", "the family.distinct_centers counter and the family_stats digest"),
     "family.py:BallFamily.radii": ("tracer", "the family_stats counter digests the radii"),
     "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),
-    "semigroup.py:SpectralOperator.interior_count": ("tracer", "the semigroup.operator_dim and apply counters"),
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
 }
 

@@ -13,7 +13,6 @@ from oscillab.semigroup import (
     _LADDER_BLOCK_BYTES,
     TLadder,
     _ddx,
-    _field_from_psi,
     apply_spectral,
     default_ladder,
     discretize,
@@ -33,7 +32,7 @@ def small_op():
 
 def _mode(op, k: int) -> GridFunction:
     """The operator's k-th eigenvector (0-based), embedded with zero walls."""
-    return op.synthesize(np.eye(op.interior_count)[k])
+    return GridFunction(op.grid, op.synthesize(np.eye(op.interior_count)[k]))
 
 
 def _interior_zeroed(f: GridFunction) -> np.ndarray:
@@ -133,7 +132,8 @@ def test_field_blocks_match_one_transform_of_the_whole_ladder(op16):
     s = np.sqrt(op16.eigenvalues)
     step = _LADDER_BLOCK_BYTES // (16 * (s.size + 1))
     assert step == 8
-    coef = op16.coefficients(member_by_name("bump-narrow").build(op16.grid))
+    f = member_by_name("bump-narrow").build(op16.grid)
+    coef = op16.coefficients(f)
 
     def psi(t, s):
         return t * s * np.exp(-t * s)
@@ -142,7 +142,15 @@ def test_field_blocks_match_one_transform_of_the_whole_ladder(op16):
         lad = TLadder(np.geomspace(op16.grid.spacing, 4.0, count))
         want = np.zeros((count,) + op16.grid.shape)
         want[:, 1:-1] = dst(psi(lad.values[:, None], s) * coef, type=1, norm="ortho", axis=-1)
-        assert np.array_equal(_field_from_psi(op16, coef, lad, psi).values, want), count
+        assert np.array_equal(square_function_field(op16, f, lad).values, want), count
+        # the extension's magnitude, from u, t du/dt and t du/dx over the
+        # whole ladder, t du/dx slice by slice
+        t = lad.values[:, None]
+        u, dt = np.zeros((2, count) + op16.grid.shape)
+        u[:, 1:-1] = dst(np.exp(-t * s) * coef, type=1, norm="ortho", axis=-1)
+        dt[:, 1:-1] = dst(-t * s * np.exp(-t * s) * coef, type=1, norm="ortho", axis=-1)
+        gx = np.array([tj * _ddx(uj, op16.grid.spacing) for tj, uj in zip(lad.values, u)])
+        assert np.array_equal(poisson_extension(op16, f, lad).values, np.sqrt(dt**2 + gx**2)), count
 
 
 def test_heat_semigroup_law(small_op):

@@ -147,7 +147,7 @@ def test_t2p_inf_is_family_sup(small_grid):
     F = _random_field(small_grid, lad, seed=8)
     fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
     vals = np.sqrt(family_box_values(F, fam))
-    rep = hmo_norm(vals)
+    rep = hmo_norm(vals, fam)
     assert rep.value == pytest.approx(float(np.max(vals)))
     assert rep.arg_index == int(np.argmax(vals))
     assert rep.n_balls == len(fam)
@@ -187,7 +187,7 @@ def test_hmo_constant_attains_half_sqrt_two(grid16, op16):
         FamilyPolicy(center_stride=1.0, radius_min=0.5, radius_max=4.0, max_center_norm=8.0),
     )
     beta = np.sqrt(family_box_values(G, fam))
-    rep = hmo_norm(beta)
+    rep = hmo_norm(beta, fam)
     assert rep.value == pytest.approx(c * math.sqrt(0.5), rel=0.02)
     assert fam.radii[rep.arg_index] == 4.0
     curves = gradient_carleson_curves(beta, fam)
