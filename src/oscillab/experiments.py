@@ -795,9 +795,9 @@ _TOP_PARAMS = {
         lambda where, v: [_scenario(s) for s in v],
     ),
     "out_dir": _STR,
-    "seed": _INT,
-    "op_cap": _INT,
-    "interior_window": _FLOAT,
+    "seed": _int_at_least(0),
+    "op_cap": _int_at_least(2),
+    "interior_window": _Kind("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1, _FLOAT.typed),
 }
 
 
@@ -825,12 +825,6 @@ class ExperimentConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"duplicate scenario name {name!r}")
-        if cfg.seed < 0:
-            raise ConfigError("'seed' must be >= 0")
-        if cfg.op_cap < 2:
-            raise ConfigError("'op_cap' must be an integer >= 2")
-        if not 0 < cfg.interior_window <= 1:
-            raise ConfigError("'interior_window' must lie in (0, 1]")
         return cfg
 
 
@@ -903,7 +897,13 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                 op, ladder = operators[grid]
                 if fam is not None:
                     keys = "'family'"
-                    ladder.check_covers([b.radius for b in fam.blocks])
+                    radii = [b.radius for b in fam.blocks]
+                    ladder.check_covers(radii)
+                    # a Carleson box's dt/t trapezoid weighs the ladder slices at or below its radius
+                    few = [] if sid == "bmo-norms" else [r for r in radii if ladder.box_slices(r) < 2]
+                    if few:
+                        raise LadderError(f"ball radii {few} have fewer than two ladder scales at or below them, "
+                                          "which a Carleson box's dt/t trapezoid needs")
             if sid == "reproducing-pairing":
                 keys = "'t_min' and 't_max'"
                 t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)

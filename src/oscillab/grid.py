@@ -26,15 +26,17 @@ corpus constants), so they give the bytes the dense scan gives.  The
 consumers that need every sample (the operator's sine transform, the
 half-space fields, the written file) read ``values`` once.
 
-Ball sums are served from prefix-sum tables built on a function's window.
+Every ball, cylinder and cone sum is read from one kind of prefix-sum
+table, SummedTable, built on a window of one row or of a stack of rows.
 A family scan asks for the balls of one radius over a run of centers at
 one index step, so each block's sums are the difference of two strided
-slices of the table; a ball that misses the window is not read, and its
-mean is b.  The ball means of f and of f^2 become the oscillation
-and the size in one place, oscillation_and_size.  The naive per-ball
-member values, the oracle of the tables, live with the tests
-(tests/oracles.py), with the dense scans that the windowed ones are
-checked against.
+slices of the table; a ball that misses f's window is not read, and its
+mean is b.  A Carleson box of radius r reads the first k rows of its
+field's table, the ladder slices t_j <= r, and a cone that leaves the box
+reads the table's constant ends past the walls.  The ball means of f and
+of f^2 become the oscillation and the size in one place,
+oscillation_and_size.  The naive per-ball the oracle of the tables, live with the tests (tests/oracles.py), with
+the dense scans that the windowed ones are checked against.
 """
 
 from __future__ import annotations
@@ -262,34 +264,38 @@ class Ball:
 
 
 class SummedTable:
-    """Prefix sums P[i] = sum(values[:i]) of a function's samples, serving
-    the sums over balls of one cell radius m centered on a run of samples:
-    samples c - m + 1 .. c + m - 1 sum to P[c + m] - P[c - m + 1], so a
-    run start:stop:step reads two slices of P with that step.
+    """Prefix sums P[i] = sum(values[:i]) of a row of samples, or of each
+    row of a (k, samples) stack (of their squares with square=True, made
+    in the table's buffer), serving the sums over balls of one cell radius
+    m centered on a run of samples: samples c - m + 1 .. c + m - 1 sum to
+    P[c + m] - P[c - m + 1], so a run start:stop:step reads two slices of
+    P with that step.
 
-    The table is built on the function's window [lo, hi) only: P is
-    exactly 0 up to lo and exactly the window's total from hi on, so it
-    stores P[lo..hi] and reads the constant ends where a run leaves them.
-    A ball that misses the window sums to 0 - 0 or S - S, which is 0.0.
+    The table is built on a window [lo, hi) only: P is exactly 0 up to lo
+    and exactly the row's total from hi on, so it stores P[lo..hi] and
+    reads the constant ends where a run leaves them (``prefix``).  A ball
+    that misses the window sums to 0 - 0 or S - S, which is 0.0.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None):
-        """values: all the samples, or with lo, those of [lo, lo + len(values))."""
+    def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None, square: bool = False):
+        """values: a row or a stack of rows of all the samples, or with lo,
+        of those of [lo, lo + values.shape[-1])."""
         self.grid = grid
         v = np.asarray(values, dtype=np.float64)
-        if v.shape != grid.shape if lo is None else (v.ndim != 1 or not 0 <= lo <= grid.size - v.size):
-            raise ConfigError("summed table shape mismatch")
+        n = v.shape[-1] if v.ndim in (1, 2) else -1
         self.lo = 0 if lo is None else lo
-        self.hi = self.lo + v.shape[0]
-        p = np.zeros(v.shape[0] + 1)
-        np.cumsum(v, out=p[1:])
-        self._p = p
+        self.hi = self.lo + n
+        if n < 0 or not 0 <= self.lo <= self.hi <= grid.size or (lo is None and n != grid.size):
+            raise ConfigError("summed table shape mismatch")
+        self._p = np.zeros(v.shape[:-1] + (n + 1,))
+        self._fill(v, square)
 
-    def _refill_squares(self, values: np.ndarray) -> None:
-        """Make this the table of values**2, reusing the buffer: the squares
-        are written into it and summed in place."""
-        np.square(values, out=self._p[1:])
-        np.cumsum(self._p[1:], out=self._p[1:])
+    def _fill(self, values: np.ndarray, square: bool) -> None:
+        """Make this the table of values (or of their squares) in place."""
+        p = self._p[..., 1:]
+        if square:
+            values = np.square(values, out=p)
+        np.cumsum(values, axis=-1, out=p)
 
     def meeting(self, run: range, cell_radius: int) -> range:
         """The positions in run of the centers whose balls of cell radius m
@@ -301,54 +307,39 @@ class SummedTable:
         end = -((start - (self.hi + m - 1)) // step)
         return range(min(max(first, 0), len(run)), min(max(end, 0), len(run)))
 
-    def _prefix(self, start: int, count: int, step: int) -> np.ndarray:
-        """P at start, start + step, ... (count of them): a strided view of
-        the stored prefix when they all fall in [lo, hi], else a new array
-        with the constant ends filled in."""
-        p, s = self._p, start - self.lo
+    def prefix(self, start: int, count: int, step: int, rows: int | None = None) -> np.ndarray:
+        """P at start, start + step, ... (count of them, step >= 1) of every
+        row, or of a stack's first rows: a strided view of the stored prefix when
+        they all fall in [lo, hi], else a new array with the constant ends
+        filled in."""
+        p, s = self._p[:rows], start - self.lo
         last = s + (count - 1) * step
-        if s >= 0 and last < p.shape[0]:
-            return p[s : last + 1 : step]
-        out = np.empty(count)
+        if s >= 0 and last < p.shape[-1]:
+            return p[..., s : last + 1 : step]
+        out = np.empty(p.shape[:-1] + (count,))
         j0 = min(max(-(s // step), 0), count)  # the reads left of lo
-        j1 = min(max((p.shape[0] - 1 - s) // step + 1, j0), count)  # and up to hi
-        out[:j0] = 0.0
+        j1 = min(max((p.shape[-1] - 1 - s) // step + 1, j0), count)  # and up to hi
+        out[..., :j0] = 0.0
         if j0 < j1:
-            out[j0:j1] = p[s + j0 * step : s + (j1 - 1) * step + 1 : step]
-        out[j1:] = p[-1]
+            out[..., j0:j1] = p[..., s + j0 * step : s + (j1 - 1) * step + 1 : step]
+        out[..., j1:] = p[..., -1:]
         return out
 
-    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None) -> np.ndarray:
+    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
         """Sum over samples strictly inside B(c, cell_radius * h) for each
-        center sample index c of run (a range with a positive step),
-        written into out when given.  The strict-inside offsets are
-        |k| <= cell_radius - 1 in integer arithmetic, so this path has no
-        float membership fuzz; a ball reaching past the samples raises
-        OutOfDomainError."""
+        center sample index c of run (a range with a positive step), of
+        every row or of a stack's first rows, written into out when given.  The
+        strict-inside offsets are |k| <= cell_radius - 1 in integer
+        arithmetic, so this path has no float membership fuzz; a ball
+        reaching past the samples raises OutOfDomainError."""
         m = int(cell_radius)
         if m < 1 or run.step < 1:
             raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
         if len(run) and (run.start - m + 1 < 0 or run[-1] + m > self.grid.size):
             raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
         n, step = len(run), run.step
-        return np.subtract(self._prefix(run.start + m, n, step), self._prefix(run.start - m + 1, n, step), out=out)
-
-
-def square_prefix(rows: np.ndarray) -> np.ndarray:
-    """The prefix-sum table of the squares of each row of a (k, samples)
-    array of whole rows, P[j, i] = sum(rows[j, :i]**2): the squares are
-    written into the table and summed there by one cumsum."""
-    p = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.square(rows, out=p[:, 1:])
-    np.cumsum(p[:, 1:], axis=1, out=p[:, 1:])
-    return p
-
-
-def prefix_ball_sums(p: np.ndarray, run: range, cell_radius: int) -> np.ndarray:
-    """SummedTable.ball_sum read from a prefix table of whole rows (the
-    last axis), for every row at once: two strided slices of each."""
-    m, n = int(cell_radius), len(run)
-    return p[..., run.start + m :: run.step][..., :n] - p[..., run.start - m + 1 :: run.step][..., :n]
+        return np.subtract(self.prefix(run.start + m, n, step, rows), self.prefix(run.start - m + 1, n, step, rows),
+                           out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .family import (
     bucketed_sup,
     supercritical_spans,
 )
-from .grid import GridFunction, SummedTable, oscillation_and_size, prefix_ball_sums, square_prefix
+from .grid import GridFunction, SummedTable, oscillation_and_size
 from .semigroup import SpectralOperator, TLadder, scale_blocks
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
@@ -64,7 +64,7 @@ class FamilyStats:
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     """One scan of f over the family, stored on the balls that meet f's
     window: the run of each block that SummedTable.meeting gives.  Their
-    means of f and of f^2 come from one prefix table on the window, each
+    means of f and of f^2 come from one SummedTable on the window, each
     block's sums written into its place in two compact buffers and divided
     there by the 2m - 1 samples of a ball of cell radius m; the table's
     buffer takes the squares once the sums of f are read.  The oscillation
@@ -79,7 +79,7 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     n = sum(len(m) for m in meets)
     mean, mean_sq = np.empty(n), np.empty(n)
     _ball_means(table, family, meets, mean)
-    table._refill_squares(f.window)
+    table._fill(f.window, square=True)
     _ball_means(table, family, meets, mean_sq)
     del table
     runs = tuple(range(b.start + m.start, b.start + m.stop) for b, m in zip(family.blocks, meets))
@@ -189,10 +189,10 @@ def semigroup_difference_values(
 
     One sine transform of f, then, per cache-sized block of distinct
     radii, one synthesis of e^{-r sqrt(lambda)} times its coefficients, a
-    row per radius, and one prefix table of the rows' squared
-    differences.  Radii outside the ladder's
-    range raise LadderError (the scale is not covered by the configured
-    scale range)."""
+    row per radius; each row's difference from f is squared into its own
+    SummedTable, which serves the balls of that radius.  Radii outside the
+    ladder's range raise LadderError (the scale is not covered by the
+    configured scale range)."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
@@ -205,8 +205,8 @@ def semigroup_difference_values(
     for rows, r in scale_blocks(op, [b.radius for b in blocks]):
         diff = op.synthesize(np.exp(-r * s) * coef)
         np.subtract(fv, diff, out=diff)
-        for b, p in zip(blocks[rows], square_prefix(diff)):
-            sums = prefix_ball_sums(p, b.run, b.cell_radius)
+        for b, row in zip(blocks[rows], diff):
+            sums = SummedTable(g, row, square=True).ball_sum(b.run, b.cell_radius)
             out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / b.radius)
     return out
 

@@ -12,9 +12,11 @@ The DST-I of x (length M) is the negated imaginary part of the real FFT of
 its odd extension [0, x, 0, -x reversed] (length 2(M+1)), bins 1..M, times
 1/sqrt(2(M+1)) (Martucci 1994).  numpy's real FFT is pocketfft; with the
 factor taken in long double, as pocketfft's own orthonormal DST-I takes
-it, the two transforms agree bit for bit.  The half-space fields
-transform a block of ladder slices at a time, so that each block's
-extension stays cache-sized.
+it, the two transforms agree bit for bit.  Every function of L is one
+SpectralOperator.coefficients call and synthesize calls on rows of
+coefficients; the half-space fields and the semigroup oscillation
+synthesize a block of scales at a time, so that each block's extension
+stays cache-sized.
 
 apply_spectral takes one psi to one function; the scenarios take whole
 t-ladders at once through the half-space fields below, so no scenario
@@ -93,6 +95,12 @@ class TLadder:
         if lo < t[0] * (1 - 1e-9) or hi > t[-1] * (1 + 1e-9):
             raise LadderError(f"ball radii [{lo}, {hi}] fall outside the ladder's scales [{t[0]}, {t[-1]}]")
 
+    def box_slices(self, r: float) -> int:
+        """The count of scales t_j <= r, to a relative 1e-12: the slices of
+        the Carleson box of radius r.  LadderError unless the ladder covers r."""
+        self.check_covers((r,))
+        return int(np.searchsorted(self.values, r * (1 + 1e-12), side="right"))
+
     @cached_property
     def log_weights(self) -> np.ndarray:
         """Trapezoid weights in log t: sum F(t_j) w_j ~ integral F dt/t."""
@@ -100,9 +108,10 @@ class TLadder:
 
 
 def log_weights_for(values: np.ndarray) -> np.ndarray:
+    """Trapezoid weights in log t; fewer than two scales raise LadderError."""
     v = np.log(np.asarray(values, dtype=np.float64))
-    if v.size == 1:
-        return np.array([1.0])  # degenerate; caller beware
+    if v.size < 2:
+        raise LadderError(f"a dt/t trapezoid needs two scales, got {v.size}")
     w = np.empty_like(v)
     w[1:-1] = (v[2:] - v[:-2]) / 2.0
     w[0] = (v[1] - v[0]) / 2.0
@@ -153,10 +162,12 @@ class SpectralOperator:
             raise GridMismatchError("function grid does not match the operator grid")
         return dst1(f.values[1:-1])
 
-    def synthesize(self, coef: np.ndarray) -> np.ndarray:
+    def synthesize(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The samples of the function whose interior has sine coefficients
-        coef, zero at the walls; each row of a 2-D coef is one function."""
-        out = np.zeros(coef.shape[:-1] + self.grid.shape)
+        coef, zero at the walls; each row of a 2-D coef is one function.
+        Written into out when given, whose walls must already be zero."""
+        if out is None:
+            out = np.zeros(coef.shape[:-1] + self.grid.shape)
         dst1(coef, out=out[..., 1:-1])
         return out
 
@@ -232,9 +243,7 @@ def square_function_blocks(op: SpectralOperator, f: GridFunction, ladder: TLadde
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
     for rows, t in scale_blocks(op, ladder.values):
-        block = np.zeros((t.shape[0],) + op.grid.shape)
-        dst1(t * s * np.exp(-t * s) * coef, out=block[:, 1:-1])
-        yield rows, block
+        yield rows, op.synthesize(t * s * np.exp(-t * s) * coef)
 
 
 def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
@@ -263,18 +272,15 @@ def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) ->
 
     t du/dt = -t sqrt(L) u is spectrally exact; t du/dx is t times _ddx of
     u.  Both are made one block of slices at a time, from one e^{-t s} per
-    block, and the magnitude is written over the block's t du/dt; u is
-    held for one block only."""
+    block, and the magnitude is written over the block's t du/dt; a
+    block's u is held only while t du/dx is taken."""
     coef = op.coefficients(f)
     s = np.sqrt(op.eigenvalues)
     out = np.zeros((len(ladder),) + op.grid.shape)
     for rows, t in scale_blocks(op, ladder.values):
         e = np.exp(-t * s)
-        u = np.zeros((t.shape[0],) + op.grid.shape)
-        dst1(e * coef, out=u[:, 1:-1])
-        G = out[rows]
-        dst1(-t * s * e * coef, out=G[:, 1:-1])
-        gx = t * _ddx(u, op.grid.spacing)
+        gx = t * _ddx(op.synthesize(e * coef), op.grid.spacing)
+        G = op.synthesize(-t * s * e * coef, out=out[rows])
         np.sqrt(G**2 + gx**2, out=G)
     return HalfSpaceFunction(op.grid, ladder, out)
 

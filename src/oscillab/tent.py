@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .family import PLAIN_MODES, BallFamily, BallValues, LimitCurve, bucketed_sup
-from .grid import GridFunction, prefix_ball_sums, square_prefix
+from .grid import GridFunction, SummedTable
 from .oscillation import OscillationReport, _sup_report
 from .semigroup import (
     HalfSpaceFunction,
@@ -29,25 +29,22 @@ from .semigroup import (
 
 
 class BoxScanner:
-    """One prefix table of |F|^2 over all the ladder slices, serving
-    cylinder sums."""
+    """One SummedTable of |F|^2, a row per ladder slice, serving cylinder
+    sums: a box of radius r reads the table's first k rows, the slices
+    t_j <= r."""
 
     def __init__(self, F: HalfSpaceFunction):
         self.F = F
         self.grid = F.grid
-        self._p = square_prefix(F.values)
-
-    def _slice_count(self, r: float) -> int:
-        self.F.ladder.check_covers((r,))
-        return int(np.searchsorted(self.F.ladder.values, r * (1 + 1e-12), side="right"))
+        self._table = SummedTable(F.grid, F.values, square=True)
 
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
         radius r centered on the sample indices of run: the ball sums of
         the first k slices, summed in ladder order."""
-        k = self._slice_count(r)
+        k = self.F.ladder.box_slices(r)
+        sums = self._table.ball_sum(run, cell_radius, rows=k)
         w = log_weights_for(self.F.ladder.values[:k])
-        sums = prefix_ball_sums(self._p[:k], run, cell_radius)
         return np.add.reduce(w[:, None] * sums, axis=0) * self.grid.cell_volume / r
 
 
@@ -79,27 +76,23 @@ class ConeField:
 def cone_square_function(F: HalfSpaceFunction) -> ConeField:
     """A(F)(x) = (sum_j |F(y, t_j)|^2 h w_j / t_j over |y - x| < t_j)^(1/2)
     at every grid sample, aperture 1.
+
+    The cone's slice t_j over every sample is a row of balls of cell
+    radius k + 1, k = ceil(t_j / h) - 1, read from one SummedTable of
+    |F(., t_j)|^2 through its constant ends, so a ball that leaves the box
+    sums the samples inside it; those samples are marked truncated.
     """
     g = F.grid
-    h = g.spacing
-    t = F.ladder.values
+    h, n = g.spacing, g.size
     w = F.ladder.log_weights
-    n_ax = g.axis_count
     acc = np.zeros(g.shape)
     truncated = np.zeros(g.shape, dtype=bool)
-    for j, tj in enumerate(t):
+    for j, tj in enumerate(F.ladder.values):
         kmax = math.ceil(tj / h - 1e-9) - 1
-        sq = F.values[j] ** 2
-        p = np.zeros(n_ax + 1)
-        np.cumsum(sq, out=p[1:])
-        i = np.arange(n_ax)
-        lo = i - kmax
-        hi = i + kmax
-        clipped = (lo < 0) | (hi > n_ax - 1)
-        truncated |= clipped
-        lo = np.clip(lo, 0, n_ax - 1)
-        hi = np.clip(hi, 0, n_ax - 1)
-        acc += (p[hi + 1] - p[lo]) * (h * w[j] / tj)
+        if kmax > 0:
+            truncated[:kmax] = truncated[n - kmax :] = True
+        table = SummedTable(g, F.values[j], square=True)
+        acc += (table.prefix(kmax + 1, n, 1) - table.prefix(-kmax, n, 1)) * (h * w[j] / tj)
     return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
 

@@ -145,8 +145,6 @@ def prefix_weights(t) -> np.ndarray:
     """Trapezoid weights in log t over the ladder prefix t, written out
     apart from semigroup.log_weights_for."""
     v = np.log(np.asarray(t))
-    if v.size == 1:
-        return np.array([1.0])
     w = np.empty_like(v)
     w[1:-1] = (v[2:] - v[:-2]) / 2.0
     w[0] = (v[1] - v[0]) / 2.0
@@ -193,6 +191,33 @@ def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
         vals = ball_member_values(GridFunction(g, F.values[j]), b)
         total += w[j] * float(np.sum(vals**2))
     return total * g.cell_volume / ball.radius
+
+
+def clipped_cone_square_function(F: HalfSpaceFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(A(F), truncated) of tent.cone_square_function, from one prefix
+    table per slice read at cone ends clipped to the box's samples: the
+    oracle of the table's constant-end reads."""
+    g = F.grid
+    h = g.spacing
+    t = F.ladder.values
+    w = F.ladder.log_weights
+    n_ax = g.axis_count
+    acc = np.zeros(g.shape)
+    truncated = np.zeros(g.shape, dtype=bool)
+    for j, tj in enumerate(t):
+        kmax = math.ceil(tj / h - 1e-9) - 1
+        sq = F.values[j] ** 2
+        p = np.zeros(n_ax + 1)
+        np.cumsum(sq, out=p[1:])
+        i = np.arange(n_ax)
+        lo = i - kmax
+        hi = i + kmax
+        clipped = (lo < 0) | (hi > n_ax - 1)
+        truncated |= clipped
+        lo = np.clip(lo, 0, n_ax - 1)
+        hi = np.clip(hi, 0, n_ax - 1)
+        acc += (p[hi + 1] - p[lo]) * (h * w[j] / tj)
+    return np.sqrt(np.maximum(acc, 0.0)), truncated
 
 
 # ---------------------------------------------------------------------------

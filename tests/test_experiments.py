@@ -162,6 +162,7 @@ def test_config_accepts_every_scenario_id():
         {"scenarios": [], "seed": "x"},
         {"scenarios": [], "op_cap": 1},
         {"scenarios": [], "interior_window": 0},
+        {"scenarios": [], "interior_window": 1.5},
         {"scenarios": [], "threads": 0},
         # BLAS reads its pool size only when numpy loads, so no config sets it
         {"scenarios": [], "threads": 2},
@@ -884,6 +885,9 @@ def test_cli_rejects_wrongly_typed_scenario_parameter(key, scenario, tmp_path, c
 
 
 _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
+# radii h, 2h and 32h on the corpus grid (h = 2^-6): h has the one ladder
+# scale t_1 = h at or below it, 2h has five
+_ONE_SLICE_FAMILY = {"center_stride": 0.5, "radii": [0.015625, 0.03125, 0.5]}
 
 
 @pytest.mark.parametrize(
@@ -970,12 +974,17 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
         # family radii past the default t-ladder's top X/4 = 4
         *[(("family",), {"id": sid, "family": {"center_stride": 0.5, "radius_min": 0.125, "radius_max": 8.0}})
           for sid in ("bmo-norms", "tent-norms", "square-function-agreement", "extension-agreement")],
+        # a radius h on the corpus grid has the one scale t_1 = h under it:
+        # a box scan's dt/t trapezoid has nothing to weigh
+        *[(("family",), {"id": sid, "family": _ONE_SLICE_FAMILY})
+          for sid in ("tent-norms", "square-function-agreement", "extension-agreement")],
     ],
     ids=["bmo-radius_max-100", "tent-empty-ladder", "bmo-radii-and-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
          "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range", "pipeline-box-not-dyadic",
          "averaging-box-not-dyadic",
          "bmo-radius-past-ladder", "tent-radius-past-ladder", "square-radius-past-ladder",
-         "extension-radius-past-ladder"],
+         "extension-radius-past-ladder", "tent-radius-one-slice", "square-radius-one-slice",
+         "extension-radius-one-slice"],
 )
 def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_path, capsys):
     # each failed mid-run, after the valid scenario before it had written
@@ -987,6 +996,12 @@ def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_p
     assert f"config error: scenario {scenario['id']!r}: " in err
     assert all(repr(k) in err for k in keys), err
     assert not (tmp_path / "o").exists()
+
+
+def test_bmo_norms_plans_a_radius_with_one_ladder_scale_under_it():
+    # the semigroup oscillation reads no dt/t trapezoid, so radius h stays
+    (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms", "family": _ONE_SLICE_FAMILY}]})
+    assert plan.ladder.box_slices(0.015625) == 1 and plan.ladder.box_slices(0.03125) == 5
 
 
 _SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,

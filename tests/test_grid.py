@@ -144,29 +144,45 @@ def test_table_ball_average_matches_naive(m, ci, seed):
     assert table_mean == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
 
+def _check_rows(g, table, rows, lo, run, m, square):
+    """A table of a two-row stack, and the read of its first row, give each
+    row's ball sums bit for bit as a one-row table of that row (or of its
+    squares)."""
+    got = table.ball_sum(run, m)
+    for j, row in enumerate(rows):
+        assert np.array_equal(got[j], SummedTable(g, row**2 if square else row, lo).ball_sum(run, m))
+    assert np.array_equal(table.ball_sum(run, m, rows=1), got[:1])
+
+
 @given(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=64),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=1, max_value=20),
+    st.booleans(),
+    st.booleans(),
 )
-def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count):
+def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count, square, stacked):
     # the strided-slice read of a run against the prefix table read at an
     # index array: the same two table entries per ball, so the same bytes
     g = Grid(halfwidth=16.0, spacing=0.25)
-    values = np.random.default_rng(start * 31 + step).normal(size=g.shape)
-    table = SummedTable(g, values)
+    rows = np.random.default_rng(start * 31 + step).normal(size=(2,) + g.shape)
+    values = rows[0]
+    table = SummedTable(g, rows if stacked else values, square=square)
     run = range(start, start + count * step, step)
     if run.start - m + 1 < 0 or run[-1] + m > g.size:
         with pytest.raises(OutOfDomainError):
             table.ball_sum(run, m)
         return
-    want = ball_sums(prefix_table(values), np.asarray(run), m)
-    assert np.array_equal(table.ball_sum(run, m), want)
-    out = np.full(count + 2, np.nan)
-    table.ball_sum(run, m, out=out[1:-1])
-    assert np.array_equal(out[1:-1], want)
-    assert np.isnan(out[0]) and np.isnan(out[-1])
+    want = ball_sums(prefix_table(values**2 if square else values), np.asarray(run), m)
+    got = table.ball_sum(run, m)
+    assert np.array_equal(got[0] if stacked else got, want)
+    out = np.full(got.shape[:-1] + (count + 2,), np.nan)
+    table.ball_sum(run, m, out=out[..., 1:-1])
+    assert np.array_equal(out[..., 1:-1], got)
+    assert np.isnan(out[..., 0]).all() and np.isnan(out[..., -1]).all()
+    if stacked:
+        _check_rows(g, table, rows, None, run, m, square)
 
 
 @given(
@@ -176,23 +192,29 @@ def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count):
     st.integers(min_value=1, max_value=20),
     st.integers(min_value=0, max_value=65),
     st.integers(min_value=0, max_value=65),
+    st.booleans(),
+    st.booleans(),
 )
-def test_windowed_ball_sums_equal_the_dense_oracle(m, start, step, count, lo, width):
+def test_windowed_ball_sums_equal_the_dense_oracle(m, start, step, count, lo, width, square, stacked):
     # a table on a window reads 0 left of it and the total right of it:
     # the same bytes as the table of all the samples, zeros included
     g = Grid(halfwidth=16.0, spacing=0.25)
     lo, hi = min(lo, g.size), min(lo + width, g.size)
-    window = np.random.default_rng(lo * 67 + width).normal(size=hi - lo)
+    rows = np.random.default_rng(lo * 67 + width).normal(size=(2, hi - lo))
+    window = rows[0]
     dense = np.zeros(g.shape)
     dense[lo:hi] = window
-    table = SummedTable(g, window, lo)
+    table = SummedTable(g, rows if stacked else window, lo, square=square)
     run = range(start, start + count * step, step)
     if run.start - m + 1 < 0 or run[-1] + m > g.size:
         with pytest.raises(OutOfDomainError):
             table.ball_sum(run, m)
         return
-    sums = ball_sums(prefix_table(dense), np.asarray(run), m)
-    assert np.array_equal(table.ball_sum(run, m), sums)
+    sums = ball_sums(prefix_table(dense**2 if square else dense), np.asarray(run), m)
+    got = table.ball_sum(run, m)
+    assert np.array_equal(got[0] if stacked else got, sums)
+    if stacked:
+        _check_rows(g, table, rows, lo, run, m, square)
     # the centers whose balls meet the window are one slice of the run,
     # and every ball outside it sums to exactly 0.0
     meet = table.meeting(run, m)

@@ -51,6 +51,9 @@ def test_small_workloads_run_under_the_benchmark_tracer(tmp_path):
         assert counts["pipeline"][name] > 0, name
     for name in ("semigroup.discretize_calls", "semigroup.apply_calls", "tent.box_calls"):
         assert counts["spectral"][name] > 0, name
+    # every prefix table is a SummedTable, the box scans' and the semigroup
+    # oscillation's too, so the spectral tables outnumber its family scans
+    assert counts["spectral"]["grid.table_builds"] > counts["spectral"]["oscillation.family_stats_calls"]
     # the family counters read the per-ball views centers and radii, which
     # the family builds from its blocks on read: a wrong view would move
     # these counts without any error

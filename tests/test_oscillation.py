@@ -177,10 +177,8 @@ def no_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a prefix table was allocated")
 
-    for mod in (grid, oscillation):
+    for mod in (grid, oscillation, tent):
         monkeypatch.setattr(mod, "SummedTable", refuse)
-    for mod in (oscillation, tent):
-        monkeypatch.setattr(mod, "square_prefix", refuse)
 
 
 def _hand_family(g, centers, radii):

@@ -29,6 +29,7 @@ from oscillab.tent import (
 from oracles import (
     box_oscillation_ratio,
     carleson_box_strict_tent,
+    clipped_cone_square_function,
     constant,
     cylinder_box,
     dilate_oscillation,
@@ -131,6 +132,24 @@ def test_cone_delta_slice_closed_form():
     rep = t2p_norm(F, 2.0)
     assert rep.value**2 == pytest.approx(peak * 7 * 0.25, rel=1e-12)
     assert rep.truncated_fraction == pytest.approx(np.mean(want_trunc))
+
+
+@pytest.mark.parametrize("top", [1.0, 6.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_constant_end_reads_equal_the_clipped_cones(seed, top):
+    # 17 samples: the smallest slices' cones are their center sample alone
+    # (kmax = 0); up to t = 1 the cones leave the box within 3 samples of
+    # a wall, and with t = 3 and t = 6 they leave it on both sides, at
+    # every sample for t = 6
+    g = Grid(halfwidth=2.0, spacing=0.25)
+    t = np.array([0.125, 0.25, 0.4, 1.0, 1.75, 3.0, 6.0])
+    lad = TLadder(t[t <= top])
+    F = _random_field(g, lad, seed=seed)
+    values, truncated = clipped_cone_square_function(F)
+    cone = cone_square_function(F)
+    assert np.array_equal(cone.values, values)
+    assert np.array_equal(cone.truncated, truncated)
+    assert np.count_nonzero(truncated) == (6 if top == 1.0 else g.size)
 
 
 def test_t2p_norm_validation(small_grid):
