@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ThresholdExhaustedError
-from .grid import Grid, GridFunction, oscillation_and_size
+from .grid import Grid, GridFunction, oscillation_and_size, segment_sups
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def bump(grid: Grid, width: float = 1.0) -> GridFunction:
         )
     r2 = (grid.axis / width) ** 2
     vals = _bump_profile(r2)
-    mass = float(np.sum(vals) * grid.cell_volume)
+    mass = float(np.sum(vals) * grid.spacing)
     if mass <= 0:
         raise ConfigError("bump support contains no samples")
     return GridFunction(grid, vals / mass)
@@ -116,12 +116,15 @@ def _pyramid(f: GridFunction, a: int, p: int):
     f's background b, so its oscillation is 0.0 and its size |b| (the
     bits of the sums q b and (q + 1) b, which are exact for the corpus
     constants).  f is squared once; each coarser level's sums and sums of
-    squares are pairwise sums of the level below, a held cube's partner
-    outside the held run adding its exact 0.0.  The top boundary sample
-    folds into the last cube, so
-    each level's cubes partition the samples.  A consumer that drops its
-    references to a level's arrays before asking for the next keeps at
-    most four live arrays of half the held samples."""
+    squares are pairwise sums of the level below, one add.reduceat each
+    over the pair starts clipped to the held run, so a held cube whose
+    partner lies outside it is its own sum.  The top boundary sample
+    folds into the last cube, so each level's cubes partition the
+    samples.  A consumer that drops its references to a level's arrays
+    before asking for the next keeps at most four live arrays of half the
+    held samples, the level's sums, sums of squares, oscillation and size;
+    the pairing's index array of pair starts is half that, and is freed
+    before the next level is yielded."""
     n = 2 ** (a + p)  # the first level's cubes
     top = 2 * n  # the boundary sample
     k0, k1 = f.lo // 2, (min(f.hi, top) + 1) // 2
@@ -146,60 +149,11 @@ def _pyramid(f: GridFunction, a: int, p: int):
         yield level, q, k0, *oscillation_and_size(osc, size)
         del osc, size
         if level < a:
-            pad = (k0 % 2, k1 % 2)
-            if any(pad):
-                sums, sumsq = (np.pad(x, pad) for x in (sums, sumsq))
-            sums = sums[0::2] + sums[1::2]
-            sumsq = sumsq[0::2] + sumsq[1::2]
+            starts = np.maximum(np.arange(k0 - k0 % 2, k1, 2) - k0, 0)
+            sums = np.add.reduceat(sums, starts)
+            sumsq = np.add.reduceat(sumsq, starts)
+            del starts
             k0, k1, n = k0 // 2, (k1 + 1) // 2, n // 2
-
-
-def _range_max(x: np.ndarray, k0: int, c0: int, c1: int, fill: float) -> float:
-    """max over the cubes [c0, c1) of a level whose cubes from k0 on hold
-    x and whose other cubes hold fill; -inf when the range is empty."""
-    if c0 >= c1:
-        return -math.inf
-    i, j = max(c0 - k0, 0), min(c1 - k0, x.size)
-    held = float(x[i:j].max()) if i < j else -math.inf
-    return held if k0 <= c0 and c1 <= k0 + x.size else max(held, fill)
-
-
-def _prefix_sups(x: np.ndarray, k0: int, ends: list[int], fill: float) -> list[float]:
-    """max over the first e cubes, or -inf when e = 0, for each of the
-    non-decreasing ends, of a level whose cubes from k0 on hold x and
-    whose other cubes hold fill, reading every element of x once."""
-    sups, acc, start = [], -math.inf, 0
-    for e in ends:
-        j = min(max(e - k0, 0), x.size)
-        if j > start:
-            acc = max(acc, float(x[start:j].max()))
-            start = j
-        unheld = (e > 0 and k0 > 0) or e > k0 + x.size
-        sups.append(max(acc, fill) if unheld else acc)
-    return sups
-
-
-def _far_sups(x: np.ndarray, k0: int, nc: int, n0: int, q: int, cuts: list[int], fill: float) -> list[float]:
-    """sup of the per-cube x over the cubes disjoint from the closed origin
-    cube of half-extent T cells, for each T of the increasing cuts; the
-    level has nc cubes, those from k0 on hold x and the others fill.
-
-    A cube with corner cell c is disjoint iff c <= -T - q or c >= T + 1,
-    so the far cubes are a prefix and a suffix of the level, both
-    shrinking as T grows."""
-    left = _prefix_sups(x, k0, [(n0 - t) // q for t in reversed(cuts)], fill)
-    right = _prefix_sups(x[::-1], nc - k0 - x.size, [max(nc - (n0 + t + q) // q, 0) for t in reversed(cuts)], fill)
-    return [max(lo, hi) for lo, hi in zip(reversed(left), reversed(right))]
-
-
-def _shell_sup(x: np.ndarray, k0: int, n0: int, q: int, s_lo: int, fill: float) -> float:
-    """sup of the per-cube x over the cubes whose samples all have radial
-    cell score sigma(o) = max(o, -o-1) in [s_lo, 2 s_lo): the corners
-    c in [s_lo, 2 s_lo - q] on the right and in [-2 s_lo, -s_lo - q] on
-    the left, each a contiguous run of the level (the unheld cubes: fill)."""
-    right = _range_max(x, k0, (n0 + s_lo + q - 1) // q, (n0 + 2 * s_lo) // q, fill)
-    left = _range_max(x, k0, (n0 - 2 * s_lo + q - 1) // q, (n0 - s_lo) // q, fill)
-    return max(right, left)
 
 
 def _level_sups(f: GridFunction, a: int, p: int, rho: float):
@@ -208,28 +162,57 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
     largest oscillation and, if supercritical, its largest size (-inf
     otherwise); per core candidate J in [-p+1, a] the far sups of both
     over all levels (the supercritical ones for the size); and per (level,
-    shell m) the largest size on the shell.  Unheld cubes read as fills."""
-    levels = range(-p + 1, a + 1)
+    shell m) the largest size on the shell.
+
+    Each level is at most three segment_sups over its one held run, the
+    unheld cubes reading as the fill.  A cube with corner cell c is
+    disjoint from the closed origin cube of half-extent T = 2^(J+p) cells
+    iff c <= -T - q or c >= T + 1, so the far cubes are a prefix and a
+    suffix of the level, shrinking as T grows: the prefix ends and the
+    suffix starts of every T cut the level into pieces, and the running
+    maxima of the pieces from either end give every far sup, the whole
+    level's sup among them.  A shell's cubes are those whose samples all
+    have radial cell score sigma(o) = max(o, -o-1) in [s, 2 s), s =
+    2^(m+p): the corners in [-2 s, -s - q] on the left and [s, 2 s - q]
+    on the right, one run each, in position order with gaps between
+    them, so the shells' bounds cut the level into every shell's two runs
+    at once (a shell of no cube is an empty run)."""
+    levels, shells = range(-p + 1, a + 1), range(-p + 1, a)
     size_fill = abs(f.background)
     n0 = f.grid.half_cells
-    cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent in cells
+    cuts = [2 ** (j + p) for j in levels]  # core candidate J -> half-extent T in cells
     osc_max, super_size_max = [], []
-    far_osc = [-math.inf] * len(levels)
-    far_size = [-math.inf] * len(levels)
+    far_osc, far_size = np.full(len(levels), -np.inf), np.full(len(levels), -np.inf)
     shell_size: dict[tuple[int, int], float] = {}
     for l, q, k0, osc, size in _pyramid(f, a, p):
-        nc = 2 * n0 // q
-        osc_max.append(_range_max(osc, k0, 0, nc, 0.0))
-        far_osc = list(map(max, far_osc, _far_sups(osc, k0, nc, n0, q, cuts, 0.0)))
+        nc, run = 2 * n0 // q, (range(k0, k0 + osc.size),)
+        ends = [(n0 - t) // q for t in reversed(cuts)]  # the far prefixes, narrowest first
+        starts = [min((n0 + t + q) // q, nc) for t in cuts]  # the far suffixes, widest first
+        far_cuts = np.array([0, *ends, *starts, nc])
+
+        def far_sups(x: np.ndarray, fill: float) -> tuple[float, np.ndarray]:
+            """(the level's sup of x, the far sup of x for each T)."""
+            pieces = segment_sups(x, run, fill, far_cuts)
+            left, right = np.maximum.accumulate(pieces), np.maximum.accumulate(pieces[::-1])[::-1]
+            return float(left[-1]), np.maximum(left[len(cuts) - 1 :: -1], right[len(cuts) + 1 :])
+
+        top, far = far_sups(osc, 0.0)
+        osc_max.append(top)
+        far_osc = np.maximum(far_osc, far)
         if 2.0**l >= rho:
-            super_size_max.append(_range_max(size, k0, 0, nc, size_fill))
-            far_size = list(map(max, far_size, _far_sups(size, k0, nc, n0, q, cuts, size_fill)))
+            top, far = far_sups(size, size_fill)
+            super_size_max.append(top)
+            far_size = np.maximum(far_size, far)
         else:
             super_size_max.append(-math.inf)
-        for m in range(-p + 1, a):
-            shell_size[l, m] = _shell_sup(size, k0, n0, q, 2 ** (m + p), size_fill)
+        sides = [((n0 - 2 * s + q - 1) // q, (n0 - s) // q) for s in reversed(cuts[:-1])]
+        sides += [((n0 + s + q - 1) // q, (n0 + 2 * s) // q) for s in cuts[:-1]]
+        bounds = np.array([x for c0, c1 in sides for x in (c0, max(c0, c1))])
+        on = segment_sups(size, run, size_fill, bounds)[0::2]  # the shells' runs, not the gaps
+        both = np.maximum(on[: len(shells)][::-1], on[len(shells) :])
+        shell_size.update(zip(((l, m) for m in shells), both.tolist()))
         del osc, size  # the pyramid frees the level before building the next
-    return osc_max, super_size_max, far_osc, far_size, shell_size
+    return osc_max, super_size_max, far_osc.tolist(), far_size.tolist(), shell_size
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +262,9 @@ def choose_thresholds(
       rho a whole level is supercritical (2^l >= rho) or none of it is.
 
     One pass over the level pyramid (see _pyramid) reduces each level to
-    a few scalars: its largest oscillation and size, the far sups for
-    every core candidate J, and the sizes on every shell.
+    a few scalars (see _level_sups): its largest oscillation and size,
+    the far sups for every core candidate J, and the sizes on every
+    shell, in at most three segment reductions of the level.
 
     After J is fixed, I is enlarged until 2^(-I-1) <= rho (critical-radius
     compatibility).  M is the smallest shell cutoff M <= a - 3 (so that
@@ -531,12 +515,7 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     _, p = _dyadic_exponents(assignment.grid)
     n0 = assignment.grid.half_cells
     k = 2 ** (th.outer_exponent + p)
-    # A is 0.0 outside its span, so only the span's part of each outside
-    # slice counts towards the sup
-    outside = (averaged.truncated(0, n0 - k).window, averaged.truncated(n0 + k + 1, averaged.grid.size).window)
-    # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
-    # the sign of a zero
-    p1 = abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
+    p1 = averaged.sup_outside(n0 - k, n0 + k + 1)
     starts = assignment.held_bounds(averaged)[:-1]
     p2 = float(np.max(np.abs(np.diff(averaged.at(starts))), initial=0.0))
     levels = [l for *_, l in assignment.regions]

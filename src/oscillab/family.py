@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
-from .grid import Ball, Grid
+from .grid import Ball, Grid, segment_sups
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -132,7 +132,7 @@ class BallFamily:
                 raise ConfigError("a radius block is not a nonempty run of the family's centers")
             run = range(int(idx[off]), int(idx[off]) + n * step, step)
             # inside the box: |c| + r <= X - h, i.e. sample indices 1 .. 2X/h - 1
-            if run.start - m < 1 or run[-1] + m > g.axis_count - 2:
+            if run.start - m < 1 or run[-1] + m > g.size - 2:
                 raise OutOfDomainError(f"a ball of cell radius {m} over {run} touches or leaves the box")
             blocks.append(RadiusBlock(m, off, n, m * g.spacing, start, run))
             start += n
@@ -241,9 +241,8 @@ class BallValues:
     holds fill.  A scan of a function with a window stores the balls that
     meet it, and the rest take the background's closed form; whole()
     stores every ball, so a family-sized array is the same object with no
-    fill.  The stored balls of any run of balls are a run of values, so a
-    reduction reads them with one reduceat and takes the fill where a
-    segment has a ball outside the runs."""
+    fill.  Every sup over segments of balls is grid.segment_sups over the
+    stored runs."""
 
     family: BallFamily
     runs: tuple[range, ...]
@@ -265,52 +264,26 @@ class BallValues:
             raise ConfigError("metric array length does not match the family")
         return BallValues(family, tuple(range(b.start, b.stop) for b in family.blocks), vals, math.nan)
 
-    @cached_property
-    def _held_at(self) -> tuple[np.ndarray, np.ndarray]:
-        """The number of stored balls before ball x, as the breakpoints of
-        a piecewise-linear function of x: slope 1 over the runs, 0 over
-        the fill."""
-        x, c, n = [0], [0], 0
-        for r in self.runs:
-            if r:
-                x, c, n = x + [r.start, r.stop], c + [n, n + len(r)], n + len(r)
-        x, c = np.array(x, dtype=np.float64), np.array(c, dtype=np.float64)
-        keep = np.append(np.diff(x) > 0, True)  # a run that ends where the next starts is one run
-        return x[keep], c[keep]
-
-    def _held_before(self, x: np.ndarray) -> np.ndarray:
-        """The number of stored balls before each ball index of x."""
-        return np.interp(x, *self._held_at).astype(np.intp)
-
-    def arg_sup(self, k: int, a: int, b: int) -> list[tuple[float, int]]:
-        """[(the sup over the balls a .. b - 1 of block k, the first ball
-        attaining it)], or [] when a == b."""
-        if a >= b:
-            return []
-        s, e = self.runs[k].start, self.runs[k].stop
-        p, q = min(max(a, s), e), min(max(b, s), e)
-        pieces = [(self.fill, a)] if a < s else []
-        if p < q:
-            c = int(self._held_before(np.array([p]))[0])
-            i = int(np.argmax(self.values[c : c + q - p]))
-            pieces.append((float(self.values[c + i]), p + i))
-        if b > e:
-            pieces.append((self.fill, max(a, e)))
-        return [max(pieces, key=lambda piece: piece[0])]
-
-    def segment_sups(self, cuts: np.ndarray) -> np.ndarray:
-        """The sup over each segment of balls cuts[i] .. cuts[i + 1] - 1.
-        The segments' stored parts tile a run of values, so one reduceat
-        reads them all; a segment with fewer stored balls than balls holds
-        the fill too."""
-        c = self._held_before(cuts)
-        held = np.diff(c)
-        out = np.where(np.diff(cuts) > held, self.fill, -np.inf)
-        if c[-1] > c[0]:
-            got = held > 0
-            sups = np.maximum.reduceat(self.values[c[0] : c[-1]], c[:-1][got] - c[0])
-            out[got] = np.maximum(out[got], sups)
-        return out
+    def first_sup(self, cuts: np.ndarray, kept: np.ndarray) -> tuple[float, int]:
+        """The sup over the balls of the kept segments cuts[i] .. cuts[i +
+        1] - 1, each inside one radius block, and the first ball attaining
+        it, or (0.0, -1) when they hold no ball.  The first kept segment
+        attaining the sup holds that ball: its first fill ball before the
+        block's run, else its first stored ball, else its first fill ball
+        after the run."""
+        sups = np.where(kept, segment_sups(self.values, self.runs, self.fill, cuts), -np.inf)
+        i = int(np.argmax(sups))
+        if sups[i] == -np.inf:
+            return 0.0, -1
+        a, b = int(cuts[i]), int(cuts[i + 1])
+        k = next(k for k, blk in enumerate(self.family.blocks) if a < blk.stop)
+        run, c = self.runs[k], sum(len(r) for r in self.runs[:k])
+        p, q = min(max(a, run.start), run.stop), min(max(b, run.start), run.stop)
+        if a < p and self.fill == sups[i]:
+            return self.fill, a
+        stored = self.values[c + p - run.start : c + q - run.start]
+        hit = np.flatnonzero(stored == sups[i])
+        return (float(stored[hit[0]]), p + int(hit[0])) if hit.size else (self.fill, max(a, q))
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
@@ -441,8 +414,9 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still
     qualifies.  The family's segment plan for the mode groups the balls
-    into contiguous runs of one bucket, so one segment_sups gives each
-    run's sup and the run lengths its count.  The plain modes reduce the
+    into contiguous runs of one bucket, so one grid.segment_sups over the
+    metric's stored runs gives each run's sup and the run lengths its
+    count.  The plain modes reduce the
     whole family as one span; the supercritical modes reduce each radius
     block's supercritical run, the plan's segments cut at the runs' ends,
     so no mask or masked copy is made.  A cutoff's balls are those of its bucket and of every
@@ -474,7 +448,7 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     n = ladder.shape[0]
     top = np.full(n + 1, -np.inf)
     sizes = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(top, buckets, metric.segment_sups(cuts)[kept])
+    np.maximum.at(top, buckets, segment_sups(metric.values, metric.runs, metric.fill, cuts)[kept])
     np.add.at(sizes, buckets, np.diff(cuts)[kept])
 
     if mode == "small-radius":

@@ -35,8 +35,14 @@ mean is b.  A Carleson box of radius r reads the first k rows of its
 field's table, the ladder slices t_j <= r, and a cone that leaves the box
 reads the table's constant ends past the walls.  The ball means of f and
 of f^2 become the oscillation and the size in one place,
-oscillation_and_size.  The naive per-ball the oracle of the tables, live with the tests (tests/oracles.py), with
-the dense scans that the windowed ones are checked against.
+oscillation_and_size.
+
+Values held on runs of indices, with a fill at every other index, are
+reduced in one place too: segment_sups gives the sup over each of a list
+of segments, for a family's per-ball values (one run per radius block)
+and for a level of dyadic cubes (one run).  The naive per-ball sums, the
+oracle of the tables, live with the tests (tests/oracles.py), with the
+dense scans that the windowed ones are checked against.
 """
 
 from __future__ import annotations
@@ -85,20 +91,12 @@ class Grid:
         return round(self.halfwidth / self.spacing)
 
     @property
-    def axis_count(self) -> int:
-        return 2 * self.half_cells + 1
-
-    @property
     def shape(self) -> tuple[int, ...]:
-        return (self.axis_count,)
+        return (self.size,)
 
     @property
     def size(self) -> int:
-        return self.axis_count
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing
+        return 2 * self.half_cells + 1
 
     @property
     def axis(self) -> np.ndarray:
@@ -222,6 +220,15 @@ class GridFunction:
             return GridFunction(self.grid, np.empty(0), lo=0)
         return GridFunction(self.grid, self.on(a, b), lo=a)
 
+    def sup_outside(self, a: int, b: int) -> float:
+        """sup |f| over the samples outside [a, b), 0.0 when there is none.
+        f is +0.0 outside its span, so only the span's part of the two
+        outside slices is read."""
+        outside = (self.truncated(0, a).window, self.truncated(b, self.grid.size).window)
+        # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
+        # the sign of a zero
+        return abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
+
     @staticmethod
     def from_callable(grid: Grid, fn, support: tuple[float, float] | None = None) -> "GridFunction":
         """fn at the samples; with support (x0, x1), at the samples of the
@@ -340,6 +347,34 @@ class SummedTable:
         n, step = len(run), run.step
         return np.subtract(self.prefix(run.start + m, n, step, rows), self.prefix(run.start - m + 1, n, step, rows),
                            out=out)
+
+
+# ---------------------------------------------------------------------------
+# sups over held runs
+
+
+def segment_sups(values: np.ndarray, runs, fill: float, cuts: np.ndarray) -> np.ndarray:
+    """The sup over each segment cuts[i] .. cuts[i + 1] - 1 (non-decreasing
+    cuts) of a sequence whose indices in the runs (ascending, disjoint
+    ranges of step 1) hold values in order and whose other indices hold
+    fill, or -inf for an empty segment.  The number of held indices before
+    an index is piecewise linear in it, slope 1 over the runs and 0
+    elsewhere, so the segments' held parts tile a run of values and one
+    reduceat reads them all; a segment with fewer held indices than
+    indices holds the fill too."""
+    x, c, n = [0], [0], 0
+    for r in runs:
+        if r:
+            if r.start == x[-1]:  # np.interp needs distinct breakpoints; this run continues the last
+                del x[-1], c[-1]
+            x, c, n = x + [r.start, r.stop], c + [n, n + len(r)], n + len(r)
+    c = np.interp(cuts, x, c).astype(np.intp)
+    held = c[1:] - c[:-1]
+    out = np.where(cuts[1:] - cuts[:-1] > held, fill, -np.inf)
+    if held.any():
+        got = held > 0
+        out[got] = np.maximum(out[got], np.maximum.reduceat(values[c[0] : c[-1]], c[:-1][got] - c[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

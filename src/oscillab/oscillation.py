@@ -114,18 +114,9 @@ class OscillationReport:
 
 
 def _sup_report(per_ball: BallValues) -> OscillationReport:
-    """The sup of one value per family ball, at its first attaining ball:
-    that of the first block attaining the sup of the blocks' sups."""
-    blocks = per_ball.family.blocks
-    k = int(np.argmax(per_ball.segment_sups(np.array([b.start for b in blocks] + [len(per_ball.family)]))))
-    ((value, arg),) = per_ball.arg_sup(k, blocks[k].start, blocks[k].stop)
-    return OscillationReport(value, arg, len(per_ball.family))
-
-
-def _first_sup(sups: list[tuple[float, int]]) -> tuple[float, int]:
-    """The largest of the (value, ball) pairs, the first one on a tie, or
-    (0.0, -1) for no pair."""
-    return max(sups, key=lambda s: s[0]) if sups else (0.0, -1)
+    """The sup of one value per family ball, at its first attaining ball."""
+    cuts = np.array([b.start for b in per_ball.family.blocks] + [len(per_ball.family)])
+    return OscillationReport(*per_ball.first_sup(cuts, np.ones(cuts.size - 1, dtype=bool)), len(per_ball.family))
 
 
 def bmo_norm(stats: FamilyStats) -> OscillationReport:
@@ -155,20 +146,20 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     balls with r >= rho(center) (ties count as supercritical).  rho is a
     scalar, possibly +inf (no size part), or one reach per radius block
     (supercritical_spans).  Each block's supercritical balls are one run,
-    so each part is the sup of its runs' sups, at the first ball
-    attaining it."""
-    osc, size = stats.oscillation, stats.size
-    osc_at, size_at = [], []
-    for k, (block, a, b) in enumerate(supercritical_spans(stats.family, rho)):
-        osc_at += osc.arg_sup(k, block.start, a) + osc.arg_sup(k, b, block.stop)
-        size_at += size.arg_sup(k, a, b)
-    (osc_part, osc_arg), (size_part, size_arg) = _first_sup(osc_at), _first_sup(size_at)
+    so the blocks' (start, a, b) cut the family into segments that are
+    by turns subcritical, supercritical and subcritical, and each part is
+    one first_sup over them."""
+    spans = supercritical_spans(stats.family, rho)
+    cuts = np.array([x for block, a, b in spans for x in (block.start, a, b)] + [len(stats.family)])
+    sub = np.arange(cuts.size - 1) % 3 != 1
+    osc_part, osc_arg = stats.oscillation.first_sup(cuts, sub)
+    size_part, size_arg = stats.size.first_sup(cuts, ~sub)
     return SplitNormReport(
         osc_part + size_part,
         osc_part,
         size_part,
-        bool(osc_at),
-        bool(size_at),
+        osc_arg >= 0,
+        size_arg >= 0,
         osc_arg,
         size_arg,
         len(stats.family),
@@ -207,7 +198,7 @@ def semigroup_difference_values(
         np.subtract(fv, diff, out=diff)
         for b, row in zip(blocks[rows], diff):
             sums = SummedTable(g, row, square=True).ball_sum(b.run, b.cell_radius)
-            out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.cell_volume / b.radius)
+            out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.spacing / b.radius)
     return out
 
 

@@ -324,9 +324,12 @@ def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:
     threshold's two sides contradict the monotonicity.
     """
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    # centers symmetric about 0, as a family's are, hold their distances in
-    # their upper half, a view: no center-sized temporaries stay on the heap
-    d = xs[xs.size // 2 :] if np.array_equal(xs, -xs[::-1]) else np.unique(np.abs(xs))
+    # |x| descends over the negative centers and ascends over the rest: the
+    # stable sort (a run-merging timsort) merges the two runs in one pass,
+    # in place, and the repeats drop
+    d = np.abs(xs)
+    d.sort(kind="stable")
+    d = d[np.append(True, d[1:] > d[:-1])]
     r = np.asarray(radii, dtype=np.float64).reshape(-1)
     if not d.size:
         raise ConfigError("critical_reach needs at least one center")

@@ -182,12 +182,12 @@ def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralO
     """
     if V.kind != "constant":
         raise ConfigError(f"the spectral operator takes a constant potential, not {V.kind!r}")
-    m = grid.axis_count - 2
+    m = grid.size - 2
     if m < 1:
         raise ConfigError("grid too small for an interior")
-    if grid.axis_count > cap:
+    if grid.size > cap:
         raise ConfigError(
-            f"operator size {grid.axis_count} exceeds the cap {cap}; "
+            f"operator size {grid.size} exceeds the cap {cap}; "
             "raise the cap explicitly if this is intended"
         )
     k = np.arange(1, m + 1)

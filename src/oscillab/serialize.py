@@ -83,7 +83,7 @@ def save_grid_function(path: _PathLike, f: GridFunction) -> Path:
         "n": g.n,
         "halfwidth": g.halfwidth,
         "spacing": g.spacing,
-        "axis_count": g.axis_count,
+        "axis_count": g.size,
     }
     p.with_suffix(".bin").write_bytes(f.values.astype("<f8", copy=False).tobytes())
     p.write_text(canonical_json(header), encoding="utf-8")

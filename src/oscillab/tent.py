@@ -45,7 +45,7 @@ class BoxScanner:
         k = self.F.ladder.box_slices(r)
         sums = self._table.ball_sum(run, cell_radius, rows=k)
         w = log_weights_for(self.F.ladder.values[:k])
-        return np.add.reduce(w[:, None] * sums, axis=0) * self.grid.cell_volume / r
+        return np.add.reduce(w[:, None] * sums, axis=0) * self.grid.spacing / r
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
@@ -109,7 +109,7 @@ def t2p_norm(F: HalfSpaceFunction, p: float) -> TentNormReport:
     if not (0 < p < math.inf):
         raise ConfigError(f"tent exponent must be positive and finite, got {p}")
     cone = cone_square_function(F)
-    val = float(np.sum(cone.values**p) * F.grid.cell_volume) ** (1.0 / p)
+    val = float(np.sum(cone.values**p) * F.grid.spacing) ** (1.0 / p)
     frac = float(np.mean(cone.truncated))
     return TentNormReport(p, val, frac)
 
@@ -168,7 +168,7 @@ def reproducing_pairing_check(
     if not grid.compatible(g_fn.grid) or not grid.compatible(op.grid):
         raise ConfigError("pairing inputs live on different grids")
     fv, gv = f.values, g_fn.values
-    direct = float(np.sum(fv * gv) * grid.cell_volume)
+    direct = float(np.sum(fv * gv) * grid.spacing)
     # the two fields a block of slices at a time; the same samples (bit
     # for bit) give the same field, built once
     if np.array_equal(fv.view(np.uint64), gv.view(np.uint64)):
@@ -180,8 +180,8 @@ def reproducing_pairing_check(
     for (rows, Ff), (_, Fg) in blocks:
         for j, a, b in zip(range(len(ladder))[rows], Ff, Fg):
             tent += w[j] * float(np.sum(a * b))
-    tent *= 4.0 * grid.cell_volume
+    tent *= 4.0 * grid.spacing
     denom = max(abs(direct), 1e-300)
-    outside = np.delete(np.stack((fv, gv)), interior_index_window(grid, window), axis=1)
-    sup_out = float(np.max(np.abs(outside), initial=0.0))
+    inside = interior_index_window(grid, window)
+    sup_out = max(h.sup_outside(int(inside[0]), int(inside[-1]) + 1) for h in (f, g_fn))
     return PairingReport(direct, tent, abs(tent - direct) / denom, sup_out <= 1e-12)

@@ -76,7 +76,7 @@ def constant(grid: Grid, c: float) -> GridFunction:
 
 def l2_norm(f: GridFunction) -> float:
     """Discrete L2 norm: (sum f^2 * h)^(1/2)."""
-    return float(math.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
+    return float(math.sqrt(np.sum(f.values**2) * f.grid.spacing))
 
 
 def inside_box(ball: Ball, grid: Grid) -> bool:
@@ -164,7 +164,7 @@ def cylinder_box(F: HalfSpaceFunction, ball: Ball) -> float:
     mask = np.abs(g.axis - ball.center[0]) < r
     tot = 0.0
     for j in range(k):
-        tot += w[j] * float(np.sum(F.values[j][mask] ** 2)) * g.cell_volume
+        tot += w[j] * float(np.sum(F.values[j][mask] ** 2)) * g.spacing
     return tot / r**g.n
 
 
@@ -190,7 +190,7 @@ def carleson_box_strict_tent(F: HalfSpaceFunction, ball: Ball) -> float:
         b = Ball(ball.center, shrunk)
         vals = ball_member_values(GridFunction(g, F.values[j]), b)
         total += w[j] * float(np.sum(vals**2))
-    return total * g.cell_volume / ball.radius
+    return total * g.spacing / ball.radius
 
 
 def clipped_cone_square_function(F: HalfSpaceFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +201,7 @@ def clipped_cone_square_function(F: HalfSpaceFunction) -> tuple[np.ndarray, np.n
     h = g.spacing
     t = F.ladder.values
     w = F.ladder.log_weights
-    n_ax = g.axis_count
+    n_ax = g.size
     acc = np.zeros(g.shape)
     truncated = np.zeros(g.shape, dtype=bool)
     for j, tj in enumerate(t):
@@ -408,6 +408,40 @@ def dense_pyramid(values: np.ndarray, a: int, p: int):
         osc[-1], size[-1] = sums[-1] / (q + 1), sumsq[-1] / (q + 1)
         yield level, q, *oscillation_and_size(osc, size)
         sums, sumsq = sums[0::2] + sums[1::2], sumsq[0::2] + sumsq[1::2]
+
+
+def dense_level_sups(values: np.ndarray, a: int, p: int, rho: float):
+    """What approx._level_sups reduces the pyramid to, from every cube of
+    dense_pyramid, each sup a max over a mask of the cube corners c (the
+    samples c .. c + q - 1 from the origin): per level the largest
+    oscillation and, if 2^l >= rho, size (else -inf); per core candidate
+    J, of half-extent T = 2^(J+p) cells, the far sups over the levels of
+    the cubes with c <= -T - q or c >= T + 1; per (level, shell m), of
+    s = 2^(m+p), the largest size over the cubes with [c, c + q - 1] in
+    [s, 2 s) or in [-2 s, -s)."""
+    n0 = 2 ** (a + p)
+    cuts = [2 ** (j + p) for j in range(-p + 1, a + 1)]
+
+    def sup(x: np.ndarray, mask: np.ndarray) -> float:
+        return float(x[mask].max()) if mask.any() else -math.inf
+
+    osc_max, super_size_max, shell_size = [], [], {}
+    far_osc, far_size = [-math.inf] * len(cuts), [-math.inf] * len(cuts)
+    for l, q, osc, size in dense_pyramid(values, a, p):
+        c = -n0 + q * np.arange(osc.size)
+        every = np.ones(osc.size, dtype=bool)
+        far = [(c <= -t - q) | (c >= t + 1) for t in cuts]
+        osc_max.append(sup(osc, every))
+        far_osc = [max(x, sup(osc, m)) for x, m in zip(far_osc, far)]
+        if 2.0**l >= rho:
+            super_size_max.append(sup(size, every))
+            far_size = [max(x, sup(size, m)) for x, m in zip(far_size, far)]
+        else:
+            super_size_max.append(-math.inf)
+        for m, s in zip(range(-p + 1, a), cuts):
+            inside = ((c >= s) & (c + q - 1 < 2 * s)) | ((c >= -2 * s) & (c + q - 1 < -s))
+            shell_size[l, m] = sup(size, inside)
+    return osc_max, super_size_max, far_osc, far_size, shell_size
 
 
 def cube_tiling(assignment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

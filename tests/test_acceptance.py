@@ -87,7 +87,7 @@ def test_criterion_03_subordination_and_semigroup_law(criterion, grid16):
     worst_sub = 0.0
     worst_law = 0.0
     for _ in range(5):
-        vals = rng.standard_normal(grid16.axis_count)
+        vals = rng.standard_normal(grid16.size)
         vals[0] = vals[-1] = 0.0
         f = GridFunction(grid16, vals)
         f = GridFunction(grid16, vals / l2_norm(f))
@@ -123,12 +123,12 @@ def test_criterion_05_square_function_energy_bound(criterion, grid16, op16):
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
-        vals = rng.standard_normal(grid16.axis_count)
+        vals = rng.standard_normal(grid16.size)
         vals[0] = vals[-1] = 0.0
         f = GridFunction(grid16, vals)
         F = square_function_field(op16, f, lad)
         s = float(
-            sum(w[j] * np.sum(F.values[j] ** 2) * grid16.cell_volume for j in range(len(lad)))
+            sum(w[j] * np.sum(F.values[j] ** 2) * grid16.spacing for j in range(len(lad)))
         )
         worst = max(worst, s / l2_norm(f) ** 2)
     c.finish(worst <= 0.25 * 1.02, f"worst energy ratio {worst:.6f} vs bound 0.255")
@@ -340,7 +340,7 @@ def test_criterion_13_box_quadrature_and_tent_monotonicity(criterion, grid16, fa
     b = family16.ball(0)
     m = int(round(b.radius / grid16.spacing))
     k = int(np.searchsorted(lad.values, b.radius, side="right"))
-    closed = cval**2 * (2 * m - 1) * grid16.cell_volume / b.radius * float(
+    closed = cval**2 * (2 * m - 1) * grid16.spacing / b.radius * float(
         np.sum(prefix_weights(lad.values[:k]))
     )
     triv_err = abs(family_box_values(Fc, family16)[0] - closed) / closed

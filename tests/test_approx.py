@@ -372,7 +372,7 @@ def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> tuple[np.ndarray,
     cube id of every sample."""
     p = round(-math.log2(grid.spacing))
     n0 = grid.half_cells
-    o = np.minimum(np.arange(grid.axis_count), 2 * n0 - 1) - n0
+    o = np.minimum(np.arange(grid.size), 2 * n0 - 1) - n0
     sigma = np.maximum(o, -o - 1)
     in_core = sigma < 2 ** (th.core_exponent + p)
     shell_m = np.zeros(sigma.shape, dtype=np.int64)
@@ -448,7 +448,7 @@ def _valid_window(g: Grid, t: float) -> slice:
     """The samples whose width-t kernel window stays inside the box: the
     kernel reaches ceil(t/h) - 1 samples each way."""
     kmax = math.ceil(t / g.spacing - 1e-9) - 1
-    return slice(kmax, g.axis_count - kmax)
+    return slice(kmax, g.size - kmax)
 
 
 def test_mollify_constant_exact_on_valid_window():
@@ -456,7 +456,7 @@ def test_mollify_constant_exact_on_valid_window():
     f = constant(g, 2.5)
     out = mollify(f, 0.5)
     valid = _valid_window(g, 0.5)
-    assert 0 < valid.start < valid.stop < g.axis_count
+    assert 0 < valid.start < valid.stop < g.size
     assert np.allclose(out.values[valid], 2.5, atol=1e-13)
     # one sample further out the window reaches the zero padding
     assert out.values[valid.start - 1] < 2.5 - 1e-6

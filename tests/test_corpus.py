@@ -88,5 +88,5 @@ def test_eigenvector_member_on_any_grid():
 
 def test_corpus_operator_default(grid16, op16):
     assert op16.grid == grid16
-    assert op16.interior_count == grid16.axis_count - 2
+    assert op16.interior_count == grid16.size - 2
     assert np.all(op16.eigenvalues > 1.0)  # V = 1 shifts the whole spectrum

@@ -89,7 +89,7 @@ def test_lacunary_function_places_unit_bumps():
     assert int(np.argmax(f.values)) == i3
     # the window is the samples of B(0, 1), so the floor reference taken
     # from it is the single bump's oscillation over that ball, bit for bit
-    phi = np.zeros(g.axis_count)
+    phi = np.zeros(g.size)
     phi[g.half_cells + koff] = win
     assert oscillation_of(win) == mean_oscillation(GridFunction(g, phi), Ball((0.0,), 1.0))
 

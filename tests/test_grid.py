@@ -27,7 +27,7 @@ def test_grid_validation():
 
 def test_grid_axis_contains_origin_and_endpoints():
     g = Grid(halfwidth=4.0, spacing=0.25)
-    assert g.axis_count == 33
+    assert g.size == 33
     assert g.axis[0] == -4.0
     assert g.axis[-1] == 4.0
     assert g.axis[g.half_cells] == 0.0
@@ -44,7 +44,7 @@ def test_grid_axis_is_not_kept_by_the_grid():
 
 def test_coord_index_roundtrip():
     g = Grid(halfwidth=8.0, spacing=2.0**-4)
-    idx = np.arange(g.axis_count)
+    idx = np.arange(g.size)
     assert np.array_equal(g.coord_to_index(g.index_to_coord(idx)), idx)
 
 
@@ -85,8 +85,8 @@ def test_ball_average_quadratic_closed_form():
     for r in (0.25, 1.0, 4.0):
         b = Ball((0.0,), r)
         want = r * (r - g.spacing) / 3.0
-        vol = (2 * round(r / g.spacing) - 1) * g.cell_volume  # |B| of a lattice ball
-        mean = float(np.sum(ball_member_values(f, b))) * g.cell_volume / vol
+        vol = (2 * round(r / g.spacing) - 1) * g.spacing  # |B| of a lattice ball
+        mean = float(np.sum(ball_member_values(f, b))) * g.spacing / vol
         assert mean == pytest.approx(want, rel=1e-13)
 
 
@@ -299,4 +299,4 @@ def test_grid_dimension_is_one():
     assert g.n == 1
     assert g.shape == (9,)
     assert g.size == 9
-    assert g.cell_volume == 0.5
+    assert g.spacing == 0.5

@@ -84,7 +84,7 @@ def _old_semigroup_difference_values(f, op, family, ladder=None):
     for ci, m, r in _index_blocks(family):
         diff = f.values - poisson(op, f, r).values
         sums = ball_sums(prefix_table(diff**2), ci, m)
-        out.append(np.sqrt(np.maximum(0.0, sums) * g.cell_volume / r))
+        out.append(np.sqrt(np.maximum(0.0, sums) * g.spacing / r))
     return np.concatenate(out)
 
 
@@ -99,7 +99,7 @@ def _index_box_values(F, family):
         total = np.zeros(ci.size)
         for j in range(k):
             total += w[j] * ball_sums(tables[j], ci, m)
-        out.append(total * F.grid.cell_volume / r)
+        out.append(total * F.grid.spacing / r)
     return np.concatenate(out)
 
 

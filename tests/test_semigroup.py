@@ -47,7 +47,7 @@ def test_dirichlet_eigenvalues_constant_potential():
     g = Grid(halfwidth=2.0, spacing=0.25)
     op = discretize(constant_potential(3.0, 1), g)
     N = op.interior_count
-    assert N == g.axis_count - 2
+    assert N == g.size - 2
     k = np.arange(1, N + 1)
     want = 4.0 / 0.25**2 * np.sin(k * math.pi / (2 * (N + 1))) ** 2 + 3.0
     assert np.allclose(np.sort(op.eigenvalues), np.sort(want), rtol=1e-12)

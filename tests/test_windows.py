@@ -22,12 +22,8 @@ import pytest
 from oscillab.approx import (
     AveragingThresholds,
     _dyadic_exponents,
-    _far_sups,
     _level_sups,
-    _prefix_sups,
     _pyramid,
-    _range_max,
-    _shell_sup,
     assign_cubes,
     choose_thresholds,
     dyadic_average,
@@ -37,7 +33,7 @@ from oscillab.approx import (
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ThresholdExhaustedError
 from oscillab.experiments import RHO_CONSTANT_UNIT, plan_scenarios
-from oscillab.grid import Grid, GridFunction
+from oscillab.grid import Grid, GridFunction, segment_sups
 from oscillab.oscillation import family_stats
 from oracles import (
     constant,
@@ -47,6 +43,7 @@ from oracles import (
     dense_family_stats,
     dense_values,
     dense_gates,
+    dense_level_sups,
     dense_mollify,
     dense_pyramid,
     held_whole,
@@ -276,34 +273,55 @@ def test_declared_constants_scan_as_their_dense_samples(member, geometry):
         assert (diff.lo, diff.hi) == (diff_dense.lo, diff_dense.hi) and _same(diff.values, diff_dense.values)
 
 
-def test_level_reductions_read_the_fill_outside_the_held_run():
-    # a pyramid level of nc cubes of q cells, corners -n0 + k q, whose
-    # cubes k0 .. k0 + len(x) - 1 hold x and whose other cubes hold the
-    # fill (0.0, or a constant's size |b|): each reduction equals the same
-    # reduction of the level written out in full
+def test_segment_sups_read_the_fill_outside_the_held_runs():
+    # a sequence held on a few runs with a fill elsewhere, reduced over
+    # random segments (empty ones, ones of fill only, ones across runs)
+    # equals the max over the same segments of the sequence written out
+    # in full; values and fill are drawn from a few integers so the fill
+    # often ties a held value
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        n = int(rng.integers(0, 40))
+        edges = np.sort(rng.integers(0, n + 1, size=2 * int(rng.integers(0, 4))))
+        runs = tuple(range(int(i), int(j)) for i, j in edges.reshape(-1, 2))
+        values = rng.integers(-2, 3, size=sum(len(r) for r in runs)).astype(np.float64)
+        fill = float(rng.integers(-2, 3))
+        dense = np.full(n, fill)
+        if runs:
+            dense[np.concatenate([np.arange(r.start, r.stop) for r in runs])] = values
+        cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 8))))
+        want = [dense[i:j].max() if i < j else -math.inf for i, j in zip(cuts, cuts[1:])]
+        assert _same(segment_sups(values, runs, fill, cuts), np.array(want)), (n, runs, cuts)
+
+
+def _sups_bits(sups) -> list:
+    """The level sups with every float as its bits, and the shell keys."""
+    osc_max, super_size_max, far_osc, far_size, shell_size = sups
+    floats = (osc_max, super_size_max, far_osc, far_size, list(shell_size.values()))
+    return [_bits(x).tolist() for x in floats] + [list(shell_size)]
+
+
+def test_level_sups_equal_the_dense_oracle():
+    # every reduction of every pyramid level, bit for bit, against masked
+    # maxima over the cubes written out in full: random windows (which
+    # may touch either face, start or end on an odd cube and hold a
+    # single cube) and the declared constants on small power-of-two boxes,
+    # and the members at the pipeline geometry, with critical radii below,
+    # inside and above the levels
     rng = np.random.default_rng(26)
     for _ in range(300):
-        n0, q = 2 ** int(rng.integers(1, 7)), 2 ** int(rng.integers(0, 4))
-        q = min(q, n0)
-        nc = 2 * n0 // q
-        held = int(rng.integers(0, nc + 1))
-        k0 = int(rng.integers(0, nc - held + 1))
-        x, fill = rng.random(held), float(rng.choice([0.0, rng.random()]))
-        level = np.full(nc, fill)
-        level[k0 : k0 + held] = x
-        corners = -n0 + q * np.arange(nc)
-
-        def sup(mask) -> float:
-            return float(level[mask].max()) if mask.any() else -math.inf
-
-        c0, c1 = sorted(int(c) for c in rng.integers(0, nc + 1, size=2))
-        assert _range_max(x, k0, c0, c1, fill) == sup((np.arange(nc) >= c0) & (np.arange(nc) < c1))
-        ends = sorted(int(e) for e in rng.integers(0, nc + 1, size=4))
-        assert _prefix_sups(x, k0, ends, fill) == [sup(np.arange(nc) < e) for e in ends]
-        cuts = [2**j for j in range(int(math.log2(n0)) + 1)]
-        far = [sup((corners <= -t - q) | (corners >= t + 1)) for t in cuts]
-        assert _far_sups(x, k0, nc, n0, q, cuts, fill) == far
-        for s_lo in cuts[:-1]:
-            top = corners + q - 1
-            inside = ((corners >= s_lo) & (top < 2 * s_lo)) | ((corners >= -2 * s_lo) & (top < -s_lo))
-            assert _shell_sup(x, k0, n0, q, s_lo, fill) == sup(inside), (n0, q, s_lo)
+        a = int(rng.integers(-2, 5))
+        p = int(rng.integers(max(1 - a, 0), 8 - a))
+        grid = Grid(halfwidth=2.0**a, spacing=2.0**-p)
+        if rng.random() < 0.2:  # the corpus constants, whose dense sums are exact
+            f = GridFunction.constant(grid, float(rng.choice([1.0, -0.5, 0.0])))
+        else:
+            f = _random_window(grid, rng)
+        rho = 2.0 ** int(rng.integers(-p - 1, a + 2))
+        assert _sups_bits(_level_sups(f, a, p, rho)) == _sups_bits(dense_level_sups(f.values, a, p, rho))
+    grid = _geometry("pipeline-small")[0]
+    a, p = _dyadic_exponents(grid)
+    for member, rho in (("bump-narrow", 2.0**-p), ("lacunary", RHO_CONSTANT_UNIT), ("const-one", 2.0**a)):
+        f = member_by_name(member).build(grid)
+        got, want = _level_sups(f, a, p, rho), dense_level_sups(f.values, a, p, rho)
+        assert _sups_bits(got) == _sups_bits(want), member
