@@ -126,15 +126,11 @@ def _bump_window(h: float) -> tuple[np.ndarray, np.ndarray]:
 
 def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
     """Sum of unit-mass bumps at 3^k, k = 1..k_max, each the same sampled
-    kernel, held from the first bump's samples to the last's."""
+    kernel, held as one piece per bump."""
     _check_lacunary_reach(grid, k_max)
     win, koff = _bump_window(grid.spacing)
-    at = [int(grid.coord_to_index(3.0**k)) + koff for k in range(1, k_max + 1)]
-    lo = int(at[0][0])
-    vals = np.zeros(int(at[-1][-1]) + 1 - lo)
-    for i in at:
-        vals[i - lo] += win
-    return GridFunction(grid, vals, lo=lo)
+    at = [int(grid.coord_to_index(3.0**k)) + int(koff[0]) for k in range(1, k_max + 1)]
+    return GridFunction.from_pieces(grid, [(lo, win) for lo in at])
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ radius modes, and in the distance modes its key |c| - r descends over a
 block's negative centers and ascends over the rest.  A curve is therefore a reduction over a few
 contiguous segments of the family, at most 2 (n + 1) per block for an
 n-cutoff ladder.  The segment plan is built once per family and cut
-ladder.  A metric is BallValues: one stored run of each block and a fill
-for its other balls, so each segment's sup reads at most the run's part
-of it and the fill.
+ladder.  A metric is BallValues: a few stored runs of each block and a
+fill for its other balls, so each segment's sup reads at most the runs'
+part of it and the fill.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,14 +236,14 @@ def supercritical_spans(family: BallFamily, rho):
 
 @dataclass(frozen=True)
 class BallValues:
-    """One value per ball of a family, held on one stored run per radius
-    block: run k, a range of ball indices inside block k, holds the next
-    len(run) entries of values in order, and every other ball of the block
-    holds fill.  A scan of a function with a window stores the balls that
-    meet it, and the rest take the background's closed form; whole()
-    stores every ball, so a family-sized array is the same object with no
-    fill.  Every sup over segments of balls is grid.segment_sups over the
-    stored runs."""
+    """One value per ball of a family, held on stored runs: ascending,
+    disjoint ranges of ball indices, each inside one radius block, that
+    hold the entries of values in order, and every other ball holds fill.
+    A scan of a function held on pieces stores the balls that meet them,
+    a few runs per block, and the rest take the background's closed form;
+    whole() stores every ball, so a family-sized array is the same object
+    with no fill.  Every sup over segments of balls is grid.segment_sups
+    over the stored runs."""
 
     family: BallFamily
     runs: tuple[range, ...]
@@ -250,9 +251,13 @@ class BallValues:
     fill: float
 
     def __post_init__(self) -> None:
-        inside = (b.start <= r.start <= r.stop <= b.stop and r.step == 1 for b, r in zip(self.family.blocks, self.runs))
-        if len(self.runs) != len(self.family.blocks) or not all(inside):
-            raise ConfigError("stored runs do not match the family's radius blocks")
+        blocks, end = self.family.blocks, 0
+        starts = [b.start for b in blocks]
+        for r in self.runs:
+            block = blocks[bisect.bisect_right(starts, r.start) - 1]
+            if r.step != 1 or not end <= r.start <= r.stop <= block.stop:
+                raise ConfigError("stored runs are not ascending, disjoint runs inside the family's radius blocks")
+            end = r.stop
         if self.values.shape != (sum(len(r) for r in self.runs),):
             raise ConfigError("stored values do not match their runs")
 
@@ -268,22 +273,26 @@ class BallValues:
         """The sup over the balls of the kept segments cuts[i] .. cuts[i +
         1] - 1, each inside one radius block, and the first ball attaining
         it, or (0.0, -1) when they hold no ball.  The first kept segment
-        attaining the sup holds that ball: its first fill ball before the
-        block's run, else its first stored ball, else its first fill ball
-        after the run."""
+        attaining the sup holds that ball: in the order of its stored runs,
+        a fill ball before a run, else a stored ball of the run, else its
+        first fill ball after the last run."""
         sups = np.where(kept, segment_sups(self.values, self.runs, self.fill, cuts), -np.inf)
         i = int(np.argmax(sups))
         if sups[i] == -np.inf:
             return 0.0, -1
-        a, b = int(cuts[i]), int(cuts[i + 1])
-        k = next(k for k, blk in enumerate(self.family.blocks) if a < blk.stop)
-        run, c = self.runs[k], sum(len(r) for r in self.runs[:k])
-        p, q = min(max(a, run.start), run.stop), min(max(b, run.start), run.stop)
-        if a < p and self.fill == sups[i]:
-            return self.fill, a
-        stored = self.values[c + p - run.start : c + q - run.start]
-        hit = np.flatnonzero(stored == sups[i])
-        return (float(stored[hit[0]]), p + int(hit[0])) if hit.size else (self.fill, max(a, q))
+        a, b, o = int(cuts[i]), int(cuts[i + 1]), 0
+        for run in self.runs:
+            p, q = max(a, run.start), min(b, run.stop)
+            if p < q:
+                if a < p and self.fill == sups[i]:
+                    return self.fill, a
+                stored = self.values[o + p - run.start : o + q - run.start]
+                hit = np.flatnonzero(stored == sups[i])
+                if hit.size:
+                    return float(stored[hit[0]]), p + int(hit[0])
+                a = q
+            o += len(run)
+        return self.fill, a
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:

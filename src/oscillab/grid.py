@@ -12,25 +12,28 @@ Conventions that the rest of the package relies on:
 * balls that touch or cross the box boundary are rejected rather than
   clipped.
 
-A GridFunction holds the samples of its window [lo, hi); every sample
-outside is its background b.  The corpus constants declare b over an
-empty window; every other function has b = +0.0.  A producer that knows
-where its output vanishes declares it: the corpus members with compact
-support (the bumps and ``lacunary``), ``lacunary_function``,
-``dyadic_average`` (the cubes that meet f's window), the pipeline's
-truncation, ``mollify`` (f's window widened by the kernel's reach) and
-f - g (the union of the two windows).  Every other function gets the span
-of its non-zero samples.  Scans read the window only, and what lies
-outside enters in closed form (k samples sum to k b, exactly for the
-corpus constants), so they give the bytes the dense scan gives.  The
-consumers that need every sample (the operator's sine transform, the
-half-space fields, the written file) read ``values`` once.
+A GridFunction holds its samples on pieces, ascending, disjoint runs of
+samples; every sample outside them is its background b.  The corpus
+constants declare b over no piece; every other function has b = +0.0.
+[lo, hi) is the pieces' hull.  A producer that knows where its output
+vanishes declares it: ``lacunary_function`` one piece per bump, and as
+one piece, the corpus members with compact support (the bumps and
+``lacunary``), ``dyadic_average`` (the cubes that meet f's hull), the
+pipeline's truncation, ``mollify`` (f's hull widened by the kernel's
+reach) and f - g (the union of the two hulls).  Every other function gets
+the span of its non-zero samples.  A family scan reads the pieces only, a
+stage that needs one contiguous window (the pyramid, the averaging, the
+mollifier, the gates) reads the hull, and what lies outside enters in
+closed form (k samples sum to k b, exactly for the corpus constants), so
+they give the bytes the dense scan gives.  The consumers that need every
+sample (the operator's sine transform, the half-space fields, the written
+file) read ``values`` once.
 
 Every ball, cylinder and cone sum is read from one kind of prefix-sum
-table, SummedTable, built on a window of one row or of a stack of rows.
+table, SummedTable, built on the pieces of one row or of a stack of rows.
 A family scan asks for the balls of one radius over a run of centers at
-one index step, so each block's sums are the difference of two strided
-slices of the table; a ball that misses f's window is not read, and its
+one index step, so each run's sums are the difference of two strided
+reads of the table; a ball that meets no piece of f is not read, and its
 mean is b.  A Carleson box of radius r reads the first k rows of its
 field's table, the ladder slices t_j <= r, and a cone that leaves the box
 reads the table's constant ends past the walls.  The ball means of f and
@@ -39,14 +42,17 @@ oscillation_and_size.
 
 Values held on runs of indices, with a fill at every other index, are
 reduced in one place too: segment_sups gives the sup over each of a list
-of segments, for a family's per-ball values (one run per radius block)
-and for a level of dyadic cubes (one run).  The naive per-ball sums, the
-oracle of the tables, live with the tests (tests/oracles.py), with the
-dense scans that the windowed ones are checked against.
+of segments, for a family's per-ball values (the runs of balls that meet
+f's pieces) and for a level of dyadic cubes (one run).  It and the
+table read the number of held indices before an index from one map,
+_held_map.  The naive per-ball sums, the oracle of the tables, live with
+the tests (tests/oracles.py), with the dense scans that the held ones are
+checked against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -132,22 +138,44 @@ def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
     return int(np.argmax(kept)), kept.size - int(np.argmax(kept[::-1]))
 
 
-class GridFunction:
-    """Real samples on a grid, held on their window [lo, hi): every sample
-    outside it is the background b, and the window starts and ends on a
-    sample that is not +0.0 (-0.0 counts as non-zero, so the dense samples
-    come back bit for bit).  Values are float64 and finite.
+def _held_map(spans) -> tuple[list[int], list[int]]:
+    """Breakpoints (x, c) of the number of indices before an index that
+    lie in the spans (ascending, disjoint [lo, hi) pairs): piecewise linear
+    in the index, slope 1 over the spans and 0 elsewhere, so
+    np.interp(i, x, c) reads it, 0 left of the first span and the total
+    right of the last.  x ascends strictly: a span that starts where the
+    last one ends continues its breakpoint."""
+    x, c, n = [], [], 0
+    for lo, hi in spans:
+        if lo < hi:
+            if x and lo == x[-1]:
+                del x[-1], c[-1]
+            x += [lo, hi]
+            c += [n, n + hi - lo]
+            n += hi - lo
+    return (x, c) if x else ([0], [0])
 
-    GridFunction(grid, values) takes all the samples and finds the window;
-    GridFunction(grid, values, lo=lo) takes the samples of [lo, lo +
-    len(values)) and trims that to the window; both have b = +0.0.
-    GridFunction.constant(grid, b) is an empty window over b, so no
-    function has both a window and a non-zero b.  ``window`` is the
-    samples on [lo, hi), ``values`` the dense samples, built on each read
-    and read-only.
+
+class GridFunction:
+    """Real samples on a grid, held on pieces: ascending, disjoint (lo,
+    samples) pairs, each the samples of [lo, lo + len(samples)), starting
+    and ending on a sample that is not +0.0 (-0.0 counts as non-zero, so
+    the dense samples come back bit for bit).  Every sample outside the
+    pieces is the background b.  [lo, hi) is their hull, from the first
+    piece's start to the last piece's end, (0, 0) with no piece.  Values
+    are float64 and finite.
+
+    GridFunction(grid, values) takes all the samples, GridFunction(grid,
+    values, lo=lo) those of [lo, lo + len(values)), and
+    GridFunction.from_pieces(grid, pieces) those of several ascending,
+    disjoint (lo, samples) pairs; each given piece is trimmed to the span
+    of its non-zero samples, one with none is dropped, and b is +0.0.
+    GridFunction.constant(grid, b) holds no piece over b, so no function
+    has both a piece and a non-zero b.  ``values`` is the dense samples,
+    built on each read and read-only.
     """
 
-    __slots__ = ("grid", "lo", "hi", "window", "background")
+    __slots__ = ("grid", "pieces", "lo", "hi", "background")
 
     def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None):
         v = np.asarray(values, dtype=np.float64)
@@ -155,22 +183,37 @@ class GridFunction:
             if v.shape != grid.shape:
                 raise ConfigError(f"value shape {v.shape} does not match grid shape {grid.shape}")
             lo = 0
-        elif v.ndim != 1 or not 0 <= lo <= grid.size - v.size:
-            raise ConfigError(f"a window of {v.shape} samples at {lo} leaves the grid's {grid.size}")
-        if not np.all(np.isfinite(v)):
-            raise ConfigError("grid function values must be finite")
-        a, b = _nonzero_span(v)
-        self.grid = grid
-        self.lo, self.hi = (lo + a, lo + b) if b else (0, 0)
-        self.window = v[a:b]
-        self.background = 0.0
+        self._hold(grid, [(lo, v)])
+
+    @staticmethod
+    def from_pieces(grid: Grid, pieces) -> "GridFunction":
+        """The samples of the ascending, disjoint (lo, samples) pairs, +0.0
+        elsewhere."""
+        f = object.__new__(GridFunction)
+        f._hold(grid, pieces)
+        return f
+
+    def _hold(self, grid: Grid, pieces) -> None:
+        held, end = [], 0
+        for lo, v in pieces:
+            v = np.asarray(v, dtype=np.float64)
+            if v.ndim != 1 or not end <= lo <= grid.size - v.size:
+                raise ConfigError(f"a piece of {v.shape} samples at {lo} overlaps the last or leaves the grid's {grid.size}")
+            if not np.all(np.isfinite(v)):
+                raise ConfigError("grid function values must be finite")
+            a, b = _nonzero_span(v)
+            if a < b:
+                held.append((int(lo) + a, v[a:b]))
+            end = lo + v.size
+        self.grid, self.pieces, self.background = grid, tuple(held), 0.0
+        self.lo, self.hi = (held[0][0], held[-1][0] + held[-1][1].size) if held else (0, 0)
 
     @staticmethod
     def constant(grid: Grid, b: float) -> "GridFunction":
         """The constant b, finite (a zero b is +0.0)."""
         if not math.isfinite(b):
             raise ConfigError(f"a constant must be finite, got {b}")
-        f = GridFunction(grid, np.empty(0), lo=0)
+        f = GridFunction.from_pieces(grid, ())
         f.background = float(b) or 0.0
         return f
 
@@ -184,50 +227,49 @@ class GridFunction:
 
     @property
     def values(self) -> np.ndarray:
-        """All the samples, read-only: a view of a window that is the whole
+        """All the samples, read-only: a view of a piece that is the whole
         grid, else a new array."""
-        if self.hi - self.lo == self.grid.size:
-            out = self.window.view()
-        else:
-            out = self._filled(self.grid.size)
-            out[self.lo : self.hi] = self.window
+        out = self.on(0, self.grid.size)
         out.flags.writeable = False
         return out
 
     def on(self, a: int, b: int) -> np.ndarray:
-        """The samples of [a, b) (0 <= a <= b <= size): a view of the window
-        when it holds them, else a new array, b outside the window."""
-        if self.lo <= a and b <= self.hi:
-            return self.window[a - self.lo : b - self.lo]
+        """The samples of [a, b) (0 <= a <= b <= size): a view of the piece
+        that holds them when one does, else a new array, b outside the
+        pieces."""
+        for lo, v in self.pieces:
+            if lo <= a and b <= lo + v.size:
+                return v[a - lo : b - lo]
         out = self._filled(b - a)
-        i, j = max(a, self.lo), min(b, self.hi)
-        if i < j:
-            out[i - a : j - a] = self.window[i - self.lo : j - self.lo]
+        for lo, v in self.pieces:
+            i, j = max(a, lo), min(b, lo + v.size)
+            if i < j:
+                out[i - a : j - a] = v[i - lo : j - lo]
         return out
 
     def at(self, idx: np.ndarray) -> np.ndarray:
         """The samples at the index array idx."""
-        inside = (idx >= self.lo) & (idx < self.hi)
         out = self._filled(idx.shape[0])
-        out[inside] = self.window[idx[inside] - self.lo]
+        for lo, v in self.pieces:
+            inside = (idx >= lo) & (idx < lo + v.size)
+            out[inside] = v[idx[inside] - lo]
         return out
 
     def truncated(self, a: int, b: int) -> "GridFunction":
-        """f on the samples [a, b), zero outside."""
-        lo, hi = self.span
-        a, b = max(a, lo), min(b, hi)
-        if a >= b:
-            return GridFunction(self.grid, np.empty(0), lo=0)
-        return GridFunction(self.grid, self.on(a, b), lo=a)
+        """f on the samples [a, b), zero outside: each piece cut to [a, b),
+        or of a non-zero constant, the one piece [a, b)."""
+        spans = [(lo, lo + v.size) for lo, v in self.pieces] or [self.span]
+        cut = [(max(a, lo), min(b, hi)) for lo, hi in spans]
+        return GridFunction.from_pieces(self.grid, [(i, self.on(i, j)) for i, j in cut if i < j])
 
     def sup_outside(self, a: int, b: int) -> float:
         """sup |f| over the samples outside [a, b), 0.0 when there is none.
-        f is +0.0 outside its span, so only the span's part of the two
+        f is +0.0 outside its pieces, so only their part of the two
         outside slices is read."""
-        outside = (self.truncated(0, a).window, self.truncated(b, self.grid.size).window)
+        outside = [v for g in (self.truncated(0, a), self.truncated(b, self.grid.size)) for _, v in g.pieces]
         # sup |x| = max(x.max(), -x.min()) needs no |x| array; abs() clears
         # the sign of a zero
-        return abs(float(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside)))
+        return abs(float(max((max(x.max(initial=0.0), -x.min(initial=0.0)) for x in outside), default=0.0)))
 
     @staticmethod
     def from_callable(grid: Grid, fn, support: tuple[float, float] | None = None) -> "GridFunction":
@@ -243,8 +285,8 @@ class GridFunction:
         return GridFunction(grid, np.asarray(fn(grid.coords(lo, hi)), dtype=np.float64), lo=lo)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        """f - g on the union of the two spans: dense when either is a
-        non-zero constant."""
+        """f - g on the union of the two hulls, one piece: dense when either
+        is a non-zero constant."""
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("grid functions live on different grids")
         spans = [f.span for f in (self, other) if f.span[0] < f.span[1]] or [(0, 0)]
@@ -271,65 +313,94 @@ class Ball:
 
 
 class SummedTable:
-    """Prefix sums P[i] = sum(values[:i]) of a row of samples, or of each
-    row of a (k, samples) stack (of their squares with square=True, made
-    in the table's buffer), serving the sums over balls of one cell radius
-    m centered on a run of samples: samples c - m + 1 .. c + m - 1 sum to
-    P[c + m] - P[c - m + 1], so a run start:stop:step reads two slices of
-    P with that step.
+    """Prefix sums P[i], the sum of the samples before index i, of a row
+    of samples, or of each row of a (k, samples) stack (of their squares
+    with square=True, made in the table's buffer), serving the sums over
+    balls of one cell radius m centered on a run of samples: samples
+    c - m + 1 .. c + m - 1 sum to P[c + m] - P[c - m + 1], so a run
+    start:stop:step reads two runs of P with that step.
 
-    The table is built on a window [lo, hi) only: P is exactly 0 up to lo
-    and exactly the row's total from hi on, so it stores P[lo..hi] and
-    reads the constant ends where a run leaves them (``prefix``).  A ball
-    that misses the window sums to 0 - 0 or S - S, which is 0.0.
+    The table is built on pieces only, ascending, disjoint (lo, samples)
+    pairs with every other sample 0: it stores one prefix over the
+    concatenated pieces, and P at an index is the stored entry at the
+    number of held samples before it (_held_map).  So P is 0 before the
+    first piece, the running total between pieces and the total after the
+    last, and ``prefix`` reads those constants where a run leaves the
+    pieces.  A ball that meets no piece sums to S - S, which is 0.0.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, lo: int | None = None, square: bool = False):
-        """values: a row or a stack of rows of all the samples, or with lo,
-        of those of [lo, lo + values.shape[-1])."""
+    def __init__(self, grid: Grid, pieces, square: bool = False):
+        """pieces: (lo, samples) pairs, samples a row or a stack of rows of
+        the samples of [lo, lo + samples.shape[-1]); [(0, values)] for all
+        the samples."""
         self.grid = grid
-        v = np.asarray(values, dtype=np.float64)
-        n = v.shape[-1] if v.ndim in (1, 2) else -1
-        self.lo = 0 if lo is None else lo
-        self.hi = self.lo + n
-        if n < 0 or not 0 <= self.lo <= self.hi <= grid.size or (lo is None and n != grid.size):
-            raise ConfigError("summed table shape mismatch")
-        self._p = np.zeros(v.shape[:-1] + (n + 1,))
-        self._fill(v, square)
+        pieces = [(lo, np.asarray(v, dtype=np.float64)) for lo, v in pieces]
+        lead = pieces[0][1].shape[:-1] if pieces else ()
+        self._spans, end = [], 0
+        for lo, v in pieces:
+            if v.ndim not in (1, 2) or v.shape[:-1] != lead or not end <= lo <= grid.size - v.shape[-1]:
+                raise ConfigError("summed table shape mismatch")
+            end = lo + v.shape[-1]
+            self._spans.append((lo, end))
+        self._x, self._c = _held_map(self._spans)
+        self._p = np.zeros(lead + (self._c[-1] + 1,))
+        self._fill([v for _, v in pieces], square)
 
-    def _fill(self, values: np.ndarray, square: bool) -> None:
-        """Make this the table of values (or of their squares) in place."""
-        p = self._p[..., 1:]
-        if square:
-            values = np.square(values, out=p)
-        np.cumsum(values, axis=-1, out=p)
+    def _fill(self, samples, square: bool) -> None:
+        """Make this the table of the pieces' samples (or of their squares)
+        in place: each piece's stretch of P continues from the total before
+        it, the sums that the cumsum of the dense row adds."""
+        o = 0
+        for v in samples:
+            seg = self._p[..., o : o + v.shape[-1] + 1]
+            if square:
+                np.square(v, out=seg[..., 1:])
+            else:
+                seg[..., 1:] = v
+            np.cumsum(seg, axis=-1, out=seg)
+            o += v.shape[-1]
 
-    def meeting(self, run: range, cell_radius: int) -> range:
+    def meeting(self, run: range, cell_radius: int) -> list[range]:
         """The positions in run of the centers whose balls of cell radius m
-        meet the window, c in [lo - m + 1, hi + m - 1); a slice of run."""
-        if self.lo == self.hi:
-            return range(0)
+        meet a piece [lo, hi), c in [lo - m + 1, hi + m - 1): ascending,
+        disjoint slices of run, one per piece, merged where they overlap or
+        touch."""
         m, start, step = int(cell_radius), run.start, run.step
-        first = -((start - (self.lo - m + 1)) // step)  # ceil((lo - m + 1 - start) / step)
-        end = -((start - (self.hi + m - 1)) // step)
-        return range(min(max(first, 0), len(run)), min(max(end, 0), len(run)))
+        out = []
+        for lo, hi in self._spans:
+            first = min(max(-((start - (lo - m + 1)) // step), 0), len(run))  # ceil((lo - m + 1 - start) / step)
+            end = min(max(-((start - (hi + m - 1)) // step), 0), len(run))
+            if first < end:
+                if out and first <= out[-1].stop:
+                    out[-1] = range(out[-1].start, end)
+                else:
+                    out.append(range(first, end))
+        return out
 
     def prefix(self, start: int, count: int, step: int, rows: int | None = None) -> np.ndarray:
         """P at start, start + step, ... (count of them, step >= 1) of every
-        row, or of a stack's first rows: a strided view of the stored prefix when
-        they all fall in [lo, hi], else a new array with the constant ends
-        filled in."""
-        p, s = self._p[:rows], start - self.lo
-        last = s + (count - 1) * step
-        if s >= 0 and last < p.shape[-1]:
-            return p[..., s : last + 1 : step]
+        row, or of a stack's first rows: a strided view of the stored prefix
+        when they all fall on one piece, its ends included, else a new array
+        with the constants off the pieces filled in."""
+        p, x, c = self._p[:rows], self._x, self._c
+        parts, j0 = [], 0
+        k = bisect.bisect_right(x, start)  # the first read lies before breakpoint k
+        while j0 < count:
+            # the reads before breakpoint k: over a piece (c rises to it), a
+            # strided run of P that takes the piece's end too; else the
+            # constant c[k - 1], 0 before the first breakpoint
+            over = 0 < k < len(x) and c[k] > c[k - 1]
+            j1 = count if k == len(x) else min(-((start - x[k] - over) // step), count)
+            if j0 < j1:
+                i = c[max(k - 1, 0)] + (start + j0 * step - x[k - 1]) * over
+                parts.append((j0, j1, p[..., i : i + (j1 - j0 - 1) * step + 1 : step] if over else p[..., i : i + 1]))
+                j0 = j1
+            k += 1
+        if len(parts) == 1 and parts[0][2].shape[-1] == count:
+            return parts[0][2]
         out = np.empty(p.shape[:-1] + (count,))
-        j0 = min(max(-(s // step), 0), count)  # the reads left of lo
-        j1 = min(max((p.shape[-1] - 1 - s) // step + 1, j0), count)  # and up to hi
-        out[..., :j0] = 0.0
-        if j0 < j1:
-            out[..., j0:j1] = p[..., s + j0 * step : s + (j1 - 1) * step + 1 : step]
-        out[..., j1:] = p[..., -1:]
+        for j0, j1, v in parts:
+            out[..., j0:j1] = v
         return out
 
     def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
@@ -362,13 +433,7 @@ def segment_sups(values: np.ndarray, runs, fill: float, cuts: np.ndarray) -> np.
     elsewhere, so the segments' held parts tile a run of values and one
     reduceat reads them all; a segment with fewer held indices than
     indices holds the fill too."""
-    x, c, n = [0], [0], 0
-    for r in runs:
-        if r:
-            if r.start == x[-1]:  # np.interp needs distinct breakpoints; this run continues the last
-                del x[-1], c[-1]
-            x, c, n = x + [r.start, r.stop], c + [n, n + len(r)], n + len(r)
-    c = np.interp(cuts, x, c).astype(np.intp)
+    c = np.interp(cuts, *_held_map((r.start, r.stop) for r in runs)).astype(np.intp)
     held = c[1:] - c[:-1]
     out = np.where(cuts[1:] - cuts[:-1] > held, fill, -np.inf)
     if held.any():

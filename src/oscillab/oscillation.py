@@ -16,7 +16,7 @@ The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with
 r >= rho(center); the two suprema are summed.  Every norm and curve
 reduces BallValues: the plain metrics held on the balls that meet f's
-window with a fill for the rest, the semigroup metric stored whole.
+pieces with a fill for the rest, the semigroup metric stored whole.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 class FamilyStats:
     """The 2-mean oscillation and the mean size (mean over B of
     |f|^2)^(1/2) of one function on each ball of one family, built once
-    by family_stats and held on the balls that meet f's window; the norms
+    by family_stats and held on the balls that meet f's pieces; the norms
     and curves of the pair read it."""
 
     oscillation: BallValues
@@ -63,39 +63,40 @@ class FamilyStats:
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     """One scan of f over the family, stored on the balls that meet f's
-    window: the run of each block that SummedTable.meeting gives.  Their
-    means of f and of f^2 come from one SummedTable on the window, each
-    block's sums written into its place in two compact buffers and divided
+    pieces: the runs of each block that SummedTable.meeting gives.  Their
+    means of f and of f^2 come from one SummedTable on the pieces, each
+    run's sums written into its place in two compact buffers and divided
     there by the 2m - 1 samples of a ball of cell radius m; the table's
     buffer takes the squares once the sums of f are read.  The oscillation
     and the size are then made in place in the two buffers.  A ball that
-    misses the window has mean b and mean square b^2, for f's background
-    b, so its oscillation is 0.0 and its size |b|, made the same way.
-    Besides f, one window-sized buffer and the compact buffers are live."""
+    meets no piece has mean b and mean square b^2, for f's background b,
+    so its oscillation is 0.0 and its size |b|, made the same way.
+    Besides f, one buffer of the held samples and the compact buffers are
+    live."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
-    table = SummedTable(family.grid, f.window, f.lo)
-    meets = [table.meeting(b.run, b.cell_radius) for b in family.blocks]
-    n = sum(len(m) for m in meets)
+    table = SummedTable(family.grid, f.pieces)
+    meets = [(b, meet) for b in family.blocks for meet in table.meeting(b.run, b.cell_radius)]
+    n = sum(len(meet) for _, meet in meets)
     mean, mean_sq = np.empty(n), np.empty(n)
-    _ball_means(table, family, meets, mean)
-    table._fill(f.window, square=True)
-    _ball_means(table, family, meets, mean_sq)
+    _ball_means(table, meets, mean)
+    table._fill([v for _, v in f.pieces], square=True)
+    _ball_means(table, meets, mean_sq)
     del table
-    runs = tuple(range(b.start + m.start, b.start + m.stop) for b, m in zip(family.blocks, meets))
+    runs = tuple(range(b.start + meet.start, b.start + meet.stop) for b, meet in meets)
     fills = oscillation_and_size(np.array([f.background]), np.array([f.background**2]))
     held = oscillation_and_size(mean, mean_sq)
     return FamilyStats(*(BallValues(family, runs, v, float(fill[0])) for v, fill in zip(held, fills)))
 
 
-def _ball_means(table: SummedTable, family: BallFamily, meets: list[range], out: np.ndarray) -> None:
+def _ball_means(table: SummedTable, meets: list, out: np.ndarray) -> None:
     """The mean of the table's values over each ball of the meeting runs,
-    written into out one run after another."""
+    (block, run of its centers) pairs, written into out one run after
+    another."""
     o = 0
-    for b, meet in zip(family.blocks, meets):
-        if meet:
-            sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=out[o : o + len(meet)])
-            np.divide(sums, 2 * b.cell_radius - 1, out=sums)
+    for b, meet in meets:
+        sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=out[o : o + len(meet)])
+        np.divide(sums, 2 * b.cell_radius - 1, out=sums)
         o += len(meet)
 
 
@@ -197,7 +198,7 @@ def semigroup_difference_values(
         diff = op.synthesize(np.exp(-r * s) * coef)
         np.subtract(fv, diff, out=diff)
         for b, row in zip(blocks[rows], diff):
-            sums = SummedTable(g, row, square=True).ball_sum(b.run, b.cell_radius)
+            sums = SummedTable(g, [(0, row)], square=True).ball_sum(b.run, b.cell_radius)
             out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.spacing / b.radius)
     return out
 

@@ -289,8 +289,16 @@ def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) ->
 # interior windows
 
 
-def interior_index_window(grid: Grid, window: float = 1.0 / 3.0) -> np.ndarray:
-    """Indices of samples with |x| <= window * halfwidth."""
+def interior_index_window(grid: Grid, window: float = 1.0 / 3.0) -> tuple[int, int]:
+    """The samples a .. b - 1 with |x| <= window * halfwidth: those within
+    K cells of the origin, K the largest cell count whose coordinate K h
+    (as grid.axis computes it) is within the bound."""
     if not (0 < window <= 1):
         raise ConfigError("window fraction must lie in (0, 1]")
-    return np.nonzero(np.abs(grid.axis) <= window * grid.halfwidth + 1e-12)[0]
+    bound, m = window * grid.halfwidth + 1e-12, grid.half_cells
+    k = min(math.floor(bound / grid.spacing), m)
+    while k < m and (k + 1) * grid.spacing <= bound:
+        k += 1
+    while k * grid.spacing > bound:
+        k -= 1
+    return m - k, m + k + 1

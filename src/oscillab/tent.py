@@ -36,7 +36,7 @@ class BoxScanner:
     def __init__(self, F: HalfSpaceFunction):
         self.F = F
         self.grid = F.grid
-        self._table = SummedTable(F.grid, F.values, square=True)
+        self._table = SummedTable(F.grid, [(0, F.values)], square=True)
 
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
@@ -91,7 +91,7 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
         kmax = math.ceil(tj / h - 1e-9) - 1
         if kmax > 0:
             truncated[:kmax] = truncated[n - kmax :] = True
-        table = SummedTable(g, F.values[j], square=True)
+        table = SummedTable(g, [(0, F.values[j])], square=True)
         acc += (table.prefix(kmax + 1, n, 1) - table.prefix(-kmax, n, 1)) * (h * w[j] / tj)
     return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
@@ -182,6 +182,6 @@ def reproducing_pairing_check(
             tent += w[j] * float(np.sum(a * b))
     tent *= 4.0 * grid.spacing
     denom = max(abs(direct), 1e-300)
-    inside = interior_index_window(grid, window)
-    sup_out = max(h.sup_outside(int(inside[0]), int(inside[-1]) + 1) for h in (f, g_fn))
+    a, b = interior_index_window(grid, window)
+    sup_out = max(h.sup_outside(a, b) for h in (f, g_fn))
     return PairingReport(direct, tent, abs(tent - direct) / denom, sup_out <= 1e-12)

@@ -269,7 +269,7 @@ def dilate_oscillation(
             table = _diff_tables[rp]
         else:
             diff = f.values - poisson(op, f, rp).values
-            table = SummedTable(g, diff**2)
+            table = SummedTable(g, [(0, diff**2)])
             if _diff_tables is not None:
                 _diff_tables[rp] = table
         # admissible centers: |c' - c| + r' <= reach, ball inside the box;
@@ -366,7 +366,7 @@ def held_whole(f: GridFunction) -> GridFunction:
     """f held on the whole grid, its zeros included, so that a windowed
     scan of it reads every sample."""
     whole = object.__new__(GridFunction)
-    whole.grid, whole.lo, whole.hi, whole.window = f.grid, 0, f.grid.size, np.array(f.values)
+    whole.grid, whole.lo, whole.hi, whole.pieces = f.grid, 0, f.grid.size, ((0, np.array(f.values)),)
     whole.background = 0.0
     return whole
 

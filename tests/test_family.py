@@ -225,10 +225,13 @@ def test_metric_length_mismatch():
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError, match="does not match the family"):
         BallValues.whole(fam, np.ones(len(fam) + 1))
-    # a stored run outside its block, or values that are not its length
+    # a stored run outside its block, values that are not its length, a
+    # strided run, or runs that overlap or descend
     (b,) = fam.blocks
     for runs, n in (((range(b.start, b.stop + 1),), b.count + 1), ((range(b.start, b.start + 2),), 3),
-                    ((range(b.start, b.stop, 2),), len(range(b.start, b.stop, 2))), ((), 0)):
+                    ((range(b.start, b.stop, 2),), len(range(b.start, b.stop, 2))),
+                    ((range(b.start, b.start + 3), range(b.start + 2, b.start + 4)), 5),
+                    ((range(b.start + 2, b.start + 4), range(b.start, b.start + 1)), 3)):
         with pytest.raises(ConfigError):
             BallValues(fam, runs, np.ones(n), 0.0)
 

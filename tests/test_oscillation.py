@@ -528,10 +528,10 @@ def test_constant_reductions_attain_at_the_first_ball():
 
 
 def test_family_stats_at_lacunary_size_allocates_no_family_sized_array():
-    # configs/lacunary.json: 2,424,815 balls, of which 564,083 meet the
-    # window of 1,679,359 samples; besides the window's prefix table, the
-    # scan holds two buffers of the meeting balls, together less than one
-    # family-sized float64 array
+    # configs/lacunary.json: 2,424,815 balls, of which 162,035 meet the 8
+    # pieces of 511 samples each (their hull holds 1,679,359 samples);
+    # besides the pieces' prefix table, the scan holds two buffers of the
+    # meeting balls, together less than one family-sized float64 array
     (plan,) = plan_scenarios({"scenarios": [{
         "id": "lacunary-separation", "k_max": 8, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
         "radius_max": 4096.0, "distance_max": 4096.0,
@@ -544,8 +544,8 @@ def test_family_stats_at_lacunary_size_allocates_no_family_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    meeting = st.oscillation.values.size
-    assert (len(fam), f.hi - f.lo, meeting) == (2_424_815, 1_679_359, 564_083)
-    table, held, slack = (f.hi - f.lo + 1) * 8, 2 * meeting * 8, 1 << 20
+    meeting, samples = st.oscillation.values.size, sum(v.size for _, v in f.pieces)
+    assert (len(fam), f.hi - f.lo, len(f.pieces), samples, meeting) == (2_424_815, 1_679_359, 8, 4_088, 162_035)
+    table, held, slack = (samples + 1) * 8, 2 * meeting * 8, 1 << 20
     assert held + slack < len(fam) * 8
     assert peak < table + held + slack, (peak - table - held) / (len(fam) * 8)

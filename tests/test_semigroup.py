@@ -269,9 +269,27 @@ def test_x_gradient_against_exact_sine_derivative():
 
 def test_interior_index_window():
     g = Grid(halfwidth=6.0, spacing=0.5)
-    idx = interior_index_window(g, 1.0 / 3.0)
-    x = g.axis[idx]
+    a, b = interior_index_window(g, 1.0 / 3.0)
+    x = g.axis[a:b]
     assert np.all(np.abs(x) <= 2.0 + 1e-12)
     assert x.size == 9
     with pytest.raises(ConfigError):
         interior_index_window(g, 0.0)
+
+
+@pytest.mark.parametrize("halfwidth, spacing, window", [
+    (6.0, 0.5, 1.0 / 3.0),  # the bound 2 + 1e-12 just past the sample at 2
+    (3.0, 0.1, 1.0 / 3.0),  # a spacing that is not a power of two
+    (3.0, 0.1, 0.7),
+    (300.0, 0.01, 0.3),
+    (16.0, 2.0**-7, 1.0 / 3.0),
+    (8.0, 0.25, 1.0),  # every sample
+    (8.0, 0.25, 0.01),  # the origin alone
+])
+def test_interior_bounds_equal_the_dense_axis_expression(halfwidth, spacing, window):
+    # the two bounds name the same samples as the comparison over every
+    # coordinate that grid.axis holds
+    g = Grid(halfwidth=halfwidth, spacing=spacing)
+    want = np.nonzero(np.abs(g.axis) <= window * g.halfwidth + 1e-12)[0]
+    assert want.size == want[-1] + 1 - want[0]
+    assert interior_index_window(g, window) == (int(want[0]), int(want[-1]) + 1)

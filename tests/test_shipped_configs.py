@@ -100,7 +100,8 @@ def test_only_the_plan_builds_a_scenarios_geometry():
 
 def test_the_shipped_configs_are_found():
     # an empty glob would make test_shipped_config_is_valid pass vacuously
-    assert {"full.json", "lacunary.json", "pipeline-large.json", "quick.json"} <= {p.name for p in CONFIGS}
+    assert {"full.json", "lacunary.json", "lacunary-wide.json", "pipeline-large.json", "quick.json"} <= {
+        p.name for p in CONFIGS}
 
 
 def test_quick_is_a_part_of_full():

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from oscillab.approx import (
     AveragingThresholds,
@@ -33,8 +35,9 @@ from oscillab.approx import (
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ThresholdExhaustedError
 from oscillab.experiments import RHO_CONSTANT_UNIT, plan_scenarios
+from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction, segment_sups
-from oscillab.oscillation import family_stats
+from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, oscillation_curves
 from oracles import (
     constant,
     cube_starts,
@@ -47,6 +50,7 @@ from oracles import (
     dense_mollify,
     dense_pyramid,
     held_whole,
+    naive_sup_reductions,
 )
 
 # geometry -> (approximation-pipeline scenario keys, the cutoffs (I, J, M)
@@ -180,7 +184,8 @@ def test_a_window_one_sample_short_differs_from_the_dense_oracle(member, side, g
     # two stages are compared; a ball sum or a cube mean can round a
     # bump's outermost sample (about 1e-14) away
     f = member_by_name(member).build(geometry[0])
-    short = f.window[1:] if side == "left" else f.window[:-1]
+    window = f.on(f.lo, f.hi)
+    short = window[1:] if side == "left" else window[:-1]
     g = GridFunction(f.grid, short, lo=f.lo + (side == "left"))
     assert g.hi - g.lo <= f.hi - f.lo - 1
     assert _mismatches(g, f, geometry, stages=("pyramid", "mollify")) == ["pyramid", "mollify"]
@@ -194,7 +199,7 @@ def test_a_member_build_equals_its_evaluation_at_every_sample(member, geometry):
     m = member_by_name(member)
     f = m.build(grid)
     if m.fn is None:  # a declared constant holds no sample
-        assert (f.lo, f.hi, f.window.size, f.background) == (0, 0, 0, m.constant)
+        assert (f.lo, f.hi, f.pieces, f.background) == (0, 0, (), m.constant)
         assert _same(f.values, np.full(grid.shape, m.constant))
         return
     everywhere = GridFunction(grid, m.fn(grid.axis))
@@ -214,7 +219,7 @@ def test_compactly_supported_members_hold_a_window_and_the_rest_stay_dense():
     assert spans["bump-narrow"] == (n0 - round(1 / h) + 1, n0 + round(1 / h))
     # the constants hold no sample: an empty window over their background
     for name, b in (("zero", 0.0), ("const-one", 1.0), ("const-neg-half", -0.5)):
-        assert spans[name] == (0, 0) and built[name].window.size == 0, name
+        assert spans[name] == (0, 0) and built[name].pieces == (), name
         assert _same(built[name].background, b), name
     assert {name for name, f in built.items() if f.background != 0.0} == {"const-one", "const-neg-half"}
     assert spans["log-spike"] == (0, grid.size)
@@ -325,3 +330,61 @@ def test_level_sups_equal_the_dense_oracle():
         f = member_by_name(member).build(grid)
         got, want = _level_sups(f, a, p, rho), dense_level_sups(f.values, a, p, rho)
         assert _sups_bits(got) == _sups_bits(want), member
+
+
+# a piece: (gap before it, body length, left edge, right edge); an edge is
+# a drawn value, -0.0 (held) or +0.0 (trimmed off), and a piece of +0.0
+# only (body length 0, both edges +0.0) is dropped
+_EDGES = st.sampled_from(["value", "-0.0", "+0.0"])
+_PIECES = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10), _EDGES, _EDGES), min_size=3, max_size=7)
+
+
+def _pieces_of(layout, seed: int, grid: Grid):
+    """The (lo, samples) pairs of a layout, laid out around the box's
+    middle; values are multiples of 0.5 (ties between balls) with a
+    non-zero middle sample unless the piece is all +0.0."""
+    rng = np.random.default_rng(seed)
+    out, at = [], 0
+    for gap, n, left, right in layout:
+        body = rng.integers(-4, 5, size=n) * 0.5
+        if n and not body[n // 2]:
+            body[n // 2] = 1.5
+        edge = {"-0.0": [-0.0], "+0.0": [0.0]}
+        samples = np.concatenate([edge.get(left, [0.75]), body, edge.get(right, [-1.25])])
+        out.append((at + gap, samples))
+        at += gap + samples.size
+    shift = grid.half_cells - at // 2
+    return [(lo + shift, v) for lo, v in out]
+
+
+@given(_PIECES, st.integers(0, 2**16), st.integers(1, 3))
+@example([(0, 3, "value", "value"), (0, 2, "-0.0", "value"), (1, 0, "+0.0", "+0.0"), (0, 4, "value", "-0.0")], 0, 1)
+@example([(5, 1, "-0.0", "-0.0"), (2, 6, "+0.0", "value"), (8, 0, "value", "value"), (3, 2, "value", "+0.0")], 7, 2)
+def test_several_piece_family_stats_equal_the_dense_oracle(layout, seed, stride):
+    # random piece layouts (gaps of no sample, so pieces that touch, long
+    # gaps, edges of -0.0 that are held and of +0.0 that are trimmed,
+    # pieces of +0.0 alone that are dropped): the per-ball oscillation and
+    # size, bit for bit, and the norms and curves, against the scan of
+    # every sample; some ball of the largest radius spans three pieces
+    assume(sum(piece != (piece[0], 0, "+0.0", "+0.0") for piece in layout) >= 3)
+    grid = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(grid, FamilyPolicy(center_stride=0.25 * stride, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 7.5)))
+    pieces = _pieces_of(layout, seed, grid)
+    f = GridFunction.from_pieces(grid, pieces)
+    dense = np.zeros(grid.shape)
+    for lo, v in pieces:
+        dense[lo : lo + v.size] = v
+    assert _same(f.values, dense)
+    top = fam.blocks[-1]
+    spans = [(lo, lo + v.size) for lo, v in f.pieces]
+    assert max(sum(lo < c + top.cell_radius and c - top.cell_radius + 1 < hi for lo, hi in spans)
+               for c in top.run) >= 3
+    st_ = family_stats(f, fam)
+    osc, size = dense_family_stats(f, fam)
+    assert _same(dense_values(st_.oscillation), osc) and _same(dense_values(st_.size), size)
+    rho = 2.0
+    plain, split, curves = naive_sup_reductions(osc, size, fam, rho)
+    assert bmo_norm(st_) == plain and bmo_l_norm(st_, rho) == split
+    for mode, curve in oscillation_curves(st_, rho).items():
+        assert _same(curve.values, curves[mode].values) and np.array_equal(curve.counts, curves[mode].counts), mode
+
