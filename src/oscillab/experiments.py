@@ -3,7 +3,9 @@
 Each experiment is a plain function returning a report dataclass, so tests
 can call them directly; ``run`` binds them to a JSON config and emits a
 deterministic bundle (CSV curves, JSON summary with a provenance block).
-Before writing anything it builds every scenario's plan (grid, ball family,
+Each scenario id is declared once, in _SCENARIO_TABLE: its parameters,
+what its plan needs, its runner and the answers it expects.  Before
+writing anything ``run`` builds every scenario's plan (grid, ball family,
 operator), which the scenarios only read.  Assertion failures inside
 scenarios are collected and raised as CriterionFailure after the bundle is
 written, so failed runs still leave inspectable artifacts.
@@ -167,8 +169,7 @@ def exp_rho_slope(
     constant potential it is 0.  x values below 10 are outside the
     asymptotic regime and only flagged, not rejected.
     """
-    if potential.is_zero():
-        raise ConfigError("the zero potential has an infinite critical radius everywhere")
+    _nonzero(potential)
     if x_min <= 0 or x_max <= x_min:
         raise ConfigError("need 0 < x_min < x_max")
     if points < 2:
@@ -633,25 +634,19 @@ def _potential(where: str, spec: dict) -> Callable[[int], Potential]:
 _POTENTIAL = _Kind("an object with a 'kind'", lambda v: isinstance(v, dict), _potential)
 
 
-def _built_potential(where: str, keys: str, build: Callable[[int], Potential], n: int) -> Potential:
-    """The potential build(n) that the keys set.  A ConfigError from build,
-    or a zero potential (its critical radius is infinite everywhere), is
-    raised as a ConfigError naming the keys."""
-    try:
-        potential = build(n)
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {keys}: {e}") from None
+def _nonzero(potential: Potential) -> Potential:
+    """The potential, unless it is zero: its critical radius is infinite everywhere."""
     if potential.is_zero():
-        raise ConfigError(f"{where}: {keys}: the zero potential has an infinite critical radius everywhere")
+        raise ConfigError("the zero potential has an infinite critical radius everywhere")
     return potential
 
 
 def _rho_slope_potential(where: str, p: dict) -> dict:
     """rho-slope parameters with the potential built in dimension 'n', from
-    'potential' or from 'exponent' and 'amplitude'; a potential that
-    _built_potential refuses, an empty x range, and a potential whose
+    'potential' or from 'exponent' and 'amplitude'; a ConfigError from the
+    build, a zero potential, an empty x range, and a potential whose
     normalized mass exceeds 1 at the solve's bracket floor at the smallest
-    x the run can draw (x_min shrunk by the jitter) fail."""
+    x the run can draw (x_min shrunk by the jitter) fail, naming the keys."""
     n = p.pop("n")
     if "potential" in p:
         keys, build = "'potential'", p.pop("potential")
@@ -660,7 +655,10 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     else:
         keys = "'exponent' and 'amplitude'"
         build = functools.partial(power_potential, p.pop("exponent"), amplitude=p.pop("amplitude", 1.0))
-    potential = _built_potential(where, keys, build, n)
+    try:
+        potential = _nonzero(build(n))
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {keys}: {e}") from None
     if not p["x_min"] < p["x_max"]:
         raise ConfigError(f"{where}: 'x_min' and 'x_max': need x_min < x_max, got {p['x_min']} and {p['x_max']}")
     # the solve's floor at the smallest x the jitter can draw, where I(., r) is largest
@@ -674,113 +672,25 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     return {**p, "potential": potential}
 
 
-_CORPUS_GRID = {"halfwidth": _POSITIVE(CORPUS_HALFWIDTH), "spacing": _POSITIVE(CORPUS_SPACING)}
-_AGREEMENT_PARAMS = {
-    **_CORPUS_GRID,
-    "members": _MEMBERS,
-    "family": _FAMILY,
-    "tol_fraction": _NONNEGATIVE,
-    "decay_factor": _POSITIVE,
-    "assert_members": _MEMBERS(()),
-}
-
-# Every scenario parameter and its kind.  A default stands here for a key the
-# runner or the plan reads itself, every geometry default among them; an absent
-# key that the runner only forwards to an exp_* function takes its default.
-_SCENARIO_PARAMS: dict[str, dict[str, _Kind]] = {
-    "rho-slope": {
-        "n": _Kind("1, 2 or 3", lambda v: _INT.ok(v) and v in (1, 2, 3))(1),
-        "points": _int_at_least(2),
-        "potential": _POTENTIAL,
-        **{"x_min": _POSITIVE(RHO_SLOPE_X_MIN), "x_max": _POSITIVE(RHO_SLOPE_X_MAX)},
-        **dict.fromkeys(("exponent", "amplitude", "jitter"), _FLOAT),
-        "tolerance": _NONNEGATIVE,
-    },
-    "lacunary-separation": {
-        "k_max": _int_at_least(1)(8),
-        "assert_verdicts": _BOOL(True),
-        **{"halfwidth": _POSITIVE(16384.0), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(0.25)},
-        **dict.fromkeys(("radius_max", "distance_max"), _POSITIVE(4096.0)),
-        # exp_lacunary's defaults: the check builds the potential
-        **{"exponent": _FLOAT(1.05), "amplitude": _FLOAT(0.002)},
-        **dict.fromkeys(("tol_fraction", "floor_factor"), _NONNEGATIVE),
-        "decay_factor": _POSITIVE,
-    },
-    "square-function-agreement": _AGREEMENT_PARAMS,
-    "extension-agreement": _AGREEMENT_PARAMS,
-    "approximation-pipeline": {
-        "member": _MEMBER("bump-narrow"),
-        "expect": _EXPECT("MEMBER"),
-        **{"halfwidth": _POSITIVE(float(2**16)), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(2.0)},
-        **dict.fromkeys(("eps_fraction", "osc_fraction"), _POSITIVE),
-        "corpus_factor": _POSITIVE,
-    },
-    "bmo-norms": {
-        **_CORPUS_GRID,
-        "member": _MEMBER("bump-narrow"),
-        "family": _FAMILY,
-        "tol_fraction": _NONNEGATIVE(0.05),
-        "decay_factor": _POSITIVE(4.0),
-    },
-    "tent-norms": {
-        **_CORPUS_GRID,
-        "member": _MEMBER("bump-narrow"),
-        "family": _FAMILY,
-        "exponents": _EXPONENTS((2.0, math.inf)),
-    },
-    "reproducing-pairing": {
-        **_CORPUS_GRID,
-        "left": _MEMBER("gaussian"),
-        "right": _MEMBER("gaussian"),
-        "t_min": _FLOAT,
-        "t_max": _FLOAT,
-        "per_decade": _int_at_least(2)(16),
-        "tolerance": _NONNEGATIVE,
-    },
-    "averaging-pipeline": {
-        "member": _MEMBER("bump-narrow"),
-        "halfwidth": _POSITIVE(64.0),
-        "spacing": _POSITIVE(2.0**-5),
-        "eps": _POSITIVE,
-        "eps_fraction": _POSITIVE(0.1),
-        "osc_fraction": _POSITIVE(0.125),
-        "family": _FAMILY,
-    },
-}
-
-
-# scenario id -> pairs of keys that cannot both be given, since the first
-# makes the runner ignore the second
-_EXCLUSIVE: dict[str, tuple[tuple[str, str], ...]] = {
-    "rho-slope": (("potential", "exponent"), ("potential", "amplitude")),
-    "averaging-pipeline": (("eps", "eps_fraction"),),
-}
-
-
 def _scenario(s: dict) -> tuple[str, str, dict]:
     """(id, name, checked parameters) of one scenario object."""
     sid = s.get("id")
-    if not isinstance(sid, str) or sid not in _SCENARIO_PARAMS:
-        raise ConfigError(f"unknown scenario id {sid!r}; known: {sorted(_SCENARIO_PARAMS)}")
+    if not isinstance(sid, str) or sid not in _SCENARIO_TABLE:
+        raise ConfigError(f"unknown scenario id {sid!r}; known: {sorted(_SCENARIO_TABLE)}")
+    spec, where = _SCENARIO_TABLE[sid], f"scenario {sid!r}"
     name = s.get("name", sid)
     # the name is the scenario's directory inside the bundle
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise ConfigError(f"scenario {sid!r}: 'name' must be a single path component, got {name!r}")
+        raise ConfigError(f"{where}: 'name' must be a single path component, got {name!r}")
     params = {k: v for k, v in s.items() if k not in ("id", "name")}
-    for a, b in _EXCLUSIVE.get(sid, ()):
+    for a, b in spec.exclusive:
         if a in params and b in params:
-            raise ConfigError(f"scenario {sid!r}: give {a!r} or {b!r}, not both ({b!r} would be ignored)")
-    checked = _checked(f"scenario {sid!r}", _SCENARIO_PARAMS[sid], params)
-    if sid == "rho-slope":
-        checked = _rho_slope_potential(f"scenario {sid!r}", checked)
-    elif sid == "lacunary-separation":
-        # exp_lacunary builds the same potential when the scenario runs
-        _built_potential(f"scenario {sid!r}", "'exponent' and 'amplitude'",
-                         functools.partial(power_potential, checked["exponent"], amplitude=checked["amplitude"]), 1)
+            raise ConfigError(f"{where}: give {a!r} or {b!r}, not both ({b!r} would be ignored)")
+    checked = spec.typed(where, _checked(where, spec.kinds, params))
     # an asserted member that the scenario does not run would assert nothing
     idle = sorted(set(checked.get("assert_members", ())) - set(checked.get("members") or _CORPUS_NAMES))
     if idle:
-        raise ConfigError(f"scenario {sid!r}: 'assert_members' {idle} are not among the scenario's members")
+        raise ConfigError(f"{where}: 'assert_members' {idle} are not among the scenario's members")
     return sid, name, checked
 
 
@@ -841,52 +751,32 @@ class ScenarioPlan:
 
 def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
-    first): a family, its centers checked against the lattice, once per
-    (grid, policy), and an operator and its default t-ladder once per
-    grid, which must cover the family's radii; reproducing-pairing builds
-    its own t-ladder.  The pipeline scenarios check that the box is
-    dyadic.  lacunary-separation also tests the critical-radius solve's
-    bracket floor at its centers nearest the origin, which holds at every
-    center if it holds there.  A ConfigError names the scenario and keys."""
+    first), as its _SCENARIO_TABLE record declares: a family, its centers
+    checked against the lattice, once per (grid, policy), and an operator
+    and its default t-ladder once per grid, which must cover the family's
+    radii.  A ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
     operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}
     plans = []
     for sid, name, checked in cfg.scenarios:
-        p = dict(checked)
-        grid = policy = fam = op = ladder = None
+        spec, p = _SCENARIO_TABLE[sid], dict(checked)
+        grid = fam = op = ladder = None
         try:
-            if sid != "rho-slope":
+            if "halfwidth" in spec.kinds:
                 keys = "'halfwidth' and 'spacing'"
                 grid = Grid(p.pop("halfwidth"), p.pop("spacing"))
-            if sid == "lacunary-separation":
-                keys = "'k_max' and 'halfwidth'"
-                _check_lacunary_reach(grid, p["k_max"])
-                keys = "'spacing'"
-                _bump_window(grid.spacing)  # the bump's own h < width/4 check
-                keys = "'stride', 'radius_max' and 'distance_max'"
-                policy = FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing, radius_max=p.pop("radius_max"),
-                                      distance_max=p.pop("distance_max"))
-            elif sid == "approximation-pipeline":
-                keys = "'stride'"
-                policy = FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing, radius_max=grid.halfwidth / 2.0)
-            elif "family" in _SCENARIO_PARAMS[sid]:
-                h = grid.spacing
-                keys, policy = "'family'", p.pop("family", None) or FamilyPolicy(
-                    max(0.5, 8 * h), radius_min=max(0.125, 4 * h), radius_max=grid.halfwidth / 4.0)
-            if policy is not None and (grid, policy) not in families:
-                families[grid, policy] = make_ball_family(grid, policy)
-            fam = families.get((grid, policy))
-            if sid in ("approximation-pipeline", "averaging-pipeline"):
-                keys = "'halfwidth' and 'spacing'"
-                _dyadic_exponents(grid)
-            if sid == "lacunary-separation":
-                # the solve's floor at the centers nearest the origin, where I(., r) is largest
-                keys, z = "'exponent' and 'amplitude'", int(np.searchsorted(fam.xs, 0.0))
-                check_bracket_floor(power_potential(p["exponent"], 1, amplitude=p["amplitude"]),
-                                    fam.xs[max(z - 1, 0) : z + 1])
-            if sid in ("square-function-agreement", "extension-agreement", "bmo-norms", "tent-norms",
-                       "reproducing-pairing"):
+            for keys, check in spec.checks:
+                check(p, grid)
+            if spec.family is not None:
+                keys, rule = spec.family
+                policy = rule(p, grid)
+                if (grid, policy) not in families:
+                    families[grid, policy] = make_ball_family(grid, policy)
+                fam = families[grid, policy]
+            for keys, check in spec.family_checks:
+                check(p, fam)
+            if spec.operator:
                 keys = "'halfwidth', 'spacing' and 'op_cap'"
                 if grid not in operators:
                     operators[grid] = corpus_operator(grid, cfg.op_cap), default_ladder(grid)
@@ -895,23 +785,17 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                     keys = "'family'"
                     radii = [b.radius for b in fam.blocks]
                     ladder.check_covers(radii)
-                    # a Carleson box's dt/t trapezoid weighs the ladder slices at or below its radius
-                    few = [] if sid == "bmo-norms" else [r for r in radii if ladder.box_slices(r) < 2]
+                    few = [r for r in radii if ladder.box_slices(r) < 2] if spec.box_slices else []
                     if few:
                         raise LadderError(f"ball radii {few} have fewer than two ladder scales at or below them, "
                                           "which a Carleson box's dt/t trapezoid needs")
-            if sid == "reproducing-pairing":
-                keys = "'t_min' and 't_max'"
-                t_min, t_max = p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0)
-                ladder = TLadder.geometric(t_min, t_max, per_decade=p.pop("per_decade"))
+            if spec.ladder is not None:
+                keys, rule = spec.ladder
+                ladder = rule(p, grid)
         except (ConfigError, BracketError, LadderError) as e:
             raise ConfigError(f"scenario {sid!r}: {keys}: {e}") from None
         plans.append(ScenarioPlan(sid, name, p, grid, fam, op, ladder))
     return plans
-
-
-# Each runner takes its plan, the config, its output directory and the
-# run's PRNG stream, and returns its summary fragment and failed checks.
 
 
 def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
@@ -928,7 +812,7 @@ def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
         tol = 0.01 if rep.potential_kind != "power" else 0.05 * abs(rep.expected)
     if abs(rep.slope - rep.expected) > tol:
         failures.append(
-            f"rho-slope: fitted slope {rep.slope:.4f} differs from expected {rep.expected:.4f} by more than {tol:.4f}"
+            f"fitted slope {rep.slope:.4f} differs from expected {rep.expected:.4f} by more than {tol:.4f}"
         )
     return rep.to_dict(), failures
 
@@ -940,33 +824,18 @@ def _run_lacunary(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.
     save_curves_csv(out / "curves.csv", [rep.curves[m] for m in sorted(rep.curves)])
     failures = []
     if check:
-        want = {
-            "small-radius": "VANISHING",
-            "far-from-origin": "NONVANISHING",
-            "far-and-supercritical": "VANISHING",
-        }
-        for mode, expect in want.items():
+        for mode, expect in _SCENARIO_TABLE[plan.sid].expected.items():
             got = rep.verdicts[mode].verdict
             if got != expect:
-                failures.append(f"lacunary-separation: {mode} verdict {got}, expected {expect}")
+                failures.append(f"{mode} verdict {got}, expected {expect}")
         if not rep.floor_ok:
-            failures.append(
-                f"lacunary-separation: far floor {rep.floor:.4f} below required {rep.floor_required:.4f}"
-            )
+            failures.append(f"far floor {rep.floor:.4f} below required {rep.floor_required:.4f}")
     return rep.to_dict(), failures
 
 
-# agreement scenario id -> its experiment
-_AGREEMENT = {
-    "square-function-agreement": exp_square_membership,
-    "extension-agreement": exp_extension_agreement,
-}
-
-
-def _run_agreement(sid: str, plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+def _run_agreement(experiment: Callable[..., AgreementReport], plan: ScenarioPlan, out: Path):
     """Both agreement scenarios: the plan's family and operator for all
     members, and per member its report and the curves of both sides."""
-    experiment = _AGREEMENT[sid]
     p = plan.params
     verdict_params = {k: p[k] for k in ("tol_fraction", "decay_factor") if k in p}
     sub = {}
@@ -977,10 +846,18 @@ def _run_agreement(sid: str, plan: ScenarioPlan, cfg: ExperimentConfig, out: Pat
         for side, curves in rep.curves.items():
             save_curves_csv(out / f"{name}-{side}.csv", [curves[m] for m in sorted(curves)])
         if name in p["assert_members"] and not rep.agree:
-            failures.append(f"{sid}: verdicts disagree on {name}")
+            failures.append(f"verdicts disagree on {name}")
         if rep.ratio is not None and not math.isfinite(rep.ratio):
-            failures.append(f"{sid}: non-finite norm ratio on {name}")
+            failures.append(f"non-finite norm ratio on {name}")
     return {"members": sub}, failures
+
+
+def _run_square_agreement(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    return _run_agreement(exp_square_membership, plan, out)
+
+
+def _run_extension_agreement(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+    return _run_agreement(exp_extension_agreement, plan, out)
 
 
 def _run_pipeline(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
@@ -989,18 +866,14 @@ def _run_pipeline(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.
     rep = exp_pipeline(fam=plan.family, **p)
     failures = []
     if rep.verdict != expect:
-        failures.append(f"approximation-pipeline: verdict {rep.verdict}, expected {expect}")
+        failures.append(f"verdict {rep.verdict}, expected {expect}")
     if rep.verdict == "MEMBER":
         if not (rep.p1_ok and rep.p2_ok and rep.size_ratio_ok):
-            failures.append("approximation-pipeline: P1/P2 gate failed")
+            failures.append("P1/P2 gate failed")
         if rep.distance_averaged > rep.corpus_bound:
-            failures.append(
-                f"approximation-pipeline: averaged distance {rep.distance_averaged:.4f} exceeds {rep.corpus_bound:.4f}"
-            )
+            failures.append(f"averaged distance {rep.distance_averaged:.4f} exceeds {rep.corpus_bound:.4f}")
         if rep.distance_full > rep.corpus_bound:
-            failures.append(
-                f"approximation-pipeline: full distance {rep.distance_full:.4f} exceeds {rep.corpus_bound:.4f}"
-            )
+            failures.append(f"full distance {rep.distance_full:.4f} exceeds {rep.corpus_bound:.4f}")
     return rep.to_dict(), failures
 
 
@@ -1062,7 +935,7 @@ def _run_pairing(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.r
     failures = []
     tol = p.get("tolerance")
     if tol is not None and rep.rel_error > tol:
-        failures.append(f"reproducing-pairing: relative error {rep.rel_error:.4%} exceeds {tol:.4%}")
+        failures.append(f"relative error {rep.rel_error:.4%} exceeds {tol:.4%}")
     return (
         {
             "left": p["left"],
@@ -1102,21 +975,138 @@ def _run_averaging(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
     )
     failures = []
     if not (gate.p1_ok and gate.p2_ok and gate.size_ratio_ok):
-        failures.append("averaging-pipeline: P1/P2 gate failed")
+        failures.append("P1/P2 gate failed")
     return summary, failures
 
 
-_SCENARIOS = {
-    "rho-slope": _run_rho_slope,
-    "lacunary-separation": _run_lacunary,
-    "square-function-agreement": functools.partial(_run_agreement, "square-function-agreement"),
-    "extension-agreement": functools.partial(_run_agreement, "extension-agreement"),
-    "approximation-pipeline": _run_pipeline,
-    "bmo-norms": _run_bmo_norms,
-    "tent-norms": _run_tent_norms,
-    "reproducing-pairing": _run_pairing,
-    "averaging-pipeline": _run_averaging,
+# ---------------------------------------------------------------------------
+# scenario declarations
+
+
+def _stride_family(p: dict, grid: Grid) -> FamilyPolicy:
+    return FamilyPolicy(p.pop("stride"), radius_min=4 * grid.spacing,
+                        radius_max=p.pop("radius_max", grid.halfwidth / 2.0), distance_max=p.pop("distance_max", None))
+
+
+def _lacunary_potential(p: dict, fam: BallFamily) -> None:
+    """The potential that exp_lacunary builds must not be zero, and the
+    solve's bracket floor must hold at the centers nearest the origin,
+    where I(., r) is largest, so at every center."""
+    potential = _nonzero(power_potential(p["exponent"], 1, amplitude=p["amplitude"]))
+    z = int(np.searchsorted(fam.xs, 0.0))
+    check_bracket_floor(potential, fam.xs[max(z - 1, 0) : z + 1])
+
+
+_Step = tuple[str, Callable]  # a plan step: the keys its error names, and its function of (params, grid or family)
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """The declaration of one scenario id.  A plan step's function pops the
+    keys that only the plan reads."""
+
+    kinds: dict[str, _Kind]  # every parameter: a scenario has a grid exactly when it has a 'halfwidth'
+    runner: Callable  # (plan, cfg, out dir, PRNG stream) -> (summary fragment, failed checks, less the id prefix)
+    exclusive: tuple[tuple[str, str], ...] = ()  # key pairs whose first makes the runner ignore the second
+    typed: Callable[[str, dict], dict] = lambda where, p: p  # the checked parameters as the plan reads them
+    checks: tuple[_Step, ...] = ()  # plan steps on the grid, before the family
+    family: Optional[_Step] = None  # the plan step that gives the family's policy
+    family_checks: tuple[_Step, ...] = ()  # plan steps on the family
+    operator: bool = False  # the corpus operator and its default t-ladder, which must cover the radii
+    box_slices: bool = False  # two ladder slices at or below each radius, for a Carleson box's dt/t trapezoid
+    ladder: Optional[_Step] = None  # the plan step that gives the t-ladder in place of the default
+    expected: dict[str, str] = field(default_factory=dict)  # the answers the paper predicts
+
+
+_CORPUS_GRID = {"halfwidth": _POSITIVE(CORPUS_HALFWIDTH), "spacing": _POSITIVE(CORPUS_SPACING)}
+_DEFAULT_FAMILY = ("'family'", lambda p, grid: p.pop("family", None) or FamilyPolicy(
+    max(0.5, 8 * grid.spacing), radius_min=max(0.125, 4 * grid.spacing), radius_max=grid.halfwidth / 4.0))
+_DYADIC_BOX = ("'halfwidth' and 'spacing'", lambda p, fam: _dyadic_exponents(fam.grid))
+_SQUARE_AGREEMENT = _Scenario({
+    **_CORPUS_GRID,
+    "members": _MEMBERS,
+    "family": _FAMILY,
+    "tol_fraction": _NONNEGATIVE,
+    "decay_factor": _POSITIVE,
+    "assert_members": _MEMBERS(()),
+}, _run_square_agreement, family=_DEFAULT_FAMILY, operator=True, box_slices=True)
+
+# Every scenario id's declaration.  A default among the kinds stands for a
+# key the runner or the plan reads itself, every geometry default among
+# them; an absent key that the runner only forwards to an exp_* function
+# takes its default.
+_SCENARIO_TABLE: dict[str, _Scenario] = {
+    "rho-slope": _Scenario({
+        "n": _Kind("1, 2 or 3", lambda v: _INT.ok(v) and v in (1, 2, 3))(1),
+        "points": _int_at_least(2),
+        "potential": _POTENTIAL,
+        **{"x_min": _POSITIVE(RHO_SLOPE_X_MIN), "x_max": _POSITIVE(RHO_SLOPE_X_MAX)},
+        **dict.fromkeys(("exponent", "amplitude", "jitter"), _FLOAT),
+        "tolerance": _NONNEGATIVE,
+    }, _run_rho_slope, exclusive=(("potential", "exponent"), ("potential", "amplitude")), typed=_rho_slope_potential),
+    "lacunary-separation": _Scenario({
+        "k_max": _int_at_least(1)(8),
+        "assert_verdicts": _BOOL(True),
+        **{"halfwidth": _POSITIVE(16384.0), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(0.25)},
+        **dict.fromkeys(("radius_max", "distance_max"), _POSITIVE(4096.0)),
+        # exp_lacunary's defaults: the plan builds the potential
+        **{"exponent": _FLOAT(1.05), "amplitude": _FLOAT(0.002)},
+        **dict.fromkeys(("tol_fraction", "floor_factor"), _NONNEGATIVE),
+        "decay_factor": _POSITIVE,
+    }, _run_lacunary,
+        checks=(("'k_max' and 'halfwidth'", lambda p, grid: _check_lacunary_reach(grid, p["k_max"])),
+                ("'spacing'", lambda p, grid: _bump_window(grid.spacing))),  # the bump's own h < width/4 check
+        family=("'stride', 'radius_max' and 'distance_max'", _stride_family),
+        family_checks=(("'exponent' and 'amplitude'", _lacunary_potential),),
+        # the bumps at 3^k separate the limits: the plain far curve stays at
+        # one bump's oscillation while the other two vanish
+        expected={"small-radius": "VANISHING", "far-from-origin": "NONVANISHING", "far-and-supercritical": "VANISHING"},
+    ),
+    "square-function-agreement": _SQUARE_AGREEMENT,
+    "extension-agreement": replace(_SQUARE_AGREEMENT, runner=_run_extension_agreement),
+    "approximation-pipeline": _Scenario({
+        "member": _MEMBER("bump-narrow"),
+        "expect": _EXPECT("MEMBER"),
+        **{"halfwidth": _POSITIVE(float(2**16)), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(2.0)},
+        **dict.fromkeys(("eps_fraction", "osc_fraction"), _POSITIVE),
+        "corpus_factor": _POSITIVE,
+    }, _run_pipeline, family=("'stride'", _stride_family), family_checks=(_DYADIC_BOX,)),
+    # the semigroup oscillation reads no dt/t trapezoid
+    "bmo-norms": _Scenario({
+        **_CORPUS_GRID,
+        "member": _MEMBER("bump-narrow"),
+        "family": _FAMILY,
+        "tol_fraction": _NONNEGATIVE(0.05),
+        "decay_factor": _POSITIVE(4.0),
+    }, _run_bmo_norms, family=_DEFAULT_FAMILY, operator=True),
+    "tent-norms": _Scenario({
+        **_CORPUS_GRID,
+        "member": _MEMBER("bump-narrow"),
+        "family": _FAMILY,
+        "exponents": _EXPONENTS((2.0, math.inf)),
+    }, _run_tent_norms, family=_DEFAULT_FAMILY, operator=True, box_slices=True),
+    "reproducing-pairing": _Scenario({
+        **_CORPUS_GRID,
+        "left": _MEMBER("gaussian"),
+        "right": _MEMBER("gaussian"),
+        "t_min": _FLOAT,
+        "t_max": _FLOAT,
+        "per_decade": _int_at_least(2)(16),
+        "tolerance": _NONNEGATIVE,
+    }, _run_pairing, operator=True, ladder=("'t_min' and 't_max'", lambda p, grid: TLadder.geometric(
+        p.pop("t_min", grid.spacing / 4.0), p.pop("t_max", grid.halfwidth / 4.0), per_decade=p.pop("per_decade")))),
+    "averaging-pipeline": _Scenario({
+        "member": _MEMBER("bump-narrow"),
+        "halfwidth": _POSITIVE(64.0),
+        "spacing": _POSITIVE(2.0**-5),
+        "eps": _POSITIVE,
+        "eps_fraction": _POSITIVE(0.1),
+        "osc_fraction": _POSITIVE(0.125),
+        "family": _FAMILY,
+    }, _run_averaging, exclusive=(("eps", "eps_fraction"),), family=_DEFAULT_FAMILY, family_checks=(_DYADIC_BOX,)),
 }
+# scenario id -> runner; run() looks each one up here when it runs it
+_SCENARIOS = {sid: spec.runner for sid, spec in _SCENARIO_TABLE.items()}
 
 
 def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
@@ -1152,7 +1142,7 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
         sub.mkdir(parents=True, exist_ok=True)
         frag, failures = _SCENARIOS[plan.sid](plan, cfg, sub, rng)
         summary["scenarios"][plan.name] = {**frag, "id": plan.sid}
-        summary["failures"].extend(failures)
+        summary["failures"].extend(f"{plan.sid}: {m}" for m in failures)
 
     save_json(base / "summary.json", summary)
     if summary["failures"]:

@@ -377,11 +377,11 @@ class SummedTable:
                     out.append(range(first, end))
         return out
 
-    def prefix(self, start: int, count: int, step: int, rows: int | None = None) -> np.ndarray:
+    def _reads(self, start: int, count: int, step: int, rows: int | None) -> list:
         """P at start, start + step, ... (count of them, step >= 1) of every
-        row, or of a stack's first rows: a strided view of the stored prefix
-        when they all fall on one piece, its ends included, else a new array
-        with the constants off the pieces filled in."""
+        row, or of a stack's first rows, as (j0, j1, v) parts that tile
+        0 .. count: v is a strided view of the stored prefix over a piece,
+        its end included, or the constant off the pieces, one entry wide."""
         p, x, c = self._p[:rows], self._x, self._c
         parts, j0 = [], 0
         k = bisect.bisect_right(x, start)  # the first read lies before breakpoint k
@@ -396,9 +396,17 @@ class SummedTable:
                 parts.append((j0, j1, p[..., i : i + (j1 - j0 - 1) * step + 1 : step] if over else p[..., i : i + 1]))
                 j0 = j1
             k += 1
+        return parts
+
+    def prefix(self, start: int, count: int, step: int, rows: int | None = None) -> np.ndarray:
+        """P at start, start + step, ... (count of them, step >= 1) of every
+        row, or of a stack's first rows: a strided view of the stored prefix
+        when they all fall on one piece, its ends included, else a new array
+        with the constants off the pieces filled in."""
+        parts = self._reads(start, count, step, rows)
         if len(parts) == 1 and parts[0][2].shape[-1] == count:
             return parts[0][2]
-        out = np.empty(p.shape[:-1] + (count,))
+        out = np.empty(self._p[:rows].shape[:-1] + (count,))
         for j0, j1, v in parts:
             out[..., j0:j1] = v
         return out
@@ -409,15 +417,22 @@ class SummedTable:
         every row or of a stack's first rows, written into out when given.  The
         strict-inside offsets are |k| <= cell_radius - 1 in integer
         arithmetic, so this path has no float membership fuzz; a ball
-        reaching past the samples raises OutOfDomainError."""
+        reaching past the samples raises OutOfDomainError.  The upper reads
+        of P are written into out and the lower ones subtracted there, so
+        no read of the run is held besides out."""
         m = int(cell_radius)
         if m < 1 or run.step < 1:
             raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
         if len(run) and (run.start - m + 1 < 0 or run[-1] + m > self.grid.size):
             raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
         n, step = len(run), run.step
-        return np.subtract(self.prefix(run.start + m, n, step, rows), self.prefix(run.start - m + 1, n, step, rows),
-                           out=out)
+        if out is None:
+            out = np.empty(self._p[:rows].shape[:-1] + (n,))
+        for j0, j1, v in self._reads(run.start + m, n, step, rows):
+            out[..., j0:j1] = v
+        for j0, j1, v in self._reads(run.start - m + 1, n, step, rows):
+            out[..., j0:j1] -= v
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from oscillab.corpus import member_by_name
 from oscillab.errors import ConfigError, CriterionFailure
 from oscillab.experiments import (
     RHO_CONSTANT_UNIT,
-    _SCENARIO_PARAMS,
+    _SCENARIO_TABLE,
     _SCENARIOS,
     ExperimentConfig,
     _arg_sup_ball,
@@ -190,7 +190,24 @@ def test_config_validation_errors(doc):
 
 
 def test_every_scenario_has_a_parameter_table():
-    assert set(_SCENARIOS) == set(_SCENARIO_PARAMS) == set(SCENARIO_IDS)
+    # one record per id, and run() reads the runner that the record declares
+    assert list(_SCENARIO_TABLE) == list(SCENARIO_IDS)
+    for sid, spec in _SCENARIO_TABLE.items():
+        assert spec.kinds and callable(spec.runner), sid
+        assert _SCENARIOS[sid] is spec.runner, sid
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_plan_holds_what_the_scenario_declares(sid):
+    # the plan of the declaration's defaults; rho-slope has no default potential
+    spec = _SCENARIO_TABLE[sid]
+    plan = _plan(id=sid, **({"exponent": 1.5} if sid == "rho-slope" else {}))
+    assert (plan.grid is not None) == ("halfwidth" in spec.kinds)
+    assert (plan.family is not None) == (spec.family is not None)
+    assert (plan.op is not None) == spec.operator
+    assert (plan.ladder is not None) == (spec.operator or spec.ladder is not None)
+    # the plan takes out every key it reads itself; the runner reads the rest
+    assert not {"halfwidth", "spacing", "stride", "radius_max", "distance_max", "family"} & set(plan.params)
 
 
 def test_config_holds_checked_parameters_and_table_defaults():
@@ -598,11 +615,11 @@ def test_lacunary_family_scan_stays_below_one_sample_array():
     finally:
         tracemalloc.stop()
     # the table on the held samples, the two buffers of the meeting balls,
-    # a run's two reads of the table where they leave the pieces, and 64
-    # KB for the runs' Python objects
+    # at most one read of a run (ball_sum writes both reads of the table
+    # into the buffer), and 64 KB for the runs' Python objects
     meeting, longest = st.oscillation.values.size, max(len(r) for r in st.oscillation.runs)
     assert meeting < len(plan.family) // 10
-    assert peak <= 8 * (samples + 1) + 16 * meeting + 16 * longest + (1 << 16), peak
+    assert peak <= 8 * (samples + 1) + 16 * meeting + 8 * longest + (1 << 16), peak
     assert peak < 8 * n
 
 
@@ -631,8 +648,7 @@ def test_lacunary_wide_separates_below_half_the_hull_scan_peak(tmp_path):
     assert got["code"] == 0 and got["peak_mb"] <= 351, got
     rep = json.loads((tmp_path / "out" / "summary.json").read_text())["scenarios"]["lacunary-separation"]
     assert rep["n_balls"] == 47_185_899 and rep["floor_ok"]
-    assert {mode: v["verdict"] for mode, v in rep["verdicts"].items()} == {
-        "small-radius": "VANISHING", "far-from-origin": "NONVANISHING", "far-and-supercritical": "VANISHING"}
+    assert {mode: v["verdict"] for mode, v in rep["verdicts"].items()} == _SCENARIO_TABLE["lacunary-separation"].expected
 
 
 @pytest.fixture(scope="module")

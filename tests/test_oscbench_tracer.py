@@ -24,9 +24,11 @@ tracer = tracing.Tracer("t")
 tracing.install(tracer)
 counts = {}
 for w in WORKLOADS:
-    before = dict(tracer.counts)
+    before, spans = dict(tracer.counts), len(tracer.spans)
     experiments.run(workload_config(w, 1, small=True), out_dir=f"{sys.argv[2]}/{w}")
     counts[w] = {k: v - before.get(k, 0) for k, v in tracer.counts.items()}
+    counts[w]["scenario_spans"] = sum(s[0] == "experiments.scenario" for s in tracer.spans[spans:])
+    counts[w]["scenarios"] = len(workload_config(w, 1, small=True)["scenarios"])
 print(json.dumps(counts))
 """
 
@@ -59,3 +61,7 @@ def test_small_workloads_run_under_the_benchmark_tracer(tmp_path):
     # these counts without any error
     families = {w: (c["family.balls"], c["family.distinct_centers"]) for w, c in counts.items()}
     assert families == {"lacunary": (3834, 511), "pipeline": (46048, 3581), "spectral": (141, 31)}
+    # the tracer wraps the runners in experiments._SCENARIOS: a run that
+    # stopped reading that table would only lose its glue time, silently
+    spans = {w: (c["scenario_spans"], c["scenarios"]) for w, c in counts.items()}
+    assert spans == {"lacunary": (1, 1), "pipeline": (3, 3), "spectral": (6, 6)}

@@ -527,25 +527,45 @@ def test_constant_reductions_attain_at_the_first_ball():
         assert (split.oscillation_arg, split.size_arg, split.size_part) == (0, first_super, abs(b))
 
 
+def _lacunary_scan():
+    """(family, f, stats, tracemalloc peak of family_stats) at the geometry
+    of configs/lacunary.json."""
+    (plan,) = plan_scenarios({"scenarios": [{
+        "id": "lacunary-separation", "k_max": 8, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
+        "radius_max": 4096.0, "distance_max": 4096.0,
+    }]})
+    f = lacunary_function(plan.grid, 8)
+    tracemalloc.start()
+    try:
+        st = family_stats(f, plan.family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return plan.family, f, st, peak
+
+
 def test_family_stats_at_lacunary_size_allocates_no_family_sized_array():
     # configs/lacunary.json: 2,424,815 balls, of which 162,035 meet the 8
     # pieces of 511 samples each (their hull holds 1,679,359 samples);
     # besides the pieces' prefix table, the scan holds two buffers of the
     # meeting balls, together less than one family-sized float64 array
-    (plan,) = plan_scenarios({"scenarios": [{
-        "id": "lacunary-separation", "k_max": 8, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
-        "radius_max": 4096.0, "distance_max": 4096.0,
-    }]})
-    fam = plan.family
-    f = lacunary_function(plan.grid, 8)
-    tracemalloc.start()
-    try:
-        st = family_stats(f, fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fam, f, st, peak = _lacunary_scan()
     meeting, samples = st.oscillation.values.size, sum(v.size for _, v in f.pieces)
     assert (len(fam), f.hi - f.lo, len(f.pieces), samples, meeting) == (2_424_815, 1_679_359, 8, 4_088, 162_035)
     table, held, slack = (samples + 1) * 8, 2 * meeting * 8, 1 << 20
     assert held + slack < len(fam) * 8
     assert peak < table + held + slack, (peak - table - held) / (len(fam) * 8)
+
+
+def test_family_stats_at_lacunary_size_holds_no_second_read_of_a_run():
+    # ball_sum writes a run's upper reads of the table into the compact
+    # buffer and subtracts the lower ones there, also where they leave the
+    # pieces: the scan stays within the table, the two buffers and one
+    # read of its longest run (59,007 balls), plus 64 KB of Python objects
+    fam, f, st, peak = _lacunary_scan()
+    meeting, samples = st.oscillation.values.size, sum(v.size for _, v in f.pieces)
+    longest = max(len(r) for r in st.oscillation.runs)
+    assert longest == 59_007
+    assert peak <= 8 * (samples + 1) + 16 * meeting + 8 * longest + (1 << 16), peak
+
+
