@@ -751,13 +751,14 @@ class ScenarioPlan:
 
 def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
-    first), as its _SCENARIO_TABLE record declares: a family, its centers
-    checked against the lattice, once per (grid, policy), and an operator
-    and its default t-ladder once per grid, which must cover the family's
-    radii.  A ConfigError names the scenario and keys."""
+    first), as its _SCENARIO_TABLE record declares: a family, its stride
+    checked, once per (grid, policy), an operator once per grid, and for a
+    record with no ladder rule the default t-ladder once per grid, which
+    must cover the family's radii.  A ConfigError names the scenario and
+    keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
-    families: dict[tuple[Grid, FamilyPolicy], BallFamily] = {}
-    operators: dict[Grid, tuple[SpectralOperator, TLadder]] = {}
+    family_of, ladder_of = functools.cache(make_ball_family), functools.cache(default_ladder)
+    operator_of = functools.cache(lambda grid: corpus_operator(grid, cfg.op_cap))
     plans = []
     for sid, name, checked in cfg.scenarios:
         spec, p = _SCENARIO_TABLE[sid], dict(checked)
@@ -770,17 +771,12 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                 check(p, grid)
             if spec.family is not None:
                 keys, rule = spec.family
-                policy = rule(p, grid)
-                if (grid, policy) not in families:
-                    families[grid, policy] = make_ball_family(grid, policy)
-                fam = families[grid, policy]
+                fam = family_of(grid, rule(p, grid))
             for keys, check in spec.family_checks:
                 check(p, fam)
             if spec.operator:
                 keys = "'halfwidth', 'spacing' and 'op_cap'"
-                if grid not in operators:
-                    operators[grid] = corpus_operator(grid, cfg.op_cap), default_ladder(grid)
-                op, ladder = operators[grid]
+                op, ladder = operator_of(grid), ladder_of(grid) if spec.ladder is None else None
                 if fam is not None:
                     keys = "'family'"
                     radii = [b.radius for b in fam.blocks]
@@ -993,8 +989,8 @@ def _lacunary_potential(p: dict, fam: BallFamily) -> None:
     solve's bracket floor must hold at the centers nearest the origin,
     where I(., r) is largest, so at every center."""
     potential = _nonzero(power_potential(p["exponent"], 1, amplitude=p["amplitude"]))
-    z = int(np.searchsorted(fam.xs, 0.0))
-    check_bracket_floor(potential, fam.xs[max(z - 1, 0) : z + 1])
+    z = len(fam.lattice) // 2  # the origin: a stride family's lattice is symmetric about it
+    check_bracket_floor(potential, fam.grid.coords(fam.lattice[max(z - 1, 0) : z + 1]))
 
 
 _Step = tuple[str, Callable]  # a plan step: the keys its error names, and its function of (params, grid or family)

@@ -5,19 +5,20 @@ reported as curves over a finite ladder of cutoffs, never as extrapolated
 scalars.  A bucket with no qualifying ball is absent (NaN value, count 0),
 which is not the same as a zero supremum.
 
-A family is its radius blocks: the ascending distinct centers xs on the
-grid lattice, and one block per radius holding the cell radius and the
-run of xs it is centered on.  Nothing is stored per ball, and
+A family is its radius blocks over one lattice, a range of sample
+indices: each block holds its cell radius and the run of the lattice it
+is centered on.  Nothing is stored per ball or per center, and
 critical-radius data is a scalar rho or one reach per block: the
 supercritical balls of a block are those with |c| below its reach, one
 run of the block.  A ball's bucket is constant over a block in the
 radius modes, and in the distance modes its key |c| - r descends over a
-block's negative centers and ascends over the rest.  A curve is therefore a reduction over a few
-contiguous segments of the family, at most 2 (n + 1) per block for an
-n-cutoff ladder.  The segment plan is built once per family and cut
-ladder.  A metric is BallValues: a few stored runs of each block and a
-fill for its other balls, so each segment's sup reads at most the runs'
-part of it and the fill.
+block's negative centers and ascends over the rest.  A curve is
+therefore a reduction over a few contiguous segments of the family, at
+most 2 (n + 1) per block for an n-cutoff ladder, cut where a binary
+search over the runs finds them.  The segment plan is built once per
+family and cut ladder.  A metric is BallValues: a few stored runs of
+each block and a fill for its other balls, so each segment's sup reads
+at most the runs' part of it and the fill.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
-from .grid import Ball, Grid, segment_sups
+from .grid import Ball, Grid, _first_false, segment_sups
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -63,13 +64,11 @@ class FamilyPolicy:
 
 
 class RadiusBlock(NamedTuple):
-    """The balls of one radius: cell radius m, so radius m h, about each of
-    the centers xs[offset : offset + count].  They are the family's balls
-    start .. start + count - 1, and run is the range of their center
-    sample indices."""
+    """The balls of one radius: cell radius m, so radius m h, about the
+    centers at the sample indices run, a run of the family's lattice.
+    They are the family's balls start .. start + count - 1."""
 
     cell_radius: int
-    offset: int
     count: int
     radius: float
     start: int
@@ -79,20 +78,15 @@ class RadiusBlock(NamedTuple):
     def stop(self) -> int:
         return self.start + self.count
 
-    @property
-    def centers(self) -> slice:
-        """The block's centers as a slice of the family's xs."""
-        return slice(self.offset, self.offset + self.count)
-
 
 @dataclass(frozen=True)
 class BallFamily:
     """Deterministically enumerated balls, tagged for bucketed scans.
 
-    xs: the distinct centers, ascending on the grid lattice at one
-    constant index step.  blocks: one per radius, given as (cell radius,
-    offset, count) and kept as RadiusBlock: the balls of radius m h about
-    the centers xs[offset : offset + count].  The family is the blocks'
+    lattice: the sample indices of the distinct centers, a range at a
+    positive step.  blocks: one per radius, given as (cell radius, offset,
+    count) and kept as RadiusBlock: the balls of radius m h about the
+    centers lattice[offset : offset + count].  The family is the blocks'
     balls in order, so the balls of one block are a contiguous slice of
     it; critical-radius data is a scalar rho or one reach per block
     (supercritical_spans).  radius_ladder and distance_ladder are the
@@ -100,46 +94,40 @@ class BallFamily:
     its inner distance |c| - r, the largest a such that the ball avoids
     B(0, a).
 
-    Centers off the lattice or off one index step, and a block with no
-    positive cell radius, no ball or a run past xs, raise ConfigError; a
-    block with a ball that touches or leaves the box raises
-    OutOfDomainError.  Both are checked here, once, so no scan allocates
-    anything sample-sized for a family it cannot scan.
+    A lattice that is not such a range, and a block with no positive cell
+    radius, no ball or a run past the lattice, raise ConfigError; a block
+    with a ball that touches or leaves the box raises OutOfDomainError.
+    Both are checked here, once, so no scan allocates anything
+    sample-sized for a family it cannot scan.
 
-    centers (k, 1) and radii (k,) give the balls one by one; they are
-    built on each read, and no scan reads them.
+    xs (the distinct centers), centers (k, 1) and radii (k,) are built
+    on each read, by Grid.coords, and no scan reads them.
     """
 
     grid: Grid
-    xs: np.ndarray
+    lattice: range
     blocks: tuple[RadiusBlock, ...]
     radius_ladder: np.ndarray
     distance_ladder: np.ndarray
 
     def __post_init__(self) -> None:
-        g = self.grid
-        xs = np.asarray(self.xs, dtype=np.float64).reshape(-1)
-        idx = g.coord_to_index(xs)
-        if not np.all(np.abs(xs - g.index_to_coord(idx)) <= 1e-6 * g.spacing):
-            raise ConfigError("family centers must sit on the grid lattice")
-        step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-        if step < 1 or np.any(np.diff(idx) != step):
-            raise ConfigError("family centers are not an arithmetic run of samples")
+        g, lattice = self.grid, self.lattice
+        if not isinstance(lattice, range) or lattice.step < 1:
+            raise ConfigError("a family's lattice must be a range of sample indices: an arithmetic run at a positive step")
         blocks, start = [], 0
-        for m, off, n in (map(int, b[:3]) for b in self.blocks):
+        for m, off, n in (map(int, b) for b in self.blocks):
             if m < 1:
                 raise ConfigError("family radii must be positive multiples of the spacing")
-            if n < 1 or off < 0 or off + n > xs.size:
+            if n < 1 or off < 0 or off + n > len(lattice):
                 raise ConfigError("a radius block is not a nonempty run of the family's centers")
-            run = range(int(idx[off]), int(idx[off]) + n * step, step)
+            run = lattice[off : off + n]
             # inside the box: |c| + r <= X - h, i.e. sample indices 1 .. 2X/h - 1
             if run.start - m < 1 or run[-1] + m > g.size - 2:
                 raise OutOfDomainError(f"a ball of cell radius {m} over {run} touches or leaves the box")
-            blocks.append(RadiusBlock(m, off, n, m * g.spacing, start, run))
+            blocks.append(RadiusBlock(m, n, m * g.spacing, start, run))
             start += n
         if not blocks:
             raise ConfigError("empty ball family")
-        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "radius_ladder", np.asarray(self.radius_ladder, dtype=np.float64))
         object.__setattr__(self, "distance_ladder", np.asarray(self.distance_ladder, dtype=np.float64))
@@ -148,8 +136,12 @@ class BallFamily:
         return self.blocks[-1].stop
 
     @property
+    def xs(self) -> np.ndarray:
+        return self.grid.coords(self.lattice)
+
+    @property
     def centers(self) -> np.ndarray:
-        return np.concatenate([self.xs[b.centers] for b in self.blocks])[:, None]
+        return np.concatenate([self.grid.coords(b.run) for b in self.blocks])[:, None]
 
     @property
     def radii(self) -> np.ndarray:
@@ -172,7 +164,7 @@ class BallFamily:
     def ball(self, i: int) -> Ball:
         i = range(len(self))[i]
         b = next(b for b in self.blocks if i < b.stop)
-        return Ball((self.xs[b.offset + i - b.start],), b.radius)
+        return Ball((self.grid.coords(b.run[i - b.start : i - b.start + 1])[0],), b.radius)
 
 
 @dataclass(frozen=True)
@@ -187,6 +179,12 @@ class SegmentPlan:
     buckets: np.ndarray
 
 
+def _centers(family: BallFamily, block: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The j-th centers of the radius blocks block, as Grid.coords gives them."""
+    first = np.array([b.run.start for b in family.blocks], dtype=np.intp)
+    return (first[block] + j * family.lattice.step - family.grid.half_cells) * family.grid.spacing
+
+
 def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
     # the cutoffs and side give a ball's bucket as bucketed_sup defines it
     if kind == "small-radius":
@@ -194,21 +192,28 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
     else:
         ladder = family.distance_ladder if kind == "far-from-origin" else family.radius_ladder
         cuts, side = ladder * (1 - 1e-12), "right"
-    starts, keys = [], []
-    for b in family.blocks:
-        c, cut = family.xs[b.centers], {0}
-        if kind == "far-from-origin":
-            # |c| - r is -c - r over the negative centers, where it
-            # descends, and c - r over the rest, where it ascends
-            z = int(np.searchsorted(c, 0.0))
-            neg, pos = -c[:z] - b.radius, c[z:] - b.radius
-            cut.add(z)
-            cut.update((z - np.searchsorted(neg[::-1], cuts)).tolist())
-            cut.update((z + np.searchsorted(pos, cuts)).tolist())
-        segs = sorted(i for i in cut if i < b.count)
-        starts += [b.start + i for i in segs]
-        keys += (np.abs(c[segs]) - b.radius).tolist() if kind == "far-from-origin" else [b.radius] * len(segs)
-    return SegmentPlan(np.array(starts, dtype=np.intp), np.searchsorted(cuts, keys, side=side))
+    blocks = family.blocks
+    start = np.array([b.start for b in blocks], dtype=np.intp)
+    radius = np.array([b.radius for b in blocks])
+    if kind != "far-from-origin":
+        return SegmentPlan(start, np.searchsorted(cuts, radius, side=side))
+    # |c| - r descends over a block's negative centers and ascends over
+    # the rest: one search over every block, half and cutoff (-inf and +inf
+    # give each block's first center and first nonnegative one)
+    neg, block, cut = (a.ravel() for a in np.meshgrid(
+        [True, False], np.arange(len(blocks)), np.append(cuts, (-np.inf, np.inf)), indexing="ij"))
+    count, r = np.array([b.count for b in blocks], dtype=np.intp)[block], radius[block]
+
+    def before(j, i):
+        c = _centers(family, block[i], j)
+        return np.where(neg[i], (c < 0) & (-c - r[i] >= cut[i]), (c < 0) | (c - r[i] < cut[i]))
+
+    at = _first_false(before, np.zeros_like(count), count.copy())
+    # a few hundred cuts: np.unique would first import numpy.ma, about 20 ms
+    starts = np.array(sorted(set((start[block] + at)[at < count].tolist())), dtype=np.intp)
+    b = np.searchsorted(start, starts, side="right") - 1
+    keys = np.abs(_centers(family, b, starts - start[b])) - radius[b]
+    return SegmentPlan(starts, np.searchsorted(cuts, keys, side=side))
 
 
 def supercritical_spans(family: BallFamily, rho):
@@ -222,16 +227,23 @@ def supercritical_spans(family: BallFamily, rho):
     if rho is None:
         raise ConfigError("critical-radius data is required here")
     rho = np.asarray(rho, dtype=np.float64)
+    blocks = family.blocks
     if rho.ndim == 0:
-        reach = [np.inf if b.radius >= rho else 0.0 for b in family.blocks]
-    elif rho.shape == (len(family.blocks),):
+        reach = np.array([np.inf if b.radius >= rho else 0.0 for b in blocks])
+    elif rho.shape == (len(blocks),):
         reach = rho
     else:
         raise ConfigError("critical-radius reaches do not match the family's radius blocks")
-    for b, r in zip(family.blocks, reach):
-        c = family.xs[b.centers]
-        a = int(np.searchsorted(c, -r, side="right"))
-        yield b, b.start + a, b.start + max(a, int(np.searchsorted(c, r)))
+    low, block = (a.ravel() for a in np.meshgrid([True, False], np.arange(len(blocks)), indexing="ij"))
+    edge, count = np.where(low, -reach[block], reach[block]), np.array([b.count for b in blocks] * 2)
+
+    def before(j, i):
+        c = _centers(family, block[i], j)
+        return np.where(low[i], c <= edge[i], c < edge[i])
+
+    a, z = _first_false(before, np.zeros_like(count), count).reshape(2, -1)
+    for b, p, q in zip(blocks, a.tolist(), np.maximum(a, z).tolist()):
+        yield b, b.start + p, b.start + q
 
 
 @dataclass(frozen=True)
@@ -296,18 +308,18 @@ class BallValues:
 
 
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
-    """Enumerate the family described by policy on grid.
+    """Enumerate the family described by policy on grid, in integer cells.
 
-    Config errors: stride not a positive multiple of h, explicit radii
-    given together with a ladder bound, radii above X/2, a geometric
-    ladder below 4h, or an enumeration with no surviving ball.
+    Config errors: stride not a positive multiple of h (to 1e-6 h at the
+    farthest center), explicit radii given together with a ladder bound,
+    radii above X/2, a geometric ladder below 4h, or an enumeration with
+    no surviving ball.
     """
-    h = grid.spacing
-    X = grid.halfwidth
-    stride = policy.center_stride
+    h, X, stride = grid.spacing, grid.halfwidth, policy.center_stride
     k = stride / h
     if not (k >= 1 - 1e-6) or abs(k - round(k)) > 1e-6:
         raise ConfigError(f"center stride {stride} is not a positive multiple of h={h}")
+    s = round(k)
 
     if policy.radii is not None:
         if policy.radius_min is not None or policy.radius_max is not None:
@@ -330,31 +342,20 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         if not radii:
             raise ConfigError("geometric radius ladder is empty")
     if radii[-1] > X / 2 * (1 + 1e-9):
-        raise ConfigError(
-            f"largest family radius {radii[-1]} exceeds half the box halfwidth {X / 2}"
-        )
-
+        raise ConfigError(f"largest family radius {radii[-1]} exceeds half the box halfwidth {X / 2}")
     # snap radii to the h-lattice, drop duplicates after snapping
-    cells: list[int] = []
-    for r in radii:
-        m = max(round(r / h), 1)
-        if not cells or m != cells[-1]:
-            cells.append(m)
+    cells = sorted({max(round(r / h), 1) for r in radii})
 
-    k_max = int(math.floor(min(X, policy.max_center_norm) / stride + 1e-9))
-    marks = np.arange(-k_max, k_max + 1, dtype=np.float64) * stride
-    cand = marks[np.abs(marks) <= policy.max_center_norm * (1 + 1e-12)]
-
-    # cand ascends and is symmetric about 0, so the marks with |c| + r
-    # below lim are the run of n about its middle; xs are those of the
-    # smallest radius
-    lim = X - h / 4.0
-    xs = cand[np.abs(cand) + cells[0] * h < lim]
-    blocks = []
-    for m in cells:
-        n = int(np.count_nonzero(np.abs(xs) + m * h < lim))
-        if n:
-            blocks.append((m, (xs.size - n) // 2, n))
+    # the centers j stride, |j| <= K: the marks up to min(X,
+    # max_center_norm), less the edge mark where it passes max_center_norm
+    mcn, n0 = policy.max_center_norm, grid.half_cells
+    k_max = int(math.floor(min(X, mcn) / stride + 1e-9))
+    K = next((j for j in (k_max, k_max - 1) if j >= 0 and j * stride <= mcn * (1 + 1e-12)), -1)
+    # the ball of cell radius m about the center j s is inside the box when
+    # |j| s + m <= X/h - 1: each block is the 2 q + 1 centers |j| <= q, a
+    # run of the lattice, the smallest radius's run
+    half = [min(K, (n0 - 1 - m) // s) for m in cells]
+    blocks = [(m, half[0] - q, 2 * q + 1) for m, q in zip(cells, half) if q >= 0]
     if not blocks:
         raise ConfigError("ball family is empty: no center/radius pair fits the box")
 
@@ -367,7 +368,9 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         d *= 2.0
     if not dl:
         raise ConfigError("distance ladder is empty")
-    return BallFamily(grid, xs, blocks, radius_ladder, np.asarray(dl))
+    if half[0] * abs(stride - s * h) > 1e-6 * h:  # the farthest center's drift off its sample
+        raise ConfigError(f"family centers must sit on the grid lattice: {half[0]} strides of {stride} miss the sample")
+    return BallFamily(grid, range(n0 - half[0] * s, n0 + half[0] * s + 1, s), blocks, radius_ladder, np.asarray(dl))
 
 
 @dataclass(frozen=True)

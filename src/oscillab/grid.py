@@ -107,26 +107,38 @@ class Grid:
     @property
     def axis(self) -> np.ndarray:
         """Sample coordinates, -X..X inclusive."""
-        return self.coords(0, self.size)
+        return self.coords(range(self.size))
 
-    def coords(self, lo: int, hi: int) -> np.ndarray:
-        """The coordinates of the samples [lo, hi), the same bits as
-        axis[lo:hi]."""
+    def coords(self, run: range) -> np.ndarray:
+        """The coordinates (i - X/h) h of the samples i of run, a range of
+        sample indices: the same bits as axis[run.start:run.stop:run.step]."""
         m = self.half_cells
-        return np.arange(lo - m, hi - m, dtype=np.float64) * self.spacing
+        return np.arange(run.start - m, run.stop - m, run.step, dtype=np.float64) * self.spacing
 
     def coord_to_index(self, coords: np.ndarray) -> np.ndarray:
         """Nearest-sample index per coordinate (float array in, int array out)."""
         return np.rint((np.asarray(coords, dtype=np.float64) + self.halfwidth) / self.spacing).astype(np.int64)
-
-    def index_to_coord(self, idx: np.ndarray) -> np.ndarray:
-        return np.asarray(idx, dtype=np.float64) * self.spacing - self.halfwidth
 
     def compatible(self, other: "Grid") -> bool:
         return (
             self.half_cells == other.half_cells
             and abs(self.spacing - other.spacing) <= _IDX_TOL * self.spacing
         )
+
+
+def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per lane i, the first index j in [lo[i], hi[i]) at which pred does
+    not hold, or hi[i] where it holds throughout; pred holds on a prefix of
+    each range.  pred(j, i) evaluates index j[t] of lane i[t], every lane
+    still searched at once.  lo and hi are narrowed in place."""
+    while True:
+        i = np.flatnonzero(lo < hi)
+        if not i.size:
+            return lo
+        j = (lo[i] + hi[i]) // 2
+        ok = pred(j, i)
+        lo[i] = np.where(ok, j + 1, lo[i])
+        hi[i] = np.where(ok, hi[i], j)
 
 
 def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
@@ -282,7 +294,7 @@ class GridFunction:
             h, m = grid.spacing, grid.half_cells
             lo = min(max(math.floor(x0 / h) + m, 0), grid.size)
             hi = min(max(math.ceil(x1 / h) + m + 1, lo), grid.size)
-        return GridFunction(grid, np.asarray(fn(grid.coords(lo, hi)), dtype=np.float64), lo=lo)
+        return GridFunction(grid, np.asarray(fn(grid.coords(range(lo, hi))), dtype=np.float64), lo=lo)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         """f - g on the union of the two hulls, one piece: dense when either

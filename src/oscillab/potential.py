@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConfigError
+from .grid import _first_false
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -282,21 +283,6 @@ def _on_axis(V: Potential, d: np.ndarray) -> np.ndarray:
     pts = np.zeros((d.size, V.n))
     pts[:, 0] = d
     return pts
-
-
-def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per lane i, the first index j in [lo[i], hi[i]) at which pred does
-    not hold, or hi[i] where it holds throughout; pred holds on a prefix of
-    each range.  pred(j, i) evaluates index j[t] of lane i[t], every lane
-    still searched at once.  lo and hi are narrowed in place."""
-    while True:
-        i = np.flatnonzero(lo < hi)
-        if not i.size:
-            return lo
-        j = (lo[i] + hi[i]) // 2
-        ok = pred(j, i)
-        lo[i] = np.where(ok, j + 1, lo[i])
-        hi[i] = np.where(ok, hi[i], j)
 
 
 def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:

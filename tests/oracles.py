@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
-from oscillab.family import MODES, SUPERCRITICAL_MODES, LimitCurve
+from oscillab.family import MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve
 from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
 from oscillab.oscillation import OscillationReport, SplitNormReport
 from oscillab.potential import Potential, solve_critical_radius
@@ -281,7 +281,7 @@ def dilate_oscillation(
         step = max(1, round(r / 4.0 / h))
         reach_steps = math.floor(span / (step * h) + 1e-9)
         ci = int(g.coord_to_index(c)) + step * np.arange(-reach_steps, reach_steps + 1)
-        ci = ci[np.abs(g.index_to_coord(ci)) + rp < lim]
+        ci = ci[np.abs(g.coords(range(int(ci[0]), int(ci[-1]) + 1, step))) + rp < lim]
         if ci.size == 0:
             continue
         m = int(round(rp / h))
@@ -513,6 +513,77 @@ def rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
     j0 = int(np.searchsorted(xs, 0.0))
     half = solve_critical_radius(V, xs[j0:, None]).values
     return np.concatenate((half[::-1][:j0], half))
+
+
+def lattice_of(grid: Grid, xs) -> range | np.ndarray:
+    """The sample indices of the ascending centers xs, as a family's
+    lattice: a range when they sit on one arithmetic run of samples, else
+    their fractional sample positions, which BallFamily refuses."""
+    pos = (np.asarray(xs, dtype=np.float64).reshape(-1) + grid.halfwidth) / grid.spacing
+    idx = np.rint(pos).astype(np.int64)
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if idx.size and np.array_equal(pos, idx) and step >= 1 and np.all(np.diff(idx) == step):
+        return range(int(idx[0]), int(idx[-1]) + 1, step)
+    return pos
+
+
+def hand_family(grid: Grid, xs, blocks, radius_ladder, distance_ladder):
+    """The family of blocks (cell radius, offset, count) over the ascending
+    centers xs."""
+    return BallFamily(grid, lattice_of(grid, xs), blocks, radius_ladder, distance_ladder)
+
+
+def enumerate_family(grid: Grid, policy, cells) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """make_ball_family's enumeration of the ascending cell radii cells in
+    float arrays: the centers xs, the marks j stride with |j| stride <=
+    max_center_norm that fit the smallest radius, |c| + r < X - h/4, and
+    one (cell radius, offset, count) per radius with a ball that fits."""
+    h, X, stride = grid.spacing, grid.halfwidth, policy.center_stride
+    k_max = int(math.floor(min(X, policy.max_center_norm) / stride + 1e-9))
+    marks = np.arange(-k_max, k_max + 1, dtype=np.float64) * stride
+    cand = marks[np.abs(marks) <= policy.max_center_norm * (1 + 1e-12)]
+    lim = X - h / 4.0
+    xs = cand[np.abs(cand) + cells[0] * h < lim]
+    blocks = []
+    for m in cells:
+        n = int(np.count_nonzero(np.abs(xs) + m * h < lim))
+        if n:
+            blocks.append((m, (xs.size - n) // 2, n))
+    return xs, blocks
+
+
+def sorted_segment_plan(family, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The segment plan's (starts, buckets) of kind (a plain mode) by a
+    searchsorted over each block's centers, an array of family.xs."""
+    if kind == "small-radius":
+        cuts, side = family.radius_ladder * (1 + 1e-12), "left"
+    else:
+        ladder = family.distance_ladder if kind == "far-from-origin" else family.radius_ladder
+        cuts, side = ladder * (1 - 1e-12), "right"
+    xs, starts, keys = family.xs, [], []
+    for b in family.blocks:
+        c, cut = xs[family.lattice.index(b.run.start) :][: b.count], {0}
+        if kind == "far-from-origin":
+            z = int(np.searchsorted(c, 0.0))
+            neg, pos = -c[:z] - b.radius, c[z:] - b.radius
+            cut.add(z)
+            cut.update((z - np.searchsorted(neg[::-1], cuts)).tolist())
+            cut.update((z + np.searchsorted(pos, cuts)).tolist())
+        segs = sorted(i for i in cut if i < b.count)
+        starts += [b.start + i for i in segs]
+        keys += (np.abs(c[segs]) - b.radius).tolist() if kind == "far-from-origin" else [b.radius] * len(segs)
+    return np.array(starts, dtype=np.intp), np.searchsorted(cuts, keys, side=side)
+
+
+def sorted_supercritical_spans(family, reach) -> list[tuple[int, int]]:
+    """supercritical_spans's (a, b) per block for one reach per block, by
+    a searchsorted over each block's centers, an array of family.xs."""
+    xs, spans = family.xs, []
+    for b, r in zip(family.blocks, reach):
+        c = xs[family.lattice.index(b.run.start) :][: b.count]
+        a = int(np.searchsorted(c, -r, side="right"))
+        spans.append((b.start + a, b.start + max(a, int(np.searchsorted(c, r)))))
+    return spans
 
 
 def supercritical_mask(family, rho) -> np.ndarray:

@@ -404,7 +404,8 @@ def test_lacunary_reach_masks_are_the_solve_at_each_center(monkeypatch):
     for b, a, z in supercritical_spans(fam, seen["reach"]):
         keep = np.zeros(b.count, dtype=bool)
         keep[a - b.start : z - b.start] = True
-        assert np.array_equal(keep, b.radius >= rho[b.centers]), b
+        o = fam.lattice.index(b.run.start)
+        assert np.array_equal(keep, b.radius >= rho[o : o + b.count]), b
         partial += bool(0 < z - a < b.count)
     assert partial >= 5
     mask = supercritical_mask(fam, rho)
@@ -1113,6 +1114,18 @@ def test_plan_rejects_centers_off_the_lattice():
                 "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5 * (1 + 1e-7)}
     with pytest.raises(ConfigError, match="family centers must sit on the grid lattice"):
         _plan(**scenario)
+
+
+@pytest.mark.parametrize("scenario, builds", [({"id": "reproducing-pairing"}, 0), ({"id": "bmo-norms"}, 1)])
+def test_default_ladder_is_built_only_without_a_ladder_rule(monkeypatch, scenario, builds):
+    # the pairing's record gives its own t-ladder, so the plan builds no
+    # default ladder for it; bmo-norms reads the default one
+    from oscillab import experiments
+
+    calls, original = [], experiments.default_ladder
+    monkeypatch.setattr(experiments, "default_ladder", lambda grid, *a: calls.append(grid) or original(grid, *a))
+    (plan,) = plan_scenarios({"scenarios": [scenario]})
+    assert len(calls) == builds and plan.op is not None and plan.ladder is not None
 
 
 def test_plans_share_one_object_per_geometry():

@@ -1,11 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.errors import ConfigError
 from oscillab.family import (
     MODES,
+    PLAIN_MODES,
     BallFamily,
     BallValues,
     FamilyPolicy,
@@ -15,7 +19,16 @@ from oscillab.family import (
     supercritical_spans,
 )
 from oscillab.grid import Ball, Grid
-from oracles import dense_bucketed_sup, dense_values, reach_mask, supercritical_mask
+from oracles import (
+    dense_bucketed_sup,
+    dense_values,
+    enumerate_family,
+    hand_family,
+    reach_mask,
+    sorted_segment_plan,
+    sorted_supercritical_spans,
+    supercritical_mask,
+)
 
 
 def test_hand_counted_enumeration():
@@ -53,8 +66,9 @@ def test_radius_blocks_cover_every_ball_once():
     for b in blocks:
         assert b.stop > b.start and b.radius == b.cell_radius * g.spacing
         assert np.all(fam.radii[b.start : b.stop] == b.radius)
-        assert np.array_equal(fam.centers[b.start : b.stop, 0], fam.xs[b.centers])
-        assert list(b.run) == g.coord_to_index(fam.xs[b.centers]).tolist()
+        o = fam.lattice.index(b.run.start)
+        assert np.array_equal(fam.centers[b.start : b.stop, 0], fam.xs[o : o + b.count])
+        assert b.run == fam.lattice[o : o + b.count] and list(b.run) == g.coord_to_index(fam.xs[o : o + b.count]).tolist()
     # every center fits the smallest radius, so xs are the family's distinct centers
     assert np.array_equal(fam.xs, np.unique(fam.centers[:, 0]))
     assert sum(b.count for b in blocks) == len(fam)
@@ -65,8 +79,8 @@ def test_xs_are_the_marks_that_fit_the_smallest_radius():
     # keeps -2 .. 2; the marks 3 and 4 fit no radius and are not centers
     g = Grid(halfwidth=4.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
-    assert np.array_equal(fam.xs, [-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert [(b.cell_radius, b.offset, b.count) for b in fam.blocks] == [(4, 0, 5), (8, 1, 3)]
+    assert np.array_equal(fam.xs, [-2.0, -1.0, 0.0, 1.0, 2.0]) and fam.lattice == range(8, 25, 4)
+    assert [(b.cell_radius, b.run, b.count) for b in fam.blocks] == [(4, range(8, 25, 4), 5), (8, range(12, 21, 4), 3)]
 
 
 def test_ball_reads_its_block():
@@ -98,10 +112,10 @@ def test_supercritical_spans_are_the_radius_blocks():
 
 
 def test_hand_built_blocks_give_their_balls_in_order():
-    # blocks are given as (cell radius, offset, count) over xs, in any
-    # order of radii
+    # blocks are given as (cell radius, offset, count) over the lattice,
+    # the centers 0 and 1, in any order of radii
     g = Grid(halfwidth=8.0, spacing=0.25)
-    fam = BallFamily(g, [0.0, 1.0], [(8, 1, 1), (4, 0, 2)], [1.0, 2.0], [1.0, 2.0])
+    fam = BallFamily(g, range(32, 37, 4), [(8, 1, 1), (4, 0, 2)], [1.0, 2.0], [1.0, 2.0])
     assert len(fam) == 3
     assert [fam.ball(i) for i in range(3)] == [Ball((1.0,), 2.0), Ball((0.0,), 1.0), Ball((1.0,), 1.0)]
     assert fam.ball(-1) == fam.ball(2)
@@ -308,7 +322,7 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     xs = np.arange(-(keys[-1] + h), keys[-1] + 2 * h, h)
     zero = int(np.searchsorted(xs, 0.0))
     blocks = [(1, 0, xs.size)] + [(round(k / h), zero, 1) for k in keys]
-    fam = BallFamily(Grid(halfwidth=64.0, spacing=h), xs, blocks, ladder, ladder)
+    fam = hand_family(Grid(halfwidth=64.0, spacing=h), xs, blocks, ladder, ladder)
     for k in keys:
         assert k in fam.radii and k in np.abs(fam.centers[:, 0]) - fam.radii
     metric = np.random.default_rng(7).uniform(size=len(fam))
@@ -336,7 +350,7 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     ties = np.array([3.5, 2.0, 4.0, 1.0])
     reaches = [ties, _up(ties), _down(ties), np.array([np.inf, 0.0, np.inf, 0.0]), np.array([0.0, 0.5, 0.0, np.inf])]
     for lad in ([0.5, 1.0, 2.0, 4.0], [50.0, 100.0], [1e-3, 2e-3]):
-        fam = BallFamily(Grid(halfwidth=8.0, spacing=0.25), xs, blocks, lad, lad)
+        fam = hand_family(Grid(halfwidth=8.0, spacing=0.25), xs, blocks, lad, lad)
         assert [b.count for b in fam.blocks] == [7, 8, 1, 1]
         if lad[0] > 1:
             assert all(np.all(fam.segment_plan(m).buckets == 0) for m in MODES)
@@ -415,3 +429,139 @@ def test_family_build_memory_is_below_one_per_ball_array():
         tracemalloc.stop()
     assert len(fam) == 2_424_815 and fam.xs.size == 131_071 and len(fam.blocks) == 19
     assert peak < len(fam) * 8, peak / (len(fam) * 8)
+
+
+
+def _lacunary_wide_family():
+    # configs/lacunary-wide.json's geometry: 47,185,899 balls over
+    # 2,097,151 centers in 23 radius blocks
+    g = Grid(halfwidth=2.0**18, spacing=2.0**-8)
+    policy = FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=65536.0, distance_max=65536.0)
+    return g, policy
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_family_build_holds_nothing_per_center():
+    # the family is its lattice and one run per radius, counted in cells:
+    # no centre-sized array is built, so the build peaks at a few KiB
+    g, policy = _lacunary_wide_family()
+    fam, peak = _peak(lambda: make_ball_family(g, policy))
+    assert peak < 64 * 1024, peak
+    assert len(fam) == 47_185_899 and len(fam.lattice) == 2_097_151 and len(fam.blocks) == 23
+
+
+def test_far_segment_plan_reads_no_block_sized_array():
+    # each cut is found by a binary search over a run's indices, every
+    # block and cutoff at once, so no block's centers are ever built
+    fam = make_ball_family(*_lacunary_wide_family())
+    plan, peak = _peak(lambda: fam.segment_plan("far-from-origin"))
+    smallest = min(b.count for b in fam.blocks)
+    assert smallest > 1_000_000 and plan.starts.size < 2 * (fam.distance_ladder.size + 1) * len(fam.blocks)
+    # the lanes' arrays take about 140 KiB; one float64 per center of the
+    # smallest block would take 12.6 MB
+    assert peak < 256 * 1024, (peak, 8 * smallest)
+
+# spacings of the property tests: dyadic ones, whose coordinates are exact,
+# and non-dyadic ones, whose stride s h and marks j stride round
+_DYADIC = (1.0, 0.25, 2.0**-6)
+_SPACINGS = _DYADIC + (0.1, 0.3)
+
+
+def _reaches(data, fam):
+    """One reach per block: 0, +inf, a center's |c| (a tie), one ulp either
+    side of it, or a number in the box."""
+    xs, out = fam.xs, []
+    for _ in fam.blocks:
+        d = abs(float(xs[data.draw(st.integers(0, xs.size - 1))]))
+        out.append(data.draw(st.sampled_from([0.0, math.inf, d, _up(d), _down(d), d / 3.0])))
+    return np.array(out)
+
+
+def _assert_plans_and_spans_match_the_oracle(fam, data):
+    for kind in PLAIN_MODES:
+        plan, (starts, buckets) = fam.segment_plan(kind), sorted_segment_plan(fam, kind)
+        assert np.array_equal(plan.starts, starts) and plan.starts.dtype == starts.dtype, kind
+        assert np.array_equal(plan.buckets, buckets), kind
+    reach = _reaches(data, fam)
+    assert [(a, z) for _, a, z in supercritical_spans(fam, reach)] == sorted_supercritical_spans(fam, reach)
+    rho = float(data.draw(st.sampled_from(fam.radius_ladder.tolist() + [0.0, math.inf])))
+    whole = [math.inf if b.radius >= rho else 0.0 for b in fam.blocks]
+    assert [(a, z) for _, a, z in supercritical_spans(fam, rho)] == sorted_supercritical_spans(fam, whole)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_enumeration_plans_and_spans_equal_the_float_oracles(data):
+    # make_ball_family counts its blocks in integer cells; the oracle
+    # enumerates the float marks j stride and keeps |c| + r < X - h/4.
+    # max_center_norm sits on a mark, 1e-13 either side of one, below the
+    # stride or at +inf
+    h = data.draw(st.sampled_from(_SPACINGS))
+    n0, s = data.draw(st.integers(4, 3000)), data.draw(st.integers(1, 9))
+    g, stride = Grid(halfwidth=n0 * h, spacing=h), s * h
+    cells = sorted(set(data.draw(st.lists(st.integers(1, n0 // 2), min_size=1, max_size=5))))
+    mark = data.draw(st.integers(0, n0 // s + 1)) * stride
+    norm = data.draw(st.sampled_from([math.inf, mark, mark + 1e-13, mark - 1e-13, 0.5 * stride, 0.0]))
+    policy = FamilyPolicy(stride, radii=tuple(m * h for m in cells), max_center_norm=norm)
+    xs, blocks = enumerate_family(g, policy, cells)
+    if not blocks:
+        with pytest.raises(ConfigError, match="ball family is empty"):
+            make_ball_family(g, policy)
+        return
+    fam = make_ball_family(g, policy)
+    assert [(b.cell_radius, fam.lattice.index(b.run.start), b.count) for b in fam.blocks] == blocks
+    assert list(fam.lattice) == g.coord_to_index(xs).tolist()
+    if h in _DYADIC:
+        # the same coordinates bit for bit, the sign of zero included
+        assert fam.xs.tobytes() == xs.tobytes()
+    _assert_plans_and_spans_match_the_oracle(fam, data)
+
+
+def _edge_on(key, factor):
+    """A cutoff a whose edge a * factor is key, or None when no float
+    near key / factor has it."""
+    near = key / factor + np.arange(-4, 5) * np.spacing(key)
+    hit = near[near * factor == key]
+    return float(hit[0]) if hit.size else None
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_hand_built_plans_and_spans_equal_the_float_oracles(data):
+    # an asymmetric lattice anywhere in the box, blocks over any of its
+    # runs, and ladders whose cut edges land exactly on some keys: the
+    # radii (small-radius and large-radius) and inner distances |c| - r
+    h = data.draw(st.sampled_from(_SPACINGS))
+    n0, s = data.draw(st.integers(4, 1500)), data.draw(st.integers(1, 9))
+    g = Grid(halfwidth=n0 * h, spacing=h)
+    first = data.draw(st.integers(1, 2 * n0 - 2))
+    lattice = range(first, data.draw(st.integers(first + 1, 2 * n0 - 1)), s)
+    blocks = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        off = data.draw(st.integers(0, len(lattice) - 1))
+        n = data.draw(st.integers(1, len(lattice) - off))
+        run = lattice[off : off + n]
+        room = min(run.start - 1, 2 * n0 - 1 - run[-1])
+        if room >= 1:
+            blocks.append((data.draw(st.integers(1, room)), off, n))
+    if not blocks:
+        return
+    keys = BallFamily(g, lattice, blocks, [1.0], [1.0])
+    inner = np.abs(keys.centers[:, 0]) - keys.radii
+    picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=6))
+
+    def ladder(values, factor):
+        edges = [_edge_on(float(v), factor) for v in values] + data.draw(st.lists(st.floats(-n0 * h, n0 * h), max_size=3))
+        return np.unique([e for e in edges if e is not None])
+
+    radius_ladder = ladder(keys.radii[picks], data.draw(st.sampled_from([1 + 1e-12, 1 - 1e-12])))
+    fam = BallFamily(g, lattice, blocks, radius_ladder, ladder(inner[picks], 1 - 1e-12))
+    _assert_plans_and_spans_match_the_oracle(fam, data)

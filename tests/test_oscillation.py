@@ -29,6 +29,7 @@ from oracles import (
     constant,
     dense_bmo_l_norm,
     dense_values,
+    hand_family,
     mean_oscillation,
     naive_sup_reductions,
     prefix_table,
@@ -165,9 +166,13 @@ def test_shared_stats_give_identical_reports(small_family):
 
 
 def test_family_rejects_offlattice_geometry():
+    # a lattice is a range of sample indices at a positive step: centers,
+    # an index array or a descending range are refused by type
     g = Grid(halfwidth=8.0, spacing=0.125)
-    with pytest.raises(ConfigError, match="lattice"):
-        BallFamily(g, [0.05], [(8, 0, 1)], [1.0], [1.0])
+    for lattice in ([0.05], np.array([64]), [64, 65], range(70, 60, -1)):
+        with pytest.raises(ConfigError, match="lattice must be a range"):
+            BallFamily(g, lattice, [(8, 0, 1)], [1.0], [1.0])
+    assert BallFamily(g, range(64, 65), [(8, 0, 1)], [1.0], [1.0]).xs.tolist() == [0.0]
 
 
 @pytest.fixture
@@ -190,7 +195,7 @@ def _hand_family(g, centers, radii):
     cuts = np.flatnonzero(np.diff(radii)) + 1
     blocks = [(round(r[0] / g.spacing), int(np.searchsorted(xs, c[0])), c.size)
               for c, r in zip(np.split(centers, cuts), np.split(radii, cuts))]
-    fam = BallFamily(g, xs, blocks, [1.0], [1.0])
+    fam = hand_family(g, xs, blocks, [1.0], [1.0])
     assert np.array_equal(fam.centers[:, 0], centers), "the blocks' centers are not runs of the distinct centers"
     return fam
 
@@ -229,7 +234,7 @@ def test_scans_refuse_a_family_off_the_run_plan_before_any_table(no_tables, cent
 )
 def test_blocks_off_the_centers_are_refused_when_built(xs, blocks, match):
     with pytest.raises(ConfigError, match=match):
-        BallFamily(Grid(halfwidth=8.0, spacing=0.125), xs, blocks, [1.0], [1.0])
+        hand_family(Grid(halfwidth=8.0, spacing=0.125), xs, blocks, [1.0], [1.0])
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscillab.errors import ConfigError, LadderError, OutOfDomainError
-from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
+from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Ball, Grid, GridFunction
 from oscillab.potential import constant_potential
 from oscillab.semigroup import (
@@ -33,6 +33,7 @@ from oracles import (
     constant,
     cylinder_box,
     dilate_oscillation,
+    hand_family,
     prefix_weights,
 )
 
@@ -55,7 +56,7 @@ def _random_field(grid, ladder, seed=0):
 
 def _one_ball(grid, c, r):
     """The family of the one ball B(c, r), for a scan of that ball alone."""
-    return BallFamily(grid, [c], [(round(r / grid.spacing), 0, 1)], [r], [r])
+    return hand_family(grid, [c], [(round(r / grid.spacing), 0, 1)], [r], [r])
 
 
 def _box(F, c, r):

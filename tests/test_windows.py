@@ -207,7 +207,7 @@ def test_a_member_build_equals_its_evaluation_at_every_sample(member, geometry):
     assert (f.lo, f.hi) == (everywhere.lo, everywhere.hi)
     if m.support is not None:
         x0, x1 = m.support
-        assert x0 < grid.coords(f.lo, f.lo + 1)[0] and grid.coords(f.hi - 1, f.hi)[0] < x1
+        assert x0 < grid.coords(range(f.lo, f.lo + 1))[0] and grid.coords(range(f.hi - 1, f.hi))[0] < x1
 
 
 def test_compactly_supported_members_hold_a_window_and_the_rest_stay_dense():
