@@ -3,9 +3,9 @@
 The grid, the ball family and k_max come from the plan of a
 lacunary-separation scenario, built as ``oscillab run`` builds it; the
 scenario's defaults are the headline run (halfwidth 2^14, spacing 2^-8,
-bumps at 3^k for k <= 8), which takes 0.27 to 0.38 s at 44 MB peak RSS
+bumps at 3^k for k <= 8), which takes 0.24 to 0.30 s at 43 MB peak RSS
 (2 vCPUs, numpy 2.4.6).  The separation needs that many decades: --small
-runs a cut-down box in 0.28 to 0.41 s at 40 MB that exercises the plumbing
+runs a cut-down box in 0.24 to 0.34 s at 40 MB that exercises the plumbing
 but usually reports INCONCLUSIVE.
 """
 

@@ -249,7 +249,7 @@ def exp_lacunary(
     floor_ref = oscillation_of(_bump_window(fam.grid.spacing)[0])
 
     # the supercritical balls of each radius block: |center| below its reach
-    reach = critical_reach(V, fam.xs, [b.radius for b in fam.blocks])
+    reach = critical_reach(V, fam.grid, fam.lattice, [b.radius for b in fam.blocks])
     st = family_stats(f, fam)
     norm = bmo_l_norm(st, reach)
     tol = tol_fraction * norm.value

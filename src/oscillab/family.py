@@ -100,8 +100,8 @@ class BallFamily:
     Both are checked here, once, so no scan allocates anything
     sample-sized for a family it cannot scan.
 
-    xs (the distinct centers), centers (k, 1) and radii (k,) are built
-    on each read, by Grid.coords, and no scan reads them.
+    centers (k, 1) and radii (k,) are built on each read, by
+    Grid.coords, and no scan reads them.
     """
 
     grid: Grid
@@ -134,10 +134,6 @@ class BallFamily:
 
     def __len__(self) -> int:
         return self.blocks[-1].stop
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.grid.coords(self.lattice)
 
     @property
     def centers(self) -> np.ndarray:
@@ -182,7 +178,7 @@ class SegmentPlan:
 def _centers(family: BallFamily, block: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The j-th centers of the radius blocks block, as Grid.coords gives them."""
     first = np.array([b.run.start for b in family.blocks], dtype=np.intp)
-    return (first[block] + j * family.lattice.step - family.grid.half_cells) * family.grid.spacing
+    return family.grid.coords(first[block] + j * family.lattice.step)
 
 
 def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:

@@ -109,11 +109,13 @@ class Grid:
         """Sample coordinates, -X..X inclusive."""
         return self.coords(range(self.size))
 
-    def coords(self, run: range) -> np.ndarray:
-        """The coordinates (i - X/h) h of the samples i of run, a range of
-        sample indices: the same bits as axis[run.start:run.stop:run.step]."""
+    def coords(self, idx: range | np.ndarray) -> np.ndarray:
+        """The coordinates (i - X/h) h of the samples i of idx, a range of
+        sample indices (axis[idx.start:idx.stop:idx.step]) or an int array."""
         m = self.half_cells
-        return np.arange(run.start - m, run.stop - m, run.step, dtype=np.float64) * self.spacing
+        i = (np.arange(idx.start - m, idx.stop - m, idx.step, dtype=np.float64)
+             if isinstance(idx, range) else np.asarray(idx) - m)
+        return i * self.spacing
 
     def coord_to_index(self, coords: np.ndarray) -> np.ndarray:
         """Nearest-sample index per coordinate (float array in, int array out)."""

@@ -27,8 +27,9 @@ Both kinds are even in x and, in |x|, constant or decreasing, so a ball
 of radius R about x holds less mass the farther x lies from the origin:
 I(x, R) is nonincreasing and rho nondecreasing in |x|.  The supercritical
 balls of one radius are therefore those with |x| below one threshold,
-and critical_reach finds it by a binary search over the distinct |x|,
-solving rho only either side of the threshold, not at every center.
+and critical_reach finds it by a binary search over the distinct |x| of
+a lattice of centers, one run that it reads only where it probes, solving
+rho only either side of the threshold, not at every center.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConfigError
-from .grid import _first_false
+from .grid import Grid, _first_false
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -211,14 +212,12 @@ class CriticalRadiusField:
 
     values may contain +inf only when the potential is identically zero
     (the infinite tag participates in comparisons, never in arithmetic).
-    saturated marks points where the cap r_max is still admissible for a
-    nonzero potential; their value is the cap.
+    For a nonzero potential, values is RHO_CAP exactly where the cap is
+    still admissible: a bisected value stays below it.
     """
 
     points: np.ndarray
     values: np.ndarray
-    saturated: np.ndarray
-    kind: str
 
 
 def check_bracket_floor(V: Potential, points: np.ndarray) -> None:
@@ -249,8 +248,8 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     RHO_BISECT_STEPS steps hi / lo = (r_max / r_min)^(2^-RHO_BISECT_STEPS),
     and the returned lo is admissible and within that ratio of the sup.
 
-    r_min is RHO_FLOOR and r_max RHO_CAP.  A point with I(r_max) <= 1 is
-    saturated at r_max.  Errors: BracketError when I(r_min) > 1
+    r_min is RHO_FLOOR and r_max RHO_CAP.  A point with I(r_max) <= 1 gets
+    r_max.  Errors: BracketError when I(r_min) > 1
     somewhere.  A potential that is identically zero yields +inf
     everywhere.
     """
@@ -260,11 +259,10 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     k = pts.shape[0]
 
     if V.is_zero():
-        return CriticalRadiusField(pts, np.full(k, np.inf), np.zeros(k, dtype=bool), V.kind)
+        return CriticalRadiusField(pts, np.full(k, np.inf))
 
     check_bracket_floor(V, pts)
-    saturated = normalized_mass(V, pts, RHO_CAP) <= 1.0
-    todo = ~saturated
+    todo = ~(normalized_mass(V, pts, RHO_CAP) <= 1.0)
     sub = pts[todo]
     lo = np.full(sub.shape[0], RHO_FLOOR)
     hi = np.full(sub.shape[0], RHO_CAP)
@@ -275,26 +273,22 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
         hi = np.where(inside, hi, mid)
     values = np.full(k, RHO_CAP)
     values[todo] = lo
-    return CriticalRadiusField(pts, values, saturated, V.kind)
+    return CriticalRadiusField(pts, values)
 
 
-def _on_axis(V: Potential, d: np.ndarray) -> np.ndarray:
-    """The points d e_1, as a (k, n) array."""
-    pts = np.zeros((d.size, V.n))
-    pts[:, 0] = d
-    return pts
-
-
-def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:
-    """The reach of each radius R over the ascending centers xs along the
-    first axis: the smallest of their distinct |x| at which R < rho(x),
-    or +inf where R >= rho at all of them.  rho is the critical radius as
-    solve_critical_radius gives it, and, rho being nondecreasing in |x|
-    (module docstring), a ball of radius R about a center x is
+def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarray:
+    """The reach of each radius R over the centers at the sample indices
+    lattice of grid: the smallest of their distinct |x| at which R <
+    rho(x), or +inf where R >= rho at all of them.  rho is the critical
+    radius as solve_critical_radius gives it, and, rho being nondecreasing
+    in |x| (module docstring), a ball of radius R about a center x is
     supercritical, R >= rho(x), exactly when |x| is below R's reach.
 
-    The search runs every radius at once over the ascending distinct
-    distances d:
+    For n0 the origin's sample and s the lattice's step, the distinct
+    |i - n0| are one run at step s, d[j] = (nearest + j s) h up to the
+    farthest, when the lattice lies on one side of n0 or spans it with
+    2 (n0 - lattice.start) a multiple of s, as every stride family does.
+    The search reads d[j] only where it probes, every radius at once:
 
     * probe: a binary search with the probe I(d, R) > 1, which puts R
       outside {r : I(d, r) <= 1}, so at or above rho(d); a tie I = 1
@@ -305,31 +299,36 @@ def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:
       where both sides agree.
 
     A zero potential has rho = +inf, and every reach is the smallest
-    distance.  Errors: BracketError when I(d, r_min) > 1 at the smallest
-    distance, as the solve at every center would raise it, or when a
-    threshold's two sides contradict the monotonicity.
+    distance.  Errors: ConfigError for any other lattice, an empty one, or
+    a potential not in the grid's dimension; BracketError when I(d, r_min)
+    > 1 at the smallest distance, as the solve at every center would raise
+    it, or when a threshold's two sides contradict the monotonicity.
     """
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    # |x| descends over the negative centers and ascends over the rest: the
-    # stable sort (a run-merging timsort) merges the two runs in one pass,
-    # in place, and the repeats drop
-    d = np.abs(xs)
-    d.sort(kind="stable")
-    d = d[np.append(True, d[1:] > d[:-1])]
+    n0, s = grid.half_cells, lattice.step
+    if not lattice or s < 0 or V.n != grid.n:
+        raise ConfigError("critical_reach needs a nonempty lattice at a positive step, in the potential's dimension")
+    # the lattice's extent either side of n0, negative on a side it misses
+    a, b = n0 - lattice[0], lattice[-1] - n0
+    if min(a, b) > 0 and 2 * a % s:
+        raise ConfigError(f"the distances of the centers {lattice} to the origin's sample {n0} are not one run")
+    nearest = a % s if min(a, b) > 0 else -min(a, b)
+    n = (max(a, b) - nearest) // s + 1
     r = np.asarray(radii, dtype=np.float64).reshape(-1)
-    if not d.size:
-        raise ConfigError("critical_reach needs at least one center")
-    n = d.size
+
+    def d(j):
+        # d[j], the coordinate of the sample n0 + nearest + j s
+        return grid.coords(n0 + nearest + s * j)
+
     if V.is_zero():
-        return np.full(r.size, d[0])
-    check_bracket_floor(V, _on_axis(V, d[:1]))
+        return np.full(r.size, d(0))
+    check_bracket_floor(V, d(0))
 
     def supercritical(j, i):
         # one solve per distinct distance: radii short of every center share d[0]
         u, at = np.unique(j, return_inverse=True)
-        return r[i] >= solve_critical_radius(V, _on_axis(V, d[u])).values[at]
+        return r[i] >= solve_critical_radius(V, d(u)[:, None]).values[at]
 
-    k = _first_false(lambda j, i: normalized_mass(V, _on_axis(V, d[j]), r[i]) > 1.0,
+    k = _first_false(lambda j, i: normalized_mass(V, d(j)[:, None], r[i]) > 1.0,
                      np.zeros(r.size, dtype=np.intp), np.full(r.size, n))
     # the boundary pair d[k - 1], d[k] of each threshold inside d, solved at once
     below, above = np.flatnonzero(k > 0), np.flatnonzero(k < n)
@@ -338,7 +337,7 @@ def critical_reach(V: Potential, xs: np.ndarray, radii) -> np.ndarray:
     low_ok[below], high_ok[above] = sup[: below.size], ~sup[below.size :]
     if np.any(~low_ok & ~high_ok):
         i = int(np.flatnonzero(~low_ok & ~high_ok)[0])
-        raise BracketError(f"solved rho falls from |x| = {d[k[i] - 1]} to {d[k[i]]} across radius {r[i]}")
+        raise BracketError(f"solved rho falls from |x| = {d(k[i] - 1)} to {d(k[i])} across radius {r[i]}")
     k = _first_false(supercritical, np.where(high_ok, np.where(low_ok, k, 0), k + 1),
                      np.where(high_ok, np.where(low_ok, k, k - 1), n))
-    return np.where(k < n, d[np.minimum(k, n - 1)], np.inf)
+    return np.where(k < n, d(np.minimum(k, n - 1)), np.inf)

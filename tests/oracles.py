@@ -554,13 +554,13 @@ def enumerate_family(grid: Grid, policy, cells) -> tuple[np.ndarray, list[tuple[
 
 def sorted_segment_plan(family, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The segment plan's (starts, buckets) of kind (a plain mode) by a
-    searchsorted over each block's centers, an array of family.xs."""
+    searchsorted over each block's centers, an array of the lattice's coordinates."""
     if kind == "small-radius":
         cuts, side = family.radius_ladder * (1 + 1e-12), "left"
     else:
         ladder = family.distance_ladder if kind == "far-from-origin" else family.radius_ladder
         cuts, side = ladder * (1 - 1e-12), "right"
-    xs, starts, keys = family.xs, [], []
+    xs, starts, keys = family.grid.coords(family.lattice), [], []
     for b in family.blocks:
         c, cut = xs[family.lattice.index(b.run.start) :][: b.count], {0}
         if kind == "far-from-origin":
@@ -577,8 +577,8 @@ def sorted_segment_plan(family, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 def sorted_supercritical_spans(family, reach) -> list[tuple[int, int]]:
     """supercritical_spans's (a, b) per block for one reach per block, by
-    a searchsorted over each block's centers, an array of family.xs."""
-    xs, spans = family.xs, []
+    a searchsorted over each block's centers, an array of the lattice's coordinates."""
+    xs, spans = family.grid.coords(family.lattice), []
     for b, r in zip(family.blocks, reach):
         c = xs[family.lattice.index(b.run.start) :][: b.count]
         a = int(np.searchsorted(c, -r, side="right"))
@@ -588,9 +588,9 @@ def sorted_supercritical_spans(family, reach) -> list[tuple[int, int]]:
 
 def supercritical_mask(family, rho) -> np.ndarray:
     """Per family ball, r >= rho(center) (ties count): rho is a scalar or
-    an array aligned with the family's centers xs."""
+    an array aligned with the family's lattice."""
     if np.ndim(rho):
-        rho = np.asarray(rho)[np.searchsorted(family.xs, family.centers[:, 0])]
+        rho = np.asarray(rho)[np.searchsorted(family.grid.coords(family.lattice), family.centers[:, 0])]
     return family.radii >= rho
 
 

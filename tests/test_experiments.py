@@ -357,14 +357,14 @@ def test_lacunary_builds_only_its_reported_curves(monkeypatch):
 
 def test_lacunary_distinct_centers_match_unique():
     # the family of the --small geometry of scripts/lacunary_modes.py: its
-    # xs are the distinct centers of its balls
+    # lattice is the distinct centers of its balls, which critical_reach reads
     grid = Grid(halfwidth=1024.0, spacing=2.0**-6)
     fam = make_ball_family(
         grid,
         FamilyPolicy(center_stride=0.5, radius_min=4 * grid.spacing, radius_max=512.0, distance_max=512.0),
     )
     assert len(fam.blocks) > 1
-    assert np.array_equal(fam.xs, np.unique(fam.centers[:, 0]))
+    assert np.array_equal(grid.coords(fam.lattice), np.unique(fam.centers[:, 0]))
 
 
 def test_lacunary_reads_no_per_ball_center_or_radius(monkeypatch):
@@ -399,7 +399,7 @@ def test_lacunary_reach_masks_are_the_solve_at_each_center(monkeypatch):
     rep = exp_lacunary(fam, plan.params["k_max"])
     assert len(fam.blocks) == 19 and seen["stats"].family is fam
 
-    rho = rho_at_symmetric_centers(power_potential(1.05, 1, amplitude=0.002), fam.xs)
+    rho = rho_at_symmetric_centers(power_potential(1.05, 1, amplitude=0.002), fam.grid.coords(fam.lattice))
     partial = 0
     for b, a, z in supercritical_spans(fam, seen["reach"]):
         keep = np.zeros(b.count, dtype=bool)

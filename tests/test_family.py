@@ -58,7 +58,7 @@ def test_centers_sorted_within_radius_block():
 def test_radius_blocks_cover_every_ball_once():
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
-    blocks = fam.blocks
+    blocks, xs = fam.blocks, g.coords(fam.lattice)
     assert [b.cell_radius for b in blocks] == [4, 8, 16, 32]
     assert blocks[0].start == 0 and blocks[-1].stop == len(fam)
     for b, nxt in zip(blocks, blocks[1:]):
@@ -67,10 +67,10 @@ def test_radius_blocks_cover_every_ball_once():
         assert b.stop > b.start and b.radius == b.cell_radius * g.spacing
         assert np.all(fam.radii[b.start : b.stop] == b.radius)
         o = fam.lattice.index(b.run.start)
-        assert np.array_equal(fam.centers[b.start : b.stop, 0], fam.xs[o : o + b.count])
-        assert b.run == fam.lattice[o : o + b.count] and list(b.run) == g.coord_to_index(fam.xs[o : o + b.count]).tolist()
-    # every center fits the smallest radius, so xs are the family's distinct centers
-    assert np.array_equal(fam.xs, np.unique(fam.centers[:, 0]))
+        assert np.array_equal(fam.centers[b.start : b.stop, 0], xs[o : o + b.count])
+        assert b.run == fam.lattice[o : o + b.count] and list(b.run) == g.coord_to_index(xs[o : o + b.count]).tolist()
+    # every center fits the smallest radius, so the lattice is the family's distinct centers
+    assert np.array_equal(xs, np.unique(fam.centers[:, 0]))
     assert sum(b.count for b in blocks) == len(fam)
 
 
@@ -79,7 +79,7 @@ def test_xs_are_the_marks_that_fit_the_smallest_radius():
     # keeps -2 .. 2; the marks 3 and 4 fit no radius and are not centers
     g = Grid(halfwidth=4.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=1.0, radii=(1.0, 2.0)))
-    assert np.array_equal(fam.xs, [-2.0, -1.0, 0.0, 1.0, 2.0]) and fam.lattice == range(8, 25, 4)
+    assert np.array_equal(g.coords(fam.lattice), [-2.0, -1.0, 0.0, 1.0, 2.0]) and fam.lattice == range(8, 25, 4)
     assert [(b.cell_radius, b.run, b.count) for b in fam.blocks] == [(4, range(8, 25, 4), 5), (8, range(12, 21, 4), 3)]
 
 
@@ -218,8 +218,8 @@ def test_supercritical_mode_needs_rho():
     # an array is read as one reach per radius block: one per center, or
     # one too many, is refused
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
-    assert fam.xs.size > len(fam.blocks)
-    for k in (fam.xs.size, len(fam.blocks) + 1):
+    assert len(fam.lattice) > len(fam.blocks)
+    for k in (len(fam.lattice), len(fam.blocks) + 1):
         with pytest.raises(ConfigError, match="do not match the family's radius blocks"):
             bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.ones(k))
     curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.array([0.0, np.inf]))
@@ -294,7 +294,7 @@ def _down(x):
 def _reach_of(fam, rho):
     """Per radius block, the smallest |x| among the centers at which the
     block's radius is below rho, a per-center array nondecreasing in |x|."""
-    d = np.abs(fam.xs)
+    d = np.abs(fam.grid.coords(fam.lattice))
     return np.array([np.min(d[b.radius < rho], initial=np.inf) for b in fam.blocks])
 
 
@@ -369,7 +369,7 @@ def test_bucketed_sup_memory_is_per_radius_block():
                                            distance_max=2048.0))
     assert len(fam.blocks) == 17 and len(fam) == 1_048_561
     metric = np.random.default_rng(10).uniform(size=len(fam))
-    reach = _reach_of(fam, 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475)
+    reach = _reach_of(fam, 0.5 * (1.0 + np.abs(g.coords(fam.lattice))) ** 0.475)
     tracemalloc.start()
     try:
         curve = bucketed_sup(BallValues.whole(fam, metric), "far-and-supercritical", rho=reach)
@@ -408,7 +408,7 @@ def test_bucketed_sup_matches_oracle_at_lacunary_geometry():
     assert fam.radius_ladder.size == fam.distance_ladder.size == 19
     metric = np.random.default_rng(9).uniform(size=len(fam))
     # the critical radius of a power potential grows like |x|^(1 - 0.525)
-    rho = 0.5 * (1.0 + np.abs(fam.xs)) ** 0.475
+    rho = 0.5 * (1.0 + np.abs(g.coords(fam.lattice))) ** 0.475
     reach = _reach_of(fam, rho)
     sup = supercritical_mask(fam, rho)
     assert sup.any() and not sup.all() and np.array_equal(reach_mask(fam, reach), sup)
@@ -427,7 +427,7 @@ def test_family_build_memory_is_below_one_per_ball_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fam) == 2_424_815 and fam.xs.size == 131_071 and len(fam.blocks) == 19
+    assert len(fam) == 2_424_815 and len(fam.lattice) == 131_071 and len(fam.blocks) == 19
     assert peak < len(fam) * 8, peak / (len(fam) * 8)
 
 
@@ -478,7 +478,7 @@ _SPACINGS = _DYADIC + (0.1, 0.3)
 def _reaches(data, fam):
     """One reach per block: 0, +inf, a center's |c| (a tie), one ulp either
     side of it, or a number in the box."""
-    xs, out = fam.xs, []
+    xs, out = fam.grid.coords(fam.lattice), []
     for _ in fam.blocks:
         d = abs(float(xs[data.draw(st.integers(0, xs.size - 1))]))
         out.append(data.draw(st.sampled_from([0.0, math.inf, d, _up(d), _down(d), d / 3.0])))
@@ -521,7 +521,7 @@ def test_enumeration_plans_and_spans_equal_the_float_oracles(data):
     assert list(fam.lattice) == g.coord_to_index(xs).tolist()
     if h in _DYADIC:
         # the same coordinates bit for bit, the sign of zero included
-        assert fam.xs.tobytes() == xs.tobytes()
+        assert g.coords(fam.lattice).tobytes() == xs.tobytes()
     _assert_plans_and_spans_match_the_oracle(fam, data)
 
 

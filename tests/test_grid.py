@@ -48,6 +48,16 @@ def test_coord_index_roundtrip():
     assert np.array_equal(g.coord_to_index(g.coords(range(g.size))), idx)
 
 
+@pytest.mark.parametrize("halfwidth, spacing", [(8.0, 2.0**-4), (3.0, 0.1), (2.1, 0.3)])
+def test_coords_of_an_index_array_are_those_of_its_range(halfwidth, spacing):
+    # one formula, (i - X/h) h, for a range and for an integer array of the
+    # same indices, at dyadic and non-dyadic spacings
+    g = Grid(halfwidth=halfwidth, spacing=spacing)
+    m = g.half_cells
+    for r in (range(g.size), range(3, g.size, 7), range(m, m + 1), range(g.size - 1, 0, -5)):
+        assert g.coords(np.array(r)).tobytes() == g.coords(r).tobytes(), r
+
+
 def test_grid_function_validation():
     g = Grid(halfwidth=1.0, spacing=0.5)
     with pytest.raises(ConfigError):

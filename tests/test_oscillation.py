@@ -105,7 +105,7 @@ def test_block_scan_equals_mask_oracle_at_lacunary_size():
     fam = make_ball_family(
         g, FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=4096.0, distance_max=4096.0)
     )
-    assert len(fam) == 2_424_815 and len(fam.blocks) == 19 and fam.xs.size == 131_071
+    assert len(fam) == 2_424_815 and len(fam.blocks) == 19 and len(fam.lattice) == 131_071
     values = np.random.default_rng(12).normal(size=g.shape)
     st = family_stats(GridFunction(g, values), fam)
     osc, size = _stats_oracle(values, fam)
@@ -172,7 +172,7 @@ def test_family_rejects_offlattice_geometry():
     for lattice in ([0.05], np.array([64]), [64, 65], range(70, 60, -1)):
         with pytest.raises(ConfigError, match="lattice must be a range"):
             BallFamily(g, lattice, [(8, 0, 1)], [1.0], [1.0])
-    assert BallFamily(g, range(64, 65), [(8, 0, 1)], [1.0], [1.0]).xs.tolist() == [0.0]
+    assert BallFamily(g, range(64, 65), [(8, 0, 1)], [1.0], [1.0]).centers.tolist() == [[0.0]]
 
 
 @pytest.fixture
@@ -504,7 +504,7 @@ def test_sup_reductions_match_the_naive_oracle(case):
     else:
         assert st.oscillation.values.size == 0 and osc[0] == 0.0 and size[0] == abs(f.background)
     radii = [b.radius for b in fam.blocks]
-    reaches = [critical_reach(power_potential(eps, 1, amplitude=a), fam.xs, radii)
+    reaches = [critical_reach(power_potential(eps, 1, amplitude=a), fam.grid, fam.lattice, radii)
                for eps, a in ((1.05, 0.5), (1.5, 1.0))]
     assert any(0 < np.count_nonzero(reach_mask(fam, r)) < len(fam) for r in reaches)
     for rho in (RHO_CONSTANT_UNIT, 0.0, 2.0, np.inf, *reaches):

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oscillab import potential
@@ -74,7 +75,7 @@ def test_critical_radius_power_far_field_scaling():
 def test_zero_potential_gives_infinite_radius():
     fld = solve_critical_radius(constant_potential(0.0, 1), np.array([[0.0], [3.0]]))
     assert np.all(np.isinf(fld.values))
-    assert not fld.saturated.any()
+    assert not (fld.values == RHO_CAP).any()
 
 
 def test_bracket_error_when_floor_too_coarse():
@@ -100,7 +101,7 @@ def test_normalized_mass_shapes_and_zero():
 def _oracle_critical_radius(V, points):
     """rho by the earlier method: a 2^(1/4) geometric scan from the floor to
     the first radius with I > 1 (or the cap), then 40 linear bisection
-    steps inside that bracket.  Returns (values, saturated)."""
+    steps inside that bracket.  Returns (values, saturated at the cap)."""
     pts = np.asarray(points, dtype=np.float64)
     k = pts.shape[0]
     r_min, r_max = RHO_FLOOR, np.full(k, RHO_CAP)
@@ -147,7 +148,7 @@ def _assert_matches_oracle(V, pts):
     admissible (I(x, rho) <= 1): it is the sup, not the bracket's top."""
     fld = solve_critical_radius(V, pts)
     want, saturated = _oracle_critical_radius(V, pts)
-    assert np.array_equal(fld.saturated, saturated)
+    assert np.array_equal(fld.values == RHO_CAP, saturated)
     rel = np.abs(fld.values - want) / want
     assert rel.max() <= 2e-13, rel.max()
     assert np.all(normalized_mass(V, pts, fld.values) <= 1.0)
@@ -161,10 +162,11 @@ def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
     fam = make_ball_family(
         grid, FamilyPolicy(center_stride=0.25, radius_min=4 * spacing, radius_max=4096.0, distance_max=4096.0)
     )
-    assert fam.xs.size == 131071
-    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), fam.xs[:, None])
+    xs = grid.coords(fam.lattice)
+    assert xs.size == 131071
+    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), xs[:, None])
     # no family ball changes side of rho
-    at = np.searchsorted(fam.xs, fam.centers[:, 0])
+    at = np.searchsorted(xs, fam.centers[:, 0])
     assert np.array_equal(fam.radii < got[at], fam.radii < want[at])
 
 
@@ -215,17 +217,18 @@ def test_normalized_mass_is_nondecreasing_in_the_radius(V):
 # the reach search against the solve at every center
 
 
-def _assert_reach_is_the_solve_at_each_center(V, xs, radii):
-    """critical_reach keeps, for each radius R, exactly the centers with
-    R >= rho(center), rho solved at every center; or both raise
-    BracketError."""
+def _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii):
+    """critical_reach keeps, for each radius R, exactly the centers of
+    lattice with R >= rho(center), rho solved at every center; or both
+    raise BracketError."""
+    xs = grid.coords(lattice)
     try:
         rho = solve_critical_radius(V, xs[:, None]).values
     except BracketError:
         with pytest.raises(BracketError):
-            critical_reach(V, xs, radii)
+            critical_reach(V, grid, lattice, radii)
         return None
-    reach = critical_reach(V, xs, radii)
+    reach = critical_reach(V, grid, lattice, radii)
     assert reach.shape == (len(radii),)
     for R, t in zip(radii, reach):
         assert np.array_equal(np.abs(xs) < t, R >= rho), (R, t)
@@ -251,17 +254,35 @@ _POTENTIALS = st.one_of(
     count=st.integers(1, 300),
     first=st.none() | st.integers(-300, 300),
     radius=st.tuples(st.integers(1, 64), st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 12)),
+    shift=st.just(0) | st.integers(1, 63),
 )
-def test_reach_is_the_solve_at_each_center(V, cells, stride, count, first, radius):
-    # centers on a lattice of spacing 2^-cells: symmetric about 0 (first
-    # None) or a one-sided or lopsided run from first; a radius ladder of
-    # multiples of the spacing
+# the two sides of the origin in different classes (refused), then in one
+# class half a stride off the origin; a lopsided run off its class
+# (refused), then one in its class, farther on the negative side
+@example(power_potential(1.5, 1), 4, 4, 50, None, (3, 2.0, 8), 1)
+@example(power_potential(1.5, 1), 4, 4, 50, None, (3, 2.0, 8), 2)
+@example(power_potential(1.5, 1), 4, 3, 16, -12, (3, 2.0, 8), 1)
+@example(power_potential(1.5, 1), 4, 4, 16, -12, (3, 2.0, 8), 2)
+def test_reach_is_the_solve_at_each_center(V, cells, stride, count, first, radius, shift):
+    # centers every stride samples of a grid of spacing 2^-cells that
+    # covers them: the marks k stride, symmetric about 0 (first None) or a
+    # one-sided or lopsided run from first, moved by shift % stride
+    # samples; a radius ladder of multiples of the spacing.  A move that
+    # puts the two sides of the origin in different classes mod stride
+    # leaves distances that are not one run, which is refused
     h = 2.0**-cells
-    k = np.arange(-count, count + 1) if first is None else np.arange(first, first + count)
-    xs = k * stride * h
+    k0, k1 = (-count, count) if first is None else (first, first + count - 1)
+    n0 = (max(abs(k0), abs(k1)) + 1) * stride
+    grid = Grid(halfwidth=n0 * h, spacing=h)
+    lattice = range(n0 + k0 * stride + shift % stride, n0 + k1 * stride + shift % stride + 1, stride)
     m, ratio, n = radius
     radii = m * h * ratio ** np.arange(n)
-    _assert_reach_is_the_solve_at_each_center(V, xs, radii)
+    d = np.unique(np.abs(np.array(lattice) - n0))
+    if np.any(np.diff(d) != stride):
+        with pytest.raises(ConfigError, match="not one run"):
+            critical_reach(V, grid, lattice, radii)
+        return
+    _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii)
 
 
 def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
@@ -271,18 +292,44 @@ def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
     # one ulp either side; the zero potential (no reach beyond the nearest
     # center) and a floor that the nearest center fails
     V = power_potential(1.05, 1, amplitude=0.002)
-    xs = np.arange(-65535, 65536) * 0.25
+    g = Grid(halfwidth=16384.0, spacing=2.0**-8)
+    lattice = range(g.half_cells - 65535 * 64, g.half_cells + 65535 * 64 + 1, 64)
     radii = 2.0**-6 * 2.0 ** np.arange(19)
-    reach = _assert_reach_is_the_solve_at_each_center(V, xs, radii)
+    reach = _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
     assert np.all(reach[1:] >= reach[:-1]) and 0.0 < reach[10] < reach[16] < np.inf == reach[17]
-    d = xs[65535::977]
+    d = g.coords(lattice[65535::977])
     rho = solve_critical_radius(V, d[:, None]).values
     for radii in (rho, np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf)):
-        _assert_reach_is_the_solve_at_each_center(V, xs, radii)
-    assert np.array_equal(critical_reach(V, xs, rho), d + 0.25)
-    assert np.array_equal(critical_reach(constant_potential(0.0, 1), xs, radii), np.zeros(radii.size))
+        _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
+    assert np.array_equal(critical_reach(V, g, lattice, rho), d + 0.25)
+    assert np.array_equal(critical_reach(constant_potential(0.0, 1), g, lattice, radii), np.zeros(radii.size))
     with pytest.raises(BracketError):
-        critical_reach(power_potential(1.05, 1, amplitude=1e6), xs[1:], radii)
+        critical_reach(power_potential(1.05, 1, amplitude=1e6), g, lattice[1:], radii)
+    # an empty lattice, and a potential off the grid's dimension, are refused
+    for W, centers in ((V, lattice[:0]), (power_potential(0.5, 3), lattice)):
+        with pytest.raises(ConfigError, match="nonempty lattice"):
+            critical_reach(W, g, centers, radii)
+
+
+def test_reach_at_the_lacunary_wide_geometry_holds_nothing_per_center():
+    # configs/lacunary-wide.json's family: 2,097,151 centers in 23 radius
+    # blocks.  The search reads a distance only at the indices it probes,
+    # so its peak stays far below one float64 per center (16 MiB); building
+    # the centers, as the search once did, peaked at 42 MiB
+    g = Grid(halfwidth=2.0**18, spacing=2.0**-8)
+    fam = make_ball_family(
+        g, FamilyPolicy(center_stride=0.25, radius_min=4 * g.spacing, radius_max=65536.0, distance_max=65536.0)
+    )
+    V, radii = power_potential(1.05, 1, amplitude=0.002), [b.radius for b in fam.blocks]
+    tracemalloc.start()
+    try:
+        reach = critical_reach(V, g, fam.lattice, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam.lattice) == 2_097_151 and len(radii) == 23
+    assert peak < 64 * 1024, peak
+    assert np.all(reach[1:] >= reach[:-1]) and 0.0 < reach[10] < np.inf == reach[-1]
 
 
 def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
@@ -291,7 +338,8 @@ def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
     # center settles the tie, where the solved rho (just below 1) makes
     # every center supercritical
     V = constant_potential(0.5, 1)
-    xs = np.arange(8.0)
+    g, lattice = Grid(halfwidth=8.0, spacing=1.0), range(8, 16)
+    xs = g.coords(lattice)
     assert np.all(normalized_mass(V, xs[:, None], 1.0) == 1.0)
     solved = []
     original = potential.solve_critical_radius
@@ -301,6 +349,6 @@ def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
         return original(V, points)
 
     monkeypatch.setattr(potential, "solve_critical_radius", recording)
-    assert critical_reach(V, xs, [1.0]).tolist() == [np.inf]
+    assert critical_reach(V, g, lattice, [1.0]).tolist() == [np.inf]
     assert solved[0] == [0.0]
     assert original(V, xs[:1, None]).values[0] <= 1.0
