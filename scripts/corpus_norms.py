@@ -36,7 +36,7 @@ def main():
         st = family_stats(f, fam)
         plain = bmo_norm(st).value
         split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
-        tilde = tilde_bmo_l_norm(f, op, fam, ladder).value
+        tilde = tilde_bmo_l_norm(f, op, fam).value
         tent = hmo_norm(np.sqrt(family_box_values(square_function_field(op, f, ladder), fam)), fam).value
         ratio = tent / split.value if split.value > 0 else float("nan")
         print(

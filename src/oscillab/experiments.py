@@ -13,7 +13,6 @@ written, so failed runs still leave inspectable artifacts.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import sys
@@ -36,7 +35,7 @@ from .approx import (
     p1_p2_check,
 )
 from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, member_by_name
-from .errors import BracketError, ConfigError, CriterionFailure, LadderError, ThresholdExhaustedError
+from .errors import BracketError, ConfigError, CriterionFailure, LadderError, OscillabError, ThresholdExhaustedError
 from .family import (
     SUPERCRITICAL_MODES,
     BallFamily,
@@ -78,6 +77,7 @@ from .serialize import (
     save_curves_csv,
     save_grid_function,
     save_json,
+    save_rows_csv,
 )
 from .tent import (
     family_box_values,
@@ -259,7 +259,8 @@ def exp_lacunary(
     verdicts = _verdict_map(curves, tol, decay_factor)
 
     far = curves["far-from-origin"]
-    floor = float(np.min(far.values[far.present]))
+    # NaN when no far bucket is present: no floor, so the check fails
+    floor = float(np.min(far.values[far.present])) if np.any(far.present) else math.nan
     floor_required = floor_factor * floor_ref
 
     fs = curves["far-and-supercritical"]
@@ -363,10 +364,10 @@ def exp_square_membership(
     function field, with aggregate vanishing verdicts on both sides.  f is
     the member sampled on the operator's grid; the family must live there
     too (family_stats rejects it otherwise).  ladder: the t-ladder of the
-    semigroup metric and of the square function."""
+    square function."""
     f = member_by_name(member).build(op.grid)
     st = family_stats(f, fam)
-    gamma_curves = semigroup_oscillation_curves(f, op, fam, ladder)
+    gamma_curves = semigroup_oscillation_curves(f, op, fam)
     for mode in SUPERCRITICAL_MODES:
         gamma_curves[mode] = bucketed_sup(st.size, mode, rho=RHO_CONSTANT_UNIT)
     eta = np.sqrt(family_box_values(square_function_field(op, f, ladder), fam))
@@ -798,11 +799,7 @@ def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
     p = dict(plan.params)
     tol = p.pop("tolerance", None)
     rep = exp_rho_slope(p.pop("potential"), rng=rng, **p)
-    with (out / "rho.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "rho"])
-        for x, r in zip(rep.x, rep.rho):
-            w.writerow([repr(x), repr(r)])
+    save_rows_csv(out / "rho.csv", ["x", "rho"], ([repr(x), repr(r)] for x, r in zip(rep.x, rep.rho)))
     failures = []
     if tol is None:
         tol = 0.01 if rep.potential_kind != "power" else 0.05 * abs(rep.expected)
@@ -885,12 +882,9 @@ def _run_bmo_norms(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
     st = family_stats(f, fam)
     plain = bmo_norm(st)
     split = bmo_l_norm(st, RHO_CONSTANT_UNIT)
-    tilde = tilde_bmo_l_norm(f, plan.op, fam, plan.ladder)
+    tilde = tilde_bmo_l_norm(f, plan.op, fam)
     curves = oscillation_curves(st, RHO_CONSTANT_UNIT)
-    # a family with no supercritical ball leaves the two supercritical
-    # curves without buckets; classify only the curves that have some
-    present = {mode: c for mode, c in curves.items() if np.any(c.present)}
-    verdicts = _verdict_map(present, p["tol_fraction"] * split.value, p["decay_factor"])
+    verdicts = _verdict_map(curves, p["tol_fraction"] * split.value, p["decay_factor"])
     save_curves_csv(out / "curves.csv", [curves[m] for m in sorted(curves)])
     fam_ball = _arg_sup_ball(fam, split)
     summary = {
@@ -955,10 +949,7 @@ def _run_averaging(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np
     asg, A, gate = averaging
     th = asg.thresholds
 
-    with (out / "assignment.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["level", "corner_x"])
-        w.writerows(asg.cube_list())
+    save_rows_csv(out / "assignment.csv", ["level", "corner_x"], asg.cube_list())
     save_grid_function(out / "averaged.json", A)
     gate_doc = {"eps": eps, **asdict(gate)}
     save_json(out / "gate.json", gate_doc)
@@ -1111,7 +1102,9 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
     A dict config is checked whole, and every plan built, before any
     directory is written.  The bundle is written even when assertions
     fail; failures are then raised as one CriterionFailure listing every
-    failed check.
+    failed check.  An error raised while a scenario runs is raised again
+    as its own class with the scenario's id prefixed; whatever the
+    scenarios wrote before it stays on disk.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     plans = plan_scenarios(cfg)
@@ -1136,7 +1129,10 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
         plan = plans.pop(0)
         sub = base / plan.name
         sub.mkdir(parents=True, exist_ok=True)
-        frag, failures = _SCENARIOS[plan.sid](plan, cfg, sub, rng)
+        try:
+            frag, failures = _SCENARIOS[plan.sid](plan, cfg, sub, rng)
+        except OscillabError as e:
+            raise type(e)(f"scenario {plan.sid!r}: {e}") from None
         summary["scenarios"][plan.name] = {**frag, "id": plan.sid}
         summary["failures"].extend(f"{plan.sid}: {m}" for m in failures)
 

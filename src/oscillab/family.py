@@ -217,7 +217,8 @@ def supercritical_spans(family: BallFamily, rho):
     supercritical balls, r >= rho(center) (ties count), are the balls
     a .. b - 1.  rho is one reach per block, as critical_reach gives it, or
     a scalar critical radius, possibly +inf (never supercritical), whose
-    blocks are supercritical whole (reach +inf) or not at all (reach 0).
+    blocks are supercritical whole or not at all: an empty span sits after
+    the block's centers c <= 0, where a reach of 0 puts it.
     A block's supercritical centers are those with |c| below its reach,
     which the ascending centers hold as one run: -reach < c < reach."""
     if rho is None:
@@ -225,13 +226,18 @@ def supercritical_spans(family: BallFamily, rho):
     rho = np.asarray(rho, dtype=np.float64)
     blocks = family.blocks
     if rho.ndim == 0:
-        reach = np.array([np.inf if b.radius >= rho else 0.0 for b in blocks])
-    elif rho.shape == (len(blocks),):
-        reach = rho
-    else:
+        n0 = family.grid.half_cells
+        for b in blocks:
+            if b.radius >= rho:
+                yield b, b.start, b.stop
+            else:
+                a = b.start + len(range(b.run.start, min(b.run.stop, n0 + 1), b.run.step))
+                yield b, a, a
+        return
+    if rho.shape != (len(blocks),):
         raise ConfigError("critical-radius reaches do not match the family's radius blocks")
     low, block = (a.ravel() for a in np.meshgrid([True, False], np.arange(len(blocks)), indexing="ij"))
-    edge, count = np.where(low, -reach[block], reach[block]), np.array([b.count for b in blocks] * 2)
+    edge, count = np.where(low, -rho[block], rho[block]), np.array([b.count for b in blocks] * 2)
 
     def before(j, i):
         c = _centers(family, block[i], j)

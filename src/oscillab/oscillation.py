@@ -7,10 +7,9 @@ norms:
   supercritical size (mean over B of |f|^2)^(1/2);
 * semigroup oscillation  (r^{-1} * integral over B of
   |f - e^{-r sqrt(L)} f|^2)^(1/2), where the subtraction applies the
-  Poisson semigroup at time t = r exactly as the direct exponential
-  e^{-r sqrt(lambda)} in the operator's sine basis (one sine transform of
-  f, then a synthesized row per distinct radius in the family);
-  the subordination integral in the tests is only its oracle.
+  Poisson semigroup at time t = r exactly, as SpectralOperator.scale_rows
+  makes e^{-r sqrt(L)} f at the family's distinct radii; the
+  subordination integral in the tests is only its oracle.
 
 The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with
@@ -23,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, LadderError
+from .errors import ConfigError
 from .family import (
     PLAIN_MODES,
     SUPERCRITICAL_MODES,
@@ -37,7 +37,7 @@ from .family import (
     supercritical_spans,
 )
 from .grid import GridFunction, SummedTable, oscillation_and_size
-from .semigroup import SpectralOperator, TLadder, scale_blocks
+from .semigroup import SpectralOperator
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 
@@ -171,31 +171,18 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
 # semigroup oscillation
 
 
-def semigroup_difference_values(
-    f: GridFunction,
-    op: SpectralOperator,
-    family: BallFamily,
-    ladder: TLadder,
-) -> np.ndarray:
+def semigroup_difference_values(f: GridFunction, op: SpectralOperator, family: BallFamily) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
-    One sine transform of f, then, per cache-sized block of distinct
-    radii, one synthesis of e^{-r sqrt(lambda)} times its coefficients, a
-    row per radius; each row's difference from f is squared into its own
-    SummedTable, which serves the balls of that radius.  Radii outside the
-    ladder's range raise LadderError (the scale is not covered by the
-    configured scale range)."""
+    op.scale_rows gives e^{-r sqrt(L)} f a row per distinct radius; each
+    row's difference from f is squared into its own SummedTable, which
+    serves the balls of that radius."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
-    ladder.check_covers([b.radius for b in family.blocks])
-
-    blocks = family.blocks
-    s = np.sqrt(op.eigenvalues)
-    coef, fv = op.coefficients(f), f.values
+    blocks, fv = family.blocks, f.values
     out = np.empty(len(family))
-    for rows, r in scale_blocks(op, [b.radius for b in blocks]):
-        diff = op.synthesize(np.exp(-r * s) * coef)
+    for rows, diff in op.scale_rows(f, [b.radius for b in blocks], lambda t, s: np.exp(-t * s)):
         np.subtract(fv, diff, out=diff)
         for b, row in zip(blocks[rows], diff):
             sums = SummedTable(g, [(0, row)], square=True).ball_sum(b.run, b.cell_radius)
@@ -203,25 +190,15 @@ def semigroup_difference_values(
     return out
 
 
-def tilde_bmo_l_norm(
-    f: GridFunction,
-    op: SpectralOperator,
-    family: BallFamily,
-    ladder: TLadder,
-) -> OscillationReport:
+def tilde_bmo_l_norm(f: GridFunction, op: SpectralOperator, family: BallFamily) -> OscillationReport:
     """sup over the family of the semigroup oscillation metric."""
-    return _sup_report(BallValues.whole(family, semigroup_difference_values(f, op, family, ladder)))
+    return _sup_report(BallValues.whole(family, semigroup_difference_values(f, op, family)))
 
 
-def semigroup_oscillation_curves(
-    f: GridFunction,
-    op: SpectralOperator,
-    family: BallFamily,
-    ladder: TLadder,
-) -> dict[str, LimitCurve]:
+def semigroup_oscillation_curves(f: GridFunction, op: SpectralOperator, family: BallFamily) -> dict[str, LimitCurve]:
     """Limit curves of the semigroup oscillation metric in the three plain
     modes (small-radius, large-radius, far-from-origin)."""
-    vals = BallValues.whole(family, semigroup_difference_values(f, op, family, ladder))
+    vals = BallValues.whole(family, semigroup_difference_values(f, op, family))
     return {mode: bucketed_sup(vals, mode) for mode in PLAIN_MODES}
 
 
@@ -246,9 +223,9 @@ def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
 @dataclass(frozen=True)
 class Verdict:
     verdict: str
-    terminal: float
-    initial: float
-    decay_factor: float
+    terminal: Optional[float]
+    initial: Optional[float]
+    decay_factor: Optional[float]
     tol: float
     min_decay_factor: float
     n_present: int
@@ -262,15 +239,15 @@ def vanishing_verdict(
     VANISHING: terminal bucket <= tol and the curve decayed by at least
     min_decay_factor from its far end (a curve that is identically zero
     counts as decayed).  NONVANISHING: terminal >= 3 * tol with no decay
-    trend.  Anything else: INCONCLUSIVE.  Requires >= 3 present buckets.
+    trend.  Anything else: INCONCLUSIVE, and so is a curve with fewer than
+    3 present buckets, too few to show a trend; one with none has no
+    terminal, initial or decay (None).
     """
     if tol < 0:
         raise ConfigError("tolerance must be >= 0")
     n_present = int(np.count_nonzero(curve.present))
-    if n_present < 3:
-        raise LadderError(
-            f"verdict needs >= 3 present buckets, curve {curve.mode} has {n_present}"
-        )
+    if n_present == 0:
+        return Verdict("INCONCLUSIVE", None, None, None, tol, min_decay_factor, 0)
     terminal = curve.terminal_value()
     initial = curve.initial_value()
     if terminal == 0.0:
@@ -280,7 +257,9 @@ def vanishing_verdict(
     else:
         decay = initial / terminal
     decayed = decay >= min_decay_factor
-    if terminal <= tol and decayed:
+    if n_present < 3:
+        v = "INCONCLUSIVE"
+    elif terminal <= tol and decayed:
         v = "VANISHING"
     elif terminal >= 3.0 * tol and not decayed:
         v = "NONVANISHING"

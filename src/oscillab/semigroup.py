@@ -12,17 +12,18 @@ The DST-I of x (length M) is the negated imaginary part of the real FFT of
 its odd extension [0, x, 0, -x reversed] (length 2(M+1)), bins 1..M, times
 1/sqrt(2(M+1)) (Martucci 1994).  numpy's real FFT is pocketfft; with the
 factor taken in long double, as pocketfft's own orthonormal DST-I takes
-it, the two transforms agree bit for bit.  Every function of L is one
-SpectralOperator.coefficients call and synthesize calls on rows of
-coefficients; the half-space fields and the semigroup oscillation
-synthesize a block of scales at a time, so that each block's extension
-stays cache-sized.
+it, the two transforms agree bit for bit.  Every function of L at a
+ladder of scales, psi(t sqrt(L)) f, is made by SpectralOperator.scale_rows:
+one coefficients call, then a synthesize call per psi on each block of
+scales, so that each block's extension stays cache-sized.  The half-space
+fields below and the semigroup oscillation (oscillation.py) read it, and
+no other module touches the sine basis.
 
 apply_spectral takes one psi to one function; the scenarios take whole
-t-ladders at once through the half-space fields below, so no scenario
-calls it.  The single-time heat and Poisson semigroups e^{-tL} and
-e^{-t sqrt(L)} of the tests (tests/oracles.py) are apply_spectral calls,
-and the benchmark tracer's semigroup.apply span wraps it.  The Poisson
+sets of scales at once through scale_rows, so no scenario calls it.  The
+single-time heat and Poisson semigroups e^{-tL} and e^{-t sqrt(L)} of the
+tests (tests/oracles.py) are apply_spectral calls, and the benchmark
+tracer's semigroup.apply span wraps it.  The Poisson
 extension is read only through |t grad u|, the scalar whose Carleson
 boxes characterize CMO, so poisson_extension returns that field alone.
 
@@ -162,14 +163,27 @@ class SpectralOperator:
             raise GridMismatchError("function grid does not match the operator grid")
         return dst1(f.values[1:-1])
 
-    def synthesize(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def synthesize(self, coef: np.ndarray) -> np.ndarray:
         """The samples of the function whose interior has sine coefficients
-        coef, zero at the walls; each row of a 2-D coef is one function.
-        Written into out when given, whose walls must already be zero."""
-        if out is None:
-            out = np.zeros(coef.shape[:-1] + self.grid.shape)
+        coef, zero at the walls; each row of a 2-D coef is one function."""
+        out = np.zeros(coef.shape[:-1] + self.grid.shape)
         dst1(coef, out=out[..., 1:-1])
         return out
+
+    def scale_rows(self, f: GridFunction, scales, *psis: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        """psi(t, sqrt(L)) f for each psi at ascending scales t (a ladder's,
+        or a family's radii), a cache-sized block of scales at a time:
+        (rows, one block of samples per psi), with a row for each scale of
+        the slice rows.  psi takes the block's scales as a column and
+        sqrt(eigenvalues) as a row; one sine transform of f serves every
+        block."""
+        coef = self.coefficients(f)
+        s = np.sqrt(self.eigenvalues)
+        step = max(1, _LADDER_BLOCK_BYTES // (16 * (self.interior_count + 1)))
+        t = np.asarray(scales, dtype=np.float64)[:, None]
+        for i in range(0, t.shape[0], step):
+            rows = slice(i, i + step)
+            yield (rows, *[self.synthesize(psi(t[rows], s) * coef) for psi in psis])
 
 
 def discretize(V: Potential, grid: Grid, cap: int = DEFAULT_OP_CAP) -> SpectralOperator:
@@ -228,22 +242,10 @@ class HalfSpaceFunction:
         object.__setattr__(self, "values", v)
 
 
-def scale_blocks(op: SpectralOperator, scales: np.ndarray):
-    """Ascending scales (a ladder's, or a family's radii) in cache-sized
-    blocks of rows: (slice, t) with t the block's scales as a column."""
-    step = max(1, _LADDER_BLOCK_BYTES // (16 * (op.interior_count + 1)))
-    t = np.asarray(scales, dtype=np.float64)[:, None]
-    for i in range(0, t.shape[0], step):
-        yield slice(i, i + step), t[i : i + step]
-
-
 def square_function_blocks(op: SpectralOperator, f: GridFunction, ladder: TLadder):
     """F(x, t) = t sqrt(L) e^{-t sqrt(L)} f one block of ladder slices at
     a time: (rows, the block's slices of F), in ladder order."""
-    coef = op.coefficients(f)
-    s = np.sqrt(op.eigenvalues)
-    for rows, t in scale_blocks(op, ladder.values):
-        yield rows, op.synthesize(t * s * np.exp(-t * s) * coef)
+    return op.scale_rows(f, ladder.values, lambda t, s: t * s * np.exp(-t * s))
 
 
 def square_function_field(op: SpectralOperator, f: GridFunction, ladder: TLadder) -> HalfSpaceFunction:
@@ -271,17 +273,14 @@ def poisson_extension(op: SpectralOperator, f: GridFunction, ladder: TLadder) ->
     """|t grad u| = sqrt((t du/dt)^2 + (t du/dx)^2) for u(x, t) = e^{-t sqrt(L)} f.
 
     t du/dt = -t sqrt(L) u is spectrally exact; t du/dx is t times _ddx of
-    u.  Both are made one block of slices at a time, from one e^{-t s} per
-    block, and the magnitude is written over the block's t du/dt; a
-    block's u is held only while t du/dx is taken."""
-    coef = op.coefficients(f)
-    s = np.sqrt(op.eigenvalues)
-    out = np.zeros((len(ladder),) + op.grid.shape)
-    for rows, t in scale_blocks(op, ladder.values):
-        e = np.exp(-t * s)
-        gx = t * _ddx(op.synthesize(e * coef), op.grid.spacing)
-        G = op.synthesize(-t * s * e * coef, out=out[rows])
-        np.sqrt(G**2 + gx**2, out=G)
+    u.  Both are made one block of slices at a time, and the magnitude is
+    written into the block's rows; a block's u and t du/dt are held only
+    while its magnitude is taken."""
+    out = np.empty((len(ladder),) + op.grid.shape)
+    psis = (lambda t, s: np.exp(-t * s), lambda t, s: -t * s * np.exp(-t * s))
+    for rows, u, G in op.scale_rows(f, ladder.values, *psis):
+        gx = ladder.values[rows, None] * _ddx(u, op.grid.spacing)
+        np.sqrt(G**2 + gx**2, out=out[rows])
     return HalfSpaceFunction(op.grid, ladder, out)
 
 

@@ -2,7 +2,8 @@
 
 A grid function goes to a raw little-endian float64 ``.bin`` next to a
 JSON header describing the geometry; its values are finite, so the stream
-holds no IEEE infinity.  Limit curves go to CSV.  All writers sort keys,
+holds no IEEE infinity.  Limit curves and the scenarios' tables go to
+CSV, all through save_rows_csv.  All writers sort keys,
 use repr-style shortest floats, and never emit timestamps, so identical
 inputs give byte-identical files.  The package writes these files and
 never reads them back; the tests read them with tests/oracles.py.
@@ -90,13 +91,20 @@ def save_grid_function(path: _PathLike, f: GridFunction) -> Path:
     return p
 
 
-def save_curves_csv(path: _PathLike, curves: Iterable[LimitCurve]) -> Path:
+def save_rows_csv(path: _PathLike, header: list[str], rows: Iterable[Iterable]) -> Path:
+    """A header line, then one line per row, comma-separated, each line
+    ended by a bare newline."""
     p = Path(path)
     with p.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["mode", "a", "value", "count", "present"])
-        for curve in curves:
-            for a, v, c in zip(curve.ladder, curve.values, curve.counts):
-                present = int(c) > 0
-                w.writerow([curve.mode, repr(float(a)), repr(float(v)) if present else "nan", int(c), int(present)])
+        w.writerow(header)
+        w.writerows(rows)
     return p
+
+
+def save_curves_csv(path: _PathLike, curves: Iterable[LimitCurve]) -> Path:
+    return save_rows_csv(path, ["mode", "a", "value", "count", "present"], (
+        [curve.mode, repr(float(a)), repr(float(v)) if c > 0 else "nan", int(c), int(c > 0)]
+        for curve in curves
+        for a, v, c in zip(curve.ladder, curve.values, curve.counts)
+    ))

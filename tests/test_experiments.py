@@ -298,14 +298,14 @@ def test_arg_sup_ball_without_supercritical_part(tmp_path):
     ball = _arg_sup_ball(fam, split)
     assert ball == fam.ball(split.oscillation_arg)
     assert mean_oscillation(f, ball) == pytest.approx(split.oscillation_part, rel=1e-9)
-    # a bmo-norms scenario on this family classifies only the curves that
-    # have buckets and reports the oscillation-arg ball
+    # a bmo-norms scenario on this family finds the two supercritical
+    # curves without buckets INCONCLUSIVE and reports the oscillation-arg ball
     doc = {"scenarios": [{"id": "bmo-norms", "member": "gaussian", "halfwidth": 8.0,
                           "spacing": 0.0625, "family": {"center_stride": 0.5, "radii": [0.125, 0.25, 0.5]}}]}
     res = run(doc, str(tmp_path))["scenarios"]["bmo-norms"]
     verdicts = res["verdicts"]
-    assert "large-and-supercritical" not in verdicts
-    assert "far-and-supercritical" not in verdicts
+    for mode in ("large-and-supercritical", "far-and-supercritical"):
+        assert (verdicts[mode]["verdict"], verdicts[mode]["n_present"]) == ("INCONCLUSIVE", 0)
     fam3 = make_ball_family(grid, FamilyPolicy(center_stride=0.5, radii=(0.125, 0.25, 0.5)))
     split3 = bmo_l_norm(family_stats(f, fam3), RHO_CONSTANT_UNIT)
     want = fam3.ball(split3.oscillation_arg)
@@ -1051,6 +1051,45 @@ def test_plan_error_names_scenario_and_keys_before_writing(keys, scenario, tmp_p
     assert f"config error: scenario {scenario['id']!r}: " in err
     assert all(repr(k) in err for k in keys), err
     assert not (tmp_path / "o").exists()
+
+
+_THIN_FAMILY = {"center_stride": 0.5, "radii": [0.25, 0.5]}
+
+
+@pytest.mark.parametrize("scenario, code", [
+    ({"id": "lacunary-separation", "k_max": 3, "halfwidth": 128.0, "spacing": 0.0625, "stride": 0.5,
+      "radius_max": 32.0, "distance_max": 32.0}, 3),
+    ({"id": "bmo-norms", "family": _THIN_FAMILY}, 0),
+    ({"id": "square-function-agreement", "family": _THIN_FAMILY}, 0),
+], ids=["lacunary", "bmo-norms", "square-function-agreement"])
+def test_thin_family_writes_its_bundle_with_inconclusive_verdicts(scenario, code, tmp_path, capsys):
+    # each exited 2 with only an empty scenario directory: a verdict on a
+    # curve with fewer than 3 present buckets raised
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    frag = summary["scenarios"][scenario["id"]]
+    verdicts = [v for rep in frag.get("members", {"": frag}).values()
+                for key, side in rep.items() if key.endswith("verdicts") for v in side.values()]
+    thin = [v for v in verdicts if v["n_present"] < 3]
+    assert thin and all(v["verdict"] == "INCONCLUSIVE" for v in thin)
+    assert all((v["terminal"] is None) == (v["n_present"] == 0) for v in verdicts)
+    assert "config error" not in capsys.readouterr().err
+    assert len(summary["failures"]) == (4 if code else 0)
+
+
+def test_runner_error_names_its_scenario(tmp_path, capsys):
+    # a zero member leaves averaging nothing to approximate: the error named
+    # no scenario
+    doc = {"scenarios": [{"id": "averaging-pipeline", "member": "zero"}]}
+    with pytest.raises(ConfigError, match="^scenario 'averaging-pipeline': averaging needs eps > 0"):
+        run(doc, out_dir=str(tmp_path / "r"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: scenario 'averaging-pipeline': averaging needs eps > 0" in capsys.readouterr().err
+    assert (tmp_path / "o" / "averaging-pipeline").is_dir()
 
 
 def test_bmo_norms_plans_a_radius_with_one_ladder_scale_under_it():

@@ -174,7 +174,7 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
     assert _same_curves(gradient_carleson_curves(beta, fam), _old_gradient_carleson_curves(old_G, fam))
 
     assert _same(
-        semigroup_difference_values(f, op16, fam, ladder),
+        semigroup_difference_values(f, op16, fam),
         _old_semigroup_difference_values(f, op16, fam, ladder),
     )
 
@@ -188,7 +188,7 @@ def test_difference_values_do_not_depend_on_the_radius_grouping(rows, name, grid
     ladder = default_ladder(grid16)
     f = member_by_name(name).build(grid16)
     assert _same(
-        semigroup_difference_values(f, op16, corpus_family, ladder),
+        semigroup_difference_values(f, op16, corpus_family),
         _old_semigroup_difference_values(f, op16, corpus_family, ladder),
     )
 
@@ -206,7 +206,7 @@ def _mirror_index(fam) -> np.ndarray:
 
 def _squared_metrics(f, op, fam, ladder) -> dict[str, np.ndarray]:
     return {
-        "gamma2": semigroup_difference_values(f, op, fam, ladder) ** 2,
+        "gamma2": semigroup_difference_values(f, op, fam) ** 2,
         "eta2": family_box_values(square_function_field(op, f, ladder), fam),
         "beta2": family_box_values(poisson_extension(op, f, ladder), fam),
     }

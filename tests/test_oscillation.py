@@ -6,7 +6,7 @@ import pytest
 
 from oscillab import grid, oscillation, tent
 from oscillab.corpus import CORPUS, member_by_name
-from oscillab.errors import ConfigError, LadderError, OutOfDomainError
+from oscillab.errors import ConfigError, OutOfDomainError
 from oscillab.experiments import RHO_CONSTANT_UNIT, lacunary_function, plan_scenarios
 from oscillab.family import BallFamily, BallValues, FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import Grid, GridFunction
@@ -22,7 +22,7 @@ from oscillab.oscillation import (
     vanishing_verdict,
 )
 from oscillab.potential import critical_reach, power_potential
-from oscillab.semigroup import HalfSpaceFunction, TLadder, default_ladder
+from oscillab.semigroup import HalfSpaceFunction
 from oracles import (
     ball_member_values,
     ball_sums,
@@ -361,7 +361,7 @@ def test_semigroup_difference_eigenvector_closed_form(op16, family16):
     # for an eigenvector, f - e^{-r sqrt(L)} f = (1 - e^{-r s}) f ball by ball
     g = op16.grid
     f = GridFunction(op16.grid, op16.synthesize(np.eye(op16.interior_count)[5]))
-    vals = semigroup_difference_values(f, op16, family16, default_ladder(g))
+    vals = semigroup_difference_values(f, op16, family16)
     s = math.sqrt(op16.eigenvalues[5])
     p = prefix_table(f.values**2)
     idx = g.coord_to_index(family16.centers)[:, 0]
@@ -373,21 +373,14 @@ def test_semigroup_difference_eigenvector_closed_form(op16, family16):
         assert vals[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
-def test_semigroup_difference_ladder_guard(op16, family16):
-    f = constant(op16.grid, 1.0)
-    lad = TLadder(np.array([1.0, 2.0]))  # family radii go below 1
-    with pytest.raises(LadderError):
-        semigroup_difference_values(f, op16, family16, lad)
-
-
 def test_tilde_norm_zero_function(op16, family16):
     f = constant(op16.grid, 0.0)
-    assert tilde_bmo_l_norm(f, op16, family16, default_ladder(op16.grid)).value == 0.0
+    assert tilde_bmo_l_norm(f, op16, family16).value == 0.0
 
 
 def test_semigroup_curves_modes(op16, family16):
     f = constant(op16.grid, 1.0)
-    curves = semigroup_oscillation_curves(f, op16, family16, default_ladder(op16.grid))
+    curves = semigroup_oscillation_curves(f, op16, family16)
     assert set(curves) == {"small-radius", "large-radius", "far-from-origin"}
     # e^{-r sqrt(L)} 1 != 1 for V = 1, so the metric is bounded away from 0
     # on large balls
@@ -454,8 +447,14 @@ def test_verdict_orientation_far_mode():
 
 
 def test_verdict_requirements():
-    with pytest.raises(LadderError):
-        vanishing_verdict(_curve("small-radius", [0.1, np.nan, np.nan]), tol=0.1)
+    # fewer than 3 present buckets show no trend: INCONCLUSIVE, never an error
+    for values in ([np.nan] * 3, [0.1, np.nan, np.nan], [0.0, 0.5, np.nan]):
+        v = vanishing_verdict(_curve("small-radius", values), tol=0.1)
+        assert (v.verdict, v.n_present) == ("INCONCLUSIVE", 3 - int(np.isnan(values).sum()))
+    v = vanishing_verdict(_curve("small-radius", [np.nan] * 3), tol=0.1)
+    assert (v.terminal, v.initial, v.decay_factor) == (None, None, None)
+    v = vanishing_verdict(_curve("small-radius", [0.0, 0.5, np.nan]), tol=0.1)
+    assert (v.terminal, v.initial, v.decay_factor) == (0.0, 0.5, math.inf)
     with pytest.raises(ConfigError):
         vanishing_verdict(_curve("small-radius", [0.1, 0.1, 0.1]), tol=-1.0)
 

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal
 
+import oscillab
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
 from oscillab.errors import ConfigError, GridMismatchError
 from oscillab.grid import Grid, GridFunction
@@ -219,6 +222,24 @@ def test_default_ladder_spans_h_to_quarter_box():
     lad = default_ladder(g)
     assert lad.values[0] == pytest.approx(0.125)
     assert lad.values[-1] == pytest.approx(1.0)
+
+
+def test_only_semigroup_touches_the_sine_basis():
+    # every function of L is made in semigroup.py (SpectralOperator.scale_rows
+    # or apply_spectral): no other module transforms or synthesizes
+    # coefficients, or reads the spectrum
+    package = Path(oscillab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "semigroup.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            if (call and node.func.attr in ("coefficients", "synthesize")) or (
+                isinstance(node, ast.Attribute) and node.attr == "eigenvalues"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_square_function_field_on_eigenvector(small_op):
