@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from oscillab.corpus import CORPUS, corpus_grid, corpus_operator
-from oscillab.experiments import RHO_CONSTANT_UNIT
+from oscillab.reports import RHO_CONSTANT_UNIT
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, tilde_bmo_l_norm
 from oscillab.semigroup import default_ladder, square_function_field

@@ -11,7 +11,8 @@ but usually reports INCONCLUSIVE.
 
 import argparse
 
-from oscillab.experiments import exp_lacunary, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import exp_lacunary
 
 
 def main():

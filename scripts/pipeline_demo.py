@@ -14,7 +14,8 @@ import argparse
 import sys
 
 from oscillab.errors import ConfigError
-from oscillab.experiments import exp_pipeline, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import exp_pipeline
 
 
 def main():

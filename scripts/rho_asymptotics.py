@@ -8,7 +8,7 @@ sanity sweep after touching the radius solver.
 import argparse
 
 from oscillab.errors import ConfigError
-from oscillab.experiments import exp_rho_slope
+from oscillab.reports import exp_rho_slope
 from oscillab.potential import power_potential
 
 

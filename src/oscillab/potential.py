@@ -34,6 +34,7 @@ rho only either side of the threshold, not at every center.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,8 +106,13 @@ def _power_mass_1d(x: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
     return anti(x + r) - anti(x - r)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
-_GL_T = (_GL_NODES + 1.0) / 2.0  # nodes mapped to (0, 1)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 128-point Gauss-Legendre rule, nodes mapped to (0, 1), and its
+    weights; built on the first radial mass, so a run without one loads
+    no numpy.polynomial."""
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    return (nodes + 1.0) / 2.0, weights
 
 
 def _panel_integral(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -115,15 +121,16 @@ def _panel_integral(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     The lower endpoint can carry an integrable algebraic singularity, so
     the first panels are short.
     """
+    gl_t, gl_weights = _gauss_legendre()
     total = np.zeros(np.shape(lo))
     width = hi - lo
     cuts = (0.0, 0.02, 0.25, 1.0)
     for a, b in zip(cuts[:-1], cuts[1:]):
         p_lo = lo + width * a
         p_w = width * (b - a)
-        s = p_lo[..., None] + p_w[..., None] * _GL_T[None, :]
+        s = p_lo[..., None] + p_w[..., None] * gl_t[None, :]
         vals = fn(s)
-        total += 0.5 * p_w * np.sum(vals * _GL_WEIGHTS[None, :], axis=-1)
+        total += 0.5 * p_w * np.sum(vals * gl_weights[None, :], axis=-1)
     return total
 
 

@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.fft import rfft
 
 from .errors import ConfigError, GridMismatchError, LadderError
 from .grid import Grid, GridFunction
@@ -131,11 +130,13 @@ def default_ladder(grid: Grid, per_decade: int = 16) -> TLadder:
 def dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal DST-I along the last axis, into out when given."""
     n = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext = np.empty(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 0] = ext[..., n + 1] = 0.0
     ext[..., 1 : n + 1] = x
-    ext[..., n + 2 :] = -x[..., ::-1]
+    np.negative(x[..., ::-1], out=ext[..., n + 2 :])
     scale = float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
-    return np.multiply(rfft(ext).imag[..., 1 : n + 1], -scale, out=out)
+    # numpy loads its fft submodule on the first read of np.fft
+    return np.multiply(np.fft.rfft(ext).imag[..., 1 : n + 1], -scale, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,8 @@ class SpectralOperator:
     def synthesize(self, coef: np.ndarray) -> np.ndarray:
         """The samples of the function whose interior has sine coefficients
         coef, zero at the walls; each row of a 2-D coef is one function."""
-        out = np.zeros(coef.shape[:-1] + self.grid.shape)
+        out = np.empty(coef.shape[:-1] + self.grid.shape)
+        out[..., 0] = out[..., -1] = 0.0
         dst1(coef, out=out[..., 1:-1])
         return out
 

@@ -18,13 +18,8 @@ import numpy as np
 import oscillab
 from oscillab.approx import mollify
 from oscillab.corpus import CORPUS, member_by_name
-from oscillab.experiments import (
-    RHO_CONSTANT_UNIT,
-    exp_extension_agreement,
-    exp_lacunary,
-    exp_rho_slope,
-    plan_scenarios,
-)
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import RHO_CONSTANT_UNIT, exp_extension_agreement, exp_lacunary, exp_rho_slope
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats
@@ -218,7 +213,8 @@ def test_criterion_09_lacunary_sum_separates_regimes(criterion):
 
 _PIPELINE_WORKER = """
 import json
-from oscillab.experiments import exp_pipeline, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import exp_pipeline
 scenario = {"id": "approximation-pipeline", "halfwidth": float(2**16), "spacing": 2.0**-8}
 (plan,) = plan_scenarios({"scenarios": [scenario]})
 kw = dict(eps_fraction=0.1, osc_fraction=0.125)

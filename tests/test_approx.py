@@ -21,7 +21,8 @@ from oscillab.approx import (
     p1_p2_check,
     _dyadic_exponents,
 )
-from oscillab.experiments import RHO_CONSTANT_UNIT, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import RHO_CONSTANT_UNIT
 from oscillab.oscillation import bmo_l_norm, family_stats
 from oracles import constant, cube_tiling
 

@@ -14,12 +14,11 @@ from oscillab import __version__
 from oscillab.cli import _build_parser, _scenario_from_args, main
 from oscillab.corpus import member_by_name
 from oscillab.errors import ConfigError, CriterionFailure
-from oscillab.experiments import (
+from oscillab.experiments import _SCENARIO_TABLE, _SCENARIOS, ExperimentConfig, _arg_sup_ball, plan_scenarios, run
+from oscillab.reports import (
     RHO_CONSTANT_UNIT,
-    _SCENARIO_TABLE,
-    _SCENARIOS,
-    ExperimentConfig,
-    _arg_sup_ball,
+    RHO_SLOPE_X_MAX,
+    RHO_SLOPE_X_MIN,
     _bump_window,
     exp_extension_agreement,
     exp_lacunary,
@@ -27,8 +26,6 @@ from oscillab.experiments import (
     exp_rho_slope,
     exp_square_membership,
     lacunary_function,
-    plan_scenarios,
-    run,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family, supercritical_spans
 from oscillab.grid import Ball, Grid, GridFunction, oscillation_of
@@ -135,6 +132,25 @@ def test_rho_slope_validation():
         exp_rho_slope(V, x_min=0.0)
     with pytest.raises(ConfigError):
         exp_rho_slope(V, points=1)
+
+
+def test_drawing_scenarios_read_one_stream_in_config_order(tmp_path):
+    # the run's one generator, seeded from the config: each jittered
+    # rho-slope takes the next draws, and a scenario that draws nothing
+    # between them takes none
+    seed, jitter = 11, 0.05
+    scenarios = [
+        {"id": "rho-slope", "name": "first", "n": 1, "exponent": 1.5, "jitter": jitter},
+        {"id": "bmo-norms", "member": "gaussian", "halfwidth": 8.0, "spacing": 2.0**-5},
+        {"id": "rho-slope", "name": "second", "n": 3, "exponent": 0.5, "jitter": jitter},
+    ]
+    run({"seed": seed, "scenarios": scenarios}, out_dir=str(tmp_path))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for name in ("first", "second"):
+        base = np.geomspace(RHO_SLOPE_X_MIN, RHO_SLOPE_X_MAX, 24)
+        want = base * np.exp(rng.uniform(-jitter, jitter, size=base.shape))
+        rows = (tmp_path / name / "rho.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == want.tolist(), name
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +335,7 @@ def test_arg_sup_ball_without_supercritical_part(tmp_path):
 @pytest.fixture
 def family_scans(monkeypatch):
     """Families scanned by oscillation.family_stats, wherever it is called."""
-    from oscillab import experiments, oscillation
+    from oscillab import experiments, oscillation, reports
 
     scanned = []
     original = oscillation.family_stats
@@ -329,8 +345,9 @@ def family_scans(monkeypatch):
         return original(f, family)
 
     monkeypatch.setattr(oscillation, "family_stats", counting)
-    # the scenarios call it under the name experiments imported
-    monkeypatch.setattr(experiments, "family_stats", counting, raising=False)
+    # the experiments and the runners call it under the names their modules imported
+    monkeypatch.setattr(reports, "family_stats", counting)
+    monkeypatch.setattr(experiments, "family_stats", counting)
     return scanned
 
 
@@ -341,16 +358,16 @@ def test_lacunary_scans_its_family_once(family_scans):
 
 
 def test_lacunary_builds_only_its_reported_curves(monkeypatch):
-    from oscillab import experiments
+    from oscillab import reports
 
     modes = []
-    original = experiments.bucketed_sup
+    original = reports.bucketed_sup
 
     def counting(metric, mode, rho=None):
         modes.append(mode)
         return original(metric, mode, rho)
 
-    monkeypatch.setattr(experiments, "bucketed_sup", counting)
+    monkeypatch.setattr(reports, "bucketed_sup", counting)
     rep = _small_lacunary()
     assert sorted(modes) == sorted(rep.curves) == ["far-and-supercritical", "far-from-origin", "small-radius"]
 
@@ -384,16 +401,16 @@ def test_lacunary_reach_masks_are_the_solve_at_each_center(monkeypatch):
     # handed to bmo_l_norm keep, in every block, exactly the balls with
     # r >= rho(center) for rho solved at each center, and the norm and the
     # far-and-supercritical curve are those of that per-center solve
-    from oscillab import experiments
+    from oscillab import reports
 
     seen = {}
-    original = experiments.bmo_l_norm
+    original = reports.bmo_l_norm
 
     def capture(stats, rho):
         seen["stats"], seen["reach"] = stats, rho
         return original(stats, rho)
 
-    monkeypatch.setattr(experiments, "bmo_l_norm", capture)
+    monkeypatch.setattr(reports, "bmo_l_norm", capture)
     plan = _plan(**json.loads((CONFIGS / "lacunary.json").read_text())["scenarios"][0])
     fam = plan.family
     rep = exp_lacunary(fam, plan.params["k_max"])
@@ -556,7 +573,7 @@ def _stage_peaks(monkeypatch, run):
     """(stage, traced peak over the memory live when it started) of every
     call of a pipeline stage that run makes: the member build, the family
     scans, the averaging steps, the window arithmetic and the mollifier."""
-    from oscillab import experiments
+    from oscillab import reports
     from oscillab.corpus import CorpusMember
 
     peaks = []
@@ -574,7 +591,7 @@ def _stage_peaks(monkeypatch, run):
         monkeypatch.setattr(owner, name, stage)
 
     for name in ("family_stats", "choose_thresholds", "assign_cubes", "dyadic_average", "p1_p2_check", "mollify"):
-        traced(experiments, name)
+        traced(reports, name)
     traced(CorpusMember, "build")
     traced(GridFunction, "__sub__")
     traced(GridFunction, "truncated")
@@ -697,15 +714,17 @@ _DEMO_FAMILY = {"center_stride": 2.0, "radius_min": 4 * 2.0**-6, "radius_max": 1
 @pytest.fixture
 def averaging_calls(monkeypatch):
     """(member values, result) of every call of the shared averaging steps."""
-    from oscillab import experiments
+    from oscillab import experiments, reports
 
     calls = []
-    original = experiments._average_member
+    original = reports._average_member
 
     def recording(f, *args, **kwargs):
         calls.append((f.values.copy(), original(f, *args, **kwargs)))
         return calls[-1][1]
 
+    # exp_pipeline and the averaging runner call it under the names their modules imported
+    monkeypatch.setattr(reports, "_average_member", recording)
     monkeypatch.setattr(experiments, "_average_member", recording)
     return calls
 
@@ -744,13 +763,13 @@ def test_both_pipeline_scenarios_report_the_same_averaging(member, expect, avera
     ids=lambda s: s["id"],
 )
 def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_calls, tmp_path):
-    from oscillab import experiments
+    from oscillab import experiments, reports
 
     run({"scenarios": [scenario]}, out_dir=str(tmp_path))
     assert len(averaging_calls) == 1
     # the averaging steps are reached only through the shared function
     steps = {"choose_thresholds", "assign_cubes", "dyadic_average", "p1_p2_check"}
-    for runner in (experiments.exp_pipeline, experiments._run_averaging):
+    for runner in (reports.exp_pipeline, experiments._run_averaging):
         assert not steps & set(runner.__code__.co_names), runner.__name__
 
 
@@ -761,10 +780,10 @@ def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_cal
 def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box, monkeypatch):
     from dataclasses import replace
 
-    from oscillab import experiments
+    from oscillab import reports
 
     seen = {}
-    assign, average, mollify = experiments.assign_cubes, experiments.dyadic_average, experiments.mollify
+    assign, average, mollify = reports.assign_cubes, reports.dyadic_average, reports.mollify
 
     def widened(th, grid, window):
         # the assignment needs 2^(M+3) <= X, so tile with the scan's own M
@@ -787,9 +806,9 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box,
         seen["AX"] = f.values.copy()
         return mollify(f, t)
 
-    monkeypatch.setattr(experiments, "assign_cubes", widened)
-    monkeypatch.setattr(experiments, "dyadic_average", shifted)
-    monkeypatch.setattr(experiments, "mollify", capturing)
+    monkeypatch.setattr(reports, "assign_cubes", widened)
+    monkeypatch.setattr(reports, "dyadic_average", shifted)
+    monkeypatch.setattr(reports, "mollify", capturing)
     plan = _plan(id="approximation-pipeline", stride=2.0, **_DEMO_GRID)
     exp_pipeline("bump-narrow", plan.family, eps_fraction=_DEMO_GRID["eps_fraction"], osc_fraction=_DEMO_GRID["osc_fraction"])
     if outer_below_box is not None:

@@ -7,7 +7,8 @@ import pytest
 from oscillab import grid, oscillation, tent
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, OutOfDomainError
-from oscillab.experiments import RHO_CONSTANT_UNIT, lacunary_function, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import RHO_CONSTANT_UNIT, lacunary_function
 from oscillab.family import BallFamily, BallValues, FamilyPolicy, LimitCurve, make_ball_family
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import (

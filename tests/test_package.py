@@ -8,7 +8,12 @@ import oscillab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# flags parse before any numerical module loads, and a run loads no SciPy
+# numpy submodules that a run loads only when it reaches them: the run's
+# PRNG, the Gauss-Legendre rule of the n = 2, 3 masses and the sine transform
+_LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft"]
+
+# flags parse before any numerical module loads, and a run loads no SciPy;
+# the configs given run one after another in one process
 _IMPORT_PROBE = """
 import json, sys
 
@@ -16,19 +21,33 @@ from oscillab import cli
 
 cli._build_parser().parse_args(["run", "--config", "x"])
 parsed = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
-code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+out, lazy, configs = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
+codes = [cli.main(["run", "--config", c, "--out", f"{out}/{i}"]) for i, c in enumerate(configs)]
 ran = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"code": code, "parsed": parsed, "ran": ran}))
+print(json.dumps({"codes": codes, "parsed": parsed, "ran": ran, "lazy": [m for m in lazy if m in sys.modules]}))
 """
 
 
-def test_flags_parse_without_numpy_and_a_run_loads_no_scipy(tmp_path):
+def _probe(tmp_path, *configs: str) -> dict:
     src = str(Path(oscillab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIGS / "quick.json"), str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), json.dumps(_LAZY), *(str(CONFIGS / c) for c in configs)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"code": 0, "parsed": [], "ran": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_flags_parse_without_numpy_and_a_run_loads_no_scipy(tmp_path):
+    # quick.json's rho-slope scenarios draw and solve n = 2, 3 masses, and
+    # its operator scenarios take sine transforms: every lazy path is reached
+    got = _probe(tmp_path, "quick.json")
+    assert got == {"codes": [0], "parsed": [], "ran": [], "lazy": _LAZY}
+
+
+def test_lacunary_and_pipeline_runs_load_no_lazy_numpy_submodule(tmp_path):
+    # neither draws, solves a radial mass nor transforms, so neither loads
+    # the submodules that serve only those
+    got = _probe(tmp_path, "lacunary.json", "pipeline-large.json")
+    assert got == {"codes": [0, 0], "parsed": [], "ran": [], "lazy": []}

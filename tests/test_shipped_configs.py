@@ -89,10 +89,11 @@ def test_full_config_plans_four_families_and_one_operator(builds):
 
 def test_only_the_plan_builds_a_scenarios_geometry():
     # so the plan counts above are a whole run's
-    from oscillab import experiments
+    from oscillab import experiments, reports
 
     builders = {"Grid", "make_ball_family", "corpus_operator", "discretize"}
-    steps = [v for k, v in vars(experiments).items() if k.startswith(("exp_", "_run_")) or k == "_average_member"]
+    steps = [v for m in (reports, experiments) for k, v in vars(m).items()
+             if (k.startswith(("exp_", "_run_")) or k == "_average_member") and v.__module__ == m.__name__]
     assert len(steps) > 10
     for fn in steps:
         assert not builders & set(fn.__code__.co_names), fn.__name__

@@ -34,7 +34,8 @@ from oscillab.approx import (
 )
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ThresholdExhaustedError
-from oscillab.experiments import RHO_CONSTANT_UNIT, plan_scenarios
+from oscillab.experiments import plan_scenarios
+from oscillab.reports import RHO_CONSTANT_UNIT
 from oscillab.family import FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction, segment_sups
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, oscillation_curves
