@@ -12,7 +12,8 @@ radius rho (every caller passes the unit potential's):
 2. assign_cubes tiles the box with half-open dyadic intervals ("cubes")
    whose sidelength depends on the region of the sample (core gets
    2^(-I-2), the m-th shell gets 2^(m-I-J-1)), held as its 2(a-J)+1
-   regions with per-cube data only where f's window is;
+   regions alone: the tiling depends on the grid and the thresholds, and
+   each reader takes the cubes that meet its own function's hull;
 3. dyadic_average replaces f by its cube means (exactly idempotent);
 4. p1_p2_check verifies the smallness of the averaged function outside
    the outer region and across closure-adjacent cubes, reading the cube
@@ -369,14 +370,12 @@ class DyadicAssignment:
     position order, each a whole number of cubes [c 2^l, (c+1) 2^l).
     Regions are half-open (the core is [-2^J, 2^J)), so the tiles
     partition the box exactly; the +X boundary sample folds into the last
-    cube.  ``bounds`` is the first sample of each cube that meets the
-    window it was built for, and of one more cube on each side, and the
-    end of the last."""
+    cube.  The tiling depends on the grid and the thresholds alone: each
+    reader takes the cubes of its own function from ``bounds``."""
 
     grid: Grid
     thresholds: AveragingThresholds
     regions: tuple[tuple[int, int, int], ...]
-    bounds: np.ndarray
 
     @property
     def n_cubes(self) -> int:
@@ -389,28 +388,42 @@ class DyadicAssignment:
         for lo, hi, l in sorted(self.regions, key=lambda r: (r[2], r[0])):
             yield from ((l, c) for c in range(lo >> (l + p), hi >> (l + p)))
 
-    def held_bounds(self, f: GridFunction) -> np.ndarray:
-        """bounds, once seen to hold f's window and the cube on each side
-        of it, where the box has one; else ConfigError."""
-        b = self.bounds
-        held = b.size and (b[0] == 0 or b[1] <= f.lo) and (b[-1] == self.grid.size or f.hi <= b[-2])
-        if f.lo < f.hi and not held:
-            raise ConfigError("the assignment holds no cubes for the function's window")
-        return b
+    def bounds(self, f: GridFunction) -> np.ndarray:
+        """The first sample of each cube that meets f's hull, and of one
+        more cube on each side where the box has one, then the end of the
+        last: the cubes the averaging and the gates read.  Empty for a
+        function with no piece."""
+        _, p = _dyadic_exponents(self.grid)
+        regions, n0, size = self.regions, self.grid.half_cells, self.grid.size
+
+        def cube(i: int) -> tuple[int, int]:
+            """The first sample and the end of the cube holding sample i."""
+            c = min(i, size - 2) - n0  # the boundary sample is the last cube's
+            lo, _, l = next(r for r in regions if c < r[1])
+            start = n0 + lo + (c - lo) // 2 ** (l + p) * 2 ** (l + p)
+            end = start + 2 ** (l + p)
+            return start, size if end == size - 1 else end
+
+        if f.lo == f.hi:
+            return np.empty(0, dtype=np.int64)
+        first, end = cube(f.lo)[0], cube(f.hi - 1)[1]
+        if first > 0:
+            first = cube(first - 1)[0]
+        if end < size:
+            end = cube(end)[1]
+        return np.concatenate(
+            [np.arange(max(n0 + r0, first), min(n0 + r1, end), 2 ** (l + p)) for r0, r1, l in regions] + [[end]]
+        )
 
 
-def assign_cubes(thresholds: AveragingThresholds, grid: Grid, window: tuple[int, int]) -> DyadicAssignment:
+def assign_cubes(thresholds: AveragingThresholds, grid: Grid) -> DyadicAssignment:
     """Tile the box according to the thresholds, region by region in
     position order: the left shells from the outermost in, the core
     [-2^J, 2^J) at level -I-2, then the right shells.  Shell m is
     [-2^(m+1), -2^m) on the left and [2^m, 2^(m+1)) on the right, at level
     m-I-J-1.  Each region is a whole number of cubes of its level when
     -I-1 <= J <= a.  Needs halfwidth 2^a >= 2^(M+3) so the truncation
-    region of the pipeline fits with room to spare.
-
-    window is the samples [lo, hi) of the function to be averaged; the
-    bounds cover the cubes that meet it and the one each side that P2
-    reads."""
+    region of the pipeline fits with room to spare."""
     a, p = _dyadic_exponents(grid)
     th = thresholds
     if 2.0 ** (th.outer_exponent + 3) > grid.halfwidth * (1 + 1e-12):
@@ -431,37 +444,14 @@ def assign_cubes(thresholds: AveragingThresholds, grid: Grid, window: tuple[int,
         (-core, core, th.core_level),
         *((s, 2 * s, l) for s, l in shells),
     )
-    n0, size = grid.half_cells, grid.size
-
-    def cube(i: int) -> tuple[int, int]:
-        """The first sample and the end of the cube holding sample i."""
-        c = min(i, size - 2) - n0  # the boundary sample is the last cube's
-        lo, _, l = next(r for r in regions if c < r[1])
-        start = n0 + lo + (c - lo) // 2 ** (l + p) * 2 ** (l + p)
-        end = start + 2 ** (l + p)
-        return start, size if end == size - 1 else end
-
-    lo, hi = window
-    if lo < hi:
-        first, end = cube(lo)[0], cube(hi - 1)[1]
-        if first > 0:
-            first = cube(first - 1)[0]
-        if end < size:
-            end = cube(end)[1]
-        bounds = np.concatenate(
-            [np.arange(max(n0 + r0, first), min(n0 + r1, end), 2 ** (l + p)) for r0, r1, l in regions] + [[end]]
-        )
-    else:
-        bounds = np.empty(0, dtype=np.int64)
-    return DyadicAssignment(grid, th, regions, bounds)
+    return DyadicAssignment(grid, th, regions)
 
 
 def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunction:
     """Replace f by its mean on each assigned cube.
 
-    Only the cubes that meet f's window are read (the assignment must hold
-    them); every other cube's mean is f's background, so a constant is
-    its own average.  Means are computed against a per-cube anchor sample
+    Only the cubes that meet f's hull are read; every other cube's mean
+    is f's background, so a constant is its own average.  Means are computed against a per-cube anchor sample
     (the cube's first sample), which makes the operation exactly
     idempotent on piecewise-constant input.
     """
@@ -469,7 +459,7 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
         raise ConfigError("function and assignment grids differ")
     if f.lo == f.hi:
         return f
-    bounds = assignment.held_bounds(f)
+    bounds = assignment.bounds(f)
     c0 = int(np.searchsorted(bounds, f.lo, side="right")) - 1
     c1 = int(np.searchsorted(bounds, f.hi, side="left"))
     starts, counts = bounds[c0:c1], np.diff(bounds[c0 : c1 + 1])
@@ -507,8 +497,9 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     P2: |difference of the cube means across closure-adjacent cubes|
     <= eps, the means read off A at each cube's first sample.  In one
     dimension the closure-adjacent cubes are the consecutive cubes of the
-    position-ordered list: those the assignment holds, as every other
-    difference is between two cubes in A's background, 0.0.
+    position-ordered list.  Only the cubes that meet A's hull, and one
+    more on each side, are read: every other difference is between two
+    cubes in A's background, 0.0.
     Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2})
     across the regions, each of one level."""
     th = assignment.thresholds
@@ -516,7 +507,7 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     n0 = assignment.grid.half_cells
     k = 2 ** (th.outer_exponent + p)
     p1 = averaged.sup_outside(n0 - k, n0 + k + 1)
-    starts = assignment.held_bounds(averaged)[:-1]
+    starts = assignment.bounds(averaged)[:-1]
     p2 = float(np.max(np.abs(np.diff(averaged.at(starts))), initial=0.0))
     levels = [l for *_, l in assignment.regions]
     ratio_ok = all(abs(m - l) <= 1 for l, m in zip(levels, levels[1:]))

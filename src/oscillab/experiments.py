@@ -267,9 +267,9 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     """The plan of every scenario of the config (a dict is checked whole
     first), as its _SCENARIO_TABLE record declares: a family, its stride
     checked, once per (grid, policy), an operator once per grid, and for a
-    record with no ladder rule the default t-ladder once per grid, which
-    must cover the family's radii.  A ConfigError names the scenario and
-    keys."""
+    record that scans Carleson boxes the default t-ladder once per grid,
+    which must cover the family's radii with two slices at or below each.
+    A ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     family_of, ladder_of = functools.cache(make_ball_family), functools.cache(default_ladder)
     operator_of = functools.cache(lambda grid: corpus_operator(grid, cfg.op_cap))
@@ -290,15 +290,16 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
                 check(p, fam)
             if spec.operator:
                 keys = "'halfwidth', 'spacing' and 'op_cap'"
-                op, ladder = operator_of(grid), ladder_of(grid) if spec.ladder is None else None
-                if fam is not None:
-                    keys = "'family'"
-                    radii = [b.radius for b in fam.blocks]
-                    ladder.check_covers(radii)
-                    few = [r for r in radii if ladder.box_slices(r) < 2] if spec.box_slices else []
-                    if few:
-                        raise LadderError(f"ball radii {few} have fewer than two ladder scales at or below them, "
-                                          "which a Carleson box's dt/t trapezoid needs")
+                op = operator_of(grid)
+            if spec.boxes:
+                ladder = ladder_of(grid)
+                keys = "'family'"
+                radii = [b.radius for b in fam.blocks]
+                ladder.check_covers(radii)
+                few = [r for r in radii if ladder.box_slices(r) < 2]
+                if few:
+                    raise LadderError(f"ball radii {few} have fewer than two ladder scales at or below them, "
+                                      "which a Carleson box's dt/t trapezoid needs")
             if spec.ladder is not None:
                 keys, rule = spec.ladder
                 ladder = rule(p, grid)
@@ -512,10 +513,10 @@ class _Scenario:
     checks: tuple[_Step, ...] = ()  # plan steps on the grid, before the family
     family: Optional[_Step] = None  # the plan step that gives the family's policy
     family_checks: tuple[_Step, ...] = ()  # plan steps on the family
-    operator: bool = False  # the corpus operator and its default t-ladder, which must cover the radii
-    box_slices: bool = False  # two ladder slices at or below each radius, for a Carleson box's dt/t trapezoid
+    operator: bool = False  # the corpus operator
+    boxes: bool = False  # the default t-ladder, with two slices at or below each radius for a box's dt/t trapezoid
     draws: bool = False  # the runner draws from the run's PRNG stream; every other runner is passed None
-    ladder: Optional[_Step] = None  # the plan step that gives the t-ladder in place of the default
+    ladder: Optional[_Step] = None  # the plan step that gives a t-ladder of the record's own
     expected: dict[str, str] = field(default_factory=dict)  # the answers the paper predicts
 
 
@@ -530,7 +531,7 @@ _SQUARE_AGREEMENT = _Scenario({
     "tol_fraction": _NONNEGATIVE,
     "decay_factor": _POSITIVE,
     "assert_members": _MEMBERS(()),
-}, _run_square_agreement, family=_DEFAULT_FAMILY, operator=True, box_slices=True)
+}, _run_square_agreement, family=_DEFAULT_FAMILY, operator=True, boxes=True)
 
 # Every scenario id's declaration.  A default among the kinds stands for a
 # key the runner or the plan reads itself, every geometry default among
@@ -573,7 +574,7 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         **dict.fromkeys(("eps_fraction", "osc_fraction"), _POSITIVE),
         "corpus_factor": _POSITIVE,
     }, _run_pipeline, family=("'stride'", _stride_family), family_checks=(_DYADIC_BOX,)),
-    # the semigroup oscillation reads no dt/t trapezoid
+    # the semigroup oscillation takes e^{-r sqrt(L)} at each radius: no t-ladder
     "bmo-norms": _Scenario({
         **_CORPUS_GRID,
         "member": _MEMBER("bump-narrow"),
@@ -586,7 +587,7 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         "member": _MEMBER("bump-narrow"),
         "family": _FAMILY,
         "exponents": _EXPONENTS((2.0, math.inf)),
-    }, _run_tent_norms, family=_DEFAULT_FAMILY, operator=True, box_slices=True),
+    }, _run_tent_norms, family=_DEFAULT_FAMILY, operator=True, boxes=True),
     "reproducing-pairing": _Scenario({
         **_CORPUS_GRID,
         "left": _MEMBER("gaussian"),

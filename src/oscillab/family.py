@@ -309,6 +309,15 @@ class BallValues:
         return self.fill, a
 
 
+def _doublings(start: float, stop: float) -> list[float]:
+    """start, 2 start, 4 start, ... while at most stop, to a relative 1e-9."""
+    out = []
+    while start <= stop * (1 + 1e-9):
+        out.append(start)
+        start *= 2.0
+    return out
+
+
 def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     """Enumerate the family described by policy on grid, in integer cells.
 
@@ -336,11 +345,7 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
         r_max = policy.radius_max if policy.radius_max is not None else X / 2
         if r_min < 4 * h * (1 - 1e-9):
             raise ConfigError(f"geometric radius ladder must start at >= 4h, got {r_min}")
-        radii = []
-        r = r_min
-        while r <= r_max * (1 + 1e-9):
-            radii.append(r)
-            r *= 2.0
+        radii = _doublings(r_min, r_max)
         if not radii:
             raise ConfigError("geometric radius ladder is empty")
     if radii[-1] > X / 2 * (1 + 1e-9):
@@ -363,11 +368,7 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
 
     radius_ladder = np.array(cells, dtype=np.float64) * h
     d_max = policy.distance_max if policy.distance_max is not None else X / 2
-    dl = []
-    d = float(radius_ladder[0])
-    while d <= d_max * (1 + 1e-9):
-        dl.append(d)
-        d *= 2.0
+    dl = _doublings(float(radius_ladder[0]), d_max)
     if not dl:
         raise ConfigError("distance ladder is empty")
     if half[0] * abs(stride - s * h) > 1e-6 * h:  # the farthest center's drift off its sample

@@ -34,11 +34,11 @@ table, SummedTable, built on the pieces of one row or of a stack of rows.
 A family scan asks for the balls of one radius over a run of centers at
 one index step, so each run's sums are the difference of two strided
 reads of the table; a ball that meets no piece of f is not read, and its
-mean is b.  A Carleson box of radius r reads the first k rows of its
-field's table, the ladder slices t_j <= r, and a cone that leaves the box
-reads the table's constant ends past the walls.  The ball means of f and
-of f^2 become the oscillation and the size in one place,
-oscillation_and_size.
+mean is b.  A stack's table is read a row (an int) or a slice of rows at
+a time: a Carleson box of radius r reads the first k rows of its field's
+|F|^2 table, the ladder slices t_j <= r, and the cone its row j, through
+the constant ends past the walls.  The ball means of f and of f^2 become
+the oscillation and the size in one place, oscillation_and_size.
 
 Values held on runs of indices, with a fill at every other index, are
 reduced in one place too: segment_sups gives the sup over each of a list
@@ -391,12 +391,12 @@ class SummedTable:
                     out.append(range(first, end))
         return out
 
-    def _reads(self, start: int, count: int, step: int, rows: int | None) -> list:
-        """P at start, start + step, ... (count of them, step >= 1) of every
-        row, or of a stack's first rows, as (j0, j1, v) parts that tile
-        0 .. count: v is a strided view of the stored prefix over a piece,
-        its end included, or the constant off the pieces, one entry wide."""
-        p, x, c = self._p[:rows], self._x, self._c
+    def _reads(self, start: int, count: int, step: int, rows: int | slice) -> list:
+        """P at start, start + step, ... (count of them, step >= 1) of the
+        stack's rows[rows], as (j0, j1, v) parts that tile 0 .. count: v is
+        a strided view of the stored prefix over a piece, its end included,
+        or the constant off the pieces, one entry wide."""
+        p, x, c = self._p[rows], self._x, self._c
         parts, j0 = [], 0
         k = bisect.bisect_right(x, start)  # the first read lies before breakpoint k
         while j0 < count:
@@ -412,23 +412,24 @@ class SummedTable:
             k += 1
         return parts
 
-    def prefix(self, start: int, count: int, step: int, rows: int | None = None) -> np.ndarray:
-        """P at start, start + step, ... (count of them, step >= 1) of every
-        row, or of a stack's first rows: a strided view of the stored prefix
-        when they all fall on one piece, its ends included, else a new array
-        with the constants off the pieces filled in."""
+    def prefix(self, start: int, count: int, step: int, rows: int | slice = slice(None)) -> np.ndarray:
+        """P at start, start + step, ... (count of them, step >= 1) of the
+        stack's rows[rows] (an int or a slice; all rows by default): a
+        strided view of the stored prefix when they all fall on one piece,
+        its ends included, else a new array with the constants off the
+        pieces filled in."""
         parts = self._reads(start, count, step, rows)
         if len(parts) == 1 and parts[0][2].shape[-1] == count:
             return parts[0][2]
-        out = np.empty(self._p[:rows].shape[:-1] + (count,))
+        out = np.empty(self._p[rows].shape[:-1] + (count,))
         for j0, j1, v in parts:
             out[..., j0:j1] = v
         return out
 
-    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
+    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None, rows: int | slice = slice(None)) -> np.ndarray:
         """Sum over samples strictly inside B(c, cell_radius * h) for each
-        center sample index c of run (a range with a positive step), of
-        every row or of a stack's first rows, written into out when given.  The
+        center sample index c of run (a range with a positive step), of the
+        stack's rows[rows], written into out when given.  The
         strict-inside offsets are |k| <= cell_radius - 1 in integer
         arithmetic, so this path has no float membership fuzz; a ball
         reaching past the samples raises OutOfDomainError.  The upper reads
@@ -441,7 +442,7 @@ class SummedTable:
             raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
         n, step = len(run), run.step
         if out is None:
-            out = np.empty(self._p[:rows].shape[:-1] + (n,))
+            out = np.empty(self._p[rows].shape[:-1] + (n,))
         for j0, j1, v in self._reads(run.start + m, n, step, rows):
             out[..., j0:j1] = v
         for j0, j1, v in self._reads(run.start - m + 1, n, step, rows):

@@ -174,9 +174,9 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
 def semigroup_difference_values(f: GridFunction, op: SpectralOperator, family: BallFamily) -> np.ndarray:
     """Per-ball (r^{-1} * sum over B of (f - e^{-r sqrt(L)} f)^2 h)^(1/2).
 
-    op.scale_rows gives e^{-r sqrt(L)} f a row per distinct radius; each
-    row's difference from f is squared into its own SummedTable, which
-    serves the balls of that radius."""
+    op.scale_rows gives e^{-r sqrt(L)} f a block of radius rows at a time;
+    the block's differences from f are squared into one SummedTable, whose
+    row i serves the balls of the block's i-th radius."""
     g = f.grid
     if not g.compatible(op.grid):
         raise ConfigError("function and operator grids differ")
@@ -184,8 +184,9 @@ def semigroup_difference_values(f: GridFunction, op: SpectralOperator, family: B
     out = np.empty(len(family))
     for rows, diff in op.scale_rows(f, [b.radius for b in blocks], lambda t, s: np.exp(-t * s)):
         np.subtract(fv, diff, out=diff)
-        for b, row in zip(blocks[rows], diff):
-            sums = SummedTable(g, [(0, row)], square=True).ball_sum(b.run, b.cell_radius)
+        table = SummedTable(g, [(0, diff)], square=True)
+        for i, b in enumerate(blocks[rows]):
+            sums = table.ball_sum(b.run, b.cell_radius, rows=i)
             out[b.start : b.stop] = np.sqrt(np.maximum(0.0, sums) * g.spacing / b.radius)
     return out
 

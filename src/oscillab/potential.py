@@ -156,19 +156,14 @@ def _power_mass_radial(d: np.ndarray, r: np.ndarray, p: float, n: int) -> np.nda
         lo = np.abs(rr - dd)
         hi = rr + dd
 
-        if n == 2:
-            def integrand(s):
-                cosv = (s**2 + dd[..., None] ** 2 - rr[..., None] ** 2) / (
-                    2.0 * s * dd[..., None]
-                )
-                ang = np.arccos(np.clip(cosv, -1.0, 1.0))
-                return 2.0 * s ** (p + 1) * ang
-        else:
-            def integrand(s):
-                cosv = (s**2 + dd[..., None] ** 2 - rr[..., None] ** 2) / (
-                    2.0 * s * dd[..., None]
-                )
-                return 2.0 * math.pi * s ** (p + 2) * (1.0 - np.clip(cosv, -1.0, 1.0))
+        def integrand(s):
+            """The shell of radius s inside the ball: its arc (n = 2) or cap (n = 3)."""
+            cosv = (s**2 + dd[..., None] ** 2 - rr[..., None] ** 2) / (
+                2.0 * s * dd[..., None]
+            )
+            if n == 2:
+                return 2.0 * s ** (p + 1) * np.arccos(np.clip(cosv, -1.0, 1.0))
+            return 2.0 * math.pi * s ** (p + 2) * (1.0 - np.clip(cosv, -1.0, 1.0))
 
         out[rest] = full + _panel_integral(integrand, lo, hi)
     return out

@@ -408,7 +408,7 @@ def _average_member(
         th = choose_thresholds(f, eps, RHO_CONSTANT_UNIT, osc_fraction)
     except ThresholdExhaustedError as e:
         return norm, eps, str(e)
-    asg = assign_cubes(th, f.grid, (f.lo, f.hi))
+    asg = assign_cubes(th, f.grid)
     A = dyadic_average(f, asg)
     return norm, eps, (asg, A, p1_p2_check(asg, A))
 

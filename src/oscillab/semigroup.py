@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, LadderError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, SummedTable
 from .potential import Potential
 
 DEFAULT_OP_CAP = 4096
@@ -242,6 +242,11 @@ class HalfSpaceFunction:
         if v.shape != expect:
             raise ConfigError(f"half-space values shape {v.shape}, expected {expect}")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def table(self) -> SummedTable:
+        """|F|^2's SummedTable, a row per slice, which boxes and cone read."""
+        return SummedTable(self.grid, [(0, self.values)], square=True)
 
 
 def square_function_blocks(op: SpectralOperator, f: GridFunction, ladder: TLadder):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .family import PLAIN_MODES, BallFamily, BallValues, LimitCurve, bucketed_sup
-from .grid import GridFunction, SummedTable
+from .grid import GridFunction
 from .oscillation import OscillationReport, _sup_report
 from .semigroup import (
     HalfSpaceFunction,
@@ -29,27 +29,24 @@ from .semigroup import (
 
 
 class BoxScanner:
-    """One SummedTable of |F|^2, a row per ladder slice, serving cylinder
-    sums: a box of radius r reads the table's first k rows, the slices
-    t_j <= r."""
+    """Cylinder sums from F's |F|^2 table, a row per ladder slice: a box
+    of radius r reads the table's first k rows, the slices t_j <= r."""
 
     def __init__(self, F: HalfSpaceFunction):
         self.F = F
-        self.grid = F.grid
-        self._table = SummedTable(F.grid, [(0, F.values)], square=True)
 
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
         radius r centered on the sample indices of run: the ball sums of
         the first k slices, summed in ladder order."""
         k = self.F.ladder.box_slices(r)
-        sums = self._table.ball_sum(run, cell_radius, rows=k)
+        sums = self.F.table.ball_sum(run, cell_radius, rows=slice(k))
         w = log_weights_for(self.F.ladder.values[:k])
-        return np.add.reduce(w[:, None] * sums, axis=0) * self.grid.spacing / r
+        return np.add.reduce(w[:, None] * sums, axis=0) * self.F.grid.spacing / r
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
-    """Cylinder integrals for every family ball (one prefix table), one
+    """Cylinder integrals for every family ball (F's one prefix table), one
     box_values call per radius block."""
     if not F.grid.compatible(family.grid):
         raise ConfigError("field and family grids differ")
@@ -78,9 +75,10 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
     at every grid sample, aperture 1.
 
     The cone's slice t_j over every sample is a row of balls of cell
-    radius k + 1, k = ceil(t_j / h) - 1, read from one SummedTable of
-    |F(., t_j)|^2 through its constant ends, so a ball that leaves the box
-    sums the samples inside it; those samples are marked truncated.
+    radius k + 1, k = ceil(t_j / h) - 1, read from row j of F's |F|^2
+    table (the one the Carleson boxes read) through its constant ends, so
+    a ball that leaves the box sums the samples inside it; those samples
+    are marked truncated.
     """
     g = F.grid
     h, n = g.spacing, g.size
@@ -91,8 +89,7 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
         kmax = math.ceil(tj / h - 1e-9) - 1
         if kmax > 0:
             truncated[:kmax] = truncated[n - kmax :] = True
-        table = SummedTable(g, [(0, F.values[j])], square=True)
-        acc += (table.prefix(kmax + 1, n, 1) - table.prefix(-kmax, n, 1)) * (h * w[j] / tj)
+        acc += (F.table.prefix(kmax + 1, n, 1, rows=j) - F.table.prefix(-kmax, n, 1, rows=j)) * (h * w[j] / tj)
     return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
 

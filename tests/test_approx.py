@@ -24,7 +24,7 @@ from oscillab.approx import (
 from oscillab.experiments import plan_scenarios
 from oscillab.reports import RHO_CONSTANT_UNIT
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oracles import constant, cube_tiling
+from oracles import constant, cube_starts, cube_tiling, dense_dyadic_average, dense_gates
 
 RHO0 = 2.0**-0.5
 
@@ -363,7 +363,7 @@ def pipeline_thresholds(pipeline_f):
 
 @pytest.fixture(scope="module")
 def pipeline_assignment(pipeline_thresholds, pipeline_grid, pipeline_f):
-    return assign_cubes(pipeline_thresholds, pipeline_grid, (pipeline_f.lo, pipeline_f.hi))
+    return assign_cubes(pipeline_thresholds, pipeline_grid)
 
 
 def _oracle_assignment(th: AveragingThresholds, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -539,7 +539,7 @@ def test_assignment_needs_box_margin(pipeline_grid):
         size_bound=0.5,
     )
     with pytest.raises(OutOfDomainError):
-        assign_cubes(th, pipeline_grid, (0, 0))
+        assign_cubes(th, pipeline_grid)
 
 
 def test_dyadic_average_idempotent(pipeline_f, pipeline_assignment):
@@ -571,11 +571,35 @@ def test_gates_pass_for_member(pipeline_f, pipeline_assignment):
     assert rep.n_adjacent_pairs > 0
 
 
+def test_one_assignment_serves_functions_of_different_hulls(pipeline_thresholds, pipeline_grid, pipeline_f):
+    # the tiling depends on the grid and the thresholds alone: the averaging
+    # and the gates each read the cubes that meet their own function's hull
+    # and one more on each side, where the box has one
+    grid = pipeline_grid
+    asn = assign_cubes(pipeline_thresholds, grid)
+    ends = np.append(cube_starts(asn), grid.size)
+    rng = np.random.default_rng(7)
+    lo = int(ends[3 * ends.size // 4])  # a cube start in a right shell, far from the bump
+    # one far from the bump and one up to the +X face, both well above their
+    # background 0.0, so P2 is a difference with a cube past the hull
+    others = [GridFunction(grid, 3.0 + rng.random(3000), lo=lo), GridFunction(grid, 1.0 + rng.random(40), lo=grid.size - 40)]
+    for f in (pipeline_f, *others):
+        c0 = max(int(np.searchsorted(ends, f.lo, side="right")) - 2, 0)
+        c1 = min(int(np.searchsorted(ends, f.hi, side="left")) + 1, ends.size - 1)
+        assert np.array_equal(asn.bounds(f), ends[c0 : c1 + 1])
+        A = dyadic_average(f, asn)
+        want = dense_dyadic_average(f, asn)
+        assert np.array_equal(A.values, want)
+        rep = p1_p2_check(asn, A)
+        assert (rep.p1_sup, rep.p2_max) == dense_gates(asn, GridFunction(grid, want))
+    assert asn.bounds(GridFunction.constant(grid, 1.0)).size == 0
+
+
 def test_gate_p1_fails_for_borrowed_constant(pipeline_thresholds, pipeline_grid):
     # averaging the constant 1 with thresholds chosen for the bump leaves
     # mass 1 outside the outer region, so the first gate must fail
     f = constant(pipeline_grid, 1.0)
-    asn = assign_cubes(pipeline_thresholds, pipeline_grid, (f.lo, f.hi))
+    asn = assign_cubes(pipeline_thresholds, pipeline_grid)
     rep = p1_p2_check(asn, dyadic_average(f, asn))
     assert not rep.p1_ok
     assert rep.p1_sup == pytest.approx(1.0)
@@ -596,7 +620,7 @@ def test_p1_index_slices_match_axis_mask(halfwidth, spacing):
     f = GridFunction.from_callable(grid, lambda x: np.where(x > 0, 2.0, -0.5) * np.cos(x) * np.exp(x / halfwidth))
     a, p = _dyadic_exponents(grid)
     for outer in range(a - 5, a - 2):
-        asn = assign_cubes(AveragingThresholds(1.0, 1, outer - 1, outer, 0.1, 0.5), grid, (f.lo, f.hi))
+        asn = assign_cubes(AveragingThresholds(1.0, 1, outer - 1, outer, 0.1, 0.5), grid)
         A = dyadic_average(f, asn)
         assert p1_p2_check(asn, A).p1_sup == _axis_mask_p1(asn, A) > 0
         # a spike on the closed region's edge is inside; one sample further
@@ -647,7 +671,7 @@ def test_assignment_matches_row_sort_oracle_large():
     grid = Grid(halfwidth=2048.0, spacing=2.0**-7)  # 524,289 samples
     f = member_by_name("bump-narrow").build(grid)
     th = choose_thresholds(f, eps=0.55, rho=RHO0, osc_fraction=0.25)
-    asn = assign_cubes(th, grid, (f.lo, f.hi))
+    asn = assign_cubes(th, grid)
     assert asn.n_cubes > 1000
     _assert_matches_oracle(f, asn)
 
@@ -661,7 +685,7 @@ def test_assignment_runs_at_pipeline_small_geometry():
         eps=0.235, fine_exponent=5, core_exponent=10, outer_exponent=10,
         osc_bound=0.125 * 0.235, size_bound=0.5 * 0.235,
     )
-    asn = assign_cubes(th, grid, (0, 0))
+    asn = assign_cubes(th, grid)
     _assert_position_order(asn)
     levels, _, counts = cube_tiling(asn)
     assert int(np.sum(counts)) == grid.size
@@ -699,7 +723,7 @@ def test_assignment_matches_oracle_for_every_threshold(halfwidth, spacing, count
     f = GridFunction.from_callable(grid, lambda x: np.sin(3.0 * x) + x**2 / halfwidth)
     n = 0
     for th in _swept_thresholds(grid):
-        asn = assign_cubes(th, grid, (f.lo, f.hi))
+        asn = assign_cubes(th, grid)
         _assert_position_order(asn)
         _assert_matches_oracle(f, asn)
         n += 1
@@ -711,10 +735,10 @@ def test_assignment_rejects_core_below_minus_fine_minus_one(pipeline_grid):
     for fine, core in ((2, -4), (3, -5)):
         th = AveragingThresholds(1.0, fine, core, 4, 0.1, 0.5)
         with pytest.raises(ConfigError, match=r"J = -\d+ outside \[-I-1, a\]"):
-            assign_cubes(th, pipeline_grid, (0, 0))
+            assign_cubes(th, pipeline_grid)
     # a core beyond the box (J > a) is rejected as well
     with pytest.raises(ConfigError, match="outside"):
-        assign_cubes(AveragingThresholds(1.0, 2, 9, 4, 0.1, 0.5), pipeline_grid, (0, 0))
+        assign_cubes(AveragingThresholds(1.0, 2, 9, 4, 0.1, 0.5), pipeline_grid)
 
 
 def test_assignment_memory_is_independent_of_sample_count():
@@ -722,7 +746,7 @@ def test_assignment_memory_is_independent_of_sample_count():
     th = AveragingThresholds(1.0, 0, 3, 5, 0.1, 0.5)
     tracemalloc.start()
     try:
-        asn = assign_cubes(th, grid, (0, 0))
+        asn = assign_cubes(th, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -823,7 +847,7 @@ def test_pipeline_stages_allocate_no_sample_sized_array():
     peaks = {}
     tracemalloc.start()
     try:
-        asg, peaks["assign_cubes"] = _stage_peak(lambda: assign_cubes(th, grid, (f.lo, f.hi)))
+        asg, peaks["assign_cubes"] = _stage_peak(lambda: assign_cubes(th, grid))
         A, peaks["dyadic_average"] = _stage_peak(lambda: dyadic_average(f, asg))
         gate, peaks["p1_p2_check"] = _stage_peak(lambda: p1_p2_check(asg, A))
         one, peaks["const-one build"] = _stage_peak(lambda: member_by_name("const-one").build(grid))

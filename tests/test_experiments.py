@@ -221,7 +221,8 @@ def test_plan_holds_what_the_scenario_declares(sid):
     assert (plan.grid is not None) == ("halfwidth" in spec.kinds)
     assert (plan.family is not None) == (spec.family is not None)
     assert (plan.op is not None) == spec.operator
-    assert (plan.ladder is not None) == (spec.operator or spec.ladder is not None)
+    # the default t-ladder goes to a box scan only; bmo-norms has an operator and no ladder
+    assert (plan.ladder is not None) == (spec.boxes or spec.ladder is not None)
     # the plan takes out every key it reads itself; the runner reads the rest
     assert not {"halfwidth", "spacing", "stride", "radius_max", "distance_max", "family"} & set(plan.params)
 
@@ -785,11 +786,10 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box,
     seen = {}
     assign, average, mollify = reports.assign_cubes, reports.dyadic_average, reports.mollify
 
-    def widened(th, grid, window):
+    def widened(th, grid):
         # the assignment needs 2^(M+3) <= X, so tile with the scan's own M
-        # and only then move the outer exponent out to the box; it holds
-        # every cube, as the gates read the dense A made below
-        asg = assign(th, grid, (0, grid.size))
+        # and only then move the outer exponent out to the box
+        asg = assign(th, grid)
         if outer_below_box is None:
             return asg
         a = round(math.log2(grid.halfwidth))
@@ -962,6 +962,7 @@ _BAD_RHO_SLOPE = {"id": "rho-slope", "name": "bad", "points": 6}
 # radii h, 2h and 32h on the corpus grid (h = 2^-6): h has the one ladder
 # scale t_1 = h at or below it, 2h has five
 _ONE_SLICE_FAMILY = {"center_stride": 0.5, "radii": [0.015625, 0.03125, 0.5]}
+_PAST_LADDER_FAMILY = {"center_stride": 0.5, "radius_min": 0.125, "radius_max": 8.0}
 
 
 @pytest.mark.parametrize(
@@ -1045,9 +1046,9 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
         # boxes that are not 2^a at spacing 2^-p
         (("halfwidth", "spacing"), {"id": "approximation-pipeline", "halfwidth": 100.0, "spacing": 0.00390625}),
         (("halfwidth", "spacing"), {"id": "averaging-pipeline", "halfwidth": 96.0}),
-        # family radii past the default t-ladder's top X/4 = 4
-        *[(("family",), {"id": sid, "family": {"center_stride": 0.5, "radius_min": 0.125, "radius_max": 8.0}})
-          for sid in ("bmo-norms", "tent-norms", "square-function-agreement", "extension-agreement")],
+        # family radii past the default t-ladder's top X/4 = 4 on a box scan
+        *[(("family",), {"id": sid, "family": _PAST_LADDER_FAMILY})
+          for sid in ("tent-norms", "square-function-agreement", "extension-agreement")],
         # a radius h on the corpus grid has the one scale t_1 = h under it:
         # a box scan's dt/t trapezoid has nothing to weigh
         *[(("family",), {"id": sid, "family": _ONE_SLICE_FAMILY})
@@ -1056,7 +1057,7 @@ def test_cli_rejects_a_bad_scenario_before_running(key, scenario, tmp_path, caps
     ids=["bmo-radius_max-100", "tent-empty-ladder", "bmo-radii-and-ladder", "lacunary-stride-off-lattice", "tent-over-op_cap",
          "pairing-t_min-above-t_max", "pairing-t_min--1", "rho-slope-x-range", "pipeline-box-not-dyadic",
          "averaging-box-not-dyadic",
-         "bmo-radius-past-ladder", "tent-radius-past-ladder", "square-radius-past-ladder",
+         "tent-radius-past-ladder", "square-radius-past-ladder",
          "extension-radius-past-ladder", "tent-radius-one-slice", "square-radius-one-slice",
          "extension-radius-one-slice"],
 )
@@ -1111,10 +1112,27 @@ def test_runner_error_names_its_scenario(tmp_path, capsys):
     assert (tmp_path / "o" / "averaging-pipeline").is_dir()
 
 
-def test_bmo_norms_plans_a_radius_with_one_ladder_scale_under_it():
-    # the semigroup oscillation reads no dt/t trapezoid, so radius h stays
-    (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms", "family": _ONE_SLICE_FAMILY}]})
-    assert plan.ladder.box_slices(0.015625) == 1 and plan.ladder.box_slices(0.03125) == 5
+def test_bmo_norms_plans_no_ladder_and_keeps_every_radius():
+    # the semigroup oscillation takes e^{-r sqrt(L)} at each radius and reads
+    # no dt/t trapezoid, so bmo-norms plans no t-ladder: radius h, with one
+    # default-ladder scale under it, and radii past the ladder's top X/4 = 4
+    # stay
+    for family, radii in ((_ONE_SLICE_FAMILY, [0.015625, 0.03125, 0.5]),
+                          (_PAST_LADDER_FAMILY, [0.125 * 2**k for k in range(7)])):
+        (plan,) = plan_scenarios({"scenarios": [{"id": "bmo-norms", "family": family}]})
+        assert plan.ladder is None and plan.op is not None
+        assert [b.radius for b in plan.family.blocks] == radii
+
+
+def test_bmo_norms_runs_radii_past_the_default_ladder(tmp_path, capsys):
+    # refused while the plan built the default t-ladder for bmo-norms, which
+    # only the ladder's coverage check read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "bmo-norms", "family": _PAST_LADDER_FAMILY}]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "config error" not in capsys.readouterr().err
+    frag = json.loads((tmp_path / "o" / "summary.json").read_text())["scenarios"]["bmo-norms"]
+    assert frag["tilde_bmo_l"] > 0 and math.isfinite(frag["tilde_bmo_l"])
 
 
 _SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
@@ -1174,16 +1192,19 @@ def test_plan_rejects_centers_off_the_lattice():
         _plan(**scenario)
 
 
-@pytest.mark.parametrize("scenario, builds", [({"id": "reproducing-pairing"}, 0), ({"id": "bmo-norms"}, 1)])
+@pytest.mark.parametrize("scenario, builds", [({"id": "reproducing-pairing"}, 0), ({"id": "tent-norms"}, 1),
+                                              ({"id": "bmo-norms"}, 0)])
 def test_default_ladder_is_built_only_without_a_ladder_rule(monkeypatch, scenario, builds):
     # the pairing's record gives its own t-ladder, so the plan builds no
-    # default ladder for it; bmo-norms reads the default one
+    # default ladder for it; tent-norms scans Carleson boxes and reads the
+    # default one; bmo-norms scans none and has no ladder
     from oscillab import experiments
 
     calls, original = [], experiments.default_ladder
     monkeypatch.setattr(experiments, "default_ladder", lambda grid, *a: calls.append(grid) or original(grid, *a))
     (plan,) = plan_scenarios({"scenarios": [scenario]})
-    assert len(calls) == builds and plan.op is not None and plan.ladder is not None
+    assert len(calls) == builds and plan.op is not None
+    assert (plan.ladder is None) == (scenario["id"] == "bmo-norms")
 
 
 def test_plans_share_one_object_per_geometry():
@@ -1207,8 +1228,9 @@ def test_plans_share_one_object_per_geometry():
 
 
 def test_default_ladder_is_built_while_planning_only(monkeypatch, tmp_path):
-    # every operator scenario reads its t-ladder off its plan: one ladder
-    # per grid, built next to the operator, and none while running
+    # every box-scanning scenario reads its t-ladder off its plan: one
+    # ladder per grid, built next to the operator, and none while running;
+    # bmo-norms builds none, on either grid
     from oscillab import experiments
 
     original_plan, original_ladder = experiments.plan_scenarios, experiments.default_ladder
@@ -1236,10 +1258,11 @@ def test_default_ladder_is_built_while_planning_only(monkeypatch, tmp_path):
         {"id": "square-function-agreement", **members, **geometry},
         {"id": "extension-agreement", **members, **geometry},
         {"id": "bmo-norms", "name": "bmo-norms-corpus-grid", "member": "eigenvector"},
+        {"id": "tent-norms", "name": "tent-norms-corpus-grid", "member": "eigenvector"},
     ]}
     summary = run(doc, str(tmp_path))
     assert set(summary["scenarios"]) == {"bmo-norms", "tent-norms", "reproducing-pairing", "square-function-agreement",
-                                         "extension-agreement", "bmo-norms-corpus-grid"}
+                                         "extension-agreement", "bmo-norms-corpus-grid", "tent-norms-corpus-grid"}
     assert [planned for _, planned in calls] == [True, True]
     assert calls[0][0] == Grid(**geometry) and calls[1][0] != calls[0][0]
 

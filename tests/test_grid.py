@@ -155,13 +155,15 @@ def test_table_ball_average_matches_naive(m, ci, seed):
 
 
 def _check_rows(g, table, rows, lo, run, m, square):
-    """A table of a two-row stack, and the read of its first row, give each
-    row's ball sums bit for bit as a one-row table of that row (or of its
-    squares)."""
+    """A table of a two-row stack, the read of a slice of its rows and the
+    read of one row give each row's ball sums bit for bit as a one-row
+    table of that row (or of its squares)."""
     got = table.ball_sum(run, m)
     for j, row in enumerate(rows):
         assert np.array_equal(got[j], SummedTable(g, [(lo, row**2 if square else row)]).ball_sum(run, m))
-    assert np.array_equal(table.ball_sum(run, m, rows=1), got[:1])
+    assert np.array_equal(table.ball_sum(run, m, rows=slice(1)), got[:1])
+    assert np.array_equal(table.ball_sum(run, m, rows=1), got[1])
+    assert np.array_equal(table.prefix(run.start, len(run), run.step, rows=1), table.prefix(run.start, len(run), run.step)[1])
 
 
 @given(

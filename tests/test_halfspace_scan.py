@@ -18,7 +18,7 @@ from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, LadderError
 from oscillab.experiments import plan_scenarios
 from oscillab.family import PLAIN_MODES, BallValues, bucketed_sup
-from oscillab.grid import GridFunction
+from oscillab.grid import GridFunction, SummedTable
 from oscillab import semigroup
 from oscillab.oscillation import semigroup_difference_values
 from oscillab.semigroup import (
@@ -179,18 +179,21 @@ def test_one_scan_matches_the_scan_per_reduction_oracle(name, grid16, op16, corp
     )
 
 
-@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("rows", [1, 4, 6])
 @pytest.mark.parametrize("name", ["gaussian", "eigenvector"])
 def test_difference_values_do_not_depend_on_the_radius_grouping(rows, name, grid16, op16, corpus_family, monkeypatch):
     # the corpus family's 6 radii are one group by default; rows radius
-    # rows per group splits them into 6, or 4 + 2
+    # rows per group splits them into 6, or 4 + 2, or keeps them one, and
+    # each group's differences are squared into one table
+    tables = -(-len(corpus_family.blocks) // rows)
     monkeypatch.setattr(semigroup, "_LADDER_BLOCK_BYTES", rows * 16 * (op16.interior_count + 1))
     ladder = default_ladder(grid16)
     f = member_by_name(name).build(grid16)
-    assert _same(
-        semigroup_difference_values(f, op16, corpus_family),
-        _old_semigroup_difference_values(f, op16, corpus_family, ladder),
-    )
+    builds, original = [], SummedTable.__init__
+    monkeypatch.setattr(SummedTable, "__init__", lambda self, *a, **k: builds.append(a) or original(self, *a, **k))
+    got = semigroup_difference_values(f, op16, corpus_family)
+    assert len(builds) == tables
+    assert _same(got, _old_semigroup_difference_values(f, op16, corpus_family, ladder))
 
 
 # ---------------------------------------------------------------------------

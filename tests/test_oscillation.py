@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillab import grid, oscillation, tent
+from oscillab import grid, oscillation, semigroup
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ConfigError, OutOfDomainError
 from oscillab.experiments import plan_scenarios
@@ -183,7 +183,7 @@ def no_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a prefix table was allocated")
 
-    for mod in (grid, oscillation, tent):
+    for mod in (grid, oscillation, semigroup):
         monkeypatch.setattr(mod, "SummedTable", refuse)
 
 

@@ -44,7 +44,6 @@ ALLOWED = {
     "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
     "family.py:BallFamily.centers": ("tracer", "the family.distinct_centers counter and the family_stats digest"),
     "family.py:BallFamily.radii": ("tracer", "the family_stats counter digests the radii"),
-    "potential.py:_power_mass_radial.integrand": ("config", 'the n = 2 integrand: a rho-slope with "n": 2 and "exponent"'),
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),
 }
 

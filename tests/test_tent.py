@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oscillab.errors import ConfigError, LadderError, OutOfDomainError
 from oscillab.family import FamilyPolicy, make_ball_family
-from oscillab.grid import Ball, Grid, GridFunction
+from oscillab.grid import Ball, Grid, GridFunction, SummedTable
 from oscillab.potential import constant_potential
 from oscillab.semigroup import (
     HalfSpaceFunction,
@@ -151,6 +151,20 @@ def test_cone_constant_end_reads_equal_the_clipped_cones(seed, top):
     assert np.array_equal(cone.values, values)
     assert np.array_equal(cone.truncated, truncated)
     assert np.count_nonzero(truncated) == (6 if top == 1.0 else g.size)
+
+
+def test_cone_after_the_box_scan_builds_no_table(small_grid, monkeypatch):
+    # the field holds one |F|^2 table, a row per slice: the box scan builds
+    # it and the cone reads its rows
+    F = _random_field(small_grid, TLadder(np.array([0.25, 0.5, 1.0, 2.0])), seed=3)
+    fam = make_ball_family(small_grid, FamilyPolicy(center_stride=2.0, radii=(0.5, 2.0)))
+    builds, original = [], SummedTable.__init__
+    monkeypatch.setattr(SummedTable, "__init__", lambda self, *a, **k: builds.append(a) or original(self, *a, **k))
+    family_box_values(F, fam)
+    cone = cone_square_function(F)
+    assert len(builds) == 1
+    values, truncated = clipped_cone_square_function(F)
+    assert np.array_equal(cone.values, values) and np.array_equal(cone.truncated, truncated)
 
 
 def test_t2p_norm_validation(small_grid):

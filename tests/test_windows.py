@@ -8,9 +8,9 @@ every corpus member at the corpus grid and at the pipeline-small
 geometry; and they check that a window one sample short shows.  The
 constants are declared: an empty window over a background b, which the
 scans read in closed form.  The assignment holds the cube tiling as its
-regions and per-cube data only around f's window; the tiling, the
-averages and the gates are compared with the whole tiling expanded from
-the regions.
+regions alone, and each reader takes the cubes around its own function's
+window; the tiling, the averages and the gates are compared with the
+whole tiling expanded from the regions.
 """
 
 import functools
@@ -92,14 +92,14 @@ def _thresholds(f: GridFunction, eps: float):
         return str(e)
 
 
-def _tiling_mismatch(asg, window: tuple[int, int]) -> bool:
+def _tiling_mismatch(asg, f: GridFunction) -> bool:
     """Whether the region form differs from the whole tiling expanded from
     it: the cube count, the rows of assignment.csv, the bounds of the cubes
-    that meet the window and of one more cube on each side, and the
+    that meet f's hull and of one more cube on each side, and the
     whole-tiling quantities of the gates."""
     levels, corners, counts = cube_tiling(asg)
     ends = np.append(cube_starts(asg), asg.grid.size)
-    lo, hi = window
+    lo, hi = f.lo, f.hi
     if lo < hi:
         c0 = max(int(np.searchsorted(ends, lo, side="right")) - 2, 0)
         c1 = min(int(np.searchsorted(ends, hi, side="left")) + 1, levels.size)
@@ -110,7 +110,7 @@ def _tiling_mismatch(asg, window: tuple[int, int]) -> bool:
     gate = p1_p2_check(asg, GridFunction(asg.grid, np.empty(0), lo=0))
     return not (
         asg.n_cubes == levels.size
-        and np.array_equal(asg.bounds, want)
+        and np.array_equal(asg.bounds(f), want)
         and list(asg.cube_list()) == list(zip(levels[order].tolist(), corners[order].tolist()))
         and gate.n_adjacent_pairs == levels.size - 1
         and gate.size_ratio_ok == bool(np.all(np.abs(np.diff(levels)) <= 1))
@@ -122,7 +122,7 @@ def _mismatches(f: GridFunction, dense: GridFunction, geometry, stages=None) -> 
     differs from the oracle's on all the samples of dense."""
     grid, fam, th, t = geometry
     a, p = _dyadic_exponents(grid)
-    asg = assign_cubes(th, grid, (f.lo, f.hi))
+    asg = assign_cubes(th, grid)
     out = []
 
     def compared(name: str) -> bool:
@@ -155,7 +155,7 @@ def _mismatches(f: GridFunction, dense: GridFunction, geometry, stages=None) -> 
     if compared("choose_thresholds") and whole is not None:
         if _thresholds(f, 0.3) != _thresholds(whole, 0.3):
             out.append("choose_thresholds")
-    if compared("tiling") and _tiling_mismatch(asg, (f.lo, f.hi)):
+    if compared("tiling") and _tiling_mismatch(asg, f):
         out.append("tiling")
     if compared("dyadic_average"):
         A = dyadic_average(f, asg)
@@ -273,7 +273,7 @@ def test_declared_constants_scan_as_their_dense_samples(member, geometry):
     message = _thresholds(f, 0.3)
     assert isinstance(message, str) and message == _thresholds(dense, 0.3)
     # a constant is its own average, and the differences with it are dense
-    assert dyadic_average(f, assign_cubes(th, grid, (f.lo, f.hi))) is f
+    assert dyadic_average(f, assign_cubes(th, grid)) is f
     g = member_by_name("bump-narrow").build(grid)
     for diff, diff_dense in ((g - f, g - dense), (f - g, dense - g)):
         assert (diff.lo, diff.hi) == (diff_dense.lo, diff_dense.hi) and _same(diff.values, diff_dense.values)
