@@ -31,7 +31,7 @@ from .oscillation import SplitNormReport, bmo_l_norm, bmo_norm, family_stats, os
 from .potential import Potential, check_bracket_floor, constant_potential, power_potential
 from .reports import (
     RHO_CONSTANT_UNIT, RHO_SLOPE_X_MAX, RHO_SLOPE_X_MIN, AgreementReport, _average_member, _bump_window,
-    _check_lacunary_reach, _nonzero, _verdict_dict, _verdict_map,
+    _check_lacunary_box, _nonzero, _verdict_dict, _verdict_map,
     exp_extension_agreement, exp_lacunary, exp_pipeline, exp_rho_slope, exp_square_membership,
 )
 from .semigroup import DEFAULT_OP_CAP, SpectralOperator, TLadder, default_ladder, square_function_field
@@ -557,7 +557,7 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         **dict.fromkeys(("tol_fraction", "floor_factor"), _NONNEGATIVE),
         "decay_factor": _POSITIVE,
     }, _run_lacunary,
-        checks=(("'k_max' and 'halfwidth'", lambda p, grid: _check_lacunary_reach(grid, p["k_max"])),
+        checks=(("'k_max' and 'halfwidth'", lambda p, grid: _check_lacunary_box(grid, p["k_max"])),
                 ("'spacing'", lambda p, grid: _bump_window(grid.spacing))),  # the bump's own h < width/4 check
         family=("'stride', 'radius_max' and 'distance_max'", _stride_family),
         family_checks=(("'exponent' and 'amplitude'", _lacunary_potential),),

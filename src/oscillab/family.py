@@ -8,8 +8,9 @@ which is not the same as a zero supremum.
 A family is its radius blocks over one lattice, a range of sample
 indices: each block holds its cell radius and the run of the lattice it
 is centered on.  Nothing is stored per ball or per center, and
-critical-radius data is a scalar rho or one reach per block: the
-supercritical balls of a block are those with |c| below its reach, one
+critical-radius data is one reach per block, a count of samples, or a
+scalar rho read as such: the supercritical balls of a block are those
+whose center lies fewer samples from the origin's than its reach, one
 run of the block.  A ball's bucket is constant over a block in the
 radius modes, and in the distance modes its key |c| - r descends over a
 block's negative centers and ascends over the rest.  A curve is
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
-from .grid import Ball, Grid, _first_false, segment_sups
+from .grid import Ball, Grid, _first_false, _positions_below, segment_sups
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -88,11 +89,11 @@ class BallFamily:
     count) and kept as RadiusBlock: the balls of radius m h about the
     centers lattice[offset : offset + count].  The family is the blocks'
     balls in order, so the balls of one block are a contiguous slice of
-    it; critical-radius data is a scalar rho or one reach per block
-    (supercritical_spans).  radius_ladder and distance_ladder are the
-    cutoff ladders used by bucketed_sup; the distance modes key a ball by
-    its inner distance |c| - r, the largest a such that the ball avoids
-    B(0, a).
+    it; critical-radius data is a scalar rho or one reach per block, a
+    count of samples (supercritical_spans).  radius_ladder and
+    distance_ladder are the cutoff ladders used by bucketed_sup; the
+    distance modes key a ball by its inner distance |c| - r, the largest a
+    such that the ball avoids B(0, a).
 
     A lattice that is not such a range, and a block with no positive cell
     radius, no ball or a run past the lattice, raise ConfigError; a block
@@ -215,37 +216,23 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
 def supercritical_spans(family: BallFamily, rho):
     """(block, a, b) per radius block in family order: the block's
     supercritical balls, r >= rho(center) (ties count), are the balls
-    a .. b - 1.  rho is one reach per block, as critical_reach gives it, or
-    a scalar critical radius, possibly +inf (never supercritical), whose
-    blocks are supercritical whole or not at all: an empty span sits after
-    the block's centers c <= 0, where a reach of 0 puts it.
-    A block's supercritical centers are those with |c| below its reach,
-    which the ascending centers hold as one run: -reach < c < reach."""
+    a .. b - 1.  rho is one reach per block, as critical_reach gives it, a
+    count of samples: the centers n0 - reach < i < n0 + reach, one run.  A
+    scalar rho is a critical radius, possibly +inf, read as the reach
+    grid.size (r >= rho) or 0.  An empty span sits after the centers i <= n0."""
     if rho is None:
         raise ConfigError("critical-radius data is required here")
-    rho = np.asarray(rho, dtype=np.float64)
-    blocks = family.blocks
-    if rho.ndim == 0:
-        n0 = family.grid.half_cells
-        for b in blocks:
-            if b.radius >= rho:
-                yield b, b.start, b.stop
-            else:
-                a = b.start + len(range(b.run.start, min(b.run.stop, n0 + 1), b.run.step))
-                yield b, a, a
-        return
-    if rho.shape != (len(blocks),):
-        raise ConfigError("critical-radius reaches do not match the family's radius blocks")
-    low, block = (a.ravel() for a in np.meshgrid([True, False], np.arange(len(blocks)), indexing="ij"))
-    edge, count = np.where(low, -rho[block], rho[block]), np.array([b.count for b in blocks] * 2)
-
-    def before(j, i):
-        c = _centers(family, block[i], j)
-        return np.where(low[i], c <= edge[i], c < edge[i])
-
-    a, z = _first_false(before, np.zeros_like(count), count).reshape(2, -1)
-    for b, p, q in zip(blocks, a.tolist(), np.maximum(a, z).tolist()):
-        yield b, b.start + p, b.start + q
+    blocks, n0 = family.blocks, family.grid.half_cells
+    if np.ndim(rho) == 0:
+        reach = [family.grid.size if b.radius >= rho else 0 for b in blocks]
+    else:
+        reach = np.asarray(rho)
+        if reach.shape != (len(blocks),) or reach.dtype.kind not in "iu" or np.any(reach < 0):
+            raise ConfigError("critical-radius reaches are not one non-negative integer per radius block")
+        reach = reach.tolist()
+    for b, d in zip(blocks, reach):
+        a = b.start + _positions_below(b.run, n0 - d + 1)
+        yield b, a, max(a, b.start + _positions_below(b.run, n0 + d))
 
 
 @dataclass(frozen=True)
@@ -421,10 +408,10 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     """Supremum of a per-ball metric within each bucket of its family's own
     ladder (distance_ladder for the distance modes, else radius_ladder).
 
-    rho: critical-radius data, a scalar or one reach per radius block
-    (supercritical_spans); required by the supercritical modes, where a
-    ball qualifies only if r >= rho(center).  A scalar rho may be +inf (no
-    ball qualifies).
+    rho: critical-radius data, a scalar or one reach per radius block, a
+    count of samples (supercritical_spans); required by the supercritical
+    modes, where a ball qualifies only if r >= rho(center).  A scalar rho
+    may be +inf (no ball qualifies).
 
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still

@@ -143,6 +143,11 @@ def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi[i] = np.where(ok, hi[i], j)
 
 
+def _positions_below(run: range, i: int) -> int:
+    """How many positions of run (a positive step) hold an index below i."""
+    return min(max(-((run.start - i) // run.step), 0), len(run))
+
+
 def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
     """[a, b): from the first to past the last sample of v whose bits are
     not those of +0.0 (so -0.0 counts), or (0, 0) when there is none."""
@@ -379,11 +384,9 @@ class SummedTable:
         meet a piece [lo, hi), c in [lo - m + 1, hi + m - 1): ascending,
         disjoint slices of run, one per piece, merged where they overlap or
         touch."""
-        m, start, step = int(cell_radius), run.start, run.step
-        out = []
+        m, out = int(cell_radius), []
         for lo, hi in self._spans:
-            first = min(max(-((start - (lo - m + 1)) // step), 0), len(run))  # ceil((lo - m + 1 - start) / step)
-            end = min(max(-((start - (hi + m - 1)) // step), 0), len(run))
+            first, end = _positions_below(run, lo - m + 1), _positions_below(run, hi + m - 1)
             if first < end:
                 if out and first <= out[-1].stop:
                     out[-1] = range(out[-1].start, end)

@@ -145,11 +145,11 @@ def bmo_l_norm(stats: FamilyStats, rho) -> SplitNormReport:
     """Critical-radius-adapted norm over the scanned family: sup
     oscillation over balls with r < rho(center) plus sup mean size over
     balls with r >= rho(center) (ties count as supercritical).  rho is a
-    scalar, possibly +inf (no size part), or one reach per radius block
-    (supercritical_spans).  Each block's supercritical balls are one run,
-    so the blocks' (start, a, b) cut the family into segments that are
-    by turns subcritical, supercritical and subcritical, and each part is
-    one first_sup over them."""
+    scalar, possibly +inf (no size part), or one reach per radius block, a
+    count of samples (supercritical_spans).  Each block's supercritical
+    balls are one run, so the blocks' (start, a, b) cut the family into
+    segments that are by turns subcritical, supercritical and subcritical,
+    and each part is one first_sup over them."""
     spans = supercritical_spans(stats.family, rho)
     cuts = np.array([x for block, a, b in spans for x in (block.start, a, b)] + [len(stats.family)])
     sub = np.arange(cuts.size - 1) % 3 != 1

@@ -27,9 +27,10 @@ Both kinds are even in x and, in |x|, constant or decreasing, so a ball
 of radius R about x holds less mass the farther x lies from the origin:
 I(x, R) is nonincreasing and rho nondecreasing in |x|.  The supercritical
 balls of one radius are therefore those with |x| below one threshold,
-and critical_reach finds it by a binary search over the distinct |x| of
-a lattice of centers, one run that it reads only where it probes, solving
-rho only either side of the threshold, not at every center.
+and critical_reach finds it, as a count of samples from the origin's, by
+a binary search over the distinct |x| of a lattice of centers, one run
+that it reads only where it probes, solving rho only either side of the
+threshold, not at every center.
 """
 
 from __future__ import annotations
@@ -280,11 +281,12 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
 
 def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarray:
     """The reach of each radius R over the centers at the sample indices
-    lattice of grid: the smallest of their distinct |x| at which R <
-    rho(x), or +inf where R >= rho at all of them.  rho is the critical
-    radius as solve_critical_radius gives it, and, rho being nondecreasing
-    in |x| (module docstring), a ball of radius R about a center x is
-    supercritical, R >= rho(x), exactly when |x| is below R's reach.
+    lattice of grid, an integer array: the sample distance |i - n0| of the
+    first of their distinct |x| at which R < rho(x), or grid.size where R
+    >= rho at all of them.  rho is the critical radius as
+    solve_critical_radius gives it, and, rho being nondecreasing in |x|
+    (module docstring), a ball of radius R about the center at sample i is
+    supercritical, R >= rho(x), exactly when |i - n0| is below R's reach.
 
     For n0 the origin's sample and s the lattice's step, the distinct
     |i - n0| are one run at step s, d[j] = (nearest + j s) h up to the
@@ -322,7 +324,7 @@ def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarra
         return grid.coords(n0 + nearest + s * j)
 
     if V.is_zero():
-        return np.full(r.size, d(0))
+        return np.full(r.size, nearest)
     check_bracket_floor(V, d(0))
 
     def supercritical(j, i):
@@ -342,4 +344,4 @@ def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarra
         raise BracketError(f"solved rho falls from |x| = {d(k[i] - 1)} to {d(k[i])} across radius {r[i]}")
     k = _first_false(supercritical, np.where(high_ok, np.where(low_ok, k, 0), k + 1),
                      np.where(high_ok, np.where(low_ok, k, k - 1), n))
-    return np.where(k < n, d(np.minimum(k, n - 1)), np.inf)
+    return np.where(k < n, nearest + s * k, grid.size)

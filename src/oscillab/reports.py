@@ -56,14 +56,14 @@ def _nonzero(potential: Potential) -> Potential:
     return potential
 
 
-def _check_lacunary_reach(grid: Grid, k_max: int) -> None:
+def _check_lacunary_box(grid: Grid, k_max: int) -> None:
     """Raise ConfigError unless k_max >= 1 and grid covers the bump at 3^k_max."""
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    reach = 3.0**k_max + _BUMP_WIDTH + 1.0
-    if grid.halfwidth < reach:
+    need = 3.0**k_max + _BUMP_WIDTH + 1.0
+    if grid.halfwidth < need:
         raise ConfigError(
-            f"grid halfwidth {grid.halfwidth} does not cover the outermost bump (need >= {reach})"
+            f"grid halfwidth {grid.halfwidth} does not cover the outermost bump (need >= {need})"
         )
 
 
@@ -80,7 +80,7 @@ def _bump_window(h: float) -> tuple[np.ndarray, np.ndarray]:
 def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
     """Sum of unit-mass bumps at 3^k, k = 1..k_max, each the same sampled
     kernel, held as one piece per bump."""
-    _check_lacunary_reach(grid, k_max)
+    _check_lacunary_box(grid, k_max)
     win, koff = _bump_window(grid.spacing)
     at = [int(grid.coord_to_index(3.0**k)) + int(koff[0]) for k in range(1, k_max + 1)]
     return GridFunction.from_pieces(grid, [(lo, win) for lo in at])
@@ -199,7 +199,7 @@ def exp_lacunary(
     # the oscillation of one bump over B(0, 1), whose samples are its window
     floor_ref = oscillation_of(_bump_window(fam.grid.spacing)[0])
 
-    # the supercritical balls of each radius block: |center| below its reach
+    # the supercritical balls of each radius block: centers within its reach, in samples
     reach = critical_reach(V, fam.grid, fam.lattice, [b.radius for b in fam.blocks])
     st = family_stats(f, fam)
     norm = bmo_l_norm(st, reach)

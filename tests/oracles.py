@@ -576,13 +576,14 @@ def sorted_segment_plan(family, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sorted_supercritical_spans(family, reach) -> list[tuple[int, int]]:
-    """supercritical_spans's (a, b) per block for one reach per block, by
-    a searchsorted over each block's centers, an array of the lattice's coordinates."""
-    xs, spans = family.grid.coords(family.lattice), []
+    """supercritical_spans's (a, b) per block for one reach per block, a
+    count of samples, by a searchsorted over each block's sample indices
+    for n0 - reach < i < n0 + reach."""
+    n0, spans = family.grid.half_cells, []
     for b, r in zip(family.blocks, reach):
-        c = xs[family.lattice.index(b.run.start) :][: b.count]
-        a = int(np.searchsorted(c, -r, side="right"))
-        spans.append((b.start + a, b.start + max(a, int(np.searchsorted(c, r)))))
+        i = np.asarray(b.run)
+        a = int(np.searchsorted(i, n0 - r, side="right"))
+        spans.append((b.start + a, b.start + max(a, int(np.searchsorted(i, n0 + r)))))
     return spans
 
 
@@ -595,9 +596,11 @@ def supercritical_mask(family, rho) -> np.ndarray:
 
 
 def reach_mask(family, reach) -> np.ndarray:
-    """Per family ball, |center| below the reach of its radius block."""
-    per_ball = np.repeat(np.asarray(reach, dtype=np.float64), [b.count for b in family.blocks])
-    return np.abs(family.centers[:, 0]) < per_ball
+    """Per family ball, its center's sample distance |i - n0| to the
+    origin's below the reach of its radius block."""
+    per_ball = np.repeat(np.asarray(reach), [b.count for b in family.blocks])
+    i = np.concatenate([np.asarray(b.run) for b in family.blocks])
+    return np.abs(i - family.grid.half_cells) < per_ball
 
 
 _DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
@@ -649,8 +652,9 @@ def dense_bmo_l_norm(stats, supercritical: np.ndarray) -> SplitNormReport:
 def naive_sup_reductions(osc: np.ndarray, size: np.ndarray, family, rho):
     """bmo_norm, bmo_l_norm and the five curves of oscillation_curves from
     one value per ball, ball by ball: a ball is supercritical when its
-    radius reaches rho at its center (rho a scalar) or its |center| lies
-    below its block's reach (rho one reach per block); a norm is the
+    radius reaches rho at its center (rho a scalar) or its center's
+    sample distance to the origin's lies below its block's reach (rho one
+    reach per block); a norm is the
     first-index argmax over its balls; a curve puts each ball in the
     bucket of the cutoff nearest the limit at which its key (radius, or
     inner distance |c| - r) still qualifies, and a cutoff takes the balls

@@ -19,6 +19,7 @@ from oscillab.family import (
     supercritical_spans,
 )
 from oscillab.grid import Ball, Grid
+from oscillab.oscillation import FamilyStats, bmo_l_norm
 from oracles import (
     dense_bucketed_sup,
     dense_values,
@@ -94,11 +95,14 @@ def test_ball_reads_its_block():
 
 def test_supercritical_spans_are_the_radius_blocks():
     # one span per radius block, within it: a scalar rho keeps or drops the
-    # block whole; a reach per block keeps the balls with |c| below it, one
-    # run about the origin, a reach that ties a center's |c| leaving it out
+    # block whole; a reach per block, a count of samples, keeps the balls
+    # whose center lies fewer samples from the origin's, one run about the
+    # origin, a reach that ties a center's distance leaving it out.  The
+    # centers lie every 2 samples; the reaches tie |c| = 3 (12 samples) and
+    # 8 (32), sit one sample either side, or keep a block whole or drop it
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
-    reaches = [np.array([np.inf, 3.0, _up(3.0), 0.0]), np.array([0.25, _down(8.0), 1.0, np.inf])]
+    reaches = [np.array([g.size, 12, 13, 0]), np.array([1, 31, 4, g.size]), np.array([11, 33, 32, 0])]
     for rho in (2.0, _up(2.0), 0.0, np.inf, *reaches):
         spans = list(supercritical_spans(fam, rho))
         assert [b for b, *_ in spans] == list(fam.blocks)
@@ -109,6 +113,26 @@ def test_supercritical_spans_are_the_radius_blocks():
         want = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
         assert np.array_equal(keep, want)
     assert [z - a for _, a, z in supercritical_spans(fam, reaches[0])] == [59, 11, 13, 0]
+
+
+def test_a_reach_is_one_non_negative_integer_per_radius_block():
+    # a reach counts samples: a float reach (a coordinate, or +inf), a
+    # negative one, one per center or one too few is refused by the spans,
+    # the split norm and the supercritical curves alike
+    g = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
+    stats = FamilyStats(*(BallValues.whole(fam, np.ones(len(fam))) for _ in range(2)))
+    ok = np.array([g.size, 12, 0, 3])
+    assert len(list(supercritical_spans(fam, ok))) == len(fam.blocks)
+    bad = [ok.astype(np.float64), np.array([np.inf, 3.0, 0.0, 1.0]), np.array([5, -1, 0, 3]),
+           np.ones(len(fam.lattice), dtype=np.intp), ok[:-1], ok > 0]
+    for reach in bad:
+        with pytest.raises(ConfigError, match="not one non-negative integer per radius block"):
+            list(supercritical_spans(fam, reach))
+        with pytest.raises(ConfigError):
+            bmo_l_norm(stats, reach)
+        with pytest.raises(ConfigError):
+            bucketed_sup(stats.size, "far-and-supercritical", rho=reach)
 
 
 def test_hand_built_blocks_give_their_balls_in_order():
@@ -220,9 +244,9 @@ def test_supercritical_mode_needs_rho():
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0, 2.0)))
     assert len(fam.lattice) > len(fam.blocks)
     for k in (len(fam.lattice), len(fam.blocks) + 1):
-        with pytest.raises(ConfigError, match="do not match the family's radius blocks"):
-            bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.ones(k))
-    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.array([0.0, np.inf]))
+        with pytest.raises(ConfigError, match="not one non-negative integer per radius block"):
+            bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.ones(k, dtype=np.intp))
+    curve = bucketed_sup(BallValues.whole(fam, np.ones(len(fam))), "large-and-supercritical", rho=np.array([0, g.size]))
     assert curve.counts[0] == fam.blocks[1].count
 
 
@@ -292,10 +316,11 @@ def _down(x):
 
 
 def _reach_of(fam, rho):
-    """Per radius block, the smallest |x| among the centers at which the
-    block's radius is below rho, a per-center array nondecreasing in |x|."""
-    d = np.abs(fam.grid.coords(fam.lattice))
-    return np.array([np.min(d[b.radius < rho], initial=np.inf) for b in fam.blocks])
+    """Per radius block, the smallest sample distance |i - n0| among the
+    centers at which the block's radius is below rho, a per-center array
+    nondecreasing in |x|, or grid.size where there is none."""
+    d = np.abs(np.asarray(fam.lattice) - fam.grid.half_cells)
+    return np.array([np.min(d[b.radius < rho], initial=fam.grid.size) for b in fam.blocks])
 
 
 def _cutoff_with_edge(edge, factor):
@@ -322,17 +347,18 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     xs = np.arange(-(keys[-1] + h), keys[-1] + 2 * h, h)
     zero = int(np.searchsorted(xs, 0.0))
     blocks = [(1, 0, xs.size)] + [(round(k / h), zero, 1) for k in keys]
-    fam = hand_family(Grid(halfwidth=64.0, spacing=h), xs, blocks, ladder, ladder)
+    g = Grid(halfwidth=64.0, spacing=h)
+    fam = hand_family(g, xs, blocks, ladder, ladder)
     for k in keys:
         assert k in fam.radii and k in np.abs(fam.centers[:, 0]) - fam.radii
     metric = np.random.default_rng(7).uniform(size=len(fam))
-    # the probe block's reach at a key, whose centers |c| = k + h it ties,
-    # or one ulp either side; each ball at 0 kept (a reach one ulp above
-    # 0) or dropped (a reach of 0, which ties it)
+    # the probe block's reach at a key, whose centers |c| = k + h (k / h +
+    # 1 samples) it ties, or one sample either side; each ball at 0 kept (a
+    # reach of 1) or dropped (a reach of 0, which ties it)
     for k in keys:
-        for edge in (k + h, _up(k + h), _down(k + h)):
-            for at_zero in (0.0, _up(0.0)):
-                reach = np.array([edge] + [at_zero, np.inf, at_zero, np.inf])
+        for edge in (round(k / h) + 1, round(k / h) + 2, round(k / h)):
+            for at_zero in (0, 1):
+                reach = np.array([edge] + [at_zero, g.size, at_zero, g.size])
                 _assert_same_curves(metric, fam, reach)
     assert any(bucketed_sup(BallValues.whole(fam, metric), m, rho=reach).present.any() for m in MODES)
 
@@ -344,13 +370,15 @@ def test_bucketed_sup_matches_oracle_at_the_cutoff_edges():
     xs = np.arange(-5.0, 4.5, 0.5)
     blocks = [(4, 0, 7), (8, 10, 8), (12, 18, 1), (16, 8, 1)]
     assert [xs[o] for _, o, _ in blocks] == [-5.0, 0.0, 4.0, -1.0] and xs[6] == -2.0 and xs[17] == 3.5
-    # reaches that tie a center of each block, sit one ulp either side of
-    # it, keep a block whole or drop it; and the scalars of a tie and of +inf
+    # reaches that tie a center of each block (|c| = 3.5, 2, 4 and 1, in
+    # samples of 0.25), sit one sample either side of it, keep a block
+    # whole or drop it; and the scalars of a tie and of +inf
     metric = np.random.default_rng(8).uniform(size=sum(n for *_, n in blocks))
-    ties = np.array([3.5, 2.0, 4.0, 1.0])
-    reaches = [ties, _up(ties), _down(ties), np.array([np.inf, 0.0, np.inf, 0.0]), np.array([0.0, 0.5, 0.0, np.inf])]
+    g = Grid(halfwidth=8.0, spacing=0.25)
+    ties = np.array([14, 8, 16, 4])
+    reaches = [ties, ties + 1, ties - 1, np.array([g.size, 0, g.size, 0]), np.array([0, 2, 0, g.size])]
     for lad in ([0.5, 1.0, 2.0, 4.0], [50.0, 100.0], [1e-3, 2e-3]):
-        fam = hand_family(Grid(halfwidth=8.0, spacing=0.25), xs, blocks, lad, lad)
+        fam = hand_family(g, xs, blocks, lad, lad)
         assert [b.count for b in fam.blocks] == [7, 8, 1, 1]
         if lad[0] > 1:
             assert all(np.all(fam.segment_plan(m).buckets == 0) for m in MODES)
@@ -476,12 +504,13 @@ _SPACINGS = _DYADIC + (0.1, 0.3)
 
 
 def _reaches(data, fam):
-    """One reach per block: 0, +inf, a center's |c| (a tie), one ulp either
-    side of it, or a number in the box."""
-    xs, out = fam.grid.coords(fam.lattice), []
+    """One reach per block, a count of samples: 0, grid.size, a center's
+    sample distance |i - n0| (a tie), one sample either side of it, or a
+    count in the box."""
+    n0, out = fam.grid.half_cells, []
     for _ in fam.blocks:
-        d = abs(float(xs[data.draw(st.integers(0, xs.size - 1))]))
-        out.append(data.draw(st.sampled_from([0.0, math.inf, d, _up(d), _down(d), d / 3.0])))
+        d = abs(fam.lattice[data.draw(st.integers(0, len(fam.lattice) - 1))] - n0)
+        out.append(data.draw(st.sampled_from([0, fam.grid.size, d, d + 1, max(d - 1, 0), d // 3])))
     return np.array(out)
 
 
@@ -493,7 +522,7 @@ def _assert_plans_and_spans_match_the_oracle(fam, data):
     reach = _reaches(data, fam)
     assert [(a, z) for _, a, z in supercritical_spans(fam, reach)] == sorted_supercritical_spans(fam, reach)
     rho = float(data.draw(st.sampled_from(fam.radius_ladder.tolist() + [0.0, math.inf])))
-    whole = [math.inf if b.radius >= rho else 0.0 for b in fam.blocks]
+    whole = [fam.grid.size if b.radius >= rho else 0 for b in fam.blocks]
     assert [(a, z) for _, a, z in supercritical_spans(fam, rho)] == sorted_supercritical_spans(fam, whole)
 
 

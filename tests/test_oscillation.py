@@ -331,8 +331,9 @@ def test_split_norm_all_supercritical(small_family):
 def test_split_norm_matches_the_masked_sup_oracle():
     # values on a few levels, so the sup of each part ties across radius
     # blocks and the first attaining ball decides the argument; reaches
-    # that tie a center's |c|, sit one ulp either side of it, or keep or
-    # drop a block whole, and scalar rho at, between and beyond the radii
+    # that tie a center's sample distance to the origin's, sit one sample
+    # either side of it, or keep or drop a block whole, and scalar rho at,
+    # between and beyond the radii
     g = Grid(halfwidth=16.0, spacing=0.25)
     fam = make_ball_family(g, FamilyPolicy(center_stride=0.5, radius_min=1.0, radius_max=8.0))
     rng = np.random.default_rng(11)
@@ -348,8 +349,8 @@ def test_split_norm_matches_the_masked_sup_oracle():
         "held": FamilyStats(*(BallValues(fam, runs, h, float(v.max())) for h, v in zip(held, (osc, size)))),
     }
     assert any(0 < len(r) < b.count for r, b in zip(runs, fam.blocks))
-    ties = np.array([4.0, 2.5, 1.0, 0.5])
-    reaches = [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), np.array([np.inf, 0.0, np.inf, 0.0])]
+    ties = np.array([16, 10, 4, 2])  # |c| = 4, 2.5, 1 and 0.5
+    reaches = [ties, ties + 1, ties - 1, np.array([g.size, 0, g.size, 0])]
     for stats in stats_of.values():
         for rho in (*reaches, 0.0, 1.0, 3.0, 4.0, 8.0, 9.0, np.inf):
             mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)

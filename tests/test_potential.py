@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscillab import potential
 from oscillab.errors import BracketError, ConfigError
-from oscillab.family import FamilyPolicy, make_ball_family
+from oscillab.family import FamilyPolicy, make_ball_family, supercritical_spans
 from oscillab.grid import Grid
 from oscillab.potential import (
     RHO_CAP,
@@ -218,10 +218,10 @@ def test_normalized_mass_is_nondecreasing_in_the_radius(V):
 
 
 def _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii):
-    """critical_reach keeps, for each radius R, exactly the centers of
-    lattice with R >= rho(center), rho solved at every center; or both
-    raise BracketError."""
-    xs = grid.coords(lattice)
+    """critical_reach keeps, for each radius R, exactly the centers i of
+    lattice with |i - n0| below its reach, an integer, for which R >=
+    rho(center), rho solved at every center; or both raise BracketError."""
+    xs, d = grid.coords(lattice), np.abs(np.asarray(lattice) - grid.half_cells)
     try:
         rho = solve_critical_radius(V, xs[:, None]).values
     except BracketError:
@@ -229,10 +229,10 @@ def _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii):
             critical_reach(V, grid, lattice, radii)
         return None
     reach = critical_reach(V, grid, lattice, radii)
-    assert reach.shape == (len(radii),)
+    assert reach.shape == (len(radii),) and reach.dtype.kind == "i"
     for R, t in zip(radii, reach):
-        assert np.array_equal(np.abs(xs) < t, R >= rho), (R, t)
-        assert t == np.inf or t in np.abs(xs)
+        assert np.array_equal(d < t, R >= rho), (R, t)
+        assert t == grid.size or t in d
     return reach
 
 
@@ -285,6 +285,29 @@ def test_reach_is_the_solve_at_each_center(V, cells, stride, count, first, radiu
     _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii)
 
 
+@pytest.mark.parametrize("h", [2.0**-5, 0.1, 0.3])
+def test_reach_counts_samples_and_selects_the_centers_of_the_coordinates(h):
+    # a stride family of 1,331 centers 3 samples apart on a grid of spacing
+    # h, dyadic or not: the reach is an integer, and |i - n0| < reach keeps
+    # the centers that |c| < coords(n0 + reach) keeps, which are those of
+    # the solve at each center and those of the block's supercritical span
+    g = Grid(halfwidth=2000 * h, spacing=h)
+    fam = make_ball_family(g, FamilyPolicy(center_stride=3 * h, radius_min=4 * h))
+    partial = 0
+    for a in (0.05, 1.0):
+        V = power_potential(1.5, 1, amplitude=a)
+        reach = critical_reach(V, g, fam.lattice, [b.radius for b in fam.blocks])
+        assert reach.dtype.kind == "i" and reach.shape == (len(fam.blocks),)
+        for (b, lo, hi), t in zip(supercritical_spans(fam, reach), reach):
+            i = np.asarray(b.run)
+            mask = np.abs(i - g.half_cells) < t
+            assert mask.dtype == bool and np.array_equal(mask, np.abs(g.coords(b.run)) < g.coords(g.half_cells + t))
+            assert np.array_equal(mask, b.radius >= solve_critical_radius(V, g.coords(b.run)[:, None]).values)
+            assert np.array_equal(mask, np.isin(np.arange(b.start, b.stop), np.arange(lo, hi)))
+            partial += bool(0 < np.count_nonzero(mask) < b.count)
+    assert partial >= 4
+
+
 def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
     # the shipped lacunary potential over its 131,071 centers and 19 radii;
     # radii tied with the solved rho at a center (a tie is supercritical, so
@@ -296,13 +319,14 @@ def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
     lattice = range(g.half_cells - 65535 * 64, g.half_cells + 65535 * 64 + 1, 64)
     radii = 2.0**-6 * 2.0 ** np.arange(19)
     reach = _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
-    assert np.all(reach[1:] >= reach[:-1]) and 0.0 < reach[10] < reach[16] < np.inf == reach[17]
-    d = g.coords(lattice[65535::977])
-    rho = solve_critical_radius(V, d[:, None]).values
+    assert np.all(reach[1:] >= reach[:-1]) and 0 < reach[10] < reach[16] < g.size == reach[17]
+    at = lattice[65535::977]
+    rho = solve_critical_radius(V, g.coords(at)[:, None]).values
     for radii in (rho, np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf)):
         _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
-    assert np.array_equal(critical_reach(V, g, lattice, rho), d + 0.25)
-    assert np.array_equal(critical_reach(constant_potential(0.0, 1), g, lattice, radii), np.zeros(radii.size))
+    # a radius tied with rho at a center reaches the next center, 64 samples on
+    assert np.array_equal(critical_reach(V, g, lattice, rho), np.asarray(at) - g.half_cells + 64)
+    assert np.array_equal(critical_reach(constant_potential(0.0, 1), g, lattice, radii), np.zeros(radii.size, dtype=int))
     with pytest.raises(BracketError):
         critical_reach(power_potential(1.05, 1, amplitude=1e6), g, lattice[1:], radii)
     # an empty lattice, and a potential off the grid's dimension, are refused
@@ -329,7 +353,7 @@ def test_reach_at_the_lacunary_wide_geometry_holds_nothing_per_center():
         tracemalloc.stop()
     assert len(fam.lattice) == 2_097_151 and len(radii) == 23
     assert peak < 64 * 1024, peak
-    assert np.all(reach[1:] >= reach[:-1]) and 0.0 < reach[10] < np.inf == reach[-1]
+    assert np.all(reach[1:] >= reach[:-1]) and 0 < reach[10] < g.size == reach[-1]
 
 
 def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
@@ -349,6 +373,6 @@ def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
         return original(V, points)
 
     monkeypatch.setattr(potential, "solve_critical_radius", recording)
-    assert critical_reach(V, g, lattice, [1.0]).tolist() == [np.inf]
+    assert critical_reach(V, g, lattice, [1.0]).tolist() == [g.size]
     assert solved[0] == [0.0]
     assert original(V, xs[:1, None]).values[0] <= 1.0
