@@ -12,14 +12,15 @@ critical-radius data is one reach per block, a count of samples, or a
 scalar rho read as such: the supercritical balls of a block are those
 whose center lies fewer samples from the origin's than its reach, one
 run of the block.  A ball's bucket is constant over a block in the
-radius modes, and in the distance modes its key |c| - r descends over a
-block's negative centers and ascends over the rest.  A curve is
+radius modes, and in the distance modes its key |c| - r is a
+nondecreasing function of its center's sample distance |i - n0| from
+the origin's, so each cutoff is a reach per block too.  A curve is
 therefore a reduction over a few contiguous segments of the family, at
-most 2 (n + 1) per block for an n-cutoff ladder, cut where a binary
-search over the runs finds them.  The segment plan is built once per
-family and cut ladder.  A metric is BallValues: a few stored runs of
-each block and a fill for its other balls, so each segment's sup reads
-at most the runs' part of it and the fill.
+most 2 (n + 1) per block for an n-cutoff ladder, cut at n0 +- each
+reach.  The segment plan is built once per family and cut ladder.  A
+metric is BallValues: a few stored runs of each block and a fill for its
+other balls, so each segment's sup reads at most the runs' part of it
+and the fill.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
-from .grid import Ball, Grid, _first_false, _positions_below, segment_sups
+from .grid import Ball, Grid, _positions_below, segment_sups
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -152,7 +153,7 @@ class BallFamily:
         """The segments bucketed_sup reduces in mode, built on first use
         and cached: the radius modes cut the family into its radius
         blocks; the distance modes cut each block at its first nonnegative
-        center and each half where its key crosses a cutoff."""
+        center and at n0 +- each cutoff's reach, a count of samples."""
         kind = _PLAIN_OF.get(mode, mode)
         if kind not in self._segment_plans:
             self._segment_plans[kind] = _build_segment_plan(self, kind)
@@ -176,12 +177,6 @@ class SegmentPlan:
     buckets: np.ndarray
 
 
-def _centers(family: BallFamily, block: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The j-th centers of the radius blocks block, as Grid.coords gives them."""
-    first = np.array([b.run.start for b in family.blocks], dtype=np.intp)
-    return family.grid.coords(first[block] + j * family.lattice.step)
-
-
 def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
     # the cutoffs and side give a ball's bucket as bucketed_sup defines it
     if kind == "small-radius":
@@ -194,23 +189,27 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
     radius = np.array([b.radius for b in blocks])
     if kind != "far-from-origin":
         return SegmentPlan(start, np.searchsorted(cuts, radius, side=side))
-    # |c| - r descends over a block's negative centers and ascends over
-    # the rest: one search over every block, half and cutoff (-inf and +inf
-    # give each block's first center and first nonnegative one)
-    neg, block, cut = (a.ravel() for a in np.meshgrid(
-        [True, False], np.arange(len(blocks)), np.append(cuts, (-np.inf, np.inf)), indexing="ij"))
-    count, r = np.array([b.count for b in blocks], dtype=np.intp)[block], radius[block]
-
-    def before(j, i):
-        c = _centers(family, block[i], j)
-        return np.where(neg[i], (c < 0) & (-c - r[i] >= cut[i]), (c < 0) | (c - r[i] < cut[i]))
-
-    at = _first_false(before, np.zeros_like(count), count.copy())
-    # a few hundred cuts: np.unique would first import numpy.ma, about 20 ms
-    starts = np.array(sorted(set((start[block] + at)[at < count].tolist())), dtype=np.intp)
-    b = np.searchsorted(start, starts, side="right") - 1
-    keys = np.abs(_centers(family, b, starts - start[b])) - radius[b]
-    return SegmentPlan(starts, np.searchsorted(cuts, keys, side=side))
+    # |c| - r is the same float at +-d, d = |i - n0| (Grid.coords is odd),
+    # and nondecreasing in d, so each cutoff is a reach per block: the least
+    # d in [0, size] with coords(n0 + d) - r >= cut, else size (so for a NaN
+    # cut), the guess ceil((cut + r) / h) corrected against that key
+    g, n0, r = family.grid, family.grid.half_cells, radius[:, None]
+    reach = np.clip(np.nan_to_num(np.ceil((cuts + r) / g.spacing), nan=g.size), 0, g.size).astype(np.intp)
+    while np.any(down := (reach > 0) & (g.coords(n0 + reach - 1) - r >= cuts)):
+        reach -= down
+    while np.any(up := (reach < g.size) & (g.coords(n0 + reach) - r < cuts)):
+        reach += up
+    # a block's segments start at its first ball, its first center i >= n0
+    # and where d crosses a reach; a bucket counts the reaches at or below d
+    starts, buckets = [], []
+    for b, ds in zip(blocks, reach.tolist()):
+        cut = {0, _positions_below(b.run, n0)}
+        for d in ds:
+            cut.update((_positions_below(b.run, n0 + 1 - max(d, 1)), _positions_below(b.run, n0 + d)))
+        at = sorted(cut - {b.count})
+        starts += [b.start + p for p in at]
+        buckets += [bisect.bisect_right(ds, abs(b.run[p] - n0)) for p in at]
+    return SegmentPlan(np.array(starts, dtype=np.intp), np.array(buckets, dtype=np.intp))
 
 
 def supercritical_spans(family: BallFamily, rho):
@@ -418,12 +417,12 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     qualifies.  The family's segment plan for the mode groups the balls
     into contiguous runs of one bucket, so one grid.segment_sups over the
     metric's stored runs gives each run's sup and the run lengths its
-    count.  The plain modes reduce the
-    whole family as one span; the supercritical modes reduce each radius
-    block's supercritical run, the plan's segments cut at the runs' ends,
-    so no mask or masked copy is made.  A cutoff's balls are those of its bucket and of every
-    bucket nearer the limit, so a running maximum and count from the limit
-    end fill the curve.
+    count.  The plain modes reduce the whole family as one span; the
+    supercritical modes reduce each radius block's supercritical run, the
+    plan's segments cut at the runs' ends, so no mask or masked copy is
+    made.  A cutoff's balls are those of its bucket and of every bucket
+    nearer the limit, so a running maximum and count from the limit end
+    fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")

@@ -128,21 +128,6 @@ class Grid:
         )
 
 
-def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per lane i, the first index j in [lo[i], hi[i]) at which pred does
-    not hold, or hi[i] where it holds throughout; pred holds on a prefix of
-    each range.  pred(j, i) evaluates index j[t] of lane i[t], every lane
-    still searched at once.  lo and hi are narrowed in place."""
-    while True:
-        i = np.flatnonzero(lo < hi)
-        if not i.size:
-            return lo
-        j = (lo[i] + hi[i]) // 2
-        ok = pred(j, i)
-        lo[i] = np.where(ok, j + 1, lo[i])
-        hi[i] = np.where(ok, hi[i], j)
-
-
 def _positions_below(run: range, i: int) -> int:
     """How many positions of run (a positive step) hold an index below i."""
     return min(max(-((run.start - i) // run.step), 0), len(run))

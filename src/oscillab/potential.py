@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConfigError
-from .grid import Grid, _first_false
+from .grid import Grid
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -277,6 +277,21 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     values = np.full(k, RHO_CAP)
     values[todo] = lo
     return CriticalRadiusField(pts, values)
+
+
+def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """critical_reach's search, per lane i (a radius): the first j in
+    [lo[i], hi[i]) where pred fails, or hi[i] where it holds throughout;
+    pred holds on a prefix of each range.  pred(j, i) evaluates index j[t]
+    of lane i[t], every open lane at once.  lo and hi are narrowed in place."""
+    while True:
+        i = np.flatnonzero(lo < hi)
+        if not i.size:
+            return lo
+        j = (lo[i] + hi[i]) // 2
+        ok = pred(j, i)
+        lo[i] = np.where(ok, j + 1, lo[i])
+        hi[i] = np.where(ok, hi[i], j)
 
 
 def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarray:

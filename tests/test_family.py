@@ -487,15 +487,42 @@ def test_family_build_holds_nothing_per_center():
 
 
 def test_far_segment_plan_reads_no_block_sized_array():
-    # each cut is found by a binary search over a run's indices, every
-    # block and cutoff at once, so no block's centers are ever built
+    # each cutoff is a reach per block, a sample distance taken from
+    # (cutoff + r) / h and corrected against the key, and each cut is a
+    # run position of n0 +- a reach, so no block's centers are ever built
     fam = make_ball_family(*_lacunary_wide_family())
     plan, peak = _peak(lambda: fam.segment_plan("far-from-origin"))
     smallest = min(b.count for b in fam.blocks)
     assert smallest > 1_000_000 and plan.starts.size < 2 * (fam.distance_ladder.size + 1) * len(fam.blocks)
-    # the lanes' arrays take about 140 KiB; one float64 per center of the
-    # smallest block would take 12.6 MB
+    # the plan peaks at about 80 KB (its 924 starts); one float64 per
+    # center of the smallest block would take 12.6 MB
     assert peak < 256 * 1024, (peak, 8 * smallest)
+
+
+# the distance cutoffs at the reach's edges: at or below -r (a reach of 0
+# for the balls of radius r), just above a zero inner distance |c| = r,
+# and NaN, which no key reaches
+_EDGE_LADDERS = {
+    "below-every-radius": lambda h: [-61 * h],
+    "at-minus-r": lambda h: [-60 * h, -7 * h, 0.0],
+    "least-subnormal": lambda h: [5e-324],
+    "tiny": lambda h: [1e-300],
+    "not-a-number": lambda h: [7 * h, math.nan],
+}
+
+
+@pytest.mark.parametrize("ladder", _EDGE_LADDERS.values(), ids=_EDGE_LADDERS.keys())
+@pytest.mark.parametrize("h", [2.0**-5, 0.1, 0.3])
+def test_far_segment_plan_equals_the_float_oracle_at_the_reach_edges(h, ladder):
+    # asymmetric lattices holding n0 = 200, at steps 1 and 3 (so centers
+    # at sample distance 60 on both sides), under cells of radius 60 and 7
+    g = Grid(halfwidth=200 * h, spacing=h)
+    for lattice in (range(130, 311), range(68, 333, 3)):
+        fam = BallFamily(g, lattice, [(60, 0, len(lattice)), (7, 2, len(lattice) - 5)], [h], ladder(h))
+        plan, (starts, buckets) = fam.segment_plan("far-from-origin"), sorted_segment_plan(fam, "far-from-origin")
+        assert plan.starts.dtype == starts.dtype and plan.buckets.dtype == buckets.dtype
+        assert np.array_equal(plan.starts, starts) and np.array_equal(plan.buckets, buckets)
+
 
 # spacings of the property tests: dyadic ones, whose coordinates are exact,
 # and non-dyadic ones, whose stride s h and marks j stride round
