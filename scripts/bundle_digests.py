@@ -5,15 +5,19 @@
     python scripts/bundle_digests.py A B               compare two bundles (or configs)
     python scripts/bundle_digests.py --workload NAME --seed N
                                                        the bundle of a benchmark workload
+    python scripts/bundle_digests.py --shipped         every configs/*.json and every workload at seed 1
 
 A path that names a file is read as a run config and run with the oscillab
 on the import path; a directory is read as a finished bundle.  --workload
 runs the config that oscbench/workloads.py writes for the workload and the
-seed.  Paths are relative to the bundle root, sorted.  A comparison prints
-one line per file that differs or exists on one side only, and exits 1 if
-there is any; it exits 0 when the two bundles are byte-identical.  A
-config whose declared checks fail still leaves its bundle, so its digests
-are printed too.
+seed.  --shipped lists the bundles of every shipped config and of every
+benchmark workload at seed 1 at once, each path prefixed by its bundle's
+label (the config's name, or workload-NAME), so that a diff of two trees'
+listings is the whole byte-identity check.  Paths are relative to the
+bundle root, sorted.  A comparison prints one line per file that differs
+or exists on one side only, and exits 1 if there is any; it exits 0 when
+the two bundles are byte-identical.  A config whose declared checks fail
+still leaves its bundle, so its digests are printed too.
 """
 
 import argparse
@@ -24,7 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "oscbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "oscbench" / "workloads.py"
+SHIPPED_SEED = 1
 
 
 def digests(root: Path) -> dict[str, str]:
@@ -56,12 +62,26 @@ def bundle_digests(path: Path) -> dict[str, str]:
     return run_digests(json.loads(path.read_text(encoding="utf-8")), str(path))
 
 
-def workload_config(name: str, seed: int) -> dict:
-    """The run config of one benchmark workload, from oscbench/workloads.py."""
+def _workloads():
+    """oscbench/workloads.py, loaded by its path."""
     spec = importlib.util.spec_from_file_location("oscbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.workload_config(name, seed)
+    return workloads
+
+
+def workload_config(name: str, seed: int) -> dict:
+    """The run config of one benchmark workload, from oscbench/workloads.py."""
+    return _workloads().workload_config(name, seed)
+
+
+def shipped_digests() -> dict[str, str]:
+    """The digests of the bundles of every configs/*.json and of every
+    benchmark workload at SHIPPED_SEED, by label/path."""
+    workloads = _workloads()
+    bundles = [(p.stem, json.loads(p.read_text(encoding="utf-8"))) for p in sorted((ROOT / "configs").glob("*.json"))]
+    bundles += [(f"workload-{name}", workloads.workload_config(name, SHIPPED_SEED)) for name in workloads.WORKLOADS]
+    return {f"{label}/{name}": digest for label, config in bundles for name, digest in run_digests(config, label).items()}
 
 
 def main() -> int:
@@ -69,8 +89,13 @@ def main() -> int:
     ap.add_argument("bundles", nargs="*", type=Path, metavar="BUNDLE", help="a bundle directory or a run config")
     ap.add_argument("--workload", metavar="NAME", help="digest the bundle of this benchmark workload")
     ap.add_argument("--seed", type=int, help="the workload's seed")
+    ap.add_argument("--shipped", action="store_true", help="digest every shipped config and workload at seed 1")
     args = ap.parse_args()
-    if args.workload is not None:
+    if args.shipped:
+        if args.bundles or args.workload is not None or args.seed is not None:
+            ap.error("--shipped takes no bundle, --workload or --seed")
+        sides = [shipped_digests()]
+    elif args.workload is not None:
         if args.bundles or args.seed is None:
             ap.error("--workload takes --seed and no bundle")
         try:

@@ -73,7 +73,8 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     convolution runs over f's span padded by 2 kmax zeros each side
     (clipped to the box): every output it keeps is then the same dot
     product, over the same samples, as in the convolution of all the
-    samples."""
+    samples.  It is the full convolution, sliced at kmax + i - a for
+    sample i: "same" centres on a kernel longer than the span."""
     g = f.grid
     h = g.spacing
     if t < 4.0 * h * (1 - 1e-9):
@@ -84,9 +85,9 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     w /= np.sum(w)
     lo, hi = f.span
     a, b = max(lo - 2 * kmax, 0), min(hi + 2 * kmax, g.size)
-    out = np.convolve(f.on(a, b), w, mode="same")
+    out = np.convolve(f.on(a, b), w)
     lo, hi = max(lo - kmax, 0), min(hi + kmax, g.size)
-    return GridFunction(g, out[lo - a : hi - a], lo=lo)
+    return GridFunction(g, out[kmax + lo - a : kmax + hi - a], lo=lo)
 
 
 # ---------------------------------------------------------------------------

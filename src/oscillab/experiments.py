@@ -176,10 +176,8 @@ def _rho_slope_potential(where: str, p: dict) -> dict:
     if not p["x_min"] < p["x_max"]:
         raise ConfigError(f"{where}: 'x_min' and 'x_max': need x_min < x_max, got {p['x_min']} and {p['x_max']}")
     # the solve's floor at the smallest x the jitter can draw, where I(., r) is largest
-    nearest = np.zeros(n)
-    nearest[0] = p["x_min"] * math.exp(-abs(p.get("jitter", 0.0)))
     try:
-        check_bracket_floor(potential, nearest)
+        check_bracket_floor(potential, p["x_min"] * math.exp(-abs(p.get("jitter", 0.0))))
     except BracketError as e:
         keys += ", 'x_min'" + (", 'jitter'" if p.get("jitter") else "")
         raise ConfigError(f"{where}: {keys}: {e}") from None

@@ -96,10 +96,11 @@ class BallFamily:
     distance modes key a ball by its inner distance |c| - r, the largest a
     such that the ball avoids B(0, a).
 
-    A lattice that is not such a range, and a block with no positive cell
-    radius, no ball or a run past the lattice, raise ConfigError; a block
-    with a ball that touches or leaves the box raises OutOfDomainError.
-    Both are checked here, once, so no scan allocates anything
+    A lattice that is not such a range, a block with no positive cell
+    radius, no ball or a run past the lattice, and a ladder with NaN or
+    not strictly increasing raise ConfigError; a block with a ball that
+    touches or leaves the box raises OutOfDomainError.
+    All are checked here, once, so no scan allocates anything
     sample-sized for a family it cannot scan.
 
     centers (k, 1) and radii (k,) are built on each read, by
@@ -131,8 +132,11 @@ class BallFamily:
         if not blocks:
             raise ConfigError("empty ball family")
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "radius_ladder", np.asarray(self.radius_ladder, dtype=np.float64))
-        object.__setattr__(self, "distance_ladder", np.asarray(self.distance_ladder, dtype=np.float64))
+        for name in ("radius_ladder", "distance_ladder"):
+            ladder = np.asarray(getattr(self, name), dtype=np.float64)
+            if ladder.ndim != 1 or not ladder.size or np.isnan(ladder).any() or not np.all(np.diff(ladder) > 0):
+                raise ConfigError(f"a family's {name} must be 1-D, nonempty, free of NaN and strictly increasing")
+            object.__setattr__(self, name, ladder)
 
     def __len__(self) -> int:
         return self.blocks[-1].stop
@@ -191,10 +195,10 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
         return SegmentPlan(start, np.searchsorted(cuts, radius, side=side))
     # |c| - r is the same float at +-d, d = |i - n0| (Grid.coords is odd),
     # and nondecreasing in d, so each cutoff is a reach per block: the least
-    # d in [0, size] with coords(n0 + d) - r >= cut, else size (so for a NaN
-    # cut), the guess ceil((cut + r) / h) corrected against that key
+    # d in [0, size] with coords(n0 + d) - r >= cut, else size, the guess
+    # ceil((cut + r) / h) corrected against that key
     g, n0, r = family.grid, family.grid.half_cells, radius[:, None]
-    reach = np.clip(np.nan_to_num(np.ceil((cuts + r) / g.spacing), nan=g.size), 0, g.size).astype(np.intp)
+    reach = np.clip(np.ceil((cuts + r) / g.spacing), 0, g.size).astype(np.intp)
     while np.any(down := (reach > 0) & (g.coords(n0 + reach - 1) - r >= cuts)):
         reach -= down
     while np.any(up := (reach < g.size) & (g.coords(n0 + reach) - r < cuts)):
@@ -428,8 +432,6 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
         raise ConfigError(f"unknown curve mode {mode!r}")
     family = metric.family
     ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
-    if ladder.size == 0 or np.any(np.diff(ladder) <= 0):
-        raise ConfigError("ladder must be strictly increasing and nonempty")
     if mode in SUPERCRITICAL_MODES and rho is None:
         raise ConfigError(f"mode {mode} needs critical-radius values")
 

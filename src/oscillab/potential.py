@@ -17,6 +17,10 @@ evaluated by exact antiderivatives (n = 1) or radial quadrature (n = 2,
 3); the n = 2 and n = 3 kinds serve the growth-exponent checks only, since
 every grid is one-dimensional.
 
+Both kinds are radial, so every function here reads a point x as its
+distance |x| alone, a scalar or an array of them taken elementwise; n is
+only the dimension of the ball B(x, r).
+
 I(x, r) is nondecreasing in r, so solve_critical_radius finds rho by
 bisecting log r between a floor and a cap, every point at once; its
 docstring gives the monotonicity argument.  The rho-slope scenario solves
@@ -170,18 +174,15 @@ def _power_mass_radial(d: np.ndarray, r: np.ndarray, p: float, n: int) -> np.nda
     return out
 
 
-def normalized_mass(V: Potential, points: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
-    """I(x, r) = r^(2-n) * mass of V over B(x, r), vectorised over points.
+def _distances(x) -> np.ndarray:
+    """The distances |x| of a scalar or an array of points, at least 1-D."""
+    return np.atleast_1d(np.abs(np.asarray(x, dtype=np.float64)))
 
-    points: (k, n) coordinates (or (n,) for a single point); radii: scalar
-    or (k,).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[1] != V.n:
-        raise ConfigError(f"points have dimension {pts.shape[1]}, potential has {V.n}")
-    r = np.broadcast_to(np.asarray(radii, dtype=np.float64), (pts.shape[0],)).astype(np.float64)
+
+def normalized_mass(V: Potential, x, radii) -> np.ndarray:
+    """I(x, r) = r^(2-n) * mass of V over B(x, r), elementwise in the
+    distances |x| and the radii, broadcast together; at least 1-D."""
+    d, r = np.broadcast_arrays(_distances(x), np.asarray(radii, dtype=np.float64))
     if np.any(r <= 0):
         raise ConfigError("radii must be positive")
     n = V.n
@@ -191,9 +192,9 @@ def normalized_mass(V: Potential, points: np.ndarray, radii: np.ndarray | float)
         return c * UNIT_BALL_VOLUME[n] * r**2
     p = V.eps - 2.0
     if n == 1:
-        mass = _power_mass_1d(pts[:, 0], r, p)
+        mass = _power_mass_1d(d, r, p)
     else:
-        mass = _power_mass_radial(np.sqrt(np.sum(pts**2, axis=1)), r, p, n)
+        mass = _power_mass_radial(d, r, p, n)
     return V.amplitude * r ** (2 - n) * mass
 
 
@@ -213,33 +214,34 @@ RHO_BISECT_STEPS = 48
 class CriticalRadiusField:
     """Solved critical radii at a fixed set of points.
 
-    values may contain +inf only when the potential is identically zero
-    (the infinite tag participates in comparisons, never in arithmetic).
-    For a nonzero potential, values is RHO_CAP exactly where the cap is
-    still admissible: a bisected value stays below it.
+    points are the distances |x| (oscbench/tracing.py counts them by that
+    name).  values may contain +inf only when the potential is identically
+    zero (the infinite tag participates in comparisons, never in
+    arithmetic).  For a nonzero potential, values is RHO_CAP exactly where
+    the cap is still admissible: a bisected value stays below it.
     """
 
     points: np.ndarray
     values: np.ndarray
 
 
-def check_bracket_floor(V: Potential, points: np.ndarray) -> None:
-    """BracketError unless I(x, r_min) <= 1 at each point of the (k, n)
-    array, so that rho(x) is at least the floor RHO_FLOOR.  I(., r) is
-    largest at the smallest |x|, so a caller that knows that point can
-    test it alone."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, V.n)
-    bad = np.nonzero(normalized_mass(V, pts, RHO_FLOOR) > 1.0)[0]
+def check_bracket_floor(V: Potential, x) -> None:
+    """BracketError unless I(x, r_min) <= 1 at each distance |x| of x, so
+    that rho(x) is at least the floor RHO_FLOOR.  I(., r) is largest at
+    the smallest |x|, so a caller that knows that point can test it
+    alone."""
+    d = _distances(x)
+    bad = np.flatnonzero(normalized_mass(V, d, RHO_FLOOR) > 1.0)
     if bad.size:
         raise BracketError(
             f"normalized mass already exceeds 1 at the bracket floor r={RHO_FLOOR} "
-            f"for {bad.size} point(s), e.g. at {pts[bad[0]].tolist()}"
+            f"for {bad.size} point(s), e.g. at |x| = {d.flat[bad[0]]}"
         )
 
 
-def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusField:
-    """rho(x) = sup { r : I(x, r) <= 1 } at each point of the (k, n) array,
-    by bisection of log r between the floor r_min and the cap r_max.
+def solve_critical_radius(V: Potential, x) -> CriticalRadiusField:
+    """rho(x) = sup { r : I(x, r) <= 1 } at each distance |x| of x, by
+    bisection of log r between the floor r_min and the cap r_max.
 
     I(x, .) is nondecreasing in r, so {r : I(x, r) <= 1} is an interval
     from r_min and a bracket [lo, hi] with I(lo) <= 1 < I(hi) keeps its
@@ -256,17 +258,13 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
     somewhere.  A potential that is identically zero yields +inf
     everywhere.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    k = pts.shape[0]
-
+    d = _distances(x)
     if V.is_zero():
-        return CriticalRadiusField(pts, np.full(k, np.inf))
+        return CriticalRadiusField(d, np.full(d.shape, np.inf))
 
-    check_bracket_floor(V, pts)
-    todo = ~(normalized_mass(V, pts, RHO_CAP) <= 1.0)
-    sub = pts[todo]
+    check_bracket_floor(V, d)
+    todo = ~(normalized_mass(V, d, RHO_CAP) <= 1.0)
+    sub = d[todo]
     lo = np.full(sub.shape[0], RHO_FLOOR)
     hi = np.full(sub.shape[0], RHO_CAP)
     for _ in range(RHO_BISECT_STEPS):
@@ -274,9 +272,9 @@ def solve_critical_radius(V: Potential, points: np.ndarray) -> CriticalRadiusFie
         inside = normalized_mass(V, sub, mid) <= 1.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    values = np.full(k, RHO_CAP)
+    values = np.full(d.shape, RHO_CAP)
     values[todo] = lo
-    return CriticalRadiusField(pts, values)
+    return CriticalRadiusField(d, values)
 
 
 def _first_false(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -345,9 +343,9 @@ def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarra
     def supercritical(j, i):
         # one solve per distinct distance: radii short of every center share d[0]
         u, at = np.unique(j, return_inverse=True)
-        return r[i] >= solve_critical_radius(V, d(u)[:, None]).values[at]
+        return r[i] >= solve_critical_radius(V, d(u)).values[at]
 
-    k = _first_false(lambda j, i: normalized_mass(V, d(j)[:, None], r[i]) > 1.0,
+    k = _first_false(lambda j, i: normalized_mass(V, d(j), r[i]) > 1.0,
                      np.zeros(r.size, dtype=np.intp), np.full(r.size, n))
     # the boundary pair d[k - 1], d[k] of each threshold inside d, solved at once
     below, above = np.flatnonzero(k > 0), np.flatnonzero(k < n)

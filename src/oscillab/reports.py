@@ -114,7 +114,7 @@ def exp_rho_slope(
     jitter: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> RhoSlopeReport:
-    """Least-squares slope of log rho against log |x| along the first axis.
+    """Least-squares slope of log rho against log |x|, rho solved at |x|.
 
     For the power potential the expected slope is 1 - exponent/2; for a
     constant potential it is 0.  x values below 10 are outside the
@@ -131,9 +131,7 @@ def exp_rho_slope(
         if rng is None:
             raise ConfigError("jitter needs the run's PRNG stream")
         xs = xs * np.exp(rng.uniform(-jitter, jitter, size=xs.shape))
-    centers = np.zeros((points, potential.n))
-    centers[:, 0] = xs
-    rho = solve_critical_radius(potential, centers).values
+    rho = solve_critical_radius(potential, xs).values
 
     slope = float(np.polyfit(np.log(xs), np.log(rho), 1)[0])
     if potential.kind == "power":

@@ -511,7 +511,7 @@ def rho_at_symmetric_centers(V: Potential, xs: np.ndarray) -> np.ndarray:
     if np.any(np.diff(xs) <= 0) or not np.array_equal(xs, -xs[::-1]):
         raise ConfigError("centers are not ascending and symmetric about the origin")
     j0 = int(np.searchsorted(xs, 0.0))
-    half = solve_critical_radius(V, xs[j0:, None]).values
+    half = solve_critical_radius(V, xs[j0:]).values
     return np.concatenate((half[::-1][:j0], half))
 
 

@@ -49,8 +49,8 @@ from oracles import (
 def test_criterion_01_unit_potential_closed_forms(criterion):
     c = criterion(1, "critical radius closed forms for the unit potential")
     t0 = time.perf_counter()
-    r1 = solve_critical_radius(constant_potential(1.0, 1), np.array([[0.0]])).values[0]
-    r2 = solve_critical_radius(constant_potential(1.0, 2), np.array([[0.0, 0.0]])).values[0]
+    r1 = solve_critical_radius(constant_potential(1.0, 1), 0.0).values[0]
+    r2 = solve_critical_radius(constant_potential(1.0, 2), 0.0).values[0]
     dt = time.perf_counter() - t0
     e1 = abs(r1 - 2.0**-0.5)
     e2 = abs(r2 - math.pi**-0.5)

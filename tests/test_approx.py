@@ -470,6 +470,23 @@ def test_mollify_width_floor():
         mollify(constant(g, 1.0), 0.5)  # below 4h = 1
 
 
+@pytest.mark.parametrize("t", [1.0, 4.0, 8.0, 10.0])
+def test_mollify_is_the_direct_sum_for_a_kernel_longer_than_the_box(t):
+    # 33 samples against kernels of 7, 31, 63 and 79: each output is the
+    # sum of w[k] f[i - k] over the box, zero outside it
+    g = Grid(halfwidth=4.0, spacing=0.25)
+    f = GridFunction.from_callable(g, lambda x: np.exp(-0.5 * x**2))
+    kmax = math.ceil(t / g.spacing - 1e-9) - 1
+    # the bump exp(-1 / (1 - r^2)) at the kernel's offsets, all inside r < 1
+    w = np.exp(-1.0 / (1.0 - (np.arange(-kmax, kmax + 1) * g.spacing / t) ** 2))
+    w /= w.sum()
+    i = np.arange(g.size)
+    want = np.array([sum(w[kmax + a - b] * f.values[b] for b in i if abs(a - b) <= kmax) for a in i])
+    got = mollify(f, t).values
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15), np.abs(got - want).max()
+    assert np.allclose(got, got[::-1], rtol=1e-12, atol=1e-15)
+
+
 def test_mollify_error_shrinks_with_t():
     g = Grid(halfwidth=8.0, spacing=2.0**-6)
     f = GridFunction.from_callable(g, lambda x: np.exp(-0.5 * x**2))

@@ -448,7 +448,7 @@ def test_rho_mirror_solves_the_nonnegative_half_only(monkeypatch, V, xs):
     monkeypatch.setattr(oracles, "solve_critical_radius", counting)
     got = rho_at_symmetric_centers(V, xs)
     assert solved == [int(np.count_nonzero(xs >= 0))]
-    assert np.array_equal(got, original(V, xs[:, None]).values)
+    assert np.array_equal(got, original(V, xs).values)
 
 
 @pytest.mark.parametrize("xs", [[-1.0, 0.0, 2.0], [0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])

@@ -500,14 +500,12 @@ def test_far_segment_plan_reads_no_block_sized_array():
 
 
 # the distance cutoffs at the reach's edges: at or below -r (a reach of 0
-# for the balls of radius r), just above a zero inner distance |c| = r,
-# and NaN, which no key reaches
+# for the balls of radius r) and just above a zero inner distance |c| = r
 _EDGE_LADDERS = {
     "below-every-radius": lambda h: [-61 * h],
     "at-minus-r": lambda h: [-60 * h, -7 * h, 0.0],
     "least-subnormal": lambda h: [5e-324],
     "tiny": lambda h: [1e-300],
-    "not-a-number": lambda h: [7 * h, math.nan],
 }
 
 
@@ -522,6 +520,28 @@ def test_far_segment_plan_equals_the_float_oracle_at_the_reach_edges(h, ladder):
         plan, (starts, buckets) = fam.segment_plan("far-from-origin"), sorted_segment_plan(fam, "far-from-origin")
         assert plan.starts.dtype == starts.dtype and plan.buckets.dtype == buckets.dtype
         assert np.array_equal(plan.starts, starts) and np.array_equal(plan.buckets, buckets)
+
+
+# (radius ladder, distance ladder) pairs that no bucket can be cut by: a
+# NaN cutoff (whose difference is not > 0, and alone has none), an empty
+# ladder and a decreasing one
+_BAD_LADDERS = {
+    "not-a-number": lambda h: ([h], [7 * h, math.nan]),
+    "distance-nan": lambda h: ([h], [math.nan]),
+    "radius-nan": lambda h: ([math.nan], [h]),
+    "empty": lambda h: ([h], []),
+    "decreasing": lambda h: ([2.0, 1.0], [h]),
+}
+
+
+@pytest.mark.parametrize("ladders", _BAD_LADDERS.values(), ids=_BAD_LADDERS.keys())
+@pytest.mark.parametrize("h", [2.0**-5, 0.1, 0.3])
+def test_family_refuses_a_ladder_it_cannot_cut(h, ladders):
+    # the family checks its ladders once, where it is built, so no scan
+    # reads a NaN cutoff as an absent or a present bucket
+    g = Grid(halfwidth=200 * h, spacing=h)
+    with pytest.raises(ConfigError, match="free of NaN and strictly increasing"):
+        BallFamily(g, range(130, 311), [(60, 0, 181)], *ladders(h))
 
 
 # spacings of the property tests: dyadic ones, whose coordinates are exact,

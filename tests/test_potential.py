@@ -42,23 +42,23 @@ def test_is_zero():
 
 
 def _rho_at(V, x):
-    return solve_critical_radius(V, np.array([x], dtype=np.float64)).values[0]
+    return solve_critical_radius(V, x).values[0]
 
 
 def test_critical_radius_constant_closed_forms():
     # I(x, r) = c * v_n * r^2, so rho = (c * v_n)^(-1/2)
-    assert _rho_at(constant_potential(1.0, 1), [0.0]) == pytest.approx(2.0**-0.5, abs=1e-9)
-    assert _rho_at(constant_potential(1.0, 2), [0.0, 0.0]) == pytest.approx(math.pi**-0.5, abs=1e-9)
-    assert _rho_at(constant_potential(4.0, 1), [7.0]) == pytest.approx(8.0**-0.5, abs=1e-9)
+    assert _rho_at(constant_potential(1.0, 1), 0.0) == pytest.approx(2.0**-0.5, abs=1e-9)
+    assert _rho_at(constant_potential(1.0, 2), 0.0) == pytest.approx(math.pi**-0.5, abs=1e-9)
+    assert _rho_at(constant_potential(4.0, 1), 7.0) == pytest.approx(8.0**-0.5, abs=1e-9)
 
 
 def test_critical_radius_power_origin_closed_forms():
     # n=1, eps=3/2: I(0, r) = 4 r^(3/2), rho(0) = 2^(-4/3)
     V = power_potential(1.5, 1)
-    assert _rho_at(V, [0.0]) == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-9)
+    assert _rho_at(V, 0.0) == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-9)
     # n=3, eps=1/2: I(0, r) = (8 pi / 3) sqrt(r), rho(0) = (3/(8 pi))^2
     V3 = power_potential(0.5, 3)
-    assert _rho_at(V3, [0.0, 0.0, 0.0]) == pytest.approx(
+    assert _rho_at(V3, 0.0) == pytest.approx(
         (3.0 / (8.0 * math.pi)) ** 2, rel=1e-6
     )
 
@@ -66,14 +66,14 @@ def test_critical_radius_power_origin_closed_forms():
 def test_critical_radius_power_far_field_scaling():
     # away from the singularity rho(x) ~ (2a)^(-1/2) |x|^(1 - eps/2)
     V = power_potential(1.5, 1, amplitude=2.0)
-    r1 = _rho_at(V, [100.0])
-    r4 = _rho_at(V, [400.0])
+    r1 = _rho_at(V, 100.0)
+    r4 = _rho_at(V, 400.0)
     assert r4 / r1 == pytest.approx(4.0 ** (1.0 - 0.75), rel=5e-3)
     assert r1 == pytest.approx(0.5 * 100.0**0.25, rel=5e-3)
 
 
 def test_zero_potential_gives_infinite_radius():
-    fld = solve_critical_radius(constant_potential(0.0, 1), np.array([[0.0], [3.0]]))
+    fld = solve_critical_radius(constant_potential(0.0, 1), [0.0, 3.0])
     assert np.all(np.isinf(fld.values))
     assert not (fld.values == RHO_CAP).any()
 
@@ -81,11 +81,11 @@ def test_zero_potential_gives_infinite_radius():
 def test_bracket_error_when_floor_too_coarse():
     V = power_potential(1.05, 1, amplitude=1e12)
     with pytest.raises(BracketError):
-        solve_critical_radius(V, np.array([[0.0]]))
+        solve_critical_radius(V, 0.0)
 
 
 def test_normalized_mass_shapes_and_zero():
-    pts = np.array([[0.0], [1.0], [2.0]])
+    pts = np.array([0.0, 1.0, 2.0])
     assert normalized_mass(constant_potential(0.0, 1), pts, 1.0).shape == (3,)
     assert np.all(normalized_mass(constant_potential(0.0, 1), pts, 1.0) == 0.0)
     got = normalized_mass(constant_potential(2.0, 1), pts, np.array([1.0, 1.0, 0.5]))
@@ -164,7 +164,7 @@ def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
     )
     xs = grid.coords(fam.lattice)
     assert xs.size == 131071
-    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), xs[:, None])
+    got, want = _assert_matches_oracle(power_potential(1.05, 1, amplitude=0.002), xs)
     # no family ball changes side of rho
     at = np.searchsorted(xs, fam.centers[:, 0])
     assert np.array_equal(fam.radii < got[at], fam.radii < want[at])
@@ -180,8 +180,34 @@ def test_critical_radius_is_bit_even_at_lacunary_centers(V):
     # the 131,071 distinct lacunary centers, mirrored: the mass at -x is the
     # mass at x to the bit, so one solve per |x| serves both signs
     xs = np.arange(-65535, 65536) * 0.25
-    assert np.array_equal(normalized_mass(V, -xs[:, None], 1.0), normalized_mass(V, xs[:, None], 1.0))
-    assert np.array_equal(solve_critical_radius(V, -xs[:, None]).values, solve_critical_radius(V, xs[:, None]).values)
+    assert np.array_equal(normalized_mass(V, -xs, 1.0), normalized_mass(V, xs, 1.0))
+    assert np.array_equal(solve_critical_radius(V, -xs).values, solve_critical_radius(V, xs).values)
+
+
+_RADIAL = [power_potential(1.5, n) for n in (1, 2, 3)] + [constant_potential(1.0, n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("V", _RADIAL, ids=[f"{V.kind}-n{V.n}" for V in _RADIAL])
+def test_a_point_is_read_at_its_distance(V):
+    # in every dimension a point is its distance |x|: -d gives the mass and
+    # rho of d to the bit, the field's points are the distances, and a
+    # scalar is one point
+    d = np.array([0.0, 0.5, 3.0, 100.0, 1.0e4])
+    assert np.array_equal(normalized_mass(V, -d, 1.0), normalized_mass(V, d, 1.0))
+    neg, pos = solve_critical_radius(V, -d), solve_critical_radius(V, d)
+    assert np.array_equal(neg.values, pos.values) and np.array_equal(neg.points, d)
+    assert normalized_mass(V, -3.0, 1.0).shape == (1,)
+    one = solve_critical_radius(V, -3.0)
+    assert one.points.shape == one.values.shape == (1,) and one.values[0] == pos.values[2]
+
+
+def test_distances_solve_elementwise_in_dimension_3():
+    # two distances for an n = 3 potential are two points, not one point
+    # of the wrong dimension
+    V = power_potential(0.5, 3)
+    rho = solve_critical_radius(V, [100.0, 1000.0]).values
+    assert rho.tolist() == [solve_critical_radius(V, x).values[0] for x in (100.0, 1000.0)]
+    assert rho[1] / rho[0] == pytest.approx(10.0 ** (1.0 - 0.5 / 2.0), rel=1e-2)
 
 
 def test_critical_radius_matches_scan_oracle_at_jittered_rho_slope_points():
@@ -189,9 +215,7 @@ def test_critical_radius_matches_scan_oracle_at_jittered_rho_slope_points():
     rng = np.random.default_rng(np.random.SeedSequence(0))
     for V in (power_potential(1.5, 1), power_potential(0.5, 3), constant_potential(1.0, 2)):
         xs = np.geomspace(100.0, 1.0e4, 24) * np.exp(rng.uniform(-0.05, 0.05, size=24))
-        pts = np.zeros((xs.size, V.n))
-        pts[:, 0] = xs
-        _assert_matches_oracle(V, pts)
+        _assert_matches_oracle(V, xs)
 
 
 @pytest.mark.parametrize(
@@ -205,9 +229,7 @@ def test_normalized_mass_is_nondecreasing_in_the_radius(V):
     # 1e-3 <= I <= 1e3 the radial quadrature is not exact enough to say
     radii = np.geomspace(RHO_FLOOR, RHO_CAP, 2000)
     for x in np.geomspace(1e-2, 1.05e4, 60):
-        pts = np.zeros((radii.size, V.n))
-        pts[:, 0] = x
-        mass = normalized_mass(V, pts, radii)
+        mass = normalized_mass(V, x, radii)
         band = (mass >= 1e-3) & (mass <= 1e3)
         both = band[:-1] & band[1:]
         assert np.all(np.diff(mass)[both] >= 0.0), x
@@ -223,7 +245,7 @@ def _assert_reach_is_the_solve_at_each_center(V, grid, lattice, radii):
     rho(center), rho solved at every center; or both raise BracketError."""
     xs, d = grid.coords(lattice), np.abs(np.asarray(lattice) - grid.half_cells)
     try:
-        rho = solve_critical_radius(V, xs[:, None]).values
+        rho = solve_critical_radius(V, xs).values
     except BracketError:
         with pytest.raises(BracketError):
             critical_reach(V, grid, lattice, radii)
@@ -302,7 +324,7 @@ def test_reach_counts_samples_and_selects_the_centers_of_the_coordinates(h):
             i = np.asarray(b.run)
             mask = np.abs(i - g.half_cells) < t
             assert mask.dtype == bool and np.array_equal(mask, np.abs(g.coords(b.run)) < g.coords(g.half_cells + t))
-            assert np.array_equal(mask, b.radius >= solve_critical_radius(V, g.coords(b.run)[:, None]).values)
+            assert np.array_equal(mask, b.radius >= solve_critical_radius(V, g.coords(b.run)).values)
             assert np.array_equal(mask, np.isin(np.arange(b.start, b.stop), np.arange(lo, hi)))
             partial += bool(0 < np.count_nonzero(mask) < b.count)
     assert partial >= 4
@@ -321,7 +343,7 @@ def test_reach_at_the_lacunary_geometry_and_its_edge_cases():
     reach = _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
     assert np.all(reach[1:] >= reach[:-1]) and 0 < reach[10] < reach[16] < g.size == reach[17]
     at = lattice[65535::977]
-    rho = solve_critical_radius(V, g.coords(at)[:, None]).values
+    rho = solve_critical_radius(V, g.coords(at)).values
     for radii in (rho, np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf)):
         _assert_reach_is_the_solve_at_each_center(V, g, lattice, radii)
     # a radius tied with rho at a center reaches the next center, 64 samples on
@@ -364,15 +386,15 @@ def test_reach_probe_counts_a_tie_as_admissible(monkeypatch):
     V = constant_potential(0.5, 1)
     g, lattice = Grid(halfwidth=8.0, spacing=1.0), range(8, 16)
     xs = g.coords(lattice)
-    assert np.all(normalized_mass(V, xs[:, None], 1.0) == 1.0)
+    assert np.all(normalized_mass(V, xs, 1.0) == 1.0)
     solved = []
     original = potential.solve_critical_radius
 
     def recording(V, points):
-        solved.append(points[:, 0].tolist())
+        solved.append(points.tolist())
         return original(V, points)
 
     monkeypatch.setattr(potential, "solve_critical_radius", recording)
     assert critical_reach(V, g, lattice, [1.0]).tolist() == [g.size]
     assert solved[0] == [0.0]
-    assert original(V, xs[:1, None]).values[0] <= 1.0
+    assert original(V, xs[:1]).values[0] <= 1.0

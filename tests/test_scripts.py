@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -146,3 +147,31 @@ def test_bundle_digests_script_digests_a_benchmark_workload(tmp_path):
     for argv in (["--workload", "pipeline"], ["--workload", "pipeline", "--seed", "7", str(bundle)],
                  ["--seed", "7", str(bundle)], ["--workload", "nope", "--seed", "7"]):
         assert _run_script("bundle_digests.py", *argv).returncode == 2, argv
+
+def test_bundle_digests_shipped_lists_every_config_and_workload(monkeypatch, capsys):
+    # --shipped digests each configs/*.json and each workload at seed 1 in
+    # one listing, every path under its bundle's label; run_digests is
+    # stubbed, so no bundle is run
+    script = _load_script("scripts/bundle_digests.py")
+    seen = {}
+
+    def stub(config, label):
+        seen[label] = config
+        return {"summary.json": label.ljust(64, "0"), "a/b.csv": "f" * 64}
+
+    monkeypatch.setattr(script, "run_digests", stub)
+    monkeypatch.setattr(sys, "argv", ["bundle_digests.py", "--shipped"])
+    assert script.main() == 0
+    configs = [p.stem for p in sorted((SCRIPTS.parent / "configs").glob("*.json"))]
+    workloads = ["workload-lacunary", "workload-pipeline", "workload-spectral"]
+    assert list(seen) == configs + workloads and {"quick", "full", "lacunary-wide"} <= set(configs)
+    for name in ("lacunary", "pipeline", "spectral"):
+        assert seen[f"workload-{name}"] == script.workload_config(name, 1)
+    assert seen["quick"] == json.loads((SCRIPTS.parent / "configs" / "quick.json").read_text())
+    lines = [ln.split("  ") for ln in capsys.readouterr().out.splitlines()]
+    assert [name for _, name in lines] == [f"{label}/{f}" for label in seen for f in ("summary.json", "a/b.csv")]
+    assert all(d == "f" * 64 or d == name.split("/")[0].ljust(64, "0") for d, name in lines)
+    for argv in (["--shipped", "--seed", "1"], ["--shipped", "--workload", "pipeline"], ["--shipped", "configs/quick.json"]):
+        monkeypatch.setattr(sys, "argv", ["bundle_digests.py", *argv])
+        with pytest.raises(SystemExit, match="2"):
+            script.main()
