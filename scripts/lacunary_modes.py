@@ -3,15 +3,20 @@
 The grid, the ball family and k_max come from the plan of a
 lacunary-separation scenario, built as ``oscillab run`` builds it; the
 scenario's defaults are the headline run (halfwidth 2^14, spacing 2^-8,
-bumps at 3^k for k <= 8), which takes 0.24 to 0.30 s at 43 MB peak RSS
+bumps at 3^k for k <= 8), which takes 0.26 to 0.29 s at 38 MB peak RSS
 (2 vCPUs, numpy 2.4.6).  The separation needs that many decades: --small
-runs a cut-down box in 0.24 to 0.34 s at 40 MB that exercises the plumbing
-but usually reports INCONCLUSIVE.
+runs a cut-down box in 0.27 to 0.28 s at 38 MB that exercises the plumbing
+but usually reports INCONCLUSIVE.  Before the closing line, the run's
+family scan prints its step count and the tracemalloc peak of
+family_stats.
 """
 
 import argparse
+import tracemalloc
 
+from oscillab import reports
 from oscillab.experiments import plan_scenarios
+from oscillab.oscillation import family_stats
 from oscillab.reports import exp_lacunary
 
 
@@ -35,7 +40,23 @@ def main():
             distance_max=512.0,
         )
     (plan,) = plan_scenarios({"scenarios": [scenario]})
-    rep = exp_lacunary(plan.family, plan.params["k_max"])
+    scans = []
+
+    def traced(f, family):
+        """family_stats, keeping the scan's step count and tracemalloc peak."""
+        tracemalloc.start()
+        try:
+            st = family_stats(f, family)
+            scans.append((st.oscillation.starts.size, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return st
+
+    reports.family_stats = traced
+    try:
+        rep = exp_lacunary(plan.family, plan.params["k_max"])
+    finally:
+        reports.family_stats = family_stats
 
     for mode in sorted(rep.curves):
         curve = rep.curves[mode]
@@ -44,6 +65,8 @@ def main():
         for a, val, cnt in zip(curve.ladder, curve.values, curve.counts):
             mark = "" if cnt else "  (no balls)"
             print(f"    a={a:<10.4g} sup={val:.5f} over {cnt} balls{mark}")
+    for steps, peak in scans:
+        print(f"family_stats: {steps} steps, tracemalloc peak {peak / 2**20:.3f} MiB")
     trend = "n/a" if rep.trend_exponent is None else f"{rep.trend_exponent:.3f}"
     print(
         f"far floor {rep.floor:.4f} (required {rep.floor_required:.4f}, ok={rep.floor_ok}), "

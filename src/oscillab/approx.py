@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ThresholdExhaustedError
-from .grid import Grid, GridFunction, oscillation_and_size, segment_sups
+from .grid import Grid, GridFunction, oscillation_and_size
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,20 @@ def _pyramid(f: GridFunction, a: int, p: int):
             k0, k1, n = k0 // 2, (k1 + 1) // 2, n // 2
 
 
+def segment_sups(values: np.ndarray, start: int, fill: float, cuts: np.ndarray) -> np.ndarray:
+    """The sup over each segment cuts[i] .. cuts[i + 1] - 1 (non-decreasing
+    cuts) of a level that holds values at the cubes start .. start +
+    values.size - 1 and fill at every other cube, or -inf for an empty
+    segment: one reduceat over the held parts, which tile a run of values,
+    and the fill where a segment holds more cubes than its held part."""
+    c = np.minimum(np.maximum(cuts, start), start + values.size) - start
+    got = c[:-1] < c[1:]
+    out = np.where(cuts[1:] - cuts[:-1] > c[1:] - c[:-1], fill, -np.inf)
+    if got.any():
+        out[got] = np.maximum(out[got], np.maximum.reduceat(values[: c[-1]], c[:-1][got]))
+    return out
+
+
 def _level_sups(f: GridFunction, a: int, p: int, rho: float):
     """One pass over the level pyramid of f (see _pyramid), fine to
     coarse, reduced to the scalars choose_thresholds reads: per level its
@@ -187,14 +201,14 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
     far_osc, far_size = np.full(len(levels), -np.inf), np.full(len(levels), -np.inf)
     shell_size: dict[tuple[int, int], float] = {}
     for l, q, k0, osc, size in _pyramid(f, a, p):
-        nc, run = 2 * n0 // q, (range(k0, k0 + osc.size),)
+        nc = 2 * n0 // q
         ends = [(n0 - t) // q for t in reversed(cuts)]  # the far prefixes, narrowest first
         starts = [min((n0 + t + q) // q, nc) for t in cuts]  # the far suffixes, widest first
         far_cuts = np.array([0, *ends, *starts, nc])
 
         def far_sups(x: np.ndarray, fill: float) -> tuple[float, np.ndarray]:
             """(the level's sup of x, the far sup of x for each T)."""
-            pieces = segment_sups(x, run, fill, far_cuts)
+            pieces = segment_sups(x, k0, fill, far_cuts)
             left, right = np.maximum.accumulate(pieces), np.maximum.accumulate(pieces[::-1])[::-1]
             return float(left[-1]), np.maximum(left[len(cuts) - 1 :: -1], right[len(cuts) + 1 :])
 
@@ -210,7 +224,7 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
         sides = [((n0 - 2 * s + q - 1) // q, (n0 - s) // q) for s in reversed(cuts[:-1])]
         sides += [((n0 + s + q - 1) // q, (n0 + 2 * s) // q) for s in cuts[:-1]]
         bounds = np.array([x for c0, c1 in sides for x in (c0, max(c0, c1))])
-        on = segment_sups(size, run, size_fill, bounds)[0::2]  # the shells' runs, not the gaps
+        on = segment_sups(size, k0, size_fill, bounds)[0::2]  # the shells' runs, not the gaps
         both = np.maximum(on[: len(shells)][::-1], on[len(shells) :])
         shell_size.update(zip(((l, m) for m in shells), both.tolist()))
         del osc, size  # the pyramid frees the level before building the next

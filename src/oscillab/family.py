@@ -18,9 +18,8 @@ the origin's, so each cutoff is a reach per block too.  A curve is
 therefore a reduction over a few contiguous segments of the family, at
 most 2 (n + 1) per block for an n-cutoff ladder, cut at n0 +- each
 reach.  The segment plan is built once per family and cut ladder.  A
-metric is BallValues: a few stored runs of each block and a fill for its
-other balls, so each segment's sup reads at most the runs' part of it
-and the fill.
+metric is BallValues, a step function over the balls, so a segment's sup
+reads only the steps it meets.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateRegionError, OutOfDomainError
-from .grid import Ball, Grid, _positions_below, segment_sups
+from .grid import Ball, Grid, _positions_below
 
 # the modes of a metric over all balls, and those over supercritical balls
 PLAIN_MODES = ("small-radius", "large-radius", "far-from-origin")
@@ -240,63 +239,61 @@ def supercritical_spans(family: BallFamily, rho):
 
 @dataclass(frozen=True)
 class BallValues:
-    """One value per ball of a family, held on stored runs: ascending,
-    disjoint ranges of ball indices, each inside one radius block, that
-    hold the entries of values in order, and every other ball holds fill.
-    A scan of a function held on pieces stores the balls that meet them,
-    a few runs per block, and the rest take the background's closed form;
-    whole() stores every ball, so a family-sized array is the same object
-    with no fill.  Every sup over segments of balls is grid.segment_sups
-    over the stored runs."""
+    """One value per ball of a family, as a step function over the ball
+    indices: ball i holds values[j] for the last step j with starts[j] <=
+    i; starts ascends strictly from 0, and a step may cross the end of a
+    radius block.  A scan of a function held on pieces steps where a ball
+    sum can change, whole() at every ball.  Every sup over segments of
+    balls is one maximum.reduceat over the steps."""
 
     family: BallFamily
-    runs: tuple[range, ...]
+    starts: np.ndarray
     values: np.ndarray
-    fill: float
 
     def __post_init__(self) -> None:
-        blocks, end = self.family.blocks, 0
-        starts = [b.start for b in blocks]
-        for r in self.runs:
-            block = blocks[bisect.bisect_right(starts, r.start) - 1]
-            if r.step != 1 or not end <= r.start <= r.stop <= block.stop:
-                raise ConfigError("stored runs are not ascending, disjoint runs inside the family's radius blocks")
-            end = r.stop
-        if self.values.shape != (sum(len(r) for r in self.runs),):
-            raise ConfigError("stored values do not match their runs")
+        a = self.starts
+        if (a.ndim != 1 or self.values.shape != a.shape or not a.size or a[0] or a[-1] >= len(self.family)
+                or np.any(a[1:] <= a[:-1])):
+            raise ConfigError("steps do not start at ball 0 and ascend strictly inside the family, one value each")
 
     @staticmethod
     def whole(family: BallFamily, values: np.ndarray) -> "BallValues":
-        """values, one per ball of family, as a run over each whole block."""
+        """values, one per ball of family, as one step per ball, whose
+        starts take int32 while the family allows: half the bytes."""
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != (len(family),):
             raise ConfigError("metric array length does not match the family")
-        return BallValues(family, tuple(range(b.start, b.stop) for b in family.blocks), vals, math.nan)
+        return BallValues(family, np.arange(len(family), dtype=np.int32 if len(family) < 2**31 else np.intp), vals)
+
+    def _step(self, balls) -> np.ndarray:
+        """The step of each ball, read in the starts' dtype (no copy of them)."""
+        return np.searchsorted(self.starts, np.asarray(balls, dtype=self.starts.dtype), side="right") - 1
+
+    def segment_sups(self, cuts: np.ndarray) -> np.ndarray:
+        """The sup over each segment cuts[i] .. cuts[i + 1] - 1
+        (non-decreasing cuts), or -inf for an empty segment: one reduceat
+        from each segment's first step to the next one's, and the
+        segment's last step, which a cut inside it splits between both."""
+        got = cuts[:-1] < cuts[1:]
+        first, last = self._step(cuts[:-1][got]), self._step(cuts[1:][got] - 1)
+        out = np.full(got.size, -np.inf)
+        if first.size:
+            out[got] = np.maximum(np.maximum.reduceat(self.values[: last[-1] + 1], first), self.values[last])
+        return out
 
     def first_sup(self, cuts: np.ndarray, kept: np.ndarray) -> tuple[float, int]:
         """The sup over the balls of the kept segments cuts[i] .. cuts[i +
-        1] - 1, each inside one radius block, and the first ball attaining
-        it, or (0.0, -1) when they hold no ball.  The first kept segment
-        attaining the sup holds that ball: in the order of its stored runs,
-        a fill ball before a run, else a stored ball of the run, else its
-        first fill ball after the last run."""
-        sups = np.where(kept, segment_sups(self.values, self.runs, self.fill, cuts), -np.inf)
+        1] - 1 (non-decreasing cuts), and the first ball attaining it, or
+        (0.0, -1) when they hold no ball.  The first kept segment attaining
+        the sup holds that ball: the later of the segment's start and the
+        start of its first step that attains the sup."""
+        sups = np.where(kept, self.segment_sups(cuts), -np.inf)
         i = int(np.argmax(sups))
         if sups[i] == -np.inf:
             return 0.0, -1
-        a, b, o = int(cuts[i]), int(cuts[i + 1]), 0
-        for run in self.runs:
-            p, q = max(a, run.start), min(b, run.stop)
-            if p < q:
-                if a < p and self.fill == sups[i]:
-                    return self.fill, a
-                stored = self.values[o + p - run.start : o + q - run.start]
-                hit = np.flatnonzero(stored == sups[i])
-                if hit.size:
-                    return float(stored[hit[0]]), p + int(hit[0])
-                a = q
-            o += len(run)
-        return self.fill, a
+        j, last = self._step([cuts[i], cuts[i + 1] - 1])
+        j += int(np.argmax(self.values[j : last + 1] == sups[i]))
+        return float(self.values[j]), max(int(cuts[i]), int(self.starts[j]))
 
 
 def _doublings(start: float, stop: float) -> list[float]:
@@ -419,9 +416,9 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     Each qualifying ball belongs to the bucket of the cutoff nearest the
     limit at which its key (radius or inner distance |c| - r) still
     qualifies.  The family's segment plan for the mode groups the balls
-    into contiguous runs of one bucket, so one grid.segment_sups over the
-    metric's stored runs gives each run's sup and the run lengths its
-    count.  The plain modes reduce the whole family as one span; the
+    into contiguous runs of one bucket, so one segment_sups over the
+    metric's steps gives each run's sup and the run lengths its count.
+    The plain modes reduce the whole family as one span; the
     supercritical modes reduce each radius block's supercritical run, the
     plan's segments cut at the runs' ends, so no mask or masked copy is
     made.  A cutoff's balls are those of its bucket and of every bucket
@@ -432,9 +429,6 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
         raise ConfigError(f"unknown curve mode {mode!r}")
     family = metric.family
     ladder = family.distance_ladder if mode in _DISTANCE_MODES else family.radius_ladder
-    if mode in SUPERCRITICAL_MODES and rho is None:
-        raise ConfigError(f"mode {mode} needs critical-radius values")
-
     plan, total = family.segment_plan(mode), len(family)
     at, buckets, kept = plan.starts, plan.buckets, slice(None)
     if mode in SUPERCRITICAL_MODES:
@@ -443,7 +437,6 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
         # between runs
         spans = np.array([(a, b) for _, a, b in supercritical_spans(family, rho)], dtype=np.intp)
         at = np.sort(np.concatenate((at, spans[spans < total])))
-        at = at[np.append(True, np.diff(at) > 0)]
         span = spans[np.searchsorted(spans[:, 0], at, side="right") - 1]
         kept = (span[:, 0] <= at) & (at < span[:, 1])
         buckets = buckets[np.searchsorted(plan.starts, at, side="right") - 1][kept]
@@ -451,7 +444,7 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     n = ladder.shape[0]
     top = np.full(n + 1, -np.inf)
     sizes = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(top, buckets, segment_sups(metric.values, metric.runs, metric.fill, cuts)[kept])
+    np.maximum.at(top, buckets, metric.segment_sups(cuts)[kept])
     np.add.at(sizes, buckets, np.diff(cuts)[kept])
 
     if mode == "small-radius":

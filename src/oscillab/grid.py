@@ -31,23 +31,18 @@ file) read ``values`` once.
 
 Every ball, cylinder and cone sum is read from one kind of prefix-sum
 table, SummedTable, built on the pieces of one row or of a stack of rows.
-A family scan asks for the balls of one radius over a run of centers at
-one index step, so each run's sums are the difference of two strided
-reads of the table; a ball that meets no piece of f is not read, and its
-mean is b.  A stack's table is read a row (an int) or a slice of rows at
-a time: a Carleson box of radius r reads the first k rows of its field's
-|F|^2 table, the ladder slices t_j <= r, and the cone its row j, through
-the constant ends past the walls.  The ball means of f and of f^2 become
-the oscillation and the size in one place, oscillation_and_size.
-
-Values held on runs of indices, with a fill at every other index, are
-reduced in one place too: segment_sups gives the sup over each of a list
-of segments, for a family's per-ball values (the runs of balls that meet
-f's pieces) and for a level of dyadic cubes (one run).  It and the
-table read the number of held indices before an index from one map,
-_held_map.  The naive per-ball sums, the oracle of the tables, live with
-the tests (tests/oracles.py), with the dense scans that the held ones are
-checked against.
+A scan over a run of centers at one index step reads each sum as the
+difference of two strided reads of the table; a family scan reads its
+sums at an index array of centers, the balls where a sum can change,
+each read at the number of held samples before the ball's ends
+(_held_map).  A stack's table is read a row (an int) or a slice of rows
+at a time: a Carleson box of radius r reads the first k rows of its
+field's |F|^2 table, the ladder slices t_j <= r, and the cone its row j,
+through the constant ends past the walls.  The ball means of f and of
+f^2 become the oscillation and the size in one place,
+oscillation_and_size.  The naive per-ball sums, the oracle of the
+tables, live with the tests (tests/oracles.py), with the dense scans
+that the held ones are checked against.
 """
 
 from __future__ import annotations
@@ -340,13 +335,13 @@ class SummedTable:
         self.grid = grid
         pieces = [(lo, np.asarray(v, dtype=np.float64)) for lo, v in pieces]
         lead = pieces[0][1].shape[:-1] if pieces else ()
-        self._spans, end = [], 0
+        spans, end = [], 0
         for lo, v in pieces:
             if v.ndim not in (1, 2) or v.shape[:-1] != lead or not end <= lo <= grid.size - v.shape[-1]:
                 raise ConfigError("summed table shape mismatch")
             end = lo + v.shape[-1]
-            self._spans.append((lo, end))
-        self._x, self._c = _held_map(self._spans)
+            spans.append((lo, end))
+        self._x, self._c = _held_map(spans)
         self._p = np.zeros(lead + (self._c[-1] + 1,))
         self._fill([v for _, v in pieces], square)
 
@@ -363,21 +358,6 @@ class SummedTable:
                 seg[..., 1:] = v
             np.cumsum(seg, axis=-1, out=seg)
             o += v.shape[-1]
-
-    def meeting(self, run: range, cell_radius: int) -> list[range]:
-        """The positions in run of the centers whose balls of cell radius m
-        meet a piece [lo, hi), c in [lo - m + 1, hi + m - 1): ascending,
-        disjoint slices of run, one per piece, merged where they overlap or
-        touch."""
-        m, out = int(cell_radius), []
-        for lo, hi in self._spans:
-            first, end = _positions_below(run, lo - m + 1), _positions_below(run, hi + m - 1)
-            if first < end:
-                if out and first <= out[-1].stop:
-                    out[-1] = range(out[-1].start, end)
-                else:
-                    out.append(range(first, end))
-        return out
 
     def _reads(self, start: int, count: int, step: int, rows: int | slice) -> list:
         """P at start, start + step, ... (count of them, step >= 1) of the
@@ -414,50 +394,36 @@ class SummedTable:
             out[..., j0:j1] = v
         return out
 
-    def ball_sum(self, run: range, cell_radius: int, out: np.ndarray | None = None, rows: int | slice = slice(None)) -> np.ndarray:
+    def ball_sum(self, run: range | np.ndarray, cell_radius, out: np.ndarray | None = None, rows: int | slice = slice(None)) -> np.ndarray:
         """Sum over samples strictly inside B(c, cell_radius * h) for each
-        center sample index c of run (a range with a positive step), of the
-        stack's rows[rows], written into out when given.  The
-        strict-inside offsets are |k| <= cell_radius - 1 in integer
-        arithmetic, so this path has no float membership fuzz; a ball
-        reaching past the samples raises OutOfDomainError.  The upper reads
-        of P are written into out and the lower ones subtracted there, so
-        no read of the run is held besides out."""
-        m = int(cell_radius)
-        if m < 1 or run.step < 1:
+        center sample index c of run, of the stack's rows[rows], written
+        into out when given.  run is a range with a positive step, read as
+        two strided runs of P, or an int array of centers, each end read at
+        its held count (_held_map), with cell_radius an int or one per
+        center.  The strict-inside offsets are |k| <= cell_radius - 1 in
+        integer arithmetic, so this path has no float membership fuzz; a
+        ball reaching past the samples raises OutOfDomainError.  The upper
+        reads of P are written into out and the lower ones subtracted
+        there."""
+        ranged, n = isinstance(run, range), len(run)
+        m = int(cell_radius) if ranged else np.asarray(cell_radius)
+        if np.any(m < 1) or ranged and run.step < 1:
             raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
-        if len(run) and (run.start - m + 1 < 0 or run[-1] + m > self.grid.size):
-            raise OutOfDomainError(f"balls of cell radius {m} over {run} leave the samples")
-        n, step = len(run), run.step
+        low, high = ((run.start - m, run[-1] + m) if ranged else (np.min(run - m), np.max(run + m))) if n else (0, 0)
+        if low + 1 < 0 or high > self.grid.size:
+            raise OutOfDomainError(f"balls of cell radius {cell_radius} over {run} leave the samples")
         if out is None:
             out = np.empty(self._p[rows].shape[:-1] + (n,))
-        for j0, j1, v in self._reads(run.start + m, n, step, rows):
-            out[..., j0:j1] = v
-        for j0, j1, v in self._reads(run.start - m + 1, n, step, rows):
-            out[..., j0:j1] -= v
+        if ranged:
+            for j0, j1, v in self._reads(run.start + m, n, run.step, rows):
+                out[..., j0:j1] = v
+            for j0, j1, v in self._reads(run.start - m + 1, n, run.step, rows):
+                out[..., j0:j1] -= v
+        else:
+            p = self._p[rows]
+            out[...] = p[..., np.interp(run + m, self._x, self._c).astype(np.intp)]
+            out -= p[..., np.interp(run - m + 1, self._x, self._c).astype(np.intp)]
         return out
-
-
-# ---------------------------------------------------------------------------
-# sups over held runs
-
-
-def segment_sups(values: np.ndarray, runs, fill: float, cuts: np.ndarray) -> np.ndarray:
-    """The sup over each segment cuts[i] .. cuts[i + 1] - 1 (non-decreasing
-    cuts) of a sequence whose indices in the runs (ascending, disjoint
-    ranges of step 1) hold values in order and whose other indices hold
-    fill, or -inf for an empty segment.  The number of held indices before
-    an index is piecewise linear in it, slope 1 over the runs and 0
-    elsewhere, so the segments' held parts tile a run of values and one
-    reduceat reads them all; a segment with fewer held indices than
-    indices holds the fill too."""
-    c = np.interp(cuts, *_held_map((r.start, r.stop) for r in runs)).astype(np.intp)
-    held = c[1:] - c[:-1]
-    out = np.where(cuts[1:] - cuts[:-1] > held, fill, -np.inf)
-    if held.any():
-        got = held > 0
-        out[got] = np.maximum(out[got], np.maximum.reduceat(values[c[0] : c[-1]], c[:-1][got] - c[0]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ norms:
 The norm that drives verdicts splits at the critical radius: oscillation
 is measured on balls with r < rho(center), plain size on balls with
 r >= rho(center); the two suprema are summed.  Every norm and curve
-reduces BallValues: the plain metrics held on the balls that meet f's
-pieces with a fill for the rest, the semigroup metric stored whole.
+reduces BallValues, a step function over the balls: the plain metrics
+step where a ball sum can change, the semigroup metric at every ball.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 @dataclass(frozen=True)
 class FamilyStats:
     """The 2-mean oscillation and the mean size (mean over B of
-    |f|^2)^(1/2) of one function on each ball of one family, built once
-    by family_stats and held on the balls that meet f's pieces; the norms
-    and curves of the pair read it."""
+    |f|^2)^(1/2) of one function on each ball of one family, as steps
+    that family_stats builds once and the norms and curves read."""
 
     oscillation: BallValues
     size: BallValues
@@ -62,42 +61,69 @@ class FamilyStats:
 
 
 def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
-    """One scan of f over the family, stored on the balls that meet f's
-    pieces: the runs of each block that SummedTable.meeting gives.  Their
-    means of f and of f^2 come from one SummedTable on the pieces, each
-    run's sums written into its place in two compact buffers and divided
-    there by the 2m - 1 samples of a ball of cell radius m; the table's
-    buffer takes the squares once the sums of f are read.  The oscillation
-    and the size are then made in place in the two buffers.  A ball that
-    meets no piece has mean b and mean square b^2, for f's background b,
-    so its oscillation is 0.0 and its size |b|, made the same way.
-    Besides f, one buffer of the held samples and the compact buffers are
-    live."""
+    """One scan of f over the family, as steps at the sites, the balls
+    where a sum P[c + m] - P[c - m + 1] can change: P at an index is the
+    table's entry at the held count before it, so along a block's run at
+    step s an end e's read moves only where [e - s, e) holds a held
+    sample, e in [lo + 1, hi + s - 1] for a piece [lo, hi).  With each
+    block's first ball these are the sites; between two, both reads and
+    so the sum are the same.  One SummedTable on the pieces gives the
+    sites' sums of f, then, refilled, of f^2, read by ball_sum 4,096 sites
+    at a time and divided by the 2m - 1 samples of a ball; the starts are
+    written once the table is freed, so a scan whose every ball is a site
+    never holds them beside it.  A constant b holds no piece: one step of
+    mean b and mean square b^2."""
     if not f.grid.compatible(family.grid):
         raise ConfigError("function and family live on different grids")
-    table = SummedTable(family.grid, f.pieces)
-    meets = [(b, meet) for b in family.blocks for meet in table.meeting(b.run, b.cell_radius)]
-    n = sum(len(meet) for _, meet in meets)
-    mean, mean_sq = np.empty(n), np.empty(n)
-    _ball_means(table, meets, mean)
-    table._fill([v for _, v in f.pieces], square=True)
-    _ball_means(table, meets, mean_sq)
-    del table
-    runs = tuple(range(b.start + meet.start, b.start + meet.stop) for b, meet in meets)
-    fills = oscillation_and_size(np.array([f.background]), np.array([f.background**2]))
-    held = oscillation_and_size(mean, mean_sq)
-    return FamilyStats(*(BallValues(family, runs, v, float(fill[0])) for v, fill in zip(held, fills)))
+    if not f.pieces:
+        sums = oscillation_and_size(np.array([f.background]), np.array([f.background**2]))
+        return FamilyStats(*(BallValues(family, np.zeros(1, dtype=np.intp), v) for v in sums))
+    lo, hi = np.array([(lo, lo + v.size) for lo, v in f.pieces]).T
+    s = family.lattice.step
+    b0, c0, m, count = np.array([(b.start, b.run.start, b.cell_radius, b.count) for b in family.blocks]).T[..., None]
+
+    def below(i: np.ndarray) -> np.ndarray:  # per block, the balls centered below the sample indices i
+        return (b0 + np.minimum(np.maximum(-((c0 - i) // s), 0), count)).ravel()
+
+    # the centers c with c + m, or c - m + 1, in [lo + 1, hi + s - 1], and each block's first
+    first, end = _union(below(np.concatenate((lo + 1 - m, lo + m, c0), 1)),
+                        below(np.concatenate((hi + s - m, hi + s + m - 1, c0 + 1), 1)))
+    n, starts, cells, origin = int(np.sum(end - first)), b0.ravel(), m.ravel(), (c0 - b0 * s).ravel()
+    table, means = SummedTable(family.grid, f.pieces), (np.empty(n), np.empty(n))
+    for out in means:
+        if out is means[1]:
+            table._fill([v for _, v in f.pieces], square=True)
+        for o in range(0, n, 4096):
+            at = _sites(first, end, o, min(4096, n - o))
+            b = np.searchsorted(starts, at, side="right") - 1
+            sums = table.ball_sum(origin[b] + at * s, cells[b], out=out[o : o + at.size])
+            np.divide(sums, 2 * cells[b] - 1, out=sums)
+    del table, at, b
+    at = _sites(first, end, 0, n)
+    return FamilyStats(*(BallValues(family, at, v) for v in oscillation_and_size(*means)))
 
 
-def _ball_means(table: SummedTable, meets: list, out: np.ndarray) -> None:
-    """The mean of the table's values over each ball of the meeting runs,
-    (block, run of its centers) pairs, written into out one run after
-    another."""
-    o = 0
-    for b, meet in meets:
-        sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius, out=out[o : o + len(meet)])
-        np.divide(sums, 2 * b.cell_radius - 1, out=sums)
-        o += len(meet)
+def _union(first: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the intervals first[i] .. end[i] - 1 as ascending,
+    disjoint, nonempty runs: with the firsts and the ends sorted apart, a
+    run ends at end[i - 1] when first[i] > end[i - 1], since the i
+    intervals that start before first[i] all end by end[i - 1]."""
+    first, end = np.sort(first), np.sort(end)
+    new = np.flatnonzero(np.append(True, first[1:] > end[:-1]))
+    first, end = first[new], end[np.append(new[1:], end.size) - 1]
+    return first[first < end], end[first < end]
+
+
+def _sites(first: np.ndarray, end: np.ndarray, o: int, k: int) -> np.ndarray:
+    """The sites o .. o + k - 1 (k >= 1) of the runs first[i] .. end[i] - 1
+    laid end to end: ones, with the jump to each run's first where it
+    starts, summed in place."""
+    cum = np.cumsum(end - first)
+    i, j = np.searchsorted(cum, [o, o + k - 1], side="right")
+    out = np.ones(k, dtype=np.intp)
+    out[0] = end[i] - (cum[i] - o)
+    out[cum[i:j] - o] = first[i + 1 : j + 1] - end[i:j] + 1
+    return np.cumsum(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +142,8 @@ class OscillationReport:
 
 def _sup_report(per_ball: BallValues) -> OscillationReport:
     """The sup of one value per family ball, at its first attaining ball."""
-    cuts = np.array([b.start for b in per_ball.family.blocks] + [len(per_ball.family)])
-    return OscillationReport(*per_ball.first_sup(cuts, np.ones(cuts.size - 1, dtype=bool)), len(per_ball.family))
+    n = len(per_ball.family)
+    return OscillationReport(*per_ball.first_sup(np.array([0, n]), np.ones(1, dtype=bool)), n)
 
 
 def bmo_norm(stats: FamilyStats) -> OscillationReport:

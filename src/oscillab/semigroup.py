@@ -58,7 +58,7 @@ _LADDER_BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class TLadder:
-    """Ascending positive scales t_1 < ... < t_m."""
+    """Ascending positive finite scales t_1 < ... < t_m."""
 
     values: np.ndarray
 
@@ -66,8 +66,8 @@ class TLadder:
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if v.size == 0:
             raise ConfigError("empty scale ladder")
-        if np.any(v <= 0) or np.any(np.diff(v) <= 0):
-            raise ConfigError("ladder values must be positive and strictly increasing")
+        if not np.all(np.isfinite(v)) or np.any(v <= 0) or np.any(np.diff(v) <= 0):
+            raise ConfigError("ladder values must be finite, positive and strictly increasing")
         object.__setattr__(self, "values", v)
 
     @staticmethod

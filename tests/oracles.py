@@ -15,7 +15,7 @@ from scipy.integrate import quad_vec
 
 from oscillab.errors import ConfigError, DegenerateRegionError, LadderError, OutOfDomainError
 from oscillab.family import MODES, SUPERCRITICAL_MODES, BallFamily, LimitCurve
-from oscillab.grid import _IDX_TOL, Ball, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
+from oscillab.grid import _IDX_TOL, Ball, _positions_below, Grid, GridFunction, SummedTable, oscillation_and_size, oscillation_of
 from oscillab.oscillation import OscillationReport, SplitNormReport
 from oscillab.potential import Potential, solve_critical_radius
 from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, apply_spectral, log_weights_for
@@ -383,14 +383,44 @@ def dense_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]
 
 
 def dense_values(per_ball) -> np.ndarray:
-    """A BallValues as one value per family ball: its fill, with each
-    block's stored run written over it."""
-    out = np.full(len(per_ball.family), per_ball.fill)
-    o = 0
-    for run in per_ball.runs:
-        out[run.start : run.stop] = per_ball.values[o : o + len(run)]
-        o += len(run)
+    """A BallValues as one value per family ball: each step's value
+    repeated over its balls."""
+    ends = np.append(per_ball.starts[1:], len(per_ball.family))
+    return np.repeat(per_ball.values, ends - per_ball.starts)
+
+
+def meeting(spans, run: range, cell_radius: int) -> list[range]:
+    """The positions in run of the centers whose balls of cell radius m
+    meet a span [lo, hi), c in [lo - m + 1, hi + m - 1): ascending,
+    disjoint slices of run, one per span, merged where they overlap or
+    touch."""
+    m, out = int(cell_radius), []
+    for lo, hi in spans:
+        first, end = _positions_below(run, lo - m + 1), _positions_below(run, hi + m - 1)
+        if first < end:
+            if out and first <= out[-1].stop:
+                out[-1] = range(out[-1].start, end)
+            else:
+                out.append(range(first, end))
     return out
+
+
+def held_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]:
+    """(oscillation, size) per family ball as family_stats held them
+    before they were steps: the balls that meet f's pieces (meeting) read
+    from one SummedTable on the pieces, a strided ball_sum per run, and
+    every other ball the closed form of f's background."""
+    table = SummedTable(family.grid, f.pieces)
+    spans = [(lo, lo + v.size) for lo, v in f.pieces]
+    meets = [(b, meet) for b in family.blocks for meet in meeting(spans, b.run, b.cell_radius)]
+    means = []
+    for square in (False, True):
+        table._fill([v for _, v in f.pieces], square=square)
+        means.append(np.full(len(family), f.background**2 if square else f.background))
+        for b, meet in meets:
+            sums = table.ball_sum(b.run[meet.start : meet.stop], b.cell_radius)
+            means[-1][b.start + meet.start : b.start + meet.stop] = sums / (2 * b.cell_radius - 1)
+    return oscillation_and_size(*means)
 
 
 def dense_pyramid(values: np.ndarray, a: int, p: int):

@@ -263,15 +263,14 @@ def test_metric_length_mismatch():
     fam = make_ball_family(g, FamilyPolicy(center_stride=2.0, radii=(1.0,)))
     with pytest.raises(ConfigError, match="does not match the family"):
         BallValues.whole(fam, np.ones(len(fam) + 1))
-    # a stored run outside its block, values that are not its length, a
-    # strided run, or runs that overlap or descend
-    (b,) = fam.blocks
-    for runs, n in (((range(b.start, b.stop + 1),), b.count + 1), ((range(b.start, b.start + 2),), 3),
-                    ((range(b.start, b.stop, 2),), len(range(b.start, b.stop, 2))),
-                    ((range(b.start, b.start + 3), range(b.start + 2, b.start + 4)), 5),
-                    ((range(b.start + 2, b.start + 4), range(b.start, b.start + 1)), 3)):
+    # steps that do not start at ball 0, that repeat or descend, that
+    # start past the family or are not 1-D, or values not one per step
+    n = len(fam)
+    for starts, k in ((np.array([1, 3]), 2), (np.array([0, 2, 2]), 3), (np.array([0, 3, 2]), 3),
+                      (np.array([0, n]), 2), (np.array([0, 2]), 3), (np.array([], dtype=np.intp), 0),
+                      (np.zeros((1, 1), dtype=np.intp), 1)):
         with pytest.raises(ConfigError):
-            BallValues(fam, runs, np.ones(n), 0.0)
+            BallValues(fam, starts, np.ones(k))
 
 
 def test_unknown_mode_rejected():
@@ -283,21 +282,21 @@ def test_unknown_mode_rejected():
         LimitCurve("tiny-radius", np.array([1.0]), np.array([1.0]), np.array([1]))
 
 
-def _held_on_runs(metric, fam):
-    """metric held on one random run of each block (empty, partial or
-    whole), every other ball taking a fill that ties one of the values."""
+def _held_on_steps(metric, fam):
+    """metric as a step function with random breakpoints, inside radius
+    blocks and across their ends: each step holds metric's value at its
+    first ball, so steps tie where metric does."""
     rng = np.random.default_rng(len(fam))
-    runs = tuple(range(*sorted(map(int, rng.integers(b.start, b.stop + 1, size=2)))) for b in fam.blocks)
-    fill = float(metric[rng.integers(len(fam))])
-    return BallValues(fam, runs, np.concatenate([metric[r.start : r.stop] for r in runs]), fill)
+    starts = np.unique(np.append(0, rng.integers(0, len(fam), size=max(1, len(fam) // 5))))
+    return BallValues(fam, starts, metric[starts])
 
 
 def _assert_same_curves(metric, fam, rho):
     """bucketed_sup against the per-cutoff mask oracle in every mode, for
-    the metric stored whole and held on runs with a fill; rho is a scalar
-    or one reach per radius block."""
+    the metric stored whole and held on random steps; rho is a scalar or
+    one reach per radius block."""
     mask = reach_mask(fam, rho) if np.ndim(rho) else supercritical_mask(fam, rho)
-    for values in (BallValues.whole(fam, metric), _held_on_runs(metric, fam)):
+    for values in (BallValues.whole(fam, metric), _held_on_steps(metric, fam)):
         for mode in MODES:
             got = bucketed_sup(values, mode, rho=rho)
             want = dense_bucketed_sup(dense_values(values), fam, mode, mask)

@@ -227,12 +227,18 @@ def test_windowed_ball_sums_equal_the_dense_oracle(m, start, step, count, lo, wi
     assert np.array_equal(got[0] if stacked else got, sums)
     if stacked:
         _check_rows(g, table, rows, lo, run, m, square)
-    # the centers whose balls meet the window are one slice of the run,
-    # and every ball outside it sums to exactly 0.0
-    meet = table.meeting(run, m)
-    inside = [lo - m + 1 <= c < hi + m - 1 and lo < hi for c in run]
-    assert inside == [any(k in r for r in meet) for k in range(len(run))] and len(meet) <= 1
-    assert not np.any(sums[[not i for i in inside]])
+    # the run's centers as an index array read the same entries, with
+    # one cell radius per center
+    centers = np.asarray(run)
+    assert np.array_equal(table.ball_sum(centers, np.full(len(run), m)), got)
+    # along the run a sum changes only at a site of family_stats, a center
+    # with an end e (c + m or c - m + 1) whose last step [e - step, e)
+    # holds a window sample, and a ball that meets no window sample sums
+    # to exactly 0.0
+    sums = got[0] if stacked else got
+    site = [any(lo < e < hi + step for e in (c + m, c - m + 1)) for c in run]
+    assert all(site[j] for j in range(1, len(run)) if sums[j].tobytes() != sums[j - 1].tobytes())
+    assert not np.any(sums[[not (lo - m + 1 <= c < hi + m - 1) for c in run]])
 
 
 def test_grid_function_holds_the_span_between_its_outer_nonzero_samples():

@@ -128,11 +128,11 @@ def test_family_stats_memory_is_one_table_plus_per_ball_arrays():
         tracemalloc.stop()
     table, per_ball = (g.size + 1) * 8, len(fam) * 8
     assert table > 16 * per_ball
-    # the table, then the two sums, each block written and divided in
-    # place, which then take the oscillation and the size: no third
-    # per-ball array
+    # the table, then the two sums, each chunk of sites written and
+    # divided in place, which then take the oscillation and the size, and
+    # the starts once the table is freed: no third per-ball array beside it
     assert peak < table + 3 * per_ball, (peak - table) / per_ball
-    # every ball meets the window of this f, so the runs hold the family
+    # every ball of this f is a site, so there is a step per ball
     assert st.oscillation.values.size == st.size.values.size == len(fam)
 
 
@@ -339,16 +339,15 @@ def test_split_norm_matches_the_masked_sup_oracle():
     rng = np.random.default_rng(11)
     mean, mean_sq = rng.integers(0, 2, len(fam)) * 0.5, rng.integers(1, 5, len(fam)) * 1.0
     osc, size = np.sqrt(np.maximum(0.0, mean_sq - mean**2)), np.sqrt(mean_sq)
-    # the same values held on a run of each block, the rest of the block
-    # filled with the largest value, so fill balls before, in and after a
-    # part's run tie with its held sup
-    runs = tuple(range(*sorted(map(int, rng.integers(b.start, b.stop + 1, size=2)))) for b in fam.blocks)
-    held = [np.concatenate([v[r.start : r.stop] for r in runs]) for v in (osc, size)]
+    # the same values as steps of a few balls each, some across the end of
+    # a block, so a part's cuts fall inside steps, and a step the cut
+    # splits ties with the part's sup on both sides of the cut
+    starts = np.unique(np.append(0, rng.integers(0, len(fam), size=len(fam) // 3)))
     stats_of = {
         "whole": FamilyStats(BallValues.whole(fam, osc), BallValues.whole(fam, size)),
-        "held": FamilyStats(*(BallValues(fam, runs, h, float(v.max())) for h, v in zip(held, (osc, size)))),
+        "steps": FamilyStats(BallValues(fam, starts, osc[starts]), BallValues(fam, starts, size[starts])),
     }
-    assert any(0 < len(r) < b.count for r, b in zip(runs, fam.blocks))
+    assert not set(b.start for b in fam.blocks) <= set(starts.tolist())
     ties = np.array([16, 10, 4, 2])  # |c| = 4, 2.5, 1 and 0.5
     reaches = [ties, ties + 1, ties - 1, np.array([g.size, 0, g.size, 0])]
     for stats in stats_of.values():
@@ -500,10 +499,8 @@ def test_sup_reductions_match_the_naive_oracle(case):
     f, fam = _REDUCTION_CASES[case]()
     st = family_stats(f, fam)
     osc, size = dense_values(st.oscillation), dense_values(st.size)
-    if f.hi > f.lo:
-        assert len(fam) > 0 and st.oscillation.values.size > 0
-    else:
-        assert st.oscillation.values.size == 0 and osc[0] == 0.0 and size[0] == abs(f.background)
+    if f.hi == f.lo:
+        assert st.oscillation.starts.tolist() == [0] and osc[0] == 0.0 and size[0] == abs(f.background)
     radii = [b.radius for b in fam.blocks]
     reaches = [critical_reach(power_potential(eps, 1, amplitude=a), fam.grid, fam.lattice, radii)
                for eps, a in ((1.05, 0.5), (1.5, 1.0))]
@@ -520,13 +517,13 @@ def test_sup_reductions_match_the_naive_oracle(case):
 
 
 def test_constant_reductions_attain_at_the_first_ball():
-    # a declared constant stores no ball: every oscillation is the fill
-    # 0.0, so the sup is attained first at ball 0, and the size part at
-    # the first supercritical ball
+    # a declared constant is one step: every oscillation is 0.0, so the
+    # sup is attained first at ball 0, and the size part at the first
+    # supercritical ball
     for b in (1.0, -0.5, 0.0):
         f, fam = _constant_case(b)
         st = family_stats(f, fam)
-        assert st.oscillation.values.size == st.size.values.size == 0
+        assert st.oscillation.starts.tolist() == st.size.starts.tolist() == [0]
         assert bmo_norm(st) == oscillation.OscillationReport(0.0, 0, len(fam))
         split = bmo_l_norm(st, 2.0)
         first_super = next(blk.start for blk in fam.blocks if blk.radius >= 2.0)
@@ -534,8 +531,8 @@ def test_constant_reductions_attain_at_the_first_ball():
 
 
 def _lacunary_scan():
-    """(family, f, stats, tracemalloc peak of family_stats) at the geometry
-    of configs/lacunary.json."""
+    """(family, f, stats, tracemalloc peak of family_stats, the bytes it
+    keeps) at the geometry of configs/lacunary.json."""
     (plan,) = plan_scenarios({"scenarios": [{
         "id": "lacunary-separation", "k_max": 8, "halfwidth": 16384.0, "spacing": 2.0**-8, "stride": 0.25,
         "radius_max": 4096.0, "distance_max": 4096.0,
@@ -544,34 +541,36 @@ def _lacunary_scan():
     tracemalloc.start()
     try:
         st = family_stats(f, plan.family)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return plan.family, f, st, peak
+    return plan.family, f, st, peak, kept
 
 
 def test_family_stats_at_lacunary_size_allocates_no_family_sized_array():
-    # configs/lacunary.json: 2,424,815 balls, of which 162,035 meet the 8
-    # pieces of 511 samples each (their hull holds 1,679,359 samples);
-    # besides the pieces' prefix table, the scan holds two buffers of the
-    # meeting balls, together less than one family-sized float64 array
-    fam, f, st, peak = _lacunary_scan()
-    meeting, samples = st.oscillation.values.size, sum(v.size for _, v in f.pieces)
-    assert (len(fam), f.hi - f.lo, len(f.pieces), samples, meeting) == (2_424_815, 1_679_359, 8, 4_088, 162_035)
-    table, held, slack = (samples + 1) * 8, 2 * meeting * 8, 1 << 20
-    assert held + slack < len(fam) * 8
-    assert peak < table + held + slack, (peak - table - held) / (len(fam) * 8)
+    # configs/lacunary.json: 2,424,815 balls, whose sums change at no more
+    # than 2,179 of them, the steps, about the 8 pieces of 511 samples
+    # each (their hull holds 1,679,359 samples); besides the pieces'
+    # prefix table, the scan holds a dozen arrays of its steps, together
+    # less than a fiftieth of one family-sized float64 array
+    fam, f, st, peak, _ = _lacunary_scan()
+    steps, samples = st.oscillation.starts.size, sum(v.size for _, v in f.pieces)
+    assert (len(fam), f.hi - f.lo, len(f.pieces), samples, steps) == (2_424_815, 1_679_359, 8, 4_088, 2_179)
+    table, held, slack = (samples + 1) * 8, 12 * steps * 8, 1 << 16
+    assert held + slack < len(fam) * 8 // 50
+    assert peak < table + held + slack, (peak - table) / (steps * 8)
 
 
-def test_family_stats_at_lacunary_size_holds_no_second_read_of_a_run():
-    # ball_sum writes a run's upper reads of the table into the compact
-    # buffer and subtracts the lower ones there, also where they leave the
-    # pieces: the scan stays within the table, the two buffers and one
-    # read of its longest run (59,007 balls), plus 64 KB of Python objects
-    fam, f, st, peak = _lacunary_scan()
-    meeting, samples = st.oscillation.values.size, sum(v.size for _, v in f.pieces)
-    longest = max(len(r) for r in st.oscillation.runs)
-    assert longest == 59_007
-    assert peak <= 8 * (samples + 1) + 16 * meeting + 8 * longest + (1 << 16), peak
+def test_family_stats_at_lacunary_size_holds_a_few_arrays_of_its_steps():
+    # one ball_sum per table reads every step's two ends: the scan stays
+    # within the table and ten arrays of the steps, plus 64 KB of Python
+    # objects, and keeps one array of starts, which the oscillation and
+    # the size share, and their two arrays of values (plus 16 KB that a
+    # first call in a fresh process leaves in numpy's and Python's caches)
+    fam, f, st, peak, kept = _lacunary_scan()
+    steps, samples = st.oscillation.starts.size, sum(v.size for _, v in f.pieces)
+    assert st.size.starts is st.oscillation.starts and st.size.values.size == steps
+    assert peak <= 8 * (samples + 1) + 80 * steps + (1 << 16), peak
+    assert kept <= 24 * steps + (1 << 14), kept
 
 

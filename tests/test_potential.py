@@ -178,8 +178,13 @@ def test_critical_radius_matches_scan_oracle_at_lacunary_centers():
 )
 def test_critical_radius_is_bit_even_at_lacunary_centers(V):
     # the 131,071 distinct lacunary centers, mirrored: the mass at -x is the
-    # mass at x to the bit, so one solve per |x| serves both signs
+    # mass at x to the bit, so one solve per |x| serves both signs.  The
+    # potential layer reads |x| alone, so the 1-D mass formula is checked
+    # on signed centers too: its antiderivative is odd to the bit (the
+    # constant's integrand is |y|^0)
     xs = np.arange(-65535, 65536) * 0.25
+    p = V.eps - 2.0 if V.kind == "power" else 0.0
+    assert np.array_equal(potential._power_mass_1d(-xs, 1.0, p), potential._power_mass_1d(xs, 1.0, p))
     assert np.array_equal(normalized_mass(V, -xs, 1.0), normalized_mass(V, xs, 1.0))
     assert np.array_equal(solve_critical_radius(V, -xs).values, solve_critical_radius(V, xs).values)
 

@@ -217,6 +217,15 @@ def test_ladder_construction():
         TLadder.geometric(1.0, 0.5)
 
 
+@pytest.mark.parametrize("scales", [[math.nan, 0.5, 1.0], [0.1, math.nan, 1.0], [0.1, 0.5, math.nan],
+                                    [0.1, 0.5, math.inf], [math.nan]])
+def test_ladder_refuses_scales_that_are_not_finite(scales):
+    # a NaN compares false both ways, so it passed the order checks, and
+    # made NaN log weights and a box of one slice at any radius
+    with pytest.raises(ConfigError, match="finite"):
+        TLadder(np.array(scales))
+
+
 def test_default_ladder_spans_h_to_quarter_box():
     g = Grid(halfwidth=4.0, spacing=0.125)
     lad = default_ladder(g)

@@ -31,13 +31,14 @@ from oscillab.approx import (
     dyadic_average,
     mollify,
     p1_p2_check,
+    segment_sups,
 )
 from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ThresholdExhaustedError
 from oscillab.experiments import plan_scenarios
 from oscillab.reports import RHO_CONSTANT_UNIT
 from oscillab.family import FamilyPolicy, make_ball_family
-from oscillab.grid import Grid, GridFunction, segment_sups
+from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, oscillation_curves
 from oracles import (
     constant,
@@ -50,6 +51,7 @@ from oracles import (
     dense_level_sups,
     dense_mollify,
     dense_pyramid,
+    held_family_stats,
     held_whole,
     naive_sup_reductions,
 )
@@ -280,24 +282,22 @@ def test_declared_constants_scan_as_their_dense_samples(member, geometry):
 
 
 def test_segment_sups_read_the_fill_outside_the_held_runs():
-    # a sequence held on a few runs with a fill elsewhere, reduced over
-    # random segments (empty ones, ones of fill only, ones across runs)
-    # equals the max over the same segments of the sequence written out
-    # in full; values and fill are drawn from a few integers so the fill
-    # often ties a held value
+    # a sequence held on one run (a level of the pyramid) with a fill
+    # elsewhere, reduced over random segments (empty ones, ones of fill
+    # only, ones across the run's ends) equals the max over the same
+    # segments of the sequence written out in full; values and fill are
+    # drawn from a few integers so the fill often ties a held value
     rng = np.random.default_rng(30)
     for _ in range(500):
         n = int(rng.integers(0, 40))
-        edges = np.sort(rng.integers(0, n + 1, size=2 * int(rng.integers(0, 4))))
-        runs = tuple(range(int(i), int(j)) for i, j in edges.reshape(-1, 2))
-        values = rng.integers(-2, 3, size=sum(len(r) for r in runs)).astype(np.float64)
+        start, stop = sorted(map(int, rng.integers(0, n + 1, size=2)))
+        values = rng.integers(-2, 3, size=stop - start).astype(np.float64)
         fill = float(rng.integers(-2, 3))
         dense = np.full(n, fill)
-        if runs:
-            dense[np.concatenate([np.arange(r.start, r.stop) for r in runs])] = values
+        dense[start:stop] = values
         cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 8))))
         want = [dense[i:j].max() if i < j else -math.inf for i, j in zip(cuts, cuts[1:])]
-        assert _same(segment_sups(values, runs, fill, cuts), np.array(want)), (n, runs, cuts)
+        assert _same(segment_sups(values, start, fill, cuts), np.array(want)), (n, start, stop, cuts)
 
 
 def _sups_bits(sups) -> list:
@@ -389,3 +389,53 @@ def test_several_piece_family_stats_equal_the_dense_oracle(layout, seed, stride)
     for mode, curve in oscillation_curves(st_, rho).items():
         assert _same(curve.values, curves[mode].values) and np.array_equal(curve.counts, curves[mode].counts), mode
 
+
+
+def _first_sup_of(dense: np.ndarray, cuts: np.ndarray, kept: np.ndarray) -> tuple[float, int]:
+    """The sup over the kept segments of one value per ball and the first
+    ball attaining it, ball by ball, or (0.0, -1) over no ball."""
+    balls = [i for s, (a, b) in enumerate(zip(cuts, cuts[1:])) if kept[s] for i in range(a, b)]
+    if not balls:
+        return 0.0, -1
+    best = balls[0]
+    for i in balls[1:]:
+        if dense[i] > dense[best]:
+            best = i
+    return float(dense[best]), best
+
+
+@given(_PIECES, st.integers(0, 2**16), st.integers(1, 3), st.sampled_from([None, 1.0, -0.5]),
+       st.lists(st.integers(0, 2**20), min_size=1, max_size=12))
+@example([(0, 3, "value", "value"), (1, 4, "-0.0", "value"), (0, 2, "value", "+0.0")], 3, 2, None, [7, 40, 41])
+def test_steps_equal_the_dense_oracle_and_its_first_attaining_ball(layout, seed, stride, constant, draws):
+    # family_stats' steps against the scan of every sample and against the
+    # balls that meet a piece held with a fill (held_family_stats), bit for
+    # bit: random piece layouts with pieces closer together than a ball's
+    # diameter, or a constant background; then random cuts, some inside a
+    # step, against each segment's dense sup and the first ball attaining
+    # the sup over random kept segments.  Values are multiples of 0.5, so
+    # sups tie across steps and on both sides of a cut
+    grid = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(grid, FamilyPolicy(center_stride=0.25 * stride, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 7.5)))
+    if constant is None:
+        f = GridFunction.from_pieces(grid, _pieces_of(layout, seed, grid))
+        assume(f.pieces)
+    else:
+        f = GridFunction.constant(grid, constant)
+    got = family_stats(f, fam)
+    n, starts = len(fam), got.oscillation.starts
+    dense = []
+    for steps, want, held in zip((got.oscillation, got.size), dense_family_stats(f, fam), held_family_stats(f, fam)):
+        assert _same(dense_values(steps), want) and _same(want, held)
+        dense.append(want)
+    rng = np.random.default_rng(seed)
+    inside = np.flatnonzero(np.diff(np.append(starts, n)) > 1)
+    cuts = np.sort(np.concatenate([np.array(draws) % (n + 1), starts[rng.permutation(inside)[:3]] + 1, [0, n]]))
+    assert inside.size == 0 or not np.isin(cuts, starts).all()
+    kept = rng.random(cuts.size - 1) < 0.6
+    for steps, values in zip((got.oscillation, got.size), dense):
+        want = [values[a:b].max() if a < b else -math.inf for a, b in zip(cuts, cuts[1:])]
+        assert _same(steps.segment_sups(cuts), np.array(want))
+        assert steps.first_sup(cuts, kept) == _first_sup_of(values, cuts, kept)
+        for one in np.eye(kept.size, dtype=bool):  # a segment that starts inside a step
+            assert steps.first_sup(cuts, one) == _first_sup_of(values, cuts, one)
