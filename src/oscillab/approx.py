@@ -466,9 +466,10 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
     """Replace f by its mean on each assigned cube.
 
     Only the cubes that meet f's hull are read; every other cube's mean
-    is f's background, so a constant is its own average.  Means are computed against a per-cube anchor sample
-    (the cube's first sample), which makes the operation exactly
-    idempotent on piecewise-constant input.
+    is f's background, so a constant is its own average.  Means are
+    computed against a per-cube anchor sample (the cube's first sample),
+    which makes the operation exactly idempotent on piecewise-constant
+    input.
     """
     if not f.grid.compatible(assignment.grid):
         raise ConfigError("function and assignment grids differ")

@@ -30,16 +30,16 @@ sample (the operator's sine transform, the half-space fields, the written
 file) read ``values`` once.
 
 Every ball, cylinder and cone sum is read from one kind of prefix-sum
-table, SummedTable, built on the pieces of one row or of a stack of rows.
-A scan over a run of centers at one index step reads each sum as the
-difference of two strided reads of the table; a family scan reads its
-sums at an index array of centers, the balls where a sum can change,
-each read at the number of held samples before the ball's ends
-(_held_map).  A stack's table is read a row (an int) or a slice of rows
-at a time: a Carleson box of radius r reads the first k rows of its
-field's |F|^2 table, the ladder slices t_j <= r, and the cone its row j,
-through the constant ends past the walls.  The ball means of f and of
-f^2 become the oscillation and the size in one place,
+table, SummedTable, built on the pieces of one row or of a stack of rows,
+and the table has one read: P at an index is its stored entry at the
+number of held samples before the index (_held_map).  A ball's sum is the
+difference of the reads at its two ends, for a run of centers at one
+index step as for a family scan's index array of centers, the balls
+where a sum can change.  A stack's table is read a row (an int) or a
+slice of rows at a time: a Carleson box of radius r reads the first k
+rows of its field's |F|^2 table, the ladder slices t_j <= r, and the
+cone its row j, through the constant ends past the walls.  The ball
+means of f and of f^2 become the oscillation and the size in one place,
 oscillation_and_size.  The naive per-ball sums, the oracle of the
 tables, live with the tests (tests/oracles.py), with the dense scans
 that the held ones are checked against.
@@ -47,7 +47,6 @@ that the held ones are checked against.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -315,17 +314,16 @@ class SummedTable:
     """Prefix sums P[i], the sum of the samples before index i, of a row
     of samples, or of each row of a (k, samples) stack (of their squares
     with square=True, made in the table's buffer), serving the sums over
-    balls of one cell radius m centered on a run of samples: samples
-    c - m + 1 .. c + m - 1 sum to P[c + m] - P[c - m + 1], so a run
-    start:stop:step reads two runs of P with that step.
+    balls of cell radius m centered on samples c: samples c - m + 1 ..
+    c + m - 1 sum to P[c + m] - P[c - m + 1].
 
     The table is built on pieces only, ascending, disjoint (lo, samples)
     pairs with every other sample 0: it stores one prefix over the
-    concatenated pieces, and P at an index is the stored entry at the
-    number of held samples before it (_held_map).  So P is 0 before the
-    first piece, the running total between pieces and the total after the
-    last, and ``prefix`` reads those constants where a run leaves the
-    pieces.  A ball that meets no piece sums to S - S, which is 0.0.
+    concatenated pieces, and ``prefix`` reads P at an index as the stored
+    entry at the number of held samples before it (_held_map).  So P is 0
+    before the first piece, the running total between pieces and the
+    total after the last, also off the ends of the samples.  A ball that
+    meets no piece sums to S - S, which is 0.0.
     """
 
     def __init__(self, grid: Grid, pieces, square: bool = False):
@@ -359,70 +357,37 @@ class SummedTable:
             np.cumsum(seg, axis=-1, out=seg)
             o += v.shape[-1]
 
-    def _reads(self, start: int, count: int, step: int, rows: int | slice) -> list:
-        """P at start, start + step, ... (count of them, step >= 1) of the
-        stack's rows[rows], as (j0, j1, v) parts that tile 0 .. count: v is
-        a strided view of the stored prefix over a piece, its end included,
-        or the constant off the pieces, one entry wide."""
-        p, x, c = self._p[rows], self._x, self._c
-        parts, j0 = [], 0
-        k = bisect.bisect_right(x, start)  # the first read lies before breakpoint k
-        while j0 < count:
-            # the reads before breakpoint k: over a piece (c rises to it), a
-            # strided run of P that takes the piece's end too; else the
-            # constant c[k - 1], 0 before the first breakpoint
-            over = 0 < k < len(x) and c[k] > c[k - 1]
-            j1 = count if k == len(x) else min(-((start - x[k] - over) // step), count)
-            if j0 < j1:
-                i = c[max(k - 1, 0)] + (start + j0 * step - x[k - 1]) * over
-                parts.append((j0, j1, p[..., i : i + (j1 - j0 - 1) * step + 1 : step] if over else p[..., i : i + 1]))
-                j0 = j1
-            k += 1
-        return parts
-
-    def prefix(self, start: int, count: int, step: int, rows: int | slice = slice(None)) -> np.ndarray:
-        """P at start, start + step, ... (count of them, step >= 1) of the
-        stack's rows[rows] (an int or a slice; all rows by default): a
-        strided view of the stored prefix when they all fall on one piece,
-        its ends included, else a new array with the constants off the
-        pieces filled in."""
-        parts = self._reads(start, count, step, rows)
-        if len(parts) == 1 and parts[0][2].shape[-1] == count:
-            return parts[0][2]
-        out = np.empty(self._p[rows].shape[:-1] + (count,))
-        for j0, j1, v in parts:
-            out[..., j0:j1] = v
-        return out
+    def prefix(self, idx: range | np.ndarray, rows: int | slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """P at the sample indices idx (an int array, or a range, read as
+        its np.arange) of the stack's rows[rows] (an int or a slice; all
+        rows by default), written into out when given: the stored entry at
+        the held count before each index (_held_map), so 0 left of the
+        pieces and the total right of them."""
+        if isinstance(idx, range):
+            idx = np.arange(idx.start, idx.stop, idx.step)
+        # np.take returns C order where p[..., idx] of a stack returns F
+        # order, which a sum over the rows adds up pairwise, not in order
+        return np.take(self._p[rows], np.interp(idx, self._x, self._c).astype(np.intp), axis=-1, out=out)
 
     def ball_sum(self, run: range | np.ndarray, cell_radius, out: np.ndarray | None = None, rows: int | slice = slice(None)) -> np.ndarray:
         """Sum over samples strictly inside B(c, cell_radius * h) for each
         center sample index c of run, of the stack's rows[rows], written
-        into out when given.  run is a range with a positive step, read as
-        two strided runs of P, or an int array of centers, each end read at
-        its held count (_held_map), with cell_radius an int or one per
-        center.  The strict-inside offsets are |k| <= cell_radius - 1 in
-        integer arithmetic, so this path has no float membership fuzz; a
-        ball reaching past the samples raises OutOfDomainError.  The upper
-        reads of P are written into out and the lower ones subtracted
-        there."""
-        ranged, n = isinstance(run, range), len(run)
-        m = int(cell_radius) if ranged else np.asarray(cell_radius)
-        if np.any(m < 1) or ranged and run.step < 1:
+        into out when given.  run is a range with a positive step or an
+        int array of centers, with cell_radius an int or one per center;
+        each sum is P[c + m] - P[c - m + 1], both ends read by ``prefix``
+        at their held counts.  The strict-inside offsets are |k| <=
+        cell_radius - 1 in integer arithmetic, so this path has no float
+        membership fuzz; a ball reaching past the samples raises
+        OutOfDomainError.  The upper reads of P are written into out and
+        the lower ones subtracted there."""
+        m = np.asarray(cell_radius)
+        if np.any(m < 1) or isinstance(run, range) and run.step < 1:
             raise ConfigError("ball sums need a cell radius >= 1 and an ascending run")
-        low, high = ((run.start - m, run[-1] + m) if ranged else (np.min(run - m), np.max(run + m))) if n else (0, 0)
-        if low + 1 < 0 or high > self.grid.size:
+        c = np.arange(run.start, run.stop, run.step) if isinstance(run, range) else run
+        if len(c) and (np.min(c - m) + 1 < 0 or np.max(c + m) > self.grid.size):
             raise OutOfDomainError(f"balls of cell radius {cell_radius} over {run} leave the samples")
-        if out is None:
-            out = np.empty(self._p[rows].shape[:-1] + (n,))
-        if ranged:
-            for j0, j1, v in self._reads(run.start + m, n, run.step, rows):
-                out[..., j0:j1] = v
-            for j0, j1, v in self._reads(run.start - m + 1, n, run.step, rows):
-                out[..., j0:j1] -= v
-        else:
-            p = self._p[rows]
-            out[...] = p[..., np.interp(run + m, self._x, self._c).astype(np.intp)]
-            out -= p[..., np.interp(run - m + 1, self._x, self._c).astype(np.intp)]
+        out = self.prefix(c + m, rows, out)
+        out -= self.prefix(c - m + 1, rows)
         return out
 
 

@@ -89,7 +89,7 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
         kmax = math.ceil(tj / h - 1e-9) - 1
         if kmax > 0:
             truncated[:kmax] = truncated[n - kmax :] = True
-        acc += (F.table.prefix(kmax + 1, n, 1, rows=j) - F.table.prefix(-kmax, n, 1, rows=j)) * (h * w[j] / tj)
+        acc += (F.table.prefix(range(kmax + 1, kmax + 1 + n), j) - F.table.prefix(range(-kmax, n - kmax), j)) * (h * w[j] / tj)
     return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
 

@@ -408,7 +408,7 @@ def meeting(spans, run: range, cell_radius: int) -> list[range]:
 def held_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]:
     """(oscillation, size) per family ball as family_stats held them
     before they were steps: the balls that meet f's pieces (meeting) read
-    from one SummedTable on the pieces, a strided ball_sum per run, and
+    from one SummedTable on the pieces, a ball_sum per run, and
     every other ball the closed form of f's background."""
     table = SummedTable(family.grid, f.pieces)
     spans = [(lo, lo + v.size) for lo, v in f.pieces]

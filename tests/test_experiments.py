@@ -653,18 +653,20 @@ print(json.dumps({"code": code, "peak_mb": resource.getrusage(resource.RUSAGE_CH
 """
 
 
-def test_lacunary_wide_separates_below_half_the_hull_scan_peak(tmp_path):
+def test_lacunary_wide_separates_at_the_import_floor(tmp_path):
     # configs/lacunary-wide.json, three modes past the headline run: the
     # bumps at 3, ..., 3^11 on 134,217,729 samples and 47,185,899 balls.
-    # Its asserted verdicts hold, and the run peaks at no more than half
-    # of the 702 MB that a scan of the bumps' hull took
+    # Its asserted verdicts hold, and the run stays under 60 MB, what the
+    # interpreter and the imports take (36.7 MB on 2 vCPUs), as
+    # lacunary-deep's does: a value held per meeting ball (81 MB) or a scan
+    # of the bumps' hull (702 MB) fails
     src = str(Path(oscillab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _RUN_PROBE, str(CONFIGS / "lacunary-wide.json"), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["code"] == 0 and got["peak_mb"] <= 351, got
+    assert got["code"] == 0 and got["peak_mb"] < 60, got
     rep = json.loads((tmp_path / "out" / "summary.json").read_text())["scenarios"]["lacunary-separation"]
     assert rep["n_balls"] == 47_185_899 and rep["floor_ok"]
     assert {mode: v["verdict"] for mode, v in rep["verdicts"].items()} == _SCENARIO_TABLE["lacunary-separation"].expected

@@ -163,7 +163,7 @@ def _check_rows(g, table, rows, lo, run, m, square):
         assert np.array_equal(got[j], SummedTable(g, [(lo, row**2 if square else row)]).ball_sum(run, m))
     assert np.array_equal(table.ball_sum(run, m, rows=slice(1)), got[:1])
     assert np.array_equal(table.ball_sum(run, m, rows=1), got[1])
-    assert np.array_equal(table.prefix(run.start, len(run), run.step, rows=1), table.prefix(run.start, len(run), run.step)[1])
+    assert np.array_equal(table.prefix(run, rows=1), table.prefix(run)[1])
 
 
 @given(
@@ -175,8 +175,9 @@ def _check_rows(g, table, rows, lo, run, m, square):
     st.booleans(),
 )
 def test_run_ball_sums_equal_the_index_array_oracle(m, start, step, count, square, stacked):
-    # the strided-slice read of a run against the prefix table read at an
-    # index array: the same two table entries per ball, so the same bytes
+    # a run of centers read at its held counts against the dense prefix
+    # table read at an index array: the same two entries per ball, so the
+    # same bytes
     g = Grid(halfwidth=16.0, spacing=0.25)
     rows = np.random.default_rng(start * 31 + step).normal(size=(2,) + g.shape)
     values = rows[0]
@@ -218,6 +219,18 @@ def test_windowed_ball_sums_equal_the_dense_oracle(m, start, step, count, lo, wi
     dense[lo:hi] = window
     table = SummedTable(g, [(lo, rows if stacked else window)], square=square)
     run = range(start, start + count * step, step)
+    # P off the ends of the samples is the dense P at the nearest end: 0
+    # left of them and the total right of them, for a run below 0, past
+    # g.size, or across either end
+    full = np.zeros((2,) + g.shape)
+    full[:, lo:hi] = rows
+    dense_p = np.stack([prefix_table(row**2 if square else row) for row in full])
+    mid = (run.start + run[-1]) // 2
+    for shift in (-run[-1] - 1, -mid, g.size - mid, g.size + 1 - run.start):
+        idx = np.asarray(run) + shift
+        want = dense_p[:, np.clip(idx, 0, g.size)] if stacked else dense_p[0, np.clip(idx, 0, g.size)]
+        assert np.array_equal(table.prefix(idx), want)
+        assert np.array_equal(table.prefix(range(run.start + shift, run.stop + shift, step)), want)
     if run.start - m + 1 < 0 or run[-1] + m > g.size:
         with pytest.raises(OutOfDomainError):
             table.ball_sum(run, m)

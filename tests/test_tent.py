@@ -104,7 +104,7 @@ def test_cylinder_dominates_strict_tent(seed):
 
 
 def test_family_box_values_match_single_calls(small_grid):
-    # a block's strided run reads each ball's value as a scan of that ball
+    # a block's run of centers reads each ball's value as a scan of that ball
     # alone does, to the bit
     lad = TLadder(np.array([0.25, 0.5, 1.0, 2.0]))
     F = _random_field(small_grid, lad, seed=5)
