@@ -16,7 +16,11 @@ label (the config's name, or workload-NAME), so that a diff of two trees'
 listings is the whole byte-identity check.  Paths are relative to the
 bundle root, sorted.  A comparison prints one line per file that differs
 or exists on one side only, and exits 1 if there is any; it exits 0 when
-the two bundles are byte-identical.  A config whose declared checks fail
+the two bundles are byte-identical.  Under a JSON file that differs, it
+prints one indented line per leaf whose value differs, by its path of keys
+and list indices, with A's and B's values (repr, so every digit shows; a
+leaf on one side only reads "absent") and, for two numbers with A's not 0,
+the relative change (B - A) / |A|.  A config whose declared checks fail
 still leaves its bundle, so its digests are printed too.
 """
 
@@ -42,24 +46,73 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
-def run_digests(config: dict, label: str) -> dict[str, str]:
-    """The digests of the bundle that config writes."""
+def run_bundle(config: dict, label: str, out: str) -> Path:
+    """The bundle that config writes into the directory out."""
     from oscillab.errors import CriterionFailure
     from oscillab.experiments import run
 
+    try:
+        run(config, out_dir=out)
+    except CriterionFailure as e:
+        print(f"bundle_digests.py: {label}: checks failed: {e}", file=sys.stderr)
+    return Path(out)
+
+
+def run_digests(config: dict, label: str) -> dict[str, str]:
+    """The digests of the bundle that config writes."""
     with tempfile.TemporaryDirectory() as out:
-        try:
-            run(config, out_dir=out)
-        except CriterionFailure as e:
-            print(f"bundle_digests.py: {label}: checks failed: {e}", file=sys.stderr)
-        return digests(Path(out))
+        return digests(run_bundle(config, label, out))
 
 
-def bundle_digests(path: Path) -> dict[str, str]:
-    """The digests of the bundle at path, or of the bundle its config writes."""
+def bundle_dir(path: Path, out: str) -> Path:
+    """The bundle at path, or the one its config writes into out."""
     if path.is_dir():
-        return digests(path)
-    return run_digests(json.loads(path.read_text(encoding="utf-8")), str(path))
+        return path
+    return run_bundle(json.loads(path.read_text(encoding="utf-8")), str(path), out)
+
+
+def leaves(doc, path: str = "") -> dict:
+    """Each leaf of a parsed JSON document, an empty container included,
+    by its path of keys and list indices, /-joined."""
+    if not (isinstance(doc, (dict, list)) and doc):
+        return {path or "/": doc}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return {p: v for k, child in items for p, v in leaves(child, f"{path}/{k}").items()}
+
+
+def leaf_changes(a: Path, b: Path) -> list[str]:
+    """A line per leaf whose value differs between the JSON files a and b:
+    its path, both values and, for two numbers, the relative change."""
+    la, lb = (leaves(json.loads(p.read_text(encoding="utf-8"))) for p in (a, b))
+    absent = object()
+    lines = []
+    for path in dict.fromkeys([*la, *lb]):
+        va, vb = la.get(path, absent), lb.get(path, absent)
+        if va == vb and type(va) is type(vb):
+            continue
+        line = f"  {path}  {'absent' if va is absent else repr(va)}  {'absent' if vb is absent else repr(vb)}"
+        if all(type(v) in (int, float) for v in (va, vb)) and va != 0:
+            line += f"  rel {(vb - va) / abs(va):+.3g}"
+        lines.append(line)
+    return lines
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print the files of bundles a and b that differ, each JSON one with
+    its changed leaves; 1 if any file differs, else 0."""
+    da, db = digests(a), digests(b)
+    differ = []
+    for name in sorted(set(da) | set(db)):
+        if da.get(name) == db.get(name):
+            continue
+        if name not in da or name not in db:
+            differ.append(f"only in {'A' if name in da else 'B'}  {name}")
+            continue
+        differ.append(f"differs  {name}")
+        if name.endswith(".json"):
+            differ += leaf_changes(a / name, b / name)
+    print("\n".join(differ) if differ else f"identical: {len(da)} files")
+    return 1 if differ else 0
 
 
 def _workloads():
@@ -94,7 +147,7 @@ def main() -> int:
     if args.shipped:
         if args.bundles or args.workload is not None or args.seed is not None:
             ap.error("--shipped takes no bundle, --workload or --seed")
-        sides = [shipped_digests()]
+        listing = shipped_digests()
     elif args.workload is not None:
         if args.bundles or args.seed is None:
             ap.error("--workload takes --seed and no bundle")
@@ -102,25 +155,20 @@ def main() -> int:
             config = workload_config(args.workload, args.seed)
         except ValueError as e:
             ap.error(str(e))
-        sides = [run_digests(config, f"workload {args.workload}")]
+        listing = run_digests(config, f"workload {args.workload}")
     elif args.seed is not None:
         ap.error("--seed goes with --workload")
     elif not 1 <= len(args.bundles) <= 2:
         ap.error("give one bundle to list or two to compare")
     else:
-        sides = [bundle_digests(p) for p in args.bundles]
-    if len(sides) == 1:
-        for name, digest in sides[0].items():
-            print(f"{digest}  {name}")
-        return 0
-    a, b = sides
-    differ = [
-        f"{'differs' if name in a and name in b else 'only in ' + ('A' if name in a else 'B')}  {name}"
-        for name in sorted(set(a) | set(b))
-        if a.get(name) != b.get(name)
-    ]
-    print("\n".join(differ) if differ else f"identical: {len(a)} files")
-    return 1 if differ else 0
+        with tempfile.TemporaryDirectory() as out:
+            roots = [bundle_dir(p, f"{out}/{i}") for i, p in enumerate(args.bundles)]
+            if len(roots) == 2:
+                return compare(*roots)
+            listing = digests(roots[0])
+    for name, digest in listing.items():
+        print(f"{digest}  {name}")
+    return 0
 
 
 if __name__ == "__main__":

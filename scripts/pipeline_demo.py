@@ -5,9 +5,9 @@ planned as ``oscillab run`` checks and plans it: a bad value exits 2 with
 the config error on stderr.  The default
 geometry is small enough for a laptop.  The headline run uses
 --halfwidth 65536 --spacing 0.00390625 --eps-fraction 0.1, which takes
-about 0.24 to 0.33 s at 42 MB peak memory (2 vCPUs, numpy 2.4.6); see
+about 0.17 to 0.19 s at 31.5 MB peak memory (2 vCPUs, numpy 2.4.6); see
 configs/pipeline-large.json for this geometry driven through the CLI, with
-the constant counterexample (about 0.25 to 0.38 s, also at 42 MB).
+the constant counterexample (about 0.16 to 0.17 s at 30.8 MB).
 """
 
 import argparse

@@ -136,13 +136,14 @@ def _nonzero_span(v: np.ndarray) -> tuple[int, int]:
     return int(np.argmax(kept)), kept.size - int(np.argmax(kept[::-1]))
 
 
-def _held_map(spans) -> tuple[list[int], list[int]]:
+def _held_map(spans) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints (x, c) of the number of indices before an index that
     lie in the spans (ascending, disjoint [lo, hi) pairs): piecewise linear
     in the index, slope 1 over the spans and 0 elsewhere, so
     np.interp(i, x, c) reads it, 0 left of the first span and the total
     right of the last.  x ascends strictly: a span that starts where the
-    last one ends continues its breakpoint."""
+    last one ends continues its breakpoint.  Both are float64 arrays, the
+    type np.interp reads, so a read converts neither."""
     x, c, n = [], [], 0
     for lo, hi in spans:
         if lo < hi:
@@ -151,7 +152,7 @@ def _held_map(spans) -> tuple[list[int], list[int]]:
             x += [lo, hi]
             c += [n, n + hi - lo]
             n += hi - lo
-    return (x, c) if x else ([0], [0])
+    return np.array(x or [0], dtype=np.float64), np.array(c or [0], dtype=np.float64)
 
 
 class GridFunction:
@@ -340,7 +341,7 @@ class SummedTable:
             end = lo + v.shape[-1]
             spans.append((lo, end))
         self._x, self._c = _held_map(spans)
-        self._p = np.zeros(lead + (self._c[-1] + 1,))
+        self._p = np.zeros(lead + (int(self._c[-1]) + 1,))
         self._fill([v for _, v in pieces], square)
 
     def _fill(self, samples, square: bool) -> None:

@@ -12,7 +12,6 @@ never reads them back; the tests read them with tests/oracles.py.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -22,6 +21,17 @@ import numpy as np
 
 from .family import LimitCurve
 from .grid import GridFunction
+
+# CPython's built-in sha256 (_sha2 on 3.12+, _sha256 on 3.10-3.11), the
+# one hashlib falls back to: hashlib's OpenSSL backend, _hashlib, maps
+# libcrypto, about 3.4 MB of resident memory for a 1 KB digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 GRIDFN_FORMAT = "oscillab-gridfn-v1"
 
@@ -66,7 +76,8 @@ def save_json(path: _PathLike, obj) -> Path:
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    """The SHA-256 hex digest of obj's canonical JSON, UTF-8 encoded."""
+    return sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def save_grid_function(path: _PathLike, f: GridFunction) -> Path:

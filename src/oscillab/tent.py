@@ -41,8 +41,8 @@ class BoxScanner:
         the first k slices, summed in ladder order."""
         k = self.F.ladder.box_slices(r)
         sums = self.F.table.ball_sum(run, cell_radius, rows=slice(k))
-        w = log_weights_for(self.F.ladder.values[:k])
-        return np.add.reduce(w[:, None] * sums, axis=0) * self.F.grid.spacing / r
+        sums *= log_weights_for(self.F.ladder.values[:k])[:, None]
+        return np.add.reduce(sums, axis=0) * self.F.grid.spacing / r
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscillab
 from oscillab import __version__
@@ -26,6 +29,7 @@ from oscillab.reports import (
     exp_rho_slope,
     exp_square_membership,
     lacunary_function,
+    line_slope,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family, supercritical_spans
 from oscillab.grid import Ball, Grid, GridFunction, oscillation_of
@@ -120,6 +124,50 @@ def test_rho_slope_power_potential_matches_asymptote():
     assert abs(rep.slope - 0.25) < 0.0125
     assert rep.potential_kind == "power"
     assert len(rep.x) == len(rep.rho) == 8
+
+
+@st.composite
+def _near_lines(draw):
+    """2 to 24 ascending x, 0.01 to 4 apart from an offset in [-40, 40],
+    and y = a + b x (|b| in [0.05, 4]) with each y moved by at most 5% of
+    |b| times the x range, so the slope is well conditioned."""
+    n = draw(st.integers(2, 24))
+    gaps = draw(st.lists(st.floats(0.01, 4.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-40.0, 40.0)) + np.cumsum([0.0, *gaps])
+    b = draw(st.floats(0.05, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    moves = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+    return x, draw(st.floats(-40.0, 40.0)) + b * x + abs(b) * (x[-1] - x[0]) * moves
+
+
+@settings(max_examples=200)
+@given(_near_lines())
+def test_line_slope_is_within_4_ulp_of_the_exact_slope(data):
+    # the least-squares slope of the same floats in exact rationals; the
+    # uncentred closed form n sum xy - sum x sum y over n sum x^2 - (sum x)^2
+    # loses its leading digits to cancellation once the mean of x is far from 0
+    x, y = data
+    X, Y = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    exact = sum((a - mx) * (b - my) for a, b in zip(X, Y)) / sum((a - mx) ** 2 for a in X)
+    assert abs(Fraction(line_slope(x, y)) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
+def test_rho_slope_and_lacunary_trend_fit_without_lapack(monkeypatch):
+    # both fits are two-parameter lines: with numpy's least-squares solve
+    # refused, and the LAPACK gufunc that it and np.polyfit call, the rho
+    # slope and the small geometry's trend exponent are still reported
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares solve ran")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg._umath_linalg, "lstsq", refuse)
+    rep = exp_rho_slope(power_potential(1.5, 1), points=8)
+    assert rep.slope == line_slope(np.log(np.array(rep.x)), np.log(np.array(rep.rho)))
+    rep = _small_lacunary()
+    fs = rep.curves["far-and-supercritical"]
+    m = fs.present & (fs.ladder >= 16.0) & (fs.values > 0)
+    assert np.count_nonzero(m) >= 3
+    assert rep.trend_exponent == line_slope(np.log(fs.ladder[m]), np.log(fs.values[m]))
 
 
 def test_rho_slope_validation():

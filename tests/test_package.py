@@ -8,9 +8,11 @@ import oscillab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# numpy submodules that a run loads only when it reaches them: the run's
-# PRNG, the Gauss-Legendre rule of the n = 2, 3 masses and the sine transform
-_LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft"]
+# modules that a run loads only when it reaches them: the numpy submodules
+# of the run's PRNG, the Gauss-Legendre rule of the n = 2, 3 masses and the
+# sine transform, and OpenSSL's _hashlib, which numpy.random's secrets
+# import loads (the config hash reads CPython's built-in sha256)
+_LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft", "_hashlib"]
 
 # flags parse before any numerical module loads, and a run loads no SciPy;
 # the configs given run one after another in one process
@@ -48,6 +50,6 @@ def test_flags_parse_without_numpy_and_a_run_loads_no_scipy(tmp_path):
 
 def test_lacunary_and_pipeline_runs_load_no_lazy_numpy_submodule(tmp_path):
     # neither draws, solves a radial mass nor transforms, so neither loads
-    # the submodules that serve only those
+    # the modules that serve only those, OpenSSL among them
     got = _probe(tmp_path, "lacunary.json", "pipeline-large.json")
     assert got == {"codes": [0, 0], "parsed": [], "ran": [], "lazy": []}

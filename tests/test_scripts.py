@@ -148,6 +148,36 @@ def test_bundle_digests_script_digests_a_benchmark_workload(tmp_path):
                  ["--seed", "7", str(bundle)], ["--workload", "nope", "--seed", "7"]):
         assert _run_script("bundle_digests.py", *argv).returncode == 2, argv
 
+def test_bundle_digests_compare_prints_each_changed_json_leaf(tmp_path, monkeypatch, capsys):
+    # under a JSON file that differs, one line per changed leaf with both
+    # values and, for two numbers, the relative change; a leaf on one side
+    # reads absent, and a differing non-JSON file prints no leaves
+    script = _load_script("scripts/bundle_digests.py")
+    a, b = tmp_path / "a", tmp_path / "b"
+    docs = (
+        {"s": {"slope": -0.25283274836016884, "n": 8, "ok": True, "tag": "VANISHING"}, "xs": [1.0, 2.0], "z": 0, "e": {}},
+        {"s": {"slope": -0.2528327483601687, "n": 9, "ok": 1, "tag": "NONVANISHING"}, "xs": [1.0], "z": 0.5, "e": {}},
+    )
+    for root, doc, csv in ((a, docs[0], "x\n1\n"), (b, docs[1], "x\n2\n")):
+        (root / "scen").mkdir(parents=True)
+        (root / "scen" / "summary.json").write_text(json.dumps(doc, indent=1))
+        (root / "scen" / "rows.csv").write_text(csv)
+        (root / "same.json").write_text("{}")
+    monkeypatch.setattr(sys, "argv", ["bundle_digests.py", str(a), str(b)])
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs  scen/rows.csv",
+        "differs  scen/summary.json",
+        "  /s/slope  -0.25283274836016884  -0.2528327483601687  rel +4.39e-16",
+        "  /s/n  8  9  rel +0.125",
+        "  /s/ok  True  1",
+        "  /s/tag  'VANISHING'  'NONVANISHING'",
+        "  /xs/1  2.0  absent",
+        "  /z  0  0.5",
+    ]
+    assert script.compare(a, a) == 0 and capsys.readouterr().out == "identical: 3 files\n"
+
+
 def test_bundle_digests_shipped_lists_every_config_and_workload(monkeypatch, capsys):
     # --shipped digests each configs/*.json and each workload at seed 1 in
     # one listing, every path under its bundle's label; run_digests is

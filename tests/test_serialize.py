@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from oscillab.family import LimitCurve
 from oscillab.grid import Grid, GridFunction
 from oscillab.serialize import canonical_json, config_hash, save_curves_csv, save_grid_function, save_json
 from oracles import read_grid_function
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_canonical_json_is_sorted_and_sanitized():
@@ -24,6 +28,17 @@ def test_config_hash_ignores_key_order():
     b = {"y": [1, 2, 3], "x": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"x": 2, "y": [1, 2, 3]})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [json.loads(p.read_text(encoding="utf-8")) for p in sorted(CONFIGS.glob("*.json"))]
+    + [{"id": "Schrödinger ρ", "note": "Δu = Vu, t ≥ 2⁻⁸ 🌊", "Ω": ["–", "∞"]}],
+)
+def test_config_hash_is_hashlib_sha256_of_the_canonical_json(config):
+    # the built-in sha256 gives hashlib's digest: every shipped config and
+    # one with non-ASCII strings
+    assert config_hash(config) == hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
 def test_samples_roundtrip_bit_exact(tmp_path):
