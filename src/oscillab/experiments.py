@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -307,7 +308,7 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     return plans
 
 
-def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: np.random.Generator):
+def _run_rho_slope(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: random.Random):
     p = dict(plan.params)
     tol = p.pop("tolerance", None)
     rep = exp_rho_slope(p.pop("potential"), rng=rng, **p)
@@ -624,10 +625,11 @@ def run(config: ExperimentConfig | dict, out_dir: Optional[str] = None) -> dict:
     plans = plan_scenarios(cfg)
     base = Path(out_dir if out_dir is not None else cfg.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    # one stream, built only when a planned scenario draws: a generator's
-    # draws depend only on its seed and their order
+    # one stream, CPython's Mersenne Twister seeded from the config, read
+    # only by the scenarios that draw: its draws depend only on the seed
+    # and their order
     draws = {sid for sid, spec in _SCENARIO_TABLE.items() if spec.draws}
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed)) if any(p.sid in draws for p in plans) else None
+    rng = random.Random(cfg.seed)
 
     summary: dict = {
         "provenance": {

@@ -9,6 +9,7 @@ checks what each report asserts and writes the bundle.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -122,13 +123,15 @@ def exp_rho_slope(
     x_max: float = RHO_SLOPE_X_MAX,
     points: int = 24,
     jitter: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[random.Random] = None,
 ) -> RhoSlopeReport:
     """Least-squares slope of log rho against log |x|, rho solved at |x|.
 
     For the power potential the expected slope is 1 - exponent/2; for a
     constant potential it is 0.  x values below 10 are outside the
-    asymptotic regime and only flagged, not rejected.
+    asymptotic regime and only flagged, not rejected.  With jitter, the
+    i-th point is scaled by exp(u_i), u_i = rng.uniform(-jitter, jitter),
+    one draw per point in point order.
     """
     _nonzero(potential)
     if x_min <= 0 or x_max <= x_min:
@@ -140,7 +143,7 @@ def exp_rho_slope(
     if jitter:
         if rng is None:
             raise ConfigError("jitter needs the run's PRNG stream")
-        xs = xs * np.exp(rng.uniform(-jitter, jitter, size=xs.shape))
+        xs = xs * np.exp([rng.uniform(-jitter, jitter) for _ in range(points)])
     rho = solve_critical_radius(potential, xs).values
 
     slope = line_slope(np.log(xs), np.log(rho))

@@ -8,6 +8,7 @@ none of them lives in src/oscillab.  Each oracle is defined here once.
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,41 @@ def dense_mollify(f: GridFunction, t: float) -> np.ndarray:
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     w /= np.sum(w)
     return np.convolve(f.values, w, mode="same")
+
+
+# ---------------------------------------------------------------------------
+# the radial masses' quadrature rule
+
+
+def legendre_rule_decimal(n: int, digits: int = 40) -> tuple[list[Decimal], list[Decimal]]:
+    """The n-point Gauss-Legendre rule on (-1, 1), n even, in decimal
+    arithmetic at the given precision: each positive root of P_n by Newton's
+    method on the three-term recurrence, iterated until its step is below
+    the precision's last digits, and its weight 2 / ((1 - x^2) P_n'(x)^2);
+    nodes ascending, the negative ones mirrored."""
+    def legendre(x: Decimal) -> tuple[Decimal, Decimal]:
+        p0, p1 = Decimal(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    xs, ws = [], []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tol = Decimal(10) ** (2 - digits)
+        for k in range(1, n // 2 + 1):
+            x = Decimal(math.cos(math.pi * (k - 0.25) / (n + 0.5)))
+            for _ in range(50):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < tol:
+                    break
+            else:
+                raise AssertionError(f"Newton's method did not settle on root {k} of P_{n}")
+            _, dp = legendre(x)
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+    return [-x for x in xs] + xs[::-1], ws + ws[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ from oscillab.reports import (
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family, supercritical_spans
 from oscillab.grid import Ball, Grid, GridFunction, oscillation_of
 from oscillab.oscillation import bmo_l_norm, family_stats
-from oscillab.potential import constant_potential, power_potential, solve_critical_radius
+from oscillab.potential import _gauss_legendre, constant_potential, power_potential, solve_critical_radius
 from oscillab.semigroup import DEFAULT_OP_CAP, discretize
 import oracles
 from oracles import dense_bmo_l_norm, dense_bucketed_sup, dense_values, mean_oscillation, rho_at_symmetric_centers, supercritical_mask
@@ -170,6 +171,22 @@ def test_rho_slope_and_lacunary_trend_fit_without_lapack(monkeypatch):
     assert rep.trend_exponent == line_slope(np.log(fs.ladder[m]), np.log(fs.values[m]))
 
 
+def test_radial_rho_slope_builds_its_quadrature_without_an_eigensolve(monkeypatch, tmp_path):
+    # the n = 3 masses integrate with the 128-point Gauss-Legendre rule; with
+    # numpy's symmetric eigensolve refused, and the LAPACK gufuncs that it
+    # calls, the rule is built afresh and the scenario's checks still pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_lo", refuse)
+    monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_up", refuse)
+    _gauss_legendre.cache_clear()
+    scenario = {"id": "rho-slope", "name": "n3", "n": 3, "exponent": 0.5}
+    summary = run({"scenarios": [scenario]}, out_dir=str(tmp_path))
+    assert summary["scenarios"]["n3"]["slope"] == pytest.approx(0.75, abs=1e-3)
+
+
 def test_rho_slope_validation():
     V = power_potential(1.5, 1)
     with pytest.raises(ConfigError):
@@ -193,10 +210,10 @@ def test_drawing_scenarios_read_one_stream_in_config_order(tmp_path):
         {"id": "rho-slope", "name": "second", "n": 3, "exponent": 0.5, "jitter": jitter},
     ]
     run({"seed": seed, "scenarios": scenarios}, out_dir=str(tmp_path))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random.Random(seed)
     for name in ("first", "second"):
         base = np.geomspace(RHO_SLOPE_X_MIN, RHO_SLOPE_X_MAX, 24)
-        want = base * np.exp(rng.uniform(-jitter, jitter, size=base.shape))
+        want = base * np.exp([rng.uniform(-jitter, jitter) for _ in range(24)])
         rows = (tmp_path / name / "rho.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == want.tolist(), name
 

@@ -8,10 +8,12 @@ import oscillab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# modules that a run loads only when it reaches them: the numpy submodules
-# of the run's PRNG, the Gauss-Legendre rule of the n = 2, 3 masses and the
-# sine transform, and OpenSSL's _hashlib, which numpy.random's secrets
-# import loads (the config hash reads CPython's built-in sha256)
+# modules that numpy or the standard library load only when reached: of
+# them a run needs numpy.fft alone, for the sine transform.  The run's
+# PRNG is the standard library's random.Random, the Gauss-Legendre rule of
+# the n = 2, 3 masses is built by Newton's method, and the config hash
+# reads CPython's built-in sha256, so neither numpy.random (nor OpenSSL's
+# _hashlib, which its secrets import loads) nor numpy.polynomial is loaded
 _LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft", "_hashlib"]
 
 # flags parse before any numerical module loads, and a run loads no SciPy;
@@ -42,14 +44,15 @@ def _probe(tmp_path, *configs: str) -> dict:
 
 
 def test_flags_parse_without_numpy_and_a_run_loads_no_scipy(tmp_path):
-    # quick.json's rho-slope scenarios draw and solve n = 2, 3 masses, and
-    # its operator scenarios take sine transforms: every lazy path is reached
+    # quick.json's rho-slope scenarios solve n = 2, 3 masses and its
+    # operator scenarios take sine transforms: of the lazy modules, only the
+    # transform's loads
     got = _probe(tmp_path, "quick.json")
-    assert got == {"codes": [0], "parsed": [], "ran": [], "lazy": _LAZY}
+    assert got == {"codes": [0], "parsed": [], "ran": [], "lazy": ["numpy.fft"]}
 
 
 def test_lacunary_and_pipeline_runs_load_no_lazy_numpy_submodule(tmp_path):
     # neither draws, solves a radial mass nor transforms, so neither loads
-    # the modules that serve only those, OpenSSL among them
+    # the sine transform's module either
     got = _probe(tmp_path, "lacunary.json", "pipeline-large.json")
     assert got == {"codes": [0, 0], "parsed": [], "ran": [], "lazy": []}

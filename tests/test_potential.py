@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from oscillab.potential import (
     power_potential,
     solve_critical_radius,
 )
+import oracles
 
 
 def test_constructor_validation():
@@ -217,10 +220,31 @@ def test_distances_solve_elementwise_in_dimension_3():
 
 def test_critical_radius_matches_scan_oracle_at_jittered_rho_slope_points():
     # the shipped rho-slope kinds at the points a jittered run at seed 0 draws
-    rng = np.random.default_rng(np.random.SeedSequence(0))
+    rng = random.Random(0)
     for V in (power_potential(1.5, 1), power_potential(0.5, 3), constant_potential(1.0, 2)):
-        xs = np.geomspace(100.0, 1.0e4, 24) * np.exp(rng.uniform(-0.05, 0.05, size=24))
+        xs = np.geomspace(100.0, 1.0e4, 24) * np.exp([rng.uniform(-0.05, 0.05) for _ in range(24)])
         _assert_matches_oracle(V, xs)
+
+
+def test_gauss_legendre_rule_matches_a_40_digit_oracle_and_is_exact_to_degree_255():
+    # every node within 1 ulp of the root and every weight within 1e-12
+    # relative (an eigensolve's rule is 1.4e-11 off); sum w P_k(x) = 2 delta_k0
+    # for every k <= 2n - 1, the sums taken exactly of the rounded products
+    x, w = potential._legendre_rule(128)
+    want_x, want_w = oracles.legendre_rule_decimal(128)
+    for got, want in zip(x.tolist(), want_x):
+        assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), float(want)
+    for got, want in zip(w.tolist(), want_w):
+        assert abs((Decimal(got) - want) / want) <= Decimal("1e-12"), float(want)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    p0, p1 = np.ones_like(x), x
+    errors = [abs(math.fsum(w) - 2.0), abs(math.fsum(w * x))]
+    for j in range(1, 255):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        errors.append(abs(math.fsum(w * p1)))
+    assert max(errors) <= 2e-15
+    t, weights = potential._gauss_legendre()
+    assert np.array_equal(t, (x + 1.0) / 2.0) and np.array_equal(weights, w)
 
 
 @pytest.mark.parametrize(
