@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ThresholdExhaustedError
-from .grid import Grid, GridFunction, oscillation_and_size
+from .grid import Grid, GridFunction, oscillation_and_size, same_grid
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +471,7 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
     which makes the operation exactly idempotent on piecewise-constant
     input.
     """
-    if not f.grid.compatible(assignment.grid):
-        raise ConfigError("function and assignment grids differ")
+    same_grid(f.grid, assignment.grid)
     if f.lo == f.hi:
         return f
     bounds = assignment.bounds(f)
@@ -518,9 +517,9 @@ def p1_p2_check(assignment: DyadicAssignment, averaged: GridFunction) -> GateRep
     cubes in A's background, 0.0.
     Also verifies the neighbour sidelength ratio invariant (in {1/2, 1, 2})
     across the regions, each of one level."""
-    th = assignment.thresholds
-    _, p = _dyadic_exponents(assignment.grid)
-    n0 = assignment.grid.half_cells
+    th, grid = assignment.thresholds, same_grid(assignment.grid, averaged.grid)
+    _, p = _dyadic_exponents(grid)
+    n0 = grid.half_cells
     k = 2 ** (th.outer_exponent + p)
     p1 = averaged.sup_outside(n0 - k, n0 + k + 1)
     starts = assignment.bounds(averaged)[:-1]

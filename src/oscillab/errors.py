@@ -16,8 +16,8 @@ class ConfigError(OscillabError):
     """Invalid configuration, precondition, or constructor argument."""
 
 
-class GridMismatchError(OscillabError):
-    """Operands defined on different grids."""
+class GridMismatchError(ConfigError):
+    """Operands on different grids (grid.same_grid): a ConfigError, so the CLI exits 2."""
 
 
 class DegenerateRegionError(OscillabError):

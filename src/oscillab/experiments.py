@@ -28,7 +28,8 @@ from .corpus import CORPUS, CORPUS_HALFWIDTH, CORPUS_SPACING, corpus_operator, m
 from .errors import BracketError, ConfigError, CriterionFailure, LadderError, OscillabError
 from .family import BallFamily, FamilyPolicy, make_ball_family
 from .grid import Ball, Grid
-from .oscillation import SplitNormReport, bmo_l_norm, bmo_norm, family_stats, oscillation_curves, tilde_bmo_l_norm
+from .oscillation import (DECAY_FACTOR, TOL_FRACTION, SplitNormReport, bmo_l_norm, bmo_norm, family_stats,
+                          oscillation_curves, tilde_bmo_l_norm)
 from .potential import Potential, check_bracket_floor, constant_potential, power_potential
 from .reports import (
     RHO_CONSTANT_UNIT, RHO_SLOPE_X_MAX, RHO_SLOPE_X_MIN, AgreementReport, _average_member, _bump_window,
@@ -267,7 +268,7 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
     first), as its _SCENARIO_TABLE record declares: a family, its stride
     checked, once per (grid, policy), an operator once per grid, and for a
     record that scans Carleson boxes the default t-ladder once per grid,
-    which must cover the family's radii with two slices at or below each.
+    whose box_weights must take every family radius.
     A ConfigError names the scenario and keys."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     family_of, ladder_of = functools.cache(make_ball_family), functools.cache(default_ladder)
@@ -293,12 +294,8 @@ def plan_scenarios(config: ExperimentConfig | dict) -> list[ScenarioPlan]:
             if spec.boxes:
                 ladder = ladder_of(grid)
                 keys = "'family'"
-                radii = [b.radius for b in fam.blocks]
-                ladder.check_covers(radii)
-                few = [r for r in radii if ladder.box_slices(r) < 2]
-                if few:
-                    raise LadderError(f"ball radii {few} have fewer than two ladder scales at or below them, "
-                                      "which a Carleson box's dt/t trapezoid needs")
+                for b in fam.blocks:
+                    ladder.box_weights(b.radius)
             if spec.ladder is not None:
                 keys, rule = spec.ladder
                 ladder = rule(p, grid)
@@ -339,7 +336,8 @@ def _run_lacunary(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: Non
     return rep.to_dict(), failures
 
 
-def _run_agreement(experiment: Callable[..., AgreementReport], plan: ScenarioPlan, out: Path):
+def _run_agreement(experiment: Callable[..., AgreementReport], plan: ScenarioPlan, cfg: ExperimentConfig, out: Path,
+                   rng: None):
     """Both agreement scenarios: the plan's family and operator for all
     members, and per member its report and the curves of both sides."""
     p = plan.params
@@ -356,14 +354,6 @@ def _run_agreement(experiment: Callable[..., AgreementReport], plan: ScenarioPla
         if rep.ratio is not None and not math.isfinite(rep.ratio):
             failures.append(f"non-finite norm ratio on {name}")
     return {"members": sub}, failures
-
-
-def _run_square_agreement(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: None):
-    return _run_agreement(exp_square_membership, plan, out)
-
-
-def _run_extension_agreement(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: None):
-    return _run_agreement(exp_extension_agreement, plan, out)
 
 
 def _run_pipeline(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: None):
@@ -513,7 +503,7 @@ class _Scenario:
     family: Optional[_Step] = None  # the plan step that gives the family's policy
     family_checks: tuple[_Step, ...] = ()  # plan steps on the family
     operator: bool = False  # the corpus operator
-    boxes: bool = False  # the default t-ladder, with two slices at or below each radius for a box's dt/t trapezoid
+    boxes: bool = False  # the default t-ladder, whose box_weights take each family radius
     draws: bool = False  # the runner draws from the run's PRNG stream; every other runner is passed None
     ladder: Optional[_Step] = None  # the plan step that gives a t-ladder of the record's own
     expected: dict[str, str] = field(default_factory=dict)  # the answers the paper predicts
@@ -530,7 +520,7 @@ _SQUARE_AGREEMENT = _Scenario({
     "tol_fraction": _NONNEGATIVE,
     "decay_factor": _POSITIVE,
     "assert_members": _MEMBERS(()),
-}, _run_square_agreement, family=_DEFAULT_FAMILY, operator=True, boxes=True)
+}, functools.partial(_run_agreement, exp_square_membership), family=_DEFAULT_FAMILY, operator=True, boxes=True)
 
 # Every scenario id's declaration.  A default among the kinds stands for a
 # key the runner or the plan reads itself, every geometry default among
@@ -565,7 +555,8 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         expected={"small-radius": "VANISHING", "far-from-origin": "NONVANISHING", "far-and-supercritical": "VANISHING"},
     ),
     "square-function-agreement": _SQUARE_AGREEMENT,
-    "extension-agreement": replace(_SQUARE_AGREEMENT, runner=_run_extension_agreement),
+    "extension-agreement": replace(
+        _SQUARE_AGREEMENT, runner=functools.partial(_run_agreement, exp_extension_agreement)),
     "approximation-pipeline": _Scenario({
         "member": _MEMBER("bump-narrow"),
         "expect": _EXPECT("MEMBER"),
@@ -578,8 +569,8 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         **_CORPUS_GRID,
         "member": _MEMBER("bump-narrow"),
         "family": _FAMILY,
-        "tol_fraction": _NONNEGATIVE(0.05),
-        "decay_factor": _POSITIVE(4.0),
+        "tol_fraction": _NONNEGATIVE(TOL_FRACTION),
+        "decay_factor": _POSITIVE(DECAY_FACTOR),
     }, _run_bmo_norms, family=_DEFAULT_FAMILY, operator=True),
     "tent-norms": _Scenario({
         **_CORPUS_GRID,

@@ -10,7 +10,10 @@ Conventions that the rest of the package relies on:
 * |B| is the number of contained samples times h, never the continuum
   length;
 * balls that touch or cross the box boundary are rejected rather than
-  clipped.
+  clipped;
+* the operands of f - g, or of a function and its family, operator or
+  assignment, share one grid: same_grid is the one check, and raises
+  GridMismatchError, a ConfigError.
 
 A GridFunction holds its samples on pieces, ascending, disjoint runs of
 samples; every sample outside them is its background b.  The corpus
@@ -120,6 +123,13 @@ class Grid:
             self.half_cells == other.half_cells
             and abs(self.spacing - other.spacing) <= _IDX_TOL * self.spacing
         )
+
+
+def same_grid(*grids: Grid) -> Grid:
+    """The first grid, or GridMismatchError unless every grid is compatible with it."""
+    if not all(grids[0].compatible(g) for g in grids[1:]):
+        raise GridMismatchError("operands live on different grids")
+    return grids[0]
 
 
 def _positions_below(run: range, i: int) -> int:
@@ -286,11 +296,10 @@ class GridFunction:
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         """f - g on the union of the two hulls, one piece: dense when either
         is a non-zero constant."""
-        if not self.grid.compatible(other.grid):
-            raise GridMismatchError("grid functions live on different grids")
+        grid = same_grid(self.grid, other.grid)
         spans = [f.span for f in (self, other) if f.span[0] < f.span[1]] or [(0, 0)]
         a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
-        return GridFunction(self.grid, self.on(a, b) - other.on(a, b), lo=a)
+        return GridFunction(grid, self.on(a, b) - other.on(a, b), lo=a)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .family import (
     bucketed_sup,
     supercritical_spans,
 )
-from .grid import GridFunction, SummedTable, oscillation_and_size
+from .grid import GridFunction, SummedTable, oscillation_and_size, same_grid
 from .semigroup import SpectralOperator
 
 VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
@@ -73,8 +73,7 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     written once the table is freed, so a scan whose every ball is a site
     never holds them beside it.  A constant b holds no piece: one step of
     mean b and mean square b^2."""
-    if not f.grid.compatible(family.grid):
-        raise ConfigError("function and family live on different grids")
+    same_grid(f.grid, family.grid)
     if not f.pieces:
         sums = oscillation_and_size(np.array([f.background]), np.array([f.background**2]))
         return FamilyStats(*(BallValues(family, np.zeros(1, dtype=np.intp), v) for v in sums))
@@ -203,9 +202,7 @@ def semigroup_difference_values(f: GridFunction, op: SpectralOperator, family: B
     op.scale_rows gives e^{-r sqrt(L)} f a block of radius rows at a time;
     the block's differences from f are squared into one SummedTable, whose
     row i serves the balls of the block's i-th radius."""
-    g = f.grid
-    if not g.compatible(op.grid):
-        raise ConfigError("function and operator grids differ")
+    g = same_grid(f.grid, op.grid, family.grid)
     blocks, fv = family.blocks, f.values
     out = np.empty(len(family))
     for rows, diff in op.scale_rows(f, [b.radius for b in blocks], lambda t, s: np.exp(-t * s)):
@@ -247,6 +244,13 @@ def oscillation_curves(stats: FamilyStats, rho) -> dict[str, LimitCurve]:
 # verdicts
 
 
+# verdict thresholds: a curve's tolerance is TOL_FRACTION of its norm; vanishing_verdict reads the rest
+TOL_FRACTION = 0.05
+DECAY_FACTOR = 4.0
+NONVANISHING_MARGIN = 3.0
+MIN_PRESENT_BUCKETS = 3
+
+
 @dataclass(frozen=True)
 class Verdict:
     verdict: str
@@ -259,16 +263,16 @@ class Verdict:
 
 
 def vanishing_verdict(
-    curve: LimitCurve, tol: float, min_decay_factor: float = 4.0
+    curve: LimitCurve, tol: float, min_decay_factor: float = DECAY_FACTOR
 ) -> Verdict:
     """Classify a limit curve.
 
     VANISHING: terminal bucket <= tol and the curve decayed by at least
     min_decay_factor from its far end (a curve that is identically zero
-    counts as decayed).  NONVANISHING: terminal >= 3 * tol with no decay
-    trend.  Anything else: INCONCLUSIVE, and so is a curve with fewer than
-    3 present buckets, too few to show a trend; one with none has no
-    terminal, initial or decay (None).
+    counts as decayed).  NONVANISHING: terminal >= NONVANISHING_MARGIN *
+    tol with no decay trend.  Anything else: INCONCLUSIVE, and so is a
+    curve with fewer than MIN_PRESENT_BUCKETS present buckets, too few to
+    show a trend; one with none has no terminal, initial or decay (None).
     """
     if tol < 0:
         raise ConfigError("tolerance must be >= 0")
@@ -284,11 +288,11 @@ def vanishing_verdict(
     else:
         decay = initial / terminal
     decayed = decay >= min_decay_factor
-    if n_present < 3:
+    if n_present < MIN_PRESENT_BUCKETS:
         v = "INCONCLUSIVE"
     elif terminal <= tol and decayed:
         v = "VANISHING"
-    elif terminal >= 3.0 * tol and not decayed:
+    elif terminal >= NONVANISHING_MARGIN * tol and not decayed:
         v = "NONVANISHING"
     else:
         v = "INCONCLUSIVE"

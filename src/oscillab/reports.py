@@ -21,6 +21,8 @@ from .errors import ConfigError, ThresholdExhaustedError
 from .family import SUPERCRITICAL_MODES, BallFamily, LimitCurve, bucketed_sup
 from .grid import Grid, GridFunction, oscillation_of
 from .oscillation import (
+    DECAY_FACTOR,
+    TOL_FRACTION,
     Verdict,
     bmo_l_norm,
     bmo_norm,
@@ -194,8 +196,8 @@ def exp_lacunary(
     k_max: int,
     exponent: float = 1.05,
     amplitude: float = 0.002,
-    tol_fraction: float = 0.05,
-    decay_factor: float = 4.0,
+    tol_fraction: float = TOL_FRACTION,
+    decay_factor: float = DECAY_FACTOR,
     floor_factor: float = 0.3,
 ) -> LacunaryReport:
     """Bumps at 3^k on the family's grid under the analytic power-potential critical radius.
@@ -319,8 +321,8 @@ def exp_square_membership(
     op: SpectralOperator,
     fam: BallFamily,
     ladder: TLadder,
-    tol_fraction: float = 0.05,
-    decay_factor: float = 4.0,
+    tol_fraction: float = TOL_FRACTION,
+    decay_factor: float = DECAY_FACTOR,
 ) -> AgreementReport:
     """Semigroup-metric curves of f against tent curves of the scaled square
     function field, with aggregate vanishing verdicts on both sides.  f is
@@ -347,8 +349,8 @@ def exp_extension_agreement(
     op: SpectralOperator,
     fam: BallFamily,
     ladder: TLadder,
-    tol_fraction: float = 0.05,
-    decay_factor: float = 4.0,
+    tol_fraction: float = TOL_FRACTION,
+    decay_factor: float = DECAY_FACTOR,
 ) -> AgreementReport:
     """Carleson curves of the harmonic extension's scaled gradient against
     the plain oscillation curves of the boundary function, sampled and

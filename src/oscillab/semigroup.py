@@ -30,7 +30,8 @@ boxes characterize CMO, so poisson_extension returns that field alone.
 Half-space objects (functions of (x, t) with t on a geometric ladder) carry
 their ladder with them; integrals in dt/t use trapezoid weights in log t,
 which is superalgebraically accurate for the smooth integrands that appear
-here.
+here.  Those weights are TLadder.log_weights and, over a Carleson box's
+slices, TLadder.box_weights, which the box scans and the plan both call.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, LadderError
-from .grid import Grid, GridFunction, SummedTable
+from .errors import ConfigError, LadderError
+from .grid import Grid, GridFunction, SummedTable, same_grid
 from .potential import Potential
 
 DEFAULT_OP_CAP = 4096
@@ -58,7 +59,8 @@ _LADDER_BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class TLadder:
-    """Ascending positive finite scales t_1 < ... < t_m."""
+    """Ascending positive finite scales t_1 < ... < t_m, with the dt/t
+    weights of the whole ladder and of a Carleson box's slices."""
 
     values: np.ndarray
 
@@ -87,19 +89,18 @@ class TLadder:
     def __len__(self) -> int:
         return self.values.size
 
-    def check_covers(self, radii) -> None:
-        """LadderError unless every radius lies in [t_1, t_m], to the
-        relative 1e-9 that every scan reading the ladder allows."""
-        lo, hi = min(radii), max(radii)
+    def box_weights(self, r: float) -> np.ndarray:
+        """The dt/t trapezoid weights of the Carleson box of radius r: those
+        of its slices, the scales t_j <= r to a relative 1e-12.  LadderError
+        when r tops the ladder by more than a relative 1e-9, or fewer than
+        two scales lie at or below it."""
         t = self.values
-        if lo < t[0] * (1 - 1e-9) or hi > t[-1] * (1 + 1e-9):
-            raise LadderError(f"ball radii [{lo}, {hi}] fall outside the ladder's scales [{t[0]}, {t[-1]}]")
-
-    def box_slices(self, r: float) -> int:
-        """The count of scales t_j <= r, to a relative 1e-12: the slices of
-        the Carleson box of radius r.  LadderError unless the ladder covers r."""
-        self.check_covers((r,))
-        return int(np.searchsorted(self.values, r * (1 + 1e-12), side="right"))
+        if r > t[-1] * (1 + 1e-9):
+            raise LadderError(f"box radius {r} lies above the ladder's top scale {t[-1]}")
+        k = int(np.searchsorted(t, r * (1 + 1e-12), side="right"))
+        if k < 2:
+            raise LadderError(f"box radius {r} has {k} ladder scales at or below it; a dt/t trapezoid needs two")
+        return log_weights_for(t[:k])
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -160,8 +161,7 @@ class SpectralOperator:
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """The sine coefficients of f's interior samples."""
-        if not f.grid.compatible(self.grid):
-            raise GridMismatchError("function grid does not match the operator grid")
+        same_grid(f.grid, self.grid)
         return dst1(f.values[1:-1])
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The region over a ball B(c, r) is the cylinder B x (0, r], whose
 integrals family_box_values gives for every ball of a family in one scan.
-All dt/t integrals use trapezoid weights in log t recomputed on the
-truncated ladder prefix, and all spatial sums count samples strictly
-inside the ball times h.  The strict-tent box and the dilate-oscillation
-comparison of criterion 8, which only tests run, live in tests/oracles.py.
+A box's slices and their dt/t weights are TLadder.box_weights(r), the
+trapezoid in log t on the scales t_j <= r, and all spatial sums count
+samples strictly inside the ball times h.  The strict-tent box and the
+dilate-oscillation comparison of criterion 8, which only tests run, live
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,21 +17,21 @@ import numpy as np
 
 from .errors import ConfigError
 from .family import PLAIN_MODES, BallFamily, BallValues, LimitCurve, bucketed_sup
-from .grid import GridFunction
+from .grid import GridFunction, same_grid
 from .oscillation import OscillationReport, _sup_report
 from .semigroup import (
     HalfSpaceFunction,
     SpectralOperator,
     TLadder,
     interior_index_window,
-    log_weights_for,
     square_function_blocks,
 )
 
 
 class BoxScanner:
     """Cylinder sums from F's |F|^2 table, a row per ladder slice: a box
-    of radius r reads the table's first k rows, the slices t_j <= r."""
+    of radius r reads the table's first rows, one per weight of
+    F.ladder.box_weights(r)."""
 
     def __init__(self, F: HalfSpaceFunction):
         self.F = F
@@ -38,18 +39,17 @@ class BoxScanner:
     def box_values(self, run: range, cell_radius: int, r: float) -> np.ndarray:
         """r^{-1} * sum over the cylinder of |F|^2 h dt/t for the balls of
         radius r centered on the sample indices of run: the ball sums of
-        the first k slices, summed in ladder order."""
-        k = self.F.ladder.box_slices(r)
-        sums = self.F.table.ball_sum(run, cell_radius, rows=slice(k))
-        sums *= log_weights_for(self.F.ladder.values[:k])[:, None]
+        the box's slices times their weights, summed in ladder order."""
+        w = self.F.ladder.box_weights(r)
+        sums = self.F.table.ball_sum(run, cell_radius, rows=slice(w.size))
+        sums *= w[:, None]
         return np.add.reduce(sums, axis=0) * self.F.grid.spacing / r
 
 
 def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
     """Cylinder integrals for every family ball (F's one prefix table), one
     box_values call per radius block."""
-    if not F.grid.compatible(family.grid):
-        raise ConfigError("field and family grids differ")
+    same_grid(F.grid, family.grid)
     scanner = BoxScanner(F)
     out = np.empty(len(family))
     for b in family.blocks:
@@ -161,9 +161,7 @@ def reproducing_pairing_check(
     spectral scales; support_ok records whether both inputs live in the
     interior_index_window (outside it, wall effects pollute the comparison).
     """
-    grid = f.grid
-    if not grid.compatible(g_fn.grid) or not grid.compatible(op.grid):
-        raise ConfigError("pairing inputs live on different grids")
+    grid = same_grid(f.grid, g_fn.grid, op.grid)
     fv, gv = f.values, g_fn.values
     direct = float(np.sum(fv * gv) * grid.spacing)
     # the two fields a block of slices at a time; the same samples (bit

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import oscillab
 from oscillab.corpus import CORPUS, corpus_grid, member_by_name
-from oscillab.errors import ConfigError, GridMismatchError
+from oscillab.errors import ConfigError, GridMismatchError, LadderError
 from oscillab.grid import Grid, GridFunction
 from oscillab.potential import constant_potential, power_potential
 from oscillab.semigroup import (
@@ -21,6 +21,7 @@ from oscillab.semigroup import (
     discretize,
     dst1,
     interior_index_window,
+    log_weights_for,
     poisson_extension,
     square_function_field,
 )
@@ -224,6 +225,25 @@ def test_ladder_refuses_scales_that_are_not_finite(scales):
     # made NaN log weights and a box of one slice at any radius
     with pytest.raises(ConfigError, match="finite"):
         TLadder(np.array(scales))
+
+
+def test_box_weights_take_the_slices_at_or_below_the_radius():
+    # the ladder of a 2,049-sample box, from h at 16 per decade
+    lad = default_ladder(Grid(halfwidth=16.0, spacing=2.0**-6))
+    t, m = lad.values, len(lad)
+    for j in range(2, m + 1):
+        # a radius at a scale, or a hair below it, takes that scale's slice
+        for r in (t[j - 1], t[j - 1] * (1 - 1e-13)):
+            w = lad.box_weights(r)
+            assert w.size == j
+            assert np.array_equal(w.view(np.uint64), log_weights_for(t[:j]).view(np.uint64))
+    assert np.array_equal(lad.box_weights(t[-1] * (1 + 5e-10)), lad.log_weights)
+    with pytest.raises(LadderError, match="top scale"):
+        lad.box_weights(t[-1] * (1 + 2e-9))
+    # a dt/t trapezoid needs two slices
+    for r in (t[0] / 2, t[0], t[1] * (1 - 1e-9)):
+        with pytest.raises(LadderError, match="needs two"):
+            lad.box_weights(r)
 
 
 def test_default_ladder_spans_h_to_quarter_box():
