@@ -3,11 +3,11 @@
 The grid, the ball family and k_max come from the plan of a
 lacunary-separation scenario, built as ``oscillab run`` builds it; the
 scenario's defaults are the headline run (halfwidth 2^14, spacing 2^-8,
-bumps at 3^k for k <= 8), which takes 0.17 to 0.18 s at 32.8 MB peak RSS
+bumps at 3^k for k <= 8), which takes 0.25 to 0.28 s at 32.4 MB peak RSS
 (2 vCPUs, numpy 2.4.6).  The separation needs that many decades: --small
-runs a cut-down box in 0.17 to 0.18 s at 32.9 MB that exercises the plumbing
-but usually reports INCONCLUSIVE.  Before the closing line, the run's
-family scan prints its step count and the tracemalloc peak of
+runs a cut-down box in 0.18 to 0.26 s at 32.3 to 32.5 MB that exercises
+the plumbing but usually reports INCONCLUSIVE.  Before the closing line,
+the run's family scan prints its step count and the tracemalloc peak of
 family_stats.
 """
 

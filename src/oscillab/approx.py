@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,8 +240,7 @@ def _level_sups(f: GridFunction, a: int, p: int, rho: float):
 SIZE_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class AveragingThresholds:
+class AveragingThresholds(NamedTuple):
     eps: float
     fine_exponent: int  # I: fine-scale cutoff 2^-I
     core_exponent: int  # J: core region halfwidth 2^J
@@ -378,8 +377,7 @@ def choose_thresholds(
 # cube assignment and averaging
 
 
-@dataclass(frozen=True)
-class DyadicAssignment:
+class DyadicAssignment(NamedTuple):
     """Partition of the samples into half-open dyadic cubes, held as its
     regions (first cell, end cell, level l) in cells from the origin, in
     position order, each a whole number of cubes [c 2^l, (c+1) 2^l).
@@ -493,8 +491,7 @@ def dyadic_average(f: GridFunction, assignment: DyadicAssignment) -> GridFunctio
 # P1 / P2 gates
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     p1_sup: float
     p1_ok: bool
     p2_max: float

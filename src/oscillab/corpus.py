@@ -19,8 +19,7 @@ tolerance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,8 +79,7 @@ def _fourth_mode(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CorpusMember:
+class CorpusMember(NamedTuple):
     name: str
     summary: str
     smooth: bool  # eligible for the mollifier-sweep acceptance check

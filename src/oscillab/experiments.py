@@ -16,9 +16,9 @@ import functools
 import math
 import random
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .potential import Potential, check_bracket_floor, constant_potential, power
 from .reports import (
     RHO_CONSTANT_UNIT, RHO_SLOPE_X_MAX, RHO_SLOPE_X_MIN, AgreementReport, _average_member, _bump_window,
     _check_lacunary_box, _nonzero, _verdict_dict, _verdict_map,
-    exp_extension_agreement, exp_lacunary, exp_pipeline, exp_rho_slope, exp_square_membership,
+    exp_extension_agreement, exp_lacunary, exp_pipeline, exp_rho_slope, exp_square_membership, lacunary_k_max,
 )
 from .semigroup import DEFAULT_OP_CAP, SpectralOperator, TLadder, default_ladder, square_function_field
 from .serialize import config_hash, save_curves_csv, save_grid_function, save_json, save_rows_csv
@@ -45,8 +45,7 @@ from .tent import family_box_values, hmo_norm, reproducing_pairing_check, t2p_no
 # config parameters: one table of kinds per scenario
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """One kind of config value.  ``ok`` accepts the JSON value; ``typed``
     returns it as the runners read it and checks any object nested in it,
     ``where`` naming the key.  A default that is not None fills in an
@@ -58,7 +57,7 @@ class _Kind:
     default: object = None
 
     def __call__(self, default) -> "_Kind":
-        return replace(self, default=default)
+        return self._replace(default=default)
 
     def check(self, where: str, value):
         if not self.ok(value):
@@ -124,8 +123,8 @@ _RADII = _Kind(
 
 # every FamilyPolicy field is a number but the radii; the fields without a
 # default are required
-_FAMILY_KINDS = {f.name: _RADII if f.name == "radii" else _FLOAT for f in fields(FamilyPolicy)}
-_FAMILY_REQUIRED = tuple(f.name for f in fields(FamilyPolicy) if f.default is MISSING)
+_FAMILY_KINDS = {name: _RADII if name == "radii" else _FLOAT for name in FamilyPolicy._fields}
+_FAMILY_REQUIRED = tuple(name for name in FamilyPolicy._fields if name not in FamilyPolicy._field_defaults)
 _FAMILY = _Kind(
     "an object of family policy fields",
     lambda v: isinstance(v, dict),
@@ -212,7 +211,7 @@ _TOP_PARAMS = {
     "scenarios": _Kind(
         "a list of objects",
         lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
-        lambda where, v: [_scenario(s) for s in v],
+        lambda where, v: tuple(_scenario(s) for s in v),
     ),
     "out_dir": _STR,
     "seed": _int_at_least(0),
@@ -225,14 +224,13 @@ _TOP_PARAMS = {
 # config-driven runner
 
 
-@dataclass
-class ExperimentConfig:
-    scenarios: list[tuple[str, str, dict]] = field(default_factory=list)  # (id, name, parameters)
+class ExperimentConfig(NamedTuple):
+    scenarios: tuple[tuple[str, str, dict], ...] = ()  # (id, name, parameters)
     out_dir: str = "oscillab-out"
     seed: int = 0
     op_cap: int = DEFAULT_OP_CAP
     interior_window: float = 1.0 / 3.0
-    raw: dict = field(default_factory=dict)
+    raw: Mapping = MappingProxyType({})  # the config as given, which the run's provenance hashes
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -248,8 +246,7 @@ class ExperimentConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class ScenarioPlan:
+class ScenarioPlan(NamedTuple):
     """One scenario as it runs: the checked parameters its runner reads, less
     the geometry keys, and what those build (None where unused).  Plans of
     one config share one object per geometry, which is only ever read."""
@@ -454,7 +451,7 @@ def _run_averaging(plan: ScenarioPlan, cfg: ExperimentConfig, out: Path, rng: No
 
     save_rows_csv(out / "assignment.csv", ["level", "corner_x"], asg.cube_list())
     save_grid_function(out / "averaged.json", A)
-    gate_doc = {"eps": eps, **asdict(gate)}
+    gate_doc = {"eps": eps, **gate._asdict()}
     save_json(out / "gate.json", gate_doc)
     summary.update(
         fine_exponent=th.fine_exponent,
@@ -487,11 +484,21 @@ def _lacunary_potential(p: dict, fam: BallFamily) -> None:
     check_bracket_floor(potential, fam.grid.coords(fam.lattice[max(z - 1, 0) : z + 1]))
 
 
+def _lacunary_reach(p: dict, fam: BallFamily) -> None:
+    """With verdicts asserted, the distance ladder ends by the outermost
+    bump, at 3^k_max.  Past it the far-from-origin balls meet no bump of a
+    function that lies in CMO_L (lacunary_function), so the NONVANISHING
+    answer asserted there would be wrong for the function scanned."""
+    top, bump_at = float(fam.distance_ladder[-1]), 3**p["k_max"]
+    if p["assert_verdicts"] and top > bump_at:
+        raise ConfigError(f"asserted verdicts need the distance ladder to end by the outermost bump at "
+                          f"3^k_max = {bump_at}, but distance_max takes it to {top:g}")
+
+
 _Step = tuple[str, Callable]  # a plan step: the keys its error names, and its function of (params, grid or family)
 
 
-@dataclass(frozen=True)
-class _Scenario:
+class _Scenario(NamedTuple):
     """The declaration of one scenario id.  A plan step's function pops the
     keys that only the plan reads."""
 
@@ -506,7 +513,7 @@ class _Scenario:
     boxes: bool = False  # the default t-ladder, whose box_weights take each family radius
     draws: bool = False  # the runner draws from the run's PRNG stream; every other runner is passed None
     ladder: Optional[_Step] = None  # the plan step that gives a t-ladder of the record's own
-    expected: dict[str, str] = field(default_factory=dict)  # the answers the paper predicts
+    expected: Mapping[str, str] = MappingProxyType({})  # the answers the paper predicts
 
 
 _CORPUS_GRID = {"halfwidth": _POSITIVE(CORPUS_HALFWIDTH), "spacing": _POSITIVE(CORPUS_SPACING)}
@@ -537,7 +544,7 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
     }, _run_rho_slope, draws=True, exclusive=(("potential", "exponent"), ("potential", "amplitude")),
         typed=_rho_slope_potential),
     "lacunary-separation": _Scenario({
-        "k_max": _int_at_least(1)(8),
+        "k_max": _int_at_least(1),
         "assert_verdicts": _BOOL(True),
         **{"halfwidth": _POSITIVE(16384.0), "spacing": _POSITIVE(2.0**-8), "stride": _POSITIVE(0.25)},
         **dict.fromkeys(("radius_max", "distance_max"), _POSITIVE(4096.0)),
@@ -546,17 +553,20 @@ _SCENARIO_TABLE: dict[str, _Scenario] = {
         **dict.fromkeys(("tol_fraction", "floor_factor"), _NONNEGATIVE),
         "decay_factor": _POSITIVE,
     }, _run_lacunary,
+        # k_max by default the last whose bump fits the box: the lacunary sum, restricted to it
+        typed=lambda where, p: {"k_max": lacunary_k_max(p["halfwidth"]), **p},
         checks=(("'k_max' and 'halfwidth'", lambda p, grid: _check_lacunary_box(grid, p["k_max"])),
                 ("'spacing'", lambda p, grid: _bump_window(grid.spacing))),  # the bump's own h < width/4 check
         family=("'stride', 'radius_max' and 'distance_max'", _stride_family),
-        family_checks=(("'exponent' and 'amplitude'", _lacunary_potential),),
+        family_checks=(("'exponent' and 'amplitude'", _lacunary_potential),
+                       ("'k_max' and 'distance_max'", _lacunary_reach)),
         # the bumps at 3^k separate the limits: the plain far curve stays at
         # one bump's oscillation while the other two vanish
         expected={"small-radius": "VANISHING", "far-from-origin": "NONVANISHING", "far-and-supercritical": "VANISHING"},
     ),
     "square-function-agreement": _SQUARE_AGREEMENT,
-    "extension-agreement": replace(
-        _SQUARE_AGREEMENT, runner=functools.partial(_run_agreement, exp_extension_agreement)),
+    "extension-agreement": _SQUARE_AGREEMENT._replace(
+        runner=functools.partial(_run_agreement, exp_extension_agreement)),
     "approximation-pipeline": _Scenario({
         "member": _MEMBER("bump-narrow"),
         "expect": _EXPECT("MEMBER"),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,8 +44,7 @@ _DISTANCE_MODES = ("far-from-origin", "far-and-supercritical")
 _PLAIN_OF = {"large-and-supercritical": "large-radius", "far-and-supercritical": "far-from-origin"}
 
 
-@dataclass(frozen=True)
-class FamilyPolicy:
+class FamilyPolicy(NamedTuple):
     """How to enumerate a deterministic ball family on a grid.
 
     Centers walk the lattice c = k * center_stride with |c| <=
@@ -80,8 +78,15 @@ class RadiusBlock(NamedTuple):
         return self.start + self.count
 
 
-@dataclass(frozen=True)
-class BallFamily:
+class _BallFamilyFields(NamedTuple):
+    grid: Grid
+    lattice: range
+    blocks: tuple[RadiusBlock, ...]
+    radius_ladder: np.ndarray
+    distance_ladder: np.ndarray
+
+
+class BallFamily(_BallFamilyFields):
     """Deterministically enumerated balls, tagged for bucketed scans.
 
     lattice: the sample indices of the distinct centers, a range at a
@@ -106,36 +111,32 @@ class BallFamily:
     Grid.coords, and no scan reads them.
     """
 
-    grid: Grid
-    lattice: range
-    blocks: tuple[RadiusBlock, ...]
-    radius_ladder: np.ndarray
-    distance_ladder: np.ndarray
+    # no __slots__: the segment plans are cached in the instance dict
 
-    def __post_init__(self) -> None:
-        g, lattice = self.grid, self.lattice
+    def __new__(cls, grid: Grid, lattice: range, blocks, radius_ladder, distance_ladder) -> "BallFamily":
         if not isinstance(lattice, range) or lattice.step < 1:
             raise ConfigError("a family's lattice must be a range of sample indices: an arithmetic run at a positive step")
-        blocks, start = [], 0
-        for m, off, n in (map(int, b) for b in self.blocks):
+        radius_blocks, start = [], 0
+        for m, off, n in (map(int, b) for b in blocks):
             if m < 1:
                 raise ConfigError("family radii must be positive multiples of the spacing")
             if n < 1 or off < 0 or off + n > len(lattice):
                 raise ConfigError("a radius block is not a nonempty run of the family's centers")
             run = lattice[off : off + n]
             # inside the box: |c| + r <= X - h, i.e. sample indices 1 .. 2X/h - 1
-            if run.start - m < 1 or run[-1] + m > g.size - 2:
+            if run.start - m < 1 or run[-1] + m > grid.size - 2:
                 raise OutOfDomainError(f"a ball of cell radius {m} over {run} touches or leaves the box")
-            blocks.append(RadiusBlock(m, n, m * g.spacing, start, run))
+            radius_blocks.append(RadiusBlock(m, n, m * grid.spacing, start, run))
             start += n
-        if not blocks:
+        if not radius_blocks:
             raise ConfigError("empty ball family")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        for name in ("radius_ladder", "distance_ladder"):
-            ladder = np.asarray(getattr(self, name), dtype=np.float64)
+        ladders = []
+        for name, ladder in (("radius_ladder", radius_ladder), ("distance_ladder", distance_ladder)):
+            ladder = np.asarray(ladder, dtype=np.float64)
             if ladder.ndim != 1 or not ladder.size or np.isnan(ladder).any() or not np.all(np.diff(ladder) > 0):
                 raise ConfigError(f"a family's {name} must be 1-D, nonempty, free of NaN and strictly increasing")
-            object.__setattr__(self, name, ladder)
+            ladders.append(ladder)
+        return super().__new__(cls, grid, lattice, tuple(radius_blocks), *ladders)
 
     def __len__(self) -> int:
         return self.blocks[-1].stop
@@ -168,8 +169,7 @@ class BallFamily:
         return Ball((self.grid.coords(b.run[i - b.start : i - b.start + 1])[0],), b.radius)
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
+class SegmentPlan(NamedTuple):
     """Runs of balls that fall in one bucket of a cut ladder, in family
     order: segment i is the balls from starts[i] up to the next start (or
     the family's end) of one radius block, all in bucket buckets[i]
@@ -237,8 +237,13 @@ def supercritical_spans(family: BallFamily, rho):
         yield b, a, max(a, b.start + _positions_below(b.run, n0 + d))
 
 
-@dataclass(frozen=True)
-class BallValues:
+class _BallValuesFields(NamedTuple):
+    family: BallFamily
+    starts: np.ndarray
+    values: np.ndarray
+
+
+class BallValues(_BallValuesFields):
     """One value per ball of a family, as a step function over the ball
     indices: ball i holds values[j] for the last step j with starts[j] <=
     i; starts ascends strictly from 0, and a step may cross the end of a
@@ -246,15 +251,14 @@ class BallValues:
     sum can change, whole() at every ball.  Every sup over segments of
     balls is one maximum.reduceat over the steps."""
 
-    family: BallFamily
-    starts: np.ndarray
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a = self.starts
-        if (a.ndim != 1 or self.values.shape != a.shape or not a.size or a[0] or a[-1] >= len(self.family)
+    def __new__(cls, family: BallFamily, starts: np.ndarray, values: np.ndarray) -> "BallValues":
+        a = starts
+        if (a.ndim != 1 or values.shape != a.shape or not a.size or a[0] or a[-1] >= len(family)
                 or np.any(a[1:] <= a[:-1])):
             raise ConfigError("steps do not start at ball 0 and ascend strictly inside the family, one value each")
+        return super().__new__(cls, family, starts, values)
 
     @staticmethod
     def whole(family: BallFamily, values: np.ndarray) -> "BallValues":
@@ -363,8 +367,14 @@ def make_ball_family(grid: Grid, policy: FamilyPolicy) -> BallFamily:
     return BallFamily(grid, range(n0 - half[0] * s, n0 + half[0] * s + 1, s), blocks, radius_ladder, np.asarray(dl))
 
 
-@dataclass(frozen=True)
-class LimitCurve:
+class _LimitCurveFields(NamedTuple):
+    mode: str
+    ladder: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+
+class LimitCurve(_LimitCurveFields):
     """Bucketed suprema of a per-ball metric along a ladder of cutoffs.
 
     values[j] is the sup over the balls qualifying at cutoff ladder[j];
@@ -373,14 +383,12 @@ class LimitCurve:
     ladder's small end, all other modes at the large end.
     """
 
-    mode: str
-    ladder: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown curve mode {self.mode!r}")
+    def __new__(cls, mode: str, ladder: np.ndarray, values: np.ndarray, counts: np.ndarray) -> "LimitCurve":
+        if mode not in MODES:
+            raise ConfigError(f"unknown curve mode {mode!r}")
+        return super().__new__(cls, mode, ladder, values, counts)
 
     @property
     def present(self) -> np.ndarray:

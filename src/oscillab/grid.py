@@ -51,7 +51,7 @@ that the held ones are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,28 +60,32 @@ from .errors import ConfigError, GridMismatchError, OutOfDomainError
 _IDX_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Grid:
+class _GridFields(NamedTuple):
+    halfwidth: float
+    spacing: float
+
+
+class Grid(_GridFields):
     """Uniform sampling of [-X, X], endpoints included, spacing h.
 
     X/h must be an integer, so the sample count 2*X/h + 1 is odd and the
     origin is always a sample.
     """
 
-    halfwidth: float
-    spacing: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
-            raise ConfigError(f"halfwidth must be positive, got {self.halfwidth}")
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ConfigError(f"spacing must be positive, got {self.spacing}")
-        m = self.halfwidth / self.spacing
+    def __new__(cls, halfwidth: float, spacing: float) -> "Grid":
+        if not (halfwidth > 0 and math.isfinite(halfwidth)):
+            raise ConfigError(f"halfwidth must be positive, got {halfwidth}")
+        if not (spacing > 0 and math.isfinite(spacing)):
+            raise ConfigError(f"spacing must be positive, got {spacing}")
+        m = halfwidth / spacing
         if abs(m - round(m)) > _IDX_TOL * max(1.0, m):
             raise ConfigError(
                 f"halfwidth/spacing = {m} is not an integer; "
                 "the box must be an integer number of cells"
             )
+        return super().__new__(cls, halfwidth, spacing)
 
     @property
     def n(self) -> int:
@@ -302,18 +306,22 @@ class GridFunction:
         return GridFunction(grid, self.on(a, b) - other.on(a, b), lo=a)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Interval B(center, radius); center is a one-coordinate tuple."""
-
+class _BallFields(NamedTuple):
     center: tuple[float, ...]
     radius: float
 
-    def __post_init__(self) -> None:
-        if len(self.center) != 1:
+
+class Ball(_BallFields):
+    """Interval B(center, radius); center is a one-coordinate tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: tuple[float, ...], radius: float) -> "Ball":
+        if len(center) != 1:
             raise ConfigError("ball center must have one coordinate")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ConfigError(f"ball radius must be positive, got {self.radius}")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ConfigError(f"ball radius must be positive, got {radius}")
+        return super().__new__(cls, center, radius)
 
 
 # ---------------------------------------------------------------------------

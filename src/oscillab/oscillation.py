@@ -21,8 +21,7 @@ step where a ball sum can change, the semigroup metric at every ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ VERDICTS = ("VANISHING", "NONVANISHING", "INCONCLUSIVE")
 # the family scan
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     """The 2-mean oscillation and the mean size (mean over B of
     |f|^2)^(1/2) of one function on each ball of one family, as steps
     that family_stats builds once and the norms and curves read."""
@@ -129,8 +127,7 @@ def _sites(first: np.ndarray, end: np.ndarray, o: int, k: int) -> np.ndarray:
 # norms
 
 
-@dataclass(frozen=True)
-class OscillationReport:
+class OscillationReport(NamedTuple):
     """The sup of a family's per-ball values: the value, the index of the
     ball attaining it, and the number of balls."""
 
@@ -150,8 +147,7 @@ def bmo_norm(stats: FamilyStats) -> OscillationReport:
     return _sup_report(stats.oscillation)
 
 
-@dataclass(frozen=True)
-class SplitNormReport:
+class SplitNormReport(NamedTuple):
     """Norm split at the critical radius: subcritical oscillation plus
     supercritical size.  A part with no qualifying ball reports value 0 and
     present=False; the total is the sum of present parts."""
@@ -251,8 +247,7 @@ NONVANISHING_MARGIN = 3.0
 MIN_PRESENT_BUCKETS = 3
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict: str
     terminal: Optional[float]
     initial: Optional[float]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 UNIT_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """One potential; build via the module constructors, not directly."""
 
     kind: str
@@ -234,8 +233,7 @@ RHO_CAP = 1e6
 RHO_BISECT_STEPS = 48
 
 
-@dataclass(frozen=True)
-class CriticalRadiusField:
+class CriticalRadiusField(NamedTuple):
     """Solved critical radii at a fixed set of points.
 
     points are the distances |x| (oscbench/tracing.py counts them by that

@@ -1,4 +1,4 @@
-"""The experiments as plain functions, each returning a report dataclass.
+"""The experiments as plain functions, each returning a report record.
 
 Each exp_* function takes what a scenario's plan built (a ball family, an
 operator, a t-ladder) and computes one of the paper's checks, so tests and
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +48,7 @@ def _verdict_map(curves: dict[str, LimitCurve], tol: float, decay_factor: float)
 
 
 def _verdict_dict(verdicts: dict[str, Verdict]) -> dict:
-    return {mode: asdict(v) for mode, v in sorted(verdicts.items())}
+    return {mode: v._asdict() for mode, v in sorted(verdicts.items())}
 
 
 def _nonzero(potential: Potential) -> Potential:
@@ -67,6 +66,15 @@ def line_slope(x: np.ndarray, y: np.ndarray) -> float:
     dx = x - np.mean(x)
     dy = y - np.mean(y)
     return math.fsum(dx * dy) / math.fsum(dx * dx)
+
+
+def lacunary_k_max(halfwidth: float) -> int:
+    """The largest k whose bump at 3^k fits a box of that halfwidth X,
+    3^k + _BUMP_WIDTH + 1 <= X, or 0 when not even the bump at 3 fits."""
+    k = 0
+    while 3.0 ** (k + 1) + _BUMP_WIDTH + 1.0 <= halfwidth:
+        k += 1
+    return k
 
 
 def _check_lacunary_box(grid: Grid, k_max: int) -> None:
@@ -91,8 +99,12 @@ def _bump_window(h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
-    """Sum of unit-mass bumps at 3^k, k = 1..k_max, each the same sampled
-    kernel, held as one piece per bump."""
+    """The bumps at 3^k, k = 1..k_max, of the lacunary sum of unit-mass
+    bumps at 3^k, k >= 1, each the same sampled kernel, held as one piece
+    per bump.  At k_max = lacunary_k_max(X), the last bump that fits, this
+    is the infinite sum restricted to the box.  A smaller k_max leaves out
+    bumps that the box holds: what remains has compact support, so it lies
+    in CMO_L, and its far-from-origin limit is 0."""
     _check_lacunary_box(grid, k_max)
     win, koff = _bump_window(grid.spacing)
     at = [int(grid.coord_to_index(3.0**k)) + int(koff[0]) for k in range(1, k_max + 1)]
@@ -103,8 +115,7 @@ def lacunary_function(grid: Grid, k_max: int) -> GridFunction:
 # critical-radius slope
 
 
-@dataclass(frozen=True)
-class RhoSlopeReport:
+class RhoSlopeReport(NamedTuple):
     slope: float
     expected: float
     n: int
@@ -116,7 +127,7 @@ class RhoSlopeReport:
 
     def to_dict(self) -> dict:
         # the samples go to rho.csv
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("x", "rho")}
+        return {k: v for k, v in self._asdict().items() if k not in ("x", "rho")}
 
 
 def exp_rho_slope(
@@ -169,8 +180,7 @@ def exp_rho_slope(
 # lacunary separation
 
 
-@dataclass(frozen=True)
-class LacunaryReport:
+class LacunaryReport(NamedTuple):
     k_max: int
     exponent: float
     amplitude: float
@@ -186,7 +196,7 @@ class LacunaryReport:
 
     def to_dict(self) -> dict:
         # the curves go to curves.csv
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curves"}
+        d = {k: v for k, v in self._asdict().items() if k != "curves"}
         d["verdicts"] = _verdict_dict(self.verdicts)
         return d
 
@@ -253,8 +263,7 @@ def exp_lacunary(
 # square-function membership agreement
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Vanishing verdicts of two sides over one corpus member: gamma, an
     oscillation side of the boundary function, against one half-space
     Carleson side (eta for the square-function field, beta for the
@@ -368,8 +377,7 @@ def exp_extension_agreement(
 # constructive approximation pipeline
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     member: str
     eps: float
     norm: float
@@ -390,7 +398,7 @@ class PipelineReport:
     exhausted_condition: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k != "thresholds"}
+        d = {k: v for k, v in self._asdict().items() if k != "thresholds"}
         th = self.thresholds
         if th is not None:
             d.update(fine_exponent=th.fine_exponent, core_exponent=th.core_exponent,

@@ -37,9 +37,8 @@ slices, TLadder.box_weights, which the box scans and the plan both call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,20 +56,23 @@ _LADDER_BLOCK_BYTES = 1 << 18
 # scale ladders
 
 
-@dataclass(frozen=True)
-class TLadder:
+class _TLadderFields(NamedTuple):
+    values: np.ndarray
+
+
+class TLadder(_TLadderFields):
     """Ascending positive finite scales t_1 < ... < t_m, with the dt/t
     weights of the whole ladder and of a Carleson box's slices."""
 
-    values: np.ndarray
+    # no __slots__: log_weights is cached in the instance dict
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
+    def __new__(cls, values: np.ndarray) -> "TLadder":
+        v = np.asarray(values, dtype=np.float64).reshape(-1)
         if v.size == 0:
             raise ConfigError("empty scale ladder")
         if not np.all(np.isfinite(v)) or np.any(v <= 0) or np.any(np.diff(v) <= 0):
             raise ConfigError("ladder values must be finite, positive and strictly increasing")
-        object.__setattr__(self, "values", v)
+        return super().__new__(cls, v)
 
     @staticmethod
     def geometric(t_min: float, t_max: float, per_decade: int = 16) -> "TLadder":
@@ -144,8 +146,7 @@ def dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # the discrete operator
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
+class SpectralOperator(NamedTuple):
     """The Dirichlet finite-difference operator in its sine eigenbasis.
 
     eigenvalues: (M,) ascending, all positive; M = number of interior
@@ -228,20 +229,23 @@ def apply_spectral(op: SpectralOperator, psi: Callable[[np.ndarray], np.ndarray]
 # half-space fields
 
 
-@dataclass(frozen=True)
-class HalfSpaceFunction:
-    """Samples of a function of (x, t): values[j] is the t_j slice."""
-
+class _HalfSpaceFunctionFields(NamedTuple):
     grid: Grid
     ladder: TLadder
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        expect = (len(self.ladder),) + self.grid.shape
+
+class HalfSpaceFunction(_HalfSpaceFunctionFields):
+    """Samples of a function of (x, t): values[j] is the t_j slice."""
+
+    # no __slots__: the |F|^2 table is cached in the instance dict
+
+    def __new__(cls, grid: Grid, ladder: TLadder, values: np.ndarray) -> "HalfSpaceFunction":
+        v = np.asarray(values, dtype=np.float64)
+        expect = (len(ladder),) + grid.shape
         if v.shape != expect:
             raise ConfigError(f"half-space values shape {v.shape}, expected {expect}")
-        object.__setattr__(self, "values", v)
+        return super().__new__(cls, grid, ladder, v)
 
     @cached_property
     def table(self) -> SummedTable:

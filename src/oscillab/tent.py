@@ -12,7 +12,8 @@ in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigError
@@ -61,8 +62,7 @@ def family_box_values(F: HalfSpaceFunction, family: BallFamily) -> np.ndarray:
 # cones
 
 
-@dataclass(frozen=True)
-class ConeField:
+class ConeField(NamedTuple):
     """A(F) on the grid plus a per-sample truncation mark (cone clipped by
     the box before reaching the top scale)."""
 
@@ -93,8 +93,7 @@ def cone_square_function(F: HalfSpaceFunction) -> ConeField:
     return ConeField(np.sqrt(np.maximum(acc, 0.0)), truncated)
 
 
-@dataclass(frozen=True)
-class TentNormReport:
+class TentNormReport(NamedTuple):
     p: float
     value: float
     truncated_fraction: float
@@ -139,8 +138,7 @@ def gradient_carleson_curves(carleson: np.ndarray, family: BallFamily) -> dict[s
 # reproducing pairing
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     direct: float
     tent: float
     rel_error: float

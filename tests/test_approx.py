@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -784,7 +783,7 @@ def _scan_outcome(scan, f: GridFunction, eps: float) -> dict | str:
         th = scan(f, eps, RHO0, 0.125)
     except ThresholdExhaustedError as e:
         return str(e)
-    return th if isinstance(th, dict) else dataclasses.asdict(th)
+    return th if isinstance(th, dict) else th._asdict()
 
 
 @pytest.mark.parametrize("halfwidth, spacing", _SCAN_GEOMETRIES)

@@ -30,6 +30,7 @@ from oscillab.reports import (
     exp_rho_slope,
     exp_square_membership,
     lacunary_function,
+    lacunary_k_max,
     line_slope,
 )
 from oscillab.family import BallFamily, FamilyPolicy, make_ball_family, supercritical_spans
@@ -106,6 +107,48 @@ def test_lacunary_function_validation():
         lacunary_function(g, 0)
     with pytest.raises(ConfigError):
         lacunary_function(g, 2)  # outermost bump at 9 does not fit
+
+
+def test_lacunary_k_max_is_the_last_bump_that_fits():
+    # 3^k + 1 + 1 <= X, at equality for 5 and 11; the shipped boxes 2^14,
+    # 2^18 and 2^26 hold 8, 11 and 16
+    assert [lacunary_k_max(X) for X in (4.0, 5.0, 11.0, 2.0**14, 2.0**18, 2.0**26)] == [0, 1, 2, 8, 11, 16]
+
+
+@pytest.mark.parametrize("e", range(14, 21))
+def test_lacunary_separation_holds_as_the_box_grows(e, tmp_path):
+    # with k_max left to its default, the last bump that fits, the three
+    # verdicts and the far floor hold at every box, radius and distance
+    # maxima X/4; a k_max fixed at 8 lost the far-from-origin verdict and
+    # the floor (0.0000) from 2^15 on, once the ladder passed 3^8
+    X = 2.0**e
+    scenario = {"id": "lacunary-separation", "halfwidth": X, "radius_max": X / 4, "distance_max": X / 4}
+    rep = run({"scenarios": [scenario]}, out_dir=str(tmp_path))["scenarios"]["lacunary-separation"]
+    assert rep["k_max"] == lacunary_k_max(X)
+    assert {mode: v["verdict"] for mode, v in rep["verdicts"].items()} == _SCENARIO_TABLE["lacunary-separation"].expected
+    assert rep["floor_ok"] and rep["floor"] >= rep["floor_required"] > 0
+
+
+@pytest.mark.parametrize("scenario", [
+    {"id": "lacunary-separation", "k_max": 7},
+    # the benchmark self-test's box, whose run asserts no verdict
+    {"id": "lacunary-separation", "k_max": 3, "halfwidth": 128.0, "spacing": 0.0625, "stride": 0.5,
+     "radius_max": 32.0, "distance_max": 32.0},
+], ids=["default-box-k_max-7", "small-box-k_max-3"])
+def test_asserted_lacunary_verdicts_need_the_distance_ladder_inside_the_bumps(scenario, tmp_path, capsys):
+    # the bumps up to 3^k_max, fewer than the box holds, with the distance
+    # ladder past the last one: the function scanned lies in CMO_L, so its
+    # far-from-origin limit is 0 and the asserted NONVANISHING would be wrong
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [scenario]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario 'lacunary-separation': 'k_max' and 'distance_max': " in err
+    assert f"3^k_max = {3 ** scenario['k_max']}" in err
+    assert not (tmp_path / "o").exists()
+    # unasserted, any k_max whose bump fits the box plans
+    (plan,) = plan_scenarios({"scenarios": [{**scenario, "assert_verdicts": False}]})
+    assert plan.params["k_max"] == scenario["k_max"]
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +906,6 @@ def test_pipeline_runners_call_the_shared_averaging_once(scenario, averaging_cal
 # where the truncation clips at the box
 @pytest.mark.parametrize("outer_below_box", [None, 2, 1])
 def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box, monkeypatch):
-    from dataclasses import replace
-
     from oscillab import reports
 
     seen = {}
@@ -877,7 +918,7 @@ def test_pipeline_truncates_the_average_to_the_half_open_region(outer_below_box,
         if outer_below_box is None:
             return asg
         a = round(math.log2(grid.halfwidth))
-        return replace(asg, thresholds=replace(th, outer_exponent=a - outer_below_box))
+        return asg._replace(thresholds=th._replace(outer_exponent=a - outer_below_box))
 
     def shifted(f, asg):
         # nonzero and asymmetric out to the box faces, so every sample the
@@ -1161,7 +1202,9 @@ _THIN_FAMILY = {"center_stride": 0.5, "radii": [0.25, 0.5]}
 
 
 @pytest.mark.parametrize("scenario, code", [
-    ({"id": "lacunary-separation", "k_max": 3, "halfwidth": 128.0, "spacing": 0.0625, "stride": 0.5,
+    # k_max by default 4, the last bump that fits: the far-from-origin
+    # verdict and the far floor hold, the other two asserted verdicts fail
+    ({"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "stride": 0.5,
       "radius_max": 32.0, "distance_max": 32.0}, 3),
     ({"id": "bmo-norms", "family": _THIN_FAMILY}, 0),
     ({"id": "square-function-agreement", "family": _THIN_FAMILY}, 0),
@@ -1180,7 +1223,7 @@ def test_thin_family_writes_its_bundle_with_inconclusive_verdicts(scenario, code
     assert thin and all(v["verdict"] == "INCONCLUSIVE" for v in thin)
     assert all((v["terminal"] is None) == (v["n_present"] == 0) for v in verdicts)
     assert "config error" not in capsys.readouterr().err
-    assert len(summary["failures"]) == (4 if code else 0)
+    assert len(summary["failures"]) == (2 if code else 0)
 
 
 def test_runner_error_names_its_scenario(tmp_path, capsys):
@@ -1219,7 +1262,8 @@ def test_bmo_norms_runs_radii_past_the_default_ladder(tmp_path, capsys):
     assert frag["tilde_bmo_l"] > 0 and math.isfinite(frag["tilde_bmo_l"])
 
 
-_SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625, "k_max": 3,
+# k_max by default 4, so the distance ladder ends by the last bump, at 81
+_SMALL_LACUNARY_SCENARIO = {"id": "lacunary-separation", "halfwidth": 128.0, "spacing": 0.0625,
                             "radius_max": 32.0, "distance_max": 32.0, "stride": 0.5}
 
 

@@ -35,11 +35,12 @@ def test_grid_axis_contains_origin_and_endpoints():
 
 def test_grid_axis_is_not_kept_by_the_grid():
     # a Grid lives as long as any function on it; a cached axis would pin
-    # one sample-sized array per grid
+    # one sample-sized array per grid.  A Grid has no instance dict, so it
+    # holds its two fields and nothing else
     g = Grid(halfwidth=4.0, spacing=0.25)
     assert g.axis is not g.axis
     assert np.array_equal(g.axis, g.axis)
-    assert "axis" not in vars(g)
+    assert not hasattr(g, "__dict__")
 
 
 def test_coord_index_roundtrip():

@@ -478,7 +478,7 @@ def _small_lacunary_case():
     # the lacunary workload's small config, as the benchmark's self-test runs it
     (plan,) = plan_scenarios({"scenarios": [{
         "id": "lacunary-separation", "k_max": 3, "exponent": 1.05, "amplitude": 0.5, "halfwidth": 128.0,
-        "spacing": 0.0625, "stride": 0.5, "radius_max": 32.0, "distance_max": 32.0,
+        "spacing": 0.0625, "stride": 0.5, "radius_max": 32.0, "distance_max": 32.0, "assert_verdicts": False,
     }]})
     return lacunary_function(plan.grid, 3), plan.family
 

@@ -13,8 +13,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # PRNG is the standard library's random.Random, the Gauss-Legendre rule of
 # the n = 2, 3 masses is built by Newton's method, and the config hash
 # reads CPython's built-in sha256, so neither numpy.random (nor OpenSSL's
-# _hashlib, which its secrets import loads) nor numpy.polynomial is loaded
-_LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft", "_hashlib"]
+# _hashlib, which its secrets import loads) nor numpy.polynomial is loaded.
+# The package's records are NamedTuples, built at import without the
+# generated methods that a dataclass execs, so dataclasses is not loaded
+_LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft", "_hashlib", "dataclasses"]
 
 # flags parse before any numerical module loads, and a run loads no SciPy;
 # the configs given run one after another in one process

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,7 +47,7 @@ def test_lacunary_modes_script_prints_missing_trend_as_na(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     exp = script.exp_lacunary
-    monkeypatch.setattr(script, "exp_lacunary", lambda *a, **kw: replace(exp(*a, **kw), trend_exponent=None))
+    monkeypatch.setattr(script, "exp_lacunary", lambda *a, **kw: exp(*a, **kw)._replace(trend_exponent=None))
     monkeypatch.setattr(sys, "argv", ["lacunary_modes.py", "--small"])
     script.main()
     assert "trend exponent n/a," in capsys.readouterr().out.splitlines()[-1]

@@ -57,7 +57,7 @@ def builds(monkeypatch):
         def counting(*args, **kwargs):
             counts[key] += 1
             out = build(*args, **kwargs)
-            for value in vars(out).values():
+            for value in out._asdict().values():
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
             return out
