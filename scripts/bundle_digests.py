@@ -8,19 +8,21 @@
     python scripts/bundle_digests.py --shipped         every configs/*.json and every workload at seed 1
 
 A path that names a file is read as a run config and run with the oscillab
-on the import path; a directory is read as a finished bundle.  --workload
-runs the config that oscbench/workloads.py writes for the workload and the
-seed.  --shipped lists the bundles of every shipped config and of every
-benchmark workload at seed 1 at once, each path prefixed by its bundle's
-label (the config's name, or workload-NAME), so that a diff of two trees'
-listings is the whole byte-identity check.  Paths are relative to the
-bundle root, sorted.  A comparison prints one line per file that differs
-or exists on one side only, and exits 1 if there is any; it exits 0 when
-the two bundles are byte-identical.  Under a JSON file that differs, it
-prints one indented line per leaf whose value differs, by its path of keys
-and list indices, with A's and B's values (repr, so every digit shows; a
-leaf on one side only reads "absent") and, for two numbers with A's not 0,
-the relative change (B - A) / |A|.  A config whose declared checks fail
+of this checkout: its src/, when there is one, goes first on the import
+path, as oscbench/run.py pins its runs, and the file of the oscillab
+imported is printed to stderr.  A directory is read as a finished bundle.
+--workload runs the config that oscbench/workloads.py writes for the
+workload and the seed.  --shipped lists the bundles of every shipped config
+and of every benchmark workload at seed 1 at once, each path prefixed by
+its bundle's label (the config's name, or workload-NAME), so that a diff of
+two trees' listings is the whole byte-identity check.  Paths are relative
+to the bundle root, sorted.  A comparison prints one line per file that
+differs or exists on one side only, and exits 1 if there is any; it exits 0
+when the two bundles are byte-identical.  Under a JSON file that differs,
+it prints one indented line per leaf whose value differs, by its path of
+keys and list indices, with A's and B's values (repr, so every digit shows;
+a leaf on one side only reads "absent") and, for two numbers with A's not
+0, the relative change (B - A) / |A|.  A config whose declared checks fail
 still leaves its bundle, so its digests are printed too.
 """
 
@@ -33,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+if (ROOT / "src" / "oscillab").is_dir():
+    sys.path.insert(0, str(ROOT / "src"))
 WORKLOADS = ROOT / "oscbench" / "workloads.py"
 SHIPPED_SEED = 1
 
@@ -144,6 +148,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, help="the workload's seed")
     ap.add_argument("--shipped", action="store_true", help="digest every shipped config and workload at seed 1")
     args = ap.parse_args()
+    import oscillab
+
+    print(f"bundle_digests.py: oscillab from {oscillab.__file__}", file=sys.stderr)
     if args.shipped:
         if args.bundles or args.workload is not None or args.seed is not None:
             ap.error("--shipped takes no bundle, --workload or --seed")

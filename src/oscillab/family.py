@@ -138,6 +138,13 @@ class BallFamily(_BallFamilyFields):
             ladders.append(ladder)
         return super().__new__(cls, grid, lattice, tuple(radius_blocks), *ladders)
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a family through __new__, which takes
+        # each block as (cell radius, offset, count)
+        s = self.lattice
+        blocks = tuple((b.cell_radius, (b.run.start - s.start) // s.step, b.count) for b in self.blocks)
+        return self.grid, s, blocks, self.radius_ladder, self.distance_ladder
+
     def __len__(self) -> int:
         return self.blocks[-1].stop
 
@@ -213,6 +220,17 @@ def _build_segment_plan(family: BallFamily, kind: str) -> SegmentPlan:
         starts += [b.start + p for p in at]
         buckets += [bisect.bisect_right(ds, abs(b.run[p] - n0)) for p in at]
     return SegmentPlan(np.array(starts, dtype=np.intp), np.array(buckets, dtype=np.intp))
+
+
+def merge_ascending(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ascending integer arrays a and b as one ascending array,
+    duplicates kept, without a sort: b[j] lands after the j b's before it
+    and the a's at or below it, and a fills the other places in order."""
+    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
+    into = np.zeros(out.size, dtype=bool)
+    into[np.searchsorted(a, b, side="right") + np.arange(b.size)] = True
+    out[into], out[~into] = b, a
+    return out
 
 
 def supercritical_spans(family: BallFamily, rho):
@@ -429,9 +447,10 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
     The plain modes reduce the whole family as one span; the
     supercritical modes reduce each radius block's supercritical run, the
     plan's segments cut at the runs' ends, so no mask or masked copy is
-    made.  A cutoff's balls are those of its bucket and of every bucket
-    nearer the limit, so a running maximum and count from the limit end
-    fill the curve.
+    made: the plan's starts and the runs' ends both ascend, so they
+    merge without a sort.  A cutoff's balls are those of its bucket and of
+    every bucket nearer the limit, so a running maximum and count from the
+    limit end fill the curve.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown curve mode {mode!r}")
@@ -444,7 +463,7 @@ def bucketed_sup(metric: BallValues, mode: str, rho: np.ndarray | float | None =
         # the segments that start in a run are its balls, the others lie
         # between runs
         spans = np.array([(a, b) for _, a, b in supercritical_spans(family, rho)], dtype=np.intp)
-        at = np.sort(np.concatenate((at, spans[spans < total])))
+        at = merge_ascending(at, spans[spans < total])
         span = spans[np.searchsorted(spans[:, 0], at, side="right") - 1]
         kept = (span[:, 0] <= at) & (at < span[:, 1])
         buckets = buckets[np.searchsorted(plan.starts, at, side="right") - 1][kept]

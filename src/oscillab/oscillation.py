@@ -20,6 +20,7 @@ step where a ball sum can change, the semigroup metric at every ball.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -33,6 +34,7 @@ from .family import (
     BallValues,
     LimitCurve,
     bucketed_sup,
+    merge_ascending,
     supercritical_spans,
 )
 from .grid import GridFunction, SummedTable, oscillation_and_size, same_grid
@@ -83,8 +85,8 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
         return (b0 + np.minimum(np.maximum(-((c0 - i) // s), 0), count)).ravel()
 
     # the centers c with c + m, or c - m + 1, in [lo + 1, hi + s - 1], and each block's first
-    first, end = _union(below(np.concatenate((lo + 1 - m, lo + m, c0), 1)),
-                        below(np.concatenate((hi + s - m, hi + s + m - 1, c0 + 1), 1)))
+    first, end = _union((below(lo + 1 - m), below(lo + m), below(c0)),
+                        (below(hi + s - m), below(hi + s + m - 1), below(c0 + 1)))
     n, starts, cells, origin = int(np.sum(end - first)), b0.ravel(), m.ravel(), (c0 - b0 * s).ravel()
     table, means = SummedTable(family.grid, f.pieces), (np.empty(n), np.empty(n))
     for out in means:
@@ -100,12 +102,15 @@ def family_stats(f: GridFunction, family: BallFamily) -> FamilyStats:
     return FamilyStats(*(BallValues(family, at, v) for v in oscillation_and_size(*means)))
 
 
-def _union(first: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _union(firsts, ends) -> tuple[np.ndarray, np.ndarray]:
     """The union of the intervals first[i] .. end[i] - 1 as ascending,
-    disjoint, nonempty runs: with the firsts and the ends sorted apart, a
-    run ends at end[i - 1] when first[i] > end[i - 1], since the i
-    intervals that start before first[i] all end by end[i - 1]."""
-    first, end = np.sort(first), np.sort(end)
+    disjoint, nonempty runs.  The firsts and the ends come as groups that
+    each ascend, as family_stats' below is monotone in a block and the
+    blocks are in ball order, so each side merges without a sort; with the
+    firsts and the ends merged apart, a run ends at end[i - 1] when
+    first[i] > end[i - 1], since the i intervals that start before
+    first[i] all end by end[i - 1]."""
+    first, end = (functools.reduce(merge_ascending, groups) for groups in (firsts, ends))
     new = np.flatnonzero(np.append(True, first[1:] > end[:-1]))
     first, end = first[new], end[np.append(new[1:], end.size) - 1]
     return first[first < end], end[first < end]

@@ -363,9 +363,11 @@ def critical_reach(V: Potential, grid: Grid, lattice: range, radii) -> np.ndarra
     check_bracket_floor(V, d(0))
 
     def supercritical(j, i):
-        # one solve per distinct distance: radii short of every center share d[0]
-        u, at = np.unique(j, return_inverse=True)
-        return r[i] >= solve_critical_radius(V, d(u)).values[at]
+        # one solve per distinct distance, in the order first probed (radii
+        # short of every center share d[0]); the solve is elementwise
+        slot = {}
+        at = [slot.setdefault(x, len(slot)) for x in j.tolist()]
+        return r[i] >= solve_critical_radius(V, d(np.array(list(slot), dtype=np.intp))).values[at]
 
     k = _first_false(lambda j, i: normalized_mass(V, d(j), r[i]) > 1.0,
                      np.zeros(r.size, dtype=np.intp), np.full(r.size, n))

@@ -406,6 +406,24 @@ def meeting(spans, run: range, cell_radius: int) -> list[range]:
     return out
 
 
+def sorted_sites(f: GridFunction, family) -> np.ndarray:
+    """family_stats' sites, the balls where a ball sum can change, by
+    sorting: per block, its first ball and, per piece [lo, hi), the balls
+    whose end c + m or c - m + 1 lies in [lo + 1, hi + s - 1], as
+    intervals of ball indices, sorted and swept into their union."""
+    s, spans = family.lattice.step, [(lo, lo + v.size) for lo, v in f.pieces]
+    intervals = []
+    for b in family.blocks:
+        m, at = b.cell_radius, lambda i: b.start + _positions_below(b.run, i)
+        intervals.append((b.start, b.start + 1))
+        for lo, hi in spans:
+            intervals += [(at(lo + 1 - m), at(hi + s - m)), (at(lo + m), at(hi + s + m - 1))]
+    sites = []
+    for first, end in sorted(intervals):
+        sites += range(max(first, sites[-1] + 1) if sites else first, end)
+    return np.array(sites, dtype=np.intp)
+
+
 def held_family_stats(f: GridFunction, family) -> tuple[np.ndarray, np.ndarray]:
     """(oscillation, size) per family ball as family_stats held them
     before they were steps: the balls that meet f's pieces (meeting) read

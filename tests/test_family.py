@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab.errors import ConfigError
@@ -16,6 +16,7 @@ from oscillab.family import (
     LimitCurve,
     bucketed_sup,
     make_ball_family,
+    merge_ascending,
     supercritical_spans,
 )
 from oscillab.grid import Ball, Grid
@@ -256,6 +257,21 @@ def test_supercritical_mask_filters_by_rho():
     curve = bucketed_sup(BallValues.whole(fam, fam.radii.copy()), "large-and-supercritical", rho=1.5)
     # only r=2 balls qualify
     assert curve.values[curve.present][0] == 2.0
+
+
+_ASCENDING = st.lists(st.integers(-4, 4), max_size=12).map(lambda v: np.array(sorted(v), dtype=np.intp))
+
+
+@given(_ASCENDING, _ASCENDING)
+@example(np.array([], dtype=np.intp), np.array([], dtype=np.intp))
+@example(np.array([], dtype=np.intp), np.array([2, 2], dtype=np.intp))
+@example(np.array([1, 1, 3], dtype=np.intp), np.array([], dtype=np.intp))
+@example(np.array([0, 2, 2, 5], dtype=np.intp), np.array([2, 2, 2, 3, 3], dtype=np.intp))
+def test_merge_ascending_is_the_sorted_concatenation(a, b):
+    # few distinct values, so duplicates within a run and across both, and
+    # runs that are empty, interleave or lie wholly on one side
+    got = merge_ascending(a, b)
+    assert got.dtype == np.intp and np.array_equal(got, np.sort(np.concatenate((a, b))))
 
 
 def test_metric_length_mismatch():

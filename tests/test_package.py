@@ -19,7 +19,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 _LAZY = ["numpy.random", "numpy.polynomial", "numpy.fft", "_hashlib", "dataclasses"]
 
 # flags parse before any numerical module loads, and a run loads no SciPy;
-# the configs given run one after another in one process
+# the configs given run one after another in one process.  A run calls
+# none of numpy's sort kernels either (sort, argsort, partition,
+# argpartition, lexsort; the interpreter's list.sort is not one): the
+# index runs a scan reads already ascend and are merged, and the distances
+# a rho search probes are deduplicated in a dict
 _IMPORT_PROBE = """
 import json, sys
 
@@ -28,9 +32,22 @@ from oscillab import cli
 cli._build_parser().parse_args(["run", "--config", "x"])
 parsed = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
 out, lazy, configs = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
+sorts = []
+
+
+def profile(frame, event, arg):
+    name = getattr(arg, "__name__", None)
+    if event == "c_call" and name in ("sort", "argsort", "partition", "argpartition", "lexsort"):
+        if not isinstance(getattr(arg, "__self__", None), list):
+            sorts.append(getattr(arg, "__qualname__", name))
+
+
+sys.setprofile(profile)
 codes = [cli.main(["run", "--config", c, "--out", f"{out}/{i}"]) for i, c in enumerate(configs)]
+sys.setprofile(None)
 ran = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "parsed": parsed, "ran": ran, "lazy": [m for m in lazy if m in sys.modules]}))
+print(json.dumps({"codes": codes, "parsed": parsed, "ran": ran, "lazy": [m for m in lazy if m in sys.modules],
+                  "sorts": sorts}))
 """
 
 
@@ -50,11 +67,11 @@ def test_flags_parse_without_numpy_and_a_run_loads_no_scipy(tmp_path):
     # operator scenarios take sine transforms: of the lazy modules, only the
     # transform's loads
     got = _probe(tmp_path, "quick.json")
-    assert got == {"codes": [0], "parsed": [], "ran": [], "lazy": ["numpy.fft"]}
+    assert got == {"codes": [0], "parsed": [], "ran": [], "lazy": ["numpy.fft"], "sorts": []}
 
 
 def test_lacunary_and_pipeline_runs_load_no_lazy_numpy_submodule(tmp_path):
     # neither draws, solves a radial mass nor transforms, so neither loads
     # the sine transform's module either
     got = _probe(tmp_path, "lacunary.json", "pipeline-large.json")
-    assert got == {"codes": [0, 0], "parsed": [], "ran": [], "lazy": []}
+    assert got == {"codes": [0, 0], "parsed": [], "ran": [], "lazy": [], "sorts": []}

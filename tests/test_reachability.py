@@ -37,11 +37,13 @@ REASON_KINDS = {
     "cli": "the CLI entry that calls it",
     "config": "the config key, unset in full.json, that reaches it",
     "tracer": "the oscbench/tracing.py span or counter that wraps or reads it",
+    "protocol": "the standard-library protocol (copy, pickle) that calls it",
 }
 
 ALLOWED = {
     "cli.py:_scenario_from_args": ("cli", "the bmo, tent, pairing and uchiyama shorthands"),
     "corpus.py:corpus_grid": ("script", "corpus_norms.py samples the corpus on it"),
+    "family.py:BallFamily.__getnewargs__": ("protocol", "copy, deepcopy and pickle rebuild a family from it"),
     "family.py:BallFamily.centers": ("tracer", "the family.distinct_centers counter and the family_stats digest"),
     "family.py:BallFamily.radii": ("tracer", "the family_stats counter digests the radii"),
     "semigroup.py:apply_spectral": ("tracer", "the semigroup.apply span wraps it"),

@@ -3,8 +3,10 @@ order, which _asdict() gives as the summaries serialize them, and value
 equality, which lets the plan share one family, operator and ladder
 between scenarios of equal geometry."""
 
+import copy
 import importlib
 import inspect
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from oscillab.experiments import _Kind, _Scenario, ExperimentConfig, ScenarioPla
 from oscillab.family import (BallFamily, BallValues, FamilyPolicy, LimitCurve, RadiusBlock, SegmentPlan, bucketed_sup,
                              make_ball_family)
 from oscillab.grid import Ball, Grid
-from oscillab.oscillation import FamilyStats, OscillationReport, SplitNormReport, Verdict
+from oscillab.oscillation import FamilyStats, OscillationReport, SplitNormReport, Verdict, family_stats
 from oscillab.potential import CriticalRadiusField, Potential
 from oscillab.reports import AgreementReport, LacunaryReport, PipelineReport, RhoSlopeReport
 from oscillab.semigroup import HalfSpaceFunction, SpectralOperator, TLadder, default_ladder, square_function_field
@@ -111,3 +113,28 @@ def test_record_is_a_read_only_named_tuple(record):
             assert a == b and hash(a) == hash(b)
         else:
             assert a is b
+
+
+# a BallValues of a scan, whose steps are its sites, beside the built
+# records; copy, deepcopy and pickle each rebuild a record through __new__
+_COPIED = {**{cls.__name__: build for cls, build in _BUILT.items()},
+           "BallValues-steps": lambda: family_stats(member_by_name("gaussian").build(_GRID), _FAMILY).size}
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+def _same(a, b) -> bool:
+    """a and b field by field: arrays by np.array_equal and their dtype,
+    records and tuples by their type and each field in turn."""
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("how", _COPIES)
+@pytest.mark.parametrize("name", _COPIED)
+def test_record_survives_copy_deepcopy_and_pickle(name, how):
+    value = _COPIED[name]()
+    got = _COPIES[how](value)
+    assert type(got) is type(value) and _same(got, value)

@@ -37,7 +37,7 @@ from oscillab.corpus import CORPUS, member_by_name
 from oscillab.errors import ThresholdExhaustedError
 from oscillab.experiments import plan_scenarios
 from oscillab.reports import RHO_CONSTANT_UNIT
-from oscillab.family import FamilyPolicy, make_ball_family
+from oscillab.family import BallFamily, FamilyPolicy, make_ball_family
 from oscillab.grid import Grid, GridFunction
 from oscillab.oscillation import bmo_l_norm, bmo_norm, family_stats, oscillation_curves
 from oracles import (
@@ -54,6 +54,7 @@ from oracles import (
     held_family_stats,
     held_whole,
     naive_sup_reductions,
+    sorted_sites,
 )
 
 # geometry -> (approximation-pipeline scenario keys, the cutoffs (I, J, M)
@@ -389,6 +390,36 @@ def test_several_piece_family_stats_equal_the_dense_oracle(layout, seed, stride)
     for mode, curve in oscillation_curves(st_, rho).items():
         assert _same(curve.values, curves[mode].values) and np.array_equal(curve.counts, curves[mode].counts), mode
 
+
+def _one_sided(fam: BallFamily, side: str) -> BallFamily:
+    """fam's balls about its centers on one side of the origin's sample,
+    that sample included: each block, centered on it, keeps its part."""
+    lat, k0 = fam.lattice, fam.lattice.index(fam.grid.half_cells)
+    half = lat[k0:] if side == "right" else lat[: k0 + 1]
+    runs = [range(max(b.run.start, half.start), min(b.run.stop, half.stop), lat.step) for b in fam.blocks]
+    blocks = [(b.cell_radius, half.index(run.start), len(run)) for b, run in zip(fam.blocks, runs)]
+    return BallFamily(fam.grid, half, blocks, fam.radius_ladder, fam.distance_ladder)
+
+
+@given(_PIECES, st.integers(0, 2**16), st.integers(1, 3), st.booleans(), st.sampled_from(["both", "right", "left"]))
+@example([(0, 3, "value", "value"), (0, 2, "-0.0", "value"), (1, 0, "+0.0", "+0.0")], 0, 1, False, "both")
+@example([(5, 1, "-0.0", "-0.0"), (2, 6, "+0.0", "value"), (8, 0, "value", "value")], 7, 2, False, "right")
+@example([(0, 4, "value", "value"), (9, 2, "value", "-0.0"), (1, 1, "value", "value")], 3, 3, True, "left")
+def test_family_stats_sites_are_the_sorted_union_of_their_intervals(layout, seed, stride, whole, side):
+    # the sites that family_stats merges from ascending groups against the
+    # sorted union of the same intervals: several-piece members and dense
+    # ones (held on every sample), over a symmetric lattice and over each
+    # one-sided half of it
+    grid = Grid(halfwidth=16.0, spacing=0.25)
+    fam = make_ball_family(grid, FamilyPolicy(center_stride=0.25 * stride, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 7.5)))
+    if side != "both":
+        fam = _one_sided(fam, side)
+    f = GridFunction.from_pieces(grid, _pieces_of(layout, seed, grid))
+    assume(f.pieces)
+    if whole:
+        f = held_whole(f)
+    got, want = family_stats(f, fam), sorted_sites(f, fam)
+    assert np.array_equal(got.oscillation.starts, want) and np.array_equal(got.size.starts, want)
 
 
 def _first_sup_of(dense: np.ndarray, cuts: np.ndarray, kept: np.ndarray) -> tuple[float, int]:
